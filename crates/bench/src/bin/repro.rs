@@ -30,7 +30,7 @@ use std::io::Write;
 
 use bench::experiments::cardinality::{self, CardinalityReport, CardinalityRow, RegistrationRow};
 use bench::experiments::compaction::{self, CompactionReport, CompactionRow};
-use bench::experiments::decode::{self, DecodeReport, DecodeRow, PoolSummary};
+use bench::experiments::decode::{self, DecodeReport, DecodeResults};
 use bench::experiments::ingest::{self, IngestReport, IngestRow};
 use bench::experiments::pages::{self, PagesReport, PagesRow};
 use bench::experiments::serve::{self, ServeReport, ServeRow};
@@ -193,13 +193,13 @@ fn main() {
         cardinality::summarize(&registration, &rows);
         cardinality_out = Some((registration, rows));
     }
-    let mut decode_out: Option<(Vec<DecodeRow>, PoolSummary)> = None;
+    let mut decode_out: Option<DecodeResults> = None;
     if all || args.exp == "decode" {
         println!("\n== decode ==");
-        let (rows, pool) = decode::run(&h);
-        decode::print(&rows, &pool);
-        decode::summarize(&rows, &pool);
-        decode_out = Some((rows, pool));
+        let results = decode::run(&h);
+        decode::print(&results);
+        decode::summarize(&results);
+        decode_out = Some(results);
     }
 
     if let Some(path) = &args.out {
@@ -262,8 +262,19 @@ fn main() {
                 report.rows.len(),
             )
         } else if args.exp == "decode" {
-            let (rows, pool) = decode_out.take().expect("decode experiment ran");
-            let report = DecodeReport { meta, rows, pool };
+            let DecodeResults {
+                rows,
+                crc32,
+                memtable,
+                pool,
+            } = decode_out.take().expect("decode experiment ran");
+            let report = DecodeReport {
+                meta,
+                rows,
+                crc32,
+                memtable,
+                pool,
+            };
             (
                 serde_json::to_string_pretty(&report).expect("serialize decode report"),
                 report.rows.len(),

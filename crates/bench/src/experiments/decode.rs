@@ -15,16 +15,25 @@
 //! The pool section writes a small multi-chunk TsFile and re-reads its
 //! chunks repeatedly, reporting the process-wide buffer-pool hit/miss
 //! delta: a warm steady-state read path must show hits.
+//!
+//! The write path's two kernels ride along under the same rule (bit
+//! equality, and not slower than the reference in the same run): the
+//! slice-by-16 `tsfile::checksum::crc32` against a bitwise, table-free
+//! CRC at three buffer sizes, and `tskv::memtable::MemTable` against
+//! the plain `BTreeMap` it replaced, on in-order and 10 %-late input.
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
+use tsfile::checksum::crc32;
 use tsfile::encoding::{gorilla, plain, reference, ts2diff};
 use tsfile::types::Point;
 use tsfile::{TsFileReader, TsFileWriter};
+use tskv::memtable::MemTable;
 use workload::signal::Signal;
 use workload::timestamps;
 
@@ -58,11 +67,46 @@ pub struct PoolSummary {
     pub hit_rate: f64,
 }
 
+/// One buffer size: the production CRC32 kernel vs a bitwise reference.
+#[derive(Debug, Clone, Serialize)]
+pub struct CrcRow {
+    pub len_bytes: usize,
+    pub kernel_mb_s: f64,
+    pub reference_mb_s: f64,
+    /// kernel / reference.
+    pub speedup: f64,
+    /// Same checksum at every offset 0..16 of the shared buffer.
+    pub equivalent: bool,
+}
+
+/// Insert-then-drain cost of the memtable vs a plain `BTreeMap`.
+#[derive(Debug, Clone, Serialize)]
+pub struct MemtableRow {
+    pub n_points: usize,
+    pub in_order_ns_per_point: f64,
+    pub late10_ns_per_point: f64,
+    pub btreemap_in_order_ns_per_point: f64,
+    pub btreemap_late10_ns_per_point: f64,
+    /// Drained contents equal the `BTreeMap`'s on both inputs.
+    pub equivalent: bool,
+}
+
+/// Everything the decode experiment measures.
+#[derive(Debug)]
+pub struct DecodeResults {
+    pub rows: Vec<DecodeRow>,
+    pub crc32: Vec<CrcRow>,
+    pub memtable: MemtableRow,
+    pub pool: PoolSummary,
+}
+
 /// The document `repro --exp decode --out` writes.
 #[derive(Debug, Serialize)]
 pub struct DecodeReport {
     pub meta: BenchMeta,
     pub rows: Vec<DecodeRow>,
+    pub crc32: Vec<CrcRow>,
+    pub memtable: MemtableRow,
     pub pool: PoolSummary,
 }
 
@@ -101,7 +145,7 @@ fn streams(h: &Harness) -> (Vec<f64>, Vec<f64>, Vec<i64>, Vec<i64>) {
     (sensor, constant, regular, jitter)
 }
 
-pub fn run(h: &Harness) -> (Vec<DecodeRow>, PoolSummary) {
+pub fn run(h: &Harness) -> DecodeResults {
     let (sensor, constant, regular, jitter) = streams(h);
     let mut rows = Vec::new();
 
@@ -179,7 +223,100 @@ pub fn run(h: &Harness) -> (Vec<DecodeRow>, PoolSummary) {
         });
     }
 
-    (rows, exercise_pool(h))
+    DecodeResults {
+        rows,
+        crc32: crc_rows(h),
+        memtable: memtable_row(h),
+        pool: exercise_pool(h),
+    }
+}
+
+/// CRC32 (IEEE, reflected) one bit at a time: no table to get wrong.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &byte in data {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
+fn crc_rows(h: &Harness) -> Vec<CrcRow> {
+    const LENS: [usize; 3] = [64, 4 << 10, 1 << 20];
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let data: Vec<u8> = (0..(1 << 20) + 16)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 56) as u8
+        })
+        .collect();
+    LENS.iter()
+        .map(|&len| {
+            let equivalent = (0..16).all(|off| {
+                let window = &data[off..off + len];
+                crc32(window) == crc32_bitwise(window)
+            });
+            // Bytes for points: "million points per second" is MB/s.
+            let window = &data[1..1 + len];
+            let kernel_mb_s = throughput_mpoints_s(h, len, || crc32(std::hint::black_box(window)));
+            let reference_mb_s =
+                throughput_mpoints_s(h, len, || crc32_bitwise(std::hint::black_box(window)));
+            CrcRow {
+                len_bytes: len,
+                kernel_mb_s,
+                reference_mb_s,
+                speedup: kernel_mb_s / reference_mb_s,
+                equivalent,
+            }
+        })
+        .collect()
+}
+
+fn memtable_row(h: &Harness) -> MemtableRow {
+    let n = ((4_000_000.0 * h.scale) as usize).max(4096);
+    let in_order: Vec<Point> = (0..n as i64)
+        .map(|i| Point::new(i * 10, i as f64))
+        .collect();
+    // Every tenth point arrives ten positions late, between two points
+    // already buffered.
+    let mut late10 = in_order.clone();
+    for i in (10..n).step_by(10) {
+        late10[i].t -= 95;
+    }
+    let via_memtable = |input: &[Point]| {
+        let mut m = MemTable::new();
+        for batch in input.chunks(2_000) {
+            m.extend(batch);
+        }
+        m.drain_sorted()
+    };
+    let via_btreemap = |input: &[Point]| {
+        let mut m: BTreeMap<i64, f64> = BTreeMap::new();
+        for p in input {
+            m.insert(p.t, p.v);
+        }
+        m.into_iter()
+            .map(|(t, v)| Point::new(t, v))
+            .collect::<Vec<_>>()
+    };
+    let equivalent = [&in_order, &late10]
+        .iter()
+        .all(|input| via_memtable(input) == via_btreemap(input));
+    let ns_per_point = |f: &dyn Fn(&[Point]) -> Vec<Point>, input: &[Point]| {
+        1e3 / throughput_mpoints_s(h, n, || f(std::hint::black_box(input)))
+    };
+    MemtableRow {
+        n_points: n,
+        in_order_ns_per_point: ns_per_point(&via_memtable, &in_order),
+        late10_ns_per_point: ns_per_point(&via_memtable, &late10),
+        btreemap_in_order_ns_per_point: ns_per_point(&via_btreemap, &in_order),
+        btreemap_late10_ns_per_point: ns_per_point(&via_btreemap, &late10),
+        equivalent,
+    }
 }
 
 /// Write a multi-chunk TsFile, then re-read every chunk `h.repeats * 8`
@@ -226,7 +363,13 @@ fn exercise_pool(h: &Harness) -> PoolSummary {
 }
 
 /// Aligned table of all cells plus the pool line.
-pub fn print(rows: &[DecodeRow], pool: &PoolSummary) {
+pub fn print(results: &DecodeResults) {
+    let DecodeResults {
+        rows,
+        crc32,
+        memtable,
+        pool,
+    } = results;
     if rows.is_empty() {
         return;
     }
@@ -247,6 +390,21 @@ pub fn print(rows: &[DecodeRow], pool: &PoolSummary) {
             r.equivalent
         );
     }
+    for r in crc32 {
+        println!(
+            "crc32 {:>8} B: kernel {:>8.1} MB/s, bitwise reference {:>6.1} MB/s ({:.1}x), equal {}",
+            r.len_bytes, r.kernel_mb_s, r.reference_mb_s, r.speedup, r.equivalent
+        );
+    }
+    println!(
+        "memtable {} points: in-order {:.1} ns/pt (BTreeMap {:.1}), 10% late {:.1} ns/pt (BTreeMap {:.1}), equal {}",
+        memtable.n_points,
+        memtable.in_order_ns_per_point,
+        memtable.btreemap_in_order_ns_per_point,
+        memtable.late10_ns_per_point,
+        memtable.btreemap_late10_ns_per_point,
+        memtable.equivalent
+    );
     println!(
         "pool: {} hits / {} misses (hit rate {:.1}%)",
         pool.pool_hits,
@@ -256,8 +414,11 @@ pub fn print(rows: &[DecodeRow], pool: &PoolSummary) {
 }
 
 /// Headline: worst-case speedup over the real codecs and the pool rate.
-pub fn summarize(rows: &[DecodeRow], pool: &PoolSummary) {
-    let mismatches = rows.iter().filter(|r| !r.equivalent).count();
+pub fn summarize(results: &DecodeResults) {
+    let DecodeResults { rows, pool, .. } = results;
+    let mismatches = rows.iter().filter(|r| !r.equivalent).count()
+        + results.crc32.iter().filter(|r| !r.equivalent).count()
+        + usize::from(!results.memtable.equivalent);
     let worst = rows
         .iter()
         .filter(|r| r.codec != "plain-i64")
@@ -281,9 +442,20 @@ mod tests {
         // invariants (bit-exact equivalence, warm pool) — NOT the
         // speedup, which debug builds do not reproduce.
         let h = Harness::new(0.002, 1).with_datasets(vec![]);
-        let (rows, pool) = run(&h);
+        let DecodeResults {
+            rows,
+            crc32,
+            memtable,
+            pool,
+        } = run(&h);
         h.cleanup();
         assert_eq!(rows.len(), 5);
+        assert_eq!(crc32.len(), 3);
+        assert!(
+            crc32.iter().all(|r| r.equivalent),
+            "crc mismatch: {crc32:?}"
+        );
+        assert!(memtable.equivalent, "memtable mismatch: {memtable:?}");
         assert!(
             rows.iter().all(|r| r.equivalent),
             "kernel mismatch: {rows:?}"

@@ -2,6 +2,7 @@
 //! result rows, and table printing.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -102,7 +103,12 @@ pub struct Harness {
 impl Harness {
     /// Create a harness writing stores under `root` (created on use).
     pub fn new(scale: f64, repeats: usize) -> Self {
-        let root = std::env::temp_dir().join(format!("m4-bench-{}", std::process::id()));
+        // pid + a process-wide counter: harnesses of one process (the
+        // experiments' tests run in parallel) must not share a root
+        // that `cleanup` removes.
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let root = std::env::temp_dir().join(format!("m4-bench-{}-{n}", std::process::id()));
         Harness {
             scale,
             repeats,

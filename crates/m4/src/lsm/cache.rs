@@ -260,7 +260,11 @@ mod tests {
     use tskv::TsKv;
 
     fn fixture() -> (std::path::PathBuf, TsKv) {
-        let dir = std::env::temp_dir().join(format!("m4-cache-{}", std::process::id()));
+        // pid + a process-wide counter: tests of one binary run in
+        // parallel and must not share (and delete) each other's store.
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("m4-cache-{}-{n}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let kv = TsKv::open(
             &dir,

@@ -211,15 +211,28 @@ pub fn encode_page(
     val_encoding: EncodingKind,
     out: &mut Vec<u8>,
 ) {
-    let start = out.len();
-    varint::write_u64(out, cast::u64_from_usize(points.len()));
     let ts: Vec<i64> = points.iter().map(|p| p.t).collect();
-    let const_delta = constant_delta(&ts);
+    let vs: Vec<f64> = points.iter().map(|p| p.v).collect();
+    encode_page_columns(&ts, &vs, ts_encoding, val_encoding, out);
+}
+
+/// [`encode_page`] over a page already split into its two columns
+/// (equal length) — the writer splits a chunk once and hands each page
+/// its slices.
+pub(crate) fn encode_page_columns(
+    ts: &[i64],
+    vs: &[f64],
+    ts_encoding: EncodingKind,
+    val_encoding: EncodingKind,
+    out: &mut Vec<u8>,
+) {
+    let start = out.len();
+    varint::write_u64(out, cast::u64_from_usize(ts.len()));
     // Pooled column scratch: page encode runs once per page on every
     // flush/compaction; reusing the scratch keeps the write path free
     // of two heap round-trips per page.
     let mut ts_bytes = bufpool::take(0);
-    match const_delta {
+    match constant_delta(ts) {
         Some((first, delta)) => {
             out.push(TS_MODE_CONST_DELTA);
             varint::write_i64(&mut ts_bytes, first);
@@ -227,14 +240,13 @@ pub fn encode_page(
         }
         None => {
             out.push(TS_MODE_STREAM);
-            encoding::encode_timestamps(ts_encoding, &ts, &mut ts_bytes);
+            encoding::encode_timestamps(ts_encoding, ts, &mut ts_bytes);
         }
     }
     varint::write_u64(out, cast::u64_from_usize(ts_bytes.len()));
     out.extend_from_slice(&ts_bytes);
-    let vs: Vec<f64> = points.iter().map(|p| p.v).collect();
     let mut val_bytes = bufpool::take(0);
-    encoding::encode_values(val_encoding, &vs, &mut val_bytes);
+    encoding::encode_values(val_encoding, vs, &mut val_bytes);
     varint::write_u64(out, cast::u64_from_usize(val_bytes.len()));
     out.extend_from_slice(&val_bytes);
     let crc = crc32(out.get(start..).unwrap_or(&[]));

@@ -58,6 +58,21 @@ impl ChunkStatistics {
         })
     }
 
+    /// Extend these statistics with those of a run of points lying
+    /// strictly later in time (the next page of a chunk). Value ties
+    /// keep the earlier point, as [`ChunkStatistics::from_points`]
+    /// over the concatenation would.
+    pub fn absorb_later(&mut self, later: &ChunkStatistics) {
+        self.last = later.last;
+        if later.bottom.v.total_cmp(&self.bottom.v).is_lt() {
+            self.bottom = later.bottom;
+        }
+        if later.top.v.total_cmp(&self.top.v).is_gt() {
+            self.top = later.top;
+        }
+        self.count += later.count;
+    }
+
     /// The chunk's time interval `[FP(C).t, LP(C).t]`.
     #[inline]
     pub fn time_range(&self) -> TimeRange {

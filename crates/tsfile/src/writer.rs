@@ -94,32 +94,42 @@ impl TsFileWriter {
         if points.is_empty() {
             return Err(TsFileError::EmptyChunk);
         }
-        for w in points.windows(2) {
-            if w[1].t <= w[0].t {
-                return Err(TsFileError::UnsortedPoints {
-                    prev: w[0].t,
-                    next: w[1].t,
-                });
-            }
-        }
-        let stats = ChunkStatistics::from_points(points)?;
-
-        // Page-structured body: each `page_points`-sized slice becomes
-        // an independently decodable (and independently CRC'd) page
-        // with its own statistics in the footer's page index.
+        // One pass over the points splits them into columns — the
+        // timestamps of the whole chunk (the step index learns from
+        // them), the values page by page — while checking time order
+        // and gathering each page's statistics; the chunk's are their
+        // merge. Each `page_points`-sized slice becomes an
+        // independently decodable (and independently CRC'd) page with
+        // its own statistics in the footer's page index.
+        let mut ts: Vec<i64> = Vec::with_capacity(points.len());
+        let mut vs: Vec<f64> = Vec::with_capacity(self.page_points.min(points.len()));
         let mut body = Vec::new();
         let mut pages = Vec::with_capacity(points.len() / self.page_points + 1);
+        let mut stats: Option<ChunkStatistics> = None;
         for slice in points.chunks(self.page_points) {
+            let page_start = ts.len();
+            vs.clear();
+            let page_stats = split_page(slice, &mut ts, &mut vs)?;
             let offset = body.len() as u64;
-            page::encode_page(slice, self.ts_encoding, self.val_encoding, &mut body);
+            page::encode_page_columns(
+                ts.get(page_start..).unwrap_or(&[]),
+                &vs,
+                self.ts_encoding,
+                self.val_encoding,
+                &mut body,
+            );
             pages.push(PageMeta {
                 offset,
                 byte_len: body.len() as u64 - offset,
-                stats: PageStatistics::from_points(slice)?,
+                stats: page_stats,
             });
+            match &mut stats {
+                Some(chunk) => chunk.absorb_later(&page_stats),
+                None => stats = Some(page_stats),
+            }
         }
+        let stats = stats.ok_or(TsFileError::EmptyChunk)?;
 
-        let ts: Vec<i64> = points.iter().map(|p| p.t).collect();
         let index = if self.build_index {
             StepIndex::learn(&ts)
         } else {
@@ -178,8 +188,7 @@ impl TsFileWriter {
 
         let mut metas = Vec::with_capacity(pages.len());
         let mut offset = 0u64;
-        let mut stats = first_page.stats;
-        let mut count = 0u64;
+        let mut stats: Option<ChunkStatistics> = None;
         for p in pages {
             p.stats.validate()?;
             let pm = PageMeta {
@@ -189,17 +198,13 @@ impl TsFileWriter {
             };
             page::verify_page_body(p.bytes, &pm)?;
             offset += pm.byte_len;
-            count += p.stats.count;
-            if p.stats.bottom.v.total_cmp(&stats.bottom.v).is_lt() {
-                stats.bottom = p.stats.bottom;
-            }
-            if p.stats.top.v.total_cmp(&stats.top.v).is_gt() {
-                stats.top = p.stats.top;
+            match &mut stats {
+                Some(chunk) => chunk.absorb_later(&p.stats),
+                None => stats = Some(p.stats),
             }
             metas.push(pm);
         }
-        stats.last = pages.last().map_or(stats.last, |p| p.stats.last);
-        stats.count = count;
+        let stats = stats.ok_or(TsFileError::EmptyChunk)?;
 
         let meta = ChunkMeta {
             offset: self.pos,
@@ -242,6 +247,40 @@ impl TsFileWriter {
         self.finished = true;
         Ok(())
     }
+}
+
+/// Append one page's points to the column buffers, checking that time
+/// strictly increases (from the previous page's last timestamp on) and
+/// gathering the page's statistics.
+fn split_page(page: &[Point], ts: &mut Vec<i64>, vs: &mut Vec<f64>) -> Result<PageStatistics> {
+    let (&first, &last) = page
+        .first()
+        .zip(page.last())
+        .ok_or(TsFileError::EmptyChunk)?;
+    let mut prev = ts.last().copied();
+    let (mut bottom, mut top) = (first, first);
+    for p in page {
+        if let Some(prev) = prev.filter(|&prev| p.t <= prev) {
+            return Err(TsFileError::UnsortedPoints { prev, next: p.t });
+        }
+        prev = Some(p.t);
+        ts.push(p.t);
+        vs.push(p.v);
+        // total_cmp, earliest point on ties: as `from_points`.
+        if p.v.total_cmp(&bottom.v).is_lt() {
+            bottom = *p;
+        }
+        if p.v.total_cmp(&top.v).is_gt() {
+            top = *p;
+        }
+    }
+    Ok(PageStatistics {
+        first,
+        last,
+        bottom,
+        top,
+        count: page.len() as u64,
+    })
 }
 
 #[cfg(test)]

@@ -27,8 +27,11 @@ fn expected_points() -> Vec<Point> {
         .collect()
 }
 
+/// The fixture's footer and chunk-body checksums were written by the
+/// byte-at-a-time CRC32 the slice-by-16 kernel replaced; they must
+/// verify unchanged.
 #[test]
-fn v1_fixture_opens_and_reads_exactly() {
+fn v1_fixture_with_checksums_from_the_old_crc_kernel_opens_and_reads_exactly() {
     let r = TsFileReader::open(fixture_path()).expect("v1 fixture must open");
     assert_eq!(r.format_version(), FORMAT_V1);
     let metas = r.chunk_metas();

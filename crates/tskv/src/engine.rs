@@ -479,11 +479,7 @@ fn recover_series(
     let mut memtable = MemTable::new();
     for record in records {
         match record {
-            WalRecord::Insert(points) => {
-                for p in points {
-                    memtable.insert(*p);
-                }
-            }
+            WalRecord::Insert(points) => memtable.extend(points),
             WalRecord::Delete { version, range } => {
                 memtable.delete_range(*range);
                 alloc.observe(*version);
@@ -747,9 +743,7 @@ impl EngineInner {
         if let Some(wal) = &self.storage(id).wal {
             wal.append_inserts(id, points)?;
         }
-        for p in points {
-            store.memtable.insert(*p);
-        }
+        store.memtable.extend(points);
         self.io.record_points_written(points.len() as u64);
         Ok(())
     }

@@ -305,32 +305,35 @@ impl ShardWal {
         if points.is_empty() {
             return Ok(());
         }
-        let mut body = Vec::with_capacity(15 + points.len() * 12);
-        body.push(0u8);
-        body.extend_from_slice(&id.0.to_le_bytes());
-        varint::write_u64(&mut body, points.len() as u64);
-        for p in points {
-            varint::write_i64(&mut body, p.t);
-            body.extend_from_slice(&p.v.to_le_bytes());
-        }
-        self.append_op(id, body)
+        self.append_op(id, |out| {
+            // Kind + id + count, then at most 10 + 8 bytes per point:
+            // the record never regrows the buffer mid-encode.
+            out.reserve(15 + points.len() * 18);
+            out.push(0u8);
+            out.extend_from_slice(&id.0.to_le_bytes());
+            varint::write_u64(out, points.len() as u64);
+            for p in points {
+                varint::write_i64(out, p.t);
+                out.extend_from_slice(&p.v.to_le_bytes());
+            }
+        })
     }
 
     /// Append one delete for `id` with its global version `κ`.
     pub fn append_delete(&self, id: SeriesId, version: Version, range: TimeRange) -> Result<()> {
-        let mut body = Vec::with_capacity(36);
-        body.push(1u8);
-        body.extend_from_slice(&id.0.to_le_bytes());
-        varint::write_u64(&mut body, version.0);
-        varint::write_i64(&mut body, range.start);
-        varint::write_i64(&mut body, range.end);
-        self.append_op(id, body)
+        self.append_op(id, |out| {
+            out.push(1u8);
+            out.extend_from_slice(&id.0.to_le_bytes());
+            varint::write_u64(out, version.0);
+            varint::write_i64(out, range.start);
+            varint::write_i64(out, range.end);
+        })
     }
 
-    fn append_op(&self, id: SeriesId, body: Vec<u8>) -> Result<()> {
+    fn append_op(&self, id: SeriesId, encode: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
         let mut state = self.state.lock();
         let at = state.pos;
-        state.append_framed(body, self.batch_bytes)?;
+        state.append_framed(encode, self.batch_bytes)?;
         let pos = state.pos;
         state.last_append.insert(id, pos);
         state.first_uncovered.entry(id).or_insert(at);
@@ -415,11 +418,19 @@ impl ShardWal {
 }
 
 impl WalState {
-    fn append_framed(&mut self, body: Vec<u8>, batch_bytes: usize) -> Result<()> {
-        let crc = crc32(&body);
-        self.buf.extend_from_slice(&body);
+    /// Frame one record: `encode` writes kind + body straight into the
+    /// group-commit buffer, and the CRC is taken over those bytes where
+    /// they lie.
+    fn append_framed(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>),
+        batch_bytes: usize,
+    ) -> Result<()> {
+        let start = self.buf.len();
+        encode(&mut self.buf);
+        let crc = crc32(self.buf.get(start..).unwrap_or(&[]));
         self.buf.extend_from_slice(&crc.to_le_bytes());
-        self.pos += body.len() as u64 + 4;
+        self.pos += (self.buf.len() - start) as u64;
         if self.buf.len() >= batch_bytes {
             self.flush_buf()?;
         }
@@ -427,10 +438,13 @@ impl WalState {
     }
 
     fn append_marker(&mut self, kind: u8, id: SeriesId, batch_bytes: usize) -> Result<()> {
-        let mut body = Vec::with_capacity(9);
-        body.push(kind);
-        body.extend_from_slice(&id.0.to_le_bytes());
-        self.append_framed(body, batch_bytes)
+        self.append_framed(
+            |out| {
+                out.push(kind);
+                out.extend_from_slice(&id.0.to_le_bytes());
+            },
+            batch_bytes,
+        )
     }
 
     fn flush_buf(&mut self) -> Result<()> {

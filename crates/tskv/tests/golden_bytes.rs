@@ -1,0 +1,149 @@
+//! Byte identity of everything the write path leaves on disk.
+//!
+//! A fixed seeded history — in-order batches, 10 % late points, an
+//! overwrite, range deletes — is written, partly flushed, and every
+//! file of the store (sealed TsFile, mods log, shared WAL segment,
+//! catalog log, shard pin) is hashed. The golden hashes were computed
+//! by this same test at the commit *before* the write-path kernels
+//! (CRC32, memtable, WAL/page framing) were rebuilt: equal hashes are
+//! the proof that the rebuild changed no format and no byte.
+
+// Tests assert by panicking; the workspace panic-freedom deny-set
+// (root Cargo.toml) is aimed at library code.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
+use std::path::{Path, PathBuf};
+
+use tsfile::types::Point;
+use tskv::config::EngineConfig;
+use tskv::TsKv;
+
+/// `(path relative to the store, length, FNV-1a 64 of the bytes)`.
+const GOLDEN: &[(&str, u64, u64)] = &[
+    ("SHARDS", 2, 0x07f8bc07b4ba5002),
+    ("catalog.log", 36, 0xec3a226c01abdc87),
+    ("shard-0000/s1-00000000.mods", 9, 0xcc59cc0b4c19c5c2),
+    ("shard-0000/s1-00000000.tsfile", 20693, 0x059e32fc8b0a1eec),
+    ("shard-0000/wal-00000000.log", 28520, 0xd85eab1dfa586c6f),
+];
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Deterministic values: a 64-bit LCG, top bits mapped to a sensor-ish
+/// float with a fractional part (so Gorilla sees real mantissas).
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        self.0 >> 33
+    }
+
+    fn value(&mut self) -> f64 {
+        (self.next() % 200_000) as f64 / 100.0 - 1000.0
+    }
+}
+
+/// One batch of `n` points starting at `t0`: timestamps 10 ms apart,
+/// every tenth point instead lands 5 ms *before* the batch's third
+/// point onwards (late, between two points already written).
+fn batch(rng: &mut Lcg, t0: i64, n: i64) -> Vec<Point> {
+    let mut in_order = Vec::new();
+    let mut late = Vec::new();
+    for i in 0..n {
+        if i % 10 == 9 {
+            late.push(Point::new(t0 + (i - 7) * 10 + 5, rng.value()));
+        } else {
+            in_order.push(Point::new(t0 + i * 10, rng.value()));
+        }
+    }
+    in_order.extend(late);
+    in_order
+}
+
+fn collect_files(root: &Path, dir: &Path, out: &mut Vec<(String, u64, u64)>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            collect_files(root, &path, out);
+        } else {
+            let bytes = std::fs::read(&path).unwrap();
+            let rel = path
+                .strip_prefix(root)
+                .unwrap()
+                .to_string_lossy()
+                .replace('\\', "/");
+            out.push((rel, bytes.len() as u64, fnv1a64(&bytes)));
+        }
+    }
+}
+
+fn store_dir() -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tskv-golden-bytes-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+#[test]
+fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_rebuild() {
+    let dir = store_dir();
+    let config = EngineConfig {
+        points_per_chunk: 300,
+        page_points: 64,
+        memtable_threshold: 1_000_000,
+        storage_shards: 1,
+        ..Default::default()
+    };
+    let kv = TsKv::open(&dir, config).unwrap();
+    let mut rng = Lcg(0x5EED_0014);
+
+    // Series `b` shares the shard WAL and stays unflushed, so the log
+    // is never reset and keeps `a`'s records and flush markers.
+    kv.insert_batch("golden.b", &batch(&mut rng, 0, 50))
+        .unwrap();
+
+    // Part 1 of `a`: sealed into a TsFile.
+    for k in 0..10 {
+        kv.insert_batch("golden.a", &batch(&mut rng, k * 2_000, 200))
+            .unwrap();
+    }
+    kv.insert("golden.a", Point::new(4_000, 123.456)).unwrap(); // overwrite
+    kv.delete("golden.a", 7_015, 7_305).unwrap();
+    kv.flush("golden.a").unwrap();
+
+    // Part 2 of `a`: stays in the memtable and the WAL.
+    for k in 10..13 {
+        kv.insert_batch("golden.a", &batch(&mut rng, k * 2_000, 200))
+            .unwrap();
+    }
+    kv.insert("golden.a", Point::new(20_010, -0.5)).unwrap(); // overwrite
+    kv.delete("golden.a", 3_000, 3_500).unwrap(); // reaches the sealed file's mods
+    kv.delete("golden.a", 24_000, 24_200).unwrap();
+
+    let mut actual = Vec::new();
+    collect_files(&dir, &dir, &mut actual);
+    actual.sort();
+    drop(kv);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let golden: Vec<(String, u64, u64)> = GOLDEN
+        .iter()
+        .map(|&(path, len, hash)| (path.to_string(), len, hash))
+        .collect();
+    assert_eq!(
+        actual,
+        golden,
+        "on-disk bytes differ from the golden hashes; actual table:\n{}",
+        actual
+            .iter()
+            .map(|(p, l, h)| format!("    (\"{p}\", {l}, 0x{h:016x}),\n"))
+            .collect::<String>()
+    );
+}

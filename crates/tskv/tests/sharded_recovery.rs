@@ -192,8 +192,11 @@ fn expected_hum() -> Vec<Point> {
     (0..5i64).map(|i| Point::new(i * 10, -(i as f64))).collect()
 }
 
+/// The fixture's TsFiles, mods and WAL carry checksums written by the
+/// byte-at-a-time CRC32 the slice-by-16 kernel replaced; they must
+/// verify unchanged.
 #[test]
-fn legacy_fixture_migrates_in_place() {
+fn legacy_fixture_with_checksums_from_the_old_crc_kernel_migrates_in_place() {
     let dir = std::env::temp_dir().join(format!("tskv-legacy-fix-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     copy_dir(&fixture_dir(), &dir);

@@ -328,6 +328,13 @@ fn worker_loop(shared: &Shared, mut stream: TcpStream) {
     if stream.set_read_timeout(Some(poll)).is_err() {
         return;
     }
+    // Frames are written whole and are mostly small; under Nagle a push
+    // queued behind a response (or the reverse) would wait out the
+    // client's delayed ACK, ~40 ms. The write half is a clone of this
+    // socket and shares the option.
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
     // The worker keeps the read half; the writer thread owns a cloned
     // write half, fed by the connection's outbound queue.
     let Ok(write_half) = stream.try_clone() else {

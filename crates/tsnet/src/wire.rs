@@ -291,14 +291,13 @@ fn put_span_list(out: &mut Vec<u8>, spans: &[Option<SpanRepr>]) -> Result<()> {
     Ok(())
 }
 
-fn encode_request_payload(env: &RequestEnvelope) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    put_u64(&mut out, env.request_id);
-    put_u32(&mut out, env.deadline_ms);
+fn encode_request_payload(env: &RequestEnvelope, out: &mut Vec<u8>) -> Result<()> {
+    put_u64(out, env.request_id);
+    put_u32(out, env.deadline_ms);
     match &env.body {
         Request::Ping { delay_ms } => {
             out.push(0);
-            put_u32(&mut out, *delay_ms);
+            put_u32(out, *delay_ms);
         }
         Request::WriteBatch { entries } => {
             out.push(1);
@@ -314,17 +313,18 @@ fn encode_request_payload(env: &RequestEnvelope) -> Result<Vec<u8>> {
                     max: u64::from(MAX_BATCH_SERIES),
                 });
             }
-            put_u32(&mut out, n);
+            put_u32(out, n);
             for (name, points) in entries {
-                put_str(&mut out, name)?;
+                put_str(out, name)?;
                 let np = u32::try_from(points.len()).map_err(|_| NetError::TooLarge {
                     context: "write-batch point count",
                     len: points.len() as u64,
                     max: u64::from(u32::MAX),
                 })?;
-                put_u32(&mut out, np);
+                put_u32(out, np);
+                out.reserve(points.len() * 16);
                 for p in points {
-                    put_point(&mut out, *p);
+                    put_point(out, *p);
                 }
             }
         }
@@ -336,20 +336,20 @@ fn encode_request_payload(env: &RequestEnvelope) -> Result<Vec<u8>> {
             w,
         } => {
             out.push(2);
-            put_str(&mut out, series)?;
+            put_str(out, series)?;
             out.push(match op {
                 Operator::Udf => 0,
                 Operator::Lsm => 1,
             });
-            put_i64(&mut out, *t_qs);
-            put_i64(&mut out, *t_qe);
-            put_u32(&mut out, *w);
+            put_i64(out, *t_qs);
+            put_i64(out, *t_qe);
+            put_u32(out, *w);
         }
         Request::Delete { series, start, end } => {
             out.push(3);
-            put_str(&mut out, series)?;
-            put_i64(&mut out, *start);
-            put_i64(&mut out, *end);
+            put_str(out, series)?;
+            put_i64(out, *start);
+            put_i64(out, *end);
         }
         Request::Stats => out.push(4),
         Request::FlushSeal { series, compact } => {
@@ -357,7 +357,7 @@ fn encode_request_payload(env: &RequestEnvelope) -> Result<Vec<u8>> {
             match series {
                 Some(name) => {
                     out.push(1);
-                    put_str(&mut out, name)?;
+                    put_str(out, name)?;
                 }
                 None => out.push(0),
             }
@@ -370,37 +370,36 @@ fn encode_request_payload(env: &RequestEnvelope) -> Result<Vec<u8>> {
             w,
         } => {
             out.push(6);
-            put_str(&mut out, series)?;
-            put_i64(&mut out, *t_qs);
-            put_i64(&mut out, *t_qe);
-            put_u32(&mut out, *w);
+            put_str(out, series)?;
+            put_i64(out, *t_qs);
+            put_i64(out, *t_qe);
+            put_u32(out, *w);
         }
         Request::Unsubscribe { sub_id } => {
             out.push(7);
-            put_u64(&mut out, *sub_id);
+            put_u64(out, *sub_id);
         }
     }
-    Ok(out)
+    Ok(())
 }
 
-fn encode_response_payload(env: &ResponseEnvelope) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    put_u64(&mut out, env.request_id);
+fn encode_response_payload(env: &ResponseEnvelope, out: &mut Vec<u8>) -> Result<()> {
+    put_u64(out, env.request_id);
     match &env.body {
         Response::Pong => out.push(0),
         Response::Written { points } => {
             out.push(1);
-            put_u64(&mut out, *points);
+            put_u64(out, *points);
         }
         Response::M4 { spans } => {
             out.push(2);
-            put_span_list(&mut out, spans)?;
+            put_span_list(out, spans)?;
         }
         Response::Deleted => out.push(3),
         Response::Stats { io, server } => {
             out.push(4);
             for v in encode_io_block(io) {
-                put_u64(&mut out, v);
+                put_u64(out, v);
             }
             // The array type pins the count to the shared constant: a
             // new snapshot field that is not added here fails to
@@ -427,39 +426,38 @@ fn encode_response_payload(env: &ResponseEnvelope) -> Result<Vec<u8>> {
                 server.resyncs,
             ];
             for v in fixed {
-                put_u64(&mut out, v);
+                put_u64(out, v);
             }
             let n = u32::try_from(server.latency_counts.len()).map_err(|_| NetError::TooLarge {
                 context: "latency bucket count",
                 len: server.latency_counts.len() as u64,
                 max: LATENCY_BUCKETS as u64,
             })?;
-            put_u32(&mut out, n);
+            put_u32(out, n);
             for c in &server.latency_counts {
-                put_u64(&mut out, *c);
+                put_u64(out, *c);
             }
         }
         Response::Flushed { series_flushed } => {
             out.push(5);
-            put_u32(&mut out, *series_flushed);
+            put_u32(out, *series_flushed);
         }
         Response::Error { code, detail } => {
             out.push(6);
             out.push(code.to_wire());
-            put_str(&mut out, detail)?;
+            put_str(out, detail)?;
         }
         Response::SubAck { sub_id, spans } => {
             out.push(7);
-            put_u64(&mut out, *sub_id);
-            put_span_list(&mut out, spans)?;
+            put_u64(out, *sub_id);
+            put_span_list(out, spans)?;
         }
         Response::Unsubscribed => out.push(8),
     }
-    Ok(out)
+    Ok(())
 }
 
-fn encode_push_payload(push: &Push) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
+fn encode_push_payload(push: &Push, out: &mut Vec<u8>) -> Result<()> {
     match push {
         Push::SpanDelta {
             sub_id,
@@ -468,23 +466,23 @@ fn encode_push_payload(push: &Push) -> Result<Vec<u8>> {
             deltas,
         } => {
             out.push(0);
-            put_u64(&mut out, *sub_id);
-            put_u64(&mut out, *seq);
+            put_u64(out, *sub_id);
+            put_u64(out, *seq);
             out.push(u8::from(*resync));
             let n = u32::try_from(deltas.len()).map_err(|_| NetError::TooLarge {
                 context: "delta count",
                 len: deltas.len() as u64,
                 max: u64::from(u32::MAX),
             })?;
-            put_u32(&mut out, n);
+            put_u32(out, n);
             for (index, span) in deltas {
-                put_u32(&mut out, *index);
-                put_opt_span(&mut out, span);
+                put_u32(out, *index);
+                put_opt_span(out, span);
             }
         }
         Push::Lagged { sub_id } => {
             out.push(1);
-            put_u64(&mut out, *sub_id);
+            put_u64(out, *sub_id);
         }
         Push::SubError {
             sub_id,
@@ -492,51 +490,58 @@ fn encode_push_payload(push: &Push) -> Result<Vec<u8>> {
             detail,
         } => {
             out.push(2);
-            put_u64(&mut out, *sub_id);
+            put_u64(out, *sub_id);
             out.push(code.to_wire());
-            put_str(&mut out, detail)?;
+            put_str(out, detail)?;
         }
     }
-    Ok(out)
+    Ok(())
 }
 
-fn frame_bytes(kind: u8, payload: Vec<u8>) -> Result<Vec<u8>> {
-    let len = u32::try_from(payload.len()).map_err(|_| NetError::TooLarge {
-        context: "payload",
-        len: payload.len() as u64,
-        max: u64::from(MAX_PAYLOAD_BYTES),
-    })?;
-    if len > MAX_PAYLOAD_BYTES {
-        return Err(NetError::TooLarge {
-            context: "payload",
-            len: u64::from(len),
-            max: u64::from(MAX_PAYLOAD_BYTES),
-        });
-    }
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
+/// Build one complete frame in a single buffer: the header with a
+/// length placeholder, the payload written by `encode_payload` right
+/// behind it, then the length patched in and the CRC taken over the
+/// payload bytes where they lie.
+fn frame_bytes(
+    kind: u8,
+    encode_payload: impl FnOnce(&mut Vec<u8>) -> Result<()>,
+) -> Result<Vec<u8>> {
+    let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(kind);
-    put_u32(&mut out, len);
-    let crc = crc32(&payload);
-    out.extend_from_slice(&payload);
+    put_u32(&mut out, 0);
+    encode_payload(&mut out)?;
+    let payload_len = out.len().saturating_sub(HEADER_LEN);
+    let len = u32::try_from(payload_len)
+        .ok()
+        .filter(|&len| len <= MAX_PAYLOAD_BYTES)
+        .ok_or(NetError::TooLarge {
+            context: "payload",
+            len: payload_len as u64,
+            max: u64::from(MAX_PAYLOAD_BYTES),
+        })?;
+    for (dst, src) in out.iter_mut().skip(HEADER_LEN - 4).zip(len.to_le_bytes()) {
+        *dst = src;
+    }
+    let crc = crc32(out.get(HEADER_LEN..).unwrap_or(&[]));
     put_u32(&mut out, crc);
     Ok(out)
 }
 
 /// Encode a request envelope into one complete frame.
 pub fn encode_request(env: &RequestEnvelope) -> Result<Vec<u8>> {
-    frame_bytes(KIND_REQUEST, encode_request_payload(env)?)
+    frame_bytes(KIND_REQUEST, |out| encode_request_payload(env, out))
 }
 
 /// Encode a response envelope into one complete frame.
 pub fn encode_response(env: &ResponseEnvelope) -> Result<Vec<u8>> {
-    frame_bytes(KIND_RESPONSE, encode_response_payload(env)?)
+    frame_bytes(KIND_RESPONSE, |out| encode_response_payload(env, out))
 }
 
 /// Encode a push payload into one complete frame.
 pub fn encode_push(push: &Push) -> Result<Vec<u8>> {
-    frame_bytes(KIND_PUSH, encode_push_payload(push)?)
+    frame_bytes(KIND_PUSH, |out| encode_push_payload(push, out))
 }
 
 // ---------------------------------------------------------------------
@@ -1325,27 +1330,31 @@ mod tests {
     #[test]
     fn oversized_claimed_counts_are_rejected() {
         // A write-batch frame claiming u32::MAX points but holding none.
-        let mut payload = Vec::new();
-        put_u64(&mut payload, 0); // request id
-        put_u32(&mut payload, 0); // deadline
-        payload.push(1); // WriteBatch
-        put_u32(&mut payload, 1); // one series
-        put_str(&mut payload, "s").unwrap();
-        put_u32(&mut payload, u32::MAX); // absurd point count
-        let frame = frame_bytes(KIND_REQUEST, payload).unwrap();
+        let frame = frame_bytes(KIND_REQUEST, |payload| {
+            put_u64(payload, 0); // request id
+            put_u32(payload, 0); // deadline
+            payload.push(1); // WriteBatch
+            put_u32(payload, 1); // one series
+            put_str(payload, "s")?;
+            put_u32(payload, u32::MAX); // absurd point count
+            Ok(())
+        })
+        .unwrap();
         assert!(matches!(
             decode_frame(&frame),
             Err(NetError::TooLarge { .. })
         ));
 
         // A push frame claiming u32::MAX span deltas but holding none.
-        let mut payload = Vec::new();
-        payload.push(0); // SpanDelta
-        put_u64(&mut payload, 1); // sub id
-        put_u64(&mut payload, 0); // seq
-        payload.push(0); // resync
-        put_u32(&mut payload, u32::MAX); // absurd delta count
-        let frame = frame_bytes(KIND_PUSH, payload).unwrap();
+        let frame = frame_bytes(KIND_PUSH, |payload| {
+            payload.push(0); // SpanDelta
+            put_u64(payload, 1); // sub id
+            put_u64(payload, 0); // seq
+            payload.push(0); // resync
+            put_u32(payload, u32::MAX); // absurd delta count
+            Ok(())
+        })
+        .unwrap();
         assert!(matches!(
             decode_frame(&frame),
             Err(NetError::TooLarge { .. })

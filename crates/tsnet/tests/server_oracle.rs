@@ -416,3 +416,46 @@ fn latency_histogram_populates_over_the_wire() {
     assert!(stats.p99_us() >= stats.p50_us());
     server.shutdown();
 }
+
+/// Accepted sockets run with `TCP_NODELAY`. A subscribed connection's
+/// writer sends small frames back to back — a write's response and its
+/// push, then the next response — and under Nagle's algorithm a small
+/// segment waits for the peer's ACK of the one before it, which a
+/// reading client delays by tens of milliseconds. No sleeps: every
+/// wait is on the socket, bounded by a deadline, and a round counts as
+/// stalled only past a threshold far above a loopback round trip.
+#[test]
+fn response_following_a_push_is_not_held_back_by_nagle() {
+    const ROUNDS: usize = 40;
+    const STALL: Duration = Duration::from_millis(30);
+    let (store, _dir) = open_store("nodelay");
+    let server = TsNetServer::start(store, ServerConfig::default()).unwrap();
+    let mut cl = client(&server);
+    let series = "nd.s".to_string();
+    cl.write_batch(vec![(series.clone(), vec![Point::new(0, 0.0)])])
+        .unwrap();
+    cl.subscribe(&series, 0, 1_000_000, 100).unwrap();
+
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut stalled = Vec::new();
+    for round in 1..=ROUNDS {
+        let begun = Instant::now();
+        let point = Point::new(round as i64 * 10, round as f64);
+        cl.write_batch(vec![(series.clone(), vec![point])]).unwrap();
+        // The write's delta, pushed on this same connection...
+        while cl.poll_push(Duration::from_millis(100)).unwrap().is_none() {
+            assert!(Instant::now() < deadline, "push {round} never arrived");
+        }
+        // ...and a response right behind it.
+        cl.ping().unwrap();
+        if begun.elapsed() >= STALL {
+            stalled.push((round, begun.elapsed()));
+        }
+    }
+    assert!(
+        stalled.len() * 4 < ROUNDS,
+        "{} of {ROUNDS} write → push → ping rounds took over {STALL:?}: {stalled:?}",
+        stalled.len()
+    );
+    server.shutdown();
+}

@@ -51,7 +51,7 @@ pub(crate) struct SpanChunk {
     /// Index into the snapshot's chunk list (cache key).
     pub idx: usize,
     /// Page number within the chunk when this entry is a page fragment
-    /// of a paged chunk; `None` for in-memory, v1 and single-page
+    /// of a multi-page chunk; `None` for in-memory and single-page
     /// chunks, which are handled whole.
     pub frag: Option<u32>,
     /// Whether the fragment's time interval lies entirely inside the

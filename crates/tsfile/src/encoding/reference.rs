@@ -3,9 +3,8 @@
 //! These are the pre-word-kernel bit I/O and decode loops, kept
 //! verbatim as oracles after the hot paths moved to the word-at-a-time
 //! kernels in [`super::bitio`], [`super::gorilla`] and
-//! [`super::ts2diff`] — the same move PR 6 made when it kept the
-//! lexical linter as an oracle for the syntax-aware rewrite. They are
-//! compiled unconditionally (not `#[cfg(test)]`) because two consumers
+//! [`super::ts2diff`]. They are compiled unconditionally (not
+//! `#[cfg(test)]`) because two consumers
 //! need them at runtime: the proptest equivalence suite pins the
 //! kernels byte-identical (and error-identical on truncated/corrupt
 //! input) to these loops, and `repro --exp decode` measures the

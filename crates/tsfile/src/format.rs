@@ -2,13 +2,11 @@
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────┐
-//! │ magic "TSF2\0\0" (6 bytes; v1 files carry "TSF1\0\0")      │
+//! │ magic "TSF2\0\0" (6 bytes)                                 │
 //! ├────────────────────────────────────────────────────────────┤
-//! │ chunk 0 body                                               │
-//! │   v2: concatenated page bodies (see `page` module);        │
-//! │       column encodings live in the footer's page index     │
-//! │   v1: u8 ts tag, u8 val tag, varint n,                     │
-//! │       varint len(ts) ts, varint len(val) val, u32 crc (LE) │
+//! │ chunk 0 body: concatenated page bodies (see `page`         │
+//! │   module); column encodings live in the footer's page      │
+//! │   index                                                    │
 //! ├────────────────────────────────────────────────────────────┤
 //! │ chunk 1 body …                                             │
 //! ├────────────────────────────────────────────────────────────┤
@@ -16,7 +14,7 @@
 //! │   varint #chunks                                           │
 //! │   per chunk: varint offset, varint byte_len,               │
 //! │              varint version, statistics, step-index flag,  │
-//! │              (v2 only) page-index flag + PagedChunkInfo    │
+//! │              page-index flag (always 1) + PagedChunkInfo   │
 //! │   u32 crc32 of footer body (LE)                            │
 //! │   u64 footer body length (LE)                              │
 //! │   magic (same as head)                                     │
@@ -24,10 +22,9 @@
 //! ```
 //!
 //! The trailing length + magic let a reader locate the footer without a
-//! separate index file; the leading magic rejects non-TsFiles early and
-//! selects the format version. v1 files (single-page chunks, no page
-//! index) remain fully readable; the writer always produces v2. This
-//! mirrors IoTDB's TsFile (data, then pages with per-page statistics,
+//! separate index file; the leading magic rejects non-TsFiles (and the
+//! retired `TSF1` generation) early. This mirrors IoTDB's TsFile
+//! (data, then pages with per-page statistics,
 //! then a metadata index and tail magic) at the granularity the paper's
 //! operators need.
 
@@ -38,17 +35,8 @@ use crate::types::{TimeRange, Version};
 use crate::varint;
 use crate::{Result, TsFileError};
 
-/// Current file magic (format v2), also used as the tail sentinel.
+/// File magic, also used as the tail sentinel.
 pub const MAGIC: &[u8; 6] = b"TSF2\0\0";
-
-/// Format v1 magic: monolithic single-page chunks, no page index.
-pub const MAGIC_V1: &[u8; 6] = b"TSF1\0\0";
-
-/// Format version tag for v1 (monolithic chunks).
-pub const FORMAT_V1: u8 = 1;
-
-/// Format version tag for v2 (page-structured chunks).
-pub const FORMAT_V2: u8 = 2;
 
 /// Metadata describing one chunk inside a TsFile: where it lives, its
 /// version `κ`, and its precomputed statistics. This is the unit
@@ -66,9 +54,9 @@ pub struct ChunkMeta {
     /// Step-regression chunk index learned at flush time (paper §3.5),
     /// when enabled and the chunk admitted a model.
     pub index: Option<StepIndex>,
-    /// Page index of a v2 chunk (column encodings + per-page byte
-    /// ranges and statistics). `None` for v1 monolithic chunks.
-    pub paged: Option<PagedChunkInfo>,
+    /// Page index of the chunk (column encodings + per-page byte
+    /// ranges and statistics).
+    pub paged: PagedChunkInfo,
 }
 
 impl ChunkMeta {
@@ -78,13 +66,13 @@ impl ChunkMeta {
         self.stats.time_range()
     }
 
-    /// Number of pages in this chunk (1 for v1 monolithic chunks).
+    /// Number of pages in this chunk.
     #[inline]
     pub fn page_count(&self) -> usize {
-        self.paged.as_ref().map_or(1, |p| p.pages.len())
+        self.paged.pages.len()
     }
 
-    pub(crate) fn encode(&self, out: &mut Vec<u8>, format: u8) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         varint::write_u64(out, self.offset);
         varint::write_u64(out, self.byte_len);
         varint::write_u64(out, self.version.0);
@@ -96,18 +84,13 @@ impl ChunkMeta {
                 idx.encode(out);
             }
         }
-        if format >= FORMAT_V2 {
-            match &self.paged {
-                None => out.push(0),
-                Some(info) => {
-                    out.push(1);
-                    info.encode(out);
-                }
-            }
-        }
+        // Presence byte of the page index: always 1, kept so no footer
+        // byte moves (the decoder rejects 0).
+        out.push(1);
+        self.paged.encode(out);
     }
 
-    pub(crate) fn decode(buf: &[u8], pos: &mut usize, format: u8) -> Result<Self> {
+    pub(crate) fn decode(buf: &[u8], pos: &mut usize) -> Result<Self> {
         let offset = varint::read_u64(buf, pos)?;
         let byte_len = varint::read_u64(buf, pos)?;
         let version = Version(varint::read_u64(buf, pos)?);
@@ -130,29 +113,22 @@ impl ChunkMeta {
                 })
             }
         };
-        let paged = if format >= FORMAT_V2 {
-            match buf.get(*pos) {
-                Some(0) => {
-                    *pos += 1;
-                    None
-                }
-                Some(1) => {
-                    *pos += 1;
-                    let info = PagedChunkInfo::decode(buf, pos)?;
-                    info.validate(byte_len, stats.count)?;
-                    Some(info)
-                }
-                Some(other) => {
-                    return Err(TsFileError::Corrupt(format!("bad page-index flag {other}")))
-                }
-                None => {
-                    return Err(TsFileError::UnexpectedEof {
-                        what: "page-index flag",
-                    })
-                }
+        let paged = match buf.get(*pos) {
+            Some(1) => {
+                *pos += 1;
+                let info = PagedChunkInfo::decode(buf, pos)?;
+                info.validate(byte_len, stats.count)?;
+                info
             }
-        } else {
-            None
+            Some(0) => return Err(TsFileError::Corrupt("chunk has no page index".into())),
+            Some(other) => {
+                return Err(TsFileError::Corrupt(format!("bad page-index flag {other}")))
+            }
+            None => {
+                return Err(TsFileError::UnexpectedEof {
+                    what: "page-index flag",
+                })
+            }
         };
         Ok(ChunkMeta {
             offset,
@@ -172,20 +148,18 @@ pub struct FileFooter {
 }
 
 impl FileFooter {
-    /// Serialize the footer body (without CRC/length/magic trailer) in
-    /// the given format version.
-    pub fn encode_body(&self, format: u8) -> Vec<u8> {
+    /// Serialize the footer body (without CRC/length/magic trailer).
+    pub fn encode_body(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.chunks.len() * 64);
         varint::write_u64(&mut out, self.chunks.len() as u64);
         for c in &self.chunks {
-            c.encode(&mut out, format);
+            c.encode(&mut out);
         }
         out
     }
 
-    /// Parse a footer body previously produced by [`Self::encode_body`]
-    /// with the same format version (selected by the file magic).
-    pub fn decode_body(buf: &[u8], format: u8) -> Result<Self> {
+    /// Parse a footer body previously produced by [`Self::encode_body`].
+    pub fn decode_body(buf: &[u8]) -> Result<Self> {
         let mut pos = 0usize;
         let n = varint::read_u64(buf, &mut pos)?;
         if n > (buf.len() as u64) {
@@ -195,7 +169,7 @@ impl FileFooter {
         }
         let mut chunks = Vec::with_capacity(n as usize);
         for _ in 0..n {
-            chunks.push(ChunkMeta::decode(buf, &mut pos, format)?);
+            chunks.push(ChunkMeta::decode(buf, &mut pos)?);
         }
         if pos != buf.len() {
             return Err(TsFileError::Corrupt(format!(
@@ -229,7 +203,7 @@ mod tests {
             version: Version(version),
             stats: ChunkStatistics::from_points(&pts)?,
             index: StepIndex::learn(&[t0, t1]),
-            paged: Some(PagedChunkInfo {
+            paged: PagedChunkInfo {
                 ts_encoding: EncodingKind::Ts2Diff,
                 val_encoding: EncodingKind::Gorilla,
                 pages: vec![PageMeta {
@@ -237,34 +211,26 @@ mod tests {
                     byte_len: body.len() as u64,
                     stats: PageStatistics::from_points(&pts)?,
                 }],
-            }),
+            },
         })
     }
 
     #[test]
-    fn chunk_meta_roundtrip_v2() -> crate::Result<()> {
+    fn chunk_meta_roundtrip() -> crate::Result<()> {
         let m = meta(3, 0, 999)?;
         let mut buf = Vec::new();
-        m.encode(&mut buf, FORMAT_V2);
+        m.encode(&mut buf);
         let mut pos = 0;
-        assert_eq!(ChunkMeta::decode(&buf, &mut pos, FORMAT_V2)?, m);
+        assert_eq!(ChunkMeta::decode(&buf, &mut pos)?, m);
         assert_eq!(pos, buf.len());
-        Ok(())
-    }
-
-    #[test]
-    fn chunk_meta_roundtrip_v1_drops_page_index() -> crate::Result<()> {
-        // A v1 encode carries no page index; decoding it back yields the
-        // monolithic view of the same chunk.
-        let m = meta(3, 0, 999)?;
-        let mut buf = Vec::new();
-        m.encode(&mut buf, FORMAT_V1);
-        let mut pos = 0;
-        let back = ChunkMeta::decode(&buf, &mut pos, FORMAT_V1)?;
-        assert_eq!(pos, buf.len());
-        assert_eq!(back.paged, None);
-        assert_eq!(back.page_count(), 1);
-        assert_eq!(ChunkMeta { paged: None, ..m }, back);
+        // Every strict prefix is a typed error, never a panic.
+        for cut in 0..buf.len() {
+            let mut pos = 0;
+            assert!(
+                ChunkMeta::decode(&buf[..cut], &mut pos).is_err(),
+                "prefix of {cut} bytes decoded"
+            );
+        }
         Ok(())
     }
 
@@ -273,24 +239,14 @@ mod tests {
         let f = FileFooter {
             chunks: vec![meta(1, 0, 10)?, meta(2, 50, 70)?, meta(3, 100, 110)?],
         };
-        for format in [FORMAT_V1, FORMAT_V2] {
-            let body = f.encode_body(format);
-            let back = FileFooter::decode_body(&body, format)?;
-            assert_eq!(back.chunks.len(), f.chunks.len());
-            if format == FORMAT_V2 {
-                assert_eq!(back, f);
-            }
-        }
+        assert_eq!(FileFooter::decode_body(&f.encode_body())?, f);
         Ok(())
     }
 
     #[test]
     fn empty_footer_roundtrip() -> crate::Result<()> {
         let f = FileFooter::default();
-        assert_eq!(
-            FileFooter::decode_body(&f.encode_body(FORMAT_V2), FORMAT_V2)?,
-            f
-        );
+        assert_eq!(FileFooter::decode_body(&f.encode_body())?, f);
         Ok(())
     }
 
@@ -299,9 +255,9 @@ mod tests {
         let f = FileFooter {
             chunks: vec![meta(1, 0, 10)?],
         };
-        let mut body = f.encode_body(FORMAT_V2);
+        let mut body = f.encode_body();
         body.push(0xAB);
-        assert!(FileFooter::decode_body(&body, FORMAT_V2).is_err());
+        assert!(FileFooter::decode_body(&body).is_err());
         Ok(())
     }
 
@@ -309,22 +265,23 @@ mod tests {
     fn footer_rejects_absurd_count() {
         let mut body = Vec::new();
         varint::write_u64(&mut body, u64::MAX);
-        assert!(FileFooter::decode_body(&body, FORMAT_V2).is_err());
+        assert!(FileFooter::decode_body(&body).is_err());
     }
 
     #[test]
-    fn v2_decode_rejects_bad_page_flag() -> crate::Result<()> {
+    fn decode_rejects_bad_page_flag() -> crate::Result<()> {
         let m = meta(1, 0, 10)?;
         let mut buf = Vec::new();
-        m.encode(&mut buf, FORMAT_V2);
-        // The page-index flag sits right after the step-index payload;
-        // find it by re-encoding without the page index.
-        let mut prefix = Vec::new();
-        m.encode(&mut prefix, FORMAT_V1);
-        let mut bad = prefix.clone();
-        bad.push(7); // invalid flag
+        m.encode(&mut buf);
+        // The page-index flag sits right before the page index, which is
+        // the tail of the encoding.
+        let mut info = Vec::new();
+        m.paged.encode(&mut info);
+        let flag_at = buf.len() - info.len() - 1;
+        assert_eq!(buf[flag_at], 1);
+        buf[flag_at] = 7;
         let mut pos = 0;
-        assert!(ChunkMeta::decode(&bad, &mut pos, FORMAT_V2).is_err());
+        assert!(ChunkMeta::decode(&buf, &mut pos).is_err());
         Ok(())
     }
 }

@@ -1,6 +1,6 @@
-//! Page-structured chunk bodies (format v2).
+//! Page-structured chunk bodies.
 //!
-//! A v2 chunk body is a sequence of fixed-size **pages**, each an
+//! A chunk body is a sequence of fixed-size **pages**, each an
 //! independently decodable unit with its own CRC and its own
 //! [`PageStatistics`] recorded in the footer's per-chunk page index.
 //! Readers that need a narrow time slice decode only the overlapping
@@ -9,7 +9,7 @@
 //! skipped decode is the win).
 //!
 //! ```text
-//! chunk body (v2) = page 0 body ‖ page 1 body ‖ …
+//! chunk body = page 0 body ‖ page 1 body ‖ …
 //! page body:
 //!   varint n (point count)
 //!   u8     ts_mode (0 = encoded stream, 1 = constant delta)
@@ -23,7 +23,7 @@
 //! deltas are all equal stores just `varint_i(first) varint_i(delta)`
 //! and is reconstructed arithmetically — no per-point varint decode.
 //! The column encodings themselves live in the footer's
-//! [`PagedChunkInfo`] (CRC-protected there), so a v2 chunk body has no
+//! [`PagedChunkInfo`] (CRC-protected there), so a chunk body has no
 //! unprotected header bytes.
 
 use crate::bufpool;
@@ -83,9 +83,8 @@ impl PageMeta {
     }
 }
 
-/// The page index of one v2 chunk: column encodings plus the ordered
-/// page list. Present only on chunks written by the v2 writer; v1
-/// chunks decode as a single monolithic body.
+/// The page index of one chunk: column encodings plus the ordered
+/// page list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PagedChunkInfo {
     /// Timestamp column encoding (shared by every page of the chunk).

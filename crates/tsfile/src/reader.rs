@@ -13,8 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::bufpool;
 use crate::checksum::crc32;
-use crate::encoding::{self, EncodingKind};
-use crate::format::{ChunkMeta, FileFooter, FORMAT_V1, FORMAT_V2, MAGIC, MAGIC_V1};
+use crate::format::{ChunkMeta, FileFooter, MAGIC};
 use crate::page::{self, PageMeta};
 use crate::pread::PositionalFile;
 use crate::types::{Point, TimeRange};
@@ -33,9 +32,6 @@ pub struct TsFileReader {
     path: PathBuf,
     file: PositionalFile,
     footer: FileFooter,
-    /// Format version parsed from the head magic (`FORMAT_V1` or
-    /// `FORMAT_V2`). v1 files carry monolithic single-page chunks.
-    format: u8,
     /// Process-unique identity of this open handle; never reused, even
     /// when the same path is reopened. Cache layers key decoded chunk
     /// bodies by it so entries from a retired (compacted-away) file can
@@ -56,13 +52,9 @@ impl TsFileReader {
 
         let mut head = [0u8; 6];
         file.read_exact(&mut head)?;
-        let format = if &head == MAGIC {
-            FORMAT_V2
-        } else if &head == MAGIC_V1 {
-            FORMAT_V1
-        } else {
+        if &head != MAGIC {
             return Err(TsFileError::BadMagic { found: head });
-        };
+        }
 
         let file_len = file.metadata()?.len();
         let trailer_len = (4 + 8 + MAGIC.len()) as u64; // crc + len + magic
@@ -72,14 +64,13 @@ impl TsFileReader {
         file.seek(SeekFrom::End(-(trailer_len as i64)))?;
         let mut trailer = bufpool::take(trailer_len as usize);
         file.read_exact(&mut trailer)?;
-        let magic_start = trailer.len().saturating_sub(MAGIC.len());
-        let tail_magic = trailer.get(magic_start..).unwrap_or(&[]);
-        if tail_magic != head {
-            let mut found = [0u8; 6];
-            for (dst, src) in found.iter_mut().zip(tail_magic) {
-                *dst = *src;
-            }
-            return Err(TsFileError::BadMagic { found });
+        // The head already matched, so this is our format cut short (a
+        // torn or truncated write), not a foreign file: `Corrupt`, and
+        // `BadMagic` stays reserved for a file that is not a `TSF2` at all.
+        if !trailer.ends_with(MAGIC) {
+            return Err(TsFileError::Corrupt(
+                "trailer magic missing: file is truncated or torn".into(),
+            ));
         }
         let too_short = || TsFileError::Corrupt("trailer too short".into());
         let expected_crc = le_u32(&trailer).ok_or_else(too_short)?;
@@ -101,12 +92,11 @@ impl TsFileReader {
                 what: "footer",
             });
         }
-        let footer = FileFooter::decode_body(&body, format)?;
+        let footer = FileFooter::decode_body(&body)?;
         Ok(TsFileReader {
             path,
             file: PositionalFile::new(file),
             footer,
-            format,
             handle_id: NEXT_HANDLE_ID.fetch_add(1, Ordering::Relaxed),
             chunks_read: AtomicU64::new(0),
             bytes_read: AtomicU64::new(0),
@@ -117,12 +107,6 @@ impl TsFileReader {
     /// lifetime, never reused by later opens).
     pub fn handle_id(&self) -> u64 {
         self.handle_id
-    }
-
-    /// Format version of the underlying file (`FORMAT_V1` or
-    /// `FORMAT_V2`, selected by the head magic at open).
-    pub fn format_version(&self) -> u8 {
-        self.format
     }
 
     /// All chunk metadata in file order (ascending offset). No I/O.
@@ -136,19 +120,10 @@ impl TsFileReader {
     }
 
     /// Read and decode one chunk body. Verifies the body CRC(s).
-    /// Lock-free: safe to call from many threads concurrently.
-    ///
-    /// v2 chunks decode page by page and concatenate; v1 chunks decode
-    /// as one monolithic body.
+    /// Lock-free: safe to call from many threads concurrently. Decodes
+    /// page by page and concatenates.
     pub fn read_chunk(&self, meta: &ChunkMeta) -> Result<Vec<Point>> {
-        let Some(info) = &meta.paged else {
-            let body = self
-                .file
-                .read_pooled_at(meta.byte_len as usize, meta.offset)?;
-            self.chunks_read.fetch_add(1, Ordering::Relaxed);
-            self.bytes_read.fetch_add(meta.byte_len, Ordering::Relaxed);
-            return decode_chunk_body(&body, meta);
-        };
+        let info = &meta.paged;
         let body = self
             .file
             .read_pooled_at(meta.byte_len as usize, meta.offset)?;
@@ -174,13 +149,10 @@ impl TsFileReader {
         Ok(out)
     }
 
-    /// Read and decode one page of a v2 chunk (by index into its page
+    /// Read and decode one page of a chunk (by index into its page
     /// list). A single page-sized pread — the finest read unit.
     pub fn read_page(&self, meta: &ChunkMeta, page_no: u32) -> Result<Vec<Point>> {
-        let info = meta
-            .paged
-            .as_ref()
-            .ok_or_else(|| TsFileError::Corrupt("read_page on unpaged chunk".into()))?;
+        let info = &meta.paged;
         let pm = info
             .pages
             .get(page_no as usize)
@@ -193,11 +165,10 @@ impl TsFileReader {
         page::decode_page(&body, info.ts_encoding, info.val_encoding, pm)
     }
 
-    /// Read and decode only the pages of a v2 chunk whose time range
+    /// Read and decode only the pages of a chunk whose time range
     /// overlaps `range`, as `(page_no, points)` pairs in time order.
     /// One contiguous pread covers the whole overlapping window (pages
-    /// tile the body, so the window is a single byte range). For v1
-    /// chunks this degenerates to the whole chunk as page 0.
+    /// tile the body, so the window is a single byte range).
     ///
     /// Returns an empty vec — with no I/O at all — when no page
     /// overlaps.
@@ -206,13 +177,7 @@ impl TsFileReader {
         meta: &ChunkMeta,
         range: TimeRange,
     ) -> Result<Vec<(u32, Vec<Point>)>> {
-        let Some(info) = &meta.paged else {
-            // v1 monolithic chunk: the chunk is its own single page.
-            if meta.stats.last.t < range.start || meta.stats.first.t > range.end {
-                return Ok(Vec::new());
-            }
-            return Ok(vec![(0, self.read_chunk(meta)?)]);
-        };
+        let info = &meta.paged;
         let window = info.pages_overlapping(range);
         if window.is_empty() {
             return Ok(Vec::new());
@@ -248,7 +213,7 @@ impl TsFileReader {
     }
 
     /// Read the raw (still-encoded) bodies of a contiguous page window
-    /// of a v2 chunk in one pooled pread, verifying each page's CRC and
+    /// of a chunk in one pooled pread, verifying each page's CRC and
     /// header count against the footer. Returns the buffer plus the
     /// chunk-relative byte offset it starts at; individual pages slice
     /// out via [`page_body_slice`] with that base.
@@ -261,10 +226,7 @@ impl TsFileReader {
         meta: &ChunkMeta,
         window: std::ops::Range<usize>,
     ) -> Result<(bufpool::PooledBuf, u64)> {
-        let info = meta
-            .paged
-            .as_ref()
-            .ok_or_else(|| TsFileError::Corrupt("raw page window on unpaged chunk".into()))?;
+        let info = &meta.paged;
         let first = info
             .pages
             .get(window.start)
@@ -287,7 +249,7 @@ impl TsFileReader {
         Ok((buf, base))
     }
 
-    /// Read one page of a v2 chunk and decode only its timestamp
+    /// Read one page of a chunk and decode only its timestamp
     /// column, optionally stopping once past `until`.
     pub fn read_page_timestamps(
         &self,
@@ -295,10 +257,7 @@ impl TsFileReader {
         page_no: u32,
         until: Option<i64>,
     ) -> Result<Vec<i64>> {
-        let info = meta
-            .paged
-            .as_ref()
-            .ok_or_else(|| TsFileError::Corrupt("read_page_timestamps on unpaged chunk".into()))?;
+        let info = &meta.paged;
         let pm = info
             .pages
             .get(page_no as usize)
@@ -316,18 +275,11 @@ impl TsFileReader {
     /// column is never decoded and the timestamp decode terminates at
     /// the probe boundary — the paper's partial scan (Figure 7(b)).
     ///
-    /// On v2 chunks the probe is page-aware: only the byte prefix up to
-    /// the page containing the crossing timestamp is read at all, and
-    /// pages past the crossing are never decoded.
+    /// The probe is page-aware: only the byte prefix up to the page
+    /// containing the crossing timestamp is read at all, and pages past
+    /// the crossing are never decoded.
     pub fn read_chunk_timestamps(&self, meta: &ChunkMeta, until: Option<i64>) -> Result<Vec<i64>> {
-        let Some(info) = &meta.paged else {
-            let body = self
-                .file
-                .read_pooled_at(meta.byte_len as usize, meta.offset)?;
-            self.chunks_read.fetch_add(1, Ordering::Relaxed);
-            self.bytes_read.fetch_add(meta.byte_len, Ordering::Relaxed);
-            return decode_chunk_timestamps(&body, meta, until);
-        };
+        let info = &meta.paged;
         // Pages whose first timestamp is past `until` contribute at most
         // the crossing value, which must come from the first such page.
         let upto = match until {
@@ -410,125 +362,6 @@ fn le_u64(bytes: &[u8]) -> Option<u64> {
         *dst = *s;
     }
     Some(u64::from_le_bytes(arr))
-}
-
-/// Decode a chunk body (as laid out by the writer) into points.
-pub fn decode_chunk_body(body: &[u8], meta: &ChunkMeta) -> Result<Vec<Point>> {
-    if body.len() < 4 {
-        return Err(TsFileError::UnexpectedEof { what: "chunk body" });
-    }
-    let (payload, crc_bytes) = body.split_at(body.len() - 4);
-    let expected_crc = le_u32(crc_bytes).ok_or(TsFileError::UnexpectedEof {
-        what: "chunk body crc",
-    })?;
-    let actual_crc = crc32(payload);
-    if actual_crc != expected_crc {
-        return Err(TsFileError::ChecksumMismatch {
-            expected: expected_crc,
-            actual: actual_crc,
-            what: "chunk body",
-        });
-    }
-    let mut pos = 0usize;
-    let ts_kind = EncodingKind::from_u8(*payload.get(pos).ok_or(TsFileError::UnexpectedEof {
-        what: "chunk header",
-    })?)?;
-    pos += 1;
-    let val_kind = EncodingKind::from_u8(*payload.get(pos).ok_or(TsFileError::UnexpectedEof {
-        what: "chunk header",
-    })?)?;
-    pos += 1;
-    let n = crate::varint::read_u64(payload, &mut pos)? as usize;
-    if n as u64 != meta.stats.count {
-        return Err(TsFileError::Corrupt(format!(
-            "chunk body holds {n} points but metadata says {}",
-            meta.stats.count
-        )));
-    }
-    let ts_len = crate::varint::read_u64(payload, &mut pos)? as usize;
-    let ts_end = pos
-        .checked_add(ts_len)
-        .filter(|&e| e <= payload.len())
-        .ok_or(TsFileError::UnexpectedEof {
-            what: "timestamp column",
-        })?;
-    let ts_col = payload.get(pos..ts_end).ok_or(TsFileError::UnexpectedEof {
-        what: "timestamp column",
-    })?;
-    let ts = encoding::decode_timestamps(ts_kind, ts_col, n)?;
-    pos = ts_end;
-    let val_len = crate::varint::read_u64(payload, &mut pos)? as usize;
-    let val_end = pos
-        .checked_add(val_len)
-        .filter(|&e| e <= payload.len())
-        .ok_or(TsFileError::UnexpectedEof {
-            what: "value column",
-        })?;
-    let val_col = payload
-        .get(pos..val_end)
-        .ok_or(TsFileError::UnexpectedEof {
-            what: "value column",
-        })?;
-    let vs = encoding::decode_values(val_kind, val_col, n)?;
-    Ok(ts
-        .into_iter()
-        .zip(vs)
-        .map(|(t, v)| Point::new(t, v))
-        .collect())
-}
-
-/// Decode only the timestamp column of a chunk body, optionally
-/// stopping once past `until`. Verifies the body CRC first.
-pub fn decode_chunk_timestamps(
-    body: &[u8],
-    meta: &ChunkMeta,
-    until: Option<i64>,
-) -> Result<Vec<i64>> {
-    if body.len() < 4 {
-        return Err(TsFileError::UnexpectedEof { what: "chunk body" });
-    }
-    let (payload, crc_bytes) = body.split_at(body.len() - 4);
-    let expected_crc = le_u32(crc_bytes).ok_or(TsFileError::UnexpectedEof {
-        what: "chunk body crc",
-    })?;
-    let actual_crc = crc32(payload);
-    if actual_crc != expected_crc {
-        return Err(TsFileError::ChecksumMismatch {
-            expected: expected_crc,
-            actual: actual_crc,
-            what: "chunk body",
-        });
-    }
-    let mut pos = 0usize;
-    let ts_kind = EncodingKind::from_u8(*payload.get(pos).ok_or(TsFileError::UnexpectedEof {
-        what: "chunk header",
-    })?)?;
-    pos += 2; // skip value encoding tag too
-    let n = crate::varint::read_u64(payload, &mut pos)? as usize;
-    if n as u64 != meta.stats.count {
-        return Err(TsFileError::Corrupt(format!(
-            "chunk body holds {n} points but metadata says {}",
-            meta.stats.count
-        )));
-    }
-    let ts_len = crate::varint::read_u64(payload, &mut pos)? as usize;
-    let ts_end = pos
-        .checked_add(ts_len)
-        .filter(|&e| e <= payload.len())
-        .ok_or(TsFileError::UnexpectedEof {
-            what: "timestamp column",
-        })?;
-    let col = payload.get(pos..ts_end).ok_or(TsFileError::UnexpectedEof {
-        what: "timestamp column",
-    })?;
-    match (ts_kind, until) {
-        (EncodingKind::Plain, _) => {
-            // Plain is random-access; an early stop saves little.
-            encoding::plain::decode_i64(col, n)
-        }
-        (_, Some(limit)) => encoding::ts2diff::decode_until(col, n, limit),
-        (_, None) => encoding::ts2diff::decode(col, n),
-    }
 }
 
 #[cfg(test)]
@@ -664,7 +497,6 @@ mod tests {
         w.write_chunk(&pts, 1)?;
         w.finish()?;
         let r = TsFileReader::open(&p)?;
-        assert_eq!(r.format_version(), FORMAT_V2);
         let meta = &r.chunk_metas()[0];
         assert_eq!(meta.page_count(), 10);
 
@@ -711,7 +543,7 @@ mod tests {
         w.finish()?;
         let r = TsFileReader::open(&p)?;
         let meta = &r.chunk_metas()[0];
-        let info = meta.paged.as_ref().ok_or(TsFileError::EmptyChunk)?;
+        let info = &meta.paged;
 
         let (buf, base) = r.read_page_window_raw(meta, 3..6)?;
         assert_eq!(base, info.pages[3].offset);
@@ -787,11 +619,19 @@ mod tests {
     #[test]
     fn rejects_non_tsfile() -> Result<()> {
         let p = tmp("garbage.bin");
-        std::fs::write(&p, b"this is definitely not a tsfile at all")?;
-        assert!(matches!(
-            TsFileReader::open(&p),
-            Err(TsFileError::BadMagic { .. })
-        ));
+        // The second input is the retired `TSF1` generation's magic at
+        // both ends: rejected at the head like any other foreign file.
+        let inputs: [&[u8]; 2] = [
+            b"this is definitely not a tsfile at all",
+            b"TSF1\0\0\0\0\0\0\0\0\0\0\0\0\0\0TSF1\0\0",
+        ];
+        for bytes in inputs {
+            std::fs::write(&p, bytes)?;
+            match TsFileReader::open(&p) {
+                Err(TsFileError::BadMagic { found }) => assert_eq!(found[..], bytes[..6]),
+                other => return Err(TsFileError::Corrupt(format!("opened as {other:?}"))),
+            }
+        }
         Ok(())
     }
 
@@ -803,7 +643,11 @@ mod tests {
         w.finish()?;
         let data = std::fs::read(&p)?;
         std::fs::write(&p, &data[..data.len() - 3])?;
-        assert!(TsFileReader::open(&p).is_err());
+        // Our own head, no tail: a cut-short file, not a foreign one.
+        match TsFileReader::open(&p) {
+            Err(TsFileError::Corrupt(msg)) => assert!(msg.contains("trailer magic"), "{msg}"),
+            other => return Err(TsFileError::Corrupt(format!("opened as {other:?}"))),
+        }
         Ok(())
     }
 

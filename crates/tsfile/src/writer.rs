@@ -6,7 +6,7 @@ use std::path::Path;
 
 use crate::checksum::crc32;
 use crate::encoding::EncodingKind;
-use crate::format::{ChunkMeta, FileFooter, FORMAT_V2, MAGIC};
+use crate::format::{ChunkMeta, FileFooter, MAGIC};
 use crate::index::StepIndex;
 use crate::page::{self, PageMeta, PageStatistics, PagedChunkInfo};
 use crate::statistics::ChunkStatistics;
@@ -25,7 +25,7 @@ pub struct RawPage<'a> {
     pub stats: PageStatistics,
 }
 
-/// Writes one TsFile (format v2): magic, page-structured chunk bodies,
+/// Writes one TsFile: magic, page-structured chunk bodies,
 /// footer with a per-chunk page index. Columns are encoded with
 /// configurable codecs (defaults: TS_2DIFF timestamps + Gorilla values,
 /// IoTDB's defaults for DOUBLE series).
@@ -141,11 +141,11 @@ impl TsFileWriter {
             version: Version(version),
             stats,
             index,
-            paged: Some(PagedChunkInfo {
+            paged: PagedChunkInfo {
                 ts_encoding: self.ts_encoding,
                 val_encoding: self.val_encoding,
                 pages,
-            }),
+            },
         };
         self.out.write_all(&body)?;
         self.pos += body.len() as u64;
@@ -161,7 +161,7 @@ impl TsFileWriter {
     /// point wins value ties, matching [`ChunkStatistics::from_points`]).
     ///
     /// The pages must be time-ordered and disjoint and share the given
-    /// column encodings (pages of one v2 chunk always do). No step
+    /// column encodings (pages of one chunk always do). No step
     /// index is learned — that would require decoding the timestamps
     /// this path exists to avoid.
     pub fn write_chunk_raw(
@@ -212,11 +212,11 @@ impl TsFileWriter {
             version: Version(version),
             stats,
             index: None,
-            paged: Some(PagedChunkInfo {
+            paged: PagedChunkInfo {
                 ts_encoding,
                 val_encoding,
                 pages: metas,
-            }),
+            },
         };
         for p in pages {
             self.out.write_all(p.bytes)?;
@@ -236,7 +236,7 @@ impl TsFileWriter {
         if self.finished {
             return Err(TsFileError::WriterFinished);
         }
-        let body = self.footer.encode_body(FORMAT_V2);
+        let body = self.footer.encode_body();
         let crc = crc32(&body);
         self.out.write_all(&body)?;
         self.out.write_all(&crc.to_le_bytes())?;
@@ -356,7 +356,7 @@ mod tests {
         w.set_page_points(64);
         let meta = w.write_chunk(&pts(0..300), 1)?;
         w.finish()?;
-        let info = meta.paged.as_ref().ok_or(TsFileError::EmptyChunk)?;
+        let info = &meta.paged;
         assert_eq!(info.pages.len(), 5); // 64*4 + 44
         assert_eq!(info.pages.iter().map(|pg| pg.stats.count).sum::<u64>(), 300);
         assert_eq!(meta.page_count(), 5);
@@ -384,7 +384,7 @@ mod tests {
         w.finish()?;
         let r = TsFileReader::open(&src)?;
         let meta = &r.chunk_metas()[0];
-        let info = meta.paged.as_ref().ok_or(TsFileError::EmptyChunk)?;
+        let info = &meta.paged;
         let (buf, base) = r.read_page_window_raw(meta, 0..info.pages.len())?;
         let raw: Vec<RawPage<'_>> = info
             .pages

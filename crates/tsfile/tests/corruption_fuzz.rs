@@ -26,6 +26,44 @@ fn sample_file(path: &std::path::Path) -> Vec<u8> {
     std::fs::read(path).unwrap()
 }
 
+/// A footer that passes its CRC but says "this chunk has no page index"
+/// (presence byte `0`, what the retired unpaged generation wrote) is
+/// `Corrupt` — never a panic, never a `ChunkMeta` without pages.
+#[test]
+fn crc_valid_footer_without_page_index_is_corrupt() {
+    const TRAILER: usize = 4 + 8 + 6; // crc + body length + magic
+    let dir = std::env::temp_dir().join("tsfile-fuzz");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("nopages-{}.tsfile", std::process::id()));
+    let original = sample_file(&path);
+    let n = original.len();
+    let body_len = u64::from_le_bytes(original[n - 14..n - 6].try_into().unwrap()) as usize;
+    let body_at = n - TRAILER - body_len;
+
+    // Each sample chunk is one Ts2Diff/Gorilla page, so its presence
+    // byte is the `1` in front of `[ts tag 1, val tag 2, 1 page]`.
+    let flags: Vec<usize> = (body_at..n - TRAILER - 3)
+        .filter(|&i| original[i..i + 4] == [1, 1, 2, 1])
+        .collect();
+    let mut rejected_for_missing_index = 0;
+    for at in flags {
+        let mut patched = original.clone();
+        patched[at] = 0;
+        let crc = tsfile::checksum::crc32(&patched[body_at..n - TRAILER]);
+        patched[n - TRAILER..n - 14].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &patched).unwrap();
+        match TsFileReader::open(&path) {
+            Err(tsfile::TsFileError::Corrupt(msg)) if msg.contains("no page index") => {
+                rejected_for_missing_index += 1;
+            }
+            Err(_) => {} // the pattern matched inside some other field
+            Ok(_) => panic!("footer with presence byte 0 at {at} opened"),
+        }
+    }
+    assert!(rejected_for_missing_index >= 2, "one per sample chunk");
+    std::fs::remove_file(&path).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

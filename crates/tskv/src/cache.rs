@@ -7,10 +7,10 @@
 //!
 //! > (file handle id, chunk byte offset, page number, chunk version)
 //!
-//! Page granularity (format v2) means a narrow query that touches a
+//! Page granularity means a narrow query that touches a
 //! few hundred points caches — and later evicts — only those pages,
 //! instead of a multi-megabyte whole-chunk body. Whole-chunk entries
-//! (v1 files, full scans) use the reserved page number
+//! (full scans, single-page chunks) use the reserved page number
 //! [`CacheKey::WHOLE_CHUNK`].
 //!
 //! The file handle id is a process-unique id minted by
@@ -63,7 +63,7 @@ pub struct CacheKey {
     /// Byte offset of the chunk within the file.
     pub offset: u64,
     /// Page number within the chunk, or [`Self::WHOLE_CHUNK`] for a
-    /// monolithic whole-chunk entry.
+    /// whole-chunk entry.
     pub page_no: u32,
     /// The chunk's version `κ`.
     pub version: u64,
@@ -71,7 +71,7 @@ pub struct CacheKey {
 
 impl CacheKey {
     /// Sentinel page number marking an entry that holds the entire
-    /// decoded chunk body (v1 files; full-chunk reads).
+    /// decoded chunk body (full-chunk reads).
     pub const WHOLE_CHUNK: u32 = u32::MAX;
 }
 

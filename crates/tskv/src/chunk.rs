@@ -80,12 +80,11 @@ impl ChunkHandle {
         matches!(self.data, ChunkData::Mem { .. })
     }
 
-    /// The chunk's on-disk page index, when the backing file stores the
-    /// body paged (format v2). `None` for memtable chunks and for v1
-    /// monolithic chunks — those read as a single whole-chunk page.
+    /// The chunk's on-disk page index. `None` for memtable chunks —
+    /// those read as a single whole-chunk page.
     pub fn paged(&self) -> Option<&tsfile::PagedChunkInfo> {
         match &self.data {
-            ChunkData::File { meta, .. } => meta.paged.as_ref(),
+            ChunkData::File { meta, .. } => Some(&meta.paged),
             ChunkData::Mem { .. } => None,
         }
     }

@@ -58,7 +58,7 @@ pub(crate) struct MergeOutcome {
     pub points_written: usize,
     /// Clean pages copied byte-for-byte.
     pub pages_copied: u64,
-    /// Input pages decoded and re-encoded (a v1 chunk counts as one).
+    /// Input pages decoded and re-encoded.
     pub pages_recoded: u64,
     /// Input chunk-body bytes read.
     pub bytes_read: u64,
@@ -152,10 +152,7 @@ impl<'a> Output<'a> {
         let reader = files
             .get(*file_idx)
             .ok_or_else(|| corrupt("clean run file out of range"))?;
-        let info = meta
-            .paged
-            .as_ref()
-            .ok_or_else(|| corrupt("clean run on unpaged chunk"))?;
+        let info = &meta.paged;
         let (buf, base) = reader.read_page_window_raw(meta, window.clone())?;
         let metas = info
             .pages
@@ -210,12 +207,7 @@ pub(crate) fn merge_to_file(
                 let reader = files
                     .get(*file_idx)
                     .ok_or_else(|| corrupt("chunk file out of range"))?;
-                let Some(info) = &meta.paged else {
-                    // v1 monolithic chunk: always fully dirty.
-                    let pts = reader.read_chunk(meta)?;
-                    dirty.extend(ChunkHandle::from_mem(Arc::new(pts), handle.version));
-                    continue;
-                };
+                let info = &meta.paged;
                 let mut clean = vec![false; info.pages.len()];
                 for r in runs {
                     for j in r.clone() {

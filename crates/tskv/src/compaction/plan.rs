@@ -6,13 +6,10 @@
 //! points must flow through decode → k-way merge → re-encode). A page
 //! is clean iff:
 //!
-//! 1. its backing chunk is paged (format v2 — a v1 monolithic chunk
-//!    has no per-page CRCs or statistics to carry, so it is always
-//!    fully dirty),
-//! 2. its time range overlaps **no other input chunk** (nothing to
+//! 1. its time range overlaps **no other input chunk** (nothing to
 //!    merge against: within its own chunk, pages are disjoint by
 //!    format invariant), and
-//! 3. no captured delete with a version newer than the chunk overlaps
+//! 2. no captured delete with a version newer than the chunk overlaps
 //!    it (deletes at or below the chunk's version never apply to it).
 //!
 //! The classification is pure metadata arithmetic over what the shard
@@ -43,9 +40,8 @@ pub struct ChunkView {
     pub version: u64,
     /// The chunk's `[FP.t, LP.t]` interval.
     pub range: TimeRange,
-    /// Per-page views for a paged (v2) chunk; `None` for a v1
-    /// monolithic chunk, which always recodes whole.
-    pub pages: Option<Vec<PageView>>,
+    /// Per-page views, in page order.
+    pub pages: Vec<PageView>,
 }
 
 /// The classification outcome for one compaction run.
@@ -56,18 +52,14 @@ pub struct CompactionPlan {
     pub clean_runs: Vec<Vec<Range<usize>>>,
     /// Total clean pages across all chunks.
     pub pages_clean: u64,
-    /// Total dirty pages across all chunks (an unpaged chunk counts as
-    /// one dirty page).
+    /// Total dirty pages across all chunks.
     pub pages_dirty: u64,
 }
 
 impl CompactionPlan {
     /// A plan that recodes everything (the full-rewrite baseline).
     fn all_dirty(chunks: &[ChunkView]) -> Self {
-        let pages_dirty = chunks
-            .iter()
-            .map(|c| c.pages.as_ref().map_or(1, Vec::len) as u64)
-            .sum();
+        let pages_dirty = chunks.iter().map(|c| c.pages.len() as u64).sum();
         CompactionPlan {
             clean_runs: vec![Vec::new(); chunks.len()],
             pages_clean: 0,
@@ -94,13 +86,8 @@ pub fn classify(chunks: &[ChunkView], deletes: &[ModEntry], clean_copy: bool) ->
     let mut pages_clean = 0u64;
     let mut pages_dirty = 0u64;
     for (i, chunk) in chunks.iter().enumerate() {
-        let Some(pages) = &chunk.pages else {
-            pages_dirty += 1;
-            clean_runs.push(Vec::new());
-            continue;
-        };
         let mut runs: Vec<Range<usize>> = Vec::new();
-        for (j, page) in pages.iter().enumerate() {
+        for (j, page) in chunk.pages.iter().enumerate() {
             let overlapped = chunks
                 .iter()
                 .enumerate()
@@ -146,15 +133,7 @@ mod tests {
         ChunkView {
             version,
             range,
-            pages: Some(views),
-        }
-    }
-
-    fn v1_chunk(version: u64, a: i64, b: i64) -> ChunkView {
-        ChunkView {
-            version,
-            range: TimeRange::new(a, b),
-            pages: None,
+            pages: views,
         }
     }
 
@@ -205,17 +184,8 @@ mod tests {
     }
 
     #[test]
-    fn v1_chunks_never_copy() {
-        let chunks = vec![v1_chunk(1, 0, 99), chunk(2, &[(100, 199)])];
-        let plan = classify(&chunks, &[], true);
-        assert_eq!(plan.clean_runs, vec![vec![], vec![0..1]]);
-        assert_eq!(plan.pages_clean, 1);
-        assert_eq!(plan.pages_dirty, 1);
-    }
-
-    #[test]
     fn clean_copy_off_recodes_everything() {
-        let chunks = vec![chunk(1, &[(0, 9), (10, 19)]), v1_chunk(2, 100, 199)];
+        let chunks = vec![chunk(1, &[(0, 9), (10, 19)]), chunk(2, &[(100, 199)])];
         let plan = classify(&chunks, &[], false);
         assert_eq!(plan.clean_runs, vec![Vec::new(), Vec::new()]);
         assert_eq!(plan.pages_clean, 0);

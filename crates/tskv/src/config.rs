@@ -10,7 +10,7 @@ use crate::compaction::policy::CompactionPolicyKind;
 ///
 /// Group commit batches every WAL frame of one `write_batch` /
 /// `insert_batch` call into a single buffered append (see
-/// [`crate::wal`]); the policy decides whether that append is also
+/// `crate::shard_wal`); the policy decides whether that append is also
 /// fsynced before the call returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
@@ -49,20 +49,22 @@ impl FsyncPolicy {
 /// |--------------------------------------|-------------------------|
 /// | `avg_series_point_number_threshold`  | [`points_per_chunk`]    |
 /// | `unseq/seq_tsfile_size` (1 GiB)      | [`memtable_threshold`] (points per flush → file size) |
-/// | `page_size_in_byte` (1 GiB → 1 page) | chunks are single-page  |
-/// | `compaction_strategy = NO_COMPACTION`| no compaction exists    |
+/// | `page_size_in_byte` (1 GiB → 1 page) | [`page_points`] (`usize::MAX` → 1 page per chunk) |
+/// | `compaction_strategy = NO_COMPACTION`| [`compaction_auto`] ` = false` (the default) |
 ///
 /// [`points_per_chunk`]: EngineConfig::points_per_chunk
 /// [`memtable_threshold`]: EngineConfig::memtable_threshold
+/// [`page_points`]: EngineConfig::page_points
+/// [`compaction_auto`]: EngineConfig::compaction_auto
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Maximum points per chunk; a flush splits the memtable into runs
     /// of at most this many points (paper value: 1000).
     pub points_per_chunk: usize,
-    /// Points per page inside a sealed chunk (format v2): the unit of
-    /// selective decode and of the page-granular read cache.
-    /// `usize::MAX` degenerates to one page per chunk (the monolithic
-    /// baseline). Zero is clamped to 1 by [`normalized`].
+    /// Points per page inside a sealed chunk: the unit of selective
+    /// decode and of the page-granular read cache. `usize::MAX`
+    /// degenerates to one page per chunk (the single-page reference
+    /// twin of the paged-equivalence tests). Zero is clamped to 1 by [`normalized`].
     ///
     /// [`normalized`]: EngineConfig::normalized
     pub page_points: usize,
@@ -135,14 +137,6 @@ pub struct EngineConfig {
     /// file and later opens use the pinned value regardless of this
     /// knob. Must be in `1..=1024`.
     pub storage_shards: usize,
-    /// Maximum number of series the catalog will intern. Registration
-    /// past this fails with `CatalogFull`. Must be in `1..=2^32`
-    /// (series ids are dense `u32`s).
-    pub catalog_max_series: u64,
-    /// Size at which a shared WAL segment file is sealed and a fresh
-    /// one opened (reclamation works at segment granularity). Must be
-    /// in `1..=1 GiB`.
-    pub wal_segment_bytes: u64,
 }
 
 impl Default for EngineConfig {
@@ -167,8 +161,6 @@ impl Default for EngineConfig {
             compaction_policy: CompactionPolicyKind::Full,
             compaction_clean_page_copy: true,
             storage_shards: 16,
-            catalog_max_series: 1 << 24,
-            wal_segment_bytes: 8 * 1024 * 1024,
         }
     }
 }
@@ -192,11 +184,13 @@ pub const MAX_COMPACTION_INTERVAL_MS: u64 = 60_000;
 /// Upper bound on [`EngineConfig::storage_shards`].
 pub const MAX_STORAGE_SHARDS: usize = 1024;
 
-/// Upper bound on [`EngineConfig::catalog_max_series`] (ids are `u32`).
-pub const MAX_CATALOG_SERIES: u64 = 1 << 32;
+/// Maximum number of series the catalog will intern. Registration past
+/// this fails with `CatalogFull` (series ids are dense `u32`s).
+pub const CATALOG_MAX_SERIES: u64 = 1 << 24;
 
-/// Upper bound on [`EngineConfig::wal_segment_bytes`] (1 GiB).
-pub const MAX_WAL_SEGMENT_BYTES: u64 = 1 << 30;
+/// Size at which a shared WAL segment file is sealed and a fresh one
+/// opened (reclamation works at segment granularity).
+pub const WAL_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
 impl EngineConfig {
     /// Validate and clamp nonsensical settings (zero sizes become 1).
@@ -214,7 +208,7 @@ impl EngineConfig {
     }
 
     /// Reject zero/absurd cache and parallelism knobs with a typed
-    /// error. Unlike the legacy size clamps in [`normalized`], these
+    /// error. Unlike the size clamps in [`normalized`], these
     /// knobs fail loudly: a zero thread count or zero-byte cache is a
     /// misconfiguration, not a degenerate-but-meaningful setting.
     ///
@@ -311,34 +305,6 @@ impl EngineConfig {
                 reason: "exceeds the 1024-shard ceiling",
             });
         }
-        if self.catalog_max_series == 0 {
-            return Err(crate::TsKvError::InvalidConfig {
-                field: "catalog_max_series",
-                value: 0,
-                reason: "must be at least 1",
-            });
-        }
-        if self.catalog_max_series > MAX_CATALOG_SERIES {
-            return Err(crate::TsKvError::InvalidConfig {
-                field: "catalog_max_series",
-                value: self.catalog_max_series,
-                reason: "series ids are u32: at most 2^32 series",
-            });
-        }
-        if self.wal_segment_bytes == 0 {
-            return Err(crate::TsKvError::InvalidConfig {
-                field: "wal_segment_bytes",
-                value: 0,
-                reason: "must be nonzero",
-            });
-        }
-        if self.wal_segment_bytes > MAX_WAL_SEGMENT_BYTES {
-            return Err(crate::TsKvError::InvalidConfig {
-                field: "wal_segment_bytes",
-                value: self.wal_segment_bytes,
-                reason: "exceeds the 1 GiB ceiling",
-            });
-        }
         Ok(())
     }
 }
@@ -409,7 +375,7 @@ mod tests {
     #[test]
     fn validate_rejects_bad_cardinality_knobs() {
         use crate::TsKvError;
-        let cases: [(EngineConfig, &str); 6] = [
+        let cases: [(EngineConfig, &str); 2] = [
             (
                 EngineConfig {
                     storage_shards: 0,
@@ -423,34 +389,6 @@ mod tests {
                     ..Default::default()
                 },
                 "storage_shards",
-            ),
-            (
-                EngineConfig {
-                    catalog_max_series: 0,
-                    ..Default::default()
-                },
-                "catalog_max_series",
-            ),
-            (
-                EngineConfig {
-                    catalog_max_series: MAX_CATALOG_SERIES + 1,
-                    ..Default::default()
-                },
-                "catalog_max_series",
-            ),
-            (
-                EngineConfig {
-                    wal_segment_bytes: 0,
-                    ..Default::default()
-                },
-                "wal_segment_bytes",
-            ),
-            (
-                EngineConfig {
-                    wal_segment_bytes: MAX_WAL_SEGMENT_BYTES + 1,
-                    ..Default::default()
-                },
-                "wal_segment_bytes",
             ),
         ];
         for (config, want_field) in cases {

@@ -21,8 +21,8 @@
 //! series therefore costs two map entries and zero files or
 //! directories — a million registered series open in catalog-replay
 //! time, and in-memory [`SeriesStore`] state is instantiated lazily on
-//! first touch. Stores laid out the old way (one directory per series)
-//! are migrated in place on open.
+//! first touch. A directory laid out the retired way (one directory per
+//! series, no `SHARDS` file) is refused at open, untouched.
 //!
 //! ## Lock discipline
 //!
@@ -72,7 +72,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use tsfile::types::{Point, TimeRange, Timestamp, Version};
-use tsfile::{ModEntry, ModsFile, TsFileReader, TsFileWriter};
+use tsfile::{ModEntry, ModsFile, TsFileError, TsFileReader, TsFileWriter};
 
 use crate::batch::WriteBatch;
 use crate::cache::DecodedChunkCache;
@@ -81,20 +81,19 @@ use crate::chunk::ChunkHandle;
 use crate::compaction::plan::{self, ChunkView, PageView};
 use crate::compaction::policy::{CompactionPolicy, FileView};
 use crate::compaction::{execute, CompactionReport};
-use crate::config::{EngineConfig, FsyncPolicy, MAX_STORAGE_SHARDS};
+use crate::config::{
+    EngineConfig, FsyncPolicy, CATALOG_MAX_SERIES, MAX_STORAGE_SHARDS, WAL_SEGMENT_BYTES,
+};
 use crate::memtable::MemTable;
 use crate::notify::{ChangeEvent, ChangeRx, ChangeSink};
 use crate::scheduler::CompactionScheduler;
-use crate::shard_wal::ShardWal;
+use crate::shard_wal::{ShardWal, WalRecord};
 use crate::snapshot::SeriesSnapshot;
 use crate::stats::IoStats;
 use crate::version::VersionAllocator;
-use crate::wal::{Wal, WalRecord};
 use crate::{Result, TsKvError};
 
-/// Meta file at the store root pinning the storage-shard count. Its
-/// presence also marks a store as using the sharded layout (absence
-/// plus series directories means a legacy store awaiting migration).
+/// Meta file at the store root pinning the storage-shard count.
 const SHARDS_META: &str = "SHARDS";
 
 /// One sealed TsFile plus its delete log.
@@ -260,13 +259,6 @@ fn storage_dir_name(i: usize) -> String {
     format!("shard-{i:04}")
 }
 
-/// Whether `name` is a storage-shard directory name (reserved; never a
-/// legacy series directory).
-fn is_storage_dir_name(name: &str) -> bool {
-    name.strip_prefix("shard-")
-        .is_some_and(|d| d.len() == 4 && d.chars().all(|c| c.is_ascii_digit()))
-}
-
 /// Parse a sharded-layout data-file stem `s<id>-<fileno>` back into
 /// its series id and file number.
 fn parse_data_stem(stem: &str) -> Option<(SeriesId, u64)> {
@@ -302,6 +294,7 @@ fn pinned_storage_shards(dir: &Path, configured: usize) -> Result<usize> {
             Ok(n)
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            reject_unpinned_data(dir)?;
             write_shards_meta(dir, configured)?;
             Ok(configured)
         }
@@ -309,113 +302,39 @@ fn pinned_storage_shards(dir: &Path, configured: usize) -> Result<usize> {
     }
 }
 
-/// Series directories of a *legacy* (pre-sharded, one-directory-per-
-/// series) store: empty unless the `SHARDS` meta file is absent.
-/// Storage-shard directory names are reserved and skipped, so a crash
-/// mid-migration (shard dirs created, `SHARDS` not yet written) never
-/// re-interprets them as series on the retry.
-fn legacy_series_dirs(dir: &Path) -> Result<Vec<(String, PathBuf)>> {
-    if dir.join(SHARDS_META).exists() {
-        return Ok(Vec::new());
-    }
-    let mut dirs: Vec<(String, PathBuf)> = Vec::new();
+/// Refuse a store root that holds data but no `SHARDS` pin: the
+/// pre-sharding layout (`<series>/series.wal`, `<series>/NNNNNNNN.tsfile`),
+/// which nothing reads any more, or a sharded store whose `SHARDS` file
+/// was lost. Pinning a shard count over either would serve an empty
+/// store beside the user's data. Only directories a store could have
+/// created are looked into (series and shard names both pass
+/// `validate_series_name`; a volume's `lost+found` does not). Runs
+/// before the first byte is written, so a refused directory is left as
+/// it was found.
+fn reject_unpinned_data(dir: &Path) -> Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
-        if !entry.file_type()?.is_dir() {
+        let ours = entry
+            .file_name()
+            .to_str()
+            .is_some_and(|n| validate_series_name(n).is_ok());
+        if !ours || !entry.file_type()?.is_dir() {
             continue;
         }
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if is_storage_dir_name(&name) || validate_series_name(&name).is_err() {
-            continue; // reserved or foreign directory; ignore
-        }
-        dirs.push((name, entry.path()));
-    }
-    dirs.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok(dirs)
-}
-
-/// One-time in-place migration of a legacy one-directory-per-series
-/// store into the sharded layout: intern every name (sorted, so ids
-/// are deterministic) and fsync the catalog, then move each sealed
-/// file to its shard directory under the `s<id>-` prefix, transcribe
-/// each series' surviving WAL state into the shard's tagged log, and
-/// delete the series directory. The catalog sync happens **before**
-/// the first rename so a power loss can never persist id-tagged files
-/// whose bindings the catalog forgot; the `SHARDS` meta file is
-/// written **last** — its presence marks the migration complete, so a
-/// crash partway is retried on the next open (interning is idempotent
-/// and re-derives the same ids from the durable log, finished renames
-/// are skipped because the source directory scan no longer finds them,
-/// and re-transcribed WAL records only produce duplicate points, which
-/// the latest-wins merge discards).
-fn migrate_legacy_layout(
-    dir: &Path,
-    series_dirs: &[(String, PathBuf)],
-    config: &EngineConfig,
-    io: &Arc<IoStats>,
-) -> Result<()> {
-    let n = config.storage_shards;
-    let catalog = SeriesCatalog::open(dir, config.catalog_max_series, Arc::clone(io))?;
-    // Intern every name and make the catalog durable *before* the
-    // first rename. Renamed `s<id>-*` files are only meaningful
-    // through the catalog's id binding; if a power loss dropped the
-    // un-fsynced log tail after some renames, the retried migration
-    // would re-intern only the surviving legacy dirs, hand the vacated
-    // low ids to different names, and silently rebind the already-moved
-    // files to the wrong series.
-    let mut ids: Vec<SeriesId> = Vec::with_capacity(series_dirs.len());
-    for (name, _) in series_dirs {
-        ids.push(catalog.intern(name)?);
-    }
-    catalog.sync_if_dirty()?;
-    let mut wals: Vec<ShardWal> = Vec::with_capacity(n);
-    for i in 0..n {
-        let sdir = dir.join(storage_dir_name(i));
-        std::fs::create_dir_all(&sdir)?;
-        let (wal, _) = ShardWal::open(&sdir, 0, config.wal_segment_bytes)?;
-        wals.push(wal);
-    }
-    for ((name, sdir), &id) in series_dirs.iter().zip(&ids) {
-        debug_assert_eq!(catalog.resolve(name), Some(id));
-        let target = dir.join(storage_dir_name(id.index() % n));
-        for entry in std::fs::read_dir(sdir)? {
-            let entry = entry?;
-            let path = entry.path();
-            let ext = path.extension().and_then(|e| e.to_str());
-            // Quarantined `*.corrupt` files move along for forensics.
-            if !matches!(ext, Some("tsfile") | Some("mods") | Some("corrupt")) {
-                continue;
-            }
-            let Some(fname) = path.file_name().and_then(|f| f.to_str()) else {
-                continue;
-            };
-            std::fs::rename(&path, target.join(format!("s{}-{fname}", id.0)))?;
-        }
-        // Transcribe the surviving (unflushed) WAL state, tagged with
-        // the interned id. `Wal::replay` already folds the sealed
-        // segment first and skips covered records.
-        let records = Wal::replay(sdir.join("series.wal"))?;
-        if let Some(wal) = wals.get(id.index() % n) {
-            for record in &records {
-                match record {
-                    WalRecord::Insert(points) => wal.append_inserts(id, points)?,
-                    WalRecord::Delete { version, range } => {
-                        wal.append_delete(id, *version, *range)?;
-                    }
-                }
-            }
-            if !records.is_empty() {
-                wal.commit(false)?;
+        for inner in std::fs::read_dir(entry.path())? {
+            let path = inner?.path();
+            let is_wal = path.file_name().is_some_and(|f| f == "series.wal");
+            let is_data = path.extension().is_some_and(|e| e == "tsfile");
+            if is_wal || is_data {
+                return Err(TsKvError::Corrupt(format!(
+                    "data present but no SHARDS meta file: {} exists (the pre-sharding \
+                     one-directory-per-series layout is no longer readable)",
+                    path.display()
+                )));
             }
         }
-        std::fs::remove_dir_all(sdir)?;
     }
-    for wal in &wals {
-        wal.sync()?;
-    }
-    catalog.sync_if_dirty()?;
-    // Last: marks the migration complete.
-    write_shards_meta(dir, n)
+    Ok(())
 }
 
 /// Recovery input for one series: its sealed data files (sorted by
@@ -425,6 +344,20 @@ type RecoveryWork = (SeriesId, Vec<(u64, PathBuf)>, Vec<WalRecord>);
 /// Scanned-but-unmerged recovery state per series: data files paired
 /// with replayed WAL records.
 type RecoveryParts = (Vec<(u64, PathBuf)>, Vec<WalRecord>);
+
+/// Whether `e` is what a crash mid-flush leaves behind: a file cut short
+/// (even before its head magic) or whose footer does not verify. A
+/// foreign magic is not — the writer emits `TSF2` first, so such a file
+/// was never ours to rename — and neither is a failing disk.
+fn is_torn_write(e: &TsFileError) -> bool {
+    match e {
+        TsFileError::Io(io) => io.kind() == std::io::ErrorKind::UnexpectedEof,
+        TsFileError::UnexpectedEof { .. }
+        | TsFileError::ChecksumMismatch { .. }
+        | TsFileError::Corrupt(_) => true,
+        _ => false,
+    }
+}
 
 /// Recover one series from its scanned data files plus replayed WAL
 /// records. Runs with no engine lock held — recovery parallelizes
@@ -445,7 +378,7 @@ fn recover_series(
     for (i, (_, path)) in paths.iter().enumerate() {
         let reader = match TsFileReader::open(path) {
             Ok(r) => Arc::new(r),
-            Err(_) if i == newest => {
+            Err(e) if i == newest && is_torn_write(&e) => {
                 let mut quarantined = path.clone().into_os_string();
                 quarantined.push(".corrupt");
                 std::fs::rename(path, &quarantined)?;
@@ -555,14 +488,8 @@ impl EngineInner {
         config.validate()?;
         let io = Arc::new(IoStats::default());
 
-        // Legacy layout? Migrate in place before anything else looks
-        // at the directory tree.
-        let legacy = legacy_series_dirs(&dir)?;
-        if !legacy.is_empty() {
-            migrate_legacy_layout(&dir, &legacy, &config, &io)?;
-        }
         let n_storage = pinned_storage_shards(&dir, config.storage_shards)?;
-        let catalog = SeriesCatalog::open(&dir, config.catalog_max_series, Arc::clone(&io))?;
+        let catalog = SeriesCatalog::open(&dir, CATALOG_MAX_SERIES, Arc::clone(&io))?;
         let alloc = VersionAllocator::default();
 
         // Scan each storage shard: collect data files per series and
@@ -589,8 +516,7 @@ impl EngineInner {
                 };
                 files_by_id.entry(id).or_default().push((fileno, path));
             }
-            let (wal, records) =
-                ShardWal::open(&sdir, config.wal_batch_bytes, config.wal_segment_bytes)?;
+            let (wal, records) = ShardWal::open(&sdir, config.wal_batch_bytes, WAL_SEGMENT_BYTES)?;
             for (id, recs) in records {
                 replayed.entry(id).or_default().extend(recs);
             }
@@ -1285,20 +1211,21 @@ impl EngineInner {
         // `compaction_*` counters instead of polluting the read-path
         // ones, and the input generation is about to be unlinked — not
         // worth caching.
-        let views: Vec<ChunkView> = chunks
+        let views: Vec<ChunkView> = files
             .iter()
-            .map(|c| ChunkView {
-                version: c.version.0,
-                range: c.time_range(),
-                pages: c.paged().map(|info| {
-                    info.pages
-                        .iter()
-                        .map(|p| PageView {
-                            range: p.time_range(),
-                            count: p.stats.count,
-                        })
-                        .collect()
-                }),
+            .flat_map(|reader| reader.chunk_metas())
+            .map(|meta| ChunkView {
+                version: meta.version.0,
+                range: meta.time_range(),
+                pages: meta
+                    .paged
+                    .pages
+                    .iter()
+                    .map(|p| PageView {
+                        range: p.time_range(),
+                        count: p.stats.count,
+                    })
+                    .collect(),
             })
             .collect();
         let cplan = plan::classify(&views, &deletes, self.config.compaction_clean_page_copy);
@@ -1468,17 +1395,20 @@ impl TsKv {
     /// handles. Recovery fans out across up to `write_shards` threads,
     /// one series at a time per thread.
     ///
-    /// A store laid out the legacy way (one directory per series) is
-    /// migrated in place on first open: names interned in sorted
-    /// order, sealed files moved into hash-assigned shard directories,
-    /// per-series WALs transcribed into the shards' tagged logs.
+    /// A directory with no `SHARDS` file but with series- or
+    /// shard-named sub-directories holding `series.wal` or `*.tsfile`
+    /// (the retired pre-sharding layout, or a store that lost its
+    /// `SHARDS` file) is refused with [`TsKvError::Corrupt`] before
+    /// anything is written to it.
     ///
     /// A crash mid-flush or mid-compaction can leave one torn TsFile,
     /// always at a series' highest file number; it is quarantined
     /// (renamed to `*.corrupt`) rather than failing recovery, since
     /// its points are still covered by the shard WAL (flush) or by the
     /// older generation (compaction). An unreadable file at any other
-    /// number is genuine corruption and surfaces as an error.
+    /// number is genuine corruption and surfaces as an error, and so
+    /// does a file with a foreign magic (e.g. the retired `TSF1`) at any
+    /// number: it is left in place and the open fails with `BadMagic`.
     ///
     /// When `compaction_auto` is set, a background scheduler thread
     /// starts here and stops (joined) when the store drops.
@@ -2156,7 +2086,7 @@ mod tests {
         let sdir = dir.join(storage_dir_name(0));
         // Tear the newest file (as a crash mid-flush would).
         let torn = sdir.join("s0-00000001.tsfile");
-        std::fs::write(&torn, b"TSF1 torn mid-write")?;
+        std::fs::write(&torn, b"TSF2\0\0 torn mid-write")?;
         let kv = TsKv::open(&dir, config)?;
         let snap = kv.snapshot("s")?;
         assert_eq!(snap.raw_point_count(), 100, "older generation must survive");
@@ -2165,6 +2095,33 @@ mod tests {
         kv.insert("s", Point::new(500, 1.0))?;
         kv.flush_all()?;
         assert!(sdir.join("s0-00000002.tsfile").exists());
+        std::fs::remove_dir_all(&dir).ok();
+        Ok(())
+    }
+
+    #[test]
+    fn foreign_magic_newest_tsfile_fails_open_and_stays_in_place() -> TestResult {
+        let dir = std::env::temp_dir().join(format!("tskv-tsf1-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        {
+            let kv = TsKv::open(&dir, EngineConfig::default())?;
+            kv.insert("s", Point::new(1, 1.0))?;
+            kv.flush_all()?;
+        }
+        // A retired-format file where the series' only (hence newest)
+        // data file should be: never a torn write of ours, so it is
+        // neither renamed nor skipped.
+        let path = dir.join(storage_dir_name(0)).join("s0-00000000.tsfile");
+        let tsf1 = b"TSF1\0\0 a whole file of the retired format TSF1\0\0";
+        std::fs::write(&path, tsf1)?;
+        match TsKv::open(&dir, EngineConfig::default()) {
+            Err(TsKvError::TsFile(TsFileError::BadMagic { found })) => {
+                assert_eq!(&found, b"TSF1\0\0");
+            }
+            other => return Err(format!("opened as {other:?}").into()),
+        }
+        assert_eq!(std::fs::read(&path)?, tsf1);
+        assert!(!path.with_extension("tsfile.corrupt").exists());
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
@@ -2482,57 +2439,48 @@ mod tests {
     }
 
     #[test]
-    fn legacy_layout_migrates_on_open() -> TestResult {
-        let dir = std::env::temp_dir().join(format!("tskv-legacymig-{}", std::process::id()));
+    fn pre_sharding_layout_is_refused_untouched() -> TestResult {
+        // No SHARDS file, one directory per series: WAL-only "hum",
+        // sealed-file-only "temp"; and a sharded store that lost its
+        // SHARDS file. The contents are never parsed.
+        for (case, file) in [
+            ("wal", "hum/series.wal"),
+            ("file", "temp/00000000.tsfile"),
+            ("unpinned", "shard-0000/s0-00000000.tsfile"),
+        ] {
+            let dir = std::env::temp_dir()
+                .join(format!("tskv-presharding-{case}-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let path = dir.join(file);
+            std::fs::create_dir_all(path.parent().ok_or("no parent")?)?;
+            std::fs::write(&path, b"old bytes")?;
+            match TsKv::open(&dir, EngineConfig::default()) {
+                Err(TsKvError::Corrupt(msg)) => assert!(msg.contains("no SHARDS"), "{msg}"),
+                other => return Err(format!("opened as {other:?}").into()),
+            }
+            assert_eq!(std::fs::read(&path)?, b"old bytes");
+            let mut root: Vec<_> = std::fs::read_dir(&dir)?
+                .map(|e| e.map(|e| e.file_name()))
+                .collect::<std::io::Result<_>>()?;
+            root.sort();
+            let series_dir = path.parent().and_then(|p| p.file_name()).ok_or("no name")?;
+            assert_eq!(root, vec![series_dir.to_os_string()], "nothing created");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn new_store_ignores_directories_it_could_not_have_created() -> TestResult {
+        // A fresh volume root: `lost+found` is not a series or shard
+        // name, so the unpinned-data check never looks inside it.
+        let dir = std::env::temp_dir().join(format!("tskv-lostfound-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let config = EngineConfig {
-            points_per_chunk: 50,
-            memtable_threshold: 1_000,
-            ..Default::default()
-        };
-        // Seed a legacy one-directory-per-series store by hand: sealed
-        // file + mods for "temp", WAL-only state for "hum".
-        std::fs::create_dir_all(&dir)?;
-        {
-            let sdir = dir.join("temp");
-            std::fs::create_dir_all(&sdir)?;
-            let pts: Vec<Point> = (0..100).map(|t| Point::new(t, 1.0)).collect();
-            let versions = [Version(1), Version(2)];
-            let mut res =
-                EngineInner::seal_points(&config, &sdir.join("00000000.tsfile"), &pts, &versions)?;
-            res.mods.append(ModEntry::new(Version(3), 10, 20))?;
-            let mut wal = Wal::open_grouped(sdir.join("series.wal"), 0)?;
-            wal.append_inserts(&[Point::new(200, 2.0)])?;
-            wal.commit(false)?;
-            wal.sync()?;
-        }
-        {
-            let sdir = dir.join("hum");
-            std::fs::create_dir_all(&sdir)?;
-            let mut wal = Wal::open_grouped(sdir.join("series.wal"), 0)?;
-            wal.append_inserts(&[Point::new(5, 5.0), Point::new(6, 6.0)])?;
-            wal.commit(false)?;
-            wal.sync()?;
-        }
-        let kv = TsKv::open(&dir, config.clone())?;
-        assert_eq!(
-            kv.series_names(),
-            vec!["hum".to_string(), "temp".to_string()]
-        );
-        assert!(!dir.join("temp").exists(), "legacy dir must be consumed");
-        assert!(!dir.join("hum").exists());
+        std::fs::create_dir_all(dir.join("lost+found"))?;
+        std::fs::write(dir.join("lost+found/00000000.tsfile"), b"not ours")?;
+        let kv = TsKv::open(&dir, EngineConfig::default())?;
+        assert!(kv.series_names().is_empty());
         assert!(dir.join(SHARDS_META).exists());
-        let temp = MergeReader::new(&kv.snapshot("temp")?).collect_merged()?;
-        // 100 sealed − 11 deleted + 1 from the WAL.
-        assert_eq!(temp.len(), 100 - 11 + 1);
-        assert!(temp.iter().all(|p| !(10..=20).contains(&p.t)));
-        let hum = MergeReader::new(&kv.snapshot("hum")?).collect_merged()?;
-        assert_eq!(hum, vec![Point::new(5, 5.0), Point::new(6, 6.0)]);
-        drop(kv);
-        // Migration is one-time: a plain reopen sees the same data.
-        let kv = TsKv::open(&dir, config)?;
-        let temp = MergeReader::new(&kv.snapshot("temp")?).collect_merged()?;
-        assert_eq!(temp.len(), 90);
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }

@@ -29,7 +29,8 @@ pub enum TsKvError {
     },
     /// The series catalog reached its configured capacity.
     CatalogFull {
-        /// The configured `catalog_max_series` ceiling.
+        /// The ceiling the catalog was opened with (the engine passes
+        /// `config::CATALOG_MAX_SERIES`).
         limit: u64,
     },
     /// On-disk state is internally inconsistent (e.g. a data file tagged

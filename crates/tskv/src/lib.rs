@@ -78,7 +78,6 @@ pub(crate) mod shard_wal;
 pub mod snapshot;
 pub mod stats;
 pub mod version;
-pub mod wal;
 pub mod wire;
 
 pub use batch::WriteBatch;

@@ -1,13 +1,15 @@
 //! Shared, series-tagged write-ahead log for one storage shard.
 //!
-//! The legacy layout gave every series its own `series.wal`, so a
-//! million registered series meant a million open files and a million
-//! directory entries before a single point arrived. The sharded layout
-//! amortizes instead: each of the fixed `storage_shards` directories
-//! holds **one** log shared by every series hashed into it, and each
-//! record carries the [`SeriesId`] it belongs to. A cold series costs
-//! zero WAL state; a hot shard batches frames from many series into the
-//! same group-committed appends.
+//! The paper's experimental setup flushes everything before querying,
+//! so IoTDB's WAL never features in its measurements — but a storage
+//! engine that silently drops buffered points on restart is not usable.
+//! This log makes the memtables durable: every insert batch and delete
+//! is appended (CRC-framed, torn tails dropped on replay) before it is
+//! applied. Each of the fixed `storage_shards` directories holds
+//! **one** log shared by every series hashed into it, and each record
+//! carries the [`SeriesId`] it belongs to. A cold series costs zero WAL
+//! state; a hot shard batches frames from many series into the same
+//! group-committed appends.
 //!
 //! ## Record framing
 //!
@@ -15,6 +17,9 @@
 //!
 //! * kind 0 — insert run: `u32 id`, `varint n`, `n × (varint_i t, f64 v)`.
 //! * kind 1 — delete: `u32 id`, `varint κ`, `varint_i t_ds`, `varint_i t_de`.
+//!   The version κ lets recovery re-attach the tombstone to sealed
+//!   files whose mods log missed it (crash between the WAL append and
+//!   the mods append).
 //! * kind 2 — flush-begin: `u32 id`. Marks the drain point of a flush:
 //!   every record of this series before the marker covers points now
 //!   leaving the memtable.
@@ -22,12 +27,14 @@
 //!   replay, this series' records before the matching begin marker are
 //!   skipped (their points live in the sealed file).
 //!
-//! The markers replace the legacy `rotate_for_flush`/`discard_sealed`
-//! file dance: rotation is a logical position in a shared log, not a
-//! file rename. Losing an *end* marker (crash between install and
-//! sync) merely replays points that also exist in the sealed file —
-//! the merge path dedups same-timestamp points, so reads stay correct,
-//! exactly the legacy contract.
+//! The markers keep the heavy TsFile write outside the engine's stripe
+//! lock (xtask lint L2) without a window where a crash could lose
+//! acknowledged writes: a crash mid-flush leaves an unmatched *begin*,
+//! so everything replays; a failed flush aborts its begin and the
+//! records stay replayable. Losing an *end* marker (crash between
+//! install and sync) merely replays points that also exist in the
+//! sealed file — the merge path dedups same-timestamp points, so reads
+//! stay correct at the cost of a transiently larger memtable.
 //!
 //! ## Segments and space reclamation
 //!
@@ -44,12 +51,18 @@
 //!
 //! ## Group commit
 //!
-//! Mirrors [`crate::wal::Wal`]: frames buffer in memory up to
-//! `batch_bytes`, drain in one `write_all` on [`ShardWal::commit`]
-//! (which the engine calls per series touched, before acknowledging),
-//! and fsync per the engine's policy. Offsets are *logical* — they
-//! count buffered bytes — so coverage arithmetic never depends on what
-//! has physically reached the file yet.
+//! Frames buffer in memory up to `batch_bytes` and drain in one
+//! `write_all` — when the buffer crosses the threshold or on
+//! [`ShardWal::commit`], which the engine calls per series touched
+//! before releasing the stripe lock. Because the engine never
+//! *acknowledges* a write without committing, a crash can only lose
+//! writes that were never acknowledged (at most the torn tail record).
+//! `commit` returns the bytes written through since the last commit
+//! (feeding the group-commit counters) and fsyncs per
+//! [`crate::config::FsyncPolicy`]; the engine also syncs on flush and
+//! on delete. Offsets are *logical* — they count buffered bytes — so
+//! coverage arithmetic never depends on what has physically reached
+//! the file yet.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -63,8 +76,14 @@ use tsfile::types::{Point, TimeRange, Timestamp, Version};
 use tsfile::varint;
 
 use crate::catalog::SeriesId;
-use crate::wal::WalRecord;
 use crate::Result;
+
+/// A replayed WAL operation.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum WalRecord {
+    Insert(Vec<Point>),
+    Delete { version: Version, range: TimeRange },
+}
 
 /// One sealed (no longer written) segment file.
 #[derive(Debug)]

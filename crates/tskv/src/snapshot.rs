@@ -17,6 +17,16 @@ use crate::chunk::{ChunkData, ChunkHandle};
 use crate::stats::IoStats;
 use crate::Result;
 
+/// On-disk size of one page, for the load counters. The page read
+/// that precedes every call has already rejected an out-of-range
+/// `page_no`.
+fn page_byte_len(meta: &tsfile::format::ChunkMeta, page_no: u32) -> u64 {
+    meta.paged
+        .pages
+        .get(page_no as usize)
+        .map_or(0, |p| p.byte_len)
+}
+
 /// Immutable read view of one series.
 ///
 /// Holds one shared immutable [`TsFileReader`] handle per TsFile for
@@ -139,10 +149,10 @@ impl SeriesSnapshot {
         }
     }
 
-    /// Load the points of one page of a sealed, paged chunk, going
-    /// through the decoded-page cache. Fails on in-memory chunks and on
-    /// v1 (unpaged) chunks — callers only hold page numbers for chunks
-    /// whose handle exposes a page index ([`ChunkHandle::paged`]).
+    /// Load the points of one page of a sealed chunk, going through the
+    /// decoded-page cache. Fails on in-memory chunks — callers only hold
+    /// page numbers for chunks whose handle exposes a page index
+    /// ([`ChunkHandle::paged`]).
     pub fn read_page_points(&self, chunk: &ChunkHandle, page_no: u32) -> Result<Arc<Vec<Point>>> {
         match &chunk.data {
             ChunkData::Mem { .. } => Err(tsfile::TsFileError::Corrupt(
@@ -158,8 +168,9 @@ impl SeriesSnapshot {
     /// `(page_no, points)` runs in page order. Each page is a sorted,
     /// time-disjoint slice of the chunk, so the runs can be merged
     /// independently. Non-overlapping pages of the visited chunk are
-    /// counted as skipped; in-memory, v1 and single-page chunks
-    /// degenerate to one whole-chunk run numbered 0.
+    /// counted as skipped; in-memory and single-page chunks degenerate
+    /// to one whole-chunk run numbered 0 (one cache key per single-page
+    /// chunk, shared with [`SeriesSnapshot::read_points`]).
     pub fn read_points_in(
         &self,
         chunk: &ChunkHandle,
@@ -168,9 +179,7 @@ impl SeriesSnapshot {
         let ChunkData::File { file_idx, meta } = &chunk.data else {
             return Ok(vec![(0, self.read_points(chunk)?)]);
         };
-        let Some(info) = &meta.paged else {
-            return Ok(vec![(0, self.read_points(chunk)?)]);
-        };
+        let info = &meta.paged;
         if info.pages.len() <= 1 {
             return Ok(vec![(0, self.read_points(chunk)?)]);
         }
@@ -205,12 +214,8 @@ impl SeriesSnapshot {
             }
         }
         let pts = Arc::new(file.read_page(meta, page_no)?);
-        let bytes = meta
-            .paged
-            .as_ref()
-            .and_then(|i| i.pages.get(page_no as usize))
-            .map_or(0, |p| p.byte_len);
-        self.io.record_chunk_load(bytes, pts.len() as u64);
+        self.io
+            .record_chunk_load(page_byte_len(meta, page_no), pts.len() as u64);
         self.io.record_pages_decoded(1);
         if let Some(cache) = &self.cache {
             cache.insert(key, Arc::clone(&pts));
@@ -252,7 +257,7 @@ impl SeriesSnapshot {
         }
     }
 
-    /// Load the timestamp column of one page of a sealed, paged chunk,
+    /// Load the timestamp column of one page of a sealed chunk,
     /// optionally stopping once past `until`. The page-targeted variant
     /// of [`SeriesSnapshot::read_timestamps`]: a point-existence probe
     /// that already knows which page could hold the timestamp decodes
@@ -269,12 +274,8 @@ impl SeriesSnapshot {
             ))?,
             ChunkData::File { file_idx, meta } => {
                 let ts = self.files[*file_idx].read_page_timestamps(meta, page_no, until)?;
-                let bytes = meta
-                    .paged
-                    .as_ref()
-                    .and_then(|i| i.pages.get(page_no as usize))
-                    .map_or(0, |p| p.byte_len);
-                self.io.record_timestamp_load(bytes, ts.len() as u64);
+                self.io
+                    .record_timestamp_load(page_byte_len(meta, page_no), ts.len() as u64);
                 Ok(ts)
             }
         }

@@ -55,8 +55,7 @@ pub struct IoSnapshot {
     pub timestamps_decoded: u64,
     /// In-memory (memtable) chunk reads, which cost no I/O.
     pub mem_chunks_read: u64,
-    /// On-disk pages actually decoded (a v1 monolithic chunk counts as
-    /// one page).
+    /// On-disk pages actually decoded.
     pub pages_decoded: u64,
     /// Pages of visited chunks that overlapped no queried range and
     /// were skipped without decode.
@@ -100,8 +99,7 @@ pub struct IoSnapshot {
     /// Clean pages compaction copied raw (CRC-revalidated, never
     /// decoded).
     pub compaction_pages_copied: u64,
-    /// Input pages compaction decoded and re-encoded (a v1 monolithic
-    /// chunk counts as one page).
+    /// Input pages compaction decoded and re-encoded.
     pub compaction_pages_recoded: u64,
     /// Pooled read-buffer takes served from a thread freelist
     /// (process-wide: the pool in `tsfile::bufpool` is shared by every

@@ -3,8 +3,8 @@
 //! `parse_file` lexes, strips test code, groups tokens into delimiter
 //! trees, and parses items/statements/expressions. It is deliberately
 //! forgiving: unknown constructs are skipped with resynchronization,
-//! and only *delimiter imbalance* is a hard error (which sends the
-//! file to the lexical fallback engine). The AST is shaped for the
+//! and only *delimiter imbalance* is a hard error (which the lint
+//! reports as a finding against the file). The AST is shaped for the
 //! lint rules, not for fidelity: types are kept as token lists,
 //! operators lose precedence, and patterns reduce to binding names.
 
@@ -57,7 +57,7 @@ impl Tree {
 }
 
 /// Group a flat token stream into delimiter trees. Errors on
-/// imbalance — the signal to fall back to the lexical engine.
+/// imbalance.
 pub fn build_trees(toks: &[Tok]) -> Result<Vec<Tree>, String> {
     // (delim, line, children) per open group; index 0 is the root.
     let mut stack: Vec<(char, u32, Vec<Tree>)> = vec![('\0', 0, Vec::new())];
@@ -322,7 +322,7 @@ pub struct FileAst {
 }
 
 /// Lex, strip test code, and parse. `Err` only on delimiter
-/// imbalance — callers fall back to the lexical engine then.
+/// imbalance — callers report the file as unlintable then.
 pub fn parse_file(src: &str) -> Result<FileAst, String> {
     let toks = strip_test_code(&lex(src));
     let trees = build_trees(&toks)?;

@@ -1,4 +1,4 @@
-//! A small Rust lexer, sufficient for lexical lint rules.
+//! A small Rust lexer, feeding the tolerant parser in [`crate::ast`].
 //!
 //! Produces a flat token stream with line numbers. Comments (including
 //! doc comments) are dropped; string/char/number literals collapse to

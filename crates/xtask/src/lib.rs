@@ -24,9 +24,8 @@
 //!   end-to-end through the Stats RPC wire encoding.
 //!
 //! The engine parses each file with the tolerant AST parser in
-//! [`ast`]; files it cannot bracket-balance fall back to the legacy
-//! [`lexical`] engine and are reported in
-//! [`report::LintReport::fallback_files`].
+//! [`ast`]; a file it cannot bracket-balance is itself a finding (no
+//! rule can vouch for it), so the run fails and names the file.
 //!
 //! Escapes go through `xtask-lint-allowlist.toml` at the workspace
 //! root: fewer than ten entries, each carrying a written
@@ -40,7 +39,6 @@ pub mod ast;
 pub mod callgraph;
 pub mod dataflow;
 pub mod lexer;
-pub mod lexical;
 pub mod report;
 pub mod rules;
 pub mod summaries;
@@ -122,7 +120,6 @@ const UNTRUSTED_INPUT_FILES: &[&str] = &[
     // The retained scalar oracles parse the same raw bytes the
     // production kernels do.
     "crates/tsfile/src/encoding/reference.rs",
-    "crates/tskv/src/wal.rs",
     // The catalog log and shared shard WAL are replayed from raw disk
     // bytes on every open, including torn tails after a crash.
     "crates/tskv/src/catalog.rs",
@@ -162,7 +159,6 @@ const L3_FILES: &[&str] = &[
     "crates/tsfile/src/encoding/reference.rs",
     "crates/tskv/src/chunk.rs",
     "crates/tskv/src/snapshot.rs",
-    "crates/tskv/src/wal.rs",
     "crates/tskv/src/compaction/plan.rs",
     "crates/tskv/src/compaction/execute.rs",
     "crates/tskv/src/compaction/policy.rs",
@@ -286,6 +282,19 @@ fn lint_parsed_file(
     }
 }
 
+/// The finding for a file the tolerant parser rejected (delimiter
+/// imbalance: macro soup, a mid-edit file). Filed under L1 because that
+/// is the rule every linted file is subject to.
+fn unparseable(path: &str, parse_error: &str) -> Violation {
+    Violation {
+        rule: Rule::L1,
+        path: path.to_string(),
+        line: 0,
+        message: format!("file cannot be parsed, so no rule can be checked ({parse_error})"),
+        excerpt: String::new(),
+    }
+}
+
 /// Run every rule over the workspace at `root`, apply the allowlist,
 /// and return the full report (violations empty = pass).
 pub fn run_lint_report(root: &Path) -> Result<LintReport, String> {
@@ -298,7 +307,6 @@ pub fn run_lint_report(root: &Path) -> Result<LintReport, String> {
 
     let mut parsed: Vec<(String, FileAst)> = Vec::new();
     let mut sources: HashMap<String, String> = HashMap::new();
-    let mut fallback_files: Vec<String> = Vec::new();
 
     for file in &files {
         let rel = file
@@ -317,13 +325,7 @@ pub fn run_lint_report(root: &Path) -> Result<LintReport, String> {
                 parsed.push((rel.clone(), fa));
                 sources.insert(rel, src);
             }
-            Err(_) => {
-                // Tolerant parsing only fails on delimiter imbalance
-                // (macro soup, mid-edit files): degrade to the lexical
-                // engine rather than skipping the file.
-                fallback_files.push(rel.clone());
-                raw.extend(lexical::lint_source(&rel, &src, rules));
-            }
+            Err(e) => raw.push(unparseable(&rel, &e)),
         }
     }
 
@@ -395,11 +397,9 @@ pub fn run_lint_report(root: &Path) -> Result<LintReport, String> {
     }
     surviving.extend(problems);
     surviving.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    fallback_files.sort();
     Ok(LintReport {
         violations: surviving,
         files_analyzed: parsed.len(),
-        fallback_files,
     })
 }
 
@@ -416,13 +416,13 @@ pub fn lint_single_file(path: &Path) -> Result<Vec<Violation>, String> {
     Ok(lint_source_all(&path.to_string_lossy(), &src))
 }
 
-/// Lint one source string with every rule enabled (parse-or-fallback).
-/// The single-file call builds its own one-file call graph, so
+/// Lint one source string with every rule enabled. The single-file call builds its own one-file call graph, so
 /// summaries only see helpers defined in the same file — exactly what
 /// the fixtures exercise.
 pub fn lint_source_all(path_label: &str, src: &str) -> Vec<Violation> {
-    let Ok(fa) = ast::parse_file(src) else {
-        return lexical::lint_source(path_label, src, FileRules::all());
+    let fa = match ast::parse_file(src) {
+        Ok(fa) => fa,
+        Err(e) => return vec![unparseable(path_label, &e)],
     };
     let parsed = vec![(path_label.to_string(), fa)];
     let graph = callgraph::build(&parsed);
@@ -511,9 +511,9 @@ mod tests {
         let v = lint_source_all("t.rs", "fn f() { x.unwrap(); }");
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::L1);
-        // Unbalanced source falls back to the lexical engine and still
-        // reports.
+        // Unbalanced source is itself the finding.
         let v = lint_source_all("t.rs", "fn f() { x.unwrap(); ");
         assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("cannot be parsed"), "{v:?}");
     }
 }

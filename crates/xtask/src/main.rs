@@ -54,7 +54,6 @@ fn run(
         xtask::lint_single_file(&file).map(|violations| xtask::LintReport {
             violations,
             files_analyzed: 1,
-            fallback_files: Vec::new(),
         })
     } else {
         let root =
@@ -98,10 +97,8 @@ fn run(
     if report.clean() {
         println!(
             "xtask lint: clean (L1 panic-freedom, L2 lock discipline, L3 fallible decode API, \
-             L4 cast audit, L5 accept-path blocking ban, L6 counter discipline; {} file(s), \
-             {} lexical fallback(s))",
-            report.files_analyzed,
-            report.fallback_files.len()
+             L4 cast audit, L5 accept-path blocking ban, L6 counter discipline; {} file(s))",
+            report.files_analyzed
         );
         ExitCode::SUCCESS
     } else {

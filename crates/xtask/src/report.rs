@@ -151,10 +151,8 @@ impl Fnv {
 #[derive(Debug, Clone, Default)]
 pub struct LintReport {
     pub violations: Vec<Violation>,
-    /// Files analyzed with the full AST engine.
+    /// Files parsed and analyzed.
     pub files_analyzed: usize,
-    /// Files that failed to parse and fell back to the lexical engine.
-    pub fallback_files: Vec<String>,
 }
 
 impl LintReport {
@@ -192,14 +190,6 @@ pub fn render_json(report: &LintReport) -> String {
         "  \"files_analyzed\": {},\n",
         report.files_analyzed
     ));
-    out.push_str("  \"fallback_files\": [");
-    for (i, f) in report.fallback_files.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&json_str(f));
-    }
-    out.push_str("],\n");
     out.push_str(&format!(
         "  \"clean\": {}\n",
         if report.clean() { "true" } else { "false" }
@@ -283,7 +273,6 @@ mod tests {
         let report = LintReport {
             violations: vec![v(Rule::L1, "a \"b\".rs", 3, "msg\nline")],
             files_analyzed: 7,
-            fallback_files: vec!["weird.rs".to_string()],
         };
         let json = render_json(&report);
         assert!(json.contains("\\\"b\\\""));

@@ -3,8 +3,7 @@
 //! Each `lN` module exposes a `check` that walks parsed syntax (plus,
 //! for L2/L5/L6, the call-graph summaries) and pushes
 //! [`crate::report::Violation`]-shaped findings through a callback.
-//! Rule selection per file lives in `crate::rules_for`; the lexical
-//! fallback for unparseable sources is `crate::lexical`.
+//! Rule selection per file lives in `crate::rules_for`.
 
 pub mod l1;
 pub mod l2;

@@ -50,8 +50,8 @@ pub const IO_DECODE_CALLEES: &[&str] = &[
     "TsFileReader",
     "TsFileWriter",
     "replay",
-    "decode_chunk_body",
-    "decode_chunk_timestamps",
+    "decode_page",
+    "decode_page_timestamps",
     "read_exact_at",
     "run_indexed",
     "compact",
@@ -68,11 +68,10 @@ pub const IO_DECODE_CALLEES: &[&str] = &[
 
 /// Callee names through which `does_io` does *not* propagate to the
 /// caller: WAL durability appends and the group-commit drain under a
-/// shard guard are the sanctioned critical section (DESIGN §WAL),
-/// exactly as the lexical engine sanctioned them by omission from its
-/// callee list. `append_inserts`/`append_delete` are the typed WAL
+/// shard guard are the sanctioned critical section (DESIGN §WAL).
+/// `append_inserts`/`append_delete` are the typed WAL
 /// entry points the write/delete paths call under the series shard
-/// write lock — the same sanction, made explicit now that transitive
+/// write lock — the same sanction, made explicit because transitive
 /// propagation would otherwise surface them. `sync_if_dirty` is the
 /// catalog fsync that must complete *before* any id-tagged WAL record
 /// is fsynced under the same guard (a durable record whose id binding

@@ -4,11 +4,9 @@
 //! library API, (b) exit non-zero on it through the CLI, and (c) stay
 //! clean — exit zero — on the real workspace.
 //!
-//! The `*_escape_*` tests additionally run the retired lexical engine
-//! (`xtask::lexical`) as an oracle over the four documented lexical
-//! blind spots — helper-returned guards, field-stored guards, local
-//! fn aliases, and type-alias returns — proving the old engine missed
-//! each one and the AST engine catches it.
+//! The `*_escape_*` tests pin the four shapes a token-level lint cannot
+//! see — helper-returned guards, field-stored guards, local fn aliases,
+//! and type-alias returns.
 
 // Tests assert by panicking; the workspace panic-freedom deny-set
 // (root Cargo.toml) is aimed at library code.
@@ -22,19 +20,12 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use xtask::{lint_single_file, FileRules, Rule, Violation};
+use xtask::{lint_single_file, Rule, Violation};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(name)
-}
-
-/// Run the retired lexical engine over a fixture — the oracle that
-/// shows what the pre-AST lint did (and didn't) see.
-fn lexical_oracle(name: &str) -> Vec<Violation> {
-    let src = std::fs::read_to_string(fixture(name)).unwrap();
-    xtask::lexical::lint_source(name, &src, FileRules::all())
 }
 
 /// Lint a fixture and assert every violation belongs to `rule`.
@@ -79,7 +70,7 @@ fn l2_fixture_flags_guard_across_cache_decode_and_pool() {
     let v = lint_fixture("l2_guard_across_cache.rs", Rule::L2);
     assert!(
         v.iter()
-            .any(|v| v.message.contains("decode_chunk_body") && v.message.contains("guard")),
+            .any(|v| v.message.contains("decode_page") && v.message.contains("guard")),
         "{v:?}"
     );
     assert!(
@@ -156,10 +147,8 @@ fn l4_fixture_flags_bare_numeric_cast() {
 
 #[test]
 fn l2_escape_helper_returned_guard() {
-    // Old engine: no acquire token at the call site → no guard → clean.
-    let old = lexical_oracle("l2_helper_guard.rs");
-    assert!(old.is_empty(), "lexical engine must miss this: {old:?}");
-    // New engine: `lock_map` has a returns-guard summary.
+    // No acquire token at the call site: `lock_map` has a
+    // returns-guard summary.
     let v = lint_fixture("l2_helper_guard.rs", Rule::L2);
     assert!(
         v.iter()
@@ -170,11 +159,8 @@ fn l2_escape_helper_returned_guard() {
 
 #[test]
 fn l2_escape_guard_stored_in_field() {
-    // Old engine: a statement temporary that "dies" at the `;`.
-    let old = lexical_oracle("l2_field_guard.rs");
-    assert!(old.is_empty(), "lexical engine must miss this: {old:?}");
-    // New engine: assignment into a field promotes the guard to
-    // function scope.
+    // Not a statement temporary that dies at the `;`: assignment into
+    // a field promotes the guard to function scope.
     let v = lint_fixture("l2_field_guard.rs", Rule::L2);
     assert!(
         v.iter()
@@ -185,11 +171,9 @@ fn l2_escape_guard_stored_in_field() {
 
 #[test]
 fn l1_l2_escape_local_fn_alias() {
-    // Old engine: no `.unwrap()` / `File::open(` call-site tokens.
-    let old = lexical_oracle("l1_alias_call.rs");
-    assert!(old.is_empty(), "lexical engine must miss this: {old:?}");
-    // New engine: FnAlias dataflow — one L1 panic and one L2
-    // I/O-under-guard finding, both through the alias.
+    // No `.unwrap()` / `File::open(` call-site tokens. FnAlias
+    // dataflow — one L1 panic and one L2 I/O-under-guard finding, both
+    // through the alias.
     let v = lint_single_file(&fixture("l1_alias_call.rs")).unwrap();
     assert!(
         v.iter()
@@ -212,18 +196,7 @@ fn l1_l2_escape_local_fn_alias() {
 
 #[test]
 fn l3_escape_type_alias_return() {
-    // Old engine, both failure directions: it flagged the Result
-    // alias (false positive) and passed `Vec<Result<..>>` (miss).
-    let old = lexical_oracle("l3_type_alias.rs");
-    assert!(
-        old.iter().any(|v| v.message.contains("decode_frames")),
-        "lexical engine should false-positive on the alias: {old:?}"
-    );
-    assert!(
-        !old.iter().any(|v| v.message.contains("read_all_rows")),
-        "lexical engine should miss the eager container: {old:?}"
-    );
-    // New engine: alias resolves to Result (clean); Vec head flagged.
+    // Alias resolves to Result (clean); Vec head flagged.
     let v = lint_fixture("l3_type_alias.rs", Rule::L3);
     assert!(
         v.iter().any(|v| v.message.contains("read_all_rows")),
@@ -303,11 +276,9 @@ fn l6_fixture_flags_dead_and_unencoded_counters() {
 }
 
 #[test]
-fn phased_negative_fixture_clean_under_both_engines() {
+fn phased_negative_fixture_is_clean() {
     let v = lint_single_file(&fixture("l2_phased_negative.rs")).unwrap();
-    assert!(v.is_empty(), "AST engine false positive: {v:?}");
-    let old = lexical_oracle("l2_phased_negative.rs");
-    assert!(old.is_empty(), "lexical engine false positive: {old:?}");
+    assert!(v.is_empty(), "false positive: {v:?}");
 }
 
 #[test]

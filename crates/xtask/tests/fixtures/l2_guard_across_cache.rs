@@ -1,6 +1,6 @@
-//! L2 fixture: a cache guard held across (a) a chunk-body decode and
+//! L2 fixture: a cache guard held across (a) a page-body decode and
 //! (b) a worker-pool fan-out — the shapes the extended recognizers
-//! (`decode_chunk_body`, `run_indexed`) must reject. Names avoid the
+//! (`decode_page`, `run_indexed`) must reject. Names avoid the
 //! L3 fallible prefixes and there are no panic sites or casts, so only
 //! L2 may fire.
 
@@ -9,7 +9,7 @@ struct Cache;
 impl Cache {
     fn fill(&self) {
         let inner = self.map.lock();
-        let pts = decode_chunk_body(inner.body(), inner.meta());
+        let pts = decode_page(inner.body(), inner.ts(), inner.val(), inner.meta());
         keep(pts);
     }
 

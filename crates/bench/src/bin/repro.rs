@@ -12,7 +12,7 @@
 //!
 //! `--out` writes `{"meta": {...}, "rows": [...]}` — the meta header
 //! records the run's scale/repeats and the baseline write-path knobs
-//! (write_shards, wal_batch_bytes, fsync_policy, compaction_*) so
+//! (write_shards, fsync_policy, compaction_*) so
 //! committed BENCH files are self-describing.
 
 // CLI entry point: bad flags and failed experiment setup end the

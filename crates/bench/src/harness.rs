@@ -44,7 +44,6 @@ pub struct BenchMeta {
     pub scale: f64,
     pub repeats: usize,
     pub write_shards: usize,
-    pub wal_batch_bytes: usize,
     pub fsync_policy: String,
     pub compaction_auto: bool,
     pub compaction_threshold: usize,
@@ -68,7 +67,6 @@ impl BenchMeta {
             scale: h.scale,
             repeats: h.repeats,
             write_shards: config.write_shards,
-            wal_batch_bytes: config.wal_batch_bytes,
             fsync_policy: config.fsync_policy.as_str().to_string(),
             compaction_auto: config.compaction_auto,
             compaction_threshold: config.compaction_threshold,

@@ -98,13 +98,6 @@ pub struct EngineConfig {
     /// Writers to series in different shards never contend; `1`
     /// reproduces the old single-lock engine. Must be in `1..=256`.
     pub write_shards: usize,
-    /// Byte threshold at which a group-committed WAL batch is written
-    /// through to the file mid-batch; every batch is written out (and
-    /// fsynced per [`fsync_policy`]) when its call commits regardless.
-    /// Must be in `1..=1 GiB`.
-    ///
-    /// [`fsync_policy`]: EngineConfig::fsync_policy
-    pub wal_batch_bytes: usize,
     /// When group-committed WAL bytes are forced to stable storage.
     pub fsync_policy: FsyncPolicy,
     /// Run the background compaction scheduler. Off by default:
@@ -153,7 +146,6 @@ impl Default for EngineConfig {
             read_threads: 4,
             enable_read_cache: true,
             write_shards: 8,
-            wal_batch_bytes: 64 * 1024,
             fsync_policy: FsyncPolicy::OnFlush,
             compaction_auto: false,
             compaction_threshold: 8,
@@ -174,9 +166,6 @@ pub const MAX_CACHE_CAPACITY_BYTES: u64 = 1 << 40;
 /// Upper bound on [`EngineConfig::write_shards`].
 pub const MAX_WRITE_SHARDS: usize = 256;
 
-/// Upper bound on [`EngineConfig::wal_batch_bytes`] (1 GiB).
-pub const MAX_WAL_BATCH_BYTES: usize = 1 << 30;
-
 /// Upper bound on [`EngineConfig::compaction_interval_ms`] (1 minute —
 /// a slower scheduler is indistinguishable from a disabled one).
 pub const MAX_COMPACTION_INTERVAL_MS: u64 = 60_000;
@@ -187,6 +176,12 @@ pub const MAX_STORAGE_SHARDS: usize = 1024;
 /// Maximum number of series the catalog will intern. Registration past
 /// this fails with `CatalogFull` (series ids are dense `u32`s).
 pub const CATALOG_MAX_SERIES: u64 = 1 << 24;
+
+/// Byte threshold at which a group-committed WAL batch is written
+/// through to the file mid-batch; every batch is written out (and
+/// fsynced per [`EngineConfig::fsync_policy`]) when its call commits
+/// regardless.
+pub const WAL_BATCH_BYTES: usize = 64 * 1024;
 
 /// Size at which a shared WAL segment file is sealed and a fresh one
 /// opened (reclamation works at segment granularity).
@@ -254,20 +249,6 @@ impl EngineConfig {
                 field: "write_shards",
                 value: self.write_shards as u64,
                 reason: "exceeds the 256-shard ceiling",
-            });
-        }
-        if self.wal_batch_bytes == 0 {
-            return Err(crate::TsKvError::InvalidConfig {
-                field: "wal_batch_bytes",
-                value: 0,
-                reason: "must be nonzero (disable the WAL via enable_wal instead)",
-            });
-        }
-        if self.wal_batch_bytes > MAX_WAL_BATCH_BYTES {
-            return Err(crate::TsKvError::InvalidConfig {
-                field: "wal_batch_bytes",
-                value: self.wal_batch_bytes as u64,
-                reason: "exceeds the 1 GiB ceiling",
             });
         }
         if self.compaction_threshold < 2 {
@@ -402,7 +383,7 @@ mod tests {
     #[test]
     fn validate_rejects_bad_write_path_knobs() {
         use crate::TsKvError;
-        let cases: [(EngineConfig, &str); 7] = [
+        let cases: [(EngineConfig, &str); 5] = [
             (
                 EngineConfig {
                     write_shards: 0,
@@ -416,20 +397,6 @@ mod tests {
                     ..Default::default()
                 },
                 "write_shards",
-            ),
-            (
-                EngineConfig {
-                    wal_batch_bytes: 0,
-                    ..Default::default()
-                },
-                "wal_batch_bytes",
-            ),
-            (
-                EngineConfig {
-                    wal_batch_bytes: MAX_WAL_BATCH_BYTES + 1,
-                    ..Default::default()
-                },
-                "wal_batch_bytes",
             ),
             (
                 EngineConfig {

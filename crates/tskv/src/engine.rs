@@ -82,7 +82,8 @@ use crate::compaction::plan::{self, ChunkView, PageView};
 use crate::compaction::policy::{CompactionPolicy, FileView};
 use crate::compaction::{execute, CompactionReport};
 use crate::config::{
-    EngineConfig, FsyncPolicy, CATALOG_MAX_SERIES, MAX_STORAGE_SHARDS, WAL_SEGMENT_BYTES,
+    EngineConfig, FsyncPolicy, CATALOG_MAX_SERIES, MAX_STORAGE_SHARDS, WAL_BATCH_BYTES,
+    WAL_SEGMENT_BYTES,
 };
 use crate::memtable::MemTable;
 use crate::notify::{ChangeEvent, ChangeRx, ChangeSink};
@@ -516,7 +517,7 @@ impl EngineInner {
                 };
                 files_by_id.entry(id).or_default().push((fileno, path));
             }
-            let (wal, records) = ShardWal::open(&sdir, config.wal_batch_bytes, WAL_SEGMENT_BYTES)?;
+            let (wal, records) = ShardWal::open(&sdir, WAL_BATCH_BYTES, WAL_SEGMENT_BYTES)?;
             for (id, recs) in records {
                 replayed.entry(id).or_default().extend(recs);
             }

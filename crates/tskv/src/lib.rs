@@ -73,12 +73,12 @@ pub mod error;
 pub mod memtable;
 pub mod notify;
 pub mod readers;
+pub mod registry;
 pub mod scheduler;
 pub(crate) mod shard_wal;
 pub mod snapshot;
 pub mod stats;
 pub mod version;
-pub mod wire;
 
 pub use batch::WriteBatch;
 pub use cache::{CacheKey, DecodedChunkCache};

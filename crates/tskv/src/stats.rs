@@ -8,118 +8,99 @@
 //! and fsyncs a batch actually paid, and the compaction scheduler's
 //! scheduled/completed/skipped counts make its hands-free behavior
 //! assertable.
+//!
+//! Each counter is declared exactly once, in the registry below (see
+//! [`crate::registry`]); adding one is that line plus its `record_*`
+//! increment.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-/// Shared atomic counters for one snapshot's read activity.
-#[derive(Debug, Default)]
-pub struct IoStats {
-    chunks_loaded: AtomicU64,
-    bytes_read: AtomicU64,
-    points_decoded: AtomicU64,
-    timestamps_decoded: AtomicU64,
-    mem_chunks_read: AtomicU64,
-    pages_decoded: AtomicU64,
-    pages_skipped: AtomicU64,
-    pages_stat_answered: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
-    cache_invalidations: AtomicU64,
-    points_written: AtomicU64,
-    wal_batches: AtomicU64,
-    wal_bytes: AtomicU64,
-    wal_syncs: AtomicU64,
-    compactions_scheduled: AtomicU64,
-    compactions_completed: AtomicU64,
-    compactions_skipped: AtomicU64,
-    compaction_bytes_read: AtomicU64,
-    compaction_bytes_rewritten: AtomicU64,
-    compaction_pages_copied: AtomicU64,
-    compaction_pages_recoded: AtomicU64,
-    catalog_hits: AtomicU64,
-    catalog_misses: AtomicU64,
-    stores_instantiated: AtomicU64,
-}
+crate::metric_registry! {
+    namespace "tskv";
+    /// Shared atomic counters for one snapshot's read activity.
+    #[derive(Debug)]
+    pub struct IoStats;
+    /// Plain-value snapshot of [`IoStats`], subtractable for deltas.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct IoSnapshot;
+    snapshot();
 
-/// Plain-value snapshot of [`IoStats`], subtractable for deltas.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoSnapshot {
     /// Chunk bodies read from disk.
-    pub chunks_loaded: u64,
+    counter chunks_loaded;
     /// Bytes of chunk bodies read from disk.
-    pub bytes_read: u64,
+    counter bytes_read;
     /// Points fully decoded (timestamp + value).
-    pub points_decoded: u64,
+    counter points_decoded;
     /// Timestamps decoded in timestamp-only (partial) reads.
-    pub timestamps_decoded: u64,
+    counter timestamps_decoded;
     /// In-memory (memtable) chunk reads, which cost no I/O.
-    pub mem_chunks_read: u64,
+    counter mem_chunks_read;
     /// On-disk pages actually decoded.
-    pub pages_decoded: u64,
+    counter pages_decoded;
     /// Pages of visited chunks that overlapped no queried range and
     /// were skipped without decode.
-    pub pages_skipped: u64,
+    counter pages_skipped;
     /// Probes answered from page statistics alone — the page body was
     /// never read or decoded.
-    pub pages_stat_answered: u64,
+    counter pages_stat_answered;
     /// Chunk-body reads served from the decoded-chunk cache (no I/O,
     /// no decode).
-    pub cache_hits: u64,
+    counter cache_hits;
     /// Chunk-body reads that missed the cache and went to disk.
-    pub cache_misses: u64,
+    counter cache_misses;
     /// Decoded chunks evicted to stay within the cache capacity.
-    pub cache_evictions: u64,
+    counter cache_evictions;
     /// Decoded chunks dropped because their file was retired
     /// (compaction).
-    pub cache_invalidations: u64,
+    counter cache_invalidations;
     /// Points accepted into a memtable (insert or write_batch).
-    pub points_written: u64,
+    counter points_written;
     /// WAL group-commit batches written through to a log file (each is
     /// one `write_all` syscall covering every frame of the batch).
-    pub wal_batches: u64,
+    counter wal_batches;
     /// Bytes appended to WAL files across all group commits.
-    pub wal_bytes: u64,
+    counter wal_bytes;
     /// Explicit WAL fsyncs (`fdatasync`) issued by the commit path.
-    pub wal_syncs: u64,
+    counter wal_syncs;
     /// Compactions queued by the background scheduler.
-    pub compactions_scheduled: u64,
+    counter compactions_scheduled;
     /// Scheduled compactions that merged at least one file.
-    pub compactions_completed: u64,
+    counter compactions_completed;
     /// Scheduled compactions that found nothing to do (lost a race
     /// with a manual compact or an in-flight one) or failed.
-    pub compactions_skipped: u64,
+    counter compactions_skipped;
     /// Input chunk-body bytes read by compaction merges (kept out of
     /// `bytes_read`, which meters the query read path).
-    pub compaction_bytes_read: u64,
+    counter compaction_bytes_read;
     /// Output bytes produced by compaction's re-encode path. Clean
     /// pages copied byte-for-byte are *excluded*: the gap between this
     /// and `compaction_bytes_read` is the write amplification avoided.
-    pub compaction_bytes_rewritten: u64,
+    counter compaction_bytes_rewritten;
     /// Clean pages compaction copied raw (CRC-revalidated, never
     /// decoded).
-    pub compaction_pages_copied: u64,
+    counter compaction_pages_copied;
     /// Input pages compaction decoded and re-encoded.
-    pub compaction_pages_recoded: u64,
-    /// Pooled read-buffer takes served from a thread freelist
-    /// (process-wide: the pool in `tsfile::bufpool` is shared by every
-    /// store in the process, so deltas — not absolutes — are the
-    /// meaningful per-workload reading).
-    pub pool_hits: u64,
+    counter compaction_pages_recoded;
+    /// Pooled read-buffer takes served from a thread freelist. Sampled
+    /// from the process-wide pool in `tsfile::bufpool`, which every
+    /// store in the process shares — so the read path never threads a
+    /// stats handle into `tsfile`, and deltas, not absolutes, are the
+    /// meaningful per-workload reading.
+    counter pool_hits = tsfile::bufpool::pool_counters().0;
     /// Pooled read-buffer takes that had to allocate (process-wide,
     /// see `pool_hits`).
-    pub pool_misses: u64,
+    counter pool_misses = tsfile::bufpool::pool_counters().1;
     /// Series-catalog lookups that found an existing id (one striped
     /// read-lock probe, no allocation).
-    pub catalog_hits: u64,
+    counter catalog_hits;
     /// Series-catalog lookups for a name with no interned id (first
     /// touch of a series, or a probe for an unknown name).
-    pub catalog_misses: u64,
+    counter catalog_misses;
     /// Lazy `SeriesStore` instantiations: registered series that were
     /// first *touched* (written, deleted, or recovered with data).
     /// `registered − instantiated` series cost no memtable, no file
     /// handle, and no directory entry.
-    pub stores_instantiated: u64,
+    counter stores_instantiated;
 }
 
 impl IoStats {
@@ -230,81 +211,6 @@ impl IoStats {
     pub(crate) fn record_store_instantiated(&self) {
         self.stores_instantiated.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Capture current counter values. The buffer-pool counters come
-    /// from the process-wide pool in `tsfile::bufpool` rather than
-    /// per-engine atomics, so every snapshot carries them without the
-    /// read path having to thread a stats handle into `tsfile`.
-    pub fn snapshot(&self) -> IoSnapshot {
-        let (pool_hits, pool_misses) = tsfile::bufpool::pool_counters();
-        IoSnapshot {
-            chunks_loaded: self.chunks_loaded.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            points_decoded: self.points_decoded.load(Ordering::Relaxed),
-            timestamps_decoded: self.timestamps_decoded.load(Ordering::Relaxed),
-            mem_chunks_read: self.mem_chunks_read.load(Ordering::Relaxed),
-            pages_decoded: self.pages_decoded.load(Ordering::Relaxed),
-            pages_skipped: self.pages_skipped.load(Ordering::Relaxed),
-            pages_stat_answered: self.pages_stat_answered.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
-            cache_invalidations: self.cache_invalidations.load(Ordering::Relaxed),
-            points_written: self.points_written.load(Ordering::Relaxed),
-            wal_batches: self.wal_batches.load(Ordering::Relaxed),
-            wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
-            wal_syncs: self.wal_syncs.load(Ordering::Relaxed),
-            compactions_scheduled: self.compactions_scheduled.load(Ordering::Relaxed),
-            compactions_completed: self.compactions_completed.load(Ordering::Relaxed),
-            compactions_skipped: self.compactions_skipped.load(Ordering::Relaxed),
-            compaction_bytes_read: self.compaction_bytes_read.load(Ordering::Relaxed),
-            compaction_bytes_rewritten: self.compaction_bytes_rewritten.load(Ordering::Relaxed),
-            compaction_pages_copied: self.compaction_pages_copied.load(Ordering::Relaxed),
-            compaction_pages_recoded: self.compaction_pages_recoded.load(Ordering::Relaxed),
-            pool_hits,
-            pool_misses,
-            catalog_hits: self.catalog_hits.load(Ordering::Relaxed),
-            catalog_misses: self.catalog_misses.load(Ordering::Relaxed),
-            stores_instantiated: self.stores_instantiated.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl std::ops::Sub for IoSnapshot {
-    type Output = IoSnapshot;
-    fn sub(self, rhs: IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            chunks_loaded: self.chunks_loaded - rhs.chunks_loaded,
-            bytes_read: self.bytes_read - rhs.bytes_read,
-            points_decoded: self.points_decoded - rhs.points_decoded,
-            timestamps_decoded: self.timestamps_decoded - rhs.timestamps_decoded,
-            mem_chunks_read: self.mem_chunks_read - rhs.mem_chunks_read,
-            pages_decoded: self.pages_decoded - rhs.pages_decoded,
-            pages_skipped: self.pages_skipped - rhs.pages_skipped,
-            pages_stat_answered: self.pages_stat_answered - rhs.pages_stat_answered,
-            cache_hits: self.cache_hits - rhs.cache_hits,
-            cache_misses: self.cache_misses - rhs.cache_misses,
-            cache_evictions: self.cache_evictions - rhs.cache_evictions,
-            cache_invalidations: self.cache_invalidations - rhs.cache_invalidations,
-            points_written: self.points_written - rhs.points_written,
-            wal_batches: self.wal_batches - rhs.wal_batches,
-            wal_bytes: self.wal_bytes - rhs.wal_bytes,
-            wal_syncs: self.wal_syncs - rhs.wal_syncs,
-            compactions_scheduled: self.compactions_scheduled - rhs.compactions_scheduled,
-            compactions_completed: self.compactions_completed - rhs.compactions_completed,
-            compactions_skipped: self.compactions_skipped - rhs.compactions_skipped,
-            compaction_bytes_read: self.compaction_bytes_read - rhs.compaction_bytes_read,
-            compaction_bytes_rewritten: self.compaction_bytes_rewritten
-                - rhs.compaction_bytes_rewritten,
-            compaction_pages_copied: self.compaction_pages_copied - rhs.compaction_pages_copied,
-            compaction_pages_recoded: self.compaction_pages_recoded - rhs.compaction_pages_recoded,
-            pool_hits: self.pool_hits - rhs.pool_hits,
-            pool_misses: self.pool_misses - rhs.pool_misses,
-            catalog_hits: self.catalog_hits - rhs.catalog_hits,
-            catalog_misses: self.catalog_misses - rhs.catalog_misses,
-            stores_instantiated: self.stores_instantiated - rhs.stores_instantiated,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -379,6 +285,37 @@ mod tests {
         let _warm = tsfile::bufpool::take(64);
         let snap = IoStats::default().snapshot();
         assert!(snap.pool_hits + snap.pool_misses > 0);
+    }
+
+    #[test]
+    fn subtracting_a_newer_snapshot_saturates_at_zero() {
+        let s = IoStats::default();
+        s.record_chunk_load(10, 1);
+        let older = s.snapshot();
+        s.record_chunk_load(20, 2);
+        s.record_wal_sync();
+        let newer = s.snapshot();
+        let delta = older - newer;
+        assert_eq!(delta.chunks_loaded, 0);
+        assert_eq!(delta.bytes_read, 0);
+        assert_eq!(delta.wal_syncs, 0);
+    }
+
+    #[test]
+    fn metrics_and_set_metric_are_inverse_by_name() {
+        let s = IoStats::default();
+        s.record_wal_batch(4096);
+        let snap = s.snapshot();
+        let mut rebuilt = IoSnapshot::default();
+        for (name, kind, values) in snap.metrics() {
+            assert!(name.starts_with("tskv."), "{name}");
+            assert_eq!(kind, crate::registry::MetricKind::Counter);
+            assert!(rebuilt.set_metric(name, values), "{name}");
+        }
+        assert_eq!(rebuilt, snap);
+        assert!(!rebuilt.set_metric("tskv.no_such_metric", &[1]));
+        assert!(!rebuilt.set_metric("wal_bytes", &[1]));
+        assert_eq!(rebuilt, snap);
     }
 
     #[test]

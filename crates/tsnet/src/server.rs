@@ -73,14 +73,6 @@ pub struct ServerConfig {
     pub max_in_flight: usize,
     /// Server-side cap on any request's deadline (ms; 0 = uncapped).
     pub request_timeout_ms: u64,
-    /// How long a worker may block mid-frame before the connection is
-    /// considered dead (ms).
-    pub frame_read_timeout_ms: u64,
-    /// Idle poll interval between frames (ms); bounds how fast workers
-    /// notice shutdown.
-    pub poll_interval_ms: u64,
-    /// Cap on `Ping::delay_ms` so a client cannot park a slot forever.
-    pub max_ping_delay_ms: u32,
     /// Per-frame payload ceiling (bytes), at most
     /// [`wire::MAX_PAYLOAD_BYTES`].
     pub max_payload_bytes: u32,
@@ -103,9 +95,6 @@ impl Default for ServerConfig {
             max_connections: 32,
             max_in_flight: 4,
             request_timeout_ms: 30_000,
-            frame_read_timeout_ms: 30_000,
-            poll_interval_ms: 20,
-            max_ping_delay_ms: 10_000,
             max_payload_bytes: wire::MAX_PAYLOAD_BYTES,
             max_subscriptions: 1024,
             push_queue_spans: 4096,
@@ -114,6 +103,15 @@ impl Default for ServerConfig {
         }
     }
 }
+
+/// How long a worker may block mid-frame (or a rejected connection's
+/// `Busy` write may stall) before the connection is considered dead.
+const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(30);
+/// Idle poll interval between frames; bounds how fast workers notice
+/// shutdown.
+const POLL_INTERVAL: Duration = Duration::from_millis(20);
+/// Cap on `Ping::delay_ms` so a client cannot park a slot forever.
+const MAX_PING_DELAY_MS: u32 = 10_000;
 
 /// State shared by the accept thread and every worker.
 struct Shared {
@@ -266,7 +264,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                     return;
                 }
                 // Transient accept failure; don't spin.
-                thread::sleep(Duration::from_millis(shared.config.poll_interval_ms.max(1)));
+                thread::sleep(POLL_INTERVAL);
             }
         }
     }
@@ -286,9 +284,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
         let _ = thread::Builder::new()
             .name("tsnet-reject".to_string())
             .spawn(move || {
-                let _ = stream.set_write_timeout(Some(Duration::from_millis(
-                    reject_shared.config.frame_read_timeout_ms.max(1),
-                )));
+                let _ = stream.set_write_timeout(Some(FRAME_READ_TIMEOUT));
                 // No worker (and thus no writer thread) ever exists for
                 // a rejected connection, so a direct write is safe.
                 let _ = respond_direct(
@@ -324,8 +320,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
 }
 
 fn worker_loop(shared: &Shared, mut stream: TcpStream) {
-    let poll = Duration::from_millis(shared.config.poll_interval_ms.max(1));
-    if stream.set_read_timeout(Some(poll)).is_err() {
+    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
     }
     // Frames are written whole and are mostly small; under Nagle a push
@@ -375,7 +370,7 @@ fn worker_loop(shared: &Shared, mut stream: TcpStream) {
                     );
                     break;
                 }
-                if !serve_one(shared, &mut stream, &queue, conn_id, poll) {
+                if !serve_one(shared, &mut stream, &queue, conn_id) {
                     break;
                 }
             }
@@ -428,10 +423,8 @@ fn serve_one(
     stream: &mut TcpStream,
     queue: &Arc<OutboundQueue>,
     conn_id: u64,
-    poll: Duration,
 ) -> bool {
-    let frame_timeout = Duration::from_millis(shared.config.frame_read_timeout_ms.max(1));
-    if stream.set_read_timeout(Some(frame_timeout)).is_err() {
+    if stream.set_read_timeout(Some(FRAME_READ_TIMEOUT)).is_err() {
         return false;
     }
     let started = Instant::now();
@@ -474,7 +467,7 @@ fn serve_one(
             env.request_id,
             error_response(ErrorCode::Busy, "max in-flight reached"),
         );
-        let _ = stream.set_read_timeout(Some(poll));
+        let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
         return sent;
     }
 
@@ -513,7 +506,7 @@ fn serve_one(
         Some(body) => enqueue_reply(queue, env.request_id, body),
         None => true,
     };
-    let _ = stream.set_read_timeout(Some(poll));
+    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     sent
 }
 
@@ -650,7 +643,7 @@ fn execute(
 ) -> (RequestKind, Outcome) {
     match &env.body {
         Request::Ping { delay_ms } => {
-            let delay = (*delay_ms).min(shared.config.max_ping_delay_ms);
+            let delay = (*delay_ms).min(MAX_PING_DELAY_MS);
             if delay > 0 {
                 thread::sleep(Duration::from_millis(u64::from(delay)));
             }

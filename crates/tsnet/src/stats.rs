@@ -7,8 +7,12 @@
 //! time. Latency is recorded into a **fixed-bucket power-of-two
 //! histogram**, so quantiles are computed from counts alone; tests feed
 //! durations in directly and never depend on a real clock.
+//!
+//! Each metric is declared exactly once, in the registry below
+//! ([`tskv::registry`]): the `Stats` RPC sends whatever is declared
+//! there, by name, so adding one is that line plus its increment.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 /// Number of latency histogram buckets. Bucket `i` counts requests
 /// whose latency `us` satisfies `bucket_index(us) == i`; bucket `i`'s
@@ -39,75 +43,77 @@ pub enum RequestKind {
     Flush,
 }
 
-impl RequestKind {
-    fn index(self) -> usize {
-        match self {
-            RequestKind::Ping => 0,
-            RequestKind::Write => 1,
-            RequestKind::Query => 2,
-            RequestKind::Delete => 3,
-            RequestKind::Stats => 4,
-            RequestKind::Flush => 5,
-        }
-    }
-}
+tskv::metric_registry! {
+    namespace "tsnet";
+    /// Shared atomic counters for one server's lifetime.
+    #[derive(Debug)]
+    pub struct ServerStats;
+    /// Plain-value snapshot of [`ServerStats`], sent by the `Stats` RPC
+    /// alongside the engine's [`tskv::stats::IoSnapshot`].
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ServerStatsSnapshot;
+    snapshot(in_flight: u64);
 
-const KINDS: usize = 6;
-
-/// Number of fixed (non-histogram) `u64` fields the Stats RPC
-/// serializes from [`ServerStatsSnapshot`], in declaration order. The
-/// wire encoder, decoder, and the property-test strategy all consume
-/// this constant — bumping it together with the struct is the whole
-/// protocol change.
-pub const SERVER_FIXED_U64S: usize = 19;
-
-/// Shared atomic counters for one server's lifetime.
-#[derive(Debug)]
-pub struct ServerStats {
-    requests: [AtomicU64; KINDS],
-    rejected_busy: AtomicU64,
-    timeouts: AtomicU64,
-    errors: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    connections_accepted: AtomicU64,
-    connections_rejected: AtomicU64,
-    subs_active: AtomicU64,
-    subs_deduped: AtomicU64,
-    deltas_pushed: AtomicU64,
-    deltas_coalesced: AtomicU64,
-    resyncs: AtomicU64,
-    latency: [AtomicU64; LATENCY_BUCKETS],
-}
-
-impl Default for ServerStats {
-    fn default() -> Self {
-        ServerStats {
-            requests: std::array::from_fn(|_| AtomicU64::new(0)),
-            rejected_busy: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            connections_accepted: AtomicU64::new(0),
-            connections_rejected: AtomicU64::new(0),
-            subs_active: AtomicU64::new(0),
-            subs_deduped: AtomicU64::new(0),
-            deltas_pushed: AtomicU64::new(0),
-            deltas_coalesced: AtomicU64::new(0),
-            resyncs: AtomicU64::new(0),
-            latency: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
+    /// Executed `Ping` requests.
+    counter requests_ping;
+    /// Executed `WriteBatch` requests.
+    counter requests_write;
+    /// Executed `M4Query` requests.
+    counter requests_query;
+    /// Executed `Delete` requests.
+    counter requests_delete;
+    /// Executed `Stats` requests (control-plane; bypass admission).
+    counter requests_stats;
+    /// Executed `FlushSeal` requests.
+    counter requests_flush;
+    /// Requests rejected by the max-in-flight admission gate.
+    counter rejected_busy;
+    /// Requests whose deadline elapsed before the response was ready.
+    counter timeouts;
+    /// Requests answered with a non-busy, non-timeout error.
+    counter errors;
+    /// Request bytes read off sockets.
+    counter bytes_in;
+    /// Response bytes written to sockets.
+    counter bytes_out;
+    /// Connections accepted into the worker pool.
+    counter connections_accepted;
+    /// Connections turned away at the pool limit.
+    counter connections_rejected;
+    /// Admitted requests executing right now. Sampled from the
+    /// server's admission gate, which owns the value.
+    gauge in_flight = in_flight;
+    /// Subscriptions currently attached.
+    gauge subs_active;
+    /// Subscriptions that joined an existing shared dashboard
+    /// computation: with N subscribers over K distinct dashboards this
+    /// reads `N − K`.
+    counter subs_deduped;
+    /// Span-delta push frames written to subscriber sockets.
+    counter deltas_pushed;
+    /// Span updates merged into an already-pending delta (coalesced
+    /// instead of queued separately).
+    counter deltas_coalesced;
+    /// Slow-consumer resyncs (`Lagged` + full-state push).
+    counter resyncs;
+    /// Latency histogram counts ([`LATENCY_BUCKETS`] entries; bucket
+    /// `i` covers latencies up to [`bucket_upper_bound_us`]`(i)`).
+    histogram latency_counts[LATENCY_BUCKETS];
 }
 
 impl ServerStats {
     /// Count one executed request of `kind` and its latency.
     pub fn record_request(&self, kind: RequestKind, latency_us: u64) {
-        if let Some(c) = self.requests.get(kind.index()) {
-            c.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(b) = self.latency.get(bucket_index(latency_us)) {
+        let executed = match kind {
+            RequestKind::Ping => &self.requests_ping,
+            RequestKind::Write => &self.requests_write,
+            RequestKind::Query => &self.requests_query,
+            RequestKind::Delete => &self.requests_delete,
+            RequestKind::Stats => &self.requests_stats,
+            RequestKind::Flush => &self.requests_flush,
+        };
+        executed.fetch_add(1, Ordering::Relaxed);
+        if let Some(b) = self.latency_counts.get(bucket_index(latency_us)) {
             b.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -179,87 +185,6 @@ impl ServerStats {
     pub fn record_resync(&self) {
         self.resyncs.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Plain-value snapshot. `in_flight` is the current admission
-    /// gauge, owned by the server rather than the counter block.
-    pub fn snapshot(&self, in_flight: u64) -> ServerStatsSnapshot {
-        ServerStatsSnapshot {
-            requests_ping: self.requests[RequestKind::Ping.index()].load(Ordering::Relaxed),
-            requests_write: self.requests[RequestKind::Write.index()].load(Ordering::Relaxed),
-            requests_query: self.requests[RequestKind::Query.index()].load(Ordering::Relaxed),
-            requests_delete: self.requests[RequestKind::Delete.index()].load(Ordering::Relaxed),
-            requests_stats: self.requests[RequestKind::Stats.index()].load(Ordering::Relaxed),
-            requests_flush: self.requests[RequestKind::Flush.index()].load(Ordering::Relaxed),
-            rejected_busy: self.rejected_busy.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_rejected: self.connections_rejected.load(Ordering::Relaxed),
-            in_flight,
-            subs_active: self.subs_active.load(Ordering::Relaxed),
-            subs_deduped: self.subs_deduped.load(Ordering::Relaxed),
-            deltas_pushed: self.deltas_pushed.load(Ordering::Relaxed),
-            deltas_coalesced: self.deltas_coalesced.load(Ordering::Relaxed),
-            resyncs: self.resyncs.load(Ordering::Relaxed),
-            latency_counts: self
-                .latency
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-        }
-    }
-}
-
-/// Plain-value snapshot of [`ServerStats`], serialized by the `Stats`
-/// RPC alongside the engine's [`tskv::stats::IoSnapshot`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServerStatsSnapshot {
-    /// Executed `Ping` requests.
-    pub requests_ping: u64,
-    /// Executed `WriteBatch` requests.
-    pub requests_write: u64,
-    /// Executed `M4Query` requests.
-    pub requests_query: u64,
-    /// Executed `Delete` requests.
-    pub requests_delete: u64,
-    /// Executed `Stats` requests (control-plane; bypass admission).
-    pub requests_stats: u64,
-    /// Executed `FlushSeal` requests.
-    pub requests_flush: u64,
-    /// Requests rejected by the max-in-flight admission gate.
-    pub rejected_busy: u64,
-    /// Requests whose deadline elapsed before the response was ready.
-    pub timeouts: u64,
-    /// Requests answered with a non-busy, non-timeout error.
-    pub errors: u64,
-    /// Request bytes read off sockets.
-    pub bytes_in: u64,
-    /// Response bytes written to sockets.
-    pub bytes_out: u64,
-    /// Connections accepted into the worker pool.
-    pub connections_accepted: u64,
-    /// Connections turned away at the pool limit.
-    pub connections_rejected: u64,
-    /// Admitted requests executing right now.
-    pub in_flight: u64,
-    /// Subscriptions currently attached (gauge).
-    pub subs_active: u64,
-    /// Subscriptions that joined an existing shared dashboard
-    /// computation: with N subscribers over K distinct dashboards this
-    /// reads `N − K`.
-    pub subs_deduped: u64,
-    /// Span-delta push frames written to subscriber sockets.
-    pub deltas_pushed: u64,
-    /// Span updates merged into an already-pending delta (coalesced
-    /// instead of queued separately).
-    pub deltas_coalesced: u64,
-    /// Slow-consumer resyncs (`Lagged` + full-state push).
-    pub resyncs: u64,
-    /// Latency histogram counts ([`LATENCY_BUCKETS`] entries; bucket
-    /// `i` covers latencies up to [`bucket_upper_bound_us`]`(i)`).
-    pub latency_counts: Vec<u64>,
 }
 
 impl ServerStatsSnapshot {

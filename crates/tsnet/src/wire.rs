@@ -34,26 +34,26 @@ use std::io::{Read, Write};
 use m4::SpanRepr;
 use tsfile::checksum::crc32;
 use tsfile::types::Point;
+use tskv::registry::MetricKind;
 use tskv::stats::IoSnapshot;
-use tskv::wire::{decode_io_block, encode_io_block, IO_BLOCK_U64S};
 
 use crate::error::{ErrorCode, NetError};
-use crate::stats::{ServerStatsSnapshot, LATENCY_BUCKETS, SERVER_FIXED_U64S};
+use crate::stats::ServerStatsSnapshot;
 use crate::Result;
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"TSN1";
-/// Protocol version this build speaks. v2 appended the buffer-pool
-/// hit/miss counters to the Stats io block (PR 7); v3 inserted the
-/// four compaction write-amplification counters (bytes read/rewritten,
-/// pages copied/recoded); v4 broke strict request/reply — request and
-/// response payloads now carry a `request_id`, frame kind 2 carries
-/// server-initiated [`Push`] payloads (subscriptions), and the Stats
-/// server block grew the five subscription counters; v5 appended the
-/// high-cardinality catalog counters (catalog hit/miss, lazy store
-/// instantiations) to the Stats io block. Mismatched peers are
-/// rejected rather than silently mis-framed.
-pub const VERSION: u8 = 5;
+/// Protocol version this build speaks. v2, v3 and v5 each only
+/// appended counters to the then-positional Stats reply; v4 broke
+/// strict request/reply — request and response payloads carry a
+/// `request_id`, and frame kind 2 carries server-initiated [`Push`]
+/// payloads (subscriptions). v6 made the Stats reply a self-describing
+/// `(name, kind, values)` list filled in by name, so **adding, removing
+/// or reordering a metric no longer bumps this**: an older reader
+/// ignores names it does not know and reads zero for names it misses.
+/// It changes only when a frame, envelope or body layout does.
+/// Mismatched peers are rejected rather than silently mis-framed.
+pub const VERSION: u8 = 6;
 /// Bytes before the payload (magic + version + kind + len).
 pub const HEADER_LEN: usize = 10;
 /// Bytes after the payload (payload CRC32).
@@ -63,6 +63,11 @@ pub const TRAILER_LEN: usize = 4;
 pub const MAX_PAYLOAD_BYTES: u32 = 64 * 1024 * 1024;
 /// Ceiling on series per [`Request::WriteBatch`].
 pub const MAX_BATCH_SERIES: u32 = 1 << 16;
+/// Ceiling on metrics per [`Response::Stats`].
+pub const MAX_STATS_METRICS: u16 = 4096;
+/// Ceiling on values per metric in a [`Response::Stats`] (a scalar
+/// carries one, a histogram one per bucket).
+pub const MAX_METRIC_VALUES: u16 = 1024;
 
 /// Which M4 operator a query should run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +84,7 @@ pub enum Request {
     /// Liveness probe. `delay_ms` makes the server hold the request's
     /// admission slot for that long before answering — an
     /// orchestration aid for backpressure tests and benchmarks (capped
-    /// by [`crate::server::ServerConfig::max_ping_delay_ms`]).
+    /// at ten seconds so a client cannot park a slot forever).
     Ping { delay_ms: u32 },
     /// Multi-series write, applied via [`tskv::TsKv::write_batch`].
     WriteBatch { entries: Vec<(String, Vec<Point>)> },
@@ -257,6 +262,68 @@ fn put_str(out: &mut Vec<u8>, s: &str) -> Result<()> {
     Ok(())
 }
 
+/// A `u8` length prefix + UTF-8 bytes (metric names).
+fn put_str8(out: &mut Vec<u8>, s: &str) -> Result<()> {
+    let len = u8::try_from(s.len()).map_err(|_| NetError::TooLarge {
+        context: "metric name",
+        len: s.len() as u64,
+        max: u64::from(u8::MAX),
+    })?;
+    out.push(len);
+    out.extend_from_slice(s.as_bytes());
+    Ok(())
+}
+
+fn metric_kind_to_wire(kind: MetricKind) -> u8 {
+    match kind {
+        MetricKind::Counter => 0,
+        MetricKind::Gauge => 1,
+        MetricKind::Histogram => 2,
+    }
+}
+
+fn metric_kind_from_wire(tag: u8) -> Result<MetricKind> {
+    match tag {
+        0 => Ok(MetricKind::Counter),
+        1 => Ok(MetricKind::Gauge),
+        2 => Ok(MetricKind::Histogram),
+        other => Err(NetError::UnknownTag {
+            context: "metric kind",
+            tag: other,
+        }),
+    }
+}
+
+/// `len` as a `u16` count no larger than `max`.
+fn bounded_count(context: &'static str, len: usize, max: u16) -> Result<u16> {
+    u16::try_from(len)
+        .ok()
+        .filter(|&n| n <= max)
+        .ok_or(NetError::TooLarge {
+            context,
+            len: len as u64,
+            max: u64::from(max),
+        })
+}
+
+/// The Stats body: a `u16` metric count, then per metric a `str8`
+/// name, a kind byte, a `u16` value count and that many `u64`s. The
+/// one place a registry entry becomes bytes; it knows no metric.
+fn put_metrics(out: &mut Vec<u8>, metrics: &[(&str, MetricKind, &[u64])]) -> Result<()> {
+    let count = bounded_count("metric count", metrics.len(), MAX_STATS_METRICS)?;
+    put_u16(out, count);
+    for (name, kind, values) in metrics {
+        put_str8(out, name)?;
+        out.push(metric_kind_to_wire(*kind));
+        let n = bounded_count("metric value count", values.len(), MAX_METRIC_VALUES)?;
+        put_u16(out, n);
+        for v in *values {
+            put_u64(out, *v);
+        }
+    }
+    Ok(())
+}
+
 fn put_point(out: &mut Vec<u8>, p: Point) {
     put_i64(out, p.t);
     put_u64(out, p.v.to_bits());
@@ -398,45 +465,8 @@ fn encode_response_payload(env: &ResponseEnvelope, out: &mut Vec<u8>) -> Result<
         Response::Deleted => out.push(3),
         Response::Stats { io, server } => {
             out.push(4);
-            for v in encode_io_block(io) {
-                put_u64(out, v);
-            }
-            // The array type pins the count to the shared constant: a
-            // new snapshot field that is not added here fails to
-            // compile instead of silently truncating the block.
-            let fixed: [u64; SERVER_FIXED_U64S] = [
-                server.requests_ping,
-                server.requests_write,
-                server.requests_query,
-                server.requests_delete,
-                server.requests_stats,
-                server.requests_flush,
-                server.rejected_busy,
-                server.timeouts,
-                server.errors,
-                server.bytes_in,
-                server.bytes_out,
-                server.connections_accepted,
-                server.connections_rejected,
-                server.in_flight,
-                server.subs_active,
-                server.subs_deduped,
-                server.deltas_pushed,
-                server.deltas_coalesced,
-                server.resyncs,
-            ];
-            for v in fixed {
-                put_u64(out, v);
-            }
-            let n = u32::try_from(server.latency_counts.len()).map_err(|_| NetError::TooLarge {
-                context: "latency bucket count",
-                len: server.latency_counts.len() as u64,
-                max: LATENCY_BUCKETS as u64,
-            })?;
-            put_u32(out, n);
-            for c in &server.latency_counts {
-                put_u64(out, *c);
-            }
+            let metrics: Vec<_> = io.metrics().chain(server.metrics()).collect();
+            put_metrics(out, &metrics)?;
         }
         Response::Flushed { series_flushed } => {
             out.push(5);
@@ -621,6 +651,12 @@ impl<'a> Cursor<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| NetError::BadString)
     }
 
+    /// A `u8` length prefix + UTF-8 bytes, borrowed from the payload.
+    fn str8(&mut self) -> Result<&'a str> {
+        let len = usize::from(self.u8()?);
+        std::str::from_utf8(self.take(len)?).map_err(|_| NetError::BadString)
+    }
+
     fn point(&mut self) -> Result<Point> {
         let t = self.i64()?;
         let v = f64::from_bits(self.u64()?);
@@ -796,52 +832,50 @@ pub fn decode_request_payload(payload: &[u8]) -> Result<RequestEnvelope> {
     })
 }
 
-fn decode_io_snapshot(c: &mut Cursor<'_>) -> Result<IoSnapshot> {
-    let mut block = [0u64; IO_BLOCK_U64S];
-    for v in block.iter_mut() {
-        *v = c.u64()?;
-    }
-    Ok(decode_io_block(&block))
-}
-
-fn decode_server_snapshot(c: &mut Cursor<'_>) -> Result<ServerStatsSnapshot> {
-    let mut snap = ServerStatsSnapshot {
-        requests_ping: c.u64()?,
-        requests_write: c.u64()?,
-        requests_query: c.u64()?,
-        requests_delete: c.u64()?,
-        requests_stats: c.u64()?,
-        requests_flush: c.u64()?,
-        rejected_busy: c.u64()?,
-        timeouts: c.u64()?,
-        errors: c.u64()?,
-        bytes_in: c.u64()?,
-        bytes_out: c.u64()?,
-        connections_accepted: c.u64()?,
-        connections_rejected: c.u64()?,
-        in_flight: c.u64()?,
-        subs_active: c.u64()?,
-        subs_deduped: c.u64()?,
-        deltas_pushed: c.u64()?,
-        deltas_coalesced: c.u64()?,
-        resyncs: c.u64()?,
-        latency_counts: Vec::new(),
-    };
-    let n = c.u32()?;
-    if n as usize > LATENCY_BUCKETS {
+/// Inverse of [`put_metrics`]: fill both snapshots by name. A name
+/// neither registry declares is skipped (a newer peer's metric); a
+/// name the payload lacks stays zero (an older peer). Every count is
+/// checked against its cap and against the bytes actually present
+/// before anything is allocated.
+fn decode_stats(c: &mut Cursor<'_>) -> Result<(IoSnapshot, ServerStatsSnapshot)> {
+    let mut io = IoSnapshot::default();
+    let mut server = ServerStatsSnapshot::default();
+    let count = c.u16()?;
+    if count > MAX_STATS_METRICS {
         return Err(NetError::TooLarge {
-            context: "latency bucket count",
-            len: u64::from(n),
-            max: LATENCY_BUCKETS as u64,
+            context: "metric count",
+            len: u64::from(count),
+            max: u64::from(MAX_STATS_METRICS),
         });
     }
-    c.check_claim("latency bucket count", u64::from(n), 8)?;
-    let mut counts = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        counts.push(c.u64()?);
+    // Each metric costs at least a name length, a kind and a value count.
+    c.check_claim("metric count", u64::from(count), 4)?;
+    let mut values = Vec::new();
+    for _ in 0..count {
+        let name = c.str8()?;
+        let kind = metric_kind_from_wire(c.u8()?)?;
+        let n = c.u16()?;
+        let max = match kind {
+            MetricKind::Counter | MetricKind::Gauge => 1,
+            MetricKind::Histogram => MAX_METRIC_VALUES,
+        };
+        if n > max {
+            return Err(NetError::TooLarge {
+                context: "metric value count",
+                len: u64::from(n),
+                max: u64::from(max),
+            });
+        }
+        c.check_claim("metric value count", u64::from(n), 8)?;
+        values.clear();
+        for _ in 0..n {
+            values.push(c.u64()?);
+        }
+        if !io.set_metric(name, &values) {
+            server.set_metric(name, &values);
+        }
     }
-    snap.latency_counts = counts;
-    Ok(snap)
+    Ok((io, server))
 }
 
 /// Decode a response payload (the bytes between header and CRC).
@@ -857,9 +891,11 @@ pub fn decode_response_payload(payload: &[u8]) -> Result<ResponseEnvelope> {
         },
         3 => Response::Deleted,
         4 => {
-            let io = Box::new(decode_io_snapshot(&mut c)?);
-            let server = Box::new(decode_server_snapshot(&mut c)?);
-            Response::Stats { io, server }
+            let (io, server) = decode_stats(&mut c)?;
+            Response::Stats {
+                io: Box::new(io),
+                server: Box::new(server),
+            }
         }
         5 => Response::Flushed {
             series_flushed: c.u32()?,
@@ -1061,6 +1097,7 @@ mod tests {
     )]
 
     use super::*;
+    use crate::stats::LATENCY_BUCKETS;
 
     fn roundtrip_request(body: Request) {
         let env = RequestEnvelope {
@@ -1267,13 +1304,13 @@ mod tests {
             Err(NetError::UnsupportedVersion(99))
         ));
 
-        // v3 (the previous protocol) is rejected too: the envelope
-        // layout changed incompatibly.
+        // v5 (the previous protocol, positional Stats blocks) is
+        // refused, not reinterpreted.
         let mut bad = good.clone();
-        bad[4] = 3;
+        bad[4] = 5;
         assert!(matches!(
             decode_frame(&bad),
-            Err(NetError::UnsupportedVersion(3))
+            Err(NetError::UnsupportedVersion(5))
         ));
 
         let mut bad = good.clone();
@@ -1359,6 +1396,139 @@ mod tests {
             decode_frame(&frame),
             Err(NetError::TooLarge { .. })
         ));
+    }
+
+    /// Decode a Stats response whose body (after the tag) is `body`.
+    fn decode_stats_body(body: &[u8]) -> Result<(IoSnapshot, ServerStatsSnapshot)> {
+        let frame = frame_bytes(KIND_RESPONSE, |payload| {
+            put_u64(payload, 1); // request id
+            payload.push(4); // Stats
+            payload.extend_from_slice(body);
+            Ok(())
+        })
+        .unwrap();
+        match decode_frame(&frame)?.0 {
+            Frame::Response(ResponseEnvelope {
+                body: Response::Stats { io, server },
+                ..
+            }) => Ok((*io, *server)),
+            other => panic!("not a Stats response: {other:?}"),
+        }
+    }
+
+    /// Body bytes: a metric count, then one metric written field by
+    /// field so each claim can be set independently of what follows.
+    fn one_metric(count: u16, name: &[u8], kind: u8, claimed: u16, values: &[u64]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u16(&mut out, count);
+        out.push(name.len() as u8);
+        out.extend_from_slice(name);
+        out.push(kind);
+        put_u16(&mut out, claimed);
+        for v in values {
+            put_u64(&mut out, *v);
+        }
+        out
+    }
+
+    #[test]
+    fn stats_fill_by_name_ignoring_unknown_and_zeroing_missing() {
+        let mut body = Vec::new();
+        put_metrics(
+            &mut body,
+            &[
+                ("tsnet.resyncs", MetricKind::Counter, &[3]),
+                ("tskv.from_a_newer_peer", MetricKind::Gauge, &[9]),
+                ("tsnet.latency_counts", MetricKind::Histogram, &[1, 2]),
+                ("elsewhere.histogram", MetricKind::Histogram, &[]),
+                ("tskv.wal_bytes", MetricKind::Counter, &[4096]),
+            ],
+        )
+        .unwrap();
+        let (io, server) = decode_stats_body(&body).unwrap();
+        // Order on the wire is irrelevant; what was not sent reads zero.
+        let want_io = IoSnapshot {
+            wal_bytes: 4096,
+            ..Default::default()
+        };
+        let want_server = ServerStatsSnapshot {
+            resyncs: 3,
+            latency_counts: vec![1, 2],
+            ..Default::default()
+        };
+        assert_eq!((io, server), (want_io, want_server));
+    }
+
+    #[test]
+    fn malformed_stats_bodies_are_typed_errors() {
+        const NAME: &[u8] = b"tskv.wal_bytes";
+        assert!(decode_stats_body(&one_metric(1, NAME, 0, 1, &[5])).is_ok());
+
+        let too_large = |body: Vec<u8>, want: &str| match decode_stats_body(&body) {
+            Err(NetError::TooLarge { context, .. }) => assert_eq!(context, want),
+            other => panic!("{want}: {other:?}"),
+        };
+        // A metric count above the cap; within it but beyond the bytes.
+        too_large(
+            MAX_STATS_METRICS.wrapping_add(1).to_le_bytes().to_vec(),
+            "metric count",
+        );
+        too_large(one_metric(9, NAME, 0, 1, &[5]), "metric count");
+        // A histogram length above the cap; within it but beyond the bytes.
+        too_large(
+            one_metric(1, NAME, 2, MAX_METRIC_VALUES + 1, &[5]),
+            "metric value count",
+        );
+        too_large(one_metric(1, NAME, 2, 2, &[5]), "metric value count");
+        // A scalar carries exactly one value.
+        too_large(one_metric(1, NAME, 0, 2, &[5, 6]), "metric value count");
+        // Bytes left over after the last metric.
+        too_large(
+            one_metric(1, NAME, 0, 1, &[5, 6]),
+            "response payload trailing bytes",
+        );
+
+        // A name length running past the payload.
+        let mut body = one_metric(1, NAME, 0, 1, &[5]);
+        body[2] = 200;
+        assert!(matches!(
+            decode_stats_body(&body),
+            Err(NetError::Truncated { needed: 200, .. })
+        ));
+        assert!(matches!(
+            decode_stats_body(&one_metric(1, b"tskv.\xFF\xFE", 0, 1, &[5])),
+            Err(NetError::BadString)
+        ));
+        assert!(matches!(
+            decode_stats_body(&one_metric(1, NAME, 3, 1, &[5])),
+            Err(NetError::UnknownTag {
+                context: "metric kind",
+                tag: 3
+            })
+        ));
+    }
+
+    #[test]
+    fn stats_encoder_enforces_the_same_caps() {
+        let too_large = |metrics: &[(&str, MetricKind, &[u64])], want: &str| match put_metrics(
+            &mut Vec::new(),
+            metrics,
+        ) {
+            Err(NetError::TooLarge { context, .. }) => assert_eq!(context, want),
+            other => panic!("{want}: {other:?}"),
+        };
+        too_large(
+            &[(&"n".repeat(256), MetricKind::Counter, &[1])],
+            "metric name",
+        );
+        let values = vec![0; usize::from(MAX_METRIC_VALUES) + 1];
+        too_large(
+            &[("h", MetricKind::Histogram, &values)],
+            "metric value count",
+        );
+        let metrics =
+            vec![("m", MetricKind::Gauge, &[0u64][..]); usize::from(MAX_STATS_METRICS) + 1];
+        too_large(&metrics, "metric count");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!    and anything that *does* decode must be self-consistent
 //!    (re-encoding reproduces the consumed bytes).
 //!
-//! All three frame kinds of protocol v4 are covered, including the
+//! All three frame kinds are covered, including the
 //! server-initiated push frames ([`Push::SpanDelta`], [`Push::Lagged`],
 //! [`Push::SubError`]) and the subscription request/response pairs.
 
@@ -27,8 +27,7 @@
 use proptest::prelude::*;
 use tsfile::types::Point;
 use tskv::stats::IoSnapshot;
-use tskv::wire::IO_BLOCK_U64S;
-use tsnet::stats::{ServerStatsSnapshot, LATENCY_BUCKETS, SERVER_FIXED_U64S};
+use tsnet::stats::{ServerStatsSnapshot, LATENCY_BUCKETS};
 use tsnet::wire::{
     decode_frame, encode_push, encode_request, encode_response, Frame, Operator, Push, Request,
     RequestEnvelope, Response, ResponseEnvelope,
@@ -120,66 +119,29 @@ fn span_strategy() -> impl Strategy<Value = Option<m4::SpanRepr>> {
         })
 }
 
-fn io_snapshot_strategy() -> impl Strategy<Value = IoSnapshot> {
-    prop::collection::vec(any::<u64>(), IO_BLOCK_U64S).prop_map(|v| IoSnapshot {
-        chunks_loaded: v[0],
-        bytes_read: v[1],
-        points_decoded: v[2],
-        timestamps_decoded: v[3],
-        mem_chunks_read: v[4],
-        cache_hits: v[5],
-        cache_misses: v[6],
-        cache_evictions: v[7],
-        cache_invalidations: v[8],
-        points_written: v[9],
-        wal_batches: v[10],
-        wal_bytes: v[11],
-        wal_syncs: v[12],
-        compactions_scheduled: v[13],
-        compactions_completed: v[14],
-        compactions_skipped: v[15],
-        compaction_bytes_read: v[16],
-        compaction_bytes_rewritten: v[17],
-        compaction_pages_copied: v[18],
-        compaction_pages_recoded: v[19],
-        pages_decoded: v[20],
-        pages_skipped: v[21],
-        pages_stat_answered: v[22],
-        pool_hits: v[23],
-        pool_misses: v[24],
-        catalog_hits: v[25],
-        catalog_misses: v[26],
-        stores_instantiated: v[27],
+/// A Stats response with every metric of both registries set to an
+/// arbitrary value. The metrics are enumerated through the registry
+/// (`metrics()` / `set_metric`), so a new one is covered by declaring
+/// it; no field is named here.
+fn stats_strategy() -> impl Strategy<Value = Response> {
+    let names: Vec<&'static str> = IoSnapshot::default()
+        .metrics()
+        .chain(ServerStatsSnapshot::default().metrics())
+        .map(|(name, _, _)| name)
+        .collect();
+    // A scalar takes the first value of its vector, a histogram all.
+    let values = prop::collection::vec(any::<u64>(), 0..=LATENCY_BUCKETS);
+    prop::collection::vec(values, names.len()).prop_map(move |pool| {
+        let mut io = IoSnapshot::default();
+        let mut server = ServerStatsSnapshot::default();
+        for (name, values) in names.iter().zip(&pool) {
+            assert!(io.set_metric(name, values) || server.set_metric(name, values));
+        }
+        Response::Stats {
+            io: Box::new(io),
+            server: Box::new(server),
+        }
     })
-}
-
-fn server_snapshot_strategy() -> impl Strategy<Value = ServerStatsSnapshot> {
-    (
-        prop::collection::vec(any::<u64>(), SERVER_FIXED_U64S),
-        prop::collection::vec(any::<u64>(), 0..=LATENCY_BUCKETS),
-    )
-        .prop_map(|(v, latency_counts)| ServerStatsSnapshot {
-            requests_ping: v[0],
-            requests_write: v[1],
-            requests_query: v[2],
-            requests_delete: v[3],
-            requests_stats: v[4],
-            requests_flush: v[5],
-            rejected_busy: v[6],
-            timeouts: v[7],
-            errors: v[8],
-            bytes_in: v[9],
-            bytes_out: v[10],
-            connections_accepted: v[11],
-            connections_rejected: v[12],
-            in_flight: v[13],
-            subs_active: v[14],
-            subs_deduped: v[15],
-            deltas_pushed: v[16],
-            deltas_coalesced: v[17],
-            resyncs: v[18],
-            latency_counts,
-        })
 }
 
 fn response_strategy() -> impl Strategy<Value = Response> {
@@ -188,12 +150,7 @@ fn response_strategy() -> impl Strategy<Value = Response> {
         any::<u64>().prop_map(|points| Response::Written { points }),
         prop::collection::vec(span_strategy(), 0..=24).prop_map(|spans| Response::M4 { spans }),
         Just(Response::Deleted),
-        (io_snapshot_strategy(), server_snapshot_strategy()).prop_map(|(io, server)| {
-            Response::Stats {
-                io: Box::new(io),
-                server: Box::new(server),
-            }
-        }),
+        stats_strategy(),
         any::<u32>().prop_map(|series_flushed| Response::Flushed { series_flushed }),
         (error_code_strategy(), name_strategy())
             .prop_map(|(code, detail)| Response::Error { code, detail }),

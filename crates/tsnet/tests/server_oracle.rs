@@ -10,7 +10,8 @@
 //! Also pinned here: `Busy` backpressure is a typed, counted error;
 //! graceful shutdown drains the in-flight request (its response is
 //! delivered) and refuses new connections afterwards; per-request
-//! deadlines surface as typed `Timeout`.
+//! deadlines surface as typed `Timeout`; every registered metric is on
+//! the wire by name and moves when its event happens.
 
 // Tests assert by panicking; the workspace panic-freedom deny-set
 // (root Cargo.toml) is aimed at library code.
@@ -21,6 +22,9 @@
     clippy::indexing_slicing
 )]
 
+use std::collections::BTreeSet;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
@@ -29,7 +33,10 @@ use std::time::{Duration, Instant};
 use tsfile::types::Point;
 use tskv::config::EngineConfig;
 use tskv::TsKv;
-use tsnet::wire::{encode_response, Operator, Response, ResponseEnvelope};
+use tsnet::wire::{
+    encode_request, encode_response, Operator, Request, RequestEnvelope, Response,
+    ResponseEnvelope, HEADER_LEN,
+};
 use tsnet::{ClientConfig, NetError, ServerConfig, TsNetClient, TsNetServer};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -457,5 +464,198 @@ fn response_following_a_push_is_not_held_back_by_nagle() {
         "{} of {ROUNDS} write → push → ping rounds took over {STALL:?}: {stalled:?}",
         stalled.len()
     );
+    server.shutdown();
+}
+
+/// The Stats reply as it is on the wire, `(name, values)` per metric,
+/// read off a raw socket and parsed here from the documented v6 layout
+/// (DESIGN "metric registry") instead of through the client's decoder.
+/// `None` when the server answered with an error (connection refused
+/// at the pool limit).
+fn raw_stats(server: &TsNetServer) -> Option<Vec<(String, Vec<u64>)>> {
+    let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+    let request = encode_request(&RequestEnvelope {
+        request_id: 1,
+        deadline_ms: 0,
+        body: Request::Stats,
+    })
+    .unwrap();
+    sock.write_all(&request).unwrap();
+    let mut header = [0u8; HEADER_LEN];
+    sock.read_exact(&mut header).unwrap();
+    let len = u32::from_le_bytes(header[6..10].try_into().unwrap()) as usize;
+    let mut payload = vec![0u8; len];
+    sock.read_exact(&mut payload).unwrap();
+
+    let mut rest = &payload[..];
+    let mut take = |n: usize| {
+        let (head, tail) = rest.split_at(n);
+        rest = tail;
+        head
+    };
+    let u16_of = |b: &[u8]| u16::from_le_bytes(b.try_into().unwrap());
+    take(8); // request id
+    match take(1)[0] {
+        4 => {}
+        6 => return None,
+        other => panic!("response tag {other} to a Stats request"),
+    }
+    let count = u16_of(take(2));
+    let metrics = (0..count)
+        .map(|_| {
+            let name_len = usize::from(take(1)[0]);
+            let name = String::from_utf8(take(name_len).to_vec()).unwrap();
+            take(1); // kind
+            let values = (0..u16_of(take(2)))
+                .map(|_| u64::from_le_bytes(take(8).try_into().unwrap()))
+                .collect();
+            (name, values)
+        })
+        .collect();
+    assert!(rest.is_empty(), "trailing bytes");
+    Some(metrics)
+}
+
+/// Metrics the scenario below does not move. Each needs pressure or a
+/// lost race, and has a focused test where that is forced:
+/// `tskv::cache` (eviction), `tskv::scheduler` and `ingest_stress`
+/// (background compaction), `tsnet::sub` (coalescing, resync).
+const QUIET: [&str; 6] = [
+    "tskv.cache_evictions",
+    "tskv.compactions_scheduled",
+    "tskv.compactions_completed",
+    "tskv.compactions_skipped",
+    "tsnet.deltas_coalesced",
+    "tsnet.resyncs",
+];
+
+/// Every registered metric is sent by name, and every one outside
+/// [`QUIET`] counts when the thing it names happens: a metric that is
+/// declared but never incremented, or incremented but never sent,
+/// fails here.
+#[test]
+fn every_registered_metric_is_on_the_wire_and_moves() {
+    // Four pages per chunk, so page statistics and page skips come
+    // into play.
+    let config = EngineConfig {
+        page_points: 4,
+        ..store_config()
+    };
+    let store = Arc::new(TsKv::open(scratch("registry"), config).unwrap());
+    let server = Arc::new(
+        TsNetServer::start(
+            store,
+            ServerConfig {
+                max_in_flight: 1,
+                max_connections: 4,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap(),
+    );
+    let mut cl = client(&server);
+    let series = "reg.s";
+    let entry = |points: Vec<Point>| vec![(series.to_string(), points)];
+    // Rising values on a regular grid: a span's top point is its last.
+    let base =
+        |range: std::ops::Range<i64>| entry(range.map(|t| Point::new(t * 10, t as f64)).collect());
+    // A later rewrite between those timestamps, lower and off any grid:
+    // it never takes the top, and whether it overwrote the point that
+    // does cannot be told from metadata — the probe decodes timestamps.
+    let overlay = |range: std::ops::Range<i64>| {
+        entry(
+            range
+                .map(|t| Point::new(t * 10 + 4 + t % 3, -1.0))
+                .collect(),
+        )
+    };
+    let both_operators = |cl: &mut TsNetClient| {
+        for op in [Operator::Lsm, Operator::Udf] {
+            cl.m4_query(series, op, 0, 4_000, 7).unwrap();
+        }
+    };
+
+    // Write (crossing the memtable threshold), flush, delete, rewrite.
+    cl.write_batch(base(0..300)).unwrap();
+    cl.flush_seal(None, false).unwrap();
+    cl.delete(series, 500, 700).unwrap();
+    cl.write_batch(overlay(100..250)).unwrap();
+    cl.flush_seal(Some(series), false).unwrap();
+    both_operators(&mut cl); // cold: disk reads, cache misses
+    both_operators(&mut cl); // warm: cache hits
+    cl.stats().unwrap();
+    cl.m4_query(series, Operator::Udf, 1_000, 1_050, 2).unwrap(); // narrow: pages skipped
+    cl.flush_seal(Some(series), true).unwrap(); // compact: cached chunks invalidated
+    cl.write_batch(base(300..310)).unwrap();
+    both_operators(&mut cl); // memtable chunk read
+
+    // Two subscribers on one dashboard (the second is deduplicated),
+    // a write that pushes a delta to both, one unsubscribe. A SubAck
+    // is sent before its admission slot is released; the ping behind
+    // it is answered only after, so the other connection is not Busy.
+    let mut viewer = client(&server);
+    let sub = cl.subscribe(series, 0, 4_000, 7).unwrap();
+    cl.ping().unwrap();
+    viewer.subscribe(series, 0, 4_000, 7).unwrap();
+    viewer.ping().unwrap();
+    cl.write_batch(base(310..320)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while cl.poll_push(Duration::from_millis(100)).unwrap().is_none() {
+        assert!(Instant::now() < deadline, "no push arrived");
+    }
+    cl.unsubscribe(sub.sub_id).unwrap();
+
+    // One error, one timeout.
+    assert!(cl.m4_query("no.such", Operator::Lsm, 0, 10, 4).is_err());
+    cl.set_deadline_ms(1);
+    assert!(matches!(cl.ping_delay(30), Err(NetError::Timeout)));
+    cl.set_deadline_ms(0);
+
+    // Park the only admission slot; while it is held a second request
+    // is refused Busy, a fifth connection is refused at the pool limit,
+    // and Stats (which bypasses admission) reads a non-zero gauge.
+    let parked = {
+        let server = Arc::clone(&server);
+        thread::spawn(move || client(&server).ping_delay(2_000))
+    };
+    while server.in_flight() == 0 {
+        assert!(Instant::now() < deadline, "ping never admitted");
+        thread::yield_now();
+    }
+    assert!(matches!(cl.ping(), Err(NetError::Busy)));
+    let _fourth = client(&server);
+    let fifth = TcpStream::connect(server.local_addr()).unwrap();
+    let mut refusal = Vec::new();
+    (&fifth).read_to_end(&mut refusal).unwrap();
+    assert!(!refusal.is_empty(), "pool-limit refusal not delivered");
+    drop(_fourth);
+    // The worker of the dropped connection frees its slot on its next
+    // idle poll; retry until the raw Stats socket is let in.
+    let wire = loop {
+        if let Some(metrics) = raw_stats(&server) {
+            break metrics;
+        }
+        assert!(Instant::now() < deadline, "Stats connection never accepted");
+    };
+    parked.join().unwrap().unwrap();
+
+    let on_wire: BTreeSet<&str> = wire.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(on_wire.len(), wire.len(), "a name was sent twice");
+    let registered: BTreeSet<&str> = tskv::stats::IoSnapshot::default()
+        .metrics()
+        .chain(tsnet::ServerStatsSnapshot::default().metrics())
+        .map(|(name, _, _)| name)
+        .collect();
+    assert_eq!(on_wire, registered);
+
+    let dead: Vec<&str> = wire
+        .iter()
+        .filter(|(name, values)| !QUIET.contains(&name.as_str()) && values.iter().all(|v| *v == 0))
+        .map(|(name, _)| name.as_str())
+        .collect();
+    assert!(dead.is_empty(), "metrics that never moved: {dead:?}");
+    for quiet in QUIET {
+        assert!(registered.contains(quiet), "{quiet} is not a metric");
+    }
     server.shutdown();
 }

@@ -125,7 +125,6 @@ pub enum Item {
         name: String,
         items: Vec<Item>,
     },
-    Struct(StructItem),
     TypeAlias {
         name: String,
         /// Flattened tokens of the aliased type.
@@ -149,14 +148,6 @@ pub struct FnItem {
     pub ret: Vec<String>,
     pub line: u32,
     pub body: Option<Block>,
-}
-
-#[derive(Debug)]
-pub struct StructItem {
-    pub name: String,
-    /// (field name, flattened type tokens, line) for named fields.
-    pub fields: Vec<(String, Vec<String>, u32)>,
-    pub line: u32,
 }
 
 #[derive(Debug, Default)]
@@ -419,8 +410,8 @@ fn parse_item(trees: &[Tree], i: &mut usize) -> Option<Item> {
             }
         }
         Some("struct") => {
-            *i += 1;
-            Some(parse_struct(trees, i))
+            skip_struct(trees, i);
+            Some(Item::Other)
         }
         Some("type") => {
             *i += 1;
@@ -612,82 +603,13 @@ fn parse_impl(trees: &[Tree], i: &mut usize) -> Item {
     Item::Other
 }
 
-fn parse_struct(trees: &[Tree], i: &mut usize) -> Item {
-    let line = trees.get(*i).map_or(0, Tree::line);
-    let name = trees
-        .get(*i)
-        .and_then(Tree::ident)
-        .unwrap_or("")
-        .to_string();
-    *i += 1;
-    skip_generics(trees, i);
-    // Skip a where clause if present.
-    while *i < trees.len() && trees[*i].group().is_none() && !trees[*i].is_punct(';') {
+/// Step over a struct definition (no rule reads its fields): a braced
+/// body ends the item, a tuple or unit struct runs to its `;`.
+fn skip_struct(trees: &[Tree], i: &mut usize) {
+    while *i < trees.len() && trees[*i].group_with('{').is_none() && !trees[*i].is_punct(';') {
         *i += 1;
     }
-    match trees.get(*i) {
-        Some(Tree::Group(g)) if g.delim == '{' => {
-            let fields = parse_struct_fields(&g.trees);
-            *i += 1;
-            Item::Struct(StructItem { name, fields, line })
-        }
-        Some(Tree::Group(g)) if g.delim == '(' => {
-            // Tuple struct: skip `(...)` and `;`.
-            *i += 1;
-            skip_to_semi(trees, i);
-            Item::Struct(StructItem {
-                name,
-                fields: Vec::new(),
-                line,
-            })
-        }
-        _ => {
-            skip_to_semi(trees, i);
-            Item::Struct(StructItem {
-                name,
-                fields: Vec::new(),
-                line,
-            })
-        }
-    }
-}
-
-fn parse_struct_fields(trees: &[Tree]) -> Vec<(String, Vec<String>, u32)> {
-    let mut fields = Vec::new();
-    let mut i = 0usize;
-    while i < trees.len() {
-        skip_attrs(trees, &mut i);
-        parse_vis(trees, &mut i);
-        let Some(name) = trees.get(i).and_then(Tree::ident) else {
-            i += 1;
-            continue;
-        };
-        let line = trees[i].line();
-        let name = name.to_string();
-        i += 1;
-        if !trees.get(i).is_some_and(|t| t.is_punct(':')) {
-            continue;
-        }
-        i += 1;
-        let mut ty = Vec::new();
-        let mut angle = 0i32;
-        while i < trees.len() {
-            let t = &trees[i];
-            if t.is_punct(',') && angle == 0 {
-                i += 1;
-                break;
-            }
-            if t.is_punct('<') {
-                angle += 1;
-            } else if t.is_punct('>') {
-                angle -= 1;
-            }
-            flatten_into(t, &mut ty);
-            i += 1;
-        }
-        fields.push((name, ty, line));
-    }
-    fields
+    *i += 1;
 }
 
 fn skip_attrs(trees: &[Tree], i: &mut usize) {
@@ -1741,17 +1663,6 @@ pub fn collect_fns<'a>(items: &'a [Item], out: &mut Vec<(Option<&'a str>, &'a Fn
     }
 }
 
-/// Every struct in a file, recursing into mods.
-pub fn collect_structs<'a>(items: &'a [Item], out: &mut Vec<&'a StructItem>) {
-    for item in items {
-        match item {
-            Item::Struct(s) => out.push(s),
-            Item::Mod { items, .. } => collect_structs(items, out),
-            _ => {}
-        }
-    }
-}
-
 /// Every type alias in a file, recursing into mods and impls.
 pub fn collect_aliases<'a>(items: &'a [Item], out: &mut Vec<(&'a str, &'a [String])>) {
     for item in items {
@@ -1877,19 +1788,15 @@ mod tests {
     }
 
     #[test]
-    fn type_alias_and_struct_fields() {
+    fn type_alias_after_skipped_structs() {
         let ast = parse(
-            "pub type DecodeResult = Result<Vec<Point>, Corrupt>;\npub struct IoStats { pub chunks_loaded: AtomicU64, pub latency: [AtomicU64; 4] }",
+            "pub struct A { pub x: [AtomicU64; 4] }\nstruct B(u8) where u8: Copy;\nstruct C;\npub type DecodeResult = Result<Vec<Point>, Corrupt>;",
         );
         let mut aliases = Vec::new();
         collect_aliases(&ast.items, &mut aliases);
         assert_eq!(aliases.len(), 1);
         assert_eq!(aliases[0].0, "DecodeResult");
         assert_eq!(aliases[0].1.first().map(String::as_str), Some("Result"));
-        let mut structs = Vec::new();
-        collect_structs(&ast.items, &mut structs);
-        assert_eq!(structs[0].fields.len(), 2);
-        assert!(structs[0].fields[1].1.contains(&"[".to_string()));
     }
 
     #[test]

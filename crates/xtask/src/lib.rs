@@ -1,6 +1,6 @@
 //! Repo-specific static analysis for the m4lsm workspace.
 //!
-//! Run as `cargo run -p xtask -- lint`. Six rule families (see
+//! Run as `cargo run -p xtask -- lint`. Five rule families (see
 //! DESIGN.md for full contracts):
 //!
 //! - **L1** panic-freedom in `tsfile`/`tskv`/`m4`/`tsnet` non-test
@@ -18,10 +18,7 @@
 //!   (`varint`, `bitio`, encodings) outside the audited `tsfile::cast`
 //!   module;
 //! - **L5** no blocking calls (file/socket I/O, unbounded waits) on
-//!   the `tsnet::server` accept/dispatch path;
-//! - **L6** counter discipline: every `IoStats`/`ServerStats` counter
-//!   is incremented on a reachable non-test path and surfaced
-//!   end-to-end through the Stats RPC wire encoding.
+//!   the `tsnet::server` accept/dispatch path.
 //!
 //! The engine parses each file with the tolerant AST parser in
 //! [`ast`]; a file it cannot bracket-balance is itself a finding (no
@@ -66,9 +63,6 @@ pub struct FileRules {
     pub l4: bool,
     /// L5 accept/dispatch-path blocking-call ban.
     pub l5: bool,
-    /// L6 counter discipline (marks the stats/wire files; the check
-    /// itself runs workspace-wide).
-    pub l6: bool,
 }
 
 impl FileRules {
@@ -80,12 +74,11 @@ impl FileRules {
             l3: true,
             l4: true,
             l5: true,
-            l6: true,
         }
     }
 
     pub fn any(self) -> bool {
-        self.l1 || self.l1_indexing || self.l2 || self.l3 || self.l4 || self.l5 || self.l6
+        self.l1 || self.l1_indexing || self.l2 || self.l3 || self.l4 || self.l5
     }
 }
 
@@ -181,14 +174,6 @@ const L4_FILES: &[&str] = &[
 /// broadcast path — under the L5 blocking ban.
 const L5_FILES: &[&str] = &["crates/tsnet/src/server.rs", "crates/tsnet/src/sub.rs"];
 
-/// Files carrying the counter structs / wire surface that anchor the
-/// L6 discipline check (the check itself reads the whole workspace).
-const L6_FILES: &[&str] = &[
-    "crates/tskv/src/stats.rs",
-    "crates/tsnet/src/stats.rs",
-    "crates/tsnet/src/wire.rs",
-];
-
 /// Rule selection for one workspace-relative path.
 pub fn rules_for(rel_path: &str) -> FileRules {
     let in_any = |set: &[&str]| set.contains(&rel_path);
@@ -199,7 +184,6 @@ pub fn rules_for(rel_path: &str) -> FileRules {
         l3: in_any(L3_FILES),
         l4: in_any(L4_FILES),
         l5: in_any(L5_FILES),
-        l6: in_any(L6_FILES),
     }
 }
 
@@ -241,8 +225,7 @@ fn excerpt_of(src: &str, line: u32) -> String {
         .unwrap_or_default()
 }
 
-/// Run every syntactic rule over one parsed file, pushing raw
-/// violations. L6 is workspace-scoped and handled by the caller.
+/// Run every rule over one parsed file, pushing raw violations.
 fn lint_parsed_file(
     rel: &str,
     src: &str,
@@ -341,23 +324,6 @@ pub fn run_lint_report(root: &Path) -> Result<LintReport, String> {
         lint_parsed_file(rel, src, fa, rules, &sums, &aliases, &mut raw);
     }
 
-    // L6 reads every parsed file at once: structs from the stats
-    // modules, increment sites and call names from anywhere, the wire
-    // surface from the wire module.
-    rules::l6::check(&parsed, &mut |path, line, msg| {
-        let excerpt = sources
-            .get(path)
-            .map(|s| excerpt_of(s, line))
-            .unwrap_or_default();
-        raw.push(Violation {
-            rule: Rule::L6,
-            path: path.to_string(),
-            line,
-            message: msg,
-            excerpt,
-        });
-    });
-
     // Apply the allowlist: matched violations are suppressed, unused
     // entries and structural problems are reported.
     let allow_path = root.join(ALLOWLIST_FILE);
@@ -434,15 +400,6 @@ pub fn lint_source_all(path_label: &str, src: &str) -> Vec<Violation> {
         None => return out,
     };
     lint_parsed_file(rel, src, fa, FileRules::all(), &sums, &aliases, &mut out);
-    rules::l6::check(&parsed, &mut |p, line, msg| {
-        out.push(Violation {
-            rule: Rule::L6,
-            path: p.to_string(),
-            line,
-            message: msg,
-            excerpt: excerpt_of(src, line),
-        });
-    });
     out.sort_by(|a, b| (a.line, a.rule.code()).cmp(&(b.line, b.rule.code())));
     out
 }
@@ -478,13 +435,11 @@ mod tests {
         let r = rules_for("crates/tsfile/src/encoding/reference.rs");
         assert!(r.l1 && r.l1_indexing && !r.l2 && r.l3 && r.l4);
         let r = rules_for("crates/tsnet/src/wire.rs");
-        assert!(r.l1 && r.l1_indexing && !r.l2 && r.l3 && !r.l4 && !r.l5 && r.l6);
+        assert!(r.l1 && r.l1_indexing && !r.l2 && r.l3 && !r.l4 && !r.l5);
         let r = rules_for("crates/tsnet/src/server.rs");
         assert!(r.l1 && !r.l1_indexing && r.l2 && !r.l3 && !r.l4 && r.l5);
         let r = rules_for("crates/tsnet/src/client.rs");
         assert!(r.l1 && r.l2 && !r.l3 && !r.l5);
-        let r = rules_for("crates/tskv/src/stats.rs");
-        assert!(r.l1 && r.l6 && !r.l5);
         let r = rules_for("crates/tskv/src/compaction/plan.rs");
         assert!(r.l1 && !r.l1_indexing && !r.l2 && r.l3 && !r.l4);
         let r = rules_for("crates/tskv/src/compaction/execute.rs");
@@ -493,8 +448,6 @@ mod tests {
         assert!(r.l1 && !r.l1_indexing && !r.l2 && r.l3 && !r.l4);
         let r = rules_for("crates/tskv/src/compaction/mod.rs");
         assert!(r.l1 && !r.l2 && !r.l3);
-        let r = rules_for("crates/tsnet/src/stats.rs");
-        assert!(r.l1 && r.l6);
         let r = rules_for("crates/workload/src/lib.rs");
         assert!(!r.any());
     }

@@ -26,9 +26,6 @@ pub enum Rule {
     /// Blocking-call ban: designated server-loop functions must not
     /// reach blocking I/O or unbounded waits outside worker contexts.
     L5,
-    /// Counter discipline: every declared stats counter is incremented
-    /// on a non-test path and surfaced through the wire encoding.
-    L6,
     /// Allowlist hygiene: stale or malformed allowlist entries.
     Allowlist,
 }
@@ -41,7 +38,6 @@ impl Rule {
             Rule::L3 => "L3",
             Rule::L4 => "L4",
             Rule::L5 => "L5",
-            Rule::L6 => "L6",
             Rule::Allowlist => "ALLOWLIST",
         }
     }
@@ -53,7 +49,6 @@ impl Rule {
             "L3" => Rule::L3,
             "L4" => Rule::L4,
             "L5" => Rule::L5,
-            "L6" => Rule::L6,
             "ALLOWLIST" => Rule::Allowlist,
             _ => return None,
         })

@@ -1,7 +1,7 @@
-//! The six rule families, implemented over the AST engine.
+//! The five rule families, implemented over the AST engine.
 //!
 //! Each `lN` module exposes a `check` that walks parsed syntax (plus,
-//! for L2/L5/L6, the call-graph summaries) and pushes
+//! for L2/L5, the call-graph summaries) and pushes
 //! [`crate::report::Violation`]-shaped findings through a callback.
 //! Rule selection per file lives in `crate::rules_for`.
 
@@ -10,7 +10,6 @@ pub mod l2;
 pub mod l3;
 pub mod l4;
 pub mod l5;
-pub mod l6;
 
 /// Shared push-callback shape: (line, message).
 pub type Push<'a> = &'a mut dyn FnMut(u32, String);

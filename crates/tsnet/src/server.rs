@@ -708,14 +708,14 @@ fn execute(
                 Ok(_sub_id) => Outcome::AckQueued,
                 Err((code, detail)) => Outcome::Fail(code, detail),
             };
-            (RequestKind::Query, outcome)
+            (RequestKind::Subscribe, outcome)
         }
         Request::Unsubscribe { sub_id } => {
             let outcome = match shared.registry.unsubscribe(conn_id, *sub_id) {
                 Ok(()) => Outcome::Reply(Response::Unsubscribed),
                 Err((code, detail)) => Outcome::Fail(code, detail),
             };
-            (RequestKind::Query, outcome)
+            (RequestKind::Subscribe, outcome)
         }
     }
 }

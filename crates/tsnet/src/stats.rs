@@ -41,6 +41,8 @@ pub enum RequestKind {
     Delete,
     Stats,
     Flush,
+    /// `Subscribe` and `Unsubscribe`.
+    Subscribe,
 }
 
 tskv::metric_registry! {
@@ -66,6 +68,8 @@ tskv::metric_registry! {
     counter requests_stats;
     /// Executed `FlushSeal` requests.
     counter requests_flush;
+    /// Executed `Subscribe` and `Unsubscribe` requests.
+    counter requests_subscribe;
     /// Requests rejected by the max-in-flight admission gate.
     counter rejected_busy;
     /// Requests whose deadline elapsed before the response was ready.
@@ -111,6 +115,7 @@ impl ServerStats {
             RequestKind::Delete => &self.requests_delete,
             RequestKind::Stats => &self.requests_stats,
             RequestKind::Flush => &self.requests_flush,
+            RequestKind::Subscribe => &self.requests_subscribe,
         };
         executed.fetch_add(1, Ordering::Relaxed);
         if let Some(b) = self.latency_counts.get(bucket_index(latency_us)) {
@@ -196,6 +201,7 @@ impl ServerStatsSnapshot {
             + self.requests_delete
             + self.requests_stats
             + self.requests_flush
+            + self.requests_subscribe
     }
 
     /// The histogram bucket upper bound (µs) containing the `q`-th
@@ -287,6 +293,7 @@ mod tests {
         s.record_request(RequestKind::Ping, 1);
         s.record_request(RequestKind::Write, 1);
         s.record_request(RequestKind::Write, 1);
+        s.record_request(RequestKind::Subscribe, 1);
         s.record_busy();
         s.record_timeout();
         s.record_error();
@@ -297,7 +304,9 @@ mod tests {
         let snap = s.snapshot(3);
         assert_eq!(snap.requests_ping, 1);
         assert_eq!(snap.requests_write, 2);
-        assert_eq!(snap.requests_total(), 3);
+        assert_eq!(snap.requests_subscribe, 1);
+        assert_eq!(snap.requests_query, 0);
+        assert_eq!(snap.requests_total(), 4);
         assert_eq!(snap.rejected_busy, 1);
         assert_eq!(snap.timeouts, 1);
         assert_eq!(snap.errors, 1);

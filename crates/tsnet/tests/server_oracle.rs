@@ -657,5 +657,11 @@ fn every_registered_metric_is_on_the_wire_and_moves() {
     for quiet in QUIET {
         assert!(registered.contains(quiet), "{quiet} is not a metric");
     }
+
+    // Subscription churn has its own counter: the seven M4 queries and
+    // the two subscribes + one unsubscribe are told apart.
+    let (_, typed) = cl.stats().unwrap();
+    assert_eq!(typed.requests_query, 7);
+    assert_eq!(typed.requests_subscribe, 3);
     server.shutdown();
 }

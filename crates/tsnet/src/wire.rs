@@ -697,6 +697,22 @@ impl<'a> Cursor<'a> {
         Ok(spans)
     }
 
+    /// A `u16` element count, refused when it exceeds `max` or when
+    /// that many elements of `min_elem_bytes` each would overrun the
+    /// payload.
+    fn count16(&mut self, context: &'static str, max: u16, min_elem_bytes: u64) -> Result<u16> {
+        let n = self.u16()?;
+        if n > max {
+            return Err(NetError::TooLarge {
+                context,
+                len: u64::from(n),
+                max: u64::from(max),
+            });
+        }
+        self.check_claim(context, u64::from(n), min_elem_bytes)?;
+        Ok(n)
+    }
+
     /// Guard a claimed element count against the bytes actually
     /// present, so corrupted counts cannot drive huge allocations.
     fn check_claim(&self, context: &'static str, n: u64, min_elem_bytes: u64) -> Result<()> {
@@ -840,33 +856,16 @@ pub fn decode_request_payload(payload: &[u8]) -> Result<RequestEnvelope> {
 fn decode_stats(c: &mut Cursor<'_>) -> Result<(IoSnapshot, ServerStatsSnapshot)> {
     let mut io = IoSnapshot::default();
     let mut server = ServerStatsSnapshot::default();
-    let count = c.u16()?;
-    if count > MAX_STATS_METRICS {
-        return Err(NetError::TooLarge {
-            context: "metric count",
-            len: u64::from(count),
-            max: u64::from(MAX_STATS_METRICS),
-        });
-    }
     // Each metric costs at least a name length, a kind and a value count.
-    c.check_claim("metric count", u64::from(count), 4)?;
+    let count = c.count16("metric count", MAX_STATS_METRICS, 4)?;
     let mut values = Vec::new();
     for _ in 0..count {
         let name = c.str8()?;
-        let kind = metric_kind_from_wire(c.u8()?)?;
-        let n = c.u16()?;
-        let max = match kind {
+        let max = match metric_kind_from_wire(c.u8()?)? {
             MetricKind::Counter | MetricKind::Gauge => 1,
             MetricKind::Histogram => MAX_METRIC_VALUES,
         };
-        if n > max {
-            return Err(NetError::TooLarge {
-                context: "metric value count",
-                len: u64::from(n),
-                max: u64::from(max),
-            });
-        }
-        c.check_claim("metric value count", u64::from(n), 8)?;
+        let n = c.count16("metric value count", max, 8)?;
         values.clear();
         for _ in 0..n {
             values.push(c.u64()?);
@@ -1470,7 +1469,7 @@ mod tests {
         };
         // A metric count above the cap; within it but beyond the bytes.
         too_large(
-            MAX_STATS_METRICS.wrapping_add(1).to_le_bytes().to_vec(),
+            (MAX_STATS_METRICS + 1).to_le_bytes().to_vec(),
             "metric count",
         );
         too_large(one_metric(9, NAME, 0, 1, &[5]), "metric count");

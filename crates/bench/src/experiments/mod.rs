@@ -3,8 +3,6 @@
 //! printing entry point (descriptive artifacts like Table 2 / Figure 8).
 
 pub mod ablation;
-pub mod cardinality;
-pub mod compaction;
 pub mod decode;
 pub mod fig10;
 pub mod fig11;
@@ -12,10 +10,6 @@ pub mod fig12;
 pub mod fig13;
 pub mod fig14;
 pub mod fig8;
-pub mod ingest;
 pub mod pages;
-pub mod parallel;
 pub mod pixels;
-pub mod serve;
-pub mod subscribe;
 pub mod table2;

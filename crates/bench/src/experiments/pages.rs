@@ -138,9 +138,7 @@ pub fn run(h: &Harness) -> Vec<PagesRow> {
                     points_per_chunk: POINTS_PER_CHUNK,
                     memtable_threshold: POINTS_PER_CHUNK * 2,
                     page_points,
-                    enable_read_cache: false,
-                    read_threads: 1,
-                    ..Default::default()
+                    ..Harness::store_config()
                 },
             )
             .expect("open store");

@@ -36,47 +36,26 @@ pub struct ExpRow {
 }
 
 /// Run provenance recorded at the top of every `--out` JSON file, so
-/// BENCH artifacts are self-describing: the write-path and scheduler
-/// knobs in effect (experiments that sweep a knob say so in their own
-/// rows; the header records the baseline configuration).
+/// BENCH artifacts are self-describing: the run size and the read-path
+/// configuration every experiment's stores are opened with
+/// ([`Harness::store_config`]). Experiments that sweep a knob say so in
+/// their own rows.
 #[derive(Debug, Clone, Serialize)]
 pub struct BenchMeta {
     pub scale: f64,
     pub repeats: usize,
-    pub write_shards: usize,
-    pub fsync_policy: String,
-    pub compaction_auto: bool,
-    pub compaction_threshold: usize,
-    pub compaction_interval_ms: u64,
-    pub compaction_policy: String,
-    pub compaction_clean_page_copy: bool,
     pub read_threads: usize,
-    pub cache_capacity_bytes: u64,
-    /// `std::thread::available_parallelism` on the machine that ran
-    /// the benchmark (0 when the platform cannot report it). Makes the
-    /// "1-core container" caveat machine-readable: a flat thread axis
-    /// in a BENCH artifact with `available_parallelism: 1` is
-    /// hardware, not a regression.
-    pub available_parallelism: usize,
+    pub enable_read_cache: bool,
 }
 
 impl BenchMeta {
-    /// Capture the harness run parameters plus one engine config.
-    pub fn new(h: &Harness, config: &EngineConfig) -> Self {
+    pub fn new(h: &Harness) -> Self {
+        let config = Harness::store_config();
         BenchMeta {
             scale: h.scale,
             repeats: h.repeats,
-            write_shards: config.write_shards,
-            fsync_policy: config.fsync_policy.as_str().to_string(),
-            compaction_auto: config.compaction_auto,
-            compaction_threshold: config.compaction_threshold,
-            compaction_interval_ms: config.compaction_interval_ms,
-            compaction_policy: config.compaction_policy.as_str().to_string(),
-            compaction_clean_page_copy: config.compaction_clean_page_copy,
             read_threads: config.read_threads,
-            cache_capacity_bytes: config.cache_capacity_bytes,
-            available_parallelism: std::thread::available_parallelism()
-                .map_or(0, std::num::NonZeroUsize::get),
+            enable_read_cache: config.enable_read_cache,
         }
     }
 }
@@ -126,14 +105,20 @@ impl Harness {
         std::fs::remove_dir_all(&self.root).ok();
     }
 
+    /// The configuration every experiment opens its stores with. The
+    /// paper measures *cold* single-threaded reads (its setup has
+    /// neither a decoded-chunk cache nor a parallel read path), so the
+    /// cross-query LRU is off and the pool is pinned to one thread.
+    pub fn store_config() -> EngineConfig {
+        EngineConfig {
+            enable_read_cache: false,
+            read_threads: 1,
+            ..Default::default()
+        }
+    }
+
     /// Build (or rebuild) a store containing `dataset` at this scale,
     /// written with the given overlap fraction and deletes.
-    ///
-    /// Paper-reproduction experiments measure *cold* single-threaded
-    /// reads (the paper's setup has neither a decoded-chunk cache nor a
-    /// parallel read path), so the cross-query LRU is disabled and the
-    /// pool is pinned to one thread here; the `parallel` experiment
-    /// opts back in via [`Harness::build_store_with`].
     pub fn build_store(
         &self,
         tag: &str,
@@ -142,32 +127,12 @@ impl Harness {
         n_deletes: usize,
         delete_range_ms: i64,
     ) -> StoreFixture {
-        let config = EngineConfig {
-            enable_read_cache: false,
-            read_threads: 1,
-            ..Default::default()
-        };
-        self.build_store_with(tag, dataset, overlap, n_deletes, delete_range_ms, config)
-    }
-
-    /// [`Harness::build_store`] with an explicit engine configuration
-    /// (cache capacity, read threads, ...).
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_store_with(
-        &self,
-        tag: &str,
-        dataset: Dataset,
-        overlap: f64,
-        n_deletes: usize,
-        delete_range_ms: i64,
-        config: EngineConfig,
-    ) -> StoreFixture {
         let dir = self.root.join(format!("{tag}-{}", dataset.name()));
         std::fs::remove_dir_all(&dir).ok();
         let points = dataset.generate(self.scale);
         let t_min = points.first().expect("non-empty dataset").t;
         let t_max = points.last().expect("non-empty dataset").t;
-        let kv = TsKv::open(&dir, config).expect("open store");
+        let kv = TsKv::open(&dir, Self::store_config()).expect("open store");
         let mut rng = StdRng::seed_from_u64(0xBEEF ^ dataset as u64);
         if overlap > 0.0 {
             load_with_overlap(&kv, "s", &points, overlap, &mut rng).expect("load");

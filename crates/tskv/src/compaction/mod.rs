@@ -23,7 +23,8 @@
 //!   carried into the new footer — while only dirty pages flow through
 //!   decode → k-way merge → re-encode. On append-mostly workloads most
 //!   bytes take the copy path, which is the write-amplification win
-//!   the `repro --exp compaction` grid quantifies.
+//!   the `compaction_pages_copied` / `compaction_bytes_rewritten`
+//!   counters quantify.
 //!
 //! Every output chunk carries the **maximum input chunk version**
 //! (inputs are contiguous in version order, so the subset-max version

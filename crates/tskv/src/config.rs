@@ -78,11 +78,6 @@ pub struct EngineConfig {
     /// Whether to learn and persist a step-regression chunk index at
     /// flush time (§3.5 of the paper). Disabling it is the A1 ablation.
     pub build_step_index: bool,
-    /// Write-ahead logging for unflushed (memtable) data. On by
-    /// default; benchmarks reproducing the paper's flushed-only setup
-    /// may disable it to keep the write path identical to IoTDB's
-    /// measured configuration.
-    pub enable_wal: bool,
     /// Capacity of the cross-query decoded-chunk LRU in bytes
     /// (approximate: decoded point payload plus a small per-entry
     /// overhead). Must be nonzero and at most 1 TiB.
@@ -141,7 +136,6 @@ impl Default for EngineConfig {
             ts_encoding: EncodingKind::Ts2Diff,
             val_encoding: EncodingKind::Gorilla,
             build_step_index: true,
-            enable_wal: true,
             cache_capacity_bytes: 64 * 1024 * 1024,
             read_threads: 4,
             enable_read_cache: true,

@@ -183,13 +183,11 @@ struct Shard {
 
 /// One on-disk storage shard: a directory holding the sealed files of
 /// every series with `id % storage_shards == index`, plus their shared
-/// write-ahead log. `wal` is `None` when the WAL is disabled by
-/// config (the log is still *replayed* at open for parity with stores
-/// written while it was enabled).
+/// write-ahead log.
 #[derive(Debug)]
 struct StorageShard {
     dir: PathBuf,
-    wal: Option<ShardWal>,
+    wal: ShardWal,
 }
 
 /// Shared engine state. [`TsKv`] and the background compaction
@@ -521,13 +519,7 @@ impl EngineInner {
             for (id, recs) in records {
                 replayed.entry(id).or_default().extend(recs);
             }
-            storage.push(StorageShard {
-                dir: sdir,
-                // Replay always happens (data written while the WAL
-                // was enabled must recover); the live handle is kept
-                // only when the WAL is on.
-                wal: config.enable_wal.then_some(wal),
-            });
+            storage.push(StorageShard { dir: sdir, wal });
         }
 
         // Every id tagged on disk must be registered: an unknown id
@@ -667,9 +659,7 @@ impl EngineInner {
     /// in-memory work plus buffered WAL frames (drained by
     /// [`EngineInner::commit_wal`]).
     fn apply_inserts(&self, id: SeriesId, store: &mut SeriesStore, points: &[Point]) -> Result<()> {
-        if let Some(wal) = &self.storage(id).wal {
-            wal.append_inserts(id, points)?;
-        }
+        self.storage(id).wal.append_inserts(id, points)?;
         store.memtable.extend(points);
         self.io.record_points_written(points.len() as u64);
         Ok(())
@@ -680,22 +670,20 @@ impl EngineInner {
     /// Called before the stripe lock is released, so every
     /// acknowledged write is in the OS first.
     fn commit_wal_with(&self, id: SeriesId, sync: bool) -> Result<()> {
-        if let Some(wal) = &self.storage(id).wal {
-            let sync = sync || matches!(self.config.fsync_policy, FsyncPolicy::Always);
+        let sync = sync || matches!(self.config.fsync_policy, FsyncPolicy::Always);
+        if sync {
+            // WAL records are id-tagged; the catalog record binding
+            // the id must reach disk before (or with) any durable
+            // record that uses it, or a power loss could leave a
+            // replayable record whose id the catalog forgot — open
+            // then refuses the store outright.
+            self.catalog.sync_if_dirty()?;
+        }
+        let bytes = self.storage(id).wal.commit(sync)?;
+        if bytes > 0 {
+            self.io.record_wal_batch(bytes);
             if sync {
-                // WAL records are id-tagged; the catalog record binding
-                // the id must reach disk before (or with) any durable
-                // record that uses it, or a power loss could leave a
-                // replayable record whose id the catalog forgot — open
-                // then refuses the store outright.
-                self.catalog.sync_if_dirty()?;
-            }
-            let bytes = wal.commit(sync)?;
-            if bytes > 0 {
-                self.io.record_wal_batch(bytes);
-                if sync {
-                    self.io.record_wal_sync();
-                }
+                self.io.record_wal_sync();
             }
         }
         Ok(())
@@ -831,22 +819,20 @@ impl EngineInner {
                 } else if store.memtable.is_empty() {
                     FlushPrep::Done
                 } else {
-                    if let Some(wal) = &self.storage(id).wal {
-                        // Under FsyncPolicy::{Always, OnFlush} the WAL
-                        // is made durable before its records are
-                        // declared covered (the sealed TsFile
-                        // supersedes them soon after; until then the
-                        // log is the only copy).
-                        if !matches!(self.config.fsync_policy, FsyncPolicy::Never) {
-                            // Catalog first: the log's id-tagged records
-                            // must never outlive the binding of their id
-                            // (see commit_wal_with).
-                            self.catalog.sync_if_dirty()?;
-                            wal.sync()?;
-                            self.io.record_wal_sync();
-                        }
-                        wal.begin_flush(id)?;
+                    let wal = &self.storage(id).wal;
+                    // Under FsyncPolicy::{Always, OnFlush} the WAL is
+                    // made durable before its records are declared
+                    // covered (the sealed TsFile supersedes them soon
+                    // after; until then the log is the only copy).
+                    if !matches!(self.config.fsync_policy, FsyncPolicy::Never) {
+                        // Catalog first: the log's id-tagged records
+                        // must never outlive the binding of their id
+                        // (see commit_wal_with).
+                        self.catalog.sync_if_dirty()?;
+                        wal.sync()?;
+                        self.io.record_wal_sync();
                     }
+                    wal.begin_flush(id)?;
                     let points = Arc::new(store.memtable.drain_sorted());
                     // Reserving every chunk version while still locked
                     // guarantees that any later delete orders after
@@ -931,20 +917,16 @@ impl EngineInner {
                     }
                 }
                 store.files.push(res);
-                if let Some(wal) = &self.storage(id).wal {
-                    wal.end_flush(id)?;
-                }
+                self.storage(id).wal.end_flush(id)?;
                 Ok(())
             }
             Err(e) => {
-                if let Some(wal) = &self.storage(id).wal {
-                    wal.abort_flush(id);
-                }
-                // The points stay buffered (and, with WAL on, remain
-                // covered by the log, whose begin marker was never
-                // matched). Writes and deletes that landed mid-flush
-                // are newer and must win — hence the absent-only
-                // reinsert and the tombstone filter.
+                self.storage(id).wal.abort_flush(id);
+                // The points stay buffered (and remain covered by the
+                // log, whose begin marker was never matched). Writes and
+                // deletes that landed mid-flush are newer and must win
+                // — hence the absent-only reinsert and the tombstone
+                // filter.
                 for p in points {
                     if !pending.iter().any(|m| m.covers(p.t)) {
                         store.memtable.insert_if_absent(*p);
@@ -996,9 +978,7 @@ impl EngineInner {
             // unless the policy is Never, fsync) the delete record
             // immediately.
             let sync_deletes = !matches!(self.config.fsync_policy, FsyncPolicy::Never);
-            if let Some(wal) = &self.storage(id).wal {
-                wal.append_delete(id, version, range)?;
-            }
+            self.storage(id).wal.append_delete(id, version, range)?;
             self.commit_wal_with(id, sync_deletes)?;
             store.memtable.delete_range(range);
             let entry = ModEntry::new(version, start, end);
@@ -1798,6 +1778,10 @@ mod tests {
             assert_eq!(snap.raw_point_count(), 0);
             kv.flush_all()?;
             assert_eq!(kv.io().snapshot().stores_instantiated, 0);
+            // A write instantiates exactly the series written.
+            kv.insert("cold-0007", Point::new(1, 1.0))?;
+            kv.flush_all()?;
+            assert_eq!(kv.io().snapshot().stores_instantiated, 1);
         }
         let mut dirs = 0usize;
         for entry in std::fs::read_dir(&dir)? {
@@ -1806,11 +1790,11 @@ mod tests {
             }
         }
         assert_eq!(dirs, config.storage_shards, "only shard dirs on disk");
-        // Reopen: all names come back from the catalog alone, still
-        // without instantiating anything.
+        // Reopen: all names come back from the catalog alone, and
+        // only the series holding data gets a store.
         let kv = TsKv::open(&dir, config)?;
         assert_eq!(kv.series_count(), 1000);
-        assert_eq!(kv.io().snapshot().stores_instantiated, 0);
+        assert_eq!(kv.io().snapshot().stores_instantiated, 1);
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
@@ -2026,6 +2010,40 @@ mod tests {
         Ok(())
     }
 
+    /// With nothing to replay, an open must leave every shard directory
+    /// as it found it: no WAL segment created, renumbered or unlinked.
+    #[test]
+    fn idle_reopen_leaves_shard_dirs_unchanged() -> TestResult {
+        let (dir, kv) = fresh("idle-reopen")?;
+        for t in 0..600i64 {
+            kv.insert("s", Point::new(t, 1.0))?;
+        }
+        kv.flush_all()?;
+        drop(kv);
+        let listing = || -> Result<Vec<(PathBuf, u64)>> {
+            let mut files = Vec::new();
+            for shard in std::fs::read_dir(&dir)? {
+                let shard = shard?.path();
+                if shard.is_dir() {
+                    for file in std::fs::read_dir(&shard)? {
+                        let file = file?;
+                        files.push((file.path(), file.metadata()?.len()));
+                    }
+                }
+            }
+            files.sort();
+            Ok(files)
+        };
+        let before = listing()?;
+        assert!(before.len() > EngineConfig::default().storage_shards);
+        for _ in 0..3 {
+            drop(TsKv::open(&dir, EngineConfig::default())?);
+            assert_eq!(listing()?, before);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        Ok(())
+    }
+
     #[test]
     fn recovery_reattaches_wal_delete_to_missing_mods() -> TestResult {
         let dir = std::env::temp_dir().join(format!("tskv-reattach-{}", std::process::id()));
@@ -2123,26 +2141,6 @@ mod tests {
         }
         assert_eq!(std::fs::read(&path)?, tsf1);
         assert!(!path.with_extension("tsfile.corrupt").exists());
-        std::fs::remove_dir_all(&dir).ok();
-        Ok(())
-    }
-
-    #[test]
-    fn wal_disabled_drops_unflushed() -> TestResult {
-        let dir = std::env::temp_dir().join(format!("tskv-nowal-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let config = EngineConfig {
-            enable_wal: false,
-            ..Default::default()
-        };
-        {
-            let kv = TsKv::open(&dir, config.clone())?;
-            kv.insert("s", Point::new(1, 1.0))?;
-        }
-        // The catalog still remembers the name; only the buffered
-        // points are gone.
-        let kv = TsKv::open(&dir, config)?;
-        assert_eq!(kv.unflushed_points("s")?, 0);
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }

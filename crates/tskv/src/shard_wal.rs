@@ -40,14 +40,16 @@
 //!
 //! The log is a sequence of `wal-NNNNNNNN.log` segment files; the
 //! highest-numbered one is active and appends roll to a fresh segment
-//! once it crosses `segment_bytes`. Reclamation is prefix-only: a
-//! sealed segment is deleted once every series' uncovered records (the
-//! ones a replay would still need) start at or after its end. When
-//! *no* series has uncovered records, the whole log resets: sealed
-//! segments are deleted and the active one is truncated. An append
-//! between the check and the truncate is impossible — every append
-//! updates `last_append` under the same mutex, making that series
-//! uncovered and vetoing the reset.
+//! once it crosses `segment_bytes`. Open seals every segment it finds
+//! and starts a fresh one — except an empty newest segment, which it
+//! reuses, so opening an idle log writes nothing. Reclamation is
+//! prefix-only: a sealed segment is deleted once every series'
+//! uncovered records (the ones a replay would still need) start at or
+//! after its end. When *no* series has uncovered records, the whole
+//! log resets: sealed segments are deleted and the active one is
+//! truncated. An append between the check and the truncate is
+//! impossible — every append updates `last_append` under the same
+//! mutex, making that series uncovered and vetoing the reset.
 //!
 //! ## Group commit
 //!
@@ -233,10 +235,12 @@ impl ShardWal {
         let mut sealed: Vec<Segment> = Vec::new();
         let mut replay: HashMap<SeriesId, ReplayState> = HashMap::new();
         let mut offset = 0u64;
+        let mut newest_is_empty = false;
         for &seg_id in &seg_ids {
             let path = segment_path(dir, seg_id);
             let mut buf = Vec::new();
             File::open(&path)?.read_to_end(&mut buf)?;
+            newest_is_empty = buf.is_empty();
             let mut pos = 0usize;
             // Stop at the first torn/corrupt record of a segment (a
             // crash only ever tears the tail of the last one) but keep
@@ -270,10 +274,19 @@ impl ShardWal {
             offset = end;
         }
 
-        // A fresh segment becomes active; everything pre-existing stays
-        // sealed (a possibly-torn tail is never appended to).
-        let next_seg_id = seg_ids.last().map_or(0, |last| last + 1);
-        let active_path = segment_path(dir, next_seg_id);
+        // Every pre-existing segment with bytes in it stays sealed (a
+        // possibly-torn tail is never appended to) and a fresh segment
+        // becomes active. An empty newest segment has no tail to tear,
+        // so it is reused: reopening an idle log changes nothing on disk.
+        let active_id = match seg_ids.last() {
+            Some(&last) if newest_is_empty => {
+                sealed.pop();
+                last
+            }
+            Some(&last) => last + 1,
+            None => 0,
+        };
+        let active_path = segment_path(dir, active_id);
         let file = OpenOptions::new()
             .create(true)
             .append(true)
@@ -307,7 +320,7 @@ impl ShardWal {
                 written_since_commit: 0,
                 unsynced_bytes: 0,
                 sealed,
-                next_seg_id: next_seg_id + 1,
+                next_seg_id: active_id + 1,
                 last_append,
                 first_uncovered,
                 pending_begin: HashMap::new(),
@@ -521,6 +534,11 @@ impl WalState {
             for seg in self.sealed.drain(..) {
                 remove_if_present(&seg.path)?;
             }
+            self.last_append.clear();
+            if self.pos == self.seg_base {
+                // The active segment is already empty.
+                return Ok(());
+            }
             // Recreate rather than truncate-in-place: O_APPEND offsets
             // reset with the new handle on every platform.
             let file = OpenOptions::new()
@@ -531,7 +549,6 @@ impl WalState {
             file.sync_data()?;
             self.file = OpenOptions::new().append(true).open(&self.active_path)?;
             self.seg_base = self.pos;
-            self.last_append.clear();
             // The truncate discarded whatever was written-but-unsynced.
             self.unsynced_bytes = 0;
             return Ok(());

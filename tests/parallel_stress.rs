@@ -132,5 +132,31 @@ fn parallel_queries_race_live_writer() {
         io.cache_hits > 0,
         "stress run should have produced cache hits"
     );
+
+    // Reopened (so the cache starts empty) with a capacity that holds
+    // the whole series, the identical query repeated loads no chunk
+    // body: the first run paid for all of them.
+    drop(cache);
+    kv.flush_all().unwrap();
+    drop(kv);
+    let q = M4Query::new(0, 70_000, 64).unwrap();
+    for lsm in [false, true] {
+        let kv = TsKv::open(&dir, EngineConfig::default()).unwrap();
+        let snap = kv.snapshot("s").unwrap();
+        let run = || {
+            let before = snap.io().snapshot();
+            let result = if lsm {
+                M4Lsm::new().execute(&snap, &q).unwrap()
+            } else {
+                M4Udf::new().execute(&snap, &q).unwrap()
+            };
+            (result, (snap.io().snapshot() - before).chunks_loaded)
+        };
+        let (cold, cold_loads) = run();
+        let (warm, warm_loads) = run();
+        assert!(cold_loads > 0, "lsm={lsm}: first run must read from disk");
+        assert_eq!(warm_loads, 0, "lsm={lsm}: warm run loaded chunk bodies");
+        assert!(warm.equivalent(&cold));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,10 +1,10 @@
-//! Twin-store property for page-aware, policy-driven compaction: for
-//! ANY storage history, ANY page geometry and ANY selection policy, a
-//! store compacted through the policy layer with the clean-page
-//! raw-copy fast path enabled answers M4 queries *byte-identically*
-//! (on the merge-based M4-UDF) to a twin store that compacts by full
-//! decode-and-rewrite — and both stay Definition-2.1-equivalent to the
-//! in-memory oracle on the merge-free M4-LSM path.
+//! Twin-store property for page-aware compaction: for ANY storage
+//! history and ANY page geometry, a store compacted with the
+//! clean-page raw-copy fast path enabled answers M4 queries
+//! *byte-identically* (on the merge-based M4-UDF) to a twin store that
+//! compacts by full decode-and-rewrite — and both stay
+//! Definition-2.1-equivalent to the in-memory oracle on the merge-free
+//! M4-LSM path.
 //!
 //! This is the acceptance property for the compaction rewrite: copying
 //! a clean page's raw bytes instead of re-encoding it must be
@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use tsfile::types::Point;
 use tskv::config::EngineConfig;
-use tskv::{CompactionPolicyKind, TsKv};
+use tskv::TsKv;
 
 use m4::oracle::m4_scan;
 use m4::{M4Lsm, M4Query, M4Udf};
@@ -46,24 +46,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn policy_strategy() -> impl Strategy<Value = CompactionPolicyKind> {
-    prop_oneof![
-        Just(CompactionPolicyKind::Full),
-        Just(CompactionPolicyKind::SizeTiered),
-        Just(CompactionPolicyKind::Leveled),
-        Just(CompactionPolicyKind::Overlap),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn policy_compaction_with_raw_copy_matches_full_rewrite_twin(
+    fn compaction_with_raw_copy_matches_full_rewrite_twin(
         ops in prop::collection::vec(op_strategy(), 1..20),
         chunk_size in 2usize..16,
         page_points in 2usize..8,
-        policy in policy_strategy(),
         qs in -40_000i64..40_000,
         qlen in 1i64..70_000,
         w in 1usize..40,
@@ -80,14 +70,12 @@ proptest! {
             points_per_chunk: chunk_size,
             memtable_threshold: chunk_size * 4,
             page_points,
-            compaction_threshold: 2,
             ..Default::default()
         };
-        // Twin A: the policy under test, clean pages copied raw.
+        // Twin A: clean pages copied raw.
         let fast = TsKv::open(
             &fast_dir,
             EngineConfig {
-                compaction_policy: policy,
                 compaction_clean_page_copy: true,
                 ..base.clone()
             },
@@ -124,10 +112,7 @@ proptest! {
                     slow.flush("s").unwrap();
                 }
                 Op::Compact => {
-                    // Twin A merges whatever run its policy elects (a
-                    // decline is a legal outcome); twin B always does
-                    // the full rewrite the seed engine did.
-                    fast.compact_policy("s").unwrap();
+                    fast.compact("s").unwrap();
                     slow.compact("s").unwrap();
                 }
                 Op::Delete(s, e) => {

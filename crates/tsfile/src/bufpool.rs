@@ -22,6 +22,9 @@
 //! actually warm" is observable in benchmarks and over the wire (the
 //! L6 lint keeps the plumbing honest).
 
+// Untrusted bytes: an out-of-range access is a typed error, not a panic.
+#![deny(clippy::indexing_slicing)]
+
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 

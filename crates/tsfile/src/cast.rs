@@ -1,14 +1,14 @@
 //! Audited numeric conversions for the codec layers.
 //!
-//! The repo lint (L4, `cargo run -p xtask -- lint`) bans bare `as`
-//! casts in `varint`, `bitio` and the encodings: a silent `as`
-//! truncation in a codec is exactly the kind of bug that corrupts data
-//! without failing. Every conversion those layers need lives here
-//! instead, under a name that states its semantics — bit-exact
+//! `varint`, `bitio` and the encodings carry
+//! `#![deny(clippy::as_conversions)]`: a silent `as` truncation in a
+//! codec is exactly the kind of bug that corrupts data without
+//! failing. Every conversion those layers need lives here instead,
+//! under a name that states its semantics — bit-exact
 //! reinterpretation, deliberate wrapping truncation, or checked
-//! narrowing. This module is the single L4 allowlist entry; anything
-//! added here is expected to be reviewed against its documented
-//! contract.
+//! narrowing. This is the one codec-side module allowed to write a
+//! bare `as`; each use below states why it is safe, and anything added
+//! here is expected to be reviewed against its documented contract.
 
 /// Bit-exact reinterpretation of a signed value as unsigned
 /// (two's-complement identity; never loses information).
@@ -18,7 +18,9 @@ pub fn u64_bits(v: i64) -> u64 {
 }
 
 /// Bit-exact reinterpretation of an unsigned value as signed
-/// (two's-complement identity; never loses information).
+/// (two's-complement identity; never loses information). Involutive
+/// with [`u64_bits`] — the `bit_reinterpretation_is_involutive` test
+/// pins it.
 #[inline]
 pub fn i64_bits(v: u64) -> i64 {
     v as i64
@@ -26,20 +28,23 @@ pub fn i64_bits(v: u64) -> i64 {
 
 /// Deliberate wrapping truncation to the low 8 bits. Use when the
 /// value is already masked or when byte-wise serialization wants
-/// exactly the low byte.
+/// exactly the low byte. Truncation is the contract: the mask makes it
+/// explicit and callers opt in by name.
 #[inline]
 pub fn low8(v: u64) -> u8 {
     (v & 0xFF) as u8
 }
 
-/// Deliberate wrapping truncation to the low 32 bits.
+/// Deliberate wrapping truncation to the low 32 bits; as with
+/// [`low8`], the mask makes the contract explicit.
 #[inline]
 pub fn low32(v: u64) -> u32 {
     (v & 0xFFFF_FFFF) as u32
 }
 
 /// Widen a bit count (or other small quantity) to `usize`. Lossless on
-/// every supported platform (`usize` is at least 32 bits).
+/// every supported platform (`usize` is at least 32 bits); narrowing
+/// goes through [`usize_checked`].
 #[inline]
 pub fn usize_from_u32(v: u32) -> usize {
     v as usize

@@ -16,6 +16,11 @@
 //!   remains and zero-pads a byte-wise tail load otherwise, so EOF is
 //!   detected exactly when fewer bits remain than were asked for.
 
+// Untrusted bytes: an out-of-range access is a typed error, not a panic.
+#![deny(clippy::indexing_slicing)]
+// Numeric conversions go through the named helpers in `crate::cast`.
+#![deny(clippy::as_conversions)]
+
 use crate::cast;
 use crate::error::TsFileError;
 use crate::Result;

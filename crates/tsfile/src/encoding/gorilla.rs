@@ -7,6 +7,11 @@
 //! window; write only the inner block) or `1` (write 5 bits of leading
 //! zero count, 6 bits of block length, then the block).
 
+// Untrusted bytes: an out-of-range access is a typed error, not a panic.
+#![deny(clippy::indexing_slicing)]
+// Numeric conversions go through the named helpers in `crate::cast`.
+#![deny(clippy::as_conversions)]
+
 use super::bitio::{BitReader, BitWriter};
 use crate::cast;
 use crate::error::TsFileError;
@@ -123,6 +128,10 @@ pub fn decode(buf: &[u8], n: usize) -> Result<Vec<f64>> {
 
 #[cfg(test)]
 mod tests {
+    // The module-level deny is for the parsing code above; tests
+    // assert by panicking.
+    #![allow(clippy::indexing_slicing, clippy::as_conversions)]
+
     use super::*;
 
     fn roundtrip(vs: &[f64]) -> Result<()> {

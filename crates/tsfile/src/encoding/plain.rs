@@ -2,6 +2,11 @@
 //! trivial CPU cost. Useful for ablating "how much of chunk-load cost is
 //! decode CPU vs. I/O".
 
+// Untrusted bytes: an out-of-range access is a typed error, not a panic.
+#![deny(clippy::indexing_slicing)]
+// Numeric conversions go through the named helpers in `crate::cast`.
+#![deny(clippy::as_conversions)]
+
 use crate::error::TsFileError;
 use crate::Result;
 
@@ -57,6 +62,10 @@ pub fn decode_f64(buf: &[u8], n: usize) -> Result<Vec<f64>> {
 
 #[cfg(test)]
 mod tests {
+    // The module-level deny is for the parsing code above; tests
+    // assert by panicking.
+    #![allow(clippy::indexing_slicing)]
+
     use super::*;
 
     #[test]

@@ -12,6 +12,11 @@
 //! hardware-independent invariant CI gates on. Nothing on the
 //! production read path calls into this module.
 
+// Untrusted bytes: an out-of-range access is a typed error, not a panic.
+#![deny(clippy::indexing_slicing)]
+// Numeric conversions go through the named helpers in `crate::cast`.
+#![deny(clippy::as_conversions)]
+
 use crate::cast;
 use crate::error::TsFileError;
 use crate::varint;

@@ -7,6 +7,11 @@
 //! Layout: `varint(first)` `varint_i(first_delta)` then for each
 //! remaining point `varint_i(delta_of_delta)`.
 
+// Untrusted bytes: an out-of-range access is a typed error, not a panic.
+#![deny(clippy::indexing_slicing)]
+// Numeric conversions go through the named helpers in `crate::cast`.
+#![deny(clippy::as_conversions)]
+
 use crate::varint;
 use crate::Result;
 
@@ -126,6 +131,10 @@ pub fn decode_until(buf: &[u8], n: usize, limit: i64) -> Result<Vec<i64>> {
 
 #[cfg(test)]
 mod tests {
+    // The module-level deny is for the parsing code above; tests
+    // assert by panicking.
+    #![allow(clippy::indexing_slicing)]
+
     use super::*;
 
     fn roundtrip(ts: &[i64]) -> Result<()> {

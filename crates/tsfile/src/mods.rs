@@ -9,6 +9,9 @@
 //! `u32 crc of the three fields (LE)`. A torn final entry (crash during
 //! append) is detected by its CRC and dropped on load.
 
+// Untrusted bytes: an out-of-range access is a typed error, not a panic.
+#![deny(clippy::indexing_slicing)]
+
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -145,6 +148,10 @@ impl ModsFile {
 
 #[cfg(test)]
 mod tests {
+    // The module-level deny is for the parsing code above; tests
+    // assert by panicking.
+    #![allow(clippy::indexing_slicing)]
+
     use super::*;
     use std::path::PathBuf;
 

@@ -26,6 +26,9 @@
 //! [`PagedChunkInfo`] (CRC-protected there), so a chunk body has no
 //! unprotected header bytes.
 
+// Untrusted bytes: an out-of-range access is a typed error, not a panic.
+#![deny(clippy::indexing_slicing)]
+
 use crate::bufpool;
 use crate::checksum::crc32;
 use crate::encoding::{self, EncodingKind};

@@ -6,6 +6,9 @@
 //! distinction — M4-LSM wins precisely when it can answer from the
 //! former without touching the latter.
 
+// Untrusted bytes: an out-of-range access is a typed error, not a panic.
+#![deny(clippy::indexing_slicing)]
+
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -366,6 +369,10 @@ fn le_u64(bytes: &[u8]) -> Option<u64> {
 
 #[cfg(test)]
 mod tests {
+    // The module-level deny is for the parsing code above; tests
+    // assert by panicking.
+    #![allow(clippy::indexing_slicing)]
+
     use super::*;
     use crate::writer::TsFileWriter;
     use std::path::PathBuf;

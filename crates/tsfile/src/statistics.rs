@@ -5,6 +5,9 @@
 //! chunk. M4-LSM's merge-free candidate generation works entirely off
 //! this structure.
 
+// Untrusted bytes: an out-of-range access is a typed error, not a panic.
+#![deny(clippy::indexing_slicing)]
+
 use crate::types::{Point, TimeRange};
 use crate::varint;
 use crate::{Result, TsFileError};

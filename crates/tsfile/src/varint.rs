@@ -3,6 +3,11 @@
 //! Used by the chunk format for lengths and by the TS_2DIFF timestamp
 //! encoding for signed deltas. Kept dependency-free.
 
+// Untrusted bytes: an out-of-range access is a typed error, not a panic.
+#![deny(clippy::indexing_slicing)]
+// Numeric conversions go through the named helpers in `crate::cast`.
+#![deny(clippy::as_conversions)]
+
 use crate::cast;
 use crate::error::TsFileError;
 use crate::Result;
@@ -127,6 +132,10 @@ pub fn read_i64_fast(buf: &[u8], pos: &mut usize) -> Result<i64> {
 
 #[cfg(test)]
 mod tests {
+    // The module-level deny is for the parsing code above; tests
+    // assert by panicking.
+    #![allow(clippy::as_conversions)]
+
     use super::*;
 
     #[test]

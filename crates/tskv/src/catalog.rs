@@ -44,6 +44,9 @@
 //! on the log mutex (appends must hit the file in id order) with a
 //! double-check so racing interners of the same name agree on one id.
 
+// Untrusted bytes: an out-of-range access is a typed error, not a panic.
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};

@@ -1,21 +1,16 @@
-//! Page-aware, policy-driven compaction.
+//! Page-aware compaction.
 //!
 //! The paper measures with compaction *disabled* (Table 4:
 //! `NO_COMPACTION`) because overlapping chunks and pending deletes are
 //! exactly the hard cases M4-LSM handles; a production store still
 //! needs compaction to bound read amplification. This subsystem keeps
-//! the write amplification of doing so low, in two layers:
+//! the write amplification of doing so low:
 //!
-//! * **Selection** ([`policy`]) — a pluggable [`CompactionPolicy`]
-//!   picks *which* contiguous (in version order) run of a series'
-//!   sealed files to merge: everything ([`policy::FullPolicy`], the
-//!   default and the seed behavior), a tier of similar-sized files
-//!   ([`policy::SizeTieredPolicy`]), a bounded fold of the oldest
-//!   files ([`policy::LeveledPolicy`]), or only runs whose time ranges
-//!   actually overlap ([`policy::OverlapPolicy`]). Manual
-//!   [`crate::TsKv::compact`] keeps full-range semantics; the
-//!   background scheduler and [`crate::TsKv::compact_policy`] consult
-//!   the configured policy.
+//! * **Selection** — there is one rule: a compaction merges *every*
+//!   sealed file the series has when it starts. Manual
+//!   [`crate::TsKv::compact`] does so at any file count; the
+//!   background scheduler does so once `compaction_threshold` files
+//!   are sealed.
 //! * **Rewrite avoidance** ([`plan`] + [`execute`]) — footer metadata
 //!   classifies each input page as *clean* (overlapping no other input
 //!   chunk and no newer delete) or *dirty*. Clean pages are copied
@@ -26,22 +21,21 @@
 //!   the `compaction_pages_copied` / `compaction_bytes_rewritten`
 //!   counters quantify.
 //!
-//! Every output chunk carries the **maximum input chunk version**
-//! (inputs are contiguous in version order, so the subset-max version
-//! preserves ordering against everything outside the run), and the
-//! engine keeps each series' file list version-ordered across partial
-//! merges — recovery re-sorts by minimum chunk version, not file id.
-//! After a *full* compaction with no concurrent writes the store holds
-//! only latest points: chunk overlap is zero and no delete entries
-//! remain.
-//!
-//! [`CompactionPolicy`]: policy::CompactionPolicy
+//! Every output chunk carries the **maximum input chunk version**: the
+//! inputs are a prefix of the series' version-ordered file list, so
+//! the output still ranks below every file flushed while the merge
+//! ran. The merge machinery itself only needs the inputs to be
+//! *contiguous* in version order — a subset that skipped a file whose
+//! versions fall inside the merged interval could resurface a point
+//! that file overwrote — and stores compacted that way by earlier
+//! versions have number order ≠ version order on disk, which is why
+//! recovery sorts each series' files by minimum chunk version, not
+//! file id. After a compaction with no concurrent writes the store
+//! holds only latest points: chunk overlap is zero and no delete
+//! entries remain.
 
 pub mod execute;
 pub mod plan;
-pub mod policy;
-
-pub use policy::{CompactionPolicy, CompactionPolicyKind, FileView};
 
 /// Outcome of one compaction run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

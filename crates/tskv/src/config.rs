@@ -3,8 +3,6 @@
 
 use tsfile::encoding::EncodingKind;
 
-use crate::compaction::policy::CompactionPolicyKind;
-
 /// When the write-ahead log forces its group-committed bytes to
 /// stable storage.
 ///
@@ -99,20 +97,12 @@ pub struct EngineConfig {
     /// compaction stays manual (`kv.compact`), which is the paper's
     /// NO_COMPACTION setup and the test default.
     pub compaction_auto: bool,
-    /// Sealed-file count per series at which the scheduler queues a
-    /// compaction. Must be at least 2 (compacting a single file is a
-    /// rewrite for nothing).
+    /// Sealed-file count per series at which the scheduler merges all
+    /// of them into one. Must be at least 2 (compacting a single file
+    /// is a rewrite for nothing).
     pub compaction_threshold: usize,
     /// Scheduler poll period in milliseconds. Must be in `1..=60_000`.
     pub compaction_interval_ms: u64,
-    /// How the scheduler (and [`crate::TsKv::compact_policy`]) picks
-    /// which contiguous run of a series' sealed files to merge:
-    /// everything past the threshold (`Full`, the default and the
-    /// seed behavior), a tier of similar-sized files (`SizeTiered`),
-    /// a bounded fold of the oldest files (`Leveled`), or only runs
-    /// whose time ranges actually overlap (`Overlap`). Manual
-    /// [`crate::TsKv::compact`] always merges everything regardless.
-    pub compaction_policy: CompactionPolicyKind,
     /// Copy pages that overlap no other input chunk and no newer
     /// delete byte-for-byte instead of re-encoding them. On by
     /// default; turning it off forces the full decode → merge →
@@ -144,7 +134,6 @@ impl Default for EngineConfig {
             compaction_auto: false,
             compaction_threshold: 8,
             compaction_interval_ms: 20,
-            compaction_policy: CompactionPolicyKind::Full,
             compaction_clean_page_copy: true,
             storage_shards: 16,
         }
@@ -327,16 +316,7 @@ mod tests {
     #[test]
     fn compaction_defaults_match_seed_behavior() {
         let c = EngineConfig::default();
-        assert_eq!(c.compaction_policy, CompactionPolicyKind::Full);
         assert!(c.compaction_clean_page_copy);
-        // Every policy kind is a valid configuration.
-        for kind in CompactionPolicyKind::ALL {
-            let c = EngineConfig {
-                compaction_policy: kind,
-                ..Default::default()
-            };
-            assert!(c.validate().is_ok(), "{kind:?}");
-        }
     }
 
     #[test]

@@ -41,12 +41,11 @@
 //!   arrived mid-flush, mark the series' WAL records covered — or, on
 //!   failure, return the points to the memtable (anything newer that
 //!   landed meanwhile wins).
-//! * **Compaction** — same shape; the input run (chosen under the
-//!   lock, by the configured [`crate::compaction::policy`] for
-//!   scheduler-driven runs) is captured as metadata, merged and
-//!   written off-lock (clean pages copied raw, dirty pages re-encoded
-//!   — see [`crate::compaction`]), and swapped in under the lock
-//!   again. Output chunks carry the maximum input chunk version;
+//! * **Compaction** — same shape; the input (every sealed file the
+//!   series has when the lock is taken) is captured as metadata,
+//!   merged and written off-lock (clean pages copied raw, dirty pages
+//!   re-encoded — see [`crate::compaction`]), and swapped in under the
+//!   lock again. Output chunks carry the maximum input chunk version;
 //!   deletes issued during the merge have versions above the capture
 //!   ceiling and their mods entries are carried onto the new file at
 //!   install time.
@@ -79,7 +78,6 @@ use crate::cache::DecodedChunkCache;
 use crate::catalog::{SeriesCatalog, SeriesId};
 use crate::chunk::ChunkHandle;
 use crate::compaction::plan::{self, ChunkView, PageView};
-use crate::compaction::policy::{CompactionPolicy, FileView};
 use crate::compaction::{execute, CompactionReport};
 use crate::config::{
     EngineConfig, FsyncPolicy, CATALOG_MAX_SERIES, MAX_STORAGE_SHARDS, WAL_BATCH_BYTES,
@@ -205,24 +203,12 @@ pub(crate) struct EngineInner {
     io: Arc<IoStats>,
     /// Cross-query decoded-chunk LRU; `None` when disabled by config.
     cache: Option<Arc<DecodedChunkCache>>,
-    /// Merge-candidate selector, built from
-    /// [`EngineConfig::compaction_policy`] at open.
-    policy: Box<dyn CompactionPolicy>,
     /// Change-notification fan-out (see [`crate::notify`]). Publishes
     /// happen after the owning stripe lock is released, so a slow
     /// listener can never extend lock hold times; cross-thread event
     /// order is therefore best-effort, and consumers reconcile via
     /// their dirty-span repair path.
     changes: ChangeSink,
-}
-
-/// How a compaction run's input files are chosen.
-enum CompactMode {
-    /// The whole sealed-file list (manual [`TsKv::compact`]).
-    Full,
-    /// Whatever contiguous run the configured policy selects
-    /// (scheduler ticks and [`TsKv::compact_policy`]).
-    Policy,
 }
 
 /// The LSM time series store.
@@ -367,11 +353,11 @@ fn recover_series(
     alloc: &VersionAllocator,
 ) -> Result<SeriesStore> {
     let next_file_id = paths.last().map(|(no, _)| no + 1).unwrap_or(0);
-    // File numbers are only creation order. A policy compaction
-    // installs its output (highest number) in the *middle* of the
-    // version-ordered file list, so after a restart number order and
-    // version order can disagree; the version sort below restores the
-    // engine invariant.
+    // File numbers are only creation order. A store written when
+    // compaction could merge a middle run of the list has that output
+    // (highest number) in the *middle* of the version order, so number
+    // order and version order can disagree on disk; the version sort
+    // below restores the engine invariant.
     let newest = paths.len().saturating_sub(1);
     let mut files: Vec<TsFileResource> = Vec::new();
     for (i, (_, path)) in paths.iter().enumerate() {
@@ -482,9 +468,9 @@ impl EngineInner {
     /// Open (or create) the shared engine state rooted at `dir`. See
     /// [`TsKv::open`] for recovery semantics.
     fn open(dir: PathBuf, config: EngineConfig) -> Result<Self> {
-        std::fs::create_dir_all(&dir)?;
         let config = config.normalized();
         config.validate()?;
+        std::fs::create_dir_all(&dir)?;
         let io = Arc::new(IoStats::default());
 
         let n_storage = pinned_storage_shards(&dir, config.storage_shards)?;
@@ -571,7 +557,6 @@ impl EngineInner {
         } else {
             None
         };
-        let policy = config.compaction_policy.build();
         Ok(EngineInner {
             dir,
             config,
@@ -581,7 +566,6 @@ impl EngineInner {
             storage,
             io,
             cache,
-            policy,
             changes: ChangeSink::default(),
         })
     }
@@ -1083,26 +1067,21 @@ impl EngineInner {
     /// empty report if a compaction is already running for the series.
     /// See [`crate::compaction`].
     pub(crate) fn compact(&self, id: SeriesId) -> Result<CompactionReport> {
-        self.compact_run(id, CompactMode::Full)
+        self.compact_run(id, 1)
     }
 
-    /// Compact whatever contiguous run of sealed files the configured
-    /// policy selects (possibly nothing). Used by the background
-    /// scheduler and [`TsKv::compact_policy`].
-    pub(crate) fn compact_policy(&self, id: SeriesId) -> Result<CompactionReport> {
-        self.compact_run(id, CompactMode::Policy)
-    }
-
-    /// The phased compaction state machine shared by the full and
-    /// policy-driven entry points.
-    fn compact_run(&self, id: SeriesId, mode: CompactMode) -> Result<CompactionReport> {
+    /// The phased compaction state machine: merge every sealed file of
+    /// the series, provided it has at least `min_files` (≥ 1) of them —
+    /// `1` from the manual entry points, `compaction_threshold` from
+    /// the background scheduler.
+    pub(crate) fn compact_run(&self, id: SeriesId, min_files: usize) -> Result<CompactionReport> {
         self.known(id)?;
-        // Phase A (locked): choose the input run and capture its
-        // metadata (chunk metas, mods entries, and Arc'd readers only —
-        // no chunk bodies). Selecting under the same guard that sets
-        // `compacting` closes the select/capture race; policies are
-        // pure metadata math, so no I/O happens here.
-        let (files, chunks, deletes, run, out_version, capture_ceiling, path) = {
+        // Phase A (locked): capture the input's metadata (chunk metas,
+        // mods entries, and Arc'd readers only — no chunk bodies).
+        // `min_files` is checked under the same guard that sets
+        // `compacting`, so a scheduler tick that lost a race to a
+        // manual compact declines instead of rewriting a single file.
+        let (files, chunks, deletes, captured, out_version, capture_ceiling, path) = {
             let mut map = self.stripe(id).series.write();
             let Some(store) = map.get_mut(&id) else {
                 // Cold series: nothing sealed, nothing to merge.
@@ -1112,42 +1091,24 @@ impl EngineInner {
             // visible in `files`; merging around it risks ordering
             // confusion for no gain. Back off and let the scheduler
             // retry once the flush installs.
-            if store.files.is_empty() || store.compacting || store.flushing.is_some() {
+            if store.files.len() < min_files || store.compacting || store.flushing.is_some() {
                 return Ok(CompactionReport::empty());
             }
-            let run = match mode {
-                CompactMode::Full => 0..store.files.len(),
-                CompactMode::Policy => {
-                    let views: Vec<FileView> = store
-                        .files
-                        .iter()
-                        .map(|res| FileView {
-                            bytes: res.reader.chunk_metas().iter().map(|m| m.byte_len).sum(),
-                            chunks: res.reader.chunk_metas().len(),
-                            time_range: res.time_range(),
-                            has_mods: !res.mods.entries().is_empty(),
-                        })
-                        .collect();
-                    match self.policy.select(&views, self.config.compaction_threshold) {
-                        Some(r) if !r.is_empty() && r.end <= store.files.len() => r,
-                        _ => return Ok(CompactionReport::empty()),
-                    }
-                }
-            };
+            let captured = store.files.len();
             store.compacting = true;
-            let mut files = Vec::with_capacity(run.len());
+            let mut files = Vec::with_capacity(captured);
             let mut chunks = Vec::new();
             let mut deletes: Vec<ModEntry> = Vec::new();
-            for res in store.files.get(run.clone()).unwrap_or(&[]) {
+            for res in &store.files {
                 let file_idx = files.len();
                 for meta in res.reader.chunk_metas() {
                     chunks.push(ChunkHandle::from_file(file_idx, meta.clone()));
                 }
                 for e in res.mods.entries() {
                     // A delete that touches input data is attached to
-                    // the input file it overlaps, so the run's own mods
-                    // are a complete capture (dedup by version — one
-                    // delete lands in several files' logs).
+                    // the input file it overlaps, so the inputs' own
+                    // mods are a complete capture (dedup by version —
+                    // one delete lands in several files' logs).
                     if !deletes.iter().any(|d| d.version == e.version) {
                         deletes.push(*e);
                     }
@@ -1155,9 +1116,9 @@ impl EngineInner {
                 files.push(Arc::clone(&res.reader));
             }
             // Every output chunk carries the maximum input version.
-            // The run is contiguous in version order, so anything that
-            // outranked an input (a later file, a later delete) still
-            // outranks the output, and nothing older can leapfrog it.
+            // The inputs are a prefix of the version-ordered file
+            // list, so anything that outranked an input (a later file,
+            // a later delete) still outranks the output.
             // No fresh versions are allocated: a reserved version would
             // order the merged (older) data after concurrent deletes
             // that the merge never saw.
@@ -1174,7 +1135,7 @@ impl EngineInner {
                 files,
                 chunks,
                 deletes,
-                run,
+                captured,
                 out_version,
                 capture_ceiling,
                 path,
@@ -1233,12 +1194,12 @@ impl EngineInner {
             std::fs::remove_file(&path).ok();
         }
 
-        // Phase C (locked): swap the new generation into the run's
-        // slot, carry forward mods that arrived during the merge,
+        // Phase C (locked): swap the new generation in for the captured
+        // files, carry forward mods that arrived during the merge,
         // collect the doomed paths. Only appends happened while
         // `compacting` was set (flush installs push at the tail), so
-        // the run's indices are still valid and the in-place splice
-        // keeps the file list version-ordered.
+        // the first `captured` entries are still the inputs and
+        // replacing them in place keeps the file list version-ordered.
         let (doomed, outcome) = {
             let mut map = self.stripe(id).series.write();
             let store = map.get_mut(&id).ok_or_else(|| self.not_found(id))?;
@@ -1247,7 +1208,7 @@ impl EngineInner {
             // Deletes issued during the merge postdate the capture
             // ceiling and live only in the input files' mods.
             let mut carried: Vec<ModEntry> = Vec::new();
-            for res in store.files.get(run.clone()).unwrap_or(&[]) {
+            for res in store.files.iter().take(captured) {
                 for e in res.mods.entries() {
                     if e.version > capture_ceiling
                         && !carried.iter().any(|d| d.version == e.version)
@@ -1256,8 +1217,8 @@ impl EngineInner {
                     }
                 }
             }
-            let tail = store.files.split_off(run.end);
-            let removed = store.files.split_off(run.start);
+            let tail = store.files.split_off(captured);
+            let removed = std::mem::take(&mut store.files);
             if let Some(mut res) = sealed {
                 for e in carried {
                     let overlaps = res
@@ -1363,6 +1324,11 @@ impl EngineInner {
     /// Scheduler poll interval.
     pub(crate) fn compaction_interval_ms(&self) -> u64 {
         self.config.compaction_interval_ms
+    }
+
+    /// Sealed-file count at which the scheduler compacts a series.
+    pub(crate) fn compaction_threshold(&self) -> usize {
+        self.config.compaction_threshold
     }
 }
 
@@ -1536,20 +1502,6 @@ impl TsKv {
     /// [`compact`](TsKv::compact) keyed by an interned id.
     pub fn compact_by_id(&self, id: SeriesId) -> Result<CompactionReport> {
         self.inner.compact(id)
-    }
-
-    /// Compact one series according to the configured
-    /// [`CompactionPolicy`]: the policy picks the contiguous run of
-    /// sealed files to merge — or declines, yielding an empty report.
-    /// Same phased execution and page-aware rewrite avoidance as
-    /// [`compact`]. This is what the background scheduler runs on
-    /// every candidate.
-    ///
-    /// [`CompactionPolicy`]: crate::compaction::policy::CompactionPolicy
-    /// [`compact`]: TsKv::compact
-    pub fn compact_policy(&self, name: &str) -> Result<CompactionReport> {
-        let id = self.inner.resolve(name)?;
-        self.inner.compact_policy(id)
     }
 
     /// Subscribe to change notifications: every write, delete, and
@@ -2316,7 +2268,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         // The file-count poll can observe the spliced list before the
-        // scheduler thread returns from compact_policy and bumps its
+        // scheduler thread returns from compact_run and bumps its
         // counters — wait for those too.
         loop {
             let io = kv.io().snapshot();
@@ -2333,6 +2285,60 @@ mod tests {
         assert_eq!(merged.len(), 8 * 40);
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
+    }
+
+    #[test]
+    fn scheduler_entry_declines_below_threshold_manual_compact_does_not() -> TestResult {
+        let dir = std::env::temp_dir().join(format!("tskv-minfiles-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let kv = TsKv::open(
+            &dir,
+            EngineConfig {
+                points_per_chunk: 50,
+                memtable_threshold: 1_000,
+                compaction_threshold: 3,
+                ..Default::default()
+            },
+        )?;
+        for round in 0..2i64 {
+            let pts: Vec<Point> = (0..40)
+                .map(|t| Point::new(round * 40 + t, round as f64))
+                .collect();
+            kv.insert_batch("s", &pts)?;
+            kv.flush("s")?;
+        }
+        let id = kv.series_id("s").ok_or("s not registered")?;
+        // What a scheduler tick that lost a race to a manual compact
+        // sees: fewer files than the threshold, so nothing to do.
+        let declined = kv.inner.compact_run(id, kv.inner.compaction_threshold())?;
+        assert_eq!(declined, CompactionReport::empty());
+        assert_eq!(kv.sealed_file_count("s")?, 2);
+        assert_eq!(kv.io().snapshot().compaction_bytes_read, 0);
+        // The manual entry point merges at any file count.
+        let report = kv.compact("s")?;
+        assert_eq!(report.files_removed, 2);
+        assert_eq!(kv.sealed_file_count("s")?, 1);
+        assert!(kv.io().snapshot().compaction_bytes_read > 0);
+        std::fs::remove_dir_all(&dir).ok();
+        Ok(())
+    }
+
+    #[test]
+    fn open_with_invalid_config_creates_nothing() {
+        let dir = std::env::temp_dir().join(format!("tskv-badconfig-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let err = TsKv::open(
+            &dir,
+            EngineConfig {
+                read_threads: 0,
+                ..Default::default()
+            },
+        );
+        assert!(
+            matches!(err, Err(TsKvError::InvalidConfig { .. })),
+            "{err:?}"
+        );
+        assert!(!dir.exists(), "a refused open must not create the store");
     }
 
     #[test]

@@ -32,11 +32,10 @@
 //! `compaction_strategy = NO_COMPACTION`), so the default on-disk state
 //! is the raw append history — the hardest case for a merge-based
 //! reader and the case M4-LSM is designed for. Beyond the paper, the
-//! [`compaction`] module provides page-aware, policy-driven compaction
-//! (clean pages copied byte-for-byte without decode, merge candidates
-//! picked by a pluggable [`CompactionPolicy`]), run manually via
-//! `compact`/`compact_policy` or by the background [`scheduler`] when
-//! `compaction_auto` is set.
+//! [`compaction`] module provides page-aware compaction (a series'
+//! sealed files merged into one, clean pages copied byte-for-byte
+//! without decode), run manually via `compact` or by the background
+//! [`scheduler`] when `compaction_auto` is set.
 //!
 //! ## Quick example
 //!
@@ -84,7 +83,7 @@ pub use batch::WriteBatch;
 pub use cache::{CacheKey, DecodedChunkCache};
 pub use catalog::SeriesId;
 pub use chunk::ChunkHandle;
-pub use compaction::{CompactionPolicy, CompactionPolicyKind, CompactionReport, FileView};
+pub use compaction::CompactionReport;
 pub use config::FsyncPolicy;
 pub use engine::TsKv;
 pub use error::TsKvError;

@@ -11,12 +11,12 @@
 //!    read lock is held only for the map walk, never across I/O (xtask
 //!    lint L2 pins this phasing).
 //! 2. **Compact (no locks held here)** — run the engine's phased
-//!    *policy-driven* compaction for each candidate: the configured
-//!    [`crate::compaction::policy`] picks the contiguous file run to
-//!    merge (or declines). The compaction itself re-takes the shard
-//!    lock only for its short capture/install phases; the merge and
-//!    file writes run unlocked, so ingest and queries proceed
-//!    concurrently.
+//!    compaction for each candidate: every sealed file of the series
+//!    is merged into one, unless the count fell back under the
+//!    threshold since the scan (the capture phase re-checks it). The
+//!    compaction itself re-takes the shard lock only for its short
+//!    capture/install phases; the merge and file writes run unlocked,
+//!    so ingest and queries proceed concurrently.
 //! 3. **Sleep** — park for `compaction_interval_ms` (interruptibly, so
 //!    drop/shutdown never waits out the interval).
 //!
@@ -80,6 +80,7 @@ impl Drop for CompactionScheduler {
 /// The scheduler loop: scan → compact each candidate → park.
 fn run_loop(inner: &EngineInner, stop: &AtomicBool) {
     let interval = Duration::from_millis(inner.compaction_interval_ms());
+    let threshold = inner.compaction_threshold();
     while !stop.load(Ordering::Relaxed) {
         // Phase 1: candidates are collected under short per-shard read
         // guards inside the engine; no guard survives the call. The
@@ -92,7 +93,7 @@ fn run_loop(inner: &EngineInner, stop: &AtomicBool) {
                 return;
             }
             inner.io().record_compaction_scheduled();
-            match inner.compact_policy(id) {
+            match inner.compact_run(id, threshold) {
                 Ok(report) if report.files_removed > 0 => {
                     inner.io().record_compaction_completed();
                 }

@@ -66,6 +66,9 @@
 //! coverage arithmetic never depends on what has physically reached
 //! the file yet.
 
+// Untrusted bytes: an out-of-range access is a typed error, not a panic.
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};

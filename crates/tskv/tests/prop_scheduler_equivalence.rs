@@ -3,7 +3,7 @@
 //! compactions are driven by the background scheduler answers every
 //! read identically to (a) the naive in-memory model and (b) a twin
 //! store running the same script with *manual* `kv.compact` calls —
-//! scheduling is pure mechanism, never policy over query results.
+//! scheduling is pure mechanism and never shows through query results.
 
 // Tests assert by panicking; the workspace panic-freedom deny-set
 // (root Cargo.toml) is aimed at library code.
@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use tsfile::types::Point;
 use tskv::config::EngineConfig;
 use tskv::readers::MergeReader;
-use tskv::{CompactionPolicyKind, TsKv};
+use tskv::TsKv;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -47,18 +47,6 @@ fn merged(kv: &TsKv) -> Vec<Point> {
     MergeReader::new(&snap).collect_merged().unwrap()
 }
 
-/// The scheduler consults the configured policy, so the property runs
-/// under every selection policy — the merge run a policy elects (or
-/// declines) must never show through query results.
-fn policy_strategy() -> impl Strategy<Value = CompactionPolicyKind> {
-    prop_oneof![
-        Just(CompactionPolicyKind::Full),
-        Just(CompactionPolicyKind::SizeTiered),
-        Just(CompactionPolicyKind::Leveled),
-        Just(CompactionPolicyKind::Overlap),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -66,7 +54,6 @@ proptest! {
     fn background_compaction_never_changes_query_results(
         ops in prop::collection::vec(op_strategy(), 1..25),
         chunk_size in 1usize..16,
-        policy in policy_strategy(),
         clean_copy in any::<bool>(),
     ) {
         let stamp = std::time::SystemTime::now()
@@ -97,7 +84,6 @@ proptest! {
                 compaction_auto: true,
                 compaction_threshold: 2,
                 compaction_interval_ms: 1,
-                compaction_policy: policy,
                 compaction_clean_page_copy: clean_copy,
                 ..base.clone()
             },

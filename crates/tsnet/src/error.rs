@@ -1,7 +1,7 @@
 //! Typed errors for the network layer.
 //!
-//! Decoding raw network bytes mirrors the L1/L3 discipline of the
-//! storage crates: every malformed input maps to a [`NetError`]
+//! Decoding raw network bytes mirrors the no-panic, fallible-decode
+//! discipline of the storage crates: every malformed input maps to a [`NetError`]
 //! variant, never a panic. Server-side failures travel back to the
 //! client as a typed error-code response ([`ErrorCode`]) and surface
 //! there as [`NetError::Busy`], [`NetError::Timeout`] or

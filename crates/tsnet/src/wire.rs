@@ -24,10 +24,14 @@
 //! request and its response on a subscribed connection.
 //!
 //! This module interprets **untrusted network bytes** and therefore
-//! follows the same discipline as the tsfile byte parsers (xtask L1/L3):
+//! follows the same discipline as the tsfile byte parsers (the clippy
+//! panic deny-set and indexing ban, xtask L3):
 //! no panics, no indexing — every structural problem decodes to a
 //! typed [`NetError`], and a corrupted payload is caught by the
 //! checksum before any of it is interpreted.
+
+// Untrusted bytes: an out-of-range access is a typed error, not a panic.
+#![deny(clippy::indexing_slicing)]
 
 use std::io::{Read, Write};
 

@@ -186,10 +186,10 @@ mod tests {
     const GOOD: &str = r#"
 # comment
 [[allow]]
-rule = "L4"
-path = "crates/tsfile/src/cast.rs"
-message = "`as u64` in a codec layer; use the audited helpers in tsfile::cast (checked, wrapping, or bit-exact by name)"
-justification = "cast.rs IS the audited helper module the rule points at"
+rule = "L3"
+path = "crates/tsfile/src/page.rs"
+message = "pub fn `decode_page` returns `Vec<Point>`; decode/read entry points must return Result or Option"
+justification = "an example entry: the parser only needs it well-formed"
 "#;
 
     fn violation(rule: Rule, path: &str, message: &str) -> Violation {
@@ -208,17 +208,17 @@ justification = "cast.rs IS the audited helper module the rule points at"
         assert!(problems.is_empty(), "{problems:?}");
         assert_eq!(entries.len(), 1);
         let v = violation(
-            Rule::L4,
-            "crates/tsfile/src/cast.rs",
-            "`as u64` in a codec layer; use the audited helpers in tsfile::cast \
-             (checked, wrapping, or bit-exact by name)",
+            Rule::L3,
+            "crates/tsfile/src/page.rs",
+            "pub fn `decode_page` returns `Vec<Point>`; decode/read entry points must \
+             return Result or Option",
         );
         assert!(entries[0].matches(&v));
         // Different message on the same file does NOT match.
         let other = violation(
-            Rule::L4,
-            "crates/tsfile/src/cast.rs",
-            "`as i64` in a codec layer",
+            Rule::L3,
+            "crates/tsfile/src/page.rs",
+            "pub fn `read_page` returns `Vec<Point>`",
         );
         assert!(!entries[0].matches(&other));
     }
@@ -243,7 +243,7 @@ justification = "cast.rs IS the audited helper module the rule points at"
 
     #[test]
     fn legacy_contains_key_is_a_problem() {
-        let src = "[[allow]]\nrule = \"L1\"\npath = \"x.rs\"\ncontains = \"y\"\n\
+        let src = "[[allow]]\nrule = \"L2\"\npath = \"x.rs\"\ncontains = \"y\"\n\
                    justification = \"a justification that is long enough to pass\"\n";
         let (entries, problems) = parse("allow.toml", src);
         assert!(entries.is_empty(), "{entries:?}");
@@ -261,7 +261,7 @@ justification = "cast.rs IS the audited helper module the rule points at"
 
     #[test]
     fn missing_justification_is_a_problem() {
-        let src = "[[allow]]\nrule = \"L1\"\npath = \"x.rs\"\nmessage = \"y\"\n";
+        let src = "[[allow]]\nrule = \"L2\"\npath = \"x.rs\"\nmessage = \"y\"\n";
         let (entries, problems) = parse("allow.toml", src);
         assert!(entries.is_empty());
         assert_eq!(problems.len(), 1);
@@ -271,7 +271,7 @@ justification = "cast.rs IS the audited helper module the rule points at"
     #[test]
     fn short_justification_rejected() {
         let src =
-            "[[allow]]\nrule = \"L1\"\npath = \"x.rs\"\nmessage = \"y\"\njustification = \"ok\"\n";
+            "[[allow]]\nrule = \"L2\"\npath = \"x.rs\"\nmessage = \"y\"\njustification = \"ok\"\n";
         let (_, problems) = parse("allow.toml", src);
         assert!(problems.iter().any(|p| p.message.contains("too short")));
     }
@@ -281,7 +281,7 @@ justification = "cast.rs IS the audited helper module the rule points at"
         let mut src = String::new();
         for i in 0..MAX_ENTRIES {
             src.push_str(&format!(
-                "[[allow]]\nrule = \"L1\"\npath = \"f{i}.rs\"\nmessage = \"z\"\n\
+                "[[allow]]\nrule = \"L2\"\npath = \"f{i}.rs\"\nmessage = \"z\"\n\
                  justification = \"a justification that is long enough to pass\"\n"
             ));
         }

@@ -23,9 +23,8 @@
 //! (helper-returned guards), and local aliases of either. I/O *sinks*
 //! are the L2 callee list plus any workspace function whose summary
 //! reaches I/O transitively. Local function aliases (`let f =
-//! File::open; f(p)`) resolve through the binding to both sink and
-//! panic facts — the escape hatches DESIGN.md §6 documented for the
-//! lexical engine.
+//! File::open; f(p)`) resolve through the binding to the sink facts —
+//! the escape hatch DESIGN.md §6 documented for the lexical engine.
 //!
 //! Known over/under-approximations, by choice: a guard returned from a
 //! branch of an `if`/`match` that is not the first guard-yielding
@@ -34,14 +33,11 @@
 
 use crate::ast::{Block, Expr, FnItem, Stmt};
 use crate::callgraph::is_spawn_call;
-use crate::report::Rule;
 use crate::summaries::{Summaries, ACQUIRE_METHODS, IO_DECODE_CALLEES};
 
-/// One event from the dataflow pass (L2 guard-across-I/O, or L1
-/// panic-through-alias).
+/// One guard-across-I/O event from the dataflow pass.
 #[derive(Debug)]
 pub struct Finding {
-    pub rule: Rule,
     pub line: u32,
     pub message: String,
 }
@@ -71,8 +67,6 @@ struct Scope {
 struct Flow<'a, 'b> {
     sums: &'a Summaries<'a>,
     sink: &'b mut dyn FnMut(Finding),
-    /// Emit L2 findings (L1 alias findings are always emitted).
-    check_l2: bool,
     guards: Vec<GuardInfo>,
     alive: Vec<bool>,
     scopes: Vec<Scope>,
@@ -82,12 +76,11 @@ struct Flow<'a, 'b> {
 }
 
 /// Run the guard dataflow over one function body.
-pub fn analyze_fn(f: &FnItem, sums: &Summaries, check_l2: bool, sink: &mut dyn FnMut(Finding)) {
+pub fn analyze_fn(f: &FnItem, sums: &Summaries, sink: &mut dyn FnMut(Finding)) {
     let Some(body) = &f.body else { return };
     let mut flow = Flow {
         sums,
         sink,
-        check_l2,
         guards: Vec::new(),
         alive: Vec::new(),
         scopes: Vec::new(),
@@ -244,9 +237,6 @@ impl Flow<'_, '_> {
     // -------------------------------------------------------- reporting
 
     fn report_io(&mut self, display: &str, reason: &str, line: u32, alias: Option<&str>) {
-        if !self.check_l2 {
-            return;
-        }
         let key = (line, display.to_string());
         if self.reported.contains(&key) {
             return;
@@ -266,7 +256,6 @@ impl Flow<'_, '_> {
         };
         for (guard_name, guard_line) in live {
             (self.sink)(Finding {
-                rule: Rule::L2,
                 line,
                 message: format!(
                     "`{display}`{alias_note} (file I/O / chunk decode{why}) reached while a \
@@ -274,17 +263,6 @@ impl Flow<'_, '_> {
                 ),
             });
         }
-    }
-
-    fn report_alias_panic(&mut self, alias: &str, target: &str, line: u32) {
-        (self.sink)(Finding {
-            rule: Rule::L1,
-            line,
-            message: format!(
-                "`{alias}` aliases `{target}`, which may panic — the call on this line is a \
-                 panic path in non-test code; propagate a typed error instead"
-            ),
-        });
     }
 
     /// Does a call to `name` count as an I/O sink? Returns the reason.
@@ -397,7 +375,7 @@ impl Flow<'_, '_> {
             Stmt::Item(item) => {
                 // A nested fn is its own context.
                 if let crate::ast::Item::Fn(f) = item {
-                    analyze_fn(f, self.sums, self.check_l2, self.sink);
+                    analyze_fn(f, self.sums, self.sink);
                 }
             }
         }
@@ -715,11 +693,6 @@ impl Flow<'_, '_> {
             if let Some(Value::FnAlias(target)) = self.lookup(last) {
                 let display = target.join("::");
                 let target_last = target.last().cloned().unwrap_or_default();
-                if matches!(target_last.as_str(), "unwrap" | "expect")
-                    || self.sums.may_panic(&target_last)
-                {
-                    self.report_alias_panic(last, &display, line);
-                }
                 if let Some(reason) = target
                     .iter()
                     .find(|s| IO_DECODE_CALLEES.contains(&s.as_str()))
@@ -761,7 +734,6 @@ impl Flow<'_, '_> {
         let mut inner = Flow {
             sums: self.sums,
             sink: self.sink,
-            check_l2: self.check_l2,
             guards: Vec::new(),
             alive: Vec::new(),
             scopes: Vec::new(),
@@ -785,7 +757,7 @@ mod tests {
     use crate::ast::parse_file;
     use crate::callgraph;
 
-    fn findings(src: &str) -> Vec<Finding> {
+    fn l2(src: &str) -> Vec<Finding> {
         let files = vec![("t.rs".to_string(), parse_file(src).unwrap())];
         let graph = callgraph::build(&files);
         let sums = Summaries::compute(graph);
@@ -793,16 +765,9 @@ mod tests {
         let mut fns = Vec::new();
         crate::ast::collect_fns(&files[0].1.items, &mut fns);
         for (_, f) in fns {
-            analyze_fn(f, &sums, true, &mut |fd| out.push(fd));
+            analyze_fn(f, &sums, &mut |fd| out.push(fd));
         }
         out
-    }
-
-    fn l2(src: &str) -> Vec<Finding> {
-        findings(src)
-            .into_iter()
-            .filter(|f| f.rule == Rule::L2)
-            .collect()
     }
 
     #[test]
@@ -880,18 +845,13 @@ mod tests {
     }
 
     #[test]
-    fn alias_io_and_alias_panic() {
-        let v = findings("fn f(&self) { let f = File::open; let g = self.m.read(); f(p); }");
+    fn io_through_local_alias_fires() {
+        let v = l2("fn f(&self) { let f = File::open; let g = self.m.read(); f(p); }");
         assert!(
-            v.iter()
-                .any(|f| f.rule == Rule::L2 && f.message.contains("File::open")),
+            v.iter().any(|f| f.message.contains("File::open")),
             "{:?}",
             v.iter().map(|f| &f.message).collect::<Vec<_>>()
         );
-        let v = findings("fn f(o: Option<u8>) { let f = Option::unwrap; f(o); }");
-        assert!(v
-            .iter()
-            .any(|f| f.rule == Rule::L1 && f.message.contains("unwrap")));
     }
 
     #[test]

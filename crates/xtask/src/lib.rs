@@ -1,12 +1,13 @@
 //! Repo-specific static analysis for the m4lsm workspace.
 //!
-//! Run as `cargo run -p xtask -- lint`. Five rule families (see
-//! DESIGN.md for full contracts):
+//! Run as `cargo run -p xtask -- lint`. Three rule families (see
+//! DESIGN.md for full contracts) — the ones no compiler lint can
+//! express. Panic-freedom, the indexing ban in byte-parsing modules and
+//! the codec cast audit are clippy's job (`[workspace.lints.clippy]`
+//! plus per-module `#![deny(clippy::indexing_slicing)]` /
+//! `#![deny(clippy::as_conversions)]`, whose presence
+//! `tests/clippy_scope.rs` pins):
 //!
-//! - **L1** panic-freedom in `tsfile`/`tskv`/`m4`/`tsnet` non-test
-//!   code — including panics reached through local fn aliases — plus
-//!   an indexing ban inside byte-parsing modules (including the
-//!   network wire decoder);
 //! - **L2** no lock/RefCell guard held across file I/O or chunk decode
 //!   in `tskv::engine`, `tskv::snapshot`, `m4::lsm::cache`, and the
 //!   `tsnet::server` connection pool — guards tracked through
@@ -14,9 +15,6 @@
 //!   propagated transitively through the workspace call graph;
 //! - **L3** public decode/read entry points in the storage crates
 //!   return `Result`/`Option`, judged after type-alias resolution;
-//! - **L4** no bare `as` numeric conversions in the codec layers
-//!   (`varint`, `bitio`, encodings) outside the audited `tsfile::cast`
-//!   module;
 //! - **L5** no blocking calls (file/socket I/O, unbounded waits) on
 //!   the `tsnet::server` accept/dispatch path.
 //!
@@ -54,13 +52,8 @@ pub const ALLOWLIST_FILE: &str = "xtask-lint-allowlist.toml";
 /// Per-file rule selection, derived from the path by [`rules_for`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FileRules {
-    /// L1 panic-site scan.
-    pub l1: bool,
-    /// L1 indexing scan (byte-parsing modules only).
-    pub l1_indexing: bool,
     pub l2: bool,
     pub l3: bool,
-    pub l4: bool,
     /// L5 accept/dispatch-path blocking-call ban.
     pub l5: bool,
 }
@@ -68,56 +61,19 @@ pub struct FileRules {
 impl FileRules {
     pub fn all() -> Self {
         FileRules {
-            l1: true,
-            l1_indexing: true,
             l2: true,
             l3: true,
-            l4: true,
             l5: true,
         }
     }
-
-    pub fn any(self) -> bool {
-        self.l1 || self.l1_indexing || self.l2 || self.l3 || self.l4 || self.l5
-    }
 }
 
-/// Crates whose `src/` trees get the L1 panic-freedom scan (and whose
-/// files feed the workspace call graph).
-const L1_CRATES: &[&str] = &[
+/// Crates whose `src/` trees feed the workspace call graph.
+const LINTED_CRATES: &[&str] = &[
     "crates/tsfile/src",
     "crates/tskv/src",
     "crates/m4/src",
     "crates/tsnet/src",
-];
-
-/// Byte-parsing modules: L1 additionally bans indexing/slicing here.
-/// Membership criterion: the file interprets *raw disk bytes* (or raw
-/// network bytes — the tsnet wire decoder).
-/// `index.rs` is deliberately absent — its decode path is already
-/// get()-based and the rest is in-memory model math over slices whose
-/// invariants are established at decode time.
-const UNTRUSTED_INPUT_FILES: &[&str] = &[
-    "crates/tsfile/src/reader.rs",
-    "crates/tsfile/src/page.rs",
-    "crates/tsfile/src/varint.rs",
-    "crates/tsfile/src/mods.rs",
-    "crates/tsfile/src/statistics.rs",
-    // bufpool hands out the buffers every raw disk/network byte lands
-    // in; a slip here corrupts what the parsers above read.
-    "crates/tsfile/src/bufpool.rs",
-    "crates/tsfile/src/encoding/bitio.rs",
-    "crates/tsfile/src/encoding/gorilla.rs",
-    "crates/tsfile/src/encoding/plain.rs",
-    "crates/tsfile/src/encoding/ts2diff.rs",
-    // The retained scalar oracles parse the same raw bytes the
-    // production kernels do.
-    "crates/tsfile/src/encoding/reference.rs",
-    // The catalog log and shared shard WAL are replayed from raw disk
-    // bytes on every open, including torn tails after a crash.
-    "crates/tskv/src/catalog.rs",
-    "crates/tskv/src/shard_wal.rs",
-    "crates/tsnet/src/wire.rs",
 ];
 
 /// Files subject to the L2 lock-discipline scan.
@@ -154,20 +110,7 @@ const L3_FILES: &[&str] = &[
     "crates/tskv/src/snapshot.rs",
     "crates/tskv/src/compaction/plan.rs",
     "crates/tskv/src/compaction/execute.rs",
-    "crates/tskv/src/compaction/policy.rs",
     "crates/tsnet/src/wire.rs",
-];
-
-/// Codec layers under the L4 cast audit. `cast.rs` is the audited
-/// escape hatch and appears in the allowlist, not here.
-const L4_FILES: &[&str] = &[
-    "crates/tsfile/src/varint.rs",
-    "crates/tsfile/src/cast.rs",
-    "crates/tsfile/src/encoding/bitio.rs",
-    "crates/tsfile/src/encoding/gorilla.rs",
-    "crates/tsfile/src/encoding/plain.rs",
-    "crates/tsfile/src/encoding/ts2diff.rs",
-    "crates/tsfile/src/encoding/reference.rs",
 ];
 
 /// Files containing the accept/dispatch path — and the subscription
@@ -178,11 +121,8 @@ const L5_FILES: &[&str] = &["crates/tsnet/src/server.rs", "crates/tsnet/src/sub.
 pub fn rules_for(rel_path: &str) -> FileRules {
     let in_any = |set: &[&str]| set.contains(&rel_path);
     FileRules {
-        l1: L1_CRATES.iter().any(|root| rel_path.starts_with(root)) && rel_path.ends_with(".rs"),
-        l1_indexing: in_any(UNTRUSTED_INPUT_FILES),
         l2: in_any(L2_FILES),
         l3: in_any(L3_FILES),
-        l4: in_any(L4_FILES),
         l5: in_any(L5_FILES),
     }
 }
@@ -244,21 +184,11 @@ fn lint_parsed_file(
             excerpt: excerpt_of(src, line),
         });
     };
-    if rules.l1 {
-        rules::l1::check(file, rules.l1_indexing, &mut |line, msg| {
-            push(Rule::L1, line, msg)
-        });
-    }
-    if rules.l1 || rules.l2 {
-        // The dataflow pass carries both L2 guard findings and L1
-        // alias-panic findings; each is gated by its own flag.
-        rules::l2::check(file, sums, rules.l2, rules.l1, &mut push);
+    if rules.l2 {
+        rules::l2::check(file, sums, &mut |line, msg| push(Rule::L2, line, msg));
     }
     if rules.l3 {
         rules::l3::check(file, aliases, &mut |line, msg| push(Rule::L3, line, msg));
-    }
-    if rules.l4 {
-        rules::l4::check(file, &mut |line, msg| push(Rule::L4, line, msg));
     }
     if rules.l5 {
         rules::l5::check(file, sums, &mut |line, msg| push(Rule::L5, line, msg));
@@ -266,11 +196,11 @@ fn lint_parsed_file(
 }
 
 /// The finding for a file the tolerant parser rejected (delimiter
-/// imbalance: macro soup, a mid-edit file). Filed under L1 because that
-/// is the rule every linted file is subject to.
+/// imbalance: macro soup, a mid-edit file). Filed under L2 because
+/// every linted file feeds the call graph L2's I/O facts come from.
 fn unparseable(path: &str, parse_error: &str) -> Violation {
     Violation {
-        rule: Rule::L1,
+        rule: Rule::L2,
         path: path.to_string(),
         line: 0,
         message: format!("file cannot be parsed, so no rule can be checked ({parse_error})"),
@@ -284,7 +214,7 @@ pub fn run_lint_report(root: &Path) -> Result<LintReport, String> {
     let mut raw: Vec<Violation> = Vec::new();
 
     let mut files: Vec<PathBuf> = Vec::new();
-    for crate_src in L1_CRATES {
+    for crate_src in LINTED_CRATES {
         walk_rs_files(&root.join(crate_src), &mut files);
     }
 
@@ -297,10 +227,6 @@ pub fn run_lint_report(root: &Path) -> Result<LintReport, String> {
             .map_err(|_| format!("{} escapes workspace root", file.display()))?
             .to_string_lossy()
             .replace('\\', "/");
-        let rules = rules_for(&rel);
-        if !rules.any() {
-            continue;
-        }
         let src =
             std::fs::read_to_string(file).map_err(|e| format!("read {}: {e}", file.display()))?;
         match ast::parse_file(&src) {
@@ -413,43 +339,33 @@ mod tests {
     #[test]
     fn rules_for_maps_paths() {
         let r = rules_for("crates/tsfile/src/encoding/bitio.rs");
-        assert!(r.l1 && r.l1_indexing && !r.l2 && r.l3 && r.l4);
-        let r = rules_for("crates/tsfile/src/page.rs");
-        assert!(r.l1 && r.l1_indexing && !r.l2 && r.l3 && !r.l4);
+        assert!(!r.l2 && r.l3 && !r.l5);
         let r = rules_for("crates/tskv/src/engine.rs");
-        assert!(r.l1 && !r.l1_indexing && r.l2 && !r.l3 && !r.l4);
+        assert!(r.l2 && !r.l3 && !r.l5);
         let r = rules_for("crates/tskv/src/scheduler.rs");
-        assert!(r.l1 && !r.l1_indexing && r.l2 && !r.l3 && !r.l4);
+        assert!(r.l2 && !r.l3);
         let r = rules_for("crates/tskv/src/catalog.rs");
-        assert!(r.l1 && r.l1_indexing && !r.l2 && !r.l4);
-        let r = rules_for("crates/tskv/src/shard_wal.rs");
-        assert!(r.l1 && r.l1_indexing && !r.l2 && !r.l4);
+        assert!(!r.l2 && !r.l3);
         let r = rules_for("crates/m4/src/lsm/cache.rs");
-        assert!(r.l1 && r.l2);
+        assert!(r.l2);
         let r = rules_for("crates/tskv/src/cache.rs");
-        assert!(r.l1 && r.l2 && !r.l3);
+        assert!(r.l2 && !r.l3);
         let r = rules_for("crates/m4/src/pool.rs");
-        assert!(r.l1 && r.l2 && !r.l3);
-        let r = rules_for("crates/tsfile/src/bufpool.rs");
-        assert!(r.l1 && r.l1_indexing && !r.l2 && !r.l3 && !r.l4);
-        let r = rules_for("crates/tsfile/src/encoding/reference.rs");
-        assert!(r.l1 && r.l1_indexing && !r.l2 && r.l3 && r.l4);
+        assert!(r.l2 && !r.l3);
         let r = rules_for("crates/tsnet/src/wire.rs");
-        assert!(r.l1 && r.l1_indexing && !r.l2 && r.l3 && !r.l4 && !r.l5);
+        assert!(!r.l2 && r.l3 && !r.l5);
         let r = rules_for("crates/tsnet/src/server.rs");
-        assert!(r.l1 && !r.l1_indexing && r.l2 && !r.l3 && !r.l4 && r.l5);
+        assert!(r.l2 && !r.l3 && r.l5);
         let r = rules_for("crates/tsnet/src/client.rs");
-        assert!(r.l1 && r.l2 && !r.l3 && !r.l5);
+        assert!(r.l2 && !r.l3 && !r.l5);
         let r = rules_for("crates/tskv/src/compaction/plan.rs");
-        assert!(r.l1 && !r.l1_indexing && !r.l2 && r.l3 && !r.l4);
+        assert!(!r.l2 && r.l3);
         let r = rules_for("crates/tskv/src/compaction/execute.rs");
-        assert!(r.l1 && !r.l1_indexing && r.l2 && r.l3 && !r.l4);
-        let r = rules_for("crates/tskv/src/compaction/policy.rs");
-        assert!(r.l1 && !r.l1_indexing && !r.l2 && r.l3 && !r.l4);
+        assert!(r.l2 && r.l3);
         let r = rules_for("crates/tskv/src/compaction/mod.rs");
-        assert!(r.l1 && !r.l2 && !r.l3);
+        assert!(!r.l2 && !r.l3);
         let r = rules_for("crates/workload/src/lib.rs");
-        assert!(!r.any());
+        assert!(!r.l2 && !r.l3 && !r.l5);
     }
 
     #[test]
@@ -461,9 +377,9 @@ mod tests {
 
     #[test]
     fn single_source_runs_all_engines() {
-        let v = lint_source_all("t.rs", "fn f() { x.unwrap(); }");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::L1);
+        let v = lint_source_all("t.rs", "pub fn decode_x(b: &[u8]) -> u8 { 0 }");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, Rule::L3);
         // Unbalanced source is itself the finding.
         let v = lint_source_all("t.rs", "fn f() { x.unwrap(); ");
         assert_eq!(v.len(), 1, "{v:?}");

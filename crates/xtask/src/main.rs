@@ -96,8 +96,8 @@ fn run(
     }
     if report.clean() {
         println!(
-            "xtask lint: clean (L1 panic-freedom, L2 lock discipline, L3 fallible decode API, \
-             L4 cast audit, L5 accept-path blocking ban; {} file(s))",
+            "xtask lint: clean (L2 lock discipline, L3 fallible decode API, \
+             L5 accept-path blocking ban; {} file(s))",
             report.files_analyzed
         );
         ExitCode::SUCCESS

@@ -10,10 +10,6 @@
 /// Which rule fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// Panic-freedom: no unwrap/expect/panic-family macros, no
-    /// indexing in byte-parsing modules, and no panicking std function
-    /// reached through a local alias or UFCS path.
-    L1,
     /// Lock discipline: no lock/RefCell guard (however obtained —
     /// helper-returned, field-stored, rebound) held across file I/O or
     /// chunk decode.
@@ -21,8 +17,6 @@ pub enum Rule {
     /// Fallibility: public read/decode entry points return
     /// `Result`/`Option`, resolved through type aliases.
     L3,
-    /// Cast audit: no bare `as` numeric conversions in codec layers.
-    L4,
     /// Blocking-call ban: designated server-loop functions must not
     /// reach blocking I/O or unbounded waits outside worker contexts.
     L5,
@@ -33,10 +27,8 @@ pub enum Rule {
 impl Rule {
     pub fn code(self) -> &'static str {
         match self {
-            Rule::L1 => "L1",
             Rule::L2 => "L2",
             Rule::L3 => "L3",
-            Rule::L4 => "L4",
             Rule::L5 => "L5",
             Rule::Allowlist => "ALLOWLIST",
         }
@@ -44,10 +36,8 @@ impl Rule {
 
     pub fn from_code(code: &str) -> Option<Rule> {
         Some(match code {
-            "L1" => Rule::L1,
             "L2" => Rule::L2,
             "L3" => Rule::L3,
-            "L4" => Rule::L4,
             "L5" => Rule::L5,
             "ALLOWLIST" => Rule::Allowlist,
             _ => return None,
@@ -255,7 +245,7 @@ mod tests {
         );
         assert_eq!(a.fingerprint(), b.fingerprint());
         let c = v(
-            Rule::L1,
+            Rule::L3,
             "crates/tskv/src/engine.rs",
             41,
             "guard from line 41 held",
@@ -266,7 +256,7 @@ mod tests {
     #[test]
     fn json_report_escapes_and_counts() {
         let report = LintReport {
-            violations: vec![v(Rule::L1, "a \"b\".rs", 3, "msg\nline")],
+            violations: vec![v(Rule::L3, "a \"b\".rs", 3, "msg\nline")],
             files_analyzed: 7,
         };
         let json = render_json(&report);

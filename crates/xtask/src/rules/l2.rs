@@ -1,30 +1,17 @@
 //! L2 — lock discipline: no lock/RefCell guard held across file I/O
 //! or chunk decode. The heavy lifting is `crate::dataflow` (guard
 //! tracking with real lifetimes) over `crate::summaries` (transitive
-//! I/O facts); this module runs that pass per function and splits the
-//! findings into L2 events and L1 alias-panic events.
+//! I/O facts); this module runs that pass per function.
 
 use crate::ast::FileAst;
-use crate::report::Rule;
 use crate::summaries::Summaries;
 
-/// Run the dataflow over every function in `file`. `check_l2` gates
-/// guard-across-I/O findings, `check_l1_alias` gates alias-panic
-/// findings (each file enables the rules its path is scoped for).
-pub fn check(
-    file: &FileAst,
-    sums: &Summaries,
-    check_l2: bool,
-    check_l1_alias: bool,
-    push: &mut dyn FnMut(Rule, u32, String),
-) {
+/// Run the dataflow over every function in `file`.
+pub fn check(file: &FileAst, sums: &Summaries, push: super::Push) {
     let mut fns = Vec::new();
     crate::ast::collect_fns(&file.items, &mut fns);
     for (_, f) in fns {
-        crate::dataflow::analyze_fn(f, sums, check_l2, &mut |finding| match finding.rule {
-            Rule::L1 if !check_l1_alias => {}
-            rule => push(rule, finding.line, finding.message),
-        });
+        crate::dataflow::analyze_fn(f, sums, &mut |finding| push(finding.line, finding.message));
     }
 }
 
@@ -34,31 +21,16 @@ mod tests {
 
     use super::*;
 
-    fn run(src: &str) -> Vec<(Rule, String)> {
+    #[test]
+    fn runs_the_dataflow_over_every_fn() {
+        let src = "fn clean(&self) { File::open(p); } \
+                   fn f(&self) { let io = File::open; let g = self.m.read(); io(p); }";
         let files = vec![("t.rs".to_string(), crate::ast::parse_file(src).unwrap())];
         let graph = crate::callgraph::build(&files);
         let sums = Summaries::compute(graph);
         let mut out = Vec::new();
-        check(&files[0].1, &sums, true, true, &mut |r, _, m| {
-            out.push((r, m))
-        });
-        out
-    }
-
-    #[test]
-    fn splits_l2_and_l1_alias_findings() {
-        let v = run(
-            "fn f(&self) { let io = File::open; let g = self.m.read(); io(p); let u = Option::unwrap; u(x); }",
-        );
-        assert!(
-            v.iter()
-                .any(|(r, m)| *r == Rule::L2 && m.contains("File::open")),
-            "{v:?}"
-        );
-        assert!(
-            v.iter()
-                .any(|(r, m)| *r == Rule::L1 && m.contains("unwrap")),
-            "{v:?}"
-        );
+        check(&files[0].1, &sums, &mut |_, m| out.push(m));
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].contains("File::open"), "{out:?}");
     }
 }

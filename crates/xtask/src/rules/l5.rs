@@ -16,7 +16,7 @@
 //! unbounded waits (`join`/`recv`/`wait`). Allowed: `accept` itself,
 //! bounded sleeps, lock acquisition, atomics, and handing work to
 //! spawned threads (spawn-closure bodies run elsewhere and are exempt
-//! here — L1/L2 still see them).
+//! here — L2 still sees them).
 
 use crate::ast::{Block, Expr, FileAst, Stmt};
 use crate::callgraph::is_spawn_call;

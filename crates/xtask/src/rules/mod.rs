@@ -1,14 +1,12 @@
-//! The five rule families, implemented over the AST engine.
+//! The three rule families, implemented over the AST engine.
 //!
 //! Each `lN` module exposes a `check` that walks parsed syntax (plus,
 //! for L2/L5, the call-graph summaries) and pushes
 //! [`crate::report::Violation`]-shaped findings through a callback.
 //! Rule selection per file lives in `crate::rules_for`.
 
-pub mod l1;
 pub mod l2;
 pub mod l3;
-pub mod l4;
 pub mod l5;
 
 /// Shared push-callback shape: (line, message).

@@ -1,6 +1,6 @@
 //! Per-function summaries and their transitive propagation.
 //!
-//! Each workspace function gets four facts computed from its own body
+//! Each workspace function gets three facts computed from its own body
 //! (spawn-closure bodies excluded — they run on another thread):
 //!
 //! - **does_io** — reaches file I/O or chunk decode; propagates
@@ -9,7 +9,6 @@
 //!   the critical section that lock exists to serialize, see DESIGN).
 //! - **blocking** — reaches blocking I/O or an unbounded wait (frame
 //!   writes, `join`, `recv`, file syscalls); propagates unconditionally.
-//! - **may_panic** — contains a panic site; propagates.
 //! - **returns_guard** — returns a lock/RefCell guard, by return type
 //!   or by tail expression (`self.inner.lock()`); does not propagate.
 //!
@@ -55,10 +54,8 @@ pub const IO_DECODE_CALLEES: &[&str] = &[
     "read_exact_at",
     "run_indexed",
     "compact",
-    // Page-aware compaction: policy selection is pure metadata and may
-    // run under the shard lock, but the merge/copy execution below is
-    // file I/O and must stay in the unlocked phase.
-    "compact_policy",
+    // Page-aware compaction: the merge/copy execution below is file
+    // I/O and must stay in the unlocked phase.
     "merge_to_file",
     "read_page_window_raw",
     "read_pages_overlapping",
@@ -163,13 +160,10 @@ fn is_ambient(name: &str) -> bool {
     AMBIENT_METHODS.contains(&name)
 }
 
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
 #[derive(Debug, Clone, Default)]
 pub struct FnFacts {
     pub does_io: bool,
     pub blocking: bool,
-    pub may_panic: bool,
     pub returns_guard: bool,
     /// Example callee chain for messages, e.g. `flush_series → flush`.
     pub io_via: Option<String>,
@@ -197,9 +191,9 @@ impl<'a> Summaries<'a> {
                         if callee == caller {
                             continue;
                         }
-                        let (c_io, c_block, c_panic) = {
+                        let (c_io, c_block) = {
                             let c = &facts[callee];
-                            (c.does_io, c.blocking, c.may_panic)
+                            (c.does_io, c.blocking)
                         };
                         let f = &mut facts[caller];
                         if c_io && !sanctioned && !f.does_io {
@@ -210,10 +204,6 @@ impl<'a> Summaries<'a> {
                         if c_block && !f.blocking {
                             f.blocking = true;
                             f.blocking_via = Some(name.clone());
-                            changed = true;
-                        }
-                        if c_panic && !f.may_panic {
-                            f.may_panic = true;
                             changed = true;
                         }
                     }
@@ -274,11 +264,6 @@ impl<'a> Summaries<'a> {
     /// Does some workspace function named `name` return a guard?
     pub fn returns_guard(&self, name: &str) -> bool {
         !is_ambient(name) && self.any_named(name, |f| f.returns_guard)
-    }
-
-    /// May some workspace function named `name` panic (transitively)?
-    pub fn may_panic(&self, name: &str) -> bool {
-        !is_ambient(name) && self.any_named(name, |f| f.may_panic)
     }
 }
 
@@ -375,10 +360,8 @@ fn scan_expr(e: &Expr, facts: &mut FnFacts) {
         Expr::MethodCall {
             recv, method, args, ..
         } => {
-            match method.as_str() {
-                "unwrap" | "expect" => facts.may_panic = true,
-                m if !(ACQUIRE_METHODS.contains(&m) && args.is_empty()) => note_call(m, facts),
-                _ => {}
+            if !(ACQUIRE_METHODS.contains(&method.as_str()) && args.is_empty()) {
+                note_call(method, facts);
             }
             scan_expr(recv, facts);
             for a in args {
@@ -409,10 +392,7 @@ fn scan_expr(e: &Expr, facts: &mut FnFacts) {
                 note_call(seg, facts);
             }
         }
-        Expr::Macro { name, args, .. } => {
-            if PANIC_MACROS.contains(&name.as_str()) {
-                facts.may_panic = true;
-            }
+        Expr::Macro { args, .. } => {
             for a in args {
                 scan_expr(a, facts);
             }
@@ -540,12 +520,5 @@ mod tests {
             summaries("fn bg() { std::thread::spawn(move || { File::create(p).unwrap(); }); }");
         let f = fact(&names, &facts, "bg");
         assert!(!f.does_io, "{f:?}");
-        assert!(!f.may_panic, "{f:?}");
-    }
-
-    #[test]
-    fn panic_propagates_through_helpers() {
-        let (_f, names, facts) = summaries("fn boom() { panic!(\"x\"); }\nfn wraps() { boom(); }");
-        assert!(fact(&names, &facts, "wraps").may_panic);
     }
 }

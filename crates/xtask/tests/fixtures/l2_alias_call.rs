@@ -1,20 +1,12 @@
 //! Escape #3 (documented lexical blind spot, now closed): calls
-//! through a *local function alias*. `Option::unwrap` bound to a
-//! variable and `File::open` bound to a variable carry their panic /
-//! I/O behavior to every call through the alias, but no `.unwrap()`
-//! or `File::open(` token appears at the call site, so the lexical
+//! through a *local function alias*. `File::open` bound to a variable
+//! carries its I/O behavior to every call through the alias, but no
+//! `File::open(` token appears at the call site, so the lexical
 //! engine passed this file entirely. The AST dataflow tracks
 //! `FnAlias` values through `let` bindings.
 
 struct SegmentJournal {
     state: Mutex<Vec<u64>>,
-}
-
-/// VIOLATION (L1): the aliased `Option::unwrap` panics on `None`,
-/// reached via `take_or_die(counts)`.
-fn tally(counts: Option<u64>) -> u64 {
-    let take_or_die = Option::unwrap;
-    take_or_die(counts)
 }
 
 impl SegmentJournal {

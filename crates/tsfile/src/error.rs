@@ -28,6 +28,9 @@ pub enum TsFileError {
     UnsortedPoints { prev: i64, next: i64 },
     /// Operation attempted on a writer that was already finished.
     WriterFinished,
+    /// A series run was begun with an id not above the previous run's:
+    /// the run directory lists each series once, in ascending id.
+    SeriesOutOfOrder { prev: u32, next: u32 },
 }
 
 impl fmt::Display for TsFileError {
@@ -55,6 +58,10 @@ impl fmt::Display for TsFileError {
                 "chunk points must be strictly increasing in time: {next} after {prev}"
             ),
             TsFileError::WriterFinished => write!(f, "writer already finished"),
+            TsFileError::SeriesOutOfOrder { prev, next } => write!(
+                f,
+                "series runs must be written in ascending id: {next} after {prev}"
+            ),
         }
     }
 }

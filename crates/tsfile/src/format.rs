@@ -15,6 +15,10 @@
 //! │   per chunk: varint offset, varint byte_len,               │
 //! │              varint version, statistics, step-index flag,  │
 //! │              page-index flag (always 1) + PagedChunkInfo   │
+//! │   series-run directory:                                    │
+//! │     varint #runs                                           │
+//! │     per run: varint series id, varint #chunks,             │
+//! │              varint supersedes                             │
 //! │   u32 crc32 of footer body (LE)                            │
 //! │   u64 footer body length (LE)                              │
 //! │   magic (same as head)                                     │
@@ -27,6 +31,15 @@
 //! (data, then pages with per-page statistics,
 //! then a metadata index and tail magic) at the granularity the paper's
 //! operators need.
+//!
+//! A file holds the chunks of one *or many* series: the chunks of one
+//! series sit back to back (a [`SeriesRun`]) and the directory at the
+//! end of the footer says which run is whose, as IoTDB's chunk groups
+//! under one metadata index do. A single-series file is the one-run
+//! case of the same shape. Runs are listed in strictly ascending series
+//! id, in chunk order, and cover every chunk exactly once.
+
+use std::ops::Range;
 
 use crate::index::StepIndex;
 use crate::page::PagedChunkInfo;
@@ -141,10 +154,29 @@ impl ChunkMeta {
     }
 }
 
-/// The decoded footer of a TsFile: the chunk metadata index.
+/// One series' contiguous run of chunks inside a TsFile.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SeriesRun {
+    /// The series every chunk of the run belongs to.
+    pub series: u32,
+    /// The run replaces every chunk of this series, in a file written
+    /// before this one, whose version is at or below this. `0` for a
+    /// run that replaces nothing (a flush); a compaction output names
+    /// the highest version it merged, which is what lets a reader that
+    /// finds both generations on disk tell the live one from the stale.
+    pub supersedes: Version,
+    /// The run's chunks, as an index range into [`FileFooter::chunks`].
+    /// Empty only for a run that exists to supersede (every merged
+    /// point was deleted).
+    pub chunks: Range<usize>,
+}
+
+/// The decoded footer of a TsFile: the chunk metadata index and the
+/// series-run directory over it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FileFooter {
     pub chunks: Vec<ChunkMeta>,
+    pub runs: Vec<SeriesRun>,
 }
 
 impl FileFooter {
@@ -154,6 +186,12 @@ impl FileFooter {
         varint::write_u64(&mut out, self.chunks.len() as u64);
         for c in &self.chunks {
             c.encode(&mut out);
+        }
+        varint::write_u64(&mut out, self.runs.len() as u64);
+        for run in &self.runs {
+            varint::write_u64(&mut out, u64::from(run.series));
+            varint::write_u64(&mut out, run.chunks.len() as u64);
+            varint::write_u64(&mut out, run.supersedes.0);
         }
         out
     }
@@ -171,14 +209,55 @@ impl FileFooter {
         for _ in 0..n {
             chunks.push(ChunkMeta::decode(buf, &mut pos)?);
         }
+        let runs = decode_runs(buf, &mut pos, chunks.len())?;
         if pos != buf.len() {
             return Err(TsFileError::Corrupt(format!(
                 "footer has {} trailing bytes",
                 buf.len() - pos
             )));
         }
-        Ok(FileFooter { chunks })
+        Ok(FileFooter { chunks, runs })
     }
+}
+
+/// Parse the series-run directory: strictly ascending series ids, runs
+/// tiling `0..n_chunks` in order, no run that is both empty and
+/// supersedes nothing.
+fn decode_runs(buf: &[u8], pos: &mut usize, n_chunks: usize) -> Result<Vec<SeriesRun>> {
+    let corrupt = |msg: String| TsFileError::Corrupt(format!("series-run directory: {msg}"));
+    let n = varint::read_u64(buf, pos)?;
+    if n > (buf.len() as u64) {
+        return Err(corrupt(format!("claims {n} runs")));
+    }
+    let mut runs: Vec<SeriesRun> = Vec::with_capacity(n as usize);
+    let mut next_chunk = 0usize;
+    for _ in 0..n {
+        let series = u32::try_from(varint::read_u64(buf, pos)?)
+            .map_err(|_| corrupt("series id exceeds u32".into()))?;
+        let len = varint::read_u64(buf, pos)?;
+        let supersedes = Version(varint::read_u64(buf, pos)?);
+        if runs.last().is_some_and(|prev| prev.series >= series) {
+            return Err(corrupt(format!("series {series} out of order")));
+        }
+        let end = usize::try_from(len)
+            .ok()
+            .and_then(|len| next_chunk.checked_add(len))
+            .filter(|&end| end <= n_chunks)
+            .ok_or_else(|| corrupt(format!("run of series {series} passes the last chunk")))?;
+        if end == next_chunk && supersedes.0 == 0 {
+            return Err(corrupt(format!("run of series {series} is empty")));
+        }
+        runs.push(SeriesRun {
+            series,
+            supersedes,
+            chunks: next_chunk..end,
+        });
+        next_chunk = end;
+    }
+    if next_chunk != n_chunks {
+        return Err(corrupt(format!("covers {next_chunk} of {n_chunks} chunks")));
+    }
+    Ok(runs)
 }
 
 #[cfg(test)]
@@ -234,12 +313,50 @@ mod tests {
         Ok(())
     }
 
+    fn run(series: u32, supersedes: u64, chunks: Range<usize>) -> SeriesRun {
+        SeriesRun {
+            series,
+            supersedes: Version(supersedes),
+            chunks,
+        }
+    }
+
     #[test]
     fn footer_roundtrip() -> crate::Result<()> {
         let f = FileFooter {
             chunks: vec![meta(1, 0, 10)?, meta(2, 50, 70)?, meta(3, 100, 110)?],
+            runs: vec![run(4, 0, 0..2), run(9, 3, 2..3), run(12, 7, 3..3)],
         };
         assert_eq!(FileFooter::decode_body(&f.encode_body())?, f);
+        Ok(())
+    }
+
+    /// The directory must tile the chunk list with ascending series
+    /// ids; each way of not doing so is `Corrupt`, naming the directory.
+    #[test]
+    fn run_directory_that_does_not_tile_the_chunks_is_corrupt() -> crate::Result<()> {
+        let chunks = vec![meta(1, 0, 10)?, meta(2, 50, 70)?];
+        let bad: [(&str, Vec<SeriesRun>); 5] = [
+            ("no runs for two chunks", vec![]),
+            ("a chunk short", vec![run(1, 0, 0..1)]),
+            ("a chunk over", vec![run(1, 0, 0..2), run(2, 0, 2..3)]),
+            ("ids descending", vec![run(5, 0, 0..1), run(5, 0, 1..2)]),
+            (
+                "empty and superseding nothing",
+                vec![run(1, 0, 0..2), run(2, 0, 2..2)],
+            ),
+        ];
+        for (what, runs) in bad {
+            let f = FileFooter {
+                chunks: chunks.clone(),
+                runs,
+            };
+            let got = FileFooter::decode_body(&f.encode_body());
+            assert!(
+                matches!(&got, Err(TsFileError::Corrupt(msg)) if msg.contains("series-run directory")),
+                "{what}: {got:?}"
+            );
+        }
         Ok(())
     }
 
@@ -254,6 +371,7 @@ mod tests {
     fn footer_rejects_trailing_garbage() -> crate::Result<()> {
         let f = FileFooter {
             chunks: vec![meta(1, 0, 10)?],
+            runs: vec![run(0, 0, 0..1)],
         };
         let mut body = f.encode_body();
         body.push(0xAB);

@@ -69,7 +69,7 @@ pub mod varint;
 pub mod writer;
 
 pub use error::TsFileError;
-pub use format::{ChunkMeta, FileFooter};
+pub use format::{ChunkMeta, FileFooter, SeriesRun};
 pub use index::StepIndex;
 pub use mods::{ModEntry, ModsFile};
 pub use page::{PageMeta, PageStatistics, PagedChunkInfo};

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::bufpool;
 use crate::checksum::crc32;
-use crate::format::{ChunkMeta, FileFooter, MAGIC};
+use crate::format::{ChunkMeta, FileFooter, SeriesRun, MAGIC};
 use crate::page::{self, PageMeta};
 use crate::pread::PositionalFile;
 use crate::types::{Point, TimeRange};
@@ -115,6 +115,17 @@ impl TsFileReader {
     /// All chunk metadata in file order (ascending offset). No I/O.
     pub fn chunk_metas(&self) -> &[ChunkMeta] {
         &self.footer.chunks
+    }
+
+    /// The series-run directory: which chunks belong to which series,
+    /// in ascending series id (and chunk order). No I/O.
+    pub fn series_runs(&self) -> &[SeriesRun] {
+        &self.footer.runs
+    }
+
+    /// The chunk metadata of one run of [`series_runs`](Self::series_runs).
+    pub fn run_chunks(&self, run: &SeriesRun) -> &[ChunkMeta] {
+        self.footer.chunks.get(run.chunks.clone()).unwrap_or(&[])
     }
 
     /// Path this reader was opened from.

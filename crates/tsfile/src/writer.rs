@@ -6,7 +6,7 @@ use std::path::Path;
 
 use crate::checksum::crc32;
 use crate::encoding::EncodingKind;
-use crate::format::{ChunkMeta, FileFooter, MAGIC};
+use crate::format::{ChunkMeta, FileFooter, SeriesRun, MAGIC};
 use crate::index::StepIndex;
 use crate::page::{self, PageMeta, PageStatistics, PagedChunkInfo};
 use crate::statistics::ChunkStatistics;
@@ -29,6 +29,11 @@ pub struct RawPage<'a> {
 /// footer with a per-chunk page index. Columns are encoded with
 /// configurable codecs (defaults: TS_2DIFF timestamps + Gorilla values,
 /// IoTDB's defaults for DOUBLE series).
+///
+/// Chunks are grouped into series runs: call
+/// [`begin_series`](Self::begin_series) before the chunks of each
+/// series, in ascending series id. A writer that is never told a series
+/// produces the one-run file of series `0`.
 #[derive(Debug)]
 pub struct TsFileWriter {
     out: BufWriter<File>,
@@ -80,6 +85,44 @@ impl TsFileWriter {
     /// page index; `usize::MAX` degenerates to one page per chunk.
     pub fn set_page_points(&mut self, n: usize) {
         self.page_points = n.max(1);
+    }
+
+    /// Start the run of `series`: every chunk written until the next
+    /// call belongs to it. `supersedes` is the run's
+    /// [`SeriesRun::supersedes`] — `0` for freshly flushed points, the
+    /// highest merged version for a compaction output. Ids must ascend
+    /// from run to run.
+    pub fn begin_series(&mut self, series: u32, supersedes: u64) -> Result<()> {
+        if self.finished {
+            return Err(TsFileError::WriterFinished);
+        }
+        if let Some(prev) = self.footer.runs.last().filter(|r| r.series >= series) {
+            return Err(TsFileError::SeriesOutOfOrder {
+                prev: prev.series,
+                next: series,
+            });
+        }
+        let at = self.footer.chunks.len();
+        self.footer.runs.push(SeriesRun {
+            series,
+            supersedes: Version(supersedes),
+            chunks: at..at,
+        });
+        Ok(())
+    }
+
+    /// Record a written chunk in the footer, extending the open run.
+    fn push_chunk(&mut self, meta: &ChunkMeta) {
+        self.footer.chunks.push(meta.clone());
+        let end = self.footer.chunks.len();
+        match self.footer.runs.last_mut() {
+            Some(run) => run.chunks.end = end,
+            None => self.footer.runs.push(SeriesRun {
+                series: 0,
+                supersedes: Version(0),
+                chunks: 0..end,
+            }),
+        }
     }
 
     /// Encode and append one chunk of time-sorted points with version
@@ -149,7 +192,7 @@ impl TsFileWriter {
         };
         self.out.write_all(&body)?;
         self.pos += body.len() as u64;
-        self.footer.chunks.push(meta.clone());
+        self.push_chunk(&meta);
         Ok(meta)
     }
 
@@ -222,7 +265,7 @@ impl TsFileWriter {
             self.out.write_all(p.bytes)?;
         }
         self.pos += offset;
-        self.footer.chunks.push(meta.clone());
+        self.push_chunk(&meta);
         Ok(meta)
     }
 
@@ -236,6 +279,11 @@ impl TsFileWriter {
         if self.finished {
             return Err(TsFileError::WriterFinished);
         }
+        // A run begun and never written to says nothing unless it
+        // supersedes older chunks.
+        self.footer
+            .runs
+            .retain(|r| !r.chunks.is_empty() || r.supersedes.0 > 0);
         let body = self.footer.encode_body();
         let crc = crc32(&body);
         self.out.write_all(&body)?;
@@ -462,6 +510,55 @@ mod tests {
             Err(TsFileError::ChecksumMismatch { .. })
         ));
         assert_eq!(w.chunk_count(), 0, "failed raw writes record nothing");
+        Ok(())
+    }
+
+    #[test]
+    fn series_runs_roundtrip_through_the_footer() -> Result<()> {
+        use crate::reader::TsFileReader;
+
+        let p = tmp("runs.tsfile");
+        let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(3, 0)?;
+        w.write_chunk(&pts(0..40), 1)?;
+        w.write_chunk(&pts(40..90), 2)?;
+        w.begin_series(5, 0)?; // begun, never written: dropped
+        w.begin_series(7, 0)?;
+        w.write_chunk(&pts(0..25), 3)?;
+        w.begin_series(9, 6)?; // empty, but it supersedes: kept
+        assert!(matches!(
+            w.begin_series(9, 0),
+            Err(TsFileError::SeriesOutOfOrder { prev: 9, next: 9 })
+        ));
+        w.finish()?;
+
+        let r = TsFileReader::open(&p)?;
+        let runs: Vec<(u32, u64, std::ops::Range<usize>)> = r
+            .series_runs()
+            .iter()
+            .map(|run| (run.series, run.supersedes.0, run.chunks.clone()))
+            .collect();
+        assert_eq!(runs, vec![(3, 0, 0..2), (7, 0, 2..3), (9, 6, 3..3)]);
+        let of_7 = r.run_chunks(&r.series_runs()[1]);
+        assert_eq!(of_7.len(), 1);
+        assert_eq!(r.read_chunk(&of_7[0])?, pts(0..25));
+        assert!(r.run_chunks(&r.series_runs()[2]).is_empty());
+        Ok(())
+    }
+
+    #[test]
+    fn writer_never_told_a_series_writes_one_run_of_series_zero() -> Result<()> {
+        use crate::reader::TsFileReader;
+
+        let p = tmp("default-run.tsfile");
+        let mut w = TsFileWriter::create(&p)?;
+        w.write_chunk(&pts(0..10), 1)?;
+        w.write_chunk(&pts(10..20), 2)?;
+        w.finish()?;
+        let r = TsFileReader::open(&p)?;
+        assert_eq!(r.series_runs().len(), 1);
+        assert_eq!(r.series_runs()[0].series, 0);
+        assert_eq!(r.series_runs()[0].chunks, 0..2);
         Ok(())
     }
 

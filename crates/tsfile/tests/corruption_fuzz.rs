@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use tsfile::types::Point;
-use tsfile::{ModsFile, TsFileReader, TsFileWriter};
+use tsfile::{FileFooter, ModsFile, TsFileError, TsFileReader, TsFileWriter};
 
 fn sample_file(path: &std::path::Path) -> Vec<u8> {
     let mut w = TsFileWriter::create(path).unwrap();
@@ -61,6 +61,95 @@ fn crc_valid_footer_without_page_index_is_corrupt() {
         }
     }
     assert!(rejected_for_missing_index >= 2, "one per sample chunk");
+    std::fs::remove_file(&path).ok();
+}
+
+/// The series-run directory at the end of the footer: every strict
+/// prefix of it and every single-bit flip in it is a typed error when
+/// the file is opened, and the directory decoder itself — handed the
+/// damaged footer body without the CRC in front of it — never panics,
+/// rejects every prefix, and lets a flip through only as a directory
+/// that still tiles the chunk list in ascending series order.
+#[test]
+fn run_directory_prefixes_and_bit_flips_are_typed_errors() {
+    const TRAILER: usize = 4 + 8 + 6; // crc + body length + magic
+    let dir = std::env::temp_dir().join("tsfile-fuzz");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("rundir-{}.tsfile", std::process::id()));
+    let pts: Vec<Point> = (0..400)
+        .map(|i| Point::new(i * 10, (i % 13) as f64))
+        .collect();
+    let mut w = TsFileWriter::create(&path).unwrap();
+    w.begin_series(2, 0).unwrap();
+    w.write_chunk(&pts[..150], 1).unwrap();
+    w.write_chunk(&pts[150..300], 2).unwrap();
+    w.begin_series(300, 0).unwrap(); // a two-byte varint id
+    w.write_chunk(&pts[300..], 3).unwrap();
+    w.begin_series(70_000, 9).unwrap(); // chunkless, superseding
+    w.finish().unwrap();
+    let original = std::fs::read(&path).unwrap();
+    let n = original.len();
+    let body_len = u64::from_le_bytes(original[n - 14..n - 6].try_into().unwrap()) as usize;
+    let body_at = n - TRAILER - body_len;
+    let body = &original[body_at..n - TRAILER];
+    let footer = FileFooter::decode_body(body).unwrap();
+    assert_eq!(footer.runs.len(), 3);
+    // The directory is what the body has beyond its chunk index (which
+    // re-encodes, with no runs, as itself plus a zero run count).
+    let chunk_index_len = FileFooter {
+        chunks: footer.chunks.clone(),
+        runs: Vec::new(),
+    }
+    .encode_body()
+    .len()
+        - 1;
+    let directory = chunk_index_len..body.len();
+    assert_eq!(directory.len(), 1 + 3 + 4 + 5);
+
+    for cut in directory.clone() {
+        assert!(
+            FileFooter::decode_body(&body[..cut]).is_err(),
+            "directory cut at {cut} decoded"
+        );
+        // The same cut in the file: what remains cannot verify.
+        let mut torn = original[..body_at + cut].to_vec();
+        torn.extend_from_slice(&original[n - TRAILER..]);
+        std::fs::write(&path, &torn).unwrap();
+        assert!(
+            TsFileReader::open(&path).is_err(),
+            "file cut at {cut} opened"
+        );
+    }
+    for at in directory.clone() {
+        for bit in 0..8 {
+            let mut flipped = body.to_vec();
+            flipped[at] ^= 1 << bit;
+            match FileFooter::decode_body(&flipped) {
+                Err(TsFileError::Corrupt(_) | TsFileError::UnexpectedEof { .. }) => {}
+                Err(other) => panic!("flip {at}:{bit}: untyped for a directory: {other:?}"),
+                Ok(f) => {
+                    assert_ne!(f.runs, footer.runs, "flip {at}:{bit} changed nothing");
+                    let mut next = 0;
+                    for (i, run) in f.runs.iter().enumerate() {
+                        assert_eq!(run.chunks.start, next);
+                        next = run.chunks.end;
+                        assert!(i == 0 || f.runs[i - 1].series < run.series);
+                    }
+                    assert_eq!(next, f.chunks.len());
+                }
+            }
+            let mut file = original.clone();
+            file[body_at + at] ^= 1 << bit;
+            std::fs::write(&path, &file).unwrap();
+            assert!(
+                matches!(
+                    TsFileReader::open(&path),
+                    Err(TsFileError::ChecksumMismatch { what: "footer", .. })
+                ),
+                "flip {at}:{bit} in the file"
+            );
+        }
+    }
     std::fs::remove_file(&path).ok();
 }
 

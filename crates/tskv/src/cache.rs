@@ -230,17 +230,19 @@ impl DecodedChunkCache {
         }
     }
 
-    /// Drop every entry belonging to `file_id` (the file was retired by
-    /// compaction), across all stripes. Returns how many entries were
-    /// dropped.
-    pub fn invalidate_file(&self, file_id: u64) -> u64 {
+    /// Drop every entry of `file_id` whose chunk starts inside the byte
+    /// range `offsets` — one series' run of the file, retired by that
+    /// series' compaction — across all stripes. Entries of the file's
+    /// other runs (other series still reading it) stay. Returns how
+    /// many entries were dropped.
+    pub fn invalidate_run(&self, file_id: u64, offsets: std::ops::Range<u64>) -> u64 {
         let mut dropped = 0u64;
         for shard in &self.shards {
             let mut inner = shard.lock();
             let doomed: Vec<CacheKey> = inner
                 .map
                 .keys()
-                .filter(|k| k.file_id == file_id)
+                .filter(|k| k.file_id == file_id && offsets.contains(&k.offset))
                 .copied()
                 .collect();
             for key in &doomed {
@@ -349,8 +351,8 @@ mod tests {
         );
         assert_eq!(c.len(), 3, "pages of one chunk cache independently");
         assert_eq!(c.get(CacheKey { page_no: 1, ..base }).unwrap().len(), 20);
-        // Retiring the file drops every page entry.
-        assert_eq!(c.invalidate_file(1), 3);
+        // Retiring the chunk's run drops every page entry.
+        assert_eq!(c.invalidate_run(1, 0..1), 3);
     }
 
     #[test]
@@ -377,14 +379,16 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_file_drops_only_that_file() {
+    fn invalidate_run_drops_only_that_run_of_that_file() {
         let (c, io) = cache(1 << 20);
         c.insert(key(1, 0), pts(5));
         c.insert(key(1, 8), pts(5));
+        c.insert(key(1, 16), pts(5)); // another series' run of file 1
         c.insert(key(2, 0), pts(5));
-        assert_eq!(c.invalidate_file(1), 2);
-        assert_eq!(c.file_ids(), vec![2]);
+        assert_eq!(c.invalidate_run(1, 0..16), 2);
+        assert_eq!(c.file_ids(), vec![1, 2]);
         assert!(c.get(key(1, 0)).is_none());
+        assert!(c.get(key(1, 16)).is_some());
         assert!(c.get(key(2, 0)).is_some());
         assert_eq!(io.snapshot().cache_invalidations, 2);
     }
@@ -426,7 +430,7 @@ mod tests {
         }
         assert!(c.bytes() <= c.capacity_bytes());
         // Invalidation must reach every stripe.
-        let dropped = c.invalidate_file(0);
+        let dropped = c.invalidate_run(0, 0..u64::MAX);
         assert_eq!(dropped, 67); // off % 3 == 0 for 0..200
         assert!(c.file_ids() == vec![1, 2]);
         assert_eq!(io.snapshot().cache_invalidations, 67);
@@ -446,7 +450,7 @@ mod tests {
                             None => c.insert(k, pts(64)),
                         }
                         if i % 97 == 0 {
-                            c.invalidate_file(thread % 2);
+                            c.invalidate_run(thread % 2, 0..u64::MAX);
                         }
                     }
                 });

@@ -32,7 +32,11 @@
 //! input chunk version**. Inputs are a contiguous run in version
 //! order, so anything that outranked an input still outranks the
 //! output, and raising a clean page's version only sheds deletes that
-//! classification already proved don't touch it. The internal dirty
+//! classification already proved don't touch it. The output file is the
+//! one-run case of the shard-file shape: its single series run declares
+//! that same version as what it *supersedes*, which is how a reopen
+//! that finds an input still on disk (inside a file other series read,
+//! or after a crash before the unlink) knows the input is dead. The internal dirty
 //! merge reads through a detached [`IoStats`] and no cache: compaction
 //! I/O is reported through the explicit `compaction_*` counters, not
 //! smeared into the read-path ones.
@@ -66,7 +70,8 @@ pub(crate) struct MergeOutcome {
     /// *not* rewritten — that is the whole point).
     pub bytes_rewritten: u64,
     /// Whether an output file exists at `path` (false when every input
-    /// point was deleted/overwritten away).
+    /// point was deleted/overwritten away and [`OutputRun::always`] did
+    /// not ask for the chunkless run).
     pub wrote_file: bool,
 }
 
@@ -83,39 +88,50 @@ fn corrupt(msg: &str) -> crate::TsKvError {
     tsfile::TsFileError::Corrupt(msg.into()).into()
 }
 
+/// The one series run a compaction output consists of.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OutputRun {
+    /// The series being compacted.
+    pub series: u32,
+    /// The maximum input version: what every output chunk carries and
+    /// what the run declares it supersedes.
+    pub version: u64,
+    /// Write the file even when the merge comes up empty (a chunkless
+    /// run): a reopen needs its `supersedes` to know the inputs that
+    /// stay on disk are dead.
+    pub always: bool,
+}
+
 /// Output side of the merge walk: the lazily created writer plus the
 /// knobs it is created from and the counters it feeds.
 struct Output<'a> {
     slot: Option<TsFileWriter>,
     config: &'a EngineConfig,
     path: &'a Path,
+    run: OutputRun,
     out: MergeOutcome,
 }
 
 impl<'a> Output<'a> {
-    fn new(config: &'a EngineConfig, path: &'a Path, out: MergeOutcome) -> Self {
+    fn new(config: &'a EngineConfig, path: &'a Path, run: OutputRun, out: MergeOutcome) -> Self {
         Self {
             slot: None,
             config,
             path,
+            run,
             out,
         }
     }
 
     /// Lazily create the output writer: a compaction whose merge comes
     /// up empty (fully deleted series) must not leave an empty file
-    /// behind.
+    /// behind, unless [`OutputRun::always`] asks for it.
     fn writer_mut(&mut self) -> Result<&mut TsFileWriter> {
         match &mut self.slot {
             Some(w) => Ok(w),
             slot @ None => {
-                let mut w = TsFileWriter::create_with_encodings(
-                    self.path,
-                    self.config.ts_encoding,
-                    self.config.val_encoding,
-                )?;
-                w.set_build_index(self.config.build_step_index);
-                w.set_page_points(self.config.page_points);
+                let mut w = self.config.tsfile_writer(self.path)?;
+                w.begin_series(self.run.series, self.run.version)?;
                 Ok(slot.insert(w))
             }
         }
@@ -173,9 +189,10 @@ impl<'a> Output<'a> {
     }
 }
 
-/// Merge the captured inputs into one TsFile at `path` per `plan`,
-/// emitting every output chunk under `out_version` (the maximum input
-/// chunk version). No engine lock may be held.
+/// Merge the captured inputs into one TsFile at `path` per `plan`: the
+/// single run `run`, every output chunk under `run.version` (the
+/// maximum input version). `path` is the file's in-flight name — the
+/// caller renames it into place. No engine lock may be held.
 pub(crate) fn merge_to_file(
     config: &EngineConfig,
     path: &Path,
@@ -183,8 +200,9 @@ pub(crate) fn merge_to_file(
     chunks: &[ChunkHandle],
     deletes: Vec<ModEntry>,
     plan: &CompactionPlan,
-    out_version: u64,
+    run: OutputRun,
 ) -> Result<MergeOutcome> {
+    let out_version = run.version;
     let mut out = MergeOutcome {
         pages_recoded: plan.pages_dirty,
         ..MergeOutcome::default()
@@ -268,7 +286,7 @@ pub(crate) fn merge_to_file(
     // 3. Interleave: walk clean pages in time order, spilling merged
     // dirty points that precede each page, re-coalescing consecutive
     // same-chunk pages into single raw chunks when nothing intervened.
-    let mut output = Output::new(config, path, out);
+    let mut output = Output::new(config, path, run, out);
     let mut merged_iter = merged.into_iter().peekable();
     let mut pending: Vec<Point> = Vec::new();
     let mut open: Option<(usize, std::ops::Range<usize>)> = None;
@@ -306,6 +324,9 @@ pub(crate) fn merge_to_file(
         pending.clear();
     }
 
+    if run.always {
+        output.writer_mut()?;
+    }
     let Output { slot, mut out, .. } = output;
     if let Some(mut w) = slot {
         w.finish()?;

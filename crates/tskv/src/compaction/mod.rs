@@ -24,15 +24,21 @@
 //! Every output chunk carries the **maximum input chunk version**: the
 //! inputs are a prefix of the series' version-ordered file list, so
 //! the output still ranks below every file flushed while the merge
-//! ran. The merge machinery itself only needs the inputs to be
-//! *contiguous* in version order — a subset that skipped a file whose
-//! versions fall inside the merged interval could resurface a point
-//! that file overwrote — and stores compacted that way by earlier
-//! versions have number order ≠ version order on disk, which is why
-//! recovery sorts each series' files by minimum chunk version, not
-//! file id. After a compaction with no concurrent writes the store
-//! holds only latest points: chunk overlap is zero and no delete
-//! entries remain.
+//! ran. After a compaction with no concurrent writes the store holds
+//! only latest points: chunk overlap is zero and no delete entries
+//! remain.
+//!
+//! **Inputs are runs, not files.** A flush seals every series of a
+//! storage shard into one file, so a series' input may be its run of a
+//! file other series still read. Compaction is still per series: it
+//! reads only that run, writes a one-run output, and *retires* its
+//! views of the inputs — a file is unlinked by the retirement that
+//! leaves it no live run. The output's run records the version it
+//! supersedes; a reopen uses it to leave a retired run of a surviving
+//! file (or the inputs a crash kept from being unlinked) unread. A
+//! merge that comes up empty therefore still writes its (chunkless)
+//! run when an input will outlive the compaction on disk; otherwise it
+//! leaves no file, as before.
 
 pub mod execute;
 pub mod plan;
@@ -40,13 +46,14 @@ pub mod plan;
 /// Outcome of one compaction run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionReport {
-    /// Old sealed files unlinked (the input generation).
+    /// Sealed runs retired (the input generation): one per input file
+    /// the series had a run in. A file shared with other series is
+    /// unlinked only when its last run is retired.
     pub files_removed: usize,
     /// Chunks read during the merge.
     pub chunks_merged: usize,
-    /// Live points written to the new file (0 ⇒ everything was deleted
-    /// and no output file exists). Counts copied and re-encoded points
-    /// alike.
+    /// Live points written to the new file (0 ⇒ everything was
+    /// deleted). Counts copied and re-encoded points alike.
     pub points_written: usize,
     /// Delete entries applied and dropped.
     pub deletes_applied: usize,

@@ -171,6 +171,21 @@ pub const WAL_BATCH_BYTES: usize = 64 * 1024;
 pub const WAL_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
 impl EngineConfig {
+    /// A writer on a new TsFile at `path`, set up the way this
+    /// configuration says data files are written (column encodings,
+    /// page size, step index) — the one place flush and compaction get
+    /// theirs.
+    pub(crate) fn tsfile_writer(
+        &self,
+        path: &std::path::Path,
+    ) -> crate::Result<tsfile::TsFileWriter> {
+        let mut w =
+            tsfile::TsFileWriter::create_with_encodings(path, self.ts_encoding, self.val_encoding)?;
+        w.set_build_index(self.build_step_index);
+        w.set_page_points(self.page_points);
+        Ok(w)
+    }
+
     /// Validate and clamp nonsensical settings (zero sizes become 1).
     pub fn normalized(mut self) -> Self {
         if self.points_per_chunk == 0 {

@@ -14,15 +14,35 @@
 //! On disk the store is hash-sharded, not one-directory-per-series:
 //! `storage_shards` fixed directories `shard-0000`, `shard-0001`, …
 //! (the count is pinned by the `SHARDS` meta file at first open, so a
-//! later config change cannot orphan data). A series' sealed files
-//! live in shard `id % storage_shards` as `s<id>-<fileno>.tsfile`
-//! (plus `.mods`), and each shard has one shared, per-record-tagged
-//! [`ShardWal`] instead of a per-series log. A registered-but-cold
-//! series therefore costs two map entries and zero files or
-//! directories — a million registered series open in catalog-replay
-//! time, and in-memory [`SeriesStore`] state is instantiated lazily on
-//! first touch. A directory laid out the retired way (one directory per
-//! series, no `SHARDS` file) is refused at open, untouched.
+//! later config change cannot orphan data). Shard `id %
+//! storage_shards` holds a series' sealed data and its WAL records,
+//! and the unit of both is the shard, not the series: one shared,
+//! per-record-tagged [`ShardWal`], and data files `<fileno>.tsfile`
+//! that each hold a run of chunks for **every** series flushed
+//! together (the footer's series-run directory says whose is whose;
+//! the file name carries a per-shard creation number and nothing
+//! else). A flush of many series therefore costs one file per shard,
+//! not one per series, and a registered-but-cold series costs two map
+//! entries and zero files or directories — a million registered series
+//! open in catalog-replay time, and in-memory [`SeriesStore`] state is
+//! instantiated lazily on first touch.
+//!
+//! Each series reads a shared file through its own [`SeriesView`]: the
+//! shared reader, its run, and its own delete log `<fileno>.s<id>.mods`
+//! (created by the first delete that touches the run). A file belongs
+//! to its views together: a series' compaction *retires* its views of
+//! the inputs, and the retirement that leaves a file with no live run
+//! unlinks it. Until then a retired run is dead bytes in a file other
+//! series still read; the compaction output that replaced it says so
+//! durably ([`tsfile::SeriesRun::supersedes`]), which is how a reopen
+//! knows not to read it again.
+//!
+//! A data file is written under `<fileno>.tsfile.tmp` and renamed after
+//! its `sync_all`, so a `*.tsfile` is complete by construction however
+//! many flushes and compactions of one shard were in flight at a crash.
+//! A directory laid out the retired ways — one directory per series
+//! with no `SHARDS` file, or `s<id>-<fileno>.tsfile` files — is refused
+//! at open, untouched.
 //!
 //! ## Lock discipline
 //!
@@ -33,28 +53,34 @@
 //! locks across file I/O or chunk decode, so every heavy operation is
 //! split into short locked phases around an unlocked I/O phase:
 //!
-//! * **Flush** — phase A (locked): mark the drain point in the shard
+//! * **Flush** — the members of one flush that share a storage shard
+//!   form a group (a lone series is a group of one). Phase A (locked,
+//!   one member's stripe at a time): mark the drain point in the shard
 //!   WAL, drain the memtable, reserve chunk versions, and park the
 //!   drained points in [`SeriesStore::flushing`] so concurrent
-//!   snapshots still see them. Phase B (unlocked): encode and seal the
-//!   TsFile. Phase C (locked): install the file, attach deletes that
-//!   arrived mid-flush, mark the series' WAL records covered — or, on
-//!   failure, return the points to the memtable (anything newer that
+//!   snapshots still see them. Phase B (unlocked): sync the catalog and
+//!   the shard WAL once, then encode and seal the group's one TsFile.
+//!   Phase C: append every member's end marker in one write, then
+//!   (locked, one stripe at a time) install each member's view of the
+//!   file and attach deletes that arrived mid-flush — or, on failure,
+//!   return every member's points to its memtable (anything newer that
 //!   landed meanwhile wins).
-//! * **Compaction** — same shape; the input (every sealed file the
-//!   series has when the lock is taken) is captured as metadata,
-//!   merged and written off-lock (clean pages copied raw, dirty pages
-//!   re-encoded — see [`crate::compaction`]), and swapped in under the
-//!   lock again. Output chunks carry the maximum input chunk version;
-//!   deletes issued during the merge have versions above the capture
-//!   ceiling and their mods entries are carried onto the new file at
-//!   install time.
-//! * Shard-WAL appends and the group-commit drain stay under the
-//!   stripe lock on purpose: serializing durability appends against
-//!   the buffered state they describe is what the lock is *for* (see
-//!   DESIGN.md). The WAL's own short mutex nests strictly inside the
-//!   stripe lock and stripe locks are never nested with each other, so
-//!   the order is acyclic.
+//! * **Compaction** — same shape, per series; the input (every sealed
+//!   run the series has when the lock is taken) is captured as
+//!   metadata, merged and written off-lock as a one-run file (clean
+//!   pages copied raw, dirty pages re-encoded — see
+//!   [`crate::compaction`]), and swapped in under the lock again.
+//!   Output chunks carry the maximum input chunk version; deletes
+//!   issued during the merge have versions above the capture ceiling
+//!   and their mods entries are carried onto the new file at install
+//!   time.
+//! * Shard-WAL appends of writes, deletes and begin markers, and the
+//!   group-commit drain, stay under the stripe lock on purpose:
+//!   serializing durability appends against the buffered state they
+//!   describe is what the lock is *for* (see DESIGN.md). A flush's WAL
+//!   fsync and end markers run with no stripe lock held. The WAL's own
+//!   short mutex nests strictly inside the stripe lock and stripe locks
+//!   are never nested with each other, so the order is acyclic.
 //! * **Background compaction** — when `compaction_auto` is on, a
 //!   scheduler thread ([`crate::scheduler`]) scans the stripes with
 //!   short read guards for series whose sealed-file count crossed
@@ -64,19 +90,20 @@
 //! [`compact`]: TsKv::compact
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
 use tsfile::types::{Point, TimeRange, Timestamp, Version};
-use tsfile::{ModEntry, ModsFile, TsFileError, TsFileReader, TsFileWriter};
+use tsfile::{ChunkMeta, ModEntry, ModsFile, SeriesRun, TsFileError, TsFileReader, TsFileWriter};
 
 use crate::batch::WriteBatch;
 use crate::cache::DecodedChunkCache;
 use crate::catalog::{SeriesCatalog, SeriesId};
-use crate::chunk::ChunkHandle;
+use crate::chunk::{ChunkData, ChunkHandle};
 use crate::compaction::plan::{self, ChunkView, PageView};
 use crate::compaction::{execute, CompactionReport};
 use crate::config::{
@@ -95,20 +122,114 @@ use crate::{Result, TsKvError};
 /// Meta file at the store root pinning the storage-shard count.
 const SHARDS_META: &str = "SHARDS";
 
-/// One sealed TsFile plus its delete log.
+/// Points a flush group may park in `flushing` slots before it is
+/// sealed and the next group of the same shard begins: what bounds how
+/// much a `flush_all` over many full memtables holds outside them —
+/// readable, not yet sealed, while new writes refill the memtables — at
+/// once (16 MiB of points). A fixed property of the engine, not a knob.
+const FLUSH_GROUP_MAX_POINTS: usize = 1 << 20;
+
+/// One sealed TsFile on disk. Every series with a run in it holds a
+/// [`SeriesView`] of it; the file belongs to those views together and
+/// is unlinked by whichever retirement takes `live_runs` to zero.
 #[derive(Debug)]
-struct TsFileResource {
+struct SealedFile {
     reader: Arc<TsFileReader>,
+    /// Runs of the file's directory that some series still reads.
+    live_runs: AtomicUsize,
+}
+
+impl SealedFile {
+    /// Open the sealed file at `path`; every run of its directory
+    /// starts out live.
+    fn open(path: &Path) -> Result<Arc<SealedFile>> {
+        let reader = Arc::new(TsFileReader::open(path)?);
+        let live_runs = AtomicUsize::new(reader.series_runs().len());
+        Ok(Arc::new(SealedFile { reader, live_runs }))
+    }
+}
+
+/// Path of the delete log of `series`' run of the data file at `data`:
+/// `<fileno>.s<id>.mods` beside `<fileno>.tsfile`. It exists only once
+/// a delete has touched the run.
+fn mods_path(data: &Path, series: u32) -> PathBuf {
+    data.with_extension(format!("s{series}.mods"))
+}
+
+/// One series' view of a sealed file: the file (shared with the other
+/// series flushed into it), this series' run of its chunks, and this
+/// series' own delete log for that run.
+#[derive(Debug)]
+struct SeriesView {
+    file: Arc<SealedFile>,
+    run: SeriesRun,
     mods: ModsFile,
 }
 
-impl TsFileResource {
-    /// Time interval spanned by the file's chunks, if any.
+impl SeriesView {
+    /// The view of `run` of `file`, loading the run's delete log (file
+    /// I/O: call with no stripe lock held).
+    fn open(file: &Arc<SealedFile>, run: &SeriesRun) -> Result<Self> {
+        let mods = ModsFile::open(mods_path(file.reader.path(), run.series))?;
+        Ok(SeriesView {
+            file: Arc::clone(file),
+            run: run.clone(),
+            mods,
+        })
+    }
+
+    /// Metadata of the run's chunks.
+    fn metas(&self) -> &[ChunkMeta] {
+        self.file.reader.run_chunks(&self.run)
+    }
+
+    /// Time interval spanned by the run's chunks, if any.
     fn time_range(&self) -> Option<TimeRange> {
-        let metas = self.reader.chunk_metas();
+        let metas = self.metas();
         let start = metas.iter().map(|m| m.stats.first.t).min()?;
         let end = metas.iter().map(|m| m.stats.last.t).max()?;
         Some(TimeRange::new(start, end))
+    }
+
+    /// The highest version the run speaks for: of its chunks, or of the
+    /// chunks it replaced. A run in a later file whose `supersedes`
+    /// reaches this has replaced the run.
+    fn rank(&self) -> u64 {
+        let newest = self.metas().iter().map(|m| m.version.0).max();
+        newest.unwrap_or(0).max(self.run.supersedes.0)
+    }
+
+    /// Byte range of the file the run's chunk bodies occupy.
+    fn byte_range(&self) -> Range<u64> {
+        let metas = self.metas();
+        match (metas.first(), metas.last()) {
+            (Some(first), Some(last)) => first.offset..last.offset + last.byte_len,
+            _ => 0..0,
+        }
+    }
+
+    /// Whether the file holds runs of other series too.
+    fn shares_file(&self) -> bool {
+        self.file.reader.series_runs().len() > 1
+    }
+
+    /// Retire the view: its series no longer reads the run, because a
+    /// compaction output that supersedes it is in place. Drops the
+    /// run's decoded-chunk cache entries (the file's other runs keep
+    /// theirs) and its delete log, and unlinks the file if this was its
+    /// last live run. Until then a retired run stays on disk as dead
+    /// bytes; the `supersedes` of the output that replaced it is what
+    /// keeps a reopen from reading it again.
+    fn retire(self, cache: Option<&DecodedChunkCache>) {
+        if let Some(cache) = cache {
+            cache.invalidate_run(self.file.reader.handle_id(), self.byte_range());
+        }
+        std::fs::remove_file(self.mods.path()).ok();
+        // AcqRel: whoever takes the count to zero does so after every
+        // other view's retirement (its cache and log cleanup) is done.
+        if self.file.live_runs.fetch_sub(1, Ordering::AcqRel) == 1 {
+            std::fs::remove_file(self.file.reader.path()).ok();
+        }
     }
 }
 
@@ -129,8 +250,7 @@ struct FlushInFlight {
 #[derive(Debug)]
 struct SeriesStore {
     memtable: MemTable,
-    files: Vec<TsFileResource>,
-    next_file_id: u64,
+    files: Vec<SeriesView>,
     /// Set while a flush's unlocked sealing phase runs.
     flushing: Option<FlushInFlight>,
     /// Deletes issued while a flush was in flight; attached to the new
@@ -142,14 +262,13 @@ struct SeriesStore {
 
 impl SeriesStore {
     fn new() -> Self {
-        Self::assemble(MemTable::new(), Vec::new(), 0)
+        Self::assemble(MemTable::new(), Vec::new())
     }
 
-    fn assemble(memtable: MemTable, files: Vec<TsFileResource>, next_file_id: u64) -> Self {
+    fn assemble(memtable: MemTable, files: Vec<SeriesView>) -> Self {
         SeriesStore {
             memtable,
             files,
-            next_file_id,
             flushing: None,
             pending_mods: Vec::new(),
             compacting: false,
@@ -157,19 +276,25 @@ impl SeriesStore {
     }
 }
 
-/// Outcome of a flush's phase A (computed under the lock).
-enum FlushPrep {
+/// One series' share of a flush group: the points drained from its
+/// memtable (parked in its `flushing` slot meanwhile) and the chunk
+/// versions reserved for them.
+#[derive(Debug)]
+struct FlushMember {
+    id: SeriesId,
+    points: Arc<Vec<Point>>,
+    versions: Vec<Version>,
+}
+
+/// Outcome of asking one series to join a flush group (computed under
+/// its stripe lock).
+enum Claim {
     /// Another flush owns the series' in-flight slot.
     Busy,
-    /// Nothing buffered.
-    Done,
-    /// Seal these points (outside the lock) into the file at `path`,
-    /// using the pre-reserved chunk `versions`.
-    Go {
-        points: Arc<Vec<Point>>,
-        versions: Vec<Version>,
-        path: PathBuf,
-    },
+    /// Nothing buffered (or the series was never touched).
+    Idle,
+    /// The slot is claimed and the begin marker appended.
+    Member(FlushMember),
 }
 
 /// One lock stripe of the series map, keyed on `id % write_shards`.
@@ -186,6 +311,65 @@ struct Shard {
 struct StorageShard {
     dir: PathBuf,
     wal: ShardWal,
+    /// Number of the next data file of this shard. Numbers only record
+    /// creation order; they are never reused, not even a quarantined
+    /// file's.
+    next_fileno: AtomicU64,
+}
+
+impl StorageShard {
+    /// Path of a data file of this shard that no file has had yet.
+    fn next_data_path(&self) -> PathBuf {
+        let no = self.next_fileno.fetch_add(1, Ordering::Relaxed);
+        self.dir.join(format!("{no:08}.tsfile"))
+    }
+}
+
+/// `path` with `suffix` appended to its file name.
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(suffix);
+    PathBuf::from(name)
+}
+
+/// Where a data file is written before it is complete. A `*.tsfile` in
+/// a shard directory is therefore always a finished, synced file: the
+/// name appears by rename, after `sync_all`.
+fn in_flight_path(path: &Path) -> PathBuf {
+    with_suffix(path, ".tmp")
+}
+
+/// Seal one data file at `path`: `fill` writes its series runs through
+/// a writer on the in-flight name, which is then finished (`sync_all`),
+/// renamed into place and reopened for reading. On an error nothing is
+/// left at either name.
+fn seal_file(
+    config: &EngineConfig,
+    path: &Path,
+    fill: impl FnOnce(&mut TsFileWriter) -> Result<()>,
+) -> Result<Arc<SealedFile>> {
+    let tmp = in_flight_path(path);
+    let sealed = config
+        .tsfile_writer(&tmp)
+        .and_then(|mut w| {
+            fill(&mut w)?;
+            Ok(w.finish()?)
+        })
+        .and_then(|()| publish_file(&tmp, path));
+    if sealed.is_err() {
+        std::fs::remove_file(&tmp).ok();
+        std::fs::remove_file(path).ok();
+    }
+    sealed
+}
+
+/// Give the finished in-flight file `tmp` its data-file name and open
+/// it. No directory sync follows the rename: a crash that loses it
+/// leaves the complete file under its in-flight name, and the next open
+/// adopts it ([`settle_in_flight`]).
+fn publish_file(tmp: &Path, path: &Path) -> Result<Arc<SealedFile>> {
+    std::fs::rename(tmp, path)?;
+    SealedFile::open(path)
 }
 
 /// Shared engine state. [`TsKv`] and the background compaction
@@ -244,12 +428,87 @@ fn storage_dir_name(i: usize) -> String {
     format!("shard-{i:04}")
 }
 
-/// Parse a sharded-layout data-file stem `s<id>-<fileno>` back into
-/// its series id and file number.
-fn parse_data_stem(stem: &str) -> Option<(SeriesId, u64)> {
-    let rest = stem.strip_prefix('s')?;
-    let (id, fileno) = rest.split_once('-')?;
-    Some((SeriesId(id.parse().ok()?), fileno.parse().ok()?))
+/// What a shard directory holds besides WAL segments and delete logs:
+/// the finished data files (in ascending number once
+/// [`settle_in_flight`] has run), files still under their in-flight
+/// name, and the first number no file has had.
+#[derive(Debug, Default)]
+struct ShardListing {
+    data: Vec<(u64, PathBuf)>,
+    in_flight: Vec<(u64, PathBuf)>,
+    next_fileno: u64,
+}
+
+/// List the data files of shard directory `sdir` without touching it.
+/// A `s<id>-<fileno>.tsfile` — the retired one-file-per-series shape,
+/// whose footer has no series-run directory — is refused here, before
+/// anything in the store is written: the number-only name and the run
+/// directory are the one shape this build reads.
+fn list_shard(sdir: &Path) -> Result<ShardListing> {
+    let number = |stem: &str| -> Option<u64> {
+        stem.bytes()
+            .all(|b| b.is_ascii_digit())
+            .then(|| stem.parse().ok())
+            .flatten()
+    };
+    let mut listing = ShardListing::default();
+    for entry in std::fs::read_dir(sdir)? {
+        let path = entry?.path();
+        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+            continue;
+        };
+        let no = if let Some(stem) = name.strip_suffix(".tsfile") {
+            let retired = stem
+                .strip_prefix('s')
+                .and_then(|rest| rest.split_once('-'))
+                .is_some_and(|(id, no)| number(id).is_some() && number(no).is_some());
+            if retired {
+                return Err(TsKvError::Corrupt(format!(
+                    "{} is a per-series data file of the retired `s<id>-<fileno>` shape; \
+                     this build reads shard files `<fileno>.tsfile` only",
+                    path.display()
+                )));
+            }
+            let Some(no) = number(stem) else {
+                continue; // foreign file; ignore
+            };
+            listing.data.push((no, path));
+            no
+        } else if let Some(no) = name.strip_suffix(".tsfile.tmp").and_then(number) {
+            listing.in_flight.push((no, path));
+            no
+        } else if let Some(no) = name.strip_suffix(".tsfile.corrupt").and_then(number) {
+            no // quarantined by an earlier open: only its number matters
+        } else {
+            continue;
+        };
+        listing.next_fileno = listing.next_fileno.max(no + 1);
+    }
+    Ok(listing)
+}
+
+/// Settle what a crash left under in-flight names. A file cut short
+/// never had an end marker or an unlinked input depend on it — those
+/// follow the rename — so it is quarantined (`<fileno>.tsfile.corrupt`)
+/// and its points come back from the shard WAL (flush) or are still in
+/// the older generation (compaction). A complete one only lost its
+/// rename and takes its place among the data files.
+fn settle_in_flight(listing: &mut ShardListing) -> Result<()> {
+    for (no, tmp) in std::mem::take(&mut listing.in_flight) {
+        let path = tmp.with_extension("");
+        match TsFileReader::open(&tmp) {
+            Ok(_) => {
+                std::fs::rename(&tmp, &path)?;
+                listing.data.push((no, path));
+            }
+            Err(e) if is_torn_write(&e) => {
+                std::fs::rename(&tmp, with_suffix(&path, ".corrupt"))?;
+            }
+            Err(e) => return Err(e.into()),
+        }
+    }
+    listing.data.sort();
+    Ok(())
 }
 
 /// Write (and sync) the `SHARDS` meta file pinning the shard count.
@@ -322,15 +581,14 @@ fn reject_unpinned_data(dir: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Recovery input for one series: its sealed data files (sorted by
-/// file number) and the WAL records a restart must re-apply.
-type RecoveryWork = (SeriesId, Vec<(u64, PathBuf)>, Vec<WalRecord>);
+/// Recovery input for one series: its runs in the shard's sealed files
+/// (ascending file number) and the WAL records a restart must re-apply.
+type RecoveryWork = (SeriesId, Vec<FileRun>, Vec<WalRecord>);
 
-/// Scanned-but-unmerged recovery state per series: data files paired
-/// with replayed WAL records.
-type RecoveryParts = (Vec<(u64, PathBuf)>, Vec<WalRecord>);
+/// One run of one sealed file.
+type FileRun = (Arc<SealedFile>, SeriesRun);
 
-/// Whether `e` is what a crash mid-flush leaves behind: a file cut short
+/// Whether `e` is what a crash mid-write leaves behind: a file cut short
 /// (even before its head magic) or whose footer does not verify. A
 /// foreign magic is not — the writer emits `TSF2` first, so such a file
 /// was never ours to rename — and neither is a failing disk.
@@ -344,47 +602,47 @@ fn is_torn_write(e: &TsFileError) -> bool {
     }
 }
 
-/// Recover one series from its scanned data files plus replayed WAL
-/// records. Runs with no engine lock held — recovery parallelizes
+/// Recover one series from its runs in the shard's files plus replayed
+/// WAL records. Runs with no engine lock held — recovery parallelizes
 /// these calls across series.
 fn recover_series(
-    paths: &[(u64, PathBuf)],
+    runs: &[FileRun],
     records: &[WalRecord],
     alloc: &VersionAllocator,
 ) -> Result<SeriesStore> {
-    let next_file_id = paths.last().map(|(no, _)| no + 1).unwrap_or(0);
-    // File numbers are only creation order. A store written when
-    // compaction could merge a middle run of the list has that output
-    // (highest number) in the *middle* of the version order, so number
-    // order and version order can disagree on disk; the version sort
-    // below restores the engine invariant.
-    let newest = paths.len().saturating_sub(1);
-    let mut files: Vec<TsFileResource> = Vec::new();
-    for (i, (_, path)) in paths.iter().enumerate() {
-        let reader = match TsFileReader::open(path) {
-            Ok(r) => Arc::new(r),
-            Err(e) if i == newest && is_torn_write(&e) => {
-                let mut quarantined = path.clone().into_os_string();
-                quarantined.push(".corrupt");
-                std::fs::rename(path, &quarantined)?;
-                continue;
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let mods = ModsFile::open(path.with_extension("mods"))?;
-        for m in reader.chunk_metas() {
+    // Newest file first, so that each run meets the highest
+    // `supersedes` of the files written after it. A run at or below
+    // that was an input of a compaction whose output is on disk: its
+    // series retired it (the file outlived that only for the other
+    // series in it, or for a crash before the unlink), the deletes
+    // that applied to it were dropped with it, and reading it again
+    // would resurrect what they hid. It is retired again instead.
+    let mut files: Vec<SeriesView> = Vec::new();
+    let mut superseded_to = 0u64;
+    for (file, run) in runs.iter().rev() {
+        let view = SeriesView::open(file, run)?;
+        for m in view.metas() {
             alloc.observe(m.version);
         }
-        for e in mods.entries() {
+        alloc.observe(run.supersedes);
+        for e in view.mods.entries() {
             alloc.observe(e.version);
         }
-        files.push(TsFileResource { reader, mods });
+        if view.rank() <= superseded_to {
+            view.retire(None);
+        } else {
+            files.push(view);
+        }
+        superseded_to = superseded_to.max(run.supersedes.0);
     }
-    // Version order, not number order (see above). The sort is stable,
-    // so degenerate chunkless files keep their number order at the end.
-    files.sort_by_key(|res| {
-        res.reader
-            .chunk_metas()
+    // Version order: the engine's invariant for `files`. It is file
+    // order too (a compaction takes its number when it captures its
+    // inputs, before any flush that outranks it takes one); the sort
+    // states the invariant rather than relying on that. Stable, so
+    // chunkless runs keep their file order at the end.
+    files.reverse();
+    files.sort_by_key(|view| {
+        view.metas()
             .iter()
             .map(|m| m.version.0)
             .min()
@@ -392,7 +650,7 @@ fn recover_series(
     });
     // Replay the WAL records into a fresh memtable, restoring
     // unflushed state in operation order. Versioned deletes are
-    // re-attached to any overlapping sealed file whose mods log missed
+    // re-attached to any overlapping run whose mods log missed
     // them (crash between the WAL and mods appends).
     let mut memtable = MemTable::new();
     for record in records {
@@ -412,7 +670,7 @@ fn recover_series(
             }
         }
     }
-    Ok(SeriesStore::assemble(memtable, files, next_file_id))
+    Ok(SeriesStore::assemble(memtable, files))
 }
 
 /// Recover every series with on-disk or WAL state, fanning the
@@ -428,8 +686,8 @@ fn recover_all(
     let workers = workers.min(work.len());
     if workers <= 1 {
         let mut out = Vec::with_capacity(work.len());
-        for (id, paths, records) in work {
-            out.push((*id, recover_series(paths, records, alloc)?));
+        for (id, runs, records) in work {
+            out.push((*id, recover_series(runs, records, alloc)?));
         }
         return Ok(out);
     }
@@ -440,10 +698,10 @@ fn recover_all(
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some((_, paths, records)) = work.get(i) else {
+                let Some((_, runs, records)) = work.get(i) else {
                     break;
                 };
-                let res = recover_series(paths, records, alloc);
+                let res = recover_series(runs, records, alloc);
                 if let Some(slot) = slots.get(i) {
                     *slot.lock() = Some(res);
                 }
@@ -451,14 +709,14 @@ fn recover_all(
         }
     });
     let mut out = Vec::with_capacity(work.len());
-    for ((id, paths, records), slot) in work.iter().zip(slots) {
+    for ((id, runs, records), slot) in work.iter().zip(slots) {
         match slot.into_inner() {
             Some(Ok(store)) => out.push((*id, store)),
             Some(Err(e)) => return Err(e),
             // A worker can only leave a slot empty by panicking, which
             // the workspace forbids; recover the series inline rather
             // than guessing.
-            None => out.push((*id, recover_series(paths, records, alloc)?)),
+            None => out.push((*id, recover_series(runs, records, alloc)?)),
         }
     }
     Ok(out)
@@ -477,62 +735,56 @@ impl EngineInner {
         let catalog = SeriesCatalog::open(&dir, CATALOG_MAX_SERIES, Arc::clone(&io))?;
         let alloc = VersionAllocator::default();
 
-        // Scan each storage shard: collect data files per series and
-        // replay the shard's WAL. Cold series (registered, no data, no
-        // WAL records) never appear here and cost nothing.
-        let mut storage: Vec<StorageShard> = Vec::with_capacity(n_storage);
-        let mut files_by_id: HashMap<SeriesId, Vec<(u64, PathBuf)>> = HashMap::new();
-        let mut replayed: HashMap<SeriesId, Vec<WalRecord>> = HashMap::new();
+        // List every storage shard before anything in it is touched: a
+        // store holding a data file this build does not read is refused
+        // as it was found.
+        let mut listings: Vec<(PathBuf, ShardListing)> = Vec::with_capacity(n_storage);
         for i in 0..n_storage {
             let sdir = dir.join(storage_dir_name(i));
             std::fs::create_dir_all(&sdir)?;
-            for entry in std::fs::read_dir(&sdir)? {
-                let entry = entry?;
-                let path = entry.path();
-                if path.extension().and_then(|e| e.to_str()) != Some("tsfile") {
-                    continue;
+            let listing = list_shard(&sdir)?;
+            listings.push((sdir, listing));
+        }
+
+        // Open each shard's sealed files and hand every series its runs
+        // (the series id comes from the file's run directory), then
+        // replay the shard's WAL. Cold series (registered, no data, no
+        // WAL records) never appear here and cost nothing.
+        let mut storage: Vec<StorageShard> = Vec::with_capacity(n_storage);
+        let mut work: HashMap<SeriesId, (Vec<FileRun>, Vec<WalRecord>)> = HashMap::new();
+        for (sdir, mut listing) in listings {
+            settle_in_flight(&mut listing)?;
+            for (_, path) in &listing.data {
+                let file = SealedFile::open(path)?;
+                for run in file.reader.series_runs() {
+                    let runs = &mut work.entry(SeriesId(run.series)).or_default().0;
+                    runs.push((Arc::clone(&file), run.clone()));
                 }
-                let parsed = path
-                    .file_stem()
-                    .and_then(|s| s.to_str())
-                    .and_then(parse_data_stem);
-                let Some((id, fileno)) = parsed else {
-                    continue; // foreign file; ignore
-                };
-                files_by_id.entry(id).or_default().push((fileno, path));
             }
             let (wal, records) = ShardWal::open(&sdir, WAL_BATCH_BYTES, WAL_SEGMENT_BYTES)?;
             for (id, recs) in records {
-                replayed.entry(id).or_default().extend(recs);
+                work.entry(id).or_default().1.extend(recs);
             }
-            storage.push(StorageShard { dir: sdir, wal });
+            storage.push(StorageShard {
+                dir: sdir,
+                wal,
+                next_fileno: AtomicU64::new(listing.next_fileno),
+            });
         }
 
         // Every id tagged on disk must be registered: an unknown id
         // means the catalog log was lost or truncated past data that
         // references it — refuse to guess which series owns what.
         let registered = catalog.len();
-        for id in files_by_id.keys().chain(replayed.keys()) {
-            if id.index() >= registered {
-                return Err(TsKvError::Corrupt(format!(
-                    "data tagged with unregistered series id {id} (catalog has {registered})"
-                )));
-            }
+        if let Some(id) = work.keys().find(|id| id.index() >= registered) {
+            return Err(TsKvError::Corrupt(format!(
+                "data tagged with unregistered series id {id} (catalog has {registered})"
+            )));
         }
 
-        let mut merged: HashMap<SeriesId, RecoveryParts> = HashMap::new();
-        for (id, files) in files_by_id {
-            merged.entry(id).or_default().0 = files;
-        }
-        for (id, recs) in replayed {
-            merged.entry(id).or_default().1 = recs;
-        }
-        let mut work: Vec<RecoveryWork> = merged
+        let mut work: Vec<RecoveryWork> = work
             .into_iter()
-            .map(|(id, (mut files, recs))| {
-                files.sort_by_key(|(no, _)| *no);
-                (id, files, recs)
-            })
+            .map(|(id, (runs, recs))| (id, runs, recs))
             .collect();
         work.sort_by_key(|(id, ..)| *id);
         let recovered = recover_all(&work, config.write_shards, &alloc)?;
@@ -580,13 +832,6 @@ impl EngineInner {
     /// The storage shard owning `id`'s files and WAL records.
     fn storage(&self, id: SeriesId) -> &StorageShard {
         &self.storage[id.index() % self.storage.len()]
-    }
-
-    /// Path of data file `fileno` of series `id`.
-    fn data_file_path(&self, id: SeriesId, fileno: u64) -> PathBuf {
-        self.storage(id)
-            .dir
-            .join(format!("s{}-{fileno:08}.tsfile", id.0))
     }
 
     /// Error if `id` was never registered. Ids are dense, so the check
@@ -699,7 +944,7 @@ impl EngineInner {
             });
         }
         if need_flush {
-            self.flush_series(id, false)?;
+            self.flush_group(&[id], false)?;
         }
         Ok(())
     }
@@ -708,7 +953,8 @@ impl EngineInner {
     /// front, series grouped by stripe so each stripe's write lock is
     /// taken once, WAL frames group-commit per series (one syscall
     /// each, fsync per [`FsyncPolicy`]), and memtables that crossed
-    /// the flush threshold flush after every lock is released.
+    /// the flush threshold flush after every lock is released — as one
+    /// group, so those that share a storage shard share a file.
     /// Returns the number of points written.
     fn write_batch(&self, batch: &WriteBatch) -> Result<usize> {
         if batch.is_empty() {
@@ -763,184 +1009,281 @@ impl EngineInner {
         for event in &events {
             self.changes.publish(event);
         }
-        for id in need_flush {
-            self.flush_series(id, false)?;
-        }
+        self.flush_group(&need_flush, false)?;
         Ok(total)
     }
 
-    /// Flush every registered series. Ids are dense, so this is a
-    /// plain counted sweep — no name materialization; cold series
-    /// return immediately from [`flush_series`]'s missing-store path.
-    ///
-    /// [`flush_series`]: EngineInner::flush_series
+    /// Flush every series with buffered points, as one group. The
+    /// members come from the instantiated stores — a short read guard
+    /// per stripe — so a million registered-but-cold series cost
+    /// nothing here. A series mid-flush is a member too: the group
+    /// waits for that flush and seals whatever is buffered after it.
     fn flush_all(&self) -> Result<()> {
-        for i in 0..self.catalog.len() {
-            self.flush_series(SeriesId(i as u32), true)?;
+        let mut ids = Vec::new();
+        for stripe in &self.shards {
+            let map = stripe.series.read();
+            ids.extend(
+                map.iter()
+                    .filter(|(_, store)| !store.memtable.is_empty() || store.flushing.is_some())
+                    .map(|(id, _)| *id),
+            );
+        }
+        self.flush_group(&ids, true)
+    }
+
+    /// The flush state machine. Its unit is the storage shard: the
+    /// members of `ids` that share one are sealed into **one** file, a
+    /// run of chunks per member, for one catalog sync, one WAL sync,
+    /// one create, one `sync_all` and one reopen however many they are.
+    /// A single series is the one-member case of the same path.
+    ///
+    /// `wait` controls behavior when another flush holds a member's
+    /// in-flight slot: explicit flushes wait and then flush whatever is
+    /// buffered; the auto-flush on the insert path skips the member
+    /// (the running flush is making room, and the next insert re-checks
+    /// the threshold).
+    ///
+    /// Per group: phase A claims each member under its own stripe lock,
+    /// one lock at a time ([`claim_member`]); phase B writes the file
+    /// with no lock held ([`write_group`]); phase C installs a view of
+    /// it in every member ([`install_group`]) — or, on failure, puts
+    /// every member's points back ([`abort_group`]).
+    ///
+    /// [`claim_member`]: EngineInner::claim_member
+    /// [`write_group`]: EngineInner::write_group
+    /// [`install_group`]: EngineInner::install_group
+    /// [`abort_group`]: EngineInner::abort_group
+    fn flush_group(&self, ids: &[SeriesId], wait: bool) -> Result<()> {
+        let mut by_shard: Vec<Vec<SeriesId>> = vec![Vec::new(); self.storage.len()];
+        for &id in ids {
+            self.known(id)?;
+            if let Some(members) = by_shard.get_mut(id.index() % self.storage.len()) {
+                members.push(id);
+            }
+        }
+        for (shard, mut todo) in self.storage.iter().zip(by_shard) {
+            // Ascending id: the order of the file's run directory.
+            todo.sort_unstable();
+            todo.dedup();
+            while !todo.is_empty() {
+                let (members, later) = self.claim_group(&todo, wait, FLUSH_GROUP_MAX_POINTS)?;
+                if members.is_empty() {
+                    // Only members that another flush holds are left.
+                    std::thread::yield_now();
+                } else {
+                    let sealed = self.write_group(shard, &members);
+                    self.finish_group(shard, &members, sealed)?;
+                }
+                todo = later;
+            }
         }
         Ok(())
     }
 
-    /// The flush state machine. `wait` controls behavior when another
-    /// flush holds the series' in-flight slot: explicit flushes wait
-    /// and then flush whatever is buffered; the auto-flush on the
-    /// insert path just returns (the running flush is making room, and
-    /// the next insert re-checks the threshold).
-    fn flush_series(&self, id: SeriesId, wait: bool) -> Result<()> {
-        self.known(id)?;
-        loop {
-            // Phase A (locked): claim the in-flight slot, mark the WAL
-            // drain point, drain the memtable, reserve chunk versions.
-            let prep = {
-                let mut map = self.stripe(id).series.write();
-                let Some(store) = map.get_mut(&id) else {
-                    // Registered but never touched: nothing to flush,
-                    // and no reason to instantiate it.
-                    return Ok(());
-                };
-                if store.flushing.is_some() {
-                    FlushPrep::Busy
-                } else if store.memtable.is_empty() {
-                    FlushPrep::Done
-                } else {
-                    let wal = &self.storage(id).wal;
-                    // Under FsyncPolicy::{Always, OnFlush} the WAL is
-                    // made durable before its records are declared
-                    // covered (the sealed TsFile supersedes them soon
-                    // after; until then the log is the only copy).
-                    if !matches!(self.config.fsync_policy, FsyncPolicy::Never) {
-                        // Catalog first: the log's id-tagged records
-                        // must never outlive the binding of their id
-                        // (see commit_wal_with).
-                        self.catalog.sync_if_dirty()?;
-                        wal.sync()?;
-                        self.io.record_wal_sync();
-                    }
-                    wal.begin_flush(id)?;
-                    let points = Arc::new(store.memtable.drain_sorted());
-                    // Reserving every chunk version while still locked
-                    // guarantees that any later delete orders after
-                    // every chunk of this flush.
-                    let n_chunks = points.len().div_ceil(self.config.points_per_chunk).max(1);
-                    let versions: Vec<Version> = (0..n_chunks).map(|_| self.alloc.next()).collect();
-                    let last_version = versions
-                        .last()
-                        .copied()
-                        .unwrap_or_else(|| self.alloc.current());
-                    let path = self.data_file_path(id, store.next_file_id);
-                    store.next_file_id += 1;
-                    store.flushing = Some(FlushInFlight {
-                        points: Arc::clone(&points),
-                        last_version,
-                    });
-                    FlushPrep::Go {
-                        points,
-                        versions,
-                        path,
-                    }
-                }
+    /// Flush phase A for one group: claim members of `ids` (ascending)
+    /// until the group holds `max_points`
+    /// ([`FLUSH_GROUP_MAX_POINTS`]). Returns the members and the ids
+    /// still to do — busy ones when `wait`, and everything past the cap
+    /// — still ascending.
+    fn claim_group(
+        &self,
+        ids: &[SeriesId],
+        wait: bool,
+        max_points: usize,
+    ) -> Result<(Vec<FlushMember>, Vec<SeriesId>)> {
+        let mut members = Vec::new();
+        let mut later = Vec::new();
+        let mut held = 0usize;
+        let mut ids = ids.iter();
+        while held < max_points {
+            let Some(&id) = ids.next() else {
+                break;
             };
-            match prep {
-                FlushPrep::Done => return Ok(()),
-                FlushPrep::Busy if wait => {
-                    std::thread::yield_now();
-                    continue;
+            match self.claim_member(id) {
+                Ok(Claim::Member(member)) => {
+                    held += member.points.len();
+                    members.push(member);
                 }
-                FlushPrep::Busy => return Ok(()),
-                FlushPrep::Go {
-                    points,
-                    versions,
-                    path,
-                } => {
-                    // Phase B (unlocked): the heavy encode + write.
-                    // The sealed file is tagged with this id — make
-                    // the catalog record binding it durable first, so
-                    // a power loss never leaves a data file whose id
-                    // the catalog forgot.
-                    let sealed = self
-                        .catalog
-                        .sync_if_dirty()
-                        .and_then(|()| Self::seal_points(&self.config, &path, &points, &versions));
-                    if sealed.is_err() {
-                        std::fs::remove_file(&path).ok();
-                    }
-                    let out = self.install_flush(id, &points, sealed);
-                    if out.is_ok() && self.changes.active() {
-                        self.changes.publish(&ChangeEvent::Flush { series: id });
-                    }
-                    return out;
+                Ok(Claim::Busy) if wait => later.push(id),
+                Ok(Claim::Busy | Claim::Idle) => {}
+                Err(e) => {
+                    self.abort_group(&members);
+                    return Err(e);
                 }
             }
         }
+        later.extend(ids);
+        Ok((members, later))
     }
 
-    /// Flush phase C (locked): install the sealed file and mark the
-    /// series' WAL records covered — or, on a sealing failure, put the
-    /// points back.
-    fn install_flush(
+    /// Flush phase A for one member (locked): claim the in-flight slot,
+    /// mark the WAL drain point, drain the memtable, reserve chunk
+    /// versions. The marker and the drain are one step under the stripe
+    /// lock, so every record of the series before the marker covers a
+    /// drained point and every later write or delete lands after it.
+    fn claim_member(&self, id: SeriesId) -> Result<Claim> {
+        let mut map = self.stripe(id).series.write();
+        let Some(store) = map.get_mut(&id) else {
+            // Registered but never touched: nothing to flush, and no
+            // reason to instantiate it.
+            return Ok(Claim::Idle);
+        };
+        if store.flushing.is_some() {
+            return Ok(Claim::Busy);
+        }
+        if store.memtable.is_empty() {
+            return Ok(Claim::Idle);
+        }
+        self.storage(id).wal.begin_flush(id)?;
+        let points = Arc::new(store.memtable.drain_sorted());
+        // Reserving every chunk version while still locked guarantees
+        // that any later delete orders after every chunk of this flush.
+        let n_chunks = points.len().div_ceil(self.config.points_per_chunk).max(1);
+        let versions: Vec<Version> = (0..n_chunks).map(|_| self.alloc.next()).collect();
+        let last_version = versions
+            .last()
+            .copied()
+            .unwrap_or_else(|| self.alloc.current());
+        store.flushing = Some(FlushInFlight {
+            points: Arc::clone(&points),
+            last_version,
+        });
+        Ok(Claim::Member(FlushMember {
+            id,
+            points,
+            versions,
+        }))
+    }
+
+    /// Flush phase B (no lock held): make the group durable as one
+    /// sealed file and open every member's view of it. The statement
+    /// order below *is* the durability order of a flush:
+    ///
+    /// 1. the catalog, so that no durable id-tagged byte — WAL record
+    ///    or data-file run — can outlive the binding of its id;
+    /// 2. the shard WAL, once for the group: every record of every
+    ///    member up to and including its begin marker is `fdatasync`ed
+    ///    (under [`FsyncPolicy::Never`] the log is left to the OS) —
+    ///    until step 3 completes it is the only copy of the points;
+    /// 3. the file, `sync_all`ed before it gets its name.
+    ///
+    /// Only after this returns `Ok` may an end marker be appended
+    /// ([`finish_group`](EngineInner::finish_group)).
+    fn write_group(
         &self,
-        id: SeriesId,
-        points: &[Point],
-        sealed: Result<TsFileResource>,
+        shard: &StorageShard,
+        members: &[FlushMember],
+    ) -> Result<Vec<SeriesView>> {
+        self.catalog.sync_if_dirty()?;
+        if !matches!(self.config.fsync_policy, FsyncPolicy::Never) {
+            shard.wal.sync()?;
+            self.io.record_wal_sync();
+        }
+        let path = shard.next_data_path();
+        let file = seal_file(&self.config, &path, |w| {
+            for member in members {
+                w.begin_series(member.id.0, 0)?;
+                let chunks = member.points.chunks(self.config.points_per_chunk);
+                for (chunk, version) in chunks.zip(&member.versions) {
+                    w.write_chunk(chunk, version.0)?;
+                }
+            }
+            Ok(())
+        })?;
+        let views: Result<Vec<SeriesView>> = file
+            .reader
+            .series_runs()
+            .iter()
+            .map(|run| SeriesView::open(&file, run))
+            .collect();
+        if views.is_err() {
+            // Nothing reads the file yet and its points are about to go
+            // back to their memtables.
+            std::fs::remove_file(&path).ok();
+        }
+        views
+    }
+
+    /// Flush phase C: with the group's file durable, end every member's
+    /// flush in the WAL and install its view; with the file failed, put
+    /// every member's points back.
+    fn finish_group(
+        &self,
+        shard: &StorageShard,
+        members: &[FlushMember],
+        sealed: Result<Vec<SeriesView>>,
     ) -> Result<()> {
+        let views = match sealed {
+            Ok(views) => views,
+            Err(e) => {
+                self.abort_group(members);
+                return Err(e);
+            }
+        };
+        // The end markers go first, in one write, while every member
+        // still holds its in-flight slot (`end_flushes` needs that). A
+        // failure to append them costs only a replay of points the file
+        // also holds, so the views are installed regardless.
+        let ids: Vec<SeriesId> = members.iter().map(|m| m.id).collect();
+        let mut outcome = shard.wal.end_flushes(&ids);
+        // Every member drained at least one point, so the file's runs
+        // are the members, in order.
+        for (member, view) in members.iter().zip(views) {
+            let installed = self.install_member(member.id, view);
+            outcome = outcome.and(installed);
+        }
+        self.io.record_file_sealed(members.len() as u64);
+        if self.changes.active() {
+            for member in members {
+                self.changes
+                    .publish(&ChangeEvent::Flush { series: member.id });
+            }
+        }
+        outcome
+    }
+
+    /// Flush phase C for one member (locked): release the in-flight
+    /// slot and install the member's view of the sealed file.
+    fn install_member(&self, id: SeriesId, mut view: SeriesView) -> Result<()> {
         let mut map = self.stripe(id).series.write();
         let store = map.get_mut(&id).ok_or_else(|| self.not_found(id))?;
         store.flushing = None;
-        let pending = std::mem::take(&mut store.pending_mods);
-        match sealed {
-            Ok(mut res) => {
-                // Deletes issued while sealing ran only reached the old
-                // files; attach them to the new one too.
-                for e in &pending {
-                    let overlaps = res
-                        .time_range()
-                        .map(|r| r.overlaps(&e.range))
-                        .unwrap_or(false);
-                    if overlaps {
-                        res.mods.append(*e)?;
-                    }
-                }
-                store.files.push(res);
-                self.storage(id).wal.end_flush(id)?;
-                Ok(())
-            }
-            Err(e) => {
-                self.storage(id).wal.abort_flush(id);
-                // The points stay buffered (and remain covered by the
-                // log, whose begin marker was never matched). Writes and
-                // deletes that landed mid-flush are newer and must win
-                // — hence the absent-only reinsert and the tombstone
-                // filter.
-                for p in points {
-                    if !pending.iter().any(|m| m.covers(p.t)) {
-                        store.memtable.insert_if_absent(*p);
-                    }
-                }
-                Err(e)
+        // Deletes issued while sealing ran only reached the old
+        // files; attach them to the new one too.
+        for e in std::mem::take(&mut store.pending_mods) {
+            let overlaps = view
+                .time_range()
+                .map(|r| r.overlaps(&e.range))
+                .unwrap_or(false);
+            if overlaps {
+                view.mods.append(e)?;
             }
         }
+        store.files.push(view);
+        Ok(())
     }
 
-    /// Encode `points` into a sealed TsFile at `path`, one chunk per
-    /// `points_per_chunk` slice, consuming the pre-reserved `versions`
-    /// in order. Runs without any engine lock held.
-    fn seal_points(
-        config: &EngineConfig,
-        path: &Path,
-        points: &[Point],
-        versions: &[Version],
-    ) -> Result<TsFileResource> {
-        let mut w =
-            TsFileWriter::create_with_encodings(path, config.ts_encoding, config.val_encoding)?;
-        w.set_build_index(config.build_step_index);
-        w.set_page_points(config.page_points);
-        for (chunk, version) in points.chunks(config.points_per_chunk).zip(versions) {
-            w.write_chunk(chunk, version.0)?;
+    /// The group's file could not be written (or a later member could
+    /// not be claimed): abort every member's begin marker and put its
+    /// points back. They stay buffered, and covered by the log, whose
+    /// begin marker is never matched. Writes and deletes that landed
+    /// mid-flush are newer and must win — hence the absent-only
+    /// reinsert and the tombstone filter.
+    fn abort_group(&self, members: &[FlushMember]) {
+        for member in members {
+            let mut map = self.stripe(member.id).series.write();
+            let Some(store) = map.get_mut(&member.id) else {
+                continue;
+            };
+            store.flushing = None;
+            let pending = std::mem::take(&mut store.pending_mods);
+            self.storage(member.id).wal.abort_flush(member.id);
+            for p in member.points.iter() {
+                if !pending.iter().any(|m| m.covers(p.t)) {
+                    store.memtable.insert_if_absent(*p);
+                }
+            }
         }
-        w.finish()?;
-        let reader = Arc::new(TsFileReader::open(path)?);
-        let mods = ModsFile::open(path.with_extension("mods"))?;
-        Ok(TsFileResource { reader, mods })
     }
 
     /// Delete all points of `id` in `[start, end]` (inclusive), as an
@@ -968,7 +1311,7 @@ impl EngineInner {
             let entry = ModEntry::new(version, start, end);
             if store.flushing.is_some() {
                 // The in-flight file is not in `files` yet; park the
-                // entry so install_flush can attach it.
+                // entry so install_member can attach it.
                 store.pending_mods.push(entry);
             }
             for res in &mut store.files {
@@ -1015,7 +1358,7 @@ impl EngineInner {
         let mut deletes: Vec<ModEntry> = Vec::new();
         for res in &store.files {
             let file_idx = files.len();
-            for meta in res.reader.chunk_metas() {
+            for meta in res.metas() {
                 chunks.push(ChunkHandle::from_file(file_idx, meta.clone()));
             }
             for e in res.mods.entries() {
@@ -1025,7 +1368,7 @@ impl EngineInner {
                     deletes.push(*e);
                 }
             }
-            files.push(Arc::clone(&res.reader));
+            files.push(Arc::clone(&res.file.reader));
         }
         // Deletes issued mid-flush may not have reached any file yet.
         for e in &store.pending_mods {
@@ -1060,17 +1403,17 @@ impl EngineInner {
         ))
     }
 
-    /// Fully compact one series: merge every sealed file (copying
+    /// Fully compact one series: merge every sealed run it has (copying
     /// clean pages byte-for-byte, re-encoding dirty ones), write the
-    /// result as a single fresh TsFile, and unlink the old files and
-    /// their mods logs. The memtable and WAL are untouched. Returns an
-    /// empty report if a compaction is already running for the series.
-    /// See [`crate::compaction`].
+    /// result as a single fresh one-run TsFile, and retire the old runs
+    /// — a file goes with its last live run. The memtable and WAL are
+    /// untouched. Returns an empty report if a compaction is already
+    /// running for the series. See [`crate::compaction`].
     pub(crate) fn compact(&self, id: SeriesId) -> Result<CompactionReport> {
         self.compact_run(id, 1)
     }
 
-    /// The phased compaction state machine: merge every sealed file of
+    /// The phased compaction state machine: merge every sealed run of
     /// the series, provided it has at least `min_files` (≥ 1) of them —
     /// `1` from the manual entry points, `compaction_threshold` from
     /// the background scheduler.
@@ -1081,7 +1424,7 @@ impl EngineInner {
         // `min_files` is checked under the same guard that sets
         // `compacting`, so a scheduler tick that lost a race to a
         // manual compact declines instead of rewriting a single file.
-        let (files, chunks, deletes, captured, out_version, capture_ceiling, path) = {
+        let (files, chunks, deletes, captured, header, capture_ceiling, path) = {
             let mut map = self.stripe(id).series.write();
             let Some(store) = map.get_mut(&id) else {
                 // Cold series: nothing sealed, nothing to merge.
@@ -1095,26 +1438,32 @@ impl EngineInner {
                 return Ok(CompactionReport::empty());
             }
             let captured = store.files.len();
-            store.compacting = true;
             let mut files = Vec::with_capacity(captured);
             let mut chunks = Vec::new();
             let mut deletes: Vec<ModEntry> = Vec::new();
             for res in &store.files {
                 let file_idx = files.len();
-                for meta in res.reader.chunk_metas() {
+                for meta in res.metas() {
                     chunks.push(ChunkHandle::from_file(file_idx, meta.clone()));
                 }
                 for e in res.mods.entries() {
                     // A delete that touches input data is attached to
-                    // the input file it overlaps, so the inputs' own
+                    // the input run it overlaps, so the inputs' own
                     // mods are a complete capture (dedup by version —
-                    // one delete lands in several files' logs).
+                    // one delete lands in several runs' logs).
                     if !deletes.iter().any(|d| d.version == e.version) {
                         deletes.push(*e);
                     }
                 }
-                files.push(Arc::clone(&res.reader));
+                files.push(Arc::clone(&res.file.reader));
             }
+            if chunks.is_empty() {
+                // Only chunkless runs (each the whole output of an
+                // earlier compaction that found every point deleted):
+                // nothing to merge.
+                return Ok(CompactionReport::empty());
+            }
+            store.compacting = true;
             // Every output chunk carries the maximum input version.
             // The inputs are a prefix of the version-ordered file
             // list, so anything that outranked an input (a later file,
@@ -1122,21 +1471,40 @@ impl EngineInner {
             // No fresh versions are allocated: a reserved version would
             // order the merged (older) data after concurrent deletes
             // that the merge never saw.
-            let out_version = chunks.iter().map(|c| c.version.0).max().unwrap_or(0);
+            // The same version is what the output says it supersedes:
+            // every input, and everything the inputs superseded.
+            let out_version = store.files.iter().map(SeriesView::rank).max().unwrap_or(0);
+            let header = execute::OutputRun {
+                series: id.0,
+                version: out_version,
+                // A merge that comes up empty normally leaves no file.
+                // It must leave its (chunkless) run when an input will
+                // stay on disk after this series retires it — inside a
+                // file other series still read — or when an input was
+                // itself such a run: without the output's `supersedes`
+                // a reopen would read that input again.
+                always: store
+                    .files
+                    .iter()
+                    .any(|v| v.shares_file() || v.run.supersedes.0 > 0),
+            };
             // Deletes issued after this point get versions above the
             // ceiling; phase C uses it to find the ones the merge
             // missed. (`out_version` can be older than a pre-capture
             // delete that postdates the last flush — the ceiling is the
             // only version that cleanly splits "seen" from "missed".)
             let capture_ceiling = self.alloc.current();
-            let path = self.data_file_path(id, store.next_file_id);
-            store.next_file_id += 1;
+            // The output takes its file number here, before any flush
+            // that will outrank it takes one: file order stays version
+            // order, which is what lets recovery read `supersedes` as
+            // "replaces the runs in the files before me".
+            let path = self.storage(id).next_data_path();
             (
                 files,
                 chunks,
                 deletes,
                 captured,
-                out_version,
+                header,
                 capture_ceiling,
                 path,
             )
@@ -1151,11 +1519,14 @@ impl EngineInner {
         // through a detached snapshot (no shared cache, detached
         // counters): compaction I/O is reported via the explicit
         // `compaction_*` counters instead of polluting the read-path
-        // ones, and the input generation is about to be unlinked — not
+        // ones, and the input generation is about to be retired — not
         // worth caching.
-        let views: Vec<ChunkView> = files
+        let views: Vec<ChunkView> = chunks
             .iter()
-            .flat_map(|reader| reader.chunk_metas())
+            .filter_map(|c| match &c.data {
+                ChunkData::File { meta, .. } => Some(meta),
+                ChunkData::Mem { .. } => None,
+            })
             .map(|meta| ChunkView {
                 version: meta.version.0,
                 range: meta.time_range(),
@@ -1171,42 +1542,42 @@ impl EngineInner {
             })
             .collect();
         let cplan = plan::classify(&views, &deletes, self.config.compaction_clean_page_copy);
-        let outcome = execute::merge_to_file(
-            &self.config,
-            &path,
-            &files,
-            &chunks,
-            deletes,
-            &cplan,
-            out_version,
-        )
-        .and_then(|o| {
-            let sealed = if o.wrote_file {
-                let reader = Arc::new(TsFileReader::open(&path)?);
-                let mods = ModsFile::open(path.with_extension("mods"))?;
-                Some(TsFileResource { reader, mods })
-            } else {
-                None
-            };
-            Ok((o, sealed))
-        });
+        let tmp = in_flight_path(&path);
+        let outcome =
+            execute::merge_to_file(&self.config, &tmp, &files, &chunks, deletes, &cplan, header)
+                .and_then(|o| {
+                    let sealed = if o.wrote_file {
+                        let file = publish_file(&tmp, &path)?;
+                        let run = file.reader.series_runs().first().ok_or_else(|| {
+                            TsKvError::Corrupt(format!(
+                                "{}: compaction output has no run",
+                                path.display()
+                            ))
+                        })?;
+                        Some(SeriesView::open(&file, run)?)
+                    } else {
+                        None
+                    };
+                    Ok((o, sealed))
+                });
         if outcome.is_err() {
+            std::fs::remove_file(&tmp).ok();
             std::fs::remove_file(&path).ok();
         }
 
         // Phase C (locked): swap the new generation in for the captured
-        // files, carry forward mods that arrived during the merge,
-        // collect the doomed paths. Only appends happened while
+        // runs, carry forward mods that arrived during the merge,
+        // collect the retired views. Only appends happened while
         // `compacting` was set (flush installs push at the tail), so
         // the first `captured` entries are still the inputs and
         // replacing them in place keeps the file list version-ordered.
-        let (doomed, outcome) = {
+        let (retired, outcome) = {
             let mut map = self.stripe(id).series.write();
             let store = map.get_mut(&id).ok_or_else(|| self.not_found(id))?;
             store.compacting = false;
             let (outcome, sealed) = outcome?;
             // Deletes issued during the merge postdate the capture
-            // ceiling and live only in the input files' mods.
+            // ceiling and live only in the input runs' mods.
             let mut carried: Vec<ModEntry> = Vec::new();
             for res in store.files.iter().take(captured) {
                 for e in res.mods.entries() {
@@ -1218,7 +1589,7 @@ impl EngineInner {
                 }
             }
             let tail = store.files.split_off(captured);
-            let removed = std::mem::take(&mut store.files);
+            let retired = std::mem::take(&mut store.files);
             if let Some(mut res) = sealed {
                 for e in carried {
                     let overlaps = res
@@ -1235,11 +1606,7 @@ impl EngineInner {
                 store.files.push(res);
             }
             store.files.extend(tail);
-            let doomed: Vec<(PathBuf, u64)> = removed
-                .iter()
-                .map(|r| (r.reader.path().to_path_buf(), r.reader.handle_id()))
-                .collect();
-            (doomed, outcome)
+            (retired, outcome)
         };
         self.io.record_compaction_io(
             outcome.bytes_read,
@@ -1248,25 +1615,22 @@ impl EngineInner {
             outcome.pages_recoded,
         );
 
-        // Phase D (unlocked): drop the retired files' cache entries and
-        // unlink the old generation. The new file was written before
-        // the unlink (a crash in between leaves a recoverable mix: the
-        // new file holds only latest points, so re-reading both
-        // generations still merges to the same series), and snapshots
-        // still holding the old readers keep working — POSIX unlink
-        // semantics. Such a straggler snapshot may re-populate a
-        // retired file's cache entries after this invalidation; that is
+        // Phase D (unlocked): retire the old generation — each run's
+        // cache entries and delete log, and each file whose last live
+        // run this was. The new file was in place before this (a crash
+        // in between leaves both generations on disk, and the output's
+        // `supersedes` tells the reopen which one to read), and
+        // snapshots still holding the old readers keep working — POSIX
+        // unlink semantics. Such a straggler snapshot may re-populate a
+        // retired run's cache entries after this invalidation; that is
         // benign (handle ids are never reused, so the entries can only
         // ever serve that same straggler) and the LRU ages them out.
-        for (p, file_id) in &doomed {
-            if let Some(cache) = &self.cache {
-                cache.invalidate_file(*file_id);
-            }
-            std::fs::remove_file(p).ok();
-            std::fs::remove_file(p.with_extension("mods")).ok();
+        let files_removed = retired.len();
+        for view in retired {
+            view.retire(self.cache.as_deref());
         }
         Ok(CompactionReport {
-            files_removed: doomed.len(),
+            files_removed,
             chunks_merged,
             points_written: outcome.points_written,
             deletes_applied,
@@ -1336,26 +1700,37 @@ impl TsKv {
     /// Open (or create) a store rooted at `dir`, recovering whatever
     /// is found there: the series catalog is replayed first (interned
     /// names get the same dense ids back), then each storage shard's
-    /// data files and shared WAL are scanned, and only series with
+    /// data files are opened — every series with a run in one gets a
+    /// view of it — and its shared WAL is replayed, and only series with
     /// actual state get an in-memory store — a million registered but
     /// cold series recover in catalog-replay time and occupy no file
-    /// handles. Recovery fans out across up to `write_shards` threads,
-    /// one series at a time per thread.
+    /// handles. The per-series work (delete logs, WAL replay) fans out
+    /// across up to `write_shards` threads, one series at a time per
+    /// thread.
     ///
     /// A directory with no `SHARDS` file but with series- or
     /// shard-named sub-directories holding `series.wal` or `*.tsfile`
     /// (the retired pre-sharding layout, or a store that lost its
     /// `SHARDS` file) is refused with [`TsKvError::Corrupt`] before
-    /// anything is written to it.
+    /// anything is written to it, and so is a store holding a data file
+    /// of the retired `s<id>-<fileno>.tsfile` shape.
     ///
-    /// A crash mid-flush or mid-compaction can leave one torn TsFile,
-    /// always at a series' highest file number; it is quarantined
-    /// (renamed to `*.corrupt`) rather than failing recovery, since
-    /// its points are still covered by the shard WAL (flush) or by the
-    /// older generation (compaction). An unreadable file at any other
-    /// number is genuine corruption and surfaces as an error, and so
-    /// does a file with a foreign magic (e.g. the retired `TSF1`) at any
-    /// number: it is left in place and the open fails with `BadMagic`.
+    /// A crash mid-flush or mid-compaction leaves the file it was
+    /// writing under its in-flight name `<fileno>.tsfile.tmp`. Cut
+    /// short, it is quarantined (renamed `<fileno>.tsfile.corrupt`)
+    /// rather than failing recovery: its points are still covered by
+    /// the shard WAL (flush — every member replays from its unmatched
+    /// begin marker) or by the older generation (compaction). Complete,
+    /// it only lost its rename and is adopted. A `*.tsfile` that does
+    /// not verify was damaged after it was sealed: that is genuine
+    /// corruption and surfaces as an error, and so does a file with a
+    /// foreign magic (e.g. the retired `TSF1`) under either name: it is
+    /// left in place and the open fails with `BadMagic`.
+    ///
+    /// A run that a compaction output on disk supersedes is not read
+    /// again: its series retired it, and it is still there only because
+    /// other series read the file, or because of a crash before the
+    /// unlink — which the open then finishes.
     ///
     /// When `compaction_auto` is set, a background scheduler thread
     /// starts here and stops (joined) when the store drops.
@@ -1449,12 +1824,12 @@ impl TsKv {
     /// Flush one series' memtable to a new sealed TsFile.
     pub fn flush(&self, name: &str) -> Result<()> {
         let id = self.inner.resolve(name)?;
-        self.inner.flush_series(id, true)
+        self.inner.flush_group(&[id], true)
     }
 
     /// [`flush`](TsKv::flush) keyed by an interned id.
     pub fn flush_by_id(&self, id: SeriesId) -> Result<()> {
-        self.inner.flush_series(id, true)
+        self.inner.flush_group(&[id], true)
     }
 
     /// Flush every series.
@@ -1543,6 +1918,9 @@ impl TsKv {
         self.scheduler.is_some()
     }
 }
+
+#[cfg(test)]
+mod group_tests;
 
 #[cfg(test)]
 mod tests {
@@ -2035,9 +2413,13 @@ mod tests {
         Ok(())
     }
 
+    /// A `*.tsfile` got its name after its `sync_all`, so one that does
+    /// not verify was damaged later, not cut short by a crash: the open
+    /// fails and the file stays. (What a crash cuts short is a
+    /// `*.tsfile.tmp` — see `group_tests`.)
     #[test]
-    fn torn_newest_tsfile_quarantined() -> TestResult {
-        let dir = std::env::temp_dir().join(format!("tskv-quarantine-{}", std::process::id()));
+    fn damaged_data_file_fails_open_and_stays_in_place() -> TestResult {
+        let dir = std::env::temp_dir().join(format!("tskv-damaged-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let config = EngineConfig {
             points_per_chunk: 50,
@@ -2055,23 +2437,21 @@ mod tests {
         }
         // "s" is the first series interned → id 0 → storage shard 0.
         let sdir = dir.join(storage_dir_name(0));
-        // Tear the newest file (as a crash mid-flush would).
-        let torn = sdir.join("s0-00000001.tsfile");
-        std::fs::write(&torn, b"TSF2\0\0 torn mid-write")?;
-        let kv = TsKv::open(&dir, config)?;
-        let snap = kv.snapshot("s")?;
-        assert_eq!(snap.raw_point_count(), 100, "older generation must survive");
-        assert!(sdir.join("s0-00000001.tsfile.corrupt").exists());
-        // The quarantined file number is not reused.
-        kv.insert("s", Point::new(500, 1.0))?;
-        kv.flush_all()?;
-        assert!(sdir.join("s0-00000002.tsfile").exists());
+        let damaged = sdir.join("00000001.tsfile");
+        let bytes = b"TSF2\0\0 cut short";
+        std::fs::write(&damaged, bytes)?;
+        match TsKv::open(&dir, config) {
+            Err(TsKvError::TsFile(e)) => assert!(is_torn_write(&e), "{e:?}"),
+            other => return Err(format!("opened as {other:?}").into()),
+        }
+        assert_eq!(std::fs::read(&damaged)?, bytes);
+        assert!(!sdir.join("00000001.tsfile.corrupt").exists());
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
     #[test]
-    fn foreign_magic_newest_tsfile_fails_open_and_stays_in_place() -> TestResult {
+    fn foreign_magic_data_file_fails_open_and_stays_in_place() -> TestResult {
         let dir = std::env::temp_dir().join(format!("tskv-tsf1-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         {
@@ -2082,7 +2462,7 @@ mod tests {
         // A retired-format file where the series' only (hence newest)
         // data file should be: never a torn write of ours, so it is
         // neither renamed nor skipped.
-        let path = dir.join(storage_dir_name(0)).join("s0-00000000.tsfile");
+        let path = dir.join(storage_dir_name(0)).join("00000000.tsfile");
         let tsf1 = b"TSF1\0\0 a whole file of the retired format TSF1\0\0";
         std::fs::write(&path, tsf1)?;
         match TsKv::open(&dir, EngineConfig::default()) {

@@ -1,0 +1,625 @@
+//! The shapes a file shared by several series adds to the engine, each
+//! checked against a model of the acknowledged points: crash images
+//! around a group flush, one member compacted away from under the
+//! others, the last member taking the file with it, and operations
+//! racing the group's unlocked phase.
+//!
+//! Crash images are directory copies taken between the flush phases,
+//! which is why these tests live inside the crate and drive
+//! `claim_group` / `write_group` / `finish_group` themselves.
+
+// Tests assert by panicking; the workspace deny-set targets library
+// code.
+#![allow(clippy::panic)]
+
+use std::collections::BTreeMap;
+
+use super::*;
+use crate::readers::MergeReader;
+
+type TestResult = std::result::Result<(), Box<dyn std::error::Error>>;
+
+/// What every series must read back as: acknowledged writes, minus
+/// acknowledged deletes, latest value per timestamp.
+#[derive(Debug, Default)]
+struct Model(BTreeMap<String, BTreeMap<i64, f64>>);
+
+impl Model {
+    fn write(&mut self, kv: &TsKv, series: &str, points: &[Point]) -> TestResult {
+        kv.insert_batch(series, points)?;
+        let m = self.0.entry(series.to_string()).or_default();
+        m.extend(points.iter().map(|p| (p.t, p.v)));
+        Ok(())
+    }
+
+    fn delete(&mut self, kv: &TsKv, series: &str, lo: i64, hi: i64) -> TestResult {
+        kv.delete(series, lo, hi)?;
+        if let Some(m) = self.0.get_mut(series) {
+            m.retain(|t, _| !(lo..=hi).contains(t));
+        }
+        Ok(())
+    }
+
+    /// Every series of the model reads back exactly as modelled.
+    fn check(&self, kv: &TsKv) -> TestResult {
+        for (series, want) in &self.0 {
+            let got = MergeReader::new(&kv.snapshot(series)?).collect_merged()?;
+            let want: Vec<Point> = want.iter().map(|(&t, &v)| Point::new(t, v)).collect();
+            assert_eq!(got, want, "series {series}");
+        }
+        Ok(())
+    }
+}
+
+fn ramp(range: std::ops::Range<i64>, v: f64) -> Vec<Point> {
+    range.map(|t| Point::new(t, v)).collect()
+}
+
+/// One storage shard, so every series shares files; memtables that
+/// never fill, so every flush is one the test asked for.
+fn config() -> EngineConfig {
+    EngineConfig {
+        points_per_chunk: 40,
+        memtable_threshold: 1_000_000,
+        storage_shards: 1,
+        ..Default::default()
+    }
+}
+
+fn fresh(name: &str) -> Result<(PathBuf, TsKv)> {
+    let dir = std::env::temp_dir().join(format!("tskv-group-{name}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(with_suffix(&dir, "-image")).ok();
+    let kv = TsKv::open(&dir, config())?;
+    Ok((dir, kv))
+}
+
+/// What `kill -9` now would leave of the store at `dir` (acknowledged
+/// bytes are in the page cache, which a copy reads).
+fn crash_image(dir: &Path) -> std::io::Result<PathBuf> {
+    fn copy(from: &Path, to: &Path) -> std::io::Result<()> {
+        std::fs::create_dir_all(to)?;
+        for entry in std::fs::read_dir(from)? {
+            let entry = entry?;
+            let target = to.join(entry.file_name());
+            if entry.file_type()?.is_dir() {
+                copy(&entry.path(), &target)?;
+            } else {
+                std::fs::copy(entry.path(), &target)?;
+            }
+        }
+        Ok(())
+    }
+    let image = with_suffix(dir, "-image");
+    std::fs::remove_dir_all(&image).ok();
+    copy(dir, &image)?;
+    Ok(image)
+}
+
+/// Names in shard 0 of the store at `dir`, sorted.
+fn shard_listing(dir: &Path) -> std::io::Result<Vec<String>> {
+    let mut names: Vec<String> = std::fs::read_dir(dir.join(storage_dir_name(0)))?
+        .map(|e| e.map(|e| e.file_name().to_string_lossy().into_owned()))
+        .collect::<std::io::Result<_>>()?;
+    names.sort();
+    Ok(names)
+}
+
+fn ids(kv: &TsKv, names: &[&str]) -> Vec<SeriesId> {
+    names.iter().filter_map(|n| kv.series_id(n)).collect()
+}
+
+/// Three series with data, flushed into one shared file.
+fn shared_file(
+    name: &str,
+) -> std::result::Result<(PathBuf, TsKv, Model), Box<dyn std::error::Error>> {
+    let (dir, kv) = fresh(name)?;
+    let mut model = Model::default();
+    model.write(&kv, "a", &ramp(0..100, 1.0))?;
+    model.write(&kv, "b", &ramp(0..90, 2.0))?;
+    model.write(&kv, "c", &ramp(50..130, 3.0))?;
+    kv.flush_all()?;
+    assert_eq!(
+        shard_listing(&dir)?,
+        ["00000000.tsfile", "wal-00000000.log"],
+        "one file for the three members"
+    );
+    Ok((dir, kv, model))
+}
+
+fn cleanup(dir: &Path) {
+    std::fs::remove_dir_all(dir).ok();
+    std::fs::remove_dir_all(with_suffix(dir, "-image")).ok();
+}
+
+#[test]
+fn flush_all_seals_one_file_per_shard_not_one_per_series() -> TestResult {
+    let dir = std::env::temp_dir().join(format!("tskv-group-located-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let kv = TsKv::open(&dir, EngineConfig::default())?;
+    let shards = kv.config().storage_shards;
+    assert_eq!(shards, 16);
+    // 1 000 registered, 900 of them with a few hundred points each.
+    let mut batch = WriteBatch::new();
+    for s in 0..1_000usize {
+        let name = format!("fleet.{s:04}");
+        kv.create_series(&name)?;
+        if s % 10 != 9 {
+            batch.insert_many(&name, &ramp(0..200 + (s % 7) as i64 * 30, s as f64));
+        }
+    }
+    kv.write_batch(&batch)?;
+    let rx = kv.subscribe_changes(2_048);
+    let before = kv.io().snapshot();
+    kv.flush_all()?;
+    let io = kv.io().snapshot() - before;
+    assert!(io.files_sealed <= shards as u64, "{io:?}");
+    assert_eq!(io.flush_members, 900);
+    assert!(io.wal_syncs <= shards as u64, "{io:?}");
+    let mut sealed = 0usize;
+    for shard in std::fs::read_dir(&dir)? {
+        let shard = shard?.path();
+        if shard.is_dir() {
+            for file in std::fs::read_dir(&shard)? {
+                let name = file?.file_name();
+                assert!(
+                    !name.to_string_lossy().ends_with(".mods"),
+                    "no delete log until a delete touches a run"
+                );
+                sealed += usize::from(name.to_string_lossy().ends_with(".tsfile"));
+            }
+        }
+    }
+    assert!(sealed <= shards, "{sealed} data files");
+    // Still one Flush event per member.
+    let mut events = 0usize;
+    while let Some(e) = rx.try_recv() {
+        assert!(matches!(e, ChangeEvent::Flush { .. }), "{e:?}");
+        events += 1;
+    }
+    assert_eq!(events, 900);
+    for s in [0usize, 8, 9, 503, 999] {
+        let name = format!("fleet.{s:04}");
+        let merged = MergeReader::new(&kv.snapshot(&name)?).collect_merged()?;
+        let want = if s % 10 == 9 { 0 } else { 200 + (s % 7) * 30 };
+        assert_eq!(merged.len(), want, "{name}");
+        assert_eq!(kv.unflushed_points(&name)?, 0);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    Ok(())
+}
+
+#[test]
+fn one_member_group_is_the_same_path_with_one_run() -> TestResult {
+    let (dir, kv) = fresh("single")?;
+    kv.insert_batch("only", &ramp(0..100, 1.0))?;
+    let before = kv.io().snapshot();
+    kv.flush("only")?;
+    let io = kv.io().snapshot() - before;
+    assert_eq!((io.files_sealed, io.flush_members, io.wal_syncs), (1, 1, 1));
+    let reader = TsFileReader::open(dir.join(storage_dir_name(0)).join("00000000.tsfile"))?;
+    assert_eq!(reader.series_runs().len(), 1);
+    assert_eq!(reader.chunk_metas().len(), 3); // 100 points, 40 per chunk
+    cleanup(&dir);
+    Ok(())
+}
+
+/// (a) The crash image holds the group's begin markers (synced) and a
+/// cut-short file under its in-flight name.
+#[test]
+fn torn_in_flight_file_is_quarantined_once_and_every_member_replays() -> TestResult {
+    let (dir, kv) = fresh("torn")?;
+    let mut model = Model::default();
+    model.write(&kv, "a", &ramp(0..100, 1.0))?;
+    model.write(&kv, "b", &ramp(0..90, 2.0))?;
+    model.write(&kv, "c", &ramp(50..130, 3.0))?;
+    let shard = &kv.inner.storage[0];
+    let (members, later) =
+        kv.inner
+            .claim_group(&ids(&kv, &["a", "b", "c"]), true, FLUSH_GROUP_MAX_POINTS)?;
+    assert_eq!((members.len(), later.len()), (3, 0));
+    shard.wal.sync()?;
+    let image = crash_image(&dir)?;
+    let torn = image.join(storage_dir_name(0)).join("00000000.tsfile.tmp");
+    std::fs::write(
+        &torn,
+        b"TSF2\0\0 the first pages of a file that never got its footer",
+    )?;
+    // The store the image was taken of carries on.
+    let sealed = kv.inner.write_group(shard, &members);
+    kv.inner.finish_group(shard, &members, sealed)?;
+    model.check(&kv)?;
+    drop(kv);
+
+    let reopened = TsKv::open(&image, config())?;
+    model.check(&reopened)?;
+    assert_eq!(reopened.unflushed_points("a")?, 100, "back from the WAL");
+    let listing = shard_listing(&image)?;
+    assert!(
+        listing.contains(&"00000000.tsfile.corrupt".to_string()),
+        "{listing:?}"
+    );
+    assert!(!torn.exists());
+    drop(reopened);
+    // Once: the next open finds nothing in flight and changes nothing.
+    let reopened = TsKv::open(&image, config())?;
+    assert_eq!(shard_listing(&image)?, listing);
+    model.check(&reopened)?;
+    // The quarantined file's number is not reused.
+    reopened.flush_all()?;
+    assert!(shard_listing(&image)?.contains(&"00000001.tsfile".to_string()));
+    model.check(&reopened)?;
+    cleanup(&dir);
+    Ok(())
+}
+
+/// A complete file whose rename was lost takes its place; a foreign one
+/// under an in-flight name was never ours to rename.
+#[test]
+fn complete_in_flight_file_is_adopted_and_a_foreign_one_refused() -> TestResult {
+    let (dir, kv, model) = shared_file("adopt")?;
+    drop(kv);
+    let sdir = dir.join(storage_dir_name(0));
+    std::fs::rename(
+        sdir.join("00000000.tsfile"),
+        sdir.join("00000000.tsfile.tmp"),
+    )?;
+    let kv = TsKv::open(&dir, config())?;
+    model.check(&kv)?;
+    assert!(sdir.join("00000000.tsfile").exists());
+    drop(kv);
+
+    let foreign = sdir.join("00000007.tsfile.tmp");
+    let tsf1 = b"TSF1\0\0 not a file this build ever wrote";
+    std::fs::write(&foreign, tsf1)?;
+    assert!(matches!(
+        TsKv::open(&dir, config()),
+        Err(TsKvError::TsFile(TsFileError::BadMagic { .. }))
+    ));
+    assert_eq!(std::fs::read(&foreign)?, tsf1);
+    cleanup(&dir);
+    Ok(())
+}
+
+/// (b) The group's end markers leave in one write; a crash can cut it
+/// anywhere. A fourth, unflushed series keeps the log from resetting,
+/// so the markers are the log's tail.
+#[test]
+fn crash_between_two_members_end_markers_reopens_to_the_model() -> TestResult {
+    let (dir, kv) = fresh("endmarkers")?;
+    let mut model = Model::default();
+    model.write(&kv, "a", &ramp(0..100, 1.0))?;
+    model.write(&kv, "b", &ramp(0..90, 2.0))?;
+    model.write(&kv, "c", &ramp(50..130, 3.0))?;
+    model.write(&kv, "unflushed", &ramp(0..10, 4.0))?;
+    let shard = &kv.inner.storage[0];
+    let (members, _) =
+        kv.inner
+            .claim_group(&ids(&kv, &["a", "b", "c"]), true, FLUSH_GROUP_MAX_POINTS)?;
+    let sealed = kv.inner.write_group(shard, &members);
+    kv.inner.finish_group(shard, &members, sealed)?;
+    model.check(&kv)?;
+    let wal = dir.join(storage_dir_name(0)).join("wal-00000000.log");
+    let whole = std::fs::metadata(&wal)?.len();
+    // Each end marker is kind + id + crc = 9 bytes: lose the last two,
+    // the last two and half of the first, or the last one and a half.
+    for lost in [18, 22, 13] {
+        let image = crash_image(&dir)?;
+        let log = std::fs::OpenOptions::new()
+            .write(true)
+            .open(image.join(storage_dir_name(0)).join("wal-00000000.log"))?;
+        log.set_len(whole - lost)?;
+        drop(log);
+        let reopened = TsKv::open(&image, config())?;
+        model.check(&reopened)?;
+        // A member whose end marker was lost replays points its run of
+        // the file also holds; the one whose marker survived does not.
+        assert_eq!(reopened.unflushed_points("c")?, 80, "lost {lost}");
+        let a_replayed = reopened.unflushed_points("a")?;
+        assert_eq!(a_replayed, if lost == 22 { 100 } else { 0 }, "lost {lost}");
+    }
+    cleanup(&dir);
+    Ok(())
+}
+
+/// (c) + (d) One member compacted out of a shared file, then the rest.
+#[test]
+fn members_leave_a_shared_file_one_by_one_and_the_last_takes_it() -> TestResult {
+    let (dir, kv, mut model) = shared_file("leave")?;
+    // A delete before the compaction lands in a's own log of the file.
+    model.delete(&kv, "a", 10, 20)?;
+    model.delete(&kv, "b", 0, 5)?;
+    let a = kv.series_id("a").ok_or("a")?;
+    let b = kv.series_id("b").ok_or("b")?;
+    assert!(shard_listing(&dir)?.contains(&format!("00000000.s{}.mods", a.0)));
+    model.write(&kv, "a", &ramp(200..250, 1.5))?;
+    kv.flush("a")?; // 00000001: a alone
+    let report = kv.compact("a")?; // 00000002 replaces a's two runs
+    assert_eq!(report.files_removed, 2);
+    assert_eq!(report.deletes_applied, 1);
+    model.check(&kv)?;
+    // The shared file stays for b and c; a's log of it and a's own
+    // file are gone.
+    assert_eq!(
+        shard_listing(&dir)?,
+        [
+            "00000000.s1.mods".to_string(),
+            "00000000.tsfile".to_string(),
+            "00000002.tsfile".to_string(),
+            "wal-00000000.log".to_string(),
+        ]
+    );
+    assert_eq!(b.0, 1);
+    let output = TsFileReader::open(dir.join(storage_dir_name(0)).join("00000002.tsfile"))?;
+    let run = output.series_runs().first().ok_or("no run")?;
+    assert_eq!(run.series, a.0);
+    assert!(
+        run.supersedes.0 > 0,
+        "a compaction output says what it replaced"
+    );
+    for other in ["b", "c"] {
+        assert_eq!(kv.sealed_file_count(other)?, 1);
+    }
+
+    // A delete after the compaction is applied and dropped by the next
+    // one. a's run of the shared file is still on disk; a reopen that
+    // read it again would bring back what both deletes hid.
+    model.delete(&kv, "a", 30, 40)?;
+    kv.compact("a")?; // 00000003
+    model.check(&kv)?;
+    drop(kv);
+    let kv = TsKv::open(&dir, config())?;
+    model.check(&kv)?;
+    assert_eq!(kv.sealed_file_count("a")?, 1);
+    assert_eq!(kv.sealed_file_count("b")?, 1);
+    assert_eq!(kv.snapshot("b")?.deletes().len(), 1);
+    assert!(shard_listing(&dir)?.contains(&"00000000.tsfile".to_string()));
+
+    // (d) b leaves, then c — the last: the file and every log beside it
+    // go, and nothing named after it is left.
+    kv.compact("b")?;
+    assert!(shard_listing(&dir)?.contains(&"00000000.tsfile".to_string()));
+    model.delete(&kv, "c", 60, 70)?;
+    kv.compact("c")?;
+    model.check(&kv)?;
+    let listing = shard_listing(&dir)?;
+    assert!(
+        !listing.iter().any(|n| n.starts_with("00000000.")),
+        "{listing:?}"
+    );
+    // Every data file left is read by someone.
+    assert_eq!(listing.iter().filter(|n| n.ends_with(".tsfile")).count(), 3);
+    drop(kv);
+    let kv = TsKv::open(&dir, config())?;
+    model.check(&kv)?;
+    cleanup(&dir);
+    Ok(())
+}
+
+/// A crash after the compaction output got its name and before the
+/// inputs were retired leaves both generations; the reopen reads the
+/// output and finishes the retirement.
+#[test]
+fn reopen_after_a_crash_mid_retirement_reads_only_the_output() -> TestResult {
+    let (dir, kv, mut model) = shared_file("midretire")?;
+    model.delete(&kv, "a", 10, 20)?;
+    model.write(&kv, "a", &ramp(200..250, 1.5))?;
+    kv.flush("a")?; // 00000001
+    let before = crash_image(&dir)?;
+    kv.compact("a")?; // 00000002
+    model.check(&kv)?;
+    drop(kv);
+    // The image of just before, plus the output: what a crash between
+    // phases C and D leaves.
+    let sdir = storage_dir_name(0);
+    std::fs::copy(
+        dir.join(&sdir).join("00000002.tsfile"),
+        before.join(&sdir).join("00000002.tsfile"),
+    )?;
+    let kv = TsKv::open(&before, config())?;
+    model.check(&kv)?;
+    assert_eq!(kv.sealed_file_count("a")?, 1);
+    assert_eq!(
+        shard_listing(&before)?,
+        ["00000000.tsfile", "00000002.tsfile", "wal-00000000.log"],
+        "a's own input file and a's log of the shared one are retired again"
+    );
+    cleanup(&dir);
+    Ok(())
+}
+
+/// A member whose every point is deleted still has to say, durably,
+/// that its run of the shared file is dead.
+#[test]
+fn fully_deleted_member_leaves_a_chunkless_superseding_run() -> TestResult {
+    let (dir, kv, mut model) = shared_file("alldeleted")?;
+    model.delete(&kv, "a", i64::MIN, i64::MAX)?;
+    let report = kv.compact("a")?;
+    assert_eq!((report.files_removed, report.points_written), (1, 0));
+    model.check(&kv)?;
+    let sdir = dir.join(storage_dir_name(0));
+    let output = TsFileReader::open(sdir.join("00000001.tsfile"))?;
+    assert!(output.chunk_metas().is_empty());
+    assert_eq!(output.series_runs().len(), 1);
+    // Nothing to merge in it; and on reopen it keeps the shared file's
+    // run of a dead, with the tombstone long gone.
+    assert_eq!(kv.compact("a")?, CompactionReport::empty());
+    drop(kv);
+    let kv = TsKv::open(&dir, config())?;
+    model.check(&kv)?;
+    assert!(kv.snapshot("a")?.chunks().is_empty());
+    // With new data the chunkless run is merged away like any input.
+    model.write(&kv, "a", &ramp(0..10, 9.0))?;
+    kv.flush("a")?;
+    kv.compact("a")?;
+    assert!(!sdir.join("00000001.tsfile").exists());
+    drop(kv);
+    let kv = TsKv::open(&dir, config())?;
+    model.check(&kv)?;
+    cleanup(&dir);
+    Ok(())
+}
+
+/// A single-series file whose every point is deleted still compacts to
+/// no file at all.
+#[test]
+fn fully_deleted_unshared_file_compacts_to_nothing() -> TestResult {
+    let (dir, kv) = fresh("alldeleted-alone")?;
+    let mut model = Model::default();
+    model.write(&kv, "a", &ramp(0..100, 1.0))?;
+    kv.flush("a")?;
+    model.delete(&kv, "a", 0, 1_000)?;
+    kv.compact("a")?;
+    assert_eq!(shard_listing(&dir)?, ["wal-00000000.log"]);
+    model.check(&kv)?;
+    cleanup(&dir);
+    Ok(())
+}
+
+#[test]
+fn retiring_one_member_keeps_the_others_cache_entries() -> TestResult {
+    let (dir, kv, model) = shared_file("cache")?;
+    model.check(&kv)?; // decodes every chunk of a, b and c into the cache
+    let cache = kv.cache().ok_or("cache disabled")?;
+    let cached = cache.len();
+    let a_chunks = kv.snapshot("a")?.chunks().len();
+    assert!(cached >= a_chunks + 2);
+    let before = kv.io().snapshot();
+    kv.compact("a")?;
+    assert_eq!(cache.len(), cached - a_chunks, "only a's entries dropped");
+    let after_compact = kv.io().snapshot();
+    assert_eq!(
+        (after_compact - before).cache_invalidations,
+        a_chunks as u64
+    );
+    for other in ["b", "c"] {
+        MergeReader::new(&kv.snapshot(other)?).collect_merged()?;
+    }
+    let reads = kv.io().snapshot() - after_compact;
+    assert_eq!(reads.cache_misses, 0, "b and c still hit");
+    assert!(reads.cache_hits > 0);
+    cleanup(&dir);
+    Ok(())
+}
+
+/// (e) Between a group's claim and its install the members' stripe
+/// locks are free: a write and a delete that land there order after
+/// the flush, in memory and in the log.
+#[test]
+fn write_and_delete_racing_a_group_flush_land_after_it() -> TestResult {
+    let (dir, kv) = fresh("race")?;
+    let mut model = Model::default();
+    model.write(&kv, "a", &ramp(0..100, 1.0))?;
+    model.write(&kv, "b", &ramp(0..90, 2.0))?;
+    let shard = &kv.inner.storage[0];
+    let (members, _) =
+        kv.inner
+            .claim_group(&ids(&kv, &["a", "b"]), true, FLUSH_GROUP_MAX_POINTS)?;
+    // Mid-flush: the drained points are still readable…
+    model.check(&kv)?;
+    // …an overwrite of one of them and a delete over others arrive…
+    model.write(&kv, "a", &[Point::new(5, 99.0), Point::new(500, 99.0)])?;
+    model.delete(&kv, "a", 40, 60)?;
+    model.delete(&kv, "b", 0, 9)?;
+    model.check(&kv)?;
+    // …and a second flush of a member just skips (auto) — its slot is
+    // taken.
+    kv.inner.flush_group(&ids(&kv, &["a"]), false)?;
+    assert_eq!(kv.sealed_file_count("a")?, 0);
+    let sealed = kv.inner.write_group(shard, &members);
+    kv.inner.finish_group(shard, &members, sealed)?;
+    model.check(&kv)?;
+    // The racing write stayed in the memtable; the racing deletes are
+    // attached to the file that did not exist when they were issued.
+    assert_eq!(kv.unflushed_points("a")?, 2);
+    assert_eq!(kv.snapshot("a")?.deletes().len(), 1);
+    assert_eq!(kv.snapshot("b")?.deletes().len(), 1);
+    drop(kv);
+    let kv = TsKv::open(&dir, config())?;
+    model.check(&kv)?;
+    assert_eq!(
+        kv.unflushed_points("a")?,
+        2,
+        "after the begin marker: replayed"
+    );
+    cleanup(&dir);
+    Ok(())
+}
+
+/// The file could not be written: every member's points go back,
+/// behind whatever landed meanwhile, and stay covered by the log.
+#[test]
+fn failed_group_write_puts_every_members_points_back() -> TestResult {
+    let (dir, kv) = fresh("abort")?;
+    let mut model = Model::default();
+    model.write(&kv, "a", &ramp(0..100, 1.0))?;
+    model.write(&kv, "b", &ramp(0..90, 2.0))?;
+    let shard = &kv.inner.storage[0];
+    let (members, _) =
+        kv.inner
+            .claim_group(&ids(&kv, &["a", "b"]), true, FLUSH_GROUP_MAX_POINTS)?;
+    model.write(&kv, "a", &[Point::new(5, 99.0)])?; // newer: must win
+    model.delete(&kv, "b", 0, 9)?; // newer: must hide
+    let failed = Err(TsKvError::Corrupt("injected: disk full".into()));
+    assert!(kv.inner.finish_group(shard, &members, failed).is_err());
+    model.check(&kv)?;
+    assert_eq!(kv.unflushed_points("a")?, 100);
+    assert_eq!(kv.unflushed_points("b")?, 80);
+    assert_eq!(kv.io().snapshot().files_sealed, 0);
+    // Both slots are free again, and the next flush seals them.
+    let image = crash_image(&dir)?;
+    kv.flush_all()?;
+    model.check(&kv)?;
+    assert_eq!(kv.unflushed_points("a")?, 0);
+    drop(kv);
+    // A crash before that flush: the unmatched begin markers replay
+    // everything.
+    let kv = TsKv::open(&image, config())?;
+    model.check(&kv)?;
+    cleanup(&dir);
+    Ok(())
+}
+
+#[test]
+fn group_is_capped_by_points_held_and_the_rest_follow_in_order() -> TestResult {
+    let (dir, kv) = fresh("cap")?;
+    let mut model = Model::default();
+    for (i, name) in ["a", "b", "c", "d"].iter().enumerate() {
+        model.write(&kv, name, &ramp(0..100, i as f64))?;
+    }
+    let all = ids(&kv, &["a", "b", "c", "d"]);
+    // 100 + 100 reaches a cap of 150; c and d wait for the next group.
+    let (members, later) = kv.inner.claim_group(&all, true, 150)?;
+    assert_eq!(members.iter().map(|m| m.id).collect::<Vec<_>>(), all[..2]);
+    assert_eq!(later, all[2..]);
+    let shard = &kv.inner.storage[0];
+    let sealed = kv.inner.write_group(shard, &members);
+    kv.inner.finish_group(shard, &members, sealed)?;
+    kv.flush_all()?;
+    assert_eq!(kv.io().snapshot().files_sealed, 2);
+    model.check(&kv)?;
+    cleanup(&dir);
+    Ok(())
+}
+
+#[test]
+fn retired_per_series_file_shape_is_refused_untouched() -> TestResult {
+    let (dir, kv, _) = shared_file("oldshape")?;
+    drop(kv);
+    // A data file named the way the one-file-per-series layout named
+    // them, in a pinned store. Never parsed.
+    let old = dir.join(storage_dir_name(0)).join("s3-00000002.tsfile");
+    std::fs::write(&old, b"TSF2\0\0 whatever the retired shape held")?;
+    let before = shard_listing(&dir)?;
+    match TsKv::open(&dir, config()) {
+        Err(TsKvError::Corrupt(msg)) => assert!(msg.contains("s<id>-<fileno>"), "{msg}"),
+        other => return Err(format!("opened as {other:?}").into()),
+    }
+    assert_eq!(shard_listing(&dir)?, before);
+    assert_eq!(
+        std::fs::read(&old)?,
+        b"TSF2\0\0 whatever the retired shape held"
+    );
+    cleanup(&dir);
+    Ok(())
+}

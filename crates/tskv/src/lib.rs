@@ -10,10 +10,12 @@
 //!   threshold it is flushed — sorted, split into chunks of
 //!   `points_per_chunk` points (IoTDB's
 //!   `avg_series_point_number_threshold`, 1000 in the paper's Table 4),
-//!   and written as one sealed TsFile. Every chunk gets a fresh global
-//!   [`tsfile::Version`] `κ`.
+//!   and sealed into a TsFile: one per storage shard per flush, holding
+//!   a run of chunks for every series flushed together (as an IoTDB
+//!   memtable of many series becomes one TsFile). Every chunk gets a
+//!   fresh global [`tsfile::Version`] `κ`.
 //! * **Deletes** (`D^κ`) are append-only range tombstones written to the
-//!   per-file mods log with their own version; they are never eagerly
+//!   series' mods log of each file with their own version; they are never eagerly
 //!   applied to sealed files — only [`compaction`] folds them in, and
 //!   it is opt-in (off by default, as in the paper's experimental
 //!   setup).
@@ -33,7 +35,7 @@
 //! is the raw append history — the hardest case for a merge-based
 //! reader and the case M4-LSM is designed for. Beyond the paper, the
 //! [`compaction`] module provides page-aware compaction (a series'
-//! sealed files merged into one, clean pages copied byte-for-byte
+//! sealed runs merged into one file, clean pages copied byte-for-byte
 //! without decode), run manually via `compact` or by the background
 //! [`scheduler`] when `compaction_auto` is set.
 //!

@@ -61,10 +61,11 @@
 //! writes that were never acknowledged (at most the torn tail record).
 //! `commit` returns the bytes written through since the last commit
 //! (feeding the group-commit counters) and fsyncs per
-//! [`crate::config::FsyncPolicy`]; the engine also syncs on flush and
-//! on delete. Offsets are *logical* — they count buffered bytes — so
-//! coverage arithmetic never depends on what has physically reached
-//! the file yet.
+//! [`crate::config::FsyncPolicy`]; the engine also syncs once per flush
+//! group (after its begin markers, before its file) and on delete.
+//! Offsets are *logical* — they count buffered bytes — so coverage
+//! arithmetic never depends on what has physically reached the file
+//! yet.
 
 // Untrusted bytes: an out-of-range access is a typed error, not a panic.
 #![deny(clippy::indexing_slicing)]
@@ -401,7 +402,9 @@ impl ShardWal {
 
     /// Mark the drain point of a flush of `id`: records before this
     /// offset cover the points leaving the memtable. Must run under the
-    /// same lock that serializes this series' appends.
+    /// same lock that serializes this series' appends. The marker only
+    /// joins the group-commit buffer; a group's markers reach the file
+    /// in the one write of the [`sync`](Self::sync) that follows them.
     pub fn begin_flush(&self, id: SeriesId) -> Result<()> {
         let mut state = self.state.lock();
         let at = state.pos;
@@ -410,21 +413,31 @@ impl ShardWal {
         Ok(())
     }
 
-    /// The flush's TsFile is durable: everything of `id` before its
-    /// begin marker is covered. Reclaims dead log space when possible.
-    pub fn end_flush(&self, id: SeriesId) -> Result<()> {
+    /// The TsFile holding the flushes of `ids` is durable: everything
+    /// of each series before its begin marker is covered. One buffered
+    /// write for all the end markers and one reclamation scan for the
+    /// group, however many members it has. Each series must still hold
+    /// its in-flight slot: an end marker that followed the *next* begin
+    /// marker of its series would cover records that flush has not
+    /// sealed.
+    pub fn end_flushes(&self, ids: &[SeriesId]) -> Result<()> {
         let mut state = self.state.lock();
-        state.append_marker(3, id, self.batch_bytes)?;
+        for &id in ids {
+            state.append_marker(3, id, self.batch_bytes)?;
+        }
         state.flush_buf()?;
-        if let Some(begin) = state.pending_begin.remove(&id) {
-            if state.last_append.get(&id).is_some_and(|&last| last > begin) {
+        for id in ids {
+            let Some(begin) = state.pending_begin.remove(id) else {
+                continue;
+            };
+            if state.last_append.get(id).is_some_and(|&last| last > begin) {
                 // Records landed after the drain point (writes racing
                 // the flush): the series stays uncovered from there.
-                let entry = state.first_uncovered.entry(id).or_insert(begin);
+                let entry = state.first_uncovered.entry(*id).or_insert(begin);
                 *entry = (*entry).max(begin);
             } else {
-                state.last_append.remove(&id);
-                state.first_uncovered.remove(&id);
+                state.last_append.remove(id);
+                state.first_uncovered.remove(id);
             }
         }
         state.maybe_reclaim()?;
@@ -655,7 +668,7 @@ mod tests {
             // Writes racing the flush land after the marker and survive.
             w.append_inserts(A, &pts(&[(2, 2.0)])).unwrap();
             w.commit(false).unwrap();
-            w.end_flush(A).unwrap();
+            w.end_flushes(&[A]).unwrap();
         }
         let (_w, replay) = open(&dir);
         assert_eq!(
@@ -690,8 +703,8 @@ mod tests {
         w.commit(false).unwrap();
         for id in [A, B] {
             w.begin_flush(id).unwrap();
-            w.end_flush(id).unwrap();
         }
+        w.end_flushes(&[A, B]).unwrap();
         // Everything covered: the log reset to one empty active segment.
         assert_eq!(w.segment_count(), 1);
         let files: Vec<u64> = std::fs::read_dir(&dir)
@@ -703,6 +716,30 @@ mod tests {
         drop(w);
         let (_w, replay) = open(&dir);
         assert!(replay.is_empty());
+    }
+
+    #[test]
+    fn group_end_covers_every_member_and_keeps_the_rest() {
+        const C: SeriesId = SeriesId(9);
+        let dir = tmp("group");
+        {
+            let (w, _) = open(&dir);
+            for id in [A, B, C] {
+                w.append_inserts(id, &pts(&[(1, 1.0)])).unwrap();
+            }
+            for id in [A, B] {
+                w.begin_flush(id).unwrap();
+            }
+            w.sync().unwrap();
+            let len = || std::fs::metadata(segment_path(&dir, 0)).unwrap().len();
+            let before = len();
+            w.end_flushes(&[A, B]).unwrap();
+            // Two 9-byte markers; C's record pins the log, so nothing
+            // was reclaimed from under them.
+            assert_eq!(len() - before, 18);
+        }
+        let (_w, replay) = open(&dir);
+        assert_eq!(replay.keys().collect::<Vec<_>>(), vec![&C]);
     }
 
     #[test]
@@ -722,7 +759,7 @@ mod tests {
         // Flushing A covers the early segments; B (uncovered, late)
         // does not pin them.
         w.begin_flush(A).unwrap();
-        w.end_flush(A).unwrap();
+        w.end_flushes(&[A]).unwrap();
         let after = w.segment_count();
         assert!(after < before, "prefix not reclaimed: {before} -> {after}");
         // B's record must still replay after the reclaim.
@@ -734,7 +771,7 @@ mod tests {
         );
         // Flushing B too clears the log entirely.
         w.begin_flush(B).unwrap();
-        w.end_flush(B).unwrap();
+        w.end_flushes(&[B]).unwrap();
         assert_eq!(w.segment_count(), 1);
     }
 

@@ -62,6 +62,12 @@ crate::metric_registry! {
     counter wal_bytes;
     /// Explicit WAL fsyncs (`fdatasync`) issued by the commit path.
     counter wal_syncs;
+    /// Sealed TsFiles written by flushes: one per storage shard per
+    /// flush group, however many series it holds.
+    counter files_sealed;
+    /// Series flushes those files carried: `flush_members ÷
+    /// files_sealed` is the mean group size.
+    counter flush_members;
     /// Compactions queued by the background scheduler.
     counter compactions_scheduled;
     /// Scheduled compactions that merged at least one file.
@@ -168,6 +174,13 @@ impl IoStats {
         self.wal_syncs.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record one flush group sealed into one file holding `members`
+    /// series.
+    pub(crate) fn record_file_sealed(&self, members: u64) {
+        self.files_sealed.fetch_add(1, Ordering::Relaxed);
+        self.flush_members.fetch_add(members, Ordering::Relaxed);
+    }
+
     pub(crate) fn record_compaction_scheduled(&self) {
         self.compactions_scheduled.fetch_add(1, Ordering::Relaxed);
     }
@@ -245,6 +258,8 @@ mod tests {
         s.record_wal_batch(4096);
         s.record_wal_batch(1024);
         s.record_wal_sync();
+        s.record_file_sealed(3);
+        s.record_file_sealed(1);
         s.record_compaction_scheduled();
         s.record_compaction_completed();
         s.record_compaction_skipped();
@@ -255,6 +270,7 @@ mod tests {
         assert_eq!(snap.wal_batches, 2);
         assert_eq!(snap.wal_bytes, 5120);
         assert_eq!(snap.wal_syncs, 1);
+        assert_eq!((snap.files_sealed, snap.flush_members), (2, 4));
         assert_eq!(snap.compactions_scheduled, 1);
         assert_eq!(snap.compactions_completed, 1);
         assert_eq!(snap.compactions_skipped, 1);

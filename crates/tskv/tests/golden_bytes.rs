@@ -7,10 +7,26 @@
 //! by this same test at the commit *before* the write-path kernels
 //! (CRC32, memtable, WAL/page framing) were rebuilt: equal hashes are
 //! the proof that the rebuild changed no format and no byte.
+//!
+//! The data file's entry was regenerated once since, on purpose: when
+//! the footer gained the series-run directory (and data files and
+//! their delete logs were renamed `<fileno>.tsfile` /
+//! `<fileno>.s<id>.mods`). [`TSFILE_BEFORE_RUN_DIRECTORY`] holds the
+//! hashes that commit's parent produced for the two parts of the file
+//! that must not have moved — every byte before the footer (head magic,
+//! pages, chunks) and the footer's chunk index — and the test checks
+//! the file is exactly those plus the four directory bytes. The mods
+//! log, the WAL segment, the catalog and the shard pin are
+//! byte-identical to the original table.
 
 // Tests assert by panicking; the workspace panic-freedom deny-set
 // (root Cargo.toml) is aimed at library code.
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 
 use std::path::{Path, PathBuf};
 
@@ -22,10 +38,21 @@ use tskv::TsKv;
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("SHARDS", 2, 0x07f8bc07b4ba5002),
     ("catalog.log", 36, 0xec3a226c01abdc87),
-    ("shard-0000/s1-00000000.mods", 9, 0xcc59cc0b4c19c5c2),
-    ("shard-0000/s1-00000000.tsfile", 20693, 0x059e32fc8b0a1eec),
+    ("shard-0000/00000000.s1.mods", 9, 0xcc59cc0b4c19c5c2),
+    ("shard-0000/00000000.tsfile", 20697, 0xffc07aaf4d351868),
     ("shard-0000/wal-00000000.log", 28520, 0xd85eab1dfa586c6f),
 ];
+
+/// `(length, FNV-1a 64)` of the data file's bytes before the footer and
+/// of the footer body, as written by the parent of the commit that
+/// added the series-run directory (when the whole file was 20 693
+/// bytes, hash `0x059e32fc8b0a1eec`).
+const TSFILE_BEFORE_RUN_DIRECTORY: [(usize, u64); 2] =
+    [(18_632, 0xfcfca27b987044fc), (2_043, 0xdab4016dd3c8e8af)];
+
+/// What the footer body gained: one run, of series 1 (`golden.a`),
+/// holding all seven chunks, superseding nothing.
+const RUN_DIRECTORY: [u8; 4] = [1, 1, 7, 0];
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -130,8 +157,23 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
     let mut actual = Vec::new();
     collect_files(&dir, &dir, &mut actual);
     actual.sort();
+    let tsfile = std::fs::read(dir.join("shard-0000/00000000.tsfile")).unwrap();
     drop(kv);
     std::fs::remove_dir_all(&dir).ok();
+
+    // The data file is the old bytes plus the run directory: pages,
+    // chunks and the chunk index did not move.
+    let [(bodies_len, bodies_hash), (index_len, index_hash)] = TSFILE_BEFORE_RUN_DIRECTORY;
+    let trailer = 4 + 8 + 6; // crc + footer length + magic
+    assert_eq!(
+        tsfile.len(),
+        bodies_len + index_len + RUN_DIRECTORY.len() + trailer
+    );
+    let (bodies, footer) = tsfile.split_at(bodies_len);
+    let (index, rest) = footer.split_at(index_len);
+    assert_eq!(fnv1a64(bodies), bodies_hash, "a page or chunk byte moved");
+    assert_eq!(fnv1a64(index), index_hash, "a chunk-index byte moved");
+    assert_eq!(rest[..RUN_DIRECTORY.len()], RUN_DIRECTORY);
 
     let golden: Vec<(String, u64, u64)> = GOLDEN
         .iter()

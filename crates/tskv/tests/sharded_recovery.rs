@@ -1,11 +1,13 @@
 //! Recovery round-trips for the sharded, id-keyed storage layout.
 //!
 //! **Property: crash recovery is exact at any shard count.** A random
-//! multi-series workload (inserts, flushes, deletes spread over several
-//! series) followed by a crash (drop without flush) and a reopen must
-//! restore every series bit-for-bit — the per-record series tags in the
-//! shared shard WALs, the catalog log, and the `s<id>-` file naming all
-//! have to cooperate. The reopen deliberately configures a *different*
+//! multi-series workload (inserts, deletes, single-series flushes,
+//! `flush_all` group flushes that seal several series into one file,
+//! and compactions that take one series out of such a file) followed
+//! by a crash (drop without flush) and a reopen must restore every
+//! series bit-for-bit — the per-record series tags in the shared shard
+//! WALs, the catalog log, and the series-run directories of the shard
+//! files all have to cooperate. The reopen deliberately configures a *different*
 //! shard count: the `SHARDS` meta file pinned at first open must win.
 
 // Tests assert by panicking; the workspace panic-freedom deny-set
@@ -37,6 +39,10 @@ enum Op {
     Flush(usize),
     /// Delete an inclusive range from one series.
     Delete(usize, i16, i16),
+    /// Flush every series with buffered points: one file per shard.
+    FlushAll,
+    /// Compact one series (out of whatever files it shares).
+    Compact(usize),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -45,9 +51,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         4 => (sid.clone(), prop::collection::vec((any::<i16>(), any::<i8>()), 1..30))
             .prop_map(|(s, b)| Op::Insert(s, b)),
         1 => sid.clone().prop_map(Op::Flush),
-        2 => (sid, any::<i16>(), 0i16..200).prop_map(|(s, lo, len)| {
+        2 => (sid.clone(), any::<i16>(), 0i16..200).prop_map(|(s, lo, len)| {
             Op::Delete(s, lo, lo.saturating_add(len))
         }),
+        1 => Just(Op::FlushAll),
+        1 => sid.prop_map(Op::Compact),
     ]
 }
 
@@ -102,6 +110,10 @@ proptest! {
                     }
                 }
                 Op::Flush(s) => kv.flush(SERIES[*s]).unwrap(),
+                Op::FlushAll => kv.flush_all().unwrap(),
+                Op::Compact(s) => {
+                    kv.compact(SERIES[*s]).unwrap();
+                }
                 Op::Delete(s, lo, hi) => {
                     kv.delete(SERIES[*s], i64::from(*lo), i64::from(*hi)).unwrap();
                     let doomed: Vec<i64> = model[*s]

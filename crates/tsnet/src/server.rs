@@ -757,28 +757,29 @@ fn execute_query(
 }
 
 fn execute_flush(shared: &Shared, series: &Option<String>, compact: bool) -> Execution {
-    // Resolve once at the boundary, then sweep dense ids: the
-    // all-series case never materializes a name list (with a
-    // high-cardinality catalog that would be millions of Strings for a
-    // sweep that touches only the handful of instantiated stores).
-    let ids: Vec<tskv::SeriesId> = match series {
-        Some(name) => vec![shared
-            .store
-            .series_id(name)
-            .ok_or_else(|| map_tskv_error(&tskv::TsKvError::SeriesNotFound(name.clone())))?],
-        None => (0..shared.store.series_count())
-            .map(|i| tskv::SeriesId(i as u32))
-            .collect(),
+    let store = &shared.store;
+    // One series: resolve once at the boundary. All series: the
+    // engine's own group flush (one sealed file per storage shard, not
+    // one per series), then one sweep over the dense ids — never a name
+    // list, which with a high-cardinality catalog would be millions of
+    // Strings for a sweep that touches the handful of series with files.
+    let ids = match series {
+        Some(name) => {
+            let id = store
+                .series_id(name)
+                .ok_or_else(|| map_tskv_error(&tskv::TsKvError::SeriesNotFound(name.clone())))?;
+            store.flush_by_id(id).map_err(|e| map_tskv_error(&e))?;
+            id.0..id.0 + 1
+        }
+        None => {
+            store.flush_all().map_err(|e| map_tskv_error(&e))?;
+            0..store.series_count() as u32
+        }
     };
-    for &id in &ids {
-        shared
-            .store
-            .flush_by_id(id)
-            .map_err(|e| map_tskv_error(&e))?;
-        if compact {
-            shared
-                .store
-                .compact_by_id(id)
+    if compact {
+        for id in ids.clone() {
+            store
+                .compact_by_id(tskv::SeriesId(id))
                 .map_err(|e| map_tskv_error(&e))?;
         }
     }

@@ -50,6 +50,12 @@ fn l2_fixture_flags_guard_across_chunk_load() {
             .any(|v| v.message.contains("read_chunk") && v.message.contains("guard")),
         "{v:?}"
     );
+    // The group flush holding a member's guard across the file sync.
+    assert!(
+        v.iter()
+            .any(|v| v.message.contains("sync_all") && v.message.contains("guard")),
+        "{v:?}"
+    );
 }
 
 #[test]

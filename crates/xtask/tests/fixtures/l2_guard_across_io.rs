@@ -12,6 +12,17 @@ impl Store {
         let pts = self.files.read_chunk(guard.meta());
         keep(pts);
     }
+
+    /// The group flush done wrong: the guard that claimed the last
+    /// member is still alive when the shared file is synced.
+    fn flush_group_locked(&self, ids: &[u32], file: &File) {
+        let mut guard = self.series.write();
+        for id in ids {
+            guard.claim(*id);
+        }
+        file.sync_all();
+        keep(guard);
+    }
 }
 
 fn keep<T>(_: T) {}

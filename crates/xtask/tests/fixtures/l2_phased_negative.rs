@@ -30,4 +30,21 @@ impl PhasedStore {
             self.absorb(points);
         }
     }
+
+    /// The group flush: each member is claimed under its own guard, one
+    /// guard at a time (dead at the end of the loop body), the shared
+    /// file is synced with no guard alive, and each member's view is
+    /// installed under a fresh guard.
+    fn flush_group(&self, ids: &[u32], file: &File) {
+        let mut members = Vec::new();
+        for id in ids {
+            let mut m = self.map.write();
+            members.push(m.claim(*id));
+        }
+        file.sync_all();
+        for member in members {
+            let mut m = self.map.write();
+            m.install(member);
+        }
+    }
 }

@@ -12,8 +12,11 @@
 //! Layout walked (see tskv's engine docs): the root holds `SHARDS`
 //! (pinned storage shard count), `catalog.log` (interned id ↔ name
 //! map) and `shard-NNNN/` directories; each shard holds data files
-//! named `s<id>-<fileno>.tsfile` (+ `.mods`) for every series hashed
-//! into it, plus shared WAL segments `wal-NNNNNNNN.log`.
+//! `<fileno>.tsfile` — one per flush of the shard, with a run of chunks
+//! for every series flushed into it (the footer's run directory says
+//! whose is whose) — a delete log `<fileno>.s<id>.mods` beside a file
+//! for each run a delete has touched, and shared WAL segments
+//! `wal-NNNNNNNN.log`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -40,9 +43,17 @@ fn build_demo(dir: &Path) -> Result<(), Box<dyn std::error::Error>> {
     for t in 200..400i64 {
         kv.insert("demo.a", Point::new(t * 1000, 99.0))?;
     }
-    // A second series, so the shard routing shows.
+    // A second series, so the shard routing shows, and a third that
+    // lands in demo.a's shard (ids 0 and 4 of 4 shards): the final
+    // flush_all seals the two into one file.
     for t in 0..400i64 {
         kv.insert("demo.b", Point::new(t * 500, (t % 3) as f64))?;
+    }
+    for name in ["demo.c", "demo.d"] {
+        kv.create_series(name)?;
+    }
+    for t in 0..150i64 {
+        kv.insert("demo.e", Point::new(t * 2000, (t % 5) as f64))?;
     }
     // A registered-but-cold series: costs a catalog entry and nothing
     // else — no directory, no files.
@@ -78,50 +89,62 @@ fn read_catalog(dir: &Path) -> BTreeMap<u32, String> {
     out
 }
 
-/// Parse a data file stem `s<id>-<fileno>` into its series id.
-fn data_file_series(path: &Path) -> Option<u32> {
-    let stem = path.file_stem()?.to_str()?;
-    let (id, _fileno) = stem.strip_prefix('s')?.split_once('-')?;
-    id.parse().ok()
-}
-
-fn dump_file(path: &Path) -> Result<(), Box<dyn std::error::Error>> {
+fn dump_file(
+    path: &Path,
+    catalog: &BTreeMap<u32, String>,
+) -> Result<(), Box<dyn std::error::Error>> {
     let reader = TsFileReader::open(path)?;
     let size = std::fs::metadata(path)?.len();
     println!(
-        "    {} ({} bytes, {} chunks)",
+        "  {} ({} bytes, {} chunks in {} series runs)",
         path.file_name().unwrap_or_default().to_string_lossy(),
         size,
-        reader.chunk_metas().len()
+        reader.chunk_metas().len(),
+        reader.series_runs().len()
     );
-    for meta in reader.chunk_metas() {
-        let s = &meta.stats;
-        print!(
-            "      chunk {} @{:>8}+{:<6} n={:<5} t=[{} … {}] v=[{} … {}]",
-            meta.version,
-            meta.offset,
-            meta.byte_len,
-            s.count,
-            s.first.t,
-            s.last.t,
-            s.bottom.v,
-            s.top.v
+    for run in reader.series_runs() {
+        let name = catalog
+            .get(&run.series)
+            .map(|n| format!(" ({n:?})"))
+            .unwrap_or_default();
+        let supersedes = match run.supersedes.0 {
+            0 => String::new(),
+            v => format!(", supersedes versions ≤ {v}"),
+        };
+        println!(
+            "    run s{}{name}: chunks {}..{}{supersedes}",
+            run.series, run.chunks.start, run.chunks.end
         );
-        match &meta.index {
-            Some(idx) => println!(
-                "  step-index: Δt={} segs={} ε={}",
-                idx.median_delta(),
-                idx.segment_count(),
-                idx.epsilon()
-            ),
-            None => println!("  step-index: none"),
+        for meta in reader.run_chunks(run) {
+            let s = &meta.stats;
+            print!(
+                "      chunk {} @{:>8}+{:<6} n={:<5} t=[{} … {}] v=[{} … {}]",
+                meta.version,
+                meta.offset,
+                meta.byte_len,
+                s.count,
+                s.first.t,
+                s.last.t,
+                s.bottom.v,
+                s.top.v
+            );
+            match &meta.index {
+                Some(idx) => println!(
+                    "  step-index: Δt={} segs={} ε={}",
+                    idx.median_delta(),
+                    idx.segment_count(),
+                    idx.epsilon()
+                ),
+                None => println!("  step-index: none"),
+            }
         }
-    }
-    let mods_path = path.with_extension("mods");
-    if mods_path.exists() {
-        let mods = ModsFile::open(&mods_path)?;
-        for e in mods.entries() {
-            println!("      delete {} range {}", e.version, e.range);
+        // The run's own delete log, if a delete has touched it.
+        let mods_path = path.with_extension(format!("s{}.mods", run.series));
+        if mods_path.exists() {
+            let mods = ModsFile::open(&mods_path)?;
+            for e in mods.entries() {
+                println!("      delete {} range {}", e.version, e.range);
+            }
         }
     }
     Ok(())
@@ -165,23 +188,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|e| e.path())
             .collect();
         entries.sort();
-        // Data files, grouped per series so the dump reads store-shaped.
-        let mut by_series: BTreeMap<u32, Vec<&PathBuf>> = BTreeMap::new();
+        // Data files in creation order, each with its series runs. A
+        // run whose series has since been compacted stays listed until
+        // the file's last run is — the engine tells it is dead from the
+        // `supersedes` of the later file holding that series.
         for p in &entries {
             if p.extension().and_then(|e| e.to_str()) == Some("tsfile") {
-                if let Some(id) = data_file_series(p) {
-                    by_series.entry(id).or_default().push(p);
-                }
-            }
-        }
-        for (id, files) in by_series {
-            let name = catalog
-                .get(&id)
-                .map(|n| format!(" ({n:?})"))
-                .unwrap_or_default();
-            println!("  series s{id}{name}");
-            for path in files {
-                dump_file(path)?;
+                dump_file(p, &catalog)?;
             }
         }
         // Shared WAL segments.

@@ -328,6 +328,7 @@ fn exercise_pool(h: &Harness) -> PoolSummary {
     let path = h.root.join("decode-pool.tsfile");
     std::fs::remove_file(&path).ok();
     let mut w = TsFileWriter::create(&path).expect("create pool fixture");
+    w.begin_series(0, 0).expect("begin series");
     let mut rng = StdRng::seed_from_u64(11);
     let mut sig = Signal::new(210.0, 240.0, 0.4);
     for c in 0..8i64 {

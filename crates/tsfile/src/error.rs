@@ -31,6 +31,9 @@ pub enum TsFileError {
     /// A series run was begun with an id not above the previous run's:
     /// the run directory lists each series once, in ascending id.
     SeriesOutOfOrder { prev: u32, next: u32 },
+    /// A chunk was written before any series run was begun: every chunk
+    /// belongs to the run of one series.
+    NoSeriesBegun,
 }
 
 impl fmt::Display for TsFileError {
@@ -62,6 +65,9 @@ impl fmt::Display for TsFileError {
                 f,
                 "series runs must be written in ascending id: {next} after {prev}"
             ),
+            TsFileError::NoSeriesBegun => {
+                write!(f, "chunk written before any series run was begun")
+            }
         }
     }
 }

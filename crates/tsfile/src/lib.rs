@@ -37,6 +37,7 @@
 //! let path = dir.join("doc.tsfile");
 //!
 //! let mut w = TsFileWriter::create(&path)?;
+//! w.begin_series(0, 0)?;
 //! let points: Vec<Point> = (0..100).map(|i| Point::new(i * 1000, i as f64)).collect();
 //! w.write_chunk(&points, 1)?;
 //! w.finish()?;

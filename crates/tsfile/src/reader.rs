@@ -404,6 +404,7 @@ mod tests {
     fn write_read_roundtrip_multi_chunk() -> Result<()> {
         let p = tmp("roundtrip.tsfile");
         let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(0, 0)?;
         let c1 = series(1000, 9000);
         let c2: Vec<Point> = (0..500).map(|i| Point::new(i * 7 + 3, i as f64)).collect();
         w.write_chunk(&c1, 1)?;
@@ -423,6 +424,7 @@ mod tests {
     fn metadata_matches_points() -> Result<()> {
         let p = tmp("meta.tsfile");
         let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(0, 0)?;
         let pts = vec![
             Point::new(10, 5.0),
             Point::new(20, -2.0),
@@ -445,6 +447,7 @@ mod tests {
     fn timestamps_only_partial_decode() -> Result<()> {
         let p = tmp("partial.tsfile");
         let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(0, 0)?;
         let pts = series(1000, 9000);
         w.write_chunk(&pts, 1)?;
         w.finish()?;
@@ -463,6 +466,7 @@ mod tests {
     fn concurrent_chunk_reads_share_one_handle() -> Result<()> {
         let p = tmp("concurrent.tsfile");
         let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(0, 0)?;
         let chunks: Vec<Vec<Point>> = (0..8)
             .map(|c| {
                 (0..500)
@@ -507,6 +511,7 @@ mod tests {
     fn paged_chunk_selective_reads() -> Result<()> {
         let p = tmp("paged-selective.tsfile");
         let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(0, 0)?;
         w.set_page_points(100);
         // Irregular-ish: break constant delta so the stream path is hit too.
         let pts: Vec<Point> = (0..1000)
@@ -553,6 +558,7 @@ mod tests {
     fn raw_page_window_matches_decoded_pages() -> Result<()> {
         let p = tmp("raw-window.tsfile");
         let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(0, 0)?;
         w.set_page_points(100);
         let pts: Vec<Point> = (0..1000)
             .map(|i| Point::new(i * 10 + (i % 3), i as f64))
@@ -598,6 +604,7 @@ mod tests {
     fn paged_timestamp_probe_reads_prefix_only() -> Result<()> {
         let p = tmp("paged-probe.tsfile");
         let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(0, 0)?;
         w.set_page_points(100);
         let pts = series(1000, 10);
         w.write_chunk(&pts, 1)?;
@@ -625,6 +632,7 @@ mod tests {
     fn handle_ids_unique_across_reopens() -> Result<()> {
         let p = tmp("handleid.tsfile");
         let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(0, 0)?;
         w.write_chunk(&series(10, 5), 1)?;
         w.finish()?;
         let a = TsFileReader::open(&p)?;
@@ -657,6 +665,7 @@ mod tests {
     fn rejects_truncated_file() -> Result<()> {
         let p = tmp("trunc.tsfile");
         let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(0, 0)?;
         w.write_chunk(&series(100, 10), 1)?;
         w.finish()?;
         let data = std::fs::read(&p)?;
@@ -673,6 +682,7 @@ mod tests {
     fn detects_chunk_body_corruption() -> Result<()> {
         let p = tmp("flip.tsfile");
         let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(0, 0)?;
         let meta = w.write_chunk(&series(200, 10), 1)?;
         w.finish()?;
         let mut data = std::fs::read(&p)?;
@@ -692,6 +702,7 @@ mod tests {
     fn detects_footer_corruption() -> Result<()> {
         let p = tmp("footerflip.tsfile");
         let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(0, 0)?;
         w.write_chunk(&series(50, 10), 1)?;
         w.finish()?;
         let mut data = std::fs::read(&p)?;
@@ -707,6 +718,7 @@ mod tests {
     fn empty_file_with_footer_only() -> Result<()> {
         let p = tmp("nochunks.tsfile");
         let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(0, 0)?;
         w.finish()?;
         let r = TsFileReader::open(&p)?;
         assert!(r.chunk_metas().is_empty());

@@ -32,8 +32,8 @@ pub struct RawPage<'a> {
 ///
 /// Chunks are grouped into series runs: call
 /// [`begin_series`](Self::begin_series) before the chunks of each
-/// series, in ascending series id. A writer that is never told a series
-/// produces the one-run file of series `0`.
+/// series, in ascending series id. Writing a chunk with no run begun is
+/// an error ([`TsFileError::NoSeriesBegun`]).
 #[derive(Debug)]
 pub struct TsFileWriter {
     out: BufWriter<File>,
@@ -111,17 +111,23 @@ impl TsFileWriter {
         Ok(())
     }
 
+    /// Whether a chunk may be written now: not after `finish`, and
+    /// only into a run.
+    fn check_writable(&self) -> Result<()> {
+        if self.finished {
+            return Err(TsFileError::WriterFinished);
+        }
+        if self.footer.runs.is_empty() {
+            return Err(TsFileError::NoSeriesBegun);
+        }
+        Ok(())
+    }
+
     /// Record a written chunk in the footer, extending the open run.
     fn push_chunk(&mut self, meta: &ChunkMeta) {
         self.footer.chunks.push(meta.clone());
-        let end = self.footer.chunks.len();
-        match self.footer.runs.last_mut() {
-            Some(run) => run.chunks.end = end,
-            None => self.footer.runs.push(SeriesRun {
-                series: 0,
-                supersedes: Version(0),
-                chunks: 0..end,
-            }),
+        if let Some(run) = self.footer.runs.last_mut() {
+            run.chunks.end = self.footer.chunks.len();
         }
     }
 
@@ -131,9 +137,7 @@ impl TsFileWriter {
     /// Errors if `points` is empty or not strictly increasing in time
     /// (a chunk is a sorted run of distinct timestamps by construction).
     pub fn write_chunk(&mut self, points: &[Point], version: u64) -> Result<ChunkMeta> {
-        if self.finished {
-            return Err(TsFileError::WriterFinished);
-        }
+        self.check_writable()?;
         if points.is_empty() {
             return Err(TsFileError::EmptyChunk);
         }
@@ -214,9 +218,7 @@ impl TsFileWriter {
         val_encoding: EncodingKind,
         version: u64,
     ) -> Result<ChunkMeta> {
-        if self.finished {
-            return Err(TsFileError::WriterFinished);
-        }
+        self.check_writable()?;
         let (first_page, rest) = pages.split_first().ok_or(TsFileError::EmptyChunk)?;
         let mut prev_last = first_page.stats.last.t;
         for p in rest {
@@ -353,6 +355,7 @@ mod tests {
     fn empty_chunk_rejected() -> Result<()> {
         let p = tmp("empty.tsfile");
         let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(0, 0)?;
         assert!(matches!(
             w.write_chunk(&[], 1),
             Err(TsFileError::EmptyChunk)
@@ -364,6 +367,7 @@ mod tests {
     fn unsorted_chunk_rejected() -> Result<()> {
         let p = tmp("unsorted.tsfile");
         let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(0, 0)?;
         let points = vec![Point::new(5, 0.0), Point::new(5, 1.0)];
         assert!(matches!(
             w.write_chunk(&points, 1),
@@ -376,6 +380,7 @@ mod tests {
     fn double_finish_rejected() -> Result<()> {
         let p = tmp("double-finish.tsfile");
         let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(0, 0)?;
         w.write_chunk(&pts(0..5), 1)?;
         w.finish()?;
         assert!(matches!(w.finish(), Err(TsFileError::WriterFinished)));
@@ -390,6 +395,7 @@ mod tests {
     fn chunk_count_tracks_writes() -> Result<()> {
         let p = tmp("count.tsfile");
         let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(0, 0)?;
         assert_eq!(w.chunk_count(), 0);
         w.write_chunk(&pts(0..5), 1)?;
         w.write_chunk(&pts(10..15), 2)?;
@@ -401,6 +407,7 @@ mod tests {
     fn chunks_split_into_pages() -> Result<()> {
         let p = tmp("paged.tsfile");
         let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(0, 0)?;
         w.set_page_points(64);
         let meta = w.write_chunk(&pts(0..300), 1)?;
         w.finish()?;
@@ -426,6 +433,7 @@ mod tests {
         // Source file: one chunk split into small pages.
         let src = tmp("raw-src.tsfile");
         let mut w = TsFileWriter::create(&src)?;
+        w.begin_series(0, 0)?;
         w.set_page_points(50);
         let points = pts(0..200);
         w.write_chunk(&points, 3)?;
@@ -448,6 +456,7 @@ mod tests {
         // Destination: copy the pages byte for byte under a new version.
         let dst = tmp("raw-dst.tsfile");
         let mut w2 = TsFileWriter::create(&dst)?;
+        w2.begin_series(0, 0)?;
         let m2 = w2.write_chunk_raw(&raw, info.ts_encoding, info.val_encoding, 9)?;
         w2.finish()?;
         assert_eq!(m2.version.0, 9);
@@ -464,6 +473,7 @@ mod tests {
 
         let p = tmp("raw-bad.tsfile");
         let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(0, 0)?;
         assert!(matches!(
             w.write_chunk_raw(&[], EncodingKind::Ts2Diff, EncodingKind::Gorilla, 1),
             Err(TsFileError::EmptyChunk)
@@ -547,18 +557,24 @@ mod tests {
     }
 
     #[test]
-    fn writer_never_told_a_series_writes_one_run_of_series_zero() -> Result<()> {
+    fn chunk_before_any_series_is_rejected_and_writes_nothing() -> Result<()> {
         use crate::reader::TsFileReader;
 
-        let p = tmp("default-run.tsfile");
+        let p = tmp("no-run.tsfile");
         let mut w = TsFileWriter::create(&p)?;
-        w.write_chunk(&pts(0..10), 1)?;
-        w.write_chunk(&pts(10..20), 2)?;
+        assert!(matches!(
+            w.write_chunk(&pts(0..10), 1),
+            Err(TsFileError::NoSeriesBegun)
+        ));
+        assert!(matches!(
+            w.write_chunk_raw(&[], EncodingKind::Ts2Diff, EncodingKind::Gorilla, 1),
+            Err(TsFileError::NoSeriesBegun)
+        ));
+        assert_eq!(w.chunk_count(), 0);
         w.finish()?;
         let r = TsFileReader::open(&p)?;
-        assert_eq!(r.series_runs().len(), 1);
-        assert_eq!(r.series_runs()[0].series, 0);
-        assert_eq!(r.series_runs()[0].chunks, 0..2);
+        assert!(r.series_runs().is_empty());
+        assert!(r.chunk_metas().is_empty());
         Ok(())
     }
 
@@ -566,6 +582,7 @@ mod tests {
     fn meta_offsets_are_monotonic() -> Result<()> {
         let p = tmp("offsets.tsfile");
         let mut w = TsFileWriter::create(&p)?;
+        w.begin_series(0, 0)?;
         let m1 = w.write_chunk(&pts(0..100), 1)?;
         let m2 = w.write_chunk(&pts(100..200), 2)?;
         assert_eq!(m1.offset, MAGIC.len() as u64);

@@ -17,6 +17,7 @@ use tsfile::{FileFooter, ModsFile, TsFileError, TsFileReader, TsFileWriter};
 
 fn sample_file(path: &std::path::Path) -> Vec<u8> {
     let mut w = TsFileWriter::create(path).unwrap();
+    w.begin_series(0, 0).unwrap();
     let pts: Vec<Point> = (0..500)
         .map(|i| Point::new(i * 100, (i % 17) as f64))
         .collect();

@@ -120,6 +120,7 @@ proptest! {
         }
 
         let mut w = TsFileWriter::create(&path).unwrap();
+        w.begin_series(0, 0).unwrap();
         for (i, pts) in norm.iter().enumerate() {
             w.write_chunk(pts, i as u64 + 1).unwrap();
         }

@@ -73,7 +73,7 @@
 //!   Output chunks carry the maximum input chunk version; deletes
 //!   issued during the merge have versions above the capture ceiling
 //!   and their mods entries are carried onto the new file at install
-//!   time.
+//!   time — or by the next open, when a crash came first.
 //! * Shard-WAL appends of writes, deletes and begin markers, and the
 //!   group-commit drain, stay under the stripe lock on purpose:
 //!   serializing durability appends against the buffered state they
@@ -213,23 +213,37 @@ impl SeriesView {
         self.file.reader.series_runs().len() > 1
     }
 
-    /// Retire the view: its series no longer reads the run, because a
-    /// compaction output that supersedes it is in place. Drops the
-    /// run's decoded-chunk cache entries (the file's other runs keep
-    /// theirs) and its delete log, and unlinks the file if this was its
-    /// last live run. Until then a retired run stays on disk as dead
-    /// bytes; the `supersedes` of the output that replaced it is what
-    /// keeps a reopen from reading it again.
+    /// Record delete `e` in the run's log, if it overlaps the run's
+    /// points and the log does not hold it yet.
+    fn attach(&mut self, e: ModEntry) -> Result<()> {
+        let overlaps = self.time_range().is_some_and(|r| r.overlaps(&e.range));
+        let known = self.mods.entries().iter().any(|m| m.version == e.version);
+        if overlaps && !known {
+            self.mods.append(e)?;
+        }
+        Ok(())
+    }
+
+    /// Retire the view: its series no longer reads the run, because the
+    /// compaction that merged it is done. Drops the run's decoded-chunk
+    /// cache entries (the file's other runs keep theirs), unlinks the
+    /// file if this was its last live run, and then removes the run's
+    /// delete log. Data before log: when the merge came up empty and
+    /// left no output, nothing on disk supersedes the run, and a crash
+    /// between the two unlinks must not leave its points without their
+    /// tombstones. A run that stays on disk as dead bytes (other series
+    /// still read the file) always has an output in place, whose
+    /// `supersedes` keeps a reopen from reading it again.
     fn retire(self, cache: Option<&DecodedChunkCache>) {
         if let Some(cache) = cache {
             cache.invalidate_run(self.file.reader.handle_id(), self.byte_range());
         }
-        std::fs::remove_file(self.mods.path()).ok();
         // AcqRel: whoever takes the count to zero does so after every
-        // other view's retirement (its cache and log cleanup) is done.
+        // other view's cache cleanup is done.
         if self.file.live_runs.fetch_sub(1, Ordering::AcqRel) == 1 {
             std::fs::remove_file(self.file.reader.path()).ok();
         }
+        std::fs::remove_file(self.mods.path()).ok();
     }
 }
 
@@ -629,25 +643,39 @@ fn recover_series(
             alloc.observe(e.version);
         }
         if view.rank() <= superseded_to {
+            // A delete log still beside a superseded run is what a
+            // crash before the end of the compaction's phase C leaves,
+            // and it may be the only copy of a delete issued during
+            // the merge: the output was merged without it, and a flush
+            // of the series since then has covered its WAL record. The
+            // output inherits the log's entries newer than its chunks —
+            // older ones hide nothing in it, and one the merge applied
+            // hides nothing further — as phase C would have carried
+            // them, before retirement unlinks the log. The newest
+            // survivor that supersedes the run is the output (or the
+            // output of a later compaction that merged that output);
+            // it exists, or `superseded_to` would be lower.
+            let heir = files
+                .iter_mut()
+                .find(|newer| newer.run.supersedes.0 >= view.rank());
+            if let Some(heir) = heir {
+                let merged_at = heir.metas().iter().map(|m| m.version).max();
+                for e in view.mods.entries() {
+                    if Some(e.version) > merged_at {
+                        heir.attach(*e)?;
+                    }
+                }
+            }
             view.retire(None);
         } else {
             files.push(view);
         }
         superseded_to = superseded_to.max(run.supersedes.0);
     }
-    // Version order: the engine's invariant for `files`. It is file
-    // order too (a compaction takes its number when it captures its
-    // inputs, before any flush that outranks it takes one); the sort
-    // states the invariant rather than relying on that. Stable, so
-    // chunkless runs keep their file order at the end.
+    // Back to file order, which is version order — the engine's
+    // invariant for `files`: a compaction takes its number when it
+    // captures its inputs, before any flush that outranks it takes one.
     files.reverse();
-    files.sort_by_key(|view| {
-        view.metas()
-            .iter()
-            .map(|m| m.version.0)
-            .min()
-            .unwrap_or(u64::MAX)
-    });
     // Replay the WAL records into a fresh memtable, restoring
     // unflushed state in operation order. Versioned deletes are
     // re-attached to any overlapping run whose mods log missed
@@ -661,11 +689,7 @@ fn recover_series(
                 alloc.observe(*version);
                 let entry = ModEntry::new(*version, range.start, range.end);
                 for res in &mut files {
-                    let overlaps = res.time_range().map(|r| r.overlaps(range)).unwrap_or(false);
-                    let known = res.mods.entries().iter().any(|m| m.version == *version);
-                    if overlaps && !known {
-                        res.mods.append(entry)?;
-                    }
+                    res.attach(entry)?;
                 }
             }
         }
@@ -1066,7 +1090,7 @@ impl EngineInner {
             todo.sort_unstable();
             todo.dedup();
             while !todo.is_empty() {
-                let (members, later) = self.claim_group(&todo, wait, FLUSH_GROUP_MAX_POINTS)?;
+                let (members, later) = self.claim_group(&todo, wait)?;
                 if members.is_empty() {
                     // Only members that another flush holds are left.
                     std::thread::yield_now();
@@ -1081,21 +1105,19 @@ impl EngineInner {
     }
 
     /// Flush phase A for one group: claim members of `ids` (ascending)
-    /// until the group holds `max_points`
-    /// ([`FLUSH_GROUP_MAX_POINTS`]). Returns the members and the ids
-    /// still to do — busy ones when `wait`, and everything past the cap
-    /// — still ascending.
+    /// until the group holds [`FLUSH_GROUP_MAX_POINTS`]. Returns the
+    /// members and the ids still to do — busy ones when `wait`, and
+    /// everything past the cap — still ascending.
     fn claim_group(
         &self,
         ids: &[SeriesId],
         wait: bool,
-        max_points: usize,
     ) -> Result<(Vec<FlushMember>, Vec<SeriesId>)> {
         let mut members = Vec::new();
         let mut later = Vec::new();
         let mut held = 0usize;
         let mut ids = ids.iter();
-        while held < max_points {
+        while held < FLUSH_GROUP_MAX_POINTS {
             let Some(&id) = ids.next() else {
                 break;
             };
@@ -1251,13 +1273,7 @@ impl EngineInner {
         // Deletes issued while sealing ran only reached the old
         // files; attach them to the new one too.
         for e in std::mem::take(&mut store.pending_mods) {
-            let overlaps = view
-                .time_range()
-                .map(|r| r.overlaps(&e.range))
-                .unwrap_or(false);
-            if overlaps {
-                view.mods.append(e)?;
-            }
+            view.attach(e)?;
         }
         store.files.push(view);
         Ok(())
@@ -1315,13 +1331,7 @@ impl EngineInner {
                 store.pending_mods.push(entry);
             }
             for res in &mut store.files {
-                let overlaps = res
-                    .time_range()
-                    .map(|r| r.overlaps(&range))
-                    .unwrap_or(false);
-                if overlaps {
-                    res.mods.append(entry)?;
-                }
+                res.attach(entry)?;
             }
         }
         if self.changes.active() {
@@ -1576,31 +1586,19 @@ impl EngineInner {
             let store = map.get_mut(&id).ok_or_else(|| self.not_found(id))?;
             store.compacting = false;
             let (outcome, sealed) = outcome?;
-            // Deletes issued during the merge postdate the capture
-            // ceiling and live only in the input runs' mods.
-            let mut carried: Vec<ModEntry> = Vec::new();
-            for res in store.files.iter().take(captured) {
-                for e in res.mods.entries() {
-                    if e.version > capture_ceiling
-                        && !carried.iter().any(|d| d.version == e.version)
-                    {
-                        carried.push(*e);
-                    }
-                }
-            }
             let tail = store.files.split_off(captured);
             let retired = std::mem::take(&mut store.files);
             if let Some(mut res) = sealed {
-                for e in carried {
-                    let overlaps = res
-                        .time_range()
-                        .map(|r| r.overlaps(&e.range))
-                        .unwrap_or(false);
-                    if overlaps {
-                        // Carried versions exceed the capture ceiling ≥
-                        // every output chunk version, so they keep
-                        // applying to the new file at read time.
-                        res.mods.append(e)?;
+                // Deletes issued during the merge postdate the capture
+                // ceiling and live only in the input runs' mods. Their
+                // versions exceed the ceiling ≥ every output chunk
+                // version, so they keep applying to the new file at
+                // read time. (A crash before this is done leaves the
+                // logs beside the inputs; `recover_series` carries them
+                // then.)
+                for e in retired.iter().flat_map(|input| input.mods.entries()) {
+                    if e.version > capture_ceiling {
+                        res.attach(*e)?;
                     }
                 }
                 store.files.push(res);

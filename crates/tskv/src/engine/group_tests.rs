@@ -214,9 +214,7 @@ fn torn_in_flight_file_is_quarantined_once_and_every_member_replays() -> TestRes
     model.write(&kv, "b", &ramp(0..90, 2.0))?;
     model.write(&kv, "c", &ramp(50..130, 3.0))?;
     let shard = &kv.inner.storage[0];
-    let (members, later) =
-        kv.inner
-            .claim_group(&ids(&kv, &["a", "b", "c"]), true, FLUSH_GROUP_MAX_POINTS)?;
+    let (members, later) = kv.inner.claim_group(&ids(&kv, &["a", "b", "c"]), true)?;
     assert_eq!((members.len(), later.len()), (3, 0));
     shard.wal.sync()?;
     let image = crash_image(&dir)?;
@@ -293,9 +291,7 @@ fn crash_between_two_members_end_markers_reopens_to_the_model() -> TestResult {
     model.write(&kv, "c", &ramp(50..130, 3.0))?;
     model.write(&kv, "unflushed", &ramp(0..10, 4.0))?;
     let shard = &kv.inner.storage[0];
-    let (members, _) =
-        kv.inner
-            .claim_group(&ids(&kv, &["a", "b", "c"]), true, FLUSH_GROUP_MAX_POINTS)?;
+    let (members, _) = kv.inner.claim_group(&ids(&kv, &["a", "b", "c"]), true)?;
     let sealed = kv.inner.write_group(shard, &members);
     kv.inner.finish_group(shard, &members, sealed)?;
     model.check(&kv)?;
@@ -428,6 +424,69 @@ fn reopen_after_a_crash_mid_retirement_reads_only_the_output() -> TestResult {
     Ok(())
 }
 
+/// A delete issued while a compaction merges reaches only the input
+/// runs' logs and the WAL, and a flush of the series that ends before
+/// the compaction's phase C covers its WAL record. A crash once the
+/// output has its name, before phase C carries the delete onto it,
+/// leaves the inputs' logs as the delete's only copy: the reopen hands
+/// them to the output before it retires the inputs.
+#[test]
+fn delete_during_a_merge_survives_a_crash_before_it_is_carried() -> TestResult {
+    let (dir, kv, mut model) = shared_file("midmerge")?;
+    model.write(&kv, "a", &ramp(200..250, 1.5))?;
+    kv.flush("a")?; // 00000001
+    let a = kv.series_id("a").ok_or("a")?;
+    // The store as the compaction captures it…
+    let image = crash_image(&dir)?;
+    kv.compact("a")?; // 00000002: merged without the delete below
+    drop(kv);
+    // …and what the merge does not see: a delete over points it keeps,
+    // a write, and a flush whose end marker covers both in the log.
+    let racing = TsKv::open(&image, config())?;
+    model.delete(&racing, "a", 30, 210)?;
+    model.write(&racing, "a", &ramp(300..310, 2.5))?;
+    racing.flush("a")?;
+    model.check(&racing)?;
+    drop(racing);
+    // The compaction took 00000002 when it captured, so that flush
+    // sealed 00000003; then the output got its name, and the process
+    // died before phase C.
+    let sdir = storage_dir_name(0);
+    std::fs::rename(
+        image.join(&sdir).join("00000002.tsfile"),
+        image.join(&sdir).join("00000003.tsfile"),
+    )?;
+    std::fs::copy(
+        dir.join(&sdir).join("00000002.tsfile"),
+        image.join(&sdir).join("00000002.tsfile"),
+    )?;
+    let listing = shard_listing(&image)?;
+    for input in ["00000000", "00000001"] {
+        assert!(listing.contains(&format!("{input}.s{}.mods", a.0)));
+    }
+    assert!(!listing.contains(&format!("00000002.s{}.mods", a.0)));
+
+    let kv = TsKv::open(&image, config())?;
+    model.check(&kv)?;
+    assert_eq!(kv.sealed_file_count("a")?, 2);
+    assert_eq!(
+        shard_listing(&image)?,
+        [
+            "00000000.tsfile".to_string(),
+            format!("00000002.s{}.mods", a.0),
+            "00000002.tsfile".to_string(),
+            "00000003.tsfile".to_string(),
+            "wal-00000000.log".to_string(),
+        ],
+        "the output inherited the inputs' logs before they were unlinked"
+    );
+    drop(kv);
+    let kv = TsKv::open(&image, config())?;
+    model.check(&kv)?;
+    cleanup(&dir);
+    Ok(())
+}
+
 /// A member whose every point is deleted still has to say, durably,
 /// that its run of the shared file is dead.
 #[test]
@@ -512,9 +571,7 @@ fn write_and_delete_racing_a_group_flush_land_after_it() -> TestResult {
     model.write(&kv, "a", &ramp(0..100, 1.0))?;
     model.write(&kv, "b", &ramp(0..90, 2.0))?;
     let shard = &kv.inner.storage[0];
-    let (members, _) =
-        kv.inner
-            .claim_group(&ids(&kv, &["a", "b"]), true, FLUSH_GROUP_MAX_POINTS)?;
+    let (members, _) = kv.inner.claim_group(&ids(&kv, &["a", "b"]), true)?;
     // Mid-flush: the drained points are still readable…
     model.check(&kv)?;
     // …an overwrite of one of them and a delete over others arrive…
@@ -555,9 +612,7 @@ fn failed_group_write_puts_every_members_points_back() -> TestResult {
     model.write(&kv, "a", &ramp(0..100, 1.0))?;
     model.write(&kv, "b", &ramp(0..90, 2.0))?;
     let shard = &kv.inner.storage[0];
-    let (members, _) =
-        kv.inner
-            .claim_group(&ids(&kv, &["a", "b"]), true, FLUSH_GROUP_MAX_POINTS)?;
+    let (members, _) = kv.inner.claim_group(&ids(&kv, &["a", "b"]), true)?;
     model.write(&kv, "a", &[Point::new(5, 99.0)])?; // newer: must win
     model.delete(&kv, "b", 0, 9)?; // newer: must hide
     let failed = Err(TsKvError::Corrupt("injected: disk full".into()));
@@ -583,15 +638,23 @@ fn failed_group_write_puts_every_members_points_back() -> TestResult {
 #[test]
 fn group_is_capped_by_points_held_and_the_rest_follow_in_order() -> TestResult {
     let (dir, kv) = fresh("cap")?;
+    drop(kv);
+    // Memtables that can hold the cap, and chunks sized for it.
+    let roomy = EngineConfig {
+        points_per_chunk: 1 << 16,
+        memtable_threshold: usize::MAX,
+        ..config()
+    };
+    let kv = TsKv::open(&dir, roomy)?;
     let mut model = Model::default();
-    for (i, name) in ["a", "b", "c", "d"].iter().enumerate() {
-        model.write(&kv, name, &ramp(0..100, i as f64))?;
-    }
-    let all = ids(&kv, &["a", "b", "c", "d"]);
-    // 100 + 100 reaches a cap of 150; c and d wait for the next group.
-    let (members, later) = kv.inner.claim_group(&all, true, 150)?;
-    assert_eq!(members.iter().map(|m| m.id).collect::<Vec<_>>(), all[..2]);
-    assert_eq!(later, all[2..]);
+    model.write(&kv, "a", &ramp(0..FLUSH_GROUP_MAX_POINTS as i64, 0.0))?;
+    model.write(&kv, "b", &ramp(0..100, 1.0))?;
+    model.write(&kv, "c", &ramp(0..100, 2.0))?;
+    let all = ids(&kv, &["a", "b", "c"]);
+    // a alone reaches the cap; b and c wait for the next group.
+    let (members, later) = kv.inner.claim_group(&all, true)?;
+    assert_eq!(members.iter().map(|m| m.id).collect::<Vec<_>>(), all[..1]);
+    assert_eq!(later, all[1..]);
     let shard = &kv.inner.storage[0];
     let sealed = kv.inner.write_group(shard, &members);
     kv.inner.finish_group(shard, &members, sealed)?;

@@ -72,21 +72,24 @@ impl StepIndex {
     /// or a degenerate split sequence (non-monotone splits from highly
     /// irregular data).
     pub fn learn(ts: &[Timestamp]) -> Option<Self> {
+        let mut deltas: Vec<i64> = ts.windows(2).map(|w| w[1].wrapping_sub(w[0])).collect();
+        Self::learn_with_deltas(ts, &mut deltas)
+    }
+
+    /// [`StepIndex::learn`] for a caller that computed the deltas
+    /// (`deltas[i] = ts[i + 1] - ts[i]`) on its own pass over the
+    /// column; they come back in no particular order.
+    pub(crate) fn learn_with_deltas(ts: &[Timestamp], deltas: &mut [i64]) -> Option<Self> {
         let n = ts.len();
-        if n < 2 {
+        if n < 2 || deltas.len() != n - 1 {
             return None;
         }
-        // §3.5.2: slope K = 1 / median(deltas).
-        let mut deltas: Vec<i64> = ts.windows(2).map(|w| w[1] - w[0]).collect();
-        let mid = deltas.len() / 2;
-        let (_, median, _) = deltas.select_nth_unstable(mid);
-        let median_delta = *median;
-        debug_assert!(median_delta > 0, "strictly increasing timestamps");
-
         // §3.5.3: changing points by the 3-sigma rule on deltas.
         // deltas[i] = ts[i+1] - ts[i]; point positions are 1-based.
-        let deltas: Vec<i64> = ts.windows(2).map(|w| w[1] - w[0]).collect();
-        let mean = deltas.iter().map(|&d| d as f64).sum::<f64>() / deltas.len() as f64;
+        // The deltas telescope, so their sum needs no pass: while the
+        // chunk spans less than 2^53 it is also, to the bit, what
+        // adding them up one by one in f64 gives.
+        let mean = ts[n - 1].wrapping_sub(ts[0]) as f64 / deltas.len() as f64;
         let var = deltas
             .iter()
             .map(|&d| {
@@ -98,16 +101,23 @@ impl StepIndex {
         let threshold = mean + 3.0 * var.sqrt();
 
         // Position j (1-based, 2 ≤ j ≤ n-1) is a changing point when the
-        // in-delta and out-delta straddle the threshold.
+        // in-delta (ts[j-1] - ts[j-2]) and the out-delta (ts[j] -
+        // ts[j-1]) straddle the threshold.
         let mut changing: Vec<u64> = Vec::new();
-        for j in 2..n {
-            let din = deltas[j - 2] as f64; // ts[j-1] - ts[j-2]
-            let dout = deltas[j - 1] as f64; // ts[j] - ts[j-1]
-            let start_of_gap = din <= threshold && dout > threshold;
-            let end_of_gap = din > threshold && dout <= threshold;
-            if start_of_gap || end_of_gap {
-                changing.push(j as u64);
+        let mut gap_in = deltas[0] as f64 > threshold;
+        for (i, &d) in deltas.iter().enumerate().skip(1) {
+            let gap_out = d as f64 > threshold;
+            if gap_in != gap_out {
+                changing.push(i as u64 + 1);
             }
+            gap_in = gap_out;
+        }
+
+        // §3.5.2: slope K = 1 / median(deltas). Selecting last: it is
+        // what disorders the deltas.
+        let (_, &mut median_delta, _) = deltas.select_nth_unstable(deltas.len() / 2);
+        if median_delta <= 0 {
+            return None; // a delta past i64::MAX wrapped
         }
 
         let k = 1.0 / median_delta as f64;
@@ -146,20 +156,11 @@ impl StepIndex {
             });
         }
         if seg_count >= 2 {
-            let last_is_tilt = seg_count % 2 == 1;
-            if last_is_tilt {
-                anchors.push(Anchor {
-                    t: ts[n - 1],
-                    pos: n as u64,
-                    tilt: true,
-                });
-            } else {
-                anchors.push(Anchor {
-                    t: ts[n - 1],
-                    pos: n as u64,
-                    tilt: false,
-                });
-            }
+            anchors.push(Anchor {
+                t: ts[n - 1],
+                pos: n as u64,
+                tilt: seg_count % 2 == 1,
+            });
         }
         debug_assert_eq!(anchors.len(), seg_count);
 
@@ -215,10 +216,17 @@ impl StepIndex {
             epsilon: 0,
             inv_median: 1.0 / median_delta as f64,
         };
-        // Verify: ε = max_j |f(t_j) - j| (positions are 1-based).
+        // Verify: ε = max_j |f(t_j) - j| (positions are 1-based). The
+        // points ascend, so the segment a point falls on — the last one
+        // starting at or before it, as `segment_at` answers — only ever
+        // moves forward: one walk, no search per point.
         let mut max_err = 0.0f64;
+        let (mut on, mut later) = index.segments.split_first()?;
         for (i, &t) in ts.iter().enumerate() {
-            let err = (index.predict(t) - (i + 1) as f64).abs();
+            while let Some((next, rest)) = later.split_first().filter(|(s, _)| s.start <= t) {
+                (on, later) = (next, rest);
+            }
+            let err = (index.on_segment(on, t) - (i + 1) as f64).abs();
             if err > max_err {
                 max_err = err;
             }
@@ -230,27 +238,28 @@ impl StepIndex {
         Some(index)
     }
 
-    /// Evaluate the step function `f(t)` — the predicted 1-based
-    /// position of timestamp `t`. Clamped to the chunk's time range.
-    pub fn predict(&self, t: Timestamp) -> f64 {
-        let t = t.clamp(self.segments[0].start, self.end);
-        let s = if self.segments.len() == 1 {
-            // Fast path: perfectly regular chunk, single tilt segment.
-            &self.segments[0]
-        } else {
-            // Find the last segment with start <= t.
-            let idx = match self.segments.binary_search_by_key(&t, |s| s.start) {
-                Ok(i) => i,
-                Err(0) => 0,
-                Err(i) => i - 1,
-            };
-            &self.segments[idx]
-        };
+    /// The segment `t` falls on: the last one starting at or before it
+    /// (the first, for a `t` before them all).
+    fn segment_at(&self, t: Timestamp) -> &Segment {
+        let after = self.segments.partition_point(|s| s.start <= t);
+        &self.segments[after.saturating_sub(1)]
+    }
+
+    /// The line of segment `s` at `t`.
+    #[inline]
+    fn on_segment(&self, s: &Segment, t: Timestamp) -> f64 {
         if s.tilt {
             s.anchor_pos as f64 + (t - s.anchor_t) as f64 * self.inv_median
         } else {
             s.anchor_pos as f64
         }
+    }
+
+    /// Evaluate the step function `f(t)` — the predicted 1-based
+    /// position of timestamp `t`. Clamped to the chunk's time range.
+    pub fn predict(&self, t: Timestamp) -> f64 {
+        let t = t.clamp(self.segments[0].start, self.end);
+        self.on_segment(self.segment_at(t), t)
     }
 
     /// Verified maximum prediction error (in positions).
@@ -321,12 +330,7 @@ impl StepIndex {
         if self.epsilon != 0 {
             return None;
         }
-        let idx = match self.segments.binary_search_by_key(&t, |s| s.start) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
-        let s = &self.segments[idx];
+        let s = self.segment_at(t);
         if !s.tilt {
             return None; // plateau: position is ambiguous from the model
         }

@@ -227,14 +227,15 @@ impl TsFileReader {
     }
 
     /// Read the raw (still-encoded) bodies of a contiguous page window
-    /// of a chunk in one pooled pread, verifying each page's CRC and
-    /// header count against the footer. Returns the buffer plus the
+    /// of a chunk in one pooled pread. Returns the buffer plus the
     /// chunk-relative byte offset it starts at; individual pages slice
     /// out via [`page_body_slice`] with that base.
     ///
     /// This is the compactor's clean-page copy source: bytes move from
-    /// file to file without ever being decoded, but never without being
-    /// revalidated.
+    /// file to file without ever being decoded. They are **not verified
+    /// here** — [`crate::TsFileWriter::write_chunk_raw`], the only place
+    /// they can go, checks every page's CRC and count before it writes
+    /// a byte.
     pub fn read_page_window_raw(
         &self,
         meta: &ChunkMeta,
@@ -256,10 +257,6 @@ impl TsFileReader {
         let buf = self.file.read_pooled_at(len as usize, meta.offset + base)?;
         self.chunks_read.fetch_add(1, Ordering::Relaxed);
         self.bytes_read.fetch_add(len, Ordering::Relaxed);
-        for pm in info.pages.iter().take(window.end).skip(window.start) {
-            let slice = page_body_slice(&buf, pm, base)?;
-            page::verify_page_body(slice, pm)?;
-        }
         Ok((buf, base))
     }
 
@@ -582,21 +579,31 @@ mod tests {
         assert!(r.read_page_window_raw(meta, 8..11).is_err());
         assert!(r.read_page_window_raw(meta, 4..4).is_err());
 
-        // A corrupt body inside the window fails verification.
+        // A corrupt body inside the window is read as it is — and
+        // stopped at the one gate every raw page passes, the writer's.
         let mut data = std::fs::read(&p)?;
         let idx = (meta.offset + info.pages[4].offset + 5) as usize;
         data[idx] ^= 0x08;
         std::fs::write(&p, &data)?;
         let r2 = TsFileReader::open(&p)?;
         let m2 = &r2.chunk_metas()[0];
+        let (buf, base) = r2.read_page_window_raw(m2, 3..6)?;
+        let raw: Vec<crate::RawPage<'_>> = m2.paged.pages[3..6]
+            .iter()
+            .map(|pm| {
+                Ok(crate::RawPage {
+                    bytes: page_body_slice(&buf, pm, base)?,
+                    stats: pm.stats,
+                })
+            })
+            .collect::<Result<_>>()?;
+        let mut w2 = TsFileWriter::create(tmp("raw-window-copy.tsfile"))?;
+        w2.begin_series(0, 0)?;
         assert!(matches!(
-            r2.read_page_window_raw(m2, 3..6),
+            w2.write_chunk_raw(&raw, info.ts_encoding, info.val_encoding, 2),
             Err(TsFileError::ChecksumMismatch { .. })
         ));
-        assert!(
-            r2.read_page_window_raw(m2, 0..3).is_ok(),
-            "clean prefix still reads"
-        );
+        assert_eq!(w2.chunk_count(), 0);
         Ok(())
     }
 
@@ -683,7 +690,7 @@ mod tests {
         let p = tmp("flip.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
-        let meta = w.write_chunk(&series(200, 10), 1)?;
+        let meta = w.write_chunk(&series(200, 10), 1)?.clone();
         w.finish()?;
         let mut data = std::fs::read(&p)?;
         // Flip one bit in the middle of the chunk body.

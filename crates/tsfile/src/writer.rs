@@ -14,6 +14,10 @@ use crate::types::{Point, Version};
 use crate::Result;
 use crate::TsFileError;
 
+/// Bytes buffered before a `write(2)`: under `BufWriter`'s 8 KiB default
+/// every chunk body (a few KiB) is its own syscall.
+const WRITE_BUFFER_BYTES: usize = 64 * 1024;
+
 /// One already-encoded page destined for byte-for-byte reuse: the raw
 /// body bytes (trailing CRC included) plus the footer statistics that
 /// travel with them into the new chunk's page index.
@@ -44,6 +48,20 @@ pub struct TsFileWriter {
     build_index: bool,
     page_points: usize,
     finished: bool,
+    /// Column and body buffers, reused from chunk to chunk.
+    scratch: Scratch,
+}
+
+/// What sealing one chunk fills on its pass over the points: the
+/// chunk's timestamps, their deltas (`ts[i + 1] - ts[i]`, what the step
+/// index learns from), the values of the page being encoded, and the
+/// encoded pages.
+#[derive(Debug, Default)]
+struct Scratch {
+    ts: Vec<i64>,
+    deltas: Vec<i64>,
+    vs: Vec<f64>,
+    body: Vec<u8>,
 }
 
 impl TsFileWriter {
@@ -60,7 +78,7 @@ impl TsFileWriter {
         val_encoding: EncodingKind,
     ) -> Result<Self> {
         let file = File::create(path)?;
-        let mut out = BufWriter::new(file);
+        let mut out = BufWriter::with_capacity(WRITE_BUFFER_BYTES, file);
         out.write_all(MAGIC)?;
         Ok(TsFileWriter {
             out,
@@ -71,6 +89,7 @@ impl TsFileWriter {
             build_index: true,
             page_points: page::DEFAULT_PAGE_POINTS,
             finished: false,
+            scratch: Scratch::default(),
         })
     }
 
@@ -124,11 +143,13 @@ impl TsFileWriter {
     }
 
     /// Record a written chunk in the footer, extending the open run.
-    fn push_chunk(&mut self, meta: &ChunkMeta) {
-        self.footer.chunks.push(meta.clone());
+    fn push_chunk(&mut self, meta: ChunkMeta) -> &ChunkMeta {
+        let at = self.footer.chunks.len();
+        self.footer.chunks.push(meta);
         if let Some(run) = self.footer.runs.last_mut() {
-            run.chunks.end = self.footer.chunks.len();
+            run.chunks.end = at + 1;
         }
+        &self.footer.chunks[at]
     }
 
     /// Encode and append one chunk of time-sorted points with version
@@ -136,38 +157,39 @@ impl TsFileWriter {
     ///
     /// Errors if `points` is empty or not strictly increasing in time
     /// (a chunk is a sorted run of distinct timestamps by construction).
-    pub fn write_chunk(&mut self, points: &[Point], version: u64) -> Result<ChunkMeta> {
+    pub fn write_chunk(&mut self, points: &[Point], version: u64) -> Result<&ChunkMeta> {
         self.check_writable()?;
         if points.is_empty() {
             return Err(TsFileError::EmptyChunk);
         }
         // One pass over the points splits them into columns — the
-        // timestamps of the whole chunk (the step index learns from
-        // them), the values page by page — while checking time order
-        // and gathering each page's statistics; the chunk's are their
-        // merge. Each `page_points`-sized slice becomes an
-        // independently decodable (and independently CRC'd) page with
-        // its own statistics in the footer's page index.
-        let mut ts: Vec<i64> = Vec::with_capacity(points.len());
-        let mut vs: Vec<f64> = Vec::with_capacity(self.page_points.min(points.len()));
-        let mut body = Vec::new();
+        // timestamps of the whole chunk and their deltas (the step
+        // index learns from both), the values page by page — while
+        // checking time order and gathering each page's statistics; the
+        // chunk's are their merge. Each `page_points`-sized slice
+        // becomes an independently decodable (and independently CRC'd)
+        // page with its own statistics in the footer's page index.
+        let s = &mut self.scratch;
+        s.ts.clear();
+        s.deltas.clear();
+        s.body.clear();
         let mut pages = Vec::with_capacity(points.len() / self.page_points + 1);
         let mut stats: Option<ChunkStatistics> = None;
         for slice in points.chunks(self.page_points) {
-            let page_start = ts.len();
-            vs.clear();
-            let page_stats = split_page(slice, &mut ts, &mut vs)?;
-            let offset = body.len() as u64;
+            let page_start = s.ts.len();
+            s.vs.clear();
+            let page_stats = split_page(slice, &mut s.ts, &mut s.deltas, &mut s.vs)?;
+            let offset = s.body.len() as u64;
             page::encode_page_columns(
-                ts.get(page_start..).unwrap_or(&[]),
-                &vs,
+                s.ts.get(page_start..).unwrap_or(&[]),
+                &s.vs,
                 self.ts_encoding,
                 self.val_encoding,
-                &mut body,
+                &mut s.body,
             );
             pages.push(PageMeta {
                 offset,
-                byte_len: body.len() as u64 - offset,
+                byte_len: s.body.len() as u64 - offset,
                 stats: page_stats,
             });
             match &mut stats {
@@ -178,13 +200,13 @@ impl TsFileWriter {
         let stats = stats.ok_or(TsFileError::EmptyChunk)?;
 
         let index = if self.build_index {
-            StepIndex::learn(&ts)
+            StepIndex::learn_with_deltas(&s.ts, &mut s.deltas)
         } else {
             None
         };
         let meta = ChunkMeta {
             offset: self.pos,
-            byte_len: body.len() as u64,
+            byte_len: s.body.len() as u64,
             version: Version(version),
             stats,
             index,
@@ -194,10 +216,9 @@ impl TsFileWriter {
                 pages,
             },
         };
-        self.out.write_all(&body)?;
-        self.pos += body.len() as u64;
-        self.push_chunk(&meta);
-        Ok(meta)
+        self.out.write_all(&s.body)?;
+        self.pos += meta.byte_len;
+        Ok(self.push_chunk(meta))
     }
 
     /// Append one chunk assembled from already-encoded page bodies,
@@ -217,7 +238,7 @@ impl TsFileWriter {
         ts_encoding: EncodingKind,
         val_encoding: EncodingKind,
         version: u64,
-    ) -> Result<ChunkMeta> {
+    ) -> Result<&ChunkMeta> {
         self.check_writable()?;
         let (first_page, rest) = pages.split_first().ok_or(TsFileError::EmptyChunk)?;
         let mut prev_last = first_page.stats.last.t;
@@ -267,8 +288,7 @@ impl TsFileWriter {
             self.out.write_all(p.bytes)?;
         }
         self.pos += offset;
-        self.push_chunk(&meta);
-        Ok(meta)
+        Ok(self.push_chunk(meta))
     }
 
     /// Number of chunks written so far.
@@ -299,38 +319,29 @@ impl TsFileWriter {
     }
 }
 
-/// Append one page's points to the column buffers, checking that time
-/// strictly increases (from the previous page's last timestamp on) and
-/// gathering the page's statistics.
-fn split_page(page: &[Point], ts: &mut Vec<i64>, vs: &mut Vec<f64>) -> Result<PageStatistics> {
-    let (&first, &last) = page
-        .first()
-        .zip(page.last())
-        .ok_or(TsFileError::EmptyChunk)?;
-    let mut prev = ts.last().copied();
-    let (mut bottom, mut top) = (first, first);
-    for p in page {
-        if let Some(prev) = prev.filter(|&prev| p.t <= prev) {
-            return Err(TsFileError::UnsortedPoints { prev, next: p.t });
-        }
-        prev = Some(p.t);
-        ts.push(p.t);
-        vs.push(p.v);
-        // total_cmp, earliest point on ties: as `from_points`.
-        if p.v.total_cmp(&bottom.v).is_lt() {
-            bottom = *p;
-        }
-        if p.v.total_cmp(&top.v).is_gt() {
-            top = *p;
-        }
+/// Append one page's points to the column buffers — and, from the
+/// chunk's second point on, each timestamp's delta to its predecessor —
+/// checking that time strictly increases (from the previous page's last
+/// timestamp on) and gathering the page's statistics.
+fn split_page(
+    page: &[Point],
+    ts: &mut Vec<i64>,
+    deltas: &mut Vec<i64>,
+    vs: &mut Vec<f64>,
+) -> Result<PageStatistics> {
+    let stats = PageStatistics::from_points(page)?;
+    let from = ts.len().saturating_sub(1);
+    ts.extend(page.iter().map(|p| p.t));
+    vs.extend(page.iter().map(|p| p.v));
+    let fresh = ts.get(from..).unwrap_or(&[]);
+    if let Some(w) = fresh.windows(2).find(|w| w[1] <= w[0]) {
+        return Err(TsFileError::UnsortedPoints {
+            prev: w[0],
+            next: w[1],
+        });
     }
-    Ok(PageStatistics {
-        first,
-        last,
-        bottom,
-        top,
-        count: page.len() as u64,
-    })
+    deltas.extend(fresh.windows(2).map(|w| w[1].wrapping_sub(w[0])));
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -409,7 +420,7 @@ mod tests {
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         w.set_page_points(64);
-        let meta = w.write_chunk(&pts(0..300), 1)?;
+        let meta = w.write_chunk(&pts(0..300), 1)?.clone();
         w.finish()?;
         let info = &meta.paged;
         assert_eq!(info.pages.len(), 5); // 64*4 + 44
@@ -457,7 +468,9 @@ mod tests {
         let dst = tmp("raw-dst.tsfile");
         let mut w2 = TsFileWriter::create(&dst)?;
         w2.begin_series(0, 0)?;
-        let m2 = w2.write_chunk_raw(&raw, info.ts_encoding, info.val_encoding, 9)?;
+        let m2 = w2
+            .write_chunk_raw(&raw, info.ts_encoding, info.val_encoding, 9)?
+            .clone();
         w2.finish()?;
         assert_eq!(m2.version.0, 9);
         assert_eq!(m2.stats, meta.stats);
@@ -583,7 +596,7 @@ mod tests {
         let p = tmp("offsets.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
-        let m1 = w.write_chunk(&pts(0..100), 1)?;
+        let m1 = w.write_chunk(&pts(0..100), 1)?.clone();
         let m2 = w.write_chunk(&pts(100..200), 2)?;
         assert_eq!(m1.offset, MAGIC.len() as u64);
         assert_eq!(m2.offset, m1.offset + m1.byte_len);

@@ -1,20 +1,21 @@
 //! The unlocked merge-and-write phase of a compaction run.
 //!
 //! Consumes the input captured under the shard lock (readers, chunk
-//! handles, deletes) plus the [`classification
+//! metadata, deletes) plus the [`classification
 //! plan`](crate::compaction::plan) and produces the output TsFile:
 //!
 //! * **Clean pages** move byte-for-byte: one pooled pread per
 //!   contiguous page window
-//!   ([`TsFileReader::read_page_window_raw`]), per-page CRC
-//!   revalidation, and a raw append that carries the page statistics
-//!   straight into the new footer
+//!   ([`TsFileReader::read_page_window_raw`]) and a raw append that
+//!   re-checks each page's CRC — once, at the writer's gate — and
+//!   carries the page statistics straight into the new footer
 //!   ([`tsfile::TsFileWriter::write_chunk_raw`]) — no decode, no
 //!   re-encode.
 //! * **Dirty pages** decode (one pooled pread per contiguous dirty
 //!   window), k-way merge through the same [`MergeReader`] the read
 //!   path uses — latest version wins, later-versioned deletes drop
 //!   points — and re-encode chunked by `points_per_chunk`.
+//! * **Dropped pages** — wholly inside one newer delete — are not read.
 //!
 //! Clean pages and merged dirty points interleave on the time axis;
 //! [`merge_to_file`] walks both in time order so output chunks are
@@ -41,46 +42,30 @@
 //! I/O is reported through the explicit `compaction_*` counters, not
 //! smeared into the read-path ones.
 
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
-use tsfile::types::{Point, TimeRange};
-use tsfile::{ModEntry, RawPage, TsFileReader, TsFileWriter};
+use tsfile::types::{Point, TimeRange, Version};
+use tsfile::{ChunkMeta, ModEntry, RawPage, TsFileReader, TsFileWriter};
 
-use crate::chunk::{ChunkData, ChunkHandle};
-use crate::compaction::plan::CompactionPlan;
+use crate::compaction::plan::{CompactionPlan, PageFate};
+use crate::compaction::CompactionReport;
 use crate::config::EngineConfig;
 use crate::readers::MergeReader;
 use crate::snapshot::SeriesSnapshot;
 use crate::stats::IoStats;
 use crate::Result;
 
-/// What the unlocked phase produced, for the report and the counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct MergeOutcome {
-    /// Live points in the output file (copied + re-encoded).
-    pub points_written: usize,
-    /// Clean pages copied byte-for-byte.
-    pub pages_copied: u64,
-    /// Input pages decoded and re-encoded.
-    pub pages_recoded: u64,
-    /// Input chunk-body bytes read.
-    pub bytes_read: u64,
-    /// Output bytes produced by the re-encode path (copied bytes are
-    /// *not* rewritten — that is the whole point).
-    pub bytes_rewritten: u64,
-    /// Whether an output file exists at `path` (false when every input
-    /// point was deleted/overwritten away and [`OutputRun::always`] did
-    /// not ask for the chunkless run).
-    pub wrote_file: bool,
-}
-
-/// One clean page, flattened out of the plan's per-chunk runs so the
-/// interleave walk can treat pages as atomic time-ordered units.
-#[derive(Debug, Clone, Copy)]
-struct CleanUnit {
-    chunk: usize,
-    page: usize,
+/// A window of consecutive clean pages of one input chunk — one page
+/// as the plan lists them (the interleave walk's atomic, time-ordered
+/// unit), more once the walk coalesced neighbours.
+#[derive(Debug, Clone)]
+struct CleanRun<'a> {
+    reader: &'a TsFileReader,
+    meta: &'a ChunkMeta,
+    pages: Range<usize>,
+    /// First timestamp of the first page.
     start: i64,
 }
 
@@ -109,20 +94,10 @@ struct Output<'a> {
     config: &'a EngineConfig,
     path: &'a Path,
     run: OutputRun,
-    out: MergeOutcome,
+    out: CompactionReport,
 }
 
-impl<'a> Output<'a> {
-    fn new(config: &'a EngineConfig, path: &'a Path, run: OutputRun, out: MergeOutcome) -> Self {
-        Self {
-            slot: None,
-            config,
-            path,
-            run,
-            out,
-        }
-    }
-
+impl Output<'_> {
     /// Lazily create the output writer: a compaction whose merge comes
     /// up empty (fully deleted series) must not leave an empty file
     /// behind, unless [`OutputRun::always`] asks for it.
@@ -141,38 +116,24 @@ impl<'a> Output<'a> {
     /// `points_per_chunk`, all under the output version.
     fn flush_points(&mut self, points: &[Point], version: u64) -> Result<()> {
         for slice in points.chunks(self.config.points_per_chunk.max(1)) {
-            let meta = self.writer_mut()?.write_chunk(slice, version)?;
-            self.out.bytes_rewritten += meta.byte_len;
+            let byte_len = self.writer_mut()?.write_chunk(slice, version)?.byte_len;
+            self.out.bytes_rewritten += byte_len;
             self.out.points_written += slice.len();
         }
         Ok(())
     }
 
     /// Copy one contiguous window of clean pages as a single raw chunk:
-    /// one pooled pread, per-page CRC revalidation, statistics carried
-    /// into the new footer unchanged.
-    fn flush_raw_run(
-        &mut self,
-        files: &[Arc<TsFileReader>],
-        chunks: &[ChunkHandle],
-        run: (usize, std::ops::Range<usize>),
-        version: u64,
-    ) -> Result<()> {
-        let (ci, window) = run;
-        let handle = chunks
-            .get(ci)
-            .ok_or_else(|| corrupt("clean run chunk out of range"))?;
-        let ChunkData::File { file_idx, meta } = &handle.data else {
-            return Err(corrupt("clean run on in-memory chunk"));
-        };
-        let reader = files
-            .get(*file_idx)
-            .ok_or_else(|| corrupt("clean run file out of range"))?;
-        let info = &meta.paged;
-        let (buf, base) = reader.read_page_window_raw(meta, window.clone())?;
+    /// one pooled pread, statistics carried into the new footer
+    /// unchanged; the writer revalidates each page's CRC.
+    fn flush_raw_run(&mut self, run: CleanRun<'_>, version: u64) -> Result<()> {
+        let info = &run.meta.paged;
+        let (buf, base) = run
+            .reader
+            .read_page_window_raw(run.meta, run.pages.clone())?;
         let metas = info
             .pages
-            .get(window.clone())
+            .get(run.pages.clone())
             .ok_or_else(|| corrupt("clean run window out of range"))?;
         let mut raws = Vec::with_capacity(metas.len());
         for pm in metas {
@@ -184,153 +145,127 @@ impl<'a> Output<'a> {
         }
         self.writer_mut()?
             .write_chunk_raw(&raws, info.ts_encoding, info.val_encoding, version)?;
-        self.out.pages_copied += window.len() as u64;
+        self.out.pages_copied += run.pages.len() as u64;
         Ok(())
     }
 }
 
-/// Merge the captured inputs into one TsFile at `path` per `plan`: the
+/// Merge the captured input chunks (capture order, each with the
+/// reader its body is behind) into one TsFile at `path` per `plan`: the
 /// single run `run`, every output chunk under `run.version` (the
 /// maximum input version). `path` is the file's in-flight name — the
-/// caller renames it into place. No engine lock may be held.
+/// caller renames it into place; it exists iff a point was written or
+/// [`OutputRun::always`] asked for the chunkless run (every input point
+/// deleted or overwritten away otherwise leaves none). The report's
+/// retirement and delete counts are the caller's to fill in. No engine
+/// lock may be held.
 pub(crate) fn merge_to_file(
     config: &EngineConfig,
     path: &Path,
-    files: &[Arc<TsFileReader>],
-    chunks: &[ChunkHandle],
+    chunks: &[(&TsFileReader, &ChunkMeta)],
     deletes: Vec<ModEntry>,
     plan: &CompactionPlan,
     run: OutputRun,
-) -> Result<MergeOutcome> {
+) -> Result<CompactionReport> {
     let out_version = run.version;
-    let mut out = MergeOutcome {
-        pages_recoded: plan.pages_dirty,
-        ..MergeOutcome::default()
+    let mut out = CompactionReport {
+        chunks_merged: chunks.len(),
+        pages_recoded: plan.pages_dirty(),
+        ..CompactionReport::default()
     };
+    if plan.fates.len() != chunks.len() {
+        return Err(corrupt("plan does not match the chunk list"));
+    }
 
-    // 1. Load the dirty pages (as in-memory runs carrying their source
-    // chunk's version) and flatten the clean pages into time-ordered
-    // atomic units. Every input page is read exactly once — clean ones
-    // later, raw, per window — so bytes_read is the input body total.
-    let mut units: Vec<CleanUnit> = Vec::new();
-    let mut dirty: Vec<ChunkHandle> = Vec::new();
-    for (ci, handle) in chunks.iter().enumerate() {
-        let runs = plan
-            .clean_runs
-            .get(ci)
-            .ok_or_else(|| corrupt("plan shorter than chunk list"))?;
-        match &handle.data {
-            ChunkData::File { file_idx, meta } => {
-                out.bytes_read += meta.byte_len;
-                let reader = files
-                    .get(*file_idx)
-                    .ok_or_else(|| corrupt("chunk file out of range"))?;
-                let info = &meta.paged;
-                let mut clean = vec![false; info.pages.len()];
-                for r in runs {
-                    for j in r.clone() {
-                        if let Some(c) = clean.get_mut(j) {
-                            *c = true;
-                        }
-                        let Some(pm) = info.pages.get(j) else {
-                            return Err(corrupt("clean run page out of range"));
-                        };
-                        units.push(CleanUnit {
-                            chunk: ci,
-                            page: j,
-                            start: pm.stats.first.t,
-                        });
-                    }
+    // 1. Decode the dirty pages — each a sorted run carrying its
+    // source chunk's version — and list the clean ones as time-ordered
+    // atomic units. Every input page but a dropped one is read exactly
+    // once — clean ones later, raw, per window.
+    let mut units: Vec<CleanRun<'_>> = Vec::new();
+    let mut dirty: Vec<(Version, Arc<Vec<Point>>)> = Vec::new();
+    for (&(reader, meta), fates) in chunks.iter().zip(&plan.fates) {
+        let pages = &meta.paged.pages;
+        if fates.len() != pages.len() {
+            return Err(corrupt("plan does not match the chunk's pages"));
+        }
+        // Each maximal window of dirty pages is one pooled pread (the
+        // window's exact time range selects exactly those pages —
+        // pages are disjoint and ordered).
+        let mut window: Option<TimeRange> = None;
+        for (j, (pm, fate)) in pages.iter().zip(fates).enumerate() {
+            match fate {
+                PageFate::Dropped => {}
+                PageFate::Clean => {
+                    out.bytes_read += pm.byte_len;
+                    units.push(CleanRun {
+                        reader,
+                        meta,
+                        pages: j..j + 1,
+                        start: pm.stats.first.t,
+                    });
                 }
-                // Decode each maximal window of dirty pages with one
-                // pooled pread (the window's exact time range selects
-                // exactly those pages — pages are disjoint and ordered).
-                let mut j = 0;
-                while j < info.pages.len() {
-                    if clean.get(j).copied().unwrap_or(true) {
-                        j += 1;
-                        continue;
-                    }
-                    let a = j;
-                    while j < info.pages.len() && !clean.get(j).copied().unwrap_or(true) {
-                        j += 1;
-                    }
-                    let (first, last) = match (info.pages.get(a), info.pages.get(j - 1)) {
-                        (Some(f), Some(l)) => (f, l),
-                        _ => return Err(corrupt("dirty window out of range")),
-                    };
-                    let range = TimeRange::new(first.stats.first.t, last.stats.last.t);
-                    let mut pts = Vec::new();
-                    for (_, page_pts) in reader.read_pages_overlapping(meta, range)? {
-                        pts.extend(page_pts);
-                    }
-                    dirty.extend(ChunkHandle::from_mem(Arc::new(pts), handle.version));
+                PageFate::Dirty => {
+                    out.bytes_read += pm.byte_len;
+                    window.get_or_insert(pm.time_range()).end = pm.stats.last.t;
                 }
             }
-            // Compaction inputs are sealed chunks; tolerate a mem chunk
-            // defensively by recoding it whole.
-            ChunkData::Mem { points } => {
-                dirty.extend(ChunkHandle::from_mem(Arc::clone(points), handle.version));
+            if *fate != PageFate::Dirty || j + 1 == pages.len() {
+                if let Some(range) = window.take() {
+                    for (_, pts) in reader.read_pages_overlapping(meta, range)? {
+                        dirty.push((meta.version, Arc::new(pts)));
+                    }
+                }
             }
         }
     }
     units.sort_by_key(|u| u.start);
 
     // 2. K-way merge the dirty runs — latest version wins, deletes
-    // apply version-aware — through a detached snapshot so none of
-    // this I/O lands in the read-path counters.
+    // apply version-aware — with the read path's own merge, over a
+    // detached snapshot that holds nothing but the deletes.
     let detached = Arc::new(IoStats::default());
-    let snapshot = SeriesSnapshot::new(Vec::new(), dirty, deletes, detached, None, 1);
-    let merged = MergeReader::new(&snapshot).collect_merged()?;
+    let snapshot = SeriesSnapshot::new(Vec::new(), Vec::new(), deletes, detached, None, 1);
+    let merged = MergeReader::new(&snapshot).merge_runs(&dirty);
 
-    // 3. Interleave: walk clean pages in time order, spilling merged
-    // dirty points that precede each page, re-coalescing consecutive
-    // same-chunk pages into single raw chunks when nothing intervened.
-    let mut output = Output::new(config, path, run, out);
-    let mut merged_iter = merged.into_iter().peekable();
-    let mut pending: Vec<Point> = Vec::new();
-    let mut open: Option<(usize, std::ops::Range<usize>)> = None;
+    // 3. Interleave: walk clean pages in time order, spilling the
+    // merged dirty points that precede each page, re-coalescing
+    // consecutive same-chunk pages into single raw chunks when nothing
+    // intervened.
+    let mut output = Output {
+        slot: None,
+        config,
+        path,
+        run,
+        out,
+    };
+    let mut rest = merged.as_slice();
+    let mut open: Option<CleanRun<'_>> = None;
     for unit in units {
-        let mut consumed = false;
-        while merged_iter.peek().is_some_and(|p| p.t < unit.start) {
-            pending.extend(merged_iter.next());
-            consumed = true;
-        }
-        let coalesce = !consumed
-            && open
-                .as_ref()
-                .is_some_and(|(c, w)| *c == unit.chunk && w.end == unit.page);
-        if coalesce {
-            if let Some((_, w)) = &mut open {
-                w.end = unit.page + 1;
-            }
+        let (before, after) = rest.split_at(rest.partition_point(|p| p.t < unit.start));
+        rest = after;
+        if let Some(run) = open.as_mut().filter(|run| {
+            before.is_empty()
+                && std::ptr::eq(run.meta, unit.meta)
+                && run.pages.end == unit.pages.start
+        }) {
+            run.pages.end = unit.pages.end;
             continue;
         }
-        if let Some(run) = open.take() {
-            output.flush_raw_run(files, chunks, run, out_version)?;
+        if let Some(run) = open.replace(unit) {
+            output.flush_raw_run(run, out_version)?;
         }
-        if !pending.is_empty() {
-            output.flush_points(&pending, out_version)?;
-            pending.clear();
-        }
-        open = Some((unit.chunk, unit.page..unit.page + 1));
+        output.flush_points(before, out_version)?;
     }
     if let Some(run) = open.take() {
-        output.flush_raw_run(files, chunks, run, out_version)?;
+        output.flush_raw_run(run, out_version)?;
     }
-    pending.extend(merged_iter);
-    if !pending.is_empty() {
-        output.flush_points(&pending, out_version)?;
-        pending.clear();
-    }
+    output.flush_points(rest, out_version)?;
 
     if run.always {
         output.writer_mut()?;
     }
-    let Output { slot, mut out, .. } = output;
-    if let Some(mut w) = slot {
+    if let Some(mut w) = output.slot {
         w.finish()?;
-        out.wrote_file = true;
     }
-    Ok(out)
+    Ok(output.out)
 }

@@ -43,8 +43,9 @@
 pub mod execute;
 pub mod plan;
 
-/// Outcome of one compaction run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Outcome of one compaction run; all zero for a run that found
+/// nothing to do.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionReport {
     /// Sealed runs retired (the input generation): one per input file
     /// the series had a run in. A file shared with other series is
@@ -66,21 +67,6 @@ pub struct CompactionReport {
     /// Output bytes produced by the re-encode path. Copied bytes are
     /// excluded: they are precisely the write amplification avoided.
     pub bytes_rewritten: u64,
-}
-
-impl CompactionReport {
-    pub(crate) fn empty() -> Self {
-        CompactionReport {
-            files_removed: 0,
-            chunks_merged: 0,
-            points_written: 0,
-            deletes_applied: 0,
-            pages_copied: 0,
-            pages_recoded: 0,
-            bytes_read: 0,
-            bytes_rewritten: 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +177,7 @@ mod tests {
         let (dir, kv) = fresh("noop")?;
         kv.create_series("s")?;
         let report = kv.compact("s")?;
-        assert_eq!(report, CompactionReport::empty());
+        assert_eq!(report, CompactionReport::default());
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
@@ -260,34 +246,55 @@ mod tests {
         Ok(())
     }
 
-    /// The full-rewrite twin (`compaction_clean_page_copy: false`)
-    /// recodes everything and still produces the same logical series.
+    /// A clean page is copied without being decoded, so the copy's one
+    /// CRC check — at the output writer's gate — is all that stands
+    /// between a flipped bit and a new file: it must fail the
+    /// compaction with a typed error and leave no output behind.
     #[test]
-    fn clean_copy_off_is_a_full_rewrite() -> TestResult {
-        let dir = std::env::temp_dir().join(format!("tskv-compact-twin-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let kv = TsKv::open(
-            &dir,
-            EngineConfig {
-                points_per_chunk: 50,
-                memtable_threshold: 200,
-                compaction_clean_page_copy: false,
-                ..Default::default()
-            },
-        )?;
+    fn flipped_byte_in_a_clean_page_fails_the_compaction_and_leaves_no_output() -> TestResult {
+        use std::os::unix::fs::FileExt;
+
+        let (dir, kv) = fresh("flipped")?;
         for t in 0..600i64 {
             kv.insert("s", Point::new(t, t as f64))?;
         }
-        kv.flush_all()?;
-        let before = MergeReader::new(&kv.snapshot("s")?).collect_merged()?;
-        let report = kv.compact("s")?;
-        assert_eq!(report.pages_copied, 0, "{report:?}");
-        assert!(report.pages_recoded > 0, "{report:?}");
-        assert!(report.bytes_rewritten > 0, "{report:?}");
+        kv.flush_all()?; // three disjoint files: every page is clean
+        let listing = |dir: &std::path::Path| -> std::io::Result<Vec<std::path::PathBuf>> {
+            let mut files = Vec::new();
+            for shard in std::fs::read_dir(dir)?.flatten() {
+                if shard.path().is_dir() {
+                    files.extend(std::fs::read_dir(shard.path())?.flatten().map(|e| e.path()));
+                }
+            }
+            files.sort();
+            Ok(files)
+        };
+        let before = listing(&dir)?;
+        let victim = before
+            .iter()
+            .filter(|p| p.extension().is_some_and(|e| e == "tsfile"))
+            .nth(1)
+            .ok_or("no second data file")?;
+        // Past the head magic, inside the first page body.
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(victim)?;
+        let mut byte = [0u8; 1];
+        file.read_exact_at(&mut byte, 40)?;
+        file.write_all_at(&[byte[0] ^ 0x10], 40)?;
+        drop(file);
+
+        match kv.compact("s") {
+            Err(crate::TsKvError::TsFile(tsfile::TsFileError::ChecksumMismatch { .. })) => {}
+            other => return Err(format!("expected a checksum mismatch, got {other:?}").into()),
+        }
         assert_eq!(
-            MergeReader::new(&kv.snapshot("s")?).collect_merged()?,
-            before
+            listing(&dir)?,
+            before,
+            "no output, no temporary, no input gone"
         );
+        assert_eq!(kv.sealed_file_count("s")?, 3);
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }

@@ -1,10 +1,9 @@
-//! Clean/dirty page classification for page-aware compaction.
+//! Page classification for page-aware compaction.
 //!
 //! Given the metadata of a merge's input chunks (footer statistics
-//! only — no chunk body is touched), classify every page as **clean**
-//! (its bytes can move to the output file verbatim) or **dirty** (its
-//! points must flow through decode → k-way merge → re-encode). A page
-//! is clean iff:
+//! only — no chunk body is touched), give every page its
+//! [`PageFate`]. A page is **clean** (its bytes can move to the output
+//! file verbatim) iff:
 //!
 //! 1. its time range overlaps **no other input chunk** (nothing to
 //!    merge against: within its own chunk, pages are disjoint by
@@ -12,26 +11,20 @@
 //! 2. no captured delete with a version newer than the chunk overlaps
 //!    it (deletes at or below the chunk's version never apply to it).
 //!
+//! Otherwise it is **dirty** (its points must flow through decode →
+//! k-way merge → re-encode) — unless one newer delete covers its whole
+//! range, and then it is **dropped**, unread: every point in it is
+//! erased, and a point it shadowed at the same timestamp is either
+//! older (the same delete erases it too) or newer (it wins the
+//! timestamp with or without the page) — DESIGN §12.2.
+//!
 //! The classification is pure metadata arithmetic over what the shard
-//! lock already holds in memory, so planning costs no I/O. Clean pages
-//! are reported as **maximal runs of consecutive page indices** per
-//! chunk — each run is one candidate raw output chunk, though the
-//! execute layer may split a run further if merged dirty points land
-//! in the time gap between two of its pages.
+//! lock already holds in memory, so planning costs no I/O: one sort of
+//! the chunk intervals by start and a prefix maximum of their ends
+//! answer "does any *other* chunk reach this page" by binary search.
 
-use std::ops::Range;
-
-use tsfile::types::TimeRange;
+use tsfile::types::{TimeRange, Timestamp};
 use tsfile::ModEntry;
-
-/// Metadata view of one input page.
-#[derive(Debug, Clone, Copy)]
-pub struct PageView {
-    /// The page's `[FP.t, LP.t]` interval.
-    pub range: TimeRange,
-    /// Points in the page.
-    pub count: u64,
-}
 
 /// Metadata view of one input chunk, in capture (= version) order.
 #[derive(Debug, Clone)]
@@ -40,76 +33,106 @@ pub struct ChunkView {
     pub version: u64,
     /// The chunk's `[FP.t, LP.t]` interval.
     pub range: TimeRange,
-    /// Per-page views, in page order.
-    pub pages: Vec<PageView>,
+    /// Each page's `[FP.t, LP.t]` interval, in page order.
+    pub pages: Vec<TimeRange>,
+}
+
+/// What the merge does with one input page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PageFate {
+    /// Copied byte for byte.
+    Clean,
+    /// Decoded, merged, re-encoded.
+    Dirty,
+    /// Wholly covered by one newer delete: never read.
+    Dropped,
 }
 
 /// The classification outcome for one compaction run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompactionPlan {
-    /// Per input chunk (parallel to the input slice): maximal runs of
-    /// consecutive clean page indices, in page order.
-    pub clean_runs: Vec<Vec<Range<usize>>>,
-    /// Total clean pages across all chunks.
-    pub pages_clean: u64,
-    /// Total dirty pages across all chunks.
-    pub pages_dirty: u64,
+    /// Per input chunk (parallel to the input slice), per page.
+    pub fates: Vec<Vec<PageFate>>,
 }
 
 impl CompactionPlan {
-    /// A plan that recodes everything (the full-rewrite baseline).
-    fn all_dirty(chunks: &[ChunkView]) -> Self {
-        let pages_dirty = chunks.iter().map(|c| c.pages.len() as u64).sum();
-        CompactionPlan {
-            clean_runs: vec![Vec::new(); chunks.len()],
-            pages_clean: 0,
-            pages_dirty,
-        }
+    /// Pages that will be decoded and re-encoded.
+    pub fn pages_dirty(&self) -> u64 {
+        let dirty = |f: &&PageFate| **f == PageFate::Dirty;
+        self.fates.iter().flatten().filter(dirty).count() as u64
     }
 }
 
-/// Whether any delete newer than `version` overlaps `range`.
-fn deleted_after(deletes: &[ModEntry], version: u64, range: TimeRange) -> bool {
-    deletes
+/// The fate of a page of a chunk at `version` that some other chunk
+/// overlaps or not.
+fn fate(deletes: &[ModEntry], version: u64, range: TimeRange, overlapped: bool) -> PageFate {
+    let mut newer = deletes
         .iter()
-        .any(|d| d.version.0 > version && d.range.overlaps(&range))
+        .filter(|d| d.version.0 > version && d.range.overlaps(&range));
+    if newer
+        .clone()
+        .any(|d| d.range.start <= range.start && range.end <= d.range.end)
+    {
+        PageFate::Dropped
+    } else if overlapped || newer.next().is_some() {
+        PageFate::Dirty
+    } else {
+        PageFate::Clean
+    }
 }
 
-/// Classify every page of every input chunk. `clean_copy` off yields
-/// the all-dirty plan (`compaction_clean_page_copy = false`, the
-/// benchmark's full-rewrite twin).
-pub fn classify(chunks: &[ChunkView], deletes: &[ModEntry], clean_copy: bool) -> CompactionPlan {
-    if !clean_copy {
-        return CompactionPlan::all_dirty(chunks);
-    }
-    let mut clean_runs: Vec<Vec<Range<usize>>> = Vec::with_capacity(chunks.len());
-    let mut pages_clean = 0u64;
-    let mut pages_dirty = 0u64;
-    for (i, chunk) in chunks.iter().enumerate() {
-        let mut runs: Vec<Range<usize>> = Vec::new();
-        for (j, page) in chunk.pages.iter().enumerate() {
-            let overlapped = chunks
-                .iter()
-                .enumerate()
-                .any(|(k, other)| k != i && other.range.overlaps(&page.range));
-            let clean = !overlapped && !deleted_after(deletes, chunk.version, page.range);
-            if clean {
-                pages_clean += 1;
-                match runs.last_mut() {
-                    Some(run) if run.end == j => run.end = j + 1,
-                    _ => runs.push(j..j + 1),
-                }
-            } else {
-                pages_dirty += 1;
-            }
+/// One step of the sweep over chunk intervals sorted by start: this
+/// chunk's `start`, the furthest `end` among the chunks so far and its
+/// `owner`, and the furthest among the others (`second`: what the
+/// prefix reaches without `owner`).
+#[derive(Clone, Copy)]
+struct Reach {
+    start: Timestamp,
+    end: Timestamp,
+    owner: usize,
+    second: Timestamp,
+}
+
+/// Classify every page of every input chunk.
+pub fn classify(chunks: &[ChunkView], deletes: &[ModEntry]) -> CompactionPlan {
+    let mut order: Vec<(usize, &ChunkView)> = chunks.iter().enumerate().collect();
+    order.sort_by_key(|(_, c)| c.range.start);
+    let mut reach: Vec<Reach> = Vec::with_capacity(order.len());
+    let mut at = Reach {
+        start: Timestamp::MIN,
+        end: Timestamp::MIN,
+        owner: usize::MAX,
+        second: Timestamp::MIN,
+    };
+    for (i, c) in order {
+        at.start = c.range.start;
+        if c.range.end > at.end {
+            at.second = at.end;
+            (at.end, at.owner) = (c.range.end, i);
+        } else {
+            at.second = at.second.max(c.range.end);
         }
-        clean_runs.push(runs);
+        reach.push(at);
     }
-    CompactionPlan {
-        clean_runs,
-        pages_clean,
-        pages_dirty,
-    }
+
+    let fates = chunks
+        .iter()
+        .enumerate()
+        .map(|(i, chunk)| {
+            let fate_of = |page: &TimeRange| {
+                // Of the chunks starting at or before the page's end,
+                // does one other than `i` end at or after its start?
+                let upto = reach.partition_point(|r| r.start <= page.end);
+                let overlapped = upto
+                    .checked_sub(1)
+                    .and_then(|k| reach.get(k))
+                    .is_some_and(|r| (if r.owner == i { r.second } else { r.end }) >= page.start);
+                fate(deletes, chunk.version, *page, overlapped)
+            };
+            chunk.pages.iter().map(fate_of).collect()
+        })
+        .collect();
+    CompactionPlan { fates }
 }
 
 #[cfg(test)]
@@ -117,18 +140,11 @@ mod tests {
     use super::*;
     use tsfile::types::Version;
 
-    fn page(a: i64, b: i64) -> PageView {
-        PageView {
-            range: TimeRange::new(a, b),
-            count: (b - a + 1) as u64,
-        }
-    }
-
     fn chunk(version: u64, pages: &[(i64, i64)]) -> ChunkView {
-        let views: Vec<PageView> = pages.iter().map(|&(a, b)| page(a, b)).collect();
+        let views: Vec<TimeRange> = pages.iter().map(|&(a, b)| TimeRange::new(a, b)).collect();
         let range = TimeRange::new(
-            views.first().map_or(0, |p| p.range.start),
-            views.last().map_or(0, |p| p.range.end),
+            views.first().map_or(0, |p| p.start),
+            views.last().map_or(0, |p| p.end),
         );
         ChunkView {
             version,
@@ -141,16 +157,29 @@ mod tests {
         ModEntry::new(Version(version), a, b)
     }
 
+    /// One string per chunk, one letter per page: `c`lean, `d`irty,
+    /// dropped `x`.
+    fn show(plan: &CompactionPlan) -> Vec<String> {
+        let letter = |f: &PageFate| match f {
+            PageFate::Clean => 'c',
+            PageFate::Dirty => 'd',
+            PageFate::Dropped => 'x',
+        };
+        plan.fates
+            .iter()
+            .map(|c| c.iter().map(letter).collect())
+            .collect()
+    }
+
     #[test]
     fn disjoint_chunks_are_fully_clean() {
         let chunks = vec![
             chunk(1, &[(0, 9), (10, 19)]),
             chunk(2, &[(20, 29), (30, 39)]),
         ];
-        let plan = classify(&chunks, &[], true);
-        assert_eq!(plan.clean_runs, vec![vec![0..2], vec![0..2]]);
-        assert_eq!(plan.pages_clean, 4);
-        assert_eq!(plan.pages_dirty, 0);
+        let plan = classify(&chunks, &[]);
+        assert_eq!(show(&plan), ["cc", "cc"]);
+        assert_eq!(plan.pages_dirty(), 0);
     }
 
     #[test]
@@ -161,45 +190,107 @@ mod tests {
             chunk(1, &[(0, 9), (10, 19), (20, 29)]),
             chunk(2, &[(25, 34), (35, 44)]),
         ];
-        let plan = classify(&chunks, &[], true);
-        // Page (20,29) of chunk 1 overlaps chunk 2's [25,44]; both
-        // pages of chunk 2... only (25,34) overlaps chunk 1's [0,29].
-        assert_eq!(plan.clean_runs, vec![vec![0..2], vec![1..2]]);
-        assert_eq!(plan.pages_clean, 3);
-        assert_eq!(plan.pages_dirty, 2);
+        let plan = classify(&chunks, &[]);
+        // Page (20,29) of chunk 1 overlaps chunk 2's [25,44]; of chunk
+        // 2's pages only (25,34) overlaps chunk 1's [0,29].
+        assert_eq!(show(&plan), ["ccd", "dc"]);
+        assert_eq!(plan.pages_dirty(), 2);
     }
 
     #[test]
-    fn newer_delete_dirties_page_older_delete_does_not() {
+    fn newer_delete_dirties_or_drops_a_page_older_delete_does_neither() {
         let chunks = vec![chunk(5, &[(0, 9), (10, 19), (20, 29)])];
         // Version 3 < 5: never applies to this chunk.
         let stale = [del(3, 10, 19)];
-        assert_eq!(classify(&chunks, &stale, true).pages_clean, 3);
-        // Version 7 > 5: the overlapped page recodes.
-        let live = [del(7, 10, 19)];
-        let plan = classify(&chunks, &live, true);
-        assert_eq!(plan.clean_runs, vec![vec![0..1, 2..3]]);
-        assert_eq!(plan.pages_clean, 2);
-        assert_eq!(plan.pages_dirty, 1);
+        assert_eq!(show(&classify(&chunks, &stale)), ["ccc"]);
+        // Version 7 > 5, part of a page: the page recodes.
+        let plan = classify(&chunks, &[del(7, 12, 19)]);
+        assert_eq!(show(&plan), ["cdc"]);
+        assert_eq!(plan.pages_dirty(), 1);
+        // The whole page, to the timestamp: nothing of it is left to read.
+        let plan = classify(&chunks, &[del(7, 10, 19)]);
+        assert_eq!(show(&plan), ["cxc"]);
+        assert_eq!(plan.pages_dirty(), 0);
+        // Two deletes that only together cover a page do not drop it.
+        let halves = [del(7, 10, 14), del(8, 15, 19)];
+        assert_eq!(show(&classify(&chunks, &halves)), ["cdc"]);
     }
 
     #[test]
-    fn clean_copy_off_recodes_everything() {
-        let chunks = vec![chunk(1, &[(0, 9), (10, 19)]), chunk(2, &[(100, 199)])];
-        let plan = classify(&chunks, &[], false);
-        assert_eq!(plan.clean_runs, vec![Vec::new(), Vec::new()]);
-        assert_eq!(plan.pages_clean, 0);
-        assert_eq!(plan.pages_dirty, 3);
-    }
-
-    #[test]
-    fn runs_are_maximal_and_split_at_dirty_pages() {
+    fn a_chunk_dwelling_in_a_gap_dirties_neither_neighbour_page() {
         let chunks = vec![
             chunk(1, &[(0, 9), (10, 19), (20, 29), (30, 39), (40, 49)]),
             chunk(2, &[(20, 24)]), // dirties the middle page of chunk 1
+            chunk(3, &[(100, 109), (200, 209)]),
+            chunk(4, &[(150, 160)]), // inside chunk 3's range, on no page of it
         ];
-        let plan = classify(&chunks, &[], true);
-        assert_eq!(plan.clean_runs[0], vec![0..2, 3..5]);
-        assert_eq!(plan.clean_runs[1], Vec::<Range<usize>>::new());
+        assert_eq!(show(&classify(&chunks, &[])), ["ccdcc", "d", "cc", "d"]);
+    }
+
+    /// `classify` against the definition, page by page, on random
+    /// chunk sets: clean iff no *other* chunk's range overlaps the page
+    /// and no newer delete does; dropped iff one newer delete covers it.
+    #[test]
+    fn classify_equals_the_brute_force_definition() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        for round in 0..400 {
+            // Starts drawn from a span that shrinks and grows with the
+            // round: from almost all chunks disjoint to almost all
+            // stacked, ties on starts and ends included.
+            let span = 20 + 40 * (round % 20);
+            let chunks: Vec<ChunkView> = (0..1 + next(40))
+                .map(|v| {
+                    let mut t = next(span) as i64;
+                    let pages: Vec<(i64, i64)> = (0..1 + next(5))
+                        .map(|_| {
+                            let a = t + next(3) as i64;
+                            let b = a + next(6) as i64;
+                            t = b + 1 + next(8) as i64;
+                            (a, b)
+                        })
+                        .collect();
+                    chunk(v + 1, &pages)
+                })
+                .collect();
+            let deletes: Vec<ModEntry> = (0..next(6))
+                .map(|_| {
+                    let a = next(span) as i64;
+                    del(next(45), a, a + next(12) as i64)
+                })
+                .collect();
+
+            let plan = classify(&chunks, &deletes);
+            for (i, c) in chunks.iter().enumerate() {
+                for (j, p) in c.pages.iter().enumerate() {
+                    let newer = |d: &&ModEntry| d.version.0 > c.version;
+                    let want = if deletes
+                        .iter()
+                        .filter(newer)
+                        .any(|d| d.range.start <= p.start && p.end <= d.range.end)
+                    {
+                        PageFate::Dropped
+                    } else if chunks
+                        .iter()
+                        .enumerate()
+                        .any(|(k, other)| k != i && other.range.overlaps(p))
+                        || deletes.iter().filter(newer).any(|d| d.range.overlaps(p))
+                    {
+                        PageFate::Dirty
+                    } else {
+                        PageFate::Clean
+                    };
+                    assert_eq!(
+                        plan.fates[i][j], want,
+                        "round {round} chunk {i} page {j}: {chunks:?} {deletes:?}"
+                    );
+                }
+            }
+        }
     }
 }

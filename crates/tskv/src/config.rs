@@ -103,12 +103,6 @@ pub struct EngineConfig {
     pub compaction_threshold: usize,
     /// Scheduler poll period in milliseconds. Must be in `1..=60_000`.
     pub compaction_interval_ms: u64,
-    /// Copy pages that overlap no other input chunk and no newer
-    /// delete byte-for-byte instead of re-encoding them. On by
-    /// default; turning it off forces the full decode → merge →
-    /// re-encode path for every page (the benchmark's full-rewrite
-    /// baseline).
-    pub compaction_clean_page_copy: bool,
     /// Number of hash-sharded storage directories (`shard-NNN/`) the
     /// store's data files and shared WALs are spread across. Fixed at
     /// store creation: the first open writes it to the `SHARDS` meta
@@ -134,7 +128,6 @@ impl Default for EngineConfig {
             compaction_auto: false,
             compaction_threshold: 8,
             compaction_interval_ms: 20,
-            compaction_clean_page_copy: true,
             storage_shards: 16,
         }
     }
@@ -326,12 +319,6 @@ mod tests {
     #[test]
     fn validate_accepts_defaults() {
         assert!(EngineConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn compaction_defaults_match_seed_behavior() {
-        let c = EngineConfig::default();
-        assert!(c.compaction_clean_page_copy);
     }
 
     #[test]

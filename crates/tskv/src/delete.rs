@@ -93,16 +93,32 @@ impl<'a> DeleteSweep<'a> {
     }
 
     /// Whether a point at `t` written at `chunk_version` is erased.
-    /// `t` must be ≥ every previously probed timestamp.
+    /// `t` must be ≥ every previously probed timestamp (or range start).
     pub fn is_deleted(&mut self, t: Timestamp, chunk_version: Version) -> bool {
-        while self.next < self.sorted.len() && self.sorted[self.next].range.start <= t {
-            self.active.push(self.sorted[self.next]);
+        self.any_in(TimeRange::new(t, t), chunk_version)
+    }
+
+    /// Whether an applicable delete overlaps `range`: a stretch of
+    /// points probes once and, told no, is kept whole. `range.start`
+    /// must be ≥ every previously probed timestamp (or range start).
+    pub fn any_in(&mut self, range: TimeRange, chunk_version: Version) -> bool {
+        // The common probe: nothing active, the next delete ahead.
+        let next = self.sorted.get(self.next);
+        if self.active.is_empty() && next.is_none_or(|d| d.range.start > range.end) {
+            return false;
+        }
+        while let Some(d) = self
+            .sorted
+            .get(self.next)
+            .filter(|d| d.range.start <= range.end)
+        {
+            self.active.push(d);
             self.next += 1;
         }
-        self.active.retain(|d| d.range.end >= t);
+        self.active.retain(|d| d.range.end >= range.start);
         self.active
             .iter()
-            .any(|d| d.applies_to(chunk_version) && d.covers(t))
+            .any(|d| d.applies_to(chunk_version) && d.range.overlaps(&range))
     }
 }
 

@@ -103,8 +103,8 @@ use tsfile::{ChunkMeta, ModEntry, ModsFile, SeriesRun, TsFileError, TsFileReader
 use crate::batch::WriteBatch;
 use crate::cache::DecodedChunkCache;
 use crate::catalog::{SeriesCatalog, SeriesId};
-use crate::chunk::{ChunkData, ChunkHandle};
-use crate::compaction::plan::{self, ChunkView, PageView};
+use crate::chunk::ChunkHandle;
+use crate::compaction::plan::{self, ChunkView};
 use crate::compaction::{execute, CompactionReport};
 use crate::config::{
     EngineConfig, FsyncPolicy, CATALOG_MAX_SERIES, MAX_STORAGE_SHARDS, WAL_BATCH_BYTES,
@@ -910,7 +910,7 @@ impl EngineInner {
     /// Append `points` to the shard WAL (tagged with `id`) and the
     /// memtable. Runs under the owning stripe's write lock; pure
     /// in-memory work plus buffered WAL frames (drained by
-    /// [`EngineInner::commit_wal`]).
+    /// [`EngineInner::commit_wal_with`]).
     fn apply_inserts(&self, id: SeriesId, store: &mut SeriesStore, points: &[Point]) -> Result<()> {
         self.storage(id).wal.append_inserts(id, points)?;
         store.memtable.extend(points);
@@ -918,11 +918,11 @@ impl EngineInner {
         Ok(())
     }
 
-    /// Drain the shard WAL's group-commit buffer in one syscall,
+    /// Drain a shard WAL's group-commit buffer in one syscall,
     /// fsyncing when `sync` (or always under [`FsyncPolicy::Always`]).
     /// Called before the stripe lock is released, so every
     /// acknowledged write is in the OS first.
-    fn commit_wal_with(&self, id: SeriesId, sync: bool) -> Result<()> {
+    fn commit_wal_with(&self, shard: &StorageShard, sync: bool) -> Result<()> {
         let sync = sync || matches!(self.config.fsync_policy, FsyncPolicy::Always);
         if sync {
             // WAL records are id-tagged; the catalog record binding
@@ -932,7 +932,7 @@ impl EngineInner {
             // then refuses the store outright.
             self.catalog.sync_if_dirty()?;
         }
-        let bytes = self.storage(id).wal.commit(sync)?;
+        let bytes = shard.wal.commit(sync)?;
         if bytes > 0 {
             self.io.record_wal_batch(bytes);
             if sync {
@@ -940,10 +940,6 @@ impl EngineInner {
             }
         }
         Ok(())
-    }
-
-    fn commit_wal(&self, id: SeriesId) -> Result<()> {
-        self.commit_wal_with(id, false)
     }
 
     /// Insert a batch of points (any time order; duplicates overwrite).
@@ -958,7 +954,7 @@ impl EngineInner {
             self.apply_inserts(id, store, points)?;
             let threshold =
                 store.memtable.len() >= self.config.memtable_threshold && store.flushing.is_none();
-            self.commit_wal(id)?;
+            self.commit_wal_with(self.storage(id), false)?;
             threshold
         };
         if self.changes.active() {
@@ -975,11 +971,12 @@ impl EngineInner {
 
     /// Apply a multi-series [`WriteBatch`]: names resolved once up
     /// front, series grouped by stripe so each stripe's write lock is
-    /// taken once, WAL frames group-commit per series (one syscall
-    /// each, fsync per [`FsyncPolicy`]), and memtables that crossed
-    /// the flush threshold flush after every lock is released — as one
-    /// group, so those that share a storage shard share a file.
-    /// Returns the number of points written.
+    /// taken once, WAL frames group-commit per storage shard the
+    /// stripe's entries touched (one syscall each, fsync per
+    /// [`FsyncPolicy`], before the stripe's guard drops), and memtables
+    /// that crossed the flush threshold flush after every lock is
+    /// released — as one group, so those that share a storage shard
+    /// share a file. Returns the number of points written.
     fn write_batch(&self, batch: &WriteBatch) -> Result<usize> {
         if batch.is_empty() {
             return Ok(0);
@@ -1010,12 +1007,15 @@ impl EngineInner {
                 continue;
             };
             let mut map = shard.series.write();
-            for (id, points) in group {
+            // The storage shards whose logs hold this stripe's frames.
+            let mut touched: Vec<usize> = Vec::new();
+            let applied = group.iter().try_for_each(|(id, points)| {
                 let store = self.store_entry(&mut map, *id);
+                let log = id.index() % self.storage.len();
+                if !touched.contains(&log) {
+                    touched.push(log);
+                }
                 self.apply_inserts(*id, store, points)?;
-                let threshold = store.memtable.len() >= self.config.memtable_threshold
-                    && store.flushing.is_none();
-                self.commit_wal(*id)?;
                 total += points.len();
                 if notify {
                     events.push(ChangeEvent::Write {
@@ -1023,10 +1023,21 @@ impl EngineInner {
                         points: Arc::new(points.to_vec()),
                     });
                 }
-                if threshold {
+                if store.memtable.len() >= self.config.memtable_threshold
+                    && store.flushing.is_none()
+                {
                     need_flush.push(*id);
                 }
-            }
+                Ok(())
+            });
+            // One commit per log, whatever the entries were — and also
+            // when one of them failed: what did reach a memtable is in
+            // the OS before the guard drops.
+            let committed = touched
+                .iter()
+                .filter_map(|&log| self.storage.get(log))
+                .try_for_each(|log| self.commit_wal_with(log, false));
+            applied.and(committed)?;
         }
         // Phase 3 (unlocked): notify listeners, then flush the
         // memtables that crossed the threshold.
@@ -1322,7 +1333,7 @@ impl EngineInner {
             // immediately.
             let sync_deletes = !matches!(self.config.fsync_policy, FsyncPolicy::Never);
             self.storage(id).wal.append_delete(id, version, range)?;
-            self.commit_wal_with(id, sync_deletes)?;
+            self.commit_wal_with(self.storage(id), sync_deletes)?;
             store.memtable.delete_range(range);
             let entry = ModEntry::new(version, start, end);
             if store.flushing.is_some() {
@@ -1434,28 +1445,28 @@ impl EngineInner {
         // `min_files` is checked under the same guard that sets
         // `compacting`, so a scheduler tick that lost a race to a
         // manual compact declines instead of rewriting a single file.
-        let (files, chunks, deletes, captured, header, capture_ceiling, path) = {
+        let (inputs, deletes, header, capture_ceiling, path) = {
             let mut map = self.stripe(id).series.write();
             let Some(store) = map.get_mut(&id) else {
                 // Cold series: nothing sealed, nothing to merge.
-                return Ok(CompactionReport::empty());
+                return Ok(CompactionReport::default());
             };
             // An in-flight flush holds versions for points not yet
             // visible in `files`; merging around it risks ordering
             // confusion for no gain. Back off and let the scheduler
             // retry once the flush installs.
             if store.files.len() < min_files || store.compacting || store.flushing.is_some() {
-                return Ok(CompactionReport::empty());
+                return Ok(CompactionReport::default());
             }
-            let captured = store.files.len();
-            let mut files = Vec::with_capacity(captured);
-            let mut chunks = Vec::new();
+            if store.files.iter().all(|v| v.metas().is_empty()) {
+                // Only chunkless runs (each the whole output of an
+                // earlier compaction that found every point deleted):
+                // nothing to merge.
+                return Ok(CompactionReport::default());
+            }
+            let mut inputs = Vec::with_capacity(store.files.len());
             let mut deletes: Vec<ModEntry> = Vec::new();
             for res in &store.files {
-                let file_idx = files.len();
-                for meta in res.metas() {
-                    chunks.push(ChunkHandle::from_file(file_idx, meta.clone()));
-                }
                 for e in res.mods.entries() {
                     // A delete that touches input data is attached to
                     // the input run it overlaps, so the inputs' own
@@ -1465,13 +1476,7 @@ impl EngineInner {
                         deletes.push(*e);
                     }
                 }
-                files.push(Arc::clone(&res.file.reader));
-            }
-            if chunks.is_empty() {
-                // Only chunkless runs (each the whole output of an
-                // earlier compaction that found every point deleted):
-                // nothing to merge.
-                return Ok(CompactionReport::empty());
+                inputs.push((Arc::clone(&res.file.reader), res.run.clone()));
             }
             store.compacting = true;
             // Every output chunk carries the maximum input version.
@@ -1509,17 +1514,15 @@ impl EngineInner {
             // order, which is what lets recovery read `supersedes` as
             // "replaces the runs in the files before me".
             let path = self.storage(id).next_data_path();
-            (
-                files,
-                chunks,
-                deletes,
-                captured,
-                header,
-                capture_ceiling,
-                path,
-            )
+            (inputs, deletes, header, capture_ceiling, path)
         };
-        let chunks_merged = chunks.len();
+        let captured = inputs.len();
+        // The inputs' chunks, in capture (= version) order, each with
+        // the reader its body is behind.
+        let chunks: Vec<(&TsFileReader, &ChunkMeta)> = inputs
+            .iter()
+            .flat_map(|(reader, run)| reader.run_chunks(run).iter().map(move |m| (&**reader, m)))
+            .collect();
         let deletes_applied = deletes.len();
 
         // Phase B (unlocked): classify every input page clean/dirty
@@ -1533,43 +1536,30 @@ impl EngineInner {
         // worth caching.
         let views: Vec<ChunkView> = chunks
             .iter()
-            .filter_map(|c| match &c.data {
-                ChunkData::File { meta, .. } => Some(meta),
-                ChunkData::Mem { .. } => None,
-            })
-            .map(|meta| ChunkView {
+            .map(|(_, meta)| ChunkView {
                 version: meta.version.0,
                 range: meta.time_range(),
-                pages: meta
-                    .paged
-                    .pages
-                    .iter()
-                    .map(|p| PageView {
-                        range: p.time_range(),
-                        count: p.stats.count,
-                    })
-                    .collect(),
+                pages: meta.paged.pages.iter().map(|p| p.time_range()).collect(),
             })
             .collect();
-        let cplan = plan::classify(&views, &deletes, self.config.compaction_clean_page_copy);
+        let cplan = plan::classify(&views, &deletes);
         let tmp = in_flight_path(&path);
-        let outcome =
-            execute::merge_to_file(&self.config, &tmp, &files, &chunks, deletes, &cplan, header)
-                .and_then(|o| {
-                    let sealed = if o.wrote_file {
-                        let file = publish_file(&tmp, &path)?;
-                        let run = file.reader.series_runs().first().ok_or_else(|| {
-                            TsKvError::Corrupt(format!(
-                                "{}: compaction output has no run",
-                                path.display()
-                            ))
-                        })?;
-                        Some(SeriesView::open(&file, run)?)
-                    } else {
-                        None
-                    };
-                    Ok((o, sealed))
-                });
+        let outcome = execute::merge_to_file(&self.config, &tmp, &chunks, deletes, &cplan, header)
+            .and_then(|o| {
+                let sealed = if o.points_written > 0 || header.always {
+                    let file = publish_file(&tmp, &path)?;
+                    let run = file.reader.series_runs().first().ok_or_else(|| {
+                        TsKvError::Corrupt(format!(
+                            "{}: compaction output has no run",
+                            path.display()
+                        ))
+                    })?;
+                    Some(SeriesView::open(&file, run)?)
+                } else {
+                    None
+                };
+                Ok((o, sealed))
+            });
         if outcome.is_err() {
             std::fs::remove_file(&tmp).ok();
             std::fs::remove_file(&path).ok();
@@ -1629,13 +1619,8 @@ impl EngineInner {
         }
         Ok(CompactionReport {
             files_removed,
-            chunks_merged,
-            points_written: outcome.points_written,
             deletes_applied,
-            pages_copied: outcome.pages_copied,
-            pages_recoded: outcome.pages_recoded,
-            bytes_read: outcome.bytes_read,
-            bytes_rewritten: outcome.bytes_rewritten,
+            ..outcome
         })
     }
 
@@ -2550,22 +2535,23 @@ mod tests {
     fn write_batch_spans_series_and_shards() -> TestResult {
         let (dir, kv) = fresh("wbatch")?;
         let mut batch = WriteBatch::new();
-        for s in 0..16 {
+        for s in 0..48 {
             let pts: Vec<Point> = (0..50).map(|t| Point::new(t, s as f64)).collect();
             batch.insert_many(&format!("series-{s}"), &pts);
         }
-        assert_eq!(kv.write_batch(&batch)?, 16 * 50);
-        assert_eq!(kv.series_names().len(), 16);
-        for s in 0..16 {
+        assert_eq!(kv.write_batch(&batch)?, 48 * 50);
+        assert_eq!(kv.series_names().len(), 48);
+        for s in 0..48 {
             let merged =
                 MergeReader::new(&kv.snapshot(&format!("series-{s}"))?).collect_merged()?;
             assert_eq!(merged.len(), 50);
             assert!(merged.iter().all(|p| p.v == s as f64));
         }
         let io = kv.io().snapshot();
-        assert_eq!(io.points_written, 16 * 50);
-        // One WAL group-commit batch per touched series (not per point).
-        assert_eq!(io.wal_batches, 16);
+        assert_eq!(io.points_written, 48 * 50);
+        // One WAL group-commit batch per storage shard touched (three
+        // series each, all on one stripe) — not per series or per point.
+        assert_eq!(io.wal_batches, kv.config().storage_shards as u64);
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
@@ -2605,6 +2591,18 @@ mod tests {
         let io = kv.io().snapshot();
         assert_eq!(io.wal_batches, 2);
         assert_eq!(io.wal_syncs, 2);
+        // A batch commits each log it touched once, and syncs it before
+        // the call returns: ids 0, 16 and 32 share a log, id 1 has its own.
+        for s in 1..33 {
+            kv.create_series(&format!("s{s}"))?;
+        }
+        let mut batch = WriteBatch::new();
+        for name in ["s", "s16", "s32", "s1"] {
+            batch.insert_many(name, &[Point::new(3, 3.0)]);
+        }
+        kv.write_batch(&batch)?;
+        let io = kv.io().snapshot() - io;
+        assert_eq!((io.wal_batches, io.wal_syncs), (2, 2));
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
@@ -2689,7 +2687,7 @@ mod tests {
         // What a scheduler tick that lost a race to a manual compact
         // sees: fewer files than the threshold, so nothing to do.
         let declined = kv.inner.compact_run(id, kv.inner.compaction_threshold())?;
-        assert_eq!(declined, CompactionReport::empty());
+        assert_eq!(declined, CompactionReport::default());
         assert_eq!(kv.sealed_file_count("s")?, 2);
         assert_eq!(kv.io().snapshot().compaction_bytes_read, 0);
         // The manual entry point merges at any file count.

@@ -502,7 +502,7 @@ fn fully_deleted_member_leaves_a_chunkless_superseding_run() -> TestResult {
     assert_eq!(output.series_runs().len(), 1);
     // Nothing to merge in it; and on reopen it keeps the shared file's
     // run of a dead, with the tombstone long gone.
-    assert_eq!(kv.compact("a")?, CompactionReport::empty());
+    assert_eq!(kv.compact("a")?, CompactionReport::default());
     drop(kv);
     let kv = TsKv::open(&dir, config())?;
     model.check(&kv)?;

@@ -26,31 +26,53 @@ pub struct MergeReader<'a> {
     range: TimeRange,
 }
 
-/// Heap entry: min-heap by time, tie-broken by *descending* version so
-/// the latest write at a timestamp surfaces first.
-struct HeapEntry {
+/// Heap entry — the head of one admitted run: min-heap by time,
+/// tie-broken by *descending* version so the latest write at a
+/// timestamp surfaces first.
+struct HeapEntry<'r> {
     t: Timestamp,
     version: Version,
-    run: usize,
+    /// The run's points from its head on (never empty; `rest[0].t == t`).
+    rest: &'r [Point],
 }
 
-impl PartialEq for HeapEntry {
+impl PartialEq for HeapEntry<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.t == other.t && self.version == other.version
     }
 }
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
+impl Eq for HeapEntry<'_> {}
+impl PartialOrd for HeapEntry<'_> {
     fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for HeapEntry {
+impl Ord for HeapEntry<'_> {
     fn cmp(&self, other: &Self) -> CmpOrdering {
         // BinaryHeap is a max-heap; invert time, keep version ascending
         // so the max-heap pops (smallest t, largest version) first.
         other.t.cmp(&self.t).then(self.version.cmp(&other.version))
     }
+}
+
+impl<'r> HeapEntry<'r> {
+    fn new(version: Version, rest: &'r [Point]) -> Option<Self> {
+        rest.first().map(|p| HeapEntry {
+            t: p.t,
+            version,
+            rest,
+        })
+    }
+}
+
+/// Length of the prefix of `pts` (time-sorted) below `bound`: the whole
+/// run at one comparison when runs are disjoint, else a scan no longer
+/// than the copy that follows it.
+fn prefix_below(pts: &[Point], bound: Timestamp) -> usize {
+    if pts.last().is_some_and(|p| p.t < bound) {
+        return pts.len();
+    }
+    pts.iter().position(|p| p.t >= bound).unwrap_or(pts.len())
 }
 
 impl<'a> MergeReader<'a> {
@@ -124,55 +146,81 @@ impl<'a> MergeReader<'a> {
         }
         let mut deletes = DeleteSweep::new(self.snapshot.deletes());
 
-        // Start each cursor at the first point inside the segment; the
-        // heap never holds a point past its end.
-        let mut cursors: Vec<usize> = runs
+        // Each run's slice inside the segment, in the order the merge
+        // front reaches them.
+        let mut waiting: Vec<HeapEntry<'_>> = runs
             .iter()
-            .map(|(_, pts)| pts.partition_point(|p| p.t < lo))
+            .filter_map(|(version, pts)| {
+                let a = pts.partition_point(|p| p.t < lo);
+                let b = pts.partition_point(|p| p.t <= hi);
+                HeapEntry::new(*version, pts.get(a..b)?)
+            })
             .collect();
-        let mut heap = BinaryHeap::with_capacity(runs.len());
-        for (i, (version, pts)) in runs.iter().enumerate() {
-            if let Some(p) = pts.get(cursors[i]) {
-                if p.t <= hi {
-                    heap.push(HeapEntry {
-                        t: p.t,
-                        version: *version,
-                        run: i,
-                    });
-                }
-            }
-        }
+        waiting.sort_by_key(|e| e.t);
+        let mut out = Vec::with_capacity(waiting.iter().map(|e| e.rest.len()).sum());
+        let mut waiting = waiting.into_iter().peekable();
 
-        let mut out = Vec::new();
+        // The front: `lead`, the admitted run whose head goes next, and
+        // in the heap the others the front has reached — the overlap
+        // degree at the current timestamp, not the run count.
+        let mut heap: BinaryHeap<HeapEntry<'_>> = BinaryHeap::new();
         let mut last_t: Option<Timestamp> = None;
-        while let Some(entry) = heap.pop() {
-            let (version, pts) = &runs[entry.run];
-            let p = pts[cursors[entry.run]];
-            cursors[entry.run] += 1;
-            if let Some(next) = pts.get(cursors[entry.run]) {
-                if next.t <= hi {
-                    heap.push(HeapEntry {
-                        t: next.t,
-                        version: *version,
-                        run: entry.run,
-                    });
-                }
+        let Some(mut lead) = waiting.next() else {
+            return out;
+        };
+        loop {
+            // The heap's top leads if it goes before `lead`.
+            if let Some(mut top) = heap.peek_mut().filter(|top| **top > lead) {
+                std::mem::swap(&mut *top, &mut lead);
             }
-            // Same timestamp as an already-emitted (higher-version)
+            // Admit every run that starts at or before the front: at
+            // the leader's very timestamp too, or an older point would
+            // win a tie against a newer run not yet admitted.
+            while let Some(e) = waiting.next_if(|e| e.t <= lead.t) {
+                heap.push(if e > lead {
+                    std::mem::replace(&mut lead, e)
+                } else {
+                    e
+                });
+            }
+            // Nothing else has a point below the next competing
+            // timestamp (the heap's top, or the next run waiting), so
+            // the leader's stretch below it is in output order. Its
+            // first point goes regardless: a tie is already decided.
+            let bound = match (heap.peek(), waiting.peek()) {
+                (Some(a), Some(b)) => a.t.min(b.t),
+                (Some(e), None) | (None, Some(e)) => e.t,
+                (None, None) => Timestamp::MAX,
+            };
+            let n = 1 + prefix_below(lead.rest.get(1..).unwrap_or(&[]), bound);
+            let (mut stretch, rest) = lead.rest.split_at(n.min(lead.rest.len()));
+            let version = lead.version;
+            // Same timestamp as an already-decided (higher-version)
             // point: this one was overwritten.
-            if last_t == Some(p.t) {
-                continue;
+            if last_t == Some(lead.t) {
+                stretch = stretch.get(1..).unwrap_or(&[]);
             }
-            if deletes.is_deleted(p.t, *version) {
-                // A deleted point still consumes the timestamp slot:
-                // an older-version point at the same timestamp must not
+            if let (Some(first), Some(last)) = (stretch.first(), stretch.last()) {
+                // A deleted point still consumes the timestamp slot: an
+                // older-version point at the same timestamp must not
                 // resurface (the delete covers it too, since it has an
                 // even smaller version).
-                last_t = Some(p.t);
-                continue;
+                last_t = Some(last.t);
+                if deletes.any_in(TimeRange::new(first.t, last.t), version) {
+                    out.extend(stretch.iter().filter(|p| !deletes.is_deleted(p.t, version)));
+                } else {
+                    out.extend_from_slice(stretch);
+                }
             }
-            last_t = Some(p.t);
-            out.push(p);
+            // On to the rest of the run; a finished run hands over to
+            // the heap, an empty heap to the next run waiting.
+            match HeapEntry::new(version, rest)
+                .or_else(|| heap.pop())
+                .or_else(|| waiting.next())
+            {
+                Some(next) => lead = next,
+                None => break,
+            }
         }
         out
     }
@@ -339,6 +387,139 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
+    }
+
+    type Run = (Version, Arc<Vec<Point>>);
+
+    /// Sorted runs and deletes laid out by `rng`: mostly disjoint runs
+    /// (some exactly adjacent), a share starting inside their
+    /// predecessor, and every so often a group of three to five runs
+    /// on the very same timestamps; deletes start and end on run
+    /// boundaries, give or take one. Versions are distinct; a point's
+    /// value names its run.
+    fn runs_and_deletes(
+        rng: &mut proptest::TestRng,
+        n_runs: usize,
+        overlap_pct: u64,
+    ) -> (Vec<Run>, Vec<tsfile::ModEntry>) {
+        let mut below = |n: u64| rng.next_u64() % n;
+        let mut versions: Vec<u64> = (1..=n_runs as u64).map(|v| 2 * v).collect();
+        for i in (1..versions.len()).rev() {
+            versions.swap(i, below(i as u64 + 1) as usize);
+        }
+        let mut runs: Vec<Run> = Vec::new();
+        let (mut start, mut end, mut twins) = (0i64, -1i64, 0u64);
+        let (mut step, mut len) = (1, 1);
+        for v in versions {
+            if twins > 0 {
+                twins -= 1; // same timestamps as the run before
+            } else {
+                start = if below(100) < overlap_pct {
+                    start + below((end - start + 1).max(1) as u64) as i64
+                } else {
+                    end + 1 + below(3) as i64
+                };
+                (step, len) = (1 + below(3) as i64, 1 + below(12) as i64);
+                if below(20) == 0 {
+                    twins = 2 + below(3);
+                }
+            }
+            let pts: Vec<Point> = (0..len)
+                .map(|i| Point::new(start + i * step, (v * 1_000_000) as f64 + i as f64))
+                .collect();
+            end = end.max(start + (len - 1) * step);
+            runs.push((Version(v), Arc::new(pts)));
+        }
+        let edge = |below: &mut dyn FnMut(u64) -> u64| {
+            let (_, pts) = &runs[below(runs.len() as u64) as usize];
+            let at = if below(2) == 0 {
+                pts[0].t
+            } else {
+                pts[pts.len() - 1].t
+            };
+            at + below(3) as i64 - 1
+        };
+        let deletes = (0..below(12))
+            .map(|_| {
+                let (a, b) = (edge(&mut below), edge(&mut below));
+                let version = Version(2 * below(n_runs as u64 + 2) + 1);
+                tsfile::ModEntry::new(version, a.min(b), a.max(b))
+            })
+            .collect();
+        for i in (1..runs.len()).rev() {
+            runs.swap(i, below(i as u64 + 1) as usize);
+        }
+        (runs, deletes)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `merge_runs_in` against the definition replayed into a
+        /// `BTreeMap`: the highest version at a timestamp holds it, and
+        /// is gone if a newer delete covers it. Hundreds of runs, so
+        /// that admission order and stretch bounds are exercised far
+        /// from the heap-of-everything case; then any partition of the
+        /// time axis must concatenate to the full merge, and a ranged
+        /// reader must equal the model cut to its range.
+        #[test]
+        fn merge_runs_in_matches_the_btreemap_model(
+            seed in proptest::prelude::any::<u64>(),
+            n_runs in 100usize..400,
+            overlap_pct in 0u64..60,
+        ) {
+            use std::collections::BTreeMap;
+            let mut rng = proptest::TestRng::from_seed(seed);
+            let (runs, deletes) = runs_and_deletes(&mut rng, n_runs, overlap_pct);
+
+            let mut latest: BTreeMap<i64, (Version, f64)> = BTreeMap::new();
+            for (version, pts) in &runs {
+                for p in pts.iter() {
+                    let slot = latest.entry(p.t).or_insert((*version, p.v));
+                    if *version > slot.0 {
+                        *slot = (*version, p.v);
+                    }
+                }
+            }
+            let model: Vec<Point> = latest
+                .iter()
+                .filter(|(&t, &(version, _))| !crate::delete::is_deleted(t, version, &deletes))
+                .map(|(&t, &(_, v))| Point::new(t, v))
+                .collect();
+
+            let io = Arc::new(crate::stats::IoStats::default());
+            let snap = SeriesSnapshot::new(Vec::new(), Vec::new(), deletes, io, None, 1);
+            let reader = MergeReader::new(&snap);
+            let full = reader.merge_runs(&runs);
+            proptest::prop_assert_eq!(&full, &model);
+
+            // Sharded segments: cuts on run starts, run ends and
+            // anywhere else.
+            let (lo, hi) = (-2i64, latest.keys().next_back().map_or(0, |t| t + 2));
+            let mut cuts: Vec<i64> = (0..1 + rng.next_u64() % 12)
+                .map(|_| {
+                    let (_, pts) = &runs[(rng.next_u64() % runs.len() as u64) as usize];
+                    match rng.next_u64() % 3 {
+                        0 => pts[0].t,
+                        1 => pts[pts.len() - 1].t + 1,
+                        _ => lo + (rng.next_u64() % (hi - lo) as u64) as i64,
+                    }
+                })
+                .collect();
+            cuts.extend([lo, hi + 1]);
+            cuts.sort_unstable();
+            cuts.dedup();
+            let mut cat = Vec::new();
+            for w in cuts.windows(2) {
+                cat.extend(reader.merge_runs_in(&runs, TimeRange::new(w[0], w[1] - 1)));
+            }
+            proptest::prop_assert_eq!(&cat, &full, "cuts {:?}", cuts);
+
+            let range = TimeRange::new(cuts[cuts.len() / 3], cuts[2 * cuts.len() / 3]);
+            let ranged = MergeReader::with_range(&snap, range).merge_runs(&runs);
+            let want: Vec<Point> = model.iter().filter(|p| range.contains(p.t)).copied().collect();
+            proptest::prop_assert_eq!(ranged, want);
+        }
     }
 
     #[test]

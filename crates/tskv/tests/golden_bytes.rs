@@ -189,3 +189,81 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
             .collect::<String>()
     );
 }
+
+/// `(length, FNV-1a 64)` of the one data file a compaction leaves,
+/// taken at the parent of the commit that rebuilt the merge, the page
+/// plan and the seal kernel: the output of a compaction is the same
+/// bytes after it.
+const COMPACTED: (u64, u64) = (25_207, 0xe545e1c9772488b6);
+
+#[test]
+fn compaction_output_bytes_equal_the_hash_taken_before_the_merge_and_seal_rebuild() {
+    let dir = std::env::temp_dir().join(format!("tskv-golden-compact-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = EngineConfig {
+        points_per_chunk: 300,
+        page_points: 64,
+        memtable_threshold: 1_000_000,
+        storage_shards: 1,
+        ..Default::default()
+    };
+    let kv = TsKv::open(&dir, config).unwrap();
+    let mut rng = Lcg(0x5EED_0020);
+
+    // An overlapped pair: 1 200 points dealt alternately into two
+    // files, so every page of one overlaps pages of the other; the
+    // second file also overwrites a stretch of the first.
+    let block: Vec<Point> = (0..1_200)
+        .map(|i| Point::new(i * 10, rng.value()))
+        .collect();
+    let first: Vec<Point> = block.iter().step_by(2).copied().collect();
+    let mut second: Vec<Point> = block.iter().skip(1).step_by(2).copied().collect();
+    second.extend((100..140).map(|i| Point::new(i * 20, rng.value())));
+    second.sort_by_key(|p| p.t);
+    // Then two files no other file overlaps: every page of them is
+    // clean until a delete touches it.
+    let third: Vec<Point> = (1_200..2_400)
+        .map(|i| Point::new(i * 10, rng.value()))
+        .collect();
+    let fourth: Vec<Point> = (2_400..3_000)
+        .map(|i| Point::new(i * 10 + 3, rng.value()))
+        .collect();
+    for part in [&first, &second, &third, &fourth] {
+        kv.insert_batch("golden.c", part).unwrap();
+        kv.flush("golden.c").unwrap();
+    }
+    // Partial deletes (cut inside a page of the pair, inside a clean
+    // page, across a chunk boundary) and page-covering ones (two whole
+    // pages of the third file and their neighbours' edges; one whole
+    // page of the pair's first file, with the points of the second
+    // file beneath it).
+    kv.delete("golden.c", 2_505, 2_995).unwrap();
+    kv.delete("golden.c", 13_000, 13_005).unwrap();
+    kv.delete("golden.c", 14_990, 15_020).unwrap();
+    kv.delete("golden.c", 12_630, 13_930).unwrap();
+    kv.delete("golden.c", 5_100, 6_420).unwrap();
+    kv.delete("golden.c", 24_003, 24_633).unwrap();
+
+    let report = kv.compact("golden.c").unwrap();
+    assert!(
+        report.pages_copied > 0 && report.pages_recoded > 0,
+        "{report:?}"
+    );
+    drop(kv);
+
+    let mut files = Vec::new();
+    collect_files(&dir, &dir, &mut files);
+    let data: Vec<&(String, u64, u64)> = files
+        .iter()
+        .filter(|(path, ..)| path.ends_with(".tsfile"))
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(data.len(), 1, "one output file: {files:?}");
+    assert_eq!(
+        (data[0].1, data[0].2),
+        COMPACTED,
+        "compaction output differs; actual: ({}, 0x{:016x})",
+        data[0].1,
+        data[0].2
+    );
+}

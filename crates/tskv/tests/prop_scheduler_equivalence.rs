@@ -54,7 +54,6 @@ proptest! {
     fn background_compaction_never_changes_query_results(
         ops in prop::collection::vec(op_strategy(), 1..25),
         chunk_size in 1usize..16,
-        clean_copy in any::<bool>(),
     ) {
         let stamp = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -84,7 +83,6 @@ proptest! {
                 compaction_auto: true,
                 compaction_threshold: 2,
                 compaction_interval_ms: 1,
-                compaction_clean_page_copy: clean_copy,
                 ..base.clone()
             },
         )

@@ -1,23 +1,23 @@
-//! Query-scoped chunk cache for the M4-LSM operator.
+//! Query-scoped page cache for the M4-LSM operator.
 //!
-//! A chunk split by one span boundary is needed by two adjacent spans;
-//! a chunk probed for an overwrite at one candidate may be probed again
-//! for another. The cache ensures each chunk body — or, for paged
-//! chunks, each *page* body — is read and decoded at most once per
-//! query (full loads), and that timestamp-only probes reuse previously
-//! decoded prefixes (partial loads, Figure 7(b)). Entries are keyed
-//! `(chunk idx, page)`; whole-chunk loads use a sentinel page number.
+//! A page split by one span boundary is needed by two adjacent spans;
+//! a page probed for an overwrite at one candidate may be probed again
+//! for another. The cache ensures each page body is read and decoded
+//! at most once per query (full loads), and that timestamp-only probes
+//! reuse previously decoded prefixes (partial loads, Figure 7(b)).
+//! Entries are keyed `(chunk idx, page)`; which chunks have one page
+//! and which many is [`tskv::ChunkHandle`]'s business, not this one's.
 //!
 //! The cache is `Sync` — span executors on different worker-pool
 //! threads share one instance — and layers on the engine's cross-query
-//! decoded-chunk LRU: full loads go through
-//! [`SeriesSnapshot::read_points`], which consults the shared LRU
+//! decoded-page LRU: full loads go through
+//! [`SeriesSnapshot::read_page_points`], which consults the shared LRU
 //! first, so this layer only deduplicates work *within* one query and
 //! pins the per-query `Arc`s (plus the timestamp prefixes, which the
 //! shared LRU deliberately does not cache). Lock discipline: no guard
 //! is ever held across a read or decode — hits are `Arc`-cloned out
 //! under a short guard, misses decode unlocked and then publish.
-//! Racing misses on one chunk may decode twice; the engine-level LRU
+//! Racing misses on one page may decode twice; the engine-level LRU
 //! makes that a cheap memory copy, never wrong data.
 
 use std::collections::HashMap;
@@ -31,24 +31,19 @@ use tskv::{ChunkHandle, SeriesSnapshot};
 
 use crate::Result;
 
-/// Decoded timestamp prefix of a chunk or page: everything up to (and
-/// one past) the largest probe timestamp seen so far.
+/// Decoded timestamp prefix of a page: everything up to (and one past)
+/// the largest probe timestamp seen so far.
 #[derive(Debug)]
 struct TsPrefix {
     ts: Vec<Timestamp>,
     complete: bool,
 }
 
-/// Sentinel page number keying whole-chunk entries; real page numbers
-/// of a paged chunk never reach it.
-const WHOLE: u32 = u32::MAX;
-
-/// Decoded points keyed `(chunk idx, page-or-[`WHOLE`])`.
+/// Decoded points keyed `(chunk idx, page)`.
 pub(crate) type PageKeyedPoints = HashMap<(usize, u32), Arc<Vec<Point>>>;
 
-/// Per-query cache of decoded chunk data, keyed `(chunk idx, page)` so
-/// fragments of a paged chunk load independently. `Sync`: shared by
-/// the span executors running on the worker pool.
+/// Per-query cache of decoded page data, keyed `(chunk idx, page)`.
+/// `Sync`: shared by the span executors running on the worker pool.
 #[derive(Debug)]
 pub(crate) struct ChunkCache<'a> {
     snapshot: &'a SeriesSnapshot,
@@ -65,26 +60,10 @@ impl<'a> ChunkCache<'a> {
         }
     }
 
-    /// Full load of chunk `idx` (raw points, unfiltered), cached.
-    pub fn points(&self, idx: usize, chunk: &ChunkHandle) -> Result<Arc<Vec<Point>>> {
+    /// Full load of page `page` of chunk `idx` (raw points,
+    /// unfiltered), cached.
+    pub fn points(&self, idx: usize, page: u32, chunk: &ChunkHandle) -> Result<Arc<Vec<Point>>> {
         // Copy the hit out so no guard is held across the read.
-        let cached = self.points.lock().get(&(idx, WHOLE)).map(Arc::clone);
-        if let Some(p) = cached {
-            return Ok(p);
-        }
-        let pts = self.snapshot.read_points(chunk)?;
-        self.points.lock().insert((idx, WHOLE), Arc::clone(&pts));
-        Ok(pts)
-    }
-
-    /// Load of one page of chunk `idx` (raw points of that page only),
-    /// cached per page.
-    pub fn points_page(
-        &self,
-        idx: usize,
-        page: u32,
-        chunk: &ChunkHandle,
-    ) -> Result<Arc<Vec<Point>>> {
         let cached = self.points.lock().get(&(idx, page)).map(Arc::clone);
         if let Some(p) = cached {
             return Ok(p);
@@ -94,65 +73,23 @@ impl<'a> ChunkCache<'a> {
         Ok(pts)
     }
 
-    /// Whether chunk `idx` has already been fully loaded.
-    pub fn is_loaded(&self, idx: usize) -> bool {
-        self.points.lock().contains_key(&(idx, WHOLE))
+    /// Whether page `page` of chunk `idx` is already decoded.
+    pub fn is_loaded(&self, idx: usize, page: u32) -> bool {
+        self.points.lock().contains_key(&(idx, page))
     }
 
-    /// Whether page `page` of chunk `idx` is already decoded — either
-    /// as its own entry or covered by a whole-chunk load.
-    pub fn is_loaded_page(&self, idx: usize, page: u32) -> bool {
-        let map = self.points.lock();
-        map.contains_key(&(idx, page)) || map.contains_key(&(idx, WHOLE))
-    }
-
-    /// Count a probe or candidate answered from page statistics alone
-    /// (no page body read) toward the engine's I/O counters.
+    /// Count a fragment answered from its statistics alone (no page
+    /// body read) toward the engine's I/O counters.
     pub fn note_page_stat_answered(&self) {
         self.snapshot.io().record_page_stat_answered();
     }
 
-    /// Timestamp-membership probe: does chunk `idx` contain a point at
-    /// exactly `t`? Uses already-loaded points when available;
-    /// otherwise decodes (and caches) a timestamp prefix up to `t`,
-    /// searching it with the chunk's step-regression index when enabled.
+    /// Timestamp-membership probe: does page `page` of chunk `idx`
+    /// contain a point at exactly `t`? The caller knows from page
+    /// statistics that only this page could hold `t`. Uses
+    /// already-loaded points when available; otherwise decodes (and
+    /// caches) the page's timestamp prefix up to `t`.
     pub fn contains_timestamp(
-        &self,
-        idx: usize,
-        chunk: &ChunkHandle,
-        t: Timestamp,
-        use_step_index: bool,
-    ) -> Result<bool> {
-        // Merge-free fast path: an exact step model can *prove* the
-        // absence of a point at an off-grid timestamp from metadata
-        // alone — no chunk body, no timestamp prefix.
-        if use_step_index {
-            if let Some(answer) = chunk.index.as_ref().and_then(|i| i.exists_at_meta(t)) {
-                return Ok(answer);
-            }
-        }
-        let loaded = self.points.lock().get(&(idx, WHOLE)).map(Arc::clone);
-        if let Some(pts) = loaded {
-            return Ok(search_points(&pts, t));
-        }
-        // Answer from the cached prefix if it provably covers `t`; the
-        // guard must end before any fetch below.
-        if let Some(answer) = self.ts_prefix_hit(idx, WHOLE, chunk, t, use_step_index) {
-            return Ok(answer);
-        }
-        let ts = self.snapshot.read_timestamps(chunk, Some(t))?;
-        let complete = ts.len() as u64 == chunk.count();
-        let answer = search_ts(&ts, chunk, t, use_step_index);
-        self.publish_prefix(idx, WHOLE, ts, complete);
-        Ok(answer)
-    }
-
-    /// Page-targeted membership probe: does *page* `page` of chunk
-    /// `idx` contain a point at exactly `t`? Used when the caller
-    /// already knows (from page statistics) which page could hold `t`;
-    /// decodes at most that page's timestamp prefix instead of the
-    /// chunk prefix up to `t`.
-    pub fn contains_timestamp_page(
         &self,
         idx: usize,
         page: u32,
@@ -160,35 +97,33 @@ impl<'a> ChunkCache<'a> {
         t: Timestamp,
         use_step_index: bool,
     ) -> Result<bool> {
-        // The step-regression model is chunk-global, so its
-        // metadata-only answer remains valid for any in-page probe.
+        // Merge-free fast path: an exact step model can *prove* the
+        // absence of a point at an off-grid timestamp from metadata
+        // alone — no page body, no timestamp prefix. The model is
+        // chunk-global, so its answer holds for a probe into any page.
         if use_step_index {
             if let Some(answer) = chunk.index.as_ref().and_then(|i| i.exists_at_meta(t)) {
                 return Ok(answer);
             }
         }
-        let loaded = {
-            let map = self.points.lock();
-            map.get(&(idx, page))
-                .or_else(|| map.get(&(idx, WHOLE)))
-                .map(Arc::clone)
-        };
+        let loaded = self.points.lock().get(&(idx, page)).map(Arc::clone);
         if let Some(pts) = loaded {
             return Ok(search_points(&pts, t));
         }
-        // NOTE: page timestamp slices start mid-chunk, so the step
-        // index's position predictions do not apply — plain binary
-        // search only below this point.
-        if let Some(answer) = self.ts_prefix_hit(idx, page, chunk, t, false) {
+        // The model predicts positions counted from the chunk's first
+        // point, so only page 0's column can be searched with it; a
+        // later page starts mid-chunk and is binary searched.
+        let step = use_step_index && page == 0;
+        // Answer from the cached prefix if it provably covers `t`; the
+        // guard must end before any fetch below.
+        if let Some(answer) = self.ts_prefix_hit(idx, page, chunk, t, step) {
             return Ok(answer);
         }
         let ts = self.snapshot.read_page_timestamps(chunk, page, Some(t))?;
-        let page_count = chunk
-            .paged()
-            .and_then(|i| i.pages.get(page as usize))
-            .map_or(0, |p| p.stats.count);
-        let complete = ts.len() as u64 == page_count;
-        let answer = binary_search_ops::exists_at(&ts, t);
+        let complete = chunk
+            .page_stats(page)
+            .is_some_and(|s| ts.len() as u64 == s.count);
+        let answer = search_ts(&ts, chunk, t, step);
         self.publish_prefix(idx, page, ts, complete);
         Ok(answer)
     }
@@ -201,16 +136,12 @@ impl<'a> ChunkCache<'a> {
         page: u32,
         chunk: &ChunkHandle,
         t: Timestamp,
-        use_step_index: bool,
+        step: bool,
     ) -> Option<bool> {
         let ts_map = self.ts.lock();
         match ts_map.get(&(idx, page)) {
             Some(prefix) if prefix.complete || prefix.ts.last().is_some_and(|&last| last >= t) => {
-                if page == WHOLE {
-                    Some(search_ts(&prefix.ts, chunk, t, use_step_index))
-                } else {
-                    Some(binary_search_ops::exists_at(&prefix.ts, t))
-                }
+                Some(search_ts(&prefix.ts, chunk, t, step))
             }
             _ => None,
         }
@@ -230,8 +161,8 @@ impl<'a> ChunkCache<'a> {
     }
 }
 
-fn search_ts(ts: &[Timestamp], chunk: &ChunkHandle, t: Timestamp, use_step_index: bool) -> bool {
-    match (&chunk.index, use_step_index) {
+fn search_ts(ts: &[Timestamp], chunk: &ChunkHandle, t: Timestamp, step: bool) -> bool {
+    match (&chunk.index, step) {
         (Some(idx), true) => idx.exists_at(ts, t),
         _ => binary_search_ops::exists_at(ts, t),
     }
@@ -289,12 +220,12 @@ mod tests {
         let cache = ChunkCache::new(&snap);
         let chunk = &snap.chunks()[0];
         let before = snap.io().snapshot();
-        let a = cache.points(0, chunk).unwrap();
-        let b = cache.points(0, chunk).unwrap();
+        let a = cache.points(0, 0, chunk).unwrap();
+        let b = cache.points(0, 0, chunk).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         let delta = snap.io().snapshot() - before;
         assert_eq!(delta.chunks_loaded, 1, "second call must hit the cache");
-        assert!(cache.is_loaded(0));
+        assert!(cache.is_loaded(0, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -308,19 +239,19 @@ mod tests {
         // Grid is t*100: 5_000 is a hit; 5_050 is off-grid. With the
         // step index enabled and an exact model, the off-grid probe is
         // answered from metadata (no read at all).
-        assert!(cache.contains_timestamp(0, chunk, 5_000, true).unwrap());
-        assert!(!cache.contains_timestamp(0, chunk, 5_050, true).unwrap());
+        assert!(cache.contains_timestamp(0, 0, chunk, 5_000, true).unwrap());
+        assert!(!cache.contains_timestamp(0, 0, chunk, 5_050, true).unwrap());
         let delta = snap.io().snapshot() - before;
         assert_eq!(
             delta.chunks_loaded, 1,
             "one prefix read for the on-grid probe"
         );
         // A later probe beyond the cached prefix refetches.
-        assert!(cache.contains_timestamp(0, chunk, 90_000, true).unwrap());
+        assert!(cache.contains_timestamp(0, 0, chunk, 90_000, true).unwrap());
         let delta = snap.io().snapshot() - before;
         assert_eq!(delta.chunks_loaded, 2);
         // Probes below the prefix reuse it.
-        assert!(cache.contains_timestamp(0, chunk, 4_900, true).unwrap());
+        assert!(cache.contains_timestamp(0, 0, chunk, 4_900, true).unwrap());
         assert_eq!((snap.io().snapshot() - before).chunks_loaded, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -334,7 +265,7 @@ mod tests {
         assert!(chunk.index.as_ref().is_some_and(|i| i.epsilon() == 0));
         let before = snap.io().snapshot();
         for probe in [1, 99, 101, 12_345, 54_321] {
-            assert!(!cache.contains_timestamp(0, chunk, probe, true).unwrap());
+            assert!(!cache.contains_timestamp(0, 0, chunk, probe, true).unwrap());
         }
         let delta = snap.io().snapshot() - before;
         assert_eq!(
@@ -342,7 +273,9 @@ mod tests {
             "off-grid probes must be metadata-only"
         );
         // With the index disabled the same probes need a data read.
-        assert!(!cache.contains_timestamp(0, chunk, 12_345, false).unwrap());
+        assert!(!cache
+            .contains_timestamp(0, 0, chunk, 12_345, false)
+            .unwrap());
         assert_eq!((snap.io().snapshot() - before).chunks_loaded, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -353,10 +286,10 @@ mod tests {
         let snap = kv.snapshot("s").unwrap();
         let cache = ChunkCache::new(&snap);
         let chunk = &snap.chunks()[0];
-        cache.points(0, chunk).unwrap();
+        cache.points(0, 0, chunk).unwrap();
         let before = snap.io().snapshot();
-        assert!(cache.contains_timestamp(0, chunk, 5_000, false).unwrap());
-        assert!(!cache.contains_timestamp(0, chunk, 5_001, false).unwrap());
+        assert!(cache.contains_timestamp(0, 0, chunk, 5_000, false).unwrap());
+        assert!(!cache.contains_timestamp(0, 0, chunk, 5_001, false).unwrap());
         assert_eq!((snap.io().snapshot() - before).chunks_loaded, 0);
         std::fs::remove_dir_all(&dir).ok();
     }

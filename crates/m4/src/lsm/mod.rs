@@ -6,14 +6,14 @@
 //!    in-memory only ([`tskv::readers::MetadataReader`] territory).
 //! 2. Assign chunks to the spans their intervals overlap (Algorithm 1
 //!    line 5); the span boundaries act as the paper's §3.1 *virtual
-//!    deletes*, realized here as interval clipping. Paged chunks are
-//!    assigned per *page*, so candidate generation, verification and
-//!    lazy loading all work at page granularity (sub-chunk statistics,
-//!    single-page loads).
+//!    deletes*, realized here as interval clipping. Chunks are
+//!    assigned per *page* (one fragment for a one-page or memtable
+//!    chunk), so candidate generation, verification and lazy loading
+//!    all work at page granularity (page statistics, page loads).
 //! 3. Per span, run candidate generation + verification + lazy loading
 //!    (`span::SpanExecutor`) for each of FP/LP/BP/TP.
 //!
-//! Chunk bodies are loaded at most once per query (shared
+//! Page bodies are loaded at most once per query (shared
 //! `cache::ChunkCache`); timestamp probes decode partial prefixes
 //! only. The configuration toggles the paper's two accelerators for
 //! ablation benchmarks: lazy loading (§3.3/3.4) and the
@@ -84,25 +84,18 @@ impl M4Lsm {
         let deletes = snapshot.deletes();
         let cache = ChunkCache::new(snapshot);
 
-        // Assign chunks to spans. A fragment whose interval covers
-        // several spans appears in each; `whole` marks the (usual) case
-        // where the span fully contains the fragment so its statistics
-        // describe the whole subsequence. Paged chunks are assigned
-        // *per page*: each page carries its own statistics, so spans
-        // see page-sized fragments instead of the whole chunk — pages
-        // outside every span are never touched, and the `whole` test
-        // passes far more often at page granularity.
+        // Assign chunks to spans, *per page*: each page carries its own
+        // statistics, so spans see page-sized fragments — pages outside
+        // every span are never touched. A fragment whose interval
+        // covers several spans appears in each; `whole` marks the
+        // (usual) case where the span fully contains the fragment so
+        // its statistics describe the whole subsequence.
         let mut per_span: Vec<Vec<SpanChunk>> = vec![Vec::new(); query.w];
         for (idx, h) in handles.iter().enumerate() {
-            match h.paged().filter(|info| info.pages.len() > 1) {
-                Some(info) => {
-                    for (f, pm) in info.pages.iter().enumerate() {
-                        let frag = u32::try_from(f)
-                            .map_err(|_| M4Error::Internal("page number exceeds u32 range"))?;
-                        assign(&mut per_span, query, idx, Some(frag), pm.stats.time_range())?;
-                    }
+            for page in 0..h.page_count() {
+                if let Some(stats) = h.page_stats(page) {
+                    assign(&mut per_span, query, idx, page, stats.time_range())?;
                 }
-                None => assign(&mut per_span, query, idx, None, h.time_range())?,
             }
         }
 
@@ -128,13 +121,13 @@ impl M4Lsm {
     }
 }
 
-/// Register one fragment (a whole chunk or one page of a paged chunk)
-/// with every span its time interval overlaps.
+/// Register one fragment (one page of a chunk) with every span its
+/// time interval overlaps.
 fn assign(
     per_span: &mut [Vec<SpanChunk>],
     query: &M4Query,
     idx: usize,
-    frag: Option<u32>,
+    page: u32,
     r: tsfile::types::TimeRange,
 ) -> Result<()> {
     let clipped = r.intersect(&query.full_range());
@@ -153,7 +146,7 @@ fn assign(
             continue;
         }
         let whole = span_range.start <= r.start && r.end <= span_range.end;
-        chunks.push(SpanChunk { idx, frag, whole });
+        chunks.push(SpanChunk { idx, page, whole });
     }
     Ok(())
 }
@@ -176,6 +169,10 @@ mod tests {
     use crate::udf::M4Udf;
 
     fn fresh(name: &str, chunk: usize) -> (std::path::PathBuf, TsKv) {
+        fresh_paged(name, chunk, EngineConfig::default().page_points)
+    }
+
+    fn fresh_paged(name: &str, chunk: usize, page_points: usize) -> (std::path::PathBuf, TsKv) {
         let dir = std::env::temp_dir().join(format!("m4-lsm-{name}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let kv = TsKv::open(
@@ -183,6 +180,7 @@ mod tests {
             EngineConfig {
                 points_per_chunk: chunk,
                 memtable_threshold: chunk * 4,
+                page_points,
                 ..Default::default()
             },
         )
@@ -193,20 +191,13 @@ mod tests {
     fn assert_matches_udf(kv: &TsKv, series: &str, q: &M4Query) {
         let snap = kv.snapshot(series).unwrap();
         let udf = M4Udf::new().execute(&snap, q).unwrap();
-        for cfg in [
-            M4LsmConfig {
-                lazy_load: true,
-                use_step_index: true,
-            },
-            M4LsmConfig {
-                lazy_load: false,
-                use_step_index: true,
-            },
-            M4LsmConfig {
-                lazy_load: true,
-                use_step_index: false,
-            },
-        ] {
+        for (lazy_load, use_step_index) in
+            [(true, true), (false, true), (true, false), (false, false)]
+        {
+            let cfg = M4LsmConfig {
+                lazy_load,
+                use_step_index,
+            };
             let lsm = M4Lsm::with_config(cfg).execute(&snap, q).unwrap();
             assert!(
                 lsm.equivalent(&udf),
@@ -247,6 +238,9 @@ mod tests {
             delta.chunks_loaded, 0,
             "merge-free path must not load chunks"
         );
+        // Default config: one page per chunk, each answered from statistics.
+        assert!(snap.chunks().iter().all(|c| c.page_count() == 1));
+        assert!(delta.pages_stat_answered > 0, "{delta:?}");
         let s = r.spans[0].unwrap();
         assert_eq!(s.first, Point::new(0, 0.0));
         assert_eq!(s.last.t, 999);
@@ -426,6 +420,34 @@ mod tests {
         }
         // No flush: memtable chunk must serve the query.
         assert_matches_udf(&kv, "s", &M4Query::new(0, 150, 6).unwrap());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn mem_one_page_and_multi_page_chunks_share_a_span() {
+        let (dir, kv) = fresh_paged("mixed", 100, 40);
+        // 100 points seal as pages of 40/40/20; the 30 overwrites after
+        // them fit one page; the last writes stay in the memtable.
+        for t in 0..100i64 {
+            kv.insert("s", Point::new(t, (t % 17) as f64)).unwrap();
+        }
+        kv.flush_all().unwrap();
+        for t in (30..90i64).step_by(2) {
+            kv.insert("s", Point::new(t, (t % 3 - 1) as f64 * 500.0))
+                .unwrap();
+        }
+        kv.flush_all().unwrap();
+        kv.delete("s", 44, 47).unwrap();
+        for t in (35..75).step_by(5) {
+            kv.insert("s", Point::new(t, 7.0)).unwrap();
+        }
+        let snap = kv.snapshot("s").unwrap();
+        let pages: Vec<u32> = snap.chunks().iter().map(|c| c.page_count()).collect();
+        assert_eq!(pages, [3, 1, 1]);
+        assert!(snap.chunks()[2].is_mem());
+        for w in [1, 2, 3, 9] {
+            assert_matches_udf(&kv, "s", &M4Query::new(0, 100, w).unwrap());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

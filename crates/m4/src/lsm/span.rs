@@ -40,20 +40,18 @@ use crate::lsm::M4LsmConfig;
 use crate::repr::SpanRepr;
 use crate::{M4Error, Result};
 
-/// One chunk — or one page of a paged chunk — as seen by one span.
+/// One page of a chunk as seen by one span.
 ///
-/// Paged chunks enter span assignment *per page*: each overlapping
-/// page becomes its own fragment with its own statistics, so a span
+/// Chunks enter span assignment *per page*: each overlapping page
+/// becomes its own fragment with its own statistics, so a span
 /// covering only part of a large chunk works at page granularity
 /// (metadata candidates from page statistics, loads of single pages).
 #[derive(Debug, Clone)]
 pub(crate) struct SpanChunk {
     /// Index into the snapshot's chunk list (cache key).
     pub idx: usize,
-    /// Page number within the chunk when this entry is a page fragment
-    /// of a multi-page chunk; `None` for in-memory and single-page
-    /// chunks, which are handled whole.
-    pub frag: Option<u32>,
+    /// Page number within the chunk.
+    pub page: u32,
     /// Whether the fragment's time interval lies entirely inside the
     /// span (only then do its statistics describe the subsequence).
     pub whole: bool,
@@ -68,7 +66,7 @@ pub(crate) struct SpanExecutor<'a, 'b> {
     pub cache: &'b ChunkCache<'a>,
     pub cfg: &'b M4LsmConfig,
     /// Per-span live point sets of loaded fragments (in-span,
-    /// non-deleted), keyed `(chunk idx, page-or-sentinel)`.
+    /// non-deleted), keyed `(chunk idx, page)`.
     live: RefCell<PageKeyedPoints>,
 }
 
@@ -123,17 +121,11 @@ impl<'a, 'b> SpanExecutor<'a, 'b> {
         &self.handles[sc.idx]
     }
 
-    /// The fragment's statistics: page statistics for page fragments,
-    /// whole-chunk statistics otherwise.
+    /// The fragment's statistics. Span assignment only hands out pages
+    /// the handle has, so the fallback is never taken.
     fn stats(&self, sc: &SpanChunk) -> &'b ChunkStatistics {
         let h = self.handle(sc);
-        match sc
-            .frag
-            .and_then(|f| h.paged().and_then(|i| i.pages.get(f as usize)))
-        {
-            Some(pm) => &pm.stats,
-            None => &h.stats,
-        }
+        h.page_stats(sc.page).unwrap_or(&h.stats)
     }
 
     fn version(&self, sc: &SpanChunk) -> Version {
@@ -142,16 +134,13 @@ impl<'a, 'b> SpanExecutor<'a, 'b> {
 
     /// Cache key of the fragment's live set within this span.
     fn key(sc: &SpanChunk) -> (usize, u32) {
-        (sc.idx, sc.frag.unwrap_or(u32::MAX))
+        (sc.idx, sc.page)
     }
 
     /// Whether the fragment's raw points are already decoded in the
-    /// query cache (its own page, or a whole-chunk load covering it).
+    /// query cache.
     fn paid(&self, sc: &SpanChunk) -> bool {
-        match sc.frag {
-            Some(f) => self.cache.is_loaded_page(sc.idx, f),
-            None => self.cache.is_loaded(sc.idx),
-        }
+        self.cache.is_loaded(sc.idx, sc.page)
     }
 
     /// Load a fragment (through the query cache) and compute its live
@@ -161,10 +150,7 @@ impl<'a, 'b> SpanExecutor<'a, 'b> {
         if let Some(l) = self.live.borrow().get(&Self::key(sc)) {
             return Ok(Arc::clone(l));
         }
-        let raw = match sc.frag {
-            Some(f) => self.cache.points_page(sc.idx, f, self.handle(sc))?,
-            None => self.cache.points(sc.idx, self.handle(sc))?,
-        };
+        let raw = self.cache.points(sc.idx, sc.page, self.handle(sc))?;
         let version = self.version(sc);
         let mut sweep = DeleteSweep::new(self.deletes);
         let live: Vec<Point> = raw
@@ -300,11 +286,9 @@ impl<'a, 'b> SpanExecutor<'a, 'b> {
             };
             match clip {
                 None => {
-                    // Latest (Proposition 3.1). A page fragment answered
+                    // Latest (Proposition 3.1). A fragment answered
                     // here never read its body: page statistics alone.
-                    if sc.frag.is_some() {
-                        self.cache.note_page_stat_answered();
-                    }
+                    self.cache.note_page_stat_answered();
                     return Ok(Some(p));
                 }
                 Some(edge) => {
@@ -444,9 +428,9 @@ impl<'a, 'b> SpanExecutor<'a, 'b> {
                 self.is_overwritten(p_g.t, version)?
             };
             if !deleted && !overwritten {
-                // A page fragment whose metadata extreme survives
+                // A fragment whose metadata extreme survives
                 // verification was answered from page statistics alone.
-                if sc.frag.is_some() && matches!(states[pos], ExtremeState::Meta(_)) {
+                if matches!(states[pos], ExtremeState::Meta(_)) {
                     self.cache.note_page_stat_answered();
                 }
                 return Ok(Some(p_g));
@@ -517,19 +501,13 @@ impl<'a, 'b> SpanExecutor<'a, 'b> {
             if h.version <= version || !self.stats(other).time_range().contains(t) {
                 continue;
             }
-            let hit = match other.frag {
-                Some(f) => self.cache.contains_timestamp_page(
-                    other.idx,
-                    f,
-                    h,
-                    t,
-                    self.cfg.use_step_index,
-                )?,
-                None => self
-                    .cache
-                    .contains_timestamp(other.idx, h, t, self.cfg.use_step_index)?,
-            };
-            if hit {
+            if self.cache.contains_timestamp(
+                other.idx,
+                other.page,
+                h,
+                t,
+                self.cfg.use_step_index,
+            )? {
                 return Ok(true);
             }
         }

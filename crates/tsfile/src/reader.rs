@@ -165,7 +165,7 @@ impl TsFileReader {
 
     /// Read and decode one page of a chunk (by index into its page
     /// list). A single page-sized pread — the finest read unit.
-    pub fn read_page(&self, meta: &ChunkMeta, page_no: u32) -> Result<Vec<Point>> {
+    pub fn read_page_points(&self, meta: &ChunkMeta, page_no: u32) -> Result<Vec<Point>> {
         let info = &meta.paged;
         let pm = info
             .pages
@@ -260,8 +260,12 @@ impl TsFileReader {
         Ok((buf, base))
     }
 
-    /// Read one page of a chunk and decode only its timestamp
-    /// column, optionally stopping once past `until`.
+    /// Read one page of a chunk and decode only its timestamp column.
+    /// The value column is never decoded, and with `until` the decode
+    /// stops at the first timestamp past it, which is the last value
+    /// returned — the paper's partial scan (Figure 7(b)). The caller
+    /// names the page ([`crate::PagedChunkInfo::page_containing`]), so
+    /// no byte of another page is read.
     pub fn read_page_timestamps(
         &self,
         meta: &ChunkMeta,
@@ -279,50 +283,6 @@ impl TsFileReader {
         self.chunks_read.fetch_add(1, Ordering::Relaxed);
         self.bytes_read.fetch_add(pm.byte_len, Ordering::Relaxed);
         page::decode_page_timestamps(&body, info.ts_encoding, pm, until)
-    }
-
-    /// Read a chunk body but decode only its timestamp column, stopping
-    /// early once a timestamp exceeds `until` (when given). The value
-    /// column is never decoded and the timestamp decode terminates at
-    /// the probe boundary — the paper's partial scan (Figure 7(b)).
-    ///
-    /// The probe is page-aware: only the byte prefix up to the page
-    /// containing the crossing timestamp is read at all, and pages past
-    /// the crossing are never decoded.
-    pub fn read_chunk_timestamps(&self, meta: &ChunkMeta, until: Option<i64>) -> Result<Vec<i64>> {
-        let info = &meta.paged;
-        // Pages whose first timestamp is past `until` contribute at most
-        // the crossing value, which must come from the first such page.
-        let upto = match until {
-            Some(limit) => {
-                let i = info.pages.partition_point(|p| p.stats.first.t <= limit);
-                (i + 1).min(info.pages.len())
-            }
-            None => info.pages.len(),
-        };
-        let Some(last) = info.pages.get(upto.saturating_sub(1)) else {
-            return Ok(Vec::new());
-        };
-        let len = last.offset + last.byte_len;
-        let buf = self.file.read_pooled_at(len as usize, meta.offset)?;
-        self.chunks_read.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(len, Ordering::Relaxed);
-        let mut out: Vec<i64> = Vec::new();
-        for pm in info.pages.iter().take(upto) {
-            if let (Some(limit), Some(&t)) = (until, out.last()) {
-                if t > limit {
-                    break; // crossing value already emitted
-                }
-            }
-            let slice = page_body_slice(&buf, pm, 0)?;
-            out.extend(page::decode_page_timestamps(
-                slice,
-                info.ts_encoding,
-                pm,
-                until,
-            )?);
-        }
-        Ok(out)
     }
 
     /// Number of chunk bodies read through this handle so far.
@@ -450,12 +410,13 @@ mod tests {
         w.finish()?;
         let r = TsFileReader::open(&p)?;
         let meta = &r.chunk_metas()[0];
-        let all = r.read_chunk_timestamps(meta, None)?;
+        assert_eq!(meta.page_count(), 1);
+        let all = r.read_page_timestamps(meta, 0, None)?;
         assert_eq!(all.len(), 1000);
         assert!(all.iter().zip(&pts).all(|(t, p)| *t == p.t));
-        let some = r.read_chunk_timestamps(meta, Some(45_000))?;
+        let some = r.read_page_timestamps(meta, 0, Some(45_000))?;
         assert!(some.len() < 20, "early stop expected, got {}", some.len());
-        assert!(some.last().is_some_and(|&t| t > 45_000) || some.len() == 1000);
+        assert!(some.last().is_some_and(|&t| t > 45_000));
         Ok(())
     }
 
@@ -544,10 +505,14 @@ mod tests {
         assert_eq!(r.chunks_read(), before);
 
         // Single-page read and its timestamp-only variant.
-        assert_eq!(r.read_page(meta, 5)?, &pts[500..600]);
+        assert_eq!(r.read_page_points(meta, 5)?, &pts[500..600]);
         let ts = r.read_page_timestamps(meta, 5, None)?;
         assert!(ts.iter().zip(&pts[500..600]).all(|(t, p)| *t == p.t));
-        assert!(r.read_page(meta, 10).is_err(), "page_no out of range");
+        assert!(
+            r.read_page_points(meta, 10).is_err(),
+            "page_no out of range"
+        );
+        assert!(r.read_page_timestamps(meta, 10, None).is_err());
         Ok(())
     }
 
@@ -608,7 +573,7 @@ mod tests {
     }
 
     #[test]
-    fn paged_timestamp_probe_reads_prefix_only() -> Result<()> {
+    fn paged_timestamp_probe_reads_one_page_prefix_only() -> Result<()> {
         let p = tmp("paged-probe.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
@@ -619,18 +584,25 @@ mod tests {
         let r = TsFileReader::open(&p)?;
         let meta = &r.chunk_metas()[0];
         let bytes_before = r.bytes_read();
-        let some = r.read_chunk_timestamps(meta, Some(1_505))?;
+        // Page statistics name the page that could hold the probe.
+        assert_eq!(meta.paged.page_containing(1_505), Some(1));
+        let some = r.read_page_timestamps(meta, 1, Some(1_505))?;
         // Crossing value included, nothing decoded past it.
+        assert_eq!(some.first().copied(), Some(1_000));
         assert_eq!(some.last().copied(), Some(1_510));
-        assert!(some.len() <= 200, "got {}", some.len());
-        let prefix_bytes = r.bytes_read() - bytes_before;
-        assert!(
-            prefix_bytes < meta.byte_len,
-            "probe read {prefix_bytes} of {} bytes",
-            meta.byte_len
-        );
-        // Unbounded probe still yields the full column.
-        let all = r.read_chunk_timestamps(meta, None)?;
+        assert_eq!(some.len(), 52);
+        assert_eq!(r.bytes_read() - bytes_before, meta.paged.pages[1].byte_len);
+        // A limit at or past the page's last timestamp has no crossing
+        // value inside the page: the whole column, and no further.
+        let whole = r.read_page_timestamps(meta, 1, Some(1_990))?;
+        assert_eq!(whole.len(), 100);
+        assert_eq!(whole.last().copied(), Some(1_990));
+        // Unbounded probes still yield the full column, page by page.
+        let mut all = Vec::new();
+        for page in 0..meta.page_count() as u32 {
+            all.extend(r.read_page_timestamps(meta, page, None)?);
+        }
+        assert!(all.iter().zip(&pts).all(|(t, p)| *t == p.t));
         assert_eq!(all.len(), 1000);
         Ok(())
     }

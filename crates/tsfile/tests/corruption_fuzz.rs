@@ -183,8 +183,11 @@ proptest! {
                 // read must either round-trip or error.
                 for meta in reader.chunk_metas() {
                     let _ = reader.read_chunk(meta);
-                    let _ = reader.read_chunk_timestamps(meta, None);
-                    let _ = reader.read_chunk_timestamps(meta, Some(5_000));
+                    for page in 0..meta.page_count() as u32 {
+                        let _ = reader.read_page_points(meta, page);
+                        let _ = reader.read_page_timestamps(meta, page, None);
+                        let _ = reader.read_page_timestamps(meta, page, Some(5_000));
+                    }
                 }
             }
         }
@@ -298,7 +301,9 @@ proptest! {
         if let Ok(reader) = TsFileReader::open(&path) {
             for meta in reader.chunk_metas() {
                 let _ = reader.read_chunk(meta);
-                let _ = reader.read_chunk_timestamps(meta, None);
+                for page in 0..meta.page_count() as u32 {
+                    let _ = reader.read_page_timestamps(meta, page, None);
+                }
             }
         }
         std::fs::remove_file(&path).ok();

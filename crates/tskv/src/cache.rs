@@ -9,9 +9,9 @@
 //!
 //! Page granularity means a narrow query that touches a
 //! few hundred points caches — and later evicts — only those pages,
-//! instead of a multi-megabyte whole-chunk body. Whole-chunk entries
-//! (full scans, single-page chunks) use the reserved page number
-//! [`CacheKey::WHOLE_CHUNK`].
+//! instead of a multi-megabyte whole-chunk body. The page is the only
+//! entry kind: a one-page chunk is its page 0, and a whole-chunk read
+//! of a longer one goes page by page.
 //!
 //! The file handle id is a process-unique id minted by
 //! [`tsfile::TsFileReader::open`] and never reused, so entries for a
@@ -55,24 +55,17 @@ use tsfile::types::Point;
 
 use crate::stats::IoStats;
 
-/// Identity of one decoded page (or whole chunk body).
+/// Identity of one decoded page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Process-unique id of the owning [`tsfile::TsFileReader`].
     pub file_id: u64,
     /// Byte offset of the chunk within the file.
     pub offset: u64,
-    /// Page number within the chunk, or [`Self::WHOLE_CHUNK`] for a
-    /// whole-chunk entry.
+    /// Page number within the chunk.
     pub page_no: u32,
     /// The chunk's version `κ`.
     pub version: u64,
-}
-
-impl CacheKey {
-    /// Sentinel page number marking an entry that holds the entire
-    /// decoded chunk body (full-chunk reads).
-    pub const WHOLE_CHUNK: u32 = u32::MAX;
 }
 
 /// One cached decoded chunk.
@@ -304,7 +297,7 @@ mod tests {
         CacheKey {
             file_id: file,
             offset: off,
-            page_no: CacheKey::WHOLE_CHUNK,
+            page_no: 0,
             version: off,
         }
     }
@@ -342,13 +335,7 @@ mod tests {
         };
         c.insert(base, pts(10));
         c.insert(CacheKey { page_no: 1, ..base }, pts(20));
-        c.insert(
-            CacheKey {
-                page_no: CacheKey::WHOLE_CHUNK,
-                ..base
-            },
-            pts(30),
-        );
+        c.insert(CacheKey { page_no: 2, ..base }, pts(30));
         assert_eq!(c.len(), 3, "pages of one chunk cache independently");
         assert_eq!(c.get(CacheKey { page_no: 1, ..base }).unwrap().len(), 20);
         // Retiring the chunk's run drops every page entry.

@@ -4,6 +4,11 @@
 //! with: the chunk's version, statistics and (optional) step index —
 //! everything knowable without I/O — plus enough location information
 //! to load the body on demand.
+//!
+//! Every chunk reads as a run of *pages*, each with its own statistics:
+//! a sealed chunk's pages are the ones in its footer, and the memtable
+//! chunk is the single page 0 carrying the chunk's statistics. Nothing
+//! above this module asks which kind it holds.
 
 use std::sync::Arc;
 
@@ -37,6 +42,12 @@ pub struct ChunkHandle {
     pub index: Option<StepIndex>,
     /// Data location.
     pub data: ChunkData,
+}
+
+/// A page index as a page number. A footer's page count is bounded by
+/// its byte length, far below `u32::MAX`.
+fn page_no(i: usize) -> u32 {
+    u32::try_from(i).unwrap_or(u32::MAX)
 }
 
 impl ChunkHandle {
@@ -80,12 +91,31 @@ impl ChunkHandle {
         matches!(self.data, ChunkData::Mem { .. })
     }
 
-    /// The chunk's on-disk page index. `None` for memtable chunks —
-    /// those read as a single whole-chunk page.
-    pub fn paged(&self) -> Option<&tsfile::PagedChunkInfo> {
+    /// Number of pages the chunk reads as (at least 1).
+    pub fn page_count(&self) -> u32 {
         match &self.data {
-            ChunkData::File { meta, .. } => Some(&meta.paged),
-            ChunkData::Mem { .. } => None,
+            ChunkData::File { meta, .. } => page_no(meta.paged.pages.len()),
+            ChunkData::Mem { .. } => 1,
+        }
+    }
+
+    /// FP/LP/BP/TP/count of page `page`; `None` past the last page.
+    pub fn page_stats(&self, page: u32) -> Option<&ChunkStatistics> {
+        match &self.data {
+            ChunkData::File { meta, .. } => meta.paged.pages.get(page as usize).map(|p| &p.stats),
+            ChunkData::Mem { .. } => (page == 0).then_some(&self.stats),
+        }
+    }
+
+    /// The pages whose time range overlaps `range`: pages are
+    /// time-ordered and disjoint, so a contiguous run of page numbers.
+    pub fn pages_overlapping(&self, range: TimeRange) -> std::ops::Range<u32> {
+        match &self.data {
+            ChunkData::File { meta, .. } => {
+                let w = meta.paged.pages_overlapping(range);
+                page_no(w.start)..page_no(w.end)
+            }
+            ChunkData::Mem { .. } => 0..u32::from(self.time_range().overlaps(&range)),
         }
     }
 }
@@ -108,6 +138,18 @@ mod tests {
         assert_eq!(h.stats.bottom, Point::new(2, -1.0));
         assert!(h.is_mem());
         assert!(h.index.is_none());
+        Ok(())
+    }
+
+    #[test]
+    fn mem_handle_is_one_page_with_the_chunk_statistics() -> std::result::Result<(), &'static str> {
+        let pts = Arc::new(vec![Point::new(10, 1.0), Point::new(20, 2.0)]);
+        let h = ChunkHandle::from_mem(pts, Version(1)).ok_or("non-empty points")?;
+        assert_eq!(h.page_count(), 1);
+        assert_eq!(h.page_stats(0), Some(&h.stats));
+        assert_eq!(h.page_stats(1), None);
+        assert_eq!(h.pages_overlapping(TimeRange::new(20, 30)), 0..1);
+        assert!(h.pages_overlapping(TimeRange::new(21, 30)).is_empty());
         Ok(())
     }
 

@@ -227,7 +227,7 @@ mod tests {
     /// is byte copies — zero bytes re-encoded — yet the logical series
     /// is untouched.
     #[test]
-    fn append_only_compaction_copies_every_page() -> TestResult {
+    fn append_only_compaction_copies_all_pages() -> TestResult {
         let (dir, kv) = fresh("cleancopy")?;
         for t in 0..600i64 {
             kv.insert("s", Point::new(t, t as f64))?;

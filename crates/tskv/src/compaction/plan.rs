@@ -217,7 +217,7 @@ mod tests {
     }
 
     #[test]
-    fn a_chunk_dwelling_in_a_gap_dirties_neither_neighbour_page() {
+    fn a_chunk_dwelling_in_a_gap_leaves_both_neighbour_pages_clean() {
         let chunks = vec![
             chunk(1, &[(0, 9), (10, 19), (20, 29), (30, 39), (40, 49)]),
             chunk(2, &[(20, 24)]), // dirties the middle page of chunk 1

@@ -61,8 +61,7 @@ pub struct EngineConfig {
     pub points_per_chunk: usize,
     /// Points per page inside a sealed chunk: the unit of selective
     /// decode and of the page-granular read cache. `usize::MAX`
-    /// degenerates to one page per chunk (the single-page reference
-    /// twin of the paged-equivalence tests). Zero is clamped to 1 by [`normalized`].
+    /// yields one page per chunk. Zero is clamped to 1 by [`normalized`].
     ///
     /// [`normalized`]: EngineConfig::normalized
     pub page_points: usize,

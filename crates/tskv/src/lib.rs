@@ -21,9 +21,10 @@
 //!   setup).
 //! * **Read path**: [`readers::MetadataReader`] serves chunk metadata
 //!   (statistics + version) without touching chunk bodies;
-//!   [`readers::DataReader`] loads and decodes chunk bodies (with
-//!   partial, early-terminating timestamp decode for the paper's
-//!   "partial scan"); [`readers::MergeReader`] assembles the merged,
+//!   [`readers::DataReader`] loads and decodes chunk bodies (the
+//!   snapshot's page loaders beneath it also do the paper's "partial
+//!   scan", an early-terminating timestamp decode);
+//!   [`readers::MergeReader`] assembles the merged,
 //!   latest-points-only series `M(ℂ, 𝔻)` of Definition 2.7 — this is
 //!   what the M4-UDF baseline consumes and what M4-LSM avoids.
 //!

@@ -1,8 +1,8 @@
-//! DataReader: chunk-body loads, full and partial.
+//! DataReader: whole-chunk body loads.
 
 use std::sync::Arc;
 
-use tsfile::types::{Point, Timestamp};
+use tsfile::types::Point;
 
 use crate::chunk::ChunkHandle;
 use crate::snapshot::SeriesSnapshot;
@@ -10,10 +10,9 @@ use crate::Result;
 
 /// Loads chunk data through a snapshot, recording I/O counters.
 ///
-/// Corresponds to the three data-read operations in the paper's
-/// Table 1: full loads for metadata recalculation (case c), and
-/// timestamp-only / partial loads for existence probes and boundary
-/// searches (cases a and b).
+/// The full load of the paper's Table 1 (case c, metadata
+/// recalculation). The timestamp-only partial loads of cases a and b
+/// name a page: [`SeriesSnapshot::read_page_timestamps`].
 #[derive(Debug, Clone, Copy)]
 pub struct DataReader<'a> {
     snapshot: &'a SeriesSnapshot,
@@ -28,21 +27,6 @@ impl<'a> DataReader<'a> {
     /// be shared with the engine's decoded-chunk cache.
     pub fn read_points(&self, chunk: &ChunkHandle) -> Result<Arc<Vec<Point>>> {
         self.snapshot.read_points(chunk)
-    }
-
-    /// Timestamp-only load of the whole column.
-    pub fn read_timestamps(&self, chunk: &ChunkHandle) -> Result<Vec<Timestamp>> {
-        self.snapshot.read_timestamps(chunk, None)
-    }
-
-    /// Partial timestamp load: decode stops once past `until`
-    /// (Figure 7(b)'s partial scan for cases a and b).
-    pub fn read_timestamps_until(
-        &self,
-        chunk: &ChunkHandle,
-        until: Timestamp,
-    ) -> Result<Vec<Timestamp>> {
-        self.snapshot.read_timestamps(chunk, Some(until))
     }
 }
 
@@ -77,10 +61,10 @@ mod tests {
         let pts = dr.read_points(chunk)?;
         assert_eq!(pts.len(), 1000);
 
-        let ts = dr.read_timestamps(chunk)?;
+        let ts = snap.read_page_timestamps(chunk, 0, None)?;
         assert_eq!(ts.len(), 1000);
 
-        let partial = dr.read_timestamps_until(chunk, 5_000)?;
+        let partial = snap.read_page_timestamps(chunk, 0, Some(5_000))?;
         assert!(partial.len() < 100, "partial decode stops early");
 
         let io = snap.io().snapshot();

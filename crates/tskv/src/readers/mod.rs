@@ -1,8 +1,7 @@
 //! The three readers of the paper's Figure 15 system diagram.
 //!
 //! * [`MetadataReader`] — chunk metadata only, no chunk-body I/O.
-//! * [`DataReader`] — loads and decodes chunk bodies (full or
-//!   timestamp-only/partial).
+//! * [`DataReader`] — loads and decodes whole chunk bodies.
 //! * [`MergeReader`] — merges all chunks and applies deletes, producing
 //!   the latest-points-only series `M(ℂ, 𝔻)`; the machinery M4-UDF
 //!   relies on and M4-LSM is designed to avoid.

@@ -27,6 +27,14 @@ fn page_byte_len(meta: &tsfile::format::ChunkMeta, page_no: u32) -> u64 {
         .map_or(0, |p| p.byte_len)
 }
 
+/// The memtable chunk has exactly one page.
+fn mem_page_no(page: u32) -> Result<()> {
+    if page == 0 {
+        return Ok(());
+    }
+    Err(tsfile::TsFileError::Corrupt(format!("page {page} out of range")).into())
+}
+
 /// Immutable read view of one series.
 ///
 /// Holds one shared immutable [`TsFileReader`] handle per TsFile for
@@ -113,15 +121,17 @@ impl SeriesSnapshot {
         self.chunks.iter().map(|c| c.count()).sum()
     }
 
-    /// Load a chunk's full points (timestamp + value), in time order.
+    /// The one points loader: page `page` of `chunk`, in time order.
     ///
-    /// Sealed chunks are served from the engine's decoded-chunk cache
+    /// A sealed page is served from the engine's decoded-page cache
     /// when possible; a miss reads and decodes outside any lock, then
-    /// publishes the result. The returned `Arc` is shared with the
-    /// cache — callers must not mutate through it.
-    pub fn read_points(&self, chunk: &ChunkHandle) -> Result<Arc<Vec<Point>>> {
+    /// publishes the result. The memtable chunk is its own page 0: an
+    /// `Arc` clone, no cache key. The returned `Arc` is shared with
+    /// the cache — callers must not mutate through it.
+    pub fn read_page_points(&self, chunk: &ChunkHandle, page: u32) -> Result<Arc<Vec<Point>>> {
         match &chunk.data {
             ChunkData::Mem { points } => {
+                mem_page_no(page)?;
                 self.io.record_mem_read(points.len() as u64);
                 Ok(Arc::clone(points))
             }
@@ -130,7 +140,7 @@ impl SeriesSnapshot {
                 let key = CacheKey {
                     file_id: file.handle_id(),
                     offset: meta.offset,
-                    page_no: CacheKey::WHOLE_CHUNK,
+                    page_no: page,
                     version: meta.version.0,
                 };
                 if let Some(cache) = &self.cache {
@@ -138,9 +148,10 @@ impl SeriesSnapshot {
                         return Ok(points);
                     }
                 }
-                let pts = Arc::new(file.read_chunk(meta)?);
-                self.io.record_chunk_load(meta.byte_len, pts.len() as u64);
-                self.io.record_pages_decoded(meta.page_count() as u64);
+                let pts = Arc::new(file.read_page_points(meta, page)?);
+                self.io
+                    .record_chunk_load(page_byte_len(meta, page), pts.len() as u64);
+                self.io.record_pages_decoded(1);
                 if let Some(cache) = &self.cache {
                     cache.insert(key, Arc::clone(&pts));
                 }
@@ -149,133 +160,61 @@ impl SeriesSnapshot {
         }
     }
 
-    /// Load the points of one page of a sealed chunk, going through the
-    /// decoded-page cache. Fails on in-memory chunks — callers only hold
-    /// page numbers for chunks whose handle exposes a page index
-    /// ([`ChunkHandle::paged`]).
-    pub fn read_page_points(&self, chunk: &ChunkHandle, page_no: u32) -> Result<Arc<Vec<Point>>> {
-        match &chunk.data {
-            ChunkData::Mem { .. } => Err(tsfile::TsFileError::Corrupt(
-                "page read on in-memory chunk".into(),
-            ))?,
-            ChunkData::File { file_idx, meta } => {
-                self.load_page(&self.files[*file_idx], meta, page_no)
-            }
-        }
-    }
-
     /// Load only the pages of `chunk` overlapping `range`, as
-    /// `(page_no, points)` runs in page order. Each page is a sorted,
+    /// `(page, points)` runs in page order. Each page is a sorted,
     /// time-disjoint slice of the chunk, so the runs can be merged
     /// independently. Non-overlapping pages of the visited chunk are
-    /// counted as skipped; in-memory and single-page chunks degenerate
-    /// to one whole-chunk run numbered 0 (one cache key per single-page
-    /// chunk, shared with [`SeriesSnapshot::read_points`]).
+    /// counted as skipped.
     pub fn read_points_in(
         &self,
         chunk: &ChunkHandle,
         range: TimeRange,
     ) -> Result<Vec<(u32, Arc<Vec<Point>>)>> {
-        let ChunkData::File { file_idx, meta } = &chunk.data else {
-            return Ok(vec![(0, self.read_points(chunk)?)]);
-        };
-        let info = &meta.paged;
-        if info.pages.len() <= 1 {
-            return Ok(vec![(0, self.read_points(chunk)?)]);
-        }
-        let window = info.pages_overlapping(range);
+        let window = chunk.pages_overlapping(range);
         self.io
-            .record_pages_skipped((info.pages.len() - window.len()) as u64);
-        let file = &self.files[*file_idx];
-        let mut out = Vec::with_capacity(window.len());
-        for page_no in window {
-            let page_no = u32::try_from(page_no)
-                .map_err(|_| tsfile::TsFileError::Corrupt("page index exceeds u32 range".into()))?;
-            out.push((page_no, self.load_page(file, meta, page_no)?));
-        }
-        Ok(out)
+            .record_pages_skipped(u64::from(chunk.page_count()) - window.len() as u64);
+        window
+            .map(|page| Ok((page, self.read_page_points(chunk, page)?)))
+            .collect()
     }
 
-    fn load_page(
-        &self,
-        file: &Arc<TsFileReader>,
-        meta: &tsfile::format::ChunkMeta,
-        page_no: u32,
-    ) -> Result<Arc<Vec<Point>>> {
-        let key = CacheKey {
-            file_id: file.handle_id(),
-            offset: meta.offset,
-            page_no,
-            version: meta.version.0,
-        };
-        if let Some(cache) = &self.cache {
-            if let Some(points) = cache.get(key) {
-                return Ok(points);
-            }
+    /// All points of a chunk, in time order: the page itself for a
+    /// one-page chunk, else the pages concatenated (nothing cached
+    /// beyond the per-page entries).
+    pub fn read_points(&self, chunk: &ChunkHandle) -> Result<Arc<Vec<Point>>> {
+        let first = self.read_page_points(chunk, 0)?;
+        if chunk.page_count() == 1 {
+            return Ok(first);
         }
-        let pts = Arc::new(file.read_page(meta, page_no)?);
-        self.io
-            .record_chunk_load(page_byte_len(meta, page_no), pts.len() as u64);
-        self.io.record_pages_decoded(1);
-        if let Some(cache) = &self.cache {
-            cache.insert(key, Arc::clone(&pts));
+        let mut all = first.to_vec();
+        for page in 1..chunk.page_count() {
+            all.extend_from_slice(&self.read_page_points(chunk, page)?);
         }
-        Ok(pts)
+        Ok(Arc::new(all))
     }
 
-    /// Load only a chunk's timestamp column, optionally stopping early
-    /// once past `until` (the paper's partial scan).
-    pub fn read_timestamps(
+    /// The one timestamp loader: the timestamp column of page `page`
+    /// of `chunk`, optionally stopping once past `until` (the paper's
+    /// partial scan) — the crossing value is the last one returned.
+    pub fn read_page_timestamps(
         &self,
         chunk: &ChunkHandle,
+        page: u32,
         until: Option<Timestamp>,
     ) -> Result<Vec<Timestamp>> {
         match &chunk.data {
             ChunkData::Mem { points } => {
-                let ts: Vec<Timestamp> = match until {
-                    Some(limit) => {
-                        let mut out = Vec::new();
-                        for p in points.iter() {
-                            out.push(p.t);
-                            if p.t > limit {
-                                break;
-                            }
-                        }
-                        out
-                    }
-                    None => points.iter().map(|p| p.t).collect(),
-                };
-                self.io.record_mem_read(ts.len() as u64);
-                Ok(ts)
+                mem_page_no(page)?;
+                let upto = until.map_or(points.len(), |limit| {
+                    (points.partition_point(|p| p.t <= limit) + 1).min(points.len())
+                });
+                self.io.record_mem_read(upto as u64);
+                Ok(points.iter().take(upto).map(|p| p.t).collect())
             }
             ChunkData::File { file_idx, meta } => {
-                let ts = self.files[*file_idx].read_chunk_timestamps(meta, until)?;
+                let ts = self.files[*file_idx].read_page_timestamps(meta, page, until)?;
                 self.io
-                    .record_timestamp_load(meta.byte_len, ts.len() as u64);
-                Ok(ts)
-            }
-        }
-    }
-
-    /// Load the timestamp column of one page of a sealed chunk,
-    /// optionally stopping once past `until`. The page-targeted variant
-    /// of [`SeriesSnapshot::read_timestamps`]: a point-existence probe
-    /// that already knows which page could hold the timestamp decodes
-    /// just that page's prefix.
-    pub fn read_page_timestamps(
-        &self,
-        chunk: &ChunkHandle,
-        page_no: u32,
-        until: Option<Timestamp>,
-    ) -> Result<Vec<Timestamp>> {
-        match &chunk.data {
-            ChunkData::Mem { .. } => Err(tsfile::TsFileError::Corrupt(
-                "page timestamp read on in-memory chunk".into(),
-            ))?,
-            ChunkData::File { file_idx, meta } => {
-                let ts = self.files[*file_idx].read_page_timestamps(meta, page_no, until)?;
-                self.io
-                    .record_timestamp_load(page_byte_len(meta, page_no), ts.len() as u64);
+                    .record_timestamp_load(page_byte_len(meta, page), ts.len() as u64);
                 Ok(ts)
             }
         }
@@ -326,7 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn read_timestamps_until_on_mem_chunk_stops_early() -> TestResult {
+    fn mem_chunk_is_page_zero_and_its_timestamp_read_stops_early() -> TestResult {
         let (dir, kv) = fresh("mem-until")?;
         for t in 0..50i64 {
             kv.insert("s", Point::new(t * 10, 0.0))?;
@@ -334,11 +273,54 @@ mod tests {
         let snap = kv.snapshot("s")?;
         let mem = snap.chunks().last().ok_or("no mem chunk")?;
         assert!(mem.is_mem());
-        let ts = snap.read_timestamps(mem, Some(105))?;
+        let ts = snap.read_page_timestamps(mem, 0, Some(105))?;
         assert_eq!(ts.last().copied(), Some(110)); // first value past the limit
         assert_eq!(ts.len(), 12);
-        let all = snap.read_timestamps(mem, None)?;
+        let all = snap.read_page_timestamps(mem, 0, None)?;
         assert_eq!(all.len(), 50);
+        assert_eq!(snap.read_page_points(mem, 0)?.len(), 50);
+        assert!(snap.read_page_points(mem, 1).is_err());
+        assert!(snap.read_page_timestamps(mem, 1, None).is_err());
+        assert_eq!(snap.cache().ok_or("cache off")?.len(), 0, "no cache key");
+        std::fs::remove_dir_all(&dir).ok();
+        Ok(())
+    }
+
+    #[test]
+    fn whole_chunk_read_of_a_paged_chunk_caches_nothing_twice() -> TestResult {
+        let dir = std::env::temp_dir().join(format!("tskv-snap-twice-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let kv = TsKv::open(
+            &dir,
+            EngineConfig {
+                points_per_chunk: 400,
+                memtable_threshold: 400,
+                page_points: 100,
+                ..Default::default()
+            },
+        )?;
+        for t in 0..400i64 {
+            kv.insert("s", Point::new(t, t as f64))?;
+        }
+        kv.flush_all()?;
+        let snap = kv.snapshot("s")?;
+        let chunk = snap.chunks().first().ok_or("no chunk")?;
+        assert_eq!(chunk.page_count(), 4);
+        let cache = snap.cache().ok_or("cache off")?;
+
+        let pages = snap.read_points_in(chunk, chunk.time_range())?;
+        assert_eq!(pages.len(), 4);
+        let (len, bytes) = (cache.len(), cache.bytes());
+        assert_eq!(len, 4);
+
+        let before = snap.io().snapshot();
+        let all = snap.read_points(chunk)?;
+        let delta = snap.io().snapshot() - before;
+        assert_eq!(all.len(), 400);
+        assert!(all.iter().zip(0..).all(|(p, t)| p.t == t));
+        assert_eq!((cache.len(), cache.bytes()), (len, bytes));
+        assert_eq!((delta.cache_hits, delta.cache_misses), (4, 0));
+        assert_eq!(delta.chunks_loaded, 0);
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }

@@ -26,8 +26,8 @@ pub const ACQUIRE_METHODS: &[&str] = &["read", "write", "lock", "borrow", "borro
 /// module docs and [`SANCTIONED_L2_CALLEES`].
 pub const IO_DECODE_CALLEES: &[&str] = &[
     "read_chunk",
-    "read_chunk_timestamps",
-    "read_timestamps",
+    "read_page_points",
+    "read_page_timestamps",
     "read_points",
     "read_values",
     "decode",

@@ -59,7 +59,7 @@ fn l2_fixture_flags_guard_across_chunk_load() {
 }
 
 #[test]
-fn l2_fixture_flags_guard_across_cache_decode_and_pool() {
+fn l2_fixture_flags_guard_across_cache_decode_pool_and_page_load() {
     let v = lint_fixture("l2_guard_across_cache.rs", Rule::L2);
     assert!(
         v.iter()
@@ -69,6 +69,12 @@ fn l2_fixture_flags_guard_across_cache_decode_and_pool() {
     assert!(
         v.iter()
             .any(|v| v.message.contains("run_indexed") && v.message.contains("guard")),
+        "{v:?}"
+    );
+    // The query cache's `points` guard held across the one page loader.
+    assert!(
+        v.iter()
+            .any(|v| v.message.contains("read_page_points") && v.message.contains("guard")),
         "{v:?}"
     );
 }

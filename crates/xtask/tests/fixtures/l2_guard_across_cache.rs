@@ -1,6 +1,7 @@
-//! L2 fixture: a cache guard held across (a) a page-body decode and
-//! (b) a worker-pool fan-out — the shapes the extended recognizers
-//! (`decode_page`, `run_indexed`) must reject. Names avoid the
+//! L2 fixture: a cache guard held across (a) a page-body decode,
+//! (b) a worker-pool fan-out and (c) the snapshot's one page loader —
+//! the shapes the extended recognizers (`decode_page`, `run_indexed`,
+//! `read_page_points`) must reject. Names avoid the
 //! L3 fallible prefixes and there are no panic sites or casts, so only
 //! L2 may fire.
 
@@ -17,6 +18,14 @@ impl Cache {
         let inner = self.map.lock();
         let out = run_indexed(4, inner.jobs(), work);
         keep(out);
+    }
+
+    /// The query cache's miss path done wrong: the `points` guard that
+    /// looked the page up is still alive when the page is loaded.
+    fn points(&self, idx: usize, page: u32, chunk: &ChunkHandle) {
+        let mut map = self.points.lock();
+        let pts = self.snapshot.read_page_points(chunk, page);
+        map.insert((idx, page), pts);
     }
 }
 

@@ -2,31 +2,32 @@
 //!
 //! Execution per query:
 //!
-//! 1. Read all chunk metadata and deletes for the query range —
-//!    in-memory only ([`tskv::readers::MetadataReader`] territory).
-//! 2. Assign chunks to the spans their intervals overlap (Algorithm 1
+//! 1. Build the query's fragment table ([`table::FragmentTable`]) from
+//!    chunk metadata — in-memory only ([`tskv::readers::MetadataReader`]
+//!    territory): one row per *page* overlapping the query range (one
+//!    for a one-page or memtable chunk), so candidate generation,
+//!    verification and lazy loading all work at page granularity (page
+//!    statistics, page loads).
+//! 2. Assign rows to the spans their intervals overlap (Algorithm 1
 //!    line 5); the span boundaries act as the paper's §3.1 *virtual
-//!    deletes*, realized here as interval clipping. Chunks are
-//!    assigned per *page* (one fragment for a one-page or memtable
-//!    chunk), so candidate generation, verification and lazy loading
-//!    all work at page granularity (page statistics, page loads).
+//!    deletes*, realized here as interval clipping.
 //! 3. Per span, run candidate generation + verification + lazy loading
 //!    (`span::SpanExecutor`) for each of FP/LP/BP/TP.
 //!
-//! Page bodies are loaded at most once per query (shared
-//! `cache::ChunkCache`); timestamp probes decode partial prefixes
-//! only. The configuration toggles the paper's two accelerators for
-//! ablation benchmarks: lazy loading (§3.3/3.4) and the
-//! step-regression chunk index (§3.5).
+//! Everything the query pays for lands in the fragment's row, so a page
+//! body is loaded at most once per query and timestamp probes decode
+//! partial prefixes only. The configuration toggles the paper's two
+//! accelerators for ablation benchmarks: lazy loading (§3.3/3.4) and
+//! the step-regression chunk index (§3.5).
 //!
-//! Spans are independent (each holds its own candidate state and the
-//! shared `ChunkCache` is `Sync`), so step 3 fans them across the
+//! Spans are independent (each executor owns its candidate state and
+//! borrows the `Sync` table), so step 3 fans them across the
 //! engine-configured worker pool ([`crate::pool`]): candidate
-//! verification and the lazy chunk loads it triggers run concurrently
+//! verification and the lazy page loads it triggers run concurrently
 //! per span, while results keep span order.
 
-mod cache;
 mod span;
+mod table;
 
 use tskv::SeriesSnapshot;
 
@@ -34,8 +35,8 @@ use crate::pool;
 use crate::query::M4Query;
 use crate::repr::M4Result;
 use crate::{M4Error, Result};
-use cache::ChunkCache;
-use span::{SpanChunk, SpanExecutor};
+use span::{SpanExecutor, SpanFragment};
+use table::{Fragment, FragmentTable};
 
 /// Tunables of the M4-LSM operator (all on by default; disabling is
 /// only for ablation experiments).
@@ -80,73 +81,63 @@ impl M4Lsm {
 
     /// Execute an M4 query over a storage snapshot.
     pub fn execute(&self, snapshot: &SeriesSnapshot, query: &M4Query) -> Result<M4Result> {
-        let handles = snapshot.chunks();
-        let deletes = snapshot.deletes();
-        let cache = ChunkCache::new(snapshot);
+        let table = FragmentTable::new(snapshot, query.full_range());
 
-        // Assign chunks to spans, *per page*: each page carries its own
-        // statistics, so spans see page-sized fragments — pages outside
-        // every span are never touched. A fragment whose interval
-        // covers several spans appears in each; `whole` marks the
-        // (usual) case where the span fully contains the fragment so
-        // its statistics describe the whole subsequence.
-        let mut per_span: Vec<Vec<SpanChunk>> = vec![Vec::new(); query.w];
-        for (idx, h) in handles.iter().enumerate() {
-            for page in 0..h.page_count() {
-                if let Some(stats) = h.page_stats(page) {
-                    assign(&mut per_span, query, idx, page, stats.time_range())?;
-                }
-            }
+        // Assign fragments to spans. A fragment whose interval covers
+        // several spans appears in each; rows are in version order, so
+        // every span's list is too.
+        let mut per_span: Vec<Vec<SpanFragment<'_>>> = vec![Vec::new(); query.w];
+        for row in table.rows() {
+            assign(&mut per_span, query, row)?;
         }
 
         // Solve the spans on the worker pool. Each executor is private
-        // to its job; only the chunk cache (Sync, short guards) is
-        // shared. `run_indexed` keeps span order.
+        // to its job; only the table (Sync, short guards) is shared.
+        // `run_indexed` keeps span order.
+        let deletes = snapshot.deletes();
         let spans = pool::run_indexed(snapshot.pool_threads(), query.w, |i| {
-            let chunks = per_span.get(i).cloned().unwrap_or_default();
-            if chunks.is_empty() {
-                return Ok(None);
-            }
-            let executor = SpanExecutor::new(
-                chunks,
-                handles,
+            SpanExecutor::new(
+                &per_span[i],
+                &table,
                 deletes,
                 query.span_range(i),
-                &cache,
                 &self.cfg,
-            );
-            executor.compute()
+            )
+            .compute()
         })?;
         Ok(M4Result { spans })
     }
+
+    /// How many fragments an execution of `query` keeps a row for: the
+    /// pages overlapping the query range, not the pages of the series.
+    pub fn fragments(snapshot: &SeriesSnapshot, query: &M4Query) -> usize {
+        let table = FragmentTable::new(snapshot, query.full_range());
+        table.rows().len()
+    }
 }
 
-/// Register one fragment (one page of a chunk) with every span its
-/// time interval overlaps.
-fn assign(
-    per_span: &mut [Vec<SpanChunk>],
+/// Register one fragment with every span its time interval overlaps.
+/// `whole` marks the (usual) case where the span fully contains the
+/// fragment, so its statistics describe the whole subsequence.
+fn assign<'t>(
+    per_span: &mut [Vec<SpanFragment<'t>>],
     query: &M4Query,
-    idx: usize,
-    page: u32,
-    r: tsfile::types::TimeRange,
+    row: &'t Fragment<'t>,
 ) -> Result<()> {
+    let r = row.range();
     let clipped = r.intersect(&query.full_range());
-    if clipped.is_empty() {
-        return Ok(());
-    }
-    let lo = query.span_of(clipped.start).ok_or(M4Error::Internal(
-        "clipped interval start left the query range",
-    ))?;
-    let hi = query.span_of(clipped.end).ok_or(M4Error::Internal(
-        "clipped interval end left the query range",
-    ))?;
-    for (s, chunks) in per_span.iter_mut().enumerate().take(hi + 1).skip(lo) {
+    let span_of = |t| {
+        let left = M4Error::Internal("clipped fragment interval left the query range");
+        query.span_of(t).ok_or(left)
+    };
+    let (lo, hi) = (span_of(clipped.start)?, span_of(clipped.end)?);
+    for (s, frags) in per_span.iter_mut().enumerate().take(hi + 1).skip(lo) {
         let span_range = query.span_range(s);
         if !span_range.overlaps(&r) {
             continue;
         }
         let whole = span_range.start <= r.start && r.end <= span_range.end;
-        chunks.push(SpanChunk { idx, page, whole });
+        frags.push((row, whole));
     }
     Ok(())
 }

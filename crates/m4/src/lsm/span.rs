@@ -16,7 +16,7 @@
 //! * **BP/TP** ([`SpanExecutor::solve_extreme`]): metadata candidates
 //!   must additionally survive overwrite probes against later-versioned
 //!   overlapping chunks (Proposition 3.3), performed as timestamp-only
-//!   partial reads through the chunk cache. Refuted metadata candidates
+//!   partial reads through the fragment table. Refuted metadata candidates
 //!   mark their chunk *dirty*; dirty chunks are loaded in a batch only
 //!   when no candidate survives (the paper's §3.4 lazy load).
 //!
@@ -25,52 +25,36 @@
 //! statistics), so they enter pre-loaded — the cost driver behind the
 //! paper's Figure 10 (larger `w` → more split chunks → more loads).
 
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
-
-use tsfile::statistics::ChunkStatistics;
 use tsfile::types::{Point, TimeRange, Timestamp, Version};
 use tsfile::ModEntry;
-use tskv::delete::DeleteSweep;
-use tskv::ChunkHandle;
+use tskv::delete::is_deleted;
 
-use crate::lsm::cache::{ChunkCache, PageKeyedPoints};
+use crate::lsm::table::{Fragment, FragmentTable};
 use crate::lsm::M4LsmConfig;
 use crate::repr::SpanRepr;
 use crate::{M4Error, Result};
 
-/// One page of a chunk as seen by one span.
-///
-/// Chunks enter span assignment *per page*: each overlapping page
-/// becomes its own fragment with its own statistics, so a span
-/// covering only part of a large chunk works at page granularity
-/// (metadata candidates from page statistics, loads of single pages).
-#[derive(Debug, Clone)]
-pub(crate) struct SpanChunk {
-    /// Index into the snapshot's chunk list (cache key).
-    pub idx: usize,
-    /// Page number within the chunk.
-    pub page: u32,
-    /// Whether the fragment's time interval lies entirely inside the
-    /// span (only then do its statistics describe the subsequence).
-    pub whole: bool,
+/// One fragment as one span sees it: its row in the query's table, and
+/// whether its time interval lies entirely inside the span (only then
+/// do its statistics describe the subsequence). A fragment the span
+/// boundary splits can only be resolved from its data.
+pub(crate) type SpanFragment<'t> = (&'t Fragment<'t>, bool);
+
+/// Executor for one span. All per-fragment state lives in the table's
+/// rows; the executor borrows them and owns only the solver states.
+pub(crate) struct SpanExecutor<'t> {
+    /// The span's fragments, in table (= version) order.
+    frags: &'t [SpanFragment<'t>],
+    table: &'t FragmentTable<'t>,
+    /// The deletes overlapping the span — the only ones that can cover
+    /// a point in it. Usually none.
+    deletes: Vec<ModEntry>,
+    span: TimeRange,
+    cfg: &'t M4LsmConfig,
 }
 
-/// Executor for one span.
-pub(crate) struct SpanExecutor<'a, 'b> {
-    pub chunks: Vec<SpanChunk>,
-    pub handles: &'b [ChunkHandle],
-    pub deletes: &'a [ModEntry],
-    pub span: TimeRange,
-    pub cache: &'b ChunkCache<'a>,
-    pub cfg: &'b M4LsmConfig,
-    /// Per-span live point sets of loaded fragments (in-span,
-    /// non-deleted), keyed `(chunk idx, page)`.
-    live: RefCell<PageKeyedPoints>,
-}
-
-/// FP/LP solver state for one chunk.
+/// FP/LP solver state for one chunk that may still hold live in-span
+/// points (the solver keeps `None` for one that cannot).
 #[derive(Debug, Clone, Copy)]
 enum EdgeState {
     /// Known candidate point (metadata or loaded), not yet verified.
@@ -78,13 +62,21 @@ enum EdgeState {
     /// Delete-clipped bound: the chunk's edge live point is no more
     /// extreme than this time; resolving requires a load.
     Bound(Timestamp),
-    /// No live in-span points remain.
-    Dead,
+}
+
+impl EdgeState {
+    /// The candidate's time, and whether it is only a bound.
+    fn key(self) -> (Timestamp, bool) {
+        match self {
+            EdgeState::Exact(p) => (p.t, false),
+            EdgeState::Bound(t) => (t, true),
+        }
+    }
 }
 
 /// BP/TP solver state for one chunk.
-#[derive(Debug)]
-enum ExtremeState {
+#[derive(Debug, Clone, Copy)]
+enum ExtremeState<'t> {
     /// Unloaded; metadata extreme is the candidate.
     Meta(Point),
     /// Unloaded and metadata extreme refuted. The chunk's live extreme
@@ -93,76 +85,62 @@ enum ExtremeState {
     /// the value is kept as a bound: the chunk must be loaded before
     /// any weaker candidate may be answered.
     Dirty(f64),
-    /// Loaded; candidates come from the live set minus exclusions.
-    Loaded,
+    /// Loaded: the in-span slice. Candidates come from its live points
+    /// minus refuted ones.
+    Loaded(&'t [Point]),
 }
 
-impl<'a, 'b> SpanExecutor<'a, 'b> {
+/// How value `a` compares with `b` for TP (`top`) or BP: `Greater` when
+/// `a` is the more extreme.
+fn beats(top: bool, a: f64, b: f64) -> std::cmp::Ordering {
+    if top {
+        a.total_cmp(&b)
+    } else {
+        b.total_cmp(&a)
+    }
+}
+
+impl<'t> SpanExecutor<'t> {
     pub fn new(
-        chunks: Vec<SpanChunk>,
-        handles: &'b [ChunkHandle],
-        deletes: &'a [ModEntry],
+        frags: &'t [SpanFragment<'t>],
+        table: &'t FragmentTable<'t>,
+        deletes: &[ModEntry],
         span: TimeRange,
-        cache: &'b ChunkCache<'a>,
-        cfg: &'b M4LsmConfig,
+        cfg: &'t M4LsmConfig,
     ) -> Self {
-        SpanExecutor {
-            chunks,
-            handles,
-            deletes,
-            span,
-            cache,
-            cfg,
-            live: RefCell::new(HashMap::new()),
-        }
-    }
-
-    fn handle(&self, sc: &SpanChunk) -> &'b ChunkHandle {
-        &self.handles[sc.idx]
-    }
-
-    /// The fragment's statistics. Span assignment only hands out pages
-    /// the handle has, so the fallback is never taken.
-    fn stats(&self, sc: &SpanChunk) -> &'b ChunkStatistics {
-        let h = self.handle(sc);
-        h.page_stats(sc.page).unwrap_or(&h.stats)
-    }
-
-    fn version(&self, sc: &SpanChunk) -> Version {
-        self.handle(sc).version
-    }
-
-    /// Cache key of the fragment's live set within this span.
-    fn key(sc: &SpanChunk) -> (usize, u32) {
-        (sc.idx, sc.page)
-    }
-
-    /// Whether the fragment's raw points are already decoded in the
-    /// query cache.
-    fn paid(&self, sc: &SpanChunk) -> bool {
-        self.cache.is_loaded(sc.idx, sc.page)
-    }
-
-    /// Load a fragment (through the query cache) and compute its live
-    /// point set for this span: in-span and not deleted. Cached per
-    /// span so FP/LP/BP/TP share the work.
-    fn live(&self, sc: &SpanChunk) -> Result<Arc<Vec<Point>>> {
-        if let Some(l) = self.live.borrow().get(&Self::key(sc)) {
-            return Ok(Arc::clone(l));
-        }
-        let raw = self.cache.points(sc.idx, sc.page, self.handle(sc))?;
-        let version = self.version(sc);
-        let mut sweep = DeleteSweep::new(self.deletes);
-        let live: Vec<Point> = raw
+        let deletes = deletes
             .iter()
-            .filter(|p| self.span.contains(p.t) && !sweep.is_deleted(p.t, version))
+            .filter(|d| d.range.overlaps(&span))
             .copied()
             .collect();
-        let live = Arc::new(live);
-        self.live
-            .borrow_mut()
-            .insert(Self::key(sc), Arc::clone(&live));
-        Ok(live)
+        SpanExecutor {
+            frags,
+            table,
+            deletes,
+            span,
+            cfg,
+        }
+    }
+
+    /// The fragment's points inside the span: a slice of its decoded
+    /// page (loaded now if no span has yet), shared by FP/LP/BP/TP and
+    /// by the neighbouring span. Deleted points are still in it — the
+    /// scans over it skip them with [`Self::is_live`].
+    fn in_span(&self, frag: &'t Fragment<'t>) -> Result<&'t [Point]> {
+        let pts = self.table.points(frag)?;
+        let lo = pts.partition_point(|p| p.t < self.span.start);
+        let hi = pts.partition_point(|p| p.t <= self.span.end);
+        Ok(pts.get(lo..hi).unwrap_or_default())
+    }
+
+    /// The version of the span's fragment at `pos`.
+    fn version(&self, pos: usize) -> Version {
+        self.frags[pos].0.version()
+    }
+
+    /// Whether in-span point `p` of `frag` survives the deletes.
+    fn is_live(&self, frag: &Fragment<'_>, p: &Point) -> bool {
+        !is_deleted(p.t, frag.version(), &self.deletes)
     }
 
     /// Compute the span's full representation, or `None` if the span
@@ -188,14 +166,6 @@ impl<'a, 'b> SpanExecutor<'a, 'b> {
         }))
     }
 
-    /// Deletes with a version above `v` that cover `t`.
-    fn covering_deletes(&self, t: Timestamp, v: Version) -> impl Iterator<Item = &'a ModEntry> {
-        let deletes = self.deletes;
-        deletes
-            .iter()
-            .filter(move |d| d.applies_to(v) && d.covers(t))
-    }
-
     // ------------------------------------------------------------------
     // FP / LP (§3.3)
     // ------------------------------------------------------------------
@@ -203,15 +173,15 @@ impl<'a, 'b> SpanExecutor<'a, 'b> {
     /// Solve FP (`first = true`) or LP (`first = false`).
     fn solve_edge(&self, first: bool) -> Result<Option<Point>> {
         // Initialize per-chunk state.
-        let mut states: Vec<EdgeState> = Vec::with_capacity(self.chunks.len());
-        for sc in &self.chunks {
-            let st = if sc.whole && !self.paid(sc) {
-                let s = self.stats(sc);
-                EdgeState::Exact(if first { s.first } else { s.last })
+        let mut states: Vec<Option<EdgeState>> = Vec::with_capacity(self.frags.len());
+        for &(frag, whole) in self.frags {
+            let st = if whole && frag.loaded().is_none() {
+                let s = frag.stats;
+                Some(EdgeState::Exact(if first { s.first } else { s.last }))
             } else {
                 // Split by the span boundary (or already paid for):
                 // resolve from data immediately.
-                self.edge_from_live(sc, first)?
+                self.edge_from_live(frag, first)?
             };
             states.push(st);
         }
@@ -220,115 +190,86 @@ impl<'a, 'b> SpanExecutor<'a, 'b> {
             // Candidate selection: most extreme key; a Bound at the
             // extreme must be resolved before any Exact at the same key
             // can be trusted (the bound's chunk may hide an overwrite).
-            let mut best: Option<(Timestamp, bool, usize)> = None; // (key, is_bound, pos)
+            let mut best: Option<(EdgeState, usize)> = None;
             for (pos, st) in states.iter().enumerate() {
-                let (key, is_bound) = match st {
-                    EdgeState::Exact(p) => (p.t, false),
-                    EdgeState::Bound(t) => (*t, true),
-                    EdgeState::Dead => continue,
-                };
-                let better = match &best {
-                    None => true,
-                    Some((bk, b_bound, bpos)) => {
-                        let cmp = if first { key.cmp(bk) } else { bk.cmp(&key) };
-                        match cmp {
-                            std::cmp::Ordering::Less => true,
-                            std::cmp::Ordering::Greater => false,
-                            std::cmp::Ordering::Equal => {
-                                // Prefer bounds (must resolve), then the
-                                // largest version among exacts.
-                                if is_bound != *b_bound {
-                                    is_bound
-                                } else {
-                                    self.version(&self.chunks[pos])
-                                        > self.version(&self.chunks[*bpos])
-                                }
-                            }
-                        }
-                    }
-                };
+                let Some(st) = *st else { continue };
+                // More extreme key first; at equal keys prefer bounds
+                // (must resolve), then the largest version among exacts.
+                let better = best.is_none_or(|(b, bpos)| {
+                    let ((key, is_bound), (bk, b_bound)) = (st.key(), b.key());
+                    let by_time = if first { bk.cmp(&key) } else { key.cmp(&bk) };
+                    by_time
+                        .then(is_bound.cmp(&b_bound))
+                        .then_with(|| self.version(pos).cmp(&self.version(bpos)))
+                        .is_gt()
+                });
                 if better {
-                    best = Some((key, is_bound, pos));
+                    best = Some((st, pos));
                 }
             }
-            let Some((_, is_bound, pos)) = best else {
+            let Some((st, pos)) = best else {
                 return Ok(None); // all chunks dead: empty span
             };
-            let sc = self.chunks[pos].clone();
-
-            if is_bound {
-                // Lazy load fires now: no other chunk can beat this one
-                // from metadata alone.
-                states[pos] = self.edge_from_live(&sc, first)?;
-                continue;
-            }
-
-            let EdgeState::Exact(p) = states[pos] else {
-                return Err(M4Error::Internal(
-                    "selected edge candidate is neither bound nor exact",
-                ));
+            let frag = self.frags[pos].0;
+            let p = match st {
+                EdgeState::Bound(_) => {
+                    // Lazy load fires now: no other chunk can beat this
+                    // one from metadata alone.
+                    states[pos] = self.edge_from_live(frag, first)?;
+                    continue;
+                }
+                EdgeState::Exact(p) => p,
             };
-            if self.paid(&sc) || self.live.borrow().contains_key(&Self::key(&sc)) {
-                // Live sets are delete-filtered already; Proposition 3.1
-                // rules out overwrites for the extreme-time candidate.
+            if frag.loaded().is_some() {
+                // A loaded fragment's candidate is a live point already;
+                // Proposition 3.1 rules out overwrites for the
+                // extreme-time candidate.
                 return Ok(Some(p));
             }
             // Unloaded metadata candidate: verify against deletes.
-            let version = self.version(&sc);
+            let covers = |d: &&ModEntry| d.applies_to(frag.version()) && d.covers(p.t);
+            let covering = self.deletes.iter().filter(covers);
             let clip: Option<Timestamp> = if first {
-                self.covering_deletes(p.t, version)
-                    .map(|d| d.range.end)
-                    .max()
+                covering.map(|d| d.range.end).max()
             } else {
-                self.covering_deletes(p.t, version)
-                    .map(|d| d.range.start)
-                    .min()
+                covering.map(|d| d.range.start).min()
             };
-            match clip {
-                None => {
-                    // Latest (Proposition 3.1). A fragment answered
-                    // here never read its body: page statistics alone.
-                    self.cache.note_page_stat_answered();
-                    return Ok(Some(p));
-                }
-                Some(edge) => {
-                    if !self.cfg.lazy_load {
-                        // Ablation: eager load on first refutation.
-                        states[pos] = self.edge_from_live(&sc, first)?;
-                        continue;
-                    }
-                    // §3.3: shift the effective interval past the
-                    // delete; the chunk is only loaded if it remains
-                    // the most extreme.
-                    let s = self.stats(&sc);
-                    let bound = if first {
-                        edge.saturating_add(1)
-                    } else {
-                        edge.saturating_sub(1)
-                    };
-                    let dead = if first {
-                        bound > s.last.t || bound > self.span.end
-                    } else {
-                        bound < s.first.t || bound < self.span.start
-                    };
-                    states[pos] = if dead {
-                        EdgeState::Dead
-                    } else {
-                        EdgeState::Bound(bound)
-                    };
-                }
+            let Some(edge) = clip else {
+                // Latest (Proposition 3.1). A fragment answered here
+                // never read its body: page statistics alone.
+                self.table.note_stat_answered();
+                return Ok(Some(p));
+            };
+            if !self.cfg.lazy_load {
+                // Ablation: eager load on first refutation.
+                states[pos] = self.edge_from_live(frag, first)?;
+                continue;
             }
+            // §3.3: shift the effective interval past the delete; the
+            // chunk is only loaded if it remains the most extreme. Its
+            // statistics lie inside the span (only a whole fragment
+            // offers a metadata candidate), so a bound past them has
+            // left the span too.
+            let s = frag.stats;
+            let (bound, dead) = if first {
+                (edge.saturating_add(1), edge >= s.last.t)
+            } else {
+                (edge.saturating_sub(1), edge <= s.first.t)
+            };
+            states[pos] = (!dead).then_some(EdgeState::Bound(bound));
         }
     }
 
-    /// Resolve a chunk's FP/LP for this span from its live data.
-    fn edge_from_live(&self, sc: &SpanChunk, first: bool) -> Result<EdgeState> {
-        let live = self.live(sc)?;
-        let p = if first { live.first() } else { live.last() };
-        Ok(match p {
-            Some(p) => EdgeState::Exact(*p),
-            None => EdgeState::Dead,
-        })
+    /// Resolve a chunk's FP/LP for this span from its data: walk inward
+    /// from the slice's end to the first live point.
+    fn edge_from_live(&self, frag: &'t Fragment<'t>, first: bool) -> Result<Option<EdgeState>> {
+        let pts = self.in_span(frag)?;
+        let p = if first {
+            pts.iter().find(|p| self.is_live(frag, p))
+        } else {
+            pts.iter().rev().find(|p| self.is_live(frag, p))
+        };
+        Ok(p.map(|p| EdgeState::Exact(*p)))
     }
 
     // ------------------------------------------------------------------
@@ -337,16 +278,16 @@ impl<'a, 'b> SpanExecutor<'a, 'b> {
 
     /// Solve TP (`top = true`) or BP (`top = false`).
     fn solve_extreme(&self, top: bool) -> Result<Option<Point>> {
-        let mut states: Vec<ExtremeState> = Vec::with_capacity(self.chunks.len());
-        // Timestamps known to be overwritten, per chunk.
-        let mut excluded: Vec<HashSet<Timestamp>> = vec![HashSet::new(); self.chunks.len()];
-        for sc in &self.chunks {
-            let st = if self.paid(sc) || !sc.whole {
+        let mut states: Vec<ExtremeState<'t>> = Vec::with_capacity(self.frags.len());
+        // `(pos, t)`: the point of fragment `pos` at `t` is known to be
+        // overwritten. Empty until a candidate is refuted.
+        let mut refuted: Vec<(usize, Timestamp)> = Vec::new();
+        for &(frag, whole) in self.frags {
+            let st = if frag.loaded().is_some() || !whole {
                 // Pay the (already paid or unavoidable) load.
-                self.live(sc)?;
-                ExtremeState::Loaded
+                ExtremeState::Loaded(self.in_span(frag)?)
             } else {
-                let s = self.stats(sc);
+                let s = frag.stats;
                 ExtremeState::Meta(if top { s.top } else { s.bottom })
             };
             states.push(st);
@@ -359,22 +300,15 @@ impl<'a, 'b> SpanExecutor<'a, 'b> {
             for (pos, st) in states.iter().enumerate() {
                 let cand = match st {
                     ExtremeState::Meta(p) => Some(*p),
-                    ExtremeState::Loaded => {
-                        self.extreme_live(&self.chunks[pos], top, &excluded[pos])?
-                    }
+                    ExtremeState::Loaded(pts) => self.extreme_live(pos, pts, top, &refuted),
                     ExtremeState::Dirty(_) => None,
                 };
                 let Some(p) = cand else { continue };
-                let better = match &best {
-                    None => true,
-                    Some((bp, bpos)) => match p.v.total_cmp(&bp.v) {
-                        std::cmp::Ordering::Greater => top,
-                        std::cmp::Ordering::Less => !top,
-                        std::cmp::Ordering::Equal => {
-                            self.version(&self.chunks[pos]) > self.version(&self.chunks[*bpos])
-                        }
-                    },
-                };
+                let better = best.is_none_or(|(bp, bpos)| {
+                    beats(top, p.v, bp.v)
+                        .then_with(|| self.version(pos).cmp(&self.version(bpos)))
+                        .is_gt()
+                });
                 if better {
                     best = Some((p, pos));
                 }
@@ -384,130 +318,98 @@ impl<'a, 'b> SpanExecutor<'a, 'b> {
             // candidate could still hide the true extreme: load every
             // such chunk before trusting any candidate (§3.4 "loads all
             // the corresponding chunks ... and recalculates").
-            let must_load: Vec<usize> = states
-                .iter()
-                .enumerate()
-                .filter_map(|(i, st)| match st {
-                    ExtremeState::Dirty(bound) => {
-                        let beats = match &best {
-                            None => true,
-                            Some((bp, _)) => match bound.total_cmp(&bp.v) {
-                                std::cmp::Ordering::Greater => top,
-                                std::cmp::Ordering::Less => !top,
-                                std::cmp::Ordering::Equal => false,
-                            },
-                        };
-                        beats.then_some(i)
-                    }
-                    _ => None,
-                })
-                .collect();
-            if !must_load.is_empty() {
-                for pos in must_load {
-                    let sc = self.chunks[pos].clone();
-                    self.live(&sc)?;
-                    states[pos] = ExtremeState::Loaded;
+            let hides = |st: ExtremeState<'_>| match st {
+                ExtremeState::Dirty(bound) => {
+                    best.is_none_or(|(bp, _)| beats(top, bound, bp.v).is_gt())
                 }
+                _ => false,
+            };
+            let mut loaded_any = false;
+            for (pos, st) in states.iter_mut().enumerate() {
+                if hides(*st) {
+                    *st = ExtremeState::Loaded(self.in_span(self.frags[pos].0)?);
+                    loaded_any = true;
+                }
+            }
+            if loaded_any {
                 continue;
             }
 
             let Some((p_g, pos)) = best else {
                 return Ok(None); // nothing live in this span
             };
-            let sc = self.chunks[pos].clone();
-            let version = self.version(&sc);
+            let frag = self.frags[pos].0;
 
             // Verification (Proposition 3.3).
             // (a) deletes — only metadata candidates can still be
-            // covered (live sets are delete-filtered).
-            let deleted = matches!(states[pos], ExtremeState::Meta(_))
-                && self.covering_deletes(p_g.t, version).next().is_some();
-            let overwritten = if deleted {
-                false
-            } else {
-                self.is_overwritten(p_g.t, version)?
-            };
+            // covered (a loaded fragment only offers live points).
+            let from_meta = matches!(states[pos], ExtremeState::Meta(_));
+            let deleted = from_meta && !self.is_live(frag, &p_g);
+            let overwritten = !deleted && self.is_overwritten(pos, p_g.t)?;
             if !deleted && !overwritten {
                 // A fragment whose metadata extreme survives
                 // verification was answered from page statistics alone.
-                if matches!(states[pos], ExtremeState::Meta(_)) {
-                    self.cache.note_page_stat_answered();
+                if from_meta {
+                    self.table.note_stat_answered();
                 }
                 return Ok(Some(p_g));
             }
             // Refuted: lazy-load bookkeeping.
             if overwritten {
-                excluded[pos].insert(p_g.t);
+                refuted.push((pos, p_g.t));
             }
-            match states[pos] {
-                ExtremeState::Meta(p) => {
-                    states[pos] = if self.cfg.lazy_load {
-                        ExtremeState::Dirty(p.v)
-                    } else {
-                        self.live(&sc)?;
-                        ExtremeState::Loaded
-                    };
-                }
-                ExtremeState::Loaded => { /* exclusion recorded above */ }
-                ExtremeState::Dirty(_) => {
-                    return Err(M4Error::Internal("dirty chunk produced a candidate"));
-                }
+            if let ExtremeState::Meta(p) = states[pos] {
+                states[pos] = if self.cfg.lazy_load {
+                    ExtremeState::Dirty(p.v)
+                } else {
+                    ExtremeState::Loaded(self.in_span(frag)?)
+                };
             }
         }
     }
 
-    /// Current extreme of a loaded chunk's live set, skipping excluded
-    /// (known-overwritten) timestamps. Ties resolve to the earliest
-    /// point, matching the scan-based oracle.
+    /// Current extreme of loaded fragment `pos`: one fold over its
+    /// in-span slice `pts`, skipping deleted and refuted
+    /// (known-overwritten) points. Ties resolve to the earliest point,
+    /// matching the scan-based oracle.
     fn extreme_live(
         &self,
-        sc: &SpanChunk,
+        pos: usize,
+        pts: &[Point],
         top: bool,
-        excluded: &HashSet<Timestamp>,
-    ) -> Result<Option<Point>> {
-        let live = self.live(sc)?;
+        refuted: &[(usize, Timestamp)],
+    ) -> Option<Point> {
+        let frag = self.frags[pos].0;
         let mut best: Option<Point> = None;
-        for p in live.iter() {
-            if excluded.contains(&p.t) {
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    if top {
-                        p.v.total_cmp(&b.v).is_gt()
-                    } else {
-                        p.v.total_cmp(&b.v).is_lt()
-                    }
-                }
-            };
-            if better {
+        for p in pts {
+            let better = best.is_none_or(|b| beats(top, p.v, b.v).is_gt());
+            if better && self.is_live(frag, p) && !refuted.contains(&(pos, p.t)) {
                 best = Some(*p);
             }
         }
-        Ok(best)
+        best
     }
 
     /// Proposition 3.3 overwrite check: does any chunk with a larger
-    /// version contain a point at exactly `t`? Interval checks are
-    /// metadata-only; a data probe (timestamp-only partial read) fires
-    /// only for chunks whose interval contains `t`.
-    fn is_overwritten(&self, t: Timestamp, version: Version) -> Result<bool> {
-        for other in &self.chunks {
-            let h = self.handle(other);
-            // Fragment statistics make this interval check page-tight:
-            // a `t` falling between two pages of a later chunk is ruled
-            // out here without any probe.
-            if h.version <= version || !self.stats(other).time_range().contains(t) {
+    /// version than fragment `pos` contain a point at exactly `t`?
+    /// Fragments are in version order, so only those after `pos` are
+    /// scanned. Interval checks are metadata-only; a data probe
+    /// (timestamp-only partial read) fires only for fragments whose
+    /// interval contains `t`.
+    fn is_overwritten(&self, pos: usize, t: Timestamp) -> Result<bool> {
+        let version = self.version(pos);
+        for &(other, _) in self.frags.get(pos + 1..).unwrap_or_default() {
+            // The later pages of the candidate's own chunk share its
+            // version. Fragment statistics make the interval check
+            // page-tight: a `t` falling between two pages of a later
+            // chunk is ruled out here without any probe.
+            if other.version() <= version || !other.range().contains(t) {
                 continue;
             }
-            if self.cache.contains_timestamp(
-                other.idx,
-                other.page,
-                h,
-                t,
-                self.cfg.use_step_index,
-            )? {
+            if self
+                .table
+                .contains_timestamp(other, t, self.cfg.use_step_index)?
+            {
                 return Ok(true);
             }
         }

@@ -40,6 +40,7 @@
 //! id, in chunk order, and cover every chunk exactly once.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::index::StepIndex;
 use crate::page::PagedChunkInfo;
@@ -175,7 +176,9 @@ pub struct SeriesRun {
 /// series-run directory over it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FileFooter {
-    pub chunks: Vec<ChunkMeta>,
+    /// Behind a count each: a reader hands its chunks' metadata to
+    /// every query by reference, so a footer is in memory once.
+    pub chunks: Vec<Arc<ChunkMeta>>,
     pub runs: Vec<SeriesRun>,
 }
 
@@ -207,7 +210,7 @@ impl FileFooter {
         }
         let mut chunks = Vec::with_capacity(n as usize);
         for _ in 0..n {
-            chunks.push(ChunkMeta::decode(buf, &mut pos)?);
+            chunks.push(Arc::new(ChunkMeta::decode(buf, &mut pos)?));
         }
         let runs = decode_runs(buf, &mut pos, chunks.len())?;
         if pos != buf.len() {
@@ -267,7 +270,7 @@ mod tests {
     use crate::page::{encode_page, PageMeta, PageStatistics};
     use crate::types::Point;
 
-    fn meta(version: u64, t0: i64, t1: i64) -> crate::Result<ChunkMeta> {
+    fn meta(version: u64, t0: i64, t1: i64) -> crate::Result<Arc<ChunkMeta>> {
         let pts = vec![Point::new(t0, 1.0), Point::new(t1, 2.0)];
         let mut body = Vec::new();
         encode_page(
@@ -276,7 +279,7 @@ mod tests {
             EncodingKind::Gorilla,
             &mut body,
         );
-        Ok(ChunkMeta {
+        Ok(Arc::new(ChunkMeta {
             offset: 6,
             byte_len: body.len() as u64,
             version: Version(version),
@@ -291,7 +294,7 @@ mod tests {
                     stats: PageStatistics::from_points(&pts)?,
                 }],
             },
-        })
+        }))
     }
 
     #[test]
@@ -300,7 +303,7 @@ mod tests {
         let mut buf = Vec::new();
         m.encode(&mut buf);
         let mut pos = 0;
-        assert_eq!(ChunkMeta::decode(&buf, &mut pos)?, m);
+        assert_eq!(ChunkMeta::decode(&buf, &mut pos)?, *m);
         assert_eq!(pos, buf.len());
         // Every strict prefix is a typed error, never a panic.
         for cut in 0..buf.len() {

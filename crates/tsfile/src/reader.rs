@@ -13,6 +13,7 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::bufpool;
 use crate::checksum::crc32;
@@ -113,7 +114,7 @@ impl TsFileReader {
     }
 
     /// All chunk metadata in file order (ascending offset). No I/O.
-    pub fn chunk_metas(&self) -> &[ChunkMeta] {
+    pub fn chunk_metas(&self) -> &[Arc<ChunkMeta>] {
         &self.footer.chunks
     }
 
@@ -124,7 +125,7 @@ impl TsFileReader {
     }
 
     /// The chunk metadata of one run of [`series_runs`](Self::series_runs).
-    pub fn run_chunks(&self, run: &SeriesRun) -> &[ChunkMeta] {
+    pub fn run_chunks(&self, run: &SeriesRun) -> &[Arc<ChunkMeta>] {
         self.footer.chunks.get(run.chunks.clone()).unwrap_or(&[])
     }
 

@@ -3,6 +3,7 @@
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::checksum::crc32;
 use crate::encoding::EncodingKind;
@@ -145,7 +146,7 @@ impl TsFileWriter {
     /// Record a written chunk in the footer, extending the open run.
     fn push_chunk(&mut self, meta: ChunkMeta) -> &ChunkMeta {
         let at = self.footer.chunks.len();
-        self.footer.chunks.push(meta);
+        self.footer.chunks.push(Arc::new(meta));
         if let Some(run) = self.footer.runs.last_mut() {
             run.chunks.end = at + 1;
         }

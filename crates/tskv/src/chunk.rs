@@ -21,8 +21,12 @@ use tsfile::StepIndex;
 #[derive(Debug, Clone)]
 pub enum ChunkData {
     /// A sealed chunk inside a TsFile; `file_idx` indexes the
-    /// snapshot's file list.
-    File { file_idx: usize, meta: ChunkMeta },
+    /// snapshot's file list. `meta` is the open file's own copy of the
+    /// footer entry, shared by count with every handle made from it.
+    File {
+        file_idx: usize,
+        meta: Arc<ChunkMeta>,
+    },
     /// The memtable, exposed as an ephemeral in-memory chunk so reads
     /// observe unflushed points. Its version is greater than any sealed
     /// chunk or delete in the snapshot (memtable points are always
@@ -38,8 +42,6 @@ pub struct ChunkHandle {
     pub version: Version,
     /// FP/LP/BP/TP/count — the paper's chunk metadata.
     pub stats: ChunkStatistics,
-    /// Step-regression index, if learned at flush time.
-    pub index: Option<StepIndex>,
     /// Data location.
     pub data: ChunkData,
 }
@@ -52,11 +54,10 @@ fn page_no(i: usize) -> u32 {
 
 impl ChunkHandle {
     /// Build a handle for a sealed chunk.
-    pub fn from_file(file_idx: usize, meta: ChunkMeta) -> Self {
+    pub fn from_file(file_idx: usize, meta: Arc<ChunkMeta>) -> Self {
         ChunkHandle {
             version: meta.version,
             stats: meta.stats,
-            index: meta.index.clone(),
             data: ChunkData::File { file_idx, meta },
         }
     }
@@ -69,9 +70,17 @@ impl ChunkHandle {
         Some(ChunkHandle {
             version,
             stats,
-            index: None,
             data: ChunkData::Mem { points },
         })
+    }
+
+    /// Step-regression index, if one was learned when the chunk was
+    /// sealed (never for the memtable chunk).
+    pub fn index(&self) -> Option<&StepIndex> {
+        match &self.data {
+            ChunkData::File { meta, .. } => meta.index.as_ref(),
+            ChunkData::Mem { .. } => None,
+        }
     }
 
     /// The chunk's (unclipped) time interval `[FP(C).t, LP(C).t]`.
@@ -137,7 +146,7 @@ mod tests {
         assert_eq!(h.time_range(), TimeRange::new(1, 3));
         assert_eq!(h.stats.bottom, Point::new(2, -1.0));
         assert!(h.is_mem());
-        assert!(h.index.is_none());
+        assert!(h.index().is_none());
         Ok(())
     }
 

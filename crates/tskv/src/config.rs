@@ -65,8 +65,8 @@ pub struct EngineConfig {
     ///
     /// [`normalized`]: EngineConfig::normalized
     pub page_points: usize,
-    /// Memtable point count that triggers an automatic flush. Each
-    /// flush seals exactly one TsFile.
+    /// Memtable point count that triggers an automatic flush. A flush
+    /// group seals one TsFile per storage shard it touches.
     pub memtable_threshold: usize,
     /// Timestamp column encoding for flushed chunks.
     pub ts_encoding: EncodingKind,

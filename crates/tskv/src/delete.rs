@@ -17,48 +17,6 @@ pub fn is_deleted(t: Timestamp, chunk_version: Version, deletes: &[ModEntry]) ->
         .any(|d| d.applies_to(chunk_version) && d.covers(t))
 }
 
-/// Clip a chunk's effective time interval by the deletes that apply to
-/// it: the paper's §3.3 lazy metadata update, which shrinks
-/// `[FP(C).t, LP(C).t]` past delete ranges that cover either end,
-/// without loading the chunk.
-///
-/// Returns `None` when the interval is entirely consumed. The result
-/// may be non-tight (a delete strictly inside the interval does not
-/// shrink it) — exactly the approximation the paper accepts.
-pub fn clip_interval(
-    mut range: TimeRange,
-    chunk_version: Version,
-    deletes: &[ModEntry],
-) -> Option<TimeRange> {
-    // Iterate until a fixed point: clipping one end may expose another
-    // delete covering the new end.
-    loop {
-        let mut changed = false;
-        for d in deletes {
-            if !d.applies_to(chunk_version) {
-                continue;
-            }
-            if range.is_empty() {
-                return None;
-            }
-            if d.range.start <= range.start && range.start <= d.range.end {
-                range.start = d.range.end.saturating_add(1);
-                changed = true;
-            }
-            if d.range.start <= range.end && range.end <= d.range.end {
-                range.end = d.range.start.saturating_sub(1);
-                changed = true;
-            }
-        }
-        if range.is_empty() {
-            return None;
-        }
-        if !changed {
-            return Some(range);
-        }
-    }
-}
-
 /// Streaming delete filter for time-ascending point sequences.
 ///
 /// The paper notes IoTDB's "CPU-efficient delete sort operation" keeps
@@ -140,44 +98,6 @@ mod tests {
     }
 
     #[test]
-    fn clip_left_edge() {
-        let r = clip_interval(TimeRange::new(0, 100), Version(1), &[d(2, -10, 30)]);
-        assert_eq!(r, Some(TimeRange::new(31, 100)));
-    }
-
-    #[test]
-    fn clip_right_edge() {
-        let r = clip_interval(TimeRange::new(0, 100), Version(1), &[d(2, 80, 200)]);
-        assert_eq!(r, Some(TimeRange::new(0, 79)));
-    }
-
-    #[test]
-    fn clip_interior_is_nontight_noop() {
-        let r = clip_interval(TimeRange::new(0, 100), Version(1), &[d(2, 40, 60)]);
-        assert_eq!(r, Some(TimeRange::new(0, 100)));
-    }
-
-    #[test]
-    fn clip_total_consumption() {
-        let r = clip_interval(TimeRange::new(10, 20), Version(1), &[d(2, 0, 100)]);
-        assert_eq!(r, None);
-    }
-
-    #[test]
-    fn clip_cascading_deletes() {
-        // First delete clips the start to 21; second covers 21..=40.
-        let deletes = vec![d(2, 0, 20), d(3, 21, 40)];
-        let r = clip_interval(TimeRange::new(5, 100), Version(1), &deletes);
-        assert_eq!(r, Some(TimeRange::new(41, 100)));
-    }
-
-    #[test]
-    fn clip_ignores_older_deletes() {
-        let r = clip_interval(TimeRange::new(0, 100), Version(5), &[d(3, 0, 50)]);
-        assert_eq!(r, Some(TimeRange::new(0, 100)));
-    }
-
-    #[test]
     fn sweep_matches_naive_on_ascending_probes() {
         let deletes = vec![d(2, 0, 20), d(5, 10, 40), d(3, 100, 100), d(9, 15, 18)];
         // One sweep per version (probes must ascend within a sweep).
@@ -204,14 +124,5 @@ mod tests {
         let deletes = vec![ModEntry::new(Version(2), 10, 5)]; // empty
         let mut sweep = DeleteSweep::new(&deletes);
         assert!(!sweep.is_deleted(7, Version(1)));
-    }
-
-    #[test]
-    fn clip_both_edges_meet() {
-        let deletes = vec![d(2, 0, 49), d(3, 50, 100)];
-        assert_eq!(
-            clip_interval(TimeRange::new(10, 90), Version(1), &deletes),
-            None
-        );
     }
 }

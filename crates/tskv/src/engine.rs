@@ -179,7 +179,7 @@ impl SeriesView {
     }
 
     /// Metadata of the run's chunks.
-    fn metas(&self) -> &[ChunkMeta] {
+    fn metas(&self) -> &[Arc<ChunkMeta>] {
         self.file.reader.run_chunks(&self.run)
     }
 
@@ -1362,56 +1362,43 @@ impl EngineInner {
     /// without instantiating anything.
     fn snapshot(&self, id: SeriesId) -> Result<SeriesSnapshot> {
         self.known(id)?;
-        let map = self.stripe(id).series.read();
-        let Some(store) = map.get(&id) else {
-            return Ok(SeriesSnapshot::new(
-                Vec::new(),
-                Vec::new(),
-                Vec::new(),
-                Arc::clone(&self.io),
-                self.cache.clone(),
-                self.config.read_threads,
-            ));
-        };
-
-        let mut files = Vec::with_capacity(store.files.len());
-        let mut chunks = Vec::new();
+        let (mut files, mut chunks) = (Vec::new(), Vec::new());
         let mut deletes: Vec<ModEntry> = Vec::new();
-        for res in &store.files {
-            let file_idx = files.len();
-            for meta in res.metas() {
-                chunks.push(ChunkHandle::from_file(file_idx, meta.clone()));
+        let map = self.stripe(id).series.read();
+        if let Some(store) = map.get(&id) {
+            // Sealed metadata is the open file's, shared by count: the
+            // lock is held for a count per chunk, not a footer copy.
+            for res in &store.files {
+                let metas = res.metas().iter();
+                chunks.extend(metas.map(|m| ChunkHandle::from_file(files.len(), Arc::clone(m))));
+                files.push(Arc::clone(&res.file.reader));
             }
-            for e in res.mods.entries() {
-                // One delete op lands in several files' mods; versions
-                // are globally unique, so dedup by version.
+            // One delete op lands in several files' mods, and one issued
+            // mid-flush may not have reached any file yet; versions are
+            // globally unique, so dedup by version.
+            let logged = store.files.iter().flat_map(|res| res.mods.entries());
+            for e in logged.chain(&store.pending_mods) {
                 if !deletes.iter().any(|d| d.version == e.version) {
                     deletes.push(*e);
                 }
             }
-            files.push(Arc::clone(&res.file.reader));
-        }
-        // Deletes issued mid-flush may not have reached any file yet.
-        for e in &store.pending_mods {
-            if !deletes.iter().any(|d| d.version == e.version) {
-                deletes.push(*e);
+            // Points being sealed by an in-flight flush: visible as a mem
+            // chunk carrying the last version reserved for that flush, so
+            // later deletes (higher version) apply to it and the live
+            // memtable chunk (below, strictly higher again) overrides it.
+            if let Some(fl) = &store.flushing {
+                chunks.extend(ChunkHandle::from_mem(
+                    Arc::clone(&fl.points),
+                    fl.last_version,
+                ));
+            }
+            if !store.memtable.is_empty() {
+                let points = Arc::new(store.memtable.to_points());
+                let version = Version(self.alloc.current().0 + 1);
+                chunks.extend(ChunkHandle::from_mem(points, version));
             }
         }
-        // Points being sealed by an in-flight flush: visible as a mem
-        // chunk carrying the last version reserved for that flush, so
-        // later deletes (higher version) apply to it and the live
-        // memtable chunk (below, strictly higher again) overrides it.
-        if let Some(fl) = &store.flushing {
-            chunks.extend(ChunkHandle::from_mem(
-                Arc::clone(&fl.points),
-                fl.last_version,
-            ));
-        }
-        if !store.memtable.is_empty() {
-            let points = Arc::new(store.memtable.to_points());
-            let version = Version(self.alloc.current().0 + 1);
-            chunks.extend(ChunkHandle::from_mem(points, version));
-        }
+        drop(map);
         chunks.sort_by_key(|c| c.version);
         deletes.sort_by_key(|d| d.version);
         Ok(SeriesSnapshot::new(
@@ -1521,7 +1508,12 @@ impl EngineInner {
         // the reader its body is behind.
         let chunks: Vec<(&TsFileReader, &ChunkMeta)> = inputs
             .iter()
-            .flat_map(|(reader, run)| reader.run_chunks(run).iter().map(move |m| (&**reader, m)))
+            .flat_map(|(reader, run)| {
+                reader
+                    .run_chunks(run)
+                    .iter()
+                    .map(move |m| (&**reader, &**m))
+            })
             .collect();
         let deletes_applied = deletes.len();
 

@@ -9,7 +9,7 @@
 //! `tests/clippy_scope.rs` pins):
 //!
 //! - **L2** no lock/RefCell guard held across file I/O or chunk decode
-//!   in `tskv::engine`, `tskv::snapshot`, `m4::lsm::cache`, and the
+//!   in `tskv::engine`, `tskv::snapshot`, `m4::lsm::table`, and the
 //!   `tsnet::server` connection pool — guards tracked through
 //!   bindings, shadowing, field stores, and helper returns; I/O facts
 //!   propagated transitively through the workspace call graph;
@@ -86,7 +86,7 @@ const L2_FILES: &[&str] = &[
     // capture/merge/install sequence; a guard reaching its I/O means
     // the phase discipline regressed.
     "crates/tskv/src/compaction/execute.rs",
-    "crates/m4/src/lsm/cache.rs",
+    "crates/m4/src/lsm/table.rs",
     "crates/m4/src/pool.rs",
     "crates/tsnet/src/server.rs",
     "crates/tsnet/src/client.rs",
@@ -346,7 +346,7 @@ mod tests {
         assert!(r.l2 && !r.l3);
         let r = rules_for("crates/tskv/src/catalog.rs");
         assert!(!r.l2 && !r.l3);
-        let r = rules_for("crates/m4/src/lsm/cache.rs");
+        let r = rules_for("crates/m4/src/lsm/table.rs");
         assert!(r.l2);
         let r = rules_for("crates/tskv/src/cache.rs");
         assert!(r.l2 && !r.l3);

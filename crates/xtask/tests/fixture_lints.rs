@@ -71,10 +71,10 @@ fn l2_fixture_flags_guard_across_cache_decode_pool_and_page_load() {
             .any(|v| v.message.contains("run_indexed") && v.message.contains("guard")),
         "{v:?}"
     );
-    // The query cache's `points` guard held across the one page loader.
+    // A fragment row's `prefix` guard held across the timestamp loader.
     assert!(
         v.iter()
-            .any(|v| v.message.contains("read_page_points") && v.message.contains("guard")),
+            .any(|v| v.message.contains("read_page_timestamps") && v.message.contains("guard")),
         "{v:?}"
     );
 }

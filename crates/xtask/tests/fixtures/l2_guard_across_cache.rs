@@ -1,7 +1,7 @@
 //! L2 fixture: a cache guard held across (a) a page-body decode,
-//! (b) a worker-pool fan-out and (c) the snapshot's one page loader —
-//! the shapes the extended recognizers (`decode_page`, `run_indexed`,
-//! `read_page_points`) must reject. Names avoid the
+//! (b) a worker-pool fan-out and (c) the snapshot's one timestamp
+//! loader — the shapes the extended recognizers (`decode_page`,
+//! `run_indexed`, `read_page_timestamps`) must reject. Names avoid the
 //! L3 fallible prefixes and there are no panic sites or casts, so only
 //! L2 may fire.
 
@@ -20,12 +20,13 @@ impl Cache {
         keep(out);
     }
 
-    /// The query cache's miss path done wrong: the `points` guard that
-    /// looked the page up is still alive when the page is loaded.
-    fn points(&self, idx: usize, page: u32, chunk: &ChunkHandle) {
-        let mut map = self.points.lock();
-        let pts = self.snapshot.read_page_points(chunk, page);
-        map.insert((idx, page), pts);
+    /// The fragment table's probe miss done wrong: the row's `prefix`
+    /// guard that found the prefix too short is still alive when the
+    /// longer one is read.
+    fn contains_timestamp(&self, f: &Fragment, t: Timestamp) {
+        let mut prefix = f.prefix.lock();
+        let ts = self.snapshot.read_page_timestamps(f.chunk, f.page, Some(t));
+        *prefix = ts;
     }
 }
 

@@ -7,7 +7,8 @@
 //!
 //! Entry layout: `varint κ` `varint_i t_ds` `varint_i t_de`
 //! `u32 crc of the three fields (LE)`. A torn final entry (crash during
-//! append) is detected by its CRC and dropped on load.
+//! append) is detected by its CRC and dropped on load; the next append
+//! cuts its bytes off first, so what follows it is read back.
 
 // Untrusted bytes: an out-of-range access is a typed error, not a panic.
 #![deny(clippy::indexing_slicing)]
@@ -94,31 +95,49 @@ impl ModEntry {
     }
 }
 
-/// Append-only delete log bound to one TsFile.
+/// Append-only delete log of one series.
 #[derive(Debug)]
 pub struct ModsFile {
     path: PathBuf,
     entries: Vec<ModEntry>,
+    /// Length of the valid prefix, when [`open`](ModsFile::open) found
+    /// a torn entry behind it.
+    torn_at: Option<u64>,
 }
 
 impl ModsFile {
-    /// Open (or create) the mods file at `path`, loading existing
-    /// entries. A torn final entry from a crashed append is dropped.
+    /// The log at `path`, which does not exist yet: no entries, and no
+    /// file until the first append. No I/O.
+    pub fn new(path: PathBuf) -> Self {
+        ModsFile {
+            path,
+            entries: Vec::new(),
+            torn_at: None,
+        }
+    }
+
+    /// Open the mods file at `path`, loading existing entries (none
+    /// when there is no file). A torn final entry from a crashed append
+    /// is dropped. Read-only: the file is created, or cut back to its
+    /// valid prefix, by the first append.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let mut entries = Vec::new();
-        if path.exists() {
+        let mut log = ModsFile::new(path.as_ref().to_path_buf());
+        if log.path.exists() {
             let mut buf = Vec::new();
-            File::open(&path)?.read_to_end(&mut buf)?;
+            File::open(&log.path)?.read_to_end(&mut buf)?;
             let mut pos = 0usize;
             while pos < buf.len() {
+                let valid = pos; // a torn entry's fields move `pos` too
                 match ModEntry::decode(&buf, &mut pos)? {
-                    Some(e) => entries.push(e),
-                    None => break, // torn tail
+                    Some(e) => log.entries.push(e),
+                    None => {
+                        log.torn_at = u64::try_from(valid).ok();
+                        break;
+                    }
                 }
             }
         }
-        Ok(ModsFile { path, entries })
+        Ok(log)
     }
 
     /// Append one delete entry durably.
@@ -129,20 +148,50 @@ impl ModsFile {
             .create(true)
             .append(true)
             .open(&self.path)?;
+        if let Some(valid) = self.torn_at {
+            // Written behind a torn entry, this one would be dropped
+            // with it by the next open.
+            f.set_len(valid)?;
+            self.torn_at = None;
+        }
         f.write_all(&bytes)?;
         f.sync_data()?;
         self.entries.push(entry);
         Ok(())
     }
 
+    /// Drop every entry at or below `ceiling`: the log is rewritten to
+    /// the newer ones beside itself (`<path>.tmp`, `sync_data`) and
+    /// renamed into place, or unlinked when none is newer. A crash
+    /// leaves the old log or the new one; on an error the file and the
+    /// loaded entries are as they were.
+    pub fn trim_through(&mut self, ceiling: Version) -> Result<()> {
+        let newer = |e: &ModEntry| e.version > ceiling;
+        if self.entries.iter().all(newer) {
+            return Ok(());
+        }
+        let mut bytes = Vec::new();
+        for e in self.entries.iter().filter(|e| newer(e)) {
+            e.encode(&mut bytes);
+        }
+        if bytes.is_empty() {
+            std::fs::remove_file(&self.path)?;
+        } else {
+            let mut tmp = self.path.clone().into_os_string();
+            tmp.push(".tmp");
+            let mut f = File::create(&tmp)?;
+            f.write_all(&bytes)?;
+            f.sync_data()?;
+            std::fs::rename(&tmp, &self.path)?;
+        }
+        self.entries.retain(newer);
+        self.torn_at = None;
+        Ok(())
+    }
+
     /// All loaded delete entries in append order.
     pub fn entries(&self) -> &[ModEntry] {
         &self.entries
-    }
-
-    /// Path of the underlying file.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -201,6 +250,48 @@ mod tests {
         std::fs::write(&p, &data[..data.len() - 3])?;
         let m2 = ModsFile::open(&p)?;
         assert_eq!(m2.entries(), &[ModEntry::new(Version(1), 0, 10)]);
+        Ok(())
+    }
+
+    #[test]
+    fn append_after_a_torn_tail_survives_reopen() -> Result<()> {
+        let p = tmp("torn-append.mods");
+        let mut m = ModsFile::open(&p)?;
+        m.append(ModEntry::new(Version(1), 0, 10))?;
+        m.append(ModEntry::new(Version(2), 20, 30))?;
+        let torn = std::fs::metadata(&p)?.len() - 3;
+        File::options().write(true).open(&p)?.set_len(torn)?;
+        // Opening is read-only: the torn bytes stay until an append.
+        let mut m = ModsFile::open(&p)?;
+        assert_eq!(std::fs::metadata(&p)?.len(), torn);
+        m.append(ModEntry::new(Version(3), 40, 50))?;
+        m.append(ModEntry::new(Version(4), 60, 70))?;
+        let versions = |m: &ModsFile| m.entries().iter().map(|e| e.version.0).collect::<Vec<_>>();
+        assert_eq!(versions(&m), [1, 3, 4]);
+        assert_eq!(versions(&ModsFile::open(&p)?), [1, 3, 4]);
+        Ok(())
+    }
+
+    #[test]
+    fn trim_rewrites_to_the_newer_entries_or_unlinks() -> Result<()> {
+        let p = tmp("trim.mods");
+        let mut m = ModsFile::new(p.clone());
+        for v in 1..=4 {
+            m.append(ModEntry::new(Version(v), 0, 10))?;
+        }
+        let whole = std::fs::read(&p)?;
+        m.trim_through(Version(0))?; // nothing at or below: file untouched
+        assert_eq!(std::fs::read(&p)?, whole);
+        m.trim_through(Version(2))?;
+        assert_eq!(std::fs::read(&p)?, &whole[whole.len() / 2..]);
+        m.append(ModEntry::new(Version(5), 0, 10))?;
+        assert_eq!(m.entries().len(), 3);
+        assert_eq!(ModsFile::open(&p)?.entries(), m.entries());
+        m.trim_through(Version(9))?;
+        assert!(m.entries().is_empty() && !p.exists());
+        // The log starts over with the next append.
+        m.append(ModEntry::new(Version(10), 0, 10))?;
+        assert_eq!(ModsFile::open(&p)?.entries(), m.entries());
         Ok(())
     }
 

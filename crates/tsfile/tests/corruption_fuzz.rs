@@ -385,4 +385,37 @@ proptest! {
         }
         std::fs::remove_file(&path).ok();
     }
+
+    /// Cut a valid mods log anywhere (a crash mid-append), append once
+    /// and reopen: the entries that survived the cut, then the new one
+    /// — an append behind a torn entry must not be lost with it.
+    #[test]
+    fn mods_append_after_any_cut_survives_reopen(
+        cut in any::<prop::sample::Index>(),
+        n_entries in 1usize..12,
+    ) {
+        let dir = std::env::temp_dir().join("tsfile-fuzz");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("modcut-{}.mods", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        let mut mods = ModsFile::open(&path).unwrap();
+        for i in 0..n_entries as i64 {
+            let version = tsfile::types::Version(i as u64 + 1);
+            mods.append(tsfile::ModEntry::new(version, i * 1_000, i * 1_000 + 500)).unwrap();
+        }
+        let originals = mods.entries().to_vec();
+        let original = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &original[..cut.index(original.len() + 1)]).unwrap();
+
+        let mut mods = ModsFile::open(&path).unwrap();
+        let mut want = mods.entries().to_vec();
+        prop_assert_eq!(&want[..], &originals[..want.len()]);
+        let added = tsfile::ModEntry::new(tsfile::types::Version(99), -5, 5);
+        mods.append(added).unwrap();
+        want.push(added);
+        prop_assert_eq!(mods.entries(), &want[..]);
+        let reopened = ModsFile::open(&path).unwrap();
+        prop_assert_eq!(reopened.entries(), &want[..]);
+        std::fs::remove_file(&path).ok();
+    }
 }

@@ -28,21 +28,25 @@
 //! instantiated lazily on first touch.
 //!
 //! Each series reads a shared file through its own [`SeriesView`]: the
-//! shared reader, its run, and its own delete log `<fileno>.s<id>.mods`
-//! (created by the first delete that touches the run). A file belongs
-//! to its views together: a series' compaction *retires* its views of
-//! the inputs, and the retirement that leaves a file with no live run
-//! unlinks it. Until then a retired run is dead bytes in a file other
-//! series still read; the compaction output that replaced it says so
-//! durably ([`tsfile::SeriesRun::supersedes`]), which is how a reopen
-//! knows not to read it again.
+//! shared reader and its run. A file belongs to its views together: a
+//! series' compaction *retires* its views of the inputs, and the
+//! retirement that leaves a file with no live run unlinks it. Until
+//! then a retired run is dead bytes in a file other series still read;
+//! the compaction output that replaced it says so durably
+//! ([`tsfile::SeriesRun::supersedes`]), which is how a reopen knows not
+//! to read it again.
+//!
+//! A delete applies to a chunk by version alone (PAPER §2), so it has
+//! one home whatever it overlaps: the series' delete log `s<id>.mods`
+//! ([`SeriesStore::log`]), created by the first delete logged and
+//! trimmed by each compaction of what its merge applied.
 //!
 //! A data file is written under `<fileno>.tsfile.tmp` and renamed after
 //! its `sync_all`, so a `*.tsfile` is complete by construction however
 //! many flushes and compactions of one shard were in flight at a crash.
 //! A directory laid out the retired ways — one directory per series
-//! with no `SHARDS` file, or `s<id>-<fileno>.tsfile` files — is refused
-//! at open, untouched.
+//! with no `SHARDS` file, `s<id>-<fileno>.tsfile` files, or per-run
+//! delete logs `<fileno>.s<id>.mods` — is refused at open, untouched.
 //!
 //! ## Lock discipline
 //!
@@ -62,25 +66,25 @@
 //!   the shard WAL once, then encode and seal the group's one TsFile.
 //!   Phase C: append every member's end marker in one write, then
 //!   (locked, one stripe at a time) install each member's view of the
-//!   file and attach deletes that arrived mid-flush — or, on failure,
-//!   return every member's points to its memtable (anything newer that
-//!   landed meanwhile wins).
+//!   file — or, on failure, return every member's points to its
+//!   memtable (anything newer that landed meanwhile wins). A delete
+//!   that lands mid-flush is a log entry above the reserved versions.
 //! * **Compaction** — same shape, per series; the input (every sealed
 //!   run the series has when the lock is taken) is captured as
 //!   metadata, merged and written off-lock as a one-run file (clean
 //!   pages copied raw, dirty pages re-encoded — see
 //!   [`crate::compaction`]), and swapped in under the lock again.
 //!   Output chunks carry the maximum input chunk version; deletes
-//!   issued during the merge have versions above the capture ceiling
-//!   and their mods entries are carried onto the new file at install
-//!   time — or by the next open, when a crash came first.
-//! * Shard-WAL appends of writes, deletes and begin markers, and the
-//!   group-commit drain, stay under the stripe lock on purpose:
-//!   serializing durability appends against the buffered state they
-//!   describe is what the lock is *for* (see DESIGN.md). A flush's WAL
-//!   fsync and end markers run with no stripe lock held. The WAL's own
-//!   short mutex nests strictly inside the stripe lock and stripe locks
-//!   are never nested with each other, so the order is acyclic.
+//!   issued during the merge have versions above the capture ceiling,
+//!   which is where the delete log is trimmed once the inputs are gone.
+//! * Shard-WAL appends of writes, deletes and begin markers, the
+//!   group-commit drain, and the delete log's append and trim stay
+//!   under the stripe lock on purpose: serializing durability writes
+//!   against the state they describe is what the lock is *for* (see
+//!   DESIGN.md). A flush's WAL fsync and end markers run with no stripe
+//!   lock held. The WAL's own short mutex nests strictly inside the
+//!   stripe lock and stripe locks are never nested with each other, so
+//!   the order is acyclic.
 //! * **Background compaction** — when `compaction_auto` is on, a
 //!   scheduler thread ([`crate::scheduler`]) scans the stripes with
 //!   short read guards for series whose sealed-file count crossed
@@ -147,37 +151,32 @@ impl SealedFile {
         let live_runs = AtomicUsize::new(reader.series_runs().len());
         Ok(Arc::new(SealedFile { reader, live_runs }))
     }
+
+    /// A view of each run of the file's directory, in its order.
+    fn views(self: &Arc<Self>) -> impl Iterator<Item = SeriesView> + '_ {
+        let runs = self.reader.series_runs().iter().cloned();
+        runs.map(|run| SeriesView {
+            file: Arc::clone(self),
+            run,
+        })
+    }
 }
 
-/// Path of the delete log of `series`' run of the data file at `data`:
-/// `<fileno>.s<id>.mods` beside `<fileno>.tsfile`. It exists only once
-/// a delete has touched the run.
-fn mods_path(data: &Path, series: u32) -> PathBuf {
-    data.with_extension(format!("s{series}.mods"))
+/// Path of series `id`'s delete log in its shard directory `sdir`. It
+/// exists only once a delete has been logged.
+fn delete_log_path(sdir: &Path, id: SeriesId) -> PathBuf {
+    sdir.join(format!("s{}.mods", id.0))
 }
 
 /// One series' view of a sealed file: the file (shared with the other
-/// series flushed into it), this series' run of its chunks, and this
-/// series' own delete log for that run.
-#[derive(Debug)]
+/// series flushed into it) and this series' run of its chunks.
+#[derive(Debug, Clone)]
 struct SeriesView {
     file: Arc<SealedFile>,
     run: SeriesRun,
-    mods: ModsFile,
 }
 
 impl SeriesView {
-    /// The view of `run` of `file`, loading the run's delete log (file
-    /// I/O: call with no stripe lock held).
-    fn open(file: &Arc<SealedFile>, run: &SeriesRun) -> Result<Self> {
-        let mods = ModsFile::open(mods_path(file.reader.path(), run.series))?;
-        Ok(SeriesView {
-            file: Arc::clone(file),
-            run: run.clone(),
-            mods,
-        })
-    }
-
     /// Metadata of the run's chunks.
     fn metas(&self) -> &[Arc<ChunkMeta>] {
         self.file.reader.run_chunks(&self.run)
@@ -213,37 +212,23 @@ impl SeriesView {
         self.file.reader.series_runs().len() > 1
     }
 
-    /// Record delete `e` in the run's log, if it overlaps the run's
-    /// points and the log does not hold it yet.
-    fn attach(&mut self, e: ModEntry) -> Result<()> {
-        let overlaps = self.time_range().is_some_and(|r| r.overlaps(&e.range));
-        let known = self.mods.entries().iter().any(|m| m.version == e.version);
-        if overlaps && !known {
-            self.mods.append(e)?;
-        }
-        Ok(())
-    }
-
     /// Retire the view: its series no longer reads the run, because the
     /// compaction that merged it is done. Drops the run's decoded-chunk
-    /// cache entries (the file's other runs keep theirs), unlinks the
-    /// file if this was its last live run, and then removes the run's
-    /// delete log. Data before log: when the merge came up empty and
-    /// left no output, nothing on disk supersedes the run, and a crash
-    /// between the two unlinks must not leave its points without their
-    /// tombstones. A run that stays on disk as dead bytes (other series
-    /// still read the file) always has an output in place, whose
-    /// `supersedes` keeps a reopen from reading it again.
-    fn retire(self, cache: Option<&DecodedChunkCache>) {
+    /// cache entries (the file's other runs keep theirs) and unlinks
+    /// the file if this was its last live run (the only error). A run
+    /// that stays on disk as dead bytes (other series still read the
+    /// file) always has an output in place, whose `supersedes` keeps a
+    /// reopen from reading it again.
+    fn retire(self, cache: Option<&DecodedChunkCache>) -> std::io::Result<()> {
         if let Some(cache) = cache {
             cache.invalidate_run(self.file.reader.handle_id(), self.byte_range());
         }
         // AcqRel: whoever takes the count to zero does so after every
         // other view's cache cleanup is done.
         if self.file.live_runs.fetch_sub(1, Ordering::AcqRel) == 1 {
-            std::fs::remove_file(self.file.reader.path()).ok();
+            std::fs::remove_file(self.file.reader.path())?;
         }
-        std::fs::remove_file(self.mods.path()).ok();
+        Ok(())
     }
 }
 
@@ -257,36 +242,40 @@ struct FlushInFlight {
     last_version: Version,
 }
 
-/// Per-series in-memory state: the memtable and the sealed-file list.
-/// Directories and WAL handles live at the storage-shard level, so a
-/// cold series is exactly this struct's `Default`-sized footprint —
-/// and it is not even allocated until the series is first touched.
+/// Per-series in-memory state: the memtable, the sealed-file list and
+/// the delete log. Directories and WAL handles live at the
+/// storage-shard level, so a cold series is exactly this struct's
+/// footprint — and not even that until the series is first touched.
 #[derive(Debug)]
 struct SeriesStore {
     memtable: MemTable,
     files: Vec<SeriesView>,
+    /// The deletes that may still hide a sealed point, in version
+    /// order: appended under the lock their version was taken under.
+    log: ModsFile,
     /// Set while a flush's unlocked sealing phase runs.
     flushing: Option<FlushInFlight>,
-    /// Deletes issued while a flush was in flight; attached to the new
-    /// file (if overlapping) when it is installed.
-    pending_mods: Vec<ModEntry>,
     /// Set while a compaction's unlocked merge phase runs.
     compacting: bool,
 }
 
 impl SeriesStore {
-    fn new() -> Self {
-        Self::assemble(MemTable::new(), Vec::new())
-    }
-
-    fn assemble(memtable: MemTable, files: Vec<SeriesView>) -> Self {
+    fn new(log: ModsFile) -> Self {
         SeriesStore {
-            memtable,
-            files,
+            memtable: MemTable::new(),
+            files: Vec::new(),
+            log,
             flushing: None,
-            pending_mods: Vec::new(),
             compacting: false,
         }
+    }
+
+    /// Whether a delete over `range` may meet something sealed or
+    /// being sealed, and so goes to the log. Whatever else it hides is
+    /// in the memtable and is removed there, now and at every replay.
+    fn sealed_overlaps(&self, range: &TimeRange) -> bool {
+        let mut sealed = self.files.iter().filter_map(SeriesView::time_range);
+        self.flushing.is_some() || sealed.any(|r| r.overlaps(range))
     }
 }
 
@@ -442,22 +431,23 @@ fn storage_dir_name(i: usize) -> String {
     format!("shard-{i:04}")
 }
 
-/// What a shard directory holds besides WAL segments and delete logs:
-/// the finished data files (in ascending number once
-/// [`settle_in_flight`] has run), files still under their in-flight
-/// name, and the first number no file has had.
+/// What a shard directory holds besides WAL segments: the finished
+/// data files (in ascending number once [`settle_in_flight`] has run),
+/// files still under their in-flight name, the first number no file
+/// has had, and the series with a delete log.
 #[derive(Debug, Default)]
 struct ShardListing {
     data: Vec<(u64, PathBuf)>,
     in_flight: Vec<(u64, PathBuf)>,
     next_fileno: u64,
+    logged: Vec<SeriesId>,
 }
 
-/// List the data files of shard directory `sdir` without touching it.
-/// A `s<id>-<fileno>.tsfile` — the retired one-file-per-series shape,
-/// whose footer has no series-run directory — is refused here, before
-/// anything in the store is written: the number-only name and the run
-/// directory are the one shape this build reads.
+/// List shard directory `sdir` without touching it. The retired shapes
+/// — `s<id>-<fileno>.tsfile`, one file per series, whose footer has no
+/// series-run directory, and `<fileno>.s<id>.mods`, one delete log per
+/// run — are refused here, before anything in the store is written:
+/// this build reads one shape of each.
 fn list_shard(sdir: &Path) -> Result<ShardListing> {
     let number = |stem: &str| -> Option<u64> {
         stem.bytes()
@@ -465,18 +455,28 @@ fn list_shard(sdir: &Path) -> Result<ShardListing> {
             .then(|| stem.parse().ok())
             .flatten()
     };
+    let series =
+        |s: &str| -> Option<u32> { u32::try_from(s.strip_prefix('s').and_then(number)?).ok() };
     let mut listing = ShardListing::default();
     for entry in std::fs::read_dir(sdir)? {
         let path = entry?.path();
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             continue;
         };
-        let no = if let Some(stem) = name.strip_suffix(".tsfile") {
-            let retired = stem
-                .strip_prefix('s')
-                .and_then(|rest| rest.split_once('-'))
-                .is_some_and(|(id, no)| number(id).is_some() && number(no).is_some());
-            if retired {
+        let no = if let Some(stem) = name.strip_suffix(".mods") {
+            let per_run = |(no, id)| number(no).is_some() && series(id).is_some();
+            if stem.split_once('.').is_some_and(per_run) {
+                return Err(TsKvError::Corrupt(format!(
+                    "{} is a per-run delete log of the retired `<fileno>.s<id>.mods` shape; \
+                     this build reads one log per series, `s<id>.mods`",
+                    path.display()
+                )));
+            }
+            listing.logged.extend(series(stem).map(SeriesId));
+            continue; // a log's name carries no file number
+        } else if let Some(stem) = name.strip_suffix(".tsfile") {
+            let per_series = |(id, no)| series(id).is_some() && number(no).is_some();
+            if stem.split_once('-').is_some_and(per_series) {
                 return Err(TsKvError::Corrupt(format!(
                     "{} is a per-series data file of the retired `s<id>-<fileno>` shape; \
                      this build reads shard files `<fileno>.tsfile` only",
@@ -595,12 +595,10 @@ fn reject_unpinned_data(dir: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Recovery input for one series: its runs in the shard's sealed files
-/// (ascending file number) and the WAL records a restart must re-apply.
-type RecoveryWork = (SeriesId, Vec<FileRun>, Vec<WalRecord>);
-
-/// One run of one sealed file.
-type FileRun = (Arc<SealedFile>, SeriesRun);
+/// Recovery input for one series: the path of its delete log, its runs
+/// in the shard's sealed files (ascending file number) and the WAL
+/// records a restart must re-apply.
+type RecoveryWork = (SeriesId, PathBuf, Vec<SeriesView>, Vec<WalRecord>);
 
 /// Whether `e` is what a crash mid-write leaves behind: a file cut short
 /// (even before its head magic) or whose footer does not verify. A
@@ -616,85 +614,62 @@ fn is_torn_write(e: &TsFileError) -> bool {
     }
 }
 
-/// Recover one series from its runs in the shard's files plus replayed
-/// WAL records. Runs with no engine lock held — recovery parallelizes
-/// these calls across series.
+/// Recover one series from its delete log, its runs in the shard's
+/// files and its replayed WAL records. Runs with no engine lock held —
+/// recovery parallelizes these calls across series.
 fn recover_series(
-    runs: &[FileRun],
-    records: &[WalRecord],
+    (_, log, runs, records): &RecoveryWork,
     alloc: &VersionAllocator,
 ) -> Result<SeriesStore> {
+    let mut store = SeriesStore::new(ModsFile::open(log)?);
+    for e in store.log.entries() {
+        alloc.observe(e.version);
+    }
     // Newest file first, so that each run meets the highest
     // `supersedes` of the files written after it. A run at or below
     // that was an input of a compaction whose output is on disk: its
     // series retired it (the file outlived that only for the other
     // series in it, or for a crash before the unlink), the deletes
-    // that applied to it were dropped with it, and reading it again
-    // would resurrect what they hid. It is retired again instead.
-    let mut files: Vec<SeriesView> = Vec::new();
+    // that applied to it may be trimmed, and reading it again would
+    // resurrect what they hid. It is retired again instead (if the
+    // unlink fails, the output still stands between it and a reader).
     let mut superseded_to = 0u64;
-    for (file, run) in runs.iter().rev() {
-        let view = SeriesView::open(file, run)?;
+    for view in runs.iter().rev().cloned() {
         for m in view.metas() {
             alloc.observe(m.version);
         }
-        alloc.observe(run.supersedes);
-        for e in view.mods.entries() {
-            alloc.observe(e.version);
-        }
+        let supersedes = view.run.supersedes.0;
+        alloc.observe(view.run.supersedes);
         if view.rank() <= superseded_to {
-            // A delete log still beside a superseded run is what a
-            // crash before the end of the compaction's phase C leaves,
-            // and it may be the only copy of a delete issued during
-            // the merge: the output was merged without it, and a flush
-            // of the series since then has covered its WAL record. The
-            // output inherits the log's entries newer than its chunks —
-            // older ones hide nothing in it, and one the merge applied
-            // hides nothing further — as phase C would have carried
-            // them, before retirement unlinks the log. The newest
-            // survivor that supersedes the run is the output (or the
-            // output of a later compaction that merged that output);
-            // it exists, or `superseded_to` would be lower.
-            let heir = files
-                .iter_mut()
-                .find(|newer| newer.run.supersedes.0 >= view.rank());
-            if let Some(heir) = heir {
-                let merged_at = heir.metas().iter().map(|m| m.version).max();
-                for e in view.mods.entries() {
-                    if Some(e.version) > merged_at {
-                        heir.attach(*e)?;
-                    }
-                }
-            }
-            view.retire(None);
+            view.retire(None).ok();
         } else {
-            files.push(view);
+            store.files.push(view);
         }
-        superseded_to = superseded_to.max(run.supersedes.0);
+        superseded_to = superseded_to.max(supersedes);
     }
     // Back to file order, which is version order — the engine's
     // invariant for `files`: a compaction takes its number when it
     // captures its inputs, before any flush that outranks it takes one.
-    files.reverse();
-    // Replay the WAL records into a fresh memtable, restoring
-    // unflushed state in operation order. Versioned deletes are
-    // re-attached to any overlapping run whose mods log missed
-    // them (crash between the WAL and mods appends).
-    let mut memtable = MemTable::new();
+    store.files.reverse();
+    // Replay the WAL records into the fresh memtable, restoring
+    // unflushed state in operation order. A delete newer than the whole
+    // log missed it (crash between the WAL append and the log append).
     for record in records {
         match record {
-            WalRecord::Insert(points) => memtable.extend(points),
+            WalRecord::Insert(points) => store.memtable.extend(points),
             WalRecord::Delete { version, range } => {
-                memtable.delete_range(*range);
+                store.memtable.delete_range(*range);
                 alloc.observe(*version);
-                let entry = ModEntry::new(*version, range.start, range.end);
-                for res in &mut files {
-                    res.attach(entry)?;
+                let unlogged = store.log.entries().iter().all(|e| e.version < *version);
+                if unlogged && store.sealed_overlaps(range) {
+                    store
+                        .log
+                        .append(ModEntry::new(*version, range.start, range.end))?;
                 }
             }
         }
     }
-    Ok(SeriesStore::assemble(memtable, files))
+    Ok(store)
 }
 
 /// Recover every series with on-disk or WAL state, fanning the
@@ -710,8 +685,8 @@ fn recover_all(
     let workers = workers.min(work.len());
     if workers <= 1 {
         let mut out = Vec::with_capacity(work.len());
-        for (id, runs, records) in work {
-            out.push((*id, recover_series(runs, records, alloc)?));
+        for w in work {
+            out.push((w.0, recover_series(w, alloc)?));
         }
         return Ok(out);
     }
@@ -722,10 +697,10 @@ fn recover_all(
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some((_, runs, records)) = work.get(i) else {
+                let Some(w) = work.get(i) else {
                     break;
                 };
-                let res = recover_series(runs, records, alloc);
+                let res = recover_series(w, alloc);
                 if let Some(slot) = slots.get(i) {
                     *slot.lock() = Some(res);
                 }
@@ -733,14 +708,14 @@ fn recover_all(
         }
     });
     let mut out = Vec::with_capacity(work.len());
-    for ((id, runs, records), slot) in work.iter().zip(slots) {
+    for (w, slot) in work.iter().zip(slots) {
         match slot.into_inner() {
-            Some(Ok(store)) => out.push((*id, store)),
+            Some(Ok(store)) => out.push((w.0, store)),
             Some(Err(e)) => return Err(e),
             // A worker can only leave a slot empty by panicking, which
             // the workspace forbids; recover the series inline rather
             // than guessing.
-            None => out.push((*id, recover_series(runs, records, alloc)?)),
+            None => out.push((w.0, recover_series(w, alloc)?)),
         }
     }
     Ok(out)
@@ -772,22 +747,25 @@ impl EngineInner {
 
         // Open each shard's sealed files and hand every series its runs
         // (the series id comes from the file's run directory), then
-        // replay the shard's WAL. Cold series (registered, no data, no
-        // WAL records) never appear here and cost nothing.
+        // replay the shard's WAL. A series with only a delete log is
+        // recovered for the log's versions. Cold series (registered,
+        // nothing on disk) never appear here and cost nothing.
         let mut storage: Vec<StorageShard> = Vec::with_capacity(n_storage);
-        let mut work: HashMap<SeriesId, (Vec<FileRun>, Vec<WalRecord>)> = HashMap::new();
+        let mut work: HashMap<SeriesId, (Vec<SeriesView>, Vec<WalRecord>)> = HashMap::new();
         for (sdir, mut listing) in listings {
             settle_in_flight(&mut listing)?;
             for (_, path) in &listing.data {
-                let file = SealedFile::open(path)?;
-                for run in file.reader.series_runs() {
-                    let runs = &mut work.entry(SeriesId(run.series)).or_default().0;
-                    runs.push((Arc::clone(&file), run.clone()));
+                for view in SealedFile::open(path)?.views() {
+                    let runs = &mut work.entry(SeriesId(view.run.series)).or_default().0;
+                    runs.push(view);
                 }
             }
             let (wal, records) = ShardWal::open(&sdir, WAL_BATCH_BYTES, WAL_SEGMENT_BYTES)?;
             for (id, recs) in records {
                 work.entry(id).or_default().1.extend(recs);
+            }
+            for id in listing.logged {
+                work.entry(id).or_default();
             }
             storage.push(StorageShard {
                 dir: sdir,
@@ -808,7 +786,10 @@ impl EngineInner {
 
         let mut work: Vec<RecoveryWork> = work
             .into_iter()
-            .map(|(id, (runs, recs))| (id, runs, recs))
+            .map(|(id, (runs, recs))| {
+                let sdir = dir.join(storage_dir_name(id.index() % n_storage));
+                (id, delete_log_path(&sdir, id), runs, recs)
+            })
             .collect();
         work.sort_by_key(|(id, ..)| *id);
         let recovered = recover_all(&work, config.write_shards, &alloc)?;
@@ -903,7 +884,8 @@ impl EngineInner {
     ) -> &'a mut SeriesStore {
         map.entry(id).or_insert_with(|| {
             self.io.record_store_instantiated();
-            SeriesStore::new()
+            // No log on disk: the open instantiates every series with one.
+            SeriesStore::new(ModsFile::new(delete_log_path(&self.storage(id).dir, id)))
         })
     }
 
@@ -1080,13 +1062,14 @@ impl EngineInner {
     ///
     /// Per group: phase A claims each member under its own stripe lock,
     /// one lock at a time ([`claim_member`]); phase B writes the file
-    /// with no lock held ([`write_group`]); phase C installs a view of
-    /// it in every member ([`install_group`]) — or, on failure, puts
-    /// every member's points back ([`abort_group`]).
+    /// with no lock held ([`write_group`]); phase C ([`finish_group`])
+    /// installs a view of it in every member ([`install_member`]) — or,
+    /// on failure, puts every member's points back ([`abort_group`]).
     ///
     /// [`claim_member`]: EngineInner::claim_member
     /// [`write_group`]: EngineInner::write_group
-    /// [`install_group`]: EngineInner::install_group
+    /// [`finish_group`]: EngineInner::finish_group
+    /// [`install_member`]: EngineInner::install_member
     /// [`abort_group`]: EngineInner::abort_group
     fn flush_group(&self, ids: &[SeriesId], wait: bool) -> Result<()> {
         let mut by_shard: Vec<Vec<SeriesId>> = vec![Vec::new(); self.storage.len()];
@@ -1189,8 +1172,8 @@ impl EngineInner {
     }
 
     /// Flush phase B (no lock held): make the group durable as one
-    /// sealed file and open every member's view of it. The statement
-    /// order below *is* the durability order of a flush:
+    /// sealed file and hand back every member's view of it. The
+    /// statement order below *is* the durability order of a flush:
     ///
     /// 1. the catalog, so that no durable id-tagged byte — WAL record
     ///    or data-file run — can outlive the binding of its id;
@@ -1223,18 +1206,7 @@ impl EngineInner {
             }
             Ok(())
         })?;
-        let views: Result<Vec<SeriesView>> = file
-            .reader
-            .series_runs()
-            .iter()
-            .map(|run| SeriesView::open(&file, run))
-            .collect();
-        if views.is_err() {
-            // Nothing reads the file yet and its points are about to go
-            // back to their memtables.
-            std::fs::remove_file(&path).ok();
-        }
-        views
+        Ok(file.views().collect())
     }
 
     /// Flush phase C: with the group's file durable, end every member's
@@ -1277,15 +1249,10 @@ impl EngineInner {
 
     /// Flush phase C for one member (locked): release the in-flight
     /// slot and install the member's view of the sealed file.
-    fn install_member(&self, id: SeriesId, mut view: SeriesView) -> Result<()> {
+    fn install_member(&self, id: SeriesId, view: SeriesView) -> Result<()> {
         let mut map = self.stripe(id).series.write();
         let store = map.get_mut(&id).ok_or_else(|| self.not_found(id))?;
         store.flushing = None;
-        // Deletes issued while sealing ran only reached the old
-        // files; attach them to the new one too.
-        for e in std::mem::take(&mut store.pending_mods) {
-            view.attach(e)?;
-        }
         store.files.push(view);
         Ok(())
     }
@@ -1295,18 +1262,20 @@ impl EngineInner {
     /// points back. They stay buffered, and covered by the log, whose
     /// begin marker is never matched. Writes and deletes that landed
     /// mid-flush are newer and must win — hence the absent-only
-    /// reinsert and the tombstone filter.
+    /// reinsert and the tombstone filter (the log's entries above the
+    /// flush's reserved versions).
     fn abort_group(&self, members: &[FlushMember]) {
         for member in members {
             let mut map = self.stripe(member.id).series.write();
             let Some(store) = map.get_mut(&member.id) else {
                 continue;
             };
-            store.flushing = None;
-            let pending = std::mem::take(&mut store.pending_mods);
+            let reserved = store.flushing.take().map(|f| f.last_version);
             self.storage(member.id).wal.abort_flush(member.id);
+            let logged = store.log.entries();
+            let newer = &logged[logged.partition_point(|m| Some(m.version) <= reserved)..];
             for p in member.points.iter() {
-                if !pending.iter().any(|m| m.covers(p.t)) {
+                if !newer.iter().any(|m| m.covers(p.t)) {
                     store.memtable.insert_if_absent(*p);
                 }
             }
@@ -1315,7 +1284,7 @@ impl EngineInner {
 
     /// Delete all points of `id` in `[start, end]` (inclusive), as an
     /// append-only versioned tombstone. Memtable points are removed
-    /// eagerly; sealed chunks are filtered at read time.
+    /// eagerly; sealed chunks are filtered at read time (one log entry).
     fn delete(&self, id: SeriesId, start: Timestamp, end: Timestamp) -> Result<()> {
         if start > end {
             return Err(TsKvError::InvalidDeleteRange { start, end });
@@ -1335,14 +1304,11 @@ impl EngineInner {
             self.storage(id).wal.append_delete(id, version, range)?;
             self.commit_wal_with(self.storage(id), sync_deletes)?;
             store.memtable.delete_range(range);
-            let entry = ModEntry::new(version, start, end);
-            if store.flushing.is_some() {
-                // The in-flight file is not in `files` yet; park the
-                // entry so install_member can attach it.
-                store.pending_mods.push(entry);
-            }
-            for res in &mut store.files {
-                res.attach(entry)?;
+            if store.sealed_overlaps(&range) {
+                // The log's name is id-tagged like a WAL record: the
+                // catalog first (synced already, bar policy `Never`).
+                self.catalog.sync_if_dirty()?;
+                store.log.append(ModEntry::new(version, start, end))?;
             }
         }
         if self.changes.active() {
@@ -1362,8 +1328,7 @@ impl EngineInner {
     /// without instantiating anything.
     fn snapshot(&self, id: SeriesId) -> Result<SeriesSnapshot> {
         self.known(id)?;
-        let (mut files, mut chunks) = (Vec::new(), Vec::new());
-        let mut deletes: Vec<ModEntry> = Vec::new();
+        let (mut files, mut chunks, mut deletes) = (Vec::new(), Vec::new(), Vec::new());
         let map = self.stripe(id).series.read();
         if let Some(store) = map.get(&id) {
             // Sealed metadata is the open file's, shared by count: the
@@ -1373,15 +1338,7 @@ impl EngineInner {
                 chunks.extend(metas.map(|m| ChunkHandle::from_file(files.len(), Arc::clone(m))));
                 files.push(Arc::clone(&res.file.reader));
             }
-            // One delete op lands in several files' mods, and one issued
-            // mid-flush may not have reached any file yet; versions are
-            // globally unique, so dedup by version.
-            let logged = store.files.iter().flat_map(|res| res.mods.entries());
-            for e in logged.chain(&store.pending_mods) {
-                if !deletes.iter().any(|d| d.version == e.version) {
-                    deletes.push(*e);
-                }
-            }
+            deletes = store.log.entries().to_vec();
             // Points being sealed by an in-flight flush: visible as a mem
             // chunk carrying the last version reserved for that flush, so
             // later deletes (higher version) apply to it and the live
@@ -1400,7 +1357,6 @@ impl EngineInner {
         }
         drop(map);
         chunks.sort_by_key(|c| c.version);
-        deletes.sort_by_key(|d| d.version);
         Ok(SeriesSnapshot::new(
             files,
             chunks,
@@ -1413,10 +1369,11 @@ impl EngineInner {
 
     /// Fully compact one series: merge every sealed run it has (copying
     /// clean pages byte-for-byte, re-encoding dirty ones), write the
-    /// result as a single fresh one-run TsFile, and retire the old runs
-    /// — a file goes with its last live run. The memtable and WAL are
-    /// untouched. Returns an empty report if a compaction is already
-    /// running for the series. See [`crate::compaction`].
+    /// result as a single fresh one-run TsFile, retire the old runs — a
+    /// file goes with its last live run — and trim the delete log. The
+    /// memtable and WAL are untouched. Returns an empty report if a
+    /// compaction is already running for the series. See
+    /// [`crate::compaction`].
     pub(crate) fn compact(&self, id: SeriesId) -> Result<CompactionReport> {
         self.compact_run(id, 1)
     }
@@ -1428,7 +1385,7 @@ impl EngineInner {
     pub(crate) fn compact_run(&self, id: SeriesId, min_files: usize) -> Result<CompactionReport> {
         self.known(id)?;
         // Phase A (locked): capture the input's metadata (chunk metas,
-        // mods entries, and Arc'd readers only — no chunk bodies).
+        // log entries, and Arc'd readers only — no chunk bodies).
         // `min_files` is checked under the same guard that sets
         // `compacting`, so a scheduler tick that lost a race to a
         // manual compact declines instead of rewriting a single file.
@@ -1451,20 +1408,8 @@ impl EngineInner {
                 // nothing to merge.
                 return Ok(CompactionReport::default());
             }
-            let mut inputs = Vec::with_capacity(store.files.len());
-            let mut deletes: Vec<ModEntry> = Vec::new();
-            for res in &store.files {
-                for e in res.mods.entries() {
-                    // A delete that touches input data is attached to
-                    // the input run it overlaps, so the inputs' own
-                    // mods are a complete capture (dedup by version —
-                    // one delete lands in several runs' logs).
-                    if !deletes.iter().any(|d| d.version == e.version) {
-                        deletes.push(*e);
-                    }
-                }
-                inputs.push((Arc::clone(&res.file.reader), res.run.clone()));
-            }
+            let inputs = store.files.clone();
+            let deletes = store.log.entries().to_vec();
             store.compacting = true;
             // Every output chunk carries the maximum input version.
             // The inputs are a prefix of the version-ordered file
@@ -1491,10 +1436,11 @@ impl EngineInner {
                     .any(|v| v.shares_file() || v.run.supersedes.0 > 0),
             };
             // Deletes issued after this point get versions above the
-            // ceiling; phase C uses it to find the ones the merge
-            // missed. (`out_version` can be older than a pre-capture
-            // delete that postdates the last flush — the ceiling is the
-            // only version that cleanly splits "seen" from "missed".)
+            // ceiling; phase E trims the log there, keeping the ones
+            // the merge missed. (`out_version` can be older than a
+            // pre-capture delete that postdates the last flush — the
+            // ceiling is the only version that cleanly splits "seen"
+            // from "missed".)
             let capture_ceiling = self.alloc.current();
             // The output takes its file number here, before any flush
             // that will outrank it takes one: file order stays version
@@ -1508,12 +1454,7 @@ impl EngineInner {
         // the reader its body is behind.
         let chunks: Vec<(&TsFileReader, &ChunkMeta)> = inputs
             .iter()
-            .flat_map(|(reader, run)| {
-                reader
-                    .run_chunks(run)
-                    .iter()
-                    .map(move |m| (&**reader, &**m))
-            })
+            .flat_map(|v| v.metas().iter().map(move |m| (&*v.file.reader, &**m)))
             .collect();
         let deletes_applied = deletes.len();
 
@@ -1540,13 +1481,13 @@ impl EngineInner {
             .and_then(|o| {
                 let sealed = if o.points_written > 0 || header.always {
                     let file = publish_file(&tmp, &path)?;
-                    let run = file.reader.series_runs().first().ok_or_else(|| {
+                    let view = file.views().next().ok_or_else(|| {
                         TsKvError::Corrupt(format!(
                             "{}: compaction output has no run",
                             path.display()
                         ))
                     })?;
-                    Some(SeriesView::open(&file, run)?)
+                    Some(view)
                 } else {
                     None
                 };
@@ -1558,34 +1499,16 @@ impl EngineInner {
         }
 
         // Phase C (locked): swap the new generation in for the captured
-        // runs, carry forward mods that arrived during the merge,
-        // collect the retired views. Only appends happened while
-        // `compacting` was set (flush installs push at the tail), so
-        // the first `captured` entries are still the inputs and
+        // runs and collect the retired views. Only appends happened
+        // while `compacting` was set (flush installs push at the tail),
+        // so the first `captured` entries are still the inputs and
         // replacing them in place keeps the file list version-ordered.
         let (retired, outcome) = {
             let mut map = self.stripe(id).series.write();
             let store = map.get_mut(&id).ok_or_else(|| self.not_found(id))?;
-            store.compacting = false;
+            store.compacting = outcome.is_ok(); // held for the trim below
             let (outcome, sealed) = outcome?;
-            let tail = store.files.split_off(captured);
-            let retired = std::mem::take(&mut store.files);
-            if let Some(mut res) = sealed {
-                // Deletes issued during the merge postdate the capture
-                // ceiling and live only in the input runs' mods. Their
-                // versions exceed the ceiling ≥ every output chunk
-                // version, so they keep applying to the new file at
-                // read time. (A crash before this is done leaves the
-                // logs beside the inputs; `recover_series` carries them
-                // then.)
-                for e in retired.iter().flat_map(|input| input.mods.entries()) {
-                    if e.version > capture_ceiling {
-                        res.attach(*e)?;
-                    }
-                }
-                store.files.push(res);
-            }
-            store.files.extend(tail);
+            let retired: Vec<SeriesView> = store.files.splice(..captured, sealed).collect();
             (retired, outcome)
         };
         self.io.record_compaction_io(
@@ -1596,9 +1519,9 @@ impl EngineInner {
         );
 
         // Phase D (unlocked): retire the old generation — each run's
-        // cache entries and delete log, and each file whose last live
-        // run this was. The new file was in place before this (a crash
-        // in between leaves both generations on disk, and the output's
+        // cache entries, and each file whose last live run this was.
+        // The new file was in place before this (a crash in
+        // between leaves both generations on disk, and the output's
         // `supersedes` tells the reopen which one to read), and
         // snapshots still holding the old readers keep working — POSIX
         // unlink semantics. Such a straggler snapshot may re-populate a
@@ -1606,8 +1529,32 @@ impl EngineInner {
         // benign (handle ids are never reused, so the entries can only
         // ever serve that same straggler) and the LRU ages them out.
         let files_removed = retired.len();
+        let mut unlinked = true;
         for view in retired {
-            view.retire(self.cache.as_deref());
+            unlinked &= view.retire(self.cache.as_deref()).is_ok();
+        }
+
+        // Phase E (locked, as appends are): trim the log to its entries
+        // above the ceiling — the ones issued during the merge, which
+        // outrank every output chunk. Data before log: the inputs the
+        // dropped entries applied to can no longer be read — the output
+        // has its name and supersedes them, or, with no output, they
+        // are unlinked (if that failed, the log stays whole). A crash
+        // before the trim leaves a superset, which is harmless: a
+        // delete at or below the ceiling re-applied to the output
+        // erases nothing, because every lower-versioned point it covers
+        // was merged away, and what was sealed since outranks it. So a
+        // failing trim is not a failed compaction: it is left to the
+        // next one. `compacting` stays set up to here, or a later merge
+        // could trim, at its higher ceiling, deletes whose inputs this
+        // one has not unlinked yet.
+        {
+            let mut map = self.stripe(id).series.write();
+            let store = map.get_mut(&id).ok_or_else(|| self.not_found(id))?;
+            if unlinked {
+                store.log.trim_through(capture_ceiling).ok();
+            }
+            store.compacting = false;
         }
         Ok(CompactionReport {
             files_removed,
@@ -1679,16 +1626,17 @@ impl TsKv {
     /// view of it — and its shared WAL is replayed, and only series with
     /// actual state get an in-memory store — a million registered but
     /// cold series recover in catalog-replay time and occupy no file
-    /// handles. The per-series work (delete logs, WAL replay) fans out
-    /// across up to `write_shards` threads, one series at a time per
-    /// thread.
+    /// handles. The per-series work (the delete log, WAL replay) fans
+    /// out across up to `write_shards` threads, one series at a time
+    /// per thread.
     ///
     /// A directory with no `SHARDS` file but with series- or
     /// shard-named sub-directories holding `series.wal` or `*.tsfile`
     /// (the retired pre-sharding layout, or a store that lost its
     /// `SHARDS` file) is refused with [`TsKvError::Corrupt`] before
     /// anything is written to it, and so is a store holding a data file
-    /// of the retired `s<id>-<fileno>.tsfile` shape.
+    /// of the retired `s<id>-<fileno>.tsfile` shape or a per-run delete
+    /// log `<fileno>.s<id>.mods`.
     ///
     /// A crash mid-flush or mid-compaction leaves the file it was
     /// writing under its in-flight name `<fileno>.tsfile.tmp`. Cut
@@ -1790,8 +1738,8 @@ impl TsKv {
 
     /// Apply a multi-series [`WriteBatch`]: one stripe-lock
     /// acquisition per stripe touched, one WAL group-commit syscall
-    /// per series, fsync per the configured [`FsyncPolicy`]. Returns
-    /// the number of points written.
+    /// per storage shard the stripe's entries touched, fsync per the
+    /// configured [`FsyncPolicy`]. Returns the number of points written.
     pub fn write_batch(&self, batch: &WriteBatch) -> Result<usize> {
         self.inner.write_batch(batch)
     }
@@ -1840,7 +1788,7 @@ impl TsKv {
     /// Fully compact one series: merge every sealed file (applying
     /// deletes and overwrites; clean pages are copied byte-for-byte,
     /// only dirty pages re-encode), write the result as a single fresh
-    /// TsFile, and unlink the old files and their mods logs. The
+    /// TsFile, unlink the old files and trim the delete log. The
     /// memtable and WAL are untouched. Returns an empty report if a
     /// compaction is already running for the series.
     /// See [`crate::compaction`].
@@ -2365,25 +2313,19 @@ mod tests {
             kv.flush_all()?;
             kv.delete("s", 10, 20)?;
         }
-        // Simulate a crash between the WAL append and the mods append:
-        // drop every mods file; the delete now lives only in the WAL.
-        for entry in std::fs::read_dir(&dir)? {
-            let entry = entry?;
-            if !entry.file_type()?.is_dir() {
-                continue;
-            }
-            for f in std::fs::read_dir(entry.path())? {
-                let p = f?.path();
-                if p.extension().and_then(|e| e.to_str()) == Some("mods") {
-                    std::fs::remove_file(&p)?;
-                }
-            }
-        }
-        let kv = TsKv::open(&dir, config)?;
+        // Simulate a crash between the WAL append and the log append:
+        // drop the delete log ("s" is id 0, in storage shard 0); the
+        // delete now lives only in the WAL.
+        std::fs::remove_file(delete_log_path(&dir.join(storage_dir_name(0)), SeriesId(0)))?;
+        let kv = TsKv::open(&dir, config.clone())?;
         let snap = kv.snapshot("s")?;
         assert_eq!(snap.deletes().len(), 1, "WAL delete must be re-attached");
         let merged = MergeReader::new(&snap).collect_merged()?;
         assert_eq!(merged.len(), 89);
+        // Once: the next open finds it logged.
+        drop(kv);
+        let kv = TsKv::open(&dir, config)?;
+        assert_eq!(kv.snapshot("s")?.deletes(), snap.deletes());
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
@@ -2458,8 +2400,8 @@ mod tests {
         kv.create_series("s")?;
         kv.delete("s", 0, 100)?;
         let snap = kv.snapshot("s")?;
-        // No files → nothing to attach the tombstone to; the op is a
-        // no-op beyond consuming a version.
+        // Nothing sealed → nothing for a logged tombstone to hide; the
+        // op is a no-op beyond consuming a version.
         assert!(snap.deletes().is_empty());
         kv.insert("s", Point::new(50, 1.0))?;
         kv.flush_all()?;

@@ -1,8 +1,9 @@
 //! The shapes a file shared by several series adds to the engine, each
 //! checked against a model of the acknowledged points: crash images
 //! around a group flush, one member compacted away from under the
-//! others, the last member taking the file with it, and operations
-//! racing the group's unlocked phase.
+//! others, the last member taking the file with it, operations racing
+//! the group's unlocked phase — and the one delete log a series has
+//! beside however many files.
 //!
 //! Crash images are directory copies taken between the flush phases,
 //! which is why these tests live inside the crate and drive
@@ -105,6 +106,12 @@ fn shard_listing(dir: &Path) -> std::io::Result<Vec<String>> {
     Ok(names)
 }
 
+/// The delete log of the first series created (id 0) in the store at
+/// `dir`.
+fn first_log(dir: &Path) -> PathBuf {
+    delete_log_path(&dir.join(storage_dir_name(0)), SeriesId(0))
+}
+
 fn ids(kv: &TsKv, names: &[&str]) -> Vec<SeriesId> {
     names.iter().filter_map(|n| kv.series_id(n)).collect()
 }
@@ -164,7 +171,7 @@ fn flush_all_seals_one_file_per_shard_not_one_per_series() -> TestResult {
                 let name = file?.file_name();
                 assert!(
                     !name.to_string_lossy().ends_with(".mods"),
-                    "no delete log until a delete touches a run"
+                    "no delete log until a delete is logged"
                 );
                 sealed += usize::from(name.to_string_lossy().ends_with(".tsfile"));
             }
@@ -322,26 +329,26 @@ fn crash_between_two_members_end_markers_reopens_to_the_model() -> TestResult {
 #[test]
 fn members_leave_a_shared_file_one_by_one_and_the_last_takes_it() -> TestResult {
     let (dir, kv, mut model) = shared_file("leave")?;
-    // A delete before the compaction lands in a's own log of the file.
+    // A delete before the compaction lands in a's own log.
     model.delete(&kv, "a", 10, 20)?;
     model.delete(&kv, "b", 0, 5)?;
     let a = kv.series_id("a").ok_or("a")?;
     let b = kv.series_id("b").ok_or("b")?;
-    assert!(shard_listing(&dir)?.contains(&format!("00000000.s{}.mods", a.0)));
+    assert!(shard_listing(&dir)?.contains(&format!("s{}.mods", a.0)));
     model.write(&kv, "a", &ramp(200..250, 1.5))?;
     kv.flush("a")?; // 00000001: a alone
     let report = kv.compact("a")?; // 00000002 replaces a's two runs
     assert_eq!(report.files_removed, 2);
     assert_eq!(report.deletes_applied, 1);
     model.check(&kv)?;
-    // The shared file stays for b and c; a's log of it and a's own
-    // file are gone.
+    // The shared file stays for b and c; a's log, trimmed of its one
+    // applied entry, and a's own file are gone.
     assert_eq!(
         shard_listing(&dir)?,
         [
-            "00000000.s1.mods".to_string(),
             "00000000.tsfile".to_string(),
             "00000002.tsfile".to_string(),
+            "s1.mods".to_string(),
             "wal-00000000.log".to_string(),
         ]
     );
@@ -371,8 +378,10 @@ fn members_leave_a_shared_file_one_by_one_and_the_last_takes_it() -> TestResult 
     assert_eq!(kv.snapshot("b")?.deletes().len(), 1);
     assert!(shard_listing(&dir)?.contains(&"00000000.tsfile".to_string()));
 
-    // (d) b leaves, then c — the last: the file and every log beside it
-    // go, and nothing named after it is left.
+    // (d) b leaves, then c — the last: the file goes, and so do their
+    // logs, every entry applied. (a's is back: the reopen replayed its
+    // second delete from the WAL, over an output that does not say the
+    // delete was merged into it. Harmless, and trimmed like any other.)
     kv.compact("b")?;
     assert!(shard_listing(&dir)?.contains(&"00000000.tsfile".to_string()));
     model.delete(&kv, "c", 60, 70)?;
@@ -380,7 +389,9 @@ fn members_leave_a_shared_file_one_by_one_and_the_last_takes_it() -> TestResult 
     model.check(&kv)?;
     let listing = shard_listing(&dir)?;
     assert!(
-        !listing.iter().any(|n| n.starts_with("00000000.")),
+        !listing
+            .iter()
+            .any(|n| n.starts_with("00000000.") || n == "s1.mods" || n == "s2.mods"),
         "{listing:?}"
     );
     // Every data file left is read by someone.
@@ -417,31 +428,35 @@ fn reopen_after_a_crash_mid_retirement_reads_only_the_output() -> TestResult {
     assert_eq!(kv.sealed_file_count("a")?, 1);
     assert_eq!(
         shard_listing(&before)?,
-        ["00000000.tsfile", "00000002.tsfile", "wal-00000000.log"],
-        "a's own input file and a's log of the shared one are retired again"
+        [
+            "00000000.tsfile",
+            "00000002.tsfile",
+            "s0.mods",
+            "wal-00000000.log"
+        ],
+        "a's own input file is retired again; a's log, never trimmed, stays"
     );
     cleanup(&dir);
     Ok(())
 }
 
-/// A delete issued while a compaction merges reaches only the input
-/// runs' logs and the WAL, and a flush of the series that ends before
-/// the compaction's phase C covers its WAL record. A crash once the
-/// output has its name, before phase C carries the delete onto it,
-/// leaves the inputs' logs as the delete's only copy: the reopen hands
-/// them to the output before it retires the inputs.
+/// A delete issued while a compaction merges goes where every delete
+/// goes — the series' log, above the merge's ceiling — and a flush of
+/// the series that ends before the compaction does covers its WAL
+/// record. A crash once the output has its name, before the inputs are
+/// retired and the log trimmed, leaves the log as the delete's only
+/// copy: the reopen reads it with the output, whatever the merge saw.
 #[test]
-fn delete_during_a_merge_survives_a_crash_before_it_is_carried() -> TestResult {
+fn delete_during_a_merge_is_in_the_log_whenever_the_merge_ends() -> TestResult {
     let (dir, kv, mut model) = shared_file("midmerge")?;
     model.write(&kv, "a", &ramp(200..250, 1.5))?;
-    kv.flush("a")?; // 00000001
-    let a = kv.series_id("a").ok_or("a")?;
-    // The store as the compaction captures it…
+    kv.flush("a")?;
+    // 00000001 is sealed: the store as the compaction captures it…
     let image = crash_image(&dir)?;
     kv.compact("a")?; // 00000002: merged without the delete below
     drop(kv);
     // …and what the merge does not see: a delete over points it keeps,
-    // a write, and a flush whose end marker covers both in the log.
+    // a write, and a flush whose end marker covers both in the WAL.
     let racing = TsKv::open(&image, config())?;
     model.delete(&racing, "a", 30, 210)?;
     model.write(&racing, "a", &ramp(300..310, 2.5))?;
@@ -450,7 +465,7 @@ fn delete_during_a_merge_survives_a_crash_before_it_is_carried() -> TestResult {
     drop(racing);
     // The compaction took 00000002 when it captured, so that flush
     // sealed 00000003; then the output got its name, and the process
-    // died before phase C.
+    // died before the inputs were retired.
     let sdir = storage_dir_name(0);
     std::fs::rename(
         image.join(&sdir).join("00000002.tsfile"),
@@ -460,29 +475,27 @@ fn delete_during_a_merge_survives_a_crash_before_it_is_carried() -> TestResult {
         dir.join(&sdir).join("00000002.tsfile"),
         image.join(&sdir).join("00000002.tsfile"),
     )?;
-    let listing = shard_listing(&image)?;
-    for input in ["00000000", "00000001"] {
-        assert!(listing.contains(&format!("{input}.s{}.mods", a.0)));
-    }
-    assert!(!listing.contains(&format!("00000002.s{}.mods", a.0)));
-
     let kv = TsKv::open(&image, config())?;
     model.check(&kv)?;
     assert_eq!(kv.sealed_file_count("a")?, 2);
     assert_eq!(
         shard_listing(&image)?,
         [
-            "00000000.tsfile".to_string(),
-            format!("00000002.s{}.mods", a.0),
-            "00000002.tsfile".to_string(),
-            "00000003.tsfile".to_string(),
-            "wal-00000000.log".to_string(),
+            "00000000.tsfile",
+            "00000002.tsfile",
+            "00000003.tsfile",
+            "s0.mods",
+            "wal-00000000.log"
         ],
-        "the output inherited the inputs' logs before they were unlinked"
+        "a's own input is retired; the log was never beside it"
     );
     drop(kv);
     let kv = TsKv::open(&image, config())?;
     model.check(&kv)?;
+    // The next merge applies the delete and trims it.
+    assert_eq!(kv.compact("a")?.deletes_applied, 1);
+    model.check(&kv)?;
+    assert!(!shard_listing(&image)?.contains(&"s0.mods".to_string()));
     cleanup(&dir);
     Ok(())
 }
@@ -528,9 +541,24 @@ fn fully_deleted_unshared_file_compacts_to_nothing() -> TestResult {
     model.write(&kv, "a", &ramp(0..100, 1.0))?;
     kv.flush("a")?;
     model.delete(&kv, "a", 0, 1_000)?;
+    let untrimmed = std::fs::read(first_log(&dir))?;
     kv.compact("a")?;
     assert_eq!(shard_listing(&dir)?, ["wal-00000000.log"]);
     model.check(&kv)?;
+    drop(kv);
+    // A crash after the input's unlink and before the trim — and, to
+    // leave a log and nothing else, one that lost the delete's WAL
+    // record (`FsyncPolicy::Never` syncs the log only). The entry hides
+    // nothing, but its version counts: what is sealed next outranks it.
+    let image = crash_image(&dir)?;
+    std::fs::write(first_log(&image), untrimmed)?;
+    std::fs::write(first_log(&image).with_file_name("wal-00000000.log"), b"")?;
+    let kv = TsKv::open(&image, config())?;
+    assert_eq!(kv.snapshot("a")?.deletes().len(), 1);
+    model.write(&kv, "a", &ramp(0..10, 2.0))?;
+    kv.flush("a")?;
+    drop(kv);
+    model.check(&TsKv::open(&image, config())?)?;
     cleanup(&dir);
     Ok(())
 }
@@ -586,8 +614,8 @@ fn write_and_delete_racing_a_group_flush_land_after_it() -> TestResult {
     let sealed = kv.inner.write_group(shard, &members);
     kv.inner.finish_group(shard, &members, sealed)?;
     model.check(&kv)?;
-    // The racing write stayed in the memtable; the racing deletes are
-    // attached to the file that did not exist when they were issued.
+    // The racing write stayed in the memtable; the racing deletes were
+    // logged against the file that did not exist when they were issued.
     assert_eq!(kv.unflushed_points("a")?, 2);
     assert_eq!(kv.snapshot("a")?.deletes().len(), 1);
     assert_eq!(kv.snapshot("b")?.deletes().len(), 1);
@@ -665,24 +693,102 @@ fn group_is_capped_by_points_held_and_the_rest_follow_in_order() -> TestResult {
     Ok(())
 }
 
-#[test]
-fn retired_per_series_file_shape_is_refused_untouched() -> TestResult {
-    let (dir, kv, _) = shared_file("oldshape")?;
+/// `file`, named the way a retired layout named it, in a pinned store:
+/// the open fails on the name — the contents are never parsed — and
+/// leaves the store as it was, `SHARDS` included.
+fn refused_untouched(name: &str, file: &str, names: &str) -> TestResult {
+    let (dir, kv, _) = shared_file(name)?;
     drop(kv);
-    // A data file named the way the one-file-per-series layout named
-    // them, in a pinned store. Never parsed.
-    let old = dir.join(storage_dir_name(0)).join("s3-00000002.tsfile");
-    std::fs::write(&old, b"TSF2\0\0 whatever the retired shape held")?;
+    let old = dir.join(storage_dir_name(0)).join(file);
+    let held = b"TSF2\0\0 whatever the retired shape held";
+    std::fs::write(&old, held)?;
     let before = shard_listing(&dir)?;
+    let pinned = std::fs::metadata(dir.join(SHARDS_META))?.modified()?;
     match TsKv::open(&dir, config()) {
-        Err(TsKvError::Corrupt(msg)) => assert!(msg.contains("s<id>-<fileno>"), "{msg}"),
+        Err(TsKvError::Corrupt(msg)) => assert!(msg.contains(names), "{msg}"),
         other => return Err(format!("opened as {other:?}").into()),
     }
     assert_eq!(shard_listing(&dir)?, before);
-    assert_eq!(
-        std::fs::read(&old)?,
-        b"TSF2\0\0 whatever the retired shape held"
-    );
+    assert_eq!(std::fs::read(&old)?, held);
+    let repinned = std::fs::metadata(dir.join(SHARDS_META))?.modified()?;
+    assert_eq!(repinned, pinned);
+    cleanup(&dir);
+    Ok(())
+}
+
+#[test]
+fn retired_per_series_file_shape_is_refused_untouched() -> TestResult {
+    refused_untouched("oldshape", "s3-00000002.tsfile", "s<id>-<fileno>")
+}
+
+#[test]
+fn per_run_delete_logs_of_the_retired_shape_are_refused_untouched() -> TestResult {
+    refused_untouched("oldlogs", "00000000.s1.mods", "<fileno>.s<id>.mods")
+}
+
+/// 64 overlapping runs and one delete over all of them: one log, one
+/// entry, one WAL sync.
+#[test]
+fn a_delete_is_logged_once_whatever_it_overlaps() -> TestResult {
+    let (dir, kv) = fresh("once")?;
+    let mut model = Model::default();
+    for run in 0..64i64 {
+        model.write(&kv, "a", &ramp(run..run + 100, run as f64))?;
+        kv.flush("a")?;
+    }
+    assert_eq!(kv.sealed_file_count("a")?, 64);
+    let before = kv.io().snapshot();
+    model.delete(&kv, "a", 60, 110)?;
+    assert_eq!((kv.io().snapshot() - before).wal_syncs, 1);
+    let mut listing = shard_listing(&dir)?;
+    listing.retain(|n| n.ends_with(".mods"));
+    assert_eq!(listing, ["s0.mods"]);
+    let logged = ModsFile::open(first_log(&dir))?;
+    assert_eq!(logged.entries().len(), 1);
+    assert_eq!(kv.snapshot("a")?.deletes(), logged.entries());
+    model.check(&kv)?;
+    cleanup(&dir);
+    Ok(())
+}
+
+/// The trim is the one step of a compaction that may fail and leave
+/// the compaction done: a directory squatting on the rewrite's
+/// in-flight name makes it fail.
+#[test]
+fn a_failing_log_trim_leaves_the_series_as_it_was() -> TestResult {
+    let (dir, kv) = fresh("trimfail")?;
+    let mut model = Model::default();
+    model.write(&kv, "a", &ramp(0..100, 1.0))?;
+    kv.flush("a")?;
+    model.write(&kv, "a", &ramp(50..150, 2.0))?;
+    kv.flush("a")?;
+    model.delete(&kv, "a", 10, 60)?;
+    // Only a trim that keeps an entry rewrites, and the entry it keeps
+    // is a delete issued while the merge ran. Standing in for one: an
+    // entry above any ceiling, over a range nothing is written to.
+    let during = ModEntry::new(Version(1 << 40), 5_000, 6_000);
+    {
+        let mut map = kv.inner.stripe(SeriesId(0)).series.write();
+        let store = map.get_mut(&SeriesId(0)).ok_or("no store")?;
+        store.log.append(during)?;
+    }
+    let log = first_log(&dir);
+    let untrimmed = std::fs::read(&log)?;
+    std::fs::create_dir(with_suffix(&log, ".tmp"))?;
+    let report = kv.compact("a")?;
+    assert_eq!((report.files_removed, report.deletes_applied), (2, 2));
+    assert_eq!(kv.sealed_file_count("a")?, 1);
+    assert_eq!(std::fs::read(&log)?, untrimmed);
+    assert_eq!(kv.snapshot("a")?.deletes().len(), 2);
+    model.check(&kv)?;
+    // The untrimmed log is the harmless superset, after a reopen too.
+    model.check(&TsKv::open(crash_image(&dir)?, config())?)?;
+    // With the name free, the next compaction trims what both applied.
+    std::fs::remove_dir(with_suffix(&log, ".tmp"))?;
+    kv.compact("a")?;
+    assert_eq!(kv.snapshot("a")?.deletes(), [during]);
+    assert_eq!(ModsFile::open(&log)?.entries(), [during]);
+    model.check(&kv)?;
     cleanup(&dir);
     Ok(())
 }

@@ -14,9 +14,9 @@
 //!   a run of chunks for every series flushed together (as an IoTDB
 //!   memtable of many series becomes one TsFile). Every chunk gets a
 //!   fresh global [`tsfile::Version`] `κ`.
-//! * **Deletes** (`D^κ`) are append-only range tombstones written to the
-//!   series' mods log of each file with their own version; they are never eagerly
-//!   applied to sealed files — only [`compaction`] folds them in, and
+//! * **Deletes** (`D^κ`) are append-only range tombstones written once,
+//!   with their own version, to the series' mods log; they are never
+//!   eagerly applied to sealed files — only [`compaction`] folds them in, and
 //!   it is opt-in (off by default, as in the paper's experimental
 //!   setup).
 //! * **Read path**: [`readers::MetadataReader`] serves chunk metadata

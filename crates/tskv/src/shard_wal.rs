@@ -17,9 +17,9 @@
 //!
 //! * kind 0 — insert run: `u32 id`, `varint n`, `n × (varint_i t, f64 v)`.
 //! * kind 1 — delete: `u32 id`, `varint κ`, `varint_i t_ds`, `varint_i t_de`.
-//!   The version κ lets recovery re-attach the tombstone to sealed
-//!   files whose mods log missed it (crash between the WAL append and
-//!   the mods append).
+//!   The version κ lets recovery log the tombstone when the series'
+//!   mods log missed it (crash between the WAL append and the mods
+//!   append).
 //! * kind 2 — flush-begin: `u32 id`. Marks the drain point of a flush:
 //!   every record of this series before the marker covers points now
 //!   leaving the memtable.

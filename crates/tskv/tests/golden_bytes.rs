@@ -16,8 +16,9 @@
 //! that must not have moved — every byte before the footer (head magic,
 //! pages, chunks) and the footer's chunk index — and the test checks
 //! the file is exactly those plus the four directory bytes. The mods
-//! log, the WAL segment, the catalog and the shard pin are
-//! byte-identical to the original table.
+//! log (one per series since, `s<id>.mods`: its row's path changed a
+//! second time, its bytes never), the WAL segment, the catalog and the
+//! shard pin are byte-identical to the original table.
 
 // Tests assert by panicking; the workspace panic-freedom deny-set
 // (root Cargo.toml) is aimed at library code.
@@ -38,8 +39,8 @@ use tskv::TsKv;
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("SHARDS", 2, 0x07f8bc07b4ba5002),
     ("catalog.log", 36, 0xec3a226c01abdc87),
-    ("shard-0000/00000000.s1.mods", 9, 0xcc59cc0b4c19c5c2),
     ("shard-0000/00000000.tsfile", 20697, 0xffc07aaf4d351868),
+    ("shard-0000/s1.mods", 9, 0xcc59cc0b4c19c5c2),
     ("shard-0000/wal-00000000.log", 28520, 0xd85eab1dfa586c6f),
 ];
 

@@ -5,8 +5,9 @@
 //!
 //! - **does_io** — reaches file I/O or chunk decode; propagates
 //!   through call edges except through *sanctioned* callee names
-//!   (`append`/`commit`: WAL durability under the series shard lock is
-//!   the critical section that lock exists to serialize, see DESIGN).
+//!   (`append`/`commit`, the delete log's `trim_through`: durability
+//!   writes under the series shard lock are the critical section that
+//!   lock exists to serialize, see DESIGN).
 //! - **blocking** — reaches blocking I/O or an unbounded wait (frame
 //!   writes, `join`, `recv`, file syscalls); propagates unconditionally.
 //! - **returns_guard** — returns a lock/RefCell guard, by return type
@@ -73,13 +74,19 @@ pub const IO_DECODE_CALLEES: &[&str] = &[
 /// catalog fsync that must complete *before* any id-tagged WAL record
 /// is fsynced under the same guard (a durable record whose id binding
 /// was lost makes the store unopenable), so it belongs to the same
-/// critical section.
+/// critical section. `trim_through` is the delete log's other
+/// durability write: a compaction rewrites a series' log to the entries
+/// it did not apply, under the guard `delete`'s `append` to that log
+/// runs under — an append between reading the entries and renaming the
+/// rewrite into place would be lost. Any other file rewrite under a
+/// guard is still a finding.
 pub const SANCTIONED_L2_CALLEES: &[&str] = &[
     "append",
     "commit",
     "append_inserts",
     "append_delete",
     "sync_if_dirty",
+    "trim_through",
 ];
 
 /// Blocking shapes beyond file I/O: socket frame I/O and unbounded

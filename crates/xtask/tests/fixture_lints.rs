@@ -102,6 +102,17 @@ fn l2_fixture_flags_compaction_capture_guard_across_merge() {
             .any(|v| v.message.contains("read_page_window_raw") && v.message.contains("guard")),
         "{v:?}"
     );
+    // The delete log's own trim is sanctioned; a rewrite by hand under
+    // the same guard is not.
+    assert!(
+        v.iter()
+            .any(|v| v.message.contains("`fs`") && v.message.contains("guard")),
+        "{v:?}"
+    );
+    assert!(
+        !v.iter().any(|v| v.message.contains("trim_through")),
+        "{v:?}"
+    );
 }
 
 #[test]

@@ -3,7 +3,9 @@
 //! to. The real sequence is capture (locked, metadata only) → classify
 //! + merge (unlocked file I/O) → install (locked splice); below, the
 //! capture guard survives into `merge_to_file` and into the raw page
-//! window read, and both must be flagged. Names avoid the L3 fallible
+//! window read, and both must be flagged — and so must a delete-log
+//! rewrite done by hand under the install guard, where only the log's
+//! own `trim_through` is sanctioned. Names avoid the L3 fallible
 //! prefixes where possible and there are no panic sites, indexing, or
 //! casts, so only L2 may fire.
 
@@ -26,5 +28,15 @@ impl Engine {
         let window = store.clean_window(meta);
         let raw = self.reader.read_page_window_raw(meta, window);
         store.stash(raw);
+    }
+
+    /// The log trim under the install guard: the sanctioned call passes,
+    /// the same rewrite spelled out beside it does not.
+    fn trim_by_hand(&self, ceiling: u64) {
+        let store = self.shards.write();
+        store.log.trim_through(ceiling);
+        let tmp = store.log_tmp();
+        std::fs::rename(tmp, store.log_path());
+        store.done();
     }
 }

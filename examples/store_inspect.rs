@@ -14,9 +14,8 @@
 //! map) and `shard-NNNN/` directories; each shard holds data files
 //! `<fileno>.tsfile` — one per flush of the shard, with a run of chunks
 //! for every series flushed into it (the footer's run directory says
-//! whose is whose) — a delete log `<fileno>.s<id>.mods` beside a file
-//! for each run a delete has touched, and shared WAL segments
-//! `wal-NNNNNNNN.log`.
+//! whose is whose) — one delete log `s<id>.mods` per series a delete has
+//! been logged for, and shared WAL segments `wal-NNNNNNNN.log`.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -138,14 +137,6 @@ fn dump_file(
                 None => println!("  step-index: none"),
             }
         }
-        // The run's own delete log, if a delete has touched it.
-        let mods_path = path.with_extension(format!("s{}.mods", run.series));
-        if mods_path.exists() {
-            let mods = ModsFile::open(&mods_path)?;
-            for e in mods.entries() {
-                println!("      delete {} range {}", e.version, e.range);
-            }
-        }
     }
     Ok(())
 }
@@ -197,10 +188,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 dump_file(p, &catalog)?;
             }
         }
-        // Shared WAL segments.
+        // Delete logs (one per series, whatever runs its entries apply
+        // to: an entry hides points of every chunk with a lower version)
+        // and shared WAL segments.
         for p in &entries {
             let fname = p.file_name().unwrap_or_default().to_string_lossy();
-            if fname.starts_with("wal-") && fname.ends_with(".log") {
+            if p.extension().and_then(|e| e.to_str()) == Some("mods") {
+                println!("  {fname}");
+                for e in ModsFile::open(p)?.entries() {
+                    println!("    delete {} range {}", e.version, e.range);
+                }
+            } else if fname.starts_with("wal-") && fname.ends_with(".log") {
                 println!("  {fname} ({} bytes)", std::fs::metadata(p)?.len());
             }
         }

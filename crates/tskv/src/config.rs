@@ -18,8 +18,10 @@ pub enum FsyncPolicy {
     /// fsync only at flush rotation and on deletes. An acknowledged
     /// insert survives a process crash (the bytes are in the OS page
     /// cache) but the tail since the last flush may be lost on power
-    /// failure. This matches the engine's historical behavior and is
-    /// the default.
+    /// failure. A flush syncs its file first and the log behind it —
+    /// and the log only if records a replay still needs are left in it:
+    /// a flush that covered the whole log truncates it instead. When
+    /// `flush` returns, file and log are on disk. This is the default.
     #[default]
     OnFlush,
     /// Never fsync the WAL explicitly; durability rides entirely on

@@ -62,13 +62,13 @@
 //!   one member's stripe at a time): mark the drain point in the shard
 //!   WAL, drain the memtable, reserve chunk versions, and park the
 //!   drained points in [`SeriesStore::flushing`] so concurrent
-//!   snapshots still see them. Phase B (unlocked): sync the catalog and
-//!   the shard WAL once, then encode and seal the group's one TsFile.
-//!   Phase C: append every member's end marker in one write, then
-//!   (locked, one stripe at a time) install each member's view of the
-//!   file — or, on failure, return every member's points to its
-//!   memtable (anything newer that landed meanwhile wins). A delete
-//!   that lands mid-flush is a log entry above the reserved versions.
+//!   snapshots still see them. Phase B (unlocked): sync the catalog,
+//!   then encode and seal the group's one TsFile. Phase C: append every
+//!   member's end marker in one write, sync the shard WAL if a replay
+//!   still needs it, then (locked, one stripe at a time) install each
+//!   member's view of the file — or, on failure, return every member's
+//!   points to its memtable (anything newer that landed meanwhile
+//!   wins). A delete mid-flush is a log entry above the reserved versions.
 //! * **Compaction** — same shape, per series; the input (every sealed
 //!   run the series has when the lock is taken) is captured as
 //!   metadata, merged and written off-lock as a one-run file (clean
@@ -1050,8 +1050,8 @@ impl EngineInner {
 
     /// The flush state machine. Its unit is the storage shard: the
     /// members of `ids` that share one are sealed into **one** file, a
-    /// run of chunks per member, for one catalog sync, one WAL sync,
-    /// one create, one `sync_all` and one reopen however many they are.
+    /// run of chunks per member, for one catalog sync, one create, one
+    /// `sync_all`, one reopen and at most one WAL sync, however many.
     /// A single series is the one-member case of the same path.
     ///
     /// `wait` controls behavior when another flush holds a member's
@@ -1173,28 +1173,24 @@ impl EngineInner {
 
     /// Flush phase B (no lock held): make the group durable as one
     /// sealed file and hand back every member's view of it. The
-    /// statement order below *is* the durability order of a flush:
+    /// durability order of a flush is the statement order here and in
+    /// [`finish_group`](EngineInner::finish_group):
     ///
     /// 1. the catalog, so that no durable id-tagged byte — WAL record
     ///    or data-file run — can outlive the binding of its id;
-    /// 2. the shard WAL, once for the group: every record of every
-    ///    member up to and including its begin marker is `fdatasync`ed
-    ///    (under [`FsyncPolicy::Never`] the log is left to the OS) —
-    ///    until step 3 completes it is the only copy of the points;
-    /// 3. the file, `sync_all`ed before it gets its name.
+    /// 2. the file, `sync_all`ed before it gets its name;
+    /// 3. the end markers, then the shard WAL's sync (`finish_group`).
     ///
-    /// Only after this returns `Ok` may an end marker be appended
-    /// ([`finish_group`](EngineInner::finish_group)).
+    /// Syncing the log ahead of the file would write back exactly the
+    /// records the file makes redundant. A power loss that keeps the
+    /// file and a prefix of the log replays points the file also holds
+    /// (the lost end marker of [`crate::shard_wal`]).
     fn write_group(
         &self,
         shard: &StorageShard,
         members: &[FlushMember],
     ) -> Result<Vec<SeriesView>> {
         self.catalog.sync_if_dirty()?;
-        if !matches!(self.config.fsync_policy, FsyncPolicy::Never) {
-            shard.wal.sync()?;
-            self.io.record_wal_sync();
-        }
         let path = shard.next_data_path();
         let file = seal_file(&self.config, &path, |w| {
             for member in members {
@@ -1226,11 +1222,16 @@ impl EngineInner {
             }
         };
         // The end markers go first, in one write, while every member
-        // still holds its in-flight slot (`end_flushes` needs that). A
-        // failure to append them costs only a replay of points the file
-        // also holds, so the views are installed regardless.
+        // still holds its in-flight slot (`end_flushes` needs that), and
+        // the log's sync behind them. A failure costs only a replay of
+        // points the file also holds, so the views are installed anyway.
         let ids: Vec<SeriesId> = members.iter().map(|m| m.id).collect();
-        let mut outcome = shard.wal.end_flushes(&ids);
+        let sync = !matches!(self.config.fsync_policy, FsyncPolicy::Never);
+        let mut outcome = shard.wal.end_flushes(&ids, sync).map(|synced| {
+            if synced {
+                self.io.record_wal_sync();
+            }
+        });
         // Every member drained at least one point, so the file's runs
         // are the members, in order.
         for (member, view) in members.iter().zip(views) {

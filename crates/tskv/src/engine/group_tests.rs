@@ -112,6 +112,17 @@ fn first_log(dir: &Path) -> PathBuf {
     delete_log_path(&dir.join(storage_dir_name(0)), SeriesId(0))
 }
 
+/// Whether the first WAL segment of the store at `dir` holds the
+/// begin-marker frame of `id` (kind 2, id, CRC over both).
+fn log_holds_begin_marker(dir: &Path, id: SeriesId) -> std::io::Result<bool> {
+    let mut frame = vec![2u8];
+    frame.extend_from_slice(&id.0.to_le_bytes());
+    let crc = tsfile::checksum::crc32(&frame);
+    frame.extend_from_slice(&crc.to_le_bytes());
+    let log = std::fs::read(dir.join(storage_dir_name(0)).join("wal-00000000.log"))?;
+    Ok(log.windows(frame.len()).any(|w| w == frame))
+}
+
 fn ids(kv: &TsKv, names: &[&str]) -> Vec<SeriesId> {
     names.iter().filter_map(|n| kv.series_id(n)).collect()
 }
@@ -203,7 +214,8 @@ fn one_member_group_is_the_same_path_with_one_run() -> TestResult {
     let before = kv.io().snapshot();
     kv.flush("only")?;
     let io = kv.io().snapshot() - before;
-    assert_eq!((io.files_sealed, io.flush_members, io.wal_syncs), (1, 1, 1));
+    // The flush covered the whole log: the reset is its log sync.
+    assert_eq!((io.files_sealed, io.flush_members, io.wal_syncs), (1, 1, 0));
     let reader = TsFileReader::open(dir.join(storage_dir_name(0)).join("00000000.tsfile"))?;
     assert_eq!(reader.series_runs().len(), 1);
     assert_eq!(reader.chunk_metas().len(), 3); // 100 points, 40 per chunk
@@ -211,8 +223,8 @@ fn one_member_group_is_the_same_path_with_one_run() -> TestResult {
     Ok(())
 }
 
-/// (a) The crash image holds the group's begin markers (synced) and a
-/// cut-short file under its in-flight name.
+/// (a) The crash image holds the group's begin markers (a commit of the
+/// shard drained them) and a cut-short file under its in-flight name.
 #[test]
 fn torn_in_flight_file_is_quarantined_once_and_every_member_replays() -> TestResult {
     let (dir, kv) = fresh("torn")?;
@@ -223,7 +235,7 @@ fn torn_in_flight_file_is_quarantined_once_and_every_member_replays() -> TestRes
     let shard = &kv.inner.storage[0];
     let (members, later) = kv.inner.claim_group(&ids(&kv, &["a", "b", "c"]), true)?;
     assert_eq!((members.len(), later.len()), (3, 0));
-    shard.wal.sync()?;
+    shard.wal.commit(true)?;
     let image = crash_image(&dir)?;
     let torn = image.join(storage_dir_name(0)).join("00000000.tsfile.tmp");
     std::fs::write(
@@ -283,6 +295,58 @@ fn complete_in_flight_file_is_adopted_and_a_foreign_one_refused() -> TestResult 
     ));
     assert_eq!(std::fs::read(&foreign)?, tsf1);
     cleanup(&dir);
+    Ok(())
+}
+
+/// The log is synced behind the file, so a crash can find the file in
+/// place, under its final name, and the log not knowing: holding the
+/// members' records and no marker at all (the begin markers never left
+/// the buffer), or cut after the begin markers (a commit of the shard
+/// drained them). Both replay points the file also holds.
+#[test]
+fn crash_with_the_file_in_place_and_no_end_marker_reads_every_point_once() -> TestResult {
+    for begin_markers_written in [false, true] {
+        let (dir, kv) = fresh("fileonly")?;
+        let mut model = Model::default();
+        model.write(&kv, "a", &ramp(0..100, 1.0))?;
+        model.write(&kv, "a", &ramp(90..110, 1.5))?; // overwrites: latest wins
+        model.write(&kv, "b", &ramp(0..90, 2.0))?;
+        let shard = &kv.inner.storage[0];
+        let (members, _) = kv.inner.claim_group(&ids(&kv, &["a", "b"]), true)?;
+        if begin_markers_written {
+            shard.wal.commit(false)?;
+        }
+        let sealed = kv.inner.write_group(shard, &members);
+        let image = crash_image(&dir)?;
+        kv.inner.finish_group(shard, &members, sealed)?;
+        model.check(&kv)?;
+        drop(kv);
+
+        assert_eq!(
+            shard_listing(&image)?,
+            ["00000000.tsfile", "wal-00000000.log"]
+        );
+        assert_eq!(
+            log_holds_begin_marker(&image, SeriesId(0))?,
+            begin_markers_written
+        );
+        for _ in 0..2 {
+            let reopened = TsKv::open(&image, config())?;
+            model.check(&reopened)?;
+            assert_eq!(reopened.sealed_file_count("a")?, 1);
+            assert_eq!(reopened.unflushed_points("a")?, 110, "sealed and replayed");
+        }
+        // Sealing the replayed copy and merging leaves one.
+        let reopened = TsKv::open(&image, config())?;
+        reopened.flush_all()?;
+        model.check(&reopened)?;
+        assert_eq!(reopened.compact("a")?.points_written, 110);
+        assert_eq!(reopened.compact("b")?.points_written, 90);
+        model.check(&reopened)?;
+        drop(reopened);
+        model.check(&TsKv::open(&image, config())?)?;
+        cleanup(&dir);
+    }
     Ok(())
 }
 
@@ -605,6 +669,12 @@ fn write_and_delete_racing_a_group_flush_land_after_it() -> TestResult {
     // …an overwrite of one of them and a delete over others arrive…
     model.write(&kv, "a", &[Point::new(5, 99.0), Point::new(500, 99.0)])?;
     model.delete(&kv, "a", 40, 60)?;
+    // A crash right here: the delete is acknowledged, so its record is
+    // on disk — and with it the begin marker before it (nothing else
+    // had synced the log; the commit drained the buffer in order).
+    let image = crash_image(&dir)?;
+    assert!(log_holds_begin_marker(&image, SeriesId(0))?);
+    model.check(&TsKv::open(&image, config())?)?;
     model.delete(&kv, "b", 0, 9)?;
     model.check(&kv)?;
     // …and a second flush of a member just skips (auto) — its slot is
@@ -628,6 +698,40 @@ fn write_and_delete_racing_a_group_flush_land_after_it() -> TestResult {
         "after the begin marker: replayed"
     );
     cleanup(&dir);
+    Ok(())
+}
+
+/// The WAL syncs one flush pays, per policy: none when it covered the
+/// whole log (the reset's truncate + sync is its log sync), one when
+/// another series' records keep the log alive, none ever under `Never`.
+/// (`Always` synced every record as it was committed: a flush has only
+/// its markers left to force.)
+#[test]
+fn flush_syncs_the_log_only_if_a_replay_still_needs_it() -> TestResult {
+    use FsyncPolicy::{Always, Never, OnFlush};
+    for (fsync_policy, alone, sharing) in [(OnFlush, 0, 1), (Always, 0, 1), (Never, 0, 0)] {
+        let (dir, kv) = fresh("budget")?;
+        drop(kv);
+        let kv = TsKv::open(
+            &dir,
+            EngineConfig {
+                fsync_policy,
+                ..config()
+            },
+        )?;
+        let flush_a = || -> Result<(u64, u64)> {
+            let before = kv.io().snapshot();
+            kv.flush("a")?;
+            let io = kv.io().snapshot() - before;
+            Ok((io.files_sealed, io.wal_syncs))
+        };
+        kv.insert_batch("a", &ramp(0..100, 1.0))?;
+        assert_eq!(flush_a()?, (1, alone), "{fsync_policy:?}");
+        kv.insert_batch("a", &ramp(100..200, 1.0))?;
+        kv.insert_batch("b", &ramp(0..100, 2.0))?;
+        assert_eq!(flush_a()?, (1, sharing), "{fsync_policy:?}");
+        cleanup(&dir);
+    }
     Ok(())
 }
 

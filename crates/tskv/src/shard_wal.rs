@@ -32,9 +32,10 @@
 //! acknowledged writes: a crash mid-flush leaves an unmatched *begin*,
 //! so everything replays; a failed flush aborts its begin and the
 //! records stay replayable. Losing an *end* marker (crash between
-//! install and sync) merely replays points that also exist in the
-//! sealed file — the merge path dedups same-timestamp points, so reads
-//! stay correct at the cost of a transiently larger memtable.
+//! install and sync) — or, the log being synced behind the file, any
+//! suffix of the log with it — merely replays points that also exist in
+//! the sealed file: the merge path dedups same-timestamp points, so
+//! reads stay correct at the cost of a transiently larger memtable.
 //!
 //! ## Segments and space reclamation
 //!
@@ -61,8 +62,9 @@
 //! writes that were never acknowledged (at most the torn tail record).
 //! `commit` returns the bytes written through since the last commit
 //! (feeding the group-commit counters) and fsyncs per
-//! [`crate::config::FsyncPolicy`]; the engine also syncs once per flush
-//! group (after its begin markers, before its file) and on delete.
+//! [`crate::config::FsyncPolicy`]; the engine also syncs on delete and
+//! once per flush group — behind its end markers, and only if a replay
+//! still needs the log: a flush that covered all of it resets it instead.
 //! Offsets are *logical* — they count buffered bytes — so coverage
 //! arithmetic never depends on what has physically reached the file
 //! yet.
@@ -383,28 +385,16 @@ impl ShardWal {
         state.flush_buf()?;
         let bytes = state.written_since_commit;
         state.written_since_commit = 0;
-        if sync && state.unsynced_bytes > 0 {
-            state.file.sync_data()?;
-            state.unsynced_bytes = 0;
-        }
+        state.sync_unsynced(sync)?;
         state.maybe_roll(self.segment_bytes)?;
         Ok(bytes)
-    }
-
-    /// Force written records to stable storage.
-    pub fn sync(&self) -> Result<()> {
-        let mut state = self.state.lock();
-        state.flush_buf()?;
-        state.file.sync_data()?;
-        state.unsynced_bytes = 0;
-        Ok(())
     }
 
     /// Mark the drain point of a flush of `id`: records before this
     /// offset cover the points leaving the memtable. Must run under the
     /// same lock that serializes this series' appends. The marker only
-    /// joins the group-commit buffer; a group's markers reach the file
-    /// in the one write of the [`sync`](Self::sync) that follows them.
+    /// joins the group-commit buffer: the shard's next commit or, at the
+    /// latest, the one write of [`end_flushes`](Self::end_flushes) drains it.
     pub fn begin_flush(&self, id: SeriesId) -> Result<()> {
         let mut state = self.state.lock();
         let at = state.pos;
@@ -415,12 +405,13 @@ impl ShardWal {
 
     /// The TsFile holding the flushes of `ids` is durable: everything
     /// of each series before its begin marker is covered. One buffered
-    /// write for all the end markers and one reclamation scan for the
-    /// group, however many members it has. Each series must still hold
-    /// its in-flight slot: an end marker that followed the *next* begin
-    /// marker of its series would cover records that flush has not
-    /// sealed.
-    pub fn end_flushes(&self, ids: &[SeriesId]) -> Result<()> {
+    /// write for the group's markers (begin markers no commit drained
+    /// included), one reclamation scan. Each series must still hold its
+    /// in-flight slot: an end marker behind the *next* begin marker of
+    /// its series would cover records that flush has not sealed. With
+    /// `sync`, what reclamation left unsynced is `fdatasync`ed (nothing
+    /// if it reset the log: the truncate syncs itself); true if synced.
+    pub fn end_flushes(&self, ids: &[SeriesId], sync: bool) -> Result<bool> {
         let mut state = self.state.lock();
         for &id in ids {
             state.append_marker(3, id, self.batch_bytes)?;
@@ -441,8 +432,9 @@ impl ShardWal {
             }
         }
         state.maybe_reclaim()?;
+        let synced = state.sync_unsynced(sync)?;
         state.maybe_roll(self.segment_bytes)?;
-        Ok(())
+        Ok(synced)
     }
 
     /// The flush failed or was abandoned; its begin marker stays in the
@@ -506,6 +498,16 @@ impl WalState {
         Ok(())
     }
 
+    /// `fdatasync` the active segment if `sync` and bytes await it.
+    fn sync_unsynced(&mut self, sync: bool) -> Result<bool> {
+        if !sync || self.unsynced_bytes == 0 {
+            return Ok(false);
+        }
+        self.file.sync_data()?;
+        self.unsynced_bytes = 0;
+        Ok(true)
+    }
+
     /// Roll to a fresh segment once the active one crosses the size
     /// threshold. Only rolls when the buffer is drained (callers run it
     /// after `flush_buf`).
@@ -515,10 +517,7 @@ impl WalState {
         }
         // Once sealed, this file's handle goes away — a later sync
         // through the new active handle cannot cover its bytes.
-        if self.unsynced_bytes > 0 {
-            self.file.sync_data()?;
-            self.unsynced_bytes = 0;
-        }
+        self.sync_unsynced(true)?;
         let dir = self
             .active_path
             .parent()
@@ -668,7 +667,7 @@ mod tests {
             // Writes racing the flush land after the marker and survive.
             w.append_inserts(A, &pts(&[(2, 2.0)])).unwrap();
             w.commit(false).unwrap();
-            w.end_flushes(&[A]).unwrap();
+            w.end_flushes(&[A], false).unwrap();
         }
         let (_w, replay) = open(&dir);
         assert_eq!(
@@ -704,7 +703,7 @@ mod tests {
         for id in [A, B] {
             w.begin_flush(id).unwrap();
         }
-        w.end_flushes(&[A, B]).unwrap();
+        w.end_flushes(&[A, B], false).unwrap();
         // Everything covered: the log reset to one empty active segment.
         assert_eq!(w.segment_count(), 1);
         let files: Vec<u64> = std::fs::read_dir(&dir)
@@ -730,16 +729,74 @@ mod tests {
             for id in [A, B] {
                 w.begin_flush(id).unwrap();
             }
-            w.sync().unwrap();
+            w.commit(true).unwrap();
             let len = || std::fs::metadata(segment_path(&dir, 0)).unwrap().len();
             let before = len();
-            w.end_flushes(&[A, B]).unwrap();
+            w.end_flushes(&[A, B], false).unwrap();
             // Two 9-byte markers; C's record pins the log, so nothing
             // was reclaimed from under them.
             assert_eq!(len() - before, 18);
         }
         let (_w, replay) = open(&dir);
         assert_eq!(replay.keys().collect::<Vec<_>>(), vec![&C]);
+    }
+
+    #[test]
+    fn end_flushes_syncs_what_a_bystander_keeps_in_the_log() {
+        let dir = tmp("bystander");
+        {
+            let (w, _) = open(&dir);
+            w.append_inserts(A, &pts(&[(1, 1.0)])).unwrap();
+            w.append_inserts(B, &pts(&[(2, 2.0)])).unwrap();
+            w.commit(false).unwrap();
+            w.begin_flush(A).unwrap();
+            assert!(w.unsynced_bytes() > 0);
+            // B's record pins the log: it and the markers are forced.
+            assert!(w.end_flushes(&[A], true).unwrap());
+            assert_eq!(w.unsynced_bytes(), 0);
+        }
+        let (_w, replay) = open(&dir);
+        assert_eq!(replay.len(), 1);
+        assert_eq!(
+            replay.get(&B).unwrap(),
+            &vec![WalRecord::Insert(pts(&[(2, 2.0)]))]
+        );
+    }
+
+    #[test]
+    fn end_flushes_over_the_whole_log_resets_instead_of_syncing() {
+        let dir = tmp("resetnosync");
+        let (w, _) = open(&dir);
+        w.append_inserts(A, &pts(&[(1, 1.0)])).unwrap();
+        w.commit(false).unwrap();
+        w.begin_flush(A).unwrap();
+        // The reset's truncate + sync is the log sync of this flush:
+        // no fdatasync of records the file made redundant.
+        assert!(!w.end_flushes(&[A], true).unwrap());
+        assert_eq!(w.unsynced_bytes(), 0);
+        assert_eq!(w.segment_count(), 1);
+        assert_eq!(std::fs::metadata(segment_path(&dir, 0)).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn a_groups_begin_and_end_markers_leave_the_buffer_in_one_write() {
+        let dir = tmp("onewrite");
+        let (w, _) = ShardWal::open(&dir, 1 << 20, 1 << 20).unwrap();
+        for id in [A, B, SeriesId(9)] {
+            w.append_inserts(id, &pts(&[(1, 1.0)])).unwrap();
+        }
+        let len = || std::fs::metadata(segment_path(&dir, 0)).unwrap().len();
+        let records = w.commit(false).unwrap();
+        assert_eq!(len(), records);
+        for id in [A, B] {
+            w.begin_flush(id).unwrap();
+        }
+        assert_eq!(len(), records, "begin markers only join the buffer");
+        w.end_flushes(&[A, B], true).unwrap();
+        // Four 9-byte markers, and one batch for the next commit to
+        // report (one `wal_batches` tick).
+        assert_eq!(len(), records + 36);
+        assert_eq!(w.commit(false).unwrap(), 36);
     }
 
     #[test]
@@ -759,7 +816,7 @@ mod tests {
         // Flushing A covers the early segments; B (uncovered, late)
         // does not pin them.
         w.begin_flush(A).unwrap();
-        w.end_flushes(&[A]).unwrap();
+        w.end_flushes(&[A], false).unwrap();
         let after = w.segment_count();
         assert!(after < before, "prefix not reclaimed: {before} -> {after}");
         // B's record must still replay after the reclaim.
@@ -771,7 +828,7 @@ mod tests {
         );
         // Flushing B too clears the log entirely.
         w.begin_flush(B).unwrap();
-        w.end_flushes(&[B]).unwrap();
+        w.end_flushes(&[B], false).unwrap();
         assert_eq!(w.segment_count(), 1);
     }
 
@@ -826,10 +883,11 @@ mod tests {
         // fsync the bytes the earlier commit left unsynced.
         assert_eq!(w.commit(true).unwrap(), 0);
         assert_eq!(w.unsynced_bytes(), 0);
-        // An explicit sync also clears the counter.
+        // So must a later one, with bytes of its own on top.
         w.append_inserts(B, &pts(&[(2, 2.0)])).unwrap();
         w.commit(false).unwrap();
-        w.sync().unwrap();
+        w.append_inserts(A, &pts(&[(3, 3.0)])).unwrap();
+        assert!(w.commit(true).unwrap() > 0);
         assert_eq!(w.unsynced_bytes(), 0);
     }
 

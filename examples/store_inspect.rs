@@ -57,8 +57,11 @@ fn build_demo(dir: &Path) -> Result<(), Box<dyn std::error::Error>> {
     // A registered-but-cold series: costs a catalog entry and nothing
     // else — no directory, no files.
     kv.create_series("demo.cold")?;
-    kv.flush_all()?;
+    // One delete over two of demo.a's sealed runs: one entry in its one
+    // log. The final flush covers its WAL record like any other, so
+    // every shard's log ends up reset — `(0 bytes)` below.
     kv.delete("demo.a", 500_000, 600_000)?;
+    kv.flush_all()?;
     Ok(())
 }
 

@@ -656,7 +656,12 @@ fn recover_series(
     // log missed it (crash between the WAL append and the log append).
     for record in records {
         match record {
-            WalRecord::Insert(points) => store.memtable.extend(points),
+            WalRecord::Insert { after, points } => {
+                // The next flush must take its versions above the
+                // record's, or the sealed run could not vouch for it.
+                alloc.observe(*after);
+                store.memtable.extend(points);
+            }
             WalRecord::Delete { version, range } => {
                 store.memtable.delete_range(*range);
                 alloc.observe(*version);
@@ -760,7 +765,13 @@ impl EngineInner {
                     runs.push(view);
                 }
             }
-            let (wal, records) = ShardWal::open(&sdir, WAL_BATCH_BYTES, WAL_SEGMENT_BYTES)?;
+            // What the files hold the log need not replay: a record
+            // older than a durable run of its series was drained into it.
+            let sealed = |id: SeriesId| {
+                let runs = work.get(&id).map_or(&[][..], |(runs, _)| runs);
+                Version(runs.iter().map(SeriesView::rank).max().unwrap_or(0))
+            };
+            let (wal, records) = ShardWal::open(&sdir, WAL_BATCH_BYTES, WAL_SEGMENT_BYTES, sealed)?;
             for (id, recs) in records {
                 work.entry(id).or_default().1.extend(recs);
             }
@@ -892,9 +903,12 @@ impl EngineInner {
     /// Append `points` to the shard WAL (tagged with `id`) and the
     /// memtable. Runs under the owning stripe's write lock; pure
     /// in-memory work plus buffered WAL frames (drained by
-    /// [`EngineInner::commit_wal_with`]).
+    /// [`EngineInner::commit_wal_with`]). The record carries the highest
+    /// version allocated so far: the flush that drains these points
+    /// claims the series under the same lock, so its versions are higher.
     fn apply_inserts(&self, id: SeriesId, store: &mut SeriesStore, points: &[Point]) -> Result<()> {
-        self.storage(id).wal.append_inserts(id, points)?;
+        let after = self.alloc.current();
+        self.storage(id).wal.append_inserts(id, after, points)?;
         store.memtable.extend(points);
         self.io.record_points_written(points.len() as u64);
         Ok(())
@@ -1182,9 +1196,12 @@ impl EngineInner {
     /// 3. the end markers, then the shard WAL's sync (`finish_group`).
     ///
     /// Syncing the log ahead of the file would write back exactly the
-    /// records the file makes redundant. A power loss that keeps the
-    /// file and a prefix of the log replays points the file also holds
-    /// (the lost end marker of [`crate::shard_wal`]).
+    /// records the file makes redundant. The price: a power loss can
+    /// keep the file and only a prefix of the members' records, which
+    /// is *older* than the file — replayed, it would outrank it. Every
+    /// record carries the version it was appended after, and replay
+    /// skips one that lies below a durable run of its series (these
+    /// runs' versions were reserved after it): see [`crate::shard_wal`].
     fn write_group(
         &self,
         shard: &StorageShard,
@@ -1223,8 +1240,9 @@ impl EngineInner {
         };
         // The end markers go first, in one write, while every member
         // still holds its in-flight slot (`end_flushes` needs that), and
-        // the log's sync behind them. A failure costs only a replay of
-        // points the file also holds, so the views are installed anyway.
+        // the log's sync behind them. A failure leaves records whose
+        // versions the file outranks — a reopen skips them — so the
+        // views are installed anyway.
         let ids: Vec<SeriesId> = members.iter().map(|m| m.id).collect();
         let sync = !matches!(self.config.fsync_policy, FsyncPolicy::Never);
         let mut outcome = shard.wal.end_flushes(&ids, sync).map(|synced| {

@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 
 use super::*;
 use crate::readers::MergeReader;
+use crate::shard_wal::{scan_segment, TaggedRecord};
 
 type TestResult = std::result::Result<(), Box<dyn std::error::Error>>;
 
@@ -112,15 +113,17 @@ fn first_log(dir: &Path) -> PathBuf {
     delete_log_path(&dir.join(storage_dir_name(0)), SeriesId(0))
 }
 
-/// Whether the first WAL segment of the store at `dir` holds the
-/// begin-marker frame of `id` (kind 2, id, CRC over both).
-fn log_holds_begin_marker(dir: &Path, id: SeriesId) -> std::io::Result<bool> {
-    let mut frame = vec![2u8];
-    frame.extend_from_slice(&id.0.to_le_bytes());
-    let crc = tsfile::checksum::crc32(&frame);
-    frame.extend_from_slice(&crc.to_le_bytes());
-    let log = std::fs::read(dir.join(storage_dir_name(0)).join("wal-00000000.log"))?;
-    Ok(log.windows(frame.len()).any(|w| w == frame))
+/// The frames of the first WAL segment of the store at `dir`, each with
+/// the offset just past it.
+fn log_frames(dir: &Path) -> Result<Vec<(TaggedRecord, u64)>> {
+    scan_segment(&dir.join(storage_dir_name(0)).join("wal-00000000.log"))
+}
+
+fn log_holds_begin_marker(dir: &Path, id: SeriesId) -> Result<bool> {
+    let frames = log_frames(dir)?;
+    Ok(frames
+        .iter()
+        .any(|(r, _)| *r == TaggedRecord::FlushBegin(id)))
 }
 
 fn ids(kv: &TsKv, names: &[&str]) -> Vec<SeriesId> {
@@ -214,8 +217,7 @@ fn one_member_group_is_the_same_path_with_one_run() -> TestResult {
     let before = kv.io().snapshot();
     kv.flush("only")?;
     let io = kv.io().snapshot() - before;
-    // The flush covered the whole log: the reset is its log sync.
-    assert_eq!((io.files_sealed, io.flush_members, io.wal_syncs), (1, 1, 0));
+    assert_eq!((io.files_sealed, io.flush_members), (1, 1));
     let reader = TsFileReader::open(dir.join(storage_dir_name(0)).join("00000000.tsfile"))?;
     assert_eq!(reader.series_runs().len(), 1);
     assert_eq!(reader.chunk_metas().len(), 3); // 100 points, 40 per chunk
@@ -301,11 +303,15 @@ fn complete_in_flight_file_is_adopted_and_a_foreign_one_refused() -> TestResult 
 /// The log is synced behind the file, so a crash can find the file in
 /// place, under its final name, and the log not knowing: holding the
 /// members' records and no marker at all (the begin markers never left
-/// the buffer), or cut after the begin markers (a commit of the shard
-/// drained them). Both replay points the file also holds.
+/// the buffer), cut after the begin markers (a commit of the shard
+/// drained them) — or, after a power loss, cut anywhere before: here
+/// behind `a`'s first record, so that the log lacks the overwrite of
+/// 90..110 and everything after it. Such a log is older than the file
+/// and must not replay over it. In all three the file vouches for the
+/// records (their versions lie below its chunks') and none replays.
 #[test]
 fn crash_with_the_file_in_place_and_no_end_marker_reads_every_point_once() -> TestResult {
-    for begin_markers_written in [false, true] {
+    for (begin_markers_written, power_loss) in [(false, false), (true, false), (false, true)] {
         let (dir, kv) = fresh("fileonly")?;
         let mut model = Model::default();
         model.write(&kv, "a", &ramp(0..100, 1.0))?;
@@ -330,23 +336,76 @@ fn crash_with_the_file_in_place_and_no_end_marker_reads_every_point_once() -> Te
             log_holds_begin_marker(&image, SeriesId(0))?,
             begin_markers_written
         );
+        if power_loss {
+            let first_frame_end = log_frames(&image)?.first().ok_or("empty log")?.1;
+            let log = image.join(storage_dir_name(0)).join("wal-00000000.log");
+            let log = std::fs::OpenOptions::new().write(true).open(log)?;
+            log.set_len(first_frame_end)?;
+        }
         for _ in 0..2 {
             let reopened = TsKv::open(&image, config())?;
             model.check(&reopened)?;
             assert_eq!(reopened.sealed_file_count("a")?, 1);
-            assert_eq!(reopened.unflushed_points("a")?, 110, "sealed and replayed");
+            assert_eq!(reopened.unflushed_points("a")?, 0, "sealed, not replayed");
+            // Nothing in the log is needed: the open dropped it.
+            assert_eq!(
+                shard_listing(&image)?,
+                ["00000000.tsfile", "wal-00000001.log"]
+            );
         }
-        // Sealing the replayed copy and merging leaves one.
+        // What is written next is newer than the file and replays;
+        // sealing it and merging leaves one copy of everything.
         let reopened = TsKv::open(&image, config())?;
-        reopened.flush_all()?;
+        model.write(&reopened, "a", &ramp(100..120, 1.75))?;
+        drop(reopened);
+        let reopened = TsKv::open(&image, config())?;
         model.check(&reopened)?;
-        assert_eq!(reopened.compact("a")?.points_written, 110);
+        assert_eq!(reopened.unflushed_points("a")?, 20);
+        reopened.flush_all()?;
+        assert_eq!(reopened.compact("a")?.points_written, 120);
         assert_eq!(reopened.compact("b")?.points_written, 90);
         model.check(&reopened)?;
         drop(reopened);
         model.check(&TsKv::open(&image, config())?)?;
         cleanup(&dir);
     }
+    Ok(())
+}
+
+/// A replayed record can carry a version above everything else on disk
+/// (what took that version — a flush that failed, a delete — did not
+/// outlive the crash). The flush that seals it must still outrank it,
+/// or its run could not vouch for the record after the next crash.
+#[test]
+fn a_flush_after_recovery_takes_its_versions_above_the_records_it_drains() -> TestResult {
+    let (dir, kv) = fresh("outrank")?;
+    let a = kv.create_series("a")?;
+    drop(kv);
+    let sdir = dir.join(storage_dir_name(0));
+    let (wal, _) = ShardWal::open(&sdir, WAL_BATCH_BYTES, WAL_SEGMENT_BYTES, |_| Version(0))?;
+    wal.append_inserts(a, Version(50), &ramp(0..100, 1.0))?;
+    wal.commit(false)?;
+    drop(wal);
+
+    let kv = TsKv::open(&dir, config())?;
+    assert_eq!(kv.unflushed_points("a")?, 100);
+    let shard = &kv.inner.storage[0];
+    let (members, _) = kv.inner.claim_group(&[a], true)?;
+    let sealed = kv.inner.write_group(shard, &members);
+    let image = crash_image(&dir)?;
+    kv.inner.finish_group(shard, &members, sealed)?;
+    assert!(kv
+        .snapshot("a")?
+        .chunks()
+        .iter()
+        .all(|c| c.version > Version(50)));
+    let reopened = TsKv::open(&image, config())?;
+    assert_eq!(reopened.unflushed_points("a")?, 0, "sealed, not replayed");
+    assert_eq!(
+        MergeReader::new(&reopened.snapshot("a")?).collect_merged()?,
+        ramp(0..100, 1.0)
+    );
+    cleanup(&dir);
     Ok(())
 }
 
@@ -379,11 +438,12 @@ fn crash_between_two_members_end_markers_reopens_to_the_model() -> TestResult {
         drop(log);
         let reopened = TsKv::open(&image, config())?;
         model.check(&reopened)?;
-        // A member whose end marker was lost replays points its run of
-        // the file also holds; the one whose marker survived does not.
-        assert_eq!(reopened.unflushed_points("c")?, 80, "lost {lost}");
-        let a_replayed = reopened.unflushed_points("a")?;
-        assert_eq!(a_replayed, if lost == 22 { 100 } else { 0 }, "lost {lost}");
+        // A member whose end marker survived is covered by it, one
+        // whose marker was lost by its run of the file: neither replays.
+        for member in ["a", "b", "c"] {
+            assert_eq!(reopened.unflushed_points(member)?, 0, "lost {lost}");
+        }
+        assert_eq!(reopened.unflushed_points("unflushed")?, 10);
     }
     cleanup(&dir);
     Ok(())

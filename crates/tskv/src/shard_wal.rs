@@ -15,7 +15,10 @@
 //!
 //! `u8 kind | body | u32 crc` (CRC over kind + body), little-endian:
 //!
-//! * kind 0 — insert run: `u32 id`, `varint n`, `n × (varint_i t, f64 v)`.
+//! * kind 0 — insert run: `u32 id`, `varint κ`, `varint n`,
+//!   `n × (varint_i t, f64 v)`. κ is the highest version allocated when
+//!   the run was appended: a flush of the series that drains these
+//!   points reserves its chunk versions above it.
 //! * kind 1 — delete: `u32 id`, `varint κ`, `varint_i t_ds`, `varint_i t_de`.
 //!   The version κ lets recovery log the tombstone when the series'
 //!   mods log missed it (crash between the WAL append and the mods
@@ -32,10 +35,20 @@
 //! acknowledged writes: a crash mid-flush leaves an unmatched *begin*,
 //! so everything replays; a failed flush aborts its begin and the
 //! records stay replayable. Losing an *end* marker (crash between
-//! install and sync) — or, the log being synced behind the file, any
-//! suffix of the log with it — merely replays points that also exist in
-//! the sealed file: the merge path dedups same-timestamp points, so
-//! reads stay correct at the cost of a transiently larger memtable.
+//! install and sync) merely replays points that also exist in the
+//! sealed file — the merge path dedups same-timestamp points, so reads
+//! stay correct at the cost of a transiently larger memtable.
+//!
+//! The markers are the *log's* account of what is sealed, and the log
+//! is synced behind the file: a power loss can keep the file and only
+//! a prefix of the members' records, begin marker not included. Such a
+//! prefix is older than the file and must not replay over it (the
+//! memtable outranks every file). So the *files* are asked too: a
+//! record whose κ lies below the highest version of a durable run of
+//! its series ([`ShardWal::open`]'s `sealed_version`) is skipped — the
+//! flush that wrote that run took its versions after the record was
+//! appended and drained it. Records that raced the flush carry a κ at
+//! or above its versions and replay.
 //!
 //! ## Segments and space reclamation
 //!
@@ -89,8 +102,27 @@ use crate::Result;
 /// A replayed WAL operation.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum WalRecord {
-    Insert(Vec<Point>),
-    Delete { version: Version, range: TimeRange },
+    /// `after`: the highest version allocated when the run was appended.
+    Insert {
+        after: Version,
+        points: Vec<Point>,
+    },
+    Delete {
+        version: Version,
+        range: TimeRange,
+    },
+}
+
+impl WalRecord {
+    /// A durable run of the series with a higher version holds what
+    /// this record did.
+    fn version(&self) -> Version {
+        match self {
+            WalRecord::Insert { after: version, .. } | WalRecord::Delete { version, .. } => {
+                *version
+            }
+        }
+    }
 }
 
 /// One sealed (no longer written) segment file.
@@ -153,7 +185,7 @@ fn parse_segment_id(name: &str) -> Option<u64> {
 
 /// A record replayed from a shard log, tagged with its series.
 #[derive(Debug, Clone, PartialEq)]
-enum TaggedRecord {
+pub(crate) enum TaggedRecord {
     Op(SeriesId, WalRecord),
     FlushBegin(SeriesId),
     FlushEnd(SeriesId),
@@ -169,6 +201,7 @@ fn decode_record(buf: &[u8], start: usize) -> Option<(TaggedRecord, usize)> {
     pos += 4;
     let record = match kind {
         0 => {
+            let after = Version(varint::read_u64(buf, &mut pos).ok()?);
             let n = varint::read_u64(buf, &mut pos).ok()? as usize;
             // A record cannot hold more points than bytes remaining.
             if n > buf.len().saturating_sub(pos) {
@@ -181,7 +214,7 @@ fn decode_record(buf: &[u8], start: usize) -> Option<(TaggedRecord, usize)> {
                 pos += 8;
                 points.push(Point::new(t, f64::from_le_bytes(v_bytes.try_into().ok()?)));
             }
-            TaggedRecord::Op(id, WalRecord::Insert(points))
+            TaggedRecord::Op(id, WalRecord::Insert { after, points })
         }
         1 => {
             let version = Version(varint::read_u64(buf, &mut pos).ok()?);
@@ -207,6 +240,20 @@ fn decode_record(buf: &[u8], start: usize) -> Option<(TaggedRecord, usize)> {
     Some((record, pos + 4))
 }
 
+/// Every whole frame of the segment at `path`, each with the offset
+/// just past it (crash-image tests cut a log between two frames).
+#[cfg(test)]
+pub(crate) fn scan_segment(path: &Path) -> Result<Vec<(TaggedRecord, u64)>> {
+    let buf = std::fs::read(path)?;
+    let mut frames = Vec::new();
+    let mut pos = 0usize;
+    while let Some((record, next)) = decode_record(&buf, pos) {
+        frames.push((record, next as u64));
+        pos = next;
+    }
+    Ok(frames)
+}
+
 /// Per-series surviving state after a replay scan.
 #[derive(Debug, Default)]
 struct ReplayState {
@@ -223,11 +270,16 @@ struct ReplayState {
 impl ShardWal {
     /// Open the shard log in `dir`, replaying existing segments.
     /// Returns the live log plus, per series, the operations a restart
-    /// must re-apply (covered prefixes already skipped).
+    /// must re-apply. Covered ones are skipped: those a matched marker
+    /// pair covers, and those below `sealed_version` — the highest
+    /// version of a durable run of the series (0 if none), which is how
+    /// a log that a power loss left trailing the file is told from one
+    /// that is ahead of it.
     pub fn open(
         dir: &Path,
         batch_bytes: usize,
         segment_bytes: u64,
+        sealed_version: impl Fn(SeriesId) -> Version,
     ) -> Result<(ShardWal, HashMap<SeriesId, Vec<WalRecord>>)> {
         let mut seg_ids: Vec<u64> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
@@ -302,10 +354,11 @@ impl ShardWal {
         let mut first_uncovered = HashMap::new();
         let mut out: HashMap<SeriesId, Vec<WalRecord>> = HashMap::new();
         for (id, st) in replay {
+            let sealed_version = sealed_version(id);
             let surviving: Vec<(u64, WalRecord)> = st
                 .ops
                 .into_iter()
-                .filter(|&(at, _)| at >= st.covered_below)
+                .filter(|(at, op)| *at >= st.covered_below && op.version() >= sealed_version)
                 .collect();
             if let Some(&(first_at, _)) = surviving.first() {
                 first_uncovered.insert(id, first_at);
@@ -338,17 +391,20 @@ impl ShardWal {
         Ok((wal, out))
     }
 
-    /// Append one insert run for `id`.
-    pub fn append_inserts(&self, id: SeriesId, points: &[Point]) -> Result<()> {
+    /// Append one insert run for `id`; `after` is the highest version
+    /// allocated so far, read under the lock that serializes the series'
+    /// appends and flush claims.
+    pub fn append_inserts(&self, id: SeriesId, after: Version, points: &[Point]) -> Result<()> {
         if points.is_empty() {
             return Ok(());
         }
         self.append_op(id, |out| {
-            // Kind + id + count, then at most 10 + 8 bytes per point:
-            // the record never regrows the buffer mid-encode.
-            out.reserve(15 + points.len() * 18);
+            // Kind + id + version + count, then at most 10 + 8 bytes per
+            // point: the record never regrows the buffer mid-encode.
+            out.reserve(25 + points.len() * 18);
             out.push(0u8);
             out.extend_from_slice(&id.0.to_le_bytes());
+            varint::write_u64(out, after.0);
             varint::write_u64(out, points.len() as u64);
             for p in points {
                 varint::write_i64(out, p.t);
@@ -618,8 +674,21 @@ mod tests {
         raw.iter().map(|&(t, v)| Point::new(t, v)).collect()
     }
 
+    /// An insert record appended with nothing allocated yet.
+    fn ins(raw: &[(i64, f64)]) -> WalRecord {
+        WalRecord::Insert {
+            after: Version(0),
+            points: pts(raw),
+        }
+    }
+
+    /// No series has a sealed run.
+    fn unsealed(_: SeriesId) -> Version {
+        Version(0)
+    }
+
     fn open(dir: &Path) -> (ShardWal, HashMap<SeriesId, Vec<WalRecord>>) {
-        ShardWal::open(dir, 0, 1 << 20).unwrap()
+        ShardWal::open(dir, 0, 1 << 20, unsealed).unwrap()
     }
 
     const A: SeriesId = SeriesId(0);
@@ -631,29 +700,27 @@ mod tests {
         {
             let (w, replay) = open(&dir);
             assert!(replay.is_empty());
-            w.append_inserts(A, &pts(&[(1, 1.0)])).unwrap();
-            w.append_inserts(B, &pts(&[(10, -1.0)])).unwrap();
+            w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
+            w.append_inserts(B, Version(0), &pts(&[(10, -1.0)]))
+                .unwrap();
             w.append_delete(A, Version(5), TimeRange::new(0, 2))
                 .unwrap();
-            w.append_inserts(A, &pts(&[(2, 2.0)])).unwrap();
+            w.append_inserts(A, Version(0), &pts(&[(2, 2.0)])).unwrap();
             w.commit(false).unwrap();
         }
         let (_w, replay) = open(&dir);
         assert_eq!(
             replay.get(&A).unwrap(),
             &vec![
-                WalRecord::Insert(pts(&[(1, 1.0)])),
+                ins(&[(1, 1.0)]),
                 WalRecord::Delete {
                     version: Version(5),
                     range: TimeRange::new(0, 2)
                 },
-                WalRecord::Insert(pts(&[(2, 2.0)])),
+                ins(&[(2, 2.0)]),
             ]
         );
-        assert_eq!(
-            replay.get(&B).unwrap(),
-            &vec![WalRecord::Insert(pts(&[(10, -1.0)]))]
-        );
+        assert_eq!(replay.get(&B).unwrap(), &vec![ins(&[(10, -1.0)])]);
     }
 
     #[test]
@@ -661,19 +728,16 @@ mod tests {
         let dir = tmp("covered");
         {
             let (w, _) = open(&dir);
-            w.append_inserts(A, &pts(&[(1, 1.0)])).unwrap();
+            w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
             w.commit(false).unwrap();
             w.begin_flush(A).unwrap();
             // Writes racing the flush land after the marker and survive.
-            w.append_inserts(A, &pts(&[(2, 2.0)])).unwrap();
+            w.append_inserts(A, Version(0), &pts(&[(2, 2.0)])).unwrap();
             w.commit(false).unwrap();
             w.end_flushes(&[A], false).unwrap();
         }
         let (_w, replay) = open(&dir);
-        assert_eq!(
-            replay.get(&A).unwrap(),
-            &vec![WalRecord::Insert(pts(&[(2, 2.0)]))]
-        );
+        assert_eq!(replay.get(&A).unwrap(), &vec![ins(&[(2, 2.0)])]);
     }
 
     #[test]
@@ -681,30 +745,61 @@ mod tests {
         let dir = tmp("crashmid");
         {
             let (w, _) = open(&dir);
-            w.append_inserts(A, &pts(&[(1, 1.0)])).unwrap();
+            w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
             w.begin_flush(A).unwrap();
             w.commit(false).unwrap();
             // No end marker: crash mid-flush.
         }
         let (_w, replay) = open(&dir);
-        assert_eq!(
-            replay.get(&A).unwrap(),
-            &vec![WalRecord::Insert(pts(&[(1, 1.0)]))]
-        );
+        assert_eq!(replay.get(&A).unwrap(), &vec![ins(&[(1, 1.0)])]);
+    }
+
+    #[test]
+    fn records_below_a_sealed_version_are_not_replayed() {
+        let dir = tmp("sealed");
+        {
+            let (w, _) = open(&dir);
+            // A's flush took version 4 and its file is durable; of the
+            // log, a power loss kept a prefix with no marker in it.
+            w.append_inserts(A, Version(2), &pts(&[(1, 1.0)])).unwrap();
+            w.append_delete(A, Version(3), TimeRange::new(0, 0))
+                .unwrap();
+            w.append_inserts(B, Version(3), &pts(&[(2, 2.0)])).unwrap();
+            // A write that raced the flush: appended after its claim.
+            w.append_inserts(A, Version(4), &pts(&[(3, 3.0)])).unwrap();
+            w.commit(false).unwrap();
+        }
+        let sealed = |id| Version(if id == A { 4 } else { 0 });
+        let (w, replay) = ShardWal::open(&dir, 0, 1 << 20, sealed).unwrap();
+        let raced = WalRecord::Insert {
+            after: Version(4),
+            points: pts(&[(3, 3.0)]),
+        };
+        assert_eq!(replay.get(&A).unwrap(), &vec![raced]);
+        assert_eq!(replay.get(&B).unwrap().len(), 1);
+        drop(w);
+        // With every record below a sealed version nothing pins the
+        // log: the open drops it.
+        let (w, replay) = ShardWal::open(&dir, 0, 1 << 20, |_| Version(5)).unwrap();
+        assert!(replay.is_empty());
+        assert_eq!(w.segment_count(), 1);
     }
 
     #[test]
     fn full_flush_resets_log() {
         let dir = tmp("reset");
         let (w, _) = open(&dir);
-        w.append_inserts(A, &pts(&[(1, 1.0)])).unwrap();
-        w.append_inserts(B, &pts(&[(2, 2.0)])).unwrap();
+        w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
+        w.append_inserts(B, Version(0), &pts(&[(2, 2.0)])).unwrap();
         w.commit(false).unwrap();
         for id in [A, B] {
             w.begin_flush(id).unwrap();
         }
-        w.end_flushes(&[A, B], false).unwrap();
         // Everything covered: the log reset to one empty active segment.
+        // The reset's truncate + sync is the log sync of this flush — no
+        // fdatasync of records the file made redundant.
+        assert!(!w.end_flushes(&[A, B], true).unwrap());
+        assert_eq!(w.unsynced_bytes(), 0);
         assert_eq!(w.segment_count(), 1);
         let files: Vec<u64> = std::fs::read_dir(&dir)
             .unwrap()
@@ -724,7 +819,7 @@ mod tests {
         {
             let (w, _) = open(&dir);
             for id in [A, B, C] {
-                w.append_inserts(id, &pts(&[(1, 1.0)])).unwrap();
+                w.append_inserts(id, Version(0), &pts(&[(1, 1.0)])).unwrap();
             }
             for id in [A, B] {
                 w.begin_flush(id).unwrap();
@@ -746,8 +841,8 @@ mod tests {
         let dir = tmp("bystander");
         {
             let (w, _) = open(&dir);
-            w.append_inserts(A, &pts(&[(1, 1.0)])).unwrap();
-            w.append_inserts(B, &pts(&[(2, 2.0)])).unwrap();
+            w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
+            w.append_inserts(B, Version(0), &pts(&[(2, 2.0)])).unwrap();
             w.commit(false).unwrap();
             w.begin_flush(A).unwrap();
             assert!(w.unsynced_bytes() > 0);
@@ -757,33 +852,15 @@ mod tests {
         }
         let (_w, replay) = open(&dir);
         assert_eq!(replay.len(), 1);
-        assert_eq!(
-            replay.get(&B).unwrap(),
-            &vec![WalRecord::Insert(pts(&[(2, 2.0)]))]
-        );
-    }
-
-    #[test]
-    fn end_flushes_over_the_whole_log_resets_instead_of_syncing() {
-        let dir = tmp("resetnosync");
-        let (w, _) = open(&dir);
-        w.append_inserts(A, &pts(&[(1, 1.0)])).unwrap();
-        w.commit(false).unwrap();
-        w.begin_flush(A).unwrap();
-        // The reset's truncate + sync is the log sync of this flush:
-        // no fdatasync of records the file made redundant.
-        assert!(!w.end_flushes(&[A], true).unwrap());
-        assert_eq!(w.unsynced_bytes(), 0);
-        assert_eq!(w.segment_count(), 1);
-        assert_eq!(std::fs::metadata(segment_path(&dir, 0)).unwrap().len(), 0);
+        assert_eq!(replay.get(&B).unwrap(), &vec![ins(&[(2, 2.0)])]);
     }
 
     #[test]
     fn a_groups_begin_and_end_markers_leave_the_buffer_in_one_write() {
         let dir = tmp("onewrite");
-        let (w, _) = ShardWal::open(&dir, 1 << 20, 1 << 20).unwrap();
+        let (w, _) = ShardWal::open(&dir, 1 << 20, 1 << 20, unsealed).unwrap();
         for id in [A, B, SeriesId(9)] {
-            w.append_inserts(id, &pts(&[(1, 1.0)])).unwrap();
+            w.append_inserts(id, Version(0), &pts(&[(1, 1.0)])).unwrap();
         }
         let len = || std::fs::metadata(segment_path(&dir, 0)).unwrap().len();
         let records = w.commit(false).unwrap();
@@ -804,12 +881,13 @@ mod tests {
         let dir = tmp("prefix");
         // Tiny segments force rolls: A fills the early segments, B's
         // lone record lands in a late one.
-        let (w, _) = ShardWal::open(&dir, 0, 64).unwrap();
+        let (w, _) = ShardWal::open(&dir, 0, 64, unsealed).unwrap();
         for i in 0..20i64 {
-            w.append_inserts(A, &pts(&[(i, i as f64)])).unwrap();
+            w.append_inserts(A, Version(0), &pts(&[(i, i as f64)]))
+                .unwrap();
             w.commit(false).unwrap();
         }
-        w.append_inserts(B, &pts(&[(1, 1.0)])).unwrap();
+        w.append_inserts(B, Version(0), &pts(&[(1, 1.0)])).unwrap();
         w.commit(false).unwrap();
         let before = w.segment_count();
         assert!(before > 2, "rolling produced only {before} segments");
@@ -822,10 +900,7 @@ mod tests {
         // B's record must still replay after the reclaim.
         drop(w);
         let (w, replay) = open(&dir);
-        assert_eq!(
-            replay.get(&B).unwrap(),
-            &vec![WalRecord::Insert(pts(&[(1, 1.0)]))]
-        );
+        assert_eq!(replay.get(&B).unwrap(), &vec![ins(&[(1, 1.0)])]);
         // Flushing B too clears the log entirely.
         w.begin_flush(B).unwrap();
         w.end_flushes(&[B], false).unwrap();
@@ -837,8 +912,9 @@ mod tests {
         let dir = tmp("torn");
         {
             let (w, _) = open(&dir);
-            w.append_inserts(A, &pts(&[(1, 1.0)])).unwrap();
-            w.append_inserts(A, &pts(&[(2, 2.0), (3, 3.0)])).unwrap();
+            w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
+            w.append_inserts(A, Version(0), &pts(&[(2, 2.0), (3, 3.0)]))
+                .unwrap();
             w.commit(false).unwrap();
         }
         // Tear the active segment's tail (segment 0: the only one with
@@ -847,17 +923,15 @@ mod tests {
         let data = std::fs::read(&path).unwrap();
         std::fs::write(&path, data.get(..data.len() - 5).unwrap()).unwrap();
         let (_w, replay) = open(&dir);
-        assert_eq!(
-            replay.get(&A).unwrap(),
-            &vec![WalRecord::Insert(pts(&[(1, 1.0)]))]
-        );
+        assert_eq!(replay.get(&A).unwrap(), &vec![ins(&[(1, 1.0)])]);
     }
 
     #[test]
     fn grouped_mode_buffers_until_commit() {
         let dir = tmp("grouped");
-        let (w, _) = ShardWal::open(&dir, 1 << 20, 1 << 20).unwrap();
-        w.append_inserts(A, &pts(&[(1, 1.0), (2, 2.0)])).unwrap();
+        let (w, _) = ShardWal::open(&dir, 1 << 20, 1 << 20, unsealed).unwrap();
+        w.append_inserts(A, Version(0), &pts(&[(1, 1.0), (2, 2.0)]))
+            .unwrap();
         // Nothing on disk yet (active segment is segment 0, empty).
         assert_eq!(std::fs::metadata(segment_path(&dir, 0)).unwrap().len(), 0);
         let bytes = w.commit(false).unwrap();
@@ -876,7 +950,7 @@ mod tests {
         let (w, _) = open(&dir);
         // A's frames are drained (written, unsynced) by a commit(false)
         // from another stripe sharing this shard log.
-        w.append_inserts(A, &pts(&[(1, 1.0)])).unwrap();
+        w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
         assert!(w.commit(false).unwrap() > 0);
         assert!(w.unsynced_bytes() > 0);
         // B's commit(true) writes nothing new itself, but must still
@@ -884,9 +958,9 @@ mod tests {
         assert_eq!(w.commit(true).unwrap(), 0);
         assert_eq!(w.unsynced_bytes(), 0);
         // So must a later one, with bytes of its own on top.
-        w.append_inserts(B, &pts(&[(2, 2.0)])).unwrap();
+        w.append_inserts(B, Version(0), &pts(&[(2, 2.0)])).unwrap();
         w.commit(false).unwrap();
-        w.append_inserts(A, &pts(&[(3, 3.0)])).unwrap();
+        w.append_inserts(A, Version(0), &pts(&[(3, 3.0)])).unwrap();
         assert!(w.commit(true).unwrap() > 0);
         assert_eq!(w.unsynced_bytes(), 0);
     }
@@ -896,16 +970,13 @@ mod tests {
         let dir = tmp("abort");
         {
             let (w, _) = open(&dir);
-            w.append_inserts(A, &pts(&[(1, 1.0)])).unwrap();
+            w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
             w.begin_flush(A).unwrap();
             w.abort_flush(A);
             w.commit(false).unwrap();
         }
         let (_w, replay) = open(&dir);
-        assert_eq!(
-            replay.get(&A).unwrap(),
-            &vec![WalRecord::Insert(pts(&[(1, 1.0)]))]
-        );
+        assert_eq!(replay.get(&A).unwrap(), &vec![ins(&[(1, 1.0)])]);
     }
 
     #[test]
@@ -913,12 +984,12 @@ mod tests {
         let dir = tmp("numbering");
         {
             let (w, _) = open(&dir);
-            w.append_inserts(A, &pts(&[(1, 1.0)])).unwrap();
+            w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
             w.commit(false).unwrap();
         }
         {
             let (w, _) = open(&dir);
-            w.append_inserts(A, &pts(&[(2, 2.0)])).unwrap();
+            w.append_inserts(A, Version(0), &pts(&[(2, 2.0)])).unwrap();
             w.commit(false).unwrap();
             // Old segment 0 sealed, new active segment 1.
             assert_eq!(w.segment_count(), 2);

@@ -17,8 +17,15 @@
 //! pages, chunks) and the footer's chunk index — and the test checks
 //! the file is exactly those plus the four directory bytes. The mods
 //! log (one per series since, `s<id>.mods`: its row's path changed a
-//! second time, its bytes never), the WAL segment, the catalog and the
-//! shard pin are byte-identical to the original table.
+//! second time, its bytes never), the catalog and the shard pin are
+//! byte-identical to the original table.
+//!
+//! The WAL segment's entry was regenerated once too, when every insert
+//! record gained the version it was appended after (what lets a log
+//! that a power loss left trailing a sealed file be told from one that
+//! is ahead of it): the original 28 520 bytes plus one — a one-byte
+//! varint, the history allocates ten versions — for each of its 16
+//! insert records. Deletes and flush markers are framed as they were.
 
 // Tests assert by panicking; the workspace panic-freedom deny-set
 // (root Cargo.toml) is aimed at library code.
@@ -41,7 +48,7 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("catalog.log", 36, 0xec3a226c01abdc87),
     ("shard-0000/00000000.tsfile", 20697, 0xffc07aaf4d351868),
     ("shard-0000/s1.mods", 9, 0xcc59cc0b4c19c5c2),
-    ("shard-0000/wal-00000000.log", 28520, 0xd85eab1dfa586c6f),
+    ("shard-0000/wal-00000000.log", 28536, 0x436e6e12b8778dcc),
 ];
 
 /// `(length, FNV-1a 64)` of the data file's bytes before the footer and

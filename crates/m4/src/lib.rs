@@ -35,7 +35,6 @@ pub mod agg;
 pub mod error;
 pub mod lsm;
 pub mod oracle;
-pub mod pool;
 pub mod query;
 pub mod render;
 pub mod repr;

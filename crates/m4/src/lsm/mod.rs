@@ -22,16 +22,15 @@
 //!
 //! Spans are independent (each executor owns its candidate state and
 //! borrows the `Sync` table), so step 3 fans them across the
-//! engine-configured worker pool ([`crate::pool`]): candidate
+//! engine-configured worker pool ([`tskv::pool`]): candidate
 //! verification and the lazy page loads it triggers run concurrently
 //! per span, while results keep span order.
 
 mod span;
 mod table;
 
-use tskv::SeriesSnapshot;
+use tskv::{pool, SeriesSnapshot};
 
-use crate::pool;
 use crate::query::M4Query;
 use crate::repr::M4Result;
 use crate::{M4Error, Result};

@@ -21,10 +21,9 @@ use std::sync::Arc;
 
 use tsfile::types::{Point, TimeRange, Version};
 use tskv::readers::MergeReader;
-use tskv::SeriesSnapshot;
+use tskv::{pool, SeriesSnapshot};
 
 use crate::oracle::m4_scan;
-use crate::pool;
 use crate::query::M4Query;
 use crate::repr::M4Result;
 use crate::{M4Error, Result};
@@ -50,7 +49,7 @@ impl M4Udf {
         // the k-way merge below is unchanged while out-of-range pages
         // are never decoded.
         let page_runs: Vec<Vec<(Version, Arc<Vec<Point>>)>> =
-            pool::run_indexed(threads, plan.len(), |i| {
+            pool::run_indexed(threads, plan.len(), |i| -> Result<_> {
                 let chunk = plan
                     .get(i)
                     .ok_or(M4Error::Internal("udf load plan out of range"))?;
@@ -71,7 +70,7 @@ impl M4Udf {
             let b = ((j + 1) * query.w / jobs).max(a + 1).min(query.w);
             let lo = query.span_range(a).start;
             let hi = query.span_range(b - 1).end;
-            Ok(reader.merge_runs_in(&runs, TimeRange::new(lo, hi)))
+            Ok::<_, M4Error>(reader.merge_runs_in(&runs, TimeRange::new(lo, hi)))
         })?;
         let merged = segments.concat();
         Ok(m4_scan(&merged, query))

@@ -2,8 +2,8 @@
 //!
 //! A [`WriteBatch`] accumulates points for any number of series and is
 //! applied in one [`crate::TsKv::write_batch`] call: the engine groups
-//! the touched series by shard, takes each stripe's write lock once,
-//! and drains every series' WAL frames in a single group-commit
+//! the touched series by shard, takes each shard's write lock once,
+//! and drains the shard's WAL frames in a single group-commit
 //! syscall. Building the batch does no I/O and takes no locks, so
 //! producers can assemble batches concurrently and hand them to the
 //! engine at their own cadence.

@@ -168,7 +168,7 @@ impl DecodedChunkCache {
 
     /// The stripe owning `key`. `shards` is never empty, so the modulo
     /// index is always in bounds.
-    fn shard(&self, key: &CacheKey) -> &Mutex<Inner> {
+    fn stripe(&self, key: &CacheKey) -> &Mutex<Inner> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) % self.shards.len()]
@@ -178,7 +178,7 @@ impl DecodedChunkCache {
     /// clones the `Arc` out — the guard is released before the caller
     /// touches the points.
     pub fn get(&self, key: CacheKey) -> Option<Arc<Vec<Point>>> {
-        let mut inner = self.shard(&key).lock();
+        let mut inner = self.stripe(&key).lock();
         if inner.map.contains_key(&key) {
             inner.touch(key);
             let points = inner.map.get(&key).map(|e| Arc::clone(&e.points));
@@ -202,7 +202,7 @@ impl DecodedChunkCache {
             return;
         }
         let evicted = {
-            let mut inner = self.shard(&key).lock();
+            let mut inner = self.stripe(&key).lock();
             inner.remove(&key);
             let tick = inner.next_tick;
             inner.next_tick += 1;

@@ -29,7 +29,7 @@
 //! remain.
 //!
 //! **Inputs are runs, not files.** A flush seals every series of a
-//! storage shard into one file, so a series' input may be its run of a
+//! shard into one file, so a series' input may be its run of a
 //! file other series still read. Compaction is still per series: it
 //! reads only that run, writes a one-run output, and *retires* its
 //! views of the inputs — a file is unlinked by the retirement that

@@ -68,7 +68,7 @@ pub struct EngineConfig {
     /// [`normalized`]: EngineConfig::normalized
     pub page_points: usize,
     /// Memtable point count that triggers an automatic flush. A flush
-    /// group seals one TsFile per storage shard it touches.
+    /// group seals one TsFile per shard it touches.
     pub memtable_threshold: usize,
     /// Timestamp column encoding for flushed chunks.
     pub ts_encoding: EncodingKind,
@@ -88,9 +88,15 @@ pub struct EngineConfig {
     /// reproduces the seed's always-decode behavior (the benchmark's
     /// cache-off arm).
     pub enable_read_cache: bool,
-    /// Number of lock-striped shards the series map is split across.
-    /// Writers to series in different shards never contend; `1`
-    /// reproduces the old single-lock engine. Must be in `1..=256`.
+    /// Number of shards the store is split across. Series `id` lives in
+    /// shard `id % write_shards`, and a shard is one lock, one log and
+    /// one directory: its series map's `RwLock`, its shared WAL and
+    /// `shard-NNNN/` with its data files and delete logs. Writers to
+    /// series in different shards never contend, and a flush seals one
+    /// file per shard it touches. Fixed at store creation: the first
+    /// open writes it to the `SHARDS` meta file, and later opens run
+    /// with the pinned value whatever this says ([`crate::TsKv::config`]
+    /// reports it). Must be in `1..=1024`.
     pub write_shards: usize,
     /// When group-committed WAL bytes are forced to stable storage.
     pub fsync_policy: FsyncPolicy,
@@ -104,12 +110,6 @@ pub struct EngineConfig {
     pub compaction_threshold: usize,
     /// Scheduler poll period in milliseconds. Must be in `1..=60_000`.
     pub compaction_interval_ms: u64,
-    /// Number of hash-sharded storage directories (`shard-NNN/`) the
-    /// store's data files and shared WALs are spread across. Fixed at
-    /// store creation: the first open writes it to the `SHARDS` meta
-    /// file and later opens use the pinned value regardless of this
-    /// knob. Must be in `1..=1024`.
-    pub storage_shards: usize,
 }
 
 impl Default for EngineConfig {
@@ -124,12 +124,11 @@ impl Default for EngineConfig {
             cache_capacity_bytes: 64 * 1024 * 1024,
             read_threads: 4,
             enable_read_cache: true,
-            write_shards: 8,
+            write_shards: 16,
             fsync_policy: FsyncPolicy::OnFlush,
             compaction_auto: false,
             compaction_threshold: 8,
             compaction_interval_ms: 20,
-            storage_shards: 16,
         }
     }
 }
@@ -140,15 +139,13 @@ pub const MAX_READ_THREADS: usize = 256;
 /// Upper bound on [`EngineConfig::cache_capacity_bytes`] (1 TiB).
 pub const MAX_CACHE_CAPACITY_BYTES: u64 = 1 << 40;
 
-/// Upper bound on [`EngineConfig::write_shards`].
-pub const MAX_WRITE_SHARDS: usize = 256;
+/// Upper bound on [`EngineConfig::write_shards`]. Four-digit shard
+/// directory names cover it.
+pub const MAX_WRITE_SHARDS: usize = 1024;
 
 /// Upper bound on [`EngineConfig::compaction_interval_ms`] (1 minute —
 /// a slower scheduler is indistinguishable from a disabled one).
 pub const MAX_COMPACTION_INTERVAL_MS: u64 = 60_000;
-
-/// Upper bound on [`EngineConfig::storage_shards`].
-pub const MAX_STORAGE_SHARDS: usize = 1024;
 
 /// Maximum number of series the catalog will intern. Registration past
 /// this fails with `CatalogFull` (series ids are dense `u32`s).
@@ -240,7 +237,7 @@ impl EngineConfig {
             return Err(crate::TsKvError::InvalidConfig {
                 field: "write_shards",
                 value: self.write_shards as u64,
-                reason: "exceeds the 256-shard ceiling",
+                reason: "exceeds the 1024-shard ceiling",
             });
         }
         if self.compaction_threshold < 2 {
@@ -262,20 +259,6 @@ impl EngineConfig {
                 field: "compaction_interval_ms",
                 value: self.compaction_interval_ms,
                 reason: "exceeds the 60 s ceiling",
-            });
-        }
-        if self.storage_shards == 0 {
-            return Err(crate::TsKvError::InvalidConfig {
-                field: "storage_shards",
-                value: 0,
-                reason: "must be at least 1",
-            });
-        }
-        if self.storage_shards > MAX_STORAGE_SHARDS {
-            return Err(crate::TsKvError::InvalidConfig {
-                field: "storage_shards",
-                value: self.storage_shards as u64,
-                reason: "exceeds the 1024-shard ceiling",
             });
         }
         Ok(())
@@ -328,33 +311,6 @@ mod tests {
         assert_eq!(FsyncPolicy::OnFlush.as_str(), "on_flush");
         assert_eq!(FsyncPolicy::Never.as_str(), "never");
         assert_eq!(FsyncPolicy::default(), FsyncPolicy::OnFlush);
-    }
-
-    #[test]
-    fn validate_rejects_bad_cardinality_knobs() {
-        use crate::TsKvError;
-        let cases: [(EngineConfig, &str); 2] = [
-            (
-                EngineConfig {
-                    storage_shards: 0,
-                    ..Default::default()
-                },
-                "storage_shards",
-            ),
-            (
-                EngineConfig {
-                    storage_shards: MAX_STORAGE_SHARDS + 1,
-                    ..Default::default()
-                },
-                "storage_shards",
-            ),
-        ];
-        for (config, want_field) in cases {
-            match config.validate() {
-                Err(TsKvError::InvalidConfig { field, .. }) => assert_eq!(field, want_field),
-                other => panic!("expected InvalidConfig for {want_field}, got {other:?}"),
-            }
-        }
     }
 
     #[test]

@@ -5,27 +5,26 @@
 //!
 //! Every series is interned once into a dense [`SeriesId`] by the
 //! persistent [`SeriesCatalog`] at the store root; all internal state
-//! — stripe maps, flush bookkeeping, compaction candidate lists,
+//! — shard maps, flush bookkeeping, compaction candidate lists,
 //! change events — is keyed on that id, so the steady-state ingest and
 //! query paths never hash or clone a series *name*. Names survive only
 //! at the [`TsKv`] facade, where each request resolves its name to an
 //! id exactly once.
 //!
-//! On disk the store is hash-sharded, not one-directory-per-series:
-//! `storage_shards` fixed directories `shard-0000`, `shard-0001`, …
-//! (the count is pinned by the `SHARDS` meta file at first open, so a
-//! later config change cannot orphan data). Shard `id %
-//! storage_shards` holds a series' sealed data and its WAL records,
-//! and the unit of both is the shard, not the series: one shared,
-//! per-record-tagged [`ShardWal`], and data files `<fileno>.tsfile`
-//! that each hold a run of chunks for **every** series flushed
-//! together (the footer's series-run directory says whose is whose;
-//! the file name carries a per-shard creation number and nothing
-//! else). A flush of many series therefore costs one file per shard,
-//! not one per series, and a registered-but-cold series costs two map
-//! entries and zero files or directories — a million registered series
-//! open in catalog-replay time, and in-memory [`SeriesStore`] state is
-//! instantiated lazily on first touch.
+//! The store is hash-sharded, not one-directory-per-series: series `id`
+//! lives in shard `id % write_shards`, and a shard is one lock, one log
+//! and one directory — the `RwLock` over its series map, one shared,
+//! per-record-tagged [`ShardWal`], and `shard-NNNN/` (the count is
+//! pinned by the `SHARDS` meta file at first open, so a later config
+//! change cannot orphan data). The unit on disk is the shard, not the
+//! series: data files `<fileno>.tsfile` each hold a run of chunks for
+//! **every** series flushed together (the footer's series-run directory
+//! says whose is whose; the file name carries a per-shard creation
+//! number and nothing else). A flush of many series therefore costs one
+//! file per shard, not one per series, and a registered-but-cold series
+//! costs two map entries and zero files or directories — a million
+//! registered series open in catalog-replay time, and in-memory
+//! [`SeriesStore`] state is instantiated lazily on first touch.
 //!
 //! Each series reads a shared file through its own [`SeriesView`]: the
 //! shared reader and its run. A file belongs to its views together: a
@@ -50,25 +49,24 @@
 //!
 //! ## Lock discipline
 //!
-//! In-memory series state is partitioned into `write_shards`
-//! lock-striped stripes keyed by `id % write_shards`; each stripe's map
-//! sits behind its own `RwLock`, so writers to series in different
-//! stripes never contend. The xtask L2 lint bans holding any of those
-//! locks across file I/O or chunk decode, so every heavy operation is
-//! split into short locked phases around an unlocked I/O phase:
+//! Each shard's series map sits behind its own `RwLock`, so writers to
+//! series in different shards never contend. The xtask L2 lint bans
+//! holding a shard lock across file I/O or chunk decode, so every heavy
+//! operation is split into short locked phases around an unlocked I/O
+//! phase:
 //!
-//! * **Flush** — the members of one flush that share a storage shard
-//!   form a group (a lone series is a group of one). Phase A (locked,
-//!   one member's stripe at a time): mark the drain point in the shard
-//!   WAL, drain the memtable, reserve chunk versions, and park the
-//!   drained points in [`SeriesStore::flushing`] so concurrent
-//!   snapshots still see them. Phase B (unlocked): sync the catalog,
-//!   then encode and seal the group's one TsFile. Phase C: append every
-//!   member's end marker in one write, sync the shard WAL if a replay
-//!   still needs it, then (locked, one stripe at a time) install each
-//!   member's view of the file — or, on failure, return every member's
-//!   points to its memtable (anything newer that landed meanwhile
-//!   wins). A delete mid-flush is a log entry above the reserved versions.
+//! * **Flush** — the members of one flush that share a shard form a
+//!   group (a lone series is a group of one). Phase A (under one shard
+//!   lock): mark each member's drain point in the shard WAL, drain its
+//!   memtable, reserve chunk versions, and park the drained points in
+//!   [`SeriesStore::flushing`] so concurrent snapshots still see them.
+//!   Phase B (unlocked): sync the catalog, then encode and seal the
+//!   group's one TsFile. Phase C: append every member's end marker in
+//!   one write, sync the shard WAL if a replay still needs it, then
+//!   (under one shard lock) install each member's view of the file — or,
+//!   on failure, return every member's points to its memtable (anything
+//!   newer that landed meanwhile wins). A delete mid-flush is a log
+//!   entry above the reserved versions.
 //! * **Compaction** — same shape, per series; the input (every sealed
 //!   run the series has when the lock is taken) is captured as
 //!   metadata, merged and written off-lock as a one-run file (clean
@@ -79,14 +77,14 @@
 //!   which is where the delete log is trimmed once the inputs are gone.
 //! * Shard-WAL appends of writes, deletes and begin markers, the
 //!   group-commit drain, and the delete log's append and trim stay
-//!   under the stripe lock on purpose: serializing durability writes
+//!   under the shard lock on purpose: serializing durability writes
 //!   against the state they describe is what the lock is *for* (see
-//!   DESIGN.md). A flush's WAL fsync and end markers run with no stripe
+//!   DESIGN.md). A flush's WAL fsync and end markers run with no shard
 //!   lock held. The WAL's own short mutex nests strictly inside the
-//!   stripe lock and stripe locks are never nested with each other, so
+//!   shard lock and shard locks are never nested with each other, so
 //!   the order is acyclic.
 //! * **Background compaction** — when `compaction_auto` is on, a
-//!   scheduler thread ([`crate::scheduler`]) scans the stripes with
+//!   scheduler thread ([`crate::scheduler`]) scans the shards with
 //!   short read guards for series whose sealed-file count crossed
 //!   `compaction_threshold`, then runs the same phased [`compact`]
 //!   entirely off-lock.
@@ -99,7 +97,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use tsfile::types::{Point, TimeRange, Timestamp, Version};
 use tsfile::{ChunkMeta, ModEntry, ModsFile, SeriesRun, TsFileError, TsFileReader, TsFileWriter};
@@ -111,11 +109,12 @@ use crate::chunk::ChunkHandle;
 use crate::compaction::plan::{self, ChunkView};
 use crate::compaction::{execute, CompactionReport};
 use crate::config::{
-    EngineConfig, FsyncPolicy, CATALOG_MAX_SERIES, MAX_STORAGE_SHARDS, WAL_BATCH_BYTES,
+    EngineConfig, FsyncPolicy, CATALOG_MAX_SERIES, MAX_WRITE_SHARDS, WAL_BATCH_BYTES,
     WAL_SEGMENT_BYTES,
 };
 use crate::memtable::MemTable;
 use crate::notify::{ChangeEvent, ChangeRx, ChangeSink};
+use crate::pool;
 use crate::scheduler::CompactionScheduler;
 use crate::shard_wal::{ShardWal, WalRecord};
 use crate::snapshot::SeriesSnapshot;
@@ -123,7 +122,7 @@ use crate::stats::IoStats;
 use crate::version::VersionAllocator;
 use crate::{Result, TsKvError};
 
-/// Meta file at the store root pinning the storage-shard count.
+/// Meta file at the store root pinning the shard count.
 const SHARDS_META: &str = "SHARDS";
 
 /// Points a flush group may park in `flushing` slots before it is
@@ -243,8 +242,8 @@ struct FlushInFlight {
 }
 
 /// Per-series in-memory state: the memtable, the sealed-file list and
-/// the delete log. Directories and WAL handles live at the
-/// storage-shard level, so a cold series is exactly this struct's
+/// the delete log. Directories and WAL handles live at the shard
+/// level, so a cold series is exactly this struct's
 /// footprint — and not even that until the series is first touched.
 #[derive(Debug)]
 struct SeriesStore {
@@ -289,38 +288,23 @@ struct FlushMember {
     versions: Vec<Version>,
 }
 
-/// Outcome of asking one series to join a flush group (computed under
-/// its stripe lock).
-enum Claim {
-    /// Another flush owns the series' in-flight slot.
-    Busy,
-    /// Nothing buffered (or the series was never touched).
-    Idle,
-    /// The slot is claimed and the begin marker appended.
-    Member(FlushMember),
-}
-
-/// One lock stripe of the series map, keyed on `id % write_shards`.
-/// Writers to series in different stripes never contend.
+/// One shard of the store: the series with `id % write_shards ==
+/// index`. One lock, one log, one directory — the `RwLock` over the
+/// series map serializes every write, delete, flush claim and install
+/// of those series against the shard's WAL, and `dir` holds their
+/// sealed files, delete logs and WAL segments.
 #[derive(Debug)]
 struct Shard {
-    series: RwLock<HashMap<SeriesId, SeriesStore>>,
-}
-
-/// One on-disk storage shard: a directory holding the sealed files of
-/// every series with `id % storage_shards == index`, plus their shared
-/// write-ahead log.
-#[derive(Debug)]
-struct StorageShard {
     dir: PathBuf,
     wal: ShardWal,
     /// Number of the next data file of this shard. Numbers only record
     /// creation order; they are never reused, not even a quarantined
     /// file's.
     next_fileno: AtomicU64,
+    series: RwLock<HashMap<SeriesId, SeriesStore>>,
 }
 
-impl StorageShard {
+impl Shard {
     /// Path of a data file of this shard that no file has had yet.
     fn next_data_path(&self) -> PathBuf {
         let no = self.next_fileno.fetch_add(1, Ordering::Relaxed);
@@ -386,12 +370,11 @@ pub(crate) struct EngineInner {
     /// Persistent name↔id interning table (see [`crate::catalog`]).
     catalog: SeriesCatalog,
     shards: Vec<Shard>,
-    storage: Vec<StorageShard>,
     io: Arc<IoStats>,
     /// Cross-query decoded-chunk LRU; `None` when disabled by config.
     cache: Option<Arc<DecodedChunkCache>>,
     /// Change-notification fan-out (see [`crate::notify`]). Publishes
-    /// happen after the owning stripe lock is released, so a slow
+    /// happen after the owning shard lock is released, so a slow
     /// listener can never extend lock hold times; cross-thread event
     /// order is therefore best-effort, and consumers reconcile via
     /// their dirty-span repair path.
@@ -401,7 +384,7 @@ pub(crate) struct EngineInner {
 /// The LSM time series store.
 ///
 /// See the crate docs for the data model. All methods are `&self`;
-/// internal state is lock-striped behind per-stripe
+/// internal state is sharded behind per-shard
 /// [`parking_lot::RwLock`]s.
 #[derive(Debug)]
 pub struct TsKv {
@@ -424,10 +407,9 @@ fn validate_series_name(name: &str) -> Result<()> {
     }
 }
 
-/// Directory name of storage shard `i`. Four digits cover
-/// [`MAX_STORAGE_SHARDS`] and keep lexicographic order equal to
-/// numeric order.
-fn storage_dir_name(i: usize) -> String {
+/// Directory name of shard `i`. Four digits cover [`MAX_WRITE_SHARDS`]
+/// and keep lexicographic order equal to numeric order.
+fn shard_dir_name(i: usize) -> String {
     format!("shard-{i:04}")
 }
 
@@ -525,39 +507,46 @@ fn settle_in_flight(listing: &mut ShardListing) -> Result<()> {
     Ok(())
 }
 
-/// Write (and sync) the `SHARDS` meta file pinning the shard count.
+/// Write the `SHARDS` meta file pinning the shard count the way data
+/// files are written: under an in-flight name, synced, then renamed, so
+/// a crash leaves either no pin or a whole one.
 fn write_shards_meta(dir: &Path, n: usize) -> Result<()> {
     use std::io::Write as _;
-    let mut f = std::fs::File::create(dir.join(SHARDS_META))?;
+    let path = dir.join(SHARDS_META);
+    let tmp = with_suffix(&path, ".tmp");
+    let mut f = std::fs::File::create(&tmp)?;
     f.write_all(format!("{n}\n").as_bytes())?;
     f.sync_data()?;
+    std::fs::rename(&tmp, &path)?;
     Ok(())
 }
 
-/// The storage-shard count this store was created with. The first open
-/// pins the configured value into the `SHARDS` meta file; every later
-/// open uses the pinned value (the configured one only seeds new
-/// stores — data placement must never move under a config edit).
-fn pinned_storage_shards(dir: &Path, configured: usize) -> Result<usize> {
-    match std::fs::read_to_string(dir.join(SHARDS_META)) {
-        Ok(s) => {
-            let n: usize = s.trim().parse().map_err(|_| {
-                TsKvError::Corrupt(format!("SHARDS meta: unparseable shard count {s:?}"))
-            })?;
-            if n == 0 || n > MAX_STORAGE_SHARDS {
-                return Err(TsKvError::Corrupt(format!(
-                    "SHARDS meta: shard count {n} out of range (1..={MAX_STORAGE_SHARDS})"
-                )));
-            }
-            Ok(n)
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            reject_unpinned_data(dir)?;
-            write_shards_meta(dir, configured)?;
-            Ok(configured)
-        }
-        Err(e) => Err(e.into()),
+/// The shard count this store was created with. The first open pins the
+/// configured value into the `SHARDS` meta file; every later open uses
+/// the pinned value (the configured one only seeds new stores — data
+/// placement must never move under a config edit). An empty `SHARDS` —
+/// what a crash mid-write left before the pin was written atomically —
+/// pins nothing, like a missing one.
+fn pinned_shards(dir: &Path, configured: usize) -> Result<usize> {
+    let pinned = match std::fs::read_to_string(dir.join(SHARDS_META)) {
+        Ok(s) => s,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        Err(e) => return Err(e.into()),
+    };
+    if pinned.is_empty() {
+        reject_unpinned_data(dir)?;
+        write_shards_meta(dir, configured)?;
+        return Ok(configured);
     }
+    let n: usize = pinned.trim().parse().map_err(|_| {
+        TsKvError::Corrupt(format!("SHARDS meta: unparseable shard count {pinned:?}"))
+    })?;
+    if n == 0 || n > MAX_WRITE_SHARDS {
+        return Err(TsKvError::Corrupt(format!(
+            "SHARDS meta: shard count {n} out of range (1..={MAX_WRITE_SHARDS})"
+        )));
+    }
+    Ok(n)
 }
 
 /// Refuse a store root that holds data but no `SHARDS` pin: the
@@ -677,55 +666,6 @@ fn recover_series(
     Ok(store)
 }
 
-/// Recover every series with on-disk or WAL state, fanning the
-/// per-series work across up to `workers` scoped threads (same
-/// claim-by-atomic-cursor shape as `m4::pool`). Results come back in
-/// `work` order; the first error (in that order) wins, matching
-/// sequential recovery.
-fn recover_all(
-    work: &[RecoveryWork],
-    workers: usize,
-    alloc: &VersionAllocator,
-) -> Result<Vec<(SeriesId, SeriesStore)>> {
-    let workers = workers.min(work.len());
-    if workers <= 1 {
-        let mut out = Vec::with_capacity(work.len());
-        for w in work {
-            out.push((w.0, recover_series(w, alloc)?));
-        }
-        return Ok(out);
-    }
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<SeriesStore>>>> =
-        work.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(w) = work.get(i) else {
-                    break;
-                };
-                let res = recover_series(w, alloc);
-                if let Some(slot) = slots.get(i) {
-                    *slot.lock() = Some(res);
-                }
-            });
-        }
-    });
-    let mut out = Vec::with_capacity(work.len());
-    for (w, slot) in work.iter().zip(slots) {
-        match slot.into_inner() {
-            Some(Ok(store)) => out.push((w.0, store)),
-            Some(Err(e)) => return Err(e),
-            // A worker can only leave a slot empty by panicking, which
-            // the workspace forbids; recover the series inline rather
-            // than guessing.
-            None => out.push((w.0, recover_series(w, alloc)?)),
-        }
-    }
-    Ok(out)
-}
-
 impl EngineInner {
     /// Open (or create) the shared engine state rooted at `dir`. See
     /// [`TsKv::open`] for recovery semantics.
@@ -735,16 +675,21 @@ impl EngineInner {
         std::fs::create_dir_all(&dir)?;
         let io = Arc::new(IoStats::default());
 
-        let n_storage = pinned_storage_shards(&dir, config.storage_shards)?;
+        // The store runs with its pinned count, and says so.
+        let n_shards = pinned_shards(&dir, config.write_shards)?;
+        let config = EngineConfig {
+            write_shards: n_shards,
+            ..config
+        };
         let catalog = SeriesCatalog::open(&dir, CATALOG_MAX_SERIES, Arc::clone(&io))?;
         let alloc = VersionAllocator::default();
 
-        // List every storage shard before anything in it is touched: a
-        // store holding a data file this build does not read is refused
-        // as it was found.
-        let mut listings: Vec<(PathBuf, ShardListing)> = Vec::with_capacity(n_storage);
-        for i in 0..n_storage {
-            let sdir = dir.join(storage_dir_name(i));
+        // List every shard before anything in it is touched: a store
+        // holding a data file this build does not read is refused as it
+        // was found.
+        let mut listings: Vec<(PathBuf, ShardListing)> = Vec::with_capacity(n_shards);
+        for i in 0..n_shards {
+            let sdir = dir.join(shard_dir_name(i));
             std::fs::create_dir_all(&sdir)?;
             let listing = list_shard(&sdir)?;
             listings.push((sdir, listing));
@@ -755,7 +700,7 @@ impl EngineInner {
         // replay the shard's WAL. A series with only a delete log is
         // recovered for the log's versions. Cold series (registered,
         // nothing on disk) never appear here and cost nothing.
-        let mut storage: Vec<StorageShard> = Vec::with_capacity(n_storage);
+        let mut shards: Vec<Shard> = Vec::with_capacity(n_shards);
         let mut work: HashMap<SeriesId, (Vec<SeriesView>, Vec<WalRecord>)> = HashMap::new();
         for (sdir, mut listing) in listings {
             settle_in_flight(&mut listing)?;
@@ -778,10 +723,11 @@ impl EngineInner {
             for id in listing.logged {
                 work.entry(id).or_default();
             }
-            storage.push(StorageShard {
+            shards.push(Shard {
                 dir: sdir,
                 wal,
                 next_fileno: AtomicU64::new(listing.next_fileno),
+                series: RwLock::new(HashMap::new()),
             });
         }
 
@@ -795,25 +741,23 @@ impl EngineInner {
             )));
         }
 
+        // Recover the series one job each, across up to one worker per
+        // shard; the first error in id order wins, as it would in a
+        // sequential recovery.
         let mut work: Vec<RecoveryWork> = work
             .into_iter()
             .map(|(id, (runs, recs))| {
-                let sdir = dir.join(storage_dir_name(id.index() % n_storage));
+                let sdir = dir.join(shard_dir_name(id.index() % n_shards));
                 (id, delete_log_path(&sdir, id), runs, recs)
             })
             .collect();
         work.sort_by_key(|(id, ..)| *id);
-        let recovered = recover_all(&work, config.write_shards, &alloc)?;
-
-        let shards: Vec<Shard> = (0..config.write_shards)
-            .map(|_| Shard {
-                series: RwLock::new(HashMap::new()),
-            })
-            .collect();
-        for (id, store) in recovered {
+        let recovered =
+            pool::run_indexed(n_shards, work.len(), |i| recover_series(&work[i], &alloc))?;
+        for ((id, ..), store) in work.iter().zip(recovered) {
             io.record_store_instantiated();
-            if let Some(shard) = shards.get(id.index() % shards.len()) {
-                shard.series.write().insert(id, store);
+            if let Some(shard) = shards.get_mut(id.index() % n_shards) {
+                shard.series.get_mut().insert(*id, store);
             }
         }
 
@@ -831,23 +775,17 @@ impl EngineInner {
             alloc,
             catalog,
             shards,
-            storage,
             io,
             cache,
             changes: ChangeSink::default(),
         })
     }
 
-    /// The lock stripe owning `id`. `write_shards >= 1` is validated
-    /// at open and the index is modulo the stripe count, so it is
-    /// always in bounds.
-    fn stripe(&self, id: SeriesId) -> &Shard {
+    /// The shard owning `id`: its lock, log and directory. The pinned
+    /// count is at least 1 and the index is modulo it, so it is always
+    /// in bounds.
+    fn shard(&self, id: SeriesId) -> &Shard {
         &self.shards[id.index() % self.shards.len()]
-    }
-
-    /// The storage shard owning `id`'s files and WAL records.
-    fn storage(&self, id: SeriesId) -> &StorageShard {
-        &self.storage[id.index() % self.storage.len()]
     }
 
     /// Error if `id` was never registered. Ids are dense, so the check
@@ -887,7 +825,7 @@ impl EngineInner {
     }
 
     /// The series' in-memory store, instantiated lazily on first
-    /// touch. Requires the stripe's write guard (passed as `map`).
+    /// touch. Requires the shard's write guard (passed as `map`).
     fn store_entry<'a>(
         &self,
         map: &'a mut HashMap<SeriesId, SeriesStore>,
@@ -896,29 +834,15 @@ impl EngineInner {
         map.entry(id).or_insert_with(|| {
             self.io.record_store_instantiated();
             // No log on disk: the open instantiates every series with one.
-            SeriesStore::new(ModsFile::new(delete_log_path(&self.storage(id).dir, id)))
+            SeriesStore::new(ModsFile::new(delete_log_path(&self.shard(id).dir, id)))
         })
-    }
-
-    /// Append `points` to the shard WAL (tagged with `id`) and the
-    /// memtable. Runs under the owning stripe's write lock; pure
-    /// in-memory work plus buffered WAL frames (drained by
-    /// [`EngineInner::commit_wal_with`]). The record carries the highest
-    /// version allocated so far: the flush that drains these points
-    /// claims the series under the same lock, so its versions are higher.
-    fn apply_inserts(&self, id: SeriesId, store: &mut SeriesStore, points: &[Point]) -> Result<()> {
-        let after = self.alloc.current();
-        self.storage(id).wal.append_inserts(id, after, points)?;
-        store.memtable.extend(points);
-        self.io.record_points_written(points.len() as u64);
-        Ok(())
     }
 
     /// Drain a shard WAL's group-commit buffer in one syscall,
     /// fsyncing when `sync` (or always under [`FsyncPolicy::Always`]).
-    /// Called before the stripe lock is released, so every
+    /// Called before the shard lock is released, so every
     /// acknowledged write is in the OS first.
-    fn commit_wal_with(&self, shard: &StorageShard, sync: bool) -> Result<()> {
+    fn commit_wal_with(&self, shard: &Shard, sync: bool) -> Result<()> {
         let sync = sync || matches!(self.config.fsync_policy, FsyncPolicy::Always);
         if sync {
             // WAL records are id-tagged; the catalog record binding
@@ -938,107 +862,58 @@ impl EngineInner {
         Ok(())
     }
 
-    /// Insert a batch of points (any time order; duplicates overwrite).
-    fn insert_batch(&self, id: SeriesId, points: &[Point]) -> Result<()> {
-        if points.is_empty() {
-            return Ok(());
-        }
-        self.known(id)?;
-        let need_flush = {
-            let mut map = self.stripe(id).series.write();
-            let store = self.store_entry(&mut map, id);
-            self.apply_inserts(id, store, points)?;
-            let threshold =
-                store.memtable.len() >= self.config.memtable_threshold && store.flushing.is_none();
-            self.commit_wal_with(self.storage(id), false)?;
-            threshold
-        };
-        if self.changes.active() {
-            self.changes.publish(&ChangeEvent::Write {
-                series: id,
-                points: Arc::new(points.to_vec()),
-            });
-        }
-        if need_flush {
-            self.flush_group(&[id], false)?;
-        }
-        Ok(())
-    }
-
-    /// Apply a multi-series [`WriteBatch`]: names resolved once up
-    /// front, series grouped by stripe so each stripe's write lock is
-    /// taken once, WAL frames group-commit per storage shard the
-    /// stripe's entries touched (one syscall each, fsync per
-    /// [`FsyncPolicy`], before the stripe's guard drops), and memtables
-    /// that crossed the flush threshold flush after every lock is
-    /// released — as one group, so those that share a storage shard
-    /// share a file. Returns the number of points written.
-    fn write_batch(&self, batch: &WriteBatch) -> Result<usize> {
-        if batch.is_empty() {
-            return Ok(0);
-        }
-        // Phase 1 (boundary): resolve every name to an id, registering
-        // new ones. The only name hashing in the whole operation.
-        let mut resolved: Vec<(SeriesId, &[Point])> = Vec::with_capacity(batch.series_count());
-        for (name, points) in batch.entries() {
-            resolved.push((self.create_series(name)?, points));
-        }
-        // Phase 2: group by stripe; one lock acquisition per stripe.
-        let mut by_stripe: Vec<Vec<(SeriesId, &[Point])>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for (id, points) in resolved {
-            if let Some(group) = by_stripe.get_mut(id.index() % self.shards.len()) {
+    /// The write path: apply `entries` — runs of points, any time
+    /// order, later duplicates overwrite — and return the number of
+    /// points written. Entries are grouped by shard, and each shard's
+    /// write guard is taken once: every entry's WAL record and memtable
+    /// insert, then one group commit of the shard's log (fsync per
+    /// [`FsyncPolicy`]) before the guard drops. After every guard has
+    /// dropped, listeners are notified and the memtables that crossed
+    /// the flush threshold flush — as one group, so that those sharing
+    /// a shard share a file. Empty runs are skipped.
+    fn write(&self, entries: &[(SeriesId, &[Point])]) -> Result<usize> {
+        let mut by_shard: Vec<Vec<(SeriesId, &[Point])>> = vec![Vec::new(); self.shards.len()];
+        for &(id, points) in entries.iter().filter(|(_, p)| !p.is_empty()) {
+            self.known(id)?;
+            if let Some(group) = by_shard.get_mut(id.index() % self.shards.len()) {
                 group.push((id, points));
             }
         }
         let mut total = 0usize;
         let mut need_flush: Vec<SeriesId> = Vec::new();
-        let notify = self.changes.active();
-        let mut events: Vec<ChangeEvent> = Vec::new();
-        for (idx, group) in by_stripe.iter().enumerate() {
+        for (shard, group) in self.shards.iter().zip(&by_shard) {
             if group.is_empty() {
                 continue;
             }
-            let Some(shard) = self.shards.get(idx) else {
-                continue;
-            };
             let mut map = shard.series.write();
-            // The storage shards whose logs hold this stripe's frames.
-            let mut touched: Vec<usize> = Vec::new();
-            let applied = group.iter().try_for_each(|(id, points)| {
-                let store = self.store_entry(&mut map, *id);
-                let log = id.index() % self.storage.len();
-                if !touched.contains(&log) {
-                    touched.push(log);
-                }
-                self.apply_inserts(*id, store, points)?;
+            let applied = group.iter().try_for_each(|&(id, points)| {
+                let store = self.store_entry(&mut map, id);
+                // The record carries the highest version allocated so
+                // far: the flush that drains these points claims the
+                // series under this lock, so its versions are higher.
+                shard.wal.append_inserts(id, self.alloc.current(), points)?;
+                store.memtable.extend(points);
+                self.io.record_points_written(points.len() as u64);
                 total += points.len();
-                if notify {
-                    events.push(ChangeEvent::Write {
-                        series: *id,
-                        points: Arc::new(points.to_vec()),
-                    });
-                }
                 if store.memtable.len() >= self.config.memtable_threshold
                     && store.flushing.is_none()
                 {
-                    need_flush.push(*id);
+                    need_flush.push(id);
                 }
                 Ok(())
             });
-            // One commit per log, whatever the entries were — and also
-            // when one of them failed: what did reach a memtable is in
-            // the OS before the guard drops.
-            let committed = touched
-                .iter()
-                .filter_map(|&log| self.storage.get(log))
-                .try_for_each(|log| self.commit_wal_with(log, false));
+            // One commit, also when an entry failed: what did reach a
+            // memtable is in the OS before the guard drops.
+            let committed = self.commit_wal_with(shard, false);
             applied.and(committed)?;
         }
-        // Phase 3 (unlocked): notify listeners, then flush the
-        // memtables that crossed the threshold.
-        for event in &events {
-            self.changes.publish(event);
+        if self.changes.active() {
+            for &(id, points) in by_shard.iter().flatten() {
+                self.changes.publish(&ChangeEvent::Write {
+                    series: id,
+                    points: Arc::new(points.to_vec()),
+                });
+            }
         }
         self.flush_group(&need_flush, false)?;
         Ok(total)
@@ -1046,13 +921,13 @@ impl EngineInner {
 
     /// Flush every series with buffered points, as one group. The
     /// members come from the instantiated stores — a short read guard
-    /// per stripe — so a million registered-but-cold series cost
+    /// per shard — so a million registered-but-cold series cost
     /// nothing here. A series mid-flush is a member too: the group
     /// waits for that flush and seals whatever is buffered after it.
     fn flush_all(&self) -> Result<()> {
         let mut ids = Vec::new();
-        for stripe in &self.shards {
-            let map = stripe.series.read();
+        for shard in &self.shards {
+            let map = shard.series.read();
             ids.extend(
                 map.iter()
                     .filter(|(_, store)| !store.memtable.is_empty() || store.flushing.is_some())
@@ -1062,9 +937,9 @@ impl EngineInner {
         self.flush_group(&ids, true)
     }
 
-    /// The flush state machine. Its unit is the storage shard: the
-    /// members of `ids` that share one are sealed into **one** file, a
-    /// run of chunks per member, for one catalog sync, one create, one
+    /// The flush state machine. Its unit is the shard: the members of
+    /// `ids` that share one are sealed into **one** file, a run of
+    /// chunks per member, for one catalog sync, one create, one
     /// `sync_all`, one reopen and at most one WAL sync, however many.
     /// A single series is the one-member case of the same path.
     ///
@@ -1074,31 +949,30 @@ impl EngineInner {
     /// (the running flush is making room, and the next insert re-checks
     /// the threshold).
     ///
-    /// Per group: phase A claims each member under its own stripe lock,
-    /// one lock at a time ([`claim_member`]); phase B writes the file
-    /// with no lock held ([`write_group`]); phase C ([`finish_group`])
-    /// installs a view of it in every member ([`install_member`]) — or,
-    /// on failure, puts every member's points back ([`abort_group`]).
+    /// Per group: phase A claims every member under one guard of the
+    /// shard lock ([`claim_group`]); phase B writes the file with no
+    /// lock held ([`write_group`]); phase C ([`finish_group`]) installs
+    /// a view of it in every member under one guard — or, on failure,
+    /// puts every member's points back ([`abort_group`]).
     ///
-    /// [`claim_member`]: EngineInner::claim_member
+    /// [`claim_group`]: EngineInner::claim_group
     /// [`write_group`]: EngineInner::write_group
     /// [`finish_group`]: EngineInner::finish_group
-    /// [`install_member`]: EngineInner::install_member
     /// [`abort_group`]: EngineInner::abort_group
     fn flush_group(&self, ids: &[SeriesId], wait: bool) -> Result<()> {
-        let mut by_shard: Vec<Vec<SeriesId>> = vec![Vec::new(); self.storage.len()];
+        let mut by_shard: Vec<Vec<SeriesId>> = vec![Vec::new(); self.shards.len()];
         for &id in ids {
             self.known(id)?;
-            if let Some(members) = by_shard.get_mut(id.index() % self.storage.len()) {
+            if let Some(members) = by_shard.get_mut(id.index() % self.shards.len()) {
                 members.push(id);
             }
         }
-        for (shard, mut todo) in self.storage.iter().zip(by_shard) {
+        for (shard, mut todo) in self.shards.iter().zip(by_shard) {
             // Ascending id: the order of the file's run directory.
             todo.sort_unstable();
             todo.dedup();
             while !todo.is_empty() {
-                let (members, later) = self.claim_group(&todo, wait)?;
+                let (members, later) = self.claim_group(shard, &todo, wait)?;
                 if members.is_empty() {
                     // Only members that another flush holds are left.
                     std::thread::yield_now();
@@ -1112,12 +986,18 @@ impl EngineInner {
         Ok(())
     }
 
-    /// Flush phase A for one group: claim members of `ids` (ascending)
-    /// until the group holds [`FLUSH_GROUP_MAX_POINTS`]. Returns the
-    /// members and the ids still to do — busy ones when `wait`, and
-    /// everything past the cap — still ascending.
+    /// Flush phase A for one group, under one write guard of `shard`:
+    /// claim members of `ids` (ascending) until the group holds
+    /// [`FLUSH_GROUP_MAX_POINTS`]. A claim takes the series' in-flight
+    /// slot, marks the WAL drain point, drains the memtable and reserves
+    /// chunk versions; the marker and the drain are one step under the
+    /// lock, so every record of the series before the marker covers a
+    /// drained point and every later write or delete lands after it.
+    /// Returns the members and the ids still to do — busy ones when
+    /// `wait`, and everything past the cap — still ascending.
     fn claim_group(
         &self,
+        shard: &Shard,
         ids: &[SeriesId],
         wait: bool,
     ) -> Result<(Vec<FlushMember>, Vec<SeriesId>)> {
@@ -1125,64 +1005,59 @@ impl EngineInner {
         let mut later = Vec::new();
         let mut held = 0usize;
         let mut ids = ids.iter();
+        let mut claimed = Ok(());
+        let mut map = shard.series.write();
         while held < FLUSH_GROUP_MAX_POINTS {
             let Some(&id) = ids.next() else {
                 break;
             };
-            match self.claim_member(id) {
-                Ok(Claim::Member(member)) => {
-                    held += member.points.len();
-                    members.push(member);
+            // Never touched (nothing to flush, and no reason to
+            // instantiate it) or nothing buffered: not a member.
+            let Some(store) = map.get_mut(&id) else {
+                continue;
+            };
+            if store.flushing.is_some() {
+                if wait {
+                    later.push(id);
                 }
-                Ok(Claim::Busy) if wait => later.push(id),
-                Ok(Claim::Busy | Claim::Idle) => {}
-                Err(e) => {
-                    self.abort_group(&members);
-                    return Err(e);
-                }
+                continue;
             }
+            if store.memtable.is_empty() {
+                continue;
+            }
+            if let Err(e) = shard.wal.begin_flush(id) {
+                claimed = Err(e);
+                break;
+            }
+            let points = Arc::new(store.memtable.drain_sorted());
+            // Reserving every chunk version while still locked guarantees
+            // that any later delete orders after every chunk of this flush.
+            let n_chunks = points.len().div_ceil(self.config.points_per_chunk).max(1);
+            let versions: Vec<Version> = (0..n_chunks).map(|_| self.alloc.next()).collect();
+            let last_version = versions
+                .last()
+                .copied()
+                .unwrap_or_else(|| self.alloc.current());
+            store.flushing = Some(FlushInFlight {
+                points: Arc::clone(&points),
+                last_version,
+            });
+            held += points.len();
+            members.push(FlushMember {
+                id,
+                points,
+                versions,
+            });
+        }
+        // `abort_group` takes the guard itself (the lock is not
+        // re-entrant).
+        drop(map);
+        if let Err(e) = claimed {
+            self.abort_group(shard, &members);
+            return Err(e);
         }
         later.extend(ids);
         Ok((members, later))
-    }
-
-    /// Flush phase A for one member (locked): claim the in-flight slot,
-    /// mark the WAL drain point, drain the memtable, reserve chunk
-    /// versions. The marker and the drain are one step under the stripe
-    /// lock, so every record of the series before the marker covers a
-    /// drained point and every later write or delete lands after it.
-    fn claim_member(&self, id: SeriesId) -> Result<Claim> {
-        let mut map = self.stripe(id).series.write();
-        let Some(store) = map.get_mut(&id) else {
-            // Registered but never touched: nothing to flush, and no
-            // reason to instantiate it.
-            return Ok(Claim::Idle);
-        };
-        if store.flushing.is_some() {
-            return Ok(Claim::Busy);
-        }
-        if store.memtable.is_empty() {
-            return Ok(Claim::Idle);
-        }
-        self.storage(id).wal.begin_flush(id)?;
-        let points = Arc::new(store.memtable.drain_sorted());
-        // Reserving every chunk version while still locked guarantees
-        // that any later delete orders after every chunk of this flush.
-        let n_chunks = points.len().div_ceil(self.config.points_per_chunk).max(1);
-        let versions: Vec<Version> = (0..n_chunks).map(|_| self.alloc.next()).collect();
-        let last_version = versions
-            .last()
-            .copied()
-            .unwrap_or_else(|| self.alloc.current());
-        store.flushing = Some(FlushInFlight {
-            points: Arc::clone(&points),
-            last_version,
-        });
-        Ok(Claim::Member(FlushMember {
-            id,
-            points,
-            versions,
-        }))
     }
 
     /// Flush phase B (no lock held): make the group durable as one
@@ -1202,11 +1077,7 @@ impl EngineInner {
     /// record carries the version it was appended after, and replay
     /// skips one that lies below a durable run of its series (these
     /// runs' versions were reserved after it): see [`crate::shard_wal`].
-    fn write_group(
-        &self,
-        shard: &StorageShard,
-        members: &[FlushMember],
-    ) -> Result<Vec<SeriesView>> {
+    fn write_group(&self, shard: &Shard, members: &[FlushMember]) -> Result<Vec<SeriesView>> {
         self.catalog.sync_if_dirty()?;
         let path = shard.next_data_path();
         let file = seal_file(&self.config, &path, |w| {
@@ -1227,14 +1098,14 @@ impl EngineInner {
     /// every member's points back.
     fn finish_group(
         &self,
-        shard: &StorageShard,
+        shard: &Shard,
         members: &[FlushMember],
         sealed: Result<Vec<SeriesView>>,
     ) -> Result<()> {
         let views = match sealed {
             Ok(views) => views,
             Err(e) => {
-                self.abort_group(members);
+                self.abort_group(shard, members);
                 return Err(e);
             }
         };
@@ -1251,10 +1122,19 @@ impl EngineInner {
             }
         });
         // Every member drained at least one point, so the file's runs
-        // are the members, in order.
-        for (member, view) in members.iter().zip(views) {
-            let installed = self.install_member(member.id, view);
-            outcome = outcome.and(installed);
+        // are the members, in order. One guard installs them all and
+        // releases their slots.
+        {
+            let mut map = shard.series.write();
+            for (member, view) in members.iter().zip(views) {
+                let store = map
+                    .get_mut(&member.id)
+                    .ok_or_else(|| self.not_found(member.id));
+                outcome = outcome.and(store.map(|store| {
+                    store.flushing = None;
+                    store.files.push(view);
+                }));
+            }
         }
         self.io.record_file_sealed(members.len() as u64);
         if self.changes.active() {
@@ -1266,31 +1146,21 @@ impl EngineInner {
         outcome
     }
 
-    /// Flush phase C for one member (locked): release the in-flight
-    /// slot and install the member's view of the sealed file.
-    fn install_member(&self, id: SeriesId, view: SeriesView) -> Result<()> {
-        let mut map = self.stripe(id).series.write();
-        let store = map.get_mut(&id).ok_or_else(|| self.not_found(id))?;
-        store.flushing = None;
-        store.files.push(view);
-        Ok(())
-    }
-
     /// The group's file could not be written (or a later member could
     /// not be claimed): abort every member's begin marker and put its
-    /// points back. They stay buffered, and covered by the log, whose
-    /// begin marker is never matched. Writes and deletes that landed
-    /// mid-flush are newer and must win — hence the absent-only
-    /// reinsert and the tombstone filter (the log's entries above the
-    /// flush's reserved versions).
-    fn abort_group(&self, members: &[FlushMember]) {
+    /// points back, under one guard. They stay buffered, and covered by
+    /// the log, whose begin marker is never matched. Writes and deletes
+    /// that landed mid-flush are newer and must win — hence the
+    /// absent-only reinsert and the tombstone filter (the log's entries
+    /// above the flush's reserved versions).
+    fn abort_group(&self, shard: &Shard, members: &[FlushMember]) {
+        let mut map = shard.series.write();
         for member in members {
-            let mut map = self.stripe(member.id).series.write();
             let Some(store) = map.get_mut(&member.id) else {
                 continue;
             };
             let reserved = store.flushing.take().map(|f| f.last_version);
-            self.storage(member.id).wal.abort_flush(member.id);
+            shard.wal.abort_flush(member.id);
             let logged = store.log.entries();
             let newer = &logged[logged.partition_point(|m| Some(m.version) <= reserved)..];
             for p in member.points.iter() {
@@ -1310,7 +1180,8 @@ impl EngineInner {
         }
         self.known(id)?;
         {
-            let mut map = self.stripe(id).series.write();
+            let shard = self.shard(id);
+            let mut map = shard.series.write();
             // A tombstone on a cold series still instantiates it: the
             // delete must be durable and visible to later writes.
             let store = self.store_entry(&mut map, id);
@@ -1320,8 +1191,8 @@ impl EngineInner {
             // unless the policy is Never, fsync) the delete record
             // immediately.
             let sync_deletes = !matches!(self.config.fsync_policy, FsyncPolicy::Never);
-            self.storage(id).wal.append_delete(id, version, range)?;
-            self.commit_wal_with(self.storage(id), sync_deletes)?;
+            shard.wal.append_delete(id, version, range)?;
+            self.commit_wal_with(shard, sync_deletes)?;
             store.memtable.delete_range(range);
             if store.sealed_overlaps(&range) {
                 // The log's name is id-tagged like a WAL record: the
@@ -1348,7 +1219,7 @@ impl EngineInner {
     fn snapshot(&self, id: SeriesId) -> Result<SeriesSnapshot> {
         self.known(id)?;
         let (mut files, mut chunks, mut deletes) = (Vec::new(), Vec::new(), Vec::new());
-        let map = self.stripe(id).series.read();
+        let map = self.shard(id).series.read();
         if let Some(store) = map.get(&id) {
             // Sealed metadata is the open file's, shared by count: the
             // lock is held for a count per chunk, not a footer copy.
@@ -1409,7 +1280,7 @@ impl EngineInner {
         // `compacting`, so a scheduler tick that lost a race to a
         // manual compact declines instead of rewriting a single file.
         let (inputs, deletes, header, capture_ceiling, path) = {
-            let mut map = self.stripe(id).series.write();
+            let mut map = self.shard(id).series.write();
             let Some(store) = map.get_mut(&id) else {
                 // Cold series: nothing sealed, nothing to merge.
                 return Ok(CompactionReport::default());
@@ -1465,7 +1336,7 @@ impl EngineInner {
             // that will outrank it takes one: file order stays version
             // order, which is what lets recovery read `supersedes` as
             // "replaces the runs in the files before me".
-            let path = self.storage(id).next_data_path();
+            let path = self.shard(id).next_data_path();
             (inputs, deletes, header, capture_ceiling, path)
         };
         let captured = inputs.len();
@@ -1523,7 +1394,7 @@ impl EngineInner {
         // so the first `captured` entries are still the inputs and
         // replacing them in place keeps the file list version-ordered.
         let (retired, outcome) = {
-            let mut map = self.stripe(id).series.write();
+            let mut map = self.shard(id).series.write();
             let store = map.get_mut(&id).ok_or_else(|| self.not_found(id))?;
             store.compacting = outcome.is_ok(); // held for the trim below
             let (outcome, sealed) = outcome?;
@@ -1568,7 +1439,7 @@ impl EngineInner {
         // could trim, at its higher ceiling, deletes whose inputs this
         // one has not unlinked yet.
         {
-            let mut map = self.stripe(id).series.write();
+            let mut map = self.shard(id).series.write();
             let store = map.get_mut(&id).ok_or_else(|| self.not_found(id))?;
             if unlinked {
                 store.log.trim_through(capture_ceiling).ok();
@@ -1591,7 +1462,7 @@ impl EngineInner {
     /// a sealed file (the memtable plus any in-flight flush image).
     fn unflushed_points(&self, id: SeriesId) -> Result<usize> {
         self.known(id)?;
-        let map = self.stripe(id).series.read();
+        let map = self.shard(id).series.read();
         let Some(store) = map.get(&id) else {
             return Ok(0);
         };
@@ -1602,12 +1473,12 @@ impl EngineInner {
     /// Number of sealed TsFiles currently backing `id`.
     fn sealed_file_count(&self, id: SeriesId) -> Result<usize> {
         self.known(id)?;
-        let map = self.stripe(id).series.read();
+        let map = self.shard(id).series.read();
         Ok(map.get(&id).map(|s| s.files.len()).unwrap_or(0))
     }
 
     /// Series whose sealed-file count reached `compaction_threshold`
-    /// and that no compaction currently owns. Takes each stripe's read
+    /// and that no compaction currently owns. Takes each shard's read
     /// guard only for the map walk — never across I/O — so the
     /// background scheduler can poll this cheaply. Returns ids: a
     /// sweep over a million series allocates one `Vec<u32>`-sized
@@ -1640,14 +1511,14 @@ impl EngineInner {
 impl TsKv {
     /// Open (or create) a store rooted at `dir`, recovering whatever
     /// is found there: the series catalog is replayed first (interned
-    /// names get the same dense ids back), then each storage shard's
+    /// names get the same dense ids back), then each shard's
     /// data files are opened — every series with a run in one gets a
     /// view of it — and its shared WAL is replayed, and only series with
     /// actual state get an in-memory store — a million registered but
     /// cold series recover in catalog-replay time and occupy no file
     /// handles. The per-series work (the delete log, WAL replay) fans
-    /// out across up to `write_shards` threads, one series at a time
-    /// per thread.
+    /// out across up to one thread per shard, one series at a time per
+    /// thread.
     ///
     /// A directory with no `SHARDS` file but with series- or
     /// shard-named sub-directories holding `series.wal` or `*.tsfile`
@@ -1686,7 +1557,9 @@ impl TsKv {
         Ok(TsKv { scheduler, inner })
     }
 
-    /// The engine configuration.
+    /// The engine configuration the store runs with: the one it was
+    /// opened with, normalized, and with the shard count it was pinned
+    /// at when it was created.
     pub fn config(&self) -> &EngineConfig {
         &self.inner.config
     }
@@ -1736,15 +1609,14 @@ impl TsKv {
     /// Insert one point; may trigger an automatic flush when the
     /// memtable reaches the configured threshold.
     pub fn insert(&self, name: &str, p: Point) -> Result<()> {
-        let id = self.inner.create_series(name)?;
-        self.inner.insert_batch(id, std::slice::from_ref(&p))
+        self.insert_batch(name, std::slice::from_ref(&p))
     }
 
     /// Insert a batch of points into one series (any time order;
     /// duplicates overwrite). Registers the series if needed.
     pub fn insert_batch(&self, name: &str, points: &[Point]) -> Result<()> {
         let id = self.inner.create_series(name)?;
-        self.inner.insert_batch(id, points)
+        self.insert_batch_by_id(id, points)
     }
 
     /// [`insert_batch`](TsKv::insert_batch) keyed by an interned id
@@ -1752,15 +1624,20 @@ impl TsKv {
     /// [`create_series`](TsKv::create_series)): zero name hashing on
     /// the hot path.
     pub fn insert_batch_by_id(&self, id: SeriesId, points: &[Point]) -> Result<()> {
-        self.inner.insert_batch(id, points)
+        self.inner.write(&[(id, points)]).map(|_| ())
     }
 
-    /// Apply a multi-series [`WriteBatch`]: one stripe-lock
-    /// acquisition per stripe touched, one WAL group-commit syscall
-    /// per storage shard the stripe's entries touched, fsync per the
-    /// configured [`FsyncPolicy`]. Returns the number of points written.
+    /// Apply a multi-series [`WriteBatch`]: names resolved (and new
+    /// ones registered) once up front, then one shard-lock acquisition
+    /// and one WAL group-commit syscall per shard touched, fsync per
+    /// the configured [`FsyncPolicy`]. Returns the number of points
+    /// written.
     pub fn write_batch(&self, batch: &WriteBatch) -> Result<usize> {
-        self.inner.write_batch(batch)
+        let mut entries = Vec::with_capacity(batch.series_count());
+        for (name, points) in batch.entries() {
+            entries.push((self.inner.create_series(name)?, points));
+        }
+        self.inner.write(&entries)
     }
 
     /// Flush one series' memtable to a new sealed TsFile.
@@ -2061,7 +1938,7 @@ mod tests {
                 dirs += 1;
             }
         }
-        assert_eq!(dirs, config.storage_shards, "only shard dirs on disk");
+        assert_eq!(dirs, config.write_shards, "only shard dirs on disk");
         // Reopen: all names come back from the catalog alone, and
         // only the series holding data gets a store.
         let kv = TsKv::open(&dir, config)?;
@@ -2259,7 +2136,7 @@ mod tests {
         // Every record in s's shard WAL is now covered by the sealed
         // file: the log must collapse to a single empty active segment.
         let sid = kv.series_id("s").ok_or("s not registered")?;
-        let sdir = dir.join(storage_dir_name(sid.index() % kv.config().storage_shards));
+        let sdir = dir.join(shard_dir_name(sid.index() % kv.config().write_shards));
         let mut wal_files: Vec<PathBuf> = Vec::new();
         for f in std::fs::read_dir(&sdir)? {
             let p = f?.path();
@@ -2307,7 +2184,7 @@ mod tests {
             Ok(files)
         };
         let before = listing()?;
-        assert!(before.len() > EngineConfig::default().storage_shards);
+        assert!(before.len() > EngineConfig::default().write_shards);
         for _ in 0..3 {
             drop(TsKv::open(&dir, EngineConfig::default())?);
             assert_eq!(listing()?, before);
@@ -2333,9 +2210,9 @@ mod tests {
             kv.delete("s", 10, 20)?;
         }
         // Simulate a crash between the WAL append and the log append:
-        // drop the delete log ("s" is id 0, in storage shard 0); the
+        // drop the delete log ("s" is id 0, in shard 0); the
         // delete now lives only in the WAL.
-        std::fs::remove_file(delete_log_path(&dir.join(storage_dir_name(0)), SeriesId(0)))?;
+        std::fs::remove_file(delete_log_path(&dir.join(shard_dir_name(0)), SeriesId(0)))?;
         let kv = TsKv::open(&dir, config.clone())?;
         let snap = kv.snapshot("s")?;
         assert_eq!(snap.deletes().len(), 1, "WAL delete must be re-attached");
@@ -2371,8 +2248,8 @@ mod tests {
             kv.insert_batch("s", &batch)?;
             kv.flush_all()?;
         }
-        // "s" is the first series interned → id 0 → storage shard 0.
-        let sdir = dir.join(storage_dir_name(0));
+        // "s" is the first series interned → id 0 → shard 0.
+        let sdir = dir.join(shard_dir_name(0));
         let damaged = sdir.join("00000001.tsfile");
         let bytes = b"TSF2\0\0 cut short";
         std::fs::write(&damaged, bytes)?;
@@ -2398,7 +2275,7 @@ mod tests {
         // A retired-format file where the series' only (hence newest)
         // data file should be: never a torn write of ours, so it is
         // neither renamed nor skipped.
-        let path = dir.join(storage_dir_name(0)).join("00000000.tsfile");
+        let path = dir.join(shard_dir_name(0)).join("00000000.tsfile");
         let tsf1 = b"TSF1\0\0 a whole file of the retired format TSF1\0\0";
         std::fs::write(&path, tsf1)?;
         match TsKv::open(&dir, EngineConfig::default()) {
@@ -2502,9 +2379,9 @@ mod tests {
         }
         let io = kv.io().snapshot();
         assert_eq!(io.points_written, 48 * 50);
-        // One WAL group-commit batch per storage shard touched (three
-        // series each, all on one stripe) — not per series or per point.
-        assert_eq!(io.wal_batches, kv.config().storage_shards as u64);
+        // One WAL group-commit batch per shard touched (three series
+        // each) — not per series or per point.
+        assert_eq!(io.wal_batches, kv.config().write_shards as u64);
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
@@ -2721,7 +2598,6 @@ mod tests {
             &dir,
             EngineConfig {
                 write_shards: 1,
-                storage_shards: 1,
                 ..Default::default()
             },
         )?;
@@ -2743,7 +2619,7 @@ mod tests {
             let kv = TsKv::open(
                 &dir,
                 EngineConfig {
-                    storage_shards: 4,
+                    write_shards: 4,
                     ..Default::default()
                 },
             )?;
@@ -2755,12 +2631,15 @@ mod tests {
         let kv = TsKv::open(
             &dir,
             EngineConfig {
-                storage_shards: 32,
+                write_shards: 32,
                 ..Default::default()
             },
         )?;
         let merged = MergeReader::new(&kv.snapshot("s")?).collect_merged()?;
         assert_eq!(merged, vec![Point::new(1, 1.0)]);
+        // The store runs with the pinned count, and reports it.
+        assert_eq!(kv.config().write_shards, 4);
+        assert_eq!(kv.inner.shards.len(), 4);
         let mut dirs = 0usize;
         for entry in std::fs::read_dir(&dir)? {
             if entry?.file_type()?.is_dir() {
@@ -2768,6 +2647,29 @@ mod tests {
             }
         }
         assert_eq!(dirs, 4, "pinned shard count must win over config");
+        std::fs::remove_dir_all(&dir).ok();
+        Ok(())
+    }
+
+    /// What a crash while pinning can leave in an otherwise empty root:
+    /// an empty `SHARDS` (the non-atomic write of earlier builds) or a
+    /// torn `SHARDS.tmp`. Neither pinned anything.
+    #[test]
+    fn a_crash_while_pinning_leaves_a_store_that_opens() -> TestResult {
+        let dir = std::env::temp_dir().join(format!("tskv-torn-pin-{}", std::process::id()));
+        for (file, bytes) in [(SHARDS_META, &b""[..]), ("SHARDS.tmp", &b"1"[..])] {
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir)?;
+            std::fs::write(dir.join(file), bytes)?;
+            let config = EngineConfig {
+                write_shards: 4,
+                ..Default::default()
+            };
+            let kv = TsKv::open(&dir, config)?;
+            assert_eq!(kv.config().write_shards, 4, "{file}");
+            assert_eq!(std::fs::read_to_string(dir.join(SHARDS_META))?, "4\n");
+            assert!(!dir.join("SHARDS.tmp").exists(), "{file}");
+        }
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }

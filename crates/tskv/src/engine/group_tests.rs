@@ -57,13 +57,13 @@ fn ramp(range: std::ops::Range<i64>, v: f64) -> Vec<Point> {
     range.map(|t| Point::new(t, v)).collect()
 }
 
-/// One storage shard, so every series shares files; memtables that
+/// One shard, so every series shares files and one lock; memtables that
 /// never fill, so every flush is one the test asked for.
 fn config() -> EngineConfig {
     EngineConfig {
         points_per_chunk: 40,
         memtable_threshold: 1_000_000,
-        storage_shards: 1,
+        write_shards: 1,
         ..Default::default()
     }
 }
@@ -100,7 +100,7 @@ fn crash_image(dir: &Path) -> std::io::Result<PathBuf> {
 
 /// Names in shard 0 of the store at `dir`, sorted.
 fn shard_listing(dir: &Path) -> std::io::Result<Vec<String>> {
-    let mut names: Vec<String> = std::fs::read_dir(dir.join(storage_dir_name(0)))?
+    let mut names: Vec<String> = std::fs::read_dir(dir.join(shard_dir_name(0)))?
         .map(|e| e.map(|e| e.file_name().to_string_lossy().into_owned()))
         .collect::<std::io::Result<_>>()?;
     names.sort();
@@ -110,13 +110,13 @@ fn shard_listing(dir: &Path) -> std::io::Result<Vec<String>> {
 /// The delete log of the first series created (id 0) in the store at
 /// `dir`.
 fn first_log(dir: &Path) -> PathBuf {
-    delete_log_path(&dir.join(storage_dir_name(0)), SeriesId(0))
+    delete_log_path(&dir.join(shard_dir_name(0)), SeriesId(0))
 }
 
 /// The frames of the first WAL segment of the store at `dir`, each with
 /// the offset just past it.
 fn log_frames(dir: &Path) -> Result<Vec<(TaggedRecord, u64)>> {
-    scan_segment(&dir.join(storage_dir_name(0)).join("wal-00000000.log"))
+    scan_segment(&dir.join(shard_dir_name(0)).join("wal-00000000.log"))
 }
 
 fn log_holds_begin_marker(dir: &Path, id: SeriesId) -> Result<bool> {
@@ -158,7 +158,7 @@ fn flush_all_seals_one_file_per_shard_not_one_per_series() -> TestResult {
     let dir = std::env::temp_dir().join(format!("tskv-group-located-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let kv = TsKv::open(&dir, EngineConfig::default())?;
-    let shards = kv.config().storage_shards;
+    let shards = kv.config().write_shards;
     assert_eq!(shards, 16);
     // 1 000 registered, 900 of them with a few hundred points each.
     let mut batch = WriteBatch::new();
@@ -218,7 +218,7 @@ fn one_member_group_is_the_same_path_with_one_run() -> TestResult {
     kv.flush("only")?;
     let io = kv.io().snapshot() - before;
     assert_eq!((io.files_sealed, io.flush_members), (1, 1));
-    let reader = TsFileReader::open(dir.join(storage_dir_name(0)).join("00000000.tsfile"))?;
+    let reader = TsFileReader::open(dir.join(shard_dir_name(0)).join("00000000.tsfile"))?;
     assert_eq!(reader.series_runs().len(), 1);
     assert_eq!(reader.chunk_metas().len(), 3); // 100 points, 40 per chunk
     cleanup(&dir);
@@ -234,12 +234,14 @@ fn torn_in_flight_file_is_quarantined_once_and_every_member_replays() -> TestRes
     model.write(&kv, "a", &ramp(0..100, 1.0))?;
     model.write(&kv, "b", &ramp(0..90, 2.0))?;
     model.write(&kv, "c", &ramp(50..130, 3.0))?;
-    let shard = &kv.inner.storage[0];
-    let (members, later) = kv.inner.claim_group(&ids(&kv, &["a", "b", "c"]), true)?;
+    let shard = &kv.inner.shards[0];
+    let (members, later) = kv
+        .inner
+        .claim_group(shard, &ids(&kv, &["a", "b", "c"]), true)?;
     assert_eq!((members.len(), later.len()), (3, 0));
     shard.wal.commit(true)?;
     let image = crash_image(&dir)?;
-    let torn = image.join(storage_dir_name(0)).join("00000000.tsfile.tmp");
+    let torn = image.join(shard_dir_name(0)).join("00000000.tsfile.tmp");
     std::fs::write(
         &torn,
         b"TSF2\0\0 the first pages of a file that never got its footer",
@@ -278,7 +280,7 @@ fn torn_in_flight_file_is_quarantined_once_and_every_member_replays() -> TestRes
 fn complete_in_flight_file_is_adopted_and_a_foreign_one_refused() -> TestResult {
     let (dir, kv, model) = shared_file("adopt")?;
     drop(kv);
-    let sdir = dir.join(storage_dir_name(0));
+    let sdir = dir.join(shard_dir_name(0));
     std::fs::rename(
         sdir.join("00000000.tsfile"),
         sdir.join("00000000.tsfile.tmp"),
@@ -317,8 +319,8 @@ fn crash_with_the_file_in_place_and_no_end_marker_reads_every_point_once() -> Te
         model.write(&kv, "a", &ramp(0..100, 1.0))?;
         model.write(&kv, "a", &ramp(90..110, 1.5))?; // overwrites: latest wins
         model.write(&kv, "b", &ramp(0..90, 2.0))?;
-        let shard = &kv.inner.storage[0];
-        let (members, _) = kv.inner.claim_group(&ids(&kv, &["a", "b"]), true)?;
+        let shard = &kv.inner.shards[0];
+        let (members, _) = kv.inner.claim_group(shard, &ids(&kv, &["a", "b"]), true)?;
         if begin_markers_written {
             shard.wal.commit(false)?;
         }
@@ -338,7 +340,7 @@ fn crash_with_the_file_in_place_and_no_end_marker_reads_every_point_once() -> Te
         );
         if power_loss {
             let first_frame_end = log_frames(&image)?.first().ok_or("empty log")?.1;
-            let log = image.join(storage_dir_name(0)).join("wal-00000000.log");
+            let log = image.join(shard_dir_name(0)).join("wal-00000000.log");
             let log = std::fs::OpenOptions::new().write(true).open(log)?;
             log.set_len(first_frame_end)?;
         }
@@ -381,7 +383,7 @@ fn a_flush_after_recovery_takes_its_versions_above_the_records_it_drains() -> Te
     let (dir, kv) = fresh("outrank")?;
     let a = kv.create_series("a")?;
     drop(kv);
-    let sdir = dir.join(storage_dir_name(0));
+    let sdir = dir.join(shard_dir_name(0));
     let (wal, _) = ShardWal::open(&sdir, WAL_BATCH_BYTES, WAL_SEGMENT_BYTES, |_| Version(0))?;
     wal.append_inserts(a, Version(50), &ramp(0..100, 1.0))?;
     wal.commit(false)?;
@@ -389,8 +391,8 @@ fn a_flush_after_recovery_takes_its_versions_above_the_records_it_drains() -> Te
 
     let kv = TsKv::open(&dir, config())?;
     assert_eq!(kv.unflushed_points("a")?, 100);
-    let shard = &kv.inner.storage[0];
-    let (members, _) = kv.inner.claim_group(&[a], true)?;
+    let shard = &kv.inner.shards[0];
+    let (members, _) = kv.inner.claim_group(shard, &[a], true)?;
     let sealed = kv.inner.write_group(shard, &members);
     let image = crash_image(&dir)?;
     kv.inner.finish_group(shard, &members, sealed)?;
@@ -420,12 +422,14 @@ fn crash_between_two_members_end_markers_reopens_to_the_model() -> TestResult {
     model.write(&kv, "b", &ramp(0..90, 2.0))?;
     model.write(&kv, "c", &ramp(50..130, 3.0))?;
     model.write(&kv, "unflushed", &ramp(0..10, 4.0))?;
-    let shard = &kv.inner.storage[0];
-    let (members, _) = kv.inner.claim_group(&ids(&kv, &["a", "b", "c"]), true)?;
+    let shard = &kv.inner.shards[0];
+    let (members, _) = kv
+        .inner
+        .claim_group(shard, &ids(&kv, &["a", "b", "c"]), true)?;
     let sealed = kv.inner.write_group(shard, &members);
     kv.inner.finish_group(shard, &members, sealed)?;
     model.check(&kv)?;
-    let wal = dir.join(storage_dir_name(0)).join("wal-00000000.log");
+    let wal = dir.join(shard_dir_name(0)).join("wal-00000000.log");
     let whole = std::fs::metadata(&wal)?.len();
     // Each end marker is kind + id + crc = 9 bytes: lose the last two,
     // the last two and half of the first, or the last one and a half.
@@ -433,7 +437,7 @@ fn crash_between_two_members_end_markers_reopens_to_the_model() -> TestResult {
         let image = crash_image(&dir)?;
         let log = std::fs::OpenOptions::new()
             .write(true)
-            .open(image.join(storage_dir_name(0)).join("wal-00000000.log"))?;
+            .open(image.join(shard_dir_name(0)).join("wal-00000000.log"))?;
         log.set_len(whole - lost)?;
         drop(log);
         let reopened = TsKv::open(&image, config())?;
@@ -477,7 +481,7 @@ fn members_leave_a_shared_file_one_by_one_and_the_last_takes_it() -> TestResult 
         ]
     );
     assert_eq!(b.0, 1);
-    let output = TsFileReader::open(dir.join(storage_dir_name(0)).join("00000002.tsfile"))?;
+    let output = TsFileReader::open(dir.join(shard_dir_name(0)).join("00000002.tsfile"))?;
     let run = output.series_runs().first().ok_or("no run")?;
     assert_eq!(run.series, a.0);
     assert!(
@@ -542,7 +546,7 @@ fn reopen_after_a_crash_mid_retirement_reads_only_the_output() -> TestResult {
     drop(kv);
     // The image of just before, plus the output: what a crash between
     // phases C and D leaves.
-    let sdir = storage_dir_name(0);
+    let sdir = shard_dir_name(0);
     std::fs::copy(
         dir.join(&sdir).join("00000002.tsfile"),
         before.join(&sdir).join("00000002.tsfile"),
@@ -590,7 +594,7 @@ fn delete_during_a_merge_is_in_the_log_whenever_the_merge_ends() -> TestResult {
     // The compaction took 00000002 when it captured, so that flush
     // sealed 00000003; then the output got its name, and the process
     // died before the inputs were retired.
-    let sdir = storage_dir_name(0);
+    let sdir = shard_dir_name(0);
     std::fs::rename(
         image.join(&sdir).join("00000002.tsfile"),
         image.join(&sdir).join("00000003.tsfile"),
@@ -633,7 +637,7 @@ fn fully_deleted_member_leaves_a_chunkless_superseding_run() -> TestResult {
     let report = kv.compact("a")?;
     assert_eq!((report.files_removed, report.points_written), (1, 0));
     model.check(&kv)?;
-    let sdir = dir.join(storage_dir_name(0));
+    let sdir = dir.join(shard_dir_name(0));
     let output = TsFileReader::open(sdir.join("00000001.tsfile"))?;
     assert!(output.chunk_metas().is_empty());
     assert_eq!(output.series_runs().len(), 1);
@@ -713,8 +717,7 @@ fn retiring_one_member_keeps_the_others_cache_entries() -> TestResult {
     Ok(())
 }
 
-/// (e) Between a group's claim and its install the members' stripe
-/// locks are free: a write and a delete that land there order after
+/// (e) Between a group's claim and its install the shard lock is free: a write and a delete that land there order after
 /// the flush, in memory and in the log.
 #[test]
 fn write_and_delete_racing_a_group_flush_land_after_it() -> TestResult {
@@ -722,8 +725,8 @@ fn write_and_delete_racing_a_group_flush_land_after_it() -> TestResult {
     let mut model = Model::default();
     model.write(&kv, "a", &ramp(0..100, 1.0))?;
     model.write(&kv, "b", &ramp(0..90, 2.0))?;
-    let shard = &kv.inner.storage[0];
-    let (members, _) = kv.inner.claim_group(&ids(&kv, &["a", "b"]), true)?;
+    let shard = &kv.inner.shards[0];
+    let (members, _) = kv.inner.claim_group(shard, &ids(&kv, &["a", "b"]), true)?;
     // Mid-flush: the drained points are still readable…
     model.check(&kv)?;
     // …an overwrite of one of them and a delete over others arrive…
@@ -803,8 +806,8 @@ fn failed_group_write_puts_every_members_points_back() -> TestResult {
     let mut model = Model::default();
     model.write(&kv, "a", &ramp(0..100, 1.0))?;
     model.write(&kv, "b", &ramp(0..90, 2.0))?;
-    let shard = &kv.inner.storage[0];
-    let (members, _) = kv.inner.claim_group(&ids(&kv, &["a", "b"]), true)?;
+    let shard = &kv.inner.shards[0];
+    let (members, _) = kv.inner.claim_group(shard, &ids(&kv, &["a", "b"]), true)?;
     model.write(&kv, "a", &[Point::new(5, 99.0)])?; // newer: must win
     model.delete(&kv, "b", 0, 9)?; // newer: must hide
     let failed = Err(TsKvError::Corrupt("injected: disk full".into()));
@@ -844,10 +847,10 @@ fn group_is_capped_by_points_held_and_the_rest_follow_in_order() -> TestResult {
     model.write(&kv, "c", &ramp(0..100, 2.0))?;
     let all = ids(&kv, &["a", "b", "c"]);
     // a alone reaches the cap; b and c wait for the next group.
-    let (members, later) = kv.inner.claim_group(&all, true)?;
+    let shard = &kv.inner.shards[0];
+    let (members, later) = kv.inner.claim_group(shard, &all, true)?;
     assert_eq!(members.iter().map(|m| m.id).collect::<Vec<_>>(), all[..1]);
     assert_eq!(later, all[1..]);
-    let shard = &kv.inner.storage[0];
     let sealed = kv.inner.write_group(shard, &members);
     kv.inner.finish_group(shard, &members, sealed)?;
     kv.flush_all()?;
@@ -863,7 +866,7 @@ fn group_is_capped_by_points_held_and_the_rest_follow_in_order() -> TestResult {
 fn refused_untouched(name: &str, file: &str, names: &str) -> TestResult {
     let (dir, kv, _) = shared_file(name)?;
     drop(kv);
-    let old = dir.join(storage_dir_name(0)).join(file);
+    let old = dir.join(shard_dir_name(0)).join(file);
     let held = b"TSF2\0\0 whatever the retired shape held";
     std::fs::write(&old, held)?;
     let before = shard_listing(&dir)?;
@@ -932,7 +935,7 @@ fn a_failing_log_trim_leaves_the_series_as_it_was() -> TestResult {
     // entry above any ceiling, over a range nothing is written to.
     let during = ModEntry::new(Version(1 << 40), 5_000, 6_000);
     {
-        let mut map = kv.inner.stripe(SeriesId(0)).series.write();
+        let mut map = kv.inner.shard(SeriesId(0)).series.write();
         let store = map.get_mut(&SeriesId(0)).ok_or("no store")?;
         store.log.append(during)?;
     }

@@ -10,7 +10,7 @@
 //!   threshold it is flushed — sorted, split into chunks of
 //!   `points_per_chunk` points (IoTDB's
 //!   `avg_series_point_number_threshold`, 1000 in the paper's Table 4),
-//!   and sealed into a TsFile: one per storage shard per flush, holding
+//!   and sealed into a TsFile: one per shard per flush, holding
 //!   a run of chunks for every series flushed together (as an IoTDB
 //!   memtable of many series becomes one TsFile). Every chunk gets a
 //!   fresh global [`tsfile::Version`] `κ`.
@@ -74,6 +74,7 @@ pub mod engine;
 pub mod error;
 pub mod memtable;
 pub mod notify;
+pub mod pool;
 pub mod readers;
 pub mod registry;
 pub mod scheduler;

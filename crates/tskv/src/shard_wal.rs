@@ -1,12 +1,13 @@
-//! Shared, series-tagged write-ahead log for one storage shard.
+//! Shared, series-tagged write-ahead log for one shard.
 //!
 //! The paper's experimental setup flushes everything before querying,
 //! so IoTDB's WAL never features in its measurements — but a storage
 //! engine that silently drops buffered points on restart is not usable.
 //! This log makes the memtables durable: every insert batch and delete
 //! is appended (CRC-framed, torn tails dropped on replay) before it is
-//! applied. Each of the fixed `storage_shards` directories holds
-//! **one** log shared by every series hashed into it, and each record
+//! applied. Each of the store's fixed, pinned `write_shards` shards —
+//! one lock, one log, one directory — holds **one** log shared by every
+//! series hashed into it, and each record
 //! carries the [`SeriesId`] it belongs to. A cold series costs zero WAL
 //! state; a hot shard batches frames from many series into the same
 //! group-committed appends.
@@ -30,7 +31,7 @@
 //!   replay, this series' records before the matching begin marker are
 //!   skipped (their points live in the sealed file).
 //!
-//! The markers keep the heavy TsFile write outside the engine's stripe
+//! The markers keep the heavy TsFile write outside the engine's shard
 //! lock (xtask lint L2) without a window where a crash could lose
 //! acknowledged writes: a crash mid-flush leaves an unmatched *begin*,
 //! so everything replays; a failed flush aborts its begin and the
@@ -69,8 +70,8 @@
 //!
 //! Frames buffer in memory up to `batch_bytes` and drain in one
 //! `write_all` — when the buffer crosses the threshold or on
-//! [`ShardWal::commit`], which the engine calls per series touched
-//! before releasing the stripe lock. Because the engine never
+//! [`ShardWal::commit`], which the engine calls once per shard a write
+//! touched, before releasing the shard lock. Because the engine never
 //! *acknowledges* a write without committing, a crash can only lose
 //! writes that were never acknowledged (at most the torn tail record).
 //! `commit` returns the bytes written through since the last commit
@@ -146,10 +147,11 @@ struct WalState {
     buf: Vec<u8>,
     written_since_commit: u64,
     /// Bytes written to the active file since its last fsync. Distinct
-    /// from `written_since_commit`: the log is shared across lock
-    /// stripes, so a `commit(false)` from one stripe can drain frames
-    /// another stripe is about to `commit(true)` — the sync decision
-    /// must see every unsynced byte, not just this commit's.
+    /// from `written_since_commit`, which counts one commit's bytes: a
+    /// sync must cover every unsynced byte — those of earlier unsynced
+    /// commits, and those [`ShardWal::end_flushes`] drained, which runs
+    /// with no shard lock held and so can write a writer's frames
+    /// through before that writer's own commit.
     unsynced_bytes: u64,
     sealed: Vec<Segment>,
     next_seg_id: u64,
@@ -164,7 +166,7 @@ struct WalState {
     pending_begin: HashMap<SeriesId, u64>,
 }
 
-/// The shared log of one storage shard.
+/// The shared log of one shard.
 #[derive(Debug)]
 pub(crate) struct ShardWal {
     batch_bytes: usize,
@@ -949,7 +951,7 @@ mod tests {
         let dir = tmp("synccarry");
         let (w, _) = open(&dir);
         // A's frames are drained (written, unsynced) by a commit(false)
-        // from another stripe sharing this shard log.
+        // — an earlier write, or a flush's marker write.
         w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
         assert!(w.commit(false).unwrap() > 0);
         assert!(w.unsynced_bytes() > 0);

@@ -62,7 +62,7 @@ crate::metric_registry! {
     counter wal_bytes;
     /// Explicit WAL fsyncs (`fdatasync`) issued by the commit path.
     counter wal_syncs;
-    /// Sealed TsFiles written by flushes: one per storage shard per
+    /// Sealed TsFiles written by flushes: one per shard per
     /// flush group, however many series it holds.
     counter files_sealed;
     /// Series flushes those files carried: `flush_members ÷

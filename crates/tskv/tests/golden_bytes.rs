@@ -133,7 +133,7 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
         points_per_chunk: 300,
         page_points: 64,
         memtable_threshold: 1_000_000,
-        storage_shards: 1,
+        write_shards: 1,
         ..Default::default()
     };
     let kv = TsKv::open(&dir, config).unwrap();
@@ -212,7 +212,7 @@ fn compaction_output_bytes_equal_the_hash_taken_before_the_merge_and_seal_rebuil
         points_per_chunk: 300,
         page_points: 64,
         memtable_threshold: 1_000_000,
-        storage_shards: 1,
+        write_shards: 1,
         ..Default::default()
     };
     let kv = TsKv::open(&dir, config).unwrap();

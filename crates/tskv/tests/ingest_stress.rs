@@ -2,7 +2,7 @@
 //! oracle, and the background compaction scheduler against manual
 //! compaction.
 //!
-//! The sharded write path (lock-striped shards, `write_batch` group
+//! The sharded write path (one lock and one log per shard, group
 //! commit, WAL batching) must be invisible to readers: N threads
 //! draining a shared job queue of per-series batches must leave the
 //! store byte-for-byte identical to one thread applying the same
@@ -73,8 +73,7 @@ fn merged(kv: &TsKv, name: &str) -> Vec<Point> {
 #[test]
 fn racing_writers_match_sequential_oracle() {
     // Shared job queue: (series, batch) pairs interleaved round-robin,
-    // claimed by atomic cursor — the same discipline the bench ingest
-    // experiment and m4::pool use.
+    // claimed by atomic cursor — the same discipline `tskv::pool` uses.
     let mut jobs: Vec<(usize, usize)> = Vec::new();
     for b in 0..BATCHES_PER_SERIES {
         for s in 0..SERIES {

@@ -63,7 +63,7 @@ fn config(shards: usize) -> EngineConfig {
     EngineConfig {
         points_per_chunk: 7,
         memtable_threshold: 20,
-        storage_shards: shards,
+        write_shards: shards,
         ..Default::default()
     }
 }

@@ -759,7 +759,7 @@ fn execute_query(
 fn execute_flush(shared: &Shared, series: &Option<String>, compact: bool) -> Execution {
     let store = &shared.store;
     // One series: resolve once at the boundary. All series: the
-    // engine's own group flush (one sealed file per storage shard, not
+    // engine's own group flush (one sealed file per shard, not
     // one per series), then one sweep over the dense ids — never a name
     // list, which with a high-cardinality catalog would be millions of
     // Strings for a sweep that touches the handful of series with files.

@@ -86,8 +86,8 @@ const L2_FILES: &[&str] = &[
     // capture/merge/install sequence; a guard reaching its I/O means
     // the phase discipline regressed.
     "crates/tskv/src/compaction/execute.rs",
+    "crates/tskv/src/pool.rs",
     "crates/m4/src/lsm/table.rs",
-    "crates/m4/src/pool.rs",
     "crates/tsnet/src/server.rs",
     "crates/tsnet/src/client.rs",
 ];
@@ -350,7 +350,7 @@ mod tests {
         assert!(r.l2);
         let r = rules_for("crates/tskv/src/cache.rs");
         assert!(r.l2 && !r.l3);
-        let r = rules_for("crates/m4/src/pool.rs");
+        let r = rules_for("crates/tskv/src/pool.rs");
         assert!(r.l2 && !r.l3);
         let r = rules_for("crates/tsnet/src/wire.rs");
         assert!(!r.l2 && r.l3 && !r.l5);

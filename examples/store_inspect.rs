@@ -1,5 +1,5 @@
 //! Store inspector: a debugging tool that dumps the physical layout of
-//! a tskv store — catalog, storage shards, files, chunks, versions,
+//! a tskv store — catalog, shards, files, chunks, versions,
 //! statistics, step-index models and pending deletes — using only the
 //! public tsfile API plus read-only parsing of the store's own files.
 //!
@@ -10,7 +10,8 @@
 //! Without an argument it builds a small demo store first.
 //!
 //! Layout walked (see tskv's engine docs): the root holds `SHARDS`
-//! (pinned storage shard count), `catalog.log` (interned id ↔ name
+//! (the store's one shard count, pinned at creation: a shard is one
+//! lock, one log and one directory), `catalog.log` (interned id ↔ name
 //! map) and `shard-NNNN/` directories; each shard holds data files
 //! `<fileno>.tsfile` — one per flush of the shard, with a run of chunks
 //! for every series flushed into it (the footer's run directory says
@@ -31,7 +32,7 @@ fn build_demo(dir: &Path) -> Result<(), Box<dyn std::error::Error>> {
         EngineConfig {
             points_per_chunk: 100,
             memtable_threshold: 300,
-            storage_shards: 4,
+            write_shards: 4,
             ..Default::default()
         },
     )?;

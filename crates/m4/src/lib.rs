@@ -30,6 +30,8 @@
 //! SQL form of the query.
 
 #![forbid(unsafe_code)]
+// Test fixtures make, corrupt and remove their own files.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod agg;
 pub mod error;

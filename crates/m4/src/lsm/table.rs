@@ -25,9 +25,8 @@
 
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
-
 use tsfile::index::binary_search_ops;
+use tsfile::lockcheck::Mutex;
 use tsfile::statistics::ChunkStatistics;
 use tsfile::types::{Point, TimeRange, Timestamp, Version};
 use tskv::{ChunkHandle, SeriesSnapshot};

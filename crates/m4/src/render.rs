@@ -96,13 +96,11 @@ impl Canvas {
             .count()
     }
 
-    /// Serialize as a binary PBM (P4) image file — the two-color chart
-    /// as an actual image, viewable in any image tool.
-    pub fn write_pbm<P: AsRef<std::path::Path>>(&self, path: P) -> Result<()> {
+    /// Serialize as a binary PBM (P4) image — the two-color chart as an
+    /// actual image, viewable in any image tool — into `out`.
+    pub fn write_pbm(&self, out: impl std::io::Write) -> Result<()> {
         use std::io::Write;
-        let mut f = std::io::BufWriter::new(
-            std::fs::File::create(path).map_err(|e| M4Error::Storage(e.into()))?,
-        );
+        let mut f = std::io::BufWriter::new(out);
         let header = format!("P4\n{} {}\n", self.width, self.height);
         f.write_all(header.as_bytes())
             .map_err(|e| M4Error::Storage(e.into()))?;
@@ -339,16 +337,14 @@ mod tests {
     fn pbm_roundtrip_shape() {
         let mut c = Canvas::new(17, 5).unwrap(); // width not multiple of 8
         c.draw_line(0, 0, 16, 4);
-        let path = std::env::temp_dir().join(format!("m4-pbm-{}.pbm", std::process::id()));
-        c.write_pbm(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
+        let mut bytes = Vec::new();
+        c.write_pbm(&mut bytes).unwrap();
         assert!(bytes.starts_with(b"P4\n17 5\n"));
         // 3 bytes per row x 5 rows after the header.
         let header_len = b"P4\n17 5\n".len();
         assert_eq!(bytes.len() - header_len, 3 * 5);
         // Top row (y=4) has the endpoint pixel at x=16 set: byte 2, MSB bit 0.
         assert_eq!(bytes[header_len + 2] & 0x80, 0x80);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

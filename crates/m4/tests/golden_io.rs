@@ -20,6 +20,8 @@
     clippy::panic,
     clippy::indexing_slicing
 )]
+// Test fixtures make, corrupt and remove their own files.
+#![allow(clippy::disallowed_methods)]
 
 use tsfile::types::Point;
 use tskv::config::EngineConfig;

@@ -19,6 +19,8 @@
     clippy::panic,
     clippy::indexing_slicing
 )]
+// Test fixtures make, corrupt and remove their own files.
+#![allow(clippy::disallowed_methods)]
 
 use std::collections::BTreeMap;
 

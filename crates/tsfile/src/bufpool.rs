@@ -14,13 +14,12 @@
 //! at most a few MiB. Thread-local (rather than lock-striped) because
 //! the readers that matter — engine read threads, tsnet workers — are
 //! long-lived; buffers then never cross threads and no lock can be
-//! held across I/O (the discipline the L2 lint pins for the shared
-//! pools).
+//! held across I/O: the freelist's `RefCell` is borrowed only inside
+//! [`take`] and the buffer's drop, so no borrow outlives either call.
 //!
 //! The hit/miss counters are process-wide and surface through
 //! `IoStats` snapshots and the tsnet Stats RPC, so "is the pool
-//! actually warm" is observable in benchmarks and over the wire (the
-//! L6 lint keeps the plumbing honest).
+//! actually warm" is observable in benchmarks and over the wire.
 
 // Untrusted bytes: an out-of-range access is a typed error, not a panic.
 #![deny(clippy::indexing_slicing)]

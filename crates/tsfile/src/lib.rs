@@ -60,6 +60,7 @@ pub mod encoding;
 pub mod error;
 pub mod format;
 pub mod index;
+pub mod lockcheck;
 pub mod mods;
 pub mod page;
 pub mod pread;

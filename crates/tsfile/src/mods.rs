@@ -121,6 +121,7 @@ impl ModsFile {
     /// is dropped. Read-only: the file is created, or cut back to its
     /// valid prefix, by the first append.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self> {
+        crate::lockcheck::check_io();
         let mut log = ModsFile::new(path.as_ref().to_path_buf());
         if log.path.exists() {
             let mut buf = Vec::new();
@@ -140,7 +141,10 @@ impl ModsFile {
         Ok(log)
     }
 
-    /// Append one delete entry durably.
+    /// Append one delete entry durably. A durability writer: it runs
+    /// under the engine's shard lock on purpose (the entry's version was
+    /// taken under it), so it does not call
+    /// [`check_io`](crate::lockcheck::check_io).
     pub fn append(&mut self, entry: ModEntry) -> Result<()> {
         let mut bytes = Vec::with_capacity(28);
         entry.encode(&mut bytes);
@@ -164,7 +168,10 @@ impl ModsFile {
     /// the newer ones beside itself (`<path>.tmp`, `sync_data`) and
     /// renamed into place, or unlinked when none is newer. A crash
     /// leaves the old log or the new one; on an error the file and the
-    /// loaded entries are as they were.
+    /// loaded entries are as they were. A durability writer like
+    /// [`append`](ModsFile::append), under the same lock, for the same
+    /// reason: an append between reading the entries and the rename
+    /// would be lost.
     pub fn trim_through(&mut self, ceiling: Version) -> Result<()> {
         let newer = |e: &ModEntry| e.version > ceiling;
         if self.entries.iter().all(newer) {

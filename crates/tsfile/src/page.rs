@@ -406,6 +406,7 @@ pub fn decode_page(
     val_encoding: EncodingKind,
     meta: &PageMeta,
 ) -> Result<Vec<Point>> {
+    crate::lockcheck::check_io();
     let payload = checked_payload(body, "page body")?;
     let cols = split_page(payload)?;
     if cast::u64_from_usize(cols.n) != meta.stats.count {
@@ -440,6 +441,7 @@ pub fn decode_page_timestamps(
     meta: &PageMeta,
     until: Option<i64>,
 ) -> Result<Vec<i64>> {
+    crate::lockcheck::check_io();
     let payload = checked_payload(body, "page body")?;
     let cols = split_page(payload)?;
     if cast::u64_from_usize(cols.n) != meta.stats.count {

@@ -52,6 +52,7 @@ impl PositionalFile {
     /// Fill `buf` from the absolute byte `offset`. Does not perturb any
     /// other in-flight read on the same handle.
     pub fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        crate::lockcheck::check_io();
         #[cfg(unix)]
         {
             std::os::unix::fs::FileExt::read_exact_at(&self.file, buf, offset)

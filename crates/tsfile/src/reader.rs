@@ -51,6 +51,7 @@ impl TsFileReader {
     /// Open a TsFile and parse its footer. Verifies head magic, tail
     /// magic and the footer CRC.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self> {
+        crate::lockcheck::check_io();
         let path = path.as_ref().to_path_buf();
         let mut file = File::open(&path)?;
 

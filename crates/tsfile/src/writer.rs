@@ -78,6 +78,7 @@ impl TsFileWriter {
         ts_encoding: EncodingKind,
         val_encoding: EncodingKind,
     ) -> Result<Self> {
+        crate::lockcheck::check_io();
         let file = File::create(path)?;
         let mut out = BufWriter::with_capacity(WRITE_BUFFER_BYTES, file);
         out.write_all(MAGIC)?;
@@ -299,6 +300,7 @@ impl TsFileWriter {
 
     /// Write the footer and flush. The writer cannot be used afterwards.
     pub fn finish(&mut self) -> Result<()> {
+        crate::lockcheck::check_io();
         if self.finished {
             return Err(TsFileError::WriterFinished);
         }

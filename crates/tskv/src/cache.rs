@@ -34,14 +34,16 @@
 //! capacity. Hit/miss/eviction/invalidation counters still aggregate
 //! in the engine-wide [`IoStats`].
 //!
-//! ## Lock discipline (xtask L2)
+//! ## Lock discipline
 //!
 //! The cache is shared by every concurrent query, so its internal
 //! mutexes are contention points. All methods hold a guard only for
-//! map bookkeeping — never across file I/O or chunk decode. Callers
-//! follow the same rule: [`DecodedChunkCache::get`] clones the `Arc`
-//! out under the guard and returns; on a miss the caller decodes
-//! *outside* any guard and then calls [`DecodedChunkCache::insert`].
+//! map bookkeeping — never across file I/O or chunk decode (the stripes
+//! are [`tsfile::lockcheck::Mutex`]es, so a debug build panics if one
+//! is). Callers follow the same rule: [`DecodedChunkCache::get`] clones
+//! the `Arc` out under the guard and returns; on a miss the caller
+//! decodes *outside* any guard and then calls
+//! [`DecodedChunkCache::insert`].
 //! Two racing misses on the same key both decode and one insert wins —
 //! wasted work under contention, never wrong data.
 
@@ -49,8 +51,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
+use tsfile::lockcheck::Mutex;
 use tsfile::types::Point;
 
 use crate::stats::IoStats;

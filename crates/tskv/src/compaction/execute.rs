@@ -167,6 +167,7 @@ pub(crate) fn merge_to_file(
     plan: &CompactionPlan,
     run: OutputRun,
 ) -> Result<CompactionReport> {
+    tsfile::lockcheck::check_io();
     let out_version = run.version;
     let mut out = CompactionReport {
         chunks_merged: chunks.len(),

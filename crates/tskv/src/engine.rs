@@ -50,10 +50,11 @@
 //! ## Lock discipline
 //!
 //! Each shard's series map sits behind its own `RwLock`, so writers to
-//! series in different shards never contend. The xtask L2 lint bans
-//! holding a shard lock across file I/O or chunk decode, so every heavy
-//! operation is split into short locked phases around an unlocked I/O
-//! phase:
+//! series in different shards never contend. No shard guard may be held
+//! across data-file I/O or page decode — the lock is a
+//! [`tsfile::lockcheck::RwLock`], and in a debug build every such entry
+//! point panics under one of its guards — so every heavy operation is
+//! split into short locked phases around an unlocked I/O phase:
 //!
 //! * **Flush** — the members of one flush that share a shard form a
 //!   group (a lone series is a group of one). Phase A (under one shard
@@ -79,10 +80,11 @@
 //!   group-commit drain, and the delete log's append and trim stay
 //!   under the shard lock on purpose: serializing durability writes
 //!   against the state they describe is what the lock is *for* (see
-//!   DESIGN.md). A flush's WAL fsync and end markers run with no shard
-//!   lock held. The WAL's own short mutex nests strictly inside the
-//!   shard lock and shard locks are never nested with each other, so
-//!   the order is acyclic.
+//!   DESIGN.md): these writers do not check for a live guard. A flush's
+//!   WAL fsync and end markers run with no shard lock held. The WAL's
+//!   own short mutex nests strictly inside the shard lock and shard
+//!   locks are never nested with each other (a checked lock is never
+//!   taken under another checked guard), so the order is acyclic.
 //! * **Background compaction** — when `compaction_auto` is on, a
 //!   scheduler thread ([`crate::scheduler`]) scans the shards with
 //!   short read guards for series whose sealed-file count crossed
@@ -97,8 +99,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
+use tsfile::lockcheck::RwLock;
 use tsfile::types::{Point, TimeRange, Timestamp, Version};
 use tsfile::{ChunkMeta, ModEntry, ModsFile, SeriesRun, TsFileError, TsFileReader, TsFileWriter};
 
@@ -218,7 +219,10 @@ impl SeriesView {
     /// that stays on disk as dead bytes (other series still read the
     /// file) always has an output in place, whose `supersedes` keeps a
     /// reopen from reading it again.
+    // Its one raw call, the unlink, follows the check.
+    #[allow(clippy::disallowed_methods)]
     fn retire(self, cache: Option<&DecodedChunkCache>) -> std::io::Result<()> {
+        tsfile::lockcheck::check_io();
         if let Some(cache) = cache {
             cache.invalidate_run(self.file.reader.handle_id(), self.byte_range());
         }
@@ -344,17 +348,29 @@ fn seal_file(
         })
         .and_then(|()| publish_file(&tmp, path));
     if sealed.is_err() {
-        std::fs::remove_file(&tmp).ok();
-        std::fs::remove_file(path).ok();
+        discard(&tmp, path);
     }
     sealed
+}
+
+/// Remove whatever a failed seal left at the in-flight name `tmp` or the
+/// data-file name `path`.
+// Its raw calls follow the check.
+#[allow(clippy::disallowed_methods)]
+fn discard(tmp: &Path, path: &Path) {
+    tsfile::lockcheck::check_io();
+    std::fs::remove_file(tmp).ok();
+    std::fs::remove_file(path).ok();
 }
 
 /// Give the finished in-flight file `tmp` its data-file name and open
 /// it. No directory sync follows the rename: a crash that loses it
 /// leaves the complete file under its in-flight name, and the next open
 /// adopts it ([`settle_in_flight`]).
+// Its one raw call, the rename, follows the check.
+#[allow(clippy::disallowed_methods)]
 fn publish_file(tmp: &Path, path: &Path) -> Result<Arc<SealedFile>> {
+    tsfile::lockcheck::check_io();
     std::fs::rename(tmp, path)?;
     SealedFile::open(path)
 }
@@ -385,7 +401,7 @@ pub(crate) struct EngineInner {
 ///
 /// See the crate docs for the data model. All methods are `&self`;
 /// internal state is sharded behind per-shard
-/// [`parking_lot::RwLock`]s.
+/// [`tsfile::lockcheck::RwLock`]s.
 #[derive(Debug)]
 pub struct TsKv {
     /// Declared before `inner` so drop order joins the scheduler
@@ -430,6 +446,8 @@ struct ShardListing {
 /// series-run directory, and `<fileno>.s<id>.mods`, one delete log per
 /// run — are refused here, before anything in the store is written:
 /// this build reads one shape of each.
+// The open path: no engine, and so no shard lock, exists yet.
+#[allow(clippy::disallowed_methods)]
 fn list_shard(sdir: &Path) -> Result<ShardListing> {
     let number = |stem: &str| -> Option<u64> {
         stem.bytes()
@@ -489,6 +507,8 @@ fn list_shard(sdir: &Path) -> Result<ShardListing> {
 /// and its points come back from the shard WAL (flush) or are still in
 /// the older generation (compaction). A complete one only lost its
 /// rename and takes its place among the data files.
+// The open path: no engine, and so no shard lock, exists yet.
+#[allow(clippy::disallowed_methods)]
 fn settle_in_flight(listing: &mut ShardListing) -> Result<()> {
     for (no, tmp) in std::mem::take(&mut listing.in_flight) {
         let path = tmp.with_extension("");
@@ -510,6 +530,8 @@ fn settle_in_flight(listing: &mut ShardListing) -> Result<()> {
 /// Write the `SHARDS` meta file pinning the shard count the way data
 /// files are written: under an in-flight name, synced, then renamed, so
 /// a crash leaves either no pin or a whole one.
+// The open path: no engine, and so no shard lock, exists yet.
+#[allow(clippy::disallowed_methods)]
 fn write_shards_meta(dir: &Path, n: usize) -> Result<()> {
     use std::io::Write as _;
     let path = dir.join(SHARDS_META);
@@ -527,6 +549,8 @@ fn write_shards_meta(dir: &Path, n: usize) -> Result<()> {
 /// placement must never move under a config edit). An empty `SHARDS` —
 /// what a crash mid-write left before the pin was written atomically —
 /// pins nothing, like a missing one.
+// The open path: no engine, and so no shard lock, exists yet.
+#[allow(clippy::disallowed_methods)]
 fn pinned_shards(dir: &Path, configured: usize) -> Result<usize> {
     let pinned = match std::fs::read_to_string(dir.join(SHARDS_META)) {
         Ok(s) => s,
@@ -558,6 +582,8 @@ fn pinned_shards(dir: &Path, configured: usize) -> Result<usize> {
 /// `validate_series_name`; a volume's `lost+found` does not). Runs
 /// before the first byte is written, so a refused directory is left as
 /// it was found.
+// The open path: no engine, and so no shard lock, exists yet.
+#[allow(clippy::disallowed_methods)]
 fn reject_unpinned_data(dir: &Path) -> Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
@@ -669,6 +695,8 @@ fn recover_series(
 impl EngineInner {
     /// Open (or create) the shared engine state rooted at `dir`. See
     /// [`TsKv::open`] for recovery semantics.
+    // The open path: no engine, and so no shard lock, exists yet.
+    #[allow(clippy::disallowed_methods)]
     fn open(dir: PathBuf, config: EngineConfig) -> Result<Self> {
         let config = config.normalized();
         config.validate()?;
@@ -1384,8 +1412,7 @@ impl EngineInner {
                 Ok((o, sealed))
             });
         if outcome.is_err() {
-            std::fs::remove_file(&tmp).ok();
-            std::fs::remove_file(&path).ok();
+            discard(&tmp, &path);
         }
 
         // Phase C (locked): swap the new generation in for the captured
@@ -2732,6 +2759,46 @@ mod tests {
         let b = MergeReader::new(&kv.snapshot("b")?).collect_merged()?;
         assert!(a.is_empty());
         assert_eq!(b, vec![Point::new(2, 2.0)]);
+        std::fs::remove_dir_all(&dir).ok();
+        Ok(())
+    }
+
+    /// Whether `f` panics.
+    #[cfg(debug_assertions)]
+    fn panics(f: impl FnOnce()) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn durability_writers_run_under_the_shard_guard() -> TestResult {
+        let (dir, kv) = fresh("durable-under-guard")?;
+        kv.insert_batch("s", &[Point::new(1, 1.0)])?;
+        kv.flush("s")?;
+        let id = kv.series_id("s").ok_or("s not registered")?;
+        let inner = &kv.inner;
+        let shard = inner.shard(id);
+        let mut map = shard.series.write();
+        // The writers that serialize durability against the state the
+        // guard protects do not check...
+        shard
+            .wal
+            .append_inserts(id, inner.alloc.current(), &[Point::new(2, 2.0)])?;
+        shard.wal.begin_flush(id)?;
+        shard.wal.commit(true)?;
+        inner.catalog.sync_if_dirty()?;
+        let store = map.get_mut(&id).ok_or("s not instantiated")?;
+        store.log.append(ModEntry::new(inner.alloc.next(), 5, 6))?;
+        store.log.trim_through(inner.alloc.current())?;
+        // ... and a data file's entry points do.
+        let path = store.files[0].file.reader.path().to_path_buf();
+        assert!(panics(|| {
+            SealedFile::open(&path).ok();
+        }));
+        drop(map);
+        assert!(!panics(|| {
+            SealedFile::open(&path).ok();
+        }));
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }

@@ -62,6 +62,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Test fixtures make, corrupt and remove their own files.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod batch;
 pub mod cache;

@@ -9,11 +9,11 @@
 //! hits, metadata-only spans, cold series) never straddle a static
 //! partition boundary next to expensive ones.
 //!
-//! The pool holds no locks of its own; job closures go through the
-//! engine's snapshot/cache layers, whose lock discipline `xtask lint`
-//! (L2) enforces. A worker that fails flips a stop flag so the
-//! remaining workers drain quickly; the first error in job order is
-//! returned. Workers are assumed panic-free (the workspace denies
+//! The pool holds no locks of its own, and a fan-out is never started
+//! under a checked guard ([`run_indexed`] checks, like a file read);
+//! job closures go through the engine's snapshot/cache layers. A worker
+//! that fails flips a stop flag so the remaining workers drain quickly;
+//! the first error in job order is returned. Workers are assumed panic-free (the workspace denies
 //! panic paths); a job that no worker reported — its worker panicked —
 //! is run again on the calling thread rather than guessed at.
 
@@ -33,6 +33,7 @@ where
     E: Send,
     F: Fn(usize) -> Result<T, E> + Sync,
 {
+    tsfile::lockcheck::check_io();
     let threads = threads.max(1).min(jobs);
     if threads <= 1 {
         return (0..jobs).map(f).collect();
@@ -123,16 +124,16 @@ mod tests {
     #[test]
     fn uses_multiple_threads_when_asked() {
         use std::collections::HashSet;
-        use std::sync::Mutex;
+        use tsfile::lockcheck::Mutex;
         let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
         let barrier = std::sync::Barrier::new(4);
         run_indexed(4, 4, |_| {
             barrier.wait();
-            seen.lock().unwrap().insert(std::thread::current().id());
+            seen.lock().insert(std::thread::current().id());
             Ok::<_, ()>(())
         })
         .unwrap();
-        assert_eq!(seen.lock().unwrap().len(), 4);
+        assert_eq!(seen.lock().len(), 4);
     }
 
     #[test]

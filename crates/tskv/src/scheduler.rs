@@ -8,8 +8,9 @@
 //! 1. **Scan (short read guards)** — ask the engine for
 //!    [`compaction candidates`]: series whose sealed-file count reached
 //!    the threshold and that no compaction currently owns. Each shard's
-//!    read lock is held only for the map walk, never across I/O (xtask
-//!    lint L2 pins this phasing).
+//!    read lock is held only for the map walk, never across I/O (a
+//!    compaction started under it panics in a debug build: a checked
+//!    lock is never taken under another checked guard).
 //! 2. **Compact (no locks held here)** — run the engine's phased
 //!    compaction for each candidate: every sealed file of the series
 //!    is merged into one, unless the count fell back under the
@@ -64,6 +65,9 @@ impl CompactionScheduler {
 }
 
 impl Drop for CompactionScheduler {
+    // The dropping store waits for its compactor, which is parked or
+    // finishing one phased compaction.
+    #[allow(clippy::disallowed_methods)]
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(handle) = self.handle.take() {

@@ -35,6 +35,8 @@
     clippy::panic,
     clippy::indexing_slicing
 )]
+// Test fixtures make, corrupt and remove their own files.
+#![allow(clippy::disallowed_methods)]
 
 use std::path::{Path, PathBuf};
 

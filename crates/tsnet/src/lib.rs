@@ -49,6 +49,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Test fixtures make, corrupt and remove their own files.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod client;
 pub mod error;

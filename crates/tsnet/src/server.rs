@@ -35,14 +35,17 @@
 //! any *newly arriving* frame with `ShuttingDown`, and exit at the next
 //! idle poll.
 //!
-//! ## Lock discipline (xtask L2)
+//! ## Lock discipline
 //!
 //! Locks here are the worker-pool registry and the per-connection
 //! outbound queues. Guards are scoped to registry pushes/takes and
 //! queue mutations — no file I/O, no flush/compact, no socket write
 //! happens while a guard is live. Socket writes belong exclusively to
 //! the writer threads, which take frames *out* of the queue under the
-//! lock and write them after releasing it.
+//! lock and write them after releasing it. The registry's locks are
+//! [`tsfile::lockcheck`]'s, so a debug build panics at the first file
+//! entry point reached under one; the accept thread is marked
+//! must-not-block, so it panics at a frame write too.
 
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -51,7 +54,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use tsfile::lockcheck::Mutex;
 use tskv::{TsKv, WriteBatch};
 
 use crate::error::{ErrorCode, NetError};
@@ -214,6 +217,9 @@ impl TsNetServer {
 
     /// Graceful shutdown: stop accepting, drain in-flight requests,
     /// join every thread. Idempotent; blocks until the drain finishes.
+    // Shutdown waits for the threads it stopped, on the caller's
+    // thread: never the accept thread or a broadcast.
+    #[allow(clippy::disallowed_methods)]
     pub fn shutdown(&self) {
         let already = self.shared.shutting_down.swap(true, Ordering::AcqRel);
         // Wake the blocking accept call so it can observe the flag.
@@ -250,6 +256,9 @@ impl Drop for TsNetServer {
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
+    // A client that never drains its socket must not park the one
+    // thread every other connection waits behind.
+    let _mark = tsfile::lockcheck::no_block();
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -319,6 +328,9 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     }
 }
 
+// The worker reaps its own connection's writer thread, which exits once
+// the queue it drains is closed.
+#[allow(clippy::disallowed_methods)]
 fn worker_loop(shared: &Shared, mut stream: TcpStream) {
     if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;

@@ -389,6 +389,8 @@ impl SubRegistry {
 
     /// Stop the dispatcher and forget all connections. Connection
     /// queues themselves are closed by their owning workers.
+    // Server shutdown joins the dispatcher it stopped, on its own thread.
+    #[allow(clippy::disallowed_methods)]
     pub fn stop(&self) {
         self.shutting_down.store(true, Ordering::Release);
         // A dispatcher parked on the idle latch must see the shutdown.
@@ -705,10 +707,12 @@ impl SubRegistry {
     /// Diff every exact dashboard against its last broadcast state and
     /// enqueue the changed spans to each attached subscriber.
     ///
-    /// On the L5 no-blocking path: only lock acquisition, map updates
-    /// and condvar notifies happen here — socket writes belong to the
-    /// writer threads.
+    /// Marked must-not-block (one slow consumer would stall every
+    /// dashboard): only lock acquisition, map updates and condvar
+    /// notifies happen here — socket writes belong to the writer
+    /// threads.
     fn broadcast_delta(&self, inner: &mut Inner) {
+        let _mark = tsfile::lockcheck::no_block();
         let Inner {
             dashboards,
             subs,

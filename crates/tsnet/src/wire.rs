@@ -25,7 +25,8 @@
 //!
 //! This module interprets **untrusted network bytes** and therefore
 //! follows the same discipline as the tsfile byte parsers (the clippy
-//! panic deny-set and indexing ban, xtask L3):
+//! panic deny-set and indexing ban, and fallible entry points — see
+//! `tests/lint_scope.rs`):
 //! no panics, no indexing — every structural problem decodes to a
 //! typed [`NetError`], and a corrupted payload is caught by the
 //! checksum before any of it is interpreted.
@@ -1066,6 +1067,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize)> {
 /// from the tsfile buffer pool: a server worker thread decoding one
 /// frame per request reuses the same warm allocation.
 pub fn read_frame(r: &mut impl Read, max_payload_bytes: u32) -> Result<Frame> {
+    tsfile::lockcheck::check_block();
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     let (kind, len) = decode_header(&header, max_payload_bytes)?;
@@ -1083,6 +1085,7 @@ pub fn read_frame(r: &mut impl Read, max_payload_bytes: u32) -> Result<Frame> {
 
 /// Write one pre-encoded frame to a blocking stream and flush it.
 pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> Result<()> {
+    tsfile::lockcheck::check_block();
     w.write_all(frame)?;
     w.flush()?;
     Ok(())
@@ -1557,5 +1560,38 @@ mod tests {
         write_frame(&mut buf, &bytes).unwrap();
         let frame = read_frame(&mut buf.as_slice(), MAX_PAYLOAD_BYTES).unwrap();
         assert_eq!(frame, Frame::Push(push));
+    }
+
+    /// Whether `f` panics.
+    #[cfg(debug_assertions)]
+    fn panics(f: impl FnOnce()) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+    }
+
+    #[cfg(debug_assertions)]
+    fn write_one() {
+        write_frame(&mut Vec::new(), b"frame").unwrap();
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_marked_thread_writing_a_frame_panics() {
+        assert!(!panics(write_one));
+        let mark = tsfile::lockcheck::no_block();
+        assert!(panics(write_one));
+        assert!(panics(|| {
+            read_frame(&mut &b""[..], 64).err();
+        }));
+        drop(mark);
+        assert!(!panics(write_one));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_thread_spawned_from_a_marked_thread_is_not_marked() {
+        let _mark = tsfile::lockcheck::no_block();
+        assert!(panics(write_one));
+        let spawned = std::thread::spawn(|| panics(write_one));
+        assert!(!spawned.join().unwrap());
     }
 }

@@ -21,6 +21,8 @@
     clippy::panic,
     clippy::indexing_slicing
 )]
+// Test fixtures make, corrupt and remove their own files.
+#![allow(clippy::disallowed_methods)]
 
 use std::collections::BTreeSet;
 use std::io::{Read, Write};

@@ -162,7 +162,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             let (vmin, vmax) = value_range(&merged).ok_or("series is empty")?;
             let map = PixelMap::new(&query, vmin, vmax, width, height);
             let canvas = render_m4(&result, &map)?;
-            canvas.write_pbm(out)?;
+            canvas.write_pbm(std::fs::File::create(out)?)?;
             println!(
                 "wrote {width}x{height} chart to {out} ({} set pixels)",
                 canvas.set_pixels()

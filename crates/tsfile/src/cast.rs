@@ -77,6 +77,21 @@ pub fn u64_from_usize(v: usize) -> u64 {
     v as u64
 }
 
+/// An integer as the nearest `f64`. Exact for `|v| < 2^53`, which is
+/// every integer the decimal value codec stores.
+#[inline]
+pub fn f64_from_i64(v: i64) -> f64 {
+    v as f64
+}
+
+/// An integral `f64` as `i64`. Exact when `v` is integral and
+/// `|v| < 2^63`; the caller checks that first (the cast saturates
+/// outside the range and maps NaN to 0, so it never panics).
+#[inline]
+pub fn i64_from_integral(v: f64) -> i64 {
+    v as i64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,5 +118,13 @@ mod tests {
         assert_eq!(usize_checked(42), Some(42));
         assert_eq!(u32_checked(u64::from(u32::MAX) + 1), None);
         assert_eq!(u64_from_usize(7), 7);
+    }
+
+    #[test]
+    fn float_integer_conversions_are_exact_below_2_pow_53() {
+        for v in [0i64, 1, -1, 22_537, (1 << 53) - 1, -(1 << 53) + 1] {
+            assert_eq!(i64_from_integral(f64_from_i64(v)), v);
+        }
+        assert_eq!(i64_from_integral(f64::NAN), 0);
     }
 }

@@ -57,6 +57,27 @@ pub fn encode(values: &[f64], out: &mut Vec<u8>) {
     out.extend_from_slice(&w.into_bytes());
 }
 
+/// A lower bound on the bytes [`encode`] writes for `values`, from one
+/// pass that writes nothing: the first value's 64 bits, one bit per
+/// repeat, and for each change two control bits plus the bits between
+/// its XOR's leading and trailing zeros — a reused window is never
+/// narrower than that, a new one costs eleven bits more.
+pub fn encoded_len_at_least(values: &[f64]) -> usize {
+    let Some((first, rest)) = values.split_first() else {
+        return 0;
+    };
+    let mut prev = first.to_bits();
+    let mut bits = 64;
+    for v in rest {
+        let xor = v.to_bits() ^ prev;
+        prev = v.to_bits();
+        // A zero XOR has 128 zeros in all: one bit.
+        let zeros = (xor.leading_zeros() + xor.trailing_zeros()).min(65);
+        bits += cast::usize_from_u32(66 - zeros);
+    }
+    bits.div_ceil(8)
+}
+
 /// Decode `n` floats produced by [`encode`].
 ///
 /// Chunked form of the scalar loop retained in

@@ -9,10 +9,15 @@
 //! * [`gorilla`] — XOR-based float compression for values.
 //! * [`plain`] — raw little-endian, used as a baseline and for tests.
 //!
+//! Beside the configured value codec, a page may store its values as
+//! [`decimal`] scaled integers; the page chooses from its own values
+//! (see the `page` module), so that mode has no [`EncodingKind`].
+//!
 //! All encoders take a slice and append to a `Vec<u8>`; all decoders
 //! take a byte slice and return a vector. Round-trips are exact.
 
 pub mod bitio;
+pub mod decimal;
 pub mod gorilla;
 pub mod plain;
 pub mod reference;
@@ -83,6 +88,15 @@ pub fn encode_values(kind: EncodingKind, vs: &[f64], out: &mut Vec<u8>) {
     }
 }
 
+/// A lower bound on the bytes [`encode_values`] writes for `vs`,
+/// computed without writing (exact for plain).
+pub fn values_len_at_least(kind: EncodingKind, vs: &[f64]) -> usize {
+    match kind {
+        EncodingKind::Plain => vs.len() * 8,
+        EncodingKind::Gorilla | EncodingKind::Ts2Diff => gorilla::encoded_len_at_least(vs),
+    }
+}
+
 /// Decode a value column.
 pub fn decode_values(kind: EncodingKind, buf: &[u8], n: usize) -> Result<Vec<f64>> {
     match kind {
@@ -139,6 +153,7 @@ mod tests {
             assert_eq!(back, ts);
             let mut vb = Vec::new();
             encode_values(k, &vs, &mut vb);
+            assert!(values_len_at_least(k, &vs) <= vb.len());
             assert_eq!(decode_values(k, &vb, vs.len())?, vs);
         }
         Ok(())

@@ -13,8 +13,9 @@
 //! │ footer                                                     │
 //! │   varint #chunks                                           │
 //! │   per chunk: varint offset, varint byte_len,               │
-//! │              varint version, statistics, step-index flag,  │
-//! │              page-index flag (always 1) + PagedChunkInfo   │
+//! │              varint version, step-index flag (+ index),    │
+//! │              PagedChunkInfo (encodings, per page: varint   │
+//! │              byte_len, page statistics)                    │
 //! │   series-run directory:                                    │
 //! │     varint #runs                                           │
 //! │     per run: varint series id, varint #chunks,             │
@@ -63,7 +64,8 @@ pub struct ChunkMeta {
     pub byte_len: u64,
     /// Global version number κ of the chunk.
     pub version: Version,
-    /// Precomputed FP/LP/BP/TP/count.
+    /// Precomputed FP/LP/BP/TP/count: the fold of the page statistics
+    /// (derived, not stored, when a footer is read).
     pub stats: ChunkStatistics,
     /// Step-regression chunk index learned at flush time (paper §3.5),
     /// when enabled and the chunk admitted a model.
@@ -86,11 +88,13 @@ impl ChunkMeta {
         self.paged.pages.len()
     }
 
+    /// The chunk's statistics are not written: they are the fold of
+    /// its page statistics ([`PagedChunkInfo::chunk_stats`]), which is
+    /// how the writer computed them, so [`Self::decode`] derives them.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         varint::write_u64(out, self.offset);
         varint::write_u64(out, self.byte_len);
         varint::write_u64(out, self.version.0);
-        self.stats.encode(out);
         match &self.index {
             None => out.push(0),
             Some(idx) => {
@@ -98,9 +102,6 @@ impl ChunkMeta {
                 idx.encode(out);
             }
         }
-        // Presence byte of the page index: always 1, kept so no footer
-        // byte moves (the decoder rejects 0).
-        out.push(1);
         self.paged.encode(out);
     }
 
@@ -108,7 +109,6 @@ impl ChunkMeta {
         let offset = varint::read_u64(buf, pos)?;
         let byte_len = varint::read_u64(buf, pos)?;
         let version = Version(varint::read_u64(buf, pos)?);
-        let stats = ChunkStatistics::decode(buf, pos)?;
         let index = match buf.get(*pos) {
             Some(0) => {
                 *pos += 1;
@@ -127,23 +127,9 @@ impl ChunkMeta {
                 })
             }
         };
-        let paged = match buf.get(*pos) {
-            Some(1) => {
-                *pos += 1;
-                let info = PagedChunkInfo::decode(buf, pos)?;
-                info.validate(byte_len, stats.count)?;
-                info
-            }
-            Some(0) => return Err(TsFileError::Corrupt("chunk has no page index".into())),
-            Some(other) => {
-                return Err(TsFileError::Corrupt(format!("bad page-index flag {other}")))
-            }
-            None => {
-                return Err(TsFileError::UnexpectedEof {
-                    what: "page-index flag",
-                })
-            }
-        };
+        let paged = PagedChunkInfo::decode(buf, pos)?;
+        paged.validate(byte_len)?;
+        let stats = paged.chunk_stats()?;
         Ok(ChunkMeta {
             offset,
             byte_len,
@@ -390,19 +376,64 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_bad_page_flag() -> crate::Result<()> {
+    fn decode_rejects_bad_step_index_flag() -> crate::Result<()> {
         let m = meta(1, 0, 10)?;
         let mut buf = Vec::new();
         m.encode(&mut buf);
-        // The page-index flag sits right before the page index, which is
-        // the tail of the encoding.
-        let mut info = Vec::new();
-        m.paged.encode(&mut info);
-        let flag_at = buf.len() - info.len() - 1;
-        assert_eq!(buf[flag_at], 1);
+        // The flag follows three one-byte varints: offset, byte_len and
+        // version.
+        let flag_at = 3;
+        assert_eq!(buf[flag_at], u8::from(m.index.is_some()));
         buf[flag_at] = 7;
         let mut pos = 0;
-        assert!(ChunkMeta::decode(&buf, &mut pos).is_err());
+        assert!(matches!(
+            ChunkMeta::decode(&buf, &mut pos),
+            Err(TsFileError::Corrupt(msg)) if msg.contains("step-index flag")
+        ));
+        Ok(())
+    }
+
+    /// What the footer no longer stores it derives: page offsets are
+    /// the running sum of page lengths, chunk statistics the fold of the
+    /// page statistics.
+    #[test]
+    fn offsets_and_chunk_statistics_are_derived() -> crate::Result<()> {
+        let pts: Vec<Point> = (0..30)
+            .map(|i| Point::new(i * 10, (i % 7) as f64))
+            .collect();
+        let mut pages = Vec::new();
+        let mut offset = 0;
+        for slice in pts.chunks(10) {
+            let mut body = Vec::new();
+            encode_page(
+                slice,
+                EncodingKind::Ts2Diff,
+                EncodingKind::Gorilla,
+                &mut body,
+            );
+            pages.push(PageMeta {
+                offset,
+                byte_len: body.len() as u64,
+                stats: PageStatistics::from_points(slice)?,
+            });
+            offset += body.len() as u64;
+        }
+        let m = ChunkMeta {
+            offset: 6,
+            byte_len: offset,
+            version: Version(4),
+            stats: ChunkStatistics::from_points(&pts)?,
+            index: None,
+            paged: PagedChunkInfo {
+                ts_encoding: EncodingKind::Ts2Diff,
+                val_encoding: EncodingKind::Gorilla,
+                pages,
+            },
+        };
+        let mut buf = Vec::new();
+        m.encode(&mut buf);
+        let mut pos = 0;
+        assert_eq!(ChunkMeta::decode(&buf, &mut pos)?, m);
         Ok(())
     }
 }

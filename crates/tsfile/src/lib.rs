@@ -16,9 +16,13 @@
 //! * **Encodings**: timestamps are delta-of-delta encoded
 //!   ([`encoding::ts2diff`]), values are Gorilla XOR encoded
 //!   ([`encoding::gorilla`]). A plain encoding exists for comparison.
-//!   Decoding cost is what makes "merge free" worthwhile, exactly as in
-//!   the paper (§2.3: "not only for the heavy cost of I/O but also for
-//!   the decompression of data").
+//!   Each page also picks, from its own data, two cheaper modes: a
+//!   constant-delta timestamp column, and values stored as scaled,
+//!   bit-packed integers ([`encoding::decimal`], ALP) when they have few
+//!   decimals and that block is the smaller one. Decoding cost is what
+//!   makes "merge free" worthwhile, exactly as in the paper (§2.3: "not
+//!   only for the heavy cost of I/O but also for the decompression of
+//!   data").
 //! * **Mods file** ([`mods`]): append-only delete records, each with a
 //!   global version number, applied lazily at read time (the paper's
 //!   `D^κ`).

@@ -11,17 +11,22 @@
 //! ```text
 //! chunk body = page 0 body ‖ page 1 body ‖ …
 //! page body:
-//!   varint n (point count)
-//!   u8     ts_mode (0 = encoded stream, 1 = constant delta)
+//!   varint n (point count, 1 ..= MAX_PAGE_POINTS)
+//!   u8     modes: bit 0 = timestamps (0 encoded stream, 1 constant delta)
+//!                 bit 1 = values (0 the chunk's value encoding, 1 decimal)
 //!   varint len(ts_bytes)   ts_bytes
 //!   varint len(val_bytes)  val_bytes
 //!   u32    crc32 of everything above (LE)
 //! ```
 //!
-//! `ts_mode = 1` is the constant-delta fast path: sensor timestamps are
-//! mostly regular (the paper's §3.5 step observation), so a page whose
-//! deltas are all equal stores just `varint_i(first) varint_i(delta)`
-//! and is reconstructed arithmetically — no per-point varint decode.
+//! Both modes are chosen per page from the page's own column. The
+//! constant-delta timestamp mode: sensor timestamps are mostly regular
+//! (the paper's §3.5 step observation), so a page whose deltas are all
+//! equal stores just `varint_i(first) varint_i(delta)` and is
+//! reconstructed arithmetically — no per-point varint decode. The
+//! decimal value mode ([`encoding::decimal`]): a page whose values have
+//! few decimals stores them as scaled, bit-packed integers, whenever
+//! that block is smaller than the chunk's XOR or plain stream.
 //! The column encodings themselves live in the footer's
 //! [`PagedChunkInfo`] (CRC-protected there), so a chunk body has no
 //! unprotected header bytes.
@@ -31,6 +36,7 @@
 
 use crate::bufpool;
 use crate::checksum::crc32;
+use crate::encoding::decimal::{self, Exponents};
 use crate::encoding::{self, EncodingKind};
 use crate::statistics::ChunkStatistics;
 use crate::types::{Point, TimeRange};
@@ -40,20 +46,30 @@ use crate::{cast, Result, TsFileError};
 /// Default number of points per page (`EngineConfig::page_points`).
 pub const DEFAULT_PAGE_POINTS: usize = 1024;
 
+/// The most points one page may hold. A constant-delta timestamp column
+/// or an equal-valued decimal block is a few bytes for any count, so
+/// the bytes of a page do not bound what decoding it allocates; this
+/// does. The writer clamps its page size to it and a page claiming more
+/// is `Corrupt`.
+pub const MAX_PAGE_POINTS: usize = 1 << 20;
+
 /// Per-page statistics carry the same fields as chunk statistics
 /// (FP/LP/BP/TP/count), just at page granularity.
 pub type PageStatistics = ChunkStatistics;
 
-/// Timestamp-column mode tag: a generic encoded stream.
-const TS_MODE_STREAM: u8 = 0;
-/// Timestamp-column mode tag: constant delta, reconstructed
-/// arithmetically from `(first, delta)`.
-const TS_MODE_CONST_DELTA: u8 = 1;
+/// Mode bit: the timestamps are a constant delta, reconstructed
+/// arithmetically from `(first, delta)` (clear: an encoded stream).
+const MODE_CONST_DELTA: u8 = 1;
+/// Mode bit: the values are a decimal block (clear: the chunk's value
+/// encoding).
+const MODE_DECIMAL: u8 = 2;
 
 /// Location and statistics of one page inside a chunk body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PageMeta {
     /// Byte offset of the page body relative to the chunk body start.
+    /// Pages tile the body, so the footer stores no offset: a reader
+    /// sums the lengths before it.
     pub offset: u64,
     /// Length of the page body in bytes (including its CRC).
     pub byte_len: u64,
@@ -69,13 +85,13 @@ impl PageMeta {
     }
 
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        varint::write_u64(out, self.offset);
         varint::write_u64(out, self.byte_len);
         self.stats.encode(out);
     }
 
-    pub(crate) fn decode(buf: &[u8], pos: &mut usize) -> Result<Self> {
-        let offset = varint::read_u64(buf, pos)?;
+    /// Decode the entry of the page that starts `offset` bytes into its
+    /// chunk body.
+    pub(crate) fn decode(buf: &[u8], pos: &mut usize, offset: u64) -> Result<Self> {
         let byte_len = varint::read_u64(buf, pos)?;
         let stats = PageStatistics::decode(buf, pos)?;
         Ok(PageMeta {
@@ -149,8 +165,13 @@ impl PagedChunkInfo {
         let n = cast::usize_checked(n)
             .ok_or_else(|| TsFileError::Corrupt("page count unaddressable".into()))?;
         let mut pages = Vec::with_capacity(n.min(buf.len()));
+        let mut offset = 0u64;
         for _ in 0..n {
-            pages.push(PageMeta::decode(buf, pos)?);
+            let page = PageMeta::decode(buf, pos, offset)?;
+            offset = offset
+                .checked_add(page.byte_len)
+                .ok_or_else(|| TsFileError::Corrupt("page extent overflows".into()))?;
+            pages.push(page);
         }
         Ok(PagedChunkInfo {
             ts_encoding,
@@ -160,27 +181,22 @@ impl PagedChunkInfo {
     }
 
     /// Structural invariants of a decoded page index, cross-checked
-    /// against the owning chunk's byte length and statistics: pages must
-    /// tile the body in order, be time-ordered and disjoint, and their
-    /// counts must sum to the chunk count.
-    pub(crate) fn validate(&self, chunk_byte_len: u64, chunk_count: u64) -> Result<()> {
-        if self.pages.is_empty() {
-            return Err(TsFileError::Corrupt("paged chunk with no pages".into()));
-        }
-        let mut expected_offset = 0u64;
-        let mut total = 0u64;
+    /// against the owning chunk's byte length: there is a page, each
+    /// holds at most [`MAX_PAGE_POINTS`], pages are time-ordered and
+    /// disjoint, and their lengths sum to the chunk body's.
+    pub(crate) fn validate(&self, chunk_byte_len: u64) -> Result<()> {
+        let last = self
+            .pages
+            .last()
+            .ok_or_else(|| TsFileError::Corrupt("paged chunk with no pages".into()))?;
         let mut prev_last: Option<i64> = None;
         for p in &self.pages {
-            if p.offset != expected_offset {
+            if p.stats.count > cast::u64_from_usize(MAX_PAGE_POINTS) {
                 return Err(TsFileError::Corrupt(format!(
-                    "page offset {} does not tile the chunk body (expected {expected_offset})",
-                    p.offset
+                    "page index claims {} points in one page",
+                    p.stats.count
                 )));
             }
-            expected_offset = expected_offset
-                .checked_add(p.byte_len)
-                .ok_or_else(|| TsFileError::Corrupt("page extent overflows".into()))?;
-            total = total.saturating_add(p.stats.count);
             if let Some(last) = prev_last {
                 if p.stats.first.t <= last {
                     return Err(TsFileError::Corrupt(format!(
@@ -191,17 +207,25 @@ impl PagedChunkInfo {
             }
             prev_last = Some(p.stats.last.t);
         }
-        if expected_offset != chunk_byte_len {
+        let covered = last.offset.saturating_add(last.byte_len);
+        if covered != chunk_byte_len {
             return Err(TsFileError::Corrupt(format!(
-                "pages cover {expected_offset} bytes of a {chunk_byte_len}-byte chunk"
-            )));
-        }
-        if total != chunk_count {
-            return Err(TsFileError::Corrupt(format!(
-                "pages hold {total} points but chunk metadata says {chunk_count}"
+                "pages cover {covered} bytes of a {chunk_byte_len}-byte chunk"
             )));
         }
         Ok(())
+    }
+
+    /// The chunk's statistics: its pages', folded in time order with
+    /// [`ChunkStatistics::absorb_later`]. What a writer records and
+    /// what a reader derives, so the footer does not store them.
+    pub fn chunk_stats(&self) -> Result<ChunkStatistics> {
+        let (first, rest) = self.pages.split_first().ok_or(TsFileError::EmptyChunk)?;
+        let mut stats = first.stats;
+        for p in rest {
+            stats.absorb_later(&p.stats);
+        }
+        Ok(stats)
     }
 }
 
@@ -215,44 +239,113 @@ pub fn encode_page(
 ) {
     let ts: Vec<i64> = points.iter().map(|p| p.t).collect();
     let vs: Vec<f64> = points.iter().map(|p| p.v).collect();
-    encode_page_columns(&ts, &vs, ts_encoding, val_encoding, out);
+    encode_page_columns(
+        &ts,
+        &vs,
+        ts_encoding,
+        val_encoding,
+        &mut ValueCarry::default(),
+        out,
+    );
+}
+
+/// What a writer carries from one page's value column to the next.
+#[derive(Debug, Default)]
+pub(crate) struct ValueCarry {
+    /// The decimal pair the last plan chose ([`decimal::plan`]).
+    pair: Option<Exponents>,
+    /// The last planned page's stream beat its block, so the next page
+    /// writes its stream first (a writer starts by trying the block).
+    stream_first: bool,
 }
 
 /// [`encode_page`] over a page already split into its two columns
 /// (equal length) — the writer splits a chunk once and hands each page
-/// its slices.
+/// its slices, and carries `values` from page to page.
 pub(crate) fn encode_page_columns(
     ts: &[i64],
     vs: &[f64],
     ts_encoding: EncodingKind,
     val_encoding: EncodingKind,
+    values: &mut ValueCarry,
     out: &mut Vec<u8>,
 ) {
     let start = out.len();
     varint::write_u64(out, cast::u64_from_usize(ts.len()));
     // Pooled column scratch: page encode runs once per page on every
     // flush/compaction; reusing the scratch keeps the write path free
-    // of two heap round-trips per page.
+    // of heap round-trips per page.
     let mut ts_bytes = bufpool::take(0);
+    let mut modes = 0;
     match constant_delta(ts) {
         Some((first, delta)) => {
-            out.push(TS_MODE_CONST_DELTA);
+            modes |= MODE_CONST_DELTA;
             varint::write_i64(&mut ts_bytes, first);
             varint::write_i64(&mut ts_bytes, delta);
         }
-        None => {
-            out.push(TS_MODE_STREAM);
-            encoding::encode_timestamps(ts_encoding, ts, &mut ts_bytes);
-        }
+        None => encoding::encode_timestamps(ts_encoding, ts, &mut ts_bytes),
     }
+    let mut val_bytes = bufpool::take(0);
+    let (is_block, val_col) = value_column(vs, val_encoding, values, &mut val_bytes);
+    if is_block {
+        modes |= MODE_DECIMAL;
+    }
+    out.push(modes);
     varint::write_u64(out, cast::u64_from_usize(ts_bytes.len()));
     out.extend_from_slice(&ts_bytes);
-    let mut val_bytes = bufpool::take(0);
-    encoding::encode_values(val_encoding, vs, &mut val_bytes);
-    varint::write_u64(out, cast::u64_from_usize(val_bytes.len()));
-    out.extend_from_slice(&val_bytes);
+    varint::write_u64(out, cast::u64_from_usize(val_col.len()));
+    out.extend_from_slice(val_col);
     let crc = crc32(out.get(start..).unwrap_or(&[]));
     out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// A page's value column: the decimal block when the sample admits one
+/// and it is smaller than the configured stream, else the stream (ties
+/// go to the stream), as `(is the block, its bytes in buf)`. The one
+/// likelier to win is written first, and the other only while it can
+/// still win: a block below a lower bound on the stream's size needs no
+/// stream, and a stream no larger than the block's sampled estimate
+/// needs no block.
+fn value_column<'a>(
+    vs: &[f64],
+    val_encoding: EncodingKind,
+    carry: &mut ValueCarry,
+    buf: &'a mut Vec<u8>,
+) -> (bool, &'a [u8]) {
+    let Some(plan) = decimal::plan(vs, &mut carry.pair) else {
+        encoding::encode_values(val_encoding, vs, buf);
+        return (false, buf);
+    };
+    // Block first only after a block won and while the sample's
+    // estimate is below a lower bound on the stream.
+    let floor = (!carry.stream_first).then(|| encoding::values_len_at_least(val_encoding, vs));
+    let (is_block, range) = match floor {
+        Some(floor) if plan.estimate() < floor && decimal::encode(vs, &plan, buf) => {
+            let block = buf.len();
+            if block < floor {
+                (true, 0..block)
+            } else {
+                encoding::encode_values(val_encoding, vs, buf);
+                match block < buf.len() - block {
+                    true => (true, 0..block),
+                    false => (false, block..buf.len()),
+                }
+            }
+        }
+        _ => {
+            encoding::encode_values(val_encoding, vs, buf);
+            let stream = buf.len();
+            let wins = plan.estimate() < stream
+                && decimal::encode(vs, &plan, buf)
+                && buf.len() - stream < stream;
+            match wins {
+                true => (true, stream..buf.len()),
+                false => (false, 0..stream),
+            }
+        }
+    };
+    carry.stream_first = !is_block;
+    (is_block, buf.get(range).unwrap_or(&[]))
 }
 
 /// `Some((first, delta))` when the sequence advances by one constant
@@ -297,26 +390,30 @@ fn checked_payload<'a>(body: &'a [u8], what: &'static str) -> Result<&'a [u8]> {
 }
 
 /// Verify a raw page body without decoding it: checksum over the
-/// payload plus the header point count against the page index entry.
-/// This is the integrity gate for byte-for-byte page copies — the
-/// compactor revalidates every page it moves verbatim so silent
-/// corruption can never be propagated into a new file.
+/// payload, the header point count against the page index entry, and
+/// the structure of a decimal value block. This is the integrity gate
+/// for byte-for-byte page copies — the compactor revalidates every page
+/// it moves verbatim, whatever its modes, so silent corruption can
+/// never be propagated into a new file.
 pub fn verify_page_body(body: &[u8], meta: &PageMeta) -> Result<()> {
-    let payload = checked_payload(body, "page body")?;
-    let cols = split_page(payload)?;
-    if cast::u64_from_usize(cols.n) != meta.stats.count {
-        return Err(TsFileError::Corrupt(format!(
-            "page body holds {} points but page index says {}",
-            cols.n, meta.stats.count
-        )));
+    let cols = open_page(body, meta)?;
+    if cols.modes & MODE_DECIMAL != 0 {
+        decimal::verify(cols.val_col, cols.n)?;
     }
     Ok(())
 }
 
-/// Parsed page header: count, ts mode, and the two column slices.
+/// Whether a page stores its values as a decimal block. Verifies the
+/// page CRC; no column is decoded.
+pub fn is_decimal(body: &[u8]) -> Result<bool> {
+    let cols = split_page(checked_payload(body, "page body")?)?;
+    Ok(cols.modes & MODE_DECIMAL != 0)
+}
+
+/// Parsed page header: count, modes, and the two column slices.
 struct PageColumns<'a> {
     n: usize,
-    ts_mode: u8,
+    modes: u8,
     ts_col: &'a [u8],
     val_col: &'a [u8],
 }
@@ -325,10 +422,20 @@ fn split_page(payload: &[u8]) -> Result<PageColumns<'_>> {
     let mut pos = 0usize;
     let n = varint::read_u64(payload, &mut pos)?;
     let n = cast::usize_checked(n)
-        .ok_or_else(|| TsFileError::Corrupt("page count unaddressable".into()))?;
-    let ts_mode = *payload.get(pos).ok_or(TsFileError::UnexpectedEof {
-        what: "page ts mode",
-    })?;
+        .filter(|&n| n <= MAX_PAGE_POINTS)
+        .ok_or_else(|| {
+            TsFileError::Corrupt(format!(
+                "page claims {n} points, above the {MAX_PAGE_POINTS}-point ceiling"
+            ))
+        })?;
+    let modes = *payload
+        .get(pos)
+        .ok_or(TsFileError::UnexpectedEof { what: "page modes" })?;
+    if modes & !(MODE_CONST_DELTA | MODE_DECIMAL) != 0 {
+        return Err(TsFileError::Corrupt(format!(
+            "unknown page modes {modes:#x}"
+        )));
+    }
     pos += 1;
     let ts_len = cast::usize_checked(varint::read_u64(payload, &mut pos)?)
         .ok_or_else(|| TsFileError::Corrupt("page ts length unaddressable".into()))?;
@@ -357,10 +464,23 @@ fn split_page(payload: &[u8]) -> Result<PageColumns<'_>> {
         })?;
     Ok(PageColumns {
         n,
-        ts_mode,
+        modes,
         ts_col,
         val_col,
     })
+}
+
+/// Check a page body's CRC, split it, and match its point count against
+/// the page index entry.
+fn open_page<'a>(body: &'a [u8], meta: &PageMeta) -> Result<PageColumns<'a>> {
+    let cols = split_page(checked_payload(body, "page body")?)?;
+    if cast::u64_from_usize(cols.n) != meta.stats.count {
+        return Err(TsFileError::Corrupt(format!(
+            "page body holds {} points but page index says {}",
+            cols.n, meta.stats.count
+        )));
+    }
+    Ok(cols)
 }
 
 /// Decode the timestamp column of an already-split page.
@@ -369,32 +489,27 @@ fn decode_ts_column(
     ts_encoding: EncodingKind,
     until: Option<i64>,
 ) -> Result<Vec<i64>> {
-    match cols.ts_mode {
-        TS_MODE_CONST_DELTA => {
-            let mut pos = 0usize;
-            let first = varint::read_i64(cols.ts_col, &mut pos)?;
-            let delta = varint::read_i64(cols.ts_col, &mut pos)?;
-            let mut out = Vec::with_capacity(cols.n.min(1 << 20));
-            let mut cur = first;
-            for i in 0..cols.n {
-                if i > 0 {
-                    cur = cur.wrapping_add(delta);
-                }
-                out.push(cur);
-                if until.is_some_and(|limit| cur > limit) {
-                    break;
-                }
+    if cols.modes & MODE_CONST_DELTA != 0 {
+        let mut pos = 0usize;
+        let first = varint::read_i64(cols.ts_col, &mut pos)?;
+        let delta = varint::read_i64(cols.ts_col, &mut pos)?;
+        let mut out = Vec::with_capacity(cols.n);
+        let mut cur = first;
+        for i in 0..cols.n {
+            if i > 0 {
+                cur = cur.wrapping_add(delta);
             }
-            Ok(out)
+            out.push(cur);
+            if until.is_some_and(|limit| cur > limit) {
+                break;
+            }
         }
-        TS_MODE_STREAM => match (ts_encoding, until) {
-            (EncodingKind::Plain, _) => encoding::plain::decode_i64(cols.ts_col, cols.n),
-            (_, Some(limit)) => encoding::ts2diff::decode_until(cols.ts_col, cols.n, limit),
-            (_, None) => encoding::ts2diff::decode(cols.ts_col, cols.n),
-        },
-        other => Err(TsFileError::Corrupt(format!(
-            "unknown page ts mode {other}"
-        ))),
+        return Ok(out);
+    }
+    match (ts_encoding, until) {
+        (EncodingKind::Plain, _) => encoding::plain::decode_i64(cols.ts_col, cols.n),
+        (_, Some(limit)) => encoding::ts2diff::decode_until(cols.ts_col, cols.n, limit),
+        (_, None) => encoding::ts2diff::decode(cols.ts_col, cols.n),
     }
 }
 
@@ -407,16 +522,13 @@ pub fn decode_page(
     meta: &PageMeta,
 ) -> Result<Vec<Point>> {
     crate::lockcheck::check_io();
-    let payload = checked_payload(body, "page body")?;
-    let cols = split_page(payload)?;
-    if cast::u64_from_usize(cols.n) != meta.stats.count {
-        return Err(TsFileError::Corrupt(format!(
-            "page body holds {} points but page index says {}",
-            cols.n, meta.stats.count
-        )));
-    }
+    let cols = open_page(body, meta)?;
     let ts = decode_ts_column(&cols, ts_encoding, None)?;
-    let vs = encoding::decode_values(val_encoding, cols.val_col, cols.n)?;
+    let vs = if cols.modes & MODE_DECIMAL != 0 {
+        decimal::decode(cols.val_col, cols.n)?
+    } else {
+        encoding::decode_values(val_encoding, cols.val_col, cols.n)?
+    };
     if ts.len() != cols.n || vs.len() != cols.n {
         return Err(TsFileError::Corrupt(format!(
             "page decoded {} timestamps / {} values, expected {}",
@@ -442,19 +554,16 @@ pub fn decode_page_timestamps(
     until: Option<i64>,
 ) -> Result<Vec<i64>> {
     crate::lockcheck::check_io();
-    let payload = checked_payload(body, "page body")?;
-    let cols = split_page(payload)?;
-    if cast::u64_from_usize(cols.n) != meta.stats.count {
-        return Err(TsFileError::Corrupt(format!(
-            "page body holds {} points but page index says {}",
-            cols.n, meta.stats.count
-        )));
-    }
+    let cols = open_page(body, meta)?;
     decode_ts_column(&cols, ts_encoding, until)
 }
 
 #[cfg(test)]
 mod tests {
+    // The module-level deny is for the parsing code above; tests
+    // assert by panicking.
+    #![allow(clippy::indexing_slicing)]
+
     use super::*;
 
     fn pts(n: i64, step: i64) -> Vec<Point> {
@@ -652,7 +761,7 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_bad_tiling_and_counts() -> Result<()> {
+    fn validate_rejects_bad_tiling_counts_and_order() -> Result<()> {
         let points = pts(20, 5);
         let mut body = Vec::new();
         encode_page(
@@ -661,33 +770,54 @@ mod tests {
             EncodingKind::Gorilla,
             &mut body,
         );
+        let len = body.len() as u64;
         let good = PagedChunkInfo {
             ts_encoding: EncodingKind::Ts2Diff,
             val_encoding: EncodingKind::Gorilla,
-            pages: vec![page_meta(&points, 0, body.len() as u64)?],
+            pages: vec![page_meta(&points, 0, len)?],
         };
-        good.validate(body.len() as u64, 20)?;
-        assert!(
-            good.validate(body.len() as u64 + 1, 20).is_err(),
-            "gap after last page"
-        );
-        assert!(
-            good.validate(body.len() as u64, 21).is_err(),
-            "count mismatch"
-        );
-        let mut gapped = good.clone();
-        if let Some(p) = gapped.pages.first_mut() {
-            p.offset = 4;
-        }
-        assert!(
-            gapped.validate(body.len() as u64 + 4, 20).is_err(),
-            "offset gap"
-        );
+        good.validate(len)?;
+        assert!(good.validate(len + 1).is_err(), "gap after last page");
+        let mut huge = good.clone();
+        huge.pages[0].stats.count = MAX_PAGE_POINTS as u64 + 1;
+        assert!(huge.validate(len).is_err(), "page above the ceiling");
+        let mut twice = good.clone();
+        twice.pages.push(page_meta(&points, len, len)?);
+        assert!(twice.validate(2 * len).is_err(), "pages overlap in time");
         let empty = PagedChunkInfo {
             pages: Vec::new(),
             ..good
         };
-        assert!(empty.validate(0, 0).is_err());
+        assert!(empty.validate(0).is_err());
+        Ok(())
+    }
+
+    /// A page of few-decimal values stores them as a decimal block, a
+    /// page of full-precision values keeps the XOR stream; both decode
+    /// bit-exactly and pass the copy gate.
+    #[test]
+    fn value_mode_is_chosen_from_the_page() -> Result<()> {
+        let decimal: Vec<Point> = (0..500)
+            .map(|i| Point::new(i * 10, ((i * 37) % 300) as f64 / 100.0 + 20.0))
+            .collect();
+        let full: Vec<Point> = (0..500)
+            .map(|i| Point::new(i * 10, (i as f64 * 0.7).sin() * 20.0))
+            .collect();
+        for (points, want) in [(decimal, true), (full, false)] {
+            let mut body = Vec::new();
+            encode_page(
+                &points,
+                EncodingKind::Ts2Diff,
+                EncodingKind::Gorilla,
+                &mut body,
+            );
+            assert_eq!(is_decimal(&body)?, want);
+            let meta = page_meta(&points, 0, body.len() as u64)?;
+            verify_page_body(&body, &meta)?;
+            let back = decode_page(&body, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta)?;
+            let bits = |p: &[Point]| p.iter().map(|p| (p.t, p.v.to_bits())).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(&points));
+        }
         Ok(())
     }
 

@@ -10,7 +10,6 @@ use crate::encoding::EncodingKind;
 use crate::format::{ChunkMeta, FileFooter, SeriesRun, MAGIC};
 use crate::index::StepIndex;
 use crate::page::{self, PageMeta, PageStatistics, PagedChunkInfo};
-use crate::statistics::ChunkStatistics;
 use crate::types::{Point, Version};
 use crate::Result;
 use crate::TsFileError;
@@ -48,6 +47,9 @@ pub struct TsFileWriter {
     val_encoding: EncodingKind,
     build_index: bool,
     page_points: usize,
+    /// Carried from page to page: the last decimal pair chosen and
+    /// which value column won (see [`crate::encoding::decimal`]).
+    values: page::ValueCarry,
     finished: bool,
     /// Column and body buffers, reused from chunk to chunk.
     scratch: Scratch,
@@ -90,6 +92,7 @@ impl TsFileWriter {
             val_encoding,
             build_index: true,
             page_points: page::DEFAULT_PAGE_POINTS,
+            values: page::ValueCarry::default(),
             finished: false,
             scratch: Scratch::default(),
         })
@@ -101,11 +104,12 @@ impl TsFileWriter {
         self.build_index = enabled;
     }
 
-    /// Set the number of points per page (clamped to at least 1).
-    /// Smaller pages decode in finer slices at the cost of a larger
-    /// page index; `usize::MAX` degenerates to one page per chunk.
+    /// Set the number of points per page, clamped to
+    /// `1..=`[`page::MAX_PAGE_POINTS`]. Smaller pages decode in finer
+    /// slices at the cost of a larger page index; `usize::MAX` makes
+    /// every chunk of up to the ceiling one page.
     pub fn set_page_points(&mut self, n: usize) {
-        self.page_points = n.max(1);
+        self.page_points = n.clamp(1, page::MAX_PAGE_POINTS);
     }
 
     /// Start the run of `series`: every chunk written until the next
@@ -168,7 +172,7 @@ impl TsFileWriter {
         // timestamps of the whole chunk and their deltas (the step
         // index learns from both), the values page by page — while
         // checking time order and gathering each page's statistics; the
-        // chunk's are their merge. Each `page_points`-sized slice
+        // chunk's are their fold. Each `page_points`-sized slice
         // becomes an independently decodable (and independently CRC'd)
         // page with its own statistics in the footer's page index.
         let s = &mut self.scratch;
@@ -176,7 +180,6 @@ impl TsFileWriter {
         s.deltas.clear();
         s.body.clear();
         let mut pages = Vec::with_capacity(points.len() / self.page_points + 1);
-        let mut stats: Option<ChunkStatistics> = None;
         for slice in points.chunks(self.page_points) {
             let page_start = s.ts.len();
             s.vs.clear();
@@ -187,6 +190,7 @@ impl TsFileWriter {
                 &s.vs,
                 self.ts_encoding,
                 self.val_encoding,
+                &mut self.values,
                 &mut s.body,
             );
             pages.push(PageMeta {
@@ -194,12 +198,12 @@ impl TsFileWriter {
                 byte_len: s.body.len() as u64 - offset,
                 stats: page_stats,
             });
-            match &mut stats {
-                Some(chunk) => chunk.absorb_later(&page_stats),
-                None => stats = Some(page_stats),
-            }
         }
-        let stats = stats.ok_or(TsFileError::EmptyChunk)?;
+        let paged = PagedChunkInfo {
+            ts_encoding: self.ts_encoding,
+            val_encoding: self.val_encoding,
+            pages,
+        };
 
         let index = if self.build_index {
             StepIndex::learn_with_deltas(&s.ts, &mut s.deltas)
@@ -210,13 +214,9 @@ impl TsFileWriter {
             offset: self.pos,
             byte_len: s.body.len() as u64,
             version: Version(version),
-            stats,
+            stats: paged.chunk_stats()?,
             index,
-            paged: PagedChunkInfo {
-                ts_encoding: self.ts_encoding,
-                val_encoding: self.val_encoding,
-                pages,
-            },
+            paged,
         };
         self.out.write_all(&s.body)?;
         self.pos += meta.byte_len;
@@ -225,13 +225,15 @@ impl TsFileWriter {
 
     /// Append one chunk assembled from already-encoded page bodies,
     /// byte for byte — the compactor's clean-page fast path. Every page
-    /// is CRC-revalidated against its statistics before a single byte
-    /// is written, page offsets are retiled from zero, and the chunk
-    /// statistics are derived by merging the page statistics (earliest
-    /// point wins value ties, matching [`ChunkStatistics::from_points`]).
+    /// is revalidated ([`page::verify_page_body`]: CRC, count, decimal
+    /// block structure) before a single byte is written, page offsets
+    /// are retiled from zero, and the chunk statistics are the fold of
+    /// the page statistics (earliest point wins value ties, matching
+    /// [`crate::ChunkStatistics::from_points`]).
     ///
     /// The pages must be time-ordered and disjoint and share the given
-    /// column encodings (pages of one chunk always do). No step
+    /// column encodings (pages of one chunk always do); each keeps its
+    /// own value mode, decimal or not. No step
     /// index is learned — that would require decoding the timestamps
     /// this path exists to avoid.
     pub fn write_chunk_raw(
@@ -256,7 +258,6 @@ impl TsFileWriter {
 
         let mut metas = Vec::with_capacity(pages.len());
         let mut offset = 0u64;
-        let mut stats: Option<ChunkStatistics> = None;
         for p in pages {
             p.stats.validate()?;
             let pm = PageMeta {
@@ -266,25 +267,20 @@ impl TsFileWriter {
             };
             page::verify_page_body(p.bytes, &pm)?;
             offset += pm.byte_len;
-            match &mut stats {
-                Some(chunk) => chunk.absorb_later(&p.stats),
-                None => stats = Some(p.stats),
-            }
             metas.push(pm);
         }
-        let stats = stats.ok_or(TsFileError::EmptyChunk)?;
-
+        let paged = PagedChunkInfo {
+            ts_encoding,
+            val_encoding,
+            pages: metas,
+        };
         let meta = ChunkMeta {
             offset: self.pos,
             byte_len: offset,
             version: Version(version),
-            stats,
+            stats: paged.chunk_stats()?,
             index: None,
-            paged: PagedChunkInfo {
-                ts_encoding,
-                val_encoding,
-                pages: metas,
-            },
+            paged,
         };
         for p in pages {
             self.out.write_all(p.bytes)?;

@@ -27,42 +27,168 @@ fn sample_file(path: &std::path::Path) -> Vec<u8> {
     std::fs::read(path).unwrap()
 }
 
-/// A footer that passes its CRC but says "this chunk has no page index"
-/// (presence byte `0`, what the retired unpaged generation wrote) is
-/// `Corrupt` — never a panic, never a `ChunkMeta` without pages.
+/// A page is bounded by its point count, not its bytes: a constant-delta
+/// timestamp column and an equal-valued value column are a few bytes
+/// for any count. A CRC-valid page just above the ceiling, whose page
+/// index agrees with it, is `Corrupt` — never an allocation sized by
+/// the claim.
 #[test]
-fn crc_valid_footer_without_page_index_is_corrupt() {
-    const TRAILER: usize = 4 + 8 + 6; // crc + body length + magic
-    let dir = std::env::temp_dir().join("tsfile-fuzz");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("nopages-{}.tsfile", std::process::id()));
-    let original = sample_file(&path);
-    let n = original.len();
-    let body_len = u64::from_le_bytes(original[n - 14..n - 6].try_into().unwrap()) as usize;
-    let body_at = n - TRAILER - body_len;
+fn page_above_the_point_ceiling_is_corrupt() {
+    let n = tsfile::page::MAX_PAGE_POINTS + 1;
+    let points: Vec<Point> = (0..n as i64).map(|i| Point::new(i, 7.0)).collect();
+    let mut body = Vec::new();
+    tsfile::page::encode_page(
+        &points,
+        tsfile::encoding::EncodingKind::Ts2Diff,
+        tsfile::encoding::EncodingKind::Gorilla,
+        &mut body,
+    );
+    let meta = tsfile::PageMeta {
+        offset: 0,
+        byte_len: body.len() as u64,
+        stats: tsfile::ChunkStatistics::from_points(&points).unwrap(),
+    };
+    drop(points);
+    let got = tsfile::page::decode_page(
+        &body,
+        tsfile::encoding::EncodingKind::Ts2Diff,
+        tsfile::encoding::EncodingKind::Gorilla,
+        &meta,
+    );
+    assert!(
+        matches!(&got, Err(TsFileError::Corrupt(msg)) if msg.contains("ceiling")),
+        "{:?}",
+        got.map(|p| p.len())
+    );
+}
 
-    // Each sample chunk is one Ts2Diff/Gorilla page, so its presence
-    // byte is the `1` in front of `[ts tag 1, val tag 2, 1 page]`.
-    let flags: Vec<usize> = (body_at..n - TRAILER - 3)
-        .filter(|&i| original[i..i + 4] == [1, 1, 2, 1])
-        .collect();
-    let mut rejected_for_missing_index = 0;
-    for at in flags {
-        let mut patched = original.clone();
-        patched[at] = 0;
-        let crc = tsfile::checksum::crc32(&patched[body_at..n - TRAILER]);
-        patched[n - TRAILER..n - 14].copy_from_slice(&crc.to_le_bytes());
-        std::fs::write(&path, &patched).unwrap();
-        match TsFileReader::open(&path) {
-            Err(tsfile::TsFileError::Corrupt(msg)) if msg.contains("no page index") => {
-                rejected_for_missing_index += 1;
-            }
-            Err(_) => {} // the pattern matched inside some other field
-            Ok(_) => panic!("footer with presence byte 0 at {at} opened"),
-        }
+/// A CRC-valid page of `n` points at `t = 0, 1, …` whose value column
+/// is `block`, marked decimal.
+fn decimal_page(n: usize, block: &[u8]) -> Vec<u8> {
+    use tsfile::varint;
+    let mut body = Vec::new();
+    varint::write_u64(&mut body, n as u64);
+    body.push(0b11); // constant-delta timestamps, decimal values
+    let mut ts = Vec::new();
+    varint::write_i64(&mut ts, 0);
+    varint::write_i64(&mut ts, 1);
+    varint::write_u64(&mut body, ts.len() as u64);
+    body.extend_from_slice(&ts);
+    varint::write_u64(&mut body, block.len() as u64);
+    body.extend_from_slice(block);
+    let crc = tsfile::checksum::crc32(&body);
+    body.extend_from_slice(&crc.to_le_bytes());
+    body
+}
+
+/// A malformed decimal header is a typed error from the block decoder,
+/// from a page decode and from the copy gate — and a well-formed one
+/// around it decodes, so each case fails for its own reason.
+#[test]
+fn malformed_decimal_blocks_are_typed_errors() {
+    use tsfile::encoding::{decimal, EncodingKind};
+    // Four values 1, 2, 3, 4: e = f = 0, width 2, base 1, offsets
+    // 0 1 2 3 packed in one byte, then the exception list.
+    let body = |w: u8, packed: &[u8], tail: &[u8]| {
+        let mut b = vec![0, 0, w, 2]; // zigzag(1) = 2
+        b.extend_from_slice(packed);
+        b.extend_from_slice(tail);
+        b
+    };
+    let raw = 2.5f64.to_bits().to_le_bytes();
+    let exception = |at: u8| {
+        let mut e = vec![at];
+        e.extend_from_slice(&raw);
+        e
+    };
+    let good = body(2, &[0b0001_1011], &[&[1][..], &exception(2)].concat());
+    assert_eq!(decimal::decode(&good, 4).unwrap(), [1.0, 2.0, 2.5, 4.0]);
+
+    let cases: Vec<(&str, usize, Vec<u8>)> = vec![
+        ("bit width 65", 4, body(65, &[0b0001_1011], &[0])),
+        ("bit width 255", 4, body(255, &[0b0001_1011], &[0])),
+        ("exponent 19", 4, [&[19, 0][..], &good[2..]].concat()),
+        (
+            "factor above exponent",
+            4,
+            [&[1, 2][..], &good[2..]].concat(),
+        ),
+        ("exception count above n", 4, body(2, &[0b0001_1011], &[5])),
+        (
+            "exception count huge",
+            4,
+            body(2, &[0b0001_1011], &[0xff, 0xff, 0xff, 0xff, 0x0f]),
+        ),
+        (
+            "exception past n",
+            4,
+            body(2, &[0b0001_1011], &[&[1][..], &exception(4)].concat()),
+        ),
+        (
+            "exceptions descending",
+            4,
+            body(
+                2,
+                &[0b0001_1011],
+                &[&[2][..], &exception(3), &exception(1)].concat(),
+            ),
+        ),
+        (
+            "exceptions repeated",
+            4,
+            body(
+                2,
+                &[0b0001_1011],
+                &[&[2][..], &exception(2), &exception(2)].concat(),
+            ),
+        ),
+        (
+            "exception cut short",
+            4,
+            body(2, &[0b0001_1011], &[&[1][..], &exception(1)[..5]].concat()),
+        ),
+        ("packed block truncated", 100, body(8, &[7; 10], &[0])),
+        ("no exception count", 4, body(2, &[0b0001_1011], &[])),
+        (
+            "bytes after the exceptions",
+            4,
+            body(2, &[0b0001_1011], &[0, 0]),
+        ),
+        ("header cut short", 4, vec![0, 0]),
+        (
+            "n above the page ceiling",
+            tsfile::page::MAX_PAGE_POINTS + 1,
+            body(0, &[], &[0]),
+        ),
+    ];
+    fn typed<T>(r: &tsfile::Result<T>) -> bool {
+        matches!(
+            r,
+            Err(TsFileError::Corrupt(_) | TsFileError::UnexpectedEof { .. })
+        )
     }
-    assert!(rejected_for_missing_index >= 2, "one per sample chunk");
-    std::fs::remove_file(&path).ok();
+    for (what, n, block) in cases {
+        let direct = decimal::decode(&block, n);
+        assert!(typed(&direct), "{what}: decode gave {direct:?}");
+        assert!(typed(&decimal::verify(&block, n)), "{what}: verify passed");
+        if n > tsfile::page::MAX_PAGE_POINTS {
+            continue; // the page header itself is refused first
+        }
+        let page = decimal_page(n, &block);
+        let points: Vec<Point> = (0..n as i64).map(|t| Point::new(t, 0.0)).collect();
+        let meta = tsfile::PageMeta {
+            offset: 0,
+            byte_len: page.len() as u64,
+            stats: tsfile::ChunkStatistics::from_points(&points).unwrap(),
+        };
+        let decoded =
+            tsfile::page::decode_page(&page, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta);
+        assert!(typed(&decoded), "{what}: page decode gave {decoded:?}");
+        assert!(
+            typed(&tsfile::page::verify_page_body(&page, &meta)),
+            "{what}: the copy gate passed it"
+        );
+    }
 }
 
 /// The series-run directory at the end of the footer: every strict
@@ -325,6 +451,60 @@ proptest! {
         let _ = tsfile::encoding::gorilla::decode(&bytes, n);
         let _ = tsfile::encoding::plain::decode_i64(&bytes, n);
         let _ = tsfile::encoding::plain::decode_f64(&bytes, n);
+        prop_assert!(tsfile::encoding::decimal::decode(&bytes, n).is_err());
+    }
+
+    /// Arbitrary bytes as a decimal block of any plausible count: a
+    /// typed error or exactly `n` values, never a panic.
+    #[test]
+    fn random_decimal_blocks_never_panic(
+        n in 0usize..2_000,
+        bytes in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        use tsfile::encoding::decimal;
+        if let Ok(values) = decimal::decode(&bytes, n) {
+            prop_assert_eq!(values.len(), n);
+            prop_assert!(decimal::verify(&bytes, n).is_ok());
+        }
+    }
+
+    /// Flip bytes inside the decimal value column of a real page and
+    /// fix up its CRC, so the damage reaches the block decoder: a typed
+    /// error or `n` points, never a panic.
+    #[test]
+    fn crc_valid_flips_in_a_decimal_block_never_panic(
+        flips in prop::collection::vec((any::<prop::sample::Index>(), 1u8..=255), 1..4),
+    ) {
+        use tsfile::encoding::EncodingKind;
+        let points: Vec<Point> = (0..300)
+            .map(|i| Point::new(i * 10 + i % 3, (i % 41) as f64 / 4.0))
+            .collect();
+        let mut body = Vec::new();
+        tsfile::page::encode_page(&points, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &mut body);
+        prop_assert!(tsfile::page::is_decimal(&body).unwrap());
+        // varint n (2 bytes), modes, varint ts_len, ts bytes, varint
+        // val_len, then the block up to the CRC.
+        let mut pos = 3;
+        let ts_len = tsfile::varint::read_u64(&body, &mut pos).unwrap() as usize;
+        pos += ts_len;
+        tsfile::varint::read_u64(&body, &mut pos).unwrap();
+        let block = pos..body.len() - 4;
+        for (idx, mask) in &flips {
+            body[block.start + idx.index(block.len())] ^= mask;
+        }
+        let crc = tsfile::checksum::crc32(&body[..block.end]);
+        body[block.end..].copy_from_slice(&crc.to_le_bytes());
+        let meta = tsfile::PageMeta {
+            offset: 0,
+            byte_len: body.len() as u64,
+            stats: tsfile::ChunkStatistics::from_points(&points).unwrap(),
+        };
+        if let Ok(back) =
+            tsfile::page::decode_page(&body, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta)
+        {
+            prop_assert_eq!(back.len(), points.len());
+        }
+        let _ = tsfile::page::verify_page_body(&body, &meta);
     }
 
     /// The shared prealloc bound behind the decoders: a huge claimed

@@ -11,11 +11,63 @@
 )]
 
 use proptest::prelude::*;
-use tsfile::encoding::{bitio, gorilla, plain, ts2diff};
+use tsfile::encoding::{bitio, gorilla, plain, ts2diff, EncodingKind};
+use tsfile::page::{decode_page, encode_page, is_decimal};
 use tsfile::statistics::ChunkStatistics;
 use tsfile::types::Point;
 use tsfile::varint;
-use tsfile::{TsFileReader, TsFileWriter};
+use tsfile::{PageMeta, TsFileReader, TsFileWriter};
+
+/// Values no decimal block can hold: NaN payloads, −0.0, ±inf,
+/// subnormals, and magnitudes at or beyond 2^53.
+const SPECIALS: [u64; 12] = [
+    0x7ff8_0000_0000_0000, // the canonical NaN
+    0x7ff8_0000_0000_0001,
+    0xfff8_dead_beef_0000,
+    0x7ff0_0000_0000_0001, // signalling
+    0x8000_0000_0000_0000, // −0.0
+    0x7ff0_0000_0000_0000, // +inf
+    0xfff0_0000_0000_0000, // −inf
+    0x0000_0000_0000_0001, // smallest subnormal
+    0x000f_ffff_ffff_ffff, // largest subnormal
+    0x4340_0000_0000_0000, // 2^53
+    0xc3c0_0000_0000_0000, // −2^61
+    0x7fe0_0000_0000_0000, // 2^1023
+];
+
+/// A page of `len` values in one of six shapes, drawn from `seed`:
+/// a decimal random walk at `precision` decimals, integers, a
+/// full-precision walk, nothing but [`SPECIALS`], decimals with
+/// specials sprinkled in, or decimal steps held for long runs (where
+/// XOR's one bit a repeat beats any bit-packing).
+fn page_values(shape: u8, precision: u32, len: usize, seed: u64) -> Vec<f64> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        state >> 11
+    };
+    let scale = 10f64.powi(precision as i32);
+    let mut level = (next() % 100_000) as i64 - 50_000;
+    (0..len)
+        .map(|_| {
+            if shape != 5 || next() % 64 == 0 {
+                level += (next() % 201) as i64 - 100;
+            }
+            let decimal = level as f64 / scale;
+            let special = f64::from_bits(SPECIALS[(next() % 12) as usize]);
+            match shape {
+                0 => decimal,
+                1 => level as f64,
+                2 => level as f64 * std::f64::consts::E / 7.0 + (next() as f64).sqrt(),
+                3 => special,
+                4 if next() % 8 == 0 => special,
+                _ => decimal,
+            }
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -42,6 +94,7 @@ proptest! {
         let floats: Vec<f64> = vs.iter().map(|&b| f64::from_bits(b)).collect();
         let mut buf = Vec::new();
         gorilla::encode(&floats, &mut buf);
+        prop_assert!(gorilla::encoded_len_at_least(&floats) <= buf.len());
         let back = gorilla::decode(&buf, floats.len()).unwrap();
         prop_assert_eq!(back.len(), floats.len());
         for (a, b) in floats.iter().zip(&back) {
@@ -96,6 +149,55 @@ proptest! {
         s.encode(&mut buf);
         let mut pos = 0;
         prop_assert_eq!(ChunkStatistics::decode(&buf, &mut pos).unwrap(), s);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Whatever a page holds, it decodes to the same bits, and the
+    /// value column the page chose is never larger than the configured
+    /// stream (the mode costs no byte: it is a bit of the modes byte).
+    #[test]
+    fn pages_roundtrip_bitwise_and_never_outgrow_the_stream(
+        shape in 0u8..6,
+        precision in 0u32..=6,
+        len in 1usize..1_200,
+        seed in any::<u64>(),
+        plain_values in any::<bool>(),
+    ) {
+        let vs = page_values(shape, precision, len, seed);
+        let points: Vec<Point> = vs.iter().enumerate().map(|(i, &v)| Point::new(i as i64 * 10, v)).collect();
+        let val_encoding = if plain_values { EncodingKind::Plain } else { EncodingKind::Gorilla };
+        let mut body = Vec::new();
+        encode_page(&points, EncodingKind::Ts2Diff, val_encoding, &mut body);
+        let meta = PageMeta {
+            offset: 0,
+            byte_len: body.len() as u64,
+            stats: ChunkStatistics::from_points(&points).unwrap(),
+        };
+        let back = decode_page(&body, EncodingKind::Ts2Diff, val_encoding, &meta).unwrap();
+        prop_assert_eq!(back.len(), points.len());
+        for (a, b) in points.iter().zip(&back) {
+            prop_assert_eq!((a.t, a.v.to_bits()), (b.t, b.v.to_bits()));
+        }
+
+        // varint n, modes, varint ts_len, ts bytes, varint val_len.
+        let mut pos = 0;
+        varint::read_u64(&body, &mut pos).unwrap();
+        pos += 1;
+        let ts_len = varint::read_u64(&body, &mut pos).unwrap() as usize;
+        pos += ts_len;
+        let val_len = varint::read_u64(&body, &mut pos).unwrap() as usize;
+        let mut stream = Vec::new();
+        match val_encoding {
+            EncodingKind::Plain => plain::encode_f64(&vs, &mut stream),
+            _ => gorilla::encode(&vs, &mut stream),
+        }
+        prop_assert!(val_len <= stream.len(), "{} > {}", val_len, stream.len());
+        if shape == 3 {
+            prop_assert!(!is_decimal(&body).unwrap(), "an all-exception page went decimal");
+        }
     }
 }
 

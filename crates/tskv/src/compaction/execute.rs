@@ -4,8 +4,8 @@
 //! metadata, deletes) plus the [`classification
 //! plan`](crate::compaction::plan) and produces the output TsFile:
 //!
-//! * **Clean pages** move byte-for-byte: one pooled pread per
-//!   contiguous page window
+//! * **Clean pages** move byte-for-byte, decimal or XOR value mode
+//!   and all: one pooled pread per contiguous page window
 //!   ([`TsFileReader::read_page_window_raw`]) and a raw append that
 //!   re-checks each page's CRC — once, at the writer's gate — and
 //!   carries the page statistics straight into the new footer
@@ -14,7 +14,8 @@
 //! * **Dirty pages** decode (one pooled pread per contiguous dirty
 //!   window), k-way merge through the same [`MergeReader`] the read
 //!   path uses — latest version wins, later-versioned deletes drop
-//!   points — and re-encode chunked by `points_per_chunk`.
+//!   points — and re-encode chunked by `points_per_chunk`, each new
+//!   page choosing its value mode again from its own values.
 //! * **Dropped pages** — wholly inside one newer delete — are not read.
 //!
 //! Clean pages and merged dirty points interleave on the time axis;

@@ -402,4 +402,111 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
+
+    /// Every page of every data file under `dir`: its raw body and its
+    /// points.
+    fn data_pages(dir: &std::path::Path) -> crate::Result<Vec<(Vec<u8>, Vec<Point>)>> {
+        let mut out = Vec::new();
+        for shard in std::fs::read_dir(dir)?.flatten() {
+            if !shard.path().is_dir() {
+                continue;
+            }
+            for file in std::fs::read_dir(shard.path())?.flatten() {
+                if file.path().extension().is_none_or(|e| e != "tsfile") {
+                    continue;
+                }
+                let reader = tsfile::TsFileReader::open(file.path())?;
+                for meta in reader.chunk_metas() {
+                    let info = &meta.paged;
+                    let (buf, base) = reader.read_page_window_raw(meta, 0..info.pages.len())?;
+                    for pm in &info.pages {
+                        let body = tsfile::reader::page_body_slice(&buf, pm, base)?;
+                        let points = tsfile::page::decode_page(
+                            body,
+                            info.ts_encoding,
+                            info.val_encoding,
+                            pm,
+                        )?;
+                        out.push((body.to_vec(), points));
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// A merge whose inputs mix decimal pages (quarter units) and XOR
+    /// pages (full precision): clean pages of either mode are copied
+    /// byte for byte, mode and all, and a dirty page is re-encoded with
+    /// its mode chosen again from what the merge left in it.
+    #[test]
+    fn clean_pages_keep_their_value_mode_and_dirty_pages_choose_again() -> TestResult {
+        let dir = std::env::temp_dir().join(format!("tskv-compact-modes-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let kv = TsKv::open(
+            &dir,
+            EngineConfig {
+                points_per_chunk: 1000,
+                page_points: 10,
+                memtable_threshold: 100_000,
+                ..Default::default()
+            },
+        )?;
+        let quarter = |t: i64| (t % 37) as f64 * 0.25;
+        let full = |t: i64| (t as f64 * 0.7).sin() * 20.0;
+        // File 1: twenty decimal pages.
+        for t in 0..200i64 {
+            kv.insert("s", Point::new(t, quarter(t)))?;
+        }
+        kv.flush("s")?;
+        // File 2: full precision over two whole pages of file 1 (dirty),
+        // and four pages no other file overlaps (clean).
+        for t in (100..120i64).chain(300..340) {
+            kv.insert("s", Point::new(t, full(t)))?;
+        }
+        kv.flush("s")?;
+        // A delete dirties one decimal page; what survives is decimal.
+        kv.delete("s", 150, 152)?;
+        let inputs: std::collections::HashSet<Vec<u8>> = data_pages(&dir)?
+            .into_iter()
+            .map(|(body, _)| body)
+            .collect();
+        let before = MergeReader::new(&kv.snapshot("s")?).collect_merged()?;
+
+        let report = kv.compact("s")?;
+        assert_eq!(
+            MergeReader::new(&kv.snapshot("s")?).collect_merged()?,
+            before
+        );
+        let output = data_pages(&dir)?;
+        let is_quarter = |v: f64| v * 4.0 == (v * 4.0).round();
+        // Pages before t = 100 and from t = 300 on are clean: nothing
+        // overlaps them and no delete reaches them.
+        let clean = |t: i64| !(100..300).contains(&t);
+        let mut copied = [0u64; 2]; // [xor, decimal]
+        let mut recoded = [0u64; 2];
+        for (body, points) in &output {
+            let decimal = tsfile::page::is_decimal(body)?;
+            let t = points[0].t;
+            assert_eq!(
+                decimal,
+                points.iter().all(|p| is_quarter(p.v)),
+                "page at t={t} chose the wrong mode"
+            );
+            if clean(t) {
+                assert!(inputs.contains(body), "clean page at t={t} was not copied");
+                copied[usize::from(decimal)] += 1;
+            } else {
+                recoded[usize::from(decimal)] += 1;
+            }
+        }
+        assert_eq!(copied, [4, 10], "clean pages of both modes, verbatim");
+        assert_eq!(report.pages_copied, 14, "{report:?}");
+        assert!(
+            recoded[0] > 0 && recoded[1] > 0,
+            "dirty pages re-chosen both ways: {recoded:?}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+        Ok(())
+    }
 }

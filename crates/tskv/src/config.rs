@@ -63,7 +63,9 @@ pub struct EngineConfig {
     pub points_per_chunk: usize,
     /// Points per page inside a sealed chunk: the unit of selective
     /// decode and of the page-granular read cache. `usize::MAX`
-    /// yields one page per chunk. Zero is clamped to 1 by [`normalized`].
+    /// yields one page per chunk of up to the format's ceiling
+    /// ([`tsfile::page::MAX_PAGE_POINTS`], 2^20 points). Zero is clamped
+    /// to 1 by [`normalized`].
     ///
     /// [`normalized`]: EngineConfig::normalized
     pub page_points: usize,

@@ -8,17 +8,22 @@
 //! (CRC32, memtable, WAL/page framing) were rebuilt: equal hashes are
 //! the proof that the rebuild changed no format and no byte.
 //!
-//! The data file's entry was regenerated once since, on purpose: when
-//! the footer gained the series-run directory (and data files and
+//! The data file's entry was regenerated twice since, on purpose. First
+//! when the footer gained the series-run directory (and data files and
 //! their delete logs were renamed `<fileno>.tsfile` /
-//! `<fileno>.s<id>.mods`). [`TSFILE_BEFORE_RUN_DIRECTORY`] holds the
-//! hashes that commit's parent produced for the two parts of the file
-//! that must not have moved — every byte before the footer (head magic,
-//! pages, chunks) and the footer's chunk index — and the test checks
-//! the file is exactly those plus the four directory bytes. The mods
-//! log (one per series since, `s<id>.mods`: its row's path changed a
-//! second time, its bytes never), the catalog and the shard pin are
-//! byte-identical to the original table.
+//! `<fileno>.s<id>.mods`). Then when pages gained the decimal value
+//! mode — the history's values are hundredths, and 22 of the file's 33
+//! pages store them as scaled integers — and the footer stopped storing
+//! what it can derive (chunk statistics, page offsets, the page-index
+//! presence byte).
+//! [`TSFILE_PARTS`] holds the hashes of the file's parts as that second
+//! regeneration wrote them — every byte before the footer (head magic,
+//! pages, chunks) and the footer's chunk index — and the test checks the
+//! file is exactly those plus the four directory bytes, so a later
+//! change to one part names it. The mods log (one per series since,
+//! `s<id>.mods`: its row's path changed a second time, its bytes never),
+//! the catalog and the shard pin are byte-identical to the original
+//! table.
 //!
 //! The WAL segment's entry was regenerated once too, when every insert
 //! record gained the version it was appended after (what lets a log
@@ -48,17 +53,16 @@ use tskv::TsKv;
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("SHARDS", 2, 0x07f8bc07b4ba5002),
     ("catalog.log", 36, 0xec3a226c01abdc87),
-    ("shard-0000/00000000.tsfile", 20697, 0xffc07aaf4d351868),
+    ("shard-0000/00000000.tsfile", 18573, 0x6653b5f0971cfd32),
     ("shard-0000/s1.mods", 9, 0xcc59cc0b4c19c5c2),
     ("shard-0000/wal-00000000.log", 28536, 0x436e6e12b8778dcc),
 ];
 
 /// `(length, FNV-1a 64)` of the data file's bytes before the footer and
-/// of the footer body, as written by the parent of the commit that
-/// added the series-run directory (when the whole file was 20 693
-/// bytes, hash `0x059e32fc8b0a1eec`).
-const TSFILE_BEFORE_RUN_DIRECTORY: [(usize, u64); 2] =
-    [(18_632, 0xfcfca27b987044fc), (2_043, 0xdab4016dd3c8e8af)];
+/// of the footer's chunk index. Before the decimal mode and the footer
+/// diet they were `(18_632, 0xfcfca27b987044fc)` and
+/// `(2_043, 0xdab4016dd3c8e8af)`.
+const TSFILE_PARTS: [(usize, u64); 2] = [(16_885, 0xe634730e353e0fd0), (1_666, 0x3a5751c29532ec63)];
 
 /// What the footer body gained: one run, of series 1 (`golden.a`),
 /// holding all seven chunks, superseding nothing.
@@ -171,9 +175,9 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
     drop(kv);
     std::fs::remove_dir_all(&dir).ok();
 
-    // The data file is the old bytes plus the run directory: pages,
-    // chunks and the chunk index did not move.
-    let [(bodies_len, bodies_hash), (index_len, index_hash)] = TSFILE_BEFORE_RUN_DIRECTORY;
+    // The data file is its bodies, its chunk index and the run
+    // directory.
+    let [(bodies_len, bodies_hash), (index_len, index_hash)] = TSFILE_PARTS;
     let trailer = 4 + 8 + 6; // crc + footer length + magic
     assert_eq!(
         tsfile.len(),
@@ -203,8 +207,10 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
 /// `(length, FNV-1a 64)` of the one data file a compaction leaves,
 /// taken at the parent of the commit that rebuilt the merge, the page
 /// plan and the seal kernel: the output of a compaction is the same
-/// bytes after it.
-const COMPACTED: (u64, u64) = (25_207, 0xe545e1c9772488b6);
+/// bytes after it. Regenerated once, with the data file's row above,
+/// for the decimal value mode and the footer diet (it was
+/// `(25_207, 0xe545e1c9772488b6)`).
+const COMPACTED: (u64, u64) = (22_023, 0x80fa0e00c13119d0);
 
 #[test]
 fn compaction_output_bytes_equal_the_hash_taken_before_the_merge_and_seal_rebuild() {

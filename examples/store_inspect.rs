@@ -1,7 +1,8 @@
 //! Store inspector: a debugging tool that dumps the physical layout of
 //! a tskv store — catalog, shards, files, chunks, versions,
-//! statistics, step-index models and pending deletes — using only the
-//! public tsfile API plus read-only parsing of the store's own files.
+//! statistics, how many pages store decimal values, step-index models
+//! and pending deletes — using only the public tsfile API plus
+//! read-only parsing of the store's own files.
 //!
 //! ```text
 //! cargo run --release --example store_inspect [store_dir]
@@ -21,7 +22,8 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use m4lsm::tsfile::{ModsFile, TsFileReader};
+use m4lsm::tsfile::reader::page_body_slice;
+use m4lsm::tsfile::{page, ModsFile, TsFileReader};
 use m4lsm::tskv::config::EngineConfig;
 use m4lsm::tskv::TsKv;
 
@@ -120,8 +122,14 @@ fn dump_file(
         );
         for meta in reader.run_chunks(run) {
             let s = &meta.stats;
+            let pages = &meta.paged.pages;
+            let (buf, base) = reader.read_page_window_raw(meta, 0..pages.len())?;
+            let mut decimal = 0;
+            for pm in pages {
+                decimal += usize::from(page::is_decimal(page_body_slice(&buf, pm, base)?)?);
+            }
             print!(
-                "      chunk {} @{:>8}+{:<6} n={:<5} t=[{} … {}] v=[{} … {}]",
+                "      chunk {} @{:>8}+{:<6} n={:<5} t=[{} … {}] v=[{} … {}]  {decimal}/{} pages decimal",
                 meta.version,
                 meta.offset,
                 meta.byte_len,
@@ -129,7 +137,8 @@ fn dump_file(
                 s.first.t,
                 s.last.t,
                 s.bottom.v,
-                s.top.v
+                s.top.v,
+                pages.len()
             );
             match &meta.index {
                 Some(idx) => println!(

@@ -35,6 +35,7 @@ const UNTRUSTED_INPUT_FILES: &[&str] = &[
     // in; a slip here corrupts what the parsers above read.
     "crates/tsfile/src/bufpool.rs",
     "crates/tsfile/src/encoding/bitio.rs",
+    "crates/tsfile/src/encoding/decimal.rs",
     "crates/tsfile/src/encoding/gorilla.rs",
     "crates/tsfile/src/encoding/plain.rs",
     "crates/tsfile/src/encoding/ts2diff.rs",
@@ -53,6 +54,7 @@ const UNTRUSTED_INPUT_FILES: &[&str] = &[
 const CODEC_FILES: &[&str] = &[
     "crates/tsfile/src/varint.rs",
     "crates/tsfile/src/encoding/bitio.rs",
+    "crates/tsfile/src/encoding/decimal.rs",
     "crates/tsfile/src/encoding/gorilla.rs",
     "crates/tsfile/src/encoding/plain.rs",
     "crates/tsfile/src/encoding/ts2diff.rs",

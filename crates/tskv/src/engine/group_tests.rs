@@ -15,6 +15,8 @@
 
 use std::collections::BTreeMap;
 
+use super::disk::{delete_log_path, shard_dir_name, with_suffix, SHARDS_META};
+use super::flush::FLUSH_GROUP_MAX_POINTS;
 use super::*;
 use crate::readers::MergeReader;
 use crate::shard_wal::{scan_segment, TaggedRecord};

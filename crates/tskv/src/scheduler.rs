@@ -83,8 +83,8 @@ impl Drop for CompactionScheduler {
 
 /// The scheduler loop: scan → compact each candidate → park.
 fn run_loop(inner: &EngineInner, stop: &AtomicBool) {
-    let interval = Duration::from_millis(inner.compaction_interval_ms());
-    let threshold = inner.compaction_threshold();
+    let interval = Duration::from_millis(inner.config.compaction_interval_ms);
+    let threshold = inner.config.compaction_threshold;
     while !stop.load(Ordering::Relaxed) {
         // Phase 1: candidates are collected under short per-shard read
         // guards inside the engine; no guard survives the call. The
@@ -96,12 +96,12 @@ fn run_loop(inner: &EngineInner, stop: &AtomicBool) {
             if stop.load(Ordering::Relaxed) {
                 return;
             }
-            inner.io().record_compaction_scheduled();
+            inner.io.record_compaction_scheduled();
             match inner.compact_run(id, threshold) {
                 Ok(report) if report.files_removed > 0 => {
-                    inner.io().record_compaction_completed();
+                    inner.io.record_compaction_completed();
                 }
-                Ok(_) | Err(_) => inner.io().record_compaction_skipped(),
+                Ok(_) | Err(_) => inner.io.record_compaction_skipped(),
             }
         }
         if stop.load(Ordering::Relaxed) {

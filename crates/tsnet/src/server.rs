@@ -87,8 +87,6 @@ pub struct ServerConfig {
     /// Depth of the engine change-notification channel feeding the
     /// subscription dispatcher.
     pub change_queue_depth: usize,
-    /// Subscription dispatcher poll interval (ms).
-    pub dispatch_interval_ms: u64,
 }
 
 impl Default for ServerConfig {
@@ -102,7 +100,6 @@ impl Default for ServerConfig {
             max_subscriptions: 1024,
             push_queue_spans: 4096,
             change_queue_depth: 1024,
-            dispatch_interval_ms: 10,
         }
     }
 }
@@ -150,7 +147,6 @@ impl TsNetServer {
                 max_subscriptions: config.max_subscriptions,
                 push_queue_spans: config.push_queue_spans,
                 change_queue_depth: config.change_queue_depth,
-                dispatch_interval_ms: config.dispatch_interval_ms,
             },
         );
         let shared = Arc::new(Shared {

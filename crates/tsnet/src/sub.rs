@@ -75,6 +75,11 @@ use crate::wire::{self, Push, Response, ResponseEnvelope};
 /// hot writer cannot starve repair/broadcast indefinitely.
 const MAX_EVENT_BATCH: usize = 256;
 
+/// Dispatcher poll interval: the dispatcher wakes on each change event,
+/// so this only bounds how long a freshly created dashboard waits for
+/// its initial fill when no events arrive, and `quiesce`'s pause.
+const DISPATCH_INTERVAL: Duration = Duration::from_millis(10);
+
 /// Registry tuning, copied out of the server config at start.
 #[derive(Debug, Clone)]
 pub struct SubSettings {
@@ -85,9 +90,6 @@ pub struct SubSettings {
     pub push_queue_spans: usize,
     /// Depth of the engine change-notification channel.
     pub change_queue_depth: usize,
-    /// Dispatcher poll interval (ms): bounds how long a freshly created
-    /// dashboard waits for its initial fill when no events arrive.
-    pub dispatch_interval_ms: u64,
 }
 
 /// A subscription request as it arrives off the wire: the dashboard
@@ -338,7 +340,7 @@ pub struct SubRegistry {
     shutting_down: AtomicBool,
     /// Idle latch for the dispatcher: with zero dashboards it parks
     /// here instead of polling the change channel every
-    /// `dispatch_interval_ms`. `subscribe` and `stop` set the flag
+    /// [`DISPATCH_INTERVAL`]. `subscribe` and `stop` set the flag
     /// under the mutex and notify, so a park can never miss a wake.
     /// std primitives, not the parking_lot shim — it has no condvar.
     wake: StdMutex<bool>,
@@ -806,7 +808,6 @@ impl SubRegistry {
     /// byte-for-byte. Returns `false` on timeout.
     pub fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let pause = Duration::from_millis(self.settings.dispatch_interval_ms.max(1));
         let mut stable = 0u32;
         loop {
             // `sent` is bumped by publishers *before* the event is
@@ -835,7 +836,7 @@ impl SubRegistry {
             if Instant::now() >= deadline {
                 return false;
             }
-            thread::sleep(pause);
+            thread::sleep(DISPATCH_INTERVAL);
         }
     }
 }
@@ -845,13 +846,12 @@ impl SubRegistry {
 ///
 /// With zero dashboards there is nothing any event could update, so
 /// the thread parks on the registry's idle latch instead of waking
-/// every `dispatch_interval_ms` — an idle server burns no dispatcher
+/// every [`DISPATCH_INTERVAL`] — an idle server burns no dispatcher
 /// CPU no matter how small the interval. Events published while parked
 /// stay queued; if the bounded channel overflows meanwhile, the missed
 /// flag invalidates every dashboard on resume, which is a no-op for
 /// the freshly created (all-dirty) dashboards that triggered the wake.
 fn dispatch_loop(reg: &Arc<SubRegistry>, rx: &ChangeRx) {
-    let poll = Duration::from_millis(reg.settings.dispatch_interval_ms.max(1));
     while !reg.shutting_down.load(Ordering::Acquire) {
         if reg.active_dashboards() == 0 {
             let mut wake = reg.wake.lock().unwrap_or_else(PoisonError::into_inner);
@@ -869,14 +869,14 @@ fn dispatch_loop(reg: &Arc<SubRegistry>, rx: &ChangeRx) {
         }
         reg.dispatch_wakeups.fetch_add(1, Ordering::AcqRel);
         let mut events = Vec::new();
-        match rx.recv_timeout(poll) {
+        match rx.recv_timeout(DISPATCH_INTERVAL) {
             Ok(Some(ev)) => events.push(ev),
             Ok(None) => {}
             Err(_) => {
                 // Engine gone (channel closed): no more events will
                 // ever arrive, but newly created dashboards still need
                 // their initial repair pass. Do not busy-spin.
-                thread::sleep(poll);
+                thread::sleep(DISPATCH_INTERVAL);
             }
         }
         while events.len() < MAX_EVENT_BATCH {
@@ -964,7 +964,6 @@ mod tests {
                 max_subscriptions: 16,
                 push_queue_spans: 3,
                 change_queue_depth: 16,
-                dispatch_interval_ms: 5,
             },
         );
         let queue = Arc::new(OutboundQueue::new(3));
@@ -1011,7 +1010,6 @@ mod tests {
                 max_subscriptions: 16,
                 push_queue_spans: 64,
                 change_queue_depth: 16,
-                dispatch_interval_ms: 5,
             },
         );
         let queue = Arc::new(OutboundQueue::new(64));
@@ -1057,7 +1055,6 @@ mod tests {
                 max_subscriptions: 1,
                 push_queue_spans: 64,
                 change_queue_depth: 16,
-                dispatch_interval_ms: 5,
             },
         );
         let queue = Arc::new(OutboundQueue::new(64));
@@ -1092,11 +1089,10 @@ mod tests {
                 max_subscriptions: 16,
                 push_queue_spans: 1024,
                 change_queue_depth: 4,
-                dispatch_interval_ms: 1,
             },
         );
-        // No dashboards: at a 1ms poll interval an unparked dispatcher
-        // would rack up ~hundreds of wakeups here. Parked, it takes
+        // No dashboards: at its 10ms poll interval an unparked
+        // dispatcher would rack up ~25 wakeups here. Parked, it takes
         // none (the latch's safety-net timeout is a full second).
         thread::sleep(Duration::from_millis(250));
         assert_eq!(reg.dispatch_wakeups(), 0, "dispatcher busy-woke while idle");
@@ -1162,7 +1158,6 @@ mod tests {
                 max_subscriptions: 16,
                 push_queue_spans: 1024,
                 change_queue_depth: 64,
-                dispatch_interval_ms: 2,
             },
         );
         let queue = Arc::new(OutboundQueue::new(1024));

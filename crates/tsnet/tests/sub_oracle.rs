@@ -69,7 +69,6 @@ fn server(store: Arc<TsKv>) -> TsNetServer {
         store,
         ServerConfig {
             addr: "127.0.0.1:0".parse().unwrap(),
-            dispatch_interval_ms: 5,
             ..ServerConfig::default()
         },
     )

@@ -82,42 +82,22 @@ pub(crate) struct OutputRun {
     /// The maximum input version: what every output chunk carries and
     /// what the run declares it supersedes.
     pub version: u64,
-    /// Write the file even when the merge comes up empty (a chunkless
-    /// run): a reopen needs its `supersedes` to know the inputs that
-    /// stay on disk are dead.
-    pub always: bool,
 }
 
-/// Output side of the merge walk: the lazily created writer plus the
-/// knobs it is created from and the counters it feeds.
+/// Output side of the merge walk: the writer plus the knobs and the
+/// counters it feeds.
 struct Output<'a> {
-    slot: Option<TsFileWriter>,
+    w: TsFileWriter,
     config: &'a EngineConfig,
-    path: &'a Path,
-    run: OutputRun,
     out: CompactionReport,
 }
 
 impl Output<'_> {
-    /// Lazily create the output writer: a compaction whose merge comes
-    /// up empty (fully deleted series) must not leave an empty file
-    /// behind, unless [`OutputRun::always`] asks for it.
-    fn writer_mut(&mut self) -> Result<&mut TsFileWriter> {
-        match &mut self.slot {
-            Some(w) => Ok(w),
-            slot @ None => {
-                let mut w = self.config.tsfile_writer(self.path)?;
-                w.begin_series(self.run.series, self.run.version)?;
-                Ok(slot.insert(w))
-            }
-        }
-    }
-
     /// Re-encode a run of merged dirty points, chunked by
     /// `points_per_chunk`, all under the output version.
     fn flush_points(&mut self, points: &[Point], version: u64) -> Result<()> {
         for slice in points.chunks(self.config.points_per_chunk.max(1)) {
-            let byte_len = self.writer_mut()?.write_chunk(slice, version)?.byte_len;
+            let byte_len = self.w.write_chunk(slice, version)?.byte_len;
             self.out.bytes_rewritten += byte_len;
             self.out.points_written += slice.len();
         }
@@ -144,7 +124,7 @@ impl Output<'_> {
             });
             self.out.points_written += pm.stats.count as usize;
         }
-        self.writer_mut()?
+        self.w
             .write_chunk_raw(&raws, info.ts_encoding, info.val_encoding, version)?;
         self.out.pages_copied += run.pages.len() as u64;
         Ok(())
@@ -155,11 +135,12 @@ impl Output<'_> {
 /// reader its body is behind) into one TsFile at `path` per `plan`: the
 /// single run `run`, every output chunk under `run.version` (the
 /// maximum input version). `path` is the file's in-flight name — the
-/// caller renames it into place; it exists iff a point was written or
-/// [`OutputRun::always`] asked for the chunkless run (every input point
-/// deleted or overwritten away otherwise leaves none). The report's
-/// retirement and delete counts are the caller's to fill in. No engine
-/// lock may be held.
+/// caller renames it into place. A merge that comes up empty (every
+/// input point deleted) still writes its chunkless run: its
+/// `supersedes` is the series' floor, the sealed version a reopen hands
+/// the shard log and the mark that keeps an input still on disk unread.
+/// The report's retirement and delete counts are the caller's to fill
+/// in. No engine lock may be held.
 pub(crate) fn merge_to_file(
     config: &EngineConfig,
     path: &Path,
@@ -233,13 +214,9 @@ pub(crate) fn merge_to_file(
     // merged dirty points that precede each page, re-coalescing
     // consecutive same-chunk pages into single raw chunks when nothing
     // intervened.
-    let mut output = Output {
-        slot: None,
-        config,
-        path,
-        run,
-        out,
-    };
+    let mut w = config.tsfile_writer(path)?;
+    w.begin_series(run.series, run.version)?;
+    let mut output = Output { w, config, out };
     let mut rest = merged.as_slice();
     let mut open: Option<CleanRun<'_>> = None;
     for unit in units {
@@ -262,12 +239,6 @@ pub(crate) fn merge_to_file(
         output.flush_raw_run(run, out_version)?;
     }
     output.flush_points(rest, out_version)?;
-
-    if run.always {
-        output.writer_mut()?;
-    }
-    if let Some(mut w) = output.slot {
-        w.finish()?;
-    }
+    output.w.finish()?;
     Ok(output.out)
 }

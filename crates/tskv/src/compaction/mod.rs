@@ -35,10 +35,9 @@
 //! views of the inputs — a file is unlinked by the retirement that
 //! leaves it no live run. The output's run records the version it
 //! supersedes; a reopen uses it to leave a retired run of a surviving
-//! file (or the inputs a crash kept from being unlinked) unread. A
-//! merge that comes up empty therefore still writes its (chunkless)
-//! run when an input will outlive the compaction on disk; otherwise it
-//! leaves no file, as before.
+//! file (or the inputs a crash kept from being unlinked) unread, and to
+//! tell the shard log the series' sealed version. A merge that comes up
+//! empty therefore still writes its (chunkless) run: the series' floor.
 
 pub mod execute;
 pub mod plan;

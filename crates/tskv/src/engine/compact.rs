@@ -50,16 +50,6 @@ impl EngineInner {
             let header = execute::OutputRun {
                 series: id.0,
                 version: out_version,
-                // A merge that comes up empty normally leaves no file.
-                // It must leave its (chunkless) run when an input will
-                // stay on disk after this series retires it — inside a
-                // file other series still read — or when an input was
-                // itself such a run: without the output's `supersedes`
-                // a reopen would read that input again.
-                always: store
-                    .files
-                    .iter()
-                    .any(|v| v.shares_file() || v.run.supersedes.0 > 0),
             };
             // Deletes issued after this point get versions above the
             // ceiling; phase E trims the log there, keeping the ones
@@ -103,21 +93,15 @@ impl EngineInner {
             .collect();
         let cplan = plan::classify(&views, &deletes);
         let tmp = disk::in_flight_path(&path);
+        // The output is written even when the merge comes up empty: its
+        // chunkless run is the series' floor (see `merge_to_file`).
         let outcome = execute::merge_to_file(&self.config, &tmp, &chunks, deletes, &cplan, header)
             .and_then(|o| {
-                let sealed = if o.points_written > 0 || header.always {
-                    disk::publish(&tmp, &path)?;
-                    let view = SealedFile::open(&path)?.views().next().ok_or_else(|| {
-                        TsKvError::Corrupt(format!(
-                            "{}: compaction output has no run",
-                            path.display()
-                        ))
-                    })?;
-                    Some(view)
-                } else {
-                    None
-                };
-                Ok((o, sealed))
+                disk::publish(&tmp, &path)?;
+                let view = SealedFile::open(&path)?.views().next().ok_or_else(|| {
+                    TsKvError::Corrupt(format!("{}: compaction output has no run", path.display()))
+                })?;
+                Ok((o, view))
             });
         if outcome.is_err() {
             disk::discard(&tmp, &path);
@@ -133,7 +117,7 @@ impl EngineInner {
             let store = map.get_mut(&id).ok_or_else(|| self.not_found(id))?;
             store.compacting = outcome.is_ok(); // held for the trim below
             let (outcome, sealed) = outcome?;
-            let retired: Vec<SeriesView> = store.files.splice(..captured, sealed).collect();
+            let retired: Vec<SeriesView> = store.files.splice(..captured, [sealed]).collect();
             (retired, outcome)
         };
         self.io.record_compaction_io(
@@ -154,31 +138,27 @@ impl EngineInner {
         // benign (handle ids are never reused, so the entries can only
         // ever serve that same straggler) and the LRU ages them out.
         let files_removed = retired.len();
-        let mut unlinked = true;
         for view in retired {
-            unlinked &= view.retire(self.cache.as_deref()).is_ok();
+            // An input left on disk is still superseded by the output.
+            view.retire(self.cache.as_deref()).ok();
         }
 
         // Phase E (locked, as appends are): trim the log to its entries
         // above the ceiling — the ones issued during the merge, which
         // outrank every output chunk. Data before log: the inputs the
         // dropped entries applied to can no longer be read — the output
-        // has its name and supersedes them, or, with no output, they
-        // are unlinked (if that failed, the log stays whole). A crash
+        // has its name and supersedes them, unlinked or not. A crash
         // before the trim leaves a superset, which is harmless: a
         // delete at or below the ceiling re-applied to the output
         // erases nothing, because every lower-versioned point it covers
         // was merged away, and what was sealed since outranks it. So a
         // failing trim is not a failed compaction: it is left to the
-        // next one. `compacting` stays set up to here, or a later merge
-        // could trim, at its higher ceiling, deletes whose inputs this
-        // one has not unlinked yet.
+        // next one. `compacting` stays set up to here: one compaction
+        // of a series at a time, trim included.
         {
             let mut map = self.shard(id).series.write();
             let store = map.get_mut(&id).ok_or_else(|| self.not_found(id))?;
-            if unlinked {
-                store.log.trim_through(capture_ceiling).ok();
-            }
+            store.log.trim_through(capture_ceiling).ok();
             store.compacting = false;
         }
         Ok(CompactionReport {

@@ -230,7 +230,7 @@ pub(super) fn list_shard(sdir: &Path) -> Result<ShardListing> {
 }
 
 /// Settle what a crash left under in-flight names. A file cut short
-/// never had an end marker or an unlinked input depend on it — those
+/// never had a log reclamation or an unlinked input depend on it — those
 /// follow the rename — so it is quarantined (`<fileno>.tsfile.corrupt`)
 /// and its points come back from the shard WAL (flush) or are still in
 /// the older generation (compaction). A complete one only lost its

@@ -40,9 +40,9 @@ impl TsKv {
     /// A crash mid-flush or mid-compaction leaves the file it was
     /// writing under its in-flight name `<fileno>.tsfile.tmp`. Cut
     /// short, it is quarantined (renamed `<fileno>.tsfile.corrupt`)
-    /// rather than failing recovery: its points are still covered by
-    /// the shard WAL (flush — every member replays from its unmatched
-    /// begin marker) or by the older generation (compaction). Complete,
+    /// rather than failing recovery: its points are still in the shard
+    /// WAL (flush — no durable run outranks the members' records, so
+    /// they replay) or in the older generation (compaction). Complete,
     /// it only lost its rename and is adopted. A `*.tsfile` that does
     /// not verify was damaged after it was sealed: that is genuine
     /// corruption and surfaces as an error, and so does a file with a

@@ -71,18 +71,13 @@ impl SeriesView {
         }
     }
 
-    /// Whether the file holds runs of other series too.
-    pub(super) fn shares_file(&self) -> bool {
-        self.file.reader.series_runs().len() > 1
-    }
-
     /// Retire the view: its series no longer reads the run, because the
     /// compaction that merged it is done. Drops the run's decoded-chunk
     /// cache entries (the file's other runs keep theirs) and unlinks
     /// the file if this was its last live run (the only error). A run
     /// that stays on disk as dead bytes (other series still read the
-    /// file) always has an output in place, whose `supersedes` keeps a
-    /// reopen from reading it again.
+    /// file, or the unlink failed) has an output in place, whose
+    /// `supersedes` keeps a reopen from reading it again.
     pub(super) fn retire(self, cache: Option<&DecodedChunkCache>) -> std::io::Result<()> {
         tsfile::lockcheck::check_io();
         if let Some(cache) = cache {

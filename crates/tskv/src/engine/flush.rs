@@ -84,7 +84,7 @@ impl EngineInner {
             todo.sort_unstable();
             todo.dedup();
             while !todo.is_empty() {
-                let (members, later) = self.claim_group(shard, &todo, wait)?;
+                let (members, later) = self.claim_group(shard, &todo, wait);
                 if members.is_empty() {
                     // Only members that another flush holds are left.
                     std::thread::yield_now();
@@ -101,23 +101,23 @@ impl EngineInner {
     /// Flush phase A for one group, under one write guard of `shard`:
     /// claim members of `ids` (ascending) until the group holds
     /// [`FLUSH_GROUP_MAX_POINTS`]. A claim takes the series' in-flight
-    /// slot, marks the WAL drain point, drains the memtable and reserves
-    /// chunk versions; the marker and the drain are one step under the
-    /// lock, so every record of the series before the marker covers a
-    /// drained point and every later write or delete lands after it.
-    /// Returns the members and the ids still to do — busy ones when
-    /// `wait`, and everything past the cap — still ascending.
+    /// slot, drains the memtable and reserves chunk versions; the drain
+    /// and the reservation are one step under the lock, so every WAL
+    /// record of the series with a κ below the versions holds a drained
+    /// point and every later write or delete carries a κ at or above
+    /// them. Writes nothing. Returns the members and the ids still to
+    /// do — busy ones when `wait`, and everything past the cap — still
+    /// ascending.
     pub(super) fn claim_group(
         &self,
         shard: &Shard,
         ids: &[SeriesId],
         wait: bool,
-    ) -> Result<(Vec<FlushMember>, Vec<SeriesId>)> {
+    ) -> (Vec<FlushMember>, Vec<SeriesId>) {
         let mut members = Vec::new();
         let mut later = Vec::new();
         let mut held = 0usize;
         let mut ids = ids.iter();
-        let mut claimed = Ok(());
         let mut map = shard.series.write();
         while held < FLUSH_GROUP_MAX_POINTS {
             let Some(&id) = ids.next() else {
@@ -136,10 +136,6 @@ impl EngineInner {
             }
             if store.memtable.is_empty() {
                 continue;
-            }
-            if let Err(e) = shard.wal.begin_flush(id) {
-                claimed = Err(e);
-                break;
             }
             let points = Arc::new(store.memtable.drain_sorted());
             // Reserving every chunk version while still locked guarantees
@@ -161,15 +157,8 @@ impl EngineInner {
                 versions,
             });
         }
-        // `abort_group` takes the guard itself (the lock is not
-        // re-entrant).
-        drop(map);
-        if let Err(e) = claimed {
-            self.abort_group(shard, &members);
-            return Err(e);
-        }
         later.extend(ids);
-        Ok((members, later))
+        (members, later)
     }
 
     /// Flush phase B (no lock held): make the group durable as one
@@ -180,7 +169,8 @@ impl EngineInner {
     /// 1. the catalog, so that no durable id-tagged byte — WAL record
     ///    or data-file run — can outlive the binding of its id;
     /// 2. the file, `sync_all`ed before it gets its name;
-    /// 3. the end markers, then the shard WAL's sync (`finish_group`).
+    /// 3. the shard WAL: reclaimed by the members' sealed versions, then
+    ///    synced if a replay still needs it (`finish_group`).
     ///
     /// Syncing the log ahead of the file would write back exactly the
     /// records the file makes redundant. The price: a power loss can
@@ -209,9 +199,9 @@ impl EngineInner {
         Ok(file.views().collect())
     }
 
-    /// Flush phase C: with the group's file durable, end every member's
-    /// flush in the WAL and install its view; with the file failed, put
-    /// every member's points back.
+    /// Flush phase C: with the group's file durable, report every
+    /// member's sealed version to the WAL and install its view; with the
+    /// file failed, put every member's points back.
     pub(super) fn finish_group(
         &self,
         shard: &Shard,
@@ -225,14 +215,16 @@ impl EngineInner {
                 return Err(e);
             }
         };
-        // The end markers go first, in one write, while every member
-        // still holds its in-flight slot (`end_flushes` needs that), and
-        // the log's sync behind them. A failure leaves records whose
-        // versions the file outranks — a reopen skips them — so the
-        // views are installed anyway.
-        let ids: Vec<SeriesId> = members.iter().map(|m| m.id).collect();
+        // The log learns what the file holds (each member's last chunk
+        // version), reclaims what that covers and syncs what is left. A
+        // failure leaves records whose versions the file outranks — a
+        // reopen skips them — so the views are installed anyway.
+        let sealed: Vec<(SeriesId, Version)> = members
+            .iter()
+            .filter_map(|m| Some((m.id, *m.versions.last()?)))
+            .collect();
         let sync = !matches!(self.config.fsync_policy, FsyncPolicy::Never);
-        let mut outcome = shard.wal.end_flushes(&ids, sync).map(|synced| {
+        let mut outcome = shard.wal.end_flushes(&sealed, sync).map(|synced| {
             if synced {
                 self.io.record_wal_sync();
             }
@@ -262,13 +254,12 @@ impl EngineInner {
         outcome
     }
 
-    /// The group's file could not be written (or a later member could
-    /// not be claimed): abort every member's begin marker and put its
-    /// points back, under one guard. They stay buffered, and covered by
-    /// the log, whose begin marker is never matched. Writes and deletes
-    /// that landed mid-flush are newer and must win — hence the
-    /// absent-only reinsert and the tombstone filter (the log's entries
-    /// above the flush's reserved versions).
+    /// The group's file could not be written: put every member's points
+    /// back, under one guard. They stay buffered, and in the log, which
+    /// never learnt a sealed version for them. Writes and deletes that
+    /// landed mid-flush are newer and must win — hence the absent-only
+    /// reinsert and the tombstone filter (the log's entries above the
+    /// flush's reserved versions).
     fn abort_group(&self, shard: &Shard, members: &[FlushMember]) {
         let mut map = shard.series.write();
         for member in members {
@@ -276,7 +267,6 @@ impl EngineInner {
                 continue;
             };
             let reserved = store.flushing.take().map(|f| f.last_version);
-            shard.wal.abort_flush(member.id);
             let logged = store.log.entries();
             let newer = &logged[logged.partition_point(|m| Some(m.version) <= reserved)..];
             for p in member.points.iter() {

@@ -19,7 +19,6 @@ use super::disk::{delete_log_path, shard_dir_name, with_suffix, SHARDS_META};
 use super::flush::FLUSH_GROUP_MAX_POINTS;
 use super::*;
 use crate::readers::MergeReader;
-use crate::shard_wal::{scan_segment, TaggedRecord};
 
 type TestResult = std::result::Result<(), Box<dyn std::error::Error>>;
 
@@ -113,19 +112,6 @@ fn shard_listing(dir: &Path) -> std::io::Result<Vec<String>> {
 /// `dir`.
 fn first_log(dir: &Path) -> PathBuf {
     delete_log_path(&dir.join(shard_dir_name(0)), SeriesId(0))
-}
-
-/// The frames of the first WAL segment of the store at `dir`, each with
-/// the offset just past it.
-fn log_frames(dir: &Path) -> Result<Vec<(TaggedRecord, u64)>> {
-    scan_segment(&dir.join(shard_dir_name(0)).join("wal-00000000.log"))
-}
-
-fn log_holds_begin_marker(dir: &Path, id: SeriesId) -> Result<bool> {
-    let frames = log_frames(dir)?;
-    Ok(frames
-        .iter()
-        .any(|(r, _)| *r == TaggedRecord::FlushBegin(id)))
 }
 
 fn ids(kv: &TsKv, names: &[&str]) -> Vec<SeriesId> {
@@ -227,8 +213,8 @@ fn one_member_group_is_the_same_path_with_one_run() -> TestResult {
     Ok(())
 }
 
-/// (a) The crash image holds the group's begin markers (a commit of the
-/// shard drained them) and a cut-short file under its in-flight name.
+/// (a) The crash image holds the members' records and a cut-short file
+/// under its in-flight name.
 #[test]
 fn torn_in_flight_file_is_quarantined_once_and_every_member_replays() -> TestResult {
     let (dir, kv) = fresh("torn")?;
@@ -239,9 +225,8 @@ fn torn_in_flight_file_is_quarantined_once_and_every_member_replays() -> TestRes
     let shard = &kv.inner.shards[0];
     let (members, later) = kv
         .inner
-        .claim_group(shard, &ids(&kv, &["a", "b", "c"]), true)?;
+        .claim_group(shard, &ids(&kv, &["a", "b", "c"]), true);
     assert_eq!((members.len(), later.len()), (3, 0));
-    shard.wal.commit(true)?;
     let image = crash_image(&dir)?;
     let torn = image.join(shard_dir_name(0)).join("00000000.tsfile.tmp");
     std::fs::write(
@@ -305,29 +290,26 @@ fn complete_in_flight_file_is_adopted_and_a_foreign_one_refused() -> TestResult 
 }
 
 /// The log is synced behind the file, so a crash can find the file in
-/// place, under its final name, and the log not knowing: holding the
-/// members' records and no marker at all (the begin markers never left
-/// the buffer), cut after the begin markers (a commit of the shard
-/// drained them) — or, after a power loss, cut anywhere before: here
-/// behind `a`'s first record, so that the log lacks the overwrite of
-/// 90..110 and everything after it. Such a log is older than the file
-/// and must not replay over it. In all three the file vouches for the
-/// records (their versions lie below its chunks') and none replays.
+/// place, under its final name, and the log not knowing: holding all
+/// the members' records — or, after a power loss, a prefix of them:
+/// here cut behind `a`'s first record, so that the log lacks the
+/// overwrite of 90..110 and everything after it. Such a log is older
+/// than the file and must not replay over it. In both the file vouches
+/// for the records (their versions lie below its chunks') and none
+/// replays.
 #[test]
 fn crash_with_the_file_in_place_and_no_end_marker_reads_every_point_once() -> TestResult {
-    for (begin_markers_written, power_loss) in [(false, false), (true, false), (false, true)] {
+    for power_loss in [false, true] {
         let (dir, kv) = fresh("fileonly")?;
         let mut model = Model::default();
         model.write(&kv, "a", &ramp(0..100, 1.0))?;
         model.write(&kv, "a", &ramp(90..110, 1.5))?; // overwrites: latest wins
         model.write(&kv, "b", &ramp(0..90, 2.0))?;
         let shard = &kv.inner.shards[0];
-        let (members, _) = kv.inner.claim_group(shard, &ids(&kv, &["a", "b"]), true)?;
-        if begin_markers_written {
-            shard.wal.commit(false)?;
-        }
+        let (members, _) = kv.inner.claim_group(shard, &ids(&kv, &["a", "b"]), true);
         let sealed = kv.inner.write_group(shard, &members);
         let image = crash_image(&dir)?;
+        let (_, cuts) = shard.wal.crash_cuts()?;
         kv.inner.finish_group(shard, &members, sealed)?;
         model.check(&kv)?;
         drop(kv);
@@ -336,12 +318,9 @@ fn crash_with_the_file_in_place_and_no_end_marker_reads_every_point_once() -> Te
             shard_listing(&image)?,
             ["00000000.tsfile", "wal-00000000.log"]
         );
-        assert_eq!(
-            log_holds_begin_marker(&image, SeriesId(0))?,
-            begin_markers_written
-        );
         if power_loss {
-            let first_frame_end = log_frames(&image)?.first().ok_or("empty log")?.1;
+            // Nothing synced the log: a cut at any frame, here the first.
+            let first_frame_end = *cuts.get(1).ok_or("empty log")?;
             let log = image.join(shard_dir_name(0)).join("wal-00000000.log");
             let log = std::fs::OpenOptions::new().write(true).open(log)?;
             log.set_len(first_frame_end)?;
@@ -394,7 +373,7 @@ fn a_flush_after_recovery_takes_its_versions_above_the_records_it_drains() -> Te
     let kv = TsKv::open(&dir, config())?;
     assert_eq!(kv.unflushed_points("a")?, 100);
     let shard = &kv.inner.shards[0];
-    let (members, _) = kv.inner.claim_group(shard, &[a], true)?;
+    let (members, _) = kv.inner.claim_group(shard, &[a], true);
     let sealed = kv.inner.write_group(shard, &members);
     let image = crash_image(&dir)?;
     kv.inner.finish_group(shard, &members, sealed)?;
@@ -409,48 +388,6 @@ fn a_flush_after_recovery_takes_its_versions_above_the_records_it_drains() -> Te
         MergeReader::new(&reopened.snapshot("a")?).collect_merged()?,
         ramp(0..100, 1.0)
     );
-    cleanup(&dir);
-    Ok(())
-}
-
-/// (b) The group's end markers leave in one write; a crash can cut it
-/// anywhere. A fourth, unflushed series keeps the log from resetting,
-/// so the markers are the log's tail.
-#[test]
-fn crash_between_two_members_end_markers_reopens_to_the_model() -> TestResult {
-    let (dir, kv) = fresh("endmarkers")?;
-    let mut model = Model::default();
-    model.write(&kv, "a", &ramp(0..100, 1.0))?;
-    model.write(&kv, "b", &ramp(0..90, 2.0))?;
-    model.write(&kv, "c", &ramp(50..130, 3.0))?;
-    model.write(&kv, "unflushed", &ramp(0..10, 4.0))?;
-    let shard = &kv.inner.shards[0];
-    let (members, _) = kv
-        .inner
-        .claim_group(shard, &ids(&kv, &["a", "b", "c"]), true)?;
-    let sealed = kv.inner.write_group(shard, &members);
-    kv.inner.finish_group(shard, &members, sealed)?;
-    model.check(&kv)?;
-    let wal = dir.join(shard_dir_name(0)).join("wal-00000000.log");
-    let whole = std::fs::metadata(&wal)?.len();
-    // Each end marker is kind + id + crc = 9 bytes: lose the last two,
-    // the last two and half of the first, or the last one and a half.
-    for lost in [18, 22, 13] {
-        let image = crash_image(&dir)?;
-        let log = std::fs::OpenOptions::new()
-            .write(true)
-            .open(image.join(shard_dir_name(0)).join("wal-00000000.log"))?;
-        log.set_len(whole - lost)?;
-        drop(log);
-        let reopened = TsKv::open(&image, config())?;
-        model.check(&reopened)?;
-        // A member whose end marker survived is covered by it, one
-        // whose marker was lost by its run of the file: neither replays.
-        for member in ["a", "b", "c"] {
-            assert_eq!(reopened.unflushed_points(member)?, 0, "lost {lost}");
-        }
-        assert_eq!(reopened.unflushed_points("unflushed")?, 10);
-    }
     cleanup(&dir);
     Ok(())
 }
@@ -586,7 +523,7 @@ fn delete_during_a_merge_is_in_the_log_whenever_the_merge_ends() -> TestResult {
     kv.compact("a")?; // 00000002: merged without the delete below
     drop(kv);
     // …and what the merge does not see: a delete over points it keeps,
-    // a write, and a flush whose end marker covers both in the WAL.
+    // a write, and a flush whose run covers both in the WAL.
     let racing = TsKv::open(&image, config())?;
     model.delete(&racing, "a", 30, 210)?;
     model.write(&racing, "a", &ramp(300..310, 2.5))?;
@@ -662,27 +599,35 @@ fn fully_deleted_member_leaves_a_chunkless_superseding_run() -> TestResult {
     Ok(())
 }
 
-/// A single-series file whose every point is deleted still compacts to
-/// no file at all.
+/// A single-series file whose every point is deleted compacts to
+/// nothing but its floor: a chunkless run superseding the flush's
+/// version, which is what a reopen hands the shard log as the series'
+/// sealed version.
 #[test]
 fn fully_deleted_unshared_file_compacts_to_nothing() -> TestResult {
     let (dir, kv) = fresh("alldeleted-alone")?;
     let mut model = Model::default();
     model.write(&kv, "a", &ramp(0..100, 1.0))?;
     kv.flush("a")?;
+    let flushed = kv.snapshot("a")?.chunks().iter().map(|c| c.version).max();
     model.delete(&kv, "a", 0, 1_000)?;
     let untrimmed = std::fs::read(first_log(&dir))?;
     kv.compact("a")?;
-    assert_eq!(shard_listing(&dir)?, ["wal-00000000.log"]);
+    assert_eq!(
+        shard_listing(&dir)?,
+        ["00000001.tsfile", "wal-00000000.log"]
+    );
+    let output = TsFileReader::open(dir.join(shard_dir_name(0)).join("00000001.tsfile"))?;
+    assert!(output.chunk_metas().is_empty());
+    let floor = output.series_runs().first().map(|r| r.supersedes);
+    assert_eq!(floor, flushed);
     model.check(&kv)?;
     drop(kv);
-    // A crash after the input's unlink and before the trim — and, to
-    // leave a log and nothing else, one that lost the delete's WAL
-    // record (`FsyncPolicy::Never` syncs the log only). The entry hides
-    // nothing, but its version counts: what is sealed next outranks it.
+    // A crash after the input's unlink and before the trim. The entry
+    // hides nothing, but its version counts: what is sealed next
+    // outranks it.
     let image = crash_image(&dir)?;
     std::fs::write(first_log(&image), untrimmed)?;
-    std::fs::write(first_log(&image).with_file_name("wal-00000000.log"), b"")?;
     let kv = TsKv::open(&image, config())?;
     assert_eq!(kv.snapshot("a")?.deletes().len(), 1);
     model.write(&kv, "a", &ramp(0..10, 2.0))?;
@@ -728,17 +673,15 @@ fn write_and_delete_racing_a_group_flush_land_after_it() -> TestResult {
     model.write(&kv, "a", &ramp(0..100, 1.0))?;
     model.write(&kv, "b", &ramp(0..90, 2.0))?;
     let shard = &kv.inner.shards[0];
-    let (members, _) = kv.inner.claim_group(shard, &ids(&kv, &["a", "b"]), true)?;
+    let (members, _) = kv.inner.claim_group(shard, &ids(&kv, &["a", "b"]), true);
     // Mid-flush: the drained points are still readable…
     model.check(&kv)?;
     // …an overwrite of one of them and a delete over others arrive…
     model.write(&kv, "a", &[Point::new(5, 99.0), Point::new(500, 99.0)])?;
     model.delete(&kv, "a", 40, 60)?;
     // A crash right here: the delete is acknowledged, so its record is
-    // on disk — and with it the begin marker before it (nothing else
-    // had synced the log; the commit drained the buffer in order).
+    // on disk, and everything before it.
     let image = crash_image(&dir)?;
-    assert!(log_holds_begin_marker(&image, SeriesId(0))?);
     model.check(&TsKv::open(&image, config())?)?;
     model.delete(&kv, "b", 0, 9)?;
     model.check(&kv)?;
@@ -760,7 +703,7 @@ fn write_and_delete_racing_a_group_flush_land_after_it() -> TestResult {
     assert_eq!(
         kv.unflushed_points("a")?,
         2,
-        "after the begin marker: replayed"
+        "above the flush's versions: replayed"
     );
     cleanup(&dir);
     Ok(())
@@ -768,13 +711,14 @@ fn write_and_delete_racing_a_group_flush_land_after_it() -> TestResult {
 
 /// The WAL syncs one flush pays, per policy: none when it covered the
 /// whole log (the reset's truncate + sync is its log sync), one when
-/// another series' records keep the log alive, none ever under `Never`.
-/// (`Always` synced every record as it was committed: a flush has only
-/// its markers left to force.)
+/// another series' records keep the log alive, none ever under `Never`
+/// — nor under `Always`, which synced every record as it was committed,
+/// a flush appending nothing to the log. With a bystander keeping the
+/// log alive, the flush leaves its bytes as they were.
 #[test]
 fn flush_syncs_the_log_only_if_a_replay_still_needs_it() -> TestResult {
     use FsyncPolicy::{Always, Never, OnFlush};
-    for (fsync_policy, alone, sharing) in [(OnFlush, 0, 1), (Always, 0, 1), (Never, 0, 0)] {
+    for (fsync_policy, alone, sharing) in [(OnFlush, 0, 1), (Always, 0, 0), (Never, 0, 0)] {
         let (dir, kv) = fresh("budget")?;
         drop(kv);
         let kv = TsKv::open(
@@ -794,14 +738,17 @@ fn flush_syncs_the_log_only_if_a_replay_still_needs_it() -> TestResult {
         assert_eq!(flush_a()?, (1, alone), "{fsync_policy:?}");
         kv.insert_batch("a", &ramp(100..200, 1.0))?;
         kv.insert_batch("b", &ramp(0..100, 2.0))?;
+        let log = dir.join(shard_dir_name(0)).join("wal-00000000.log");
+        let before = std::fs::metadata(&log)?.len();
         assert_eq!(flush_a()?, (1, sharing), "{fsync_policy:?}");
+        assert_eq!(std::fs::metadata(&log)?.len(), before, "{fsync_policy:?}");
         cleanup(&dir);
     }
     Ok(())
 }
 
 /// The file could not be written: every member's points go back,
-/// behind whatever landed meanwhile, and stay covered by the log.
+/// behind whatever landed meanwhile, and stay in the log.
 #[test]
 fn failed_group_write_puts_every_members_points_back() -> TestResult {
     let (dir, kv) = fresh("abort")?;
@@ -809,7 +756,7 @@ fn failed_group_write_puts_every_members_points_back() -> TestResult {
     model.write(&kv, "a", &ramp(0..100, 1.0))?;
     model.write(&kv, "b", &ramp(0..90, 2.0))?;
     let shard = &kv.inner.shards[0];
-    let (members, _) = kv.inner.claim_group(shard, &ids(&kv, &["a", "b"]), true)?;
+    let (members, _) = kv.inner.claim_group(shard, &ids(&kv, &["a", "b"]), true);
     model.write(&kv, "a", &[Point::new(5, 99.0)])?; // newer: must win
     model.delete(&kv, "b", 0, 9)?; // newer: must hide
     let failed = Err(TsKvError::Corrupt("injected: disk full".into()));
@@ -824,8 +771,8 @@ fn failed_group_write_puts_every_members_points_back() -> TestResult {
     model.check(&kv)?;
     assert_eq!(kv.unflushed_points("a")?, 0);
     drop(kv);
-    // A crash before that flush: the unmatched begin markers replay
-    // everything.
+    // A crash before that flush: the log never learnt a sealed version
+    // for them, so everything replays.
     let kv = TsKv::open(&image, config())?;
     model.check(&kv)?;
     cleanup(&dir);
@@ -850,7 +797,7 @@ fn group_is_capped_by_points_held_and_the_rest_follow_in_order() -> TestResult {
     let all = ids(&kv, &["a", "b", "c"]);
     // a alone reaches the cap; b and c wait for the next group.
     let shard = &kv.inner.shards[0];
-    let (members, later) = kv.inner.claim_group(shard, &all, true)?;
+    let (members, later) = kv.inner.claim_group(shard, &all, true);
     assert_eq!(members.iter().map(|m| m.id).collect::<Vec<_>>(), all[..1]);
     assert_eq!(later, all[1..]);
     let sealed = kv.inner.write_group(shard, &members);

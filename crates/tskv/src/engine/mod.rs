@@ -62,15 +62,15 @@
 //! modules say what each phase does), and the background scheduler
 //! ([`crate::scheduler`]) finds its candidates under short read guards.
 //!
-//! Shard-WAL appends of writes, deletes and begin markers, the
-//! group-commit drain, and the delete log's append and trim stay under
-//! the shard lock on purpose: serializing durability writes against the
-//! state they describe is what the lock is *for* (see DESIGN.md): these
-//! writers do not check for a live guard. A flush's WAL fsync and end
-//! markers run with no shard lock held. The WAL's own short mutex nests
-//! strictly inside the shard lock and shard locks are never nested with
-//! each other (a checked lock is never taken under another checked
-//! guard), so the order is acyclic.
+//! Shard-WAL appends of writes and deletes, the group-commit drain, and
+//! the delete log's append and trim stay under the shard lock on
+//! purpose: serializing durability writes against the state they
+//! describe is what the lock is *for* (see DESIGN.md): these writers do
+//! not check for a live guard. A flush writes nothing to the WAL; its
+//! reclamation and fsync run with no shard lock held. The WAL's own
+//! short mutex nests strictly inside the shard lock and shard locks are
+//! never nested with each other (a checked lock is never taken under
+//! another checked guard), so the order is acyclic.
 
 mod compact;
 mod disk;
@@ -241,6 +241,9 @@ impl EngineInner {
         self.catalog.intern(name)
     }
 }
+
+#[cfg(test)]
+mod crash_tests;
 
 #[cfg(test)]
 mod group_tests;

@@ -1057,7 +1057,6 @@ fn durability_writers_run_under_the_shard_guard() -> TestResult {
     shard
         .wal
         .append_inserts(id, inner.alloc.current(), &[Point::new(2, 2.0)])?;
-    shard.wal.begin_flush(id)?;
     shard.wal.commit(true)?;
     inner.catalog.sync_if_dirty()?;
     let store = map.get_mut(&id).ok_or("s not instantiated")?;

@@ -114,15 +114,18 @@ impl EngineInner {
             let range = TimeRange::new(start, end);
             // Tombstones are rare and dangerous to lose: commit (and,
             // unless the policy is Never, fsync) the delete record
-            // immediately.
-            let sync_deletes = !matches!(self.config.fsync_policy, FsyncPolicy::Never);
+            // immediately. One bound for the series' delete log syncs
+            // under every policy: the log's entry is durable once
+            // appended, so the records before it must be too — a power
+            // loss that kept the entry and lost them would read as no
+            // prefix of the history. The sync carries the catalog too,
+            // whose binding the log's name needs.
+            let logged = store.sealed_overlaps(&range);
+            let sync = logged || !matches!(self.config.fsync_policy, FsyncPolicy::Never);
             shard.wal.append_delete(id, version, range)?;
-            self.commit_wal_with(shard, sync_deletes)?;
+            self.commit_wal_with(shard, sync)?;
             store.memtable.delete_range(range);
-            if store.sealed_overlaps(&range) {
-                // The log's name is id-tagged like a WAL record: the
-                // catalog first (synced already, bar policy `Never`).
-                self.catalog.sync_if_dirty()?;
+            if logged {
                 store.log.append(ModEntry::new(version, start, end))?;
             }
         }

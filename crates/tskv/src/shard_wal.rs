@@ -21,36 +21,32 @@
 //!   the run was appended: a flush of the series that drains these
 //!   points reserves its chunk versions above it.
 //! * kind 1 — delete: `u32 id`, `varint κ`, `varint_i t_ds`, `varint_i t_de`.
-//!   The version κ lets recovery log the tombstone when the series'
-//!   mods log missed it (crash between the WAL append and the mods
-//!   append).
-//! * kind 2 — flush-begin: `u32 id`. Marks the drain point of a flush:
-//!   every record of this series before the marker covers points now
-//!   leaving the memtable.
-//! * kind 3 — flush-end: `u32 id`. The flush's TsFile is durable; on
-//!   replay, this series' records before the matching begin marker are
-//!   skipped (their points live in the sealed file).
+//!   κ is the delete's own version. It lets recovery log the tombstone
+//!   when the series' mods log missed it (crash between the WAL append
+//!   and the mods append).
+//! * kinds 2 and 3 — retired: `u32 id`. Earlier builds framed a flush's
+//!   begin and end markers this way. Nothing writes them now; a replay
+//!   reads a CRC-valid one and skips it, so a log such a build left
+//!   replays whole (κ says what the markers said).
 //!
-//! The markers keep the heavy TsFile write outside the engine's shard
-//! lock (no guard of it may be live across a data file's I/O) without a
-//! window where a crash could lose acknowledged writes: a crash
-//! mid-flush leaves an unmatched *begin*, so everything replays; a
-//! failed flush aborts its begin and the records stay replayable.
-//! Losing an *end* marker (crash between install and sync) merely
-//! replays points that also exist in the sealed file — the merge path
-//! dedups same-timestamp points, so reads stay correct at the cost of a
-//! transiently larger memtable.
+//! ## Coverage: one rule for replay and reclamation
 //!
-//! The markers are the *log's* account of what is sealed, and the log
-//! is synced behind the file: a power loss can keep the file and only
-//! a prefix of the members' records, begin marker not included. Such a
-//! prefix is older than the file and must not replay over it (the
-//! memtable outranks every file). So the *files* are asked too: a
-//! record whose κ lies below the highest version of a durable run of
-//! its series ([`ShardWal::open`]'s `sealed_version`) is skipped — the
-//! flush that wrote that run took its versions after the record was
-//! appended and drained it. Records that raced the flush carry a κ at
-//! or above its versions and replay.
+//! A record is *covered* — a durable run of its series holds what it
+//! did — when its κ lies below the series' *sealed version*, the highest
+//! version of a durable run ([`covered`]). The flush that wrote such a
+//! run reserved its versions under the shard lock after the record was
+//! appended, and drained it; a record appended after that claim — a
+//! write racing the flush — carries a κ at or above the flush's versions
+//! and is not covered. [`ShardWal::open`] is handed each series' sealed
+//! version, read off the runs on disk, and skips covered records; a
+//! finished flush reports the version it sealed through
+//! [`ShardWal::end_flushes`], which reclaims by the same rule. A flush
+//! appends nothing to the log.
+//!
+//! The log is synced behind the file: a power loss can keep the file and
+//! only a prefix of the members' records. That prefix is older than the
+//! file and must not replay over it (the memtable outranks every file);
+//! it is covered, so it does not.
 //!
 //! ## Segments and space reclamation
 //!
@@ -58,14 +54,14 @@
 //! highest-numbered one is active and appends roll to a fresh segment
 //! once it crosses `segment_bytes`. Open seals every segment it finds
 //! and starts a fresh one — except an empty newest segment, which it
-//! reuses, so opening an idle log writes nothing. Reclamation is
-//! prefix-only: a sealed segment is deleted once every series'
-//! uncovered records (the ones a replay would still need) start at or
-//! after its end. When *no* series has uncovered records, the whole
-//! log resets: sealed segments are deleted and the active one is
-//! truncated. An append between the check and the truncate is
-//! impossible — every append updates `last_append` under the same
-//! mutex, making that series uncovered and vetoing the reset.
+//! reuses, so opening an idle log writes nothing. Each segment keeps
+//! each series' highest record κ in it. A sealed segment is deleted, in
+//! whatever position, once every series in it is covered there; when
+//! the active segment is covered too, the whole log resets: sealed
+//! segments are deleted and the active one is truncated. A buffered
+//! frame is never covered — it was appended under the shard lock after
+//! every claim whose flush has reported, so its κ is at or above their
+//! versions — so a reset never drops one.
 //!
 //! ## Group commit
 //!
@@ -78,11 +74,9 @@
 //! `commit` returns the bytes written through since the last commit
 //! (feeding the group-commit counters) and fsyncs per
 //! [`crate::config::FsyncPolicy`]; the engine also syncs on delete and
-//! once per flush group — behind its end markers, and only if a replay
-//! still needs the log: a flush that covered all of it resets it instead.
-//! Offsets are *logical* — they count buffered bytes — so coverage
-//! arithmetic never depends on what has physically reached the file
-//! yet.
+//! once per flush group — once the group's file is durable, and only if
+//! a replay still needs the log: a flush that covered all of it resets
+//! it instead.
 
 // Untrusted bytes: an out-of-range access is a typed error, not a panic.
 #![deny(clippy::indexing_slicing)]
@@ -121,8 +115,8 @@ pub(crate) enum WalRecord {
 }
 
 impl WalRecord {
-    /// A durable run of the series with a higher version holds what
-    /// this record did.
+    /// The record's κ, which [`covered`] compares with its series'
+    /// sealed version.
     fn version(&self) -> Version {
         match self {
             WalRecord::Insert { after: version, .. } | WalRecord::Delete { version, .. } => {
@@ -132,44 +126,64 @@ impl WalRecord {
     }
 }
 
-/// One sealed (no longer written) segment file.
+/// The log's one coverage rule, for replay and reclamation alike: a
+/// record with κ `kappa` is covered when it lies below `sealed`, the
+/// highest version of a durable run of its series (see the module
+/// docs).
+fn covered(kappa: Version, sealed: Version) -> bool {
+    kappa < sealed
+}
+
+/// One segment file and each series' highest record κ in it.
 #[derive(Debug)]
 struct Segment {
-    /// Logical offset just past the segment's last byte.
-    end: u64,
     path: PathBuf,
+    top: HashMap<SeriesId, Version>,
+}
+
+impl Segment {
+    fn new(path: PathBuf) -> Self {
+        Segment {
+            path,
+            top: HashMap::new(),
+        }
+    }
+
+    fn note(&mut self, id: SeriesId, kappa: Version) {
+        let top = self.top.entry(id).or_insert(kappa);
+        *top = (*top).max(kappa);
+    }
+
+    /// No replay needs the segment: every series' records in it are
+    /// covered by `sealed_to`.
+    fn reclaimable(&self, sealed_to: &HashMap<SeriesId, Version>) -> bool {
+        self.top.iter().all(|(id, &kappa)| {
+            sealed_to
+                .get(id)
+                .is_some_and(|&sealed| covered(kappa, sealed))
+        })
+    }
 }
 
 #[derive(Debug)]
 struct WalState {
     file: File,
-    active_path: PathBuf,
-    /// Logical offset of the active segment's first byte.
-    seg_base: u64,
-    /// Logical end of the log: every byte appended so far, buffered or
-    /// written.
-    pos: u64,
+    active: Segment,
+    /// Bytes appended to the active segment, buffered or written.
+    active_len: u64,
     /// Framed records not yet written to the OS.
     buf: Vec<u8>,
     written_since_commit: u64,
     /// Bytes written to the active file since its last fsync. Distinct
     /// from `written_since_commit`, which counts one commit's bytes: a
     /// sync must cover every unsynced byte — those of earlier unsynced
-    /// commits, and those [`ShardWal::end_flushes`] drained, which runs
-    /// with no shard lock held and so can write a writer's frames
-    /// through before that writer's own commit.
+    /// commits included.
     unsynced_bytes: u64,
     sealed: Vec<Segment>,
     next_seg_id: u64,
-    /// Per-series logical offset just past its last insert/delete
-    /// record. Pruned once everything is covered by durable files.
-    last_append: HashMap<SeriesId, u64>,
-    /// Per-series logical offset of the first record a replay would
-    /// still need. Pruned with `last_append`; its minimum is the
-    /// reclamation horizon.
-    first_uncovered: HashMap<SeriesId, u64>,
-    /// In-flight flushes: series → offset of its begin marker.
-    pending_begin: HashMap<SeriesId, u64>,
+    /// Each series' sealed version, as the open found it or a finished
+    /// flush reported it. Cleared when the log resets.
+    sealed_to: HashMap<SeriesId, Version>,
 }
 
 /// The shared log of one shard.
@@ -191,16 +205,13 @@ fn parse_segment_id(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// A record replayed from a shard log, tagged with its series.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum TaggedRecord {
-    Op(SeriesId, WalRecord),
-    FlushBegin(SeriesId),
-    FlushEnd(SeriesId),
-}
+/// A decoded frame: its series and record, or `None` for a retired
+/// kind 2/3 marker.
+type Frame = Option<(SeriesId, WalRecord)>;
 
-/// Decode one framed record at `start`; `None` on torn/corrupt data.
-fn decode_record(buf: &[u8], start: usize) -> Option<(TaggedRecord, usize)> {
+/// Decode one framed record at `start`, with the offset just past it;
+/// `None` on torn/corrupt data.
+fn decode_frame(buf: &[u8], start: usize) -> Option<(Frame, usize)> {
     let mut pos = start;
     let kind = *buf.get(pos)?;
     pos += 1;
@@ -222,22 +233,19 @@ fn decode_record(buf: &[u8], start: usize) -> Option<(TaggedRecord, usize)> {
                 pos += 8;
                 points.push(Point::new(t, f64::from_le_bytes(v_bytes.try_into().ok()?)));
             }
-            TaggedRecord::Op(id, WalRecord::Insert { after, points })
+            Some(WalRecord::Insert { after, points })
         }
         1 => {
             let version = Version(varint::read_u64(buf, &mut pos).ok()?);
             let s = varint::read_i64(buf, &mut pos).ok()?;
             let e = varint::read_i64(buf, &mut pos).ok()?;
-            TaggedRecord::Op(
-                id,
-                WalRecord::Delete {
-                    version,
-                    range: TimeRange::new(s, e),
-                },
-            )
+            Some(WalRecord::Delete {
+                version,
+                range: TimeRange::new(s, e),
+            })
         }
-        2 => TaggedRecord::FlushBegin(id),
-        3 => TaggedRecord::FlushEnd(id),
+        // A retired flush marker: the id is its whole body.
+        2 | 3 => None,
         _ => return None,
     };
     let crc_bytes = buf.get(pos..pos.checked_add(4)?)?;
@@ -245,44 +253,15 @@ fn decode_record(buf: &[u8], start: usize) -> Option<(TaggedRecord, usize)> {
     if crc32(buf.get(start..pos)?) != expected {
         return None;
     }
-    Some((record, pos + 4))
-}
-
-/// Every whole frame of the segment at `path`, each with the offset
-/// just past it (crash-image tests cut a log between two frames).
-#[cfg(test)]
-pub(crate) fn scan_segment(path: &Path) -> Result<Vec<(TaggedRecord, u64)>> {
-    let buf = std::fs::read(path)?;
-    let mut frames = Vec::new();
-    let mut pos = 0usize;
-    while let Some((record, next)) = decode_record(&buf, pos) {
-        frames.push((record, next as u64));
-        pos = next;
-    }
-    Ok(frames)
-}
-
-/// Per-series surviving state after a replay scan.
-#[derive(Debug, Default)]
-struct ReplayState {
-    /// `(logical offset, record)` in append order.
-    ops: Vec<(u64, WalRecord)>,
-    /// Offset of the begin marker of an in-flight (unmatched) flush.
-    open_begin: Option<u64>,
-    /// Offset of the begin marker of the last *matched* begin/end pair:
-    /// ops before it are covered by a durable file.
-    covered_below: u64,
-    last_append: u64,
+    Some((record.map(|r| (id, r)), pos + 4))
 }
 
 impl ShardWal {
     /// Open the shard log in `dir`, replaying existing segments.
     /// Returns the live log plus, per series, the operations a restart
-    /// must re-apply. Covered ones are skipped: those a matched marker
-    /// pair covers, and those below `sealed_version` — the highest
-    /// version of a durable run of the series (0 if none), which is how
-    /// a log that a power loss left trailing the file is told from one
-    /// that is ahead of it.
+    /// must re-apply: every record [`covered`] by `sealed_version` — the
+    /// highest version of a durable run of the series (0 if none) — is
+    /// skipped.
     pub fn open(
         dir: &Path,
         batch_bytes: usize,
@@ -299,45 +278,26 @@ impl ShardWal {
         seg_ids.sort_unstable();
 
         let mut sealed: Vec<Segment> = Vec::new();
-        let mut replay: HashMap<SeriesId, ReplayState> = HashMap::new();
-        let mut offset = 0u64;
+        let mut replay: HashMap<SeriesId, Vec<WalRecord>> = HashMap::new();
         let mut newest_is_empty = false;
         for &seg_id in &seg_ids {
-            let path = segment_path(dir, seg_id);
+            let mut seg = Segment::new(segment_path(dir, seg_id));
             let mut buf = Vec::new();
-            File::open(&path)?.read_to_end(&mut buf)?;
+            File::open(&seg.path)?.read_to_end(&mut buf)?;
             newest_is_empty = buf.is_empty();
-            let mut pos = 0usize;
             // Stop at the first torn/corrupt record of a segment (a
             // crash only ever tears the tail of the last one) but keep
             // scanning later segments: under latest-wins, dropping an
             // older record while keeping newer ones is safe.
-            while pos < buf.len() {
-                let Some((record, next)) = decode_record(&buf, pos) else {
-                    break;
-                };
-                let at = offset + pos as u64;
-                match record {
-                    TaggedRecord::Op(id, op) => {
-                        let st = replay.entry(id).or_default();
-                        st.ops.push((at, op));
-                        st.last_append = offset + next as u64;
-                    }
-                    TaggedRecord::FlushBegin(id) => {
-                        replay.entry(id).or_default().open_begin = Some(at);
-                    }
-                    TaggedRecord::FlushEnd(id) => {
-                        let st = replay.entry(id).or_default();
-                        if let Some(begin) = st.open_begin.take() {
-                            st.covered_below = st.covered_below.max(begin);
-                        }
-                    }
+            let mut pos = 0usize;
+            while let Some((frame, next)) = decode_frame(&buf, pos) {
+                if let Some((id, record)) = frame {
+                    seg.note(id, record.version());
+                    replay.entry(id).or_default().push(record);
                 }
                 pos = next;
             }
-            let end = offset + buf.len() as u64;
-            sealed.push(Segment { end, path });
-            offset = end;
+            sealed.push(seg);
         }
 
         // Every pre-existing segment with bytes in it stays sealed (a
@@ -352,51 +312,39 @@ impl ShardWal {
             Some(&last) => last + 1,
             None => 0,
         };
-        let active_path = segment_path(dir, active_id);
+        let active = Segment::new(segment_path(dir, active_id));
         let file = OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&active_path)?;
+            .open(&active.path)?;
 
-        let mut last_append = HashMap::new();
-        let mut first_uncovered = HashMap::new();
-        let mut out: HashMap<SeriesId, Vec<WalRecord>> = HashMap::new();
-        for (id, st) in replay {
-            let sealed_version = sealed_version(id);
-            let surviving: Vec<(u64, WalRecord)> = st
-                .ops
-                .into_iter()
-                .filter(|(at, op)| *at >= st.covered_below && op.version() >= sealed_version)
-                .collect();
-            if let Some(&(first_at, _)) = surviving.first() {
-                first_uncovered.insert(id, first_at);
-                last_append.insert(id, st.last_append);
-                out.insert(id, surviving.into_iter().map(|(_, op)| op).collect());
-            }
-        }
+        let mut sealed_to = HashMap::new();
+        replay.retain(|&id, records| {
+            let sealed = sealed_version(id);
+            sealed_to.insert(id, sealed);
+            records.retain(|r| !covered(r.version(), sealed));
+            !records.is_empty()
+        });
 
         let wal = ShardWal {
             batch_bytes,
             segment_bytes,
             state: Mutex::new(WalState {
                 file,
-                active_path,
-                seg_base: offset,
-                pos: offset,
+                active,
+                active_len: 0,
                 buf: Vec::new(),
                 written_since_commit: 0,
                 unsynced_bytes: 0,
                 sealed,
                 next_seg_id: active_id + 1,
-                last_append,
-                first_uncovered,
-                pending_begin: HashMap::new(),
+                sealed_to,
             }),
         };
-        // Nothing uncovered (clean shutdown after full flush): reclaim
-        // the dead segments eagerly rather than on the next flush.
+        // Reclaim what the files cover now rather than on the next
+        // flush (after a clean shutdown behind a full flush: the log).
         wal.state.lock().maybe_reclaim()?;
-        Ok((wal, out))
+        Ok((wal, replay))
     }
 
     /// Append one insert run for `id`; `after` is the highest version
@@ -406,7 +354,7 @@ impl ShardWal {
         if points.is_empty() {
             return Ok(());
         }
-        self.append_op(id, |out| {
+        self.append_op(id, after, |out| {
             // Kind + id + version + count, then at most 10 + 8 bytes per
             // point: the record never regrows the buffer mid-encode.
             out.reserve(25 + points.len() * 18);
@@ -423,7 +371,7 @@ impl ShardWal {
 
     /// Append one delete for `id` with its global version `κ`.
     pub fn append_delete(&self, id: SeriesId, version: Version, range: TimeRange) -> Result<()> {
-        self.append_op(id, |out| {
+        self.append_op(id, version, |out| {
             out.push(1u8);
             out.extend_from_slice(&id.0.to_le_bytes());
             varint::write_u64(out, version.0);
@@ -432,14 +380,15 @@ impl ShardWal {
         })
     }
 
-    fn append_op(&self, id: SeriesId, encode: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+    fn append_op(
+        &self,
+        id: SeriesId,
+        kappa: Version,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<()> {
         let mut state = self.state.lock();
-        let at = state.pos;
-        state.append_framed(encode, self.batch_bytes)?;
-        let pos = state.pos;
-        state.last_append.insert(id, pos);
-        state.first_uncovered.entry(id).or_insert(at);
-        Ok(())
+        state.active.note(id, kappa);
+        state.append_framed(encode, self.batch_bytes)
     }
 
     /// End a group commit: drain buffered frames, optionally fsync, and
@@ -454,57 +403,19 @@ impl ShardWal {
         Ok(bytes)
     }
 
-    /// Mark the drain point of a flush of `id`: records before this
-    /// offset cover the points leaving the memtable. Must run under the
-    /// same lock that serializes this series' appends. The marker only
-    /// joins the group-commit buffer: the shard's next commit or, at the
-    /// latest, the one write of [`end_flushes`](Self::end_flushes) drains it.
-    pub fn begin_flush(&self, id: SeriesId) -> Result<()> {
+    /// A flush group's file is durable: each `(series, version)` of
+    /// `sealed` holds that series' records below `version`. One
+    /// reclamation scan; then, with `sync`, what is left unsynced is
+    /// `fdatasync`ed (nothing if the log reset: the truncate syncs
+    /// itself). Returns whether it synced. Appends nothing.
+    pub fn end_flushes(&self, sealed: &[(SeriesId, Version)], sync: bool) -> Result<bool> {
         let mut state = self.state.lock();
-        let at = state.pos;
-        state.append_marker(2, id, self.batch_bytes)?;
-        state.pending_begin.insert(id, at);
-        Ok(())
-    }
-
-    /// The TsFile holding the flushes of `ids` is durable: everything
-    /// of each series before its begin marker is covered. One buffered
-    /// write for the group's markers (begin markers no commit drained
-    /// included), one reclamation scan. Each series must still hold its
-    /// in-flight slot: an end marker behind the *next* begin marker of
-    /// its series would cover records that flush has not sealed. With
-    /// `sync`, what reclamation left unsynced is `fdatasync`ed (nothing
-    /// if it reset the log: the truncate syncs itself); true if synced.
-    pub fn end_flushes(&self, ids: &[SeriesId], sync: bool) -> Result<bool> {
-        let mut state = self.state.lock();
-        for &id in ids {
-            state.append_marker(3, id, self.batch_bytes)?;
-        }
-        state.flush_buf()?;
-        for id in ids {
-            let Some(begin) = state.pending_begin.remove(id) else {
-                continue;
-            };
-            if state.last_append.get(id).is_some_and(|&last| last > begin) {
-                // Records landed after the drain point (writes racing
-                // the flush): the series stays uncovered from there.
-                let entry = state.first_uncovered.entry(*id).or_insert(begin);
-                *entry = (*entry).max(begin);
-            } else {
-                state.last_append.remove(id);
-                state.first_uncovered.remove(id);
-            }
+        for &(id, version) in sealed {
+            let to = state.sealed_to.entry(id).or_insert(version);
+            *to = (*to).max(version);
         }
         state.maybe_reclaim()?;
-        let synced = state.sync_unsynced(sync)?;
-        state.maybe_roll(self.segment_bytes)?;
-        Ok(synced)
-    }
-
-    /// The flush failed or was abandoned; its begin marker stays in the
-    /// log as a dead (never matched) marker.
-    pub fn abort_flush(&self, id: SeriesId) {
-        self.state.lock().pending_begin.remove(&id);
+        state.sync_unsynced(sync)
     }
 
     /// Segment files currently on disk (tests / inspection).
@@ -518,6 +429,32 @@ impl ShardWal {
     #[cfg(test)]
     fn unsynced_bytes(&self) -> u64 {
         self.state.lock().unsynced_bytes
+    }
+
+    /// Each series' sealed version as reclamation uses it (tests).
+    #[cfg(test)]
+    pub(crate) fn sealed_versions(&self) -> HashMap<SeriesId, Version> {
+        self.state.lock().sealed_to.clone()
+    }
+
+    /// Where a power loss can cut the log: the active segment's path and
+    /// every frame boundary in it at or past its synced length (sealed
+    /// segments were synced when they rolled). Crash-image tests cut
+    /// there.
+    #[cfg(test)]
+    pub(crate) fn crash_cuts(&self) -> Result<(PathBuf, Vec<u64>)> {
+        let state = self.state.lock();
+        let written = state.active_len - state.buf.len() as u64;
+        let synced = written - state.unsynced_bytes;
+        let bytes = std::fs::read(&state.active.path)?;
+        let mut cuts = vec![0u64];
+        let mut pos = 0usize;
+        while let Some((_, next)) = decode_frame(&bytes, pos) {
+            cuts.push(next as u64);
+            pos = next;
+        }
+        cuts.retain(|&cut| cut >= synced);
+        Ok((state.active.path.clone(), cuts))
     }
 }
 
@@ -534,21 +471,11 @@ impl WalState {
         encode(&mut self.buf);
         let crc = crc32(self.buf.get(start..).unwrap_or(&[]));
         self.buf.extend_from_slice(&crc.to_le_bytes());
-        self.pos += (self.buf.len() - start) as u64;
+        self.active_len += (self.buf.len() - start) as u64;
         if self.buf.len() >= batch_bytes {
             self.flush_buf()?;
         }
         Ok(())
-    }
-
-    fn append_marker(&mut self, kind: u8, id: SeriesId, batch_bytes: usize) -> Result<()> {
-        self.append_framed(
-            |out| {
-                out.push(kind);
-                out.extend_from_slice(&id.0.to_le_bytes());
-            },
-            batch_bytes,
-        )
     }
 
     fn flush_buf(&mut self) -> Result<()> {
@@ -576,81 +503,64 @@ impl WalState {
     /// threshold. Only rolls when the buffer is drained (callers run it
     /// after `flush_buf`).
     fn maybe_roll(&mut self, segment_bytes: u64) -> Result<()> {
-        if !self.buf.is_empty() || self.pos - self.seg_base < segment_bytes {
+        if !self.buf.is_empty() || self.active_len < segment_bytes {
             return Ok(());
         }
         // Once sealed, this file's handle goes away — a later sync
         // through the new active handle cannot cover its bytes.
         self.sync_unsynced(true)?;
         let dir = self
-            .active_path
+            .active
+            .path
             .parent()
             .map(Path::to_path_buf)
             .unwrap_or_default();
-        let new_path = segment_path(&dir, self.next_seg_id);
-        let file = OpenOptions::new()
+        let active = Segment::new(segment_path(&dir, self.next_seg_id));
+        self.file = OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&new_path)?;
-        self.sealed.push(Segment {
-            end: self.pos,
-            path: std::mem::replace(&mut self.active_path, new_path),
-        });
-        self.file = file;
-        self.seg_base = self.pos;
+            .open(&active.path)?;
+        self.sealed
+            .push(std::mem::replace(&mut self.active, active));
+        self.active_len = 0;
         self.next_seg_id += 1;
         Ok(())
     }
 
-    /// Drop log space no replay could need: sealed segments wholly
-    /// below every series' uncovered records, or — when nothing at all
-    /// is uncovered — the entire log.
+    /// Drop what no replay needs: every sealed segment whose records are
+    /// all covered, and — when the active segment's are too — the whole
+    /// log.
     fn maybe_reclaim(&mut self) -> Result<()> {
-        if self.first_uncovered.is_empty() && self.pending_begin.is_empty() {
-            // Nothing uncovered anywhere: full reset. Buffered frames
-            // can only belong to uncovered appends, so the buffer is
-            // provably empty here.
-            for seg in self.sealed.drain(..) {
-                remove_if_present(&seg.path)?;
+        let mut removed = Ok(());
+        self.sealed.retain(|seg| {
+            if removed.is_err() || !seg.reclaimable(&self.sealed_to) {
+                return true;
             }
-            self.last_append.clear();
-            if self.pos == self.seg_base {
-                // The active segment is already empty.
-                return Ok(());
-            }
+            removed = remove_if_present(&seg.path);
+            removed.is_err()
+        });
+        removed?;
+        if !self.sealed.is_empty() || !self.active.reclaimable(&self.sealed_to) {
+            return Ok(());
+        }
+        // Every record covered: reset. Buffered frames are never
+        // covered, so the buffer is empty here.
+        if self.active_len > 0 {
             // Recreate rather than truncate-in-place: O_APPEND offsets
             // reset with the new handle on every platform.
             let file = OpenOptions::new()
                 .create(true)
                 .write(true)
                 .truncate(true)
-                .open(&self.active_path)?;
+                .open(&self.active.path)?;
             file.sync_data()?;
-            self.file = OpenOptions::new().append(true).open(&self.active_path)?;
-            self.seg_base = self.pos;
+            self.file = OpenOptions::new().append(true).open(&self.active.path)?;
+            self.active.top.clear();
+            self.active_len = 0;
             // The truncate discarded whatever was written-but-unsynced.
             self.unsynced_bytes = 0;
-            return Ok(());
         }
-        let mut min_keep = self
-            .first_uncovered
-            .values()
-            .copied()
-            .min()
-            .unwrap_or(u64::MAX);
-        // An in-flight flush still needs everything from its begin
-        // marker (the flush may fail and fall back to the log).
-        for &begin in self.pending_begin.values() {
-            min_keep = min_keep.min(begin);
-        }
-        while let Some(seg) = self.sealed.first() {
-            if seg.end <= min_keep {
-                remove_if_present(&seg.path)?;
-                self.sealed.remove(0);
-            } else {
-                break;
-            }
-        }
+        self.sealed_to.clear();
         Ok(())
     }
 }
@@ -665,8 +575,8 @@ fn remove_if_present(path: &Path) -> Result<()> {
 
 #[cfg(test)]
 mod tests {
-    // Tests assert by panicking; the workspace deny-set targets
-    // library code.
+    // Tests assert by panicking; the workspace deny-set targets library
+    // code.
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
@@ -697,6 +607,10 @@ mod tests {
 
     fn open(dir: &Path) -> (ShardWal, HashMap<SeriesId, Vec<WalRecord>>) {
         ShardWal::open(dir, 0, 1 << 20, unsealed).unwrap()
+    }
+
+    fn len(dir: &Path) -> u64 {
+        std::fs::metadata(segment_path(dir, 0)).unwrap().len()
     }
 
     const A: SeriesId = SeriesId(0);
@@ -731,35 +645,35 @@ mod tests {
         assert_eq!(replay.get(&B).unwrap(), &vec![ins(&[(10, -1.0)])]);
     }
 
+    /// Earlier builds framed a flush's begin and end markers as kinds 2
+    /// and 3 (`u32 id` body). A log such a build left must replay every
+    /// record around them, not stop at the first one as at a torn tail.
     #[test]
-    fn matched_flush_markers_skip_covered_prefix() {
-        let dir = tmp("covered");
-        {
+    fn retired_flush_markers_between_records_replay_every_record() {
+        let dir = tmp("markers");
+        let first = {
             let (w, _) = open(&dir);
             w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
+            let first = w.commit(false).unwrap() as usize;
+            w.append_inserts(B, Version(0), &pts(&[(2, 2.0)])).unwrap();
             w.commit(false).unwrap();
-            w.begin_flush(A).unwrap();
-            // Writes racing the flush land after the marker and survive.
-            w.append_inserts(A, Version(0), &pts(&[(2, 2.0)])).unwrap();
-            w.commit(false).unwrap();
-            w.end_flushes(&[A], false).unwrap();
-        }
-        let (_w, replay) = open(&dir);
-        assert_eq!(replay.get(&A).unwrap(), &vec![ins(&[(2, 2.0)])]);
-    }
-
-    #[test]
-    fn unmatched_begin_replays_everything() {
-        let dir = tmp("crashmid");
-        {
-            let (w, _) = open(&dir);
-            w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
-            w.begin_flush(A).unwrap();
-            w.commit(false).unwrap();
-            // No end marker: crash mid-flush.
-        }
+            first
+        };
+        let marker = |kind: u8, id: SeriesId| {
+            let mut frame = vec![kind];
+            frame.extend_from_slice(&id.0.to_le_bytes());
+            let crc = crc32(&frame);
+            frame.extend_from_slice(&crc.to_le_bytes());
+            frame
+        };
+        // A's record, A's begin and end markers, then B's record.
+        let records = std::fs::read(segment_path(&dir, 0)).unwrap();
+        let (a, b) = records.split_at(first);
+        let log = [a, &marker(2, A), &marker(3, A), b].concat();
+        std::fs::write(segment_path(&dir, 0), log).unwrap();
         let (_w, replay) = open(&dir);
         assert_eq!(replay.get(&A).unwrap(), &vec![ins(&[(1, 1.0)])]);
+        assert_eq!(replay.get(&B).unwrap(), &vec![ins(&[(2, 2.0)])]);
     }
 
     #[test]
@@ -768,7 +682,7 @@ mod tests {
         {
             let (w, _) = open(&dir);
             // A's flush took version 4 and its file is durable; of the
-            // log, a power loss kept a prefix with no marker in it.
+            // log, a power loss kept a prefix.
             w.append_inserts(A, Version(2), &pts(&[(1, 1.0)])).unwrap();
             w.append_delete(A, Version(3), TimeRange::new(0, 0))
                 .unwrap();
@@ -800,13 +714,12 @@ mod tests {
         w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
         w.append_inserts(B, Version(0), &pts(&[(2, 2.0)])).unwrap();
         w.commit(false).unwrap();
-        for id in [A, B] {
-            w.begin_flush(id).unwrap();
-        }
         // Everything covered: the log reset to one empty active segment.
         // The reset's truncate + sync is the log sync of this flush — no
         // fdatasync of records the file made redundant.
-        assert!(!w.end_flushes(&[A, B], true).unwrap());
+        assert!(!w
+            .end_flushes(&[(A, Version(1)), (B, Version(2))], true)
+            .unwrap());
         assert_eq!(w.unsynced_bytes(), 0);
         assert_eq!(w.segment_count(), 1);
         let files: Vec<u64> = std::fs::read_dir(&dir)
@@ -829,18 +742,16 @@ mod tests {
             for id in [A, B, C] {
                 w.append_inserts(id, Version(0), &pts(&[(1, 1.0)])).unwrap();
             }
-            for id in [A, B] {
-                w.begin_flush(id).unwrap();
-            }
             w.commit(true).unwrap();
-            let len = || std::fs::metadata(segment_path(&dir, 0)).unwrap().len();
-            let before = len();
-            w.end_flushes(&[A, B], false).unwrap();
-            // Two 9-byte markers; C's record pins the log, so nothing
-            // was reclaimed from under them.
-            assert_eq!(len() - before, 18);
+            let before = len(&dir);
+            w.end_flushes(&[(A, Version(1)), (B, Version(1))], false)
+                .unwrap();
+            // Nothing appended; C's record pins the log, so nothing was
+            // reclaimed from under it.
+            assert_eq!(len(&dir), before);
         }
-        let (_w, replay) = open(&dir);
+        let sealed = |id| Version(u64::from(id != C));
+        let (_w, replay) = ShardWal::open(&dir, 0, 1 << 20, sealed).unwrap();
         assert_eq!(replay.keys().collect::<Vec<_>>(), vec![&C]);
     }
 
@@ -852,66 +763,63 @@ mod tests {
             w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
             w.append_inserts(B, Version(0), &pts(&[(2, 2.0)])).unwrap();
             w.commit(false).unwrap();
-            w.begin_flush(A).unwrap();
             assert!(w.unsynced_bytes() > 0);
-            // B's record pins the log: it and the markers are forced.
-            assert!(w.end_flushes(&[A], true).unwrap());
+            // B's record pins the log: it is forced.
+            assert!(w.end_flushes(&[(A, Version(1))], true).unwrap());
             assert_eq!(w.unsynced_bytes(), 0);
+            // With nothing left unsynced, a second flush syncs nothing.
+            assert!(!w.end_flushes(&[(A, Version(2))], true).unwrap());
         }
-        let (_w, replay) = open(&dir);
+        let sealed = |id| Version(if id == A { 2 } else { 0 });
+        let (_w, replay) = ShardWal::open(&dir, 0, 1 << 20, sealed).unwrap();
         assert_eq!(replay.len(), 1);
         assert_eq!(replay.get(&B).unwrap(), &vec![ins(&[(2, 2.0)])]);
-    }
-
-    #[test]
-    fn a_groups_begin_and_end_markers_leave_the_buffer_in_one_write() {
-        let dir = tmp("onewrite");
-        let (w, _) = ShardWal::open(&dir, 1 << 20, 1 << 20, unsealed).unwrap();
-        for id in [A, B, SeriesId(9)] {
-            w.append_inserts(id, Version(0), &pts(&[(1, 1.0)])).unwrap();
-        }
-        let len = || std::fs::metadata(segment_path(&dir, 0)).unwrap().len();
-        let records = w.commit(false).unwrap();
-        assert_eq!(len(), records);
-        for id in [A, B] {
-            w.begin_flush(id).unwrap();
-        }
-        assert_eq!(len(), records, "begin markers only join the buffer");
-        w.end_flushes(&[A, B], true).unwrap();
-        // Four 9-byte markers, and one batch for the next commit to
-        // report (one `wal_batches` tick).
-        assert_eq!(len(), records + 36);
-        assert_eq!(w.commit(false).unwrap(), 36);
     }
 
     #[test]
     fn covered_prefix_segments_are_reclaimed_past_uncovered_series() {
         let dir = tmp("prefix");
         // Tiny segments force rolls: A fills the early segments, B's
-        // lone record lands in a late one.
+        // lone record lands in a late one, and A's records go on after.
         let (w, _) = ShardWal::open(&dir, 0, 64, unsealed).unwrap();
-        for i in 0..20i64 {
-            w.append_inserts(A, Version(0), &pts(&[(i, i as f64)]))
-                .unwrap();
-            w.commit(false).unwrap();
-        }
-        w.append_inserts(B, Version(0), &pts(&[(1, 1.0)])).unwrap();
+        let append_a = |ts: std::ops::Range<i64>| {
+            for t in ts {
+                w.append_inserts(A, Version(t as u64), &pts(&[(t, t as f64)]))
+                    .unwrap();
+                w.commit(false).unwrap();
+            }
+        };
+        append_a(0..20);
+        w.append_inserts(B, Version(20), &pts(&[(1, 1.0)])).unwrap();
         w.commit(false).unwrap();
+        append_a(20..40);
         let before = w.segment_count();
-        assert!(before > 2, "rolling produced only {before} segments");
-        // Flushing A covers the early segments; B (uncovered, late)
-        // does not pin them.
-        w.begin_flush(A).unwrap();
-        w.end_flushes(&[A], false).unwrap();
+        assert!(before > 4, "rolling produced only {before} segments");
+        // A sealed through version 20: the segments holding only A's
+        // records below it go, B's (uncovered, late) does not pin them,
+        // and neither do A's later ones.
+        w.end_flushes(&[(A, Version(20))], false).unwrap();
         let after = w.segment_count();
-        assert!(after < before, "prefix not reclaimed: {before} -> {after}");
-        // B's record must still replay after the reclaim.
+        assert!(after < before, "nothing reclaimed: {before} -> {after}");
+        // Sealed through 40, A no longer pins anything: B's segment and
+        // the active one are left.
+        w.end_flushes(&[(A, Version(40))], false).unwrap();
+        assert_eq!(w.segment_count(), 2);
+        // B's record must still replay after the reclaim (A's runs on
+        // disk say what they say in memory).
         drop(w);
-        let (w, replay) = open(&dir);
-        assert_eq!(replay.get(&B).unwrap(), &vec![ins(&[(1, 1.0)])]);
-        // Flushing B too clears the log entirely.
-        w.begin_flush(B).unwrap();
-        w.end_flushes(&[B], false).unwrap();
+        let sealed = |id| Version(if id == A { 40 } else { 0 });
+        let (w, replay) = ShardWal::open(&dir, 0, 64, sealed).unwrap();
+        assert_eq!(replay.keys().collect::<Vec<_>>(), vec![&B]);
+        assert_eq!(
+            replay.get(&B).unwrap(),
+            &vec![WalRecord::Insert {
+                after: Version(20),
+                points: pts(&[(1, 1.0)])
+            }]
+        );
+        // Sealing B too clears the log entirely.
+        w.end_flushes(&[(B, Version(21))], false).unwrap();
         assert_eq!(w.segment_count(), 1);
     }
 
@@ -941,13 +849,10 @@ mod tests {
         w.append_inserts(A, Version(0), &pts(&[(1, 1.0), (2, 2.0)]))
             .unwrap();
         // Nothing on disk yet (active segment is segment 0, empty).
-        assert_eq!(std::fs::metadata(segment_path(&dir, 0)).unwrap().len(), 0);
+        assert_eq!(len(&dir), 0);
         let bytes = w.commit(false).unwrap();
         assert!(bytes > 0);
-        assert_eq!(
-            std::fs::metadata(segment_path(&dir, 0)).unwrap().len(),
-            bytes
-        );
+        assert_eq!(len(&dir), bytes);
         // A second commit with nothing new reports an empty batch.
         assert_eq!(w.commit(true).unwrap(), 0);
     }
@@ -957,7 +862,7 @@ mod tests {
         let dir = tmp("synccarry");
         let (w, _) = open(&dir);
         // A's frames are drained (written, unsynced) by a commit(false)
-        // — an earlier write, or a flush's marker write.
+        // — an earlier write.
         w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
         assert!(w.commit(false).unwrap() > 0);
         assert!(w.unsynced_bytes() > 0);
@@ -971,20 +876,6 @@ mod tests {
         w.append_inserts(A, Version(0), &pts(&[(3, 3.0)])).unwrap();
         assert!(w.commit(true).unwrap() > 0);
         assert_eq!(w.unsynced_bytes(), 0);
-    }
-
-    #[test]
-    fn abort_flush_keeps_records_replayable() {
-        let dir = tmp("abort");
-        {
-            let (w, _) = open(&dir);
-            w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
-            w.begin_flush(A).unwrap();
-            w.abort_flush(A);
-            w.commit(false).unwrap();
-        }
-        let (_w, replay) = open(&dir);
-        assert_eq!(replay.get(&A).unwrap(), &vec![ins(&[(1, 1.0)])]);
     }
 
     #[test]

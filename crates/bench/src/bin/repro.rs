@@ -185,6 +185,7 @@ fn main() {
         } else if args.exp == "decode" {
             let DecodeResults {
                 rows,
+                packed,
                 crc32,
                 memtable,
                 pool,
@@ -192,6 +193,7 @@ fn main() {
             let report = DecodeReport {
                 meta,
                 rows,
+                packed,
                 crc32,
                 memtable,
                 pool,

@@ -21,6 +21,14 @@
 //! slice-by-16 `tsfile::checksum::crc32` against a bitwise, table-free
 //! CRC at three buffer sizes, and `tskv::memtable::MemTable` against
 //! the plain `BTreeMap` it replaced, on in-order and 10 %-late input.
+//!
+//! The packed page forms (`tsfile::encoding::packed`) are measured
+//! against the stream codecs they replace, page by page at the default
+//! page size on the MF03-shaped stream: packed timestamps against
+//! ts2diff on the jittered timestamps, packed values against Gorilla on
+//! the sensor walk — bytes a point, encode and decode throughput, and a
+//! bit-exact check. Their gate is bit-exactness and fewer bytes than
+//! the stream codec.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -30,7 +38,8 @@ use rand::SeedableRng;
 use serde::Serialize;
 
 use tsfile::checksum::crc32;
-use tsfile::encoding::{gorilla, plain, reference, ts2diff};
+use tsfile::encoding::{gorilla, packed, plain, reference, ts2diff};
+use tsfile::page::DEFAULT_PAGE_POINTS;
 use tsfile::types::Point;
 use tsfile::{TsFileReader, TsFileWriter};
 use tskv::memtable::MemTable;
@@ -91,10 +100,32 @@ pub struct MemtableRow {
     pub equivalent: bool,
 }
 
+/// One packed page form against the stream codec it replaces, both
+/// coding the same stream page by page.
+#[derive(Debug, Clone, Serialize)]
+pub struct PackedRow {
+    /// "packed-ts-i64" or "packed-f64".
+    pub form: String,
+    /// The stream codec it is measured against.
+    pub baseline: String,
+    pub dataset: String,
+    pub n_points: usize,
+    pub bytes_per_point: f64,
+    pub baseline_bytes_per_point: f64,
+    /// Million points encoded / decoded per second.
+    pub encode_mpoints_s: f64,
+    pub baseline_encode_mpoints_s: f64,
+    pub decode_mpoints_s: f64,
+    pub baseline_decode_mpoints_s: f64,
+    /// Both codecs decode every page to the bits it was given.
+    pub bit_exact: bool,
+}
+
 /// Everything the decode experiment measures.
 #[derive(Debug)]
 pub struct DecodeResults {
     pub rows: Vec<DecodeRow>,
+    pub packed: Vec<PackedRow>,
     pub crc32: Vec<CrcRow>,
     pub memtable: MemtableRow,
     pub pool: PoolSummary,
@@ -105,6 +136,7 @@ pub struct DecodeResults {
 pub struct DecodeReport {
     pub meta: BenchMeta,
     pub rows: Vec<DecodeRow>,
+    pub packed: Vec<PackedRow>,
     pub crc32: Vec<CrcRow>,
     pub memtable: MemtableRow,
     pub pool: PoolSummary,
@@ -223,11 +255,117 @@ pub fn run(h: &Harness) -> DecodeResults {
         });
     }
 
+    let packed = vec![
+        packed_row(
+            h,
+            ("packed-ts-i64", "ts2diff-i64", "jitter"),
+            &jitter,
+            (packed::encode_timestamps, |b, n| {
+                packed::decode_timestamps(b, n, None)
+            }),
+            (ts2diff::encode, ts2diff::decode),
+            |&t| t as u64,
+        ),
+        packed_row(
+            h,
+            ("packed-f64", "gorilla-f64", "sensor"),
+            &sensor,
+            (packed::encode_values, packed::decode_values),
+            (gorilla::encode, gorilla::decode),
+            |v| v.to_bits(),
+        ),
+    ];
+
     DecodeResults {
         rows,
+        packed,
         crc32: crc_rows(h),
         memtable: memtable_row(h),
         pool: exercise_pool(h),
+    }
+}
+
+/// An encoder and a decoder of one column type.
+type Codec<T> = (
+    fn(&[T], &mut Vec<u8>),
+    fn(&[u8], usize) -> tsfile::Result<Vec<T>>,
+);
+
+/// What one codec costs over a stream cut into pages.
+struct PageCost {
+    bytes_per_point: f64,
+    encode_mpoints_s: f64,
+    decode_mpoints_s: f64,
+    bit_exact: bool,
+}
+
+/// Bytes a point, encode and decode throughput of `codec` over `data`
+/// cut into default-size pages, and whether every page decodes to its
+/// own bits.
+fn per_page<T>(h: &Harness, data: &[T], codec: Codec<T>, bits: fn(&T) -> u64) -> PageCost {
+    let (encode, decode) = codec;
+    let pages: Vec<&[T]> = data.chunks(DEFAULT_PAGE_POINTS).collect();
+    let encoded: Vec<Vec<u8>> = pages
+        .iter()
+        .map(|page| {
+            let mut buf = Vec::new();
+            encode(page, &mut buf);
+            buf
+        })
+        .collect();
+    let exact = pages.iter().zip(&encoded).all(|(page, buf)| {
+        decode(buf, page.len()).is_ok_and(|back| {
+            back.len() == page.len() && back.iter().zip(*page).all(|(a, b)| bits(a) == bits(b))
+        })
+    });
+    let n = data.len();
+    let bytes: usize = encoded.iter().map(Vec::len).sum();
+    let mut buf = Vec::new();
+    let encode_mpoints_s = throughput_mpoints_s(h, n, || {
+        for page in &pages {
+            buf.clear();
+            encode(page, &mut buf);
+        }
+        buf.len()
+    });
+    let decode_mpoints_s = throughput_mpoints_s(h, n, || {
+        pages
+            .iter()
+            .zip(&encoded)
+            .map(|(page, buf)| decode(buf, page.len()).map_or(0, |v| v.len()))
+            .sum::<usize>()
+    });
+    PageCost {
+        bytes_per_point: bytes as f64 / n as f64,
+        encode_mpoints_s,
+        decode_mpoints_s,
+        bit_exact: exact,
+    }
+}
+
+/// One packed form against its stream codec on the same stream.
+fn packed_row<T>(
+    h: &Harness,
+    (form, baseline, dataset): (&str, &str, &str),
+    data: &[T],
+    packed: Codec<T>,
+    stream: Codec<T>,
+    bits: fn(&T) -> u64,
+) -> PackedRow {
+    let ours = per_page(h, data, packed, bits);
+    let theirs = per_page(h, data, stream, bits);
+    PackedRow {
+        form: form.to_string(),
+        baseline: baseline.to_string(),
+        dataset: dataset.to_string(),
+        n_points: data.len(),
+        bytes_per_point: ours.bytes_per_point,
+        baseline_bytes_per_point: theirs.bytes_per_point,
+        encode_mpoints_s: ours.encode_mpoints_s,
+        baseline_encode_mpoints_s: theirs.encode_mpoints_s,
+        decode_mpoints_s: ours.decode_mpoints_s,
+        baseline_decode_mpoints_s: theirs.decode_mpoints_s,
+        bit_exact: ours.bit_exact && theirs.bit_exact,
     }
 }
 
@@ -367,6 +505,7 @@ fn exercise_pool(h: &Harness) -> PoolSummary {
 pub fn print(results: &DecodeResults) {
     let DecodeResults {
         rows,
+        packed,
         crc32,
         memtable,
         pool,
@@ -389,6 +528,24 @@ pub fn print(results: &DecodeResults) {
             r.reference_mpoints_s,
             r.speedup,
             r.equivalent
+        );
+    }
+    for r in packed {
+        println!(
+            "{} vs {} on {} ({} points, {}-point pages): {:.3} vs {:.3} B/pt, \
+             encode {:.1} vs {:.1} Mpts/s, decode {:.1} vs {:.1} Mpts/s, bit-exact {}",
+            r.form,
+            r.baseline,
+            r.dataset,
+            r.n_points,
+            DEFAULT_PAGE_POINTS,
+            r.bytes_per_point,
+            r.baseline_bytes_per_point,
+            r.encode_mpoints_s,
+            r.baseline_encode_mpoints_s,
+            r.decode_mpoints_s,
+            r.baseline_decode_mpoints_s,
+            r.bit_exact
         );
     }
     for r in crc32 {
@@ -418,6 +575,7 @@ pub fn print(results: &DecodeResults) {
 pub fn summarize(results: &DecodeResults) {
     let DecodeResults { rows, pool, .. } = results;
     let mismatches = rows.iter().filter(|r| !r.equivalent).count()
+        + results.packed.iter().filter(|r| !r.bit_exact).count()
         + results.crc32.iter().filter(|r| !r.equivalent).count()
         + usize::from(!results.memtable.equivalent);
     let worst = rows
@@ -445,12 +603,20 @@ mod tests {
         let h = Harness::new(0.002, 1).with_datasets(vec![]);
         let DecodeResults {
             rows,
+            packed,
             crc32,
             memtable,
             pool,
         } = run(&h);
         h.cleanup();
         assert_eq!(rows.len(), 5);
+        assert_eq!(packed.len(), 2);
+        assert!(
+            packed
+                .iter()
+                .all(|r| r.bit_exact && r.bytes_per_point < r.baseline_bytes_per_point),
+            "packed forms not exact or not smaller: {packed:?}"
+        );
         assert_eq!(crc32.len(), 3);
         assert!(
             crc32.iter().all(|r| r.equivalent),

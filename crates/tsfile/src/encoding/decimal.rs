@@ -12,12 +12,9 @@
 //! at its position:
 //!
 //! ```text
-//! block = u8 e | u8 f | u8 w
-//!       | varint_i base          the smallest kept integer
-//!       | ⌈n·w/8⌉ bytes          n × w bits of d − base, MSB-first;
-//!                                an exception's slot holds 0
-//!       | varint k               exception count, ≤ n
-//!       | k × (varint position, u64 LE bits)   positions ascending, < n
+//! block = u8 e | u8 f | the bit-packed block of the n integers
+//!         ([`super::packed`]: u8 w | varint_i base | n × w bits of d − base
+//!          | varint k | k × (varint position, u64 LE bits of the value))
 //! ```
 //!
 //! The factor matters because `10^-e` is inexact in binary: on a page
@@ -35,10 +32,9 @@
 // Numeric conversions go through the named helpers in `crate::cast`.
 #![deny(clippy::as_conversions)]
 
-use super::bitio::{BitReader, BitWriter};
+use super::packed::{self, width, Frame};
 use crate::cast;
 use crate::error::TsFileError;
-use crate::varint;
 use crate::Result;
 
 /// The largest exponent and factor: `10^18` is exact in `f64`.
@@ -201,12 +197,6 @@ fn decimals(v: f64) -> Option<u8> {
     exact.then(|| cast::low8(cast::u64_from_usize(k)))
 }
 
-/// Bits a value for integers spanning `lo..=hi`: 0 when they are equal,
-/// at most 64.
-fn width(lo: i64, hi: i64) -> u32 {
-    64 - cast::u64_bits(hi.wrapping_sub(lo)).leading_zeros()
-}
-
 /// The carried pair's estimate in bits a value, when it recovers every
 /// sampled value and no smaller scale could: a steady series takes this
 /// path on every page after its first.
@@ -326,146 +316,54 @@ pub(crate) fn encode(values: &[f64], plan: &Plan, out: &mut Vec<u8>) -> bool {
         return false;
     };
     let digits: Vec<i64> = values.iter().map(|&v| fs.encode_or_min(v)).collect();
-    let max = digits.iter().copied().max().unwrap_or(i64::MIN);
-    if max == i64::MIN {
+    let kept = |d: i64| d != i64::MIN;
+    if !digits.iter().any(|&d| kept(d)) {
         return false;
     }
-    let min = digits
-        .iter()
-        .map(|&d| if d == i64::MIN { max } else { d })
-        .min()
-        .unwrap_or(max);
-    // Both are below 2^53 in magnitude, so the width is at most 54.
-    let width = width(min, max);
-    out.extend_from_slice(&[plan.pair.e, plan.pair.f, cast::low8(u64::from(width))]);
-    varint::write_i64(out, min);
-    let mut w = BitWriter::new();
-    for &d in &digits {
-        w.write_bits(cast::u64_bits(d.max(min) - min), width);
-    }
-    out.extend_from_slice(&w.into_bytes());
-    let exceptions = digits.iter().filter(|&&d| d == i64::MIN).count();
-    varint::write_u64(out, cast::u64_from_usize(exceptions));
-    for (i, (&d, v)) in digits.iter().zip(values).enumerate() {
-        if d == i64::MIN {
-            varint::write_u64(out, cast::u64_from_usize(i));
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-    }
+    // A value that does not round-trip is `i64::MIN`, below every kept
+    // integer; kept integers are below 2^53 in magnitude, so the width
+    // is at most 54.
+    out.extend_from_slice(&[plan.pair.e, plan.pair.f]);
+    let value_bits = |i: usize, _| values.get(i).map_or(0, |v| v.to_bits());
+    Frame::of(&digits, kept).write(&digits, value_bits, out);
     true
 }
 
-/// A parsed block header and where its packed integers end.
-struct Header<'a> {
-    fs: Factors,
-    width: u32,
-    base: i64,
-    packed: &'a [u8],
-    /// The exception list: `varint k` onwards.
-    exceptions: &'a [u8],
+/// Encode `values` as the decimal block a page with no carried pair
+/// plans, appended to `out`. Returns `false` and writes nothing when the
+/// sample turns the page away or every value is an exception.
+pub fn encode_values(values: &[f64], out: &mut Vec<u8>) -> bool {
+    plan(values, &mut None).is_some_and(|plan| encode(values, &plan, out))
 }
 
-fn corrupt(msg: String) -> TsFileError {
-    TsFileError::Corrupt(format!("decimal block: {msg}"))
-}
-
-fn parse(buf: &[u8], n: usize) -> Result<Header<'_>> {
-    if n > crate::page::MAX_PAGE_POINTS {
-        return Err(corrupt(format!("{n} values exceed the page ceiling")));
-    }
-    let [e, f, width, ..] = *buf else {
+/// The pair of a block and its bit-packed integers.
+fn parse(buf: &[u8], n: usize) -> Result<(Factors, packed::Block<'_>)> {
+    let [e, f, ..] = *buf else {
         return Err(TsFileError::UnexpectedEof {
             what: "decimal header",
         });
     };
-    let fs = Factors::of(Exponents { e, f })
-        .ok_or_else(|| corrupt(format!("exponent {e} / factor {f} out of range")))?;
-    if width > 64 {
-        return Err(corrupt(format!("bit width {width}")));
-    }
-    let width = u32::from(width);
-    let mut pos = 3usize;
-    let base = varint::read_i64(buf, &mut pos)?;
-    // n ≤ 2^20 and width ≤ 64: the product cannot overflow.
-    let packed_len = cast::u64_from_usize(n)
-        .checked_mul(u64::from(width))
-        .map(|bits| bits.div_ceil(8))
-        .and_then(cast::usize_checked)
-        .ok_or_else(|| corrupt("packed length unaddressable".into()))?;
-    let rest = buf.get(pos..).unwrap_or(&[]);
-    if rest.len() < packed_len {
-        return Err(TsFileError::UnexpectedEof {
-            what: "decimal packed block",
-        });
-    }
-    let (packed, exceptions) = rest.split_at(packed_len);
-    Ok(Header {
-        fs,
-        width,
-        base,
-        packed,
-        exceptions,
-    })
-}
-
-/// Walk the exception list of an `n`-value block, handing each
-/// `(position, raw bits)` to `patch`: the count is at most `n`,
-/// positions ascend strictly below `n`, and nothing follows the list.
-fn exceptions(list: &[u8], n: usize, mut patch: impl FnMut(usize, u64)) -> Result<()> {
-    let mut pos = 0usize;
-    let k = varint::read_u64(list, &mut pos)?;
-    if k > cast::u64_from_usize(n) {
-        return Err(corrupt(format!("{k} exceptions among {n} values")));
-    }
-    let mut next = 0u64;
-    for _ in 0..k {
-        let at = varint::read_u64(list, &mut pos)?;
-        if at < next || at >= cast::u64_from_usize(n) {
-            return Err(corrupt(format!(
-                "exception position {at} out of order or past {n}"
-            )));
-        }
-        next = at + 1;
-        let raw = list
-            .get(pos..pos + 8)
-            .and_then(|b| <[u8; 8]>::try_from(b).ok())
-            .ok_or(TsFileError::UnexpectedEof {
-                what: "decimal exception",
-            })?;
-        pos += 8;
-        let at = cast::usize_checked(at).ok_or_else(|| corrupt("position unaddressable".into()))?;
-        patch(at, u64::from_le_bytes(raw));
-    }
-    if pos != list.len() {
-        return Err(corrupt(format!(
-            "{} bytes after the exceptions",
-            list.len() - pos
-        )));
-    }
-    Ok(())
+    let fs = Factors::of(Exponents { e, f }).ok_or_else(|| {
+        TsFileError::Corrupt(format!(
+            "decimal block: exponent {e} / factor {f} out of range"
+        ))
+    })?;
+    Ok((fs, packed::parse(buf.get(2..).unwrap_or(&[]), n)?))
 }
 
 /// Check an `n`-value block's structure without unpacking it: the
 /// header, the packed length, and the exception list.
 pub fn verify(buf: &[u8], n: usize) -> Result<()> {
-    let header = parse(buf, n)?;
-    exceptions(header.exceptions, n, |_, _| {})
+    let (_, block) = parse(buf, n)?;
+    block.exceptions(n, |_, _| {})
 }
 
 /// Decode the `n` values of a decimal block.
 pub fn decode(buf: &[u8], n: usize) -> Result<Vec<f64>> {
-    let h = parse(buf, n)?;
+    let (fs, block) = parse(buf, n)?;
     let mut out = Vec::with_capacity(n);
-    if h.width == 0 {
-        out.resize(n, h.fs.decode(h.base));
-    } else {
-        let mut r = BitReader::new(h.packed);
-        for _ in 0..n {
-            let offset = cast::i64_bits(r.read_bits(h.width)?);
-            out.push(h.fs.decode(h.base.wrapping_add(offset)));
-        }
-    }
-    exceptions(h.exceptions, n, |at, raw| {
+    block.unpack(n, |d| fs.decode(d), &mut out)?;
+    block.exceptions(n, |at, raw| {
         if let Some(slot) = out.get_mut(at) {
             *slot = f64::from_bits(raw);
         }

@@ -9,9 +9,11 @@
 //! * [`gorilla`] — XOR-based float compression for values.
 //! * [`plain`] — raw little-endian, used as a baseline and for tests.
 //!
-//! Beside the configured value codec, a page may store its values as
-//! [`decimal`] scaled integers; the page chooses from its own values
-//! (see the `page` module), so that mode has no [`EncodingKind`].
+//! Beside the configured codecs, a page may store its values as
+//! [`decimal`] scaled integers, and either column as [`packed`] deltas;
+//! the page chooses from its own columns (see the `page` module), so
+//! those forms have no [`EncodingKind`]. Both are built on one kernel,
+//! [`packed`]'s frame-of-reference bit-packing with exceptions.
 //!
 //! All encoders take a slice and append to a `Vec<u8>`; all decoders
 //! take a byte slice and return a vector. Round-trips are exact.
@@ -19,6 +21,7 @@
 pub mod bitio;
 pub mod decimal;
 pub mod gorilla;
+pub mod packed;
 pub mod plain;
 pub mod reference;
 pub mod ts2diff;
@@ -73,6 +76,16 @@ pub fn encode_timestamps(kind: EncodingKind, ts: &[i64], out: &mut Vec<u8>) {
             // delta structure. Fall back to ts2diff for timestamps.
             ts2diff::encode(ts, out)
         }
+    }
+}
+
+/// A lower bound on the bytes [`encode_timestamps`] writes for `ts`,
+/// computed without writing (exact for plain; a ts2diff stream spends
+/// at least one byte a point).
+pub fn timestamps_len_at_least(kind: EncodingKind, ts: &[i64]) -> usize {
+    match kind {
+        EncodingKind::Plain => ts.len() * 8,
+        EncodingKind::Ts2Diff | EncodingKind::Gorilla => ts.len(),
     }
 }
 
@@ -144,6 +157,7 @@ mod tests {
         ] {
             let mut tb = Vec::new();
             encode_timestamps(k, &ts, &mut tb);
+            assert!(timestamps_len_at_least(k, &ts) <= tb.len());
             // Timestamps decode through `page::decode_ts_column`'s own
             // dispatch; mirror it here.
             let back = match k {

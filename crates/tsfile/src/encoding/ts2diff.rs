@@ -1,8 +1,12 @@
-//! TS_2DIFF: delta-of-delta encoding for timestamp columns.
+//! Byte-varint delta-of-delta encoding for timestamp columns.
 //!
-//! IoTDB's default timestamp encoding. Sensor timestamps are mostly
-//! regular (the paper's §3.5 step observation), so second-order deltas
-//! are near zero and zigzag-varint encode to one byte each.
+//! Named after IoTDB's default timestamp encoding, TS_2DIFF, but not
+//! laid out like it: IoTDB's `DeltaBinaryEncoder` subtracts a block's
+//! smallest delta and bit-packs the rest at one width, which is what a
+//! page's packed timestamp form does ([`super::packed`]). This stream
+//! spends at least a byte a point: sensor timestamps are mostly regular
+//! (the paper's §3.5 step observation), so second-order deltas are near
+//! zero and zigzag-varint encode to one byte each.
 //!
 //! Layout: `varint(first)` `varint_i(first_delta)` then for each
 //! remaining point `varint_i(delta_of_delta)`.

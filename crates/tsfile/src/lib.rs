@@ -16,10 +16,12 @@
 //! * **Encodings**: timestamps are delta-of-delta encoded
 //!   ([`encoding::ts2diff`]), values are Gorilla XOR encoded
 //!   ([`encoding::gorilla`]). A plain encoding exists for comparison.
-//!   Each page also picks, from its own data, two cheaper modes: a
-//!   constant-delta timestamp column, and values stored as scaled,
+//!   Each page also picks, from its own data and by exact size, cheaper
+//!   forms: a constant-delta timestamp column; values stored as scaled,
 //!   bit-packed integers ([`encoding::decimal`], ALP) when they have few
-//!   decimals and that block is the smaller one. Decoding cost is what
+//!   decimals; and either column as bit-packed deltas with outliers
+//!   listed apart ([`encoding::packed`], IoTDB's TS_2DIFF layout), which
+//!   jittered timestamps and full-precision walks take. Decoding cost is what
 //!   makes "merge free" worthwhile, exactly as in the paper (§2.3: "not
 //!   only for the heavy cost of I/O but also for the decompression of
 //!   data").

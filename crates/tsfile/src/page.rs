@@ -12,21 +12,32 @@
 //! chunk body = page 0 body ‖ page 1 body ‖ …
 //! page body:
 //!   varint n (point count, 1 ..= MAX_PAGE_POINTS)
-//!   u8     modes: bit 0 = timestamps (0 encoded stream, 1 constant delta)
-//!                 bit 1 = values (0 the chunk's value encoding, 1 decimal)
+//!   u8     modes: timestamps  bit 0 constant delta, bit 2 packed deltas,
+//!                             neither: the chunk's timestamp encoding
+//!                 values      bit 1 decimal block, bit 3 packed deltas,
+//!                             neither: the chunk's value encoding
+//!                 (bits 0 and 2, or 1 and 3, together, or any other
+//!                 bit: Corrupt)
 //!   varint len(ts_bytes)   ts_bytes
 //!   varint len(val_bytes)  val_bytes
 //!   u32    crc32 of everything above (LE)
 //! ```
 //!
-//! Both modes are chosen per page from the page's own column. The
-//! constant-delta timestamp mode: sensor timestamps are mostly regular
-//! (the paper's §3.5 step observation), so a page whose deltas are all
-//! equal stores just `varint_i(first) varint_i(delta)` and is
-//! reconstructed arithmetically — no per-point varint decode. The
-//! decimal value mode ([`encoding::decimal`]): a page whose values have
-//! few decimals stores them as scaled, bit-packed integers, whenever
-//! that block is smaller than the chunk's XOR or plain stream.
+//! Both forms ([`PageForms`]) are chosen per page from the page's own
+//! columns, by exact size, never by a setting. The constant-delta
+//! timestamp form: sensor timestamps are mostly regular (the paper's
+//! §3.5 step observation), so a page whose deltas are all equal stores
+//! just `varint_i(first) varint_i(delta)` and is reconstructed
+//! arithmetically — no per-point varint decode. The decimal value form
+//! ([`encoding::decimal`]): a page whose values have few decimals stores
+//! them as scaled, bit-packed integers. The packed forms
+//! ([`encoding::packed`]): the first point, then its column's deltas —
+//! of the timestamps, or of the values' order-preserving integer keys —
+//! bit-packed at one width with the outliers listed apart; jittered
+//! timestamps and full-precision walks take it. A form is written only
+//! when it is strictly smaller than the one a page would hold without
+//! it, so a page no new form shrinks is byte-identical to what earlier
+//! writers wrote.
 //! The column encodings themselves live in the footer's
 //! [`PagedChunkInfo`] (CRC-protected there), so a chunk body has no
 //! unprotected header bytes.
@@ -37,6 +48,7 @@
 use crate::bufpool;
 use crate::checksum::crc32;
 use crate::encoding::decimal::{self, Exponents};
+use crate::encoding::packed::{self, Packing};
 use crate::encoding::{self, EncodingKind};
 use crate::statistics::ChunkStatistics;
 use crate::types::{Point, TimeRange};
@@ -58,11 +70,83 @@ pub const MAX_PAGE_POINTS: usize = 1 << 20;
 pub type PageStatistics = ChunkStatistics;
 
 /// Mode bit: the timestamps are a constant delta, reconstructed
-/// arithmetically from `(first, delta)` (clear: an encoded stream).
+/// arithmetically from `(first, delta)`.
 const MODE_CONST_DELTA: u8 = 1;
-/// Mode bit: the values are a decimal block (clear: the chunk's value
-/// encoding).
+/// Mode bit: the values are a decimal block.
 const MODE_DECIMAL: u8 = 2;
+/// Mode bit: the timestamps are packed deltas.
+const MODE_PACKED_TS: u8 = 4;
+/// Mode bit: the values are packed key deltas.
+const MODE_PACKED_VALUES: u8 = 8;
+
+/// How a page stores its timestamps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TsForm {
+    /// The chunk's timestamp encoding (a ts2diff or plain stream).
+    Stream,
+    /// `(first, delta)`, reconstructed arithmetically.
+    Constant,
+    /// The first timestamp and bit-packed deltas ([`encoding::packed`]).
+    Packed,
+}
+
+/// How a page stores its values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ValueForm {
+    /// The chunk's value encoding (a Gorilla or plain stream).
+    Stream,
+    /// A decimal block ([`encoding::decimal`]).
+    Decimal,
+    /// The first value and bit-packed key deltas ([`encoding::packed`]).
+    Packed,
+}
+
+/// A page's two forms, as its modes byte records them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageForms {
+    pub timestamps: TsForm,
+    pub values: ValueForm,
+}
+
+impl PageForms {
+    fn modes(self) -> u8 {
+        let ts = match self.timestamps {
+            TsForm::Stream => 0,
+            TsForm::Constant => MODE_CONST_DELTA,
+            TsForm::Packed => MODE_PACKED_TS,
+        };
+        let values = match self.values {
+            ValueForm::Stream => 0,
+            ValueForm::Decimal => MODE_DECIMAL,
+            ValueForm::Packed => MODE_PACKED_VALUES,
+        };
+        ts | values
+    }
+
+    fn of_modes(modes: u8) -> Result<Self> {
+        let timestamps = match modes & (MODE_CONST_DELTA | MODE_PACKED_TS) {
+            0 => Some(TsForm::Stream),
+            MODE_CONST_DELTA => Some(TsForm::Constant),
+            MODE_PACKED_TS => Some(TsForm::Packed),
+            _ => None,
+        };
+        let values = match modes & (MODE_DECIMAL | MODE_PACKED_VALUES) {
+            0 => Some(ValueForm::Stream),
+            MODE_DECIMAL => Some(ValueForm::Decimal),
+            MODE_PACKED_VALUES => Some(ValueForm::Packed),
+            _ => None,
+        };
+        let known = MODE_CONST_DELTA | MODE_DECIMAL | MODE_PACKED_TS | MODE_PACKED_VALUES;
+        match (timestamps, values) {
+            (Some(timestamps), Some(values)) if modes & !known == 0 => {
+                Ok(PageForms { timestamps, values })
+            }
+            _ => Err(TsFileError::Corrupt(format!(
+                "unknown page modes {modes:#x}"
+            ))),
+        }
+    }
+}
 
 /// Location and statistics of one page inside a chunk body.
 #[derive(Debug, Clone, PartialEq)]
@@ -238,9 +322,11 @@ pub fn encode_page(
     out: &mut Vec<u8>,
 ) {
     let ts: Vec<i64> = points.iter().map(|p| p.t).collect();
+    let deltas = packed::deltas(&ts);
     let vs: Vec<f64> = points.iter().map(|p| p.v).collect();
     encode_page_columns(
         &ts,
+        &deltas,
         &vs,
         ts_encoding,
         val_encoding,
@@ -257,13 +343,17 @@ pub(crate) struct ValueCarry {
     /// The last planned page's stream beat its block, so the next page
     /// writes its stream first (a writer starts by trying the block).
     stream_first: bool,
+    /// Scratch for the page's key deltas ([`packed::key_deltas`]).
+    keys: Vec<i64>,
 }
 
 /// [`encode_page`] over a page already split into its two columns
-/// (equal length) — the writer splits a chunk once and hands each page
-/// its slices, and carries `values` from page to page.
+/// (equal length) and its timestamps' deltas (`ts[i + 1] - ts[i]`) —
+/// the writer splits a chunk once and hands each page its slices, and
+/// carries `values` from page to page.
 pub(crate) fn encode_page_columns(
     ts: &[i64],
+    deltas: &[i64],
     vs: &[f64],
     ts_encoding: EncodingKind,
     val_encoding: EncodingKind,
@@ -276,21 +366,16 @@ pub(crate) fn encode_page_columns(
     // flush/compaction; reusing the scratch keeps the write path free
     // of heap round-trips per page.
     let mut ts_bytes = bufpool::take(0);
-    let mut modes = 0;
-    match constant_delta(ts) {
-        Some((first, delta)) => {
-            modes |= MODE_CONST_DELTA;
-            varint::write_i64(&mut ts_bytes, first);
-            varint::write_i64(&mut ts_bytes, delta);
-        }
-        None => encoding::encode_timestamps(ts_encoding, ts, &mut ts_bytes),
-    }
+    let timestamps = ts_column(ts, deltas, ts_encoding, &mut ts_bytes);
     let mut val_bytes = bufpool::take(0);
-    let (is_block, val_col) = value_column(vs, val_encoding, values, &mut val_bytes);
-    if is_block {
-        modes |= MODE_DECIMAL;
-    }
-    out.push(modes);
+    let (value_form, val_col) = value_column(vs, val_encoding, values, &mut val_bytes);
+    out.push(
+        PageForms {
+            timestamps,
+            values: value_form,
+        }
+        .modes(),
+    );
     varint::write_u64(out, cast::u64_from_usize(ts_bytes.len()));
     out.extend_from_slice(&ts_bytes);
     varint::write_u64(out, cast::u64_from_usize(val_col.len()));
@@ -299,23 +384,82 @@ pub(crate) fn encode_page_columns(
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// A page's value column: the decimal block when the sample admits one
-/// and it is smaller than the configured stream, else the stream (ties
-/// go to the stream), as `(is the block, its bytes in buf)`. The one
-/// likelier to win is written first, and the other only while it can
-/// still win: a block below a lower bound on the stream's size needs no
-/// stream, and a stream no larger than the block's sampled estimate
-/// needs no block.
+/// A page's timestamp column, written to the empty `buf`: the constant
+/// delta when there is one, else the smaller of the chunk's stream and
+/// the packed deltas, ties to the stream. The packed size is exact
+/// before a byte is written, so the stream is written only when a lower
+/// bound on its size does not already lose.
+fn ts_column(ts: &[i64], deltas: &[i64], ts_encoding: EncodingKind, buf: &mut Vec<u8>) -> TsForm {
+    let first = ts.first().copied().unwrap_or(0);
+    if let Some(delta) = constant_delta(deltas) {
+        varint::write_i64(buf, first);
+        varint::write_i64(buf, delta);
+        return TsForm::Constant;
+    }
+    let packing = Packing::of(deltas);
+    let packed = packed::timestamps_len(first, &packing);
+    if packed >= encoding::timestamps_len_at_least(ts_encoding, ts) {
+        encoding::encode_timestamps(ts_encoding, ts, buf);
+        if buf.len() <= packed {
+            return TsForm::Stream;
+        }
+        buf.clear();
+    }
+    packed::write_timestamps(first, deltas, &packing, buf);
+    TsForm::Packed
+}
+
+/// A page's value column, as `(its form, its bytes in buf)`: the packed
+/// key deltas when they are smaller than what the page would hold
+/// without them, else that — the decimal block when the sample admits
+/// one and it is smaller than the configured stream, else the stream.
+/// Every tie goes to the form without packing, and between those to
+/// the stream. The packed size is exact
+/// before a byte is written, so a page with no decimal plan writes its
+/// stream only when a lower bound on the stream does not already lose.
 fn value_column<'a>(
     vs: &[f64],
     val_encoding: EncodingKind,
     carry: &mut ValueCarry,
     buf: &'a mut Vec<u8>,
-) -> (bool, &'a [u8]) {
-    let Some(plan) = decimal::plan(vs, &mut carry.pair) else {
-        encoding::encode_values(val_encoding, vs, buf);
-        return (false, buf);
+) -> (ValueForm, &'a [u8]) {
+    packed::key_deltas(vs, &mut carry.keys);
+    let packing = Packing::of(&carry.keys);
+    let packed = packed::values_len(&packing);
+    // What the page would hold without the packed form, unless a lower
+    // bound on it already loses.
+    let without = match decimal::plan(vs, &mut carry.pair) {
+        Some(plan) => Some(block_or_stream(vs, val_encoding, plan, carry, buf)),
+        None if packed < encoding::values_len_at_least(val_encoding, vs) => None,
+        None => {
+            encoding::encode_values(val_encoding, vs, buf);
+            Some((ValueForm::Stream, 0..buf.len()))
+        }
     };
+    match without {
+        Some((form, range)) if range.len() <= packed => (form, buf.get(range).unwrap_or(&[])),
+        _ => {
+            buf.clear();
+            let first = vs.first().copied().unwrap_or(0.0);
+            packed::write_values(first, &carry.keys, &packing, buf);
+            (ValueForm::Packed, buf)
+        }
+    }
+}
+
+/// The decimal block `plan` describes when it is smaller than the
+/// configured stream, else the stream (ties go to the stream), as
+/// `(form, range of its bytes in buf)`. The one likelier to win is
+/// written first, and the other only while it can still win: a block
+/// below a lower bound on the stream's size needs no stream, and a
+/// stream no larger than the block's sampled estimate needs no block.
+fn block_or_stream(
+    vs: &[f64],
+    val_encoding: EncodingKind,
+    plan: decimal::Plan,
+    carry: &mut ValueCarry,
+    buf: &mut Vec<u8>,
+) -> (ValueForm, std::ops::Range<usize>) {
     // Block first only after a block won and while the sample's
     // estimate is below a lower bound on the stream.
     let floor = (!carry.stream_first).then(|| encoding::values_len_at_least(val_encoding, vs));
@@ -345,25 +489,20 @@ fn value_column<'a>(
         }
     };
     carry.stream_first = !is_block;
-    (is_block, buf.get(range).unwrap_or(&[]))
+    let form = match is_block {
+        true => ValueForm::Decimal,
+        false => ValueForm::Stream,
+    };
+    (form, range)
 }
 
-/// `Some((first, delta))` when the sequence advances by one constant
-/// delta (trivially true for a single timestamp).
-fn constant_delta(ts: &[i64]) -> Option<(i64, i64)> {
-    let (&first, rest) = ts.split_first()?;
-    let Some(&second) = rest.first() else {
-        return Some((first, 0));
+/// `Some(delta)` when every delta is that one (trivially true for a
+/// single timestamp, whose delta is 0).
+fn constant_delta(deltas: &[i64]) -> Option<i64> {
+    let Some((&delta, rest)) = deltas.split_first() else {
+        return Some(0);
     };
-    let delta = second.wrapping_sub(first);
-    let mut prev = second;
-    for &t in rest.iter().skip(1) {
-        if t.wrapping_sub(prev) != delta {
-            return None;
-        }
-        prev = t;
-    }
-    Some((first, delta))
+    rest.iter().all(|&d| d == delta).then_some(delta)
 }
 
 /// Split a CRC-carrying page body into `(payload, expected_crc)`,
@@ -391,29 +530,32 @@ fn checked_payload<'a>(body: &'a [u8], what: &'static str) -> Result<&'a [u8]> {
 
 /// Verify a raw page body without decoding it: checksum over the
 /// payload, the header point count against the page index entry, and
-/// the structure of a decimal value block. This is the integrity gate
-/// for byte-for-byte page copies — the compactor revalidates every page
-/// it moves verbatim, whatever its modes, so silent corruption can
-/// never be propagated into a new file.
+/// the structure of a bit-packed column (a decimal block or packed
+/// deltas). This is the integrity gate for byte-for-byte page copies —
+/// the compactor revalidates every page it moves verbatim, whatever its
+/// forms, so silent corruption can never be propagated into a new file.
 pub fn verify_page_body(body: &[u8], meta: &PageMeta) -> Result<()> {
     let cols = open_page(body, meta)?;
-    if cols.modes & MODE_DECIMAL != 0 {
-        decimal::verify(cols.val_col, cols.n)?;
+    if cols.forms.timestamps == TsForm::Packed {
+        packed::verify_timestamps(cols.ts_col, cols.n)?;
     }
-    Ok(())
+    match cols.forms.values {
+        ValueForm::Stream => Ok(()),
+        ValueForm::Decimal => decimal::verify(cols.val_col, cols.n),
+        ValueForm::Packed => packed::verify_values(cols.val_col, cols.n),
+    }
 }
 
-/// Whether a page stores its values as a decimal block. Verifies the
-/// page CRC; no column is decoded.
-pub fn is_decimal(body: &[u8]) -> Result<bool> {
-    let cols = split_page(checked_payload(body, "page body")?)?;
-    Ok(cols.modes & MODE_DECIMAL != 0)
+/// How a page stores its two columns. Verifies the page CRC; no column
+/// is decoded.
+pub fn forms(body: &[u8]) -> Result<PageForms> {
+    Ok(split_page(checked_payload(body, "page body")?)?.forms)
 }
 
-/// Parsed page header: count, modes, and the two column slices.
+/// Parsed page header: count, forms, and the two column slices.
 struct PageColumns<'a> {
     n: usize,
-    modes: u8,
+    forms: PageForms,
     ts_col: &'a [u8],
     val_col: &'a [u8],
 }
@@ -431,11 +573,7 @@ fn split_page(payload: &[u8]) -> Result<PageColumns<'_>> {
     let modes = *payload
         .get(pos)
         .ok_or(TsFileError::UnexpectedEof { what: "page modes" })?;
-    if modes & !(MODE_CONST_DELTA | MODE_DECIMAL) != 0 {
-        return Err(TsFileError::Corrupt(format!(
-            "unknown page modes {modes:#x}"
-        )));
-    }
+    let forms = PageForms::of_modes(modes)?;
     pos += 1;
     let ts_len = cast::usize_checked(varint::read_u64(payload, &mut pos)?)
         .ok_or_else(|| TsFileError::Corrupt("page ts length unaddressable".into()))?;
@@ -464,7 +602,7 @@ fn split_page(payload: &[u8]) -> Result<PageColumns<'_>> {
         })?;
     Ok(PageColumns {
         n,
-        modes,
+        forms,
         ts_col,
         val_col,
     })
@@ -489,27 +627,32 @@ fn decode_ts_column(
     ts_encoding: EncodingKind,
     until: Option<i64>,
 ) -> Result<Vec<i64>> {
-    if cols.modes & MODE_CONST_DELTA != 0 {
-        let mut pos = 0usize;
-        let first = varint::read_i64(cols.ts_col, &mut pos)?;
-        let delta = varint::read_i64(cols.ts_col, &mut pos)?;
-        let mut out = Vec::with_capacity(cols.n);
-        let mut cur = first;
-        for i in 0..cols.n {
-            if i > 0 {
-                cur = cur.wrapping_add(delta);
+    match (cols.forms.timestamps, ts_encoding, until) {
+        (TsForm::Constant, ..) => {
+            let mut pos = 0usize;
+            let first = varint::read_i64(cols.ts_col, &mut pos)?;
+            let delta = varint::read_i64(cols.ts_col, &mut pos)?;
+            let mut out = Vec::with_capacity(cols.n);
+            let mut cur = first;
+            for i in 0..cols.n {
+                if i > 0 {
+                    cur = cur.wrapping_add(delta);
+                }
+                out.push(cur);
+                if until.is_some_and(|limit| cur > limit) {
+                    break;
+                }
             }
-            out.push(cur);
-            if until.is_some_and(|limit| cur > limit) {
-                break;
-            }
+            Ok(out)
         }
-        return Ok(out);
-    }
-    match (ts_encoding, until) {
-        (EncodingKind::Plain, _) => encoding::plain::decode_i64(cols.ts_col, cols.n),
-        (_, Some(limit)) => encoding::ts2diff::decode_until(cols.ts_col, cols.n, limit),
-        (_, None) => encoding::ts2diff::decode(cols.ts_col, cols.n),
+        (TsForm::Packed, ..) => packed::decode_timestamps(cols.ts_col, cols.n, until),
+        (TsForm::Stream, EncodingKind::Plain, _) => {
+            encoding::plain::decode_i64(cols.ts_col, cols.n)
+        }
+        (TsForm::Stream, _, Some(limit)) => {
+            encoding::ts2diff::decode_until(cols.ts_col, cols.n, limit)
+        }
+        (TsForm::Stream, _, None) => encoding::ts2diff::decode(cols.ts_col, cols.n),
     }
 }
 
@@ -524,10 +667,10 @@ pub fn decode_page(
     crate::lockcheck::check_io();
     let cols = open_page(body, meta)?;
     let ts = decode_ts_column(&cols, ts_encoding, None)?;
-    let vs = if cols.modes & MODE_DECIMAL != 0 {
-        decimal::decode(cols.val_col, cols.n)?
-    } else {
-        encoding::decode_values(val_encoding, cols.val_col, cols.n)?
+    let vs = match cols.forms.values {
+        ValueForm::Stream => encoding::decode_values(val_encoding, cols.val_col, cols.n)?,
+        ValueForm::Decimal => decimal::decode(cols.val_col, cols.n)?,
+        ValueForm::Packed => packed::decode_values(cols.val_col, cols.n)?,
     };
     if ts.len() != cols.n || vs.len() != cols.n {
         return Err(TsFileError::Corrupt(format!(
@@ -614,24 +757,31 @@ mod tests {
             &mut body,
         );
         // Same values, same timestamps except one: breaking the constant
-        // delta forces the full per-point stream, so the regular page
-        // must be dramatically smaller (two varints vs ~1 byte/point).
+        // delta packs the deltas with one exception (a dozen bytes), so
+        // the regular page is smaller still (two varints), and both are
+        // far below the per-point stream (~1 byte/point).
         let mut irregular = points.clone();
         if let Some(last) = irregular.last_mut() {
             last.t += 1;
         }
-        let mut stream_body = Vec::new();
+        let mut packed_body = Vec::new();
         encode_page(
             &irregular,
             EncodingKind::Ts2Diff,
             EncodingKind::Gorilla,
-            &mut stream_body,
+            &mut packed_body,
         );
+        assert_eq!(forms(&body)?.timestamps, TsForm::Constant);
+        assert_eq!(forms(&packed_body)?.timestamps, TsForm::Packed);
+        let mut stream = Vec::new();
+        let ts: Vec<i64> = irregular.iter().map(|p| p.t).collect();
+        encoding::ts2diff::encode(&ts, &mut stream);
         assert!(
-            body.len() + 500 < stream_body.len(),
-            "constant-delta path not taken: {} vs {}",
+            body.len() < packed_body.len() && packed_body.len() + 900 < body.len() + stream.len(),
+            "constant {} vs packed {} bytes, a {}-byte stream",
             body.len(),
-            stream_body.len()
+            packed_body.len(),
+            stream.len()
         );
         let meta = page_meta(&points, 0, body.len() as u64)?;
         let back = decode_page(&body, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta)?;
@@ -793,17 +943,29 @@ mod tests {
     }
 
     /// A page of few-decimal values stores them as a decimal block, a
-    /// page of full-precision values keeps the XOR stream; both decode
-    /// bit-exactly and pass the copy gate.
+    /// page of a full-precision walk as packed key deltas, and a page of
+    /// values flipping sign keeps the XOR stream; jittered timestamps
+    /// pack. Each decodes bit-exactly and passes the copy gate.
     #[test]
     fn value_mode_is_chosen_from_the_page() -> Result<()> {
         let decimal: Vec<Point> = (0..500)
-            .map(|i| Point::new(i * 10, ((i * 37) % 300) as f64 / 100.0 + 20.0))
+            .map(|i| Point::new(i * 10, ((i * 7919) % 300) as f64 / 100.0 + 20.0))
             .collect();
-        let full: Vec<Point> = (0..500)
-            .map(|i| Point::new(i * 10, (i as f64 * 0.7).sin() * 20.0))
+        let walk: Vec<Point> = (0..500)
+            .map(|i| Point::new(i * 10 + i % 3, 225.0 + (i as f64 * 0.01).sin()))
             .collect();
-        for (points, want) in [(decimal, true), (full, false)] {
+        // XOR spends three bits on a sign flip; its key delta spans 64.
+        let flips: Vec<Point> = (0..500)
+            .map(|i| {
+                let pi = std::f64::consts::PI;
+                Point::new(i * 10, if i % 2 == 0 { pi } else { -pi })
+            })
+            .collect();
+        for (points, ts, values) in [
+            (decimal, TsForm::Constant, ValueForm::Decimal),
+            (walk, TsForm::Packed, ValueForm::Packed),
+            (flips, TsForm::Constant, ValueForm::Stream),
+        ] {
             let mut body = Vec::new();
             encode_page(
                 &points,
@@ -811,7 +973,11 @@ mod tests {
                 EncodingKind::Gorilla,
                 &mut body,
             );
-            assert_eq!(is_decimal(&body)?, want);
+            let want = PageForms {
+                timestamps: ts,
+                values,
+            };
+            assert_eq!(forms(&body)?, want);
             let meta = page_meta(&points, 0, body.len() as u64)?;
             verify_page_body(&body, &meta)?;
             let back = decode_page(&body, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta)?;

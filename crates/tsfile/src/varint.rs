@@ -44,8 +44,15 @@ pub fn write_i64(out: &mut Vec<u8>, v: i64) {
     write_u64(out, zigzag(v));
 }
 
+/// Bytes [`write_u64`] takes for `v`: 1 to 10.
+#[inline]
+pub fn len_u64(v: u64) -> usize {
+    cast::usize_from_u32((64 - (v | 1).leading_zeros()).div_ceil(7))
+}
+
 /// Read an unsigned LEB128 varint from `buf` starting at `*pos`,
-/// advancing `*pos` past it.
+/// advancing `*pos` past it. The tenth byte holds bit 63 alone: above 1
+/// it overflows 64 bits, and that is `Corrupt`.
 pub fn read_u64(buf: &[u8], pos: &mut usize) -> Result<u64> {
     let mut result: u64 = 0;
     let mut shift = 0u32;
@@ -54,8 +61,8 @@ pub fn read_u64(buf: &[u8], pos: &mut usize) -> Result<u64> {
             .get(*pos)
             .ok_or(TsFileError::UnexpectedEof { what: "varint" })?;
         *pos += 1;
-        if shift >= 64 {
-            return Err(TsFileError::Corrupt("varint longer than 10 bytes".into()));
+        if shift == 63 && byte > 1 {
+            return Err(TsFileError::Corrupt("varint overflows 64 bits".into()));
         }
         result |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
@@ -95,7 +102,7 @@ pub fn read_u64_fast(buf: &[u8], pos: &mut usize) -> Result<u64> {
     let word = u64::from_le_bytes(word_bytes);
     let stops = !word & CONT_MASK;
     if stops == 0 {
-        // 9- or 10-byte (or overlong) varint: rare; the scalar loop
+        // 9- or 10-byte (or overflowing) varint: rare; the scalar loop
         // already carries the exact Corrupt/Eof semantics.
         return read_u64(buf, pos);
     }
@@ -209,6 +216,34 @@ mod tests {
         assert!(read_u64(&buf, &mut pos).is_err());
         let mut pos = 0;
         assert!(read_u64_fast(&buf, &mut pos).is_err());
+    }
+
+    #[test]
+    fn a_tenth_byte_above_one_overflows() -> Result<()> {
+        let mut overflow = vec![0x80u8; 9];
+        overflow.push(0x02);
+        let mut max = vec![0xffu8; 9];
+        max.push(0x01);
+        for read in [read_u64, read_u64_fast] {
+            let mut pos = 0;
+            assert!(matches!(
+                read(&overflow, &mut pos),
+                Err(TsFileError::Corrupt(_))
+            ));
+            let mut pos = 0;
+            assert_eq!(read(&max, &mut pos)?, u64::MAX);
+            assert_eq!(pos, 10);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn len_matches_the_bytes_written() {
+        for v in (0..64).map(|i| 1u64 << i).chain([0, 127, 128, u64::MAX]) {
+            let mut buf = Vec::new();
+            write_u64(&mut buf, v);
+            assert_eq!(len_u64(v), buf.len(), "{v}");
+        }
     }
 
     #[test]

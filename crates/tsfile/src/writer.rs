@@ -185,8 +185,12 @@ impl TsFileWriter {
             s.vs.clear();
             let page_stats = split_page(slice, &mut s.ts, &mut s.deltas, &mut s.vs)?;
             let offset = s.body.len() as u64;
+            // `deltas[i]` is `ts[i + 1] - ts[i]`, so the page's own
+            // deltas start where its timestamps do, one fewer of them.
+            let page_deltas = page_start..page_start + slice.len() - 1;
             page::encode_page_columns(
                 s.ts.get(page_start..).unwrap_or(&[]),
+                s.deltas.get(page_deltas).unwrap_or(&[]),
                 &s.vs,
                 self.ts_encoding,
                 self.val_encoding,

@@ -62,23 +62,156 @@ fn page_above_the_point_ceiling_is_corrupt() {
     );
 }
 
-/// A CRC-valid page of `n` points at `t = 0, 1, …` whose value column
-/// is `block`, marked decimal.
-fn decimal_page(n: usize, block: &[u8]) -> Vec<u8> {
+/// A CRC-valid page of `n` points with the given modes byte and
+/// columns.
+fn sealed_page(n: usize, modes: u8, ts: &[u8], values: &[u8]) -> Vec<u8> {
     use tsfile::varint;
     let mut body = Vec::new();
     varint::write_u64(&mut body, n as u64);
-    body.push(0b11); // constant-delta timestamps, decimal values
-    let mut ts = Vec::new();
-    varint::write_i64(&mut ts, 0);
-    varint::write_i64(&mut ts, 1);
+    body.push(modes);
     varint::write_u64(&mut body, ts.len() as u64);
-    body.extend_from_slice(&ts);
-    varint::write_u64(&mut body, block.len() as u64);
-    body.extend_from_slice(block);
+    body.extend_from_slice(ts);
+    varint::write_u64(&mut body, values.len() as u64);
+    body.extend_from_slice(values);
     let crc = tsfile::checksum::crc32(&body);
     body.extend_from_slice(&crc.to_le_bytes());
     body
+}
+
+/// A CRC-valid page of `n` points at `t = 0, 1, …` whose value column
+/// is `block`, marked decimal.
+fn decimal_page(n: usize, block: &[u8]) -> Vec<u8> {
+    // varint_i 0, varint_i 1: constant-delta timestamps.
+    sealed_page(n, 0b11, &[0, 2], block)
+}
+
+/// Both results a typed error: `Corrupt` or `UnexpectedEof`.
+fn typed<T>(r: &tsfile::Result<T>) -> bool {
+    matches!(
+        r,
+        Err(TsFileError::Corrupt(_) | TsFileError::UnexpectedEof { .. })
+    )
+}
+
+/// The page index entry of `n` points at `t = 0, 1, …`.
+fn meta_of(n: usize, body: &[u8]) -> tsfile::PageMeta {
+    let points: Vec<Point> = (0..n as i64).map(|t| Point::new(t, 0.0)).collect();
+    tsfile::PageMeta {
+        offset: 0,
+        byte_len: body.len() as u64,
+        stats: tsfile::ChunkStatistics::from_points(&points).unwrap(),
+    }
+}
+
+/// A varint whose tenth byte carries bits past 64 is `Corrupt`, not the
+/// low 64 bits read as if they were all: a CRC-valid page whose ts2diff
+/// stream opens with `[0x80 ×9, 0x02]` once decoded to `t = 0`.
+#[test]
+fn a_varint_past_64_bits_in_a_page_is_corrupt() {
+    use tsfile::encoding::{gorilla, EncodingKind};
+    let mut ts = vec![0x80u8; 9];
+    ts.extend_from_slice(&[0x02, 0x02]); // first (overflowing), delta 1
+    let mut values = Vec::new();
+    gorilla::encode(&[1.0, 2.0], &mut values);
+    let page = sealed_page(2, 0, &ts, &values);
+    let got = tsfile::page::decode_page(
+        &page,
+        EncodingKind::Ts2Diff,
+        EncodingKind::Gorilla,
+        &meta_of(2, &page),
+    );
+    assert!(matches!(got, Err(TsFileError::Corrupt(_))), "{got:?}");
+    // `u64::MAX` still reads: the tenth byte may be 1.
+    let mut max = vec![0xffu8; 9];
+    max.push(0x01);
+    let mut pos = 0;
+    assert_eq!(tsfile::varint::read_u64(&max, &mut pos).unwrap(), u64::MAX);
+}
+
+/// A page whose timestamps (jittered, with a delay) and values (a walk
+/// with a jump) are both packed with exceptions: every strict prefix of
+/// either column, under a re-sealed CRC, is a typed error from the page
+/// decoder and from the copy gate, and every single-bit flip in it is
+/// either a typed error from both or a page both accept — never a
+/// panic, never one accepting what the other refuses.
+#[test]
+fn packed_column_prefixes_and_bit_flips_are_typed_errors() {
+    use tsfile::encoding::EncodingKind;
+    use tsfile::page::{decode_page, forms, verify_page_body, TsForm, ValueForm};
+    let points: Vec<Point> = (0..200i64)
+        .map(|i| {
+            let t = i * 10 + (i * 7) % 5 + if i >= 120 { 60_000 } else { 0 };
+            let v = 225.0 + (i as f64 * 0.05).sin() + if i == 77 { 1e6 } else { 0.0 };
+            Point::new(t, v)
+        })
+        .collect();
+    let mut body = Vec::new();
+    tsfile::page::encode_page(
+        &points,
+        EncodingKind::Ts2Diff,
+        EncodingKind::Gorilla,
+        &mut body,
+    );
+    let f = forms(&body).unwrap();
+    assert_eq!(
+        (f.timestamps, f.values),
+        (TsForm::Packed, ValueForm::Packed)
+    );
+    // varint n (2 bytes), modes, varint ts_len, ts, varint val_len, values.
+    let modes = body[2];
+    let mut pos = 3;
+    let ts_len = tsfile::varint::read_u64(&body, &mut pos).unwrap() as usize;
+    let ts = body[pos..pos + ts_len].to_vec();
+    pos += ts_len;
+    let val_len = tsfile::varint::read_u64(&body, &mut pos).unwrap() as usize;
+    let values = body[pos..pos + val_len].to_vec();
+    assert_eq!(sealed_page(200, modes, &ts, &values), body);
+
+    let check = |ts: &[u8], values: &[u8], what: &str, must_fail: bool| {
+        let page = sealed_page(200, modes, ts, values);
+        let meta = meta_of(200, &page);
+        let decoded = decode_page(&page, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta);
+        let verified = verify_page_body(&page, &meta);
+        if must_fail || decoded.is_err() || verified.is_err() {
+            assert!(
+                typed(&decoded),
+                "{what}: decode gave {:?}",
+                decoded.map(|p| p.len())
+            );
+            assert!(typed(&verified), "{what}: the copy gate gave {verified:?}");
+        }
+    };
+    for cut in 0..ts.len() {
+        check(&ts[..cut], &values, &format!("ts cut at {cut}"), true);
+    }
+    for cut in 0..values.len() {
+        check(&ts, &values[..cut], &format!("values cut at {cut}"), true);
+    }
+    for at in 0..ts.len() * 8 {
+        let mut flipped = ts.clone();
+        flipped[at / 8] ^= 1 << (at % 8);
+        check(&flipped, &values, &format!("ts bit {at}"), false);
+    }
+    for at in 0..values.len() * 8 {
+        let mut flipped = values.clone();
+        flipped[at / 8] ^= 1 << (at % 8);
+        check(&ts, &flipped, &format!("values bit {at}"), false);
+    }
+    // The modes byte: each packed bit with its column's other bit set
+    // is `Corrupt`, and so is any bit above the four.
+    for bad in [modes | 0b0001, modes | 0b0010, modes | 0b1_0000, 0x80] {
+        let page = sealed_page(200, bad, &ts, &values);
+        let got = decode_page(
+            &page,
+            EncodingKind::Ts2Diff,
+            EncodingKind::Gorilla,
+            &meta_of(200, &page),
+        );
+        assert!(
+            matches!(got, Err(TsFileError::Corrupt(_))),
+            "modes {bad:#x}"
+        );
+    }
 }
 
 /// A malformed decimal header is a typed error from the block decoder,
@@ -161,12 +294,6 @@ fn malformed_decimal_blocks_are_typed_errors() {
             body(0, &[], &[0]),
         ),
     ];
-    fn typed<T>(r: &tsfile::Result<T>) -> bool {
-        matches!(
-            r,
-            Err(TsFileError::Corrupt(_) | TsFileError::UnexpectedEof { .. })
-        )
-    }
     for (what, n, block) in cases {
         let direct = decimal::decode(&block, n);
         assert!(typed(&direct), "{what}: decode gave {direct:?}");
@@ -175,12 +302,7 @@ fn malformed_decimal_blocks_are_typed_errors() {
             continue; // the page header itself is refused first
         }
         let page = decimal_page(n, &block);
-        let points: Vec<Point> = (0..n as i64).map(|t| Point::new(t, 0.0)).collect();
-        let meta = tsfile::PageMeta {
-            offset: 0,
-            byte_len: page.len() as u64,
-            stats: tsfile::ChunkStatistics::from_points(&points).unwrap(),
-        };
+        let meta = meta_of(n, &page);
         let decoded =
             tsfile::page::decode_page(&page, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta);
         assert!(typed(&decoded), "{what}: page decode gave {decoded:?}");
@@ -452,6 +574,8 @@ proptest! {
         let _ = tsfile::encoding::plain::decode_i64(&bytes, n);
         let _ = tsfile::encoding::plain::decode_f64(&bytes, n);
         prop_assert!(tsfile::encoding::decimal::decode(&bytes, n).is_err());
+        prop_assert!(tsfile::encoding::packed::decode_timestamps(&bytes, n, None).is_err());
+        prop_assert!(tsfile::encoding::packed::decode_values(&bytes, n).is_err());
     }
 
     /// Arbitrary bytes as a decimal block of any plausible count: a
@@ -468,6 +592,27 @@ proptest! {
         }
     }
 
+    /// Arbitrary bytes as a packed column of any plausible count: a
+    /// typed error or exactly `n` points (at most `n` with a limit),
+    /// never a panic, and the copy gate's check agrees with the decoder.
+    #[test]
+    fn random_packed_columns_never_panic(
+        n in 0usize..2_000,
+        limit in any::<i64>(),
+        bytes in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        use tsfile::encoding::packed;
+        let ts = packed::decode_timestamps(&bytes, n, None);
+        prop_assert!(ts.as_ref().map_or_else(|_| typed(&ts), |t| t.len() == n));
+        prop_assert_eq!(ts.is_ok(), packed::verify_timestamps(&bytes, n).is_ok());
+        if let Ok(until) = packed::decode_timestamps(&bytes, n, Some(limit)) {
+            prop_assert!(ts.is_ok() && until.len() <= n);
+        }
+        let values = packed::decode_values(&bytes, n);
+        prop_assert!(values.as_ref().map_or_else(|_| typed(&values), |v| v.len() == n));
+        prop_assert_eq!(values.is_ok(), packed::verify_values(&bytes, n).is_ok());
+    }
+
     /// Flip bytes inside the decimal value column of a real page and
     /// fix up its CRC, so the damage reaches the block decoder: a typed
     /// error or `n` points, never a panic.
@@ -481,7 +626,8 @@ proptest! {
             .collect();
         let mut body = Vec::new();
         tsfile::page::encode_page(&points, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &mut body);
-        prop_assert!(tsfile::page::is_decimal(&body).unwrap());
+        let forms = tsfile::page::forms(&body).unwrap();
+        prop_assert_eq!(forms.values, tsfile::page::ValueForm::Decimal);
         // varint n (2 bytes), modes, varint ts_len, ts bytes, varint
         // val_len, then the block up to the CRC.
         let mut pos = 3;

@@ -11,8 +11,10 @@
 )]
 
 use proptest::prelude::*;
-use tsfile::encoding::{bitio, gorilla, plain, ts2diff, EncodingKind};
-use tsfile::page::{decode_page, encode_page, is_decimal};
+use tsfile::encoding::{bitio, decimal, gorilla, plain, ts2diff, EncodingKind};
+use tsfile::page::{
+    decode_page, decode_page_timestamps, encode_page, forms, verify_page_body, TsForm, ValueForm,
+};
 use tsfile::statistics::ChunkStatistics;
 use tsfile::types::Point;
 use tsfile::varint;
@@ -35,24 +37,32 @@ const SPECIALS: [u64; 12] = [
     0x7fe0_0000_0000_0000, // 2^1023
 ];
 
-/// A page of `len` values in one of six shapes, drawn from `seed`:
+/// A 64-bit generator seeded by `seed` (splitmix64), so every bit of a
+/// draw varies.
+fn splitmix(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed;
+    move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+/// A page of `len` values in one of eight shapes, drawn from `seed`:
 /// a decimal random walk at `precision` decimals, integers, a
-/// full-precision walk, nothing but [`SPECIALS`], decimals with
-/// specials sprinkled in, or decimal steps held for long runs (where
-/// XOR's one bit a repeat beats any bit-packing).
+/// full-precision jittery walk, nothing but [`SPECIALS`], decimals with
+/// specials sprinkled in, decimal steps held for long runs (where XOR's
+/// one bit a repeat beats any bit-packing), a full-precision ramp that
+/// wraps, or a smooth full-precision walk.
 fn page_values(shape: u8, precision: u32, len: usize, seed: u64) -> Vec<f64> {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        state >> 11
-    };
+    let mut next = splitmix(seed);
     let scale = 10f64.powi(precision as i32);
     let mut level = (next() % 100_000) as i64 - 50_000;
     (0..len)
-        .map(|_| {
-            if shape != 5 || next() % 64 == 0 {
+        .map(|i| {
+            if shape != 5 || next().is_multiple_of(64) {
                 level += (next() % 201) as i64 - 100;
             }
             let decimal = level as f64 / scale;
@@ -60,11 +70,40 @@ fn page_values(shape: u8, precision: u32, len: usize, seed: u64) -> Vec<f64> {
             match shape {
                 0 => decimal,
                 1 => level as f64,
-                2 => level as f64 * std::f64::consts::E / 7.0 + (next() as f64).sqrt(),
+                2 => level as f64 * std::f64::consts::E / 7.0 + ((next() >> 11) as f64).sqrt(),
                 3 => special,
-                4 if next() % 8 == 0 => special,
+                4 if next().is_multiple_of(8) => special,
+                6 => (i % 97) as f64 * std::f64::consts::PI - 100.0,
+                7 => level as f64 * std::f64::consts::E * 1e-3,
                 _ => decimal,
             }
+        })
+        .collect()
+}
+
+/// A page of `len` timestamps in one of four shapes, drawn from `seed`:
+/// regular (one delta), jittered (10 ± 2 ms), delayed (regular, with an
+/// hour's gap now and then — the paper's §3.5 steps), or any deltas at
+/// all, up to the `i64` extremes (wrapping).
+fn page_timestamps(shape: u8, len: usize, seed: u64) -> Vec<i64> {
+    let mut next = splitmix(seed ^ 0x7157);
+    let mut t = next() as i64 >> 20;
+    (0..len)
+        .map(|_| {
+            let now = t;
+            let delta = match shape {
+                0 => 10,
+                1 => 8 + (next() % 5) as i64,
+                2 if next().is_multiple_of(40) => 3_600_000,
+                2 => 10,
+                _ => match next() % 8 {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    _ => next() as i64,
+                },
+            };
+            t = t.wrapping_add(delta);
+            now
         })
         .collect()
 }
@@ -152,53 +191,169 @@ proptest! {
     }
 }
 
+/// A page body's two columns: `(ts bytes, value bytes)`.
+fn columns(body: &[u8]) -> (&[u8], &[u8]) {
+    // varint n, modes, varint ts_len, ts bytes, varint val_len, values.
+    let mut pos = 0;
+    varint::read_u64(body, &mut pos).unwrap();
+    pos += 1;
+    let ts_len = varint::read_u64(body, &mut pos).unwrap() as usize;
+    let ts = &body[pos..pos + ts_len];
+    pos += ts_len;
+    let val_len = varint::read_u64(body, &mut pos).unwrap() as usize;
+    (ts, &body[pos..pos + val_len])
+}
+
+/// Encode `points` as a page and check it decodes to the same bits.
+fn page_roundtrip(points: &[Point], val_encoding: EncodingKind) -> (Vec<u8>, PageMeta) {
+    let mut body = Vec::new();
+    encode_page(points, EncodingKind::Ts2Diff, val_encoding, &mut body);
+    let meta = PageMeta {
+        offset: 0,
+        byte_len: body.len() as u64,
+        stats: ChunkStatistics::from_points(points).unwrap(),
+    };
+    verify_page_body(&body, &meta).unwrap();
+    let back = decode_page(&body, EncodingKind::Ts2Diff, val_encoding, &meta).unwrap();
+    assert_eq!(back.len(), points.len());
+    for (a, b) in points.iter().zip(&back) {
+        assert_eq!((a.t, a.v.to_bits()), (b.t, b.v.to_bits()));
+    }
+    (body, meta)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Whatever a page holds, it decodes to the same bits, and the
-    /// value column the page chose is never larger than the configured
-    /// stream (the mode costs no byte: it is a bit of the modes byte).
+    /// Whatever a page holds, it decodes to the same bits, and neither
+    /// column the page chose is larger than what a page without the
+    /// packed forms holds — the constant delta or the ts2diff stream;
+    /// the decimal block or the configured value stream, whichever the
+    /// page picks between those two — computed here from the public
+    /// kernels. A form costs no byte: it is a bit of the modes byte.
     #[test]
     fn pages_roundtrip_bitwise_and_never_outgrow_the_stream(
-        shape in 0u8..6,
+        shape in 0u8..8,
+        ts_shape in 0u8..4,
         precision in 0u32..=6,
         len in 1usize..1_200,
         seed in any::<u64>(),
         plain_values in any::<bool>(),
     ) {
         let vs = page_values(shape, precision, len, seed);
-        let points: Vec<Point> = vs.iter().enumerate().map(|(i, &v)| Point::new(i as i64 * 10, v)).collect();
+        let ts = page_timestamps(ts_shape, len, seed);
+        let points: Vec<Point> = ts.iter().zip(&vs).map(|(&t, &v)| Point::new(t, v)).collect();
         let val_encoding = if plain_values { EncodingKind::Plain } else { EncodingKind::Gorilla };
-        let mut body = Vec::new();
-        encode_page(&points, EncodingKind::Ts2Diff, val_encoding, &mut body);
-        let meta = PageMeta {
-            offset: 0,
-            byte_len: body.len() as u64,
-            stats: ChunkStatistics::from_points(&points).unwrap(),
-        };
-        let back = decode_page(&body, EncodingKind::Ts2Diff, val_encoding, &meta).unwrap();
-        prop_assert_eq!(back.len(), points.len());
-        for (a, b) in points.iter().zip(&back) {
-            prop_assert_eq!((a.t, a.v.to_bits()), (b.t, b.v.to_bits()));
+        let (body, meta) = page_roundtrip(&points, val_encoding);
+        let (ts_col, val_col) = columns(&body);
+        let forms = forms(&body).unwrap();
+
+        // Timestamps: the constant delta when there is one, else the
+        // ts2diff stream unless the packed deltas are smaller.
+        let deltas: Vec<i64> = ts.windows(2).map(|w| w[1].wrapping_sub(w[0])).collect();
+        let mut parent = Vec::new();
+        if deltas.iter().all(|&d| d == deltas.first().copied().unwrap_or(0)) {
+            varint::write_i64(&mut parent, ts[0]);
+            varint::write_i64(&mut parent, deltas.first().copied().unwrap_or(0));
+        } else {
+            ts2diff::encode(&ts, &mut parent);
+        }
+        match forms.timestamps {
+            TsForm::Packed => prop_assert!(ts_col.len() < parent.len(), "{} >= {}", ts_col.len(), parent.len()),
+            _ => prop_assert_eq!(ts_col, &parent[..]),
         }
 
-        // varint n, modes, varint ts_len, ts bytes, varint val_len.
-        let mut pos = 0;
-        varint::read_u64(&body, &mut pos).unwrap();
-        pos += 1;
-        let ts_len = varint::read_u64(&body, &mut pos).unwrap() as usize;
-        pos += ts_len;
-        let val_len = varint::read_u64(&body, &mut pos).unwrap() as usize;
+        // Values: the page without packed forms holds the block or the
+        // stream; the packed deltas only when smaller than both.
         let mut stream = Vec::new();
         match val_encoding {
             EncodingKind::Plain => plain::encode_f64(&vs, &mut stream),
             _ => gorilla::encode(&vs, &mut stream),
         }
-        prop_assert!(val_len <= stream.len(), "{} > {}", val_len, stream.len());
+        let mut block = Vec::new();
+        let has_block = decimal::encode_values(&vs, &mut block);
+        match forms.values {
+            ValueForm::Stream => prop_assert_eq!(val_col, &stream[..]),
+            ValueForm::Decimal => {
+                prop_assert_eq!(val_col, &block[..]);
+                prop_assert!(block.len() < stream.len());
+            }
+            ValueForm::Packed => {
+                prop_assert!(val_col.len() < stream.len(), "{} >= {}", val_col.len(), stream.len());
+                prop_assert!(!has_block || val_col.len() < block.len(), "{} >= {}", val_col.len(), block.len());
+            }
+        }
         if shape == 3 {
-            prop_assert!(!is_decimal(&body).unwrap(), "an all-exception page went decimal");
+            prop_assert!(forms.values != ValueForm::Decimal, "an all-exception page went decimal");
+        }
+
+        // A partial timestamp scan stops where the ts2diff stream's
+        // does, whatever the page's form.
+        let mut stream_ts = Vec::new();
+        ts2diff::encode(&ts, &mut stream_ts);
+        let step = (len / 16).max(1);
+        let limits = ts.iter().step_by(step).flat_map(|&t| [t.wrapping_sub(1), t, t.wrapping_add(1)]);
+        for limit in limits.chain([i64::MIN, i64::MAX]) {
+            let got = decode_page_timestamps(&body, EncodingKind::Ts2Diff, &meta, Some(limit)).unwrap();
+            let want = ts2diff::decode_until(&stream_ts, len, limit).unwrap();
+            prop_assert_eq!(got, want, "limit {}", limit);
         }
     }
+}
+
+/// The packed forms' edge cases, each through a whole page: exceptions
+/// at the first and last delta, width 0 and width 64, and a one-point
+/// page.
+#[test]
+fn packed_edge_cases_round_trip() {
+    let walk = page_values(7, 0, 300, 11);
+    // Exceptions at both ends of otherwise equal deltas: width 0.
+    let mut ts: Vec<i64> = (0..300).map(|i| 1_000 + i * 10).collect();
+    ts[0] = i64::MIN;
+    ts[299] = i64::MAX;
+    let points: Vec<Point> = ts
+        .iter()
+        .zip(&walk)
+        .map(|(&t, &v)| Point::new(t, v))
+        .collect();
+    let (body, _) = page_roundtrip(&points, EncodingKind::Gorilla);
+    assert_eq!(forms(&body).unwrap().timestamps, TsForm::Packed);
+    let (ts_col, _) = columns(&body);
+    let mut pos = 0;
+    varint::read_i64(ts_col, &mut pos).unwrap();
+    assert_eq!(ts_col[pos], 0, "width");
+
+    // Deltas of every magnitude: width 64, no exception.
+    let mut next = splitmix(3);
+    let wide: Vec<Point> = walk.iter().map(|&v| Point::new(next() as i64, v)).collect();
+    let (body, _) = page_roundtrip(&wide, EncodingKind::Gorilla);
+    assert_eq!(forms(&body).unwrap().timestamps, TsForm::Packed);
+    let (ts_col, _) = columns(&body);
+    let mut pos = 0;
+    varint::read_i64(ts_col, &mut pos).unwrap();
+    assert_eq!(ts_col[pos], 64, "width");
+
+    // Equal full-precision values: width 0; a wild first and last one
+    // are its exceptions.
+    let mut flat: Vec<Point> = (0..300)
+        .map(|i| Point::new(i * 10, std::f64::consts::PI))
+        .collect();
+    let (body, _) = page_roundtrip(&flat, EncodingKind::Gorilla);
+    assert_eq!(forms(&body).unwrap().values, ValueForm::Packed);
+    assert_eq!(columns(&body).1[8], 0, "width");
+    flat[0].v = f64::from_bits(0xfff8_dead_beef_0000);
+    flat[299].v = -0.0;
+    let (body, _) = page_roundtrip(&flat, EncodingKind::Gorilla);
+    assert_eq!(forms(&body).unwrap().values, ValueForm::Packed);
+    assert_eq!(columns(&body).1[8], 0, "width");
+
+    // One point: the constant delta and the stream, packing gains nothing.
+    let (body, _) = page_roundtrip(&[Point::new(-7, f64::NAN)], EncodingKind::Gorilla);
+    let forms = forms(&body).unwrap();
+    assert_eq!(
+        (forms.timestamps, forms.values),
+        (TsForm::Constant, ValueForm::Stream)
+    );
 }
 
 proptest! {

@@ -434,10 +434,11 @@ mod tests {
         Ok(out)
     }
 
-    /// A merge whose inputs mix decimal pages (quarter units) and XOR
-    /// pages (full precision): clean pages of either mode are copied
-    /// byte for byte, mode and all, and a dirty page is re-encoded with
-    /// its mode chosen again from what the merge left in it.
+    /// A merge whose inputs mix decimal pages (quarter units) and pages
+    /// of full precision (XOR or packed): clean pages of either kind are
+    /// copied byte for byte, forms and all, and a dirty page is
+    /// re-encoded with its forms chosen again from what the merge left
+    /// in it.
     #[test]
     fn clean_pages_keep_their_value_mode_and_dirty_pages_choose_again() -> TestResult {
         let dir = std::env::temp_dir().join(format!("tskv-compact-modes-{}", std::process::id()));
@@ -482,10 +483,10 @@ mod tests {
         // Pages before t = 100 and from t = 300 on are clean: nothing
         // overlaps them and no delete reaches them.
         let clean = |t: i64| !(100..300).contains(&t);
-        let mut copied = [0u64; 2]; // [xor, decimal]
+        let mut copied = [0u64; 2]; // [full precision, decimal]
         let mut recoded = [0u64; 2];
         for (body, points) in &output {
-            let decimal = tsfile::page::is_decimal(body)?;
+            let decimal = tsfile::page::forms(body)?.values == tsfile::page::ValueForm::Decimal;
             let t = points[0].t;
             assert_eq!(
                 decimal,

@@ -1,7 +1,8 @@
 //! Store inspector: a debugging tool that dumps the physical layout of
 //! a tskv store — catalog, shards, files, chunks, versions,
-//! statistics, how many pages store decimal values, step-index models
-//! and pending deletes — using only the public tsfile API plus
+//! statistics, how many pages store each column in each form (timestamps
+//! constant, stream or packed; values stream, packed or decimal),
+//! step-index models and pending deletes — using only the public tsfile API plus
 //! read-only parsing of the store's own files.
 //!
 //! ```text
@@ -22,6 +23,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use m4lsm::tsfile::page::{TsForm, ValueForm};
 use m4lsm::tsfile::reader::page_body_slice;
 use m4lsm::tsfile::{page, ModsFile, TsFileReader};
 use m4lsm::tskv::config::EngineConfig;
@@ -124,12 +126,25 @@ fn dump_file(
             let s = &meta.stats;
             let pages = &meta.paged.pages;
             let (buf, base) = reader.read_page_window_raw(meta, 0..pages.len())?;
-            let mut decimal = 0;
+            // Pages per form: timestamps [const, stream, packed], values
+            // [stream, decimal, packed].
+            let (mut ts, mut vs) = ([0usize; 3], [0usize; 3]);
             for pm in pages {
-                decimal += usize::from(page::is_decimal(page_body_slice(&buf, pm, base)?)?);
+                let forms = page::forms(page_body_slice(&buf, pm, base)?)?;
+                ts[match forms.timestamps {
+                    TsForm::Constant => 0,
+                    TsForm::Stream => 1,
+                    TsForm::Packed => 2,
+                }] += 1;
+                vs[match forms.values {
+                    ValueForm::Stream => 0,
+                    ValueForm::Decimal => 1,
+                    ValueForm::Packed => 2,
+                }] += 1;
             }
             print!(
-                "      chunk {} @{:>8}+{:<6} n={:<5} t=[{} … {}] v=[{} … {}]  {decimal}/{} pages decimal",
+                "      chunk {} @{:>8}+{:<6} n={:<5} t=[{} … {}] v=[{} … {}]  \
+                 ts const/stream/packed {}/{}/{}, values stream/packed {}/{}, {}/{} pages decimal",
                 meta.version,
                 meta.offset,
                 meta.byte_len,
@@ -138,6 +153,12 @@ fn dump_file(
                 s.last.t,
                 s.bottom.v,
                 s.top.v,
+                ts[0],
+                ts[1],
+                ts[2],
+                vs[0],
+                vs[2],
+                vs[1],
                 pages.len()
             );
             match &meta.index {

@@ -37,6 +37,7 @@ const UNTRUSTED_INPUT_FILES: &[&str] = &[
     "crates/tsfile/src/encoding/bitio.rs",
     "crates/tsfile/src/encoding/decimal.rs",
     "crates/tsfile/src/encoding/gorilla.rs",
+    "crates/tsfile/src/encoding/packed.rs",
     "crates/tsfile/src/encoding/plain.rs",
     "crates/tsfile/src/encoding/ts2diff.rs",
     // The retained scalar oracles parse the same raw bytes the
@@ -56,6 +57,7 @@ const CODEC_FILES: &[&str] = &[
     "crates/tsfile/src/encoding/bitio.rs",
     "crates/tsfile/src/encoding/decimal.rs",
     "crates/tsfile/src/encoding/gorilla.rs",
+    "crates/tsfile/src/encoding/packed.rs",
     "crates/tsfile/src/encoding/plain.rs",
     "crates/tsfile/src/encoding/ts2diff.rs",
     "crates/tsfile/src/encoding/reference.rs",

@@ -1,11 +1,11 @@
-//! Ablations A1/A2 (DESIGN.md §4): what the paper's two accelerators
-//! are individually worth.
+//! Ablation A2 (DESIGN.md §4): what lazy loading (§3.3/3.4) is worth.
+//! The overlap- and delete-heavy configuration is rerun with eager
+//! loading (first refutation loads).
 //!
-//! * **A1 — step-regression index** (§3.5): rerun the overlap-heavy
-//!   configuration with the index disabled (probes fall back to plain
-//!   binary search over the decoded prefix).
-//! * **A2 — lazy loading** (§3.3/3.4): rerun the delete-heavy
-//!   configuration with eager loading (first refutation loads).
+//! A1, the step-regression index (§3.5), is a recorded finding, not an
+//! arm: `results/results_final_ablation.txt` holds its last run, which
+//! decoded the same pages with the index as without it and was no
+//! faster, so the index is no longer stored or probed.
 
 use m4::M4LsmConfig;
 
@@ -14,28 +14,9 @@ use crate::harness::{ExpRow, Harness, Operator};
 pub const W: usize = 1000;
 
 /// Variants measured by the ablation.
-const VARIANTS: [(&str, M4LsmConfig); 3] = [
-    (
-        "LSM-full",
-        M4LsmConfig {
-            lazy_load: true,
-            use_step_index: true,
-        },
-    ),
-    (
-        "LSM-noidx",
-        M4LsmConfig {
-            lazy_load: true,
-            use_step_index: false,
-        },
-    ),
-    (
-        "LSM-eager",
-        M4LsmConfig {
-            lazy_load: false,
-            use_step_index: true,
-        },
-    ),
+const VARIANTS: [(&str, M4LsmConfig); 2] = [
+    ("LSM-full", M4LsmConfig { lazy_load: true }),
+    ("LSM-eager", M4LsmConfig { lazy_load: false }),
 ];
 
 pub fn run(h: &Harness) -> Vec<ExpRow> {

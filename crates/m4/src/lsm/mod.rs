@@ -16,9 +16,11 @@
 //!
 //! Everything the query pays for lands in the fragment's row, so a page
 //! body is loaded at most once per query and timestamp probes decode
-//! partial prefixes only. The configuration toggles the paper's two
-//! accelerators for ablation benchmarks: lazy loading (§3.3/3.4) and
-//! the step-regression chunk index (§3.5).
+//! partial prefixes only. The configuration toggles lazy loading
+//! (§3.3/3.4) for the ablation benchmark. A timestamp probe is a binary
+//! search over a decoded prefix or a loaded page: the paper's §3.5
+//! step-regression index decoded the same prefixes here and bought no
+//! time, so it is not stored (`tsfile::index`).
 //!
 //! Spans are independent (each executor owns its candidate state and
 //! borrows the `Sync` table), so step 3 fans them across the
@@ -37,25 +39,19 @@ use crate::{M4Error, Result};
 use span::{SpanExecutor, SpanFragment};
 use table::{Fragment, FragmentTable};
 
-/// Tunables of the M4-LSM operator (all on by default; disabling is
-/// only for ablation experiments).
+/// Tunables of the M4-LSM operator (on by default; disabling is only
+/// for ablation experiments).
 #[derive(Debug, Clone, Copy)]
 pub struct M4LsmConfig {
     /// Defer chunk loads until a refuted candidate is still the most
     /// extreme remaining (§3.3/§3.4). Off = load eagerly on first
     /// refutation.
     pub lazy_load: bool,
-    /// Use the step-regression chunk index for timestamp probes (§3.5).
-    /// Off = plain binary search over the decoded prefix.
-    pub use_step_index: bool,
 }
 
 impl Default for M4LsmConfig {
     fn default() -> Self {
-        M4LsmConfig {
-            lazy_load: true,
-            use_step_index: true,
-        }
+        M4LsmConfig { lazy_load: true }
     }
 }
 
@@ -181,13 +177,8 @@ mod tests {
     fn assert_matches_udf(kv: &TsKv, series: &str, q: &M4Query) {
         let snap = kv.snapshot(series).unwrap();
         let udf = M4Udf::new().execute(&snap, q).unwrap();
-        for (lazy_load, use_step_index) in
-            [(true, true), (false, true), (true, false), (false, false)]
-        {
-            let cfg = M4LsmConfig {
-                lazy_load,
-                use_step_index,
-            };
+        for lazy_load in [true, false] {
+            let cfg = M4LsmConfig { lazy_load };
             let lsm = M4Lsm::with_config(cfg).execute(&snap, q).unwrap();
             assert!(
                 lsm.equivalent(&udf),
@@ -491,5 +482,60 @@ mod tests {
             delta.points_decoded
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A re-sent backfill: a random walk on a 10 ms grid sealed 50 000
+    /// points at a time, then six newer runs at the same timestamps with
+    /// values in ±0.05, over 30 % of the range. Each older page under a
+    /// run is loaded, and its points become candidates that are refuted
+    /// one after another, so a solver that rescans its loaded pages
+    /// after every refutation is quadratic here: over 30 s at `w = 100`
+    /// in a debug build, where ranking a page once takes milliseconds.
+    #[test]
+    fn refuting_a_loaded_page_point_by_point_is_not_quadratic() {
+        let started = std::time::Instant::now();
+        let dir = std::env::temp_dir().join(format!("m4-lsm-backfill-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let kv = TsKv::open(
+            &dir,
+            EngineConfig {
+                memtable_threshold: 1_000_000,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let n = 100_000i64;
+        let mut v = 0.0;
+        let walk: Vec<Point> = (0..n)
+            .map(|i| {
+                v += unit() * 2.0 - 1.0;
+                Point::new(i * 10, v)
+            })
+            .collect();
+        for block in walk.chunks(50_000) {
+            kv.insert_batch("s", block).unwrap();
+            kv.flush("s").unwrap();
+        }
+        for k in 0..6 {
+            let start = k * (n / 6);
+            let run: Vec<Point> = (start..start + n / 20)
+                .map(|i| Point::new(i * 10, unit() * 0.1 - 0.05))
+                .collect();
+            kv.insert_batch("s", &run).unwrap();
+            kv.flush("s").unwrap();
+        }
+        for w in [10, 100, 1000] {
+            assert_matches_udf(&kv, "s", &M4Query::new(0, n * 10, w).unwrap());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        let took = started.elapsed();
+        assert!(took.as_secs() < 5, "took {took:?}");
     }
 }

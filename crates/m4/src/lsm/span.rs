@@ -18,7 +18,9 @@
 //!   overlapping chunks (Proposition 3.3), performed as timestamp-only
 //!   partial reads through the fragment table. Refuted metadata candidates
 //!   mark their chunk *dirty*; dirty chunks are loaded in a batch only
-//!   when no candidate survives (the paper's §3.4 lazy load).
+//!   when no candidate survives (the paper's §3.4 lazy load). A loaded
+//!   chunk's candidate is its most extreme live point; once one is
+//!   refuted, the rest are ranked once and taken in turn.
 //!
 //! Chunks split by the span boundary cannot contribute metadata
 //! candidates (their in-span extremes are unknowable from whole-chunk
@@ -75,7 +77,7 @@ impl EdgeState {
 }
 
 /// BP/TP solver state for one chunk.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 enum ExtremeState<'t> {
     /// Unloaded; metadata extreme is the candidate.
     Meta(Point),
@@ -85,9 +87,16 @@ enum ExtremeState<'t> {
     /// the value is kept as a bound: the chunk must be loaded before
     /// any weaker candidate may be answered.
     Dirty(f64),
-    /// Loaded: the in-span slice. Candidates come from its live points
-    /// minus refuted ones.
-    Loaded(&'t [Point]),
+    /// Loaded: the in-span slice and its candidate, the most extreme
+    /// live point not known to be overwritten (`None` when none is
+    /// left). `ranked` is filled at the candidate's first refutation
+    /// with the points left, in the order later refutations reach them,
+    /// so each of those is one step instead of a scan of the slice.
+    Loaded {
+        pts: &'t [Point],
+        cand: Option<Point>,
+        ranked: Option<std::vec::IntoIter<Point>>,
+    },
 }
 
 /// How value `a` compares with `b` for TP (`top`) or BP: `Greater` when
@@ -279,13 +288,14 @@ impl<'t> SpanExecutor<'t> {
     /// Solve TP (`top = true`) or BP (`top = false`).
     fn solve_extreme(&self, top: bool) -> Result<Option<Point>> {
         let mut states: Vec<ExtremeState<'t>> = Vec::with_capacity(self.frags.len());
-        // `(pos, t)`: the point of fragment `pos` at `t` is known to be
-        // overwritten. Empty until a candidate is refuted.
+        // `(pos, t)`: the metadata extreme of fragment `pos`, at `t`, is
+        // known to be overwritten. A loaded fragment keeps its own
+        // refutations in its state.
         let mut refuted: Vec<(usize, Timestamp)> = Vec::new();
-        for &(frag, whole) in self.frags {
+        for (pos, &(frag, whole)) in self.frags.iter().enumerate() {
             let st = if frag.loaded().is_some() || !whole {
                 // Pay the (already paid or unavoidable) load.
-                ExtremeState::Loaded(self.in_span(frag)?)
+                self.load_extreme(pos, top, &refuted)?
             } else {
                 let s = frag.stats;
                 ExtremeState::Meta(if top { s.top } else { s.bottom })
@@ -300,7 +310,7 @@ impl<'t> SpanExecutor<'t> {
             for (pos, st) in states.iter().enumerate() {
                 let cand = match st {
                     ExtremeState::Meta(p) => Some(*p),
-                    ExtremeState::Loaded(pts) => self.extreme_live(pos, pts, top, &refuted),
+                    ExtremeState::Loaded { cand, .. } => *cand,
                     ExtremeState::Dirty(_) => None,
                 };
                 let Some(p) = cand else { continue };
@@ -318,7 +328,7 @@ impl<'t> SpanExecutor<'t> {
             // candidate could still hide the true extreme: load every
             // such chunk before trusting any candidate (§3.4 "loads all
             // the corresponding chunks ... and recalculates").
-            let hides = |st: ExtremeState<'_>| match st {
+            let hides = |st: &ExtremeState<'_>| match *st {
                 ExtremeState::Dirty(bound) => {
                     best.is_none_or(|(bp, _)| beats(top, bound, bp.v).is_gt())
                 }
@@ -326,8 +336,8 @@ impl<'t> SpanExecutor<'t> {
             };
             let mut loaded_any = false;
             for (pos, st) in states.iter_mut().enumerate() {
-                if hides(*st) {
-                    *st = ExtremeState::Loaded(self.in_span(self.frags[pos].0)?);
+                if hides(st) {
+                    *st = self.load_extreme(pos, top, &refuted)?;
                     loaded_any = true;
                 }
             }
@@ -355,23 +365,48 @@ impl<'t> SpanExecutor<'t> {
                 return Ok(Some(p_g));
             }
             // Refuted: lazy-load bookkeeping.
-            if overwritten {
-                refuted.push((pos, p_g.t));
-            }
-            if let ExtremeState::Meta(p) = states[pos] {
-                states[pos] = if self.cfg.lazy_load {
-                    ExtremeState::Dirty(p.v)
-                } else {
-                    ExtremeState::Loaded(self.in_span(frag)?)
-                };
+            match &mut states[pos] {
+                ExtremeState::Meta(p) => {
+                    let bound = p.v;
+                    if overwritten {
+                        refuted.push((pos, p_g.t));
+                    }
+                    states[pos] = if self.cfg.lazy_load {
+                        ExtremeState::Dirty(bound)
+                    } else {
+                        self.load_extreme(pos, top, &refuted)?
+                    };
+                }
+                ExtremeState::Loaded { pts, cand, ranked } => {
+                    let ranked =
+                        ranked.get_or_insert_with(|| self.rank(pos, pts, top, p_g.t, &refuted));
+                    *cand = ranked.next();
+                }
+                ExtremeState::Dirty(_) => {}
             }
         }
     }
 
+    /// Load fragment `pos` for BP/TP: its in-span slice, with the
+    /// slice's current extreme as the candidate.
+    fn load_extreme(
+        &self,
+        pos: usize,
+        top: bool,
+        refuted: &[(usize, Timestamp)],
+    ) -> Result<ExtremeState<'t>> {
+        let pts = self.in_span(self.frags[pos].0)?;
+        Ok(ExtremeState::Loaded {
+            pts,
+            cand: self.extreme_live(pos, pts, top, refuted),
+            ranked: None,
+        })
+    }
+
     /// Current extreme of loaded fragment `pos`: one fold over its
-    /// in-span slice `pts`, skipping deleted and refuted
-    /// (known-overwritten) points. Ties resolve to the earliest point,
-    /// matching the scan-based oracle.
+    /// in-span slice `pts`, skipping deleted points and a refuted
+    /// metadata extreme. Ties resolve to the earliest point, matching
+    /// the scan-based oracle.
     fn extreme_live(
         &self,
         pos: usize,
@@ -390,6 +425,30 @@ impl<'t> SpanExecutor<'t> {
         best
     }
 
+    /// The candidates loaded fragment `pos` has left once its candidate
+    /// at `t` is refuted: the live points of `pts` other than `t` and a
+    /// refuted metadata extreme, most extreme first and, among equal
+    /// values, earliest first. Since [`Self::extreme_live`] keeps the
+    /// earliest point on a tie, this is the order in which its fold
+    /// would return them, one refutation at a time.
+    fn rank(
+        &self,
+        pos: usize,
+        pts: &[Point],
+        top: bool,
+        t: Timestamp,
+        refuted: &[(usize, Timestamp)],
+    ) -> std::vec::IntoIter<Point> {
+        let frag = self.frags[pos].0;
+        let mut left: Vec<Point> = pts
+            .iter()
+            .filter(|p| p.t != t && self.is_live(frag, p) && !refuted.contains(&(pos, p.t)))
+            .copied()
+            .collect();
+        left.sort_by(|a, b| beats(top, b.v, a.v).then(a.t.cmp(&b.t)));
+        left.into_iter()
+    }
+
     /// Proposition 3.3 overwrite check: does any chunk with a larger
     /// version than fragment `pos` contain a point at exactly `t`?
     /// Fragments are in version order, so only those after `pos` are
@@ -406,10 +465,7 @@ impl<'t> SpanExecutor<'t> {
             if other.version() <= version || !other.range().contains(t) {
                 continue;
             }
-            if self
-                .table
-                .contains_timestamp(other, t, self.cfg.use_step_index)?
-            {
+            if self.table.contains_timestamp(other, t)? {
                 return Ok(true);
             }
         }

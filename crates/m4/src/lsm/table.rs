@@ -25,7 +25,6 @@
 
 use std::sync::{Arc, OnceLock};
 
-use tsfile::index::binary_search_ops;
 use tsfile::lockcheck::Mutex;
 use tsfile::statistics::ChunkStatistics;
 use tsfile::types::{Point, TimeRange, Timestamp, Version};
@@ -120,42 +119,22 @@ impl<'a> FragmentTable<'a> {
 
     /// Timestamp-membership probe: does the fragment contain a point at
     /// exactly `t`? The caller knows from page statistics that only
-    /// this page of its chunk could hold `t`. Uses already-loaded
-    /// points when available; otherwise decodes (and keeps) the page's
-    /// timestamp prefix up to `t`.
-    pub fn contains_timestamp(
-        &self,
-        f: &Fragment<'_>,
-        t: Timestamp,
-        use_step_index: bool,
-    ) -> Result<bool> {
-        // Merge-free fast path: an exact step model can *prove* the
-        // absence of a point at an off-grid timestamp from metadata
-        // alone — no page body, no timestamp prefix. The model is
-        // chunk-global, so its answer holds for a probe into any page.
-        if use_step_index {
-            if let Some(answer) = f.chunk.index().and_then(|i| i.exists_at_meta(t)) {
-                return Ok(answer);
-            }
-        }
+    /// this page of its chunk could hold `t`. Binary searches the
+    /// loaded points when available; otherwise decodes (and keeps) the
+    /// page's timestamp prefix up to `t` and searches that.
+    pub fn contains_timestamp(&self, f: &Fragment<'_>, t: Timestamp) -> Result<bool> {
         if let Some(pts) = f.loaded() {
-            // Binary search the points directly: projecting a timestamp
-            // column for the step index would allocate.
             return Ok(pts.binary_search_by_key(&t, |p| p.t).is_ok());
         }
-        // The model predicts positions counted from the chunk's first
-        // point, so only page 0's column can be searched with it; a
-        // later page starts mid-chunk and is binary searched.
-        let step = use_step_index && f.page == 0;
         // Answer from the kept prefix if it provably covers `t`; the
         // guard must end before any fetch below.
-        if let Some(answer) = f.prefix_hit(t, step) {
+        if let Some(answer) = f.prefix_hit(t) {
             return Ok(answer);
         }
         let ts = self
             .snapshot
             .read_page_timestamps(f.chunk, f.page, Some(t))?;
-        let answer = f.search(&ts, t, step);
+        let answer = ts.binary_search(&t).is_ok();
         f.publish_prefix(ts);
         Ok(answer)
     }
@@ -164,11 +143,11 @@ impl<'a> FragmentTable<'a> {
 impl Fragment<'_> {
     /// Answer a probe from the prefix decoded so far, if it provably
     /// covers `t`. No guard survives the call.
-    fn prefix_hit(&self, t: Timestamp, step: bool) -> Option<bool> {
+    fn prefix_hit(&self, t: Timestamp) -> Option<bool> {
         let prefix = self.prefix.lock();
         let complete = prefix.len() as u64 == self.stats.count;
         (complete || prefix.last().is_some_and(|&last| last >= t))
-            .then(|| self.search(&prefix, t, step))
+            .then(|| prefix.binary_search(&t).is_ok())
     }
 
     /// Keep the longer prefix if a racing probe published first — a
@@ -178,13 +157,6 @@ impl Fragment<'_> {
         let mut prefix = self.prefix.lock();
         if prefix.len() < ts.len() {
             *prefix = ts;
-        }
-    }
-
-    fn search(&self, ts: &[Timestamp], t: Timestamp, step: bool) -> bool {
-        match (self.chunk.index(), step) {
-            (Some(idx), true) => idx.exists_at(ts, t),
-            _ => binary_search_ops::exists_at(ts, t),
         }
     }
 }
@@ -258,45 +230,17 @@ mod tests {
         let table = whole(&snap);
         let row = &table.rows()[0];
         let before = snap.io().snapshot();
-        // Grid is t*100: 5_000 is a hit; 5_050 is off-grid. With the
-        // step index enabled and an exact model, the off-grid probe is
-        // answered from metadata (no read at all).
-        assert!(table.contains_timestamp(row, 5_000, true).unwrap());
-        assert!(!table.contains_timestamp(row, 5_050, true).unwrap());
+        // Grid is t*100: 5_000 is a hit.
+        assert!(table.contains_timestamp(row, 5_000).unwrap());
         let delta = snap.io().snapshot() - before;
-        assert_eq!(
-            delta.chunks_loaded, 1,
-            "one prefix read for the on-grid probe"
-        );
+        assert_eq!(delta.chunks_loaded, 1, "one prefix read for the probe");
         // A later probe beyond the cached prefix refetches.
-        assert!(table.contains_timestamp(row, 90_000, true).unwrap());
+        assert!(table.contains_timestamp(row, 90_000).unwrap());
         let delta = snap.io().snapshot() - before;
         assert_eq!(delta.chunks_loaded, 2);
         // Probes below the prefix reuse it.
-        assert!(table.contains_timestamp(row, 4_900, true).unwrap());
+        assert!(table.contains_timestamp(row, 4_900).unwrap());
         assert_eq!((snap.io().snapshot() - before).chunks_loaded, 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn meta_only_negative_probe_costs_no_io() {
-        let (dir, kv) = fixture();
-        let snap = kv.snapshot("s").unwrap();
-        let table = whole(&snap);
-        let row = &table.rows()[0];
-        assert!(row.chunk.index().is_some_and(|i| i.epsilon() == 0));
-        let before = snap.io().snapshot();
-        for probe in [1, 99, 101, 12_345, 54_321] {
-            assert!(!table.contains_timestamp(row, probe, true).unwrap());
-        }
-        let delta = snap.io().snapshot() - before;
-        assert_eq!(
-            delta.chunks_loaded, 0,
-            "off-grid probes must be metadata-only"
-        );
-        // With the index disabled the same probes need a data read.
-        assert!(!table.contains_timestamp(row, 12_345, false).unwrap());
-        assert_eq!((snap.io().snapshot() - before).chunks_loaded, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -308,8 +252,8 @@ mod tests {
         let row = &table.rows()[0];
         table.points(row).unwrap();
         let before = snap.io().snapshot();
-        assert!(table.contains_timestamp(row, 5_000, false).unwrap());
-        assert!(!table.contains_timestamp(row, 5_001, false).unwrap());
+        assert!(table.contains_timestamp(row, 5_000).unwrap());
+        assert!(!table.contains_timestamp(row, 5_001).unwrap());
         assert_eq!((snap.io().snapshot() - before).chunks_loaded, 0);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -115,10 +115,8 @@ proptest! {
         );
 
         for cfg in [
-            M4LsmConfig { lazy_load: true, use_step_index: true },
-            M4LsmConfig { lazy_load: false, use_step_index: true },
-            M4LsmConfig { lazy_load: true, use_step_index: false },
-            M4LsmConfig { lazy_load: false, use_step_index: false },
+            M4LsmConfig { lazy_load: true },
+            M4LsmConfig { lazy_load: false },
         ] {
             let lsm = M4Lsm::with_config(cfg).execute(&snap, &query).unwrap();
             prop_assert!(

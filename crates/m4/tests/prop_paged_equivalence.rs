@@ -136,10 +136,8 @@ proptest! {
         // M4-LSM in every ablation: equivalent to the oracle on both
         // stores, with byte-exact FP/LP across the twins.
         for cfg in [
-            M4LsmConfig { lazy_load: true, use_step_index: true },
-            M4LsmConfig { lazy_load: false, use_step_index: true },
-            M4LsmConfig { lazy_load: true, use_step_index: false },
-            M4LsmConfig { lazy_load: false, use_step_index: false },
+            M4LsmConfig { lazy_load: true },
+            M4LsmConfig { lazy_load: false },
         ] {
             let lsm_p = M4Lsm::with_config(cfg).execute(&snap_p, &query).unwrap();
             let lsm_m = M4Lsm::with_config(cfg).execute(&snap_m, &query).unwrap();

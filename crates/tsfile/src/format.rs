@@ -13,7 +13,7 @@
 //! │ footer                                                     │
 //! │   varint #chunks                                           │
 //! │   per chunk: varint offset, varint byte_len,               │
-//! │              varint version, step-index flag (+ index),    │
+//! │              varint version,                               │
 //! │              PagedChunkInfo (encodings, per page: varint   │
 //! │              byte_len, page statistics)                    │
 //! │   series-run directory:                                    │
@@ -43,7 +43,6 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::index::StepIndex;
 use crate::page::PagedChunkInfo;
 use crate::statistics::ChunkStatistics;
 use crate::types::{TimeRange, Version};
@@ -67,9 +66,6 @@ pub struct ChunkMeta {
     /// Precomputed FP/LP/BP/TP/count: the fold of the page statistics
     /// (derived, not stored, when a footer is read).
     pub stats: ChunkStatistics,
-    /// Step-regression chunk index learned at flush time (paper §3.5),
-    /// when enabled and the chunk admitted a model.
-    pub index: Option<StepIndex>,
     /// Page index of the chunk (column encodings + per-page byte
     /// ranges and statistics).
     pub paged: PagedChunkInfo,
@@ -95,13 +91,6 @@ impl ChunkMeta {
         varint::write_u64(out, self.offset);
         varint::write_u64(out, self.byte_len);
         varint::write_u64(out, self.version.0);
-        match &self.index {
-            None => out.push(0),
-            Some(idx) => {
-                out.push(1);
-                idx.encode(out);
-            }
-        }
         self.paged.encode(out);
     }
 
@@ -109,24 +98,6 @@ impl ChunkMeta {
         let offset = varint::read_u64(buf, pos)?;
         let byte_len = varint::read_u64(buf, pos)?;
         let version = Version(varint::read_u64(buf, pos)?);
-        let index = match buf.get(*pos) {
-            Some(0) => {
-                *pos += 1;
-                None
-            }
-            Some(1) => {
-                *pos += 1;
-                Some(StepIndex::decode(buf, pos)?)
-            }
-            Some(other) => {
-                return Err(TsFileError::Corrupt(format!("bad step-index flag {other}")))
-            }
-            None => {
-                return Err(TsFileError::UnexpectedEof {
-                    what: "step-index flag",
-                })
-            }
-        };
         let paged = PagedChunkInfo::decode(buf, pos)?;
         paged.validate(byte_len)?;
         let stats = paged.chunk_stats()?;
@@ -135,7 +106,6 @@ impl ChunkMeta {
             byte_len,
             version,
             stats,
-            index,
             paged,
         })
     }
@@ -270,7 +240,6 @@ mod tests {
             byte_len: body.len() as u64,
             version: Version(version),
             stats: ChunkStatistics::from_points(&pts)?,
-            index: StepIndex::learn(&[t0, t1]),
             paged: PagedChunkInfo {
                 ts_encoding: EncodingKind::Ts2Diff,
                 val_encoding: EncodingKind::Gorilla,
@@ -375,24 +344,6 @@ mod tests {
         assert!(FileFooter::decode_body(&body).is_err());
     }
 
-    #[test]
-    fn decode_rejects_bad_step_index_flag() -> crate::Result<()> {
-        let m = meta(1, 0, 10)?;
-        let mut buf = Vec::new();
-        m.encode(&mut buf);
-        // The flag follows three one-byte varints: offset, byte_len and
-        // version.
-        let flag_at = 3;
-        assert_eq!(buf[flag_at], u8::from(m.index.is_some()));
-        buf[flag_at] = 7;
-        let mut pos = 0;
-        assert!(matches!(
-            ChunkMeta::decode(&buf, &mut pos),
-            Err(TsFileError::Corrupt(msg)) if msg.contains("step-index flag")
-        ));
-        Ok(())
-    }
-
     /// What the footer no longer stores it derives: page offsets are
     /// the running sum of page lengths, chunk statistics the fold of the
     /// page statistics.
@@ -423,7 +374,6 @@ mod tests {
             byte_len: offset,
             version: Version(4),
             stats: ChunkStatistics::from_points(&pts)?,
-            index: None,
             paged: PagedChunkInfo {
                 ts_encoding: EncodingKind::Ts2Diff,
                 val_encoding: EncodingKind::Gorilla,

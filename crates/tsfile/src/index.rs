@@ -1,14 +1,26 @@
-//! Chunk index with step regression (paper §3.5).
+//! Step-regression model of a chunk's timestamps (paper §3.5).
 //!
 //! Sensor timestamps are mostly regular with occasional delays, so the
 //! timestamp→position map of a chunk looks like alternating *tilt*
 //! (fixed slope `K = 1/median(Δt)`) and *level* (slope 0) segments —
 //! Figure 8 of the paper. [`StepIndex`] learns that piecewise function
-//! at flush time (Definitions 3.5/3.6, learning rules §3.5.2–§3.5.3)
-//! and is persisted in the file footer next to the chunk statistics.
+//! from a sorted timestamp column (Definitions 3.5/3.6, learning rules
+//! §3.5.2–§3.5.3).
 //!
-//! At query time the index accelerates the three data-read operations
-//! of the paper's Table 1 over a loaded timestamp column:
+//! The model is an in-memory analysis: `repro --exp fig8` draws the
+//! paper's Figure 8 from it and `examples/step_index_tour.rs` walks it.
+//! It is not persisted. The paper stores it in the file beside the chunk
+//! statistics so a timestamp probe can start near its answer, and this
+//! reproduction did too, until the A1 ablation measured M4-LSM with and
+//! without it (DESIGN §4, `results/results_final_ablation.txt`): the
+//! same pages, prefixes and points decoded in every pair, and no latency
+//! between the arms beyond noise. A probe decodes the timestamp prefix
+//! it searches either way, and a binary search over it costs less than
+//! the decode; the learn pass at every seal and the footer bytes bought
+//! nothing.
+//!
+//! Over a loaded timestamp column the model answers the three data-read
+//! operations of the paper's Table 1:
 //!
 //! * (a) does a point exist at `t*`? — [`StepIndex::exists_at`]
 //! * (b-1) position of the closest point after `t*` — [`StepIndex::first_after`]
@@ -17,9 +29,9 @@
 //! Each op predicts a position from the model and then *gallops* (
 //! exponential search) outward from the prediction, so the result is
 //! exact even when the model is not, and costs O(log ε) comparisons
-//! where ε is the model's verified maximum error (stored at build
-//! time). The plain binary-search equivalents used as the ablation
-//! baseline live in [`binary_search_ops`].
+//! where ε is the model's verified maximum error (computed when it is
+//! learned). The plain binary-search equivalents, which M4-LSM's probes
+//! use, live in [`binary_search_ops`].
 //!
 //! Numerical note: the paper's canonical form `f(t) = K·t + b_i` is
 //! numerically hostile for epoch-millisecond timestamps (`K·t ≈ 1e8`
@@ -29,8 +41,6 @@
 //! in-chunk spans.
 
 use crate::types::Timestamp;
-use crate::varint;
-use crate::{Result, TsFileError};
 
 /// One learned segment of the step function.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,12 +65,10 @@ pub struct StepIndex {
     segments: Vec<Segment>,
     /// Last timestamp of the chunk (`t_m = LP(C).t`).
     end: Timestamp,
-    /// Number of points in the chunk.
-    count: u64,
     /// Verified maximum absolute prediction error over all points,
     /// rounded up. 0 means the model maps every point exactly.
     epsilon: u32,
-    /// Cached reciprocal slope `K = 1/median_delta` (not serialized).
+    /// Reciprocal slope `K = 1/median_delta`.
     inv_median: f64,
 }
 
@@ -72,18 +80,11 @@ impl StepIndex {
     /// or a degenerate split sequence (non-monotone splits from highly
     /// irregular data).
     pub fn learn(ts: &[Timestamp]) -> Option<Self> {
-        let mut deltas: Vec<i64> = ts.windows(2).map(|w| w[1].wrapping_sub(w[0])).collect();
-        Self::learn_with_deltas(ts, &mut deltas)
-    }
-
-    /// [`StepIndex::learn`] for a caller that computed the deltas
-    /// (`deltas[i] = ts[i + 1] - ts[i]`) on its own pass over the
-    /// column; they come back in no particular order.
-    pub(crate) fn learn_with_deltas(ts: &[Timestamp], deltas: &mut [i64]) -> Option<Self> {
         let n = ts.len();
-        if n < 2 || deltas.len() != n - 1 {
+        if n < 2 {
             return None;
         }
+        let mut deltas: Vec<i64> = ts.windows(2).map(|w| w[1].wrapping_sub(w[0])).collect();
         // §3.5.3: changing points by the 3-sigma rule on deltas.
         // deltas[i] = ts[i+1] - ts[i]; point positions are 1-based.
         // The deltas telescope, so their sum needs no pass: while the
@@ -115,7 +116,8 @@ impl StepIndex {
 
         // §3.5.2: slope K = 1 / median(deltas). Selecting last: it is
         // what disorders the deltas.
-        let (_, &mut median_delta, _) = deltas.select_nth_unstable(deltas.len() / 2);
+        let mid = deltas.len() / 2;
+        let (_, &mut median_delta, _) = deltas.select_nth_unstable(mid);
         if median_delta <= 0 {
             return None; // a delta past i64::MAX wrapped
         }
@@ -212,7 +214,6 @@ impl StepIndex {
             median_delta,
             segments,
             end: ts[n - 1],
-            count: n as u64,
             epsilon: 0,
             inv_median: 1.0 / median_delta as f64,
         };
@@ -313,33 +314,6 @@ impl StepIndex {
         ts.get(i) == Some(&t)
     }
 
-    /// Metadata-only membership probe: decide `∃ point at t` without
-    /// the timestamp column, when the model alone can prove it.
-    ///
-    /// Soundness: with ε = 0 every point's position satisfies
-    /// `f(P_j.t) = j` exactly, so all points inside a tilt segment lie
-    /// on that segment's arithmetic grid `anchor_t + k·Δ`. A probe
-    /// timestamp inside a tilt that is *off* the grid therefore cannot
-    /// be a point — `Some(false)` with zero I/O. Everything else
-    /// (on-grid hits, level segments, inexact models) returns `None`
-    /// and the caller falls back to a data probe.
-    pub fn exists_at_meta(&self, t: Timestamp) -> Option<bool> {
-        if t < self.segments[0].start || t > self.end {
-            return Some(false);
-        }
-        if self.epsilon != 0 {
-            return None;
-        }
-        let s = self.segment_at(t);
-        if !s.tilt {
-            return None; // plateau: position is ambiguous from the model
-        }
-        if (t - s.anchor_t).rem_euclid(self.median_delta) != 0 {
-            return Some(false);
-        }
-        None
-    }
-
     /// Table 1 op (b-1): 0-based position of the closest point with
     /// timestamp strictly greater than `t`, if any.
     pub fn first_after(&self, ts: &[Timestamp], t: Timestamp) -> Option<usize> {
@@ -352,68 +326,6 @@ impl StepIndex {
     pub fn last_before(&self, ts: &[Timestamp], t: Timestamp) -> Option<usize> {
         let i = self.partition_lt(ts, t);
         i.checked_sub(1)
-    }
-
-    /// Serialize (format: see `format.rs` footer layout).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        varint::write_u64(out, self.median_delta as u64);
-        varint::write_u64(out, u64::from(self.epsilon));
-        varint::write_u64(out, self.count);
-        varint::write_i64(out, self.end);
-        varint::write_u64(out, self.segments.len() as u64);
-        let mut prev = 0i64;
-        for s in &self.segments {
-            varint::write_i64(out, s.start - prev);
-            prev = s.start;
-            varint::write_i64(out, s.anchor_t - s.start);
-            varint::write_u64(out, s.anchor_pos);
-            out.push(u8::from(s.tilt));
-        }
-    }
-
-    /// Deserialize from `buf` at `*pos`.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Self> {
-        let median_delta = varint::read_u64(buf, pos)? as i64;
-        if median_delta <= 0 {
-            return Err(TsFileError::Corrupt("step index median_delta <= 0".into()));
-        }
-        let epsilon = varint::read_u64(buf, pos)? as u32;
-        let count = varint::read_u64(buf, pos)?;
-        let end = varint::read_i64(buf, pos)?;
-        let seg_count = varint::read_u64(buf, pos)? as usize;
-        if seg_count == 0 || seg_count > buf.len() {
-            return Err(TsFileError::Corrupt(format!(
-                "step index with {seg_count} segments"
-            )));
-        }
-        let mut segments = Vec::with_capacity(seg_count);
-        let mut prev = 0i64;
-        for _ in 0..seg_count {
-            let start = prev + varint::read_i64(buf, pos)?;
-            prev = start;
-            let anchor_t = start + varint::read_i64(buf, pos)?;
-            let anchor_pos = varint::read_u64(buf, pos)?;
-            let tilt = match buf.get(*pos) {
-                Some(0) => false,
-                Some(1) => true,
-                _ => return Err(TsFileError::Corrupt("step index tilt flag".into())),
-            };
-            *pos += 1;
-            segments.push(Segment {
-                start,
-                anchor_t,
-                anchor_pos,
-                tilt,
-            });
-        }
-        Ok(StepIndex {
-            median_delta,
-            segments,
-            end,
-            count,
-            epsilon,
-            inv_median: 1.0 / median_delta as f64,
-        })
     }
 }
 
@@ -469,8 +381,9 @@ fn gallop_partition(ts: &[Timestamp], hint: usize, pred: impl Fn(Timestamp) -> b
     lo
 }
 
-/// Plain binary-search implementations of the Table 1 operations; the
-/// ablation baseline for the step-regression index.
+/// Plain binary-search implementations of the Table 1 operations — the
+/// search M4-LSM's timestamp probes run — and the baseline the model's
+/// ops are checked and timed against.
 pub mod binary_search_ops {
     use crate::types::Timestamp;
 
@@ -628,27 +541,6 @@ mod tests {
             assert!(err <= idx.epsilon() as f64 + 1e-9, "pos {i} err {err}");
         }
         Ok(())
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() -> std::result::Result<(), &'static str> {
-        let ts = example_3_8();
-        let idx = StepIndex::learn(&ts).ok_or("model should fit")?;
-        let mut buf = Vec::new();
-        idx.encode(&mut buf);
-        let mut pos = 0;
-        let back = StepIndex::decode(&buf, &mut pos).map_err(|_| "decode failed")?;
-        assert_eq!(back, idx);
-        assert_eq!(pos, buf.len());
-        Ok(())
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        let mut buf = Vec::new();
-        varint::write_u64(&mut buf, 0); // median_delta = 0 invalid
-        let mut pos = 0;
-        assert!(StepIndex::decode(&buf, &mut pos).is_err());
     }
 
     #[test]

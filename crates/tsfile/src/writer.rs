@@ -8,7 +8,6 @@ use std::sync::Arc;
 use crate::checksum::crc32;
 use crate::encoding::EncodingKind;
 use crate::format::{ChunkMeta, FileFooter, SeriesRun, MAGIC};
-use crate::index::StepIndex;
 use crate::page::{self, PageMeta, PageStatistics, PagedChunkInfo};
 use crate::types::{Point, Version};
 use crate::Result;
@@ -45,7 +44,6 @@ pub struct TsFileWriter {
     footer: FileFooter,
     ts_encoding: EncodingKind,
     val_encoding: EncodingKind,
-    build_index: bool,
     page_points: usize,
     /// Carried from page to page: the last decimal pair chosen and
     /// which value column won (see [`crate::encoding::decimal`]).
@@ -56,9 +54,9 @@ pub struct TsFileWriter {
 }
 
 /// What sealing one chunk fills on its pass over the points: the
-/// chunk's timestamps, their deltas (`ts[i + 1] - ts[i]`, what the step
-/// index learns from), the values of the page being encoded, and the
-/// encoded pages.
+/// chunk's timestamps, their deltas (`ts[i + 1] - ts[i]`, what the packed
+/// timestamp form encodes), the values of the page being encoded, and
+/// the encoded pages.
 #[derive(Debug, Default)]
 struct Scratch {
     ts: Vec<i64>,
@@ -90,18 +88,11 @@ impl TsFileWriter {
             footer: FileFooter::default(),
             ts_encoding,
             val_encoding,
-            build_index: true,
             page_points: page::DEFAULT_PAGE_POINTS,
             values: page::ValueCarry::default(),
             finished: false,
             scratch: Scratch::default(),
         })
-    }
-
-    /// Enable or disable learning a step-regression index per chunk
-    /// (paper §3.5). On by default; disabling is the index ablation.
-    pub fn set_build_index(&mut self, enabled: bool) {
-        self.build_index = enabled;
     }
 
     /// Set the number of points per page, clamped to
@@ -169,10 +160,9 @@ impl TsFileWriter {
             return Err(TsFileError::EmptyChunk);
         }
         // One pass over the points splits them into columns — the
-        // timestamps of the whole chunk and their deltas (the step
-        // index learns from both), the values page by page — while
-        // checking time order and gathering each page's statistics; the
-        // chunk's are their fold. Each `page_points`-sized slice
+        // timestamps of the whole chunk and their deltas, the values
+        // page by page — while checking time order and gathering each
+        // page's statistics; the chunk's are their fold. Each `page_points`-sized slice
         // becomes an independently decodable (and independently CRC'd)
         // page with its own statistics in the footer's page index.
         let s = &mut self.scratch;
@@ -208,18 +198,11 @@ impl TsFileWriter {
             val_encoding: self.val_encoding,
             pages,
         };
-
-        let index = if self.build_index {
-            StepIndex::learn_with_deltas(&s.ts, &mut s.deltas)
-        } else {
-            None
-        };
         let meta = ChunkMeta {
             offset: self.pos,
             byte_len: s.body.len() as u64,
             version: Version(version),
             stats: paged.chunk_stats()?,
-            index,
             paged,
         };
         self.out.write_all(&s.body)?;
@@ -237,9 +220,7 @@ impl TsFileWriter {
     ///
     /// The pages must be time-ordered and disjoint and share the given
     /// column encodings (pages of one chunk always do); each keeps its
-    /// own value mode, decimal or not. No step
-    /// index is learned — that would require decoding the timestamps
-    /// this path exists to avoid.
+    /// own value mode, decimal or not.
     pub fn write_chunk_raw(
         &mut self,
         pages: &[RawPage<'_>],
@@ -283,7 +264,6 @@ impl TsFileWriter {
             byte_len: offset,
             version: Version(version),
             stats: paged.chunk_stats()?,
-            index: None,
             paged,
         };
         for p in pages {
@@ -477,7 +457,6 @@ mod tests {
         w2.finish()?;
         assert_eq!(m2.version.0, 9);
         assert_eq!(m2.stats, meta.stats);
-        assert!(m2.index.is_none(), "raw copy learns no step index");
         let r2 = TsFileReader::open(&dst)?;
         assert_eq!(r2.read_chunk(&r2.chunk_metas()[0])?, points);
         Ok(())

@@ -1,4 +1,4 @@
-//! Property tests for the step-regression chunk index: on ANY strictly
+//! Property tests for the step-regression model: on ANY strictly
 //! increasing timestamp column the three Table 1 operations must agree
 //! exactly with binary search, and the learned model must respect its
 //! own verified error bound.
@@ -108,24 +108,6 @@ proptest! {
     }
 
     #[test]
-    fn meta_only_probe_is_sound(ts in gappy_timestamps()) {
-        let Some(idx) = StepIndex::learn(&ts) else { return Ok(()) };
-        let probes = ts
-            .iter()
-            .flat_map(|&t| [t - 1, t, t + 1, t + 3])
-            .chain([ts[0] - 5, *ts.last().unwrap() + 5]);
-        for t in probes {
-            if let Some(answer) = idx.exists_at_meta(t) {
-                prop_assert_eq!(
-                    answer,
-                    binary_search_ops::exists_at(&ts, t),
-                    "meta probe wrong at {}", t
-                );
-            }
-        }
-    }
-
-    #[test]
     fn epsilon_bound_holds(ts in gappy_timestamps()) {
         let Some(idx) = StepIndex::learn(&ts) else { return Ok(()) };
         for (i, &t) in ts.iter().enumerate() {
@@ -134,21 +116,6 @@ proptest! {
                 err <= idx.epsilon() as f64 + 1e-9,
                 "position {} err {} > ε {}", i, err, idx.epsilon()
             );
-        }
-    }
-
-    #[test]
-    fn serialization_roundtrip(ts in gappy_timestamps()) {
-        let Some(idx) = StepIndex::learn(&ts) else { return Ok(()) };
-        let mut buf = Vec::new();
-        idx.encode(&mut buf);
-        let mut pos = 0;
-        let back = StepIndex::decode(&buf, &mut pos).unwrap();
-        prop_assert_eq!(&back, &idx);
-        prop_assert_eq!(pos, buf.len());
-        // The decoded index predicts identically.
-        for &t in ts.iter().step_by(17) {
-            prop_assert_eq!(back.predict(t), idx.predict(t));
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Query-time chunk handles.
 //!
 //! A [`ChunkHandle`] is the unit the readers and the M4 operators work
-//! with: the chunk's version, statistics and (optional) step index —
-//! everything knowable without I/O — plus enough location information
+//! with: the chunk's version and statistics — everything knowable
+//! without I/O — plus enough location information
 //! to load the body on demand.
 //!
 //! Every chunk reads as a run of *pages*, each with its own statistics:
@@ -15,7 +15,6 @@ use std::sync::Arc;
 use tsfile::format::ChunkMeta;
 use tsfile::statistics::ChunkStatistics;
 use tsfile::types::{Point, TimeRange, Version};
-use tsfile::StepIndex;
 
 /// Where a chunk's data lives.
 #[derive(Debug, Clone)]
@@ -72,15 +71,6 @@ impl ChunkHandle {
             stats,
             data: ChunkData::Mem { points },
         })
-    }
-
-    /// Step-regression index, if one was learned when the chunk was
-    /// sealed (never for the memtable chunk).
-    pub fn index(&self) -> Option<&StepIndex> {
-        match &self.data {
-            ChunkData::File { meta, .. } => meta.index.as_ref(),
-            ChunkData::Mem { .. } => None,
-        }
     }
 
     /// The chunk's (unclipped) time interval `[FP(C).t, LP(C).t]`.
@@ -146,7 +136,6 @@ mod tests {
         assert_eq!(h.time_range(), TimeRange::new(1, 3));
         assert_eq!(h.stats.bottom, Point::new(2, -1.0));
         assert!(h.is_mem());
-        assert!(h.index().is_none());
         Ok(())
     }
 

@@ -76,9 +76,6 @@ pub struct EngineConfig {
     pub ts_encoding: EncodingKind,
     /// Value column encoding for flushed chunks.
     pub val_encoding: EncodingKind,
-    /// Whether to learn and persist a step-regression chunk index at
-    /// flush time (§3.5 of the paper). Disabling it is the A1 ablation.
-    pub build_step_index: bool,
     /// Capacity of the cross-query decoded-chunk LRU in bytes
     /// (approximate: decoded point payload plus a small per-entry
     /// overhead). Must be nonzero and at most 1 TiB.
@@ -122,7 +119,6 @@ impl Default for EngineConfig {
             memtable_threshold: 100_000,
             ts_encoding: EncodingKind::Ts2Diff,
             val_encoding: EncodingKind::Gorilla,
-            build_step_index: true,
             cache_capacity_bytes: 64 * 1024 * 1024,
             read_threads: 4,
             enable_read_cache: true,
@@ -166,15 +162,13 @@ pub const WAL_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 impl EngineConfig {
     /// A writer on a new TsFile at `path`, set up the way this
     /// configuration says data files are written (column encodings,
-    /// page size, step index) — the one place flush and compaction get
-    /// theirs.
+    /// page size) — the one place flush and compaction get theirs.
     pub(crate) fn tsfile_writer(
         &self,
         path: &std::path::Path,
     ) -> crate::Result<tsfile::TsFileWriter> {
         let mut w =
             tsfile::TsFileWriter::create_with_encodings(path, self.ts_encoding, self.val_encoding)?;
-        w.set_build_index(self.build_step_index);
         w.set_page_points(self.page_points);
         Ok(w)
     }
@@ -277,7 +271,6 @@ mod tests {
     fn default_matches_paper_chunk_size() {
         let c = EngineConfig::default();
         assert_eq!(c.points_per_chunk, 1000);
-        assert!(c.build_step_index);
     }
 
     #[test]

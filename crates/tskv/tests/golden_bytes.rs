@@ -8,7 +8,7 @@
 //! (CRC32, memtable, WAL/page framing) were rebuilt: equal hashes are
 //! the proof that the rebuild changed no format and no byte.
 //!
-//! The data file's entry was regenerated three times since, on purpose.
+//! The data file's entry was regenerated four times since, on purpose.
 //! First when the footer gained the series-run directory (and data
 //! files and their delete logs were renamed `<fileno>.tsfile` /
 //! `<fileno>.s<id>.mods`). Then when pages gained the decimal value
@@ -22,8 +22,13 @@
 //! of a ts2diff stream; and 9 of the 11 pages that held an XOR stream
 //! store their values as packed key deltas (the other 2 keep XOR, the 22
 //! decimal pages stay decimal). 18 573 → 17 681 bytes; the chunk index
-//! keeps its length and changes only in the page lengths it lists.
-//! [`TSFILE_PARTS`] holds the hashes of the file's parts as that third
+//! kept its length and changed only in the page lengths it lists. Then
+//! when the footer lost the per-chunk step-index flag and body, the
+//! step-regression model the writer learned for every chunk and M4-LSM
+//! no longer reads: the chunk index fell 1 666 → 1 555 bytes (all seven
+//! chunks had a model, about 16 bytes each with the flag) and the file
+//! 17 681 → 17 570; every byte before the footer is unchanged.
+//! [`TSFILE_PARTS`] holds the hashes of the file's parts as that fourth
 //! regeneration wrote them — every byte before the footer (head magic,
 //! pages, chunks) and the footer's chunk index — and the test checks the
 //! file is exactly those plus the four directory bytes, so a later
@@ -65,7 +70,7 @@ use tskv::TsKv;
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("SHARDS", 2, 0x07f8bc07b4ba5002),
     ("catalog.log", 36, 0xec3a226c01abdc87),
-    ("shard-0000/00000000.tsfile", 17681, 0xd5efa41f86937311),
+    ("shard-0000/00000000.tsfile", 17570, 0x5850e51ad80e62b7),
     ("shard-0000/s1.mods", 9, 0xcc59cc0b4c19c5c2),
     ("shard-0000/wal-00000000.log", 28518, 0x88c2ed828df37e3b),
 ];
@@ -74,8 +79,10 @@ const GOLDEN: &[(&str, u64, u64)] = &[
 /// of the footer's chunk index. Before the decimal mode and the footer
 /// diet they were `(18_632, 0xfcfca27b987044fc)` and
 /// `(2_043, 0xdab4016dd3c8e8af)`; before the packed forms,
-/// `(16_885, 0xe634730e353e0fd0)` and `(1_666, 0x3a5751c29532ec63)`.
-const TSFILE_PARTS: [(usize, u64); 2] = [(15_993, 0x0386fe3f349cc3d8), (1_666, 0xe0d843cb887b0c21)];
+/// `(16_885, 0xe634730e353e0fd0)` and `(1_666, 0x3a5751c29532ec63)`;
+/// before the step-index flag and body left the footer, the same bytes
+/// before the footer and `(1_666, 0xe0d843cb887b0c21)`.
+const TSFILE_PARTS: [(usize, u64); 2] = [(15_993, 0x0386fe3f349cc3d8), (1_555, 0xa83dc0b4921740bd)];
 
 /// What the footer body gained: one run, of series 1 (`golden.a`),
 /// holding all seven chunks, superseding nothing.
@@ -220,16 +227,19 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
 /// `(length, FNV-1a 64)` of the one data file a compaction leaves,
 /// taken at the parent of the commit that rebuilt the merge, the page
 /// plan and the seal kernel: the output of a compaction is the same
-/// bytes after it. Regenerated twice, each time with the data file's
-/// row above: for the decimal value mode and the footer diet (it was
-/// `(25_207, 0xe545e1c9772488b6)`), and for the packed forms (it was
-/// `(22_023, 0x80fa0e00c13119d0)`). Of the output's 30 pages, 8 changed
+/// bytes after it. Regenerated three times, each time with the data
+/// file's row above: for the decimal value mode and the footer diet (it
+/// was `(25_207, 0xe545e1c9772488b6)`), for the packed forms (it was
+/// `(22_023, 0x80fa0e00c13119d0)`), and when the footer lost the
+/// step-index flag and body (it was `(21_812, 0x5953b9323f677302)`:
+/// 112 bytes fewer, all of them in the footer).
+/// At the packed forms, of the output's 30 pages, 8 changed
 /// form: the 4 whose time range a delete cut a gap into (t = 1 920,
 /// 4 770, 12 100 and 14 690 on) store their timestamps as packed deltas,
 /// the gap one exception, and 4 of the 7 XOR pages store their values
 /// as packed key deltas; the merge, the page plan and every other page
 /// are byte-identical.
-const COMPACTED: (u64, u64) = (21_812, 0x5953b9323f677302);
+const COMPACTED: (u64, u64) = (21_700, 0x533f903ecc907f6d);
 
 #[test]
 fn compaction_output_bytes_equal_the_hash_taken_before_the_merge_and_seal_rebuild() {

@@ -1,9 +1,9 @@
 //! Store inspector: a debugging tool that dumps the physical layout of
 //! a tskv store — catalog, shards, files, chunks, versions,
 //! statistics, how many pages store each column in each form (timestamps
-//! constant, stream or packed; values stream, packed or decimal),
-//! step-index models and pending deletes — using only the public tsfile API plus
-//! read-only parsing of the store's own files.
+//! constant, stream or packed; values stream, packed or decimal) and
+//! pending deletes — using only the public tsfile API plus read-only
+//! parsing of the store's own files.
 //!
 //! ```text
 //! cargo run --release --example store_inspect [store_dir]
@@ -142,7 +142,7 @@ fn dump_file(
                     ValueForm::Packed => 2,
                 }] += 1;
             }
-            print!(
+            println!(
                 "      chunk {} @{:>8}+{:<6} n={:<5} t=[{} … {}] v=[{} … {}]  \
                  ts const/stream/packed {}/{}/{}, values stream/packed {}/{}, {}/{} pages decimal",
                 meta.version,
@@ -161,15 +161,6 @@ fn dump_file(
                 vs[1],
                 pages.len()
             );
-            match &meta.index {
-                Some(idx) => println!(
-                    "  step-index: Δt={} segs={} ε={}",
-                    idx.median_delta(),
-                    idx.segment_count(),
-                    idx.epsilon()
-                ),
-                None => println!("  step-index: none"),
-            }
         }
     }
     Ok(())

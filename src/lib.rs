@@ -9,8 +9,8 @@
 //!
 //! * [`tsfile`] — on-disk chunk format, encodings, delete (mods) log.
 //! * [`tskv`] — LSM storage engine: memtable, flush, versions, readers.
-//! * [`m4`] — M4 representation, the M4-UDF baseline, the M4-LSM
-//!   operator, and the step-regression chunk index.
+//! * [`m4`] — M4 representation, the M4-UDF baseline and the M4-LSM
+//!   operator.
 //! * [`tsnet`] — network service layer: wire protocol, TCP
 //!   query/ingest server, blocking client.
 //! * [`workload`] — synthetic dataset generators matching the paper's

@@ -1,6 +1,5 @@
 //! Configuration-matrix integration test: every combination of column
-//! encodings and step-index on/off must produce identical
-//! query results over the same operation history — configuration
+//! encodings must produce identical query results over the same operation history — configuration
 //! changes trade performance, never correctness.
 
 // Integration tests assert by panicking; the workspace panic-freedom
@@ -46,40 +45,33 @@ fn all_configurations_agree() {
     ];
     let mut reference = None;
     for (i, (ts_enc, val_enc)) in encodings.into_iter().enumerate() {
-        for index in [true, false] {
-            let dir =
-                std::env::temp_dir().join(format!("cfg-matrix-{i}-{index}-{}", std::process::id()));
-            std::fs::remove_dir_all(&dir).ok();
-            let kv = TsKv::open(
-                &dir,
-                EngineConfig {
-                    points_per_chunk: 128,
-                    memtable_threshold: 512,
-                    ts_encoding: ts_enc,
-                    val_encoding: val_enc,
-                    build_step_index: index,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            drive(&kv);
-            let snap = kv.snapshot("s").unwrap();
-            let q = M4Query::new(0, 40_000, 37).unwrap();
-            let lsm = M4Lsm::new().execute(&snap, &q).unwrap();
-            let udf = M4Udf::new().execute(&snap, &q).unwrap();
-            assert!(
-                lsm.equivalent(&udf),
-                "cfg ({ts_enc:?},{val_enc:?},idx={index})"
-            );
-            match &reference {
-                None => reference = Some(udf),
-                Some(r) => assert!(
-                    udf.equivalent(r),
-                    "cfg ({ts_enc:?},{val_enc:?},idx={index}) deviates from reference"
-                ),
-            }
-            std::fs::remove_dir_all(&dir).ok();
+        let dir = std::env::temp_dir().join(format!("cfg-matrix-{i}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let kv = TsKv::open(
+            &dir,
+            EngineConfig {
+                points_per_chunk: 128,
+                memtable_threshold: 512,
+                ts_encoding: ts_enc,
+                val_encoding: val_enc,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        drive(&kv);
+        let snap = kv.snapshot("s").unwrap();
+        let q = M4Query::new(0, 40_000, 37).unwrap();
+        let lsm = M4Lsm::new().execute(&snap, &q).unwrap();
+        let udf = M4Udf::new().execute(&snap, &q).unwrap();
+        assert!(lsm.equivalent(&udf), "cfg ({ts_enc:?},{val_enc:?})");
+        match &reference {
+            None => reference = Some(udf),
+            Some(r) => assert!(
+                udf.equivalent(r),
+                "cfg ({ts_enc:?},{val_enc:?}) deviates from reference"
+            ),
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 

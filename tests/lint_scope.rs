@@ -22,9 +22,6 @@ use std::path::Path;
 
 /// Byte-parsing modules. Membership criterion: the file interprets
 /// *raw disk bytes* (or raw network bytes — the tsnet wire decoder).
-/// `index.rs` is deliberately absent — its decode path is already
-/// get()-based and the rest is in-memory model math over slices whose
-/// invariants are established at decode time.
 const UNTRUSTED_INPUT_FILES: &[&str] = &[
     "crates/tsfile/src/reader.rs",
     "crates/tsfile/src/page.rs",
@@ -114,7 +111,6 @@ const RAW_IO_FILES: &[&str] = &[
 /// read/decode entry points must be fallible too.
 const READ_LAYER_FILES: &[&str] = &[
     "crates/tsfile/src/format.rs",
-    "crates/tsfile/src/index.rs",
     "crates/tskv/src/chunk.rs",
     "crates/tskv/src/snapshot.rs",
     "crates/tskv/src/compaction/plan.rs",

@@ -28,7 +28,11 @@
 //! ts2diff on the jittered timestamps, packed values against Gorilla on
 //! the sensor walk — bytes a point, encode and decode throughput, and a
 //! bit-exact check. Their gate is bit-exactness and fewer bytes than
-//! the stream codec.
+//! the stream codec. The decimal block's delta frame
+//! (`tsfile::encoding::decimal`) is measured the same way on the
+//! `ingest_fleet` register shape — a quarter-unit sawtooth that rises
+//! one step a point and wraps every 2 000 — against Gorilla and against
+//! the block's frame of reference, under the same gate.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -38,11 +42,13 @@ use rand::SeedableRng;
 use serde::Serialize;
 
 use tsfile::checksum::crc32;
+use tsfile::encoding::decimal::{self, Framing};
 use tsfile::encoding::{gorilla, packed, plain, reference, ts2diff};
 use tsfile::page::DEFAULT_PAGE_POINTS;
 use tsfile::types::Point;
 use tsfile::{TsFileReader, TsFileWriter};
 use tskv::memtable::MemTable;
+use workload::multiseries;
 use workload::signal::Signal;
 use workload::timestamps;
 
@@ -104,7 +110,7 @@ pub struct MemtableRow {
 /// coding the same stream page by page.
 #[derive(Debug, Clone, Serialize)]
 pub struct PackedRow {
-    /// "packed-ts-i64" or "packed-f64".
+    /// "packed-ts-i64", "packed-f64" or "decimal-delta".
     pub form: String,
     /// The stream codec it is measured against.
     pub baseline: String,
@@ -165,6 +171,25 @@ fn throughput_mpoints_s<T>(h: &Harness, n: usize, mut decode_once: impl FnMut() 
     samples[samples.len() / 2]
 }
 
+/// One `ingest_fleet` series' values at the harness scale: quarter
+/// units rising one step a second, wrapping every 2 000.
+fn fleet_stream(h: &Harness) -> Vec<f64> {
+    let n = ((4_000_000.0 * h.scale) as usize).max(4096);
+    (0..n as i64)
+        .map(|i| multiseries::value_at(1, i * multiseries::DELTA_MS))
+        .collect()
+}
+
+/// The decimal block in its delta frame.
+fn decimal_delta(vs: &[f64], out: &mut Vec<u8>) {
+    decimal::encode_values_in(vs, Framing::Delta, out);
+}
+
+/// The decimal block in its frame of reference.
+fn decimal_reference(vs: &[f64], out: &mut Vec<u8>) {
+    decimal::encode_values_in(vs, Framing::Reference, out);
+}
+
 /// Deterministic value/timestamp streams at the harness scale.
 fn streams(h: &Harness) -> (Vec<f64>, Vec<f64>, Vec<i64>, Vec<i64>) {
     let n = ((4_000_000.0 * h.scale) as usize).max(4096);
@@ -179,6 +204,7 @@ fn streams(h: &Harness) -> (Vec<f64>, Vec<f64>, Vec<i64>, Vec<i64>) {
 
 pub fn run(h: &Harness) -> DecodeResults {
     let (sensor, constant, regular, jitter) = streams(h);
+    let fleet = fleet_stream(h);
     let mut rows = Vec::new();
 
     for (dataset, vs) in [("sensor", &sensor), ("constant", &constant)] {
@@ -272,6 +298,22 @@ pub fn run(h: &Harness) -> DecodeResults {
             &sensor,
             (packed::encode_values, packed::decode_values),
             (gorilla::encode, gorilla::decode),
+            |v| v.to_bits(),
+        ),
+        packed_row(
+            h,
+            ("decimal-delta", "gorilla-f64", "fleet"),
+            &fleet,
+            (decimal_delta, decimal::decode),
+            (gorilla::encode, gorilla::decode),
+            |v| v.to_bits(),
+        ),
+        packed_row(
+            h,
+            ("decimal-delta", "decimal-reference", "fleet"),
+            &fleet,
+            (decimal_delta, decimal::decode),
+            (decimal_reference, decimal::decode),
             |v| v.to_bits(),
         ),
     ];
@@ -610,7 +652,7 @@ mod tests {
         } = run(&h);
         h.cleanup();
         assert_eq!(rows.len(), 5);
-        assert_eq!(packed.len(), 2);
+        assert_eq!(packed.len(), 4);
         assert!(
             packed
                 .iter()

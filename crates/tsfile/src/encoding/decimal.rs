@@ -6,16 +6,28 @@
 //! Gorilla's XOR spends six bytes or more each. Here a page has one
 //! exponent/factor pair `(e, f)`; each value becomes the integer
 //! `d = round(v · 10^e · 10^-f)`, kept only when `d · 10^f · 10^-e` has
-//! exactly `v`'s bits. The kept integers are stored frame-of-reference
-//! bit-packed. A value that does not round-trip — NaN, −0.0, ±inf, a
-//! full-precision value, `|d| ≥ 2^53` — is an *exception*, stored raw
-//! at its position:
+//! exactly `v`'s bits. A value that does not round-trip — NaN, −0.0,
+//! ±inf, a full-precision value, `|d| ≥ 2^53` — is an *exception*.
+//!
+//! The integers are bit-packed in one of two frames, the smaller one
+//! (a tie goes to the first), marked by bit 7 of `e` (`e ≤ 18` leaves it
+//! free):
 //!
 //! ```text
-//! block = u8 e | u8 f | the bit-packed block of the n integers
-//!         ([`super::packed`]: u8 w | varint_i base | n × w bits of d − base
-//!          | varint k | k × (varint position, u64 LE bits of the value))
+//! frame of reference = u8 e | u8 f | the bit-packed block of the n integers
+//!     ([`super::packed`]: u8 w | varint_i base | n × w bits of d − base
+//!      | varint k | k × (varint position, u64 LE bits of the value))
+//! delta frame        = u8 (e | 0x80) | u8 f | varint_i d0
+//!     | the bit-packed block of the n − 1 deltas d[i+1] − d[i]
 //! ```
+//!
+//! The frame of reference stores each exception raw at its position.
+//! The delta frame is [`super::packed`]'s timestamp column laid over the
+//! integers, for a page with no exception: a counter or a ramp rises by
+//! the same step every point, which packs to zero bits a value, and a
+//! ramp's wrap is one exception of the delta block — where the frame of
+//! reference pays the ramp's whole range on every value. A delta frame
+//! whose running sums leave `|d| < 2^53` is `Corrupt`.
 //!
 //! The factor matters because `10^-e` is inexact in binary: on a page
 //! of two-decimal values `(2, 0)` can leave one value in seven
@@ -26,16 +38,22 @@
 //! then the pair of that scale that leaves the fewest exceptions. The
 //! sample is also the cheap test that turns a full-precision page away
 //! before any full pass: such values show no decimal form at any scale.
+//! The sample also encodes each sampled value's successor, to predict
+//! the delta frame; only a page whose sample predicts narrower deltas
+//! frames them exactly, so a noisy register pays one pass, not two.
 
 // Untrusted bytes: an out-of-range access is a typed error, not a panic.
 #![deny(clippy::indexing_slicing)]
 // Numeric conversions go through the named helpers in `crate::cast`.
 #![deny(clippy::as_conversions)]
 
-use super::packed::{self, width, Frame};
+use super::packed::{self, width, Frame, Packing};
 use crate::cast;
 use crate::error::TsFileError;
 use crate::Result;
+
+/// Bit 7 of a block's `e` byte: the integers are in the delta frame.
+const DELTA_FRAME: u8 = 0x80;
 
 /// The largest exponent and factor: `10^18` is exact in `f64`.
 const MAX_EXPONENT: u8 = 18;
@@ -56,8 +74,15 @@ const IF10: [f64; 19] = [
 /// integer is an exact `f64`.
 const LIMIT: f64 = 9_007_199_254_740_992.0;
 
+/// [`LIMIT`] as a bound on `|d|`.
+const INT_LIMIT: u64 = 1 << 53;
+
 /// Values sampled to choose `(e, f)`, spread over the page.
 const SAMPLES: usize = 16;
+
+/// What the delta estimate charges the one outlier it tolerates: a raw
+/// word and a two-byte position.
+const OUTLIER_BYTES: usize = 10;
 
 /// A value has a *short decimal form* when it is the `f64` nearest to
 /// `d / 10^k` for some `|d|` below this: at most 15 significant digits,
@@ -197,6 +222,50 @@ fn decimals(v: f64) -> Option<u8> {
     exact.then(|| cast::low8(cast::u64_from_usize(k)))
 }
 
+/// The stride of the sample over `n` values: an odd one, so values
+/// alternating in form (every other one a half, say) cannot all fall
+/// between the samples.
+fn sample_step(n: usize) -> usize {
+    (n / SAMPLES) | 1
+}
+
+/// The delta frame's size in bytes as the sample predicts it under
+/// `pair`: each sampled value and its successor give a sampled delta,
+/// and the deltas' range is packed over the page. One delta needing at
+/// least two bits more than the others — a ramp's wrap — is taken for
+/// the page's one exception instead, as [`Packing::of`]'s window takes
+/// it. `None` when a sampled value, a successor or the page's last
+/// value does not round-trip: the delta frame holds no exception.
+fn delta_estimate(pair: Exponents, values: &[f64]) -> Option<usize> {
+    let fs = Factors::of(pair)?;
+    let at = |i: usize| values.get(i).and_then(|&v| fs.encode(v));
+    let last = values.len().checked_sub(1)?;
+    at(last)?;
+    let mut deltas = [0i64; SAMPLES];
+    let mut taken = 0;
+    let positions = (0..last).step_by(sample_step(values.len()));
+    for (slot, i) in deltas.iter_mut().zip(positions) {
+        // Both below 2^53 in magnitude: the difference cannot overflow.
+        *slot = at(i + 1)? - at(i)?;
+        taken += 1;
+    }
+    let deltas = deltas.get_mut(..taken)?;
+    deltas.sort_unstable();
+    let (&lo, &hi) = (deltas.first()?, deltas.last()?);
+    let all = width(lo, hi);
+    let rest = match *deltas {
+        [_, b, .., y, _] => width(b, hi).min(width(lo, y)),
+        _ => all,
+    };
+    let (bits, outlier) = match rest + 1 < all {
+        true => (rest, OUTLIER_BYTES),
+        false => (all, 0),
+    };
+    // e, f, w, a varint base and count of about a byte each, and d0 of
+    // about three.
+    Some(8 + (cast::usize_from_u32(bits) * last).div_ceil(8) + outlier)
+}
+
 /// The carried pair's estimate in bits a value, when it recovers every
 /// sampled value and no smaller scale could: a steady series takes this
 /// path on every page after its first.
@@ -222,10 +291,13 @@ fn choose(values: &[f64], carried: Option<Exponents>) -> Option<(Exponents, usiz
     if values.is_empty() {
         return None;
     }
-    // An odd stride, so values alternating in form (every other one a
-    // half, say) cannot all fall between the samples.
-    let step = (values.len() / SAMPLES) | 1;
-    let sample = || values.iter().step_by(step).take(SAMPLES).copied();
+    let sample = || {
+        values
+            .iter()
+            .step_by(sample_step(values.len()))
+            .take(SAMPLES)
+            .copied()
+    };
     if let Some(p) = carried {
         if let Some(bits) = carried_fits(p, sample()) {
             return Some((p, bits));
@@ -284,11 +356,15 @@ fn choose(values: &[f64], carried: Option<Exponents>) -> Option<(Exponents, usiz
 pub(crate) struct Plan {
     pair: Exponents,
     estimate: usize,
+    /// The sample predicts the delta frame smaller: only then is it
+    /// framed exactly.
+    deltas: bool,
 }
 
 impl Plan {
-    /// The block size in bytes the sample predicts: the packed bits of
-    /// its range and its exceptions, over the whole page.
+    /// The block size in bytes the sample predicts: the smaller of the
+    /// two frames, each the packed bits of its sampled range and its
+    /// exceptions, over the whole page.
     pub(crate) fn estimate(&self) -> usize {
         self.estimate
     }
@@ -301,31 +377,80 @@ impl Plan {
 pub(crate) fn plan(values: &[f64], carry: &mut Option<Exponents>) -> Option<Plan> {
     let (pair, bits) = choose(values, *carry)?;
     *carry = Some(pair);
+    // e, f, w, and a varint base and count of about a byte each.
+    let by_value = 5 + (bits * values.len()).div_ceil(8);
+    let by_delta = delta_estimate(pair, values).filter(|&bytes| bytes < by_value);
     Some(Plan {
         pair,
-        // e, f, w, and a varint base and count of about a byte each.
-        estimate: 5 + (bits * values.len()).div_ceil(8),
+        estimate: by_delta.unwrap_or(by_value),
+        deltas: by_delta.is_some(),
     })
 }
 
+/// How a decimal block frames its integers (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Framing {
+    /// From their minimum, with the values that do not round-trip raw.
+    Reference,
+    /// The first integer, then the deltas of the rest.
+    Delta,
+}
+
 /// Encode `values` as the decimal block `plan` describes, appended to
-/// `out`. Returns `false` and writes nothing when every value is an
-/// exception.
+/// `out`: the smaller frame, the delta frame only when the plan
+/// predicts it and no value is an exception. Returns `false` and writes
+/// nothing when every value is an exception.
 pub(crate) fn encode(values: &[f64], plan: &Plan, out: &mut Vec<u8>) -> bool {
-    let Some(fs) = Factors::of(plan.pair) else {
+    let only = (!plan.deltas).then_some(Framing::Reference);
+    encode_framed(values, plan.pair, only, out)
+}
+
+/// Encode `values` under `pair` in the frame `only`, or with `None` in
+/// the smaller of the two, ties to the frame of reference. The integers
+/// are computed once and both frames sized exactly before a byte is
+/// written. Returns `false` and writes nothing when the frame cannot
+/// hold the page: every value an exception, or any for the delta frame.
+fn encode_framed(
+    values: &[f64],
+    pair: Exponents,
+    only: Option<Framing>,
+    out: &mut Vec<u8>,
+) -> bool {
+    let Some(fs) = Factors::of(pair) else {
         return false;
     };
     let digits: Vec<i64> = values.iter().map(|&v| fs.encode_or_min(v)).collect();
-    let kept = |d: i64| d != i64::MIN;
-    if !digits.iter().any(|&d| kept(d)) {
-        return false;
-    }
     // A value that does not round-trip is `i64::MIN`, below every kept
     // integer; kept integers are below 2^53 in magnitude, so the width
     // is at most 54.
-    out.extend_from_slice(&[plan.pair.e, plan.pair.f]);
-    let value_bits = |i: usize, _| values.get(i).map_or(0, |v| v.to_bits());
-    Frame::of(&digits, kept).write(&digits, value_bits, out);
+    let kept = |d: i64| d != i64::MIN;
+    let frame = Frame::of(&digits, kept);
+    let n = digits.len();
+    if frame.exceptions() == n {
+        return false;
+    }
+    let first = digits.first().copied().unwrap_or(0);
+    let delta = match (only, frame.exceptions()) {
+        (Some(Framing::Reference), _) | (_, 1..) => None,
+        _ => {
+            let deltas = packed::deltas(&digits);
+            let packing = Packing::of(&deltas);
+            let smaller = packed::timestamps_len(first, &packing) < frame.len(n);
+            (only.is_some() || smaller).then_some((deltas, packing))
+        }
+    };
+    match (delta, only) {
+        (Some((deltas, packing)), _) => {
+            out.extend_from_slice(&[pair.e | DELTA_FRAME, pair.f]);
+            packed::write_timestamps(first, &deltas, &packing, out);
+        }
+        (None, Some(Framing::Delta)) => return false,
+        (None, _) => {
+            out.extend_from_slice(&[pair.e, pair.f]);
+            let value_bits = |i: usize, _| values.get(i).map_or(0, |v| v.to_bits());
+            frame.write(&digits, value_bits, out);
+        }
+    }
     true
 }
 
@@ -336,31 +461,72 @@ pub fn encode_values(values: &[f64], out: &mut Vec<u8>) -> bool {
     plan(values, &mut None).is_some_and(|plan| encode(values, &plan, out))
 }
 
-/// The pair of a block and its bit-packed integers.
-fn parse(buf: &[u8], n: usize) -> Result<(Factors, packed::Block<'_>)> {
+/// [`encode_values`] held to the frame `framing`: the block a writer
+/// would store if that frame were the only one. Returns `false` and
+/// writes nothing when [`encode_values`] would, or when `framing` is the
+/// delta frame and a value is an exception.
+pub fn encode_values_in(values: &[f64], framing: Framing, out: &mut Vec<u8>) -> bool {
+    plan(values, &mut None).is_some_and(|plan| encode_framed(values, plan.pair, Some(framing), out))
+}
+
+/// A block's pair, its frame, and the bytes after its header.
+fn header(buf: &[u8]) -> Result<(Factors, Framing, &[u8])> {
     let [e, f, ..] = *buf else {
         return Err(TsFileError::UnexpectedEof {
             what: "decimal header",
         });
     };
+    let framing = match e & DELTA_FRAME {
+        0 => Framing::Reference,
+        _ => Framing::Delta,
+    };
+    let e = e & !DELTA_FRAME;
     let fs = Factors::of(Exponents { e, f }).ok_or_else(|| {
         TsFileError::Corrupt(format!(
             "decimal block: exponent {e} / factor {f} out of range"
         ))
     })?;
-    Ok((fs, packed::parse(buf.get(2..).unwrap_or(&[]), n)?))
+    Ok((fs, framing, buf.get(2..).unwrap_or(&[])))
 }
 
-/// Check an `n`-value block's structure without unpacking it: the
-/// header, the packed length, and the exception list.
+/// The frame of a decimal block, from its header.
+pub fn framing(buf: &[u8]) -> Result<Framing> {
+    Ok(header(buf)?.1)
+}
+
+/// The `n` integers of a delta frame's body: the running sums of its
+/// deltas, each below 2^53 in magnitude.
+fn delta_integers(body: &[u8], n: usize) -> Result<Vec<i64>> {
+    let ints = packed::decode_timestamps(body, n, None)?;
+    match ints.iter().find(|d| d.unsigned_abs() >= INT_LIMIT) {
+        Some(d) => Err(TsFileError::Corrupt(format!(
+            "decimal block: integer {d} at or past 2^53"
+        ))),
+        None => Ok(ints),
+    }
+}
+
+/// Check an `n`-value block's structure: the header and, in the frame
+/// of reference, the packed length and the exception list without
+/// unpacking them. A delta frame is unpacked, since only its running
+/// sums show whether it decodes: this passes exactly the blocks
+/// [`decode`] does.
 pub fn verify(buf: &[u8], n: usize) -> Result<()> {
-    let (_, block) = parse(buf, n)?;
-    block.exceptions(n, |_, _| {})
+    let (_, framing, body) = header(buf)?;
+    match framing {
+        Framing::Reference => packed::verify(body, n),
+        Framing::Delta => delta_integers(body, n).map(drop),
+    }
 }
 
 /// Decode the `n` values of a decimal block.
 pub fn decode(buf: &[u8], n: usize) -> Result<Vec<f64>> {
-    let (fs, block) = parse(buf, n)?;
+    let (fs, framing, body) = header(buf)?;
+    if framing == Framing::Delta {
+        let ints = delta_integers(body, n)?;
+        return Ok(ints.into_iter().map(|d| fs.decode(d)).collect());
+    }
+    let block = packed::parse(body, n)?;
     let mut out = Vec::with_capacity(n);
     block.unpack(n, |d| fs.decode(d), &mut out)?;
     block.exceptions(n, |at, raw| {
@@ -383,6 +549,7 @@ mod tests {
     )]
 
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip(vs: &[f64]) -> Result<Option<Vec<u8>>> {
         let mut buf = Vec::new();
@@ -397,11 +564,239 @@ mod tests {
             plan.estimate(),
             buf.len()
         );
-        verify(&buf, vs.len())?;
-        let back = decode(&buf, vs.len())?;
+        decodes_to(&buf, vs)?;
+        Ok(Some(buf))
+    }
+
+    /// `buf` verifies and decodes to `vs`, bit for bit.
+    fn decodes_to(buf: &[u8], vs: &[f64]) -> Result<()> {
+        verify(buf, vs.len())?;
+        let back = decode(buf, vs.len())?;
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back), bits(vs));
-        Ok(Some(buf))
+        Ok(())
+    }
+
+    /// The block `pair` gives `vs` in the frame `only` (both with `None`).
+    fn framed(vs: &[f64], pair: Exponents, only: Option<Framing>) -> Option<Vec<u8>> {
+        let mut buf = Vec::new();
+        encode_framed(vs, pair, only, &mut buf).then_some(buf)
+    }
+
+    /// `ingest_fleet`'s register shape: quarter units rising by one a
+    /// point from `start`, wrapping after 2 000.
+    fn sawtooth(start: i64, n: i64) -> Vec<f64> {
+        (start..start + n)
+            .map(|i| (i.rem_euclid(2_000) - 1_000) as f64 * 0.25)
+            .collect()
+    }
+
+    #[test]
+    fn a_sawtooth_packs_its_deltas_to_a_few_bytes() -> Result<()> {
+        // The sample sits at multiples of 65: a wrap from position 520
+        // to 521 is a sampled delta (the outlier the estimate drops),
+        // one from 499 to 500 falls between samples; and no wrap.
+        for start in [1_479, 1_500, 0] {
+            let vs = sawtooth(start, 1024);
+            let plan = plan(&vs, &mut None).expect("quarter units are decimal");
+            assert!(plan.deltas, "the sample predicts the deltas");
+            let mut buf = Vec::new();
+            assert!(encode(&vs, &plan, &mut buf));
+            decodes_to(&buf, &vs)?;
+            assert_eq!(framing(&buf)?, Framing::Delta);
+            // d rises by 25: zero bits, and the wrap one exception.
+            assert!(buf.len() <= 20, "{} bytes", buf.len());
+            // The frame of reference pays the range: 15 or 16 bits.
+            let reference = framed(&vs, plan.pair, Some(Framing::Reference)).unwrap();
+            assert!(reference.len() > 1024 * 15 / 8, "{} bytes", reference.len());
+            decodes_to(&reference, &vs)?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn a_wrap_between_the_samples_still_takes_the_delta_frame() -> Result<()> {
+        // The sample sits at multiples of 65: the wrap falls between two.
+        let vs = sawtooth(1_970, 1024);
+        assert!((0..1024).step_by(65).all(|i| vs[i] < vs[i + 1]));
+        let plan = plan(&vs, &mut None).unwrap();
+        let mut buf = Vec::new();
+        assert!(plan.deltas && encode(&vs, &plan, &mut buf));
+        assert_eq!(framing(&buf)?, Framing::Delta);
+        decodes_to(&buf, &vs)
+    }
+
+    #[test]
+    fn noise_and_equal_values_keep_the_frame_of_reference() -> Result<()> {
+        for vs in [two_decimal_page(), vec![21.5; 1000]] {
+            let plan = plan(&vs, &mut None).unwrap();
+            assert!(!plan.deltas, "deltas predicted for {:?}…", &vs[..4]);
+            let buf = roundtrip(&vs)?.unwrap();
+            assert_eq!(framing(&buf)?, Framing::Reference);
+            // Framed exactly, the deltas are no smaller either.
+            let delta = framed(&vs, plan.pair, Some(Framing::Delta)).unwrap();
+            assert!(delta.len() >= buf.len(), "{} < {}", delta.len(), buf.len());
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn an_exception_keeps_the_frame_of_reference() -> Result<()> {
+        for special in [f64::NAN, -0.0, f64::INFINITY, 5e-324, std::f64::consts::PI] {
+            let mut vs = sawtooth(0, 500);
+            vs[250] = special;
+            let pair = Exponents { e: 2, f: 0 };
+            assert!(framed(&vs, pair, Some(Framing::Delta)).is_none());
+            let buf = framed(&vs, pair, None).unwrap();
+            assert_eq!(framing(&buf)?, Framing::Reference);
+            decodes_to(&buf, &vs)?;
+        }
+        Ok(())
+    }
+
+    /// A delta frame of `ints` under (0, 0), written by hand.
+    fn delta_block(first: i64, deltas: &[i64]) -> Vec<u8> {
+        let mut buf = vec![DELTA_FRAME, 0];
+        packed::write_timestamps(first, deltas, &Packing::of(deltas), &mut buf);
+        buf
+    }
+
+    #[test]
+    fn running_sums_past_2_53_are_corrupt() -> Result<()> {
+        let top = (1i64 << 53) - 1;
+        let good = delta_block(top - 3, &[1, 1, 1]);
+        decodes_to(
+            &good,
+            &[
+                (top - 3) as f64,
+                (top - 2) as f64,
+                (top - 1) as f64,
+                top as f64,
+            ],
+        )?;
+        for (first, deltas) in [
+            (top - 2, &[1, 1, 1][..]),
+            (-top, &[-1][..]),
+            (1 << 53, &[][..]),
+            (0, &[i64::MAX, i64::MAX, 2][..]), // wraps back to 0
+        ] {
+            let bad = delta_block(first, deltas);
+            let n = deltas.len() + 1;
+            for got in [decode(&bad, n).map(drop), verify(&bad, n)] {
+                assert!(matches!(got, Err(TsFileError::Corrupt(_))), "{got:?}");
+            }
+        }
+        // A delta frame holds at least its first integer.
+        assert!(decode(&delta_block(0, &[]), 0).is_err());
+        assert!(verify(&delta_block(0, &[]), 0).is_err());
+        Ok(())
+    }
+
+    /// One of the page shapes the two frames are for, drawn from `seed`:
+    /// a ramp at two decimals that wraps at most once, a counter in
+    /// hundredths, equal values, a two-decimal walk, or integers within
+    /// a walk's reach of ±2^53.
+    fn shape(kind: u8, len: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let step = 1 + (next() % 100) as i64;
+        let period = len as i64 + (next() % 3000) as i64;
+        let offset = (next() % period as u64) as i64;
+        let mut level = (next() % 100_000) as i64;
+        let sign = if next() % 2 == 0 { 1 } else { -1 };
+        (0..len as i64)
+            .map(|i| match kind {
+                0 => ((i + offset) % period * step - 5_000) as f64 / 100.0,
+                1 => {
+                    level += (next() % 4) as i64;
+                    level as f64 / 100.0
+                }
+                2 => level as f64 / 100.0,
+                3 => {
+                    level += (next() % 201) as i64 - 100;
+                    level as f64 / 100.0
+                }
+                _ => {
+                    level += (next() % 5) as i64 - 2;
+                    (sign * ((1i64 << 53) - 1 - level.rem_euclid(1 << 20))) as f64
+                }
+            })
+            .collect()
+    }
+
+    /// Values no block holds as an integer: NaN, −0.0, +inf, the
+    /// smallest and largest subnormal, and π.
+    const SPECIALS: [u64; 6] = [
+        0x7ff8_0000_0000_0001,
+        0x8000_0000_0000_0000,
+        0x7ff0_0000_0000_0000,
+        0x0000_0000_0000_0001,
+        0x000f_ffff_ffff_ffff,
+        0x4009_21fb_5444_2d18,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every shape round-trips bit-exact in the block its plan
+        /// writes. When the plan predicts the deltas, that block is the
+        /// smaller of the two exact frames (ties to the frame of
+        /// reference), else the frame of reference; the delta frame
+        /// exists only for a page with no exception. An exception-free
+        /// ramp or counter is predicted to take it, and takes it.
+        #[test]
+        fn the_smaller_frame_is_written_and_round_trips(
+            kind in 0u8..5,
+            len in 1usize..1_500,
+            seed in any::<u64>(),
+            special in any::<bool>(),
+            at in any::<prop::sample::Index>(),
+            which in 0..SPECIALS.len(),
+        ) {
+            let mut vs = shape(kind, len, seed);
+            if special {
+                vs[at.index(len)] = f64::from_bits(SPECIALS[which]);
+            }
+            // Integers near 2^53 have no short decimal form for the
+            // sample: a writer reaches them with a carried pair.
+            let mut carry = (kind == 4).then_some(Exponents { e: 0, f: 0 });
+            let Some(plan) = plan(&vs, &mut carry) else {
+                prop_assert!(special || kind == 4, "no plan");
+                return Ok(());
+            };
+            let mut buf = Vec::new();
+            if !encode(&vs, &plan, &mut buf) {
+                prop_assert!(special && len == 1);
+                return Ok(());
+            }
+            decodes_to(&buf, &vs).unwrap();
+            let fs = Factors::of(plan.pair).unwrap();
+            let exact = vs.iter().all(|&v| fs.encode(v).is_some());
+            let delta = framed(&vs, plan.pair, Some(Framing::Delta));
+            prop_assert_eq!(delta.is_some(), exact);
+            if let Some(delta) = &delta {
+                decodes_to(delta, &vs).unwrap();
+            }
+            let reference = framed(&vs, plan.pair, Some(Framing::Reference)).unwrap();
+            decodes_to(&reference, &vs).unwrap();
+            let want = match (plan.deltas, delta) {
+                (true, Some(delta)) if delta.len() < reference.len() => delta,
+                _ => reference,
+            };
+            prop_assert_eq!(&buf, &want);
+            if special {
+                prop_assert_eq!(framing(&buf).unwrap(), Framing::Reference);
+            }
+            if kind <= 1 && len >= 64 && exact {
+                prop_assert!(plan.deltas, "the sample predicted the frame of reference");
+                prop_assert_eq!(framing(&buf).unwrap(), Framing::Delta);
+            }
+        }
     }
 
     /// `live_tail`'s register shape: two decimals around 225.

@@ -16,7 +16,9 @@
 //! an exception's raw word means, is the user's: the decimal block
 //! ([`super::decimal`]) keeps the scaled integers that round-trip and
 //! stores the other values' bits; the packed forms below keep the deltas
-//! inside a window and store the others as they are.
+//! inside a window and store the others as they are. The packed
+//! timestamp column, laid over a decimal block's scaled integers, is
+//! that block's delta frame.
 //!
 //! **The packed forms.** A page column of `n ≥ 1` points as its first
 //! point and a block of its `n − 1` deltas — IoTDB's TS_2DIFF
@@ -118,6 +120,11 @@ impl Frame {
     fn offset(&self, x: i64) -> Option<u64> {
         let offset = cast::u64_bits(x.wrapping_sub(self.base));
         self.span.filter(|&span| offset <= span).map(|_| offset)
+    }
+
+    /// How many integers the frame leaves out as exceptions.
+    pub(crate) fn exceptions(&self) -> usize {
+        self.exceptions
     }
 
     /// The block's exact size in bytes for `n` integers.

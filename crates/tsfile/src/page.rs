@@ -30,7 +30,11 @@
 //! just `varint_i(first) varint_i(delta)` and is reconstructed
 //! arithmetically — no per-point varint decode. The decimal value form
 //! ([`encoding::decimal`]): a page whose values have few decimals stores
-//! them as scaled, bit-packed integers. The packed forms
+//! them as scaled, bit-packed integers — framed from their minimum, or,
+//! on a page with no exception where it is smaller, as the first integer
+//! and the deltas after it (a counter or a ramp, at a few bits a value
+//! or none); the block's header says which, so to this layer, to
+//! compaction and to the inspector both are one form. The packed forms
 //! ([`encoding::packed`]): the first point, then its column's deltas —
 //! of the timestamps, or of the values' order-preserving integer keys —
 //! bit-packed at one width with the outliers listed apart; jittered
@@ -95,7 +99,8 @@ pub enum TsForm {
 pub enum ValueForm {
     /// The chunk's value encoding (a Gorilla or plain stream).
     Stream,
-    /// A decimal block ([`encoding::decimal`]).
+    /// A decimal block ([`encoding::decimal`]), in either of its frames
+    /// ([`decimal_framing`]).
     Decimal,
     /// The first value and bit-packed key deltas ([`encoding::packed`]).
     Packed,
@@ -550,6 +555,17 @@ pub fn verify_page_body(body: &[u8], meta: &PageMeta) -> Result<()> {
 /// is decoded.
 pub fn forms(body: &[u8]) -> Result<PageForms> {
     Ok(split_page(checked_payload(body, "page body")?)?.forms)
+}
+
+/// How a page's decimal block frames its integers, from the block's
+/// header (`None` for a page whose values are not a decimal block).
+/// Verifies the page CRC; no column is decoded.
+pub fn decimal_framing(body: &[u8]) -> Result<Option<decimal::Framing>> {
+    let cols = split_page(checked_payload(body, "page body")?)?;
+    match cols.forms.values {
+        ValueForm::Decimal => decimal::framing(cols.val_col).map(Some),
+        ValueForm::Stream | ValueForm::Packed => Ok(None),
+    }
 }
 
 /// Parsed page header: count, forms, and the two column slices.

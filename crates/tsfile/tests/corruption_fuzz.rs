@@ -12,6 +12,7 @@
 )]
 
 use proptest::prelude::*;
+use tsfile::encoding::decimal::Framing;
 use tsfile::types::Point;
 use tsfile::{FileFooter, ModsFile, TsFileError, TsFileReader, TsFileWriter};
 
@@ -101,6 +102,56 @@ fn meta_of(n: usize, body: &[u8]) -> tsfile::PageMeta {
         byte_len: body.len() as u64,
         stats: tsfile::ChunkStatistics::from_points(&points).unwrap(),
     }
+}
+
+/// Encode `values` as a page whose decimal block takes `framing`, flip
+/// bytes inside the block, re-seal the CRC and decode: a typed error or
+/// every point, never a panic, and the copy gate passes exactly the
+/// pages that decode.
+fn flip_decimal_block(
+    values: impl Iterator<Item = f64>,
+    framing: Framing,
+    flips: &[(prop::sample::Index, u8)],
+) -> Result<(), TestCaseError> {
+    use tsfile::encoding::EncodingKind;
+    let points: Vec<Point> = values
+        .enumerate()
+        .map(|(i, v)| Point::new(i as i64 * 10 + i as i64 % 3, v))
+        .collect();
+    let mut body = Vec::new();
+    tsfile::page::encode_page(
+        &points,
+        EncodingKind::Ts2Diff,
+        EncodingKind::Gorilla,
+        &mut body,
+    );
+    prop_assert_eq!(tsfile::page::decimal_framing(&body).unwrap(), Some(framing));
+    // varint n (2 bytes), modes, varint ts_len, ts bytes, varint
+    // val_len, then the block up to the CRC.
+    let mut pos = 3;
+    let ts_len = tsfile::varint::read_u64(&body, &mut pos).unwrap() as usize;
+    pos += ts_len;
+    tsfile::varint::read_u64(&body, &mut pos).unwrap();
+    let block = pos..body.len() - 4;
+    for (idx, mask) in flips {
+        body[block.start + idx.index(block.len())] ^= mask;
+    }
+    let crc = tsfile::checksum::crc32(&body[..block.end]);
+    body[block.end..].copy_from_slice(&crc.to_le_bytes());
+    let meta = tsfile::PageMeta {
+        offset: 0,
+        byte_len: body.len() as u64,
+        stats: tsfile::ChunkStatistics::from_points(&points).unwrap(),
+    };
+    let decoded =
+        tsfile::page::decode_page(&body, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta);
+    match &decoded {
+        Ok(back) => prop_assert_eq!(back.len(), points.len()),
+        Err(_) => prop_assert!(typed(&decoded), "{decoded:?}"),
+    }
+    let gate = tsfile::page::verify_page_body(&body, &meta);
+    prop_assert_eq!(gate.is_ok(), decoded.is_ok(), "{:?}", gate);
+    Ok(())
 }
 
 /// A varint whose tenth byte carries bits past 64 is `Corrupt`, not the
@@ -236,6 +287,14 @@ fn malformed_decimal_blocks_are_typed_errors() {
     };
     let good = body(2, &[0b0001_1011], &[&[1][..], &exception(2)].concat());
     assert_eq!(decimal::decode(&good, 4).unwrap(), [1.0, 2.0, 2.5, 4.0]);
+    // The delta frame of the integers `ints` under (0, 0).
+    let delta = |ints: &[i64]| {
+        let mut b = vec![0x80, 0];
+        tsfile::encoding::packed::encode_timestamps(ints, &mut b);
+        b
+    };
+    let good_delta = delta(&[1, 2, 4]);
+    assert_eq!(decimal::decode(&good_delta, 3).unwrap(), [1.0, 2.0, 4.0]);
 
     let cases: Vec<(&str, usize, Vec<u8>)> = vec![
         ("bit width 65", 4, body(65, &[0b0001_1011], &[0])),
@@ -288,6 +347,26 @@ fn malformed_decimal_blocks_are_typed_errors() {
             body(2, &[0b0001_1011], &[0, 0]),
         ),
         ("header cut short", 4, vec![0, 0]),
+        (
+            "delta frame summing past 2^53",
+            2,
+            delta(&[(1 << 53) - 1, 1 << 53]),
+        ),
+        (
+            "delta frame exponent 19",
+            3,
+            [&[0x80 | 19, 0][..], &good_delta[2..]].concat(),
+        ),
+        (
+            "delta frame cut short",
+            3,
+            good_delta[..good_delta.len() - 1].to_vec(),
+        ),
+        (
+            "delta frame with a byte after it",
+            3,
+            [&good_delta[..], &[0]].concat(),
+        ),
         (
             "n above the page ceiling",
             tsfile::page::MAX_PAGE_POINTS + 1,
@@ -586,10 +665,10 @@ proptest! {
         bytes in prop::collection::vec(any::<u8>(), 0..96),
     ) {
         use tsfile::encoding::decimal;
-        if let Ok(values) = decimal::decode(&bytes, n) {
-            prop_assert_eq!(values.len(), n);
-            prop_assert!(decimal::verify(&bytes, n).is_ok());
-        }
+        let values = decimal::decode(&bytes, n);
+        prop_assert!(values.as_ref().map_or_else(|_| typed(&values), |v| v.len() == n));
+        // The copy gate passes exactly what decodes, in either frame.
+        prop_assert_eq!(values.is_ok(), decimal::verify(&bytes, n).is_ok());
     }
 
     /// Arbitrary bytes as a packed column of any plausible count: a
@@ -615,42 +694,84 @@ proptest! {
 
     /// Flip bytes inside the decimal value column of a real page and
     /// fix up its CRC, so the damage reaches the block decoder: a typed
-    /// error or `n` points, never a panic.
+    /// error or `n` points, never a panic, and the copy gate passes
+    /// exactly what decodes. The page is a short ramp, which the block
+    /// stores in its delta frame.
     #[test]
     fn crc_valid_flips_in_a_decimal_block_never_panic(
         flips in prop::collection::vec((any::<prop::sample::Index>(), 1u8..=255), 1..4),
     ) {
-        use tsfile::encoding::EncodingKind;
-        let points: Vec<Point> = (0..300)
-            .map(|i| Point::new(i * 10 + i % 3, (i % 41) as f64 / 4.0))
-            .collect();
-        let mut body = Vec::new();
-        tsfile::page::encode_page(&points, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &mut body);
-        let forms = tsfile::page::forms(&body).unwrap();
-        prop_assert_eq!(forms.values, tsfile::page::ValueForm::Decimal);
-        // varint n (2 bytes), modes, varint ts_len, ts bytes, varint
-        // val_len, then the block up to the CRC.
-        let mut pos = 3;
-        let ts_len = tsfile::varint::read_u64(&body, &mut pos).unwrap() as usize;
-        pos += ts_len;
-        tsfile::varint::read_u64(&body, &mut pos).unwrap();
-        let block = pos..body.len() - 4;
-        for (idx, mask) in &flips {
-            body[block.start + idx.index(block.len())] ^= mask;
+        let values = (0..300).map(|i| (i % 41) as f64 / 4.0);
+        flip_decimal_block(values, Framing::Delta, &flips)?;
+    }
+
+    /// The same flips in a block in the frame of reference: quarter
+    /// units that jump about, whose deltas are no narrower.
+    #[test]
+    fn crc_valid_flips_in_a_decimal_reference_block_never_panic(
+        flips in prop::collection::vec((any::<prop::sample::Index>(), 1u8..=255), 1..4),
+    ) {
+        let values = (0..300).map(|i| ((i * 7_919) % 400) as f64 / 4.0);
+        flip_decimal_block(values, Framing::Reference, &flips)?;
+    }
+
+    /// Arbitrary bytes behind a header with bit 7 of `e` set — a delta
+    /// frame of any plausible count: a typed error or exactly `n`
+    /// values, never a panic, and the copy gate's check agrees with the
+    /// decoder.
+    #[test]
+    fn random_delta_frames_never_panic(
+        n in 0usize..2_000,
+        e in 0u8..=18,
+        f in any::<prop::sample::Index>(),
+        body in prop::collection::vec(any::<u8>(), 0..96),
+        raw in prop::collection::vec(any::<u8>(), 1..96),
+    ) {
+        use tsfile::encoding::decimal;
+        let header = [e | 0x80, f.index(usize::from(e) + 1) as u8];
+        let mut raw = raw;
+        raw[0] |= 0x80;
+        for bytes in [[&header[..], &body].concat(), raw] {
+            let values = decimal::decode(&bytes, n);
+            prop_assert!(values.as_ref().map_or_else(|_| typed(&values), |v| v.len() == n));
+            prop_assert_eq!(values.is_ok(), decimal::verify(&bytes, n).is_ok());
         }
-        let crc = tsfile::checksum::crc32(&body[..block.end]);
-        body[block.end..].copy_from_slice(&crc.to_le_bytes());
-        let meta = tsfile::PageMeta {
-            offset: 0,
-            byte_len: body.len() as u64,
-            stats: tsfile::ChunkStatistics::from_points(&points).unwrap(),
-        };
-        if let Ok(back) =
-            tsfile::page::decode_page(&body, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta)
-        {
-            prop_assert_eq!(back.len(), points.len());
+    }
+
+    /// A delta frame of well-formed deltas decodes exactly when every
+    /// running sum stays below 2^53 in magnitude, to those integers;
+    /// the copy gate agrees.
+    #[test]
+    fn delta_frames_hold_exactly_the_integers_below_2_53(
+        start in any::<i64>(),
+        steps in prop::collection::vec((0u8..4, any::<i64>()), 0..40),
+    ) {
+        use tsfile::encoding::{decimal, packed};
+        const LIMIT: i64 = 1 << 53;
+        // Integers near the limit, small steps, and wild ones.
+        let mut ints = vec![start % (LIMIT + 2)];
+        for &(kind, x) in &steps {
+            let last = *ints.last().unwrap();
+            ints.push(match kind {
+                0 => last.wrapping_add(x % 3),
+                1 => (LIMIT - 1 - x.rem_euclid(3)) * x.signum(),
+                2 => last.wrapping_add(x),
+                _ => x % (LIMIT + 2),
+            });
         }
-        let _ = tsfile::page::verify_page_body(&body, &meta);
+        let mut block = vec![0x80, 0];
+        packed::encode_timestamps(&ints, &mut block);
+        let n = ints.len();
+        let held = ints.iter().all(|d| d.unsigned_abs() < 1 << 53);
+        let values = decimal::decode(&block, n);
+        prop_assert_eq!(values.is_ok(), held);
+        prop_assert_eq!(decimal::verify(&block, n).is_ok(), held);
+        if let Ok(values) = values {
+            let want: Vec<f64> = ints.iter().map(|&d| d as f64).collect();
+            prop_assert_eq!(values, want);
+        } else {
+            prop_assert!(typed(&values));
+        }
     }
 
     /// The shared prealloc bound behind the decoders: a huge claimed

@@ -11,9 +11,11 @@
 )]
 
 use proptest::prelude::*;
+use tsfile::encoding::decimal::Framing;
 use tsfile::encoding::{bitio, decimal, gorilla, plain, ts2diff, EncodingKind};
 use tsfile::page::{
-    decode_page, decode_page_timestamps, encode_page, forms, verify_page_body, TsForm, ValueForm,
+    decimal_framing, decode_page, decode_page_timestamps, encode_page, forms, verify_page_body,
+    TsForm, ValueForm,
 };
 use tsfile::statistics::ChunkStatistics;
 use tsfile::types::Point;
@@ -50,20 +52,28 @@ fn splitmix(seed: u64) -> impl FnMut() -> u64 {
     }
 }
 
-/// A page of `len` values in one of eight shapes, drawn from `seed`:
+/// A page of `len` values in one of ten shapes, drawn from `seed`:
 /// a decimal random walk at `precision` decimals, integers, a
 /// full-precision jittery walk, nothing but [`SPECIALS`], decimals with
 /// specials sprinkled in, decimal steps held for long runs (where XOR's
 /// one bit a repeat beats any bit-packing), a full-precision ramp that
-/// wraps, or a smooth full-precision walk.
+/// wraps, a smooth full-precision walk, a decimal ramp that wraps at
+/// most once, or a decimal counter.
 fn page_values(shape: u8, precision: u32, len: usize, seed: u64) -> Vec<f64> {
     let mut next = splitmix(seed);
     let scale = 10f64.powi(precision as i32);
     let mut level = (next() % 100_000) as i64 - 50_000;
+    // The ramp's own draws, so the other shapes draw as they did.
+    let mut ramp = splitmix(seed ^ 0x5a17);
+    let step = 1 + (ramp() % 50) as i64;
+    let period = len + (ramp() % 4_000) as usize;
+    let offset = (ramp() % period as u64) as usize;
     (0..len)
         .map(|i| {
-            if shape != 5 || next().is_multiple_of(64) {
-                level += (next() % 201) as i64 - 100;
+            match shape {
+                5 if !next().is_multiple_of(64) => {}
+                9 => level += (next() % 4) as i64,
+                _ => level += (next() % 201) as i64 - 100,
             }
             let decimal = level as f64 / scale;
             let special = f64::from_bits(SPECIALS[(next() % 12) as usize]);
@@ -75,6 +85,7 @@ fn page_values(shape: u8, precision: u32, len: usize, seed: u64) -> Vec<f64> {
                 4 if next().is_multiple_of(8) => special,
                 6 => (i % 97) as f64 * std::f64::consts::PI - 100.0,
                 7 => level as f64 * std::f64::consts::E * 1e-3,
+                8 => ((i + offset) % period) as f64 * step as f64 / scale - 100.0,
                 _ => decimal,
             }
         })
@@ -233,7 +244,7 @@ proptest! {
     /// kernels. A form costs no byte: it is a bit of the modes byte.
     #[test]
     fn pages_roundtrip_bitwise_and_never_outgrow_the_stream(
-        shape in 0u8..8,
+        shape in 0u8..10,
         ts_shape in 0u8..4,
         precision in 0u32..=6,
         len in 1usize..1_200,
@@ -285,6 +296,12 @@ proptest! {
         }
         if shape == 3 {
             prop_assert!(forms.values != ValueForm::Decimal, "an all-exception page went decimal");
+        }
+        // A decimal ramp or counter stores its deltas, unless no pair
+        // of its scale recovers every value (the delta frame holds no
+        // exception).
+        if shape >= 8 && len >= 64 && decimal::encode_values_in(&vs, Framing::Delta, &mut Vec::new()) {
+            prop_assert_eq!(decimal_framing(&body).unwrap(), Some(Framing::Delta));
         }
 
         // A partial timestamp scan stops where the ts2diff stream's

@@ -1,9 +1,10 @@
 //! Store inspector: a debugging tool that dumps the physical layout of
 //! a tskv store — catalog, shards, files, chunks, versions,
 //! statistics, how many pages store each column in each form (timestamps
-//! constant, stream or packed; values stream, packed or decimal) and
-//! pending deletes — using only the public tsfile API plus read-only
-//! parsing of the store's own files.
+//! constant, stream or packed; values stream, packed or decimal, and a
+//! decimal block's frame: reference or delta) and pending deletes —
+//! using only the public tsfile API plus read-only parsing of the
+//! store's own files.
 //!
 //! ```text
 //! cargo run --release --example store_inspect [store_dir]
@@ -23,6 +24,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use m4lsm::tsfile::encoding::decimal::Framing;
 use m4lsm::tsfile::page::{TsForm, ValueForm};
 use m4lsm::tsfile::reader::page_body_slice;
 use m4lsm::tsfile::{page, ModsFile, TsFileReader};
@@ -62,6 +64,18 @@ fn build_demo(dir: &Path) -> Result<(), Box<dyn std::error::Error>> {
     // A registered-but-cold series: costs a catalog entry and nothing
     // else — no directory, no files.
     kv.create_series("demo.cold")?;
+    // A cumulative energy meter in kWh, read to 0.01: it rises five to
+    // eight hundredths a sample, so its decimal blocks store the deltas
+    // (two bits a value) where the other series' short ramps keep the
+    // frame of reference. Not every page: one whose exponent pair,
+    // chosen from a sample, fails a value the sample missed keeps the
+    // frame of reference with that value raw.
+    for t in 0..600i64 {
+        kv.insert(
+            "demo.kwh",
+            Point::new(t * 1000, (t * 7 + t % 3) as f64 / 100.0),
+        )?;
+    }
     // One delete over two of demo.a's sealed runs: one entry in its one
     // log. The final flush covers its WAL record like any other, so
     // every shard's log ends up reset — `(0 bytes)` below.
@@ -127,10 +141,16 @@ fn dump_file(
             let pages = &meta.paged.pages;
             let (buf, base) = reader.read_page_window_raw(meta, 0..pages.len())?;
             // Pages per form: timestamps [const, stream, packed], values
-            // [stream, decimal, packed].
-            let (mut ts, mut vs) = ([0usize; 3], [0usize; 3]);
+            // [stream, decimal, packed], decimal blocks [reference, delta].
+            let (mut ts, mut vs, mut frames) = ([0usize; 3], [0usize; 3], [0usize; 2]);
             for pm in pages {
-                let forms = page::forms(page_body_slice(&buf, pm, base)?)?;
+                let body = page_body_slice(&buf, pm, base)?;
+                let forms = page::forms(body)?;
+                match page::decimal_framing(body)? {
+                    Some(Framing::Reference) => frames[0] += 1,
+                    Some(Framing::Delta) => frames[1] += 1,
+                    None => {}
+                }
                 ts[match forms.timestamps {
                     TsForm::Constant => 0,
                     TsForm::Stream => 1,
@@ -144,7 +164,8 @@ fn dump_file(
             }
             println!(
                 "      chunk {} @{:>8}+{:<6} n={:<5} t=[{} … {}] v=[{} … {}]  \
-                 ts const/stream/packed {}/{}/{}, values stream/packed {}/{}, {}/{} pages decimal",
+                 ts const/stream/packed {}/{}/{}, values stream/packed {}/{}, {}/{} pages decimal \
+                 (reference/delta {}/{})",
                 meta.version,
                 meta.offset,
                 meta.byte_len,
@@ -159,7 +180,9 @@ fn dump_file(
                 vs[0],
                 vs[2],
                 vs[1],
-                pages.len()
+                pages.len(),
+                frames[0],
+                frames[1]
             );
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────┐
-//! │ magic "TSF2\0\0" (6 bytes)                                 │
+//! │ magic "TSF3\0\0" (6 bytes)                                 │
 //! ├────────────────────────────────────────────────────────────┤
 //! │ chunk 0 body: concatenated page bodies (see `page`         │
 //! │   module); column encodings live in the footer's page      │
@@ -12,10 +12,12 @@
 //! ├────────────────────────────────────────────────────────────┤
 //! │ footer                                                     │
 //! │   varint #chunks                                           │
-//! │   per chunk: varint offset, varint byte_len,               │
-//! │              varint version,                               │
-//! │              PagedChunkInfo (encodings, per page: varint   │
-//! │              byte_len, page statistics)                    │
+//! │   per chunk: varint_i version − previous chunk's version,  │
+//! │              u8 encodings (values << 4 | timestamps),      │
+//! │              varint #pages,                                │
+//! │              per page: varint byte_len, page statistics    │
+//! │              against the page before it in the file (see   │
+//! │              `statistics`)                                 │
 //! │   series-run directory:                                    │
 //! │     varint #runs                                           │
 //! │     per run: varint series id, varint #chunks,             │
@@ -28,10 +30,17 @@
 //!
 //! The trailing length + magic let a reader locate the footer without a
 //! separate index file; the leading magic rejects non-TsFiles (and the
-//! retired `TSF1` generation) early. This mirrors IoTDB's TsFile
-//! (data, then pages with per-page statistics,
-//! then a metadata index and tail magic) at the granularity the paper's
-//! operators need.
+//! retired `TSF1` and `TSF2` generations) early. This mirrors IoTDB's
+//! TsFile (data, then pages with per-page statistics, then a metadata
+//! index and tail magic) at the granularity the paper's operators need.
+//!
+//! What the footer derives instead of storing: a chunk's offset and
+//! length (chunk bodies tile the file from the head magic on, pages tile
+//! each chunk, so both are sums of page lengths), its statistics (the
+//! fold of its pages'), and each page's offset. The first chunk's
+//! version, and the file's first page's FP, are coded against zero.
+//! A reader checks the tiling once: the head magic and the chunk bodies
+//! must end exactly where the footer begins.
 //!
 //! A file holds the chunks of one *or many* series: the chunks of one
 //! series sit back to back (a [`SeriesRun`]) and the directory at the
@@ -45,12 +54,14 @@ use std::sync::Arc;
 
 use crate::page::PagedChunkInfo;
 use crate::statistics::ChunkStatistics;
-use crate::types::{TimeRange, Version};
-use crate::varint;
+use crate::types::{Point, TimeRange, Version};
+use crate::{cast, varint};
 use crate::{Result, TsFileError};
 
-/// File magic, also used as the tail sentinel.
-pub const MAGIC: &[u8; 6] = b"TSF2\0\0";
+/// File magic, also used as the tail sentinel. Bumped with every footer
+/// layout, so a file of an earlier layout is refused as foreign
+/// (`BadMagic`) rather than read as a torn file of this one.
+pub const MAGIC: &[u8; 6] = b"TSF3\0\0";
 
 /// Metadata describing one chunk inside a TsFile: where it lives, its
 /// version `κ`, and its precomputed statistics. This is the unit
@@ -84,22 +95,29 @@ impl ChunkMeta {
         self.paged.pages.len()
     }
 
-    /// The chunk's statistics are not written: they are the fold of
-    /// its page statistics ([`PagedChunkInfo::chunk_stats`]), which is
-    /// how the writer computed them, so [`Self::decode`] derives them.
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        varint::write_u64(out, self.offset);
-        varint::write_u64(out, self.byte_len);
-        varint::write_u64(out, self.version.0);
-        self.paged.encode(out);
+    /// Append the chunk's entry, coded against `prev`, and advance
+    /// `prev` past it. Neither its place nor its statistics are written:
+    /// the body starts where the previous one ends, its length is the
+    /// sum of its pages', and its statistics are the fold of theirs
+    /// ([`PagedChunkInfo::chunk_stats`]), which is how the writer
+    /// computed them, so [`Self::decode`] derives all three.
+    pub(crate) fn encode(&self, prev: &mut Predecessor, out: &mut Vec<u8>) {
+        let step = self.version.0.wrapping_sub(prev.version.0);
+        varint::write_i64(out, cast::i64_bits(step));
+        self.paged.encode(&mut prev.last, out);
+        prev.version = self.version;
     }
 
-    pub(crate) fn decode(buf: &[u8], pos: &mut usize) -> Result<Self> {
-        let offset = varint::read_u64(buf, pos)?;
-        let byte_len = varint::read_u64(buf, pos)?;
-        let version = Version(varint::read_u64(buf, pos)?);
-        let paged = PagedChunkInfo::decode(buf, pos)?;
-        paged.validate(byte_len)?;
+    pub(crate) fn decode(buf: &[u8], pos: &mut usize, prev: &mut Predecessor) -> Result<Self> {
+        let step = cast::u64_bits(varint::read_i64(buf, pos)?);
+        let version = Version(prev.version.0.wrapping_add(step));
+        let paged = PagedChunkInfo::decode(buf, pos, &mut prev.last)?;
+        let byte_len = paged.validate()?;
+        let offset = prev.end;
+        prev.end = offset
+            .checked_add(byte_len)
+            .ok_or_else(|| TsFileError::Corrupt("chunk extent overflows".into()))?;
+        prev.version = version;
         let stats = paged.chunk_stats()?;
         Ok(ChunkMeta {
             offset,
@@ -108,6 +126,27 @@ impl ChunkMeta {
             stats,
             paged,
         })
+    }
+}
+
+/// What the footer codes a chunk's entry against: the chunk before it
+/// in file order, or, for the first, a version of 0, a last point of
+/// `(0, 0.0)` and a body ending at the head magic.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Predecessor {
+    version: Version,
+    last: Point,
+    /// Where its body ends: where the next chunk's begins.
+    end: u64,
+}
+
+impl Default for Predecessor {
+    fn default() -> Self {
+        Predecessor {
+            version: Version(0),
+            last: Point::new(0, 0.0),
+            end: cast::u64_from_usize(MAGIC.len()),
+        }
     }
 }
 
@@ -143,8 +182,9 @@ impl FileFooter {
     pub fn encode_body(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.chunks.len() * 64);
         varint::write_u64(&mut out, self.chunks.len() as u64);
+        let mut prev = Predecessor::default();
         for c in &self.chunks {
-            c.encode(&mut out);
+            c.encode(&mut prev, &mut out);
         }
         varint::write_u64(&mut out, self.runs.len() as u64);
         for run in &self.runs {
@@ -165,8 +205,9 @@ impl FileFooter {
             return Err(TsFileError::Corrupt(format!("footer claims {n} chunks")));
         }
         let mut chunks = Vec::with_capacity(n as usize);
+        let mut prev = Predecessor::default();
         for _ in 0..n {
-            chunks.push(Arc::new(ChunkMeta::decode(buf, &mut pos)?));
+            chunks.push(Arc::new(ChunkMeta::decode(buf, &mut pos, &mut prev)?));
         }
         let runs = decode_runs(buf, &mut pos, chunks.len())?;
         if pos != buf.len() {
@@ -176,6 +217,14 @@ impl FileFooter {
             )));
         }
         Ok(FileFooter { chunks, runs })
+    }
+
+    /// Where the chunk bodies end: the byte a file's footer must start
+    /// at (the head magic's length when there is no chunk).
+    pub fn data_end(&self) -> u64 {
+        self.chunks.last().map_or(Predecessor::default().end, |c| {
+            c.offset.saturating_add(c.byte_len)
+        })
     }
 }
 
@@ -256,19 +305,37 @@ mod tests {
     fn chunk_meta_roundtrip() -> crate::Result<()> {
         let m = meta(3, 0, 999)?;
         let mut buf = Vec::new();
-        m.encode(&mut buf);
+        m.encode(&mut Predecessor::default(), &mut buf);
         let mut pos = 0;
-        assert_eq!(ChunkMeta::decode(&buf, &mut pos)?, *m);
+        let decode =
+            |buf: &[u8], pos: &mut usize| ChunkMeta::decode(buf, pos, &mut Predecessor::default());
+        assert_eq!(decode(&buf, &mut pos)?, *m);
         assert_eq!(pos, buf.len());
         // Every strict prefix is a typed error, never a panic.
         for cut in 0..buf.len() {
             let mut pos = 0;
             assert!(
-                ChunkMeta::decode(&buf[..cut], &mut pos).is_err(),
+                decode(&buf[..cut], &mut pos).is_err(),
                 "prefix of {cut} bytes decoded"
             );
         }
         Ok(())
+    }
+
+    /// A footer over `chunks`, their bodies laid end to end after the
+    /// head magic, as a writer lays them.
+    fn footer(chunks: &[Arc<ChunkMeta>], runs: Vec<SeriesRun>) -> FileFooter {
+        let mut end = MAGIC.len() as u64;
+        let chunks = chunks
+            .iter()
+            .map(|c| {
+                let mut c = ChunkMeta::clone(c);
+                c.offset = end;
+                end += c.byte_len;
+                Arc::new(c)
+            })
+            .collect();
+        FileFooter { chunks, runs }
     }
 
     fn run(series: u32, supersedes: u64, chunks: Range<usize>) -> SeriesRun {
@@ -279,13 +346,18 @@ mod tests {
         }
     }
 
+    /// Versions that fall from chunk to chunk and timestamps that go
+    /// back from one run to the next round-trip; offsets are derived.
     #[test]
     fn footer_roundtrip() -> crate::Result<()> {
-        let f = FileFooter {
-            chunks: vec![meta(1, 0, 10)?, meta(2, 50, 70)?, meta(3, 100, 110)?],
-            runs: vec![run(4, 0, 0..2), run(9, 3, 2..3), run(12, 7, 3..3)],
-        };
-        assert_eq!(FileFooter::decode_body(&f.encode_body())?, f);
+        let f = footer(
+            &[meta(5, 0, 10)?, meta(2, 50, 70)?, meta(9, -100, 110)?],
+            vec![run(4, 0, 0..2), run(9, 3, 2..3), run(12, 7, 3..3)],
+        );
+        let back = FileFooter::decode_body(&f.encode_body())?;
+        assert_eq!(back, f);
+        assert_eq!(back.data_end(), f.chunks[2].offset + f.chunks[2].byte_len);
+        assert_eq!(FileFooter::default().data_end(), MAGIC.len() as u64);
         Ok(())
     }
 
@@ -345,8 +417,9 @@ mod tests {
     }
 
     /// What the footer no longer stores it derives: page offsets are
-    /// the running sum of page lengths, chunk statistics the fold of the
-    /// page statistics.
+    /// the running sum of page lengths, a chunk's length the sum of its
+    /// pages' and its offset where the chunk before it ends, chunk
+    /// statistics the fold of the page statistics.
     #[test]
     fn offsets_and_chunk_statistics_are_derived() -> crate::Result<()> {
         let pts: Vec<Point> = (0..30)
@@ -381,9 +454,17 @@ mod tests {
             },
         };
         let mut buf = Vec::new();
-        m.encode(&mut buf);
+        m.encode(&mut Predecessor::default(), &mut buf);
         let mut pos = 0;
-        assert_eq!(ChunkMeta::decode(&buf, &mut pos)?, m);
+        assert_eq!(
+            ChunkMeta::decode(&buf, &mut pos, &mut Predecessor::default())?,
+            m
+        );
+        let m = Arc::new(m);
+        let f = footer(&[m.clone(), m.clone()], vec![run(1, 0, 0..2)]);
+        let back = FileFooter::decode_body(&f.encode_body())?;
+        assert_eq!(back.chunks[1].offset, 6 + m.byte_len);
+        assert_eq!(back.data_end(), 6 + 2 * m.byte_len);
         Ok(())
     }
 }

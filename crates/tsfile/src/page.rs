@@ -44,7 +44,10 @@
 //! writers wrote.
 //! The column encodings themselves live in the footer's
 //! [`PagedChunkInfo`] (CRC-protected there), so a chunk body has no
-//! unprotected header bytes.
+//! unprotected header bytes. That page index stores no offset: pages
+//! tile their chunk body, so a page starts where the lengths before it
+//! sum to, and each entry's statistics are coded against the entry
+//! before it in file order ([`ChunkStatistics::encode_after`]).
 
 // Untrusted bytes: an out-of-range access is a typed error, not a panic.
 #![deny(clippy::indexing_slicing)]
@@ -173,16 +176,24 @@ impl PageMeta {
         self.stats.time_range()
     }
 
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+    /// Append the entry: its length, then its statistics against `prev`
+    /// ([`ChunkStatistics::encode_after`]).
+    pub(crate) fn encode(&self, prev: Point, same_chunk: bool, out: &mut Vec<u8>) {
         varint::write_u64(out, self.byte_len);
-        self.stats.encode(out);
+        self.stats.encode_after(prev, same_chunk, out);
     }
 
     /// Decode the entry of the page that starts `offset` bytes into its
-    /// chunk body.
-    pub(crate) fn decode(buf: &[u8], pos: &mut usize, offset: u64) -> Result<Self> {
+    /// chunk body, coded against `prev`.
+    pub(crate) fn decode(
+        buf: &[u8],
+        pos: &mut usize,
+        offset: u64,
+        prev: Point,
+        same_chunk: bool,
+    ) -> Result<Self> {
         let byte_len = varint::read_u64(buf, pos)?;
-        let stats = PageStatistics::decode(buf, pos)?;
+        let stats = PageStatistics::decode_after(buf, pos, prev, same_chunk)?;
         Ok(PageMeta {
             offset,
             byte_len,
@@ -226,25 +237,29 @@ impl PagedChunkInfo {
         }
     }
 
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.ts_encoding as u8);
-        out.push(self.val_encoding as u8);
+    /// Append the page index: both encoding tags in one byte (timestamps
+    /// in the low nibble), the page count, then each page's entry coded
+    /// against the one before it, starting from `prev` — the last point
+    /// of the previous chunk in the file — which is left at this chunk's.
+    pub(crate) fn encode(&self, prev: &mut Point, out: &mut Vec<u8>) {
+        out.push((self.val_encoding as u8) << 4 | self.ts_encoding as u8);
         varint::write_u64(out, cast::u64_from_usize(self.pages.len()));
-        for p in &self.pages {
-            p.encode(out);
+        for (i, p) in self.pages.iter().enumerate() {
+            p.encode(*prev, i > 0, out);
+            *prev = p.stats.last;
         }
     }
 
-    pub(crate) fn decode(buf: &[u8], pos: &mut usize) -> Result<Self> {
-        let ts_tag = *buf.get(*pos).ok_or(TsFileError::UnexpectedEof {
-            what: "page index ts encoding",
+    /// Decode what [`Self::encode`] wrote from the same `prev`, which is
+    /// left at this chunk's last point. Page offsets are the running sum
+    /// of the page lengths.
+    pub(crate) fn decode(buf: &[u8], pos: &mut usize, prev: &mut Point) -> Result<Self> {
+        let tags = *buf.get(*pos).ok_or(TsFileError::UnexpectedEof {
+            what: "page index encodings",
         })?;
-        let val_tag = *buf.get(*pos + 1).ok_or(TsFileError::UnexpectedEof {
-            what: "page index val encoding",
-        })?;
-        *pos += 2;
-        let ts_encoding = EncodingKind::from_u8(ts_tag)?;
-        let val_encoding = EncodingKind::from_u8(val_tag)?;
+        *pos += 1;
+        let ts_encoding = EncodingKind::from_u8(tags & 0xf)?;
+        let val_encoding = EncodingKind::from_u8(tags >> 4)?;
         let n = varint::read_u64(buf, pos)?;
         if n > cast::u64_from_usize(buf.len()) {
             // Each page meta takes well over one byte; a count larger
@@ -255,11 +270,12 @@ impl PagedChunkInfo {
             .ok_or_else(|| TsFileError::Corrupt("page count unaddressable".into()))?;
         let mut pages = Vec::with_capacity(n.min(buf.len()));
         let mut offset = 0u64;
-        for _ in 0..n {
-            let page = PageMeta::decode(buf, pos, offset)?;
+        for i in 0..n {
+            let page = PageMeta::decode(buf, pos, offset, *prev, i > 0)?;
             offset = offset
                 .checked_add(page.byte_len)
                 .ok_or_else(|| TsFileError::Corrupt("page extent overflows".into()))?;
+            *prev = page.stats.last;
             pages.push(page);
         }
         Ok(PagedChunkInfo {
@@ -269,11 +285,11 @@ impl PagedChunkInfo {
         })
     }
 
-    /// Structural invariants of a decoded page index, cross-checked
-    /// against the owning chunk's byte length: there is a page, each
-    /// holds at most [`MAX_PAGE_POINTS`], pages are time-ordered and
-    /// disjoint, and their lengths sum to the chunk body's.
-    pub(crate) fn validate(&self, chunk_byte_len: u64) -> Result<()> {
+    /// Structural invariants of a decoded page index: there is a page,
+    /// each holds at most [`MAX_PAGE_POINTS`], and pages are
+    /// time-ordered and disjoint. Returns the byte length of the chunk
+    /// body the pages tile, which is what the footer does not store.
+    pub(crate) fn validate(&self) -> Result<u64> {
         let last = self
             .pages
             .last()
@@ -296,13 +312,9 @@ impl PagedChunkInfo {
             }
             prev_last = Some(p.stats.last.t);
         }
-        let covered = last.offset.saturating_add(last.byte_len);
-        if covered != chunk_byte_len {
-            return Err(TsFileError::Corrupt(format!(
-                "pages cover {covered} bytes of a {chunk_byte_len}-byte chunk"
-            )));
-        }
-        Ok(())
+        last.offset
+            .checked_add(last.byte_len)
+            .ok_or_else(|| TsFileError::Corrupt("page extent overflows".into()))
     }
 
     /// The chunk's statistics: its pages', folded in time order with
@@ -942,19 +954,21 @@ mod tests {
             val_encoding: EncodingKind::Gorilla,
             pages: vec![page_meta(&points, 0, len)?],
         };
-        good.validate(len)?;
-        assert!(good.validate(len + 1).is_err(), "gap after last page");
+        assert_eq!(good.validate()?, len, "the pages tile the body");
+        let mut past_end = good.clone();
+        past_end.pages[0].offset = u64::MAX;
+        assert!(past_end.validate().is_err(), "a page past u64::MAX");
         let mut huge = good.clone();
         huge.pages[0].stats.count = MAX_PAGE_POINTS as u64 + 1;
-        assert!(huge.validate(len).is_err(), "page above the ceiling");
+        assert!(huge.validate().is_err(), "page above the ceiling");
         let mut twice = good.clone();
         twice.pages.push(page_meta(&points, len, len)?);
-        assert!(twice.validate(2 * len).is_err(), "pages overlap in time");
+        assert!(twice.validate().is_err(), "pages overlap in time");
         let empty = PagedChunkInfo {
             pages: Vec::new(),
             ..good
         };
-        assert!(empty.validate(0).is_err());
+        assert!(empty.validate().is_err());
         Ok(())
     }
 
@@ -1003,31 +1017,43 @@ mod tests {
         Ok(())
     }
 
+    /// Two pages round-trip, offsets derived; the index leaves `prev` at
+    /// the chunk's last point, where the next chunk's index starts; and
+    /// the two encodings share one byte.
     #[test]
     fn info_encode_decode_roundtrip() -> Result<()> {
         let points = pts(30, 3);
-        let mut body = Vec::new();
-        encode_page(&points, EncodingKind::Plain, EncodingKind::Plain, &mut body);
-        let info = PagedChunkInfo {
+        let mut info = PagedChunkInfo {
             ts_encoding: EncodingKind::Plain,
-            val_encoding: EncodingKind::Plain,
-            pages: vec![page_meta(&points, 0, body.len() as u64)?],
+            val_encoding: EncodingKind::Gorilla,
+            pages: Vec::new(),
         };
+        let mut offset = 0;
+        for slice in points.chunks(20) {
+            let mut body = Vec::new();
+            encode_page(slice, info.ts_encoding, info.val_encoding, &mut body);
+            info.pages
+                .push(page_meta(slice, offset, body.len() as u64)?);
+            offset += body.len() as u64;
+        }
+        let start = Point::new(-40, 1.5);
         let mut buf = Vec::new();
-        info.encode(&mut buf);
-        let mut pos = 0usize;
-        assert_eq!(PagedChunkInfo::decode(&buf, &mut pos)?, info);
+        let mut written = start;
+        info.encode(&mut written, &mut buf);
+        assert_eq!(buf[0], 0x20, "Gorilla values over plain timestamps");
+        let (mut pos, mut read) = (0usize, start);
+        assert_eq!(PagedChunkInfo::decode(&buf, &mut pos, &mut read)?, info);
         assert_eq!(pos, buf.len());
+        assert_eq!((written, read), (points[29], points[29]));
         Ok(())
     }
 
     #[test]
     fn decode_rejects_absurd_page_count() {
-        let mut buf = Vec::new();
-        buf.push(EncodingKind::Ts2Diff as u8);
-        buf.push(EncodingKind::Gorilla as u8);
+        let mut buf = vec![(EncodingKind::Gorilla as u8) << 4 | EncodingKind::Ts2Diff as u8];
         varint::write_u64(&mut buf, u64::MAX);
         let mut pos = 0usize;
-        assert!(PagedChunkInfo::decode(&buf, &mut pos).is_err());
+        let got = PagedChunkInfo::decode(&buf, &mut pos, &mut Point::new(0, 0.0));
+        assert!(matches!(got, Err(TsFileError::Corrupt(_))), "{got:?}");
     }
 }

@@ -49,7 +49,8 @@ pub struct TsFileReader {
 
 impl TsFileReader {
     /// Open a TsFile and parse its footer. Verifies head magic, tail
-    /// magic and the footer CRC.
+    /// magic, the footer CRC, and that the chunk bodies the footer lists
+    /// end where it begins.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self> {
         crate::lockcheck::check_io();
         let path = path.as_ref().to_path_buf();
@@ -71,7 +72,7 @@ impl TsFileReader {
         file.read_exact(&mut trailer)?;
         // The head already matched, so this is our format cut short (a
         // torn or truncated write), not a foreign file: `Corrupt`, and
-        // `BadMagic` stays reserved for a file that is not a `TSF2` at all.
+        // `BadMagic` stays reserved for a file not of this generation.
         if !trailer.ends_with(MAGIC) {
             return Err(TsFileError::Corrupt(
                 "trailer magic missing: file is truncated or torn".into(),
@@ -98,6 +99,14 @@ impl TsFileReader {
             });
         }
         let footer = FileFooter::decode_body(&body)?;
+        // The footer stores no chunk offset: the bodies it lists must
+        // tile the file from the head magic to the footer exactly.
+        let data_end = footer.data_end();
+        if data_end != footer_start {
+            return Err(TsFileError::Corrupt(format!(
+                "chunk bodies end at byte {data_end}, the footer starts at {footer_start}"
+            )));
+        }
         Ok(TsFileReader {
             path,
             file: PositionalFile::new(file),
@@ -626,11 +635,12 @@ mod tests {
     #[test]
     fn rejects_non_tsfile() -> Result<()> {
         let p = tmp("garbage.bin");
-        // The second input is the retired `TSF1` generation's magic at
-        // both ends: rejected at the head like any other foreign file.
-        let inputs: [&[u8]; 2] = [
+        // The others carry a retired generation's magic at both ends:
+        // rejected at the head like any other foreign file.
+        let inputs: [&[u8]; 3] = [
             b"this is definitely not a tsfile at all",
             b"TSF1\0\0\0\0\0\0\0\0\0\0\0\0\0\0TSF1\0\0",
+            b"TSF2\0\0\0\0\0\0\0\0\0\0\0\0\0\0TSF2\0\0",
         ];
         for bytes in inputs {
             std::fs::write(&p, bytes)?;

@@ -1,16 +1,37 @@
 //! Per-chunk statistics: the paper's chunk metadata
 //! `{G(C^κ) | G ∈ {FP, LP, BP, TP}}` (§2.2.1), plus the point count.
 //!
-//! These are computed once at flush time and serialized next to the
-//! chunk. M4-LSM's merge-free candidate generation works entirely off
-//! this structure.
+//! These are computed once at flush time, per page, and stored in the
+//! footer's page index; a chunk's are the fold of its pages'. M4-LSM's
+//! merge-free candidate generation works entirely off this structure.
+//!
+//! The footer stores each page's statistics against the entry before it
+//! in file order — the previous page's last point, or the previous
+//! chunk's ([`ChunkStatistics::encode_after`]):
+//!
+//! ```text
+//! varint count
+//! FP.t  varint (FP.t − prev.t), unsigned, after a page of the same chunk;
+//!       varint_i (FP.t − prev.t), wrapping, on a chunk's first page
+//!       (prev = (0, 0.0) for the file's first: FP.t is absolute)
+//! varint (LP.t − FP.t), (BP.t − FP.t), (TP.t − FP.t), each unsigned
+//! FP.v  xor prev.v, then LP.v, BP.v, TP.v each xor FP.v, trimmed:
+//!       u8 control (high nibble: leading zero bytes, low nibble:
+//!       trailing zero bytes, their sum ≤ 8), then the bytes between,
+//!       most significant first
+//! ```
+//!
+//! This is Gorilla's XOR at byte granularity: neighbouring statistics
+//! share their sign, exponent and high mantissa, so a value costs a
+//! control byte and a few bytes rather than eight. An unsigned sum past
+//! `i64::MAX` or a control byte whose nibbles add past 8 is `Corrupt`.
 
 // Untrusted bytes: an out-of-range access is a typed error, not a panic.
 #![deny(clippy::indexing_slicing)]
 
 use crate::types::{Point, TimeRange};
 use crate::varint;
-use crate::{Result, TsFileError};
+use crate::{cast, Result, TsFileError};
 
 /// Statistics of one chunk: first/last/bottom/top points and count.
 ///
@@ -82,40 +103,55 @@ impl ChunkStatistics {
         TimeRange::new(self.first.t, self.last.t)
     }
 
-    /// Serialize to bytes (fixed order, varint times, raw f64 values).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        for p in [self.first, self.last, self.bottom, self.top] {
-            varint::write_i64(out, p.t);
-            out.extend_from_slice(&p.v.to_le_bytes());
-        }
+    /// Serialize against `prev`, the last point of the entry before
+    /// these statistics in file order (`(0, 0.0)` for the first): the
+    /// previous page of the same chunk when `same_chunk`, else the last
+    /// page of the previous chunk. See the module docs for the layout.
+    pub fn encode_after(&self, prev: Point, same_chunk: bool, out: &mut Vec<u8>) {
         varint::write_u64(out, self.count);
+        let gap = self.first.t.wrapping_sub(prev.t);
+        match same_chunk {
+            true => varint::write_u64(out, cast::u64_bits(gap)),
+            false => varint::write_i64(out, gap),
+        }
+        let rest = [self.last, self.bottom, self.top];
+        for p in rest {
+            varint::write_u64(out, cast::u64_bits(p.t.wrapping_sub(self.first.t)));
+        }
+        write_xor(out, self.first.v, prev.v);
+        for p in rest {
+            write_xor(out, p.v, self.first.v);
+        }
     }
 
-    /// Deserialize from bytes at `*pos`, advancing `*pos`.
-    pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Self> {
-        let read_point = |pos: &mut usize| -> Result<Point> {
-            let t = varint::read_i64(buf, pos)?;
-            let end = *pos + 8;
-            let bytes = buf.get(*pos..end).ok_or(TsFileError::UnexpectedEof {
-                what: "statistics value",
-            })?;
-            *pos = end;
-            let mut arr = [0u8; 8];
-            for (dst, src) in arr.iter_mut().zip(bytes) {
-                *dst = *src;
-            }
-            Ok(Point::new(t, f64::from_le_bytes(arr)))
-        };
-        let first = read_point(pos)?;
-        let last = read_point(pos)?;
-        let bottom = read_point(pos)?;
-        let top = read_point(pos)?;
+    /// Deserialize what [`Self::encode_after`] wrote against the same
+    /// `prev` and `same_chunk`, from `*pos`, advancing it, and validate.
+    pub fn decode_after(
+        buf: &[u8],
+        pos: &mut usize,
+        prev: Point,
+        same_chunk: bool,
+    ) -> Result<Self> {
         let count = varint::read_u64(buf, pos)?;
+        let first_t = match same_chunk {
+            true => after(prev.t, varint::read_u64(buf, pos)?)?,
+            false => prev.t.wrapping_add(varint::read_i64(buf, pos)?),
+        };
+        let mut times = [first_t; 3];
+        for t in &mut times {
+            *t = after(first_t, varint::read_u64(buf, pos)?)?;
+        }
+        let first_v = read_xor(buf, pos, prev.v)?;
+        let mut values = [first_v; 3];
+        for v in &mut values {
+            *v = read_xor(buf, pos, first_v)?;
+        }
+        let ([last_t, bottom_t, top_t], [last_v, bottom_v, top_v]) = (times, values);
         let stats = ChunkStatistics {
-            first,
-            last,
-            bottom,
-            top,
+            first: Point::new(first_t, first_v),
+            last: Point::new(last_t, last_v),
+            bottom: Point::new(bottom_t, bottom_v),
+            top: Point::new(top_t, top_v),
             count,
         };
         stats.validate()?;
@@ -150,6 +186,50 @@ impl ChunkStatistics {
         }
         Ok(())
     }
+}
+
+/// `base + delta`, `Corrupt` past `i64::MAX`.
+fn after(base: i64, delta: u64) -> Result<i64> {
+    base.checked_add_unsigned(delta).ok_or_else(|| {
+        TsFileError::Corrupt(format!("statistics time {base} + {delta} overflows i64"))
+    })
+}
+
+/// Append `v` as its XOR with `reference`, trimmed to its significant
+/// bytes behind a control byte (a zero XOR is `0x80`: eight leading
+/// zero bytes, nothing after).
+fn write_xor(out: &mut Vec<u8>, v: f64, reference: f64) {
+    let x = v.to_bits() ^ reference.to_bits();
+    let lead = x.leading_zeros() / 8;
+    let trail = if x == 0 { 0 } else { x.trailing_zeros() / 8 };
+    out.push(cast::low8(u64::from(lead << 4 | trail)));
+    let bytes = x.to_be_bytes();
+    let kept = cast::usize_from_u32(lead)..cast::usize_from_u32(8 - trail);
+    out.extend_from_slice(bytes.get(kept).unwrap_or(&[]));
+}
+
+/// Read what [`write_xor`] wrote against the same `reference`.
+fn read_xor(buf: &[u8], pos: &mut usize, reference: f64) -> Result<f64> {
+    let control = *buf.get(*pos).ok_or(TsFileError::UnexpectedEof {
+        what: "statistics value control byte",
+    })?;
+    *pos += 1;
+    let (lead, trail) = (usize::from(control >> 4), usize::from(control & 0xf));
+    let kept = 8usize.checked_sub(lead + trail).ok_or_else(|| {
+        TsFileError::Corrupt(format!("statistics value control byte {control:#04x}"))
+    })?;
+    let end = *pos + kept;
+    let src = buf.get(*pos..end).ok_or(TsFileError::UnexpectedEof {
+        what: "statistics value",
+    })?;
+    *pos = end;
+    let mut bytes = [0u8; 8];
+    for (dst, s) in bytes.iter_mut().skip(lead).zip(src) {
+        *dst = *s;
+    }
+    Ok(f64::from_bits(
+        u64::from_be_bytes(bytes) ^ reference.to_bits(),
+    ))
 }
 
 #[cfg(test)]
@@ -196,33 +276,61 @@ mod tests {
         Ok(())
     }
 
+    /// Round trip against each kind of predecessor, and what it costs:
+    /// a value equal to its reference is one control byte.
     #[test]
     fn encode_decode_roundtrip() -> Result<()> {
         let points = pts(&[(100, -1.25), (200, 4.5), (305, 4.5), (400, 0.0)]);
         let s = ChunkStatistics::from_points(&points)?;
+        for (prev, same_chunk) in [
+            (Point::new(0, 0.0), false),
+            (Point::new(90, 3.0), true),
+            (Point::new(i64::MIN, f64::NAN), true),
+            (Point::new(i64::MAX, -0.0), false),
+        ] {
+            let mut buf = Vec::new();
+            s.encode_after(prev, same_chunk, &mut buf);
+            let mut pos = 0;
+            let back = ChunkStatistics::decode_after(&buf, &mut pos, prev, same_chunk)?;
+            assert_eq!(back, s);
+            assert_eq!(pos, buf.len());
+        }
+        let flat = ChunkStatistics::from_points(&pts(&[(7, 2.5)]))?;
         let mut buf = Vec::new();
-        s.encode(&mut buf);
-        let mut pos = 0;
-        let back = ChunkStatistics::decode(&buf, &mut pos)?;
-        assert_eq!(back, s);
-        assert_eq!(pos, buf.len());
+        flat.encode_after(Point::new(5, 2.5), true, &mut buf);
+        assert_eq!(buf, [1, 2, 0, 0, 0, 0x80, 0x80, 0x80, 0x80]);
         Ok(())
     }
 
+    /// Statistics that break an invariant, a time past `i64::MAX` and a
+    /// control byte whose nibbles add past 8 are `Corrupt`.
     #[test]
     fn decode_rejects_invalid() {
-        // first.t > last.t
-        let bad = ChunkStatistics {
-            first: Point::new(10, 0.0),
+        let corrupt = |buf: &[u8], prev: Point, same_chunk: bool| {
+            let got = ChunkStatistics::decode_after(buf, &mut 0, prev, same_chunk);
+            assert!(matches!(got, Err(TsFileError::Corrupt(_))), "{got:?}");
+        };
+        // bottom.t past last.t
+        let mut bad = Vec::new();
+        ChunkStatistics {
+            first: Point::new(0, 0.0),
             last: Point::new(5, 0.0),
             bottom: Point::new(7, 0.0),
-            top: Point::new(7, 0.0),
+            top: Point::new(2, 0.0),
             count: 2,
-        };
-        let mut buf = Vec::new();
-        bad.encode(&mut buf);
-        let mut pos = 0;
-        assert!(ChunkStatistics::decode(&buf, &mut pos).is_err());
+        }
+        .encode_after(Point::new(0, 0.0), false, &mut bad);
+        corrupt(&bad, Point::new(0, 0.0), false);
+        // FP.t one past i64::MAX, and LP.t past it from FP.t.
+        let mut past = vec![1];
+        varint::write_u64(&mut past, 1);
+        past.extend_from_slice(&[0, 0, 0, 0x80, 0x80, 0x80, 0x80]);
+        corrupt(&past, Point::new(i64::MAX, 0.0), true);
+        let mut long = vec![1, 0];
+        varint::write_u64(&mut long, u64::MAX);
+        corrupt(&long, Point::new(1, 0.0), false);
+        // Lead 5 + trail 4 bytes.
+        corrupt(&[1, 0, 0, 0, 0, 0x54], Point::new(0, 0.0), false);
     }
 
     #[test]

@@ -481,6 +481,159 @@ fn run_directory_prefixes_and_bit_flips_are_typed_errors() {
     std::fs::remove_file(&path).ok();
 }
 
+/// `data` (head magic and chunk bodies) followed by `body` as the
+/// footer, under its CRC, length and tail magic.
+fn sealed_file(data: &[u8], body: &[u8]) -> Vec<u8> {
+    let mut file = data.to_vec();
+    file.extend_from_slice(body);
+    file.extend_from_slice(&tsfile::checksum::crc32(body).to_le_bytes());
+    file.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    file.extend_from_slice(tsfile::format::MAGIC);
+    file
+}
+
+/// A file of three runs whose statistics take every kind of value — a
+/// chunk of several pages, a run starting before the one before it
+/// ended, a chunk with an older version than the one before it, NaN
+/// payloads, −0.0, ±inf and subnormals — split into its bytes before
+/// the footer and its footer body.
+fn footer_sample(path: &std::path::Path) -> (Vec<u8>, Vec<u8>) {
+    let specials = [
+        f64::from_bits(0x7ff8_0000_0000_0001),
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::from_bits(1),
+        0.0,
+    ];
+    let mut w = TsFileWriter::create(path).unwrap();
+    w.set_page_points(40);
+    w.begin_series(3, 0).unwrap();
+    let ramp: Vec<Point> = (0..130)
+        .map(|i| Point::new(1_000 + i * 10, 20.0 + (i % 9) as f64 / 4.0))
+        .collect();
+    w.write_chunk(&ramp, 7).unwrap();
+    w.begin_series(700, 0).unwrap();
+    let odd: Vec<Point> = (0..60)
+        .map(|i| Point::new(-5_000 + i * 97, specials[i as usize % specials.len()]))
+        .collect();
+    w.write_chunk(&odd, 4).unwrap();
+    w.begin_series(70_000, 9).unwrap();
+    w.write_chunk(&[Point::new(i64::MIN, 1.5), Point::new(i64::MAX, -1.5)], 11)
+        .unwrap();
+    w.finish().unwrap();
+    let file = std::fs::read(path).unwrap();
+    let n = file.len();
+    let body_len = u64::from_le_bytes(file[n - 14..n - 6].try_into().unwrap()) as usize;
+    let body_at = n - 18 - body_len;
+    (file[..body_at].to_vec(), file[body_at..n - 18].to_vec())
+}
+
+/// What an open that succeeds promises about a footer: every page's and
+/// chunk's statistics hold their invariants, pages are time-ordered,
+/// disjoint, within the point ceiling and tile their chunk, chunks
+/// tile the file from the head magic to the footer at `footer_at`, and
+/// runs tile the chunks in ascending series order.
+fn assert_footer_holds(r: &TsFileReader, footer_at: u64, what: &str) {
+    let mut end = tsfile::format::MAGIC.len() as u64;
+    for c in r.chunk_metas() {
+        assert_eq!(c.offset, end, "{what}: chunk offset");
+        let mut page_end = 0;
+        let mut last_t = None;
+        for p in &c.paged.pages {
+            p.stats.validate().unwrap();
+            assert!(
+                p.stats.count <= tsfile::page::MAX_PAGE_POINTS as u64,
+                "{what}"
+            );
+            if let Some(t) = last_t {
+                assert!(t < p.stats.first.t, "{what}: page order");
+            }
+            assert_eq!(p.offset, page_end, "{what}: page offset");
+            last_t = Some(p.stats.last.t);
+            page_end += p.byte_len;
+        }
+        assert_eq!(c.byte_len, page_end, "{what}: chunk length");
+        c.stats.validate().unwrap();
+        end += c.byte_len;
+    }
+    assert_eq!(end, footer_at, "{what}: chunks end at the footer");
+    let mut next = 0;
+    for (i, run) in r.series_runs().iter().enumerate() {
+        assert_eq!(run.chunks.start, next, "{what}");
+        assert!(
+            i == 0 || r.series_runs()[i - 1].series < run.series,
+            "{what}"
+        );
+        next = run.chunks.end;
+    }
+    assert_eq!(next, r.chunk_metas().len(), "{what}");
+}
+
+/// The footer body: every strict prefix is a typed error from its
+/// decoder, and every single-bit flip, under a re-sealed CRC, is a typed
+/// error from `open` or a file whose footer still holds every invariant
+/// — never a panic.
+#[test]
+fn footer_prefixes_and_resealed_bit_flips_are_typed_errors() {
+    let dir = std::env::temp_dir().join("tsfile-fuzz");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("footer-{}.tsfile", std::process::id()));
+    let (data, body) = footer_sample(&path);
+    assert!(FileFooter::decode_body(&body).is_ok());
+    for cut in 0..body.len() {
+        let got = FileFooter::decode_body(&body[..cut]);
+        assert!(typed(&got), "prefix of {cut} bytes: {:?}", got.map(|_| ()));
+    }
+    let mut opened = 0;
+    for at in 0..body.len() * 8 {
+        let mut flipped = body.clone();
+        flipped[at / 8] ^= 1 << (at % 8);
+        std::fs::write(&path, sealed_file(&data, &flipped)).unwrap();
+        match TsFileReader::open(&path) {
+            Ok(r) => {
+                assert_footer_holds(&r, data.len() as u64, &format!("bit {at}"));
+                opened += 1;
+            }
+            got => assert!(typed(&got), "bit {at}: {:?}", got.map(|_| ())),
+        }
+    }
+    // Most flips land in a value's bytes, which any bits fill.
+    assert!(
+        opened > 0 && opened < body.len() * 8,
+        "{opened} flips opened"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+/// A CRC-valid footer whose page lengths do not add up to the bytes
+/// between the head magic and the footer is `Corrupt` at open: the
+/// footer stores no chunk offset, so the tiling is what it is checked
+/// against.
+#[test]
+fn footer_whose_pages_do_not_tile_the_data_region_is_corrupt() {
+    let dir = std::env::temp_dir().join("tsfile-fuzz");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("tiling-{}.tsfile", std::process::id()));
+    let (data, body) = footer_sample(&path);
+    let footer = FileFooter::decode_body(&body).unwrap();
+    for (chunk, page, delta) in [(0, 1, 1i64), (0, 3, -1), (2, 0, 5)] {
+        let mut bent = footer.clone();
+        let mut meta = tsfile::ChunkMeta::clone(&bent.chunks[chunk]);
+        let p = &mut meta.paged.pages[page];
+        p.byte_len = p.byte_len.checked_add_signed(delta).unwrap();
+        bent.chunks[chunk] = std::sync::Arc::new(meta);
+        std::fs::write(&path, sealed_file(&data, &bent.encode_body())).unwrap();
+        let got = TsFileReader::open(&path);
+        assert!(
+            matches!(&got, Err(TsFileError::Corrupt(msg)) if msg.contains("chunk bodies end")),
+            "chunk {chunk} page {page} {delta:+}: {:?}",
+            got.map(|_| ())
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -10,6 +10,8 @@
     clippy::indexing_slicing
 )]
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use tsfile::encoding::decimal::Framing;
 use tsfile::encoding::{bitio, decimal, gorilla, plain, ts2diff, EncodingKind};
@@ -18,9 +20,11 @@ use tsfile::page::{
     TsForm, ValueForm,
 };
 use tsfile::statistics::ChunkStatistics;
-use tsfile::types::Point;
+use tsfile::types::{Point, Version};
 use tsfile::varint;
-use tsfile::{PageMeta, TsFileReader, TsFileWriter};
+use tsfile::{
+    ChunkMeta, FileFooter, PageMeta, PagedChunkInfo, SeriesRun, TsFileReader, TsFileWriter,
+};
 
 /// Values no decimal block can hold: NaN payloads, −0.0, ±inf,
 /// subnormals, and magnitudes at or beyond 2^53.
@@ -194,11 +198,163 @@ proptest! {
         let max = pts.iter().map(|p| p.v).fold(f64::NEG_INFINITY, f64::max);
         prop_assert_eq!(s.bottom.v, min);
         prop_assert_eq!(s.top.v, max);
-        // Statistics encode/decode round-trips.
-        let mut buf = Vec::new();
-        s.encode(&mut buf);
-        let mut pos = 0;
-        prop_assert_eq!(ChunkStatistics::decode(&buf, &mut pos).unwrap(), s);
+        // The statistics round-trip through the footer, as one page.
+        let footer = footer_of(&[(0, 0, vec![(1, vec![pts.clone()])])]);
+        let back = FileFooter::decode_body(&footer.encode_body()).unwrap();
+        prop_assert_eq!(back.chunks[0].paged.pages[0].stats, s);
+        prop_assert_eq!(back.chunks[0].stats, s);
+    }
+}
+
+/// A chunk as `(version, its pages' points)`.
+type Chunk = (u64, Vec<Vec<Point>>);
+
+/// A series run as `(series, supersedes, its chunks)`.
+type Run = (u32, u64, Vec<Chunk>);
+
+/// A footer over `runs` whose page bodies are each as long as their
+/// point count plus 7 bytes, laid end to end after the head magic as a
+/// writer lays them.
+fn footer_of(runs: &[Run]) -> FileFooter {
+    let mut footer = FileFooter::default();
+    let mut end = tsfile::format::MAGIC.len() as u64;
+    for (series, supersedes, chunks) in runs {
+        let at = footer.chunks.len();
+        for (version, pages) in chunks {
+            let mut offset = 0;
+            let pages: Vec<PageMeta> = pages
+                .iter()
+                .map(|points| {
+                    let page = PageMeta {
+                        offset,
+                        byte_len: points.len() as u64 + 7,
+                        stats: ChunkStatistics::from_points(points).unwrap(),
+                    };
+                    offset += page.byte_len;
+                    page
+                })
+                .collect();
+            let paged = PagedChunkInfo {
+                ts_encoding: EncodingKind::Ts2Diff,
+                val_encoding: EncodingKind::Gorilla,
+                pages,
+            };
+            footer.chunks.push(Arc::new(ChunkMeta {
+                offset: end,
+                byte_len: offset,
+                version: Version(*version),
+                stats: paged.chunk_stats().unwrap(),
+                paged,
+            }));
+            end += offset;
+        }
+        footer.runs.push(SeriesRun {
+            series: *series,
+            supersedes: Version(*supersedes),
+            chunks: at..footer.chunks.len(),
+        });
+    }
+    footer
+}
+
+/// Everything a footer holds, its values as bits, so NaN payloads and
+/// −0.0 compare exactly.
+fn footer_bits(footer: &FileFooter) -> Vec<String> {
+    let stats = |s: &ChunkStatistics| {
+        let [a, b, c, d] = [s.first, s.last, s.bottom, s.top].map(|p| (p.t, p.v.to_bits()));
+        format!("n={} {a:?} {b:?} {c:?} {d:?}", s.count)
+    };
+    let mut out = Vec::new();
+    for c in &footer.chunks {
+        let (ts, vs) = (c.paged.ts_encoding, c.paged.val_encoding);
+        out.push(format!(
+            "chunk @{}+{} {:?} {ts:?}/{vs:?} {}",
+            c.offset,
+            c.byte_len,
+            c.version,
+            stats(&c.stats)
+        ));
+        for p in &c.paged.pages {
+            out.push(format!(
+                "page @{}+{} {}",
+                p.offset,
+                p.byte_len,
+                stats(&p.stats)
+            ));
+        }
+    }
+    out.extend(footer.runs.iter().map(|r| format!("{r:?}")));
+    out
+}
+
+/// A timestamp near one of the `i64` extremes, near zero, or anywhere.
+fn any_time() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        (0i64..4).prop_map(|d| i64::MIN + d),
+        (0i64..4).prop_map(|d| i64::MAX - d),
+        -1_000i64..1_000,
+        any::<i64>(),
+    ]
+}
+
+/// A value that is one of [`SPECIALS`] half the time, else any bits.
+fn any_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<prop::sample::Index>()
+            .prop_map(|i| f64::from_bits(SPECIALS[i.index(SPECIALS.len())])),
+        any::<u64>().prop_map(f64::from_bits),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Whatever the statistics, the footer codec gives back every bit:
+    /// several runs whose chunks overlap one another in time, times at
+    /// `i64::MIN` and `i64::MAX` side by side (within a page, across
+    /// pages and across chunks), versions rising and falling, and NaN
+    /// payloads, −0.0, ±inf and subnormals in every statistic.
+    #[test]
+    fn footer_roundtrips_bit_exactly(
+        runs in prop::collection::vec(
+            (
+                1u32..1_000,
+                0u64..3,
+                prop::collection::vec(
+                    (
+                        any::<u64>(),
+                        1usize..5,
+                        prop::collection::vec((any_time(), any_value()), 1..40),
+                    ),
+                    0..4,
+                ),
+            ),
+            1..5,
+        ),
+    ) {
+        let mut series = 0;
+        let runs: Vec<Run> = runs
+            .into_iter()
+            .map(|(gap, supersedes, chunks)| {
+                series += gap;
+                let chunks: Vec<Chunk> = chunks
+                    .into_iter()
+                    .map(|(version, page_points, raw)| {
+                        let mut points: Vec<Point> =
+                            raw.into_iter().map(|(t, v)| Point::new(t, v)).collect();
+                        points.sort_by_key(|p| p.t);
+                        points.dedup_by_key(|p| p.t);
+                        (version, points.chunks(page_points).map(<[Point]>::to_vec).collect())
+                    })
+                    .collect();
+                // A run with no chunk must supersede something.
+                (series, supersedes + u64::from(chunks.is_empty()), chunks)
+            })
+            .collect();
+        let footer = footer_of(&runs);
+        let back = FileFooter::decode_body(&footer.encode_body()).unwrap();
+        prop_assert_eq!(footer_bits(&back), footer_bits(&footer));
+        prop_assert_eq!(back.data_end(), footer.data_end());
     }
 }
 

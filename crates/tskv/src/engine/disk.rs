@@ -256,8 +256,10 @@ pub(super) fn settle_in_flight(listing: &mut ShardListing) -> Result<()> {
 
 /// Whether `e` is what a crash mid-write leaves behind: a file cut short
 /// (even before its head magic) or whose footer does not verify. A
-/// foreign magic is not — the writer emits `TSF2` first, so such a file
-/// was never ours to rename — and neither is a failing disk.
+/// foreign magic is not — the writer emits `tsfile::format::MAGIC`
+/// first, so such a file was never ours to rename — and neither is a
+/// failing disk. Every footer layout bumps that magic, so a file of an
+/// earlier layout is foreign here, never torn.
 pub(super) fn is_torn_write(e: &TsFileError) -> bool {
     match e {
         TsFileError::Io(io) => io.kind() == std::io::ErrorKind::UnexpectedEof,

@@ -46,7 +46,7 @@ impl TsKv {
     /// it only lost its rename and is adopted. A `*.tsfile` that does
     /// not verify was damaged after it was sealed: that is genuine
     /// corruption and surfaces as an error, and so does a file with a
-    /// foreign magic (e.g. the retired `TSF1`) under either name: it is
+    /// foreign magic (e.g. the retired `TSF1` or `TSF2`) under either name: it is
     /// left in place and the open fails with `BadMagic`.
     ///
     /// A run that a compaction output on disk supersedes is not read

@@ -231,7 +231,11 @@ fn torn_in_flight_file_is_quarantined_once_and_every_member_replays() -> TestRes
     let torn = image.join(shard_dir_name(0)).join("00000000.tsfile.tmp");
     std::fs::write(
         &torn,
-        b"TSF2\0\0 the first pages of a file that never got its footer",
+        [
+            &tsfile::format::MAGIC[..],
+            b" the first pages of a file that never got its footer",
+        ]
+        .concat(),
     )?;
     // The store the image was taken of carries on.
     let sealed = kv.inner.write_group(shard, &members);

@@ -507,8 +507,8 @@ fn damaged_data_file_fails_open_and_stays_in_place() -> TestResult {
     // "s" is the first series interned → id 0 → shard 0.
     let sdir = dir.join(shard_dir_name(0));
     let damaged = sdir.join("00000001.tsfile");
-    let bytes = b"TSF2\0\0 cut short";
-    std::fs::write(&damaged, bytes)?;
+    let bytes = [&tsfile::format::MAGIC[..], b" cut short"].concat();
+    std::fs::write(&damaged, &bytes)?;
     match TsKv::open(&dir, config) {
         Err(TsKvError::TsFile(e)) => assert!(is_torn_write(&e), "{e:?}"),
         other => return Err(format!("opened as {other:?}").into()),
@@ -530,18 +530,25 @@ fn foreign_magic_data_file_fails_open_and_stays_in_place() -> TestResult {
     }
     // A retired-format file where the series' only (hence newest)
     // data file should be: never a torn write of ours, so it is
-    // neither renamed nor skipped.
+    // neither renamed nor skipped. `TSF2` is the generation whose
+    // footer stored chunk offsets and absolute statistics: under this
+    // layout's magic its footer would decode as `Corrupt`, which is
+    // what a torn write of ours reads as.
     let path = dir.join(shard_dir_name(0)).join("00000000.tsfile");
-    let tsf1 = b"TSF1\0\0 a whole file of the retired format TSF1\0\0";
-    std::fs::write(&path, tsf1)?;
-    match TsKv::open(&dir, EngineConfig::default()) {
-        Err(TsKvError::TsFile(TsFileError::BadMagic { found })) => {
-            assert_eq!(&found, b"TSF1\0\0");
+    for retired in [
+        &b"TSF1\0\0 a whole file of the retired format TSF1\0\0"[..],
+        &b"TSF2\0\0 a whole file of the retired format TSF2\0\0"[..],
+    ] {
+        std::fs::write(&path, retired)?;
+        match TsKv::open(&dir, EngineConfig::default()) {
+            Err(TsKvError::TsFile(TsFileError::BadMagic { found })) => {
+                assert_eq!(found[..], retired[..6]);
+            }
+            other => return Err(format!("opened as {other:?}").into()),
         }
-        other => return Err(format!("opened as {other:?}").into()),
+        assert_eq!(std::fs::read(&path)?, retired);
+        assert!(!path.with_extension("tsfile.corrupt").exists());
     }
-    assert_eq!(std::fs::read(&path)?, tsf1);
-    assert!(!path.with_extension("tsfile.corrupt").exists());
     std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }

@@ -8,7 +8,7 @@
 //! (CRC32, memtable, WAL/page framing) were rebuilt: equal hashes are
 //! the proof that the rebuild changed no format and no byte.
 //!
-//! The data file's entry was regenerated four times since, on purpose.
+//! The data file's entry was regenerated five times since, on purpose.
 //! First when the footer gained the series-run directory (and data
 //! files and their delete logs were renamed `<fileno>.tsfile` /
 //! `<fileno>.s<id>.mods`). Then when pages gained the decimal value
@@ -27,12 +27,20 @@
 //! step-regression model the writer learned for every chunk and M4-LSM
 //! no longer reads: the chunk index fell 1 666 → 1 555 bytes (all seven
 //! chunks had a model, about 16 bytes each with the flag) and the file
-//! 17 681 → 17 570; every byte before the footer is unchanged.
-//! [`TSFILE_PARTS`] holds the hashes of the file's parts as that fourth
-//! regeneration wrote them — every byte before the footer (head magic,
-//! pages, chunks) and the footer's chunk index — and the test checks the
-//! file is exactly those plus the four directory bytes, so a later
-//! change to one part names it. The mods log (one per series since,
+//! 17 681 → 17 570; every byte before the footer is unchanged. Then
+//! when the footer was coded against its neighbours — each page's
+//! statistics as deltas and trimmed XORs against the page before it,
+//! no chunk offset or length — and the magic at both ends became
+//! `TSF3`: the chunk index fell 1 555 → 1 415 bytes (its 33 pages'
+//! values are random hundredths, whose XORs keep most of their bytes)
+//! and the file 17 570 → 17 430. The 15 987 bytes of page bodies
+//! between the head magic and the footer hash the same as at the parent
+//! (`0x911e40d2dc9bfc6b`): no page moved. [`TSFILE_PARTS`] holds the
+//! hashes of the file's parts as that fifth regeneration wrote them —
+//! the page bodies and the footer's chunk index — and the test checks
+//! the file is exactly the head magic, those, the four directory bytes
+//! and the trailer, so a later change to one part names it. The mods
+//! log (one per series since,
 //! `s<id>.mods`: its row's path changed a second time, its bytes never),
 //! the catalog and the shard pin are byte-identical to the original
 //! table.
@@ -62,6 +70,7 @@
 
 use std::path::{Path, PathBuf};
 
+use tsfile::format::MAGIC;
 use tsfile::types::Point;
 use tskv::config::EngineConfig;
 use tskv::TsKv;
@@ -70,19 +79,22 @@ use tskv::TsKv;
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("SHARDS", 2, 0x07f8bc07b4ba5002),
     ("catalog.log", 36, 0xec3a226c01abdc87),
-    ("shard-0000/00000000.tsfile", 17570, 0x5850e51ad80e62b7),
+    ("shard-0000/00000000.tsfile", 17430, 0xc29a73e187ac05f8),
     ("shard-0000/s1.mods", 9, 0xcc59cc0b4c19c5c2),
     ("shard-0000/wal-00000000.log", 28518, 0x88c2ed828df37e3b),
 ];
 
-/// `(length, FNV-1a 64)` of the data file's bytes before the footer and
-/// of the footer's chunk index. Before the decimal mode and the footer
-/// diet they were `(18_632, 0xfcfca27b987044fc)` and
-/// `(2_043, 0xdab4016dd3c8e8af)`; before the packed forms,
-/// `(16_885, 0xe634730e353e0fd0)` and `(1_666, 0x3a5751c29532ec63)`;
-/// before the step-index flag and body left the footer, the same bytes
-/// before the footer and `(1_666, 0xe0d843cb887b0c21)`.
-const TSFILE_PARTS: [(usize, u64); 2] = [(15_993, 0x0386fe3f349cc3d8), (1_555, 0xa83dc0b4921740bd)];
+/// `(length, FNV-1a 64)` of the data file's page bodies (between the
+/// head magic and the footer) and of the footer's chunk index. Until
+/// the neighbour-coded footer the first part included the head magic:
+/// before the decimal mode and the footer diet the parts were
+/// `(18_632, 0xfcfca27b987044fc)` and `(2_043, 0xdab4016dd3c8e8af)`;
+/// before the packed forms, `(16_885, 0xe634730e353e0fd0)` and
+/// `(1_666, 0x3a5751c29532ec63)`; before the step-index flag and body
+/// left the footer, the same bytes before the footer and
+/// `(1_666, 0xe0d843cb887b0c21)`; before the neighbour-coded footer,
+/// `(15_993, 0x0386fe3f349cc3d8)` and `(1_555, 0xa83dc0b4921740bd)`.
+const TSFILE_PARTS: [(usize, u64); 2] = [(15_987, 0x911e40d2dc9bfc6b), (1_415, 0xa488db8123d92764)];
 
 /// What the footer body gained: one run, of series 1 (`golden.a`),
 /// holding all seven chunks, superseding nothing.
@@ -195,19 +207,25 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
     drop(kv);
     std::fs::remove_dir_all(&dir).ok();
 
-    // The data file is its bodies, its chunk index and the run
-    // directory.
+    // The data file is its head magic, its page bodies, its chunk index
+    // and the run directory.
     let [(bodies_len, bodies_hash), (index_len, index_hash)] = TSFILE_PARTS;
-    let trailer = 4 + 8 + 6; // crc + footer length + magic
+    let (head, rest) = tsfile.split_at(MAGIC.len());
+    assert_eq!(head, MAGIC);
+    let trailer = 4 + 8 + MAGIC.len(); // crc + footer length + magic
+    let footer_len = rest.len() - bodies_len - trailer;
+    let (bodies, footer) = rest.split_at(bodies_len);
+    let (index, directory) = footer[..footer_len].split_at(footer_len - RUN_DIRECTORY.len());
     assert_eq!(
-        tsfile.len(),
-        bodies_len + index_len + RUN_DIRECTORY.len() + trailer
+        (fnv1a64(bodies), index.len(), fnv1a64(index)),
+        (bodies_hash, index_len, index_hash),
+        "a page byte (first) or a chunk-index byte (then) moved; actual: \
+         (0x{:016x}, {}, 0x{:016x})",
+        fnv1a64(bodies),
+        index.len(),
+        fnv1a64(index)
     );
-    let (bodies, footer) = tsfile.split_at(bodies_len);
-    let (index, rest) = footer.split_at(index_len);
-    assert_eq!(fnv1a64(bodies), bodies_hash, "a page or chunk byte moved");
-    assert_eq!(fnv1a64(index), index_hash, "a chunk-index byte moved");
-    assert_eq!(rest[..RUN_DIRECTORY.len()], RUN_DIRECTORY);
+    assert_eq!(directory, RUN_DIRECTORY);
 
     let golden: Vec<(String, u64, u64)> = GOLDEN
         .iter()
@@ -227,19 +245,22 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
 /// `(length, FNV-1a 64)` of the one data file a compaction leaves,
 /// taken at the parent of the commit that rebuilt the merge, the page
 /// plan and the seal kernel: the output of a compaction is the same
-/// bytes after it. Regenerated three times, each time with the data
+/// bytes after it. Regenerated four times, each time with the data
 /// file's row above: for the decimal value mode and the footer diet (it
 /// was `(25_207, 0xe545e1c9772488b6)`), for the packed forms (it was
-/// `(22_023, 0x80fa0e00c13119d0)`), and when the footer lost the
+/// `(22_023, 0x80fa0e00c13119d0)`), when the footer lost the
 /// step-index flag and body (it was `(21_812, 0x5953b9323f677302)`:
-/// 112 bytes fewer, all of them in the footer).
+/// 112 bytes fewer, all of them in the footer), and when the footer
+/// was coded against its neighbours (it was `(21_700,
+/// 0x533f903ecc907f6d)`: 196 bytes fewer, all in the footer, and the
+/// head and tail magic `TSF2` → `TSF3`).
 /// At the packed forms, of the output's 30 pages, 8 changed
 /// form: the 4 whose time range a delete cut a gap into (t = 1 920,
 /// 4 770, 12 100 and 14 690 on) store their timestamps as packed deltas,
 /// the gap one exception, and 4 of the 7 XOR pages store their values
 /// as packed key deltas; the merge, the page plan and every other page
 /// are byte-identical.
-const COMPACTED: (u64, u64) = (21_700, 0x533f903ecc907f6d);
+const COMPACTED: (u64, u64) = (21_504, 0xf62ac83c1dfe2653);
 
 #[test]
 fn compaction_output_bytes_equal_the_hash_taken_before_the_merge_and_seal_rebuild() {

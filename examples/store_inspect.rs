@@ -1,6 +1,6 @@
 //! Store inspector: a debugging tool that dumps the physical layout of
-//! a tskv store — catalog, shards, files, chunks, versions,
-//! statistics, how many pages store each column in each form (timestamps
+//! a tskv store — catalog, shards, files and their footer bytes, chunks,
+//! versions, statistics, how many pages store each column in each form (timestamps
 //! constant, stream or packed; values stream, packed or decimal, and a
 //! decimal block's frame: reference or delta) and pending deletes —
 //! using only the public tsfile API plus read-only parsing of the
@@ -25,6 +25,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use m4lsm::tsfile::encoding::decimal::Framing;
+use m4lsm::tsfile::format::MAGIC;
 use m4lsm::tsfile::page::{TsForm, ValueForm};
 use m4lsm::tsfile::reader::page_body_slice;
 use m4lsm::tsfile::{page, ModsFile, TsFileReader};
@@ -116,12 +117,23 @@ fn dump_file(
 ) -> Result<(), Box<dyn std::error::Error>> {
     let reader = TsFileReader::open(path)?;
     let size = std::fs::metadata(path)?.len();
+    // Chunk bodies tile the file from the head magic: everything after
+    // the last one is the footer body and its trailer (CRC, length and
+    // tail magic).
+    let data_end = reader
+        .chunk_metas()
+        .last()
+        .map_or(MAGIC.len() as u64, |m| m.offset + m.byte_len);
+    let trailer = (4 + 8 + MAGIC.len()) as u64;
+    let pages: usize = reader.chunk_metas().iter().map(|m| m.page_count()).sum();
     println!(
-        "  {} ({} bytes, {} chunks in {} series runs)",
+        "  {} ({} bytes, {} chunks in {} series runs, footer {} bytes for {} pages)",
         path.file_name().unwrap_or_default().to_string_lossy(),
         size,
         reader.chunk_metas().len(),
-        reader.series_runs().len()
+        reader.series_runs().len(),
+        size - data_end - trailer,
+        pages
     );
     for run in reader.series_runs() {
         let name = catalog

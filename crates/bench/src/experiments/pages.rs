@@ -1,17 +1,17 @@
-//! Page-structured chunks: decoded-point reduction from sub-chunk
-//! statistics and selective page decode.
+//! Chunk size: decoded-point reduction from finer chunk statistics and
+//! smaller chunk decodes.
 //!
-//! Not a paper artifact — this measures the engine's page layer. The
-//! same workload (base series + overlapping overwrites + range
-//! deletes) is written into one store per `page_points` setting —
-//! monolithic chunks (`usize::MAX`, serialized as `page_points: 0`)
-//! and three page sizes — with deliberately large chunks so paged
-//! stores hold many pages per chunk. Each cell runs both operators on
-//! full-range and narrow-span queries, records latency, the page I/O
+//! Not a paper artifact — this measures the engine's storage unit (a
+//! chunk is one page). The same workload (base series + overlapping
+//! overwrites + range deletes) is written into one store per
+//! `points_per_chunk` setting — a coarse 8192-point baseline and three
+//! smaller sizes — under one memtable size, so the flushes are the
+//! same and only the chunking differs. Each cell runs both operators on
+//! full-range and narrow-span queries, records latency, the I/O
 //! counters, and an `oracle_match` flag against an independent
-//! in-memory replay of the workload. Narrow spans are where pages pay
-//! off: a monolithic store must decode whole chunks, a paged store
-//! only the overlapping pages.
+//! in-memory replay of the workload. Narrow spans are where small
+//! chunks pay off: a coarse store must decode whole 8192-point chunks,
+//! a fine one only the small chunks the span overlaps.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -27,18 +27,18 @@ use m4::{M4Lsm, M4Query, M4Result, M4Udf};
 
 use crate::harness::{BenchMeta, Harness};
 
-/// Swept page sizes; `usize::MAX` is the monolithic baseline.
-pub const PAGE_GRID: [usize; 4] = [usize::MAX, 4096, 1024, 256];
-/// Points per sealed chunk — large, so paged stores see many pages.
-pub const POINTS_PER_CHUNK: usize = 8192;
+/// Swept chunk sizes; the first is the coarse baseline.
+pub const CHUNK_GRID: [usize; 4] = [8192, 4096, 1024, 256];
+/// Points per flush, in every cell: two baseline chunks.
+pub const MEMTABLE_POINTS: usize = 2 * CHUNK_GRID[0];
 
-/// One measured cell of the pages grid.
+/// One measured cell of the chunk-size grid.
 #[derive(Debug, Clone, Serialize)]
 pub struct PagesRow {
     pub dataset: String,
     pub operator: String,
-    /// Page size in points; 0 means monolithic chunks.
-    pub page_points: u64,
+    /// Chunk size in points (a chunk is one page).
+    pub points_per_chunk: u64,
     /// Query shape: "full" (whole series) or "narrow" (~1% of points).
     pub query: String,
     pub w: usize,
@@ -48,7 +48,6 @@ pub struct PagesRow {
     pub chunks_loaded: u64,
     pub points_decoded: u64,
     pub pages_decoded: u64,
-    pub pages_skipped: u64,
     pub pages_stat_answered: u64,
 }
 
@@ -124,20 +123,16 @@ pub fn run(h: &Harness) -> Vec<PagesRow> {
             ),
         ];
 
-        for &page_points in &PAGE_GRID {
-            let label = if page_points == usize::MAX {
-                0
-            } else {
-                page_points as u64
-            };
-            let dir = h.root.join(format!("pages-{}-{label}", dataset.name()));
+        for &points_per_chunk in &CHUNK_GRID {
+            let dir = h
+                .root
+                .join(format!("pages-{}-{points_per_chunk}", dataset.name()));
             std::fs::remove_dir_all(&dir).ok();
             let kv = TsKv::open(
                 &dir,
                 EngineConfig {
-                    points_per_chunk: POINTS_PER_CHUNK,
-                    memtable_threshold: POINTS_PER_CHUNK * 2,
-                    page_points,
+                    points_per_chunk,
+                    memtable_threshold: MEMTABLE_POINTS,
                     ..Harness::store_config()
                 },
             )
@@ -158,7 +153,7 @@ pub fn run(h: &Harness) -> Vec<PagesRow> {
                     rows.push(PagesRow {
                         dataset: dataset.name().to_string(),
                         operator: op.to_string(),
-                        page_points: label,
+                        points_per_chunk: points_per_chunk as u64,
                         query: (*shape).to_string(),
                         w: q.w,
                         latency_ms,
@@ -166,7 +161,6 @@ pub fn run(h: &Harness) -> Vec<PagesRow> {
                         chunks_loaded: io.chunks_loaded,
                         points_decoded: io.points_decoded,
                         pages_decoded: io.pages_decoded,
-                        pages_skipped: io.pages_skipped,
                         pages_stat_answered: io.pages_stat_answered,
                     });
                 }
@@ -216,10 +210,10 @@ pub fn print(rows: &[PagesRow]) {
         return;
     }
     println!(
-        "{:<10} {:<8} {:>6} {:<7} {:>5} {:>11} {:>7} {:>7} {:>11} {:>9} {:>9} {:>9}",
+        "{:<10} {:<8} {:>6} {:<7} {:>5} {:>11} {:>7} {:>7} {:>11} {:>9} {:>9}",
         "dataset",
         "op",
-        "pagpts",
+        "chkpts",
         "query",
         "w",
         "latency_ms",
@@ -227,19 +221,14 @@ pub fn print(rows: &[PagesRow]) {
         "chunks",
         "pts_decoded",
         "pg_dec",
-        "pg_skip",
         "pg_stat"
     );
     for r in rows {
         println!(
-            "{:<10} {:<8} {:>6} {:<7} {:>5} {:>11.3} {:>7} {:>7} {:>11} {:>9} {:>9} {:>9}",
+            "{:<10} {:<8} {:>6} {:<7} {:>5} {:>11.3} {:>7} {:>7} {:>11} {:>9} {:>9}",
             r.dataset,
             r.operator,
-            if r.page_points == 0 {
-                "mono".to_string()
-            } else {
-                r.page_points.to_string()
-            },
+            r.points_per_chunk,
             r.query,
             r.w,
             r.latency_ms,
@@ -247,14 +236,13 @@ pub fn print(rows: &[PagesRow]) {
             r.chunks_loaded,
             r.points_decoded,
             r.pages_decoded,
-            r.pages_skipped,
             r.pages_stat_answered
         );
     }
 }
 
-/// Headline: per dataset, decoded-point reduction of the smallest page
-/// size vs the monolithic baseline on narrow-span queries.
+/// Headline: per dataset, decoded-point reduction of the smallest chunk
+/// size vs the coarse baseline on narrow-span queries.
 pub fn summarize(rows: &[PagesRow]) {
     let datasets: Vec<String> = {
         let mut d: Vec<String> = rows.iter().map(|r| r.dataset.clone()).collect();
@@ -268,18 +256,18 @@ pub fn summarize(rows: &[PagesRow]) {
         mismatches
     );
     for ds in datasets {
-        let sum = |pp: u64| -> u64 {
+        let sum = |chunk: u64| -> u64 {
             rows.iter()
-                .filter(|r| r.dataset == ds && r.query == "narrow" && r.page_points == pp)
+                .filter(|r| r.dataset == ds && r.query == "narrow" && r.points_per_chunk == chunk)
                 .map(|r| r.points_decoded)
                 .sum()
         };
-        let mono = sum(0);
-        let paged = sum(256);
-        if paged > 0 {
+        let coarse = sum(8192);
+        let fine = sum(256);
+        if fine > 0 {
             println!(
-                "-- pages[{ds}]: narrow-span decoded points {mono} (mono) -> {paged} (256-pt pages), {:.1}x reduction",
-                mono as f64 / paged as f64
+                "-- pages[{ds}]: narrow-span decoded points {coarse} (8192-pt chunks) -> {fine} (256-pt chunks), {:.1}x reduction",
+                coarse as f64 / fine as f64
             );
         }
     }
@@ -295,32 +283,30 @@ mod tests {
         let h = Harness::new(0.002, 1).with_datasets(vec![Dataset::RcvTime]);
         let rows = run(&h);
         h.cleanup();
-        // 4 page settings x 4 queries x 2 operators.
-        assert_eq!(rows.len(), PAGE_GRID.len() * 4 * 2);
+        // 4 chunk sizes x 4 queries x 2 operators.
+        assert_eq!(rows.len(), CHUNK_GRID.len() * 4 * 2);
         assert!(
             rows.iter().all(|r| r.oracle_match),
             "oracle mismatch: {rows:?}"
         );
-        // Every narrow-span cell on a paged store must decode strictly
-        // fewer points than the monolithic baseline for that operator.
+        // Every narrow-span cell on 256-point chunks must decode
+        // strictly fewer points than the 8192-point baseline for that
+        // operator.
         for op in ["M4-UDF", "M4-LSM"] {
-            let decoded = |pp: u64| -> u64 {
+            let decoded = |chunk: u64| -> u64 {
                 rows.iter()
-                    .filter(|r| r.operator == op && r.query == "narrow" && r.page_points == pp)
+                    .filter(|r| {
+                        r.operator == op && r.query == "narrow" && r.points_per_chunk == chunk
+                    })
                     .map(|r| r.points_decoded)
                     .sum()
             };
-            let mono = decoded(0);
+            let coarse = decoded(8192);
             assert!(
-                decoded(256) < mono,
-                "{op}: 256-pt pages should beat monolithic ({} vs {mono})",
+                decoded(256) < coarse,
+                "{op}: 256-pt chunks should beat 8192-pt chunks ({} vs {coarse})",
                 decoded(256)
             );
-            // Monolithic stores never skip pages.
-            assert!(rows
-                .iter()
-                .filter(|r| r.page_points == 0)
-                .all(|r| r.pages_skipped == 0));
         }
     }
 }

@@ -4,28 +4,27 @@
 //!
 //! 1. Build the query's fragment table ([`table::FragmentTable`]) from
 //!    chunk metadata — in-memory only ([`tskv::readers::MetadataReader`]
-//!    territory): one row per *page* overlapping the query range (one
-//!    for a one-page or memtable chunk), so candidate generation,
-//!    verification and lazy loading all work at page granularity (page
-//!    statistics, page loads).
+//!    territory): one row per chunk overlapping the query range — a
+//!    chunk is one page, so candidate generation, verification and lazy
+//!    loading all work on chunk statistics and chunk loads.
 //! 2. Assign rows to the spans their intervals overlap (Algorithm 1
 //!    line 5); the span boundaries act as the paper's §3.1 *virtual
 //!    deletes*, realized here as interval clipping.
 //! 3. Per span, run candidate generation + verification + lazy loading
 //!    (`span::SpanExecutor`) for each of FP/LP/BP/TP.
 //!
-//! Everything the query pays for lands in the fragment's row, so a page
+//! Everything the query pays for lands in the fragment's row, so a chunk
 //! body is loaded at most once per query and timestamp probes decode
 //! partial prefixes only. The configuration toggles lazy loading
 //! (§3.3/3.4) for the ablation benchmark. A timestamp probe is a binary
-//! search over a decoded prefix or a loaded page: the paper's §3.5
+//! search over a decoded prefix or a loaded chunk: the paper's §3.5
 //! step-regression index decoded the same prefixes here and bought no
 //! time, so it is not stored (`tsfile::index`).
 //!
 //! Spans are independent (each executor owns its candidate state and
 //! borrows the `Sync` table), so step 3 fans them across the
 //! engine-configured worker pool ([`tskv::pool`]): candidate
-//! verification and the lazy page loads it triggers run concurrently
+//! verification and the lazy chunk loads it triggers run concurrently
 //! per span, while results keep span order.
 
 mod span;
@@ -104,7 +103,7 @@ impl M4Lsm {
     }
 
     /// How many fragments an execution of `query` keeps a row for: the
-    /// pages overlapping the query range, not the pages of the series.
+    /// chunks overlapping the query range, not the chunks of the series.
     pub fn fragments(snapshot: &SeriesSnapshot, query: &M4Query) -> usize {
         let table = FragmentTable::new(snapshot, query.full_range());
         table.rows().len()
@@ -155,10 +154,6 @@ mod tests {
     use crate::udf::M4Udf;
 
     fn fresh(name: &str, chunk: usize) -> (std::path::PathBuf, TsKv) {
-        fresh_paged(name, chunk, EngineConfig::default().page_points)
-    }
-
-    fn fresh_paged(name: &str, chunk: usize, page_points: usize) -> (std::path::PathBuf, TsKv) {
         let dir = std::env::temp_dir().join(format!("m4-lsm-{name}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let kv = TsKv::open(
@@ -166,7 +161,6 @@ mod tests {
             EngineConfig {
                 points_per_chunk: chunk,
                 memtable_threshold: chunk * 4,
-                page_points,
                 ..Default::default()
             },
         )
@@ -219,8 +213,7 @@ mod tests {
             delta.chunks_loaded, 0,
             "merge-free path must not load chunks"
         );
-        // Default config: one page per chunk, each answered from statistics.
-        assert!(snap.chunks().iter().all(|c| c.page_count() == 1));
+        // Each chunk answered from its statistics.
         assert!(delta.pages_stat_answered > 0, "{delta:?}");
         let s = r.spans[0].unwrap();
         assert_eq!(s.first, Point::new(0, 0.0));
@@ -405,10 +398,10 @@ mod tests {
     }
 
     #[test]
-    fn mem_one_page_and_multi_page_chunks_share_a_span() {
-        let (dir, kv) = fresh_paged("mixed", 100, 40);
-        // 100 points seal as pages of 40/40/20; the 30 overwrites after
-        // them fit one page; the last writes stay in the memtable.
+    fn mem_and_sealed_chunks_of_several_sizes_share_a_span() {
+        let (dir, kv) = fresh("mixed", 40);
+        // 100 points seal as chunks of 40/40/20; the 30 overwrites after
+        // them fit one chunk; the last writes stay in the memtable.
         for t in 0..100i64 {
             kv.insert("s", Point::new(t, (t % 17) as f64)).unwrap();
         }
@@ -423,9 +416,9 @@ mod tests {
             kv.insert("s", Point::new(t, 7.0)).unwrap();
         }
         let snap = kv.snapshot("s").unwrap();
-        let pages: Vec<u32> = snap.chunks().iter().map(|c| c.page_count()).collect();
-        assert_eq!(pages, [3, 1, 1]);
-        assert!(snap.chunks()[2].is_mem());
+        let counts: Vec<u64> = snap.chunks().iter().map(|c| c.count()).collect();
+        assert_eq!(counts, [40, 40, 20, 30, 8]);
+        assert!(snap.chunks()[4].is_mem());
         for w in [1, 2, 3, 9] {
             assert_matches_udf(&kv, "s", &M4Query::new(0, 100, w).unwrap());
         }
@@ -434,17 +427,16 @@ mod tests {
 
     #[test]
     fn paged_chunks_match_udf_and_decode_fewer_points() {
-        // Multi-page chunks (1000 points, 50-point pages) exercise the
-        // fragment path: per-page span assignment, page-stat candidates
-        // and selective page decode.
+        // Small chunks (50 points) exercise the fragment path: many
+        // fragments per span, statistics candidates and selective
+        // decode.
         let dir = std::env::temp_dir().join(format!("m4-lsm-paged-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let kv = TsKv::open(
             &dir,
             EngineConfig {
-                points_per_chunk: 1000,
+                points_per_chunk: 50,
                 memtable_threshold: 2000,
-                page_points: 50,
                 enable_read_cache: false,
                 ..Default::default()
             },
@@ -455,8 +447,8 @@ mod tests {
                 .unwrap();
         }
         kv.flush_all().unwrap();
-        // Overwrites landing mid-chunk, plus a range delete, so
-        // verification probes cross page boundaries.
+        // Overwrites across chunks, plus a range delete, so
+        // verification probes cross chunk boundaries.
         for t in (1000..1200).step_by(3) {
             kv.insert("s", Point::new(t, 1000.0)).unwrap();
         }
@@ -467,9 +459,8 @@ mod tests {
             assert_matches_udf(&kv, "s", &M4Query::new(0, 4000, w).unwrap());
         }
 
-        // A narrow span touches a handful of 50-point pages; the
-        // merge-free path must decode far fewer points than the two
-        // whole 1000-point chunks overlapping it.
+        // A narrow span touches a handful of 50-point chunks; the
+        // merge-free path must decode far fewer points than 1000.
         let snap = kv.snapshot("s").unwrap();
         let before = snap.io().snapshot();
         let q = M4Query::new(100, 180, 2).unwrap();
@@ -478,7 +469,7 @@ mod tests {
         assert!(r.spans.iter().all(|s| s.is_some()));
         assert!(
             delta.points_decoded < 1000,
-            "narrow span should decode pages, not whole chunks: {} points",
+            "narrow span should decode a few small chunks: {} points",
             delta.points_decoded
         );
         std::fs::remove_dir_all(&dir).ok();

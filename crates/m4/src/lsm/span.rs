@@ -132,7 +132,7 @@ impl<'t> SpanExecutor<'t> {
     }
 
     /// The fragment's points inside the span: a slice of its decoded
-    /// page (loaded now if no span has yet), shared by FP/LP/BP/TP and
+    /// chunk (loaded now if no span has yet), shared by FP/LP/BP/TP and
     /// by the neighbouring span. Deleted points are still in it — the
     /// scans over it skip them with [`Self::is_live`].
     fn in_span(&self, frag: &'t Fragment<'t>) -> Result<&'t [Point]> {
@@ -185,7 +185,7 @@ impl<'t> SpanExecutor<'t> {
         let mut states: Vec<Option<EdgeState>> = Vec::with_capacity(self.frags.len());
         for &(frag, whole) in self.frags {
             let st = if whole && frag.loaded().is_none() {
-                let s = frag.stats;
+                let s = frag.stats();
                 Some(EdgeState::Exact(if first { s.first } else { s.last }))
             } else {
                 // Split by the span boundary (or already paid for):
@@ -245,7 +245,7 @@ impl<'t> SpanExecutor<'t> {
             };
             let Some(edge) = clip else {
                 // Latest (Proposition 3.1). A fragment answered here
-                // never read its body: page statistics alone.
+                // never read its body: chunk statistics alone.
                 self.table.note_stat_answered();
                 return Ok(Some(p));
             };
@@ -259,7 +259,7 @@ impl<'t> SpanExecutor<'t> {
             // statistics lie inside the span (only a whole fragment
             // offers a metadata candidate), so a bound past them has
             // left the span too.
-            let s = frag.stats;
+            let s = frag.stats();
             let (bound, dead) = if first {
                 (edge.saturating_add(1), edge >= s.last.t)
             } else {
@@ -297,7 +297,7 @@ impl<'t> SpanExecutor<'t> {
                 // Pay the (already paid or unavoidable) load.
                 self.load_extreme(pos, top, &refuted)?
             } else {
-                let s = frag.stats;
+                let s = frag.stats();
                 ExtremeState::Meta(if top { s.top } else { s.bottom })
             };
             states.push(st);
@@ -358,7 +358,7 @@ impl<'t> SpanExecutor<'t> {
             let overwritten = !deleted && self.is_overwritten(pos, p_g.t)?;
             if !deleted && !overwritten {
                 // A fragment whose metadata extreme survives
-                // verification was answered from page statistics alone.
+                // verification was answered from chunk statistics alone.
                 if from_meta {
                     self.table.note_stat_answered();
                 }
@@ -458,10 +458,6 @@ impl<'t> SpanExecutor<'t> {
     fn is_overwritten(&self, pos: usize, t: Timestamp) -> Result<bool> {
         let version = self.version(pos);
         for &(other, _) in self.frags.get(pos + 1..).unwrap_or_default() {
-            // The later pages of the candidate's own chunk share its
-            // version. Fragment statistics make the interval check
-            // page-tight: a `t` falling between two pages of a later
-            // chunk is ruled out here without any probe.
             if other.version() <= version || !other.range().contains(t) {
                 continue;
             }

@@ -1,27 +1,26 @@
 //! The fragment table: everything one M4-LSM query knows about each
 //! fragment it can touch, in one row.
 //!
-//! A fragment is one page of one chunk ([`tskv::ChunkHandle`] decides
-//! which chunks have one page and which many). Its row borrows what is
-//! known without I/O — statistics, version, time range — and owns the
-//! two things a query may pay for: the decoded page and a decoded
-//! prefix of its timestamp column. A page split by a span boundary is
-//! needed by two adjacent spans and a page probed for one candidate may
-//! be probed for another; both find the row filled, so a page body is
-//! decoded at most once per query and probes reuse the longest prefix
-//! decoded so far (Figure 7(b)).
+//! A fragment is one chunk ([`tskv::ChunkHandle`]: a chunk is one page).
+//! Its row borrows what is known without I/O — statistics, version,
+//! time range — and owns the two things a query may pay for: the
+//! decoded chunk and a decoded prefix of its timestamp column. A chunk
+//! split by a span boundary is needed by two adjacent spans and a chunk
+//! probed for one candidate may be probed for another; both find the
+//! row filled, so a chunk body is decoded at most once per query and
+//! probes reuse the longest prefix decoded so far (Figure 7(b)).
 //!
 //! The table is `Sync` — span executors on different worker-pool
-//! threads share it — and sits on the engine's cross-query decoded-page
-//! LRU: full loads go through [`SeriesSnapshot::read_page_points`],
-//! which consults the LRU first, so a row only pins the page for this
-//! query. Timestamp prefixes the LRU deliberately does not cache. Lock
-//! discipline: the page slot is a `OnceLock` (a filled slot is read
-//! with no lock at all) and the prefix guard is never held across a
-//! read or decode — a hit is answered under a short guard, a miss
-//! decodes unlocked and then publishes. Racing misses on one page may
-//! decode twice; the LRU makes that a cheap memory copy, never wrong
-//! data.
+//! threads share it — and sits on the engine's cross-query
+//! decoded-chunk LRU: full loads go through
+//! [`SeriesSnapshot::read_points`], which consults the LRU first, so a
+//! row only pins the chunk for this query. Timestamp prefixes the LRU
+//! deliberately does not cache. Lock discipline: the chunk slot is a
+//! `OnceLock` (a filled slot is read with no lock at all) and the
+//! prefix guard is never held across a read or decode — a hit is
+//! answered under a short guard, a miss decodes unlocked and then
+//! publishes. Racing misses on one chunk may decode twice; the LRU
+//! makes that a cheap memory copy, never wrong data.
 
 use std::sync::{Arc, OnceLock};
 
@@ -32,42 +31,43 @@ use tskv::{ChunkHandle, SeriesSnapshot};
 
 use crate::Result;
 
-/// One row: a page of a chunk and this query's state for it.
+/// One row: a chunk and this query's state for it.
 #[derive(Debug)]
 pub(crate) struct Fragment<'a> {
     chunk: &'a ChunkHandle,
-    page: u32,
-    /// The page's statistics; they describe the fragment's points in a
-    /// span only when the span contains the whole fragment.
-    pub stats: &'a ChunkStatistics,
-    /// The decoded page, raw (not clipped to a span, deletes not
+    /// The decoded chunk, raw (not clipped to a span, deletes not
     /// applied). Filled once; "already paid for" is `get().is_some()`.
     points: OnceLock<Arc<Vec<Point>>>,
-    /// Decoded prefix of the page's timestamp column: everything up to
+    /// Decoded prefix of the chunk's timestamp column: everything up to
     /// (and one past) the largest probe timestamp seen so far.
     prefix: Mutex<Vec<Timestamp>>,
 }
 
 impl Fragment<'_> {
-    /// The version `κ` of the fragment's chunk.
+    /// The version `κ` of the fragment.
     pub fn version(&self) -> Version {
         self.chunk.version
     }
 
-    /// The fragment's (unclipped) time interval.
-    pub fn range(&self) -> TimeRange {
-        self.stats.time_range()
+    /// The chunk's statistics; they describe the fragment's points in a
+    /// span only when the span contains the whole fragment.
+    pub fn stats(&self) -> &ChunkStatistics {
+        &self.chunk.stats
     }
 
-    /// The decoded page, if this query has loaded it already.
+    /// The fragment's (unclipped) time interval.
+    pub fn range(&self) -> TimeRange {
+        self.chunk.time_range()
+    }
+
+    /// The decoded chunk, if this query has loaded it already.
     pub fn loaded(&self) -> Option<&[Point]> {
         self.points.get().map(|p| p.as_slice())
     }
 }
 
-/// The rows of one query, in snapshot (= version) order, pages of a
-/// chunk in time order. `Sync`: shared by the span executors running
-/// on the worker pool.
+/// The rows of one query, in snapshot (= version) order. `Sync`:
+/// shared by the span executors running on the worker pool.
 #[derive(Debug)]
 pub(crate) struct FragmentTable<'a> {
     snapshot: &'a SeriesSnapshot,
@@ -75,25 +75,18 @@ pub(crate) struct FragmentTable<'a> {
 }
 
 impl<'a> FragmentTable<'a> {
-    /// One row per page overlapping `range`: pages outside the query
+    /// One row per chunk overlapping `range`: chunks outside the query
     /// are never looked at, let alone touched.
     pub fn new(snapshot: &'a SeriesSnapshot, range: TimeRange) -> Self {
-        let mut rows = Vec::new();
-        for chunk in snapshot.chunks_overlapping(range) {
-            for page in chunk.pages_overlapping(range) {
-                // `pages_overlapping` only names pages the chunk has.
-                let Some(stats) = chunk.page_stats(page) else {
-                    continue;
-                };
-                rows.push(Fragment {
-                    chunk,
-                    page,
-                    stats,
-                    points: OnceLock::new(),
-                    prefix: Mutex::default(),
-                });
-            }
-        }
+        let rows = snapshot
+            .chunks_overlapping(range)
+            .into_iter()
+            .map(|chunk| Fragment {
+                chunk,
+                points: OnceLock::new(),
+                prefix: Mutex::default(),
+            })
+            .collect();
         FragmentTable { snapshot, rows }
     }
 
@@ -107,21 +100,20 @@ impl<'a> FragmentTable<'a> {
         if let Some(pts) = f.loaded() {
             return Ok(pts);
         }
-        let pts = self.snapshot.read_page_points(f.chunk, f.page)?;
+        let pts = self.snapshot.read_points(f.chunk)?;
         Ok(f.points.get_or_init(|| pts))
     }
 
-    /// Count a fragment answered from its statistics alone (no page
+    /// Count a fragment answered from its statistics alone (no chunk
     /// body read) toward the engine's I/O counters.
     pub fn note_stat_answered(&self) {
         self.snapshot.io().record_page_stat_answered();
     }
 
     /// Timestamp-membership probe: does the fragment contain a point at
-    /// exactly `t`? The caller knows from page statistics that only
-    /// this page of its chunk could hold `t`. Binary searches the
-    /// loaded points when available; otherwise decodes (and keeps) the
-    /// page's timestamp prefix up to `t` and searches that.
+    /// exactly `t`? Binary searches the loaded points when available;
+    /// otherwise decodes (and keeps) the chunk's timestamp prefix up to
+    /// `t` and searches that.
     pub fn contains_timestamp(&self, f: &Fragment<'_>, t: Timestamp) -> Result<bool> {
         if let Some(pts) = f.loaded() {
             return Ok(pts.binary_search_by_key(&t, |p| p.t).is_ok());
@@ -131,9 +123,7 @@ impl<'a> FragmentTable<'a> {
         if let Some(answer) = f.prefix_hit(t) {
             return Ok(answer);
         }
-        let ts = self
-            .snapshot
-            .read_page_timestamps(f.chunk, f.page, Some(t))?;
+        let ts = self.snapshot.read_timestamps(f.chunk, Some(t))?;
         let answer = ts.binary_search(&t).is_ok();
         f.publish_prefix(ts);
         Ok(answer)
@@ -145,7 +135,7 @@ impl Fragment<'_> {
     /// covers `t`. No guard survives the call.
     fn prefix_hit(&self, t: Timestamp) -> Option<bool> {
         let prefix = self.prefix.lock();
-        let complete = prefix.len() as u64 == self.stats.count;
+        let complete = prefix.len() as u64 == self.chunk.count();
         (complete || prefix.last().is_some_and(|&last| last >= t))
             .then(|| prefix.binary_search(&t).is_ok())
     }
@@ -199,7 +189,7 @@ mod tests {
         (dir, kv)
     }
 
-    /// The table of the whole fixture series: one row, its one page.
+    /// The table of the whole fixture series: one row, its one chunk.
     fn whole(snap: &SeriesSnapshot) -> FragmentTable<'_> {
         let table = FragmentTable::new(snap, TimeRange::new(Timestamp::MIN, Timestamp::MAX));
         assert_eq!(table.rows().len(), 1);

@@ -44,22 +44,15 @@ impl M4Udf {
         let threads = snapshot.pool_threads();
         let reader = MergeReader::with_range(snapshot, query.full_range());
         let plan = reader.plan();
-        // One load job per chunk; each yields that chunk's overlapping
-        // pages as independent runs (time-disjoint, same version), so
-        // the k-way merge below is unchanged while out-of-range pages
-        // are never decoded.
-        let page_runs: Vec<Vec<(Version, Arc<Vec<Point>>)>> =
+        // One load job per chunk, each a sorted run under its version;
+        // points outside the range are dropped by the merge.
+        let runs: Vec<(Version, Arc<Vec<Point>>)> =
             pool::run_indexed(threads, plan.len(), |i| -> Result<_> {
                 let chunk = plan
                     .get(i)
                     .ok_or(M4Error::Internal("udf load plan out of range"))?;
-                let pages = snapshot.read_points_in(chunk, query.full_range())?;
-                Ok(pages
-                    .into_iter()
-                    .map(|(_, pts)| (chunk.version, pts))
-                    .collect())
+                Ok((chunk.version, snapshot.read_points(chunk)?))
             })?;
-        let runs: Vec<(Version, Arc<Vec<Point>>)> = page_runs.into_iter().flatten().collect();
         // Shard the merge into contiguous groups of spans (disjoint
         // time segments); oversubscribe the pool a little so uneven
         // segments balance. Concatenation in span order is the exact

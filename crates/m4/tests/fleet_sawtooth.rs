@@ -80,29 +80,23 @@ fn a_fleet_sawtooth_stores_its_deltas_and_answers_m4_exactly() {
         "{bytes} bytes of data files for {} points: {per_point:.3} B/point",
         model.len()
     );
-    // Every page's values are a decimal block in the delta frame.
+    // Every chunk's values are a decimal block in the delta frame.
     let mut pages = 0;
     for path in &files {
         let reader = TsFileReader::open(path).unwrap();
         for meta in reader.chunk_metas() {
-            let info = &meta.paged;
-            let (buf, base) = reader
-                .read_page_window_raw(meta, 0..info.pages.len())
-                .unwrap();
-            for pm in &info.pages {
-                let body = tsfile::reader::page_body_slice(&buf, pm, base).unwrap();
-                let framing = tsfile::page::decimal_framing(body).unwrap();
-                assert_eq!(
-                    framing,
-                    Some(Framing::Delta),
-                    "page at t={}",
-                    pm.stats.first.t
-                );
-                pages += 1;
-            }
+            let body = reader.read_chunk_raw(meta).unwrap();
+            let framing = tsfile::page::decimal_framing(&body).unwrap();
+            assert_eq!(
+                framing,
+                Some(Framing::Delta),
+                "chunk at t={}",
+                meta.stats.first.t
+            );
+            pages += 1;
         }
     }
-    assert!(pages >= 30, "{pages} pages");
+    assert!(pages >= 30, "{pages} chunks");
 
     let live: Vec<Point> = model.iter().map(|(&t, &v)| Point::new(t, v)).collect();
     let (first, last) = (live[0].t, live[live.len() - 1].t);

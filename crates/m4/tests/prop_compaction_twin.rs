@@ -1,13 +1,13 @@
-//! Oracle property for page-aware compaction: for ANY storage history
-//! and ANY page geometry, a store whose compactions copy clean pages
-//! raw, drop delete-covered pages unread and recode the rest holds —
+//! Oracle property for chunk-aware compaction: for ANY storage history
+//! and ANY chunk geometry, a store whose compactions copy clean chunks
+//! raw, drop delete-covered chunks unread and recode the rest holds —
 //! after every compaction — exactly the points of the in-memory model
 //! (a `BTreeMap` replay of the same operations), and answers M4
 //! queries Definition-2.1-equivalently to `m4::oracle` on both the
 //! merge-based M4-UDF and the merge-free M4-LSM path.
 //!
 //! This is the acceptance property for the compaction rewrite: what a
-//! page's fate was must be observationally invisible at every query
+//! chunk's fate was must be observationally invisible at every query
 //! level.
 
 // Tests assert by panicking; the workspace panic-freedom deny-set
@@ -55,8 +55,8 @@ proptest! {
     #[test]
     fn compaction_by_page_fate_matches_the_model_and_the_oracle(
         ops in prop::collection::vec(op_strategy(), 1..20),
-        chunk_size in 2usize..16,
-        page_points in 2usize..8,
+        memtable in 2usize..16,
+        chunk_size in 2usize..8,
         qs in -40_000i64..40_000,
         qlen in 1i64..70_000,
         w in 1usize..40,
@@ -70,8 +70,7 @@ proptest! {
             &dir,
             EngineConfig {
                 points_per_chunk: chunk_size,
-                memtable_threshold: chunk_size * 4,
-                page_points,
+                memtable_threshold: memtable * 4,
                 ..Default::default()
             },
         )
@@ -97,7 +96,7 @@ proptest! {
                 Op::Flush => kv.flush("s").unwrap(),
                 Op::Compact => {
                     kv.compact("s").unwrap();
-                    // Copied pages carry the exact original points,
+                    // Copied chunks carry the exact original points,
                     // recoded ones the exact merge: point for point.
                     let snap = kv.snapshot("s").unwrap();
                     let merged = MergeReader::new(&snap).collect_merged().unwrap();
@@ -122,7 +121,7 @@ proptest! {
         let udf = M4Udf::new().execute(&snap, &query).unwrap();
         prop_assert!(udf.equivalent(&expected), "M4-UDF deviates from the oracle");
         // The merge-free path reads footer statistics that compaction
-        // rebuilt (or carried verbatim for copied pages).
+        // rebuilt (or carried verbatim for copied chunks).
         let lsm = M4Lsm::new().execute(&snap, &query).unwrap();
         prop_assert!(lsm.equivalent(&expected), "M4-LSM deviates from the oracle");
 

@@ -23,6 +23,9 @@ pub enum TsFileError {
     Corrupt(String),
     /// Attempted to write an empty chunk; chunks must hold ≥ 1 point.
     EmptyChunk,
+    /// Attempted to write a chunk of more points than one page holds
+    /// ([`crate::page::MAX_PAGE_POINTS`]): a chunk is one page.
+    ChunkTooLarge { points: usize },
     /// Points handed to the chunk writer were not strictly increasing in
     /// time. Chunks are sorted runs by construction (Definition 2.4).
     UnsortedPoints { prev: i64, next: i64 },
@@ -56,6 +59,11 @@ impl fmt::Display for TsFileError {
             }
             TsFileError::Corrupt(msg) => write!(f, "corrupt file: {msg}"),
             TsFileError::EmptyChunk => write!(f, "refusing to write an empty chunk"),
+            TsFileError::ChunkTooLarge { points } => write!(
+                f,
+                "refusing to write a chunk of {points} points, above the {}-point ceiling",
+                crate::page::MAX_PAGE_POINTS
+            ),
             TsFileError::UnsortedPoints { prev, next } => write!(
                 f,
                 "chunk points must be strictly increasing in time: {next} after {prev}"

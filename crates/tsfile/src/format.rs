@@ -2,11 +2,10 @@
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────┐
-//! │ magic "TSF3\0\0" (6 bytes)                                 │
+//! │ magic "TSF4\0\0" (6 bytes)                                 │
 //! ├────────────────────────────────────────────────────────────┤
-//! │ chunk 0 body: concatenated page bodies (see `page`         │
-//! │   module); column encodings live in the footer's page      │
-//! │   index                                                    │
+//! │ chunk 0 body: one page body (see `page` module); column    │
+//! │   encodings live in the footer                             │
 //! ├────────────────────────────────────────────────────────────┤
 //! │ chunk 1 body …                                             │
 //! ├────────────────────────────────────────────────────────────┤
@@ -14,10 +13,9 @@
 //! │   varint #chunks                                           │
 //! │   per chunk: varint_i version − previous chunk's version,  │
 //! │              u8 encodings (values << 4 | timestamps),      │
-//! │              varint #pages,                                │
-//! │              per page: varint byte_len, page statistics    │
-//! │              against the page before it in the file (see   │
-//! │              `statistics`)                                 │
+//! │              varint byte_len,                              │
+//! │              statistics against the previous chunk's LP    │
+//! │              (see `statistics`)                            │
 //! │   series-run directory:                                    │
 //! │     varint #runs                                           │
 //! │     per run: varint series id, varint #chunks,             │
@@ -30,17 +28,16 @@
 //!
 //! The trailing length + magic let a reader locate the footer without a
 //! separate index file; the leading magic rejects non-TsFiles (and the
-//! retired `TSF1` and `TSF2` generations) early. This mirrors IoTDB's
-//! TsFile (data, then pages with per-page statistics, then a metadata
-//! index and tail magic) at the granularity the paper's operators need.
+//! retired `TSF1`–`TSF3` generations) early. This mirrors IoTDB's
+//! TsFile (data, then per-chunk statistics, then a metadata index and
+//! tail magic) as the paper runs it: with `page_size_in_byte` at 1 GiB,
+//! every chunk is one page, and so it is here by construction.
 //!
-//! What the footer derives instead of storing: a chunk's offset and
-//! length (chunk bodies tile the file from the head magic on, pages tile
-//! each chunk, so both are sums of page lengths), its statistics (the
-//! fold of its pages'), and each page's offset. The first chunk's
-//! version, and the file's first page's FP, are coded against zero.
-//! A reader checks the tiling once: the head magic and the chunk bodies
-//! must end exactly where the footer begins.
+//! What the footer derives instead of storing: a chunk's offset (chunk
+//! bodies tile the file from the head magic on, so it is the sum of the
+//! lengths before it). The first chunk's version, and its FP, are coded
+//! against zero. A reader checks the tiling once: the head magic and the
+//! chunk bodies must end exactly where the footer begins.
 //!
 //! A file holds the chunks of one *or many* series: the chunks of one
 //! series sit back to back (a [`SeriesRun`]) and the directory at the
@@ -52,7 +49,8 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::page::PagedChunkInfo;
+use crate::encoding::EncodingKind;
+use crate::page::{PageMeta, MAX_PAGE_POINTS};
 use crate::statistics::ChunkStatistics;
 use crate::types::{Point, TimeRange, Version};
 use crate::{cast, varint};
@@ -61,25 +59,27 @@ use crate::{Result, TsFileError};
 /// File magic, also used as the tail sentinel. Bumped with every footer
 /// layout, so a file of an earlier layout is refused as foreign
 /// (`BadMagic`) rather than read as a torn file of this one.
-pub const MAGIC: &[u8; 6] = b"TSF3\0\0";
+pub const MAGIC: &[u8; 6] = b"TSF4\0\0";
 
-/// Metadata describing one chunk inside a TsFile: where it lives, its
-/// version `κ`, and its precomputed statistics. This is the unit
-/// M4-LSM's `MetadataReader` returns without touching chunk bodies.
+/// Metadata describing one chunk inside a TsFile: where its body lives,
+/// how its columns are encoded, its version `κ`, and its precomputed
+/// statistics. This is the unit M4-LSM's `MetadataReader` returns
+/// without touching chunk bodies. The body is one page
+/// ([`crate::page`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkMeta {
     /// Byte offset of the chunk body from file start.
     pub offset: u64,
-    /// Length of the chunk body in bytes (including per-page CRCs).
+    /// Length of the chunk body in bytes (its page CRC included).
     pub byte_len: u64,
     /// Global version number κ of the chunk.
     pub version: Version,
-    /// Precomputed FP/LP/BP/TP/count: the fold of the page statistics
-    /// (derived, not stored, when a footer is read).
+    /// Precomputed FP/LP/BP/TP/count.
     pub stats: ChunkStatistics,
-    /// Page index of the chunk (column encodings + per-page byte
-    /// ranges and statistics).
-    pub paged: PagedChunkInfo,
+    /// Timestamp column encoding.
+    pub ts_encoding: EncodingKind,
+    /// Value column encoding.
+    pub val_encoding: EncodingKind,
 }
 
 impl ChunkMeta {
@@ -89,42 +89,59 @@ impl ChunkMeta {
         self.stats.time_range()
     }
 
-    /// Number of pages in this chunk.
-    #[inline]
-    pub fn page_count(&self) -> usize {
-        self.paged.pages.len()
+    /// The chunk body as the one page it is: what
+    /// [`crate::page::decode_page`] checks a body against.
+    pub fn page(&self) -> PageMeta {
+        PageMeta {
+            offset: 0,
+            byte_len: self.byte_len,
+            stats: self.stats,
+        }
     }
 
     /// Append the chunk's entry, coded against `prev`, and advance
-    /// `prev` past it. Neither its place nor its statistics are written:
-    /// the body starts where the previous one ends, its length is the
-    /// sum of its pages', and its statistics are the fold of theirs
-    /// ([`PagedChunkInfo::chunk_stats`]), which is how the writer
-    /// computed them, so [`Self::decode`] derives all three.
+    /// `prev` past it. Its offset is not written: the body starts where
+    /// the previous one ends, so [`Self::decode`] derives it.
     pub(crate) fn encode(&self, prev: &mut Predecessor, out: &mut Vec<u8>) {
         let step = self.version.0.wrapping_sub(prev.version.0);
         varint::write_i64(out, cast::i64_bits(step));
-        self.paged.encode(&mut prev.last, out);
+        out.push((self.val_encoding as u8) << 4 | self.ts_encoding as u8);
+        varint::write_u64(out, self.byte_len);
+        self.stats.encode_after(prev.last, out);
         prev.version = self.version;
+        prev.last = self.stats.last;
     }
 
     pub(crate) fn decode(buf: &[u8], pos: &mut usize, prev: &mut Predecessor) -> Result<Self> {
         let step = cast::u64_bits(varint::read_i64(buf, pos)?);
         let version = Version(prev.version.0.wrapping_add(step));
-        let paged = PagedChunkInfo::decode(buf, pos, &mut prev.last)?;
-        let byte_len = paged.validate()?;
+        let tags = *buf.get(*pos).ok_or(TsFileError::UnexpectedEof {
+            what: "chunk encodings",
+        })?;
+        *pos += 1;
+        let ts_encoding = EncodingKind::from_u8(tags & 0xf)?;
+        let val_encoding = EncodingKind::from_u8(tags >> 4)?;
+        let byte_len = varint::read_u64(buf, pos)?;
+        let stats = ChunkStatistics::decode_after(buf, pos, prev.last)?;
+        if stats.count > cast::u64_from_usize(MAX_PAGE_POINTS) {
+            return Err(TsFileError::Corrupt(format!(
+                "footer claims {} points in one chunk",
+                stats.count
+            )));
+        }
         let offset = prev.end;
         prev.end = offset
             .checked_add(byte_len)
             .ok_or_else(|| TsFileError::Corrupt("chunk extent overflows".into()))?;
         prev.version = version;
-        let stats = paged.chunk_stats()?;
+        prev.last = stats.last;
         Ok(ChunkMeta {
             offset,
             byte_len,
             version,
             stats,
-            paged,
+            ts_encoding,
+            val_encoding,
         })
     }
 }
@@ -272,7 +289,7 @@ fn decode_runs(buf: &[u8], pos: &mut usize, n_chunks: usize) -> Result<Vec<Serie
 mod tests {
     use super::*;
     use crate::encoding::EncodingKind;
-    use crate::page::{encode_page, PageMeta, PageStatistics};
+    use crate::page::encode_page;
     use crate::types::Point;
 
     fn meta(version: u64, t0: i64, t1: i64) -> crate::Result<Arc<ChunkMeta>> {
@@ -289,15 +306,8 @@ mod tests {
             byte_len: body.len() as u64,
             version: Version(version),
             stats: ChunkStatistics::from_points(&pts)?,
-            paged: PagedChunkInfo {
-                ts_encoding: EncodingKind::Ts2Diff,
-                val_encoding: EncodingKind::Gorilla,
-                pages: vec![PageMeta {
-                    offset: 0,
-                    byte_len: body.len() as u64,
-                    stats: PageStatistics::from_points(&pts)?,
-                }],
-            },
+            ts_encoding: EncodingKind::Ts2Diff,
+            val_encoding: EncodingKind::Gorilla,
         }))
     }
 
@@ -416,55 +426,34 @@ mod tests {
         assert!(FileFooter::decode_body(&body).is_err());
     }
 
-    /// What the footer no longer stores it derives: page offsets are
-    /// the running sum of page lengths, a chunk's length the sum of its
-    /// pages' and its offset where the chunk before it ends, chunk
-    /// statistics the fold of the page statistics.
+    /// Offsets are derived: a chunk starts where the one before it
+    /// ends, and the bodies end where the footer begins.
     #[test]
-    fn offsets_and_chunk_statistics_are_derived() -> crate::Result<()> {
-        let pts: Vec<Point> = (0..30)
-            .map(|i| Point::new(i * 10, (i % 7) as f64))
-            .collect();
-        let mut pages = Vec::new();
-        let mut offset = 0;
-        for slice in pts.chunks(10) {
-            let mut body = Vec::new();
-            encode_page(
-                slice,
-                EncodingKind::Ts2Diff,
-                EncodingKind::Gorilla,
-                &mut body,
-            );
-            pages.push(PageMeta {
-                offset,
-                byte_len: body.len() as u64,
-                stats: PageStatistics::from_points(slice)?,
-            });
-            offset += body.len() as u64;
-        }
-        let m = ChunkMeta {
-            offset: 6,
-            byte_len: offset,
-            version: Version(4),
-            stats: ChunkStatistics::from_points(&pts)?,
-            paged: PagedChunkInfo {
-                ts_encoding: EncodingKind::Ts2Diff,
-                val_encoding: EncodingKind::Gorilla,
-                pages,
-            },
-        };
-        let mut buf = Vec::new();
-        m.encode(&mut Predecessor::default(), &mut buf);
-        let mut pos = 0;
-        assert_eq!(
-            ChunkMeta::decode(&buf, &mut pos, &mut Predecessor::default())?,
-            m
-        );
-        let m = Arc::new(m);
-        let f = footer(&[m.clone(), m.clone()], vec![run(1, 0, 0..2)]);
+    fn offsets_are_derived() -> crate::Result<()> {
+        let (a, b) = (meta(4, 0, 10)?, meta(5, 20, 30)?);
+        let f = footer(&[a.clone(), b.clone()], vec![run(1, 0, 0..2)]);
         let back = FileFooter::decode_body(&f.encode_body())?;
-        assert_eq!(back.chunks[1].offset, 6 + m.byte_len);
-        assert_eq!(back.data_end(), 6 + 2 * m.byte_len);
+        assert_eq!(back.chunks[0].offset, 6);
+        assert_eq!(back.chunks[1].offset, 6 + a.byte_len);
+        assert_eq!(back.data_end(), 6 + a.byte_len + b.byte_len);
+        Ok(())
+    }
+
+    /// A chunk is at most one page: an entry claiming more than
+    /// [`MAX_PAGE_POINTS`] points, or a body whose extent passes
+    /// `u64::MAX`, is `Corrupt`.
+    #[test]
+    fn chunk_above_the_point_ceiling_or_past_u64_is_corrupt() -> crate::Result<()> {
+        let mut huge = ChunkMeta::clone(&*meta(1, 0, 10)?);
+        huge.stats.count = MAX_PAGE_POINTS as u64 + 1;
+        let mut long = ChunkMeta::clone(&*meta(1, 0, 10)?);
+        long.byte_len = u64::MAX;
+        for bad in [huge, long] {
+            let mut buf = Vec::new();
+            bad.encode(&mut Predecessor::default(), &mut buf);
+            let got = ChunkMeta::decode(&buf, &mut 0, &mut Predecessor::default());
+            assert!(matches!(got, Err(TsFileError::Corrupt(_))), "{got:?}");
+        }
         Ok(())
     }
 }

@@ -80,11 +80,11 @@ pub use error::TsFileError;
 pub use format::{ChunkMeta, FileFooter, SeriesRun};
 pub use index::StepIndex;
 pub use mods::{ModEntry, ModsFile};
-pub use page::{PageMeta, PageStatistics, PagedChunkInfo};
+pub use page::{PageMeta, PageStatistics};
 pub use reader::TsFileReader;
 pub use statistics::ChunkStatistics;
 pub use types::{Point, Timestamp, Value, Version};
-pub use writer::{RawPage, TsFileWriter};
+pub use writer::TsFileWriter;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, TsFileError>;

@@ -1,15 +1,12 @@
-//! Page-structured chunk bodies.
+//! Page bodies: the encoded form of one chunk.
 //!
-//! A chunk body is a sequence of fixed-size **pages**, each an
-//! independently decodable unit with its own CRC and its own
-//! [`PageStatistics`] recorded in the footer's per-chunk page index.
-//! Readers that need a narrow time slice decode only the overlapping
-//! pages; pages whose statistics already answer a probe are never
-//! touched at all (the paper's cost model is I/O + decompression, so
-//! skipped decode is the win).
+//! A chunk body is exactly one **page**: an independently decodable
+//! unit with its own CRC, whose statistics are the chunk's, recorded in
+//! the footer. The paper runs IoTDB with `page_size_in_byte` at 1 GiB,
+//! so each of its chunks is one page too; a narrow query decodes fewer
+//! points by reading smaller chunks, not pages within one.
 //!
 //! ```text
-//! chunk body = page 0 body ‖ page 1 body ‖ …
 //! page body:
 //!   varint n (point count, 1 ..= MAX_PAGE_POINTS)
 //!   u8     modes: timestamps  bit 0 constant delta, bit 2 packed deltas,
@@ -42,12 +39,9 @@
 //! when it is strictly smaller than the one a page would hold without
 //! it, so a page no new form shrinks is byte-identical to what earlier
 //! writers wrote.
-//! The column encodings themselves live in the footer's
-//! [`PagedChunkInfo`] (CRC-protected there), so a chunk body has no
-//! unprotected header bytes. That page index stores no offset: pages
-//! tile their chunk body, so a page starts where the lengths before it
-//! sum to, and each entry's statistics are coded against the entry
-//! before it in file order ([`ChunkStatistics::encode_after`]).
+//! The column encodings themselves live in the footer's chunk entry
+//! ([`crate::ChunkMeta`], CRC-protected there), so a chunk body has no
+//! unprotected header bytes.
 
 // Untrusted bytes: an out-of-range access is a typed error, not a panic.
 #![deny(clippy::indexing_slicing)]
@@ -62,18 +56,18 @@ use crate::types::{Point, TimeRange};
 use crate::varint;
 use crate::{cast, Result, TsFileError};
 
-/// Default number of points per page (`EngineConfig::page_points`).
+/// A page size for callers that slice points into pages themselves
+/// (microbenchmarks of the page kernels).
 pub const DEFAULT_PAGE_POINTS: usize = 1024;
 
 /// The most points one page may hold. A constant-delta timestamp column
 /// or an equal-valued decimal block is a few bytes for any count, so
 /// the bytes of a page do not bound what decoding it allocates; this
-/// does. The writer clamps its page size to it and a page claiming more
-/// is `Corrupt`.
+/// does. The writer refuses a chunk of more points, and a page or
+/// footer entry claiming more is `Corrupt`.
 pub const MAX_PAGE_POINTS: usize = 1 << 20;
 
-/// Per-page statistics carry the same fields as chunk statistics
-/// (FP/LP/BP/TP/count), just at page granularity.
+/// A page's statistics are its chunk's (FP/LP/BP/TP/count).
 pub type PageStatistics = ChunkStatistics;
 
 /// Mode bit: the timestamps are a constant delta, reconstructed
@@ -156,12 +150,12 @@ impl PageForms {
     }
 }
 
-/// Location and statistics of one page inside a chunk body.
+/// Location and statistics of one page: what decoding checks a page
+/// body against. A chunk's is [`crate::ChunkMeta::page`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PageMeta {
-    /// Byte offset of the page body relative to the chunk body start.
-    /// Pages tile the body, so the footer stores no offset: a reader
-    /// sums the lengths before it.
+    /// Byte offset of the page body relative to the chunk body start
+    /// (0: a chunk body is one page).
     pub offset: u64,
     /// Length of the page body in bytes (including its CRC).
     pub byte_len: u64,
@@ -174,159 +168,6 @@ impl PageMeta {
     #[inline]
     pub fn time_range(&self) -> TimeRange {
         self.stats.time_range()
-    }
-
-    /// Append the entry: its length, then its statistics against `prev`
-    /// ([`ChunkStatistics::encode_after`]).
-    pub(crate) fn encode(&self, prev: Point, same_chunk: bool, out: &mut Vec<u8>) {
-        varint::write_u64(out, self.byte_len);
-        self.stats.encode_after(prev, same_chunk, out);
-    }
-
-    /// Decode the entry of the page that starts `offset` bytes into its
-    /// chunk body, coded against `prev`.
-    pub(crate) fn decode(
-        buf: &[u8],
-        pos: &mut usize,
-        offset: u64,
-        prev: Point,
-        same_chunk: bool,
-    ) -> Result<Self> {
-        let byte_len = varint::read_u64(buf, pos)?;
-        let stats = PageStatistics::decode_after(buf, pos, prev, same_chunk)?;
-        Ok(PageMeta {
-            offset,
-            byte_len,
-            stats,
-        })
-    }
-}
-
-/// The page index of one chunk: column encodings plus the ordered
-/// page list.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PagedChunkInfo {
-    /// Timestamp column encoding (shared by every page of the chunk).
-    pub ts_encoding: EncodingKind,
-    /// Value column encoding (shared by every page of the chunk).
-    pub val_encoding: EncodingKind,
-    /// Pages in time order (equivalently: ascending byte offset).
-    pub pages: Vec<PageMeta>,
-}
-
-impl PagedChunkInfo {
-    /// Indices of the pages whose time range overlaps `range`.
-    /// Pages are time-ordered and disjoint, so the result is a
-    /// contiguous index range.
-    pub fn pages_overlapping(&self, range: TimeRange) -> std::ops::Range<usize> {
-        let start = self.pages.partition_point(|p| p.stats.last.t < range.start);
-        let end = self.pages.partition_point(|p| p.stats.first.t <= range.end);
-        start..end.max(start)
-    }
-
-    /// The page whose time range contains `t`, if any. `None` means `t`
-    /// falls in an inter-page gap (or outside the chunk entirely) — a
-    /// metadata-only negative existence answer.
-    pub fn page_containing(&self, t: i64) -> Option<u32> {
-        let i = self.pages.partition_point(|p| p.stats.last.t < t);
-        let page = self.pages.get(i)?;
-        if page.stats.first.t <= t {
-            cast::u32_checked(cast::u64_from_usize(i))
-        } else {
-            None
-        }
-    }
-
-    /// Append the page index: both encoding tags in one byte (timestamps
-    /// in the low nibble), the page count, then each page's entry coded
-    /// against the one before it, starting from `prev` — the last point
-    /// of the previous chunk in the file — which is left at this chunk's.
-    pub(crate) fn encode(&self, prev: &mut Point, out: &mut Vec<u8>) {
-        out.push((self.val_encoding as u8) << 4 | self.ts_encoding as u8);
-        varint::write_u64(out, cast::u64_from_usize(self.pages.len()));
-        for (i, p) in self.pages.iter().enumerate() {
-            p.encode(*prev, i > 0, out);
-            *prev = p.stats.last;
-        }
-    }
-
-    /// Decode what [`Self::encode`] wrote from the same `prev`, which is
-    /// left at this chunk's last point. Page offsets are the running sum
-    /// of the page lengths.
-    pub(crate) fn decode(buf: &[u8], pos: &mut usize, prev: &mut Point) -> Result<Self> {
-        let tags = *buf.get(*pos).ok_or(TsFileError::UnexpectedEof {
-            what: "page index encodings",
-        })?;
-        *pos += 1;
-        let ts_encoding = EncodingKind::from_u8(tags & 0xf)?;
-        let val_encoding = EncodingKind::from_u8(tags >> 4)?;
-        let n = varint::read_u64(buf, pos)?;
-        if n > cast::u64_from_usize(buf.len()) {
-            // Each page meta takes well over one byte; a count larger
-            // than the remaining body is certainly corrupt.
-            return Err(TsFileError::Corrupt(format!("page index claims {n} pages")));
-        }
-        let n = cast::usize_checked(n)
-            .ok_or_else(|| TsFileError::Corrupt("page count unaddressable".into()))?;
-        let mut pages = Vec::with_capacity(n.min(buf.len()));
-        let mut offset = 0u64;
-        for i in 0..n {
-            let page = PageMeta::decode(buf, pos, offset, *prev, i > 0)?;
-            offset = offset
-                .checked_add(page.byte_len)
-                .ok_or_else(|| TsFileError::Corrupt("page extent overflows".into()))?;
-            *prev = page.stats.last;
-            pages.push(page);
-        }
-        Ok(PagedChunkInfo {
-            ts_encoding,
-            val_encoding,
-            pages,
-        })
-    }
-
-    /// Structural invariants of a decoded page index: there is a page,
-    /// each holds at most [`MAX_PAGE_POINTS`], and pages are
-    /// time-ordered and disjoint. Returns the byte length of the chunk
-    /// body the pages tile, which is what the footer does not store.
-    pub(crate) fn validate(&self) -> Result<u64> {
-        let last = self
-            .pages
-            .last()
-            .ok_or_else(|| TsFileError::Corrupt("paged chunk with no pages".into()))?;
-        let mut prev_last: Option<i64> = None;
-        for p in &self.pages {
-            if p.stats.count > cast::u64_from_usize(MAX_PAGE_POINTS) {
-                return Err(TsFileError::Corrupt(format!(
-                    "page index claims {} points in one page",
-                    p.stats.count
-                )));
-            }
-            if let Some(last) = prev_last {
-                if p.stats.first.t <= last {
-                    return Err(TsFileError::Corrupt(format!(
-                        "page time ranges overlap: {} after {last}",
-                        p.stats.first.t
-                    )));
-                }
-            }
-            prev_last = Some(p.stats.last.t);
-        }
-        last.offset
-            .checked_add(last.byte_len)
-            .ok_or_else(|| TsFileError::Corrupt("page extent overflows".into()))
-    }
-
-    /// The chunk's statistics: its pages', folded in time order with
-    /// [`ChunkStatistics::absorb_later`]. What a writer records and
-    /// what a reader derives, so the footer does not store them.
-    pub fn chunk_stats(&self) -> Result<ChunkStatistics> {
-        let (first, rest) = self.pages.split_first().ok_or(TsFileError::EmptyChunk)?;
-        let mut stats = first.stats;
-        for p in rest {
-            stats.absorb_later(&p.stats);
-        }
-        Ok(stats)
     }
 }
 
@@ -352,7 +193,8 @@ pub fn encode_page(
     );
 }
 
-/// What a writer carries from one page's value column to the next.
+/// What a writer carries from one page's value column to the next —
+/// from one chunk to the next of the file it writes.
 #[derive(Debug, Default)]
 pub(crate) struct ValueCarry {
     /// The decimal pair the last plan chose ([`decimal::plan`]).
@@ -366,8 +208,8 @@ pub(crate) struct ValueCarry {
 
 /// [`encode_page`] over a page already split into its two columns
 /// (equal length) and its timestamps' deltas (`ts[i + 1] - ts[i]`) —
-/// the writer splits a chunk once and hands each page its slices, and
-/// carries `values` from page to page.
+/// the writer splits a chunk once into its columns, and carries
+/// `values` from chunk to chunk.
 pub(crate) fn encode_page_columns(
     ts: &[i64],
     deltas: &[i64],
@@ -546,7 +388,7 @@ fn checked_payload<'a>(body: &'a [u8], what: &'static str) -> Result<&'a [u8]> {
 }
 
 /// Verify a raw page body without decoding it: checksum over the
-/// payload, the header point count against the page index entry, and
+/// payload, the header point count against the footer entry, and
 /// the structure of a bit-packed column (a decimal block or packed
 /// deltas). This is the integrity gate for byte-for-byte page copies —
 /// the compactor revalidates every page it moves verbatim, whatever its
@@ -637,12 +479,12 @@ fn split_page(payload: &[u8]) -> Result<PageColumns<'_>> {
 }
 
 /// Check a page body's CRC, split it, and match its point count against
-/// the page index entry.
+/// the footer entry.
 fn open_page<'a>(body: &'a [u8], meta: &PageMeta) -> Result<PageColumns<'a>> {
     let cols = split_page(checked_payload(body, "page body")?)?;
     if cast::u64_from_usize(cols.n) != meta.stats.count {
         return Err(TsFileError::Corrupt(format!(
-            "page body holds {} points but page index says {}",
+            "page body holds {} points but the footer says {}",
             cols.n, meta.stats.count
         )));
     }
@@ -685,7 +527,7 @@ fn decode_ts_column(
 }
 
 /// Decode one page body into points, verifying its CRC and that the
-/// decoded count matches the page index entry.
+/// decoded count matches the footer entry.
 pub fn decode_page(
     body: &[u8],
     ts_encoding: EncodingKind,
@@ -904,74 +746,6 @@ mod tests {
         Ok(())
     }
 
-    #[test]
-    fn pages_overlapping_selects_contiguous_window() -> Result<()> {
-        let chunks: Vec<Vec<Point>> = vec![
-            pts(10, 10),
-            pts(10, 10)
-                .iter()
-                .map(|p| Point::new(p.t + 200, p.v))
-                .collect(),
-        ];
-        let mut info = PagedChunkInfo {
-            ts_encoding: EncodingKind::Ts2Diff,
-            val_encoding: EncodingKind::Gorilla,
-            pages: Vec::new(),
-        };
-        let mut offset = 0u64;
-        for c in &chunks {
-            let mut body = Vec::new();
-            encode_page(c, info.ts_encoding, info.val_encoding, &mut body);
-            info.pages.push(page_meta(c, offset, body.len() as u64)?);
-            offset += body.len() as u64;
-        }
-        // Page 0 covers [0, 90], page 1 covers [200, 290].
-        assert_eq!(info.pages_overlapping(TimeRange::new(0, 90)), 0..1);
-        assert_eq!(info.pages_overlapping(TimeRange::new(95, 150)), 1..1);
-        assert_eq!(info.pages_overlapping(TimeRange::new(50, 250)), 0..2);
-        assert_eq!(info.pages_overlapping(TimeRange::new(300, 400)), 2..2);
-        assert_eq!(info.page_containing(45), Some(0));
-        assert_eq!(info.page_containing(150), None);
-        assert_eq!(info.page_containing(200), Some(1));
-        assert_eq!(info.page_containing(-5), None);
-        assert_eq!(info.page_containing(291), None);
-        Ok(())
-    }
-
-    #[test]
-    fn validate_rejects_bad_tiling_counts_and_order() -> Result<()> {
-        let points = pts(20, 5);
-        let mut body = Vec::new();
-        encode_page(
-            &points,
-            EncodingKind::Ts2Diff,
-            EncodingKind::Gorilla,
-            &mut body,
-        );
-        let len = body.len() as u64;
-        let good = PagedChunkInfo {
-            ts_encoding: EncodingKind::Ts2Diff,
-            val_encoding: EncodingKind::Gorilla,
-            pages: vec![page_meta(&points, 0, len)?],
-        };
-        assert_eq!(good.validate()?, len, "the pages tile the body");
-        let mut past_end = good.clone();
-        past_end.pages[0].offset = u64::MAX;
-        assert!(past_end.validate().is_err(), "a page past u64::MAX");
-        let mut huge = good.clone();
-        huge.pages[0].stats.count = MAX_PAGE_POINTS as u64 + 1;
-        assert!(huge.validate().is_err(), "page above the ceiling");
-        let mut twice = good.clone();
-        twice.pages.push(page_meta(&points, len, len)?);
-        assert!(twice.validate().is_err(), "pages overlap in time");
-        let empty = PagedChunkInfo {
-            pages: Vec::new(),
-            ..good
-        };
-        assert!(empty.validate().is_err());
-        Ok(())
-    }
-
     /// A page of few-decimal values stores them as a decimal block, a
     /// page of a full-precision walk as packed key deltas, and a page of
     /// values flipping sign keeps the XOR stream; jittered timestamps
@@ -1015,45 +789,5 @@ mod tests {
             assert_eq!(bits(&back), bits(&points));
         }
         Ok(())
-    }
-
-    /// Two pages round-trip, offsets derived; the index leaves `prev` at
-    /// the chunk's last point, where the next chunk's index starts; and
-    /// the two encodings share one byte.
-    #[test]
-    fn info_encode_decode_roundtrip() -> Result<()> {
-        let points = pts(30, 3);
-        let mut info = PagedChunkInfo {
-            ts_encoding: EncodingKind::Plain,
-            val_encoding: EncodingKind::Gorilla,
-            pages: Vec::new(),
-        };
-        let mut offset = 0;
-        for slice in points.chunks(20) {
-            let mut body = Vec::new();
-            encode_page(slice, info.ts_encoding, info.val_encoding, &mut body);
-            info.pages
-                .push(page_meta(slice, offset, body.len() as u64)?);
-            offset += body.len() as u64;
-        }
-        let start = Point::new(-40, 1.5);
-        let mut buf = Vec::new();
-        let mut written = start;
-        info.encode(&mut written, &mut buf);
-        assert_eq!(buf[0], 0x20, "Gorilla values over plain timestamps");
-        let (mut pos, mut read) = (0usize, start);
-        assert_eq!(PagedChunkInfo::decode(&buf, &mut pos, &mut read)?, info);
-        assert_eq!(pos, buf.len());
-        assert_eq!((written, read), (points[29], points[29]));
-        Ok(())
-    }
-
-    #[test]
-    fn decode_rejects_absurd_page_count() {
-        let mut buf = vec![(EncodingKind::Gorilla as u8) << 4 | EncodingKind::Ts2Diff as u8];
-        varint::write_u64(&mut buf, u64::MAX);
-        let mut pos = 0usize;
-        let got = PagedChunkInfo::decode(&buf, &mut pos, &mut Point::new(0, 0.0));
-        assert!(matches!(got, Err(TsFileError::Corrupt(_))), "{got:?}");
     }
 }

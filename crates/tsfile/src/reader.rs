@@ -18,9 +18,9 @@ use std::sync::Arc;
 use crate::bufpool;
 use crate::checksum::crc32;
 use crate::format::{ChunkMeta, FileFooter, SeriesRun, MAGIC};
-use crate::page::{self, PageMeta};
+use crate::page;
 use crate::pread::PositionalFile;
-use crate::types::{Point, TimeRange};
+use crate::types::Point;
 use crate::{Result, TsFileError};
 
 /// Process-wide allocator for [`TsFileReader::handle_id`]. Starts at 1
@@ -41,10 +41,6 @@ pub struct TsFileReader {
     /// bodies by it so entries from a retired (compacted-away) file can
     /// never alias a newer file's chunks.
     handle_id: u64,
-    /// Total chunk bodies read through this handle (observability for
-    /// the benchmark harness: "how many chunks did this query load?").
-    chunks_read: AtomicU64,
-    bytes_read: AtomicU64,
 }
 
 impl TsFileReader {
@@ -112,8 +108,6 @@ impl TsFileReader {
             file: PositionalFile::new(file),
             footer,
             handle_id: NEXT_HANDLE_ID.fetch_add(1, Ordering::Relaxed),
-            chunks_read: AtomicU64::new(0),
-            bytes_read: AtomicU64::new(0),
         })
     }
 
@@ -144,186 +138,33 @@ impl TsFileReader {
         &self.path
     }
 
-    /// Read and decode one chunk body. Verifies the body CRC(s).
-    /// Lock-free: safe to call from many threads concurrently. Decodes
-    /// page by page and concatenates.
+    /// Read and decode one chunk body. Verifies the body CRC.
+    /// Lock-free: safe to call from many threads concurrently.
     pub fn read_chunk(&self, meta: &ChunkMeta) -> Result<Vec<Point>> {
-        let info = &meta.paged;
-        let body = self
-            .file
-            .read_pooled_at(meta.byte_len as usize, meta.offset)?;
-        self.chunks_read.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(meta.byte_len, Ordering::Relaxed);
-        let mut out = Vec::with_capacity((meta.stats.count as usize).min(body.len()));
-        for pm in &info.pages {
-            let slice = page_body_slice(&body, pm, 0)?;
-            out.extend(page::decode_page(
-                slice,
-                info.ts_encoding,
-                info.val_encoding,
-                pm,
-            )?);
-        }
-        if out.len() as u64 != meta.stats.count {
-            return Err(TsFileError::Corrupt(format!(
-                "chunk pages decoded {} points but metadata says {}",
-                out.len(),
-                meta.stats.count
-            )));
-        }
-        Ok(out)
+        let body = self.read_chunk_raw(meta)?;
+        page::decode_page(&body, meta.ts_encoding, meta.val_encoding, &meta.page())
     }
 
-    /// Read and decode one page of a chunk (by index into its page
-    /// list). A single page-sized pread — the finest read unit.
-    pub fn read_page_points(&self, meta: &ChunkMeta, page_no: u32) -> Result<Vec<Point>> {
-        let info = &meta.paged;
-        let pm = info
-            .pages
-            .get(page_no as usize)
-            .ok_or_else(|| TsFileError::Corrupt(format!("page {page_no} out of range")))?;
-        let body = self
-            .file
-            .read_pooled_at(pm.byte_len as usize, meta.offset + pm.offset)?;
-        self.chunks_read.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(pm.byte_len, Ordering::Relaxed);
-        page::decode_page(&body, info.ts_encoding, info.val_encoding, pm)
-    }
-
-    /// Read and decode only the pages of a chunk whose time range
-    /// overlaps `range`, as `(page_no, points)` pairs in time order.
-    /// One contiguous pread covers the whole overlapping window (pages
-    /// tile the body, so the window is a single byte range).
+    /// Read the raw (still-encoded) body of a chunk in one pooled pread.
     ///
-    /// Returns an empty vec — with no I/O at all — when no page
-    /// overlaps.
-    pub fn read_pages_overlapping(
-        &self,
-        meta: &ChunkMeta,
-        range: TimeRange,
-    ) -> Result<Vec<(u32, Vec<Point>)>> {
-        let info = &meta.paged;
-        let window = info.pages_overlapping(range);
-        if window.is_empty() {
-            return Ok(Vec::new());
-        }
-        let first = info
-            .pages
-            .get(window.start)
-            .ok_or_else(|| TsFileError::Corrupt("page window out of range".into()))?;
-        let last = info
-            .pages
-            .get(window.end - 1)
-            .ok_or_else(|| TsFileError::Corrupt("page window out of range".into()))?;
-        let base = first.offset;
-        let len = last.offset + last.byte_len - base;
-        let buf = self.file.read_pooled_at(len as usize, meta.offset + base)?;
-        self.chunks_read.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(len, Ordering::Relaxed);
-        let mut out = Vec::with_capacity(window.len());
-        for (i, pm) in info
-            .pages
-            .iter()
-            .enumerate()
-            .take(window.end)
-            .skip(window.start)
-        {
-            let slice = page_body_slice(&buf, pm, base)?;
-            let pts = page::decode_page(slice, info.ts_encoding, info.val_encoding, pm)?;
-            let page_no = u32::try_from(i)
-                .map_err(|_| TsFileError::Corrupt("page index exceeds u32".into()))?;
-            out.push((page_no, pts));
-        }
-        Ok(out)
-    }
-
-    /// Read the raw (still-encoded) bodies of a contiguous page window
-    /// of a chunk in one pooled pread. Returns the buffer plus the
-    /// chunk-relative byte offset it starts at; individual pages slice
-    /// out via [`page_body_slice`] with that base.
-    ///
-    /// This is the compactor's clean-page copy source: bytes move from
+    /// This is the compactor's clean-chunk copy source: bytes move from
     /// file to file without ever being decoded. They are **not verified
     /// here** — [`crate::TsFileWriter::write_chunk_raw`], the only place
-    /// they can go, checks every page's CRC and count before it writes
-    /// a byte.
-    pub fn read_page_window_raw(
-        &self,
-        meta: &ChunkMeta,
-        window: std::ops::Range<usize>,
-    ) -> Result<(bufpool::PooledBuf, u64)> {
-        let info = &meta.paged;
-        let first = info
-            .pages
-            .get(window.start)
-            .ok_or_else(|| TsFileError::Corrupt("page window out of range".into()))?;
-        let last = window
-            .end
-            .checked_sub(1)
-            .filter(|&e| e >= window.start)
-            .and_then(|e| info.pages.get(e))
-            .ok_or_else(|| TsFileError::Corrupt("page window out of range".into()))?;
-        let base = first.offset;
-        let len = last.offset + last.byte_len - base;
-        let buf = self.file.read_pooled_at(len as usize, meta.offset + base)?;
-        self.chunks_read.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(len, Ordering::Relaxed);
-        Ok((buf, base))
+    /// they can go, checks the CRC and count before it writes a byte.
+    pub fn read_chunk_raw(&self, meta: &ChunkMeta) -> Result<bufpool::PooledBuf> {
+        let len = usize::try_from(meta.byte_len)
+            .map_err(|_| TsFileError::Corrupt("chunk length unaddressable".into()))?;
+        Ok(self.file.read_pooled_at(len, meta.offset)?)
     }
 
-    /// Read one page of a chunk and decode only its timestamp column.
-    /// The value column is never decoded, and with `until` the decode
-    /// stops at the first timestamp past it, which is the last value
-    /// returned — the paper's partial scan (Figure 7(b)). The caller
-    /// names the page ([`crate::PagedChunkInfo::page_containing`]), so
-    /// no byte of another page is read.
-    pub fn read_page_timestamps(
-        &self,
-        meta: &ChunkMeta,
-        page_no: u32,
-        until: Option<i64>,
-    ) -> Result<Vec<i64>> {
-        let info = &meta.paged;
-        let pm = info
-            .pages
-            .get(page_no as usize)
-            .ok_or_else(|| TsFileError::Corrupt(format!("page {page_no} out of range")))?;
-        let body = self
-            .file
-            .read_pooled_at(pm.byte_len as usize, meta.offset + pm.offset)?;
-        self.chunks_read.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(pm.byte_len, Ordering::Relaxed);
-        page::decode_page_timestamps(&body, info.ts_encoding, pm, until)
+    /// Read one chunk and decode only its timestamp column. The value
+    /// column is never decoded, and with `until` the decode stops at the
+    /// first timestamp past it, which is the last value returned — the
+    /// paper's partial scan (Figure 7(b)).
+    pub fn read_timestamps(&self, meta: &ChunkMeta, until: Option<i64>) -> Result<Vec<i64>> {
+        let body = self.read_chunk_raw(meta)?;
+        page::decode_page_timestamps(&body, meta.ts_encoding, &meta.page(), until)
     }
-
-    /// Number of chunk bodies read through this handle so far.
-    pub fn chunks_read(&self) -> u64 {
-        self.chunks_read.load(Ordering::Relaxed)
-    }
-
-    /// Number of chunk-body bytes read through this handle so far.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read.load(Ordering::Relaxed)
-    }
-}
-
-/// Slice one page's body out of a buffer that starts at chunk-relative
-/// byte offset `base`. All bounds come from the (CRC-verified) footer,
-/// but are re-checked here so a logic error can never index wild.
-/// Public so the compactor can carve pages out of a raw window read.
-pub fn page_body_slice<'a>(buf: &'a [u8], pm: &PageMeta, base: u64) -> Result<&'a [u8]> {
-    let start = pm
-        .offset
-        .checked_sub(base)
-        .and_then(|o| usize::try_from(o).ok())
-        .ok_or(TsFileError::UnexpectedEof { what: "page body" })?;
-    let end = usize::try_from(pm.byte_len)
-        .ok()
-        .and_then(|l| start.checked_add(l))
-        .filter(|&e| e <= buf.len())
-        .ok_or(TsFileError::UnexpectedEof { what: "page body" })?;
-    buf.get(start..end)
-        .ok_or(TsFileError::UnexpectedEof { what: "page body" })
 }
 
 /// First four bytes of `bytes` as a little-endian `u32`, if present.
@@ -383,8 +224,6 @@ mod tests {
         assert_eq!(r.chunk_metas().len(), 2);
         assert_eq!(r.read_chunk(&r.chunk_metas()[0])?, c1);
         assert_eq!(r.read_chunk(&r.chunk_metas()[1])?, c2);
-        assert_eq!(r.chunks_read(), 2);
-        assert!(r.bytes_read() > 0);
         Ok(())
     }
 
@@ -421,11 +260,10 @@ mod tests {
         w.finish()?;
         let r = TsFileReader::open(&p)?;
         let meta = &r.chunk_metas()[0];
-        assert_eq!(meta.page_count(), 1);
-        let all = r.read_page_timestamps(meta, 0, None)?;
+        let all = r.read_timestamps(meta, None)?;
         assert_eq!(all.len(), 1000);
         assert!(all.iter().zip(&pts).all(|(t, p)| *t == p.t));
-        let some = r.read_page_timestamps(meta, 0, Some(45_000))?;
+        let some = r.read_timestamps(meta, Some(45_000))?;
         assert!(some.len() < 20, "early stop expected, got {}", some.len());
         assert!(some.last().is_some_and(|&t| t > 45_000));
         Ok(())
@@ -472,146 +310,75 @@ mod tests {
             }
             Ok::<(), TsFileError>(())
         })?;
-        assert_eq!(r.chunks_read(), 4 * 20 * 8);
         Ok(())
     }
 
-    #[test]
-    fn paged_chunk_selective_reads() -> Result<()> {
-        let p = tmp("paged-selective.tsfile");
-        let mut w = TsFileWriter::create(&p)?;
-        w.begin_series(0, 0)?;
-        w.set_page_points(100);
-        // Irregular-ish: break constant delta so the stream path is hit too.
-        let pts: Vec<Point> = (0..1000)
-            .map(|i| Point::new(i * 10 + (i % 7), i as f64))
-            .collect();
-        w.write_chunk(&pts, 1)?;
-        w.finish()?;
-        let r = TsFileReader::open(&p)?;
-        let meta = &r.chunk_metas()[0];
-        assert_eq!(meta.page_count(), 10);
-
-        // Whole-chunk read still returns everything, in order.
-        assert_eq!(r.read_chunk(meta)?, pts);
-
-        // A narrow range decodes only the overlapping pages.
-        let span = TimeRange::new(2_500, 3_500); // pages 2 and 3 (t ≈ idx*10)
-        let pages = r.read_pages_overlapping(meta, span)?;
-        assert_eq!(
-            pages.iter().map(|(no, _)| *no).collect::<Vec<_>>(),
-            vec![2, 3]
-        );
-        let decoded: usize = pages.iter().map(|(_, p)| p.len()).sum();
-        assert_eq!(decoded, 200, "exactly two 100-point pages");
-        for (no, page_pts) in &pages {
-            assert_eq!(page_pts, &pts[*no as usize * 100..(*no as usize + 1) * 100]);
-        }
-
-        // Disjoint range: no pages, no I/O.
-        let before = r.chunks_read();
-        assert!(r
-            .read_pages_overlapping(meta, TimeRange::new(20_000, 30_000))?
-            .is_empty());
-        assert_eq!(r.chunks_read(), before);
-
-        // Single-page read and its timestamp-only variant.
-        assert_eq!(r.read_page_points(meta, 5)?, &pts[500..600]);
-        let ts = r.read_page_timestamps(meta, 5, None)?;
-        assert!(ts.iter().zip(&pts[500..600]).all(|(t, p)| *t == p.t));
-        assert!(
-            r.read_page_points(meta, 10).is_err(),
-            "page_no out of range"
-        );
-        assert!(r.read_page_timestamps(meta, 10, None).is_err());
-        Ok(())
-    }
-
+    /// The raw read of a chunk is its one page body: it decodes to
+    /// the chunk. A corrupt body is read as it is — and stopped at the
+    /// one gate every raw body passes, the writer's.
     #[test]
     fn raw_page_window_matches_decoded_pages() -> Result<()> {
         let p = tmp("raw-window.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
-        w.set_page_points(100);
         let pts: Vec<Point> = (0..1000)
             .map(|i| Point::new(i * 10 + (i % 3), i as f64))
             .collect();
-        w.write_chunk(&pts, 1)?;
+        for (v, chunk) in pts.chunks(100).enumerate() {
+            w.write_chunk(chunk, v as u64 + 1)?;
+        }
         w.finish()?;
         let r = TsFileReader::open(&p)?;
-        let meta = &r.chunk_metas()[0];
-        let info = &meta.paged;
+        let meta = &r.chunk_metas()[3];
+        let raw = r.read_chunk_raw(meta)?;
+        assert_eq!(raw.len() as u64, meta.byte_len);
+        let decoded = page::decode_page(&raw, meta.ts_encoding, meta.val_encoding, &meta.page())?;
+        assert_eq!(decoded, &pts[300..400]);
 
-        let (buf, base) = r.read_page_window_raw(meta, 3..6)?;
-        assert_eq!(base, info.pages[3].offset);
-        for pm in &info.pages[3..6] {
-            let slice = page_body_slice(&buf, pm, base)?;
-            let decoded = page::decode_page(slice, info.ts_encoding, info.val_encoding, pm)?;
-            assert_eq!(decoded.len() as u64, pm.stats.count);
-            assert_eq!(decoded.first().map(|p| p.t), Some(pm.stats.first.t));
-        }
-
-        // Out-of-range and empty windows are rejected.
-        assert!(r.read_page_window_raw(meta, 8..11).is_err());
-        assert!(r.read_page_window_raw(meta, 4..4).is_err());
-
-        // A corrupt body inside the window is read as it is — and
-        // stopped at the one gate every raw page passes, the writer's.
         let mut data = std::fs::read(&p)?;
-        let idx = (meta.offset + info.pages[4].offset + 5) as usize;
-        data[idx] ^= 0x08;
+        data[(meta.offset + 5) as usize] ^= 0x08;
         std::fs::write(&p, &data)?;
         let r2 = TsFileReader::open(&p)?;
-        let m2 = &r2.chunk_metas()[0];
-        let (buf, base) = r2.read_page_window_raw(m2, 3..6)?;
-        let raw: Vec<crate::RawPage<'_>> = m2.paged.pages[3..6]
-            .iter()
-            .map(|pm| {
-                Ok(crate::RawPage {
-                    bytes: page_body_slice(&buf, pm, base)?,
-                    stats: pm.stats,
-                })
-            })
-            .collect::<Result<_>>()?;
+        let m2 = &r2.chunk_metas()[3];
+        let raw = r2.read_chunk_raw(m2)?;
         let mut w2 = TsFileWriter::create(tmp("raw-window-copy.tsfile"))?;
         w2.begin_series(0, 0)?;
         assert!(matches!(
-            w2.write_chunk_raw(&raw, info.ts_encoding, info.val_encoding, 2),
+            w2.write_chunk_raw(&raw, m2.stats, m2.ts_encoding, m2.val_encoding, 2),
             Err(TsFileError::ChecksumMismatch { .. })
         ));
         assert_eq!(w2.chunk_count(), 0);
         Ok(())
     }
 
+    /// A probe reads one chunk of the file and decodes its timestamps
+    /// only up to the first one past the limit.
     #[test]
     fn paged_timestamp_probe_reads_one_page_prefix_only() -> Result<()> {
         let p = tmp("paged-probe.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
-        w.set_page_points(100);
         let pts = series(1000, 10);
-        w.write_chunk(&pts, 1)?;
+        for (v, chunk) in pts.chunks(100).enumerate() {
+            w.write_chunk(chunk, v as u64 + 1)?;
+        }
         w.finish()?;
         let r = TsFileReader::open(&p)?;
-        let meta = &r.chunk_metas()[0];
-        let bytes_before = r.bytes_read();
-        // Page statistics name the page that could hold the probe.
-        assert_eq!(meta.paged.page_containing(1_505), Some(1));
-        let some = r.read_page_timestamps(meta, 1, Some(1_505))?;
+        let meta = &r.chunk_metas()[1];
+        let some = r.read_timestamps(meta, Some(1_505))?;
         // Crossing value included, nothing decoded past it.
         assert_eq!(some.first().copied(), Some(1_000));
         assert_eq!(some.last().copied(), Some(1_510));
         assert_eq!(some.len(), 52);
-        assert_eq!(r.bytes_read() - bytes_before, meta.paged.pages[1].byte_len);
-        // A limit at or past the page's last timestamp has no crossing
-        // value inside the page: the whole column, and no further.
-        let whole = r.read_page_timestamps(meta, 1, Some(1_990))?;
+        // A limit at or past the chunk's last timestamp has no crossing
+        // value inside it: the whole column, and no further.
+        let whole = r.read_timestamps(meta, Some(1_990))?;
         assert_eq!(whole.len(), 100);
         assert_eq!(whole.last().copied(), Some(1_990));
-        // Unbounded probes still yield the full column, page by page.
+        // Unbounded probes yield the full column, chunk by chunk.
         let mut all = Vec::new();
-        for page in 0..meta.page_count() as u32 {
-            all.extend(r.read_page_timestamps(meta, page, None)?);
+        for meta in r.chunk_metas() {
+            all.extend(r.read_timestamps(meta, None)?);
         }
         assert!(all.iter().zip(&pts).all(|(t, p)| *t == p.t));
         assert_eq!(all.len(), 1000);
@@ -637,10 +404,11 @@ mod tests {
         let p = tmp("garbage.bin");
         // The others carry a retired generation's magic at both ends:
         // rejected at the head like any other foreign file.
-        let inputs: [&[u8]; 3] = [
+        let inputs: [&[u8]; 4] = [
             b"this is definitely not a tsfile at all",
             b"TSF1\0\0\0\0\0\0\0\0\0\0\0\0\0\0TSF1\0\0",
             b"TSF2\0\0\0\0\0\0\0\0\0\0\0\0\0\0TSF2\0\0",
+            b"TSF3\0\0\0\0\0\0\0\0\0\0\0\0\0\0TSF3\0\0",
         ];
         for bytes in inputs {
             std::fs::write(&p, bytes)?;

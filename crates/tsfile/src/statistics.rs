@@ -1,19 +1,17 @@
 //! Per-chunk statistics: the paper's chunk metadata
 //! `{G(C^κ) | G ∈ {FP, LP, BP, TP}}` (§2.2.1), plus the point count.
 //!
-//! These are computed once at flush time, per page, and stored in the
-//! footer's page index; a chunk's are the fold of its pages'. M4-LSM's
-//! merge-free candidate generation works entirely off this structure.
+//! These are computed once at flush time, per chunk, and stored in the
+//! footer. M4-LSM's merge-free candidate generation works entirely off
+//! this structure.
 //!
-//! The footer stores each page's statistics against the entry before it
-//! in file order — the previous page's last point, or the previous
-//! chunk's ([`ChunkStatistics::encode_after`]):
+//! The footer stores each chunk's statistics against the last point of
+//! the chunk before it in file order ([`ChunkStatistics::encode_after`]):
 //!
 //! ```text
 //! varint count
-//! FP.t  varint (FP.t − prev.t), unsigned, after a page of the same chunk;
-//!       varint_i (FP.t − prev.t), wrapping, on a chunk's first page
-//!       (prev = (0, 0.0) for the file's first: FP.t is absolute)
+//! FP.t  varint_i (FP.t − prev.t), wrapping
+//!       (prev = (0, 0.0) for the file's first chunk: FP.t is absolute)
 //! varint (LP.t − FP.t), (BP.t − FP.t), (TP.t − FP.t), each unsigned
 //! FP.v  xor prev.v, then LP.v, BP.v, TP.v each xor FP.v, trimmed:
 //!       u8 control (high nibble: leading zero bytes, low nibble:
@@ -82,38 +80,18 @@ impl ChunkStatistics {
         })
     }
 
-    /// Extend these statistics with those of a run of points lying
-    /// strictly later in time (the next page of a chunk). Value ties
-    /// keep the earlier point, as [`ChunkStatistics::from_points`]
-    /// over the concatenation would.
-    pub fn absorb_later(&mut self, later: &ChunkStatistics) {
-        self.last = later.last;
-        if later.bottom.v.total_cmp(&self.bottom.v).is_lt() {
-            self.bottom = later.bottom;
-        }
-        if later.top.v.total_cmp(&self.top.v).is_gt() {
-            self.top = later.top;
-        }
-        self.count += later.count;
-    }
-
     /// The chunk's time interval `[FP(C).t, LP(C).t]`.
     #[inline]
     pub fn time_range(&self) -> TimeRange {
         TimeRange::new(self.first.t, self.last.t)
     }
 
-    /// Serialize against `prev`, the last point of the entry before
-    /// these statistics in file order (`(0, 0.0)` for the first): the
-    /// previous page of the same chunk when `same_chunk`, else the last
-    /// page of the previous chunk. See the module docs for the layout.
-    pub fn encode_after(&self, prev: Point, same_chunk: bool, out: &mut Vec<u8>) {
+    /// Serialize against `prev`, the last point of the chunk before
+    /// these statistics in file order (`(0, 0.0)` for the first). See
+    /// the module docs for the layout.
+    pub fn encode_after(&self, prev: Point, out: &mut Vec<u8>) {
         varint::write_u64(out, self.count);
-        let gap = self.first.t.wrapping_sub(prev.t);
-        match same_chunk {
-            true => varint::write_u64(out, cast::u64_bits(gap)),
-            false => varint::write_i64(out, gap),
-        }
+        varint::write_i64(out, self.first.t.wrapping_sub(prev.t));
         let rest = [self.last, self.bottom, self.top];
         for p in rest {
             varint::write_u64(out, cast::u64_bits(p.t.wrapping_sub(self.first.t)));
@@ -125,18 +103,10 @@ impl ChunkStatistics {
     }
 
     /// Deserialize what [`Self::encode_after`] wrote against the same
-    /// `prev` and `same_chunk`, from `*pos`, advancing it, and validate.
-    pub fn decode_after(
-        buf: &[u8],
-        pos: &mut usize,
-        prev: Point,
-        same_chunk: bool,
-    ) -> Result<Self> {
+    /// `prev`, from `*pos`, advancing it, and validate.
+    pub fn decode_after(buf: &[u8], pos: &mut usize, prev: Point) -> Result<Self> {
         let count = varint::read_u64(buf, pos)?;
-        let first_t = match same_chunk {
-            true => after(prev.t, varint::read_u64(buf, pos)?)?,
-            false => prev.t.wrapping_add(varint::read_i64(buf, pos)?),
-        };
+        let first_t = prev.t.wrapping_add(varint::read_i64(buf, pos)?);
         let mut times = [first_t; 3];
         for t in &mut times {
             *t = after(first_t, varint::read_u64(buf, pos)?)?;
@@ -276,29 +246,30 @@ mod tests {
         Ok(())
     }
 
-    /// Round trip against each kind of predecessor, and what it costs:
-    /// a value equal to its reference is one control byte.
+    /// Round trip against predecessors of either sign and extreme, and
+    /// what it costs: a value equal to its reference is one control
+    /// byte.
     #[test]
     fn encode_decode_roundtrip() -> Result<()> {
         let points = pts(&[(100, -1.25), (200, 4.5), (305, 4.5), (400, 0.0)]);
         let s = ChunkStatistics::from_points(&points)?;
-        for (prev, same_chunk) in [
-            (Point::new(0, 0.0), false),
-            (Point::new(90, 3.0), true),
-            (Point::new(i64::MIN, f64::NAN), true),
-            (Point::new(i64::MAX, -0.0), false),
+        for prev in [
+            Point::new(0, 0.0),
+            Point::new(90, 3.0),
+            Point::new(i64::MIN, f64::NAN),
+            Point::new(i64::MAX, -0.0),
         ] {
             let mut buf = Vec::new();
-            s.encode_after(prev, same_chunk, &mut buf);
+            s.encode_after(prev, &mut buf);
             let mut pos = 0;
-            let back = ChunkStatistics::decode_after(&buf, &mut pos, prev, same_chunk)?;
+            let back = ChunkStatistics::decode_after(&buf, &mut pos, prev)?;
             assert_eq!(back, s);
             assert_eq!(pos, buf.len());
         }
         let flat = ChunkStatistics::from_points(&pts(&[(7, 2.5)]))?;
         let mut buf = Vec::new();
-        flat.encode_after(Point::new(5, 2.5), true, &mut buf);
-        assert_eq!(buf, [1, 2, 0, 0, 0, 0x80, 0x80, 0x80, 0x80]);
+        flat.encode_after(Point::new(5, 2.5), &mut buf);
+        assert_eq!(buf, [1, 4, 0, 0, 0, 0x80, 0x80, 0x80, 0x80]);
         Ok(())
     }
 
@@ -306,8 +277,8 @@ mod tests {
     /// control byte whose nibbles add past 8 are `Corrupt`.
     #[test]
     fn decode_rejects_invalid() {
-        let corrupt = |buf: &[u8], prev: Point, same_chunk: bool| {
-            let got = ChunkStatistics::decode_after(buf, &mut 0, prev, same_chunk);
+        let corrupt = |buf: &[u8], prev: Point| {
+            let got = ChunkStatistics::decode_after(buf, &mut 0, prev);
             assert!(matches!(got, Err(TsFileError::Corrupt(_))), "{got:?}");
         };
         // bottom.t past last.t
@@ -319,18 +290,14 @@ mod tests {
             top: Point::new(2, 0.0),
             count: 2,
         }
-        .encode_after(Point::new(0, 0.0), false, &mut bad);
-        corrupt(&bad, Point::new(0, 0.0), false);
-        // FP.t one past i64::MAX, and LP.t past it from FP.t.
-        let mut past = vec![1];
-        varint::write_u64(&mut past, 1);
-        past.extend_from_slice(&[0, 0, 0, 0x80, 0x80, 0x80, 0x80]);
-        corrupt(&past, Point::new(i64::MAX, 0.0), true);
+        .encode_after(Point::new(0, 0.0), &mut bad);
+        corrupt(&bad, Point::new(0, 0.0));
+        // LP.t past i64::MAX from FP.t.
         let mut long = vec![1, 0];
         varint::write_u64(&mut long, u64::MAX);
-        corrupt(&long, Point::new(1, 0.0), false);
+        corrupt(&long, Point::new(1, 0.0));
         // Lead 5 + trail 4 bytes.
-        corrupt(&[1, 0, 0, 0, 0, 0x54], Point::new(0, 0.0), false);
+        corrupt(&[1, 0, 0, 0, 0, 0x54], Point::new(0, 0.0));
     }
 
     #[test]

@@ -8,7 +8,8 @@ use std::sync::Arc;
 use crate::checksum::crc32;
 use crate::encoding::EncodingKind;
 use crate::format::{ChunkMeta, FileFooter, SeriesRun, MAGIC};
-use crate::page::{self, PageMeta, PageStatistics, PagedChunkInfo};
+use crate::page::{self, MAX_PAGE_POINTS};
+use crate::statistics::ChunkStatistics;
 use crate::types::{Point, Version};
 use crate::Result;
 use crate::TsFileError;
@@ -17,21 +18,9 @@ use crate::TsFileError;
 /// every chunk body (a few KiB) is its own syscall.
 const WRITE_BUFFER_BYTES: usize = 64 * 1024;
 
-/// One already-encoded page destined for byte-for-byte reuse: the raw
-/// body bytes (trailing CRC included) plus the footer statistics that
-/// travel with them into the new chunk's page index.
-#[derive(Debug, Clone, Copy)]
-pub struct RawPage<'a> {
-    /// Complete page body as stored on disk.
-    pub bytes: &'a [u8],
-    /// The page's FP/LP/BP/TP/count, carried from the source footer.
-    pub stats: PageStatistics,
-}
-
-/// Writes one TsFile: magic, page-structured chunk bodies,
-/// footer with a per-chunk page index. Columns are encoded with
-/// configurable codecs (defaults: TS_2DIFF timestamps + Gorilla values,
-/// IoTDB's defaults for DOUBLE series).
+/// Writes one TsFile: magic, chunk bodies (one page each), footer.
+/// Columns are encoded with configurable codecs (defaults: TS_2DIFF
+/// timestamps + Gorilla values, IoTDB's defaults for DOUBLE series).
 ///
 /// Chunks are grouped into series runs: call
 /// [`begin_series`](Self::begin_series) before the chunks of each
@@ -44,8 +33,7 @@ pub struct TsFileWriter {
     footer: FileFooter,
     ts_encoding: EncodingKind,
     val_encoding: EncodingKind,
-    page_points: usize,
-    /// Carried from page to page: the last decimal pair chosen and
+    /// Carried from chunk to chunk: the last decimal pair chosen and
     /// which value column won (see [`crate::encoding::decimal`]).
     values: page::ValueCarry,
     finished: bool,
@@ -55,8 +43,7 @@ pub struct TsFileWriter {
 
 /// What sealing one chunk fills on its pass over the points: the
 /// chunk's timestamps, their deltas (`ts[i + 1] - ts[i]`, what the packed
-/// timestamp form encodes), the values of the page being encoded, and
-/// the encoded pages.
+/// timestamp form encodes), its values, and the encoded body.
 #[derive(Debug, Default)]
 struct Scratch {
     ts: Vec<i64>,
@@ -88,19 +75,10 @@ impl TsFileWriter {
             footer: FileFooter::default(),
             ts_encoding,
             val_encoding,
-            page_points: page::DEFAULT_PAGE_POINTS,
             values: page::ValueCarry::default(),
             finished: false,
             scratch: Scratch::default(),
         })
-    }
-
-    /// Set the number of points per page, clamped to
-    /// `1..=`[`page::MAX_PAGE_POINTS`]. Smaller pages decode in finer
-    /// slices at the cost of a larger page index; `usize::MAX` makes
-    /// every chunk of up to the ceiling one page.
-    pub fn set_page_points(&mut self, n: usize) {
-        self.page_points = n.clamp(1, page::MAX_PAGE_POINTS);
     }
 
     /// Start the run of `series`: every chunk written until the next
@@ -141,6 +119,7 @@ impl TsFileWriter {
 
     /// Record a written chunk in the footer, extending the open run.
     fn push_chunk(&mut self, meta: ChunkMeta) -> &ChunkMeta {
+        self.pos += meta.byte_len;
         let at = self.footer.chunks.len();
         self.footer.chunks.push(Arc::new(meta));
         if let Some(run) = self.footer.runs.last_mut() {
@@ -152,124 +131,82 @@ impl TsFileWriter {
     /// Encode and append one chunk of time-sorted points with version
     /// `κ = version`. Returns the metadata recorded in the footer.
     ///
-    /// Errors if `points` is empty or not strictly increasing in time
-    /// (a chunk is a sorted run of distinct timestamps by construction).
+    /// Errors if `points` is empty, holds more than
+    /// [`MAX_PAGE_POINTS`] (a chunk is one page), or is not strictly
+    /// increasing in time (a chunk is a sorted run of distinct
+    /// timestamps by construction).
     pub fn write_chunk(&mut self, points: &[Point], version: u64) -> Result<&ChunkMeta> {
         self.check_writable()?;
-        if points.is_empty() {
-            return Err(TsFileError::EmptyChunk);
+        if points.len() > MAX_PAGE_POINTS {
+            return Err(TsFileError::ChunkTooLarge {
+                points: points.len(),
+            });
         }
+        let stats = ChunkStatistics::from_points(points)?;
         // One pass over the points splits them into columns — the
-        // timestamps of the whole chunk and their deltas, the values
-        // page by page — while checking time order and gathering each
-        // page's statistics; the chunk's are their fold. Each `page_points`-sized slice
-        // becomes an independently decodable (and independently CRC'd)
-        // page with its own statistics in the footer's page index.
+        // timestamps and their deltas, the values — while checking time
+        // order.
         let s = &mut self.scratch;
         s.ts.clear();
         s.deltas.clear();
+        s.vs.clear();
         s.body.clear();
-        let mut pages = Vec::with_capacity(points.len() / self.page_points + 1);
-        for slice in points.chunks(self.page_points) {
-            let page_start = s.ts.len();
-            s.vs.clear();
-            let page_stats = split_page(slice, &mut s.ts, &mut s.deltas, &mut s.vs)?;
-            let offset = s.body.len() as u64;
-            // `deltas[i]` is `ts[i + 1] - ts[i]`, so the page's own
-            // deltas start where its timestamps do, one fewer of them.
-            let page_deltas = page_start..page_start + slice.len() - 1;
-            page::encode_page_columns(
-                s.ts.get(page_start..).unwrap_or(&[]),
-                s.deltas.get(page_deltas).unwrap_or(&[]),
-                &s.vs,
-                self.ts_encoding,
-                self.val_encoding,
-                &mut self.values,
-                &mut s.body,
-            );
-            pages.push(PageMeta {
-                offset,
-                byte_len: s.body.len() as u64 - offset,
-                stats: page_stats,
+        s.ts.extend(points.iter().map(|p| p.t));
+        s.vs.extend(points.iter().map(|p| p.v));
+        if let Some(w) = s.ts.windows(2).find(|w| w[1] <= w[0]) {
+            return Err(TsFileError::UnsortedPoints {
+                prev: w[0],
+                next: w[1],
             });
         }
-        let paged = PagedChunkInfo {
-            ts_encoding: self.ts_encoding,
-            val_encoding: self.val_encoding,
-            pages,
-        };
+        s.deltas
+            .extend(s.ts.windows(2).map(|w| w[1].wrapping_sub(w[0])));
+        page::encode_page_columns(
+            &s.ts,
+            &s.deltas,
+            &s.vs,
+            self.ts_encoding,
+            self.val_encoding,
+            &mut self.values,
+            &mut s.body,
+        );
         let meta = ChunkMeta {
             offset: self.pos,
             byte_len: s.body.len() as u64,
             version: Version(version),
-            stats: paged.chunk_stats()?,
-            paged,
+            stats,
+            ts_encoding: self.ts_encoding,
+            val_encoding: self.val_encoding,
         };
         self.out.write_all(&s.body)?;
-        self.pos += meta.byte_len;
         Ok(self.push_chunk(meta))
     }
 
-    /// Append one chunk assembled from already-encoded page bodies,
-    /// byte for byte — the compactor's clean-page fast path. Every page
-    /// is revalidated ([`page::verify_page_body`]: CRC, count, decimal
-    /// block structure) before a single byte is written, page offsets
-    /// are retiled from zero, and the chunk statistics are the fold of
-    /// the page statistics (earliest point wins value ties, matching
-    /// [`crate::ChunkStatistics::from_points`]).
-    ///
-    /// The pages must be time-ordered and disjoint and share the given
-    /// column encodings (pages of one chunk always do); each keeps its
-    /// own value mode, decimal or not.
+    /// Append one chunk from an already-encoded body, byte for byte —
+    /// the compactor's clean-chunk fast path. The body is revalidated
+    /// ([`page::verify_page_body`]: CRC, count, the structure of a
+    /// packed column) before a single byte is written; `stats` travel
+    /// into the new footer unchanged.
     pub fn write_chunk_raw(
         &mut self,
-        pages: &[RawPage<'_>],
+        body: &[u8],
+        stats: ChunkStatistics,
         ts_encoding: EncodingKind,
         val_encoding: EncodingKind,
         version: u64,
     ) -> Result<&ChunkMeta> {
         self.check_writable()?;
-        let (first_page, rest) = pages.split_first().ok_or(TsFileError::EmptyChunk)?;
-        let mut prev_last = first_page.stats.last.t;
-        for p in rest {
-            if p.stats.first.t <= prev_last {
-                return Err(TsFileError::UnsortedPoints {
-                    prev: prev_last,
-                    next: p.stats.first.t,
-                });
-            }
-            prev_last = p.stats.last.t;
-        }
-
-        let mut metas = Vec::with_capacity(pages.len());
-        let mut offset = 0u64;
-        for p in pages {
-            p.stats.validate()?;
-            let pm = PageMeta {
-                offset,
-                byte_len: p.bytes.len() as u64,
-                stats: p.stats,
-            };
-            page::verify_page_body(p.bytes, &pm)?;
-            offset += pm.byte_len;
-            metas.push(pm);
-        }
-        let paged = PagedChunkInfo {
-            ts_encoding,
-            val_encoding,
-            pages: metas,
-        };
+        stats.validate()?;
         let meta = ChunkMeta {
             offset: self.pos,
-            byte_len: offset,
+            byte_len: body.len() as u64,
             version: Version(version),
-            stats: paged.chunk_stats()?,
-            paged,
+            stats,
+            ts_encoding,
+            val_encoding,
         };
-        for p in pages {
-            self.out.write_all(p.bytes)?;
-        }
-        self.pos += offset;
+        page::verify_page_body(body, &meta.page())?;
+        self.out.write_all(body)?;
         Ok(self.push_chunk(meta))
     }
 
@@ -300,31 +237,6 @@ impl TsFileWriter {
         self.finished = true;
         Ok(())
     }
-}
-
-/// Append one page's points to the column buffers — and, from the
-/// chunk's second point on, each timestamp's delta to its predecessor —
-/// checking that time strictly increases (from the previous page's last
-/// timestamp on) and gathering the page's statistics.
-fn split_page(
-    page: &[Point],
-    ts: &mut Vec<i64>,
-    deltas: &mut Vec<i64>,
-    vs: &mut Vec<f64>,
-) -> Result<PageStatistics> {
-    let stats = PageStatistics::from_points(page)?;
-    let from = ts.len().saturating_sub(1);
-    ts.extend(page.iter().map(|p| p.t));
-    vs.extend(page.iter().map(|p| p.v));
-    let fresh = ts.get(from..).unwrap_or(&[]);
-    if let Some(w) = fresh.windows(2).find(|w| w[1] <= w[0]) {
-        return Err(TsFileError::UnsortedPoints {
-            prev: w[0],
-            next: w[1],
-        });
-    }
-    deltas.extend(fresh.windows(2).map(|w| w[1].wrapping_sub(w[0])));
-    Ok(stats)
 }
 
 #[cfg(test)]
@@ -397,62 +309,43 @@ mod tests {
         Ok(())
     }
 
+    /// A chunk is one page, so it holds at most [`MAX_PAGE_POINTS`]:
+    /// one point more is a typed error that writes nothing.
     #[test]
-    fn chunks_split_into_pages() -> Result<()> {
-        let p = tmp("paged.tsfile");
+    fn chunk_above_the_page_ceiling_is_rejected() -> Result<()> {
+        let p = tmp("ceiling.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
-        w.set_page_points(64);
-        let meta = w.write_chunk(&pts(0..300), 1)?.clone();
-        w.finish()?;
-        let info = &meta.paged;
-        assert_eq!(info.pages.len(), 5); // 64*4 + 44
-        assert_eq!(info.pages.iter().map(|pg| pg.stats.count).sum::<u64>(), 300);
-        assert_eq!(meta.page_count(), 5);
-        // Pages tile the body: offset 0, contiguous, ending at byte_len.
-        assert_eq!(info.pages[0].offset, 0);
-        let end = info.pages.last().map(|pg| pg.offset + pg.byte_len);
-        assert_eq!(end, Some(meta.byte_len));
-        // Page stats cover disjoint, increasing time ranges.
-        for w2 in info.pages.windows(2) {
-            assert!(w2[0].stats.last.t < w2[1].stats.first.t);
-        }
+        let n = MAX_PAGE_POINTS as i64;
+        assert!(matches!(
+            w.write_chunk(&pts(0..n + 1), 1),
+            Err(TsFileError::ChunkTooLarge { points }) if points == MAX_PAGE_POINTS + 1
+        ));
+        assert_eq!(w.chunk_count(), 0);
+        assert_eq!(w.write_chunk(&pts(0..n), 2)?.stats.count, n as u64);
         Ok(())
     }
 
     #[test]
     fn raw_chunk_roundtrips_through_copy() -> Result<()> {
-        use crate::reader::{page_body_slice, TsFileReader};
+        use crate::reader::TsFileReader;
 
-        // Source file: one chunk split into small pages.
         let src = tmp("raw-src.tsfile");
         let mut w = TsFileWriter::create(&src)?;
         w.begin_series(0, 0)?;
-        w.set_page_points(50);
         let points = pts(0..200);
         w.write_chunk(&points, 3)?;
         w.finish()?;
         let r = TsFileReader::open(&src)?;
         let meta = &r.chunk_metas()[0];
-        let info = &meta.paged;
-        let (buf, base) = r.read_page_window_raw(meta, 0..info.pages.len())?;
-        let raw: Vec<RawPage<'_>> = info
-            .pages
-            .iter()
-            .map(|pm| {
-                Ok(RawPage {
-                    bytes: page_body_slice(&buf, pm, base)?,
-                    stats: pm.stats,
-                })
-            })
-            .collect::<Result<_>>()?;
+        let body = r.read_chunk_raw(meta)?;
 
-        // Destination: copy the pages byte for byte under a new version.
+        // Destination: copy the body byte for byte under a new version.
         let dst = tmp("raw-dst.tsfile");
         let mut w2 = TsFileWriter::create(&dst)?;
         w2.begin_series(0, 0)?;
         let m2 = w2
-            .write_chunk_raw(&raw, info.ts_encoding, info.val_encoding, 9)?
+            .write_chunk_raw(&body, meta.stats, meta.ts_encoding, meta.val_encoding, 9)?
             .clone();
         w2.finish()?;
         assert_eq!(m2.version.0, 9);
@@ -464,54 +357,36 @@ mod tests {
 
     #[test]
     fn raw_chunk_rejects_bad_pages() -> Result<()> {
-        use crate::page::{encode_page, PageStatistics};
+        use crate::page::encode_page;
 
         let p = tmp("raw-bad.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
-        assert!(matches!(
-            w.write_chunk_raw(&[], EncodingKind::Ts2Diff, EncodingKind::Gorilla, 1),
-            Err(TsFileError::EmptyChunk)
-        ));
-
+        let (ts, val) = (EncodingKind::Ts2Diff, EncodingKind::Gorilla);
         let a = pts(0..10);
-        let b = pts(5..15); // overlaps a in time
-        let mut body_a = Vec::new();
-        encode_page(
-            &a,
-            EncodingKind::Ts2Diff,
-            EncodingKind::Gorilla,
-            &mut body_a,
-        );
-        let mut body_b = Vec::new();
-        encode_page(
-            &b,
-            EncodingKind::Ts2Diff,
-            EncodingKind::Gorilla,
-            &mut body_b,
-        );
-        let pa = RawPage {
-            bytes: &body_a,
-            stats: PageStatistics::from_points(&a)?,
-        };
-        let pb = RawPage {
-            bytes: &body_b,
-            stats: PageStatistics::from_points(&b)?,
-        };
+        let stats = ChunkStatistics::from_points(&a)?;
+        let mut body = Vec::new();
+        encode_page(&a, ts, val, &mut body);
+
+        // Statistics that break an invariant, or miscount the body.
+        let mut inverted = stats;
+        inverted.bottom.v = stats.top.v + 1.0;
         assert!(matches!(
-            w.write_chunk_raw(&[pa, pb], EncodingKind::Ts2Diff, EncodingKind::Gorilla, 1),
-            Err(TsFileError::UnsortedPoints { .. })
+            w.write_chunk_raw(&body, inverted, ts, val, 1),
+            Err(TsFileError::Corrupt(_))
+        ));
+        let mut miscounted = stats;
+        miscounted.count += 1;
+        assert!(matches!(
+            w.write_chunk_raw(&body, miscounted, ts, val, 1),
+            Err(TsFileError::Corrupt(_))
         ));
 
         // Corrupted body fails CRC revalidation before any write.
-        let mut flipped = body_a.clone();
+        let mut flipped = body.clone();
         flipped[3] ^= 0x20;
-        let bad = RawPage {
-            bytes: &flipped,
-            stats: pa.stats,
-        };
         assert!(matches!(
-            w.write_chunk_raw(&[bad], EncodingKind::Ts2Diff, EncodingKind::Gorilla, 1),
+            w.write_chunk_raw(&flipped, stats, ts, val, 1),
             Err(TsFileError::ChecksumMismatch { .. })
         ));
         assert_eq!(w.chunk_count(), 0, "failed raw writes record nothing");
@@ -561,8 +436,9 @@ mod tests {
             w.write_chunk(&pts(0..10), 1),
             Err(TsFileError::NoSeriesBegun)
         ));
+        let stats = ChunkStatistics::from_points(&pts(0..10))?;
         assert!(matches!(
-            w.write_chunk_raw(&[], EncodingKind::Ts2Diff, EncodingKind::Gorilla, 1),
+            w.write_chunk_raw(&[], stats, EncodingKind::Ts2Diff, EncodingKind::Gorilla, 1),
             Err(TsFileError::NoSeriesBegun)
         ));
         assert_eq!(w.chunk_count(), 0);

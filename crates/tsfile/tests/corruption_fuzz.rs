@@ -94,7 +94,7 @@ fn typed<T>(r: &tsfile::Result<T>) -> bool {
     )
 }
 
-/// The page index entry of `n` points at `t = 0, 1, …`.
+/// The footer entry of a page of `n` points at `t = 0, 1, …`.
 fn meta_of(n: usize, body: &[u8]) -> tsfile::PageMeta {
     let points: Vec<Point> = (0..n as i64).map(|t| Point::new(t, 0.0)).collect();
     tsfile::PageMeta {
@@ -493,10 +493,10 @@ fn sealed_file(data: &[u8], body: &[u8]) -> Vec<u8> {
 }
 
 /// A file of three runs whose statistics take every kind of value — a
-/// chunk of several pages, a run starting before the one before it
-/// ended, a chunk with an older version than the one before it, NaN
-/// payloads, −0.0, ±inf and subnormals — split into its bytes before
-/// the footer and its footer body.
+/// run of several chunks, one page each, a run starting before the one
+/// before it ended, a chunk with an older version than the one before
+/// it, NaN payloads, −0.0, ±inf and subnormals — split into its bytes
+/// before the footer and its footer body.
 fn footer_sample(path: &std::path::Path) -> (Vec<u8>, Vec<u8>) {
     let specials = [
         f64::from_bits(0x7ff8_0000_0000_0001),
@@ -507,12 +507,13 @@ fn footer_sample(path: &std::path::Path) -> (Vec<u8>, Vec<u8>) {
         0.0,
     ];
     let mut w = TsFileWriter::create(path).unwrap();
-    w.set_page_points(40);
     w.begin_series(3, 0).unwrap();
     let ramp: Vec<Point> = (0..130)
         .map(|i| Point::new(1_000 + i * 10, 20.0 + (i % 9) as f64 / 4.0))
         .collect();
-    w.write_chunk(&ramp, 7).unwrap();
+    for (v, chunk) in (7..).zip(ramp.chunks(40)) {
+        w.write_chunk(chunk, v).unwrap();
+    }
     w.begin_series(700, 0).unwrap();
     let odd: Vec<Point> = (0..60)
         .map(|i| Point::new(-5_000 + i * 97, specials[i as usize % specials.len()]))
@@ -529,32 +530,19 @@ fn footer_sample(path: &std::path::Path) -> (Vec<u8>, Vec<u8>) {
     (file[..body_at].to_vec(), file[body_at..n - 18].to_vec())
 }
 
-/// What an open that succeeds promises about a footer: every page's and
-/// chunk's statistics hold their invariants, pages are time-ordered,
-/// disjoint, within the point ceiling and tile their chunk, chunks
-/// tile the file from the head magic to the footer at `footer_at`, and
-/// runs tile the chunks in ascending series order.
+/// What an open that succeeds promises about a footer: every chunk's
+/// statistics hold their invariants and its count is within the page
+/// ceiling, chunks tile the file from the head magic to the footer at
+/// `footer_at`, and runs tile the chunks in ascending series order.
 fn assert_footer_holds(r: &TsFileReader, footer_at: u64, what: &str) {
     let mut end = tsfile::format::MAGIC.len() as u64;
     for c in r.chunk_metas() {
         assert_eq!(c.offset, end, "{what}: chunk offset");
-        let mut page_end = 0;
-        let mut last_t = None;
-        for p in &c.paged.pages {
-            p.stats.validate().unwrap();
-            assert!(
-                p.stats.count <= tsfile::page::MAX_PAGE_POINTS as u64,
-                "{what}"
-            );
-            if let Some(t) = last_t {
-                assert!(t < p.stats.first.t, "{what}: page order");
-            }
-            assert_eq!(p.offset, page_end, "{what}: page offset");
-            last_t = Some(p.stats.last.t);
-            page_end += p.byte_len;
-        }
-        assert_eq!(c.byte_len, page_end, "{what}: chunk length");
         c.stats.validate().unwrap();
+        assert!(
+            c.stats.count <= tsfile::page::MAX_PAGE_POINTS as u64,
+            "{what}"
+        );
         end += c.byte_len;
     }
     assert_eq!(end, footer_at, "{what}: chunks end at the footer");
@@ -606,7 +594,7 @@ fn footer_prefixes_and_resealed_bit_flips_are_typed_errors() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A CRC-valid footer whose page lengths do not add up to the bytes
+/// A CRC-valid footer whose chunk lengths do not add up to the bytes
 /// between the head magic and the footer is `Corrupt` at open: the
 /// footer stores no chunk offset, so the tiling is what it is checked
 /// against.
@@ -617,17 +605,43 @@ fn footer_whose_pages_do_not_tile_the_data_region_is_corrupt() {
     let path = dir.join(format!("tiling-{}.tsfile", std::process::id()));
     let (data, body) = footer_sample(&path);
     let footer = FileFooter::decode_body(&body).unwrap();
-    for (chunk, page, delta) in [(0, 1, 1i64), (0, 3, -1), (2, 0, 5)] {
+    for (chunk, delta) in [(1, 1i64), (3, -1), (5, 5)] {
         let mut bent = footer.clone();
         let mut meta = tsfile::ChunkMeta::clone(&bent.chunks[chunk]);
-        let p = &mut meta.paged.pages[page];
-        p.byte_len = p.byte_len.checked_add_signed(delta).unwrap();
+        meta.byte_len = meta.byte_len.checked_add_signed(delta).unwrap();
         bent.chunks[chunk] = std::sync::Arc::new(meta);
         std::fs::write(&path, sealed_file(&data, &bent.encode_body())).unwrap();
         let got = TsFileReader::open(&path);
         assert!(
             matches!(&got, Err(TsFileError::Corrupt(msg)) if msg.contains("chunk bodies end")),
-            "chunk {chunk} page {page} {delta:+}: {:?}",
+            "chunk {chunk} {delta:+}: {:?}",
+            got.map(|_| ())
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A CRC-valid footer whose last chunk claims a body running past the
+/// data region — past the file, or past `u64::MAX` — is `Corrupt` at
+/// open, before any body is read.
+#[test]
+fn chunk_length_overrunning_the_data_region_is_corrupt() {
+    let dir = std::env::temp_dir().join("tsfile-fuzz");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("overrun-{}.tsfile", std::process::id()));
+    let (data, body) = footer_sample(&path);
+    let footer = FileFooter::decode_body(&body).unwrap();
+    let last = footer.chunks.len() - 1;
+    for byte_len in [data.len() as u64, u64::MAX / 2, u64::MAX] {
+        let mut bent = footer.clone();
+        let mut meta = tsfile::ChunkMeta::clone(&bent.chunks[last]);
+        meta.byte_len = byte_len;
+        bent.chunks[last] = std::sync::Arc::new(meta);
+        std::fs::write(&path, sealed_file(&data, &bent.encode_body())).unwrap();
+        let got = TsFileReader::open(&path);
+        assert!(
+            matches!(&got, Err(TsFileError::Corrupt(_))),
+            "byte_len {byte_len}: {:?}",
             got.map(|_| ())
         );
     }
@@ -663,11 +677,8 @@ proptest! {
                 // read must either round-trip or error.
                 for meta in reader.chunk_metas() {
                     let _ = reader.read_chunk(meta);
-                    for page in 0..meta.page_count() as u32 {
-                        let _ = reader.read_page_points(meta, page);
-                        let _ = reader.read_page_timestamps(meta, page, None);
-                        let _ = reader.read_page_timestamps(meta, page, Some(5_000));
-                    }
+                    let _ = reader.read_timestamps(meta, None);
+                    let _ = reader.read_timestamps(meta, Some(5_000));
                 }
             }
         }
@@ -781,9 +792,7 @@ proptest! {
         if let Ok(reader) = TsFileReader::open(&path) {
             for meta in reader.chunk_metas() {
                 let _ = reader.read_chunk(meta);
-                for page in 0..meta.page_count() as u32 {
-                    let _ = reader.read_page_timestamps(meta, page, None);
-                }
+                let _ = reader.read_timestamps(meta, None);
             }
         }
         std::fs::remove_file(&path).ok();

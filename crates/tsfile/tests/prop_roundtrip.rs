@@ -22,9 +22,7 @@ use tsfile::page::{
 use tsfile::statistics::ChunkStatistics;
 use tsfile::types::{Point, Version};
 use tsfile::varint;
-use tsfile::{
-    ChunkMeta, FileFooter, PageMeta, PagedChunkInfo, SeriesRun, TsFileReader, TsFileWriter,
-};
+use tsfile::{ChunkMeta, FileFooter, PageMeta, SeriesRun, TsFileReader, TsFileWriter};
 
 /// Values no decimal block can hold: NaN payloads, −0.0, ±inf,
 /// subnormals, and magnitudes at or beyond 2^53.
@@ -198,21 +196,20 @@ proptest! {
         let max = pts.iter().map(|p| p.v).fold(f64::NEG_INFINITY, f64::max);
         prop_assert_eq!(s.bottom.v, min);
         prop_assert_eq!(s.top.v, max);
-        // The statistics round-trip through the footer, as one page.
-        let footer = footer_of(&[(0, 0, vec![(1, vec![pts.clone()])])]);
+        // The statistics round-trip through the footer.
+        let footer = footer_of(&[(0, 0, vec![(1, pts.clone())])]);
         let back = FileFooter::decode_body(&footer.encode_body()).unwrap();
-        prop_assert_eq!(back.chunks[0].paged.pages[0].stats, s);
         prop_assert_eq!(back.chunks[0].stats, s);
     }
 }
 
-/// A chunk as `(version, its pages' points)`.
-type Chunk = (u64, Vec<Vec<Point>>);
+/// A chunk as `(version, its points)`.
+type Chunk = (u64, Vec<Point>);
 
 /// A series run as `(series, supersedes, its chunks)`.
 type Run = (u32, u64, Vec<Chunk>);
 
-/// A footer over `runs` whose page bodies are each as long as their
+/// A footer over `runs` whose chunk bodies are each as long as their
 /// point count plus 7 bytes, laid end to end after the head magic as a
 /// writer lays them.
 fn footer_of(runs: &[Run]) -> FileFooter {
@@ -220,33 +217,17 @@ fn footer_of(runs: &[Run]) -> FileFooter {
     let mut end = tsfile::format::MAGIC.len() as u64;
     for (series, supersedes, chunks) in runs {
         let at = footer.chunks.len();
-        for (version, pages) in chunks {
-            let mut offset = 0;
-            let pages: Vec<PageMeta> = pages
-                .iter()
-                .map(|points| {
-                    let page = PageMeta {
-                        offset,
-                        byte_len: points.len() as u64 + 7,
-                        stats: ChunkStatistics::from_points(points).unwrap(),
-                    };
-                    offset += page.byte_len;
-                    page
-                })
-                .collect();
-            let paged = PagedChunkInfo {
-                ts_encoding: EncodingKind::Ts2Diff,
-                val_encoding: EncodingKind::Gorilla,
-                pages,
-            };
+        for (version, points) in chunks {
+            let byte_len = points.len() as u64 + 7;
             footer.chunks.push(Arc::new(ChunkMeta {
                 offset: end,
-                byte_len: offset,
+                byte_len,
                 version: Version(*version),
-                stats: paged.chunk_stats().unwrap(),
-                paged,
+                stats: ChunkStatistics::from_points(points).unwrap(),
+                ts_encoding: EncodingKind::Ts2Diff,
+                val_encoding: EncodingKind::Gorilla,
             }));
-            end += offset;
+            end += byte_len;
         }
         footer.runs.push(SeriesRun {
             series: *series,
@@ -266,7 +247,7 @@ fn footer_bits(footer: &FileFooter) -> Vec<String> {
     };
     let mut out = Vec::new();
     for c in &footer.chunks {
-        let (ts, vs) = (c.paged.ts_encoding, c.paged.val_encoding);
+        let (ts, vs) = (c.ts_encoding, c.val_encoding);
         out.push(format!(
             "chunk @{}+{} {:?} {ts:?}/{vs:?} {}",
             c.offset,
@@ -274,14 +255,6 @@ fn footer_bits(footer: &FileFooter) -> Vec<String> {
             c.version,
             stats(&c.stats)
         ));
-        for p in &c.paged.pages {
-            out.push(format!(
-                "page @{}+{} {}",
-                p.offset,
-                p.byte_len,
-                stats(&p.stats)
-            ));
-        }
     }
     out.extend(footer.runs.iter().map(|r| format!("{r:?}")));
     out
@@ -311,8 +284,8 @@ proptest! {
 
     /// Whatever the statistics, the footer codec gives back every bit:
     /// several runs whose chunks overlap one another in time, times at
-    /// `i64::MIN` and `i64::MAX` side by side (within a page, across
-    /// pages and across chunks), versions rising and falling, and NaN
+    /// `i64::MIN` and `i64::MAX` side by side (within a chunk and across
+    /// chunks), versions rising and falling, and NaN
     /// payloads, −0.0, ±inf and subnormals in every statistic.
     #[test]
     fn footer_roundtrips_bit_exactly(
@@ -323,10 +296,9 @@ proptest! {
                 prop::collection::vec(
                     (
                         any::<u64>(),
-                        1usize..5,
-                        prop::collection::vec((any_time(), any_value()), 1..40),
+                        prop::collection::vec((any_time(), any_value()), 1..10),
                     ),
-                    0..4,
+                    0..10,
                 ),
             ),
             1..5,
@@ -339,12 +311,12 @@ proptest! {
                 series += gap;
                 let chunks: Vec<Chunk> = chunks
                     .into_iter()
-                    .map(|(version, page_points, raw)| {
+                    .map(|(version, raw)| {
                         let mut points: Vec<Point> =
                             raw.into_iter().map(|(t, v)| Point::new(t, v)).collect();
                         points.sort_by_key(|p| p.t);
                         points.dedup_by_key(|p| p.t);
-                        (version, points.chunks(page_points).map(<[Point]>::to_vec).collect())
+                        (version, points)
                     })
                     .collect();
                 // A run with no chunk must supersede something.

@@ -5,13 +5,11 @@
 //! chunk on every query is the dominant read-path lever. This module
 //! caches *decoded* points (the expensive artifact) keyed by
 //!
-//! > (file handle id, chunk byte offset, page number, chunk version)
+//! > (file handle id, chunk byte offset, chunk version)
 //!
-//! Page granularity means a narrow query that touches a
-//! few hundred points caches — and later evicts — only those pages,
-//! instead of a multi-megabyte whole-chunk body. The page is the only
-//! entry kind: a one-page chunk is its page 0, and a whole-chunk read
-//! of a longer one goes page by page.
+//! A chunk is one page, so an entry is one chunk's points — at most
+//! `points_per_chunk` of them: a narrow query caches, and later evicts,
+//! only the chunks it touches.
 //!
 //! The file handle id is a process-unique id minted by
 //! [`tsfile::TsFileReader::open`] and never reused, so entries for a
@@ -56,15 +54,13 @@ use tsfile::types::Point;
 
 use crate::stats::IoStats;
 
-/// Identity of one decoded page.
+/// Identity of one decoded chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Process-unique id of the owning [`tsfile::TsFileReader`].
     pub file_id: u64,
     /// Byte offset of the chunk within the file.
     pub offset: u64,
-    /// Page number within the chunk.
-    pub page_no: u32,
     /// The chunk's version `κ`.
     pub version: u64,
 }
@@ -298,7 +294,6 @@ mod tests {
         CacheKey {
             file_id: file,
             offset: off,
-            page_no: 0,
             version: off,
         }
     }
@@ -325,22 +320,22 @@ mod tests {
         assert_eq!(s.cache_misses, 1);
     }
 
+    /// The chunks of one run — one page each — cache as distinct
+    /// entries, and retiring the run drops every one of them.
     #[test]
     fn page_keys_are_distinct_entries() {
         let (c, _io) = cache(1 << 20);
         let base = CacheKey {
             file_id: 1,
-            offset: 0,
-            page_no: 0,
+            offset: 6,
             version: 9,
         };
         c.insert(base, pts(10));
-        c.insert(CacheKey { page_no: 1, ..base }, pts(20));
-        c.insert(CacheKey { page_no: 2, ..base }, pts(30));
-        assert_eq!(c.len(), 3, "pages of one chunk cache independently");
-        assert_eq!(c.get(CacheKey { page_no: 1, ..base }).unwrap().len(), 20);
-        // Retiring the chunk's run drops every page entry.
-        assert_eq!(c.invalidate_run(1, 0..1), 3);
+        c.insert(CacheKey { offset: 50, ..base }, pts(20));
+        c.insert(CacheKey { offset: 90, ..base }, pts(30));
+        assert_eq!(c.len(), 3, "chunks of one run cache independently");
+        assert_eq!(c.get(CacheKey { offset: 50, ..base }).unwrap().len(), 20);
+        assert_eq!(c.invalidate_run(1, 6..91), 3);
     }
 
     #[test]

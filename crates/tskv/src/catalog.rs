@@ -26,9 +26,12 @@
 //!
 //! Record layout: `u32 id (LE) | u16 name_len (LE) | name bytes |
 //! u32 crc` where the CRC covers everything before it. A torn tail
-//! (incomplete or CRC-failing final record) is truncated on open, the
+//! (incomplete or CRC-failing final record) is dropped on open, the
 //! same contract as the data WAL: a crash mid-intern loses only the
-//! never-acknowledged registration.
+//! never-acknowledged registration. Opening is read-only, as a delete
+//! log's is ([`tsfile::ModsFile`]): the open remembers where the torn
+//! bytes start and the first intern cuts them off before it appends, so
+//! a store whose open is refused later on is left exactly as it was.
 //!
 //! Appends are written through to the OS immediately (a crash loses
 //! nothing acknowledged short of power failure) but fsynced lazily:
@@ -54,7 +57,7 @@
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -92,7 +95,34 @@ const NAME_STRIPES: usize = 64;
 pub const CATALOG_LOG: &str = "catalog.log";
 
 struct LogState {
-    file: File,
+    path: PathBuf,
+    /// Open for appending from the first intern on.
+    file: Option<File>,
+    /// Length of the valid prefix, when the open found a torn record
+    /// behind it: the first intern cuts the file back to it.
+    torn_at: Option<u64>,
+}
+
+impl LogState {
+    /// The log, ready to append to: opened (created if absent) on
+    /// first use, and cut back to its valid prefix if the open found a
+    /// torn tail — a record written behind it would be dropped with it
+    /// by the next open.
+    fn appender(&mut self) -> Result<&mut File> {
+        let file = match self.file.take() {
+            Some(file) => file,
+            None => OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(&self.path)?,
+        };
+        if let Some(valid) = self.torn_at {
+            file.set_len(valid)?;
+            file.sync_data()?;
+            self.torn_at = None;
+        }
+        Ok(self.file.insert(file))
+    }
 }
 
 /// The interning table: name→id (striped), id→name (dense), and the
@@ -152,14 +182,14 @@ fn decode_record(buf: &[u8], pos: usize) -> Option<(u32, String, usize)> {
 }
 
 impl SeriesCatalog {
-    /// Open (creating if absent) the catalog backed by `root/catalog.log`,
-    /// replaying every existing registration. A torn final record is
-    /// truncated away; a non-dense id sequence is a hard error.
+    /// Open the catalog backed by `root/catalog.log`, replaying every
+    /// existing registration. Read-only: the file is created, or cut
+    /// back past a torn final record, by the first intern. A non-dense
+    /// id sequence is a hard error.
     pub fn open(root: &Path, limit: u64, io: Arc<IoStats>) -> Result<SeriesCatalog> {
         let path = root.join(CATALOG_LOG);
         let mut existing: Vec<(u32, String)> = Vec::new();
-        let mut good_bytes = 0u64;
-        let mut truncate_tail = false;
+        let mut torn_at = None;
         if path.exists() {
             let mut buf = Vec::new();
             File::open(&path)?.read_to_end(&mut buf)?;
@@ -171,19 +201,12 @@ impl SeriesCatalog {
                         pos = next;
                     }
                     None => {
-                        truncate_tail = true;
+                        torn_at = Some(pos as u64);
                         break;
                     }
                 }
             }
-            good_bytes = pos as u64;
         }
-        if truncate_tail {
-            let f = OpenOptions::new().write(true).open(&path)?;
-            f.set_len(good_bytes)?;
-            f.sync_data()?;
-        }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
 
         let mut stripes: Vec<RwLock<HashMap<Arc<str>, SeriesId>>> =
             Vec::with_capacity(NAME_STRIPES);
@@ -212,7 +235,11 @@ impl SeriesCatalog {
         Ok(SeriesCatalog {
             stripes,
             names: RwLock::new(names),
-            log: Mutex::new(LogState { file }),
+            log: Mutex::new(LogState {
+                path,
+                file: None,
+                torn_at,
+            }),
             dirty: AtomicBool::new(false),
             limit,
             io,
@@ -272,7 +299,7 @@ impl SeriesCatalog {
         let id = SeriesId(next as u32);
         let mut rec = Vec::with_capacity(10 + name.len());
         encode_record(&mut rec, id.0, name);
-        log.file.write_all(&rec)?;
+        log.appender()?.write_all(&rec)?;
         self.dirty.store(true, Ordering::Release);
         let arc: Arc<str> = Arc::from(name);
         // Publish id→name before name→id so a resolve that wins the
@@ -299,8 +326,9 @@ impl SeriesCatalog {
     /// never references an id the catalog could forget.
     pub fn sync_if_dirty(&self) -> Result<()> {
         if self.dirty.swap(false, Ordering::AcqRel) {
-            let log = self.log.lock();
-            log.file.sync_data()?;
+            if let Some(file) = &self.log.lock().file {
+                file.sync_data()?;
+            }
         }
         Ok(())
     }
@@ -371,8 +399,59 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert_eq!(c.resolve("a"), Some(SeriesId(0)));
         assert_eq!(c.resolve("b"), None);
-        // The torn record is gone from disk; re-interning works.
+        // The torn record is cut by the first intern; re-interning works.
         assert_eq!(c.intern("b").unwrap(), SeriesId(1));
+        assert_eq!(std::fs::read(&path).unwrap(), data);
+    }
+
+    /// Opening behind a torn tail writes nothing — not the cut, not a
+    /// sync — until the first intern.
+    #[test]
+    fn reopen_behind_a_torn_tail_writes_nothing_until_an_intern() {
+        let dir = tmp("torn-readonly");
+        {
+            let c = open(&dir);
+            c.intern("a").unwrap();
+            c.intern("b").unwrap();
+        }
+        let path = dir.join(CATALOG_LOG);
+        let data = std::fs::read(&path).unwrap();
+        let torn = data.get(..data.len() - 3).unwrap();
+        std::fs::write(&path, torn).unwrap();
+        let c = open(&dir);
+        assert_eq!(c.resolve("a"), Some(SeriesId(0)));
+        c.sync_if_dirty().unwrap();
+        drop(c);
+        assert_eq!(std::fs::read(&path).unwrap(), torn);
+        // A fresh root: no file until the first intern.
+        let fresh = tmp("fresh-readonly");
+        drop(open(&fresh));
+        assert!(!fresh.join(CATALOG_LOG).exists());
+    }
+
+    /// A name interned behind a torn tail is read back by the next
+    /// open: the intern cut the torn bytes before it appended.
+    #[test]
+    fn an_intern_behind_a_torn_tail_survives_reopen() {
+        let dir = tmp("torn-intern");
+        {
+            let c = open(&dir);
+            c.intern("a").unwrap();
+            c.intern("b").unwrap();
+        }
+        let path = dir.join(CATALOG_LOG);
+        let data = std::fs::read(&path).unwrap();
+        std::fs::write(&path, data.get(..data.len() - 3).unwrap()).unwrap();
+        {
+            let c = open(&dir);
+            assert_eq!(c.intern("c").unwrap(), SeriesId(1));
+            assert_eq!(c.intern("d").unwrap(), SeriesId(2));
+            c.sync_if_dirty().unwrap();
+        }
+        let c = open(&dir);
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.resolve("c"), Some(SeriesId(1)));
+        assert_eq!(c.resolve("d"), Some(SeriesId(2)));
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! without I/O — plus enough location information
 //! to load the body on demand.
 //!
-//! Every chunk reads as a run of *pages*, each with its own statistics:
-//! a sealed chunk's pages are the ones in its footer, and the memtable
-//! chunk is the single page 0 carrying the chunk's statistics. Nothing
-//! above this module asks which kind it holds.
+//! A sealed chunk is one page of a TsFile; the memtable chunk is the
+//! memtable's points. Both read whole, through the snapshot; nothing
+//! above the snapshot asks which kind it holds.
 
 use std::sync::Arc;
 
@@ -43,12 +42,6 @@ pub struct ChunkHandle {
     pub stats: ChunkStatistics,
     /// Data location.
     pub data: ChunkData,
-}
-
-/// A page index as a page number. A footer's page count is bounded by
-/// its byte length, far below `u32::MAX`.
-fn page_no(i: usize) -> u32 {
-    u32::try_from(i).unwrap_or(u32::MAX)
 }
 
 impl ChunkHandle {
@@ -89,34 +82,6 @@ impl ChunkHandle {
     pub fn is_mem(&self) -> bool {
         matches!(self.data, ChunkData::Mem { .. })
     }
-
-    /// Number of pages the chunk reads as (at least 1).
-    pub fn page_count(&self) -> u32 {
-        match &self.data {
-            ChunkData::File { meta, .. } => page_no(meta.paged.pages.len()),
-            ChunkData::Mem { .. } => 1,
-        }
-    }
-
-    /// FP/LP/BP/TP/count of page `page`; `None` past the last page.
-    pub fn page_stats(&self, page: u32) -> Option<&ChunkStatistics> {
-        match &self.data {
-            ChunkData::File { meta, .. } => meta.paged.pages.get(page as usize).map(|p| &p.stats),
-            ChunkData::Mem { .. } => (page == 0).then_some(&self.stats),
-        }
-    }
-
-    /// The pages whose time range overlaps `range`: pages are
-    /// time-ordered and disjoint, so a contiguous run of page numbers.
-    pub fn pages_overlapping(&self, range: TimeRange) -> std::ops::Range<u32> {
-        match &self.data {
-            ChunkData::File { meta, .. } => {
-                let w = meta.paged.pages_overlapping(range);
-                page_no(w.start)..page_no(w.end)
-            }
-            ChunkData::Mem { .. } => 0..u32::from(self.time_range().overlaps(&range)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -139,15 +104,19 @@ mod tests {
         Ok(())
     }
 
+    /// The memtable chunk is one page like a sealed one: its statistics
+    /// are those of all its points.
     #[test]
     fn mem_handle_is_one_page_with_the_chunk_statistics() -> std::result::Result<(), &'static str> {
-        let pts = Arc::new(vec![Point::new(10, 1.0), Point::new(20, 2.0)]);
-        let h = ChunkHandle::from_mem(pts, Version(1)).ok_or("non-empty points")?;
-        assert_eq!(h.page_count(), 1);
-        assert_eq!(h.page_stats(0), Some(&h.stats));
-        assert_eq!(h.page_stats(1), None);
-        assert_eq!(h.pages_overlapping(TimeRange::new(20, 30)), 0..1);
-        assert!(h.pages_overlapping(TimeRange::new(21, 30)).is_empty());
+        let raw = vec![
+            Point::new(10, 1.0),
+            Point::new(20, -2.0),
+            Point::new(30, 0.5),
+        ];
+        let stats = ChunkStatistics::from_points(&raw).map_err(|_| "non-empty points")?;
+        let h = ChunkHandle::from_mem(Arc::new(raw), Version(1)).ok_or("non-empty points")?;
+        assert_eq!(h.stats, stats);
+        assert_eq!(h.time_range(), TimeRange::new(10, 30));
         Ok(())
     }
 

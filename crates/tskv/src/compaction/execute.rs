@@ -4,36 +4,32 @@
 //! metadata, deletes) plus the [`classification
 //! plan`](crate::compaction::plan) and produces the output TsFile:
 //!
-//! * **Clean pages** move byte-for-byte, decimal or XOR value mode
-//!   and all: one pooled pread per contiguous page window
-//!   ([`TsFileReader::read_page_window_raw`]) and a raw append that
-//!   re-checks each page's CRC — once, at the writer's gate — and
-//!   carries the page statistics straight into the new footer
+//! * **Clean chunks** move byte-for-byte, decimal or XOR value mode
+//!   and all: one pooled pread of the body
+//!   ([`TsFileReader::read_chunk_raw`]) and a raw append that re-checks
+//!   its CRC — once, at the writer's gate — and carries its statistics
+//!   straight into the new footer
 //!   ([`tsfile::TsFileWriter::write_chunk_raw`]) — no decode, no
 //!   re-encode.
-//! * **Dirty pages** decode (one pooled pread per contiguous dirty
-//!   window), k-way merge through the same [`MergeReader`] the read
-//!   path uses — latest version wins, later-versioned deletes drop
-//!   points — and re-encode chunked by `points_per_chunk`, each new
-//!   page choosing its value mode again from its own values.
-//! * **Dropped pages** — wholly inside one newer delete — are not read.
+//! * **Dirty chunks** decode, k-way merge through the same
+//!   [`MergeReader`] the read path uses — latest version wins,
+//!   later-versioned deletes drop points — and re-encode chunked by
+//!   `points_per_chunk`, each new chunk choosing its value mode again
+//!   from its own values.
+//! * **Dropped chunks** — wholly inside one newer delete — are not read.
 //!
-//! Clean pages and merged dirty points interleave on the time axis;
+//! Clean chunks and merged dirty points interleave on the time axis;
 //! [`merge_to_file`] walks both in time order so output chunks are
-//! emitted time-sorted and mutually disjoint. A clean page is an atomic
-//! unit: no merged dirty point can fall strictly inside its time range
-//! (that would imply an overlapping input chunk or an applicable
-//! delete, contradicting cleanliness), so the walk only ever splits a
-//! *run* of clean pages, never a page. Consecutive clean pages of the
-//! same chunk coalesce back into one raw output chunk unless a dirty
-//! point lands in the gap between them — the "gap dweller" case, where
-//! a whole other chunk sits between two pages without overlapping
-//! either.
+//! emitted time-sorted and mutually disjoint. No merged dirty point can
+//! fall inside a clean chunk's time range (that would imply an
+//! overlapping input chunk or an applicable delete, contradicting
+//! cleanliness), so the walk spills the merged points before each clean
+//! chunk and copies the chunk whole.
 //!
 //! Every output chunk — copied or re-encoded — carries the **maximum
 //! input chunk version**. Inputs are a contiguous run in version
 //! order, so anything that outranked an input still outranks the
-//! output, and raising a clean page's version only sheds deletes that
+//! output, and raising a clean chunk's version only sheds deletes that
 //! classification already proved don't touch it. The output file is the
 //! one-run case of the shard-file shape: its single series run declares
 //! that same version as what it *supersedes*, which is how a reopen
@@ -43,32 +39,19 @@
 //! I/O is reported through the explicit `compaction_*` counters, not
 //! smeared into the read-path ones.
 
-use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
-use tsfile::types::{Point, TimeRange, Version};
-use tsfile::{ChunkMeta, ModEntry, RawPage, TsFileReader, TsFileWriter};
+use tsfile::types::{Point, Version};
+use tsfile::{ChunkMeta, ModEntry, TsFileReader, TsFileWriter};
 
-use crate::compaction::plan::{CompactionPlan, PageFate};
+use crate::compaction::plan::Fate;
 use crate::compaction::CompactionReport;
 use crate::config::EngineConfig;
 use crate::readers::MergeReader;
 use crate::snapshot::SeriesSnapshot;
 use crate::stats::IoStats;
 use crate::Result;
-
-/// A window of consecutive clean pages of one input chunk — one page
-/// as the plan lists them (the interleave walk's atomic, time-ordered
-/// unit), more once the walk coalesced neighbours.
-#[derive(Debug, Clone)]
-struct CleanRun<'a> {
-    reader: &'a TsFileReader,
-    meta: &'a ChunkMeta,
-    pages: Range<usize>,
-    /// First timestamp of the first page.
-    start: i64,
-}
 
 fn corrupt(msg: &str) -> crate::TsKvError {
     tsfile::TsFileError::Corrupt(msg.into()).into()
@@ -96,7 +79,7 @@ impl Output<'_> {
     /// Re-encode a run of merged dirty points, chunked by
     /// `points_per_chunk`, all under the output version.
     fn flush_points(&mut self, points: &[Point], version: u64) -> Result<()> {
-        for slice in points.chunks(self.config.points_per_chunk.max(1)) {
+        for slice in points.chunks(self.config.points_per_chunk) {
             let byte_len = self.w.write_chunk(slice, version)?.byte_len;
             self.out.bytes_rewritten += byte_len;
             self.out.points_written += slice.len();
@@ -104,35 +87,25 @@ impl Output<'_> {
         Ok(())
     }
 
-    /// Copy one contiguous window of clean pages as a single raw chunk:
-    /// one pooled pread, statistics carried into the new footer
-    /// unchanged; the writer revalidates each page's CRC.
-    fn flush_raw_run(&mut self, run: CleanRun<'_>, version: u64) -> Result<()> {
-        let info = &run.meta.paged;
-        let (buf, base) = run
-            .reader
-            .read_page_window_raw(run.meta, run.pages.clone())?;
-        let metas = info
-            .pages
-            .get(run.pages.clone())
-            .ok_or_else(|| corrupt("clean run window out of range"))?;
-        let mut raws = Vec::with_capacity(metas.len());
-        for pm in metas {
-            raws.push(RawPage {
-                bytes: tsfile::reader::page_body_slice(&buf, pm, base)?,
-                stats: pm.stats,
-            });
-            self.out.points_written += pm.stats.count as usize;
-        }
-        self.w
-            .write_chunk_raw(&raws, info.ts_encoding, info.val_encoding, version)?;
-        self.out.pages_copied += run.pages.len() as u64;
+    /// Copy one clean chunk whole: one pooled pread, statistics carried
+    /// into the new footer unchanged; the writer revalidates its CRC.
+    fn copy_chunk(&mut self, reader: &TsFileReader, meta: &ChunkMeta, version: u64) -> Result<()> {
+        let body = reader.read_chunk_raw(meta)?;
+        self.w.write_chunk_raw(
+            &body,
+            meta.stats,
+            meta.ts_encoding,
+            meta.val_encoding,
+            version,
+        )?;
+        self.out.points_written += meta.stats.count as usize;
+        self.out.pages_copied += 1;
         Ok(())
     }
 }
 
 /// Merge the captured input chunks (capture order, each with the
-/// reader its body is behind) into one TsFile at `path` per `plan`: the
+/// reader its body is behind) into one TsFile at `path` per `fates`: the
 /// single run `run`, every output chunk under `run.version` (the
 /// maximum input version). `path` is the file's in-flight name — the
 /// caller renames it into place. A merge that comes up empty (every
@@ -146,62 +119,36 @@ pub(crate) fn merge_to_file(
     path: &Path,
     chunks: &[(&TsFileReader, &ChunkMeta)],
     deletes: Vec<ModEntry>,
-    plan: &CompactionPlan,
+    fates: &[Fate],
     run: OutputRun,
 ) -> Result<CompactionReport> {
     tsfile::lockcheck::check_io();
     let out_version = run.version;
-    let mut out = CompactionReport {
-        chunks_merged: chunks.len(),
-        pages_recoded: plan.pages_dirty(),
-        ..CompactionReport::default()
-    };
-    if plan.fates.len() != chunks.len() {
+    if fates.len() != chunks.len() {
         return Err(corrupt("plan does not match the chunk list"));
     }
+    let mut out = CompactionReport {
+        chunks_merged: chunks.len(),
+        ..CompactionReport::default()
+    };
 
-    // 1. Decode the dirty pages — each a sorted run carrying its
-    // source chunk's version — and list the clean ones as time-ordered
-    // atomic units. Every input page but a dropped one is read exactly
-    // once — clean ones later, raw, per window.
-    let mut units: Vec<CleanRun<'_>> = Vec::new();
+    // 1. Decode the dirty chunks — each a sorted run carrying its
+    // version — and list the clean ones, to be copied in time order.
+    // Every input chunk but a dropped one is read exactly once.
+    let mut clean: Vec<(&TsFileReader, &ChunkMeta)> = Vec::new();
     let mut dirty: Vec<(Version, Arc<Vec<Point>>)> = Vec::new();
-    for (&(reader, meta), fates) in chunks.iter().zip(&plan.fates) {
-        let pages = &meta.paged.pages;
-        if fates.len() != pages.len() {
-            return Err(corrupt("plan does not match the chunk's pages"));
-        }
-        // Each maximal window of dirty pages is one pooled pread (the
-        // window's exact time range selects exactly those pages —
-        // pages are disjoint and ordered).
-        let mut window: Option<TimeRange> = None;
-        for (j, (pm, fate)) in pages.iter().zip(fates).enumerate() {
-            match fate {
-                PageFate::Dropped => {}
-                PageFate::Clean => {
-                    out.bytes_read += pm.byte_len;
-                    units.push(CleanRun {
-                        reader,
-                        meta,
-                        pages: j..j + 1,
-                        start: pm.stats.first.t,
-                    });
-                }
-                PageFate::Dirty => {
-                    out.bytes_read += pm.byte_len;
-                    window.get_or_insert(pm.time_range()).end = pm.stats.last.t;
-                }
-            }
-            if *fate != PageFate::Dirty || j + 1 == pages.len() {
-                if let Some(range) = window.take() {
-                    for (_, pts) in reader.read_pages_overlapping(meta, range)? {
-                        dirty.push((meta.version, Arc::new(pts)));
-                    }
-                }
+    for (&(reader, meta), fate) in chunks.iter().zip(fates) {
+        match fate {
+            Fate::Dropped => continue,
+            Fate::Clean => clean.push((reader, meta)),
+            Fate::Dirty => {
+                dirty.push((meta.version, Arc::new(reader.read_chunk(meta)?)));
+                out.pages_recoded += 1;
             }
         }
+        out.bytes_read += meta.byte_len;
     }
-    units.sort_by_key(|u| u.start);
+    clean.sort_by_key(|(_, meta)| meta.stats.first.t);
 
     // 2. K-way merge the dirty runs — latest version wins, deletes
     // apply version-aware — with the read path's own merge, over a
@@ -210,33 +157,17 @@ pub(crate) fn merge_to_file(
     let snapshot = SeriesSnapshot::new(Vec::new(), Vec::new(), deletes, detached, None, 1);
     let merged = MergeReader::new(&snapshot).merge_runs(&dirty);
 
-    // 3. Interleave: walk clean pages in time order, spilling the
-    // merged dirty points that precede each page, re-coalescing
-    // consecutive same-chunk pages into single raw chunks when nothing
-    // intervened.
+    // 3. Interleave: walk the clean chunks in time order, spilling the
+    // merged dirty points that precede each before copying it.
     let mut w = config.tsfile_writer(path)?;
     w.begin_series(run.series, run.version)?;
     let mut output = Output { w, config, out };
     let mut rest = merged.as_slice();
-    let mut open: Option<CleanRun<'_>> = None;
-    for unit in units {
-        let (before, after) = rest.split_at(rest.partition_point(|p| p.t < unit.start));
+    for (reader, meta) in clean {
+        let (before, after) = rest.split_at(rest.partition_point(|p| p.t < meta.stats.first.t));
         rest = after;
-        if let Some(run) = open.as_mut().filter(|run| {
-            before.is_empty()
-                && std::ptr::eq(run.meta, unit.meta)
-                && run.pages.end == unit.pages.start
-        }) {
-            run.pages.end = unit.pages.end;
-            continue;
-        }
-        if let Some(run) = open.replace(unit) {
-            output.flush_raw_run(run, out_version)?;
-        }
         output.flush_points(before, out_version)?;
-    }
-    if let Some(run) = open.take() {
-        output.flush_raw_run(run, out_version)?;
+        output.copy_chunk(reader, meta, out_version)?;
     }
     output.flush_points(rest, out_version)?;
     output.w.finish()?;

@@ -1,4 +1,4 @@
-//! Page-aware compaction.
+//! Chunk-aware compaction.
 //!
 //! The paper measures with compaction *disabled* (Table 4:
 //! `NO_COMPACTION`) because overlapping chunks and pending deletes are
@@ -12,10 +12,10 @@
 //!   background scheduler does so once `compaction_threshold` files
 //!   are sealed.
 //! * **Rewrite avoidance** ([`plan`] + [`execute`]) — footer metadata
-//!   classifies each input page as *clean* (overlapping no other input
-//!   chunk and no newer delete) or *dirty*. Clean pages are copied
+//!   classifies each input chunk as *clean* (overlapping no other input
+//!   chunk and no newer delete) or *dirty*. Clean chunks are copied
 //!   byte-for-byte — CRC-revalidated, never decoded, their statistics
-//!   carried into the new footer — while only dirty pages flow through
+//!   carried into the new footer — while only dirty chunks flow through
 //!   decode → k-way merge → re-encode. On append-mostly workloads most
 //!   bytes take the copy path, which is the write-amplification win
 //!   the `compaction_pages_copied` / `compaction_bytes_rewritten`
@@ -57,9 +57,10 @@ pub struct CompactionReport {
     pub points_written: usize,
     /// Delete entries applied and dropped.
     pub deletes_applied: usize,
-    /// Clean input pages copied byte-for-byte, never decoded.
+    /// Clean input chunks (one page each) copied byte-for-byte, never
+    /// decoded.
     pub pages_copied: u64,
-    /// Input pages decoded and re-encoded.
+    /// Input chunks (one page each) decoded and re-encoded.
     pub pages_recoded: u64,
     /// Input chunk-body bytes read.
     pub bytes_read: u64,
@@ -222,7 +223,7 @@ mod tests {
         Ok(())
     }
 
-    /// Disjoint flushed files: every page is clean, so the whole merge
+    /// Disjoint flushed files: every chunk is clean, so the whole merge
     /// is byte copies — zero bytes re-encoded — yet the logical series
     /// is untouched.
     #[test]
@@ -245,7 +246,7 @@ mod tests {
         Ok(())
     }
 
-    /// A clean page is copied without being decoded, so the copy's one
+    /// A clean chunk is copied without being decoded, so the copy's one
     /// CRC check — at the output writer's gate — is all that stands
     /// between a flipped bit and a new file: it must fail the
     /// compaction with a typed error and leave no output behind.
@@ -257,7 +258,7 @@ mod tests {
         for t in 0..600i64 {
             kv.insert("s", Point::new(t, t as f64))?;
         }
-        kv.flush_all()?; // three disjoint files: every page is clean
+        kv.flush_all()?; // three disjoint files: every chunk is clean
         let listing = |dir: &std::path::Path| -> std::io::Result<Vec<std::path::PathBuf>> {
             let mut files = Vec::new();
             for shard in std::fs::read_dir(dir)?.flatten() {
@@ -274,7 +275,7 @@ mod tests {
             .filter(|p| p.extension().is_some_and(|e| e == "tsfile"))
             .nth(1)
             .ok_or("no second data file")?;
-        // Past the head magic, inside the first page body.
+        // Past the head magic, inside the first chunk body.
         let file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
@@ -307,8 +308,8 @@ mod tests {
             kv.insert("s", Point::new(t, 1.0))?;
         }
         kv.flush_all()?;
-        // Overwrite a narrow window: only pages overlapping [400, 480)
-        // (plus the overwriting file's own pages) should recode.
+        // Overwrite a narrow window: only chunks overlapping [400, 480)
+        // (plus the overwriting file's own chunk) should recode.
         for t in 400..480i64 {
             kv.insert("s", Point::new(t, 2.0))?;
         }
@@ -335,8 +336,9 @@ mod tests {
     }
 
     /// A chunk sitting wholly inside the time gap between two clean
-    /// pages of another chunk ("gap dweller") must split the raw run —
-    /// otherwise the copied chunk and the recoded one would overlap.
+    /// chunks of another file ("gap dweller") splits the run of copies:
+    /// it is copied between them, so the output stays time-ordered and
+    /// disjoint.
     #[test]
     fn gap_dweller_splits_the_raw_run() -> TestResult {
         let dir = std::env::temp_dir().join(format!("tskv-compact-gap-{}", std::process::id()));
@@ -344,29 +346,28 @@ mod tests {
         let kv = TsKv::open(
             &dir,
             EngineConfig {
-                points_per_chunk: 1000,
-                page_points: 10,
+                points_per_chunk: 10,
                 memtable_threshold: 100_000,
                 ..Default::default()
             },
         )?;
-        // File 1: two 10-point pages with a hole at t in 100..200.
+        // File 1: two 10-point chunks with a hole at t in 100..200.
         for t in (0..100i64).chain(200..300i64).step_by(10) {
             kv.insert("s", Point::new(t, 1.0))?;
         }
         kv.flush("s")?;
-        // File 2: lives entirely inside the hole — overlaps neither page.
+        // File 2: lives entirely inside the hole — overlaps neither chunk.
         for t in (110..190i64).step_by(10) {
             kv.insert("s", Point::new(t, 2.0))?;
         }
         kv.flush("s")?;
         let before = MergeReader::new(&kv.snapshot("s")?).collect_merged()?;
         let report = kv.compact("s")?;
-        assert!(report.pages_copied > 0, "{report:?}");
+        assert_eq!((report.pages_copied, report.pages_recoded), (3, 0));
         let snap = kv.snapshot("s")?;
         assert_eq!(MergeReader::new(&snap).collect_merged()?, before);
         let chunks = snap.chunks();
-        assert!(chunks.len() >= 2, "the gap must split the output");
+        assert_eq!(chunks.len(), 3, "the dweller is copied between the two");
         for (i, a) in chunks.iter().enumerate() {
             for b in chunks.iter().skip(i + 1) {
                 assert!(
@@ -381,7 +382,7 @@ mod tests {
         Ok(())
     }
 
-    /// Deletes dirty exactly the pages they overlap; untouched pages
+    /// Deletes dirty exactly the chunks they overlap; untouched chunks
     /// still copy.
     #[test]
     fn delete_dirties_only_overlapped_pages() -> TestResult {
@@ -402,8 +403,8 @@ mod tests {
         Ok(())
     }
 
-    /// Every page of every data file under `dir`: its raw body and its
-    /// points.
+    /// Every chunk of every data file under `dir`: its raw body (one
+    /// page) and its points.
     fn data_pages(dir: &std::path::Path) -> crate::Result<Vec<(Vec<u8>, Vec<Point>)>> {
         let mut out = Vec::new();
         for shard in std::fs::read_dir(dir)?.flatten() {
@@ -416,27 +417,17 @@ mod tests {
                 }
                 let reader = tsfile::TsFileReader::open(file.path())?;
                 for meta in reader.chunk_metas() {
-                    let info = &meta.paged;
-                    let (buf, base) = reader.read_page_window_raw(meta, 0..info.pages.len())?;
-                    for pm in &info.pages {
-                        let body = tsfile::reader::page_body_slice(&buf, pm, base)?;
-                        let points = tsfile::page::decode_page(
-                            body,
-                            info.ts_encoding,
-                            info.val_encoding,
-                            pm,
-                        )?;
-                        out.push((body.to_vec(), points));
-                    }
+                    let body = reader.read_chunk_raw(meta)?;
+                    out.push((body.to_vec(), reader.read_chunk(meta)?));
                 }
             }
         }
         Ok(out)
     }
 
-    /// A merge whose inputs mix decimal pages (quarter units) and pages
-    /// of full precision (XOR or packed): clean pages of either kind are
-    /// copied byte for byte, forms and all, and a dirty page is
+    /// A merge whose inputs mix decimal chunks (quarter units) and chunks
+    /// of full precision (XOR or packed): clean chunks of either kind are
+    /// copied byte for byte, forms and all, and a dirty one is
     /// re-encoded with its forms chosen again from what the merge left
     /// in it.
     #[test]
@@ -446,26 +437,25 @@ mod tests {
         let kv = TsKv::open(
             &dir,
             EngineConfig {
-                points_per_chunk: 1000,
-                page_points: 10,
+                points_per_chunk: 10,
                 memtable_threshold: 100_000,
                 ..Default::default()
             },
         )?;
         let quarter = |t: i64| (t % 37) as f64 * 0.25;
         let full = |t: i64| (t as f64 * 0.7).sin() * 20.0;
-        // File 1: twenty decimal pages.
+        // File 1: twenty decimal chunks.
         for t in 0..200i64 {
             kv.insert("s", Point::new(t, quarter(t)))?;
         }
         kv.flush("s")?;
-        // File 2: full precision over two whole pages of file 1 (dirty),
-        // and four pages no other file overlaps (clean).
+        // File 2: full precision over two whole chunks of file 1 (both
+        // dirty), and four chunks no other file overlaps (clean).
         for t in (100..120i64).chain(300..340) {
             kv.insert("s", Point::new(t, full(t)))?;
         }
         kv.flush("s")?;
-        // A delete dirties one decimal page; what survives is decimal.
+        // A delete dirties one decimal chunk; what survives is decimal.
         kv.delete("s", 150, 152)?;
         let inputs: std::collections::HashSet<Vec<u8>> = data_pages(&dir)?
             .into_iter()
@@ -480,9 +470,9 @@ mod tests {
         );
         let output = data_pages(&dir)?;
         let is_quarter = |v: f64| v * 4.0 == (v * 4.0).round();
-        // Pages before t = 100 and from t = 300 on are clean: nothing
-        // overlaps them and no delete reaches them.
-        let clean = |t: i64| !(100..300).contains(&t);
+        // Chunks are clean but for the two file 2 overwrites and the
+        // one the delete reaches: nothing else overlaps them.
+        let clean = |t: i64| !(100..120).contains(&t) && !(150..160).contains(&t);
         let mut copied = [0u64; 2]; // [full precision, decimal]
         let mut recoded = [0u64; 2];
         for (body, points) in &output {
@@ -500,8 +490,8 @@ mod tests {
                 recoded[usize::from(decimal)] += 1;
             }
         }
-        assert_eq!(copied, [4, 10], "clean pages of both modes, verbatim");
-        assert_eq!(report.pages_copied, 14, "{report:?}");
+        assert_eq!(copied, [4, 17], "clean chunks of both modes, verbatim");
+        assert_eq!(report.pages_copied, 21, "{report:?}");
         assert!(
             recoded[0] > 0 && recoded[1] > 0,
             "dirty pages re-chosen both ways: {recoded:?}"

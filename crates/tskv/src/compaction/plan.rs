@@ -1,13 +1,12 @@
-//! Page classification for page-aware compaction.
+//! Chunk classification for compaction.
 //!
 //! Given the metadata of a merge's input chunks (footer statistics
-//! only — no chunk body is touched), give every page its
-//! [`PageFate`]. A page is **clean** (its bytes can move to the output
-//! file verbatim) iff:
+//! only — no chunk body is touched), give every chunk its [`Fate`]. A
+//! chunk is **clean** (its bytes can move to the output file verbatim)
+//! iff:
 //!
 //! 1. its time range overlaps **no other input chunk** (nothing to
-//!    merge against: within its own chunk, pages are disjoint by
-//!    format invariant), and
+//!    merge against), and
 //! 2. no captured delete with a version newer than the chunk overlaps
 //!    it (deletes at or below the chunk's version never apply to it).
 //!
@@ -16,30 +15,28 @@
 //! range, and then it is **dropped**, unread: every point in it is
 //! erased, and a point it shadowed at the same timestamp is either
 //! older (the same delete erases it too) or newer (it wins the
-//! timestamp with or without the page) — DESIGN §12.2.
+//! timestamp with or without the chunk) — DESIGN §12.2.
 //!
 //! The classification is pure metadata arithmetic over what the shard
 //! lock already holds in memory, so planning costs no I/O: one sort of
 //! the chunk intervals by start and a prefix maximum of their ends
-//! answer "does any *other* chunk reach this page" by binary search.
+//! answer "does any *other* chunk reach this one" by binary search.
 
 use tsfile::types::{TimeRange, Timestamp};
 use tsfile::ModEntry;
 
 /// Metadata view of one input chunk, in capture (= version) order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct ChunkView {
     /// The chunk's version `κ`.
     pub version: u64,
     /// The chunk's `[FP.t, LP.t]` interval.
     pub range: TimeRange,
-    /// Each page's `[FP.t, LP.t]` interval, in page order.
-    pub pages: Vec<TimeRange>,
 }
 
-/// What the merge does with one input page.
+/// What the merge does with one input chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PageFate {
+pub enum Fate {
     /// Copied byte for byte.
     Clean,
     /// Decoded, merged, re-encoded.
@@ -48,24 +45,9 @@ pub enum PageFate {
     Dropped,
 }
 
-/// The classification outcome for one compaction run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompactionPlan {
-    /// Per input chunk (parallel to the input slice), per page.
-    pub fates: Vec<Vec<PageFate>>,
-}
-
-impl CompactionPlan {
-    /// Pages that will be decoded and re-encoded.
-    pub fn pages_dirty(&self) -> u64 {
-        let dirty = |f: &&PageFate| **f == PageFate::Dirty;
-        self.fates.iter().flatten().filter(dirty).count() as u64
-    }
-}
-
-/// The fate of a page of a chunk at `version` that some other chunk
+/// The fate of a chunk at `version` over `range` that some other chunk
 /// overlaps or not.
-fn fate(deletes: &[ModEntry], version: u64, range: TimeRange, overlapped: bool) -> PageFate {
+fn fate(deletes: &[ModEntry], version: u64, range: TimeRange, overlapped: bool) -> Fate {
     let mut newer = deletes
         .iter()
         .filter(|d| d.version.0 > version && d.range.overlaps(&range));
@@ -73,11 +55,11 @@ fn fate(deletes: &[ModEntry], version: u64, range: TimeRange, overlapped: bool) 
         .clone()
         .any(|d| d.range.start <= range.start && range.end <= d.range.end)
     {
-        PageFate::Dropped
+        Fate::Dropped
     } else if overlapped || newer.next().is_some() {
-        PageFate::Dirty
+        Fate::Dirty
     } else {
-        PageFate::Clean
+        Fate::Clean
     }
 }
 
@@ -93,8 +75,9 @@ struct Reach {
     second: Timestamp,
 }
 
-/// Classify every page of every input chunk.
-pub fn classify(chunks: &[ChunkView], deletes: &[ModEntry]) -> CompactionPlan {
+/// Classify every input chunk: one fate per chunk, parallel to
+/// `chunks`.
+pub fn classify(chunks: &[ChunkView], deletes: &[ModEntry]) -> Vec<Fate> {
     let mut order: Vec<(usize, &ChunkView)> = chunks.iter().enumerate().collect();
     order.sort_by_key(|(_, c)| c.range.start);
     let mut reach: Vec<Reach> = Vec::with_capacity(order.len());
@@ -115,24 +98,22 @@ pub fn classify(chunks: &[ChunkView], deletes: &[ModEntry]) -> CompactionPlan {
         reach.push(at);
     }
 
-    let fates = chunks
+    chunks
         .iter()
         .enumerate()
         .map(|(i, chunk)| {
-            let fate_of = |page: &TimeRange| {
-                // Of the chunks starting at or before the page's end,
-                // does one other than `i` end at or after its start?
-                let upto = reach.partition_point(|r| r.start <= page.end);
-                let overlapped = upto
-                    .checked_sub(1)
-                    .and_then(|k| reach.get(k))
-                    .is_some_and(|r| (if r.owner == i { r.second } else { r.end }) >= page.start);
-                fate(deletes, chunk.version, *page, overlapped)
-            };
-            chunk.pages.iter().map(fate_of).collect()
+            // Of the chunks starting at or before this one's end, does
+            // one other than `i` end at or after its start?
+            let upto = reach.partition_point(|r| r.start <= chunk.range.end);
+            let overlapped = upto
+                .checked_sub(1)
+                .and_then(|k| reach.get(k))
+                .is_some_and(|r| {
+                    (if r.owner == i { r.second } else { r.end }) >= chunk.range.start
+                });
+            fate(deletes, chunk.version, chunk.range, overlapped)
         })
-        .collect();
-    CompactionPlan { fates }
+        .collect()
 }
 
 #[cfg(test)]
@@ -140,16 +121,10 @@ mod tests {
     use super::*;
     use tsfile::types::Version;
 
-    fn chunk(version: u64, pages: &[(i64, i64)]) -> ChunkView {
-        let views: Vec<TimeRange> = pages.iter().map(|&(a, b)| TimeRange::new(a, b)).collect();
-        let range = TimeRange::new(
-            views.first().map_or(0, |p| p.start),
-            views.last().map_or(0, |p| p.end),
-        );
+    fn chunk(version: u64, start: i64, end: i64) -> ChunkView {
         ChunkView {
             version,
-            range,
-            pages: views,
+            range: TimeRange::new(start, end),
         }
     }
 
@@ -157,79 +132,76 @@ mod tests {
         ModEntry::new(Version(version), a, b)
     }
 
-    /// One string per chunk, one letter per page: `c`lean, `d`irty,
-    /// dropped `x`.
-    fn show(plan: &CompactionPlan) -> Vec<String> {
-        let letter = |f: &PageFate| match f {
-            PageFate::Clean => 'c',
-            PageFate::Dirty => 'd',
-            PageFate::Dropped => 'x',
-        };
-        plan.fates
+    /// One letter per chunk: `c`lean, `d`irty, dropped `x`.
+    fn show(fates: &[Fate]) -> String {
+        fates
             .iter()
-            .map(|c| c.iter().map(letter).collect())
+            .map(|f| match f {
+                Fate::Clean => 'c',
+                Fate::Dirty => 'd',
+                Fate::Dropped => 'x',
+            })
             .collect()
     }
 
     #[test]
     fn disjoint_chunks_are_fully_clean() {
-        let chunks = vec![
-            chunk(1, &[(0, 9), (10, 19)]),
-            chunk(2, &[(20, 29), (30, 39)]),
+        let chunks = [
+            chunk(1, 0, 9),
+            chunk(1, 10, 19),
+            chunk(2, 20, 29),
+            chunk(2, 30, 39),
         ];
-        let plan = classify(&chunks, &[]);
-        assert_eq!(show(&plan), ["cc", "cc"]);
-        assert_eq!(plan.pages_dirty(), 0);
+        assert_eq!(show(&classify(&chunks, &[])), "cccc");
     }
 
     #[test]
     fn overlap_dirties_only_touched_pages() {
-        // Chunk 2 overlaps the tail of chunk 1: pages overlapping the
-        // other chunk's range recode, the rest copy.
-        let chunks = vec![
-            chunk(1, &[(0, 9), (10, 19), (20, 29)]),
-            chunk(2, &[(25, 34), (35, 44)]),
+        // The last chunk of file 1 and the first of file 2 overlap:
+        // those recode, the rest copy.
+        let chunks = [
+            chunk(1, 0, 9),
+            chunk(1, 10, 19),
+            chunk(1, 20, 29),
+            chunk(2, 25, 34),
+            chunk(2, 35, 44),
         ];
-        let plan = classify(&chunks, &[]);
-        // Page (20,29) of chunk 1 overlaps chunk 2's [25,44]; of chunk
-        // 2's pages only (25,34) overlaps chunk 1's [0,29].
-        assert_eq!(show(&plan), ["ccd", "dc"]);
-        assert_eq!(plan.pages_dirty(), 2);
+        assert_eq!(show(&classify(&chunks, &[])), "ccddc");
     }
 
     #[test]
     fn newer_delete_dirties_or_drops_a_page_older_delete_does_neither() {
-        let chunks = vec![chunk(5, &[(0, 9), (10, 19), (20, 29)])];
-        // Version 3 < 5: never applies to this chunk.
-        let stale = [del(3, 10, 19)];
-        assert_eq!(show(&classify(&chunks, &stale)), ["ccc"]);
-        // Version 7 > 5, part of a page: the page recodes.
-        let plan = classify(&chunks, &[del(7, 12, 19)]);
-        assert_eq!(show(&plan), ["cdc"]);
-        assert_eq!(plan.pages_dirty(), 1);
-        // The whole page, to the timestamp: nothing of it is left to read.
-        let plan = classify(&chunks, &[del(7, 10, 19)]);
-        assert_eq!(show(&plan), ["cxc"]);
-        assert_eq!(plan.pages_dirty(), 0);
-        // Two deletes that only together cover a page do not drop it.
+        let chunks = [chunk(5, 0, 9), chunk(5, 10, 19), chunk(5, 20, 29)];
+        // Version 3 < 5: never applies to these chunks.
+        assert_eq!(show(&classify(&chunks, &[del(3, 10, 19)])), "ccc");
+        // Version 7 > 5, part of a chunk: the chunk recodes.
+        assert_eq!(show(&classify(&chunks, &[del(7, 12, 19)])), "cdc");
+        // The whole chunk, to the timestamp: nothing of it is left to read.
+        assert_eq!(show(&classify(&chunks, &[del(7, 10, 19)])), "cxc");
+        // Two deletes that only together cover a chunk do not drop it.
         let halves = [del(7, 10, 14), del(8, 15, 19)];
-        assert_eq!(show(&classify(&chunks, &halves)), ["cdc"]);
+        assert_eq!(show(&classify(&chunks, &halves)), "cdc");
     }
 
     #[test]
     fn a_chunk_dwelling_in_a_gap_leaves_both_neighbour_pages_clean() {
-        let chunks = vec![
-            chunk(1, &[(0, 9), (10, 19), (20, 29), (30, 39), (40, 49)]),
-            chunk(2, &[(20, 24)]), // dirties the middle page of chunk 1
-            chunk(3, &[(100, 109), (200, 209)]),
-            chunk(4, &[(150, 160)]), // inside chunk 3's range, on no page of it
+        let chunks = [
+            chunk(1, 0, 9),
+            chunk(1, 20, 29),
+            chunk(2, 12, 18), // between the two, on neither
+            chunk(3, 100, 109),
+            chunk(3, 200, 209),
+            chunk(4, 150, 160), // between the two, on neither
         ];
-        assert_eq!(show(&classify(&chunks, &[])), ["ccdcc", "d", "cc", "d"]);
+        assert_eq!(show(&classify(&chunks, &[])), "cccccc");
+        // One that reaches into a neighbour dirties the pair.
+        let reaching = [chunk(1, 0, 9), chunk(1, 20, 29), chunk(2, 12, 20)];
+        assert_eq!(show(&classify(&reaching, &[])), "cdd");
     }
 
-    /// `classify` against the definition, page by page, on random
-    /// chunk sets: clean iff no *other* chunk's range overlaps the page
-    /// and no newer delete does; dropped iff one newer delete covers it.
+    /// `classify` against the definition, chunk by chunk, on random
+    /// chunk sets: clean iff no *other* chunk's range overlaps it and
+    /// no newer delete does; dropped iff one newer delete covers it.
     #[test]
     fn classify_equals_the_brute_force_definition() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -244,52 +216,45 @@ mod tests {
             // round: from almost all chunks disjoint to almost all
             // stacked, ties on starts and ends included.
             let span = 20 + 40 * (round % 20);
-            let chunks: Vec<ChunkView> = (0..1 + next(40))
+            let chunks: Vec<ChunkView> = (0..1 + next(60))
                 .map(|v| {
-                    let mut t = next(span) as i64;
-                    let pages: Vec<(i64, i64)> = (0..1 + next(5))
-                        .map(|_| {
-                            let a = t + next(3) as i64;
-                            let b = a + next(6) as i64;
-                            t = b + 1 + next(8) as i64;
-                            (a, b)
-                        })
-                        .collect();
-                    chunk(v + 1, &pages)
+                    let a = next(span) as i64;
+                    chunk(v / 3 + 1, a, a + next(12) as i64)
                 })
                 .collect();
             let deletes: Vec<ModEntry> = (0..next(6))
                 .map(|_| {
                     let a = next(span) as i64;
-                    del(next(45), a, a + next(12) as i64)
+                    del(next(25), a, a + next(12) as i64)
                 })
                 .collect();
 
-            let plan = classify(&chunks, &deletes);
+            let fates = classify(&chunks, &deletes);
             for (i, c) in chunks.iter().enumerate() {
-                for (j, p) in c.pages.iter().enumerate() {
-                    let newer = |d: &&ModEntry| d.version.0 > c.version;
-                    let want = if deletes
+                let newer = |d: &&ModEntry| d.version.0 > c.version;
+                let want = if deletes
+                    .iter()
+                    .filter(newer)
+                    .any(|d| d.range.start <= c.range.start && c.range.end <= d.range.end)
+                {
+                    Fate::Dropped
+                } else if chunks
+                    .iter()
+                    .enumerate()
+                    .any(|(k, other)| k != i && other.range.overlaps(&c.range))
+                    || deletes
                         .iter()
                         .filter(newer)
-                        .any(|d| d.range.start <= p.start && p.end <= d.range.end)
-                    {
-                        PageFate::Dropped
-                    } else if chunks
-                        .iter()
-                        .enumerate()
-                        .any(|(k, other)| k != i && other.range.overlaps(p))
-                        || deletes.iter().filter(newer).any(|d| d.range.overlaps(p))
-                    {
-                        PageFate::Dirty
-                    } else {
-                        PageFate::Clean
-                    };
-                    assert_eq!(
-                        plan.fates[i][j], want,
-                        "round {round} chunk {i} page {j}: {chunks:?} {deletes:?}"
-                    );
-                }
+                        .any(|d| d.range.overlaps(&c.range))
+                {
+                    Fate::Dirty
+                } else {
+                    Fate::Clean
+                };
+                assert_eq!(
+                    fates[i], want,
+                    "round {round} chunk {i}: {chunks:?} {deletes:?}"
+                );
             }
         }
     }

@@ -49,26 +49,22 @@ impl FsyncPolicy {
 /// |--------------------------------------|-------------------------|
 /// | `avg_series_point_number_threshold`  | [`points_per_chunk`]    |
 /// | `unseq/seq_tsfile_size` (1 GiB)      | [`memtable_threshold`] (points per flush → file size) |
-/// | `page_size_in_byte` (1 GiB → 1 page) | [`page_points`] (`usize::MAX` → 1 page per chunk) |
+/// | `page_size_in_byte` (1 GiB → 1 page) | none: a chunk is one page, so [`points_per_chunk`] sizes both |
 /// | `compaction_strategy = NO_COMPACTION`| [`compaction_auto`] ` = false` (the default) |
 ///
 /// [`points_per_chunk`]: EngineConfig::points_per_chunk
 /// [`memtable_threshold`]: EngineConfig::memtable_threshold
-/// [`page_points`]: EngineConfig::page_points
 /// [`compaction_auto`]: EngineConfig::compaction_auto
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Maximum points per chunk; a flush splits the memtable into runs
-    /// of at most this many points (paper value: 1000).
-    pub points_per_chunk: usize,
-    /// Points per page inside a sealed chunk: the unit of selective
-    /// decode and of the page-granular read cache. `usize::MAX`
-    /// yields one page per chunk of up to the format's ceiling
-    /// ([`tsfile::page::MAX_PAGE_POINTS`], 2^20 points). Zero is clamped
-    /// to 1 by [`normalized`].
+    /// of at most this many points, and compaction re-chunks merged
+    /// points the same way (paper value: 1000). A chunk is one page, the
+    /// unit of decode and of the read cache, so [`normalized`] clamps
+    /// this to `1..=`[`tsfile::page::MAX_PAGE_POINTS`] (2^20 points).
     ///
     /// [`normalized`]: EngineConfig::normalized
-    pub page_points: usize,
+    pub points_per_chunk: usize,
     /// Memtable point count that triggers an automatic flush. A flush
     /// group seals one TsFile per shard it touches.
     pub memtable_threshold: usize,
@@ -115,7 +111,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             points_per_chunk: 1000,
-            page_points: tsfile::page::DEFAULT_PAGE_POINTS,
             memtable_threshold: 100_000,
             ts_encoding: EncodingKind::Ts2Diff,
             val_encoding: EncodingKind::Gorilla,
@@ -161,28 +156,27 @@ pub const WAL_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
 impl EngineConfig {
     /// A writer on a new TsFile at `path`, set up the way this
-    /// configuration says data files are written (column encodings,
-    /// page size) — the one place flush and compaction get theirs.
+    /// configuration says data files are written (column encodings) —
+    /// the one place flush and compaction get theirs.
     pub(crate) fn tsfile_writer(
         &self,
         path: &std::path::Path,
     ) -> crate::Result<tsfile::TsFileWriter> {
-        let mut w =
-            tsfile::TsFileWriter::create_with_encodings(path, self.ts_encoding, self.val_encoding)?;
-        w.set_page_points(self.page_points);
-        Ok(w)
+        Ok(tsfile::TsFileWriter::create_with_encodings(
+            path,
+            self.ts_encoding,
+            self.val_encoding,
+        )?)
     }
 
-    /// Validate and clamp nonsensical settings (zero sizes become 1).
+    /// Clamp nonsensical sizes: zero sizes become 1, and a chunk holds
+    /// at most what one page may ([`tsfile::page::MAX_PAGE_POINTS`]).
     pub fn normalized(mut self) -> Self {
-        if self.points_per_chunk == 0 {
-            self.points_per_chunk = 1;
-        }
+        self.points_per_chunk = self
+            .points_per_chunk
+            .clamp(1, tsfile::page::MAX_PAGE_POINTS);
         if self.memtable_threshold == 0 {
             self.memtable_threshold = 1;
-        }
-        if self.page_points == 0 {
-            self.page_points = 1;
         }
         self
     }
@@ -278,21 +272,26 @@ mod tests {
         let c = EngineConfig {
             points_per_chunk: 0,
             memtable_threshold: 0,
-            page_points: 0,
             ..Default::default()
         }
         .normalized();
         assert_eq!(c.points_per_chunk, 1);
         assert_eq!(c.memtable_threshold, 1);
-        assert_eq!(c.page_points, 1);
     }
 
+    /// A chunk is one page: `points_per_chunk` is clamped to the page
+    /// ceiling, which the writer would otherwise refuse at flush.
     #[test]
-    fn default_page_points_matches_tsfile() {
-        assert_eq!(
-            EngineConfig::default().page_points,
-            tsfile::page::DEFAULT_PAGE_POINTS
-        );
+    fn normalized_clamps_points_per_chunk_to_one_page() {
+        let max = tsfile::page::MAX_PAGE_POINTS;
+        for (set, got) in [(usize::MAX, max), (max + 1, max), (max, max), (7, 7)] {
+            let c = EngineConfig {
+                points_per_chunk: set,
+                ..Default::default()
+            }
+            .normalized();
+            assert_eq!(c.points_per_chunk, got, "{set}");
+        }
     }
 
     #[test]

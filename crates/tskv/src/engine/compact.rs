@@ -74,9 +74,9 @@ impl EngineInner {
             .collect();
         let deletes_applied = deletes.len();
 
-        // Phase B (unlocked): classify every input page clean/dirty
-        // from footer metadata, then merge-and-write — clean pages
-        // copied raw (CRC-revalidated, never decoded), dirty pages
+        // Phase B (unlocked): classify every input chunk clean/dirty
+        // from footer metadata, then merge-and-write — clean chunks
+        // copied raw (CRC-revalidated, never decoded), dirty chunks
         // decoded, k-way merged and re-encoded. The dirty merge reads
         // through a detached snapshot (no shared cache, detached
         // counters): compaction I/O is reported via the explicit
@@ -88,14 +88,13 @@ impl EngineInner {
             .map(|(_, meta)| ChunkView {
                 version: meta.version.0,
                 range: meta.time_range(),
-                pages: meta.paged.pages.iter().map(|p| p.time_range()).collect(),
             })
             .collect();
-        let cplan = plan::classify(&views, &deletes);
+        let fates = plan::classify(&views, &deletes);
         let tmp = disk::in_flight_path(&path);
         // The output is written even when the merge comes up empty: its
         // chunkless run is the series' floor (see `merge_to_file`).
-        let outcome = execute::merge_to_file(&self.config, &tmp, &chunks, deletes, &cplan, header)
+        let outcome = execute::merge_to_file(&self.config, &tmp, &chunks, deletes, &fates, header)
             .and_then(|o| {
                 disk::publish(&tmp, &path)?;
                 let view = SealedFile::open(&path)?.views().next().ok_or_else(|| {

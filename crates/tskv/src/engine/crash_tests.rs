@@ -188,8 +188,7 @@ impl Case {
         let image = with_suffix(&dir, "-image");
         std::fs::remove_dir_all(&dir).ok();
         let config = EngineConfig {
-            points_per_chunk: 4,
-            page_points: 2,
+            points_per_chunk: 2,
             memtable_threshold: 1 << 20,
             write_shards: shards,
             fsync_policy: policy,

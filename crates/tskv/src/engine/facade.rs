@@ -183,8 +183,8 @@ impl TsKv {
     }
 
     /// Fully compact one series: merge every sealed file (applying
-    /// deletes and overwrites; clean pages are copied byte-for-byte,
-    /// only dirty pages re-encode), write the result as a single fresh
+    /// deletes and overwrites; clean chunks are copied byte-for-byte,
+    /// only dirty chunks re-encode), write the result as a single fresh
     /// TsFile, unlink the old files and trim the delete log. The
     /// memtable and WAL are untouched. Returns an empty report if a
     /// compaction is already running for the series.

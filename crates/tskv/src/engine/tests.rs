@@ -531,13 +531,15 @@ fn foreign_magic_data_file_fails_open_and_stays_in_place() -> TestResult {
     // A retired-format file where the series' only (hence newest)
     // data file should be: never a torn write of ours, so it is
     // neither renamed nor skipped. `TSF2` is the generation whose
-    // footer stored chunk offsets and absolute statistics: under this
-    // layout's magic its footer would decode as `Corrupt`, which is
-    // what a torn write of ours reads as.
+    // footer stored chunk offsets and absolute statistics, `TSF3` the
+    // one whose chunk entries counted their pages: under this layout's
+    // magic either footer would decode as `Corrupt`, which is what a
+    // torn write of ours reads as.
     let path = dir.join(shard_dir_name(0)).join("00000000.tsfile");
     for retired in [
         &b"TSF1\0\0 a whole file of the retired format TSF1\0\0"[..],
         &b"TSF2\0\0 a whole file of the retired format TSF2\0\0"[..],
+        &b"TSF3\0\0 a whole file of the retired format TSF3\0\0"[..],
     ] {
         std::fs::write(&path, retired)?;
         match TsKv::open(&dir, EngineConfig::default()) {
@@ -549,6 +551,62 @@ fn foreign_magic_data_file_fails_open_and_stays_in_place() -> TestResult {
         assert_eq!(std::fs::read(&path)?, retired);
         assert!(!path.with_extension("tsfile.corrupt").exists());
     }
+    std::fs::remove_dir_all(&dir).ok();
+    Ok(())
+}
+
+/// Every file under `dir` with its bytes, in path order.
+fn store_bytes(dir: &Path) -> std::io::Result<Vec<(PathBuf, Vec<u8>)>> {
+    let mut out = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(d) = pending.pop() {
+        for entry in std::fs::read_dir(&d)? {
+            let path = entry?.path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let bytes = std::fs::read(&path)?;
+                out.push((path, bytes));
+            }
+        }
+    }
+    out.sort();
+    Ok(out)
+}
+
+/// A store an earlier build wrote — its data file under the `TSF3`
+/// magic, its catalog cut mid-record by a crash — is refused, and the
+/// refused open writes nothing: not the catalog's cut, not a rename.
+#[test]
+fn a_refused_open_writes_nothing_the_catalog_included() -> TestResult {
+    let dir = std::env::temp_dir().join(format!("tskv-refused-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    {
+        let kv = TsKv::open(&dir, EngineConfig::default())?;
+        for name in ["s", "t", "u"] {
+            kv.insert(name, Point::new(1, 1.0))?;
+        }
+        kv.flush_all()?;
+    }
+    let data = dir.join(shard_dir_name(0)).join("00000000.tsfile");
+    let mut old = std::fs::read(&data)?;
+    let n = old.len();
+    old[..4].copy_from_slice(b"TSF3");
+    old[n - 6..n - 2].copy_from_slice(b"TSF3");
+    std::fs::write(&data, &old)?;
+    let catalog = dir.join("catalog.log");
+    let mut torn = std::fs::read(&catalog)?;
+    torn.extend_from_slice(&[3, 0, 0, 0, 9]);
+    std::fs::write(&catalog, &torn)?;
+
+    let before = store_bytes(&dir)?;
+    match TsKv::open(&dir, EngineConfig::default()) {
+        Err(TsKvError::TsFile(TsFileError::BadMagic { found })) => {
+            assert_eq!(&found[..4], b"TSF3");
+        }
+        other => return Err(format!("opened as {other:?}").into()),
+    }
+    assert_eq!(store_bytes(&dir)?, before, "the refused open wrote");
     std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }

@@ -22,7 +22,7 @@
 //! * **Read path**: [`readers::MetadataReader`] serves chunk metadata
 //!   (statistics + version) without touching chunk bodies;
 //!   [`readers::DataReader`] loads and decodes chunk bodies (the
-//!   snapshot's page loaders beneath it also do the paper's "partial
+//!   snapshot's loaders beneath it also do the paper's "partial
 //!   scan", an early-terminating timestamp decode);
 //!   [`readers::MergeReader`] assembles the merged,
 //!   latest-points-only series `M(ℂ, 𝔻)` of Definition 2.7 — this is
@@ -35,8 +35,8 @@
 //! `compaction_strategy = NO_COMPACTION`), so the default on-disk state
 //! is the raw append history — the hardest case for a merge-based
 //! reader and the case M4-LSM is designed for. Beyond the paper, the
-//! [`compaction`] module provides page-aware compaction (a series'
-//! sealed runs merged into one file, clean pages copied byte-for-byte
+//! [`compaction`] module provides chunk-aware compaction (a series'
+//! sealed runs merged into one file, clean chunks copied byte-for-byte
 //! without decode), run manually via `compact` or by the background
 //! [`scheduler`] when `compaction_auto` is set.
 //!

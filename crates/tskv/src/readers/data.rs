@@ -12,7 +12,7 @@ use crate::Result;
 ///
 /// The full load of the paper's Table 1 (case c, metadata
 /// recalculation). The timestamp-only partial loads of cases a and b
-/// name a page: [`SeriesSnapshot::read_page_timestamps`].
+/// are [`SeriesSnapshot::read_timestamps`].
 #[derive(Debug, Clone, Copy)]
 pub struct DataReader<'a> {
     snapshot: &'a SeriesSnapshot,
@@ -61,10 +61,10 @@ mod tests {
         let pts = dr.read_points(chunk)?;
         assert_eq!(pts.len(), 1000);
 
-        let ts = snap.read_page_timestamps(chunk, 0, None)?;
+        let ts = snap.read_timestamps(chunk, None)?;
         assert_eq!(ts.len(), 1000);
 
-        let partial = snap.read_page_timestamps(chunk, 0, Some(5_000))?;
+        let partial = snap.read_timestamps(chunk, Some(5_000))?;
         assert!(partial.len() < 100, "partial decode stops early");
 
         let io = snap.io().snapshot();

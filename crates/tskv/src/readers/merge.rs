@@ -105,18 +105,13 @@ impl<'a> MergeReader<'a> {
 
     /// Materialize the merged, latest-points-only series in time order.
     pub fn collect_merged(&self) -> Result<Vec<Point>> {
-        // Load the overlapping pages of all overlapping chunks. Pages
-        // of one chunk are time-disjoint sorted runs sharing the
-        // chunk's version, so feeding them to the k-way merge as
-        // independent runs is exact — and pages outside the range are
-        // never decoded.
-        let chunks = self.plan();
-        let mut runs: Vec<(Version, Arc<Vec<Point>>)> = Vec::with_capacity(chunks.len());
-        for c in &chunks {
-            for (_, pts) in self.snapshot.read_points_in(c, self.range)? {
-                runs.push((c.version, pts));
-            }
-        }
+        // Load every overlapping chunk: each is one sorted run under its
+        // version; points outside the range are dropped by the merge.
+        let runs = self
+            .plan()
+            .iter()
+            .map(|c| Ok((c.version, self.snapshot.read_points(c)?)))
+            .collect::<Result<Vec<_>>>()?;
         Ok(self.merge_runs(&runs))
     }
 

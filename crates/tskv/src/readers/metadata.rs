@@ -5,7 +5,7 @@ use tsfile::types::TimeRange;
 use crate::chunk::ChunkHandle;
 use crate::snapshot::SeriesSnapshot;
 
-/// Serves chunk metadata (version, chunk and page statistics) from a
+/// Serves chunk metadata (version and statistics) from a
 /// snapshot. Footers are parsed at file-open time, so every method here
 /// is pure in-memory work — this is what makes M4-LSM's candidate
 /// generation free of chunk loads.

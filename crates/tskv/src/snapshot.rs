@@ -17,24 +17,6 @@ use crate::chunk::{ChunkData, ChunkHandle};
 use crate::stats::IoStats;
 use crate::Result;
 
-/// On-disk size of one page, for the load counters. The page read
-/// that precedes every call has already rejected an out-of-range
-/// `page_no`.
-fn page_byte_len(meta: &tsfile::format::ChunkMeta, page_no: u32) -> u64 {
-    meta.paged
-        .pages
-        .get(page_no as usize)
-        .map_or(0, |p| p.byte_len)
-}
-
-/// The memtable chunk has exactly one page.
-fn mem_page_no(page: u32) -> Result<()> {
-    if page == 0 {
-        return Ok(());
-    }
-    Err(tsfile::TsFileError::Corrupt(format!("page {page} out of range")).into())
-}
-
 /// Immutable read view of one series.
 ///
 /// Holds one shared immutable [`TsFileReader`] handle per TsFile for
@@ -121,17 +103,16 @@ impl SeriesSnapshot {
         self.chunks.iter().map(|c| c.count()).sum()
     }
 
-    /// The one points loader: page `page` of `chunk`, in time order.
+    /// The one points loader: all points of `chunk`, in time order.
     ///
-    /// A sealed page is served from the engine's decoded-page cache
-    /// when possible; a miss reads and decodes outside any lock, then
-    /// publishes the result. The memtable chunk is its own page 0: an
-    /// `Arc` clone, no cache key. The returned `Arc` is shared with
-    /// the cache — callers must not mutate through it.
-    pub fn read_page_points(&self, chunk: &ChunkHandle, page: u32) -> Result<Arc<Vec<Point>>> {
+    /// A sealed chunk is served from the engine's decoded-chunk cache
+    /// when possible; a miss reads and decodes its one page outside any
+    /// lock, then publishes the result. The memtable chunk is an `Arc`
+    /// clone, no cache key. The returned `Arc` is shared with the cache
+    /// — callers must not mutate through it.
+    pub fn read_points(&self, chunk: &ChunkHandle) -> Result<Arc<Vec<Point>>> {
         match &chunk.data {
             ChunkData::Mem { points } => {
-                mem_page_no(page)?;
                 self.io.record_mem_read(points.len() as u64);
                 Ok(Arc::clone(points))
             }
@@ -140,7 +121,6 @@ impl SeriesSnapshot {
                 let key = CacheKey {
                     file_id: file.handle_id(),
                     offset: meta.offset,
-                    page_no: page,
                     version: meta.version.0,
                 };
                 if let Some(cache) = &self.cache {
@@ -148,9 +128,8 @@ impl SeriesSnapshot {
                         return Ok(points);
                     }
                 }
-                let pts = Arc::new(file.read_page_points(meta, page)?);
-                self.io
-                    .record_chunk_load(page_byte_len(meta, page), pts.len() as u64);
+                let pts = Arc::new(file.read_chunk(meta)?);
+                self.io.record_chunk_load(meta.byte_len, pts.len() as u64);
                 self.io.record_pages_decoded(1);
                 if let Some(cache) = &self.cache {
                     cache.insert(key, Arc::clone(&pts));
@@ -160,51 +139,16 @@ impl SeriesSnapshot {
         }
     }
 
-    /// Load only the pages of `chunk` overlapping `range`, as
-    /// `(page, points)` runs in page order. Each page is a sorted,
-    /// time-disjoint slice of the chunk, so the runs can be merged
-    /// independently. Non-overlapping pages of the visited chunk are
-    /// counted as skipped.
-    pub fn read_points_in(
+    /// The one timestamp loader: the timestamp column of `chunk`,
+    /// optionally stopping once past `until` (the paper's partial scan)
+    /// — the crossing value is the last one returned.
+    pub fn read_timestamps(
         &self,
         chunk: &ChunkHandle,
-        range: TimeRange,
-    ) -> Result<Vec<(u32, Arc<Vec<Point>>)>> {
-        let window = chunk.pages_overlapping(range);
-        self.io
-            .record_pages_skipped(u64::from(chunk.page_count()) - window.len() as u64);
-        window
-            .map(|page| Ok((page, self.read_page_points(chunk, page)?)))
-            .collect()
-    }
-
-    /// All points of a chunk, in time order: the page itself for a
-    /// one-page chunk, else the pages concatenated (nothing cached
-    /// beyond the per-page entries).
-    pub fn read_points(&self, chunk: &ChunkHandle) -> Result<Arc<Vec<Point>>> {
-        let first = self.read_page_points(chunk, 0)?;
-        if chunk.page_count() == 1 {
-            return Ok(first);
-        }
-        let mut all = first.to_vec();
-        for page in 1..chunk.page_count() {
-            all.extend_from_slice(&self.read_page_points(chunk, page)?);
-        }
-        Ok(Arc::new(all))
-    }
-
-    /// The one timestamp loader: the timestamp column of page `page`
-    /// of `chunk`, optionally stopping once past `until` (the paper's
-    /// partial scan) — the crossing value is the last one returned.
-    pub fn read_page_timestamps(
-        &self,
-        chunk: &ChunkHandle,
-        page: u32,
         until: Option<Timestamp>,
     ) -> Result<Vec<Timestamp>> {
         match &chunk.data {
             ChunkData::Mem { points } => {
-                mem_page_no(page)?;
                 let upto = until.map_or(points.len(), |limit| {
                     (points.partition_point(|p| p.t <= limit) + 1).min(points.len())
                 });
@@ -212,9 +156,9 @@ impl SeriesSnapshot {
                 Ok(points.iter().take(upto).map(|p| p.t).collect())
             }
             ChunkData::File { file_idx, meta } => {
-                let ts = self.files[*file_idx].read_page_timestamps(meta, page, until)?;
+                let ts = self.files[*file_idx].read_timestamps(meta, until)?;
                 self.io
-                    .record_timestamp_load(page_byte_len(meta, page), ts.len() as u64);
+                    .record_timestamp_load(meta.byte_len, ts.len() as u64);
                 Ok(ts)
             }
         }
@@ -273,53 +217,41 @@ mod tests {
         let snap = kv.snapshot("s")?;
         let mem = snap.chunks().last().ok_or("no mem chunk")?;
         assert!(mem.is_mem());
-        let ts = snap.read_page_timestamps(mem, 0, Some(105))?;
+        let ts = snap.read_timestamps(mem, Some(105))?;
         assert_eq!(ts.last().copied(), Some(110)); // first value past the limit
         assert_eq!(ts.len(), 12);
-        let all = snap.read_page_timestamps(mem, 0, None)?;
+        let all = snap.read_timestamps(mem, None)?;
         assert_eq!(all.len(), 50);
-        assert_eq!(snap.read_page_points(mem, 0)?.len(), 50);
-        assert!(snap.read_page_points(mem, 1).is_err());
-        assert!(snap.read_page_timestamps(mem, 1, None).is_err());
+        assert_eq!(snap.read_points(mem)?.len(), 50);
         assert_eq!(snap.cache().ok_or("cache off")?.len(), 0, "no cache key");
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
+    /// A sealed chunk is one cache entry: the first read decodes it,
+    /// the second is a hit that loads nothing.
     #[test]
     fn whole_chunk_read_of_a_paged_chunk_caches_nothing_twice() -> TestResult {
-        let dir = std::env::temp_dir().join(format!("tskv-snap-twice-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let kv = TsKv::open(
-            &dir,
-            EngineConfig {
-                points_per_chunk: 400,
-                memtable_threshold: 400,
-                page_points: 100,
-                ..Default::default()
-            },
-        )?;
+        let (dir, kv) = fresh("twice")?;
         for t in 0..400i64 {
             kv.insert("s", Point::new(t, t as f64))?;
         }
         kv.flush_all()?;
         let snap = kv.snapshot("s")?;
         let chunk = snap.chunks().first().ok_or("no chunk")?;
-        assert_eq!(chunk.page_count(), 4);
         let cache = snap.cache().ok_or("cache off")?;
 
-        let pages = snap.read_points_in(chunk, chunk.time_range())?;
-        assert_eq!(pages.len(), 4);
+        let first = snap.read_points(chunk)?;
+        assert_eq!(first.len(), 100);
         let (len, bytes) = (cache.len(), cache.bytes());
-        assert_eq!(len, 4);
+        assert_eq!(len, 1);
 
         let before = snap.io().snapshot();
-        let all = snap.read_points(chunk)?;
+        let again = snap.read_points(chunk)?;
         let delta = snap.io().snapshot() - before;
-        assert_eq!(all.len(), 400);
-        assert!(all.iter().zip(0..).all(|(p, t)| p.t == t));
+        assert!(std::sync::Arc::ptr_eq(&first, &again));
         assert_eq!((cache.len(), cache.bytes()), (len, bytes));
-        assert_eq!((delta.cache_hits, delta.cache_misses), (4, 0));
+        assert_eq!((delta.cache_hits, delta.cache_misses), (1, 0));
         assert_eq!(delta.chunks_loaded, 0);
         std::fs::remove_dir_all(&dir).ok();
         Ok(())

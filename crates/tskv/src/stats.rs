@@ -35,13 +35,11 @@ crate::metric_registry! {
     counter timestamps_decoded;
     /// In-memory (memtable) chunk reads, which cost no I/O.
     counter mem_chunks_read;
-    /// On-disk pages actually decoded.
+    /// On-disk pages actually decoded: a chunk is one page, so these
+    /// are the `chunks_loaded` that decoded values, not only timestamps.
     counter pages_decoded;
-    /// Pages of visited chunks that overlapped no queried range and
-    /// were skipped without decode.
-    counter pages_skipped;
-    /// Probes answered from page statistics alone — the page body was
-    /// never read or decoded.
+    /// Probes answered from chunk (= page) statistics alone — the body
+    /// was never read or decoded.
     counter pages_stat_answered;
     /// Chunk-body reads served from the decoded-chunk cache (no I/O,
     /// no decode).
@@ -79,13 +77,13 @@ crate::metric_registry! {
     /// `bytes_read`, which meters the query read path).
     counter compaction_bytes_read;
     /// Output bytes produced by compaction's re-encode path. Clean
-    /// pages copied byte-for-byte are *excluded*: the gap between this
+    /// chunks copied byte-for-byte are *excluded*: the gap between this
     /// and `compaction_bytes_read` is the write amplification avoided.
     counter compaction_bytes_rewritten;
-    /// Clean pages compaction copied raw (CRC-revalidated, never
-    /// decoded).
+    /// Clean chunks (one page each) compaction copied raw
+    /// (CRC-revalidated, never decoded).
     counter compaction_pages_copied;
-    /// Input pages compaction decoded and re-encoded.
+    /// Input chunks (one page each) compaction decoded and re-encoded.
     counter compaction_pages_recoded;
     /// Pooled read-buffer takes served from a thread freelist. Sampled
     /// from the process-wide pool in `tsfile::bufpool`, which every
@@ -128,19 +126,13 @@ impl IoStats {
         self.points_decoded.fetch_add(points, Ordering::Relaxed);
     }
 
-    /// Record `n` on-disk pages decoded. Public: the query layer (m4)
-    /// drives page-granular loads and reports what it decoded.
-    pub fn record_pages_decoded(&self, n: u64) {
+    /// Record `n` on-disk pages decoded.
+    pub(crate) fn record_pages_decoded(&self, n: u64) {
         self.pages_decoded.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record `n` pages skipped without decode (no overlap with the
-    /// queried range).
-    pub fn record_pages_skipped(&self, n: u64) {
-        self.pages_skipped.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record a probe answered purely from page statistics.
+    /// Record a probe answered purely from chunk statistics. Public: the
+    /// query layer (m4) decides what it answers without a load.
     pub fn record_page_stat_answered(&self) {
         self.pages_stat_answered.fetch_add(1, Ordering::Relaxed);
     }
@@ -195,7 +187,7 @@ impl IoStats {
 
     /// Record one compaction run's write-amplification tallies: input
     /// bytes read, bytes re-encoded (copied bytes excluded), and the
-    /// clean/dirty page split.
+    /// clean/dirty chunk split.
     pub(crate) fn record_compaction_io(
         &self,
         bytes_read: u64,
@@ -238,7 +230,6 @@ mod tests {
         s.record_timestamp_load(30, 7);
         s.record_mem_read(3);
         s.record_pages_decoded(4);
-        s.record_pages_skipped(6);
         s.record_page_stat_answered();
         let snap = s.snapshot();
         assert_eq!(snap.chunks_loaded, 3);
@@ -247,7 +238,6 @@ mod tests {
         assert_eq!(snap.timestamps_decoded, 7);
         assert_eq!(snap.mem_chunks_read, 1);
         assert_eq!(snap.pages_decoded, 4);
-        assert_eq!(snap.pages_skipped, 6);
         assert_eq!(snap.pages_stat_answered, 1);
     }
 

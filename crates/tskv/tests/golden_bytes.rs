@@ -8,7 +8,7 @@
 //! (CRC32, memtable, WAL/page framing) were rebuilt: equal hashes are
 //! the proof that the rebuild changed no format and no byte.
 //!
-//! The data file's entry was regenerated five times since, on purpose.
+//! The data file's entry was regenerated six times since, on purpose.
 //! First when the footer gained the series-run directory (and data
 //! files and their delete logs were renamed `<fileno>.tsfile` /
 //! `<fileno>.s<id>.mods`). Then when pages gained the decimal value
@@ -35,8 +35,19 @@
 //! values are random hundredths, whose XORs keep most of their bytes)
 //! and the file 17 570 → 17 430. The 15 987 bytes of page bodies
 //! between the head magic and the footer hash the same as at the parent
-//! (`0x911e40d2dc9bfc6b`): no page moved. [`TSFILE_PARTS`] holds the
-//! hashes of the file's parts as that fifth regeneration wrote them —
+//! (`0x911e40d2dc9bfc6b`): no page moved. Then when a chunk became one
+//! page — the engine's page size setting and the footer's per-chunk page
+//! count went, and the magic became `TSF4`. The fixture's 64-point pages
+//! went with the setting, so each of its seven 300-point chunks is one
+//! page where it was five: the page bodies went 15 987 → 16 297 bytes
+//! (seven pages where there were 33) and the chunk index 1 415 → 327
+//! (seven chunk entries, no page entries); the file 17 430 → 16 652.
+//! The fixture keeps its 300-point chunks rather than taking the old
+//! page size as its chunk size: a flush reserves one version per chunk,
+//! so 31 chunks would move the `κ` of every later WAL record and the
+//! version of the delete-log entry, rows this change leaves alone.
+//! [`TSFILE_PARTS`] holds the
+//! hashes of the file's parts as that sixth regeneration wrote them —
 //! the page bodies and the footer's chunk index — and the test checks
 //! the file is exactly the head magic, those, the four directory bytes
 //! and the trailer, so a later change to one part names it. The mods
@@ -79,7 +90,7 @@ use tskv::TsKv;
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("SHARDS", 2, 0x07f8bc07b4ba5002),
     ("catalog.log", 36, 0xec3a226c01abdc87),
-    ("shard-0000/00000000.tsfile", 17430, 0xc29a73e187ac05f8),
+    ("shard-0000/00000000.tsfile", 16652, 0x26342c6d27ec2567),
     ("shard-0000/s1.mods", 9, 0xcc59cc0b4c19c5c2),
     ("shard-0000/wal-00000000.log", 28518, 0x88c2ed828df37e3b),
 ];
@@ -93,8 +104,10 @@ const GOLDEN: &[(&str, u64, u64)] = &[
 /// `(1_666, 0x3a5751c29532ec63)`; before the step-index flag and body
 /// left the footer, the same bytes before the footer and
 /// `(1_666, 0xe0d843cb887b0c21)`; before the neighbour-coded footer,
-/// `(15_993, 0x0386fe3f349cc3d8)` and `(1_555, 0xa83dc0b4921740bd)`.
-const TSFILE_PARTS: [(usize, u64); 2] = [(15_987, 0x911e40d2dc9bfc6b), (1_415, 0xa488db8123d92764)];
+/// `(15_993, 0x0386fe3f349cc3d8)` and `(1_555, 0xa83dc0b4921740bd)`;
+/// before a chunk became one page, `(15_987, 0x911e40d2dc9bfc6b)` and
+/// `(1_415, 0xa488db8123d92764)`.
+const TSFILE_PARTS: [(usize, u64); 2] = [(16_297, 0x6bb8ee107a75c6d4), (327, 0x6bb2e6a5e5a3094b)];
 
 /// What the footer body gained: one run, of series 1 (`golden.a`),
 /// holding all seven chunks, superseding nothing.
@@ -169,7 +182,6 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
     let dir = store_dir();
     let config = EngineConfig {
         points_per_chunk: 300,
-        page_points: 64,
         memtable_threshold: 1_000_000,
         write_shards: 1,
         ..Default::default()
@@ -253,22 +265,26 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
 /// 112 bytes fewer, all of them in the footer), and when the footer
 /// was coded against its neighbours (it was `(21_700,
 /// 0x533f903ecc907f6d)`: 196 bytes fewer, all in the footer, and the
-/// head and tail magic `TSF2` → `TSF3`).
+/// head and tail magic `TSF2` → `TSF3`), and when a chunk became one
+/// page (it was `(21_504, 0xf62ac83c1dfe2653)`): the fixture's 64-point
+/// pages became its chunk size, so the inputs are 64-point chunks where
+/// they were 300-point chunks of 64-point pages, the plan classifies
+/// chunks where it classified pages, and every output chunk is one
+/// page; the magic became `TSF4`.
 /// At the packed forms, of the output's 30 pages, 8 changed
 /// form: the 4 whose time range a delete cut a gap into (t = 1 920,
 /// 4 770, 12 100 and 14 690 on) store their timestamps as packed deltas,
 /// the gap one exception, and 4 of the 7 XOR pages store their values
 /// as packed key deltas; the merge, the page plan and every other page
 /// are byte-identical.
-const COMPACTED: (u64, u64) = (21_504, 0xf62ac83c1dfe2653);
+const COMPACTED: (u64, u64) = (21_336, 0x6fddffd39f2637ef);
 
 #[test]
 fn compaction_output_bytes_equal_the_hash_taken_before_the_merge_and_seal_rebuild() {
     let dir = std::env::temp_dir().join(format!("tskv-golden-compact-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let config = EngineConfig {
-        points_per_chunk: 300,
-        page_points: 64,
+        points_per_chunk: 64,
         memtable_threshold: 1_000_000,
         write_shards: 1,
         ..Default::default()

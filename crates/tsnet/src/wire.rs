@@ -1196,7 +1196,6 @@ mod tests {
                 chunks_loaded: 1,
                 points_decoded: 3,
                 pages_decoded: 5,
-                pages_skipped: 11,
                 pages_stat_answered: 2,
                 ..Default::default()
             }),

@@ -537,10 +537,9 @@ const QUIET: [&str; 6] = [
 /// fails here.
 #[test]
 fn every_registered_metric_is_on_the_wire_and_moves() {
-    // Four pages per chunk, so page statistics and page skips come
-    // into play.
+    // Four-point chunks, so chunk statistics answer spans.
     let config = EngineConfig {
-        page_points: 4,
+        points_per_chunk: 4,
         ..store_config()
     };
     let store = Arc::new(TsKv::open(scratch("registry"), config).unwrap());

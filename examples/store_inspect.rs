@@ -1,8 +1,9 @@
 //! Store inspector: a debugging tool that dumps the physical layout of
 //! a tskv store — catalog, shards, files and their footer bytes, chunks,
-//! versions, statistics, how many pages store each column in each form (timestamps
-//! constant, stream or packed; values stream, packed or decimal, and a
-//! decimal block's frame: reference or delta) and pending deletes —
+//! versions, statistics, the form each chunk (one page) stores each
+//! column in (timestamps constant, stream or packed; values stream,
+//! packed or decimal, and a decimal block's frame: reference or delta)
+//! and pending deletes —
 //! using only the public tsfile API plus read-only parsing of the
 //! store's own files.
 //!
@@ -27,7 +28,6 @@ use std::path::{Path, PathBuf};
 use m4lsm::tsfile::encoding::decimal::Framing;
 use m4lsm::tsfile::format::MAGIC;
 use m4lsm::tsfile::page::{TsForm, ValueForm};
-use m4lsm::tsfile::reader::page_body_slice;
 use m4lsm::tsfile::{page, ModsFile, TsFileReader};
 use m4lsm::tskv::config::EngineConfig;
 use m4lsm::tskv::TsKv;
@@ -68,7 +68,7 @@ fn build_demo(dir: &Path) -> Result<(), Box<dyn std::error::Error>> {
     // A cumulative energy meter in kWh, read to 0.01: it rises five to
     // eight hundredths a sample, so its decimal blocks store the deltas
     // (two bits a value) where the other series' short ramps keep the
-    // frame of reference. Not every page: one whose exponent pair,
+    // frame of reference. Not every chunk: one whose exponent pair,
     // chosen from a sample, fails a value the sample missed keeps the
     // frame of reference with that value raw.
     for t in 0..600i64 {
@@ -125,15 +125,14 @@ fn dump_file(
         .last()
         .map_or(MAGIC.len() as u64, |m| m.offset + m.byte_len);
     let trailer = (4 + 8 + MAGIC.len()) as u64;
-    let pages: usize = reader.chunk_metas().iter().map(|m| m.page_count()).sum();
     println!(
-        "  {} ({} bytes, {} chunks in {} series runs, footer {} bytes for {} pages)",
+        "  {} ({} bytes, {} chunks in {} series runs, footer {} bytes for {} chunks)",
         path.file_name().unwrap_or_default().to_string_lossy(),
         size,
         reader.chunk_metas().len(),
         reader.series_runs().len(),
         size - data_end - trailer,
-        pages
+        reader.chunk_metas().len()
     );
     for run in reader.series_runs() {
         let name = catalog
@@ -150,34 +149,21 @@ fn dump_file(
         );
         for meta in reader.run_chunks(run) {
             let s = &meta.stats;
-            let pages = &meta.paged.pages;
-            let (buf, base) = reader.read_page_window_raw(meta, 0..pages.len())?;
-            // Pages per form: timestamps [const, stream, packed], values
-            // [stream, decimal, packed], decimal blocks [reference, delta].
-            let (mut ts, mut vs, mut frames) = ([0usize; 3], [0usize; 3], [0usize; 2]);
-            for pm in pages {
-                let body = page_body_slice(&buf, pm, base)?;
-                let forms = page::forms(body)?;
-                match page::decimal_framing(body)? {
-                    Some(Framing::Reference) => frames[0] += 1,
-                    Some(Framing::Delta) => frames[1] += 1,
-                    None => {}
-                }
-                ts[match forms.timestamps {
-                    TsForm::Constant => 0,
-                    TsForm::Stream => 1,
-                    TsForm::Packed => 2,
-                }] += 1;
-                vs[match forms.values {
-                    ValueForm::Stream => 0,
-                    ValueForm::Decimal => 1,
-                    ValueForm::Packed => 2,
-                }] += 1;
-            }
+            let body = reader.read_chunk_raw(meta)?;
+            let forms = page::forms(&body)?;
+            let ts = match forms.timestamps {
+                TsForm::Constant => "constant",
+                TsForm::Stream => "stream",
+                TsForm::Packed => "packed",
+            };
+            let values = match (forms.values, page::decimal_framing(&body)?) {
+                (ValueForm::Stream, _) => "stream",
+                (ValueForm::Packed, _) => "packed",
+                (ValueForm::Decimal, Some(Framing::Delta)) => "decimal (delta)",
+                (ValueForm::Decimal, _) => "decimal (reference)",
+            };
             println!(
-                "      chunk {} @{:>8}+{:<6} n={:<5} t=[{} … {}] v=[{} … {}]  \
-                 ts const/stream/packed {}/{}/{}, values stream/packed {}/{}, {}/{} pages decimal \
-                 (reference/delta {}/{})",
+                "      chunk {} @{:>8}+{:<6} n={:<5} t=[{} … {}] v=[{} … {}]  ts {ts}, values {values}",
                 meta.version,
                 meta.offset,
                 meta.byte_len,
@@ -186,15 +172,6 @@ fn dump_file(
                 s.last.t,
                 s.bottom.v,
                 s.top.v,
-                ts[0],
-                ts[1],
-                ts[2],
-                vs[0],
-                vs[2],
-                vs[1],
-                pages.len(),
-                frames[0],
-                frames[1]
             );
         }
     }

@@ -1,12 +1,14 @@
-//! Page-structured storage must be invisible to query results: a store
-//! writing multi-page chunks (small `page_points`) and a twin store
-//! writing monolithic chunks (`page_points = usize::MAX`) fed the same
-//! history must answer every M4 query identically.
+//! Storage granularity must be invisible to query results: a store
+//! writing small chunks (a few points each, so every flush and every
+//! compaction output spans many chunks) and a twin store writing one
+//! chunk per flush (`points_per_chunk = usize::MAX`, clamped to the
+//! page ceiling) fed the same history must answer every M4 query
+//! identically.
 //!
 //! The M4-UDF baseline is compared *byte-exactly* between the twins —
 //! its k-way merge sees the same point multiset either way, so any
-//! divergence is a paging bug. M4-LSM is held to byte-exact FP/LP and
-//! value-equal BP/TP (Definition 2.1): at page granularity a different
+//! divergence is a chunking bug. M4-LSM is held to byte-exact FP/LP and
+//! value-equal BP/TP (Definition 2.1): at chunk granularity a different
 //! — equally extreme — representative may win a tie, which the paper's
 //! equivalence explicitly allows. Both must also match the in-memory
 //! oracle.
@@ -37,12 +39,14 @@ enum Op {
     Insert(Vec<(i16, i8)>),
     Flush,
     Delete(i16, i16),
+    Compact,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         5 => prop::collection::vec((any::<i16>(), any::<i8>()), 1..80).prop_map(Op::Insert),
         2 => Just(Op::Flush),
+        1 => Just(Op::Compact),
         2 => (any::<i16>(), 0i16..300).prop_map(|(s, len)| Op::Delete(s, s.saturating_add(len))),
     ]
 }
@@ -53,7 +57,7 @@ proptest! {
     #[test]
     fn paged_and_monolithic_stores_answer_identically(
         ops in prop::collection::vec(op_strategy(), 1..16),
-        page_points in 2usize..12,
+        small_chunk in 2usize..12,
         qs in -40_000i64..40_000,
         qlen in 1i64..70_000,
         w in 1usize..24,
@@ -66,22 +70,21 @@ proptest! {
             .join(format!("m4-pageprop-p-{}-{stamp:x}", std::process::id()));
         let mono_dir = std::env::temp_dir()
             .join(format!("m4-pageprop-m-{}-{stamp:x}", std::process::id()));
-        // Large chunks + tiny pages: sealed chunks span many pages, so
-        // the fragment path is exercised hard. The monolithic twin
-        // differs ONLY in page_points.
+        // Tiny chunks: a flush of a full memtable seals many chunks, so
+        // span assignment across chunks is exercised hard. The
+        // monolithic twin differs ONLY in points_per_chunk.
         let base = EngineConfig {
-            points_per_chunk: 64,
             memtable_threshold: 128,
             ..Default::default()
         };
         let paged = TsKv::open(
             &paged_dir,
-            EngineConfig { page_points, ..base.clone() },
+            EngineConfig { points_per_chunk: small_chunk, ..base.clone() },
         )
         .unwrap();
         let mono = TsKv::open(
             &mono_dir,
-            EngineConfig { page_points: usize::MAX, ..base },
+            EngineConfig { points_per_chunk: usize::MAX, ..base },
         )
         .unwrap();
         paged.create_series("s").unwrap();
@@ -105,6 +108,10 @@ proptest! {
                     paged.flush("s").unwrap();
                     mono.flush("s").unwrap();
                 }
+                Op::Compact => {
+                    paged.compact("s").unwrap();
+                    mono.compact("s").unwrap();
+                }
                 Op::Delete(s, e) => {
                     paged.delete("s", i64::from(*s), i64::from(*e)).unwrap();
                     mono.delete("s", i64::from(*s), i64::from(*e)).unwrap();
@@ -127,7 +134,7 @@ proptest! {
         // UDF: byte-exact across the twins, and correct.
         let udf_p = M4Udf::new().execute(&snap_p, &query).unwrap();
         let udf_m = M4Udf::new().execute(&snap_m, &query).unwrap();
-        prop_assert_eq!(&udf_p, &udf_m, "paged vs monolithic UDF results differ");
+        prop_assert_eq!(&udf_p, &udf_m, "small-chunk vs monolithic UDF results differ");
         prop_assert!(
             udf_p.equivalent(&expected),
             "UDF deviates from oracle\nudf: {:?}\noracle: {:?}", udf_p, expected
@@ -143,7 +150,7 @@ proptest! {
             let lsm_m = M4Lsm::with_config(cfg).execute(&snap_m, &query).unwrap();
             prop_assert!(
                 lsm_p.equivalent(&expected),
-                "paged M4-LSM ({:?}) deviates from oracle\nlsm: {:?}\noracle: {:?}",
+                "small-chunk M4-LSM ({:?}) deviates from oracle\nlsm: {:?}\noracle: {:?}",
                 cfg, lsm_p, expected
             );
             prop_assert!(

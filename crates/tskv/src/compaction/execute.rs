@@ -1,8 +1,9 @@
-//! The unlocked merge-and-write phase of a compaction run.
+//! The unlocked merge-and-write phase of a shard sweep.
 //!
-//! Consumes the input captured under the shard lock (readers, chunk
-//! metadata, deletes) plus the [`classification
-//! plan`](crate::compaction::plan) and produces the output TsFile:
+//! Consumes one member's input captured under the shard lock (readers,
+//! chunk metadata, deletes), classifies it by the
+//! [`plan`](crate::compaction::plan) and writes the member's run of the
+//! sweep's output file:
 //!
 //! * **Clean chunks** move byte-for-byte, decimal or XOR value mode
 //!   and all: one pooled pread of the body
@@ -19,33 +20,32 @@
 //! * **Dropped chunks** — wholly inside one newer delete — are not read.
 //!
 //! Clean chunks and merged dirty points interleave on the time axis;
-//! [`merge_to_file`] walks both in time order so output chunks are
+//! [`merge_run`] walks both in time order so output chunks are
 //! emitted time-sorted and mutually disjoint. No merged dirty point can
 //! fall inside a clean chunk's time range (that would imply an
 //! overlapping input chunk or an applicable delete, contradicting
 //! cleanliness), so the walk spills the merged points before each clean
 //! chunk and copies the chunk whole.
 //!
-//! Every output chunk — copied or re-encoded — carries the **maximum
-//! input chunk version**. Inputs are a contiguous run in version
-//! order, so anything that outranked an input still outranks the
-//! output, and raising a clean chunk's version only sheds deletes that
-//! classification already proved don't touch it. The output file is the
-//! one-run case of the shard-file shape: its single series run declares
-//! that same version as what it *supersedes*, which is how a reopen
-//! that finds an input still on disk (inside a file other series read,
-//! or after a crash before the unlink) knows the input is dead. The internal dirty
-//! merge reads through a detached [`IoStats`] and no cache: compaction
-//! I/O is reported through the explicit `compaction_*` counters, not
-//! smeared into the read-path ones.
+//! Every output chunk — copied or re-encoded — carries the member's
+//! **maximum input chunk version**. Inputs are a contiguous run in
+//! version order, so anything that outranked an input still outranks
+//! the output, and raising a clean chunk's version only sheds deletes
+//! that classification already proved don't touch it. The member's run
+//! declares that same version as what it *supersedes*, which is how a
+//! reopen that finds an input still on disk (inside a file a member
+//! left out of the sweep still reads, or after a crash before the
+//! unlink) knows the input is dead. The internal dirty merge reads
+//! through a detached [`IoStats`] and no cache: compaction I/O is
+//! reported through the explicit `compaction_*` counters, not smeared
+//! into the read-path ones.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use tsfile::types::{Point, Version};
 use tsfile::{ChunkMeta, ModEntry, TsFileReader, TsFileWriter};
 
-use crate::compaction::plan::Fate;
+use crate::compaction::plan::{self, ChunkView, Fate};
 use crate::compaction::CompactionReport;
 use crate::config::EngineConfig;
 use crate::readers::MergeReader;
@@ -53,14 +53,10 @@ use crate::snapshot::SeriesSnapshot;
 use crate::stats::IoStats;
 use crate::Result;
 
-fn corrupt(msg: &str) -> crate::TsKvError {
-    tsfile::TsFileError::Corrupt(msg.into()).into()
-}
-
-/// The one series run a compaction output consists of.
+/// A member's run of a sweep's output file.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct OutputRun {
-    /// The series being compacted.
+    /// The member's series.
     pub series: u32,
     /// The maximum input version: what every output chunk carries and
     /// what the run declares it supersedes.
@@ -70,7 +66,7 @@ pub(crate) struct OutputRun {
 /// Output side of the merge walk: the writer plus the knobs and the
 /// counters it feeds.
 struct Output<'a> {
-    w: TsFileWriter,
+    w: &'a mut TsFileWriter,
     config: &'a EngineConfig,
     out: CompactionReport,
 }
@@ -104,29 +100,33 @@ impl Output<'_> {
     }
 }
 
-/// Merge the captured input chunks (capture order, each with the
-/// reader its body is behind) into one TsFile at `path` per `fates`: the
-/// single run `run`, every output chunk under `run.version` (the
-/// maximum input version). `path` is the file's in-flight name — the
-/// caller renames it into place. A merge that comes up empty (every
-/// input point deleted) still writes its chunkless run: its
-/// `supersedes` is the series' floor, the sealed version a reopen hands
-/// the shard log and the mark that keeps an input still on disk unread.
-/// The report's retirement and delete counts are the caller's to fill
-/// in. No engine lock may be held.
-pub(crate) fn merge_to_file(
+/// Merge one member's captured input chunks (capture order, each with
+/// the reader its body is behind) into its run of the output file `w`
+/// is writing: classified by [`plan::classify`], then the single run
+/// `run`, every output chunk under `run.version` (the maximum input
+/// version). A merge that comes up empty (every input point deleted)
+/// still writes its chunkless run: its `supersedes` is the series'
+/// floor, the sealed version a reopen hands the shard log and the mark
+/// that keeps an input still on disk unread. The report's retirement
+/// and delete counts are the caller's to fill in. No engine lock may be
+/// held.
+pub(crate) fn merge_run(
+    w: &mut TsFileWriter,
     config: &EngineConfig,
-    path: &Path,
     chunks: &[(&TsFileReader, &ChunkMeta)],
-    deletes: Vec<ModEntry>,
-    fates: &[Fate],
+    deletes: &[ModEntry],
     run: OutputRun,
 ) -> Result<CompactionReport> {
     tsfile::lockcheck::check_io();
     let out_version = run.version;
-    if fates.len() != chunks.len() {
-        return Err(corrupt("plan does not match the chunk list"));
-    }
+    let views: Vec<ChunkView> = chunks
+        .iter()
+        .map(|(_, meta)| ChunkView {
+            version: meta.version.0,
+            range: meta.time_range(),
+        })
+        .collect();
+    let fates = plan::classify(&views, deletes);
     let mut out = CompactionReport {
         chunks_merged: chunks.len(),
         ..CompactionReport::default()
@@ -137,7 +137,7 @@ pub(crate) fn merge_to_file(
     // Every input chunk but a dropped one is read exactly once.
     let mut clean: Vec<(&TsFileReader, &ChunkMeta)> = Vec::new();
     let mut dirty: Vec<(Version, Arc<Vec<Point>>)> = Vec::new();
-    for (&(reader, meta), fate) in chunks.iter().zip(fates) {
+    for (&(reader, meta), fate) in chunks.iter().zip(&fates) {
         match fate {
             Fate::Dropped => continue,
             Fate::Clean => clean.push((reader, meta)),
@@ -154,12 +154,11 @@ pub(crate) fn merge_to_file(
     // apply version-aware — with the read path's own merge, over a
     // detached snapshot that holds nothing but the deletes.
     let detached = Arc::new(IoStats::default());
-    let snapshot = SeriesSnapshot::new(Vec::new(), Vec::new(), deletes, detached, None, 1);
+    let snapshot = SeriesSnapshot::new(Vec::new(), Vec::new(), deletes.to_vec(), detached, None, 1);
     let merged = MergeReader::new(&snapshot).merge_runs(&dirty);
 
     // 3. Interleave: walk the clean chunks in time order, spilling the
     // merged dirty points that precede each before copying it.
-    let mut w = config.tsfile_writer(path)?;
     w.begin_series(run.series, run.version)?;
     let mut output = Output { w, config, out };
     let mut rest = merged.as_slice();
@@ -170,6 +169,5 @@ pub(crate) fn merge_to_file(
         output.copy_chunk(reader, meta, out_version)?;
     }
     output.flush_points(rest, out_version)?;
-    output.w.finish()?;
     Ok(output.out)
 }

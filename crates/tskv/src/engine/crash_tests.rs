@@ -2,11 +2,13 @@
 //! flush group and compaction, checked by a machine.
 //!
 //! Random multi-series histories — overwrites, deletes, `flush`,
-//! `flush_all`, `compact`, clean restarts, and writes and deletes that
-//! race a flush group's unlocked phase — run against a store in a real
-//! directory, under each [`FsyncPolicy`], with one or two shards. At
-//! every operation boundary, and between `claim_group`, `write_group`
-//! and `finish_group`, the store is crashed: every image a power loss
+//! `flush_all`, `compact`, `compact_all`, clean restarts, and writes and
+//! deletes that race a flush group's unlocked phase — run against a
+//! store in a real directory, under each [`FsyncPolicy`], with one or
+//! two shards (so two or four series a shard). At every operation
+//! boundary, between `claim_group`, `write_group` and `finish_group`,
+//! and between a sweep's published output and each of its inputs'
+//! retirements, the store is crashed: every image a power loss
 //! could leave of its logs is built from the directory and reopened.
 //! An image cuts each shard's active WAL segment at one frame boundary
 //! at or past its synced length ([`ShardWal::crash_cuts`]); every cut is
@@ -70,6 +72,8 @@ enum Op {
     Compact {
         series: usize,
     },
+    /// Compact every series, as `compact_all`: a sweep of each shard.
+    CompactAll,
     /// Drop the store and open it again (the OS wrote everything back).
     Restart,
 }
@@ -100,6 +104,7 @@ fn history() -> impl Strategy<Value = Vec<Op>> {
             race
         }),
         2 => (0..SERIES).prop_map(|series| Op::Compact { series }),
+        1 => Just(Op::CompactAll),
         1 => Just(Op::Restart),
     ];
     prop::collection::vec(op, 1..20)
@@ -265,6 +270,7 @@ impl Case {
                     self.newest = Some(shard.dir.join(format!("{no:08}.tsfile")));
                 }
             }
+            Op::CompactAll => self.compact_all()?,
             Op::Restart => {
                 // The old store writes nothing more, dropped or not.
                 self.kv = Rc::new(self.reopen(&self.dir)?);
@@ -324,6 +330,36 @@ impl Case {
         // Nothing to claim: the racing operations still run.
         for op in race.unwrap_or_default() {
             self.step(op)?;
+        }
+        Ok(())
+    }
+
+    /// A sweep of each shard by its phases, as `compact_all` runs them,
+    /// with a crash once the output is published and after each input's
+    /// retirement: the cuts between the output's rename and each unlink.
+    fn compact_all(&mut self) -> TestResultOf<()> {
+        let kv = Rc::clone(&self.kv);
+        for (i, shard) in kv.inner.shards.iter().enumerate() {
+            let todo: Vec<SeriesId> = (0..SERIES)
+                .filter(|&s| self.shard_of(s) == i)
+                .map(|s| self.ids[s])
+                .collect();
+            let (sweep, later) = kv.inner.capture_sweep(shard, &todo, 1);
+            prop_assert!(later.is_empty(), "nothing hits the cap");
+            let Some(sweep) = sweep else {
+                continue;
+            };
+            let written = kv.inner.write_sweep(&sweep);
+            if let Ok((file, _)) = &written {
+                self.newest = Some(file.reader.path().to_path_buf());
+            }
+            self.crash("swept")?;
+            let (retired, _) = ctx(kv.inner.install_sweep(shard, &sweep, written), "install")?;
+            for view in retired {
+                ctx(view.retire(kv.inner.cache.as_deref()), "retire")?;
+                self.crash("retired")?;
+            }
+            kv.inner.trim_sweep(shard, &sweep);
         }
         Ok(())
     }

@@ -184,11 +184,12 @@ impl TsKv {
 
     /// Fully compact one series: merge every sealed file (applying
     /// deletes and overwrites; clean chunks are copied byte-for-byte,
-    /// only dirty chunks re-encode), write the result as a single fresh
-    /// TsFile, unlink the old files and trim the delete log. The
-    /// memtable and WAL are untouched. Returns an empty report if a
-    /// compaction is already running for the series.
-    /// See [`crate::compaction`].
+    /// only dirty chunks re-encode), write the result as a fresh TsFile,
+    /// unlink the old files its run was the last live one of and trim
+    /// the delete log. The memtable and WAL are untouched. Returns an
+    /// empty report if a compaction or a flush holds the series. This
+    /// is the one-member case of [`compact_all`](TsKv::compact_all)'s
+    /// sweep. See [`crate::compaction`].
     pub fn compact(&self, name: &str) -> Result<CompactionReport> {
         let id = self.inner.resolve(name)?;
         self.inner.compact_run(id, 1)
@@ -197,6 +198,16 @@ impl TsKv {
     /// [`compact`](TsKv::compact) keyed by an interned id.
     pub fn compact_by_id(&self, id: SeriesId) -> Result<CompactionReport> {
         self.inner.compact_run(id, 1)
+    }
+
+    /// Compact every series, the twin of [`flush_all`](TsKv::flush_all):
+    /// one sweep per shard merges each series with sealed runs into its
+    /// run of **one** new file, so every input file is unlinked. A
+    /// series that a flush or another compaction holds is left out and
+    /// keeps its files; the next sweep takes it. The report sums every
+    /// series'.
+    pub fn compact_all(&self) -> Result<CompactionReport> {
+        self.inner.compact_all()
     }
 
     /// Subscribe to change notifications: every write, delete, and

@@ -912,3 +912,70 @@ fn a_failing_log_trim_leaves_the_series_as_it_was() -> TestResult {
     cleanup(&dir);
     Ok(())
 }
+
+/// A sweep leaves out a member a flush holds at capture: the member
+/// keeps its runs, and with them the file it shares with the others.
+/// The next sweep takes it and the shard is down to one file.
+#[test]
+fn a_member_flushing_at_capture_is_left_out_and_the_next_sweep_takes_it() -> TestResult {
+    let (dir, kv, mut model) = shared_file("sweep-inflight")?;
+    model.write(&kv, "a", &ramp(100..150, 1.5))?;
+    model.write(&kv, "b", &ramp(90..140, 2.5))?;
+    kv.flush_all()?; // 00000001: a and b
+    model.write(&kv, "c", &ramp(130..160, 3.5))?;
+    let shard = &kv.inner.shards[0];
+    let (members, _) = kv.inner.claim_group(shard, &ids(&kv, &["c"]), true);
+    let report = kv.compact_all()?; // 00000002: a and b
+    assert_eq!(report.files_removed, 4, "a's and b's two runs each");
+    assert_eq!(
+        shard_listing(&dir)?,
+        ["00000000.tsfile", "00000002.tsfile", "wal-00000000.log"],
+        "c still reads the first file"
+    );
+    assert_eq!(kv.sealed_file_count("c")?, 1);
+    let sealed = kv.inner.write_group(shard, &members);
+    kv.inner.finish_group(shard, &members, sealed)?; // 00000003: c
+    assert_eq!(kv.sealed_file_count("c")?, 2);
+    model.check(&kv)?;
+
+    let report = kv.compact_all()?; // 00000004: a, b and c
+    assert_eq!(report.files_removed, 4);
+    assert_eq!(
+        shard_listing(&dir)?,
+        ["00000004.tsfile", "wal-00000000.log"]
+    );
+    model.check(&kv)?;
+    drop(kv);
+    let kv = TsKv::open(&dir, config())?;
+    model.check(&kv)?;
+    for series in ["a", "b", "c"] {
+        assert_eq!(kv.sealed_file_count(series)?, 1);
+    }
+    cleanup(&dir);
+    Ok(())
+}
+
+/// Once a sweep is done nothing holds an input's reader: not the
+/// engine, not the decoded-chunk cache the reads before it filled.
+#[test]
+fn a_sweep_releases_every_retired_reader() -> TestResult {
+    let (dir, kv, mut model) = shared_file("sweep-release")?;
+    model.write(&kv, "a", &ramp(100..150, 1.5))?;
+    kv.flush_all()?;
+    model.check(&kv)?;
+    let inputs: Vec<std::sync::Weak<TsFileReader>> = {
+        let map = kv.inner.shards[0].series.read();
+        let views = map.values().flat_map(|store| &store.files);
+        views.map(|v| Arc::downgrade(&v.file.reader)).collect()
+    };
+    assert_eq!(
+        inputs.len(),
+        4,
+        "three runs of the first file, one of the second"
+    );
+    kv.compact_all()?;
+    assert!(inputs.iter().all(|r| r.upgrade().is_none()));
+    model.check(&kv)?;
+    cleanup(&dir);
+    Ok(())
+}

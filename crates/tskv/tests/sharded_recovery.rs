@@ -3,7 +3,8 @@
 //! **Property: crash recovery is exact at any shard count.** A random
 //! multi-series workload (inserts, deletes, single-series flushes,
 //! `flush_all` group flushes that seal several series into one file,
-//! and compactions that take one series out of such a file) followed
+//! compactions that take one series out of such a file, and sweeps
+//! that compact every series of a shard into one file) followed
 //! by a crash (drop without flush) and a reopen must restore every
 //! series bit-for-bit — the per-record series tags in the shared shard
 //! WALs, the catalog log, and the series-run directories of the shard
@@ -22,6 +23,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use tsfile::types::Point;
@@ -45,6 +47,8 @@ enum Op {
     FlushAll,
     /// Compact one series (out of whatever files it shares).
     Compact(usize),
+    /// Sweep every shard: one file per shard.
+    CompactAll,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -58,6 +62,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         }),
         1 => Just(Op::FlushAll),
         1 => sid.prop_map(Op::Compact),
+        1 => Just(Op::CompactAll),
     ]
 }
 
@@ -116,6 +121,9 @@ proptest! {
                 Op::Compact(s) => {
                     kv.compact(SERIES[*s]).unwrap();
                 }
+                Op::CompactAll => {
+                    kv.compact_all().unwrap();
+                }
                 Op::Delete(s, lo, hi) => {
                     kv.delete(SERIES[*s], i64::from(*lo), i64::from(*hi)).unwrap();
                     let doomed: Vec<i64> = model[*s]
@@ -157,4 +165,77 @@ proptest! {
         drop(kv3);
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// The `.tsfile`s of each shard directory of the store at `dir`.
+fn data_files(dir: &Path) -> Vec<Vec<PathBuf>> {
+    let mut shards: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.is_dir())
+        .collect();
+    shards.sort();
+    shards
+        .iter()
+        .map(|shard| {
+            let mut files: Vec<PathBuf> = std::fs::read_dir(shard)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.extension().is_some_and(|e| e == "tsfile"))
+                .collect();
+            files.sort();
+            files
+        })
+        .collect()
+}
+
+/// Several series sharing flush files in one shard: `compact_all`
+/// leaves the shard one data file, every flush file unlinked, and a
+/// reopen reads each series exactly once — from its one run.
+#[test]
+fn compact_all_leaves_one_file_per_shard_and_each_series_once() {
+    let dir = std::env::temp_dir().join(format!("tskv-shrec-sweep-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let kv = TsKv::open(&dir, config(1)).unwrap();
+    let mut model: Vec<BTreeMap<i64, f64>> = vec![BTreeMap::new(); SERIES.len()];
+    // Overlapping rounds, each flushed into one file for every series,
+    // and memtables small enough to flush on their own in between.
+    for round in 0..4i64 {
+        for (s, name) in SERIES.iter().enumerate() {
+            let pts: Vec<Point> = (0..30)
+                .map(|i| {
+                    Point::new(
+                        round * 20 + i * (s as i64 + 1),
+                        (round * 10 + s as i64) as f64,
+                    )
+                })
+                .collect();
+            kv.insert_batch(name, &pts).unwrap();
+            model[s].extend(pts.iter().map(|p| (p.t, p.v)));
+        }
+        kv.flush_all().unwrap();
+    }
+    kv.delete(SERIES[1], 10, 40).unwrap();
+    model[1].retain(|t, _| !(10..=40).contains(t));
+    let flushed = data_files(&dir);
+    assert!(flushed[0].len() > 4, "{flushed:?}");
+
+    let report = kv.compact_all().unwrap();
+    assert_eq!(report.deletes_applied, 1);
+    let swept = data_files(&dir);
+    assert_eq!(swept[0].len(), 1, "{swept:?}");
+    assert!(
+        flushed[0].iter().all(|f| !f.exists()),
+        "every flush file unlinked"
+    );
+
+    drop(kv);
+    let kv = TsKv::open(&dir, config(1)).unwrap();
+    for (s, name) in SERIES.iter().enumerate() {
+        let want: Vec<Point> = model[s].iter().map(|(&t, &v)| Point::new(t, v)).collect();
+        assert_eq!(merged(&kv, name), want, "{name}");
+        assert_eq!(kv.sealed_file_count(name).unwrap(), 1, "{name}");
+    }
+    drop(kv);
+    std::fs::remove_dir_all(&dir).ok();
 }

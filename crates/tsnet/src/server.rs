@@ -767,32 +767,31 @@ fn execute_query(
 fn execute_flush(shared: &Shared, series: &Option<String>, compact: bool) -> Execution {
     let store = &shared.store;
     // One series: resolve once at the boundary. All series: the
-    // engine's own group flush (one sealed file per shard, not
-    // one per series), then one sweep over the dense ids — never a name
-    // list, which with a high-cardinality catalog would be millions of
-    // Strings for a sweep that touches the handful of series with files.
-    let ids = match series {
+    // engine's own group flush and sweep (one sealed file per shard,
+    // not one per series) — never a name list, which with a
+    // high-cardinality catalog would be millions of Strings for a sweep
+    // that touches the handful of series with files.
+    let flushed = match series {
         Some(name) => {
             let id = store
                 .series_id(name)
                 .ok_or_else(|| map_tskv_error(&tskv::TsKvError::SeriesNotFound(name.clone())))?;
             store.flush_by_id(id).map_err(|e| map_tskv_error(&e))?;
-            id.0..id.0 + 1
+            if compact {
+                store.compact_by_id(id).map_err(|e| map_tskv_error(&e))?;
+            }
+            1
         }
         None => {
             store.flush_all().map_err(|e| map_tskv_error(&e))?;
-            0..store.series_count() as u32
+            if compact {
+                store.compact_all().map_err(|e| map_tskv_error(&e))?;
+            }
+            store.series_count() as u32
         }
     };
-    if compact {
-        for id in ids.clone() {
-            store
-                .compact_by_id(tskv::SeriesId(id))
-                .map_err(|e| map_tskv_error(&e))?;
-        }
-    }
     Ok(Response::Flushed {
-        series_flushed: ids.len() as u32,
+        series_flushed: flushed,
     })
 }
 

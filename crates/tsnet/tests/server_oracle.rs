@@ -154,7 +154,7 @@ fn step_flush(step: usize) -> bool {
 
 #[test]
 fn concurrent_clients_match_in_process_oracle() {
-    let (store, _dir) = open_store("concurrent");
+    let (store, dir) = open_store("concurrent");
     let server = TsNetServer::start(
         Arc::clone(&store),
         ServerConfig {
@@ -241,6 +241,34 @@ fn concurrent_clients_match_in_process_oracle() {
     assert!(stats.requests_flush > 0);
     assert_eq!(stats.rejected_busy, 0, "scripts must not trip admission");
     assert!(stats.bytes_in > 0 && stats.bytes_out > 0);
+
+    // Seal and compact everything: one sweep per shard leaves at most
+    // one data file a shard, and every series still reads as its twin.
+    cl.flush_seal(None, true).unwrap();
+    let mut data_files = 0;
+    for shard in std::fs::read_dir(&dir).unwrap() {
+        let shard = shard.unwrap().path();
+        if shard.is_dir() {
+            for file in std::fs::read_dir(&shard).unwrap() {
+                let path = file.unwrap().path();
+                data_files += usize::from(path.extension().is_some_and(|e| e == "tsfile"));
+            }
+        }
+    }
+    assert!(
+        data_files <= store.config().write_shards,
+        "{data_files} data files"
+    );
+    for c in 0..CLIENTS {
+        for which in 0..2 {
+            let series = series_name(c, which);
+            for op in [Operator::Udf, Operator::Lsm] {
+                let spans = cl.m4_query(&series, op, -1000, 5_000, 13).unwrap();
+                let expected = oracle_query(&twin, &series, op, -1000, 5_000, 13);
+                assert_eq!(m4_bytes(spans), expected, "{series} {op:?} after the sweep");
+            }
+        }
+    }
     server.shutdown();
 }
 

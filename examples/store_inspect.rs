@@ -111,9 +111,36 @@ fn read_catalog(dir: &Path) -> BTreeMap<u32, String> {
     out
 }
 
+/// Where a store's bytes go: its data files' heads and trailers, footer
+/// bodies and chunk bodies, and everything else (catalog, `SHARDS`,
+/// delete logs, WAL segments).
+#[derive(Default)]
+struct Bytes {
+    files: u64,
+    heads_and_trailers: u64,
+    footers: u64,
+    chunk_bodies: u64,
+}
+
+/// Bytes of every file under `dir`, recursively.
+fn dir_bytes(dir: &Path) -> std::io::Result<u64> {
+    let mut total = 0;
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let meta = entry.metadata()?;
+        total += if meta.is_dir() {
+            dir_bytes(&entry.path())?
+        } else {
+            meta.len()
+        };
+    }
+    Ok(total)
+}
+
 fn dump_file(
     path: &Path,
     catalog: &BTreeMap<u32, String>,
+    bytes: &mut Bytes,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let reader = TsFileReader::open(path)?;
     let size = std::fs::metadata(path)?.len();
@@ -125,6 +152,10 @@ fn dump_file(
         .last()
         .map_or(MAGIC.len() as u64, |m| m.offset + m.byte_len);
     let trailer = (4 + 8 + MAGIC.len()) as u64;
+    bytes.files += 1;
+    bytes.heads_and_trailers += MAGIC.len() as u64 + trailer;
+    bytes.footers += size - data_end - trailer;
+    bytes.chunk_bodies += data_end - MAGIC.len() as u64;
     println!(
         "  {} ({} bytes, {} chunks in {} series runs, footer {} bytes for {} chunks)",
         path.file_name().unwrap_or_default().to_string_lossy(),
@@ -206,6 +237,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     shard_dirs.sort();
 
+    let mut bytes = Bytes::default();
     for sdir in shard_dirs {
         println!(
             "\n{}",
@@ -222,7 +254,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // `supersedes` of the later file holding that series.
         for p in &entries {
             if p.extension().and_then(|e| e.to_str()) == Some("tsfile") {
-                dump_file(p, &catalog)?;
+                dump_file(p, &catalog, &mut bytes)?;
             }
         }
         // Delete logs (one per series, whatever runs its entries apply
@@ -240,6 +272,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
+
+    // Each data file is its head magic, chunk bodies, footer body and
+    // trailer; the rest of the store is the catalog and the logs.
+    let total = dir_bytes(&dir)?;
+    let data = bytes.heads_and_trailers + bytes.footers + bytes.chunk_bodies;
+    println!(
+        "\nstore bytes {total}: files {}, heads and trailers {}, footers {}, chunk bodies {}, logs {}",
+        bytes.files,
+        bytes.heads_and_trailers,
+        bytes.footers,
+        bytes.chunk_bodies,
+        total - data
+    );
 
     if is_demo {
         std::fs::remove_dir_all(&dir).ok();

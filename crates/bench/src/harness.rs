@@ -55,7 +55,7 @@ impl BenchMeta {
             scale: h.scale,
             repeats: h.repeats,
             read_threads: config.read_threads,
-            enable_read_cache: config.enable_read_cache,
+            enable_read_cache: config.cache_capacity_bytes > 0,
         }
     }
 }
@@ -108,10 +108,11 @@ impl Harness {
     /// The configuration every experiment opens its stores with. The
     /// paper measures *cold* single-threaded reads (its setup has
     /// neither a decoded-chunk cache nor a parallel read path), so the
-    /// cross-query LRU is off and the pool is pinned to one thread.
+    /// cross-query LRU is off (capacity 0) and chunk loads are pinned to
+    /// one thread.
     pub fn store_config() -> EngineConfig {
         EngineConfig {
-            enable_read_cache: false,
+            cache_capacity_bytes: 0,
             read_threads: 1,
             ..Default::default()
         }

@@ -13,6 +13,9 @@ pub enum M4Error {
     EmptyQueryRange { t_qs: i64, t_qe: i64 },
     /// The query asked for zero time spans.
     ZeroSpans,
+    /// The query asked for more time spans than
+    /// [`crate::query::MAX_SPANS`].
+    TooManySpans { w: usize, max: usize },
     /// A render canvas dimension was zero.
     EmptyCanvas,
     /// An internal invariant of the M4-LSM algorithm was violated.
@@ -30,6 +33,9 @@ impl fmt::Display for M4Error {
                 write!(f, "empty query range: t_qs {t_qs} >= t_qe {t_qe}")
             }
             M4Error::ZeroSpans => write!(f, "query must have w >= 1 time spans"),
+            M4Error::TooManySpans { w, max } => {
+                write!(f, "query asks for w = {w} spans, over the {max} maximum")
+            }
             M4Error::EmptyCanvas => write!(f, "render canvas must be non-empty"),
             M4Error::Internal(msg) => write!(f, "internal invariant violated: {msg}"),
         }

@@ -21,16 +21,15 @@
 //! step-regression index decoded the same prefixes here and bought no
 //! time, so it is not stored (`tsfile::index`).
 //!
-//! Spans are independent (each executor owns its candidate state and
-//! borrows the `Sync` table), so step 3 fans them across the
-//! engine-configured worker pool ([`tskv::pool`]): candidate
-//! verification and the lazy chunk loads it triggers run concurrently
-//! per span, while results keep span order.
+//! Before step 3, the rows no single span contains whole are loaded in
+//! one batch, where only the cache misses fan out across the engine's
+//! `read_threads`; the spans are then solved in order on the calling
+//! thread.
 
 mod span;
 mod table;
 
-use tskv::{pool, SeriesSnapshot};
+use tskv::SeriesSnapshot;
 
 use crate::query::M4Query;
 use crate::repr::M4Result;
@@ -79,26 +78,25 @@ impl M4Lsm {
 
         // Assign fragments to spans. A fragment whose interval covers
         // several spans appears in each; rows are in version order, so
-        // every span's list is too.
+        // every span's list is too. Each span a split row touches
+        // resolves it from its data as soon as FP starts, so the split
+        // rows are loaded first, in one batch.
         let mut per_span: Vec<Vec<SpanFragment<'_>>> = vec![Vec::new(); query.w];
+        let mut split = Vec::new();
         for row in table.rows() {
-            assign(&mut per_span, query, row)?;
+            if !assign(&mut per_span, query, row)? {
+                split.push(row);
+            }
         }
-
-        // Solve the spans on the worker pool. Each executor is private
-        // to its job; only the table (Sync, short guards) is shared.
-        // `run_indexed` keeps span order.
+        table.load(&split)?;
         let deletes = snapshot.deletes();
-        let spans = pool::run_indexed(snapshot.pool_threads(), query.w, |i| {
-            SpanExecutor::new(
-                &per_span[i],
-                &table,
-                deletes,
-                query.span_range(i),
-                &self.cfg,
-            )
-            .compute()
-        })?;
+        let spans = per_span
+            .iter()
+            .enumerate()
+            .map(|(i, frags)| {
+                SpanExecutor::new(frags, &table, deletes, query.span_range(i), &self.cfg).compute()
+            })
+            .collect::<Result<_>>()?;
         Ok(M4Result { spans })
     }
 
@@ -110,14 +108,15 @@ impl M4Lsm {
     }
 }
 
-/// Register one fragment with every span its time interval overlaps.
-/// `whole` marks the (usual) case where the span fully contains the
-/// fragment, so its statistics describe the whole subsequence.
+/// Register one fragment with every span its time interval overlaps,
+/// and say whether one of them contains it whole. `whole` marks that
+/// (usual) case, where the fragment's statistics describe the whole
+/// subsequence in the span.
 fn assign<'t>(
     per_span: &mut [Vec<SpanFragment<'t>>],
     query: &M4Query,
     row: &'t Fragment<'t>,
-) -> Result<()> {
+) -> Result<bool> {
     let r = row.range();
     let clipped = r.intersect(&query.full_range());
     let span_of = |t| {
@@ -125,15 +124,17 @@ fn assign<'t>(
         query.span_of(t).ok_or(left)
     };
     let (lo, hi) = (span_of(clipped.start)?, span_of(clipped.end)?);
+    let mut contained = false;
     for (s, frags) in per_span.iter_mut().enumerate().take(hi + 1).skip(lo) {
         let span_range = query.span_range(s);
         if !span_range.overlaps(&r) {
             continue;
         }
         let whole = span_range.start <= r.start && r.end <= span_range.end;
+        contained |= whole;
         frags.push((row, whole));
     }
-    Ok(())
+    Ok(contained)
 }
 
 #[cfg(test)]
@@ -437,7 +438,7 @@ mod tests {
             EngineConfig {
                 points_per_chunk: 50,
                 memtable_threshold: 2000,
-                enable_read_cache: false,
+                cache_capacity_bytes: 0,
                 ..Default::default()
             },
         )

@@ -10,17 +10,14 @@
 //! row filled, so a chunk body is decoded at most once per query and
 //! probes reuse the longest prefix decoded so far (Figure 7(b)).
 //!
-//! The table is `Sync` — span executors on different worker-pool
-//! threads share it — and sits on the engine's cross-query
-//! decoded-chunk LRU: full loads go through
-//! [`SeriesSnapshot::read_points`], which consults the LRU first, so a
-//! row only pins the chunk for this query. Timestamp prefixes the LRU
-//! deliberately does not cache. Lock discipline: the chunk slot is a
-//! `OnceLock` (a filled slot is read with no lock at all) and the
-//! prefix guard is never held across a read or decode — a hit is
-//! answered under a short guard, a miss decodes unlocked and then
-//! publishes. Racing misses on one chunk may decode twice; the LRU
-//! makes that a cheap memory copy, never wrong data.
+//! The table sits on the engine's cross-query decoded-chunk LRU: full
+//! loads go through the snapshot's loaders, which consult the LRU
+//! first, so a row only pins the chunk for this query. Timestamp
+//! prefixes the LRU deliberately does not cache. Lock discipline: the
+//! chunk slot is a `OnceLock` (a filled slot is read with no lock at
+//! all) and the prefix guard is never held across a read or decode — a
+//! hit is answered under a short guard, a miss decodes unlocked and
+//! then publishes.
 
 use std::sync::{Arc, OnceLock};
 
@@ -66,8 +63,8 @@ impl Fragment<'_> {
     }
 }
 
-/// The rows of one query, in snapshot (= version) order. `Sync`:
-/// shared by the span executors running on the worker pool.
+/// The rows of one query, in snapshot (= version) order, shared by
+/// its span executors.
 #[derive(Debug)]
 pub(crate) struct FragmentTable<'a> {
     snapshot: &'a SeriesSnapshot,
@@ -92,6 +89,15 @@ impl<'a> FragmentTable<'a> {
 
     pub fn rows(&self) -> &[Fragment<'a>] {
         &self.rows
+    }
+
+    /// Load `rows` in one batch and keep each in its row.
+    pub fn load(&self, rows: &[&Fragment<'a>]) -> Result<()> {
+        let chunks: Vec<&ChunkHandle> = rows.iter().map(|f| f.chunk).collect();
+        for (f, pts) in rows.iter().zip(self.snapshot.read_points_many(&chunks)?) {
+            f.points.get_or_init(|| pts);
+        }
+        Ok(())
     }
 
     /// Full load of a fragment (raw points, unfiltered), through the
@@ -123,9 +129,10 @@ impl<'a> FragmentTable<'a> {
         if let Some(answer) = f.prefix_hit(t) {
             return Ok(answer);
         }
+        // The new prefix reaches past `t`, beyond the kept one.
         let ts = self.snapshot.read_timestamps(f.chunk, Some(t))?;
         let answer = ts.binary_search(&t).is_ok();
-        f.publish_prefix(ts);
+        *f.prefix.lock() = ts;
         Ok(answer)
     }
 }
@@ -138,16 +145,6 @@ impl Fragment<'_> {
         let complete = prefix.len() as u64 == self.chunk.count();
         (complete || prefix.last().is_some_and(|&last| last >= t))
             .then(|| prefix.binary_search(&t).is_ok())
-    }
-
-    /// Keep the longer prefix if a racing probe published first — a
-    /// prefix only ever answers timestamps it provably covers, so
-    /// monotone growth is a performance property, not correctness.
-    fn publish_prefix(&self, ts: Vec<Timestamp>) {
-        let mut prefix = self.prefix.lock();
-        if prefix.len() < ts.len() {
-            *prefix = ts;
-        }
     }
 }
 

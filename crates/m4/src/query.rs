@@ -6,13 +6,20 @@
 //!
 //! Span boundaries follow the paper's SQL semantics (Appendix A.1):
 //! point `t` belongs to span `floor(w·(t−t_qs)/(t_qe−t_qs))`. We use
-//! exact integer arithmetic (in `i128` to avoid overflow on epoch
-//! milliseconds × large `w`), so every timestamp in `[t_qs, t_qe)` maps
-//! to exactly one span and the span ranges tile the query range.
+//! exact integer arithmetic, all of it in `i128` (a difference of two
+//! timestamps needs 64 bits unsigned, and `w ≤` [`MAX_SPANS`] times it
+//! fits with room to spare), so every timestamp in `[t_qs, t_qe)` maps
+//! to exactly one span and the span ranges tile the query range, for
+//! any range `i64` can express.
 
 use tsfile::types::{TimeRange, Timestamp};
 
 use crate::{M4Error, Result};
+
+/// The most time spans a query may ask for. At ~65 bytes a span on
+/// the wire, the fullest reply fits one 64 MiB frame; the widest
+/// query anything here issues asks for 10 000.
+pub const MAX_SPANS: usize = 1_000_000;
 
 /// An M4 representation query: range `[t_qs, t_qe)` and span count `w`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,7 +28,7 @@ pub struct M4Query {
     pub t_qs: Timestamp,
     /// Exclusive end of the query range.
     pub t_qe: Timestamp,
-    /// Number of time spans (pixel columns), ≥ 1.
+    /// Number of time spans (pixel columns), in `1..=MAX_SPANS`.
     pub w: usize,
 }
 
@@ -34,13 +41,17 @@ impl M4Query {
         if w == 0 {
             return Err(M4Error::ZeroSpans);
         }
+        if w > MAX_SPANS {
+            return Err(M4Error::TooManySpans { w, max: MAX_SPANS });
+        }
         Ok(M4Query { t_qs, t_qe, w })
     }
 
-    /// Length of the query range `t_qe − t_qs`.
+    /// Length of the query range `t_qe − t_qs`: up to `2^64 − 1`, so
+    /// unsigned.
     #[inline]
-    pub fn range_len(&self) -> i64 {
-        self.t_qe - self.t_qs
+    pub fn range_len(&self) -> u64 {
+        self.t_qe.abs_diff(self.t_qs)
     }
 
     /// The whole query range as an inclusive [`TimeRange`]
@@ -57,9 +68,8 @@ impl M4Query {
         if t < self.t_qs || t >= self.t_qe {
             return None;
         }
-        let num = (self.w as i128) * ((t - self.t_qs) as i128);
-        let den = (self.t_qe - self.t_qs) as i128;
-        Some((num / den) as usize)
+        let num = (self.w as i128) * (i128::from(t) - i128::from(self.t_qs));
+        Some((num / i128::from(self.range_len())) as usize)
     }
 
     /// The inclusive time range of span `i` (0-based): all integral
@@ -67,12 +77,12 @@ impl M4Query {
     /// `w > range_len` (more pixel columns than milliseconds).
     pub fn span_range(&self, i: usize) -> TimeRange {
         debug_assert!(i < self.w);
-        let len = (self.t_qe - self.t_qs) as i128;
+        let len = i128::from(self.range_len());
         let w = self.w as i128;
         // First t with w·(t − t_qs) ≥ i·len  →  t − t_qs = ceil(i·len/w).
-        let start = self.t_qs as i128 + (i as i128 * len + w - 1) / w;
+        let start = i128::from(self.t_qs) + (i as i128 * len + w - 1) / w;
         // Last t with w·(t − t_qs) < (i+1)·len → t − t_qs = ceil((i+1)·len/w) − 1.
-        let end = self.t_qs as i128 + ((i as i128 + 1) * len + w - 1) / w - 1;
+        let end = i128::from(self.t_qs) + ((i as i128 + 1) * len + w - 1) / w - 1;
         TimeRange::new(start as i64, end as i64)
     }
 
@@ -106,6 +116,11 @@ mod tests {
             Err(M4Error::EmptyQueryRange { .. })
         ));
         assert!(matches!(M4Query::new(0, 100, 0), Err(M4Error::ZeroSpans)));
+        assert!(M4Query::new(0, 100, MAX_SPANS).is_ok());
+        assert!(matches!(
+            M4Query::new(0, 100, MAX_SPANS + 1),
+            Err(M4Error::TooManySpans { .. })
+        ));
     }
 
     #[test]

@@ -159,8 +159,8 @@ impl PixelMap {
 
     /// Pixel column of timestamp `t` (clamped).
     pub fn x(&self, t: i64) -> i64 {
-        let num = (t - self.t_qs) as i128 * self.width as i128;
-        let den = (self.t_qe - self.t_qs) as i128;
+        let num = (i128::from(t) - i128::from(self.t_qs)) * self.width as i128;
+        let den = i128::from(self.t_qe) - i128::from(self.t_qs);
         (num / den).clamp(0, self.width as i128 - 1) as i64
     }
 

@@ -8,25 +8,19 @@
 //! not consulted beyond the engine's basic range pruning, matching
 //! IoTDB's `SeriesRawDataBatchReader` path.
 //!
-//! Two of the three stages fan out across the engine-configured worker
-//! pool: the chunk loads (positional reads + decode), and the k-way
-//! merge itself — sharded into disjoint time segments aligned to span
-//! boundaries, which is exact because a point's visibility depends only
-//! on information at its own timestamp (see
-//! [`MergeReader::merge_runs_in`]). Only the final M4 grouping scan (a
-//! single linear pass) stays sequential. Semantics are unchanged; only
-//! the wall-clock shrinks.
+//! The chunk loads are one batch through the snapshot
+//! ([`SeriesSnapshot::read_points_many`]), which answers cache hits on
+//! the calling thread and spreads only the misses across the engine's
+//! `read_threads`. The k-way merge and the M4 grouping scan are single
+//! linear passes on the calling thread.
 
-use std::sync::Arc;
-
-use tsfile::types::{Point, TimeRange, Version};
 use tskv::readers::MergeReader;
-use tskv::{pool, SeriesSnapshot};
+use tskv::SeriesSnapshot;
 
 use crate::oracle::m4_scan;
 use crate::query::M4Query;
 use crate::repr::M4Result;
-use crate::{M4Error, Result};
+use crate::Result;
 
 /// The merge-then-scan baseline operator.
 #[derive(Debug, Clone, Copy, Default)]
@@ -37,35 +31,10 @@ impl M4Udf {
         M4Udf
     }
 
-    /// Execute the query: load all overlapping chunks in parallel on
-    /// the engine-configured pool, heap-merge in parallel time
-    /// segments, then scan.
+    /// Execute the query: load and merge every chunk overlapping the
+    /// query range, then scan.
     pub fn execute(&self, snapshot: &SeriesSnapshot, query: &M4Query) -> Result<M4Result> {
-        let threads = snapshot.pool_threads();
-        let reader = MergeReader::with_range(snapshot, query.full_range());
-        let plan = reader.plan();
-        // One load job per chunk, each a sorted run under its version;
-        // points outside the range are dropped by the merge.
-        let runs: Vec<(Version, Arc<Vec<Point>>)> =
-            pool::run_indexed(threads, plan.len(), |i| -> Result<_> {
-                let chunk = plan
-                    .get(i)
-                    .ok_or(M4Error::Internal("udf load plan out of range"))?;
-                Ok((chunk.version, snapshot.read_points(chunk)?))
-            })?;
-        // Shard the merge into contiguous groups of spans (disjoint
-        // time segments); oversubscribe the pool a little so uneven
-        // segments balance. Concatenation in span order is the exact
-        // full merge.
-        let jobs = (threads * 4).clamp(1, query.w);
-        let segments = pool::run_indexed(threads, jobs, |j| {
-            let a = j * query.w / jobs;
-            let b = ((j + 1) * query.w / jobs).max(a + 1).min(query.w);
-            let lo = query.span_range(a).start;
-            let hi = query.span_range(b - 1).end;
-            Ok::<_, M4Error>(reader.merge_runs_in(&runs, TimeRange::new(lo, hi)))
-        })?;
-        let merged = segments.concat();
+        let merged = MergeReader::with_range(snapshot, query.full_range()).collect_merged()?;
         Ok(m4_scan(&merged, query))
     }
 }

@@ -74,15 +74,13 @@ pub struct EngineConfig {
     pub val_encoding: EncodingKind,
     /// Capacity of the cross-query decoded-chunk LRU in bytes
     /// (approximate: decoded point payload plus a small per-entry
-    /// overhead). Must be nonzero and at most 1 TiB.
+    /// overhead). At most 1 TiB. `0` builds no cache: every chunk read
+    /// decodes (the seed's behaviour, the benchmark's cache-off arm).
     pub cache_capacity_bytes: u64,
-    /// Worker threads the M4 operators may fan chunk loads across.
-    /// `1` means fully sequential. Must be in `1..=256`.
+    /// Worker threads a query may load chunks across in parallel (only
+    /// cache misses are ever spread). `1` means fully sequential. Must
+    /// be in `1..=256`.
     pub read_threads: usize,
-    /// Whether snapshots consult the shared decoded-chunk cache. Off
-    /// reproduces the seed's always-decode behavior (the benchmark's
-    /// cache-off arm).
-    pub enable_read_cache: bool,
     /// Number of shards the store is split across. Series `id` lives in
     /// shard `id % write_shards`, and a shard is one lock, one log and
     /// one directory: its series map's `RwLock`, its shared WAL and
@@ -116,7 +114,6 @@ impl Default for EngineConfig {
             val_encoding: EncodingKind::Gorilla,
             cache_capacity_bytes: 64 * 1024 * 1024,
             read_threads: 4,
-            enable_read_cache: true,
             write_shards: 16,
             fsync_policy: FsyncPolicy::OnFlush,
             compaction_auto: false,
@@ -183,8 +180,8 @@ impl EngineConfig {
 
     /// Reject zero/absurd cache and parallelism knobs with a typed
     /// error. Unlike the size clamps in [`normalized`], these
-    /// knobs fail loudly: a zero thread count or zero-byte cache is a
-    /// misconfiguration, not a degenerate-but-meaningful setting.
+    /// knobs fail loudly: a zero thread count or an over-1-TiB cache is
+    /// a misconfiguration, not a degenerate-but-meaningful setting.
     ///
     /// [`normalized`]: EngineConfig::normalized
     pub fn validate(&self) -> crate::Result<()> {
@@ -200,13 +197,6 @@ impl EngineConfig {
                 field: "read_threads",
                 value: self.read_threads as u64,
                 reason: "exceeds the 256-thread ceiling",
-            });
-        }
-        if self.cache_capacity_bytes == 0 {
-            return Err(crate::TsKvError::InvalidConfig {
-                field: "cache_capacity_bytes",
-                value: 0,
-                reason: "must be nonzero (disable the cache via enable_read_cache instead)",
             });
         }
         if self.cache_capacity_bytes > MAX_CACHE_CAPACITY_BYTES {
@@ -358,7 +348,7 @@ mod tests {
     #[test]
     fn validate_rejects_zero_and_absurd_knobs() {
         use crate::TsKvError;
-        let cases: [(EngineConfig, &str); 4] = [
+        let cases: [(EngineConfig, &str); 3] = [
             (
                 EngineConfig {
                     read_threads: 0,
@@ -372,13 +362,6 @@ mod tests {
                     ..Default::default()
                 },
                 "read_threads",
-            ),
-            (
-                EngineConfig {
-                    cache_capacity_bytes: 0,
-                    ..Default::default()
-                },
-                "cache_capacity_bytes",
             ),
             (
                 EngineConfig {

@@ -165,8 +165,8 @@ impl EngineInner {
         }
 
         let capacity = config.cache_capacity_bytes;
-        let cache = (config.enable_read_cache)
-            .then(|| Arc::new(DecodedChunkCache::new(capacity, Arc::clone(&io))));
+        let cache =
+            (capacity > 0).then(|| Arc::new(DecodedChunkCache::new(capacity, Arc::clone(&io))));
         Ok(EngineInner {
             dir,
             config,

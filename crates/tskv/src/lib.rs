@@ -76,7 +76,7 @@ pub mod engine;
 pub mod error;
 pub mod memtable;
 pub mod notify;
-pub mod pool;
+pub(crate) mod pool;
 pub mod readers;
 pub mod registry;
 pub mod scheduler;

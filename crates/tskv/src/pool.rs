@@ -1,21 +1,22 @@
 //! A small scoped worker pool for fanning independent jobs across
 //! threads (std only — no external executor).
 //!
-//! Three loops use it: recovery rebuilds each series with state on
-//! disk independently, M4-UDF loads every overlapping chunk before its
-//! single k-way merge, and M4-LSM solves each time span independently.
-//! [`run_indexed`] runs such a loop on `std::thread::scope` workers that
-//! claim job indices from a shared atomic cursor, so cheap jobs (cache
-//! hits, metadata-only spans, cold series) never straddle a static
-//! partition boundary next to expensive ones.
+//! Two loops use it: recovery rebuilds each series with state on disk
+//! independently, and a snapshot's batch loader
+//! ([`crate::SeriesSnapshot::read_points_many`]) reads and decodes the
+//! cache misses of a batch of chunks. [`run_indexed`] runs such a loop
+//! on `std::thread::scope` workers that claim job indices from a shared
+//! atomic cursor, so cheap jobs never straddle a static partition
+//! boundary next to expensive ones. One job or one thread runs on the
+//! calling thread and spawns nothing.
 //!
 //! The pool holds no locks of its own, and a fan-out is never started
-//! under a checked guard ([`run_indexed`] checks, like a file read);
-//! job closures go through the engine's snapshot/cache layers. A worker
-//! that fails flips a stop flag so the remaining workers drain quickly;
-//! the first error in job order is returned. Workers are assumed panic-free (the workspace denies
-//! panic paths); a job that no worker reported — its worker panicked —
-//! is run again on the calling thread rather than guessed at.
+//! under a checked guard ([`run_indexed`] checks, like a file read). A
+//! worker that fails flips a stop flag so the remaining workers drain
+//! quickly; the first error in job order is returned. Workers are
+//! assumed panic-free (the workspace denies panic paths); a job that no
+//! worker reported — its worker panicked — is run again on the calling
+//! thread rather than guessed at.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 

@@ -13,8 +13,6 @@ use std::sync::Arc;
 
 use tsfile::types::{Point, TimeRange, Timestamp, Version};
 
-use crate::chunk::ChunkHandle;
-
 use crate::delete::DeleteSweep;
 use crate::snapshot::SeriesSnapshot;
 use crate::Result;
@@ -92,56 +90,26 @@ impl<'a> MergeReader<'a> {
         MergeReader { snapshot, range }
     }
 
-    /// The chunks this reader would load: every chunk overlapping the
-    /// requested range, cloned out so callers may fan the loads across
-    /// threads without borrowing the snapshot's chunk list.
-    pub fn plan(&self) -> Vec<ChunkHandle> {
-        self.snapshot
-            .chunks_overlapping(self.range)
-            .into_iter()
-            .cloned()
-            .collect()
-    }
-
     /// Materialize the merged, latest-points-only series in time order.
     pub fn collect_merged(&self) -> Result<Vec<Point>> {
-        // Load every overlapping chunk: each is one sorted run under its
-        // version; points outside the range are dropped by the merge.
-        let runs = self
-            .plan()
-            .iter()
-            .map(|c| Ok((c.version, self.snapshot.read_points(c)?)))
-            .collect::<Result<Vec<_>>>()?;
+        // Load every overlapping chunk in one batch: each is one sorted
+        // run under its version; points outside the range are dropped
+        // by the merge.
+        let chunks = self.snapshot.chunks_overlapping(self.range);
+        let points = self.snapshot.read_points_many(&chunks)?;
+        let runs: Vec<_> = chunks.iter().map(|c| c.version).zip(points).collect();
         Ok(self.merge_runs(&runs))
     }
 
-    /// K-way merge pre-loaded runs (one per planned chunk, any order):
-    /// latest version wins a same-timestamp collision, and points
-    /// covered by a later-versioned delete are dropped. Pure CPU — the
-    /// parallel M4-UDF path loads the runs through a worker pool and
-    /// feeds them here.
+    /// K-way merge pre-loaded runs (one per chunk, any order) within
+    /// the reader's range: latest version wins a same-timestamp
+    /// collision, and points covered by a later-versioned delete are
+    /// dropped. Pure CPU.
     pub fn merge_runs(&self, runs: &[(Version, Arc<Vec<Point>>)]) -> Vec<Point> {
-        self.merge_runs_in(runs, self.range)
-    }
-
-    /// [`MergeReader::merge_runs`] restricted to the time segment
-    /// `seg` (inclusive, intersected with the reader's range).
-    ///
-    /// A point's visibility depends only on information at its own
-    /// timestamp — the highest-versioned write there and the deletes
-    /// covering it — so merging disjoint time segments independently
-    /// and concatenating in time order yields exactly the full merge.
-    /// This is what lets the parallel M4-UDF path shard the k-way merge
-    /// itself across the worker pool, not just the chunk loads.
-    pub fn merge_runs_in(&self, runs: &[(Version, Arc<Vec<Point>>)], seg: TimeRange) -> Vec<Point> {
-        let lo = self.range.start.max(seg.start);
-        let hi = self.range.end.min(seg.end);
-        if lo > hi {
-            return Vec::new();
-        }
+        let (lo, hi) = (self.range.start, self.range.end);
         let mut deletes = DeleteSweep::new(self.snapshot.deletes());
 
-        // Each run's slice inside the segment, in the order the merge
+        // Each run's slice inside the range, in the order the merge
         // front reaches them.
         let mut waiting: Vec<HeapEntry<'_>> = runs
             .iter()
@@ -340,50 +308,6 @@ mod tests {
         Ok(())
     }
 
-    #[test]
-    fn segment_merges_concatenate_to_full_merge() -> TestResult {
-        let (dir, kv) = fresh("segments")?;
-        // Overlapping history + deletes + a re-insert, so segments cut
-        // through overwrites and tombstones.
-        for t in 0..1000i64 {
-            kv.insert("s", Point::new(t, 1.0))?;
-        }
-        kv.flush_all()?;
-        for t in 300..700i64 {
-            kv.insert("s", Point::new(t, 2.0))?;
-        }
-        kv.flush_all()?;
-        kv.delete("s", 450, 550)?;
-        for t in 500..=520i64 {
-            kv.insert("s", Point::new(t, 3.0))?;
-        }
-        kv.flush_all()?;
-
-        let snap = kv.snapshot("s")?;
-        let reader = MergeReader::new(&snap);
-        let plan = reader.plan();
-        let mut runs = Vec::new();
-        for c in &plan {
-            runs.push((c.version, snap.read_points(c)?));
-        }
-        let full = reader.merge_runs(&runs);
-        // Any partition of the time axis must concatenate to the full
-        // merge — including cuts inside the deleted/re-inserted window.
-        for bounds in [
-            vec![0, 1000],
-            vec![0, 450, 500, 521, 1000],
-            vec![0, 333, 666, 1000],
-        ] {
-            let mut cat = Vec::new();
-            for w in bounds.windows(2) {
-                cat.extend(reader.merge_runs_in(&runs, TimeRange::new(w[0], w[1] - 1)));
-            }
-            assert_eq!(cat, full, "bounds {bounds:?}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-        Ok(())
-    }
-
     type Run = (Version, Arc<Vec<Point>>);
 
     /// Sorted runs and deletes laid out by `rng`: mostly disjoint runs
@@ -450,15 +374,14 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// `merge_runs_in` against the definition replayed into a
+        /// `merge_runs` against the definition replayed into a
         /// `BTreeMap`: the highest version at a timestamp holds it, and
         /// is gone if a newer delete covers it. Hundreds of runs, so
         /// that admission order and stretch bounds are exercised far
-        /// from the heap-of-everything case; then any partition of the
-        /// time axis must concatenate to the full merge, and a ranged
-        /// reader must equal the model cut to its range.
+        /// from the heap-of-everything case; then a ranged reader must
+        /// equal the model cut to its range.
         #[test]
-        fn merge_runs_in_matches_the_btreemap_model(
+        fn merge_runs_matches_the_btreemap_model(
             seed in proptest::prelude::any::<u64>(),
             n_runs in 100usize..400,
             overlap_pct in 0u64..60,
@@ -488,29 +411,19 @@ mod tests {
             let full = reader.merge_runs(&runs);
             proptest::prop_assert_eq!(&full, &model);
 
-            // Sharded segments: cuts on run starts, run ends and
-            // anywhere else.
+            // A range whose ends fall on run starts, just past run
+            // ends, or anywhere else.
             let (lo, hi) = (-2i64, latest.keys().next_back().map_or(0, |t| t + 2));
-            let mut cuts: Vec<i64> = (0..1 + rng.next_u64() % 12)
-                .map(|_| {
-                    let (_, pts) = &runs[(rng.next_u64() % runs.len() as u64) as usize];
-                    match rng.next_u64() % 3 {
-                        0 => pts[0].t,
-                        1 => pts[pts.len() - 1].t + 1,
-                        _ => lo + (rng.next_u64() % (hi - lo) as u64) as i64,
-                    }
-                })
-                .collect();
-            cuts.extend([lo, hi + 1]);
-            cuts.sort_unstable();
-            cuts.dedup();
-            let mut cat = Vec::new();
-            for w in cuts.windows(2) {
-                cat.extend(reader.merge_runs_in(&runs, TimeRange::new(w[0], w[1] - 1)));
-            }
-            proptest::prop_assert_eq!(&cat, &full, "cuts {:?}", cuts);
-
-            let range = TimeRange::new(cuts[cuts.len() / 3], cuts[2 * cuts.len() / 3]);
+            let mut end = || {
+                let (_, pts) = &runs[(rng.next_u64() % runs.len() as u64) as usize];
+                match rng.next_u64() % 3 {
+                    0 => pts[0].t,
+                    1 => pts[pts.len() - 1].t + 1,
+                    _ => lo + (rng.next_u64() % (hi - lo) as u64) as i64,
+                }
+            };
+            let (a, b) = (end(), end());
+            let range = TimeRange::new(a.min(b), a.max(b));
             let ranged = MergeReader::with_range(&snap, range).merge_runs(&runs);
             let want: Vec<Point> = model.iter().filter(|p| range.contains(p.t)).copied().collect();
             proptest::prop_assert_eq!(ranged, want);

@@ -6,16 +6,19 @@
 //! M4-UDF baseline (via `MergeReader`) and the M4-LSM operator consume;
 //! all chunk-body reads go through it so the [`crate::IoStats`]
 //! counters see every load.
+//! It is also the one place a query fans out: only the cache misses of
+//! a batch ([`SeriesSnapshot::read_points_many`]) are spread across
+//! threads.
 
 use std::sync::Arc;
 
 use tsfile::types::{Point, TimeRange, Timestamp};
-use tsfile::{ModEntry, TsFileReader};
+use tsfile::{ChunkMeta, ModEntry, TsFileReader};
 
 use crate::cache::{CacheKey, DecodedChunkCache};
 use crate::chunk::{ChunkData, ChunkHandle};
 use crate::stats::IoStats;
-use crate::Result;
+use crate::{pool, Result};
 
 /// Immutable read view of one series.
 ///
@@ -31,7 +34,7 @@ pub struct SeriesSnapshot {
     io: Arc<IoStats>,
     /// Engine-wide decoded-chunk LRU; `None` when disabled by config.
     cache: Option<Arc<DecodedChunkCache>>,
-    /// Engine-configured fan-out for parallel chunk loads.
+    /// How many threads may load the cache misses of one batch.
     read_threads: usize,
 }
 
@@ -76,12 +79,6 @@ impl SeriesSnapshot {
         self.cache.as_ref()
     }
 
-    /// Engine-configured worker-thread count for parallel chunk loads
-    /// (always at least 1).
-    pub fn pool_threads(&self) -> usize {
-        self.read_threads
-    }
-
     /// Process-unique reader handle ids of the sealed files backing
     /// this snapshot. Decoded-chunk cache keys are scoped by these ids,
     /// so after a compaction the engine cache must only hold ids that
@@ -103,39 +100,64 @@ impl SeriesSnapshot {
         self.chunks.iter().map(|c| c.count()).sum()
     }
 
-    /// The one points loader: all points of `chunk`, in time order.
-    ///
-    /// A sealed chunk is served from the engine's decoded-chunk cache
-    /// when possible; a miss reads and decodes its one page outside any
-    /// lock, then publishes the result. The memtable chunk is an `Arc`
-    /// clone, no cache key. The returned `Arc` is shared with the cache
-    /// — callers must not mutate through it.
+    /// All points of `chunk`, in time order: a batch of one, on the
+    /// calling thread.
     pub fn read_points(&self, chunk: &ChunkHandle) -> Result<Arc<Vec<Point>>> {
+        self.lookup(chunk).map_or_else(|| self.load(chunk), Ok)
+    }
+
+    /// The one points loader: the points of each of `chunks`, in
+    /// request order. Memtable chunks and cache hits are answered on the
+    /// calling thread; the misses are read and decoded outside any lock,
+    /// across up to `read_threads` workers, and published to the cache.
+    /// The `Arc`s are shared with the cache — do not mutate through them.
+    pub fn read_points_many(&self, chunks: &[&ChunkHandle]) -> Result<Vec<Arc<Vec<Point>>>> {
+        let mut points: Vec<_> = chunks.iter().map(|c| self.lookup(c)).collect();
+        let misses: Vec<usize> = (0..chunks.len()).filter(|&i| points[i].is_none()).collect();
+        let loaded = pool::run_indexed(self.read_threads, misses.len(), |j| {
+            self.load(chunks[misses[j]])
+        })?;
+        for (i, pts) in misses.into_iter().zip(loaded) {
+            points[i] = Some(pts);
+        }
+        // Every miss was filled just above: nothing is dropped here.
+        Ok(points.into_iter().flatten().collect())
+    }
+
+    /// The memtable image, or a cache hit; `None` is a cache miss.
+    fn lookup(&self, chunk: &ChunkHandle) -> Option<Arc<Vec<Point>>> {
         match &chunk.data {
             ChunkData::Mem { points } => {
                 self.io.record_mem_read(points.len() as u64);
-                Ok(Arc::clone(points))
+                Some(Arc::clone(points))
             }
             ChunkData::File { file_idx, meta } => {
-                let file = &self.files[*file_idx];
-                let key = CacheKey {
-                    file_id: file.handle_id(),
-                    offset: meta.offset,
-                    version: meta.version.0,
-                };
-                if let Some(cache) = &self.cache {
-                    if let Some(points) = cache.get(key) {
-                        return Ok(points);
-                    }
-                }
-                let pts = Arc::new(file.read_chunk(meta)?);
+                self.cache.as_ref()?.get(self.cache_key(*file_idx, meta))
+            }
+        }
+    }
+
+    /// Read and decode a chunk [`Self::lookup`] missed, and publish it.
+    fn load(&self, chunk: &ChunkHandle) -> Result<Arc<Vec<Point>>> {
+        match &chunk.data {
+            ChunkData::Mem { points } => Ok(Arc::clone(points)),
+            ChunkData::File { file_idx, meta } => {
+                let pts = Arc::new(self.files[*file_idx].read_chunk(meta)?);
                 self.io.record_chunk_load(meta.byte_len, pts.len() as u64);
                 self.io.record_pages_decoded(1);
                 if let Some(cache) = &self.cache {
-                    cache.insert(key, Arc::clone(&pts));
+                    cache.insert(self.cache_key(*file_idx, meta), Arc::clone(&pts));
                 }
                 Ok(pts)
             }
+        }
+    }
+
+    fn cache_key(&self, file_idx: usize, meta: &ChunkMeta) -> CacheKey {
+        CacheKey {
+            file_id: self.files[file_idx].handle_id(),
+            offset: meta.offset,
+            version: meta.version.0,
         }
     }
 
@@ -167,6 +189,9 @@ impl SeriesSnapshot {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use crate::chunk::ChunkHandle;
     use crate::config::EngineConfig;
     use crate::engine::TsKv;
     use tsfile::types::{Point, TimeRange};
@@ -174,6 +199,14 @@ mod tests {
     type TestResult = std::result::Result<(), Box<dyn std::error::Error>>;
 
     fn fresh(name: &str) -> crate::Result<(std::path::PathBuf, TsKv)> {
+        fresh_with(name, 4, 64 << 20)
+    }
+
+    fn fresh_with(
+        name: &str,
+        read_threads: usize,
+        cache_capacity_bytes: u64,
+    ) -> crate::Result<(std::path::PathBuf, TsKv)> {
         let dir = std::env::temp_dir().join(format!("tskv-snap-{name}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let kv = TsKv::open(
@@ -181,6 +214,8 @@ mod tests {
             EngineConfig {
                 points_per_chunk: 100,
                 memtable_threshold: 400,
+                read_threads,
+                cache_capacity_bytes,
                 ..Default::default()
             },
         )?;
@@ -253,6 +288,70 @@ mod tests {
         assert_eq!((cache.len(), cache.bytes()), (len, bytes));
         assert_eq!((delta.cache_hits, delta.cache_misses), (1, 0));
         assert_eq!(delta.chunks_loaded, 0);
+        std::fs::remove_dir_all(&dir).ok();
+        Ok(())
+    }
+
+    /// The memtable chunk, two cached and two uncached sealed chunks in
+    /// one batch, at one and at four threads: results come back in
+    /// request order, each miss is loaded once, and the sealed chunks
+    /// again are all hits that load nothing.
+    #[test]
+    fn batch_loads_each_miss_once_in_request_order() -> TestResult {
+        for threads in [1, 4] {
+            let (dir, kv) = fresh_with(&format!("batch{threads}"), threads, 64 << 20)?;
+            for t in 0..450i64 {
+                kv.insert("s", Point::new(t, t as f64))?; // the 400th flushes
+            }
+            let snap = kv.snapshot("s")?;
+            let chunks = snap.chunks();
+            assert!(chunks.len() == 5 && chunks[4].is_mem());
+            snap.read_points(&chunks[1])?;
+            snap.read_points(&chunks[3])?;
+
+            let batch: Vec<&ChunkHandle> = [4, 3, 0, 1, 2].iter().map(|&i| &chunks[i]).collect();
+            let before = snap.io().snapshot();
+            let got = snap.read_points_many(&batch)?;
+            let delta = snap.io().snapshot() - before;
+            let firsts: Vec<i64> = got
+                .iter()
+                .filter_map(|pts| pts.first())
+                .map(|p| p.t)
+                .collect();
+            assert_eq!(firsts, [400, 300, 0, 100, 200], "{threads} threads");
+            assert_eq!((delta.chunks_loaded, delta.mem_chunks_read), (2, 1));
+            assert_eq!((delta.cache_hits, delta.cache_misses), (2, 2));
+
+            let before = snap.io().snapshot();
+            let again = snap.read_points_many(&batch[1..])?;
+            let delta = snap.io().snapshot() - before;
+            assert_eq!(
+                (delta.cache_hits, delta.cache_misses, delta.chunks_loaded),
+                (4, 0, 0)
+            );
+            assert!(again.iter().zip(&got[1..]).all(|(a, b)| Arc::ptr_eq(a, b)));
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        Ok(())
+    }
+
+    /// A zero capacity is valid and builds no cache: every read decodes
+    /// and no cache counter moves.
+    #[test]
+    fn zero_cache_capacity_means_no_cache() -> TestResult {
+        let (dir, kv) = fresh_with("nocache", 1, 0)?;
+        kv.insert_batch("s", &[Point::new(1, 1.0), Point::new(2, 2.0)])?;
+        kv.flush_all()?;
+        let snap = kv.snapshot("s")?;
+        assert!(snap.cache().is_none());
+        let chunk = snap.chunks().first().ok_or("no chunk")?;
+        let before = snap.io().snapshot();
+        snap.read_points_many(&[chunk, chunk])?;
+        let delta = snap.io().snapshot() - before;
+        assert_eq!(
+            (delta.cache_hits, delta.cache_misses, delta.chunks_loaded),
+            (0, 0, 2)
+        );
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }

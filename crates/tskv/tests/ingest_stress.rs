@@ -60,7 +60,7 @@ fn small_store_config() -> EngineConfig {
     EngineConfig {
         points_per_chunk: 16,
         memtable_threshold: 64,
-        enable_read_cache: false,
+        cache_capacity_bytes: 0,
         read_threads: 1,
         write_shards: 8,
         ..Default::default()
@@ -139,7 +139,7 @@ fn background_compaction_bounds_sealed_files_without_changing_results() {
     let config = EngineConfig {
         points_per_chunk: 8,
         memtable_threshold: 16,
-        enable_read_cache: false,
+        cache_capacity_bytes: 0,
         read_threads: 1,
         compaction_auto: true,
         compaction_threshold: threshold,

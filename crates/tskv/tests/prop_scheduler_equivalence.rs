@@ -72,7 +72,7 @@ proptest! {
         let base = EngineConfig {
             points_per_chunk: chunk_size,
             memtable_threshold: chunk_size * 2,
-            enable_read_cache: false,
+            cache_capacity_bytes: 0,
             read_threads: 1,
             ..Default::default()
         };

@@ -612,9 +612,10 @@ fn map_m4_error(e: &m4::M4Error) -> (ErrorCode, String) {
     use m4::M4Error;
     let code = match e {
         M4Error::Storage(inner) => return map_tskv_error(inner),
-        M4Error::EmptyQueryRange { .. } | M4Error::ZeroSpans | M4Error::EmptyCanvas => {
-            ErrorCode::InvalidRequest
-        }
+        M4Error::EmptyQueryRange { .. }
+        | M4Error::ZeroSpans
+        | M4Error::TooManySpans { .. }
+        | M4Error::EmptyCanvas => ErrorCode::InvalidRequest,
         M4Error::Internal(_) => ErrorCode::Engine,
     };
     (code, e.to_string())

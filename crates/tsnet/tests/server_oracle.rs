@@ -437,6 +437,34 @@ fn remote_errors_are_typed() {
     server.shutdown();
 }
 
+/// A span count past `m4::query::MAX_SPANS` is a typed error, not an
+/// allocation that aborts the server, and the connection keeps serving.
+#[test]
+fn an_oversized_w_is_refused_and_the_connection_keeps_serving() {
+    let (store, _dir) = open_store("huge-w");
+    let server = TsNetServer::start(store, ServerConfig::default()).unwrap();
+    let mut cl = client(&server);
+    let point = Point::new(1, 2.0);
+    cl.write_batch(vec![("s".to_string(), vec![point])])
+        .unwrap();
+    let invalid = |e: NetError| match e {
+        NetError::Remote { code, .. } => assert_eq!(code, tsnet::ErrorCode::InvalidRequest),
+        other => panic!("{other:?}"),
+    };
+    invalid(
+        cl.m4_query("s", Operator::Udf, 0, 10, u32::MAX)
+            .unwrap_err(),
+    );
+    invalid(
+        cl.m4_query("s", Operator::Lsm, 0, 10, u32::MAX)
+            .unwrap_err(),
+    );
+    invalid(cl.subscribe("s", 0, 10, u32::MAX).unwrap_err());
+    let spans = cl.m4_query("s", Operator::Lsm, 0, 10, 2).unwrap();
+    assert_eq!(spans[0].map(|s| s.first), Some(point));
+    server.shutdown();
+}
+
 #[test]
 fn latency_histogram_populates_over_the_wire() {
     let (store, _dir) = open_store("latency");

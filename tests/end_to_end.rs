@@ -98,7 +98,7 @@ fn merge_free_saves_io() {
     // Cold-read accounting: the cross-query LRU would let the UDF run
     // reuse chunks the LSM run already decoded, so turn it off here.
     let config = EngineConfig {
-        enable_read_cache: false,
+        cache_capacity_bytes: 0,
         ..Default::default()
     };
     let kv = TsKv::open(&dir, config).unwrap();

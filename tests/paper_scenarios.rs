@@ -30,7 +30,7 @@ fn store(name: &str, chunk: usize) -> (std::path::PathBuf, TsKv) {
         EngineConfig {
             points_per_chunk: chunk,
             memtable_threshold: chunk,
-            enable_read_cache: false,
+            cache_capacity_bytes: 0,
             ..Default::default()
         },
     )

@@ -295,15 +295,18 @@ mod tests {
     /// The memtable chunk, two cached and two uncached sealed chunks in
     /// one batch, at one and at four threads: results come back in
     /// request order, each miss is loaded once, and the sealed chunks
-    /// again are all hits that load nothing.
+    /// again are all hits that load nothing. A zero capacity builds no
+    /// cache: every sealed chunk loads and no cache counter moves.
     #[test]
     fn batch_loads_each_miss_once_in_request_order() -> TestResult {
-        for threads in [1, 4] {
-            let (dir, kv) = fresh_with(&format!("batch{threads}"), threads, 64 << 20)?;
+        for (threads, capacity) in [(1, 64 << 20), (4, 64 << 20), (4, 0)] {
+            let cached = capacity > 0;
+            let (dir, kv) = fresh_with(&format!("batch{threads}-{capacity}"), threads, capacity)?;
             for t in 0..450i64 {
                 kv.insert("s", Point::new(t, t as f64))?; // the 400th flushes
             }
             let snap = kv.snapshot("s")?;
+            assert_eq!(snap.cache().is_some(), cached);
             let chunks = snap.chunks();
             assert!(chunks.len() == 5 && chunks[4].is_mem());
             snap.read_points(&chunks[1])?;
@@ -319,40 +322,22 @@ mod tests {
                 .map(|p| p.t)
                 .collect();
             assert_eq!(firsts, [400, 300, 0, 100, 200], "{threads} threads");
-            assert_eq!((delta.chunks_loaded, delta.mem_chunks_read), (2, 1));
-            assert_eq!((delta.cache_hits, delta.cache_misses), (2, 2));
+            let hits = if cached { 2 } else { 0 };
+            assert_eq!((delta.chunks_loaded, delta.mem_chunks_read), (4 - hits, 1));
+            assert_eq!((delta.cache_hits, delta.cache_misses), (hits, hits));
 
             let before = snap.io().snapshot();
             let again = snap.read_points_many(&batch[1..])?;
             let delta = snap.io().snapshot() - before;
+            let hits = 2 * hits;
             assert_eq!(
                 (delta.cache_hits, delta.cache_misses, delta.chunks_loaded),
-                (4, 0, 0)
+                (hits, 0, 4 - hits)
             );
-            assert!(again.iter().zip(&got[1..]).all(|(a, b)| Arc::ptr_eq(a, b)));
+            let shared = again.iter().zip(&got[1..]).all(|(a, b)| Arc::ptr_eq(a, b));
+            assert_eq!(shared, cached);
             std::fs::remove_dir_all(&dir).ok();
         }
-        Ok(())
-    }
-
-    /// A zero capacity is valid and builds no cache: every read decodes
-    /// and no cache counter moves.
-    #[test]
-    fn zero_cache_capacity_means_no_cache() -> TestResult {
-        let (dir, kv) = fresh_with("nocache", 1, 0)?;
-        kv.insert_batch("s", &[Point::new(1, 1.0), Point::new(2, 2.0)])?;
-        kv.flush_all()?;
-        let snap = kv.snapshot("s")?;
-        assert!(snap.cache().is_none());
-        let chunk = snap.chunks().first().ok_or("no chunk")?;
-        let before = snap.io().snapshot();
-        snap.read_points_many(&[chunk, chunk])?;
-        let delta = snap.io().snapshot() - before;
-        assert_eq!(
-            (delta.cache_hits, delta.cache_misses, delta.chunks_loaded),
-            (0, 0, 2)
-        );
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 

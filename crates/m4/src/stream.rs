@@ -56,25 +56,7 @@ impl StreamingM4 {
         let in_order = self.watermark.is_none_or(|w| p.t > w);
         if in_order {
             self.watermark = Some(p.t);
-            match &mut self.spans[i] {
-                None => {
-                    self.spans[i] = Some(SpanRepr {
-                        first: p,
-                        last: p,
-                        bottom: p,
-                        top: p,
-                    })
-                }
-                Some(r) => {
-                    r.last = p;
-                    if p.v.total_cmp(&r.bottom.v).is_lt() {
-                        r.bottom = p;
-                    }
-                    if p.v.total_cmp(&r.top.v).is_gt() {
-                        r.top = p;
-                    }
-                }
-            }
+            SpanRepr::fold(&mut self.spans[i], SpanRepr::point(p));
         } else {
             // A duplicate timestamp overwrites; an earlier timestamp
             // changes FP/extremes in unknown ways. Either way the span

@@ -2,7 +2,7 @@
 //!
 //! Consumes one member's input captured under the shard lock (readers,
 //! chunk metadata, deletes), classifies it by the
-//! [`plan`](crate::compaction::plan) and writes the member's run of the
+//! [`plan`](crate::readers::plan) and writes the member's run of the
 //! sweep's output file:
 //!
 //! * **Clean chunks** move byte-for-byte, decimal or XOR value mode
@@ -45,9 +45,9 @@ use std::sync::Arc;
 use tsfile::types::{Point, Version};
 use tsfile::{ChunkMeta, ModEntry, TsFileReader, TsFileWriter};
 
-use crate::compaction::plan::{self, ChunkView, Fate};
 use crate::compaction::CompactionReport;
 use crate::config::EngineConfig;
+use crate::readers::plan::{self, ChunkView, Fate};
 use crate::readers::MergeReader;
 use crate::snapshot::SeriesSnapshot;
 use crate::stats::IoStats;

@@ -14,9 +14,10 @@
 //!   shard. A series' compaction is the one-member sweep: manual
 //!   [`crate::TsKv::compact`] runs it at any file count, the background
 //!   scheduler once the series has `compaction_threshold` files sealed.
-//! * **Rewrite avoidance** ([`plan`] + [`execute`]) — footer metadata
-//!   classifies each input chunk as *clean* (overlapping no other input
-//!   chunk and no newer delete) or *dirty*. Clean chunks are copied
+//! * **Rewrite avoidance** ([`execute`], planned by the read path's
+//!   [`crate::readers::plan`]) — footer metadata classifies each input
+//!   chunk as *clean* (overlapping no other input chunk and no newer
+//!   delete) or *dirty*. Clean chunks are copied
 //!   byte-for-byte — CRC-revalidated, never decoded, their statistics
 //!   carried into the new footer — while only dirty chunks flow through
 //!   decode → k-way merge → re-encode. On append-mostly workloads most
@@ -47,7 +48,6 @@
 //! therefore still gets its (chunkless) run: the series' floor.
 
 pub mod execute;
-pub mod plan;
 
 /// Outcome of one compaction — summed over its members for a sweep; all
 /// zero for one that found nothing to do.

@@ -113,7 +113,7 @@ const READ_LAYER_FILES: &[&str] = &[
     "crates/tsfile/src/format.rs",
     "crates/tskv/src/chunk.rs",
     "crates/tskv/src/snapshot.rs",
-    "crates/tskv/src/compaction/plan.rs",
+    "crates/tskv/src/readers/plan.rs",
     "crates/tskv/src/compaction/execute.rs",
 ];
 

@@ -174,7 +174,7 @@ impl SeriesSnapshot {
                 let upto = until.map_or(points.len(), |limit| {
                     (points.partition_point(|p| p.t <= limit) + 1).min(points.len())
                 });
-                self.io.record_mem_read(upto as u64);
+                self.io.record_mem_timestamps(upto as u64);
                 Ok(points.iter().take(upto).map(|p| p.t).collect())
             }
             ChunkData::File { file_idx, meta } => {
@@ -259,6 +259,28 @@ mod tests {
         assert_eq!(all.len(), 50);
         assert_eq!(snap.read_points(mem)?.len(), 50);
         assert_eq!(snap.cache().ok_or("cache off")?.len(), 0, "no cache key");
+        std::fs::remove_dir_all(&dir).ok();
+        Ok(())
+    }
+
+    /// A timestamp probe counts what it takes as timestamps, for a
+    /// memtable chunk as for a sealed one: no point is decoded.
+    #[test]
+    fn a_memtable_probe_counts_timestamps_not_points() -> TestResult {
+        let (dir, kv) = fresh("mem-probe")?;
+        for t in 0..450i64 {
+            kv.insert("s", Point::new(t * 10, 0.0))?; // the 400th flushes
+        }
+        let snap = kv.snapshot("s")?;
+        let chunks = snap.chunks();
+        for (chunk, io) in [(&chunks[0], (1, 0)), (&chunks[4], (0, 1))] {
+            let before = snap.io().snapshot();
+            let ts = snap.read_timestamps(chunk, Some(chunk.time_range().start + 15))?;
+            let delta = snap.io().snapshot() - before;
+            assert_eq!(ts.len(), 3);
+            assert_eq!((delta.chunks_loaded, delta.mem_chunks_read), io);
+            assert_eq!((delta.points_decoded, delta.timestamps_decoded), (0, 3));
+        }
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }

@@ -13,12 +13,15 @@
 //!   storage engine for the fully merged series (`M(ℂ, 𝔻)`, every
 //!   overlapping chunk loaded, decoded and heap-merged), then scan it
 //!   once, grouping points into the `w` time spans.
-//! * [`lsm::M4Lsm`] — the contribution. Generates candidate points from
-//!   chunk *metadata* only, verifies them against later-versioned
-//!   chunks and deletes (Propositions 3.1/3.3), and loads chunk bodies
-//!   only when a candidate is refuted or a chunk is split by a span
-//!   boundary — with partial, early-terminating timestamp decodes
-//!   answering the probes.
+//! * [`lsm::M4Lsm`] — the contribution. Classifies the chunks the query
+//!   touches with the chunk planner compaction uses: a span only clean
+//!   chunks reach (no other chunk and no newer delete overlaps them) is
+//!   folded from their statistics, or their in-span slices where a span
+//!   boundary splits one. Elsewhere it generates candidate points from
+//!   chunk *metadata*, verifies them against later-versioned chunks and
+//!   deletes (Propositions 3.1/3.3), and loads chunk bodies only when a
+//!   candidate is refuted or a chunk is split by a span boundary — with
+//!   partial, early-terminating timestamp decodes answering the probes.
 //!
 //! Both are checked against [`oracle`], a naive in-memory reference, in
 //! this crate's property tests: for every storage state the three

@@ -17,65 +17,124 @@ use crate::cast;
 use crate::error::TsFileError;
 use crate::Result;
 
-/// Encode a float column.
-pub fn encode(values: &[f64], out: &mut Vec<u8>) {
-    let Some((first, rest)) = values.split_first() else {
-        return;
-    };
-    let mut w = BitWriter::new();
+/// Where the encoder's fields go: a [`BitWriter`], or a count of their
+/// bits.
+trait Sink {
+    fn bit(&mut self, bit: bool);
+    fn bits(&mut self, value: u64, nbits: u32);
+    /// Whether the rest of the column may be skipped.
+    fn done(&self) -> bool;
+}
+
+impl Sink for BitWriter {
+    #[inline]
+    fn bit(&mut self, bit: bool) {
+        self.write_bit(bit);
+    }
+
+    #[inline]
+    fn bits(&mut self, value: u64, nbits: u32) {
+        self.write_bits(value, nbits);
+    }
+
+    #[inline]
+    fn done(&self) -> bool {
+        false
+    }
+}
+
+/// Bits a stream would take, counted and not written, and the count
+/// past which the rest need not be counted.
+struct BitCount {
+    bits: usize,
+    cap: usize,
+}
+
+impl Sink for BitCount {
+    #[inline]
+    fn bit(&mut self, _: bool) {
+        self.bits += 1;
+    }
+
+    #[inline]
+    fn bits(&mut self, _: u64, nbits: u32) {
+        self.bits += cast::usize_from_u32(nbits);
+    }
+
+    #[inline]
+    fn done(&self) -> bool {
+        self.bits > self.cap
+    }
+}
+
+/// The encoder's control logic over a non-empty column: every field it
+/// writes, in stream order, goes to `sink`.
+#[inline]
+fn walk(first: f64, rest: &[f64], sink: &mut impl Sink) {
     let mut prev = first.to_bits();
-    w.write_bits(prev, 64);
+    sink.bits(prev, 64);
     let mut prev_leading: u32 = u32::MAX; // "no previous window"
     let mut prev_trailing: u32 = 0;
     for &v in rest {
+        if sink.done() {
+            return;
+        }
         let bits = v.to_bits();
         let xor = bits ^ prev;
         prev = bits;
         if xor == 0 {
-            w.write_bit(false);
+            sink.bit(false);
             continue;
         }
-        w.write_bit(true);
+        sink.bit(true);
         let leading = xor.leading_zeros().min(31);
         let trailing = xor.trailing_zeros();
         if prev_leading != u32::MAX && leading >= prev_leading && trailing >= prev_trailing {
             // Reuse previous window.
-            w.write_bit(false);
+            sink.bit(false);
             let sig = 64 - prev_leading - prev_trailing;
-            w.write_bits(xor >> prev_trailing, sig);
+            sink.bits(xor >> prev_trailing, sig);
         } else {
-            w.write_bit(true);
+            sink.bit(true);
             let sig = 64 - leading - trailing; // ≥ 1 since xor != 0
-            w.write_bits(u64::from(leading), 5);
+            sink.bits(u64::from(leading), 5);
             // sig ∈ [1, 64]; store sig-1 in 6 bits.
-            w.write_bits(u64::from(sig - 1), 6);
-            w.write_bits(xor >> trailing, sig);
+            sink.bits(u64::from(sig - 1), 6);
+            sink.bits(xor >> trailing, sig);
             prev_leading = leading;
             prev_trailing = trailing;
         }
     }
+}
+
+/// Encode a float column.
+pub fn encode(values: &[f64], out: &mut Vec<u8>) {
+    let Some((&first, rest)) = values.split_first() else {
+        return;
+    };
+    let mut w = BitWriter::new();
+    walk(first, rest, &mut w);
     out.extend_from_slice(&w.into_bytes());
 }
 
-/// A lower bound on the bytes [`encode`] writes for `values`, from one
-/// pass that writes nothing: the first value's 64 bits, one bit per
-/// repeat, and for each change two control bits plus the bits between
-/// its XOR's leading and trailing zeros — a reused window is never
-/// narrower than that, a new one costs eleven bits more.
-pub fn encoded_len_at_least(values: &[f64]) -> usize {
-    let Some((first, rest)) = values.split_first() else {
-        return 0;
+/// The bytes [`encode`] writes for `values`, exactly: its control logic
+/// run over a bit count, writing nothing.
+pub fn encoded_len(values: &[f64]) -> usize {
+    encoded_len_within(values, usize::MAX).unwrap_or(usize::MAX)
+}
+
+/// [`encoded_len`] when it is at most `cap`, else `None` — known, and
+/// the count stopped, as soon as the bits counted pass `cap` bytes.
+pub fn encoded_len_within(values: &[f64], cap: usize) -> Option<usize> {
+    let Some((&first, rest)) = values.split_first() else {
+        return Some(0);
     };
-    let mut prev = first.to_bits();
-    let mut bits = 64;
-    for v in rest {
-        let xor = v.to_bits() ^ prev;
-        prev = v.to_bits();
-        // A zero XOR has 128 zeros in all: one bit.
-        let zeros = (xor.leading_zeros() + xor.trailing_zeros()).min(65);
-        bits += cast::usize_from_u32(66 - zeros);
-    }
-    bits.div_ceil(8)
+    let mut count = BitCount {
+        bits: 0,
+        cap: cap.saturating_mul(8),
+    };
+    walk(first, rest, &mut count);
+    (!count.done()).then(|| count.bits.div_ceil(8))
 }
 
 /// Decode `n` floats produced by [`encode`].

@@ -101,12 +101,13 @@ pub fn encode_values(kind: EncodingKind, vs: &[f64], out: &mut Vec<u8>) {
     }
 }
 
-/// A lower bound on the bytes [`encode_values`] writes for `vs`,
-/// computed without writing (exact for plain).
-pub fn values_len_at_least(kind: EncodingKind, vs: &[f64]) -> usize {
+/// The bytes [`encode_values`] writes for `vs`, exactly, when they are
+/// at most `cap`, else `None`: computed without writing, and no further
+/// than `cap` needs.
+pub fn values_len_within(kind: EncodingKind, vs: &[f64], cap: usize) -> Option<usize> {
     match kind {
-        EncodingKind::Plain => vs.len() * 8,
-        EncodingKind::Gorilla | EncodingKind::Ts2Diff => gorilla::encoded_len_at_least(vs),
+        EncodingKind::Plain => Some(vs.len() * 8).filter(|&len| len <= cap),
+        EncodingKind::Gorilla | EncodingKind::Ts2Diff => gorilla::encoded_len_within(vs, cap),
     }
 }
 
@@ -167,7 +168,8 @@ mod tests {
             assert_eq!(back, ts);
             let mut vb = Vec::new();
             encode_values(k, &vs, &mut vb);
-            assert!(values_len_at_least(k, &vs) <= vb.len());
+            assert_eq!(values_len_within(k, &vs, vb.len()), Some(vb.len()));
+            assert_eq!(values_len_within(k, &vs, vb.len() - 1), None);
             assert_eq!(decode_values(k, &vb, vs.len())?, vs);
         }
         Ok(())

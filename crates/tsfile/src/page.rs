@@ -273,9 +273,9 @@ fn ts_column(ts: &[i64], deltas: &[i64], ts_encoding: EncodingKind, buf: &mut Ve
 /// without them, else that — the decimal block when the sample admits
 /// one and it is smaller than the configured stream, else the stream.
 /// Every tie goes to the form without packing, and between those to
-/// the stream. The packed size is exact
-/// before a byte is written, so a page with no decimal plan writes its
-/// stream only when a lower bound on the stream does not already lose.
+/// the stream. The packed size is exact before a byte is written, and
+/// the stream's is counted exactly as far as the choice needs, so a
+/// page with no decimal plan writes only the column it keeps.
 fn value_column<'a>(
     vs: &[f64],
     val_encoding: EncodingKind,
@@ -285,11 +285,11 @@ fn value_column<'a>(
     packed::key_deltas(vs, &mut carry.keys);
     let packing = Packing::of(&carry.keys);
     let packed = packed::values_len(&packing);
-    // What the page would hold without the packed form, unless a lower
-    // bound on it already loses.
+    // What the page would hold without the packed form, unless it
+    // already loses.
     let without = match decimal::plan(vs, &mut carry.pair) {
         Some(plan) => Some(block_or_stream(vs, val_encoding, plan, carry, buf)),
-        None if packed < encoding::values_len_at_least(val_encoding, vs) => None,
+        None if encoding::values_len_within(val_encoding, vs, packed).is_none() => None,
         None => {
             encoding::encode_values(val_encoding, vs, buf);
             Some((ValueForm::Stream, 0..buf.len()))
@@ -310,8 +310,9 @@ fn value_column<'a>(
 /// configured stream, else the stream (ties go to the stream), as
 /// `(form, range of its bytes in buf)`. The one likelier to win is
 /// written first, and the other only while it can still win: a block
-/// below a lower bound on the stream's size needs no stream, and a
-/// stream no larger than the block's sampled estimate needs no block.
+/// written first is held against the stream's size, counted only as far
+/// as the block, and a stream no larger than the block's sampled
+/// estimate needs no block.
 fn block_or_stream(
     vs: &[f64],
     val_encoding: EncodingKind,
@@ -320,19 +321,17 @@ fn block_or_stream(
     buf: &mut Vec<u8>,
 ) -> (ValueForm, std::ops::Range<usize>) {
     // Block first only after a block won and while the sample's
-    // estimate is below a lower bound on the stream.
-    let floor = (!carry.stream_first).then(|| encoding::values_len_at_least(val_encoding, vs));
-    let (is_block, range) = match floor {
-        Some(floor) if plan.estimate() < floor && decimal::encode(vs, &plan, buf) => {
-            let block = buf.len();
-            if block < floor {
-                (true, 0..block)
+    // estimate is below the stream's size.
+    let stream_above = |len| encoding::values_len_within(val_encoding, vs, len).is_none();
+    let block_first = !carry.stream_first && stream_above(plan.estimate());
+    let (is_block, range) = match block_first {
+        true if decimal::encode(vs, &plan, buf) => {
+            if stream_above(buf.len()) {
+                (true, 0..buf.len())
             } else {
+                buf.clear();
                 encoding::encode_values(val_encoding, vs, buf);
-                match block < buf.len() - block {
-                    true => (true, 0..block),
-                    false => (false, block..buf.len()),
-                }
+                (false, 0..buf.len())
             }
         }
         _ => {

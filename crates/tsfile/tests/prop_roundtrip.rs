@@ -94,6 +94,29 @@ fn page_values(shape: u8, precision: u32, len: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// A Gorilla column from `(kind, bits, len)` runs: `len` arbitrary bit
+/// patterns seeded by `bits`, one value repeated `len` times, `len`
+/// values that each flip bits of the last inside one byte whose end
+/// bits always flip (every XOR after the run's first reuses its
+/// window), or `len` of [`SPECIALS`].
+fn gorilla_runs(runs: &[(u8, u64, usize)]) -> Vec<f64> {
+    let mut out: Vec<u64> = Vec::new();
+    for &(kind, bits, len) in runs {
+        let mut next = splitmix(bits);
+        let shift = (bits % 57) as u32;
+        for _ in 0..len {
+            let last = out.last().copied().unwrap_or(bits);
+            out.push(match kind {
+                0 => next(),
+                1 => bits,
+                2 => last ^ ((next() & 0xff | 0x81) << shift),
+                _ => SPECIALS[(next() % 12) as usize],
+            });
+        }
+    }
+    out.into_iter().map(f64::from_bits).collect()
+}
+
 /// A page of `len` timestamps in one of four shapes, drawn from `seed`:
 /// regular (one delta), jittered (10 ± 2 ms), delayed (regular, with an
 /// hour's gap now and then — the paper's §3.5 steps), or any deltas at
@@ -146,11 +169,31 @@ proptest! {
         let floats: Vec<f64> = vs.iter().map(|&b| f64::from_bits(b)).collect();
         let mut buf = Vec::new();
         gorilla::encode(&floats, &mut buf);
-        prop_assert!(gorilla::encoded_len_at_least(&floats) <= buf.len());
+        prop_assert_eq!(gorilla::encoded_len(&floats), buf.len());
         let back = gorilla::decode(&buf, floats.len()).unwrap();
         prop_assert_eq!(back.len(), floats.len());
         for (a, b) in floats.iter().zip(&back) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn gorilla_encoded_len_is_exact(
+        runs in prop::collection::vec((0u8..4, any::<u64>(), 1usize..300), 0..8),
+    ) {
+        let vs = gorilla_runs(&runs);
+        // Every prefix length that matters: empty, one value, half, all.
+        for n in [0, 1, vs.len() / 2, vs.len()] {
+            let vs = &vs[..n.min(vs.len())];
+            let mut buf = Vec::new();
+            gorilla::encode(vs, &mut buf);
+            prop_assert_eq!(gorilla::encoded_len(vs), buf.len(), "{} values", vs.len());
+            // Capped at the size it stops exactly there; one byte below,
+            // it gives up.
+            prop_assert_eq!(gorilla::encoded_len_within(vs, buf.len()), Some(buf.len()));
+            if let Some(below) = buf.len().checked_sub(1) {
+                prop_assert_eq!(gorilla::encoded_len_within(vs, below), None);
+            }
         }
     }
 

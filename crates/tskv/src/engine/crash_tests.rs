@@ -2,8 +2,9 @@
 //! flush group and compaction, checked by a machine.
 //!
 //! Random multi-series histories — overwrites, deletes, `flush`,
-//! `flush_all`, `compact`, `compact_all`, clean restarts, and writes and
-//! deletes that race a flush group's unlocked phase — run against a
+//! `flush_all`, `compact`, `compact_all`, clean restarts, writes and
+//! deletes that race a flush group's unlocked phase, and writes that
+//! fill a memtable and seal it themselves — run against a
 //! store in a real directory, under each [`FsyncPolicy`], with one or
 //! two shards (so two or four series a shard). At every operation
 //! boundary, between `claim_group`, `write_group` and `finish_group`,
@@ -28,7 +29,8 @@
 //! `OnFlush` the same for a delete, and everything a shard's log held
 //! when a flush group of the shard finished; under every policy what a
 //! sealed file holds (a flush member's operations before its claim, once
-//! `write_group` returned) and everything before a clean restart. Not
+//! `write_group` returned; a series' every operation, once a write of it
+//! sealed its memtable) and everything before a clean restart. Not
 //! modelled, for want of a simulated file system: torn or lost data-file
 //! bytes, undone unlinks and renames of older files, reordering across
 //! files.
@@ -194,7 +196,9 @@ impl Case {
         std::fs::remove_dir_all(&dir).ok();
         let config = EngineConfig {
             points_per_chunk: 2,
-            memtable_threshold: 1 << 20,
+            // Writes of 1–4 points over 15 timestamps: some fill a
+            // memtable and seal it themselves.
+            memtable_threshold: 6,
             write_shards: shards,
             fsync_policy: policy,
             ..Default::default()
@@ -247,8 +251,22 @@ impl Case {
                 let v = self.next_value;
                 self.next_value += 1.0;
                 let points: Vec<Point> = (t..t + n).map(|t| Point::new(t, v)).collect();
+                let files = kv.io().snapshot().files_sealed;
                 ctx(kv.insert_batch_by_id(self.ids[series], &points), "write")?;
                 self.model[series].changes.push(Change::Write(points));
+                if kv.io().snapshot().files_sealed > files {
+                    // The write filled its memtable and sealed it: the
+                    // file holds the series whole, and under `OnFlush`
+                    // the seal synced the log behind it.
+                    let history = &mut self.model[series];
+                    history.durable = history.changes.len();
+                    let shard = &kv.inner.shards[self.shard_of(series)];
+                    let no = shard.next_fileno.load(Ordering::Relaxed) - 1;
+                    self.newest = Some(shard.dir.join(format!("{no:08}.tsfile")));
+                    if !never {
+                        self.shard_durable(self.shard_of(series));
+                    }
+                }
                 if always {
                     self.shard_durable(self.shard_of(series));
                 }
@@ -295,7 +313,7 @@ impl Case {
                 .copied()
                 .filter(|id| id.index() % kv.inner.shards.len() == i)
                 .collect();
-            let (members, later) = kv.inner.claim_group(shard, &todo, true);
+            let (members, later) = kv.inner.claim_group(shard, &todo);
             prop_assert!(
                 later.is_empty(),
                 "nothing else flushes, nothing hits the cap"

@@ -144,12 +144,12 @@ impl TsKv {
     /// Flush one series' memtable to a new sealed TsFile.
     pub fn flush(&self, name: &str) -> Result<()> {
         let id = self.inner.resolve(name)?;
-        self.inner.flush_group(&[id], true)
+        self.inner.flush_group(&[id])
     }
 
     /// [`flush`](TsKv::flush) keyed by an interned id.
     pub fn flush_by_id(&self, id: SeriesId) -> Result<()> {
-        self.inner.flush_group(&[id], true)
+        self.inner.flush_group(&[id])
     }
 
     /// Flush every series.

@@ -26,8 +26,12 @@ pub(super) struct FlushInFlight {
 #[derive(Debug)]
 pub(super) struct FlushMember {
     pub(super) id: SeriesId,
-    points: Arc<Vec<Point>>,
+    pub(super) points: Arc<Vec<Point>>,
     versions: Vec<Version>,
+    /// Whether the shard WAL holds the points: not when the write that
+    /// filled the memtable seals them itself, and logs them only if the
+    /// seal fails ([`abort_group`](EngineInner::abort_group)).
+    logged: bool,
 }
 
 impl EngineInner {
@@ -46,7 +50,7 @@ impl EngineInner {
                     .map(|(id, _)| *id),
             );
         }
-        self.flush_group(&ids, true)
+        self.flush_group(&ids)
     }
 
     /// The flush state machine. Its unit is the shard: the members of
@@ -55,11 +59,8 @@ impl EngineInner {
     /// `sync_all`, one reopen and at most one WAL sync, however many.
     /// A single series is the one-member case of the same path.
     ///
-    /// `wait` controls behavior when another flush holds a member's
-    /// in-flight slot: explicit flushes wait and then flush whatever is
-    /// buffered; the auto-flush on the insert path skips the member
-    /// (the running flush is making room, and the next insert re-checks
-    /// the threshold).
+    /// A member another flush holds is waited for, and then whatever it
+    /// has buffered since is flushed.
     ///
     /// Per group: phase A claims every member under one guard of the
     /// shard lock ([`claim_group`]); phase B writes the file with no
@@ -71,7 +72,7 @@ impl EngineInner {
     /// [`write_group`]: EngineInner::write_group
     /// [`finish_group`]: EngineInner::finish_group
     /// [`abort_group`]: EngineInner::abort_group
-    pub(super) fn flush_group(&self, ids: &[SeriesId], wait: bool) -> Result<()> {
+    pub(super) fn flush_group(&self, ids: &[SeriesId]) -> Result<()> {
         let mut by_shard: Vec<Vec<SeriesId>> = vec![Vec::new(); self.shards.len()];
         for &id in ids {
             self.known(id)?;
@@ -84,7 +85,7 @@ impl EngineInner {
             todo.sort_unstable();
             todo.dedup();
             while !todo.is_empty() {
-                let (members, later) = self.claim_group(shard, &todo, wait);
+                let (members, later) = self.claim_group(shard, &todo);
                 if members.is_empty() {
                     // Only members that another flush holds are left.
                     std::thread::yield_now();
@@ -99,20 +100,16 @@ impl EngineInner {
     }
 
     /// Flush phase A for one group, under one write guard of `shard`:
-    /// claim members of `ids` (ascending) until the group holds
-    /// [`FLUSH_GROUP_MAX_POINTS`]. A claim takes the series' in-flight
-    /// slot, drains the memtable and reserves chunk versions; the drain
-    /// and the reservation are one step under the lock, so every WAL
-    /// record of the series with a κ below the versions holds a drained
-    /// point and every later write or delete carries a κ at or above
-    /// them. Writes nothing. Returns the members and the ids still to
-    /// do — busy ones when `wait`, and everything past the cap — still
-    /// ascending.
+    /// claim members of `ids` (ascending, [`claim_member`]) until the
+    /// group holds [`FLUSH_GROUP_MAX_POINTS`]. Writes nothing. Returns
+    /// the members and the ids still to do — busy ones, and everything
+    /// past the cap — still ascending.
+    ///
+    /// [`claim_member`]: EngineInner::claim_member
     pub(super) fn claim_group(
         &self,
         shard: &Shard,
         ids: &[SeriesId],
-        wait: bool,
     ) -> (Vec<FlushMember>, Vec<SeriesId>) {
         let mut members = Vec::new();
         let mut later = Vec::new();
@@ -124,41 +121,59 @@ impl EngineInner {
                 break;
             };
             // Never touched (nothing to flush, and no reason to
-            // instantiate it) or nothing buffered: not a member.
+            // instantiate it): not a member.
             let Some(store) = map.get_mut(&id) else {
                 continue;
             };
             if store.flushing.is_some() {
-                if wait {
-                    later.push(id);
-                }
+                later.push(id);
                 continue;
             }
-            if store.memtable.is_empty() {
-                continue;
+            if let Some(member) = self.claim_member(id, store, true) {
+                held += member.points.len();
+                members.push(member);
             }
-            let points = Arc::new(store.memtable.drain_sorted());
-            // Reserving every chunk version while still locked guarantees
-            // that any later delete orders after every chunk of this flush.
-            let n_chunks = points.len().div_ceil(self.config.points_per_chunk).max(1);
-            let versions: Vec<Version> = (0..n_chunks).map(|_| self.alloc.next()).collect();
-            let last_version = versions
-                .last()
-                .copied()
-                .unwrap_or_else(|| self.alloc.current());
-            store.flushing = Some(FlushInFlight {
-                points: Arc::clone(&points),
-                last_version,
-            });
-            held += points.len();
-            members.push(FlushMember {
-                id,
-                points,
-                versions,
-            });
         }
         later.extend(ids);
         (members, later)
+    }
+
+    /// Claim one series with no flush in flight, under its shard's
+    /// write guard: take its in-flight slot, drain its memtable and
+    /// reserve its chunk versions. The drain and the reservation are
+    /// one step under the lock, so every WAL record of the series with
+    /// a κ below the versions holds a drained point and every later
+    /// write or delete carries a κ at or above them. `None`, taking
+    /// nothing, when nothing is buffered; `logged` says whether the WAL
+    /// holds what is drained.
+    pub(super) fn claim_member(
+        &self,
+        id: SeriesId,
+        store: &mut SeriesStore,
+        logged: bool,
+    ) -> Option<FlushMember> {
+        if store.memtable.is_empty() {
+            return None;
+        }
+        let points = Arc::new(store.memtable.drain_sorted());
+        // Reserving every chunk version while still locked guarantees
+        // that any later delete orders after every chunk of this flush.
+        let n_chunks = points.len().div_ceil(self.config.points_per_chunk).max(1);
+        let versions: Vec<Version> = (0..n_chunks).map(|_| self.alloc.next()).collect();
+        let last_version = versions
+            .last()
+            .copied()
+            .unwrap_or_else(|| self.alloc.current());
+        store.flushing = Some(FlushInFlight {
+            points: Arc::clone(&points),
+            last_version,
+        });
+        Some(FlushMember {
+            id,
+            points,
+            versions,
+            logged,
+        })
     }
 
     /// Flush phase B (no lock held): make the group durable as one
@@ -211,7 +226,7 @@ impl EngineInner {
         let views = match sealed {
             Ok(views) => views,
             Err(e) => {
-                self.abort_group(shard, members);
+                self.abort_group(shard, members)?;
                 return Err(e);
             }
         };
@@ -256,24 +271,38 @@ impl EngineInner {
 
     /// The group's file could not be written: put every member's points
     /// back, under one guard. They stay buffered, and in the log, which
-    /// never learnt a sealed version for them. Writes and deletes that
-    /// landed mid-flush are newer and must win — hence the absent-only
-    /// reinsert and the tombstone filter (the log's entries above the
-    /// flush's reserved versions).
-    fn abort_group(&self, shard: &Shard, members: &[FlushMember]) {
+    /// never learnt a sealed version for them; a member the log never
+    /// held is logged now, with exactly the points put back. Writes and
+    /// deletes that landed mid-flush are newer and must win — hence the
+    /// absent-only reinsert and the tombstone filter (the log's entries
+    /// above the flush's reserved versions). An error is the WAL's: the
+    /// points are back, but not all of them in the log.
+    fn abort_group(&self, shard: &Shard, members: &[FlushMember]) -> Result<()> {
         let mut map = shard.series.write();
+        let mut logged = Ok(());
         for member in members {
             let Some(store) = map.get_mut(&member.id) else {
                 continue;
             };
             let reserved = store.flushing.take().map(|f| f.last_version);
-            let logged = store.log.entries();
-            let newer = &logged[logged.partition_point(|m| Some(m.version) <= reserved)..];
+            let entries = store.log.entries();
+            let newer = &entries[entries.partition_point(|m| Some(m.version) <= reserved)..];
+            let mut back = Vec::new();
             for p in member.points.iter() {
-                if !newer.iter().any(|m| m.covers(p.t)) {
-                    store.memtable.insert_if_absent(*p);
+                if !newer.iter().any(|m| m.covers(p.t)) && store.memtable.insert_if_absent(*p) {
+                    back.push(*p);
                 }
             }
+            if !member.logged {
+                let appended = shard
+                    .wal
+                    .append_inserts(member.id, self.alloc.current(), &back);
+                logged = logged.and(appended);
+            }
         }
+        if members.iter().all(|m| m.logged) {
+            return logged;
+        }
+        logged.and(self.commit_wal_with(shard, false))
     }
 }

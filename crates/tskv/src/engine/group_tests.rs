@@ -223,9 +223,7 @@ fn torn_in_flight_file_is_quarantined_once_and_every_member_replays() -> TestRes
     model.write(&kv, "b", &ramp(0..90, 2.0))?;
     model.write(&kv, "c", &ramp(50..130, 3.0))?;
     let shard = &kv.inner.shards[0];
-    let (members, later) = kv
-        .inner
-        .claim_group(shard, &ids(&kv, &["a", "b", "c"]), true);
+    let (members, later) = kv.inner.claim_group(shard, &ids(&kv, &["a", "b", "c"]));
     assert_eq!((members.len(), later.len()), (3, 0));
     let image = crash_image(&dir)?;
     let torn = image.join(shard_dir_name(0)).join("00000000.tsfile.tmp");
@@ -310,7 +308,7 @@ fn crash_with_the_file_in_place_and_no_end_marker_reads_every_point_once() -> Te
         model.write(&kv, "a", &ramp(90..110, 1.5))?; // overwrites: latest wins
         model.write(&kv, "b", &ramp(0..90, 2.0))?;
         let shard = &kv.inner.shards[0];
-        let (members, _) = kv.inner.claim_group(shard, &ids(&kv, &["a", "b"]), true);
+        let (members, _) = kv.inner.claim_group(shard, &ids(&kv, &["a", "b"]));
         let sealed = kv.inner.write_group(shard, &members);
         let image = crash_image(&dir)?;
         let (_, cuts) = shard.wal.crash_cuts()?;
@@ -377,7 +375,7 @@ fn a_flush_after_recovery_takes_its_versions_above_the_records_it_drains() -> Te
     let kv = TsKv::open(&dir, config())?;
     assert_eq!(kv.unflushed_points("a")?, 100);
     let shard = &kv.inner.shards[0];
-    let (members, _) = kv.inner.claim_group(shard, &[a], true);
+    let (members, _) = kv.inner.claim_group(shard, &[a]);
     let sealed = kv.inner.write_group(shard, &members);
     let image = crash_image(&dir)?;
     kv.inner.finish_group(shard, &members, sealed)?;
@@ -677,7 +675,7 @@ fn write_and_delete_racing_a_group_flush_land_after_it() -> TestResult {
     model.write(&kv, "a", &ramp(0..100, 1.0))?;
     model.write(&kv, "b", &ramp(0..90, 2.0))?;
     let shard = &kv.inner.shards[0];
-    let (members, _) = kv.inner.claim_group(shard, &ids(&kv, &["a", "b"]), true);
+    let (members, _) = kv.inner.claim_group(shard, &ids(&kv, &["a", "b"]));
     // Mid-flush: the drained points are still readable…
     model.check(&kv)?;
     // …an overwrite of one of them and a delete over others arrive…
@@ -689,10 +687,6 @@ fn write_and_delete_racing_a_group_flush_land_after_it() -> TestResult {
     model.check(&TsKv::open(&image, config())?)?;
     model.delete(&kv, "b", 0, 9)?;
     model.check(&kv)?;
-    // …and a second flush of a member just skips (auto) — its slot is
-    // taken.
-    kv.inner.flush_group(&ids(&kv, &["a"]), false)?;
-    assert_eq!(kv.sealed_file_count("a")?, 0);
     let sealed = kv.inner.write_group(shard, &members);
     kv.inner.finish_group(shard, &members, sealed)?;
     model.check(&kv)?;
@@ -760,7 +754,7 @@ fn failed_group_write_puts_every_members_points_back() -> TestResult {
     model.write(&kv, "a", &ramp(0..100, 1.0))?;
     model.write(&kv, "b", &ramp(0..90, 2.0))?;
     let shard = &kv.inner.shards[0];
-    let (members, _) = kv.inner.claim_group(shard, &ids(&kv, &["a", "b"]), true);
+    let (members, _) = kv.inner.claim_group(shard, &ids(&kv, &["a", "b"]));
     model.write(&kv, "a", &[Point::new(5, 99.0)])?; // newer: must win
     model.delete(&kv, "b", 0, 9)?; // newer: must hide
     let failed = Err(TsKvError::Corrupt("injected: disk full".into()));
@@ -778,6 +772,160 @@ fn failed_group_write_puts_every_members_points_back() -> TestResult {
     // A crash before that flush: the log never learnt a sealed version
     // for them, so everything replays.
     let kv = TsKv::open(&image, config())?;
+    model.check(&kv)?;
+    cleanup(&dir);
+    Ok(())
+}
+
+/// A store at `dir` whose memtables fill at 100 points, so that a write
+/// can seal its own batch.
+fn filling(dir: &Path, fsync_policy: FsyncPolicy) -> Result<TsKv> {
+    let config = EngineConfig {
+        memtable_threshold: 100,
+        fsync_policy,
+        ..config()
+    };
+    TsKv::open(dir, config)
+}
+
+/// (The direct seal.) A write that fills its memtable seals it before
+/// the ack and appends nothing to the log — under every policy the
+/// file's `sync_all` is its durability; one that does not fill appends
+/// its record. A crash image right after reads the acknowledged points.
+#[test]
+fn a_filling_write_seals_itself_and_appends_nothing_to_the_log() -> TestResult {
+    use FsyncPolicy::{Always, Never, OnFlush};
+    for policy in [Always, OnFlush, Never] {
+        let (dir, kv) = fresh("direct")?;
+        drop(kv);
+        let kv = filling(&dir, policy)?;
+        let mut model = Model::default();
+        let logged = |kv: &TsKv| {
+            let io = kv.io().snapshot();
+            (io.wal_bytes, io.files_sealed)
+        };
+        model.write(&kv, "a", &ramp(0..60, 1.0))?;
+        let (bytes, files) = logged(&kv);
+        assert!(
+            bytes > 0,
+            "{policy:?}: a write that does not fill is logged"
+        );
+        assert_eq!(files, 0, "{policy:?}");
+        model.write(&kv, "a", &ramp(60..120, 2.0))?;
+        assert_eq!(logged(&kv), (bytes, 1), "{policy:?}: sealed, not logged");
+        assert_eq!(kv.unflushed_points("a")?, 0, "{policy:?}");
+        assert_eq!(kv.sealed_file_count("a")?, 1, "{policy:?}");
+        model.check(&kv)?;
+        let image = crash_image(&dir)?;
+        model.check(&filling(&image, policy)?)?;
+        cleanup(&dir);
+    }
+    Ok(())
+}
+
+/// A write that fills the memtable of a series whose flush is in
+/// flight is logged as any other, and waits in the memtable: the
+/// running flush is making room.
+#[test]
+fn a_filling_write_to_a_series_mid_flush_is_logged() -> TestResult {
+    let (dir, kv) = fresh("directbusy")?;
+    drop(kv);
+    let kv = filling(&dir, FsyncPolicy::OnFlush)?;
+    let mut model = Model::default();
+    model.write(&kv, "a", &ramp(0..60, 1.0))?;
+    let shard = &kv.inner.shards[0];
+    let (members, _) = kv.inner.claim_group(shard, &ids(&kv, &["a"]));
+    let before = kv.io().snapshot();
+    model.write(&kv, "a", &ramp(60..220, 2.0))?;
+    let io = kv.io().snapshot() - before;
+    assert!(io.wal_bytes > 0, "logged");
+    assert_eq!(io.files_sealed, 0, "not sealed by the write");
+    let sealed = kv.inner.write_group(shard, &members);
+    kv.inner.finish_group(shard, &members, sealed)?;
+    assert_eq!(kv.unflushed_points("a")?, 160);
+    model.check(&kv)?;
+    model.check(&filling(&crash_image(&dir)?, FsyncPolicy::OnFlush)?)?;
+    cleanup(&dir);
+    Ok(())
+}
+
+/// A write's own seal failed: its batch goes back behind whatever
+/// landed mid-seal — an overwrite and a delete win — and the log gets
+/// exactly what went back, so a crash after the failure replays the
+/// batch and not a point the overwrite or the delete replaced.
+#[test]
+fn failed_direct_seal_puts_the_batch_back_and_logs_what_went_back() -> TestResult {
+    let (dir, kv) = fresh("directabort")?;
+    drop(kv);
+    let kv = filling(&dir, FsyncPolicy::OnFlush)?;
+    let mut model = Model::default();
+    model.write(&kv, "a", &ramp(0..60, 1.0))?;
+    let a = ids(&kv, &["a"])[0];
+    let batch = ramp(60..120, 2.0);
+    let before = kv.io().snapshot().wal_bytes;
+    let (applied, mut seals) = kv.inner.apply(&[(a, &batch)]);
+    assert_eq!(applied?, 60);
+    model
+        .0
+        .entry("a".into())
+        .or_default()
+        .extend(batch.iter().map(|p| (p.t, p.v)));
+    assert_eq!(kv.io().snapshot().wal_bytes, before, "claimed, not logged");
+    let (shard, members) = seals.pop().ok_or("the write claimed a group")?;
+    assert!(seals.is_empty());
+    // Mid-seal: the batch is readable from the in-flight slot…
+    model.check(&kv)?;
+    // …and newer operations land on an old point and a batch point.
+    model.write(&kv, "a", &[Point::new(5, 99.0), Point::new(70, 99.0)])?;
+    model.delete(&kv, "a", 80, 89)?;
+    let failed = Err(TsKvError::Corrupt("injected: disk full".into()));
+    assert!(kv.inner.finish_group(shard, &members, failed).is_err());
+    model.check(&kv)?;
+    assert_eq!(kv.unflushed_points("a")?, 110);
+    assert_eq!(kv.io().snapshot().files_sealed, 0);
+    let image = crash_image(&dir)?;
+    model.check(&filling(&image, FsyncPolicy::OnFlush)?)?;
+    // The slot is free again, and the next flush seals it all.
+    kv.flush_all()?;
+    model.check(&kv)?;
+    assert_eq!(kv.unflushed_points("a")?, 0);
+    cleanup(&dir);
+    Ok(())
+}
+
+/// A flush of a series whose write is sealing its batch waits for that
+/// seal, then seals what was buffered meanwhile.
+#[test]
+fn a_flush_racing_a_direct_seal_waits_for_it() -> TestResult {
+    let (dir, kv) = fresh("directrace")?;
+    drop(kv);
+    let kv = filling(&dir, FsyncPolicy::OnFlush)?;
+    let mut model = Model::default();
+    let a = kv.create_series("a")?;
+    let batch = ramp(0..100, 1.0);
+    let (applied, seals) = kv.inner.apply(&[(a, &batch)]);
+    applied?;
+    model
+        .0
+        .insert("a".into(), batch.iter().map(|p| (p.t, p.v)).collect());
+    std::thread::scope(|scope| -> TestResult {
+        let flush = scope.spawn(|| kv.flush("a"));
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(!flush.is_finished(), "the flush waits for the seal");
+        model.write(&kv, "a", &ramp(100..110, 2.0))?;
+        for (shard, members) in seals {
+            let sealed = kv.inner.write_group(shard, &members);
+            kv.inner.finish_group(shard, &members, sealed)?;
+        }
+        flush.join().map_err(|_| "the flush panicked")??;
+        Ok(())
+    })?;
+    assert_eq!(
+        kv.sealed_file_count("a")?,
+        2,
+        "the seal's file, then the flush's"
+    );
+    assert_eq!(kv.unflushed_points("a")?, 0);
     model.check(&kv)?;
     cleanup(&dir);
     Ok(())
@@ -801,7 +949,7 @@ fn group_is_capped_by_points_held_and_the_rest_follow_in_order() -> TestResult {
     let all = ids(&kv, &["a", "b", "c"]);
     // a alone reaches the cap; b and c wait for the next group.
     let shard = &kv.inner.shards[0];
-    let (members, later) = kv.inner.claim_group(shard, &all, true);
+    let (members, later) = kv.inner.claim_group(shard, &all);
     assert_eq!(members.iter().map(|m| m.id).collect::<Vec<_>>(), all[..1]);
     assert_eq!(later, all[1..]);
     let sealed = kv.inner.write_group(shard, &members);
@@ -924,7 +1072,7 @@ fn a_member_flushing_at_capture_is_left_out_and_the_next_sweep_takes_it() -> Tes
     kv.flush_all()?; // 00000001: a and b
     model.write(&kv, "c", &ramp(130..160, 3.5))?;
     let shard = &kv.inner.shards[0];
-    let (members, _) = kv.inner.claim_group(shard, &ids(&kv, &["c"]), true);
+    let (members, _) = kv.inner.claim_group(shard, &ids(&kv, &["c"]));
     let report = kv.compact_all()?; // 00000002: a and b
     assert_eq!(report.files_removed, 4, "a's and b's two runs each");
     assert_eq!(

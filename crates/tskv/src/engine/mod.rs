@@ -114,7 +114,7 @@ use crate::{Result, TsKvError};
 
 pub use facade::TsKv;
 use files::{seal_file, SealedFile, SeriesView};
-use flush::FlushInFlight;
+use flush::{FlushInFlight, FlushMember, FLUSH_GROUP_MAX_POINTS};
 
 /// Per-series in-memory state: the memtable, the sealed-file list and
 /// the delete log. Directories and WAL handles live at the shard

@@ -19,7 +19,7 @@ impl EngineInner {
     /// fsyncing when `sync` (or always under [`FsyncPolicy::Always`]).
     /// Called before the shard lock is released, so every
     /// acknowledged write is in the OS first.
-    fn commit_wal_with(&self, shard: &Shard, sync: bool) -> Result<()> {
+    pub(super) fn commit_wal_with(&self, shard: &Shard, sync: bool) -> Result<()> {
         let sync = sync || matches!(self.config.fsync_policy, FsyncPolicy::Always);
         if sync {
             // WAL records are id-tagged; the catalog record binding
@@ -40,49 +40,114 @@ impl EngineInner {
     }
 
     /// The write path: apply `entries` — runs of points, any time
-    /// order, later duplicates overwrite — and return the number of
-    /// points written. Entries are grouped by shard, and each shard's
-    /// write guard is taken once: every entry's WAL record and memtable
-    /// insert, then one group commit of the shard's log (fsync per
-    /// [`FsyncPolicy`]) before the guard drops. After every guard has
-    /// dropped, listeners are notified and the memtables that crossed
-    /// the flush threshold flush — as one group, so that those sharing
-    /// a shard share a file. Empty runs are skipped.
+    /// order, later duplicates overwrite ([`apply`]) — then seal the
+    /// memtables they filled, those sharing a shard into one file,
+    /// through the flush group's [`write_group`] and [`finish_group`],
+    /// and return the number of points written. Empty runs are skipped.
+    ///
+    /// [`apply`]: EngineInner::apply
+    /// [`write_group`]: EngineInner::write_group
+    /// [`finish_group`]: EngineInner::finish_group
     pub(super) fn write(&self, entries: &[(SeriesId, &[Point])]) -> Result<usize> {
+        let (applied, seals) = self.apply(entries);
+        // Claimed members are sealed (or put back and logged) whatever
+        // else failed: a claim holds its series' in-flight slot.
+        let mut outcome = applied;
+        for (shard, members) in seals {
+            let sealed = self.write_group(shard, &members);
+            let finished = self.finish_group(shard, &members, sealed);
+            outcome = outcome.and_then(|n| finished.map(|()| n));
+        }
+        outcome
+    }
+
+    /// The write path up to its seals. Entries are grouped by shard, and
+    /// each shard's write guard is taken once: every entry's memtable
+    /// insert and WAL record, then one group commit of the shard's log
+    /// (fsync per [`FsyncPolicy`]) before the guard drops. Once every
+    /// guard has dropped, listeners are notified.
+    ///
+    /// An entry that fills its series' memtable (to
+    /// `memtable_threshold`) while no flush of the series is in flight
+    /// appends no record: under the same guard, the filled series are
+    /// claimed ([`claim_member`]) — ascending, in groups capped as
+    /// [`claim_group`]'s are — and handed back for the caller to seal.
+    /// The sealed file's `sync_all` is then the write's durability under
+    /// every policy, and a failed seal logs the points it puts back.
+    /// Until the seal installs its file, the claimed points are readable
+    /// from the in-flight slot, as they were from the memtable. Returns
+    /// the points written (or the first error) and the groups to seal,
+    /// whatever the outcome.
+    ///
+    /// [`claim_member`]: EngineInner::claim_member
+    /// [`claim_group`]: EngineInner::claim_group
+    pub(super) fn apply<'a>(
+        &'a self,
+        entries: &[(SeriesId, &[Point])],
+    ) -> (Result<usize>, Vec<(&'a Shard, Vec<FlushMember>)>) {
+        let mut seals: Vec<(&Shard, Vec<FlushMember>)> = Vec::new();
         let mut by_shard: Vec<Vec<(SeriesId, &[Point])>> = vec![Vec::new(); self.shards.len()];
         for &(id, points) in entries.iter().filter(|(_, p)| !p.is_empty()) {
-            self.known(id)?;
+            if let Err(e) = self.known(id) {
+                return (Err(e), seals);
+            }
             if let Some(group) = by_shard.get_mut(id.index() % self.shards.len()) {
                 group.push((id, points));
             }
         }
+        let threshold = self.config.memtable_threshold;
         let mut total = 0usize;
-        let mut need_flush: Vec<SeriesId> = Vec::new();
         for (shard, group) in self.shards.iter().zip(&by_shard) {
             if group.is_empty() {
                 continue;
             }
+            let mut filled = Vec::new();
             let mut map = shard.series.write();
             let applied = group.iter().try_for_each(|&(id, points)| {
                 let store = self.store_entry(&mut map, id);
                 // The record carries the highest version allocated so
                 // far: the flush that drains these points claims the
                 // series under this lock, so its versions are higher.
-                shard.wal.append_inserts(id, self.alloc.current(), points)?;
+                // A run that may fill the memtable is logged after its
+                // insert, and only if overwrites kept it from filling.
+                let may_fill =
+                    store.flushing.is_none() && store.memtable.len() + points.len() >= threshold;
+                if !may_fill {
+                    shard.wal.append_inserts(id, self.alloc.current(), points)?;
+                }
                 store.memtable.extend(points);
                 self.io.record_points_written(points.len() as u64);
                 total += points.len();
-                if store.memtable.len() >= self.config.memtable_threshold
-                    && store.flushing.is_none()
-                {
-                    need_flush.push(id);
+                if may_fill && store.memtable.len() >= threshold {
+                    filled.push(id);
+                } else if may_fill {
+                    shard.wal.append_inserts(id, self.alloc.current(), points)?;
                 }
                 Ok(())
             });
+            filled.sort_unstable();
+            filled.dedup();
+            let mut held = FLUSH_GROUP_MAX_POINTS;
+            for id in filled {
+                let store = map.get_mut(&id);
+                let Some(member) = store.and_then(|s| self.claim_member(id, s, false)) else {
+                    continue;
+                };
+                if held >= FLUSH_GROUP_MAX_POINTS {
+                    seals.push((shard, Vec::new()));
+                    held = 0;
+                }
+                held += member.points.len();
+                if let Some((_, members)) = seals.last_mut() {
+                    members.push(member);
+                }
+            }
             // One commit, also when an entry failed: what did reach a
             // memtable is in the OS before the guard drops.
             let committed = self.commit_wal_with(shard, false);
-            applied.and(committed)?;
+            if let Err(e) = applied.and(committed) {
+                return (Err(e), seals);
+            }
         }
         if self.changes.active() {
             for &(id, points) in by_shard.iter().flatten() {
@@ -92,8 +157,7 @@ impl EngineInner {
                 });
             }
         }
-        self.flush_group(&need_flush, false)?;
-        Ok(total)
+        (Ok(total), seals)
     }
 
     /// Delete all points of `id` in `[start, end]` (inclusive), as an

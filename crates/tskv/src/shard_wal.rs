@@ -5,7 +5,12 @@
 //! engine that silently drops buffered points on restart is not usable.
 //! This log makes the memtables durable: every insert batch and delete
 //! is appended (CRC-framed, torn tails dropped on replay) before it is
-//! applied. Each of the store's fixed, pinned `write_shards` shards —
+//! applied — save a batch that fills its series' memtable while no
+//! flush of the series is in flight. That write seals the memtable
+//! itself before it is acknowledged, so the sealed file is the batch's
+//! durability and a record of it would be covered before it could be
+//! needed; if the seal fails, the points it puts back are appended
+//! then. Each of the store's fixed, pinned `write_shards` shards —
 //! one lock, one log, one directory — holds **one** log shared by every
 //! series hashed into it, and each record
 //! carries the [`SeriesId`] it belongs to. A cold series costs zero WAL

@@ -447,6 +447,17 @@ impl SubRegistry {
         } = spec;
         let query = M4Query::new(t_qs, t_qe, w as usize)
             .map_err(|e| (ErrorCode::InvalidRequest, e.to_string()))?;
+        // A resync or initial fill carries every span in one frame; a
+        // wider subscription could never be sent its state.
+        if w > wire::MAX_SUB_SPANS {
+            return Err((
+                ErrorCode::InvalidRequest,
+                format!(
+                    "w = {w} spans: a full-state frame fits at most {}",
+                    wire::MAX_SUB_SPANS
+                ),
+            ));
+        }
         // Resolve the name to its interned id exactly once, here at the
         // wire boundary; the series must exist up front, and later
         // engine failures surface as SubError pushes.
@@ -1075,6 +1086,75 @@ mod tests {
             .unwrap_err();
         assert_eq!(e.0, ErrorCode::Subscription);
         reg.stop();
+    }
+
+    #[test]
+    fn subscribe_refuses_a_width_whose_full_state_frame_cannot_fit() {
+        assert_eq!(wire::MAX_SUB_SPANS, 972_591);
+        let stats = Arc::new(ServerStats::default());
+        let store = open_store("width");
+        store.insert_batch("s", &[Point::new(1, 1.0)]).unwrap();
+        let reg = SubRegistry::start(
+            store,
+            stats,
+            SubSettings {
+                max_subscriptions: 16,
+                push_queue_spans: 64,
+                change_queue_depth: 16,
+            },
+        );
+        let queue = Arc::new(OutboundQueue::new(64));
+        // One past the bound: refused for its width, before the series
+        // is even looked up.
+        for series in ["s", "nope"] {
+            let e = reg
+                .subscribe(
+                    1,
+                    &queue,
+                    0,
+                    spec(series, 0, 10_000_000, wire::MAX_SUB_SPANS + 1),
+                )
+                .unwrap_err();
+            assert_eq!(e.0, ErrorCode::InvalidRequest, "{}", e.1);
+        }
+        // At the bound the width passes; what stops this one is the
+        // unknown series (a known one would allocate ~1 M spans here).
+        let e = reg
+            .subscribe(
+                1,
+                &queue,
+                0,
+                spec("nope", 0, 10_000_000, wire::MAX_SUB_SPANS),
+            )
+            .unwrap_err();
+        assert_eq!(e.0, ErrorCode::SeriesNotFound, "{}", e.1);
+        assert_eq!(reg.active_subscriptions(), 0);
+        reg.stop();
+
+        // The bound is exact: a full-state delta of that many present
+        // spans encodes into one frame, and one span more does not.
+        let entry = (u32::MAX, Some(span(0)));
+        let mut push = Push::SpanDelta {
+            sub_id: u64::MAX,
+            seq: u64::MAX,
+            resync: true,
+            deltas: vec![entry; wire::MAX_SUB_SPANS as usize],
+        };
+        let max = wire::MAX_PAYLOAD_BYTES as usize;
+        let frame = wire::encode_push(&push).unwrap();
+        let payload = frame.len() - wire::HEADER_LEN - wire::TRAILER_LEN;
+        assert!(payload <= max && payload + 69 > max, "{payload} bytes");
+        drop(frame);
+        if let Push::SpanDelta { deltas, .. } = &mut push {
+            deltas.push(entry);
+        }
+        assert!(matches!(
+            wire::encode_push(&push),
+            Err(crate::NetError::TooLarge {
+                context: "payload",
+                ..
+            })
+        ));
     }
 
     #[test]

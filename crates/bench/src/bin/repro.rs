@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Experiments: the paper artefacts (table2, fig8, fig10–fig14,
-//! pixels, ablation), the two kernel microbenches (pages, decode), or
+//! pixels), the two kernel microbenches (pages, decode), or
 //! `all`. An unknown name exits 2. End-to-end measurement of the
 //! engine and server lives in `benchmark/`, not here.
 //!
@@ -31,13 +31,12 @@ use std::io::Write;
 
 use bench::experiments::decode::{self, DecodeReport, DecodeResults};
 use bench::experiments::pages::{self, PagesReport, PagesRow};
-use bench::experiments::{ablation, fig10, fig11, fig12, fig13, fig14, fig8, pixels, table2};
+use bench::experiments::{fig10, fig11, fig12, fig13, fig14, fig8, pixels, table2};
 use bench::harness::{print_table, BenchMeta, BenchReport, ExpRow, Harness};
 
 /// Every name `--exp` accepts besides `all`, in `--exp all` run order.
-const EXPERIMENTS: [&str; 11] = [
-    "table2", "fig8", "fig10", "fig11", "fig12", "fig13", "fig14", "ablation", "pixels", "pages",
-    "decode",
+const EXPERIMENTS: [&str; 10] = [
+    "table2", "fig8", "fig10", "fig11", "fig12", "fig13", "fig14", "pixels", "pages", "decode",
 ];
 
 struct Args {
@@ -127,7 +126,6 @@ fn main() {
             "fig12" => fig12::run(h),
             "fig13" => fig13::run(h),
             "fig14" => fig14::run(h),
-            "ablation" => ablation::run(h),
             _ => unreachable!(),
         };
         println!("\n== {name} ==");
@@ -145,7 +143,7 @@ fn main() {
         println!("\n== fig8 ==");
         fig8::run(&h);
     }
-    for name in ["fig10", "fig11", "fig12", "fig13", "fig14", "ablation"] {
+    for name in ["fig10", "fig11", "fig12", "fig13", "fig14"] {
         if all || args.exp == name {
             run_measured(name, &mut rows, &h);
         }

@@ -2,7 +2,6 @@
 //! `run(&Harness) -> Vec<ExpRow>` (measurement experiments) or a
 //! printing entry point (descriptive artifacts like Table 2 / Figure 8).
 
-pub mod ablation;
 pub mod decode;
 pub mod fig10;
 pub mod fig11;

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use m4::{M4Lsm, M4LsmConfig, M4Query, M4Result, M4Udf};
+use m4::{M4Lsm, M4Query, M4Result, M4Udf};
 use tskv::config::EngineConfig;
 use tskv::{SeriesSnapshot, TsKv};
 use workload::{apply_random_deletes, load_sequential, load_with_overlap, Dataset};
@@ -170,7 +170,6 @@ impl Harness {
             let r = match operator {
                 Operator::Udf => M4Udf::new().execute(snapshot, query),
                 Operator::Lsm => M4Lsm::new().execute(snapshot, query),
-                Operator::LsmConfigured(cfg) => M4Lsm::with_config(cfg).execute(snapshot, query),
             }
             .expect("query execution");
             latencies.push(start.elapsed().as_secs_f64() * 1e3);
@@ -227,7 +226,6 @@ impl Harness {
 pub enum Operator {
     Udf,
     Lsm,
-    LsmConfigured(M4LsmConfig),
 }
 
 /// Measurement of one operator on one query.

@@ -7,8 +7,9 @@ use std::process::Command;
 
 #[test]
 fn unknown_experiment_exits_2_and_lists_the_valid_names() {
-    // `serve` was an experiment once: a retired name is a typo too.
-    for name in ["serve", "fig1O"] {
+    // `serve` and `ablation` were experiments once: a retired name is a
+    // typo too.
+    for name in ["serve", "ablation", "fig1O"] {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(["--exp", name])
             .output()

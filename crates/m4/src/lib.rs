@@ -48,7 +48,7 @@ pub mod stream;
 pub mod udf;
 
 pub use error::M4Error;
-pub use lsm::{M4Lsm, M4LsmConfig};
+pub use lsm::M4Lsm;
 pub use query::M4Query;
 pub use repr::{M4Result, SpanRepr};
 pub use udf::M4Udf;

@@ -26,12 +26,14 @@
 //!
 //! Everything the query pays for lands in the fragment's row, so a chunk
 //! body is loaded at most once per query and timestamp probes decode
-//! partial prefixes only. The configuration toggles lazy loading
-//! (§3.3/3.4) for the ablation benchmark. A timestamp probe is a binary
-//! search over a decoded prefix or a loaded chunk: the paper's §3.5
-//! step-regression index decoded the same prefixes here and bought no
-//! time, so it is not stored (`tsfile::index`). All of it runs on the
-//! calling thread but the batch load of step 3.
+//! partial prefixes only. A refuted candidate's chunk is loaded only
+//! once it is the most extreme left (§3.3/§3.4); loading it at once
+//! read up to 8 % more chunks and never fewer (DESIGN §4, A2). A
+//! timestamp probe is a binary search over a decoded prefix or a loaded
+//! chunk: the paper's §3.5 step-regression index decoded the same
+//! prefixes here and bought no time, so it is not stored
+//! (`tsfile::index`). All of it runs on the calling thread but the batch
+//! load of step 3.
 
 mod span;
 mod table;
@@ -48,39 +50,13 @@ use crate::{M4Error, Result};
 use span::{SpanExecutor, SpanFragment};
 use table::FragmentTable;
 
-/// Tunables of the M4-LSM operator (on by default; disabling is only
-/// for ablation experiments).
-#[derive(Debug, Clone, Copy)]
-pub struct M4LsmConfig {
-    /// Defer chunk loads until a refuted candidate is still the most
-    /// extreme remaining (§3.3/§3.4). Off = load eagerly on first
-    /// refutation.
-    pub lazy_load: bool,
-}
-
-impl Default for M4LsmConfig {
-    fn default() -> Self {
-        M4LsmConfig { lazy_load: true }
-    }
-}
-
 /// The merge-free M4 operator.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct M4Lsm {
-    cfg: M4LsmConfig,
-}
+pub struct M4Lsm;
 
 impl M4Lsm {
-    /// Operator with default configuration.
     pub fn new() -> Self {
-        M4Lsm {
-            cfg: M4LsmConfig::default(),
-        }
-    }
-
-    /// Operator with explicit configuration (ablations).
-    pub fn with_config(cfg: M4LsmConfig) -> Self {
-        M4Lsm { cfg }
+        M4Lsm
     }
 
     /// Execute an M4 query over a storage snapshot.
@@ -172,17 +148,9 @@ impl M4Lsm {
         for visit in visits.chunk_by(|a, b| a.0 == b.0) {
             let i = visit[0].0;
             let frags: Vec<SpanFragment<'_>> = visit.iter().map(|&(_, f)| f).collect();
-            spans[i] = SpanExecutor::new(&frags, &table, deletes, query.span_range(i), &self.cfg)
-                .compute()?;
+            spans[i] = SpanExecutor::new(&frags, &table, deletes, query.span_range(i)).compute()?;
         }
         Ok(M4Result { spans })
-    }
-
-    /// How many fragments an execution of `query` keeps a row for: the
-    /// chunks overlapping the query range, not the chunks of the series.
-    pub fn fragments(snapshot: &SeriesSnapshot, query: &M4Query) -> usize {
-        let table = FragmentTable::new(snapshot, query.full_range());
-        table.rows().len()
     }
 }
 
@@ -232,14 +200,8 @@ mod tests {
     fn assert_matches_udf(kv: &TsKv, series: &str, q: &M4Query) {
         let snap = kv.snapshot(series).unwrap();
         let udf = M4Udf::new().execute(&snap, q).unwrap();
-        for lazy_load in [true, false] {
-            let cfg = M4LsmConfig { lazy_load };
-            let lsm = M4Lsm::with_config(cfg).execute(&snap, q).unwrap();
-            assert!(
-                lsm.equivalent(&udf),
-                "cfg {cfg:?}\nlsm: {lsm:?}\nudf: {udf:?}"
-            );
-        }
+        let lsm = M4Lsm::new().execute(&snap, q).unwrap();
+        assert!(lsm.equivalent(&udf), "lsm: {lsm:?}\nudf: {udf:?}");
     }
 
     #[test]

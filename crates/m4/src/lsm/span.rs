@@ -32,7 +32,6 @@ use tsfile::ModEntry;
 use tskv::delete::is_deleted;
 
 use crate::lsm::table::{Fragment, FragmentTable};
-use crate::lsm::M4LsmConfig;
 use crate::repr::SpanRepr;
 use crate::{M4Error, Result};
 
@@ -52,7 +51,6 @@ pub(crate) struct SpanExecutor<'t> {
     /// a point in it. Usually none.
     deletes: Vec<ModEntry>,
     span: TimeRange,
-    cfg: &'t M4LsmConfig,
 }
 
 /// FP/LP solver state for one chunk that may still hold live in-span
@@ -115,7 +113,6 @@ impl<'t> SpanExecutor<'t> {
         table: &'t FragmentTable<'t>,
         deletes: &[ModEntry],
         span: TimeRange,
-        cfg: &'t M4LsmConfig,
     ) -> Self {
         let deletes = deletes
             .iter()
@@ -127,7 +124,6 @@ impl<'t> SpanExecutor<'t> {
             table,
             deletes,
             span,
-            cfg,
         }
     }
 
@@ -249,11 +245,6 @@ impl<'t> SpanExecutor<'t> {
                 self.table.note_stat_answered();
                 return Ok(Some(p));
             };
-            if !self.cfg.lazy_load {
-                // Ablation: eager load on first refutation.
-                states[pos] = self.edge_from_live(frag, first)?;
-                continue;
-            }
             // §3.3: shift the effective interval past the delete; the
             // chunk is only loaded if it remains the most extreme. Its
             // statistics lie inside the span (only a whole fragment
@@ -371,11 +362,7 @@ impl<'t> SpanExecutor<'t> {
                     if overwritten {
                         refuted.push((pos, p_g.t));
                     }
-                    states[pos] = if self.cfg.lazy_load {
-                        ExtremeState::Dirty(bound)
-                    } else {
-                        self.load_extreme(pos, top, &refuted)?
-                    };
+                    states[pos] = ExtremeState::Dirty(bound);
                 }
                 ExtremeState::Loaded { pts, cand, ranked } => {
                     let ranked =

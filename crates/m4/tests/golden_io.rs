@@ -2,11 +2,11 @@
 //!
 //! A fixed store — overlapping flushes, overwrites of the bottom and
 //! top points, deletes that clip span edges, small chunks, a memtable
-//! chunk — is queried with a fixed list at `read_threads = 1` under both
-//! `M4LsmConfig` ablations, and the `IoSnapshot` delta of every
-//! execution is compared with [`GOLDEN`]. The engine's decoded-chunk
-//! cache is on, so `cache_hits + cache_misses` is the number of chunk
-//! loads an execution asked for, whatever earlier rows left cached.
+//! chunk — is queried with a fixed list at `read_threads = 1`, and the
+//! `IoSnapshot` delta of every execution is compared with [`GOLDEN`].
+//! The engine's decoded-chunk cache is on, so `cache_hits +
+//! cache_misses` is the number of chunk loads an execution asked for,
+//! whatever earlier rows left cached.
 //!
 //! The table was printed by this same test when a chunk became one
 //! page: the fixture's 500-point chunks of 100-point pages became
@@ -17,7 +17,7 @@
 //! generation breaks a value tie by the larger version. Every chunk's
 //! top is 100 and most chunks' bottom is 0, so the candidate a tie
 //! picks moved, and with it the loads and probes verifying it: rows of
-//! `(0, 20_000, 7)` decode 90 timestamps where they decoded 36, its lazy
+//! `(0, 20_000, 7)` decode 90 timestamps where they decoded 36, its
 //! `(0, 20_000, 40)` row 980 points where 780, and `(1_234, 17_777, 7)`
 //! 92 timestamps where 42; the other rows decode no more. Checked, not
 //! guessed: at the parent, with that tie-break removed, the old layout
@@ -31,6 +31,12 @@
 //! timestamps, which moved from the one column to the other (lazy
 //! 1 338/90 → 1 230/198, eager 108/90 → 0/198); no load, probe or
 //! answer changed, and no other row probes the memtable chunk.
+//!
+//! The table had two rows a query, one per loading policy, until lazy
+//! loading became the only one: the eager rows were dropped, the lazy
+//! rows kept as they were. Every eager row loaded only chunks already
+//! cached (`cache_misses = 0`), so it left the cache as it found it and
+//! dropping it moves no count of the rows after it.
 
 // Tests assert by panicking; the workspace panic-freedom deny-set
 // (root Cargo.toml) is aimed at library code.
@@ -47,7 +53,7 @@ use tsfile::types::Point;
 use tskv::config::EngineConfig;
 use tskv::TsKv;
 
-use m4::{M4Lsm, M4LsmConfig, M4Query};
+use m4::{M4Lsm, M4Query};
 
 /// `(t_qs, t_qe, w)`: the full range at every `w`, then a misaligned
 /// subrange.
@@ -59,22 +65,14 @@ const QUERIES: [(i64, i64, usize); 5] = [
     (1_234, 17_777, 7),
 ];
 
-/// `lazy_load`, run in this order on every query.
-const ABLATIONS: [bool; 2] = [true, false];
-
-/// One row per query per ablation, in execution order: `chunks_loaded`,
+/// One row per query, in execution order: `chunks_loaded`,
 /// `pages_decoded`, `points_decoded`, `timestamps_decoded`,
 /// `pages_stat_answered`, `cache_hits`, `cache_misses`.
-const GOLDEN: [[u64; 7]; 10] = [
+const GOLDEN: [[u64; 7]; 5] = [
     [2, 2, 200, 0, 0, 0, 2],
-    [0, 0, 0, 0, 0, 2, 0],
     [14, 13, 1230, 198, 3, 2, 13],
-    [1, 0, 0, 198, 3, 15, 0],
     [10, 9, 980, 2, 0, 15, 9],
-    [1, 0, 80, 2, 0, 24, 0],
     [1, 1, 82, 0, 0, 24, 1],
-    [0, 0, 80, 0, 0, 25, 0],
-    [2, 0, 80, 92, 8, 14, 0],
     [2, 0, 80, 92, 8, 14, 0],
 ];
 
@@ -145,27 +143,22 @@ fn io_decisions_match_the_recorded_table() {
     let mut rows = Vec::new();
     for (t_qs, t_qe, w) in QUERIES {
         let q = M4Query::new(t_qs, t_qe, w).unwrap();
-        for lazy_load in ABLATIONS {
-            let cfg = M4LsmConfig { lazy_load };
-            let before = snap.io().snapshot();
-            M4Lsm::with_config(cfg).execute(&snap, &q).unwrap();
-            let d = snap.io().snapshot() - before;
-            rows.push([
-                d.chunks_loaded,
-                d.pages_decoded,
-                d.points_decoded,
-                d.timestamps_decoded,
-                d.pages_stat_answered,
-                d.cache_hits,
-                d.cache_misses,
-            ]);
-        }
+        let before = snap.io().snapshot();
+        M4Lsm::new().execute(&snap, &q).unwrap();
+        let d = snap.io().snapshot() - before;
+        rows.push([
+            d.chunks_loaded,
+            d.pages_decoded,
+            d.points_decoded,
+            d.timestamps_decoded,
+            d.pages_stat_answered,
+            d.cache_hits,
+            d.cache_misses,
+        ]);
     }
-    // A query over 2 % of the range keeps a row for exactly the chunks
-    // overlapping it — 2 of the store's 26.
+    // A query over 2 % of the range meets 2 of the store's 26 chunks.
     let q = M4Query::new(8_000, 8_400, 7).unwrap();
-    let expect = snap.chunks_overlapping(q.full_range()).len();
-    assert_eq!((M4Lsm::fragments(&snap, &q), expect), (2, 2));
+    assert_eq!(snap.chunks_overlapping(q.full_range()).len(), 2);
     let printed: String = rows.iter().map(|r| format!("    {r:?},\n")).collect();
     assert!(rows == GOLDEN, "I/O decisions moved; now:\n{printed}");
     std::fs::remove_dir_all(&dir).ok();

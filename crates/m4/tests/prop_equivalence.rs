@@ -1,9 +1,8 @@
 //! The core correctness property of the reproduction: for ANY storage
 //! history (out-of-order inserts, overwrites, flushes, range deletes)
-//! and ANY query geometry, the merge-free M4-LSM operator — in every
-//! ablation configuration — produces a representation equivalent to the
-//! M4-UDF baseline, which in turn equals a naive in-memory oracle
-//! replaying the same history.
+//! and ANY query geometry, the merge-free M4-LSM operator produces a
+//! representation equivalent to the M4-UDF baseline, which in turn
+//! equals a naive in-memory oracle replaying the same history.
 //!
 //! "Equivalent" is Definition 2.1's notion: identical FP/LP points and
 //! identical BP/TP *values* (any point attaining the extreme value is a
@@ -28,7 +27,7 @@ use tskv::config::EngineConfig;
 use tskv::TsKv;
 
 use m4::oracle::m4_scan;
-use m4::{M4Lsm, M4LsmConfig, M4Query, M4Udf};
+use m4::{M4Lsm, M4Query, M4Udf};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -114,17 +113,11 @@ proptest! {
             "UDF deviates from oracle\nudf: {:?}\noracle: {:?}", udf, expected
         );
 
-        for cfg in [
-            M4LsmConfig { lazy_load: true },
-            M4LsmConfig { lazy_load: false },
-        ] {
-            let lsm = M4Lsm::with_config(cfg).execute(&snap, &query).unwrap();
-            prop_assert!(
-                lsm.equivalent(&expected),
-                "M4-LSM ({:?}) deviates from oracle\nlsm: {:?}\noracle: {:?}",
-                cfg, lsm, expected
-            );
-        }
+        let lsm = M4Lsm::new().execute(&snap, &query).unwrap();
+        prop_assert!(
+            lsm.equivalent(&expected),
+            "M4-LSM deviates from oracle\nlsm: {:?}\noracle: {:?}", lsm, expected
+        );
 
         std::fs::remove_dir_all(&dir).ok();
     }

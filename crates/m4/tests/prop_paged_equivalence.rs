@@ -32,7 +32,7 @@ use tskv::config::EngineConfig;
 use tskv::TsKv;
 
 use m4::oracle::m4_scan;
-use m4::{M4Lsm, M4LsmConfig, M4Query, M4Udf};
+use m4::{M4Lsm, M4Query, M4Udf};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -140,34 +140,29 @@ proptest! {
             "UDF deviates from oracle\nudf: {:?}\noracle: {:?}", udf_p, expected
         );
 
-        // M4-LSM in every ablation: equivalent to the oracle on both
-        // stores, with byte-exact FP/LP across the twins.
-        for cfg in [
-            M4LsmConfig { lazy_load: true },
-            M4LsmConfig { lazy_load: false },
-        ] {
-            let lsm_p = M4Lsm::with_config(cfg).execute(&snap_p, &query).unwrap();
-            let lsm_m = M4Lsm::with_config(cfg).execute(&snap_m, &query).unwrap();
-            prop_assert!(
-                lsm_p.equivalent(&expected),
-                "small-chunk M4-LSM ({:?}) deviates from oracle\nlsm: {:?}\noracle: {:?}",
-                cfg, lsm_p, expected
-            );
-            prop_assert!(
-                lsm_m.equivalent(&expected),
-                "monolithic M4-LSM ({:?}) deviates from oracle", cfg
-            );
-            for (sp, sm) in lsm_p.spans.iter().zip(lsm_m.spans.iter()) {
-                match (sp, sm) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        prop_assert_eq!(a.first, b.first, "FP differs across twins ({:?})", cfg);
-                        prop_assert_eq!(a.last, b.last, "LP differs across twins ({:?})", cfg);
-                    }
-                    _ => return Err(TestCaseError::fail(format!(
-                        "span emptiness differs across twins ({cfg:?})"
-                    ))),
+        // M4-LSM: equivalent to the oracle on both stores, with
+        // byte-exact FP/LP across the twins.
+        let lsm_p = M4Lsm::new().execute(&snap_p, &query).unwrap();
+        let lsm_m = M4Lsm::new().execute(&snap_m, &query).unwrap();
+        prop_assert!(
+            lsm_p.equivalent(&expected),
+            "small-chunk M4-LSM deviates from oracle\nlsm: {:?}\noracle: {:?}",
+            lsm_p, expected
+        );
+        prop_assert!(
+            lsm_m.equivalent(&expected),
+            "monolithic M4-LSM deviates from oracle"
+        );
+        for (sp, sm) in lsm_p.spans.iter().zip(lsm_m.spans.iter()) {
+            match (sp, sm) {
+                (None, None) => {}
+                (Some(a), Some(b)) => {
+                    prop_assert_eq!(a.first, b.first, "FP differs across twins");
+                    prop_assert_eq!(a.last, b.last, "LP differs across twins");
                 }
+                _ => return Err(TestCaseError::fail(
+                    "span emptiness differs across twins"
+                )),
             }
         }
 

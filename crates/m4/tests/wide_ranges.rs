@@ -11,7 +11,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use m4::stream::StreamingM4;
-use m4::{M4Lsm, M4LsmConfig, M4Query, M4Result, M4Udf, SpanRepr};
+use m4::{M4Lsm, M4Query, M4Result, M4Udf, SpanRepr};
 use tsfile::types::Point;
 use tskv::config::EngineConfig;
 use tskv::TsKv;
@@ -54,10 +54,8 @@ fn wide_ranges_put_each_point_in_the_span_the_definition_gives() {
             let at = format!("[{t_qs}, {t_qe}) at w = {w}");
             let udf = M4Udf::new().execute(&snap, &query).unwrap();
             assert_eq!(udf, want, "M4-UDF on {at}");
-            for lazy_load in [true, false] {
-                let lsm = M4Lsm::with_config(M4LsmConfig { lazy_load });
-                assert_eq!(lsm.execute(&snap, &query).unwrap(), want, "M4-LSM on {at}");
-            }
+            let lsm = M4Lsm::new().execute(&snap, &query).unwrap();
+            assert_eq!(lsm, want, "M4-LSM on {at}");
             let mut stream = StreamingM4::new(query);
             stream.ingest_all(&points);
             assert_eq!(stream.current(), want, "StreamingM4 on {at}");

@@ -89,7 +89,7 @@ fn figure5_merge_function() {
 /// next candidate answers — and crucially, the refuted chunks are never
 /// loaded from disk.
 #[test]
-fn figure7a_fp_lazy_load() {
+fn figure7a_fp_loads_lazily() {
     let (dir, kv) = store("fig7a", 10);
     // C¹ and C² start early; D³ deletes their heads; C⁴ starts after
     // the delete but before C¹/C²'s remaining points.

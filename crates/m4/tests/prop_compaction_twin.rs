@@ -101,6 +101,18 @@ proptest! {
                     let snap = kv.snapshot("s").unwrap();
                     let merged = MergeReader::new(&snap).collect_merged().unwrap();
                     prop_assert_eq!(merged, live(&model), "compaction changed the series");
+                    // Compaction writes full chunks: no two time-adjacent
+                    // sealed chunks are both short of `chunk_size`.
+                    let mut sealed: Vec<_> = snap.chunks().iter().filter(|c| !c.is_mem()).collect();
+                    sealed.sort_by_key(|c| c.time_range().start);
+                    for pair in sealed.windows(2) {
+                        prop_assert!(
+                            pair.iter().any(|c| c.count() >= chunk_size as u64),
+                            "adjacent under-full chunks at {:?} and {:?}",
+                            pair[0].time_range(),
+                            pair[1].time_range()
+                        );
+                    }
                 }
                 Op::Delete(s, e) => {
                     kv.delete("s", i64::from(*s), i64::from(*e)).unwrap();

@@ -5,27 +5,30 @@
 //! [`plan`](crate::readers::plan) and writes the member's run of the
 //! sweep's output file:
 //!
-//! * **Clean chunks** move byte-for-byte, decimal or XOR value mode
-//!   and all: one pooled pread of the body
+//! * **Full clean chunks** move byte-for-byte, decimal or XOR value
+//!   mode and all: one pooled pread of the body
 //!   ([`TsFileReader::read_chunk_raw`]) and a raw append that re-checks
 //!   its CRC — once, at the writer's gate — and carries its statistics
 //!   straight into the new footer
 //!   ([`tsfile::TsFileWriter::write_chunk_raw`]) — no decode, no
-//!   re-encode.
-//! * **Dirty chunks** decode, k-way merge through the same
-//!   [`MergeReader`] the read path uses — latest version wins,
+//!   re-encode. A clean chunk is full when it holds `points_per_chunk`
+//!   points; one short of that is copied too when both its
+//!   time-neighbours (among the non-dropped inputs, by first
+//!   timestamp) are full clean chunks, and is otherwise recoded.
+//! * **Dirty and recoded clean chunks** decode, k-way merge through the
+//!   same [`MergeReader`] the read path uses — latest version wins,
 //!   later-versioned deletes drop points — and re-encode chunked by
 //!   `points_per_chunk`, each new chunk choosing its value mode again
-//!   from its own values.
+//!   from its own values: under-full chunks come out full.
 //! * **Dropped chunks** — wholly inside one newer delete — are not read.
 //!
-//! Clean chunks and merged dirty points interleave on the time axis;
+//! Copied chunks and merged points interleave on the time axis;
 //! [`merge_run`] walks both in time order so output chunks are
-//! emitted time-sorted and mutually disjoint. No merged dirty point can
-//! fall inside a clean chunk's time range (that would imply an
-//! overlapping input chunk or an applicable delete, contradicting
-//! cleanliness), so the walk spills the merged points before each clean
-//! chunk and copies the chunk whole.
+//! emitted time-sorted and mutually disjoint. No merged point can fall
+//! inside a clean chunk's time range (that would imply an overlapping
+//! input chunk or an applicable delete, contradicting cleanliness), so
+//! the walk spills the merged points before each copied chunk and
+//! copies the chunk whole.
 //!
 //! Every output chunk — copied or re-encoded — carries the member's
 //! **maximum input chunk version**. Inputs are a contiguous run in
@@ -126,14 +129,33 @@ pub(crate) fn merge_run(
             range: meta.time_range(),
         })
         .collect();
-    let fates = plan::classify(&views, deletes);
+    let mut fates = plan::classify(&views, deletes);
+    // A clean chunk short of `points_per_chunk` stays whole only between
+    // two full clean time-neighbours; any other is decoded and
+    // re-chunked with the merged points around it.
+    let mut order: Vec<usize> = (0..chunks.len())
+        .filter(|&i| fates[i] != Fate::Dropped)
+        .collect();
+    order.sort_by_key(|&i| chunks[i].1.stats.first.t);
+    let full: Vec<bool> = order
+        .iter()
+        .map(|&i| {
+            fates[i] == Fate::Clean && chunks[i].1.stats.count as usize >= config.points_per_chunk
+        })
+        .collect();
+    for (k, &i) in order.iter().enumerate() {
+        let flanked = k > 0 && full[k - 1] && full.get(k + 1) == Some(&true);
+        if fates[i] == Fate::Clean && !full[k] && !flanked {
+            fates[i] = Fate::Dirty;
+        }
+    }
     let mut out = CompactionReport {
         chunks_merged: chunks.len(),
         ..CompactionReport::default()
     };
 
     // 1. Decode the dirty chunks — each a sorted run carrying its
-    // version — and list the clean ones, to be copied in time order.
+    // version — and list the clean ones left, to be copied in time order.
     // Every input chunk but a dropped one is read exactly once.
     let mut clean: Vec<(&TsFileReader, &ChunkMeta)> = Vec::new();
     let mut dirty: Vec<(Version, Arc<Vec<Point>>)> = Vec::new();

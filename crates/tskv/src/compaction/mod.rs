@@ -17,13 +17,16 @@
 //! * **Rewrite avoidance** ([`execute`], planned by the read path's
 //!   [`crate::readers::plan`]) — footer metadata classifies each input
 //!   chunk as *clean* (overlapping no other input chunk and no newer
-//!   delete) or *dirty*. Clean chunks are copied
-//!   byte-for-byte — CRC-revalidated, never decoded, their statistics
-//!   carried into the new footer — while only dirty chunks flow through
-//!   decode → k-way merge → re-encode. On append-mostly workloads most
-//!   bytes take the copy path, which is the write-amplification win
-//!   the `compaction_pages_copied` / `compaction_bytes_rewritten`
-//!   counters quantify.
+//!   delete) or *dirty*. A clean chunk that holds `points_per_chunk`
+//!   points, or sits between two such clean chunks, is copied
+//!   byte-for-byte — CRC-revalidated, never decoded, its statistics
+//!   carried into the new footer. Dirty chunks, and the under-full
+//!   clean chunks that are not so flanked, flow through decode → k-way
+//!   merge → re-encode by `points_per_chunk`, so the output holds full
+//!   chunks where its inputs held partial flushes. On append-mostly
+//!   workloads most bytes take the copy path, which is the
+//!   write-amplification win the `compaction_pages_copied` /
+//!   `compaction_bytes_rewritten` counters quantify.
 //!
 //! Every output chunk carries the **maximum input chunk version**: the
 //! inputs are a prefix of the series' version-ordered file list, so
@@ -57,7 +60,7 @@ pub struct CompactionReport {
     /// each member had a run in. A file shared with series outside the
     /// compaction is unlinked only when its last run is retired.
     pub files_removed: usize,
-    /// Chunks read during the merge.
+    /// Input chunks of the merge, dropped ones (never read) included.
     pub chunks_merged: usize,
     /// Live points written to the new file (0 ⇒ everything was
     /// deleted). Counts copied and re-encoded points alike.
@@ -65,9 +68,11 @@ pub struct CompactionReport {
     /// Delete entries applied and dropped.
     pub deletes_applied: usize,
     /// Clean input chunks (one page each) copied byte-for-byte, never
-    /// decoded.
+    /// decoded: the full ones, and under-full ones between two full
+    /// clean chunks.
     pub pages_copied: u64,
-    /// Input chunks (one page each) decoded and re-encoded.
+    /// Input chunks (one page each) decoded and re-encoded: the dirty
+    /// ones and every clean one not copied.
     pub pages_recoded: u64,
     /// Input chunk-body bytes read.
     pub bytes_read: u64,
@@ -398,6 +403,87 @@ mod tests {
                     b.time_range()
                 );
             }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        Ok(())
+    }
+
+    /// Partial flushes in time order leave under-full chunks side by
+    /// side; compaction decodes them and re-chunks their points by
+    /// `points_per_chunk`, while the full chunks before them copy.
+    #[test]
+    fn under_full_chunks_are_rechunked_with_their_neighbours() -> TestResult {
+        let dir = std::env::temp_dir().join(format!("tskv-compact-short-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let kv = TsKv::open(
+            &dir,
+            EngineConfig {
+                points_per_chunk: 10,
+                memtable_threshold: 100_000,
+                ..Default::default()
+            },
+        )?;
+        let mut t = 0i64;
+        for n in [20, 4, 3, 5] {
+            for _ in 0..n {
+                kv.insert("s", Point::new(t, (t % 7) as f64))?;
+                t += 1;
+            }
+            kv.flush("s")?;
+        }
+        let before = MergeReader::new(&kv.snapshot("s")?).collect_merged()?;
+        let report = kv.compact("s")?;
+        assert_eq!(
+            (report.pages_copied, report.pages_recoded),
+            (2, 3),
+            "{report:?}"
+        );
+        let snap = kv.snapshot("s")?;
+        assert_eq!(MergeReader::new(&snap).collect_merged()?, before);
+        let counts: Vec<u64> = snap.chunks().iter().map(|c| c.count()).collect();
+        assert_eq!(counts, [10, 10, 10, 2], "⌈32 / 10⌉ chunks");
+        std::fs::remove_dir_all(&dir).ok();
+        Ok(())
+    }
+
+    /// A sweep over many series of several shards, each sealed from two
+    /// partial memtables: every run comes out in the fewest chunks its
+    /// points fit, ⌈points / `points_per_chunk`⌉.
+    #[test]
+    fn a_sweep_leaves_every_run_in_full_chunks() -> TestResult {
+        let dir = std::env::temp_dir().join(format!("tskv-compact-fleet-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let kv = TsKv::open(
+            &dir,
+            EngineConfig {
+                points_per_chunk: 10,
+                memtable_threshold: 100_000,
+                write_shards: 4,
+                ..Default::default()
+            },
+        )?;
+        // Series i: a first flush of 1–29 points, a second of 1–9.
+        let sizes = |i: i64| [10 * (i % 3) + 1 + i % 9, 1 + (i * 5) % 9];
+        for round in 0..2 {
+            for i in 0..64i64 {
+                let start = if round == 0 { 0 } else { sizes(i)[0] };
+                for t in start..start + sizes(i)[round] {
+                    kv.insert(&format!("s{i}"), Point::new(t, t as f64))?;
+                }
+            }
+            kv.flush_all()?;
+        }
+        let report = kv.compact_all()?;
+        assert!(report.pages_recoded > 0, "{report:?}");
+        for i in 0..64i64 {
+            let snap = kv.snapshot(&format!("s{i}"))?;
+            let points = MergeReader::new(&snap).collect_merged()?;
+            let n = sizes(i)[0] + sizes(i)[1];
+            assert_eq!(
+                points,
+                (0..n).map(|t| Point::new(t, t as f64)).collect::<Vec<_>>()
+            );
+            assert_eq!(snap.chunks().len() as i64, (n + 9) / 10, "series s{i}");
         }
         std::fs::remove_dir_all(&dir).ok();
         Ok(())

@@ -183,8 +183,9 @@ impl TsKv {
     }
 
     /// Fully compact one series: merge every sealed file (applying
-    /// deletes and overwrites; clean chunks are copied byte-for-byte,
-    /// only dirty chunks re-encode), write the result as a fresh TsFile,
+    /// deletes and overwrites; full clean chunks are copied
+    /// byte-for-byte, dirty and under-full chunks re-encode by
+    /// `points_per_chunk`), write the result as a fresh TsFile,
     /// unlink the old files its run was the last live one of and trim
     /// the delete log. The memtable and WAL are untouched. Returns an
     /// empty report if a compaction or a flush holds the series. This

@@ -36,8 +36,9 @@
 //! is the raw append history — the hardest case for a merge-based
 //! reader and the case M4-LSM is designed for. Beyond the paper, the
 //! [`compaction`] module provides chunk-aware compaction (a series'
-//! sealed runs merged into one file, clean chunks copied byte-for-byte
-//! without decode), run manually via `compact` or by the background
+//! sealed runs merged into one file, full clean chunks copied
+//! byte-for-byte without decode, under-full ones re-chunked with their
+//! time-neighbours), run manually via `compact` or by the background
 //! [`scheduler`] when `compaction_auto` is set.
 //!
 //! ## Quick example

@@ -83,14 +83,16 @@ crate::metric_registry! {
     /// Input chunk-body bytes read by compaction merges (kept out of
     /// `bytes_read`, which meters the query read path).
     counter compaction_bytes_read;
-    /// Output bytes produced by compaction's re-encode path. Clean
-    /// chunks copied byte-for-byte are *excluded*: the gap between this
-    /// and `compaction_bytes_read` is the write amplification avoided.
+    /// Output bytes produced by compaction's re-encode path. Chunks
+    /// copied byte-for-byte are *excluded*: the gap between this and
+    /// `compaction_bytes_read` is the write amplification avoided.
     counter compaction_bytes_rewritten;
     /// Clean chunks (one page each) compaction copied raw
-    /// (CRC-revalidated, never decoded).
+    /// (CRC-revalidated, never decoded): the full ones, and under-full
+    /// ones between two full clean chunks.
     counter compaction_pages_copied;
-    /// Input chunks (one page each) compaction decoded and re-encoded.
+    /// Input chunks (one page each) compaction decoded and re-encoded:
+    /// the dirty ones and every clean one not copied.
     counter compaction_pages_recoded;
     /// Pooled read-buffer takes served from a thread freelist. Sampled
     /// from the process-wide pool in `tsfile::bufpool`, which every

@@ -2,9 +2,11 @@
 //!
 //! One [`TsNetClient`] owns one TCP connection and issues one request
 //! at a time (use one client per thread for concurrency). Connection
-//! establishment retries with linear backoff; `Busy` responses surface
-//! as the retryable [`NetError::Busy`] so callers choose their own
-//! backpressure policy — or use [`TsNetClient::call_with_busy_retry`].
+//! establishment makes [`CONNECT_ATTEMPTS`] attempts with linear
+//! backoff, and a frame is read under [`READ_TIMEOUT`]; `Busy`
+//! responses surface as the retryable [`NetError::Busy`] so callers
+//! choose their own backpressure policy — or use
+//! [`TsNetClient::call_with_busy_retry`].
 //!
 //! ## Reading a connection that also carries pushes
 //!
@@ -36,31 +38,20 @@ use crate::stats::ServerStatsSnapshot;
 use crate::wire::{self, Frame, Operator, Push, Request, RequestEnvelope, Response};
 use crate::Result;
 
-/// Tuning knobs for one client connection.
-#[derive(Debug, Clone)]
+/// Connection attempts before [`TsNetClient::connect`] gives up.
+const CONNECT_ATTEMPTS: u32 = 10;
+/// Backoff between connection attempts, linear: attempt × this.
+const CONNECT_BACKOFF: Duration = Duration::from_millis(50);
+/// How long a response, or a push once its first byte is in, may take
+/// to arrive.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Settings of one client connection; its limits are the constants
+/// above.
+#[derive(Debug, Clone, Default)]
 pub struct ClientConfig {
-    /// Connection attempts before giving up.
-    pub connect_attempts: u32,
-    /// Backoff between connection attempts (ms, linear: attempt × this).
-    pub connect_backoff_ms: u64,
-    /// Socket read timeout while waiting for a response (ms; 0 = none).
-    pub read_timeout_ms: u64,
     /// Deadline stamped on every request envelope (ms; 0 = none).
     pub deadline_ms: u32,
-    /// Largest response payload this client will accept (bytes).
-    pub max_payload_bytes: u32,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            connect_attempts: 10,
-            connect_backoff_ms: 50,
-            read_timeout_ms: 30_000,
-            deadline_ms: 0,
-            max_payload_bytes: wire::MAX_PAYLOAD_BYTES,
-        }
-    }
 }
 
 /// A blocking connection to a [`crate::server::TsNetServer`].
@@ -83,24 +74,16 @@ pub struct Subscription {
 }
 
 impl TsNetClient {
-    /// Connect to `addr`, retrying per the config. Useful against a
-    /// server that is still binding (CI starts both concurrently).
+    /// Connect to `addr`, making up to [`CONNECT_ATTEMPTS`] attempts.
+    /// Useful against a server that is still binding (CI starts both
+    /// concurrently).
     pub fn connect(addr: impl ToSocketAddrs + Copy, config: ClientConfig) -> Result<TsNetClient> {
-        let attempts = config.connect_attempts.max(1);
         let mut last: Option<std::io::Error> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                thread::sleep(Duration::from_millis(
-                    config.connect_backoff_ms.saturating_mul(u64::from(attempt)),
-                ));
-            }
+        for attempt in 0..CONNECT_ATTEMPTS {
+            thread::sleep(CONNECT_BACKOFF * attempt);
             match TcpStream::connect(addr) {
                 Ok(stream) => {
-                    if config.read_timeout_ms > 0 {
-                        stream.set_read_timeout(Some(Duration::from_millis(
-                            config.read_timeout_ms,
-                        )))?;
-                    }
+                    stream.set_read_timeout(Some(READ_TIMEOUT))?;
                     stream.set_nodelay(true)?;
                     return Ok(TsNetClient {
                         stream,
@@ -113,7 +96,7 @@ impl TsNetClient {
             }
         }
         Err(NetError::ConnectFailed {
-            attempts,
+            attempts: CONNECT_ATTEMPTS,
             last: last.unwrap_or_else(|| std::io::Error::other("no connection attempt ran")),
         })
     }
@@ -142,7 +125,7 @@ impl TsNetClient {
         let bytes = wire::encode_request(&env)?;
         wire::write_frame(&mut self.stream, &bytes)?;
         loop {
-            let frame = wire::read_frame(&mut self.stream, self.config.max_payload_bytes)?;
+            let frame = wire::read_frame(&mut self.stream)?;
             match frame {
                 Frame::Push(push) => {
                     self.buffered_pushes.push_back(push);
@@ -167,39 +150,42 @@ impl TsNetClient {
     /// Surface the next server push, waiting up to `timeout` for one
     /// to arrive. Returns `Ok(None)` when the wait elapses without a
     /// push. Buffered pushes (read mid-call) are drained first.
+    ///
+    /// `timeout` bounds the wait for a frame's first byte only; a frame
+    /// once begun is read whole under [`READ_TIMEOUT`], so a slow frame
+    /// never leaves the next read in the middle of it.
     pub fn poll_push(&mut self, timeout: Duration) -> Result<Option<Push>> {
         if let Some(push) = self.buffered_pushes.pop_front() {
             return Ok(Some(push));
         }
-        // A zero timeout would mean "block forever" to the OS; clamp
-        // to the smallest finite wait instead.
-        self.stream
-            .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
-        let outcome = loop {
-            match wire::read_frame(&mut self.stream, self.config.max_payload_bytes) {
-                Ok(Frame::Push(push)) => break Ok(Some(push)),
-                // Stale response from an abandoned call: discard.
-                Ok(Frame::Response(_)) => {}
-                Ok(Frame::Request(_)) => break Err(NetError::UnexpectedResponse("client")),
-                Err(NetError::Io(e))
+        loop {
+            // A zero timeout would mean "block forever" to the OS; clamp
+            // to the smallest finite wait instead.
+            self.stream
+                .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
+            let peeked = self.stream.peek(&mut [0u8; 1]);
+            self.stream.set_read_timeout(Some(READ_TIMEOUT))?;
+            match peeked {
+                Err(e)
                     if matches!(
                         e.kind(),
                         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                     ) =>
                 {
-                    break Ok(None);
+                    return Ok(None);
                 }
-                Err(e) => break Err(e),
+                Err(e) => return Err(e.into()),
+                // A frame has begun (or the peer closed: the read below
+                // reports it).
+                Ok(_) => {}
             }
-        };
-        // Restore the configured response timeout for subsequent calls.
-        let configured = if self.config.read_timeout_ms > 0 {
-            Some(Duration::from_millis(self.config.read_timeout_ms))
-        } else {
-            None
-        };
-        self.stream.set_read_timeout(configured)?;
-        outcome
+            match wire::read_frame(&mut self.stream)? {
+                Frame::Push(push) => return Ok(Some(push)),
+                // Stale response from an abandoned call: discard.
+                Frame::Response(_) => {}
+                Frame::Request(_) => return Err(NetError::UnexpectedResponse("client")),
+            }
+        }
     }
 
     /// Like [`TsNetClient::call`], retrying `Busy` rejections with

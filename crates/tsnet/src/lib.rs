@@ -16,9 +16,16 @@
 //!   [`tskv::TsKv`]: bounded connection pool, max-in-flight admission
 //!   gate with `Busy` backpressure, per-request deadlines, graceful
 //!   shutdown that drains in-flight requests.
+//!   [`ServerConfig`] is only the bind address: every limit is a named
+//!   constant next to the code that enforces it
+//!   ([`server::MAX_CONNECTIONS`], [`server::MAX_IN_FLIGHT`],
+//!   [`server::REQUEST_TIMEOUT`], [`wire::MAX_PAYLOAD_BYTES`], and
+//!   [`sub::MAX_SUBSCRIPTIONS`], [`sub::PUSH_QUEUE_SPANS`],
+//!   [`sub::CHANGE_QUEUE_DEPTH`]).
 //! - [`client`] — a blocking client with connect/retry and typed
-//!   errors, a reader that demuxes server pushes from responses, and
-//!   a [`client::SubReplay`] helper that folds span deltas back into a
+//!   errors ([`ClientConfig`] is only the request deadline), a reader
+//!   that demuxes server pushes from responses, and a
+//!   [`client::SubReplay`] helper that folds span deltas back into a
 //!   dashboard state.
 //! - [`sub`] — server-push M4 subscriptions: identical `(series,
 //!   range, w)` subscriptions share ONE incremental [`m4::stream::
@@ -63,7 +70,7 @@ pub use client::{ClientConfig, SubReplay, Subscription, TsNetClient};
 pub use error::{ErrorCode, NetError};
 pub use server::{ServerConfig, TsNetServer};
 pub use stats::{RequestKind, ServerStats, ServerStatsSnapshot};
-pub use sub::{SubRegistry, SubSettings};
+pub use sub::SubRegistry;
 pub use wire::{Frame, Operator, Push, Request, RequestEnvelope, Response, ResponseEnvelope};
 
 /// Crate-wide result alias.

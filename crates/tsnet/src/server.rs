@@ -4,7 +4,7 @@
 //!
 //! One blocking **accept thread** owns the listener. Each accepted
 //! connection gets a dedicated **worker thread** from a bounded pool
-//! (`max_connections`); connections beyond the bound are answered with
+//! ([`MAX_CONNECTIONS`]); connections beyond the bound are answered with
 //! a `Busy` error frame and closed. Workers alternate between a short
 //! `peek`-with-timeout poll (so they notice shutdown without consuming
 //! frame bytes) and a full blocking frame read once bytes are present.
@@ -20,11 +20,18 @@
 //!
 //! ## Admission control
 //!
-//! A single atomic in-flight gauge admits at most `max_in_flight`
+//! A single atomic in-flight gauge admits at most [`MAX_IN_FLIGHT`]
 //! requests into execution; excess requests are answered immediately
 //! with `Busy` (the connection stays usable — backpressure, not
 //! eviction). `Stats` is control-plane and bypasses admission, so an
-//! operator (or a test) can always observe a saturated server.
+//! operator (or a test) can always observe a saturated server. A reply
+//! computed past the tighter of the request's deadline and
+//! [`REQUEST_TIMEOUT`] is replaced by a `Timeout` error.
+//!
+//! These limits, the frame ceiling ([`wire::MAX_PAYLOAD_BYTES`]) and
+//! the subscription plane's ([`sub::MAX_SUBSCRIPTIONS`],
+//! [`sub::PUSH_QUEUE_SPANS`], [`sub::CHANGE_QUEUE_DEPTH`]) are
+//! constants: [`ServerConfig`] holds only the address.
 //!
 //! ## Shutdown protocol
 //!
@@ -59,51 +66,34 @@ use tskv::{TsKv, WriteBatch};
 
 use crate::error::{ErrorCode, NetError};
 use crate::stats::{RequestKind, ServerStats};
-use crate::sub::{self, OutboundQueue, SubRegistry, SubSettings};
+use crate::sub::{self, OutboundQueue, SubRegistry};
 use crate::wire::{self, Frame, Operator, Request, RequestEnvelope, Response, ResponseEnvelope};
 use crate::Result;
 
-/// Tuning knobs for one server instance.
+/// Where one server instance listens; its limits are the constants
+/// below.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; use port 0 to let the OS pick (see
     /// [`TsNetServer::local_addr`]).
     pub addr: String,
-    /// Worker-pool bound: connections beyond this are answered `Busy`
-    /// and closed.
-    pub max_connections: usize,
-    /// Admission-control bound: requests executing at once.
-    pub max_in_flight: usize,
-    /// Server-side cap on any request's deadline (ms; 0 = uncapped).
-    pub request_timeout_ms: u64,
-    /// Per-frame payload ceiling (bytes), at most
-    /// [`wire::MAX_PAYLOAD_BYTES`].
-    pub max_payload_bytes: u32,
-    /// Registry-wide cap on concurrently active subscriptions.
-    pub max_subscriptions: usize,
-    /// Per-connection pending span-entry budget; a subscriber whose
-    /// queue exceeds it is lagged into a full-state resync.
-    pub push_queue_spans: usize,
-    /// Depth of the engine change-notification channel feeding the
-    /// subscription dispatcher.
-    pub change_queue_depth: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            max_connections: 32,
-            max_in_flight: 4,
-            request_timeout_ms: 30_000,
-            max_payload_bytes: wire::MAX_PAYLOAD_BYTES,
-            max_subscriptions: 1024,
-            push_queue_spans: 4096,
-            change_queue_depth: 1024,
         }
     }
 }
 
+/// Worker-pool bound: connections beyond this are answered `Busy` and
+/// closed.
+pub const MAX_CONNECTIONS: usize = 32;
+/// Admission-control bound: requests executing at once.
+pub const MAX_IN_FLIGHT: usize = 4;
+/// Server-side cap on any request's deadline.
+pub const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
 /// How long a worker may block mid-frame (or a rejected connection's
 /// `Busy` write may stall) before the connection is considered dead.
 const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(30);
@@ -117,7 +107,6 @@ const MAX_PING_DELAY_MS: u32 = 10_000;
 struct Shared {
     store: Arc<TsKv>,
     stats: Arc<ServerStats>,
-    config: ServerConfig,
     registry: Arc<SubRegistry>,
     shutting_down: AtomicBool,
     in_flight: AtomicUsize,
@@ -140,19 +129,10 @@ impl TsNetServer {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let stats = Arc::new(ServerStats::default());
-        let registry = SubRegistry::start(
-            Arc::clone(&store),
-            Arc::clone(&stats),
-            SubSettings {
-                max_subscriptions: config.max_subscriptions,
-                push_queue_spans: config.push_queue_spans,
-                change_queue_depth: config.change_queue_depth,
-            },
-        );
+        let registry = SubRegistry::start(Arc::clone(&store), Arc::clone(&stats));
         let shared = Arc::new(Shared {
             store,
             stats,
-            config,
             registry,
             shutting_down: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
@@ -277,7 +257,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 
 fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     let occupied = shared.active_conns.fetch_add(1, Ordering::AcqRel);
-    if occupied >= shared.config.max_connections.max(1) {
+    if occupied >= MAX_CONNECTIONS {
         shared.active_conns.fetch_sub(1, Ordering::AcqRel);
         shared.stats.record_conn_rejected();
         // Write the Busy rejection off the accept thread: a client
@@ -344,7 +324,7 @@ fn worker_loop(shared: &Shared, mut stream: TcpStream) {
         return;
     };
     let conn_id = shared.next_conn_id.fetch_add(1, Ordering::AcqRel);
-    let queue = Arc::new(OutboundQueue::new(shared.config.push_queue_spans));
+    let queue = Arc::new(OutboundQueue::default());
     let writer_queue = Arc::clone(&queue);
     let writer_stats = Arc::clone(&shared.stats);
     let writer = thread::Builder::new()
@@ -440,7 +420,7 @@ fn serve_one(
         inner: stream,
         bytes: 0,
     };
-    let frame = wire::read_frame(&mut counting, shared.config.max_payload_bytes);
+    let frame = wire::read_frame(&mut counting);
     let bytes_in = counting.bytes;
     shared.stats.add_bytes_in(bytes_in);
     let env = match frame {
@@ -493,7 +473,7 @@ fn serve_one(
             None
         }
         Outcome::Reply(resp) => {
-            if deadline_missed(elapsed, env.deadline_ms, shared.config.request_timeout_ms) {
+            if deadline_missed(elapsed, env.deadline_ms) {
                 shared.stats.record_timeout();
                 Some(error_response(
                     ErrorCode::Timeout,
@@ -519,24 +499,13 @@ fn serve_one(
 }
 
 /// Whether `elapsed` exceeds the effective deadline: the tighter of the
-/// request's own deadline and the server-wide cap (0 disables either).
-fn deadline_missed(elapsed: Duration, deadline_ms: u32, cap_ms: u64) -> bool {
-    let request = if deadline_ms > 0 {
-        Some(u64::from(deadline_ms))
-    } else {
-        None
+/// request's own deadline (0 = none) and [`REQUEST_TIMEOUT`].
+fn deadline_missed(elapsed: Duration, deadline_ms: u32) -> bool {
+    let cap = match deadline_ms {
+        0 => REQUEST_TIMEOUT,
+        ms => REQUEST_TIMEOUT.min(Duration::from_millis(u64::from(ms))),
     };
-    let cap = if cap_ms > 0 { Some(cap_ms) } else { None };
-    let effective = match (request, cap) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (Some(a), None) => Some(a),
-        (None, Some(b)) => Some(b),
-        (None, None) => None,
-    };
-    match effective {
-        Some(ms) => elapsed > Duration::from_millis(ms),
-        None => false,
-    }
+    elapsed > cap
 }
 
 fn duration_us(d: Duration) -> u64 {
@@ -544,11 +513,10 @@ fn duration_us(d: Duration) -> u64 {
 }
 
 fn try_admit(shared: &Shared) -> bool {
-    let max = shared.config.max_in_flight.max(1);
     shared
         .in_flight
         .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-            if n < max {
+            if n < MAX_IN_FLIGHT {
                 Some(n + 1)
             } else {
                 None
@@ -807,17 +775,17 @@ mod tests {
     #[test]
     fn deadline_uses_the_tighter_of_request_and_cap() {
         let ms = Duration::from_millis;
-        // No deadline anywhere: never missed.
-        assert!(!deadline_missed(ms(10_000), 0, 0));
-        // Request deadline only.
-        assert!(deadline_missed(ms(11), 10, 0));
-        assert!(!deadline_missed(ms(9), 10, 0));
-        // Server cap only.
-        assert!(deadline_missed(ms(31), 0, 30));
-        // Both: the tighter wins in each direction.
-        assert!(deadline_missed(ms(11), 10, 30));
-        assert!(deadline_missed(ms(11), 30, 10));
-        assert!(!deadline_missed(ms(9), 10, 30));
+        let cap = REQUEST_TIMEOUT;
+        // No request deadline: the server cap alone.
+        assert!(!deadline_missed(cap, 0));
+        assert!(deadline_missed(cap + ms(1), 0));
+        // A request deadline under the cap wins.
+        assert!(deadline_missed(ms(11), 10));
+        assert!(!deadline_missed(ms(9), 10));
+        // One past the cap is cut to it.
+        let past = u32::try_from(cap.as_millis()).unwrap() + 1;
+        assert!(deadline_missed(cap + ms(1), past));
+        assert!(!deadline_missed(cap, past));
     }
 
     #[test]

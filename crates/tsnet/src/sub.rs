@@ -33,13 +33,13 @@
 //! ## Slow-consumer policy
 //!
 //! Each connection's outbound queue holds at most
-//! [`crate::server::ServerConfig::push_queue_spans`] pending span
-//! entries (coalesce-then-drop, never unbounded memory). A
-//! subscription that pushes the queue past the budget has its pending
-//! deltas dropped and replaced by a full-state **resync**: the writer
-//! emits a [`Push::Lagged`] frame, then a `SpanDelta` with
-//! `resync = true` carrying every span (`resyncs` counts these). A
-//! resync entry is bounded by the dashboard's own `w`.
+//! [`PUSH_QUEUE_SPANS`] pending span entries (coalesce-then-drop,
+//! never unbounded memory). A subscription that pushes the queue past
+//! the budget has its pending deltas dropped and replaced by a
+//! full-state **resync**: the writer emits a [`Push::Lagged`] frame,
+//! then a `SpanDelta` with `resync = true` carrying every span
+//! (`resyncs` counts these). A resync entry is bounded by the
+//! dashboard's own `w`.
 //!
 //! ## Correctness contract
 //!
@@ -80,17 +80,16 @@ const MAX_EVENT_BATCH: usize = 256;
 /// its initial fill when no events arrive, and `quiesce`'s pause.
 const DISPATCH_INTERVAL: Duration = Duration::from_millis(10);
 
-/// Registry tuning, copied out of the server config at start.
-#[derive(Debug, Clone)]
-pub struct SubSettings {
-    /// Registry-wide cap on concurrently active subscriptions.
-    pub max_subscriptions: usize,
-    /// Per-connection pending span-entry budget before a slow consumer
-    /// is lagged into a resync.
-    pub push_queue_spans: usize,
-    /// Depth of the engine change-notification channel.
-    pub change_queue_depth: usize,
-}
+/// Registry-wide cap on concurrently active subscriptions.
+pub const MAX_SUBSCRIPTIONS: usize = 1024;
+
+/// Per-connection pending span-entry budget; a subscriber whose queue
+/// exceeds it is lagged into a full-state resync.
+pub const PUSH_QUEUE_SPANS: usize = 4096;
+
+/// Depth of the engine change-notification channel feeding the
+/// dispatcher; an overflow invalidates every dashboard.
+pub const CHANGE_QUEUE_DEPTH: usize = 1024;
 
 /// A subscription request as it arrives off the wire: the dashboard
 /// identity a subscriber wants to attach to.
@@ -174,24 +173,16 @@ struct QueueState {
 /// bounded queue to the connection's writer thread, so no socket write
 /// ever happens under a lock and response frames never interleave
 /// mid-frame with push frames.
+#[derive(Default)]
 pub struct OutboundQueue {
     // std primitives here, not the parking_lot shim: the writer thread
     // needs a condvar, which the shim does not provide. Poisoning is
     // absorbed the same way the shim does it.
     state: StdMutex<QueueState>,
     cv: Condvar,
-    max_spans: usize,
 }
 
 impl OutboundQueue {
-    pub fn new(max_spans: usize) -> OutboundQueue {
-        OutboundQueue {
-            state: StdMutex::new(QueueState::default()),
-            cv: Condvar::new(),
-            max_spans: max_spans.max(1),
-        }
-    }
-
     /// Acquire the queue state, absorbing poison (a panicking writer
     /// must not wedge every other thread of the connection).
     fn lock_state(&self) -> StdMutexGuard<'_, QueueState> {
@@ -335,7 +326,6 @@ pub fn writer_loop(queue: &OutboundQueue, stream: &mut TcpStream, stats: &Server
 pub struct SubRegistry {
     store: Arc<TsKv>,
     stats: Arc<ServerStats>,
-    settings: SubSettings,
     inner: Mutex<Inner>,
     shutting_down: AtomicBool,
     /// Idle latch for the dispatcher: with zero dashboards it parks
@@ -358,17 +348,12 @@ pub struct SubRegistry {
 
 impl SubRegistry {
     /// Subscribe to engine changes and start the dispatcher thread.
-    pub fn start(
-        store: Arc<TsKv>,
-        stats: Arc<ServerStats>,
-        settings: SubSettings,
-    ) -> Arc<SubRegistry> {
-        let rx = store.subscribe_changes(settings.change_queue_depth.max(1));
+    pub fn start(store: Arc<TsKv>, stats: Arc<ServerStats>) -> Arc<SubRegistry> {
+        let rx = store.subscribe_changes(CHANGE_QUEUE_DEPTH);
         let progress = rx.observer();
         let reg = Arc::new(SubRegistry {
             store,
             stats,
-            settings,
             inner: Mutex::new(Inner::default()),
             shutting_down: AtomicBool::new(false),
             wake: StdMutex::new(false),
@@ -468,13 +453,10 @@ impl SubRegistry {
             )
         })?;
         let mut inner = self.inner.lock();
-        if inner.subs.len() >= self.settings.max_subscriptions.max(1) {
+        if inner.subs.len() >= MAX_SUBSCRIPTIONS {
             return Err((
                 ErrorCode::Subscription,
-                format!(
-                    "subscription limit of {} reached",
-                    self.settings.max_subscriptions
-                ),
+                format!("subscription limit of {MAX_SUBSCRIPTIONS} reached"),
             ));
         }
         let key = DashKey {
@@ -797,7 +779,7 @@ impl SubRegistry {
                 }
             }
             let total: usize = q.pending.values().map(|p| p.deltas.len()).sum();
-            if total > queue.max_spans {
+            if total > PUSH_QUEUE_SPANS {
                 if let Some(p) = q.pending.get_mut(&sub_id) {
                     self.stats.record_resync();
                     p.resync = true;
@@ -968,41 +950,39 @@ mod tests {
     fn queue_coalesces_and_resyncs_past_budget() {
         let stats = Arc::new(ServerStats::default());
         let store = open_store("coalesce");
-        let reg = SubRegistry::start(
-            Arc::clone(&store),
-            Arc::clone(&stats),
-            SubSettings {
-                max_subscriptions: 16,
-                push_queue_spans: 3,
-                change_queue_depth: 16,
-            },
-        );
-        let queue = Arc::new(OutboundQueue::new(3));
-        let full = vec![Some(span(0)), Some(span(10)), None, Some(span(30))];
+        let reg = SubRegistry::start(Arc::clone(&store), Arc::clone(&stats));
+        let queue = Arc::new(OutboundQueue::default());
+        // One span more than the budget, every one present.
+        let full: Vec<Option<SpanRepr>> = (0..=PUSH_QUEUE_SPANS as i64)
+            .map(|i| Some(span(i * 10)))
+            .collect();
+        let entries = |n: usize| -> Vec<(u32, Option<SpanRepr>)> {
+            full.iter()
+                .take(n)
+                .enumerate()
+                .map(|(i, s)| (i as u32, *s))
+                .collect()
+        };
+        let pending = |sub_id: u64| {
+            let q = queue.lock_state();
+            let p = q.pending.get(&sub_id).unwrap();
+            (p.deltas.len(), p.resync, p.lagged)
+        };
         // Two updates to the same span coalesce to one pending entry.
         reg.enqueue_push(&queue, 7, &[(1, Some(span(10)))], &full);
         reg.enqueue_push(&queue, 7, &[(1, Some(span(11)))], &full);
-        {
-            let q = queue.lock_state();
-            let p = q.pending.get(&7).unwrap();
-            assert_eq!(p.deltas.len(), 1);
-            assert!(!p.resync);
-        }
+        assert_eq!(pending(7), (1, false, false));
         assert_eq!(stats.snapshot(0).deltas_coalesced, 1);
-        // Pushing past the 3-span budget converts to a lagged resync
-        // carrying the full state.
-        reg.enqueue_push(
-            &queue,
-            7,
-            &[(0, Some(span(0))), (2, None), (3, Some(span(30)))],
-            &full,
-        );
-        {
-            let q = queue.lock_state();
-            let p = q.pending.get(&7).unwrap();
-            assert!(p.resync && p.lagged);
-            assert_eq!(p.deltas.len(), full.len());
-        }
+        // Filling the budget exactly (span 1 coalescing again) is not
+        // yet a lag.
+        reg.enqueue_push(&queue, 7, &entries(PUSH_QUEUE_SPANS), &full);
+        assert_eq!(pending(7), (PUSH_QUEUE_SPANS, false, false));
+        assert_eq!(stats.snapshot(0).deltas_coalesced, 2);
+        // One entry past it converts to a lagged resync carrying the
+        // full state.
+        let last = entries(full.len()).split_off(PUSH_QUEUE_SPANS);
+        reg.enqueue_push(&queue, 7, &last, &full);
+        assert_eq!(pending(7), (full.len(), true, true));
         assert_eq!(stats.snapshot(0).resyncs, 1);
         reg.stop();
     }
@@ -1014,16 +994,8 @@ mod tests {
         store
             .insert_batch("s", &[Point::new(1, 1.0), Point::new(2, 2.0)])
             .unwrap();
-        let reg = SubRegistry::start(
-            Arc::clone(&store),
-            Arc::clone(&stats),
-            SubSettings {
-                max_subscriptions: 16,
-                push_queue_spans: 64,
-                change_queue_depth: 16,
-            },
-        );
-        let queue = Arc::new(OutboundQueue::new(64));
+        let reg = SubRegistry::start(Arc::clone(&store), Arc::clone(&stats));
+        let queue = Arc::new(OutboundQueue::default());
         let a = reg.subscribe(1, &queue, 10, spec("s", 0, 100, 4)).unwrap();
         let b = reg.subscribe(1, &queue, 11, spec("s", 0, 100, 4)).unwrap();
         let c = reg.subscribe(1, &queue, 12, spec("s", 0, 200, 4)).unwrap();
@@ -1059,16 +1031,8 @@ mod tests {
         let stats = Arc::new(ServerStats::default());
         let store = open_store("validate");
         store.insert_batch("s", &[Point::new(1, 1.0)]).unwrap();
-        let reg = SubRegistry::start(
-            store,
-            stats,
-            SubSettings {
-                max_subscriptions: 1,
-                push_queue_spans: 64,
-                change_queue_depth: 16,
-            },
-        );
-        let queue = Arc::new(OutboundQueue::new(64));
+        let reg = SubRegistry::start(store, stats);
+        let queue = Arc::new(OutboundQueue::default());
         // Inverted range.
         let e = reg
             .subscribe(1, &queue, 0, spec("s", 100, 0, 4))
@@ -1079,8 +1043,11 @@ mod tests {
             .subscribe(1, &queue, 0, spec("nope", 0, 100, 4))
             .unwrap_err();
         assert_eq!(e.0, ErrorCode::SeriesNotFound);
-        // Limit enforcement.
-        reg.subscribe(1, &queue, 0, spec("s", 0, 100, 4)).unwrap();
+        // Limit enforcement: the registry-wide cap, then a refusal.
+        for _ in 0..MAX_SUBSCRIPTIONS {
+            reg.subscribe(1, &queue, 0, spec("s", 0, 100, 4)).unwrap();
+        }
+        assert_eq!(reg.active_subscriptions(), MAX_SUBSCRIPTIONS);
         let e = reg
             .subscribe(1, &queue, 0, spec("s", 0, 100, 4))
             .unwrap_err();
@@ -1094,16 +1061,8 @@ mod tests {
         let stats = Arc::new(ServerStats::default());
         let store = open_store("width");
         store.insert_batch("s", &[Point::new(1, 1.0)]).unwrap();
-        let reg = SubRegistry::start(
-            store,
-            stats,
-            SubSettings {
-                max_subscriptions: 16,
-                push_queue_spans: 64,
-                change_queue_depth: 16,
-            },
-        );
-        let queue = Arc::new(OutboundQueue::new(64));
+        let reg = SubRegistry::start(store, stats);
+        let queue = Arc::new(OutboundQueue::default());
         // One past the bound: refused for its width, before the series
         // is even looked up.
         for series in ["s", "nope"] {
@@ -1162,32 +1121,27 @@ mod tests {
         let stats = Arc::new(ServerStats::default());
         let store = open_store("idlepark");
         store.insert_batch("s", &[Point::new(10, 1.0)]).unwrap();
-        let reg = SubRegistry::start(
-            Arc::clone(&store),
-            stats,
-            SubSettings {
-                max_subscriptions: 16,
-                push_queue_spans: 1024,
-                change_queue_depth: 4,
-            },
-        );
+        let reg = SubRegistry::start(Arc::clone(&store), stats);
         // No dashboards: at its 10ms poll interval an unparked
         // dispatcher would rack up ~25 wakeups here. Parked, it takes
         // none (the latch's safety-net timeout is a full second).
         thread::sleep(Duration::from_millis(250));
         assert_eq!(reg.dispatch_wakeups(), 0, "dispatcher busy-woke while idle");
         // Ingest while parked must not wake it either — even past the
-        // tiny channel depth (overflow just sets the missed flag).
-        for t in 0..16 {
-            store.insert_batch("s", &[Point::new(20 + t, 2.0)]).unwrap();
+        // channel depth (overflow just sets the missed flag).
+        for t in 0..CHANGE_QUEUE_DEPTH as i64 + 16 {
+            store
+                .insert_batch("s", &[Point::new(20 + t % 64, t as f64)])
+                .unwrap();
         }
         thread::sleep(Duration::from_millis(50));
         assert_eq!(reg.dispatch_wakeups(), 0, "ingest woke an idle dispatcher");
+        assert!(reg.progress.missed(), "the change channel never overflowed");
         // A quiesce with no subscribers settles immediately.
         assert!(reg.quiesce(Duration::from_secs(1)), "idle quiesce");
         // The first subscription wakes it and the dashboard fills to
         // the authoritative answer despite the overflowed channel.
-        let queue = Arc::new(OutboundQueue::new(1024));
+        let queue = Arc::new(OutboundQueue::default());
         let stop = Arc::new(AtomicBool::new(false));
         let drain_queue = Arc::clone(&queue);
         let drain_stop = Arc::clone(&stop);
@@ -1231,16 +1185,8 @@ mod tests {
         store
             .insert_batch("s", &[Point::new(10, 1.0), Point::new(20, 2.0)])
             .unwrap();
-        let reg = SubRegistry::start(
-            Arc::clone(&store),
-            Arc::clone(&stats),
-            SubSettings {
-                max_subscriptions: 16,
-                push_queue_spans: 1024,
-                change_queue_depth: 64,
-            },
-        );
-        let queue = Arc::new(OutboundQueue::new(1024));
+        let reg = SubRegistry::start(Arc::clone(&store), Arc::clone(&stats));
+        let queue = Arc::new(OutboundQueue::default());
         // Quiesce requires every queue to drain onto its socket; there
         // is no socket in this unit test, so stand in for the writer
         // thread with a drainer that discards frames.

@@ -72,8 +72,8 @@ pub const VERSION: u8 = 6;
 pub const HEADER_LEN: usize = 10;
 /// Bytes after the payload (payload CRC32).
 pub const TRAILER_LEN: usize = 4;
-/// Hard ceiling on payload size (64 MiB); [`crate::server::ServerConfig`]
-/// may lower it.
+/// Ceiling on payload size (64 MiB), on every frame either side reads
+/// or writes.
 pub const MAX_PAYLOAD_BYTES: u32 = 64 * 1024 * 1024;
 /// Ceiling on series per [`Request::WriteBatch`].
 pub const MAX_BATCH_SERIES: u32 = 1 << 16;
@@ -732,7 +732,7 @@ pub fn decode_push_payload(payload: &[u8]) -> Result<Push> {
 }
 
 /// Parse and validate a frame header. Returns `(kind, payload_len)`.
-fn decode_header(header: &[u8], max_payload_bytes: u32) -> Result<(u8, usize)> {
+fn decode_header(header: &[u8]) -> Result<(u8, usize)> {
     let mut c = Cursor { buf: header };
     let magic = c.array()?;
     if magic != MAGIC {
@@ -749,15 +749,7 @@ fn decode_header(header: &[u8], max_payload_bytes: u32) -> Result<(u8, usize)> {
             tag: kind,
         });
     }
-    let len = u32::get(&mut c)?;
-    let max = max_payload_bytes.min(MAX_PAYLOAD_BYTES);
-    if len > max {
-        return Err(NetError::TooLarge {
-            context: "payload",
-            len: u64::from(len),
-            max: u64::from(max),
-        });
-    }
+    let len = bounded("payload", u32::get(&mut c)? as usize, MAX_PAYLOAD_BYTES)?;
     Ok((kind, len as usize))
 }
 
@@ -782,21 +774,21 @@ fn decode_payload(kind: u8, payload: &[u8], expected: u32) -> Result<Frame> {
 pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize)> {
     let mut c = Cursor { buf };
     let header = c.take(HEADER_LEN)?;
-    let (kind, len) = decode_header(header, MAX_PAYLOAD_BYTES)?;
+    let (kind, len) = decode_header(header)?;
     let payload = c.take(len)?;
     let frame = decode_payload(kind, payload, u32::get(&mut c)?)?;
     Ok((frame, HEADER_LEN + len + TRAILER_LEN))
 }
 
-/// Read one frame off a blocking stream. `max_payload_bytes` bounds
+/// Read one frame off a blocking stream. [`MAX_PAYLOAD_BYTES`] bounds
 /// the allocation a peer can demand. The payload staging buffer comes
 /// from the tsfile buffer pool: a server worker thread decoding one
 /// frame per request reuses the same warm allocation.
-pub fn read_frame(r: &mut impl Read, max_payload_bytes: u32) -> Result<Frame> {
+pub fn read_frame(r: &mut impl Read) -> Result<Frame> {
     tsfile::lockcheck::check_block();
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
-    let (kind, len) = decode_header(&header, max_payload_bytes)?;
+    let (kind, len) = decode_header(&header)?;
     let mut payload = tsfile::bufpool::take(len);
     r.read_exact(&mut payload)?;
     let mut crc_bytes = [0u8; TRAILER_LEN];
@@ -1268,14 +1260,14 @@ mod tests {
         let bytes = encode_request(&env).unwrap();
         let mut buf = Vec::new();
         write_frame(&mut buf, &bytes).unwrap();
-        let frame = read_frame(&mut buf.as_slice(), MAX_PAYLOAD_BYTES).unwrap();
+        let frame = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!(frame, Frame::Request(env));
 
         let push = Push::Lagged { sub_id: 8 };
         let bytes = encode_push(&push).unwrap();
         let mut buf = Vec::new();
         write_frame(&mut buf, &bytes).unwrap();
-        let frame = read_frame(&mut buf.as_slice(), MAX_PAYLOAD_BYTES).unwrap();
+        let frame = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!(frame, Frame::Push(push));
     }
 
@@ -1297,7 +1289,7 @@ mod tests {
         let mark = tsfile::lockcheck::no_block();
         assert!(panics(write_one));
         assert!(panics(|| {
-            read_frame(&mut &b""[..], 64).err();
+            read_frame(&mut &b""[..]).err();
         }));
         drop(mark);
         assert!(!panics(write_one));

@@ -29,12 +29,13 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::thread;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use tsfile::types::Point;
 use tskv::config::EngineConfig;
 use tskv::TsKv;
+use tsnet::server::{MAX_CONNECTIONS, MAX_IN_FLIGHT};
 use tsnet::wire::{
     encode_request, encode_response, Operator, Request, RequestEnvelope, Response,
     ResponseEnvelope, HEADER_LEN,
@@ -70,6 +71,28 @@ fn open_store(tag: &str) -> (Arc<TsKv>, PathBuf) {
 
 fn client(server: &TsNetServer) -> TsNetClient {
     TsNetClient::connect(server.local_addr(), ClientConfig::default()).unwrap()
+}
+
+/// Fill every admission slot with a `delay_ms` ping, one connection
+/// each, and return once the server counts them all in flight.
+fn park_every_slot(server: &TsNetServer, delay_ms: u32) -> Vec<JoinHandle<Result<(), NetError>>> {
+    let parked = (0..MAX_IN_FLIGHT)
+        .map(|_| {
+            let addr = server.local_addr();
+            thread::spawn(move || {
+                TsNetClient::connect(addr, ClientConfig::default())?.ping_delay(delay_ms)
+            })
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.in_flight() < MAX_IN_FLIGHT {
+        assert!(
+            Instant::now() < deadline,
+            "delayed pings never all admitted"
+        );
+        thread::sleep(Duration::from_millis(2));
+    }
+    parked
 }
 
 /// Canonical byte form of an M4 outcome, the unit of oracle comparison.
@@ -155,16 +178,11 @@ fn step_flush(step: usize) -> bool {
 #[test]
 fn concurrent_clients_match_in_process_oracle() {
     let (store, dir) = open_store("concurrent");
-    let server = TsNetServer::start(
-        Arc::clone(&store),
-        ServerConfig {
-            max_in_flight: 8,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server = TsNetServer::start(Arc::clone(&store), ServerConfig::default()).unwrap();
 
-    // N concurrent clients, disjoint series, deterministic scripts.
+    // N concurrent clients, disjoint series, deterministic scripts,
+    // no more than the admission slots.
+    const { assert!(CLIENTS <= MAX_IN_FLIGHT) };
     // Each client records the canonical bytes of every query response.
     let mut joins = Vec::new();
     for c in 0..CLIENTS {
@@ -275,34 +293,15 @@ fn concurrent_clients_match_in_process_oracle() {
 #[test]
 fn busy_backpressure_is_typed_and_counted() {
     let (store, _dir) = open_store("busy");
-    let server = TsNetServer::start(
-        store,
-        ServerConfig {
-            max_in_flight: 1,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server = TsNetServer::start(store, ServerConfig::default()).unwrap();
 
-    // Client A parks the single admission slot with a delayed ping.
-    let addr = server.local_addr();
-    let occupier = thread::spawn(move || {
-        let mut a = TsNetClient::connect(addr, ClientConfig::default()).unwrap();
-        a.ping_delay(800)
-    });
-
-    // Client B watches via Stats (control-plane: bypasses admission)
-    // until the slot is provably held, then sends admitted work.
+    // Delayed pings park every admission slot; client B watches via
+    // Stats (control-plane: bypasses admission), then sends admitted
+    // work.
+    let parked = park_every_slot(&server, 800);
     let mut b = client(&server);
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let (_, stats) = b.stats().unwrap();
-        if stats.in_flight >= 1 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "occupier never admitted");
-        thread::sleep(Duration::from_millis(5));
-    }
+    let (_, stats) = b.stats().unwrap();
+    assert_eq!(stats.in_flight, MAX_IN_FLIGHT as u64);
     let rejected = b.ping();
     assert!(
         matches!(rejected, Err(NetError::Busy)),
@@ -312,8 +311,10 @@ fn busy_backpressure_is_typed_and_counted() {
     assert!(stats.rejected_busy >= 1);
 
     // The connection survives backpressure, and retry succeeds once
-    // the slot frees up.
-    assert!(occupier.join().unwrap().is_ok());
+    // the slots free up.
+    for ping in parked {
+        ping.join().unwrap().unwrap();
+    }
     b.call_with_busy_retry(tsnet::Request::Ping { delay_ms: 0 }, 10, 20)
         .unwrap();
     server.shutdown();
@@ -352,15 +353,9 @@ fn graceful_shutdown_drains_in_flight_requests() {
         "in-flight response was not delivered"
     );
 
-    // The listener is gone: new connections are refused.
-    let refused = TsNetClient::connect(
-        addr,
-        ClientConfig {
-            connect_attempts: 1,
-            connect_backoff_ms: 1,
-            ..ClientConfig::default()
-        },
-    );
+    // The listener is gone: new connections are refused, every attempt
+    // of the client's retry schedule (~2.25 s of backoff).
+    let refused = TsNetClient::connect(addr, ClientConfig::default());
     assert!(matches!(refused, Err(NetError::ConnectFailed { .. })));
 }
 
@@ -599,17 +594,7 @@ fn every_registered_metric_is_on_the_wire_and_moves() {
         ..store_config()
     };
     let store = Arc::new(TsKv::open(scratch("registry"), config).unwrap());
-    let server = Arc::new(
-        TsNetServer::start(
-            store,
-            ServerConfig {
-                max_in_flight: 1,
-                max_connections: 4,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap(),
-    );
+    let server = TsNetServer::start(store, ServerConfig::default()).unwrap();
     let mut cl = client(&server);
     let series = "reg.s";
     let entry = |points: Vec<Point>| vec![(series.to_string(), points)];
@@ -668,25 +653,21 @@ fn every_registered_metric_is_on_the_wire_and_moves() {
     assert!(matches!(cl.ping_delay(30), Err(NetError::Timeout)));
     cl.set_deadline_ms(0);
 
-    // Park the only admission slot; while it is held a second request
-    // is refused Busy, a fifth connection is refused at the pool limit,
+    // Park every admission slot; while they are held one more request
+    // is refused Busy, the connection past the pool limit is refused,
     // and Stats (which bypasses admission) reads a non-zero gauge.
-    let parked = {
-        let server = Arc::clone(&server);
-        thread::spawn(move || client(&server).ping_delay(2_000))
-    };
-    while server.in_flight() == 0 {
-        assert!(Instant::now() < deadline, "ping never admitted");
-        thread::yield_now();
-    }
+    let parked = park_every_slot(&server, 2_000);
     assert!(matches!(cl.ping(), Err(NetError::Busy)));
-    let _fourth = client(&server);
-    let fifth = TcpStream::connect(server.local_addr()).unwrap();
+    // `cl`, `viewer` and the parked pings hold a slot of the pool each.
+    let fillers: Vec<TsNetClient> = (2 + MAX_IN_FLIGHT..MAX_CONNECTIONS)
+        .map(|_| client(&server))
+        .collect();
+    let refused = TcpStream::connect(server.local_addr()).unwrap();
     let mut refusal = Vec::new();
-    (&fifth).read_to_end(&mut refusal).unwrap();
+    (&refused).read_to_end(&mut refusal).unwrap();
     assert!(!refusal.is_empty(), "pool-limit refusal not delivered");
-    drop(_fourth);
-    // The worker of the dropped connection frees its slot on its next
+    drop(fillers);
+    // The worker of a dropped connection frees its slot on its next
     // idle poll; retry until the raw Stats socket is let in.
     let wire = loop {
         if let Some(metrics) = raw_stats(&server) {
@@ -694,7 +675,9 @@ fn every_registered_metric_is_on_the_wire_and_moves() {
         }
         assert!(Instant::now() < deadline, "Stats connection never accepted");
     };
-    parked.join().unwrap().unwrap();
+    for ping in parked {
+        ping.join().unwrap().unwrap();
+    }
 
     let on_wire: BTreeSet<&str> = wire.iter().map(|(name, _)| name.as_str()).collect();
     assert_eq!(on_wire.len(), wire.len(), "a name was sent twice");

@@ -34,7 +34,8 @@ use std::time::{Duration, Instant};
 use tsfile::types::Point;
 use tskv::config::EngineConfig;
 use tskv::TsKv;
-use tsnet::wire::Request;
+use tsnet::sub::PUSH_QUEUE_SPANS;
+use tsnet::wire::{Push, Request};
 use tsnet::{ClientConfig, ErrorCode, NetError, ServerConfig, SubReplay, TsNetClient, TsNetServer};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -65,14 +66,7 @@ fn open_store(tag: &str) -> (Arc<TsKv>, PathBuf) {
 }
 
 fn server(store: Arc<TsKv>) -> TsNetServer {
-    TsNetServer::start(
-        store,
-        ServerConfig {
-            addr: "127.0.0.1:0".parse().unwrap(),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap()
+    TsNetServer::start(store, ServerConfig::default()).unwrap()
 }
 
 fn client(server: &TsNetServer) -> TsNetClient {
@@ -244,6 +238,59 @@ fn delta_replay_matches_oracle_under_churn() {
     assert_eq!(stats.subs_active, 5);
     assert!(stats.deltas_pushed > 0, "no deltas were ever pushed");
     assert_eq!(server.active_dashboards(), 2);
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A subscriber whose first fill exceeds its connection's push budget
+/// is lagged over real TCP: it reads one `Lagged` frame, then one
+/// `resync` frame carrying every span (about 350 KB at `w = 5 000`),
+/// and its replay equals a fresh recompute.
+#[test]
+fn a_lagged_subscriber_resyncs_to_the_oracle() {
+    const W: u32 = 5_000;
+    const { assert!(W as usize > PUSH_QUEUE_SPANS) };
+    let (store, dir) = open_store("lagged");
+    // One point per span: every span of the fill is populated.
+    seed(&store, "sub.lag", i64::from(W));
+    let server = server(Arc::clone(&store));
+    let mut c = client(&server);
+    let sub = c.subscribe("sub.lag", 0, i64::from(W) * 40, W).unwrap();
+    let mut replay = SubReplay::new(&sub);
+
+    let (mut lagged, mut resyncs) = (0, 0);
+    let mut take = |c: &mut TsNetClient, per_poll: Duration| {
+        while let Ok(Some(push)) = c.poll_push(per_poll) {
+            match &push {
+                Push::Lagged { .. } => lagged += 1,
+                Push::SpanDelta { resync: true, .. } => resyncs += 1,
+                _ => {}
+            }
+            replay.apply(&push);
+        }
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        take(&mut c, Duration::from_millis(20));
+        if server.quiesce_subscriptions(Duration::from_millis(250)) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "subscription never quiesced");
+    }
+    take(&mut c, Duration::from_millis(50));
+
+    assert_eq!((lagged, resyncs), (1, 1));
+    assert!(!replay.has_seq_gap(), "sequence gap in push stream");
+    assert!(!replay.is_lagged(), "lagged without resync");
+    let oracle = oracle_spans(&store, "sub.lag", 0, i64::from(W) * 40, W);
+    assert!(oracle.iter().all(Option::is_some));
+    assert_eq!(replay.spans().len(), oracle.len());
+    for (j, (got, want)) in replay.spans().iter().zip(oracle.iter()).enumerate() {
+        assert!(same_span(got, want), "span {j}: got {got:?}, want {want:?}");
+    }
+    let (_, stats) = c.stats().unwrap();
+    assert_eq!(stats.resyncs, 1);
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();

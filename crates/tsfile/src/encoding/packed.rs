@@ -20,15 +20,27 @@
 //! timestamp column, laid over a decimal block's scaled integers, is
 //! that block's delta frame.
 //!
-//! **The packed forms.** A page column of `n ≥ 1` points as its first
-//! point and a block of its `n − 1` deltas — IoTDB's TS_2DIFF
+//! **The packed forms.** A column of `n ≥ 1` points as its first point
+//! and a block of its `n − 1` deltas — IoTDB's TS_2DIFF
 //! (`DeltaBinaryEncoder`), which subtracts a block's smallest delta and
-//! packs the rest at one width, with an exception list added:
+//! packs the rest at one width, with an exception list added. Inside a
+//! page the column is the block alone: its first point is the chunk's
+//! FP and its last the chunk's LP, both in the footer's statistics
+//! ([`crate::ChunkStatistics`]), so the page decoder takes the head from
+//! them and checks that the running sum of the deltas lands on LP — a
+//! block of more or fewer deltas than the footer's count does not, nor
+//! does one whose deltas a flip changed (the other flips break the
+//! block's structure):
 //!
 //! ```text
-//! packed timestamps = varint_i t0       | block of t[i+1] − t[i]
-//! packed values     = u64 LE bits of v0 | block of key(v[i+1]) − key(v[i])  (wrapping)
+//! in a page:  packed timestamps = block of t[i+1] − t[i]              (head FP.t)
+//!             packed values     = block of key(v[i+1]) − key(v[i])    (head FP.v, wrapping)
+//! standalone: varint_i t0 | block,  u64 LE bits of v0 | block
 //! ```
+//!
+//! The standalone column ([`encode_timestamps`], [`encode_values`])
+//! carries its head itself; the decimal block's delta frame is one over
+//! its scaled integers.
 //!
 //! `key(v)` is the integer [`f64::total_cmp`] orders by: `v`'s bits as an
 //! `i64`, with the low 63 flipped when the sign is set. It is a bijection,
@@ -389,7 +401,7 @@ impl Packing {
     }
 
     /// Append the block of `deltas`, the ones it was taken from.
-    fn write(&self, deltas: &[i64], out: &mut Vec<u8>) {
+    pub(crate) fn write(&self, deltas: &[i64], out: &mut Vec<u8>) {
         self.frame.write(deltas, |_, d| cast::u64_bits(d), out);
     }
 }
@@ -428,11 +440,6 @@ pub(crate) fn timestamps_len(first: i64, p: &Packing) -> usize {
 pub(crate) fn write_timestamps(first: i64, deltas: &[i64], p: &Packing, out: &mut Vec<u8>) {
     varint::write_i64(out, first);
     p.write(deltas, out);
-}
-
-/// Bytes of a packed value column whose key deltas pack as `p`.
-pub(crate) fn values_len(p: &Packing) -> usize {
-    8 + p.len()
 }
 
 /// Append the packed value column of `first` and its key deltas.
@@ -549,13 +556,6 @@ pub fn decode_timestamps(buf: &[u8], n: usize, until: Option<i64>) -> Result<Vec
     Ok(out)
 }
 
-/// Check a packed timestamp column of `n` points without decoding it.
-pub fn verify_timestamps(buf: &[u8], n: usize) -> Result<()> {
-    let mut pos = 0usize;
-    varint::read_i64(buf, &mut pos)?;
-    verify(buf.get(pos..).unwrap_or(&[]), delta_count(n)?)
-}
-
 /// The first value's bits and the rest of a packed value column.
 fn value_head(buf: &[u8]) -> Result<(u64, &[u8])> {
     let head = buf
@@ -578,10 +578,42 @@ pub fn decode_values(buf: &[u8], n: usize) -> Result<Vec<f64>> {
         .collect())
 }
 
-/// Check a packed value column of `n` points without decoding it.
-pub fn verify_values(buf: &[u8], n: usize) -> Result<()> {
-    let (_, block) = value_head(buf)?;
-    verify(block, delta_count(n)?)
+/// Decode the `n` timestamps of a page's packed timestamp column, the
+/// block of the deltas from `first` to `last` (the page's FP.t and
+/// LP.t), or with `until` only up to the first past it. A column left
+/// whole must end at `last`: the block holds the deltas between the
+/// two, no more and no fewer.
+pub(crate) fn decode_page_timestamps(
+    block: &[u8],
+    n: usize,
+    (first, last): (i64, i64),
+    until: Option<i64>,
+) -> Result<Vec<i64>> {
+    let mut out = head_and_deltas(block, n, first)?;
+    accumulate(&mut out, until);
+    match out.last() {
+        Some(&end) if out.len() == n && end != last => Err(corrupt(format!(
+            "{} deltas from {first} end at {end}, not at {last}",
+            n - 1
+        ))),
+        _ => Ok(out),
+    }
+}
+
+/// Decode the `n` values of a page's packed value column, the block of
+/// the key deltas from `first` to `last` (the page's FP.v and LP.v,
+/// bit-exact).
+pub(crate) fn decode_page_values(
+    block: &[u8],
+    n: usize,
+    (first, last): (f64, f64),
+) -> Result<Vec<f64>> {
+    // The keys run from FP's to LP's as timestamps run from FP.t to LP.t.
+    let keys = decode_page_timestamps(block, n, (key(first), key(last)), None)?;
+    Ok(keys
+        .into_iter()
+        .map(|k| f64::from_bits(flip(cast::u64_bits(k))))
+        .collect())
 }
 
 #[cfg(test)]
@@ -592,20 +624,32 @@ mod tests {
 
     use super::*;
 
+    /// The standalone column round-trips, and so does its block inside
+    /// a page, anchored at the column's ends.
     fn ts_roundtrip(ts: &[i64]) -> Result<Vec<u8>> {
         let mut buf = Vec::new();
         encode_timestamps(ts, &mut buf);
-        verify_timestamps(&buf, ts.len())?;
         assert_eq!(decode_timestamps(&buf, ts.len(), None)?, ts);
+        let mut pos = 0;
+        varint::read_i64(&buf, &mut pos)?;
+        let ends = (ts[0], ts[ts.len() - 1]);
+        assert_eq!(
+            decode_page_timestamps(&buf[pos..], ts.len(), ends, None)?,
+            ts
+        );
         Ok(buf)
     }
 
     fn value_roundtrip(vs: &[f64]) -> Result<Vec<u8>> {
         let mut buf = Vec::new();
         encode_values(vs, &mut buf);
-        verify_values(&buf, vs.len())?;
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&decode_values(&buf, vs.len())?), bits(vs));
+        let ends = (vs[0], vs[vs.len() - 1]);
+        assert_eq!(
+            bits(&decode_page_values(&buf[8..], vs.len(), ends)?),
+            bits(vs)
+        );
         Ok(buf)
     }
 

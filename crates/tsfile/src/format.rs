@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────┐
-//! │ magic "TSF4\0\0" (6 bytes)                                 │
+//! │ magic "TSF5\0\0" (6 bytes)                                 │
 //! ├────────────────────────────────────────────────────────────┤
 //! │ chunk 0 body: one page body (see `page` module); column    │
 //! │   encodings live in the footer                             │
@@ -28,7 +28,10 @@
 //!
 //! The trailing length + magic let a reader locate the footer without a
 //! separate index file; the leading magic rejects non-TsFiles (and the
-//! retired `TSF1`–`TSF3` generations) early. This mirrors IoTDB's
+//! retired `TSF1`–`TSF4` generations) early: `TSF4` is the last whose
+//! page bodies repeated what the footer's statistics hold (the point
+//! count, a constant-delta column's first timestamp and step, a packed
+//! column's first point), which a `TSF5` decoder takes from the footer. This mirrors IoTDB's
 //! TsFile (data, then per-chunk statistics, then a metadata index and
 //! tail magic) as the paper runs it: with `page_size_in_byte` at 1 GiB,
 //! every chunk is one page, and so it is here by construction.
@@ -57,9 +60,9 @@ use crate::{cast, varint};
 use crate::{Result, TsFileError};
 
 /// File magic, also used as the tail sentinel. Bumped with every footer
-/// layout, so a file of an earlier layout is refused as foreign
+/// or page layout, so a file of an earlier layout is refused as foreign
 /// (`BadMagic`) rather than read as a torn file of this one.
-pub const MAGIC: &[u8; 6] = b"TSF4\0\0";
+pub const MAGIC: &[u8; 6] = b"TSF5\0\0";
 
 /// Metadata describing one chunk inside a TsFile: where its body lives,
 /// how its columns are encoded, its version `κ`, and its precomputed

@@ -8,37 +8,47 @@
 //!
 //! ```text
 //! page body:
-//!   varint n (point count, 1 ..= MAX_PAGE_POINTS)
 //!   u8     modes: timestamps  bit 0 constant delta, bit 2 packed deltas,
 //!                             neither: the chunk's timestamp encoding
 //!                 values      bit 1 decimal block, bit 3 packed deltas,
 //!                             neither: the chunk's value encoding
 //!                 (bits 0 and 2, or 1 and 3, together, or any other
 //!                 bit: Corrupt)
-//!   varint len(ts_bytes)   ts_bytes
-//!   varint len(val_bytes)  val_bytes
+//!   varint len(ts_bytes)   ts_bytes    (neither when the timestamps
+//!                                       are a constant delta)
+//!   val_bytes                          (the rest, up to the CRC)
 //!   u32    crc32 of everything above (LE)
 //! ```
+//!
+//! A page stores nothing its chunk's statistics hold ([`PageMeta`]:
+//! FP/LP/BP/TP and the count, CRC-protected in the footer, handed to
+//! every decoder). The point count is the footer's. A constant-delta
+//! timestamp column is no bytes at all: `t_i = FP.t + i·Δ` with
+//! `Δ = (LP.t − FP.t)/(n − 1)`, so the form is written only when that
+//! division is exact and `LP.t − FP.t` does not overflow, and a footer
+//! whose statistics do not split into `n − 1` equal steps makes such a
+//! page `Corrupt`. A packed column ([`encoding::packed`]) is its block
+//! of deltas alone: its head is FP (`FP.v` bit-exact) and its running
+//! sum must land on LP. The value column runs to the CRC, so the body's
+//! own length (the footer's) bounds it.
 //!
 //! Both forms ([`PageForms`]) are chosen per page from the page's own
 //! columns, by exact size, never by a setting. The constant-delta
 //! timestamp form: sensor timestamps are mostly regular (the paper's
-//! §3.5 step observation), so a page whose deltas are all equal stores
-//! just `varint_i(first) varint_i(delta)` and is reconstructed
-//! arithmetically — no per-point varint decode. The decimal value form
-//! ([`encoding::decimal`]): a page whose values have few decimals stores
-//! them as scaled, bit-packed integers — framed from their minimum, or,
-//! on a page with no exception where it is smaller, as the first integer
-//! and the deltas after it (a counter or a ramp, at a few bits a value
-//! or none); the block's header says which, so to this layer, to
-//! compaction and to the inspector both are one form. The packed forms
-//! ([`encoding::packed`]): the first point, then its column's deltas —
-//! of the timestamps, or of the values' order-preserving integer keys —
-//! bit-packed at one width with the outliers listed apart; jittered
-//! timestamps and full-precision walks take it. A form is written only
-//! when it is strictly smaller than the one a page would hold without
-//! it, so a page no new form shrinks is byte-identical to what earlier
-//! writers wrote.
+//! §3.5 step observation), so a page whose deltas are all equal is
+//! reconstructed arithmetically from its statistics — no per-point
+//! varint decode. The decimal value form ([`encoding::decimal`]): a page
+//! whose values have few decimals stores them as scaled, bit-packed
+//! integers — framed from their minimum, or, on a page with no
+//! exception where it is smaller, as the first integer and the deltas
+//! after it (a counter or a ramp, at a few bits a value or none); the
+//! block's header says which, so to this layer, to compaction and to
+//! the inspector both are one form. The packed forms: the deltas of a
+//! column — of the timestamps, or of the values' order-preserving
+//! integer keys — bit-packed at one width with the outliers listed
+//! apart; jittered timestamps and full-precision walks take it. A form
+//! is written only when it is strictly smaller than the one a page would
+//! hold without it.
 //! The column encodings themselves live in the footer's chunk entry
 //! ([`crate::ChunkMeta`], CRC-protected there), so a chunk body has no
 //! unprotected header bytes.
@@ -71,7 +81,7 @@ pub const MAX_PAGE_POINTS: usize = 1 << 20;
 pub type PageStatistics = ChunkStatistics;
 
 /// Mode bit: the timestamps are a constant delta, reconstructed
-/// arithmetically from `(first, delta)`.
+/// arithmetically from the statistics.
 const MODE_CONST_DELTA: u8 = 1;
 /// Mode bit: the values are a decimal block.
 const MODE_DECIMAL: u8 = 2;
@@ -85,9 +95,9 @@ const MODE_PACKED_VALUES: u8 = 8;
 pub enum TsForm {
     /// The chunk's timestamp encoding (a ts2diff or plain stream).
     Stream,
-    /// `(first, delta)`, reconstructed arithmetically.
+    /// No bytes: `FP.t + i·Δ`, `Δ` the statistics' span over `n − 1`.
     Constant,
-    /// The first timestamp and bit-packed deltas ([`encoding::packed`]).
+    /// Bit-packed deltas from FP.t ([`encoding::packed`]).
     Packed,
 }
 
@@ -99,7 +109,7 @@ pub enum ValueForm {
     /// A decimal block ([`encoding::decimal`]), in either of its frames
     /// ([`decimal_framing`]).
     Decimal,
-    /// The first value and bit-packed key deltas ([`encoding::packed`]).
+    /// Bit-packed key deltas from FP.v ([`encoding::packed`]).
     Packed,
 }
 
@@ -220,7 +230,6 @@ pub(crate) fn encode_page_columns(
     out: &mut Vec<u8>,
 ) {
     let start = out.len();
-    varint::write_u64(out, cast::u64_from_usize(ts.len()));
     // Pooled column scratch: page encode runs once per page on every
     // flush/compaction; reusing the scratch keeps the write path free
     // of heap round-trips per page.
@@ -235,28 +244,31 @@ pub(crate) fn encode_page_columns(
         }
         .modes(),
     );
-    varint::write_u64(out, cast::u64_from_usize(ts_bytes.len()));
-    out.extend_from_slice(&ts_bytes);
-    varint::write_u64(out, cast::u64_from_usize(val_col.len()));
+    if timestamps != TsForm::Constant {
+        varint::write_u64(out, cast::u64_from_usize(ts_bytes.len()));
+        out.extend_from_slice(&ts_bytes);
+    }
     out.extend_from_slice(val_col);
     let crc = crc32(out.get(start..).unwrap_or(&[]));
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// A page's timestamp column, written to the empty `buf`: the constant
-/// delta when there is one, else the smaller of the chunk's stream and
-/// the packed deltas, ties to the stream. The packed size is exact
-/// before a byte is written, so the stream is written only when a lower
-/// bound on its size does not already lose.
+/// A page's timestamp column, written to the empty `buf`: nothing when
+/// the deltas are one constant the statistics give back, else the
+/// smaller of the chunk's stream and the packed deltas, ties to the
+/// stream. The packed size is exact before a byte is written, so the
+/// stream is written only when a lower bound on its size does not
+/// already lose.
 fn ts_column(ts: &[i64], deltas: &[i64], ts_encoding: EncodingKind, buf: &mut Vec<u8>) -> TsForm {
-    let first = ts.first().copied().unwrap_or(0);
-    if let Some(delta) = constant_delta(deltas) {
-        varint::write_i64(buf, first);
-        varint::write_i64(buf, delta);
+    let (first, last) = (ts.first().copied(), ts.last().copied());
+    let derived = first
+        .zip(last)
+        .and_then(|(f, l)| derived_delta(f, l, ts.len()));
+    if derived.is_some() && derived == constant_delta(deltas) {
         return TsForm::Constant;
     }
     let packing = Packing::of(deltas);
-    let packed = packed::timestamps_len(first, &packing);
+    let packed = packing.len();
     if packed >= encoding::timestamps_len_at_least(ts_encoding, ts) {
         encoding::encode_timestamps(ts_encoding, ts, buf);
         if buf.len() <= packed {
@@ -264,7 +276,7 @@ fn ts_column(ts: &[i64], deltas: &[i64], ts_encoding: EncodingKind, buf: &mut Ve
         }
         buf.clear();
     }
-    packed::write_timestamps(first, deltas, &packing, buf);
+    packing.write(deltas, buf);
     TsForm::Packed
 }
 
@@ -284,7 +296,7 @@ fn value_column<'a>(
 ) -> (ValueForm, &'a [u8]) {
     packed::key_deltas(vs, &mut carry.keys);
     let packing = Packing::of(&carry.keys);
-    let packed = packed::values_len(&packing);
+    let packed = packing.len();
     // What the page would hold without the packed form, unless it
     // already loses.
     let without = match decimal::plan(vs, &mut carry.pair) {
@@ -299,8 +311,7 @@ fn value_column<'a>(
         Some((form, range)) if range.len() <= packed => (form, buf.get(range).unwrap_or(&[])),
         _ => {
             buf.clear();
-            let first = vs.first().copied().unwrap_or(0.0);
-            packed::write_values(first, &carry.keys, &packing, buf);
+            packing.write(&carry.keys, buf);
             (ValueForm::Packed, buf)
         }
     }
@@ -363,6 +374,19 @@ fn constant_delta(deltas: &[i64]) -> Option<i64> {
     rest.iter().all(|&d| d == delta).then_some(delta)
 }
 
+/// The step `Δ` of `n` timestamps from `first` to `last` in equal
+/// steps: `(last − first)/(n − 1)` when that span fits an `i64` and
+/// divides exactly (0 for one point at `first == last`), else `None`.
+/// Then every `first + i·Δ`, `i < n`, lies between the two, so building
+/// the column cannot overflow.
+fn derived_delta(first: i64, last: i64, n: usize) -> Option<i64> {
+    let span = last.checked_sub(first)?;
+    match i64::try_from(n.checked_sub(1)?).ok()? {
+        0 => (span == 0).then_some(0),
+        steps => (span % steps == 0).then(|| span / steps),
+    }
+}
+
 /// Split a CRC-carrying page body into `(payload, expected_crc)`,
 /// verifying the checksum.
 fn checked_payload<'a>(body: &'a [u8], what: &'static str) -> Result<&'a [u8]> {
@@ -386,21 +410,32 @@ fn checked_payload<'a>(body: &'a [u8], what: &'static str) -> Result<&'a [u8]> {
     Ok(payload)
 }
 
-/// Verify a raw page body without decoding it: checksum over the
-/// payload, the header point count against the footer entry, and
-/// the structure of a bit-packed column (a decimal block or packed
-/// deltas). This is the integrity gate for byte-for-byte page copies —
-/// the compactor revalidates every page it moves verbatim, whatever its
-/// forms, so silent corruption can never be propagated into a new file.
+/// Verify a raw page body against its footer entry without decoding a
+/// stream: checksum over the payload, the point count under the
+/// ceiling, statistics that split into equal steps for a constant-delta
+/// column, the structure of a decimal block, and a packed column's
+/// deltas running from the statistics' FP to their LP. This is the
+/// integrity gate for byte-for-byte page copies — the compactor
+/// revalidates every page it moves verbatim, whatever its forms, so
+/// silent corruption can never be propagated into a new file.
 pub fn verify_page_body(body: &[u8], meta: &PageMeta) -> Result<()> {
-    let cols = open_page(body, meta)?;
-    if cols.forms.timestamps == TsForm::Packed {
-        packed::verify_timestamps(cols.ts_col, cols.n)?;
+    let (cols, n) = open_page(body, meta)?;
+    let stats = &meta.stats;
+    match cols.forms.timestamps {
+        TsForm::Stream => {}
+        TsForm::Constant => {
+            constant_step(stats, n)?;
+        }
+        TsForm::Packed => {
+            packed::decode_page_timestamps(cols.ts_col, n, (stats.first.t, stats.last.t), None)?;
+        }
     }
     match cols.forms.values {
         ValueForm::Stream => Ok(()),
-        ValueForm::Decimal => decimal::verify(cols.val_col, cols.n),
-        ValueForm::Packed => packed::verify_values(cols.val_col, cols.n),
+        ValueForm::Decimal => decimal::verify(cols.val_col, n),
+        ValueForm::Packed => {
+            packed::decode_page_values(cols.val_col, n, (stats.first.v, stats.last.v)).map(drop)
+        }
     }
 }
 
@@ -421,89 +456,84 @@ pub fn decimal_framing(body: &[u8]) -> Result<Option<decimal::Framing>> {
     }
 }
 
-/// Parsed page header: count, forms, and the two column slices.
+/// Parsed page header: forms and the two column slices.
 struct PageColumns<'a> {
-    n: usize,
     forms: PageForms,
     ts_col: &'a [u8],
     val_col: &'a [u8],
 }
 
 fn split_page(payload: &[u8]) -> Result<PageColumns<'_>> {
-    let mut pos = 0usize;
-    let n = varint::read_u64(payload, &mut pos)?;
-    let n = cast::usize_checked(n)
-        .filter(|&n| n <= MAX_PAGE_POINTS)
-        .ok_or_else(|| {
-            TsFileError::Corrupt(format!(
-                "page claims {n} points, above the {MAX_PAGE_POINTS}-point ceiling"
-            ))
-        })?;
-    let modes = *payload
-        .get(pos)
+    let (&modes, rest) = payload
+        .split_first()
         .ok_or(TsFileError::UnexpectedEof { what: "page modes" })?;
     let forms = PageForms::of_modes(modes)?;
-    pos += 1;
-    let ts_len = cast::usize_checked(varint::read_u64(payload, &mut pos)?)
+    if forms.timestamps == TsForm::Constant {
+        return Ok(PageColumns {
+            forms,
+            ts_col: &[],
+            val_col: rest,
+        });
+    }
+    let mut pos = 0usize;
+    let ts_len = cast::usize_checked(varint::read_u64(rest, &mut pos)?)
         .ok_or_else(|| TsFileError::Corrupt("page ts length unaddressable".into()))?;
-    let ts_end = pos
-        .checked_add(ts_len)
-        .filter(|&e| e <= payload.len())
-        .ok_or(TsFileError::UnexpectedEof {
-            what: "page timestamp column",
-        })?;
-    let ts_col = payload.get(pos..ts_end).ok_or(TsFileError::UnexpectedEof {
-        what: "page timestamp column",
-    })?;
-    pos = ts_end;
-    let val_len = cast::usize_checked(varint::read_u64(payload, &mut pos)?)
-        .ok_or_else(|| TsFileError::Corrupt("page val length unaddressable".into()))?;
-    let val_end = pos
-        .checked_add(val_len)
-        .filter(|&e| e <= payload.len())
-        .ok_or(TsFileError::UnexpectedEof {
-            what: "page value column",
-        })?;
-    let val_col = payload
-        .get(pos..val_end)
-        .ok_or(TsFileError::UnexpectedEof {
-            what: "page value column",
-        })?;
+    let ts_end =
+        pos.checked_add(ts_len)
+            .filter(|&e| e <= rest.len())
+            .ok_or(TsFileError::UnexpectedEof {
+                what: "page timestamp column",
+            })?;
+    let (head, val_col) = rest.split_at(ts_end);
     Ok(PageColumns {
-        n,
         forms,
-        ts_col,
+        ts_col: head.get(pos..).unwrap_or(&[]),
         val_col,
     })
 }
 
-/// Check a page body's CRC, split it, and match its point count against
-/// the footer entry.
-fn open_page<'a>(body: &'a [u8], meta: &PageMeta) -> Result<PageColumns<'a>> {
+/// Check a page body's CRC and split it; with it, the point count the
+/// footer entry gives it, under the ceiling.
+fn open_page<'a>(body: &'a [u8], meta: &PageMeta) -> Result<(PageColumns<'a>, usize)> {
     let cols = split_page(checked_payload(body, "page body")?)?;
-    if cast::u64_from_usize(cols.n) != meta.stats.count {
-        return Err(TsFileError::Corrupt(format!(
-            "page body holds {} points but the footer says {}",
-            cols.n, meta.stats.count
-        )));
-    }
-    Ok(cols)
+    let count = meta.stats.count;
+    let n = cast::usize_checked(count)
+        .filter(|&n| n <= MAX_PAGE_POINTS)
+        .ok_or_else(|| {
+            TsFileError::Corrupt(format!(
+                "page of {count} points, above the {MAX_PAGE_POINTS}-point ceiling"
+            ))
+        })?;
+    Ok((cols, n))
 }
 
-/// Decode the timestamp column of an already-split page.
+/// The step of a constant-delta column of `n` points, from its
+/// statistics: `Corrupt` when they do not split into `n − 1` equal
+/// steps.
+fn constant_step(stats: &PageStatistics, n: usize) -> Result<i64> {
+    let (first, last) = (stats.first.t, stats.last.t);
+    derived_delta(first, last, n).ok_or_else(|| {
+        TsFileError::Corrupt(format!(
+            "a constant-delta page of {n} points cannot run from {first} to {last}"
+        ))
+    })
+}
+
+/// Decode the timestamp column of an already-split page of `n` points
+/// whose statistics are `stats`.
 fn decode_ts_column(
     cols: &PageColumns<'_>,
+    n: usize,
+    stats: &PageStatistics,
     ts_encoding: EncodingKind,
     until: Option<i64>,
 ) -> Result<Vec<i64>> {
     match (cols.forms.timestamps, ts_encoding, until) {
         (TsForm::Constant, ..) => {
-            let mut pos = 0usize;
-            let first = varint::read_i64(cols.ts_col, &mut pos)?;
-            let delta = varint::read_i64(cols.ts_col, &mut pos)?;
-            let mut out = Vec::with_capacity(cols.n);
-            let mut cur = first;
-            for i in 0..cols.n {
+            let delta = constant_step(stats, n)?;
+            let mut out = Vec::with_capacity(n);
+            let mut cur = stats.first.t;
+            for i in 0..n {
                 if i > 0 {
                     cur = cur.wrapping_add(delta);
                 }
@@ -514,19 +544,18 @@ fn decode_ts_column(
             }
             Ok(out)
         }
-        (TsForm::Packed, ..) => packed::decode_timestamps(cols.ts_col, cols.n, until),
-        (TsForm::Stream, EncodingKind::Plain, _) => {
-            encoding::plain::decode_i64(cols.ts_col, cols.n)
+        (TsForm::Packed, ..) => {
+            packed::decode_page_timestamps(cols.ts_col, n, (stats.first.t, stats.last.t), until)
         }
-        (TsForm::Stream, _, Some(limit)) => {
-            encoding::ts2diff::decode_until(cols.ts_col, cols.n, limit)
-        }
-        (TsForm::Stream, _, None) => encoding::ts2diff::decode(cols.ts_col, cols.n),
+        (TsForm::Stream, EncodingKind::Plain, _) => encoding::plain::decode_i64(cols.ts_col, n),
+        (TsForm::Stream, _, Some(limit)) => encoding::ts2diff::decode_until(cols.ts_col, n, limit),
+        (TsForm::Stream, _, None) => encoding::ts2diff::decode(cols.ts_col, n),
     }
 }
 
-/// Decode one page body into points, verifying its CRC and that the
-/// decoded count matches the footer entry.
+/// Decode one page body into points, verifying its CRC, against the
+/// footer entry that gives its count and what else the body leaves to
+/// the statistics.
 pub fn decode_page(
     body: &[u8],
     ts_encoding: EncodingKind,
@@ -534,19 +563,21 @@ pub fn decode_page(
     meta: &PageMeta,
 ) -> Result<Vec<Point>> {
     crate::lockcheck::check_io();
-    let cols = open_page(body, meta)?;
-    let ts = decode_ts_column(&cols, ts_encoding, None)?;
+    let (cols, n) = open_page(body, meta)?;
+    let stats = &meta.stats;
+    let ts = decode_ts_column(&cols, n, stats, ts_encoding, None)?;
     let vs = match cols.forms.values {
-        ValueForm::Stream => encoding::decode_values(val_encoding, cols.val_col, cols.n)?,
-        ValueForm::Decimal => decimal::decode(cols.val_col, cols.n)?,
-        ValueForm::Packed => packed::decode_values(cols.val_col, cols.n)?,
+        ValueForm::Stream => encoding::decode_values(val_encoding, cols.val_col, n)?,
+        ValueForm::Decimal => decimal::decode(cols.val_col, n)?,
+        ValueForm::Packed => {
+            packed::decode_page_values(cols.val_col, n, (stats.first.v, stats.last.v))?
+        }
     };
-    if ts.len() != cols.n || vs.len() != cols.n {
+    if ts.len() != n || vs.len() != n {
         return Err(TsFileError::Corrupt(format!(
-            "page decoded {} timestamps / {} values, expected {}",
+            "page decoded {} timestamps / {} values, expected {n}",
             ts.len(),
             vs.len(),
-            cols.n
         )));
     }
     Ok(ts
@@ -566,8 +597,8 @@ pub fn decode_page_timestamps(
     until: Option<i64>,
 ) -> Result<Vec<i64>> {
     crate::lockcheck::check_io();
-    let cols = open_page(body, meta)?;
-    decode_ts_column(&cols, ts_encoding, until)
+    let (cols, n) = open_page(body, meta)?;
+    decode_ts_column(&cols, n, &meta.stats, ts_encoding, until)
 }
 
 #[cfg(test)]

@@ -368,7 +368,10 @@ mod tests {
         let mut body = Vec::new();
         encode_page(&a, ts, val, &mut body);
 
-        // Statistics that break an invariant, or miscount the body.
+        // Statistics that break an invariant, or that the body's
+        // constant-delta column cannot run along: 12 points from t = 0
+        // to t = 90 are not 11 equal steps. (The body holds no count of
+        // its own: 11 points at t = 0, 9, …, 90 would be read from it.)
         let mut inverted = stats;
         inverted.bottom.v = stats.top.v + 1.0;
         assert!(matches!(
@@ -376,7 +379,7 @@ mod tests {
             Err(TsFileError::Corrupt(_))
         ));
         let mut miscounted = stats;
-        miscounted.count += 1;
+        miscounted.count += 2;
         assert!(matches!(
             w.write_chunk_raw(&body, miscounted, ts, val, 1),
             Err(TsFileError::Corrupt(_))

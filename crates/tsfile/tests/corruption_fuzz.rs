@@ -63,27 +63,28 @@ fn page_above_the_point_ceiling_is_corrupt() {
     );
 }
 
-/// A CRC-valid page of `n` points with the given modes byte and
-/// columns.
-fn sealed_page(n: usize, modes: u8, ts: &[u8], values: &[u8]) -> Vec<u8> {
+/// A CRC-valid page with the given modes byte and columns: the modes,
+/// the length-prefixed timestamp column unless the modes say constant
+/// delta (bit 0), the value column up to the CRC. Its point count is
+/// the footer entry's.
+fn sealed_page(modes: u8, ts: &[u8], values: &[u8]) -> Vec<u8> {
     use tsfile::varint;
-    let mut body = Vec::new();
-    varint::write_u64(&mut body, n as u64);
-    body.push(modes);
-    varint::write_u64(&mut body, ts.len() as u64);
-    body.extend_from_slice(ts);
-    varint::write_u64(&mut body, values.len() as u64);
+    let mut body = vec![modes];
+    if modes & 1 == 0 {
+        varint::write_u64(&mut body, ts.len() as u64);
+        body.extend_from_slice(ts);
+    }
     body.extend_from_slice(values);
     let crc = tsfile::checksum::crc32(&body);
     body.extend_from_slice(&crc.to_le_bytes());
     body
 }
 
-/// A CRC-valid page of `n` points at `t = 0, 1, …` whose value column
-/// is `block`, marked decimal.
-fn decimal_page(n: usize, block: &[u8]) -> Vec<u8> {
-    // varint_i 0, varint_i 1: constant-delta timestamps.
-    sealed_page(n, 0b11, &[0, 2], block)
+/// A CRC-valid page whose value column is `block`, marked decimal, and
+/// whose timestamps are a constant delta: read against [`meta_of`], its
+/// points are at `t = 0, 1, …`.
+fn decimal_page(block: &[u8]) -> Vec<u8> {
+    sealed_page(0b11, &[], block)
 }
 
 /// Both results a typed error: `Corrupt` or `UnexpectedEof`.
@@ -126,12 +127,11 @@ fn flip_decimal_block(
         &mut body,
     );
     prop_assert_eq!(tsfile::page::decimal_framing(&body).unwrap(), Some(framing));
-    // varint n (2 bytes), modes, varint ts_len, ts bytes, varint
-    // val_len, then the block up to the CRC.
-    let mut pos = 3;
+    // Modes, varint ts_len, ts bytes (the jittered timestamps are
+    // packed), then the block up to the CRC.
+    let mut pos = 1;
     let ts_len = tsfile::varint::read_u64(&body, &mut pos).unwrap() as usize;
     pos += ts_len;
-    tsfile::varint::read_u64(&body, &mut pos).unwrap();
     let block = pos..body.len() - 4;
     for (idx, mask) in flips {
         body[block.start + idx.index(block.len())] ^= mask;
@@ -164,7 +164,7 @@ fn a_varint_past_64_bits_in_a_page_is_corrupt() {
     ts.extend_from_slice(&[0x02, 0x02]); // first (overflowing), delta 1
     let mut values = Vec::new();
     gorilla::encode(&[1.0, 2.0], &mut values);
-    let page = sealed_page(2, 0, &ts, &values);
+    let page = sealed_page(0, &ts, &values);
     let got = tsfile::page::decode_page(
         &page,
         EncodingKind::Ts2Diff,
@@ -208,19 +208,22 @@ fn packed_column_prefixes_and_bit_flips_are_typed_errors() {
         (f.timestamps, f.values),
         (TsForm::Packed, ValueForm::Packed)
     );
-    // varint n (2 bytes), modes, varint ts_len, ts, varint val_len, values.
-    let modes = body[2];
-    let mut pos = 3;
+    // Modes, varint ts_len, ts, then the values up to the CRC.
+    let modes = body[0];
+    let mut pos = 1;
     let ts_len = tsfile::varint::read_u64(&body, &mut pos).unwrap() as usize;
     let ts = body[pos..pos + ts_len].to_vec();
-    pos += ts_len;
-    let val_len = tsfile::varint::read_u64(&body, &mut pos).unwrap() as usize;
-    let values = body[pos..pos + val_len].to_vec();
-    assert_eq!(sealed_page(200, modes, &ts, &values), body);
+    let values = body[pos + ts_len..body.len() - 4].to_vec();
+    assert_eq!(sealed_page(modes, &ts, &values), body);
+    let stats = tsfile::ChunkStatistics::from_points(&points).unwrap();
 
     let check = |ts: &[u8], values: &[u8], what: &str, must_fail: bool| {
-        let page = sealed_page(200, modes, ts, values);
-        let meta = meta_of(200, &page);
+        let page = sealed_page(modes, ts, values);
+        let meta = tsfile::PageMeta {
+            offset: 0,
+            byte_len: page.len() as u64,
+            stats,
+        };
         let decoded = decode_page(&page, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta);
         let verified = verify_page_body(&page, &meta);
         if must_fail || decoded.is_err() || verified.is_err() {
@@ -251,7 +254,7 @@ fn packed_column_prefixes_and_bit_flips_are_typed_errors() {
     // The modes byte: each packed bit with its column's other bit set
     // is `Corrupt`, and so is any bit above the four.
     for bad in [modes | 0b0001, modes | 0b0010, modes | 0b1_0000, 0x80] {
-        let page = sealed_page(200, bad, &ts, &values);
+        let page = sealed_page(bad, &ts, &values);
         let got = decode_page(
             &page,
             EncodingKind::Ts2Diff,
@@ -262,6 +265,125 @@ fn packed_column_prefixes_and_bit_flips_are_typed_errors() {
             matches!(got, Err(TsFileError::Corrupt(_))),
             "modes {bad:#x}"
         );
+    }
+}
+
+/// A constant-delta page stores no timestamps: they are `FP.t + i·Δ`
+/// with `Δ` the footer's span over `n − 1` steps. Footer statistics
+/// that do not split into equal steps — an LP one unit off, a count one
+/// too many, a span past `i64::MAX` — make the page `Corrupt` for the
+/// decoder, the timestamp decoder and the copy gate alike.
+#[test]
+fn statistics_that_do_not_split_into_equal_steps_make_a_constant_page_corrupt() {
+    use tsfile::encoding::EncodingKind;
+    use tsfile::page::{decode_page, decode_page_timestamps, forms, verify_page_body, TsForm};
+    let points: Vec<Point> = (0..100i64).map(|i| Point::new(i * 10, 1.5)).collect();
+    let mut body = Vec::new();
+    tsfile::page::encode_page(
+        &points,
+        EncodingKind::Ts2Diff,
+        EncodingKind::Gorilla,
+        &mut body,
+    );
+    assert_eq!(forms(&body).unwrap().timestamps, TsForm::Constant);
+    let stats = tsfile::ChunkStatistics::from_points(&points).unwrap();
+    let mut off_by_one = stats;
+    off_by_one.last.t += 1;
+    let mut one_more = stats;
+    one_more.count += 1;
+    let mut overflowing = stats;
+    (overflowing.first.t, overflowing.last.t) = (i64::MIN, i64::MAX);
+    for (what, stats) in [
+        ("LP one unit off", off_by_one),
+        ("one point more", one_more),
+        ("span past i64::MAX", overflowing),
+    ] {
+        let meta = tsfile::PageMeta {
+            offset: 0,
+            byte_len: body.len() as u64,
+            stats,
+        };
+        let decoded = decode_page(&body, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta);
+        assert!(
+            matches!(decoded, Err(TsFileError::Corrupt(_))),
+            "{what}: {decoded:?}"
+        );
+        let stamps = decode_page_timestamps(&body, EncodingKind::Ts2Diff, &meta, Some(0));
+        assert!(
+            matches!(stamps, Err(TsFileError::Corrupt(_))),
+            "{what}: {stamps:?}"
+        );
+        let gate = verify_page_body(&body, &meta);
+        assert!(
+            matches!(gate, Err(TsFileError::Corrupt(_))),
+            "{what}: {gate:?}"
+        );
+    }
+}
+
+/// A packed column is the block of its deltas alone, anchored at the
+/// footer's FP and LP. Read against a count one more or one less than
+/// it holds — a block longer or shorter than the footer's count — it is
+/// a typed error from the decoder, the timestamp decoder and the copy
+/// gate, whichever column is packed.
+#[test]
+fn a_packed_block_of_another_count_than_the_footer_is_a_typed_error() {
+    use tsfile::encoding::EncodingKind;
+    use tsfile::page::{decode_page, decode_page_timestamps, forms, verify_page_body};
+    use tsfile::page::{TsForm, ValueForm};
+    // Jittered timestamps and a walk: both columns packed.
+    let both: Vec<Point> = (0..300i64)
+        .map(|i| Point::new(i * 10 + (i * 7) % 5, 225.0 + (i as f64 * 0.05).sin()))
+        .collect();
+    // Regular timestamps, a walk: only the values packed. The footer
+    // entries below keep the 10 ms step (LP.t moves with the count), so
+    // the constant-delta column reads as any count and the value block
+    // alone must refuse it.
+    let values_only: Vec<Point> = both
+        .iter()
+        .enumerate()
+        .map(|(i, p)| Point::new(i as i64 * 10, p.v))
+        .collect();
+    for (points, want) in [
+        (both, (TsForm::Packed, ValueForm::Packed)),
+        (values_only, (TsForm::Constant, ValueForm::Packed)),
+    ] {
+        let mut body = Vec::new();
+        tsfile::page::encode_page(
+            &points,
+            EncodingKind::Ts2Diff,
+            EncodingKind::Gorilla,
+            &mut body,
+        );
+        let f = forms(&body).unwrap();
+        assert_eq!((f.timestamps, f.values), want);
+        let stats = tsfile::ChunkStatistics::from_points(&points).unwrap();
+        for count in [stats.count - 1, stats.count + 1] {
+            let mut last = stats.last;
+            if want.0 == TsForm::Constant {
+                last.t = (count as i64 - 1) * 10;
+            }
+            let meta = tsfile::PageMeta {
+                offset: 0,
+                byte_len: body.len() as u64,
+                stats: tsfile::ChunkStatistics {
+                    count,
+                    last,
+                    ..stats
+                },
+            };
+            let decoded = decode_page(&body, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta);
+            assert!(typed(&decoded), "{want:?} read as {count}: {decoded:?}");
+            let gate = verify_page_body(&body, &meta);
+            assert!(
+                typed(&gate),
+                "{want:?} read as {count}: the gate gave {gate:?}"
+            );
+            if want.0 == TsForm::Packed {
+                let stamps = decode_page_timestamps(&body, EncodingKind::Ts2Diff, &meta, None);
+                assert!(typed(&stamps), "{want:?} read as {count}: {stamps:?}");
+            }
+        }
     }
 }
 
@@ -380,7 +502,7 @@ fn malformed_decimal_blocks_are_typed_errors() {
         if n > tsfile::page::MAX_PAGE_POINTS {
             continue; // the page header itself is refused first
         }
-        let page = decimal_page(n, &block);
+        let page = decimal_page(&block);
         let meta = meta_of(n, &page);
         let decoded =
             tsfile::page::decode_page(&page, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta);
@@ -835,23 +957,52 @@ proptest! {
 
     /// Arbitrary bytes as a packed column of any plausible count: a
     /// typed error or exactly `n` points (at most `n` with a limit),
-    /// never a panic, and the copy gate's check agrees with the decoder.
+    /// never a panic. Split into two blocks, the same bytes are a page's
+    /// packed columns, read against statistics of that count whose LP is
+    /// where the blocks' deltas lead from FP: the page decodes exactly
+    /// when both columns decode standalone (head, then block), and the
+    /// copy gate passes exactly what decodes.
     #[test]
     fn random_packed_columns_never_panic(
         n in 0usize..2_000,
         limit in any::<i64>(),
+        t0 in any::<i64>(),
+        v0_bits in any::<u64>(),
+        split in any::<prop::sample::Index>(),
         bytes in prop::collection::vec(any::<u8>(), 0..96),
     ) {
-        use tsfile::encoding::packed;
+        use tsfile::encoding::{packed, EncodingKind};
         let ts = packed::decode_timestamps(&bytes, n, None);
         prop_assert!(ts.as_ref().map_or_else(|_| typed(&ts), |t| t.len() == n));
-        prop_assert_eq!(ts.is_ok(), packed::verify_timestamps(&bytes, n).is_ok());
         if let Ok(until) = packed::decode_timestamps(&bytes, n, Some(limit)) {
             prop_assert!(ts.is_ok() && until.len() <= n);
         }
         let values = packed::decode_values(&bytes, n);
         prop_assert!(values.as_ref().map_or_else(|_| typed(&values), |v| v.len() == n));
-        prop_assert_eq!(values.is_ok(), packed::verify_values(&bytes, n).is_ok());
+
+        let (ts_block, val_block) = bytes.split_at(split.index(bytes.len() + 1));
+        let v0 = f64::from_bits(v0_bits);
+        let mut ts_column = Vec::new();
+        tsfile::varint::write_i64(&mut ts_column, t0);
+        ts_column.extend_from_slice(ts_block);
+        let val_column = [&v0_bits.to_le_bytes()[..], val_block].concat();
+        let ts = packed::decode_timestamps(&ts_column, n, None);
+        let vs = packed::decode_values(&val_column, n);
+        let head = Point::new(t0, v0);
+        let last = Point::new(
+            ts.as_ref().ok().and_then(|t| t.last().copied()).unwrap_or(t0),
+            vs.as_ref().ok().and_then(|v| v.last().copied()).unwrap_or(v0),
+        );
+        let page = sealed_page(0b1100, ts_block, val_block);
+        let meta = tsfile::PageMeta {
+            offset: 0,
+            byte_len: page.len() as u64,
+            stats: tsfile::ChunkStatistics { first: head, last, bottom: head, top: head, count: n as u64 },
+        };
+        let decoded = tsfile::page::decode_page(&page, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta);
+        prop_assert!(decoded.as_ref().map_or_else(|_| typed(&decoded), |p| p.len() == n));
+        prop_assert_eq!(decoded.is_ok(), ts.is_ok() && vs.is_ok());
+        prop_assert_eq!(decoded.is_ok(), tsfile::page::verify_page_body(&page, &meta).is_ok());
     }
 
     /// Flip bytes inside the decimal value column of a real page and

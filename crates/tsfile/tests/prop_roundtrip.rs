@@ -375,15 +375,27 @@ proptest! {
 
 /// A page body's two columns: `(ts bytes, value bytes)`.
 fn columns(body: &[u8]) -> (&[u8], &[u8]) {
-    // varint n, modes, varint ts_len, ts bytes, varint val_len, values.
-    let mut pos = 0;
-    varint::read_u64(body, &mut pos).unwrap();
-    pos += 1;
+    // Modes; varint ts_len and the ts bytes, unless the timestamps are
+    // a constant delta (bit 0: no bytes); the values up to the CRC.
+    let values_end = body.len() - 4;
+    if body[0] & 1 == 1 {
+        return (&[], &body[1..values_end]);
+    }
+    let mut pos = 1;
     let ts_len = varint::read_u64(body, &mut pos).unwrap() as usize;
-    let ts = &body[pos..pos + ts_len];
-    pos += ts_len;
-    let val_len = varint::read_u64(body, &mut pos).unwrap() as usize;
-    (ts, &body[pos..pos + val_len])
+    (&body[pos..pos + ts_len], &body[pos + ts_len..values_end])
+}
+
+/// Whether `ts` runs in equal steps whose span `LP.t − FP.t` fits an
+/// `i64`: the timestamps a page derives from its statistics.
+fn derivable(ts: &[i64]) -> bool {
+    let delta = ts.get(1).map_or(0, |t| t.wrapping_sub(ts[0]));
+    let equal = ts.windows(2).all(|w| w[1].wrapping_sub(w[0]) == delta);
+    let steps = ts.len() as i64 - 1;
+    equal
+        && ts[ts.len() - 1]
+            .checked_sub(ts[0])
+            .is_some_and(|span| Some(span) == delta.checked_mul(steps))
 }
 
 /// Encode `points` as a page and check it decodes to the same bits.
@@ -409,10 +421,11 @@ proptest! {
 
     /// Whatever a page holds, it decodes to the same bits, and neither
     /// column the page chose is larger than what a page without the
-    /// packed forms holds — the constant delta or the ts2diff stream;
-    /// the decimal block or the configured value stream, whichever the
-    /// page picks between those two — computed here from the public
-    /// kernels. A form costs no byte: it is a bit of the modes byte.
+    /// packed forms holds — no bytes for timestamps its statistics
+    /// give back, else the ts2diff stream; the decimal block or the
+    /// configured value stream, whichever the page picks between those
+    /// two — computed here from the public kernels. A form costs no
+    /// byte: it is a bit of the modes byte.
     #[test]
     fn pages_roundtrip_bitwise_and_never_outgrow_the_stream(
         shape in 0u8..10,
@@ -430,19 +443,20 @@ proptest! {
         let (ts_col, val_col) = columns(&body);
         let forms = forms(&body).unwrap();
 
-        // Timestamps: the constant delta when there is one, else the
-        // ts2diff stream unless the packed deltas are smaller.
-        let deltas: Vec<i64> = ts.windows(2).map(|w| w[1].wrapping_sub(w[0])).collect();
+        // Timestamps: nothing when the statistics give them back, else
+        // the ts2diff stream unless the packed deltas are smaller.
         let mut parent = Vec::new();
-        if deltas.iter().all(|&d| d == deltas.first().copied().unwrap_or(0)) {
-            varint::write_i64(&mut parent, ts[0]);
-            varint::write_i64(&mut parent, deltas.first().copied().unwrap_or(0));
-        } else {
-            ts2diff::encode(&ts, &mut parent);
-        }
+        ts2diff::encode(&ts, &mut parent);
         match forms.timestamps {
-            TsForm::Packed => prop_assert!(ts_col.len() < parent.len(), "{} >= {}", ts_col.len(), parent.len()),
-            _ => prop_assert_eq!(ts_col, &parent[..]),
+            TsForm::Constant => prop_assert!(derivable(&ts) && ts_col.is_empty()),
+            TsForm::Packed => {
+                prop_assert!(!derivable(&ts));
+                prop_assert!(ts_col.len() < parent.len(), "{} >= {}", ts_col.len(), parent.len());
+            }
+            TsForm::Stream => {
+                prop_assert!(!derivable(&ts));
+                prop_assert_eq!(ts_col, &parent[..]);
+            }
         }
 
         // Values: the page without packed forms holds the block or the
@@ -475,18 +489,60 @@ proptest! {
             prop_assert_eq!(decimal_framing(&body).unwrap(), Some(Framing::Delta));
         }
 
-        // A partial timestamp scan stops where the ts2diff stream's
-        // does, whatever the page's form.
-        let mut stream_ts = Vec::new();
-        ts2diff::encode(&ts, &mut stream_ts);
-        let step = (len / 16).max(1);
-        let limits = ts.iter().step_by(step).flat_map(|&t| [t.wrapping_sub(1), t, t.wrapping_add(1)]);
-        for limit in limits.chain([i64::MIN, i64::MAX]) {
-            let got = decode_page_timestamps(&body, EncodingKind::Ts2Diff, &meta, Some(limit)).unwrap();
-            let want = ts2diff::decode_until(&stream_ts, len, limit).unwrap();
-            prop_assert_eq!(got, want, "limit {}", limit);
-        }
+        partial_scans_match_ts2diff(&body, &meta, &ts)?;
     }
+
+    /// Equal deltas from anywhere, up to the `i64` limits: the page
+    /// derives its timestamps from its statistics — no bytes — exactly
+    /// when the span `LP.t − FP.t` fits an `i64`, and past that stores
+    /// the stream or the packed deltas, wrapping. Either way it decodes
+    /// to the same bits, with a NaN payload, a signed zero, an infinity
+    /// or another special as its first value, and a partial scan stops
+    /// where ts2diff's does — inside the derived column too.
+    #[test]
+    fn equal_deltas_derive_their_column_only_where_the_span_fits(
+        n in 1usize..48,
+        delta in prop_oneof![1i64..1_000, (i64::MAX / 64)..=i64::MAX, any::<i64>()],
+        anchor in prop_oneof![Just(i64::MIN), Just(i64::MAX), any::<i64>(), -1_000i64..1_000],
+        anchor_is_last in any::<bool>(),
+        special in 0usize..12,
+        seed in any::<u64>(),
+    ) {
+        let steps = delta.wrapping_mul(n as i64 - 1);
+        let first = if anchor_is_last { anchor.wrapping_sub(steps) } else { anchor };
+        let ts: Vec<i64> = (0..n as i64).map(|i| first.wrapping_add(delta.wrapping_mul(i))).collect();
+        let mut vs = page_values(7, 0, n, seed);
+        vs[0] = f64::from_bits(SPECIALS[special]);
+        let points: Vec<Point> = ts.iter().zip(&vs).map(|(&t, &v)| Point::new(t, v)).collect();
+        let (body, meta) = page_roundtrip(&points, EncodingKind::Gorilla);
+        let fits = ts[n - 1].checked_sub(ts[0]).is_some_and(|span| Some(span) == delta.checked_mul(n as i64 - 1));
+        prop_assert_eq!(forms(&body).unwrap().timestamps == TsForm::Constant, fits);
+        prop_assert_eq!(fits, derivable(&ts));
+        partial_scans_match_ts2diff(&body, &meta, &ts)?;
+    }
+}
+
+/// A partial timestamp scan of the page stops where the ts2diff
+/// stream's does, whatever the page's form: at limits around every
+/// sixteenth of its timestamps and at the `i64` extremes.
+fn partial_scans_match_ts2diff(
+    body: &[u8],
+    meta: &PageMeta,
+    ts: &[i64],
+) -> Result<(), TestCaseError> {
+    let mut stream_ts = Vec::new();
+    ts2diff::encode(ts, &mut stream_ts);
+    let step = (ts.len() / 16).max(1);
+    let limits = ts
+        .iter()
+        .step_by(step)
+        .flat_map(|&t| [t.wrapping_sub(1), t, t.wrapping_add(1)]);
+    for limit in limits.chain([i64::MIN, i64::MAX]) {
+        let got = decode_page_timestamps(body, EncodingKind::Ts2Diff, meta, Some(limit)).unwrap();
+        let want = ts2diff::decode_until(&stream_ts, ts.len(), limit).unwrap();
+        prop_assert_eq!(got, want, "limit {}", limit);
+    }
+    Ok(())
 }
 
 /// The packed forms' edge cases, each through a whole page: exceptions
@@ -506,20 +562,14 @@ fn packed_edge_cases_round_trip() {
         .collect();
     let (body, _) = page_roundtrip(&points, EncodingKind::Gorilla);
     assert_eq!(forms(&body).unwrap().timestamps, TsForm::Packed);
-    let (ts_col, _) = columns(&body);
-    let mut pos = 0;
-    varint::read_i64(ts_col, &mut pos).unwrap();
-    assert_eq!(ts_col[pos], 0, "width");
+    assert_eq!(columns(&body).0[0], 0, "width");
 
     // Deltas of every magnitude: width 64, no exception.
     let mut next = splitmix(3);
     let wide: Vec<Point> = walk.iter().map(|&v| Point::new(next() as i64, v)).collect();
     let (body, _) = page_roundtrip(&wide, EncodingKind::Gorilla);
     assert_eq!(forms(&body).unwrap().timestamps, TsForm::Packed);
-    let (ts_col, _) = columns(&body);
-    let mut pos = 0;
-    varint::read_i64(ts_col, &mut pos).unwrap();
-    assert_eq!(ts_col[pos], 64, "width");
+    assert_eq!(columns(&body).0[0], 64, "width");
 
     // Equal full-precision values: width 0; a wild first and last one
     // are its exceptions.
@@ -528,20 +578,32 @@ fn packed_edge_cases_round_trip() {
         .collect();
     let (body, _) = page_roundtrip(&flat, EncodingKind::Gorilla);
     assert_eq!(forms(&body).unwrap().values, ValueForm::Packed);
-    assert_eq!(columns(&body).1[8], 0, "width");
+    assert_eq!(columns(&body).1[0], 0, "width");
     flat[0].v = f64::from_bits(0xfff8_dead_beef_0000);
     flat[299].v = -0.0;
     let (body, _) = page_roundtrip(&flat, EncodingKind::Gorilla);
     assert_eq!(forms(&body).unwrap().values, ValueForm::Packed);
-    assert_eq!(columns(&body).1[8], 0, "width");
+    assert_eq!(columns(&body).1[0], 0, "width");
 
-    // One point: the constant delta and the stream, packing gains nothing.
+    // Every special as the first value of a packed value column: the
+    // head is FP.v, bit-exact, from the statistics.
+    for bits in SPECIALS {
+        let mut points = points.clone();
+        points[0].v = f64::from_bits(bits);
+        let (body, _) = page_roundtrip(&points, EncodingKind::Gorilla);
+        assert_eq!(forms(&body).unwrap().values, ValueForm::Packed, "{bits:#x}");
+    }
+
+    // One point: no timestamp bytes, and the value is the statistics'
+    // FP.v, so its packed column is an empty block (3 bytes) where the
+    // stream spends a raw double.
     let (body, _) = page_roundtrip(&[Point::new(-7, f64::NAN)], EncodingKind::Gorilla);
     let forms = forms(&body).unwrap();
     assert_eq!(
         (forms.timestamps, forms.values),
-        (TsForm::Constant, ValueForm::Stream)
+        (TsForm::Constant, ValueForm::Packed)
     );
+    assert_eq!(body.len(), 1 + 3 + 4);
 }
 
 proptest! {

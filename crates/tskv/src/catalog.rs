@@ -18,20 +18,38 @@
 //! shared-WAL records are tagged with ids, so losing the mapping orphans
 //! the data. Interning appends one CRC-framed record to `catalog.log`
 //! at the store root *before* the id is published; recovery replays the
-//! log and rebuilds both directions of the map. Ids are allocated
-//! densely (`0, 1, 2, …` in intern order), which recovery verifies — a
-//! gap or out-of-order id means the log was tampered with or torn
-//! mid-file, and the store refuses to open rather than silently
-//! re-binding data to the wrong series.
+//! log ([`read_log`], which the store inspector reads it with too) and
+//! rebuilds both directions of the map.
 //!
-//! Record layout: `u32 id (LE) | u16 name_len (LE) | name bytes |
-//! u32 crc` where the CRC covers everything before it. A torn tail
-//! (incomplete or CRC-failing final record) is dropped on open, the
-//! same contract as the data WAL: a crash mid-intern loses only the
-//! never-acknowledged registration. Opening is read-only, as a delete
-//! log's is ([`tsfile::ModsFile`]): the open remembers where the torn
-//! bytes start and the first intern cuts them off before it appends, so
-//! a store whose open is refused later on is left exactly as it was.
+//! Layout: the magic [`CATALOG_MAGIC`], then one record per name in id
+//! order, each front-coded against the name before it (the first
+//! against the empty name):
+//!
+//! ```text
+//! varint shared     bytes the name shares with the one before it
+//! varint suffix_len
+//! suffix            the name's bytes after those
+//! u32 crc (LE)      crc32 of the id (u32 LE), then the bytes above
+//! ```
+//!
+//! Ids are dense (`0, 1, 2, …` in intern order), so a record's id is its
+//! position and is not stored: a fleet's names share their prefix and
+//! differ in a digit or two, so a record is ~7 bytes where an explicit
+//! `u32` id, a `u16` length and the whole name took ~22. The id is
+//! folded into the CRC instead, so a record read at a position it was
+//! not written at — duplicated, or moved — fails its CRC, and when it
+//! passes under another position's id the open refuses the store
+//! (`Corrupt`) rather than re-binding data to the wrong series. A log
+//! without the magic (an earlier build's, whose records led with their
+//! `u32` id) is refused the same way, and left as it is.
+//!
+//! A torn tail (an incomplete final record, or one failing its CRC
+//! under every id) is dropped on open, the same contract as the data
+//! WAL: a crash mid-intern loses only the never-acknowledged
+//! registration. Opening is read-only, as a delete log's is
+//! ([`tsfile::ModsFile`]): the open remembers where the torn bytes
+//! start and the first intern cuts them off before it appends, so a
+//! store whose open is refused later on is left exactly as it was.
 //!
 //! Appends are written through to the OS immediately (a crash loses
 //! nothing acknowledged short of power failure) but fsynced lazily:
@@ -63,7 +81,8 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use tsfile::checksum::crc32;
+use tsfile::checksum::Crc32;
+use tsfile::varint;
 
 use crate::stats::IoStats;
 use crate::{Result, TsKvError};
@@ -94,13 +113,23 @@ const NAME_STRIPES: usize = 64;
 /// Name of the catalog log file at the store root.
 pub const CATALOG_LOG: &str = "catalog.log";
 
+/// The first bytes of a catalog log of this layout (front-coded records,
+/// implicit ids).
+pub const CATALOG_MAGIC: &[u8; 4] = b"TSC1";
+
+/// Bytes of the shortest record: two one-byte varints and the CRC.
+const MIN_RECORD: usize = 6;
+
 struct LogState {
     path: PathBuf,
     /// Open for appending from the first intern on.
     file: Option<File>,
-    /// Length of the valid prefix, when the open found a torn record
-    /// behind it: the first intern cuts the file back to it.
-    torn_at: Option<u64>,
+    /// Bytes of the valid prefix: the magic and whole records (0 before
+    /// the first intern wrote the magic).
+    valid_len: u64,
+    /// Whether the open found torn bytes behind the valid prefix: the
+    /// first intern cuts the file back to it.
+    torn: bool,
 }
 
 impl LogState {
@@ -116,13 +145,77 @@ impl LogState {
                 .append(true)
                 .open(&self.path)?,
         };
-        if let Some(valid) = self.torn_at {
-            file.set_len(valid)?;
+        if self.torn {
+            file.set_len(self.valid_len)?;
             file.sync_data()?;
-            self.torn_at = None;
+            self.torn = false;
         }
         Ok(self.file.insert(file))
     }
+}
+
+/// What a catalog log holds, read without writing anything.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CatalogLog {
+    /// The registered names, the one of id `i` at index `i`.
+    pub names: Vec<String>,
+    /// Bytes of the valid prefix: the magic and whole records.
+    pub valid_len: u64,
+    /// Whether bytes follow the valid prefix: a torn final record, which
+    /// the next intern cuts off.
+    pub torn: bool,
+}
+
+/// Read `root/catalog.log` (an absent log is an empty catalog). Writes
+/// nothing. A log that does not start with [`CATALOG_MAGIC`], a record
+/// that passes its CRC only under another position's id, and a record
+/// whose CRC holds but whose name does not decode are `Corrupt`; a torn
+/// final record ends the names.
+pub fn read_log(root: &Path) -> Result<CatalogLog> {
+    let mut buf = Vec::new();
+    match File::open(root.join(CATALOG_LOG)) {
+        Ok(mut file) => {
+            file.read_to_end(&mut buf)?;
+        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e.into()),
+    }
+    parse_log(&buf)
+}
+
+fn parse_log(buf: &[u8]) -> Result<CatalogLog> {
+    let mut log = CatalogLog::default();
+    match buf.get(..CATALOG_MAGIC.len()) {
+        Some(head) if head == CATALOG_MAGIC => {}
+        // Nothing, or the magic cut short: a first intern torn by a crash.
+        None if CATALOG_MAGIC.starts_with(buf) => {
+            log.torn = !buf.is_empty();
+            return Ok(log);
+        }
+        _ => {
+            return Err(TsKvError::Corrupt(format!(
+                "{CATALOG_LOG} does not start with {:?}: a catalog of another layout",
+                String::from_utf8_lossy(CATALOG_MAGIC)
+            )))
+        }
+    }
+    let mut pos = CATALOG_MAGIC.len();
+    while pos < buf.len() {
+        let id = log.names.len();
+        let prev = log.names.last().map_or("", String::as_str);
+        match decode_record(buf, pos, id, prev)? {
+            Some((name, next)) => {
+                log.names.push(name);
+                pos = next;
+            }
+            None => {
+                log.torn = true;
+                break;
+            }
+        }
+    }
+    log.valid_len = pos as u64;
+    Ok(log)
 }
 
 /// The interning table: name→id (striped), id→name (dense), and the
@@ -152,79 +245,99 @@ fn stripe_of(name: &str) -> usize {
     (h.finish() as usize) % NAME_STRIPES
 }
 
-/// Encode one catalog record into `out`.
-fn encode_record(out: &mut Vec<u8>, id: u32, name: &str) {
+/// The CRC of the record of `id` whose bytes before the CRC are `body`.
+fn record_crc(id: usize, body: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(&u32::try_from(id).unwrap_or(u32::MAX).to_le_bytes());
+    crc.update(body);
+    crc.finish()
+}
+
+/// Encode the record of `name`, id `id`, front-coded against `prev` (the
+/// name of id `id − 1`, empty for id 0), into `out`.
+fn encode_record(out: &mut Vec<u8>, id: usize, prev: &str, name: &str) {
     let start = out.len();
-    out.extend_from_slice(&id.to_le_bytes());
-    out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-    out.extend_from_slice(name.as_bytes());
-    let crc = crc32(out.get(start..).unwrap_or(&[]));
+    let shared = prev
+        .bytes()
+        .zip(name.bytes())
+        .take_while(|(a, b)| a == b)
+        .count();
+    let suffix = name.as_bytes().get(shared..).unwrap_or(&[]);
+    varint::write_u64(out, shared as u64);
+    varint::write_u64(out, suffix.len() as u64);
+    out.extend_from_slice(suffix);
+    let crc = record_crc(id, out.get(start..).unwrap_or(&[]));
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Decode one record at `pos`; `None` on a torn or corrupt tail.
-fn decode_record(buf: &[u8], pos: usize) -> Option<(u32, String, usize)> {
-    let id_bytes = buf.get(pos..pos.checked_add(4)?)?;
-    let id = u32::from_le_bytes(id_bytes.try_into().ok()?);
-    let len_at = pos.checked_add(4)?;
-    let len_bytes = buf.get(len_at..len_at.checked_add(2)?)?;
-    let name_len = u16::from_le_bytes(len_bytes.try_into().ok()?) as usize;
-    let name_at = len_at.checked_add(2)?;
-    let name_end = name_at.checked_add(name_len)?;
-    let name = std::str::from_utf8(buf.get(name_at..name_end)?).ok()?;
-    let crc_end = name_end.checked_add(4)?;
-    let crc_bytes = buf.get(name_end..crc_end)?;
-    let expected = u32::from_le_bytes(crc_bytes.try_into().ok()?);
-    if crc32(buf.get(pos..name_end)?) != expected {
-        return None;
+/// Decode the record at `pos` as the one of id `id`, whose predecessor's
+/// name is `prev`: its name and where the next record starts, or `None`
+/// for a torn tail — a record cut short, or one whose CRC fails under
+/// every id it could have been written with.
+fn decode_record(buf: &[u8], pos: usize, id: usize, prev: &str) -> Result<Option<(String, usize)>> {
+    let mut at = pos;
+    let (Ok(shared), Ok(len)) = (
+        varint::read_u64(buf, &mut at),
+        varint::read_u64(buf, &mut at),
+    ) else {
+        return Ok(None);
+    };
+    let suffix_end = usize::try_from(len)
+        .ok()
+        .and_then(|len| at.checked_add(len));
+    let Some((suffix, crc_bytes)) = suffix_end.and_then(|end| {
+        let crc_end = end.checked_add(4)?;
+        Some((buf.get(at..end)?, buf.get(end..crc_end)?))
+    }) else {
+        return Ok(None);
+    };
+    let body = buf.get(pos..at + suffix.len()).unwrap_or(&[]);
+    let expected = u32::from_le_bytes(crc_bytes.try_into().unwrap_or_default());
+    if record_crc(id, body) != expected {
+        // A record written for another id at this position: the id of
+        // an earlier record (duplicated) or of one the rest of the log
+        // could still hold (moved).
+        let ids = id + 1 + buf.len().saturating_sub(pos) / MIN_RECORD;
+        return match (0..ids).find(|&other| other != id && record_crc(other, body) == expected) {
+            Some(other) => Err(TsKvError::Corrupt(format!(
+                "{CATALOG_LOG}: the record of id {other} sits where id {id}'s belongs"
+            ))),
+            None => Ok(None),
+        };
     }
-    Some((id, name.to_string(), crc_end))
+    let name = usize::try_from(shared)
+        .ok()
+        .and_then(|shared| prev.as_bytes().get(..shared))
+        .map(|head| [head, suffix].concat())
+        .and_then(|bytes| String::from_utf8(bytes).ok())
+        .ok_or_else(|| {
+            TsKvError::Corrupt(format!(
+                "{CATALOG_LOG}: id {id} shares {shared} bytes with {prev:?} or is not UTF-8"
+            ))
+        })?;
+    Ok(Some((name, at + suffix.len() + 4)))
 }
 
 impl SeriesCatalog {
     /// Open the catalog backed by `root/catalog.log`, replaying every
-    /// existing registration. Read-only: the file is created, or cut
-    /// back past a torn final record, by the first intern. A non-dense
-    /// id sequence is a hard error.
+    /// existing registration ([`read_log`]). Read-only: the file is
+    /// created, or cut back past a torn final record, by the first
+    /// intern. A record out of place, or a name registered twice, is a
+    /// hard error.
     pub fn open(root: &Path, limit: u64, io: Arc<IoStats>) -> Result<SeriesCatalog> {
-        let path = root.join(CATALOG_LOG);
-        let mut existing: Vec<(u32, String)> = Vec::new();
-        let mut torn_at = None;
-        if path.exists() {
-            let mut buf = Vec::new();
-            File::open(&path)?.read_to_end(&mut buf)?;
-            let mut pos = 0usize;
-            while pos < buf.len() {
-                match decode_record(&buf, pos) {
-                    Some((id, name, next)) => {
-                        existing.push((id, name));
-                        pos = next;
-                    }
-                    None => {
-                        torn_at = Some(pos as u64);
-                        break;
-                    }
-                }
-            }
-        }
-
+        let existing = read_log(root)?;
         let mut stripes: Vec<RwLock<HashMap<Arc<str>, SeriesId>>> =
             Vec::with_capacity(NAME_STRIPES);
         for _ in 0..NAME_STRIPES {
             stripes.push(RwLock::new(HashMap::new()));
         }
-        let mut names: Vec<Arc<str>> = Vec::with_capacity(existing.len());
-        for (id, name) in existing {
-            if id as usize != names.len() {
-                return Err(TsKvError::Corrupt(format!(
-                    "catalog log: expected id {}, found {id} ({name:?})",
-                    names.len()
-                )));
-            }
+        let mut names: Vec<Arc<str>> = Vec::with_capacity(existing.names.len());
+        for name in existing.names {
+            let id = SeriesId(names.len() as u32);
             let arc: Arc<str> = Arc::from(name.as_str());
             let prev = stripes
                 .get(stripe_of(&name))
-                .map(|s| s.write().insert(Arc::clone(&arc), SeriesId(id)));
+                .map(|s| s.write().insert(Arc::clone(&arc), id));
             if matches!(prev, Some(Some(_))) {
                 return Err(TsKvError::Corrupt(format!(
                     "catalog log: name {name:?} registered twice"
@@ -236,9 +349,10 @@ impl SeriesCatalog {
             stripes,
             names: RwLock::new(names),
             log: Mutex::new(LogState {
-                path,
+                path: root.join(CATALOG_LOG),
                 file: None,
-                torn_at,
+                valid_len: existing.valid_len,
+                torn: existing.torn,
             }),
             dirty: AtomicBool::new(false),
             limit,
@@ -297,9 +411,17 @@ impl SeriesCatalog {
             return Err(TsKvError::CatalogFull { limit: self.limit });
         }
         let id = SeriesId(next as u32);
-        let mut rec = Vec::with_capacity(10 + name.len());
-        encode_record(&mut rec, id.0, name);
+        let mut rec = Vec::with_capacity(CATALOG_MAGIC.len() + 14 + name.len());
+        if log.valid_len == 0 {
+            rec.extend_from_slice(CATALOG_MAGIC);
+        }
+        {
+            let names = self.names.read();
+            let prev = names.last().map_or("", |prev| &**prev);
+            encode_record(&mut rec, id.index(), prev, name);
+        }
         log.appender()?.write_all(&rec)?;
+        log.valid_len += rec.len() as u64;
         self.dirty.store(true, Ordering::Release);
         let arc: Arc<str> = Arc::from(name);
         // Publish id→name before name→id so a resolve that wins the
@@ -336,9 +458,14 @@ impl SeriesCatalog {
 
 #[cfg(test)]
 mod tests {
-    // Tests assert by panicking; the workspace deny-set targets
-    // library code.
-    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+    // Tests assert by panicking; the workspace deny-set and the
+    // module-level indexing deny target library code.
+    #![allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )]
 
     use super::*;
     use std::path::PathBuf;
@@ -368,20 +495,148 @@ mod tests {
         assert!(c.name_of(SeriesId(9)).is_none());
     }
 
+    /// Every id ↔ name pair comes back, front coding or not: names that
+    /// share nothing, names that extend or cut short the one before,
+    /// multi-byte characters split by a shared prefix.
     #[test]
     fn reopen_recovers_mapping() {
         let dir = tmp("reopen");
+        let mut names: Vec<String> = (0..100).map(|i| format!("series.{i}")).collect();
+        names.extend(
+            [
+                "",
+                "s",
+                "series.1x",
+                "series.",
+                "zz",
+                "né",
+                "nè",
+                "n",
+                "ééé",
+                "éé",
+            ]
+            .map(String::from),
+        );
         {
             let c = open(&dir);
-            for i in 0..100 {
-                c.intern(&format!("series.{i}")).unwrap();
+            for (i, name) in names.iter().enumerate() {
+                assert_eq!(c.intern(name).unwrap(), SeriesId(i as u32));
             }
         }
         let c = open(&dir);
-        assert_eq!(c.len(), 100);
-        assert_eq!(c.resolve("series.42"), Some(SeriesId(42)));
+        assert_eq!(c.len(), names.len());
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(c.resolve(name), Some(SeriesId(i as u32)), "{name:?}");
+            assert_eq!(&*c.name_of(SeriesId(i as u32)).unwrap(), name.as_str());
+        }
         // New interns continue the dense sequence.
-        assert_eq!(c.intern("fresh").unwrap(), SeriesId(100));
+        assert_eq!(c.intern("fresh").unwrap(), SeriesId(names.len() as u32));
+        assert_eq!(read_log(&dir).unwrap().names.len(), names.len() + 1);
+    }
+
+    /// A fleet's names differ in their last digits: front-coded, 1 000
+    /// of them take at most 8 bytes a series, magic included.
+    #[test]
+    fn a_fleet_of_names_takes_at_most_8_bytes_a_series() {
+        let dir = tmp("fleet");
+        let c = open(&dir);
+        for i in 0..1_000 {
+            c.intern(&format!("card.{i:07}")).unwrap();
+        }
+        let bytes = std::fs::metadata(dir.join(CATALOG_LOG)).unwrap().len();
+        assert!(bytes <= 8 * 1_000, "{bytes} bytes for 1 000 series");
+    }
+
+    /// The records of `names` in order, as `intern` writes them, behind
+    /// the magic.
+    fn log_of(names: &[&str]) -> Vec<u8> {
+        let mut buf = CATALOG_MAGIC.to_vec();
+        for (id, name) in names.iter().enumerate() {
+            let prev = id.checked_sub(1).map_or("", |p| names[p]);
+            encode_record(&mut buf, id, prev, name);
+        }
+        buf
+    }
+
+    /// A record read where it was not written — duplicated after the
+    /// last, duplicated in the middle, or two records swapped — passes
+    /// its CRC only under its own id: the open is `Corrupt` and binds
+    /// nothing, and the file is left as it was.
+    #[test]
+    fn a_duplicated_or_moved_record_refuses_to_open() {
+        let dir = tmp("moved");
+        let log = log_of(&["a", "b", "c"]);
+        let at = |id: usize| {
+            let mut pos = CATALOG_MAGIC.len();
+            for _ in 0..id {
+                let mut at = pos;
+                varint::read_u64(&log, &mut at).unwrap();
+                let len = varint::read_u64(&log, &mut at).unwrap() as usize;
+                pos = at + len + 4;
+            }
+            pos
+        };
+        let record = |id: usize| log[at(id)..at(id + 1)].to_vec();
+        let head = log[..at(0)].to_vec();
+        for (what, bytes) in [
+            ("last duplicated", [&log[..], &record(2)].concat()),
+            (
+                "first duplicated",
+                [&head[..], &record(0), &record(0)].concat(),
+            ),
+            (
+                "middle duplicated",
+                [&head[..], &record(0), &record(1), &record(1), &record(2)].concat(),
+            ),
+            (
+                "swapped",
+                [&head[..], &record(0), &record(2), &record(1)].concat(),
+            ),
+        ] {
+            let path = dir.join(CATALOG_LOG);
+            std::fs::write(&path, &bytes).unwrap();
+            let got = SeriesCatalog::open(&dir, 1 << 20, Arc::new(IoStats::default()));
+            assert!(matches!(got, Err(TsKvError::Corrupt(_))), "{what}: {got:?}");
+            assert!(
+                matches!(read_log(&dir), Err(TsKvError::Corrupt(_))),
+                "{what}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "{what}");
+        }
+    }
+
+    /// A log an earlier build wrote — `u32 id | u16 len | name | crc`
+    /// records, no magic — is refused as it is, every byte left alone;
+    /// so is a log of foreign bytes. A log holding only the start of the
+    /// magic is a first intern a crash cut: an empty catalog, and the
+    /// first intern writes the magic over it.
+    #[test]
+    fn a_log_without_the_magic_is_refused_untouched() {
+        let dir = tmp("old-layout");
+        let path = dir.join(CATALOG_LOG);
+        let mut old = Vec::new();
+        for (id, name) in [(0u32, "a"), (1, "b")] {
+            let start = old.len();
+            old.extend_from_slice(&id.to_le_bytes());
+            old.extend_from_slice(&(name.len() as u16).to_le_bytes());
+            old.extend_from_slice(name.as_bytes());
+            let crc = tsfile::checksum::crc32(&old[start..]);
+            old.extend_from_slice(&crc.to_le_bytes());
+        }
+        for bytes in [old, b"TSC0".to_vec(), b"X".to_vec()] {
+            std::fs::write(&path, &bytes).unwrap();
+            let got = SeriesCatalog::open(&dir, 1 << 20, Arc::new(IoStats::default()));
+            assert!(matches!(got, Err(TsKvError::Corrupt(_))), "{got:?}");
+            assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        }
+        std::fs::write(&path, &CATALOG_MAGIC[..2]).unwrap();
+        {
+            let c = open(&dir);
+            assert!(c.is_empty());
+            assert_eq!(std::fs::read(&path).unwrap(), &CATALOG_MAGIC[..2]);
+            assert_eq!(c.intern("a").unwrap(), SeriesId(0));
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), log_of(&["a"]));
     }
 
     #[test]
@@ -402,6 +657,24 @@ mod tests {
         // The torn record is cut by the first intern; re-interning works.
         assert_eq!(c.intern("b").unwrap(), SeriesId(1));
         assert_eq!(std::fs::read(&path).unwrap(), data);
+    }
+
+    /// A final record of full length whose CRC fails under every id —
+    /// what a crash can leave where the file grew before its bytes
+    /// landed — is a torn tail too: dropped, and cut by the next intern.
+    #[test]
+    fn a_final_record_failing_its_crc_is_a_torn_tail() {
+        let dir = tmp("torn-crc");
+        let path = dir.join(CATALOG_LOG);
+        let log = log_of(&["a", "b"]);
+        let mut torn = log.clone();
+        torn.extend_from_slice(&[0, 1, b'c', 0, 0, 0, 0]);
+        std::fs::write(&path, &torn).unwrap();
+        let c = open(&dir);
+        assert_eq!(c.len(), 2);
+        assert_eq!(std::fs::read(&path).unwrap(), torn);
+        assert_eq!(c.intern("c").unwrap(), SeriesId(2));
+        assert_eq!(std::fs::read(&path).unwrap(), log_of(&["a", "b", "c"]));
     }
 
     /// Opening behind a torn tail writes nothing — not the cut, not a
@@ -454,12 +727,14 @@ mod tests {
         assert_eq!(c.resolve("d"), Some(SeriesId(2)));
     }
 
+    /// Ids are positions: a record written for id 2 where id 1's belongs
+    /// (id 1's missing) is refused, not bound to id 1.
     #[test]
     fn gapped_ids_refuse_to_open() {
         let dir = tmp("gap");
-        let mut buf = Vec::new();
-        encode_record(&mut buf, 0, "a");
-        encode_record(&mut buf, 2, "c");
+        let mut buf = CATALOG_MAGIC.to_vec();
+        encode_record(&mut buf, 0, "", "a");
+        encode_record(&mut buf, 2, "b", "c");
         std::fs::write(dir.join(CATALOG_LOG), &buf).unwrap();
         assert!(matches!(
             SeriesCatalog::open(&dir, 1 << 20, Arc::new(IoStats::default())),

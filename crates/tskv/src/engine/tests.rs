@@ -611,6 +611,42 @@ fn a_refused_open_writes_nothing_the_catalog_included() -> TestResult {
     Ok(())
 }
 
+/// A store whose catalog an earlier build wrote — `u32 id | u16 len |
+/// name | crc` records, no magic — is refused before anything else is
+/// read, and the refused open writes nothing anywhere in the store.
+#[test]
+fn an_old_layout_catalog_is_refused_and_the_store_left_as_it_was() -> TestResult {
+    let dir = std::env::temp_dir().join(format!("tskv-old-catalog-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    {
+        let kv = TsKv::open(&dir, EngineConfig::default())?;
+        for name in ["s", "t", "u"] {
+            kv.insert(name, Point::new(1, 1.0))?;
+        }
+        kv.flush_all()?;
+        kv.insert("s", Point::new(2, 2.0))?;
+    }
+    let mut old = Vec::new();
+    for (id, name) in ["s", "t", "u"].iter().enumerate() {
+        let start = old.len();
+        old.extend_from_slice(&(id as u32).to_le_bytes());
+        old.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        old.extend_from_slice(name.as_bytes());
+        let crc = tsfile::checksum::crc32(&old[start..]);
+        old.extend_from_slice(&crc.to_le_bytes());
+    }
+    std::fs::write(dir.join("catalog.log"), &old)?;
+
+    let before = store_bytes(&dir)?;
+    match TsKv::open(&dir, EngineConfig::default()) {
+        Err(TsKvError::Corrupt(msg)) => assert!(msg.contains("catalog"), "{msg}"),
+        other => return Err(format!("opened as {other:?}").into()),
+    }
+    assert_eq!(store_bytes(&dir)?, before, "the refused open wrote");
+    std::fs::remove_dir_all(&dir).ok();
+    Ok(())
+}
+
 #[test]
 fn delete_on_empty_series_is_recorded_but_harmless() -> TestResult {
     let (dir, kv) = fresh("empty-del")?;

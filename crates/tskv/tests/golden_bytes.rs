@@ -8,7 +8,7 @@
 //! (CRC32, memtable, WAL/page framing) were rebuilt: equal hashes are
 //! the proof that the rebuild changed no format and no byte.
 //!
-//! The data file's entry was regenerated six times since, on purpose.
+//! The data file's entry was regenerated seven times since, on purpose.
 //! First when the footer gained the series-run directory (and data
 //! files and their delete logs were renamed `<fileno>.tsfile` /
 //! `<fileno>.s<id>.mods`). Then when pages gained the decimal value
@@ -46,15 +46,31 @@
 //! page size as its chunk size: a flush reserves one version per chunk,
 //! so 31 chunks would move the `κ` of every later WAL record and the
 //! version of the delete-log entry, rows this change leaves alone.
+//! Then when a page body stopped storing what its chunk's statistics
+//! hold, and the magic became `TSF5`: each of the seven pages lost its
+//! point count (a two-byte varint, 300), its value column's length (the
+//! column runs to the CRC; two bytes) and its packed timestamp column's
+//! first timestamp (FP.t, a one- to three-byte varint) — no page of the
+//! fixture has a constant-delta or packed value column, and every page
+//! kept its forms. The page bodies went 16 297 → 16 252 bytes; the chunk
+//! index kept its 327 bytes and changed only in the page lengths it
+//! lists; the file 16 652 → 16 607.
 //! [`TSFILE_PARTS`] holds the
-//! hashes of the file's parts as that sixth regeneration wrote them —
+//! hashes of the file's parts as that seventh regeneration wrote them —
 //! the page bodies and the footer's chunk index — and the test checks
 //! the file is exactly the head magic, those, the four directory bytes
 //! and the trailer, so a later change to one part names it. The mods
 //! log (one per series since,
-//! `s<id>.mods`: its row's path changed a second time, its bytes never),
-//! the catalog and the shard pin are byte-identical to the original
-//! table.
+//! `s<id>.mods`: its row's path changed a second time, its bytes never)
+//! and the shard pin are byte-identical to the original table.
+//!
+//! The catalog's entry was regenerated once, when its records became
+//! front-coded with implicit ids: the log gained a 4-byte magic
+//! (`TSC1`), and each record lost its `u32` id (its position; the CRC
+//! covers it still) and its `u16` length, and holds only what its name
+//! does not share with the name before it. `golden.b` takes 14 bytes
+//! (two one-byte varints, 8 name bytes, the CRC) and `golden.a`, which
+//! shares `golden.` with it, 7: 36 → 25 bytes.
 //!
 //! The WAL segment's entry was regenerated twice too. First when every
 //! insert record gained the version it was appended after (what lets a
@@ -89,8 +105,8 @@ use tskv::TsKv;
 /// `(path relative to the store, length, FNV-1a 64 of the bytes)`.
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("SHARDS", 2, 0x07f8bc07b4ba5002),
-    ("catalog.log", 36, 0xec3a226c01abdc87),
-    ("shard-0000/00000000.tsfile", 16652, 0x26342c6d27ec2567),
+    ("catalog.log", 25, 0xa7f46d8e7ee577f2),
+    ("shard-0000/00000000.tsfile", 16607, 0xee847ec81783301c),
     ("shard-0000/s1.mods", 9, 0xcc59cc0b4c19c5c2),
     ("shard-0000/wal-00000000.log", 28518, 0x88c2ed828df37e3b),
 ];
@@ -106,8 +122,10 @@ const GOLDEN: &[(&str, u64, u64)] = &[
 /// `(1_666, 0xe0d843cb887b0c21)`; before the neighbour-coded footer,
 /// `(15_993, 0x0386fe3f349cc3d8)` and `(1_555, 0xa83dc0b4921740bd)`;
 /// before a chunk became one page, `(15_987, 0x911e40d2dc9bfc6b)` and
-/// `(1_415, 0xa488db8123d92764)`.
-const TSFILE_PARTS: [(usize, u64); 2] = [(16_297, 0x6bb8ee107a75c6d4), (327, 0x6bb2e6a5e5a3094b)];
+/// `(1_415, 0xa488db8123d92764)`; before the page bodies left to the
+/// statistics what they hold, `(16_297, 0x6bb8ee107a75c6d4)` and
+/// `(327, 0x6bb2e6a5e5a3094b)`.
+const TSFILE_PARTS: [(usize, u64); 2] = [(16_252, 0x6f87783129adca70), (327, 0x64f15024a556fac6)];
 
 /// What the footer body gained: one run, of series 1 (`golden.a`),
 /// holding all seven chunks, superseding nothing.
@@ -270,14 +288,23 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
 /// pages became its chunk size, so the inputs are 64-point chunks where
 /// they were 300-point chunks of 64-point pages, the plan classifies
 /// chunks where it classified pages, and every output chunk is one
-/// page; the magic became `TSF4`.
+/// page; the magic became `TSF4`. And when a page body stopped storing
+/// what its chunk's statistics hold (it was `(21_336,
+/// 0x6fddffd39f2637ef)`; the magic became `TSF5`): of the output's 42
+/// chunks, 38 store their timestamps as a constant delta, now no bytes
+/// at all (`FP.t + i·Δ`), and every page lost its point count and its
+/// value column's length, a packed timestamp column its FP.t and a
+/// packed value column its 8-byte FP.v — 5 to 16 bytes a page, 387 in
+/// all. Two pages that kept an XOR stream (at t = 21 600 and 29 763)
+/// store packed key deltas instead, smaller without that head; the
+/// merge, the chunk plan and every other page's forms are unchanged.
 /// At the packed forms, of the output's 30 pages, 8 changed
 /// form: the 4 whose time range a delete cut a gap into (t = 1 920,
 /// 4 770, 12 100 and 14 690 on) store their timestamps as packed deltas,
 /// the gap one exception, and 4 of the 7 XOR pages store their values
 /// as packed key deltas; the merge, the page plan and every other page
 /// are byte-identical.
-const COMPACTED: (u64, u64) = (21_336, 0x6fddffd39f2637ef);
+const COMPACTED: (u64, u64) = (20_949, 0x64fbe40bbe332388);
 
 #[test]
 fn compaction_output_bytes_equal_the_hash_taken_before_the_merge_and_seal_rebuild() {

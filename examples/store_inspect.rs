@@ -4,8 +4,9 @@
 //! column in (timestamps constant, stream or packed; values stream,
 //! packed or decimal, and a decimal block's frame: reference or delta)
 //! and pending deletes —
-//! using only the public tsfile API plus read-only parsing of the
-//! store's own files.
+//! using only the public tsfile API, the catalog's own read-only reader
+//! (`tskv::catalog::read_log`, the one recovery uses) and read-only
+//! parsing of the store's other files.
 //!
 //! ```text
 //! cargo run --release --example store_inspect [store_dir]
@@ -22,13 +23,13 @@
 //! whose is whose) — one delete log `s<id>.mods` per series a delete has
 //! been logged for, and shared WAL segments `wal-NNNNNNNN.log`.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use m4lsm::tsfile::encoding::decimal::Framing;
 use m4lsm::tsfile::format::MAGIC;
 use m4lsm::tsfile::page::{TsForm, ValueForm};
 use m4lsm::tsfile::{page, ModsFile, TsFileReader};
+use m4lsm::tskv::catalog;
 use m4lsm::tskv::config::EngineConfig;
 use m4lsm::tskv::TsKv;
 
@@ -85,34 +86,8 @@ fn build_demo(dir: &Path) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Read the interned id → name map out of `catalog.log`. Read-only and
-/// forgiving: a short or torn tail simply ends the scan, exactly like
-/// the engine's own recovery (checksums are the engine's business; an
-/// inspector just wants the names).
-fn read_catalog(dir: &Path) -> BTreeMap<u32, String> {
-    let mut out = BTreeMap::new();
-    let Ok(bytes) = std::fs::read(dir.join("catalog.log")) else {
-        return out;
-    };
-    let mut at = 0usize;
-    while bytes.len() >= at + 6 {
-        let id = u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
-        let len = u16::from_le_bytes([bytes[at + 4], bytes[at + 5]]) as usize;
-        let end = at + 6 + len + 4; // name + crc32
-        let Some(name) = bytes.get(at + 6..at + 6 + len) else {
-            break;
-        };
-        if bytes.len() < end {
-            break;
-        }
-        out.insert(id, String::from_utf8_lossy(name).into_owned());
-        at = end;
-    }
-    out
-}
-
 /// Where a store's bytes go: its data files' heads and trailers, footer
-/// bodies and chunk bodies, and everything else (catalog, `SHARDS`,
+/// bodies and chunk bodies, the catalog, and everything else (`SHARDS`,
 /// delete logs, WAL segments).
 #[derive(Default)]
 struct Bytes {
@@ -139,7 +114,7 @@ fn dir_bytes(dir: &Path) -> std::io::Result<u64> {
 
 fn dump_file(
     path: &Path,
-    catalog: &BTreeMap<u32, String>,
+    catalog: &[String],
     bytes: &mut Bytes,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let reader = TsFileReader::open(path)?;
@@ -167,7 +142,7 @@ fn dump_file(
     );
     for run in reader.series_runs() {
         let name = catalog
-            .get(&run.series)
+            .get(run.series as usize)
             .map(|n| format!(" ({n:?})"))
             .unwrap_or_default();
         let supersedes = match run.supersedes.0 {
@@ -224,9 +199,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Ok(shards) = std::fs::read_to_string(dir.join("SHARDS")) {
         println!("storage shards: {}", shards.trim());
     }
-    let catalog = read_catalog(&dir);
+    let catalog = catalog::read_log(&dir)?.names;
+    let catalog_bytes = std::fs::metadata(dir.join(catalog::CATALOG_LOG)).map_or(0, |m| m.len());
     println!("catalog: {} series", catalog.len());
-    for (id, name) in &catalog {
+    for (id, name) in catalog.iter().enumerate() {
         println!("  s{id} = {name:?}");
     }
 
@@ -278,12 +254,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let total = dir_bytes(&dir)?;
     let data = bytes.heads_and_trailers + bytes.footers + bytes.chunk_bodies;
     println!(
-        "\nstore bytes {total}: files {}, heads and trailers {}, footers {}, chunk bodies {}, logs {}",
+        "\nstore bytes {total}: files {}, heads and trailers {}, footers {}, chunk bodies {}, catalog {catalog_bytes}, logs {}",
         bytes.files,
         bytes.heads_and_trailers,
         bytes.footers,
         bytes.chunk_bodies,
-        total - data
+        total - data - catalog_bytes
     );
 
     if is_demo {

@@ -32,13 +32,15 @@
 //! (`tsfile::encoding::decimal`) is measured the same way on the
 //! `ingest_fleet` register shape — a quarter-unit sawtooth that rises
 //! one step a point and wraps every 2 000 — against Gorilla and against
-//! the block's frame of reference, under the same gate.
+//! the block's frame of reference, under the same gate; and its line
+//! frame against its frame of reference on the `live_tail` register
+//! shape, a slow sine under two decimals of noise.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 use tsfile::checksum::crc32;
@@ -110,7 +112,7 @@ pub struct MemtableRow {
 /// coding the same stream page by page.
 #[derive(Debug, Clone, Serialize)]
 pub struct PackedRow {
-    /// "packed-ts-i64", "packed-f64" or "decimal-delta".
+    /// "packed-ts-i64", "packed-f64", "decimal-delta" or "decimal-line".
     pub form: String,
     /// The stream codec it is measured against.
     pub baseline: String,
@@ -190,6 +192,25 @@ fn decimal_reference(vs: &[f64], out: &mut Vec<u8>) {
     decimal::encode_values_in(vs, Framing::Reference, out);
 }
 
+/// The decimal block in its line frame.
+fn decimal_line(vs: &[f64], out: &mut Vec<u8>) {
+    decimal::encode_values_in(vs, Framing::Line, out);
+}
+
+/// A `live_tail` register at the harness scale: two decimals around
+/// 225, drifting along a slow sine of ±8 under up to 2 of noise.
+fn drift_stream(h: &Harness) -> Vec<f64> {
+    let n = ((4_000_000.0 * h.scale) as usize).max(4096);
+    let mut rng = StdRng::seed_from_u64(11);
+    (0..n)
+        .map(|i| {
+            let wave = 8.0 * (i as f64 / 4_000.0).sin();
+            let noise = rng.gen_range(0..=2_000u32) as f64 / 1_000.0;
+            ((225.0 + wave + noise - 1.0) * 100.0).round() / 100.0
+        })
+        .collect()
+}
+
 /// Deterministic value/timestamp streams at the harness scale.
 fn streams(h: &Harness) -> (Vec<f64>, Vec<f64>, Vec<i64>, Vec<i64>) {
     let n = ((4_000_000.0 * h.scale) as usize).max(4096);
@@ -205,6 +226,7 @@ fn streams(h: &Harness) -> (Vec<f64>, Vec<f64>, Vec<i64>, Vec<i64>) {
 pub fn run(h: &Harness) -> DecodeResults {
     let (sensor, constant, regular, jitter) = streams(h);
     let fleet = fleet_stream(h);
+    let drift = drift_stream(h);
     let mut rows = Vec::new();
 
     for (dataset, vs) in [("sensor", &sensor), ("constant", &constant)] {
@@ -313,6 +335,14 @@ pub fn run(h: &Harness) -> DecodeResults {
             ("decimal-delta", "decimal-reference", "fleet"),
             &fleet,
             (decimal_delta, decimal::decode),
+            (decimal_reference, decimal::decode),
+            |v| v.to_bits(),
+        ),
+        packed_row(
+            h,
+            ("decimal-line", "decimal-reference", "drift"),
+            &drift,
+            (decimal_line, decimal::decode),
             (decimal_reference, decimal::decode),
             |v| v.to_bits(),
         ),
@@ -652,7 +682,7 @@ mod tests {
         } = run(&h);
         h.cleanup();
         assert_eq!(rows.len(), 5);
-        assert_eq!(packed.len(), 4);
+        assert_eq!(packed.len(), 5);
         assert!(
             packed
                 .iter()

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Retain at most this many buffers per thread.
 const MAX_POOLED_BUFS: usize = 8;
 /// Never retain a buffer with more capacity than this (1 MiB).
-const MAX_POOLED_CAP: usize = 1 << 20;
+pub const MAX_POOLED_CAP: usize = 1 << 20;
 
 /// Process-wide pool counters. `pool_hits` counts takes served from a
 /// thread's freelist; `pool_misses` counts takes that had to allocate.

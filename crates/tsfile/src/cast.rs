@@ -84,6 +84,13 @@ pub fn f64_from_i64(v: i64) -> f64 {
     v as f64
 }
 
+/// An `i128` as the nearest `f64`: the line fit's sums, where rounding
+/// moves the slope and so costs at most compression, never exactness.
+#[inline]
+pub fn f64_from_i128(v: i128) -> f64 {
+    v as f64
+}
+
 /// An integral `f64` as `i64`. Exact when `v` is integral and
 /// `|v| < 2^63`; the caller checks that first (the cast saturates
 /// outside the range and maps NaN to 0, so it never panics).

@@ -1179,3 +1179,249 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 }
+
+/// A register drifting 0.37 hundredths a point under up to 0.12 of
+/// noise: the decimal block frames it around its trend line.
+fn drifting_hundredths(n: i64) -> impl Iterator<Item = f64> {
+    (0..n).map(|i| {
+        let mut z = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        let noise = ((z ^ (z >> 31)) % 13) as i64;
+        (22_500 + i * 37 / 100 + noise) as f64 / 100.0
+    })
+}
+
+/// A line frame under (0, 0), written by hand: `slope`, then the block
+/// of residuals `base + offset` with each offset in `w ≤ 8` bits, MSB
+/// first, and the exception list `tail` (`[0]`: none).
+fn line_frame(slope: i64, w: u32, base: i64, offsets: &[u64], tail: &[u8]) -> Vec<u8> {
+    use tsfile::varint;
+    let mut b = vec![0x40, 0];
+    varint::write_i64(&mut b, slope);
+    b.push(w as u8);
+    varint::write_i64(&mut b, base);
+    let mut bits: Vec<bool> = Vec::new();
+    for &o in offsets {
+        bits.extend((0..w).rev().map(|k| o >> k & 1 == 1));
+    }
+    for byte in bits.chunks(8) {
+        b.push(
+            byte.iter()
+                .enumerate()
+                .fold(0u8, |acc, (k, &on)| acc | (u8::from(on) << (7 - k))),
+        );
+    }
+    b.extend_from_slice(tail);
+    b
+}
+
+/// Decode and the copy gate's check agree on `block` read as `n`
+/// values, standalone and inside a page: both a typed error or both
+/// `n` values. Returns whether it decoded.
+fn line_block_agrees(block: &[u8], n: usize, what: &str) -> bool {
+    use tsfile::encoding::{decimal, EncodingKind};
+    let values = decimal::decode(block, n);
+    match &values {
+        Ok(v) => assert_eq!(v.len(), n, "{what}"),
+        Err(_) => assert!(typed(&values), "{what}: {values:?}"),
+    }
+    let verified = decimal::verify(block, n);
+    assert_eq!(
+        verified.is_ok(),
+        values.is_ok(),
+        "{what}: verify {verified:?}"
+    );
+    assert!(verified.is_ok() || typed(&verified), "{what}");
+    if n == 0 {
+        return values.is_ok(); // no statistics describe an empty page
+    }
+    let page = decimal_page(block);
+    let meta = meta_of(n, &page);
+    let decoded =
+        tsfile::page::decode_page(&page, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta);
+    assert_eq!(decoded.is_ok(), values.is_ok(), "{what}: page {decoded:?}");
+    let gate = tsfile::page::verify_page_body(&page, &meta);
+    assert_eq!(
+        gate.is_ok(),
+        values.is_ok(),
+        "{what}: the copy gate {gate:?}"
+    );
+    values.is_ok()
+}
+
+/// A real line frame with exceptions in it (a NaN payload and −0.0):
+/// every strict prefix is a typed error from both the decoder and the
+/// copy gate's check, and every single-bit flip is either a typed error
+/// from both or a block both accept — never a panic.
+#[test]
+fn line_frame_prefixes_and_bit_flips_are_typed_errors() {
+    use tsfile::encoding::decimal;
+    let mut vs: Vec<f64> = drifting_hundredths(200).collect();
+    vs[17] = f64::from_bits(0x7ff8_0000_0000_0001);
+    vs[150] = -0.0;
+    let mut block = Vec::new();
+    assert!(decimal::encode_values(&vs, &mut block));
+    assert_eq!(decimal::framing(&block).unwrap(), Framing::Line);
+    let back = decimal::decode(&block, vs.len()).unwrap();
+    assert!(back
+        .iter()
+        .zip(&vs)
+        .all(|(a, b)| a.to_bits() == b.to_bits()));
+    for cut in 0..block.len() {
+        assert!(
+            !line_block_agrees(&block[..cut], vs.len(), &format!("prefix {cut}")),
+            "prefix {cut} decoded"
+        );
+    }
+    for bit in 0..block.len() * 8 {
+        let mut flipped = block.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        line_block_agrees(&flipped, vs.len(), &format!("bit {bit}"));
+    }
+}
+
+/// Line frames written by hand: a slope whose `slope·(n − 1)`
+/// overflows, or that takes a slot of the block — an exception's too —
+/// to `|d| ≥ 2^53`, is `Corrupt`; so is a header with bits 6 and 7 of
+/// `e` both set.
+#[test]
+fn malformed_line_frames_are_corrupt() {
+    use tsfile::encoding::decimal;
+    const LIMIT: i64 = 1 << 53;
+    // Residuals 5, 6, 5 rising one a point: 5, 7, 7.
+    let good = line_frame(1 << 16, 1, 5, &[0, 1, 0], &[0]);
+    assert_eq!(decimal::decode(&good, 3).unwrap(), [5.0, 7.0, 7.0]);
+    assert!(line_block_agrees(&good, 3, "good"));
+    // The largest slope whose `slope·(n − 1)` does not overflow over
+    // 3 values: its trend reaches 2^47, and the block decodes.
+    let steep = line_frame(i64::MAX / 2, 0, 0, &[], &[0]);
+    assert!(line_block_agrees(&steep, 3, "steep"));
+    // Every slot is held to 2^53, an exception's too, though the raw
+    // value replaces it.
+    let nan = 0x7ff8_0000_0000_0001u64.to_le_bytes();
+    let slot = |base: i64| line_frame(1 << 16, 0, base, &[], &[&[1, 2][..], &nan].concat());
+    assert!(line_block_agrees(&slot(LIMIT - 3), 3, "slot below 2^53"));
+    let cases: Vec<(&str, usize, Vec<u8>)> = vec![
+        (
+            "slope times n − 1 overflows",
+            3,
+            line_frame(i64::MAX / 2 + 1, 0, 0, &[], &[0]),
+        ),
+        ("slope i64::MIN", 3, line_frame(i64::MIN, 0, 0, &[], &[0])),
+        (
+            "trend takes the last integer to 2^53",
+            3,
+            line_frame(1 << 16, 0, LIMIT - 2, &[], &[0]),
+        ),
+        (
+            "trend takes an integer to −2^53",
+            2,
+            line_frame(-(1 << 16), 0, -LIMIT + 1, &[], &[0]),
+        ),
+        ("a residual at 2^53", 1, line_frame(0, 0, LIMIT, &[], &[0])),
+        (
+            "a residual near i64::MAX",
+            2,
+            line_frame(1 << 16, 0, i64::MAX, &[], &[0]),
+        ),
+        ("an exception's slot at 2^53", 3, slot(LIMIT - 2)),
+        (
+            "bits 6 and 7 of e",
+            3,
+            [&[0xc0, 0][..], &good[2..]].concat(),
+        ),
+        (
+            "bits 6 and 7 of e and an exponent",
+            3,
+            [&[0xc2, 1][..], &good[2..]].concat(),
+        ),
+        (
+            "line frame exponent 19",
+            3,
+            [&[0x40 | 19, 0][..], &good[2..]].concat(),
+        ),
+        ("line frame cut after its slope", 3, good[..5].to_vec()),
+        (
+            "line frame with a byte after it",
+            3,
+            [&good[..], &[0]].concat(),
+        ),
+    ];
+    for (what, n, block) in cases {
+        assert!(!line_block_agrees(&block, n, what), "{what}: decoded");
+        let got = decimal::decode(&block, n);
+        if !what.starts_with("line frame") {
+            assert!(
+                matches!(got, Err(TsFileError::Corrupt(_))),
+                "{what}: {got:?}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes behind a header with bit 6 of `e` set — a line
+    /// frame of any plausible count: a typed error or exactly `n`
+    /// values, never a panic, and the copy gate's check agrees.
+    #[test]
+    fn random_line_frames_never_panic(
+        n in 0usize..2_000,
+        e in 0u8..=18,
+        f in any::<prop::sample::Index>(),
+        body in prop::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let header = [e | 0x40, f.index(usize::from(e) + 1) as u8];
+        line_block_agrees(&[&header[..], &body].concat(), n, "random");
+    }
+
+    /// Flips inside a real page's line-frame block, CRC re-sealed: a
+    /// typed error or every point, never a panic, and the copy gate
+    /// passes exactly what decodes.
+    #[test]
+    fn crc_valid_flips_in_a_decimal_line_block_never_panic(
+        flips in prop::collection::vec((any::<prop::sample::Index>(), 1u8..=255), 1..4),
+    ) {
+        flip_decimal_block(drifting_hundredths(300), Framing::Line, &flips)?;
+    }
+
+    /// A line frame of 2-bit residuals decodes exactly when its slope
+    /// times `n − 1` fits an `i64` and every slot — `base` to `base + 3`
+    /// — plus the trend `⌊slope·i / 2^16⌋` at either end stays below
+    /// 2^53 in magnitude, and then to the integers `r + ⌊slope·i /
+    /// 2^16⌋`; the copy gate agrees.
+    #[test]
+    fn line_frames_decode_exactly_when_every_slot_stays_below_2_53(
+        slope in prop_oneof![any::<i64>(), -(1i64 << 40)..(1 << 40), -(1i64 << 20)..(1 << 20)],
+        base in prop_oneof![
+            any::<i64>(),
+            ((1i64 << 53) - 5_000)..(1i64 << 53),
+            (-(1i64 << 53))..(-(1i64 << 53) + 5_000),
+            -1_000i64..1_000,
+        ],
+        offsets in prop::collection::vec(0u64..4, 1..40),
+    ) {
+        use tsfile::encoding::decimal;
+        let n = offsets.len();
+        let block = line_frame(slope, 2, base, &offsets, &[0]);
+        let fits = slope.checked_mul(n as i64 - 1).is_some();
+        let trend = |i: usize| (i128::from(slope) * i as i128) >> 16;
+        let end = trend(n - 1);
+        let below = |d: i128| d.abs() < 1 << 53;
+        let held = fits && below(i128::from(base) + end.min(0)) && below(i128::from(base) + 3 + end.max(0));
+        prop_assert_eq!(line_block_agrees(&block, n, "hand-made"), held);
+        if held {
+            let want: Vec<f64> = offsets
+                .iter()
+                .enumerate()
+                .map(|(i, &o)| (i128::from(base) + i128::from(o) + trend(i)) as f64)
+                .collect();
+            prop_assert_eq!(decimal::decode(&block, n).unwrap(), want);
+        } else {
+            let got = decimal::decode(&block, n);
+            prop_assert!(matches!(got, Err(TsFileError::Corrupt(_))), "{:?}", got);
+        }
+    }
+}

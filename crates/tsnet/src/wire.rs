@@ -780,17 +780,28 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize)> {
     Ok((frame, HEADER_LEN + len + TRAILER_LEN))
 }
 
+/// The most payload bytes [`read_frame`] commits before they arrive: a
+/// header's claimed length is grown into this much at a time, so a peer
+/// that claims [`MAX_PAYLOAD_BYTES`] and stalls holds one step, not its
+/// claim. The buffer pool's largest retained buffer.
+const READ_STEP: usize = tsfile::bufpool::MAX_POOLED_CAP;
+
 /// Read one frame off a blocking stream. [`MAX_PAYLOAD_BYTES`] bounds
-/// the allocation a peer can demand. The payload staging buffer comes
-/// from the tsfile buffer pool: a server worker thread decoding one
-/// frame per request reuses the same warm allocation.
+/// the payload a peer can send, and the staging buffer grows at most
+/// [`READ_STEP`] ahead of the bytes that arrived. The buffer comes from
+/// the tsfile buffer pool: a server worker thread decoding one frame
+/// per request reuses the same warm allocation.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame> {
     tsfile::lockcheck::check_block();
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     let (kind, len) = decode_header(&header)?;
-    let mut payload = tsfile::bufpool::take(len);
-    r.read_exact(&mut payload)?;
+    let mut payload = tsfile::bufpool::take(0);
+    while payload.len() < len {
+        let at = payload.len();
+        payload.resize(at + (len - at).min(READ_STEP), 0);
+        r.read_exact(payload.get_mut(at..).unwrap_or_default())?;
+    }
     let mut crc_bytes = [0u8; TRAILER_LEN];
     r.read_exact(&mut crc_bytes)?;
     decode_payload(kind, &payload, u32::from_le_bytes(crc_bytes))

@@ -2,7 +2,8 @@
 //! a tskv store — catalog, shards, files and their footer bytes, chunks,
 //! versions, statistics, the form each chunk (one page) stores each
 //! column in (timestamps constant, stream or packed; values stream,
-//! packed or decimal, and a decimal block's frame: reference or delta)
+//! packed or decimal, and a decimal block's frame: reference, delta or
+//! line)
 //! and pending deletes —
 //! using only the public tsfile API, the catalog's own read-only reader
 //! (`tskv::catalog::read_log`, the one recovery uses) and read-only
@@ -76,6 +77,22 @@ fn build_demo(dir: &Path) -> Result<(), Box<dyn std::error::Error>> {
         kv.insert(
             "demo.kwh",
             Point::new(t * 1000, (t * 7 + t % 3) as f64 / 100.0),
+        )?;
+    }
+    // A register that drifts while it jitters: a slow sine under a few
+    // hundredths of noise. Framed from its minimum it pays the drift on
+    // every value; its decimal blocks frame the values around their
+    // trend line instead (`decimal (line)`), paying the noise alone.
+    let mut state = 1u64;
+    for t in 0..600i64 {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let wave = 8.0 * (t as f64 / 1000.0).sin();
+        let noise = ((state >> 60) % 13) as f64 / 100.0;
+        kv.insert(
+            "demo.temp",
+            Point::new(t * 1000, ((225.0 + wave + noise) * 100.0).round() / 100.0),
         )?;
     }
     // One delete over two of demo.a's sealed runs: one entry in its one
@@ -166,6 +183,7 @@ fn dump_file(
                 (ValueForm::Stream, _) => "stream",
                 (ValueForm::Packed, _) => "packed",
                 (ValueForm::Decimal, Some(Framing::Delta)) => "decimal (delta)",
+                (ValueForm::Decimal, Some(Framing::Line)) => "decimal (line)",
                 (ValueForm::Decimal, _) => "decimal (reference)",
             };
             println!(

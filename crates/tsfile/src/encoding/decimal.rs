@@ -50,6 +50,8 @@
 //! then the pair of that scale that leaves the fewest exceptions. The
 //! sample is also the cheap test that turns a full-precision page away
 //! before any full pass: such values show no decimal form at any scale.
+//! It estimates no block's size: the page writes the block and keeps it
+//! only where it is smaller than the stream ([`crate::page`]).
 
 // Untrusted bytes: an out-of-range access is a typed error, not a panic.
 #![deny(clippy::indexing_slicing)]
@@ -97,22 +99,18 @@ const INT_LIMIT: u64 = 1 << 53;
 /// Values sampled to choose `(e, f)`, spread over the page.
 const SAMPLES: usize = 16;
 
-/// What the delta estimate charges the one outlier it tolerates: a raw
-/// word and a two-byte position.
-const OUTLIER_BYTES: usize = 10;
-
 /// A value has a *short decimal form* when it is the `f64` nearest to
 /// `d / 10^k` for some `|d|` below this: at most 15 significant digits,
 /// every one of which a double holds exactly. A full-precision value
 /// needs 16 or 17 and has none.
 const SHORT_DIGITS: f64 = 1e15;
 
-/// What the sample estimate charges an exception: its raw 64 bits plus
-/// about a byte of position.
+/// What the sample's turn-away test charges an exception: its raw 64
+/// bits plus about a byte of position.
 const EXCEPTION_BITS: usize = 72;
 
-/// A page whose sample estimates at least this many bits a value — a
-/// raw `f64` — is turned away before any full pass.
+/// A page whose sample shows at least this many bits a value — a raw
+/// `f64` — is turned away before any full pass.
 const REJECT_BITS: usize = 64;
 
 /// A page whose first this many sampled values all lack a short decimal
@@ -246,65 +244,31 @@ fn sample_step(n: usize) -> usize {
     (n / SAMPLES) | 1
 }
 
-/// The delta frame's size in bytes as the sample predicts it under
-/// `pair`: each sampled value and its successor give a sampled delta,
-/// and the deltas' range is packed over the page. One delta needing at
-/// least two bits more than the others — a ramp's wrap — is taken for
-/// the page's one exception instead, as [`Packing::of`]'s window takes
-/// it. `None` when a sampled value, a successor or the page's last
-/// value does not round-trip: the delta frame holds no exception.
-fn delta_estimate(pair: Exponents, values: &[f64]) -> Option<usize> {
-    let fs = Factors::of(pair)?;
-    let at = |i: usize| values.get(i).and_then(|&v| fs.encode(v));
-    let last = values.len().checked_sub(1)?;
-    at(last)?;
-    let mut deltas = [0i64; SAMPLES];
-    let mut taken = 0;
-    let positions = (0..last).step_by(sample_step(values.len()));
-    for (slot, i) in deltas.iter_mut().zip(positions) {
-        // Both below 2^53 in magnitude: the difference cannot overflow.
-        *slot = at(i + 1)? - at(i)?;
-        taken += 1;
-    }
-    let deltas = deltas.get_mut(..taken)?;
-    deltas.sort_unstable();
-    let (&lo, &hi) = (deltas.first()?, deltas.last()?);
-    let all = width(lo, hi);
-    let rest = match *deltas {
-        [_, b, .., y, _] => width(b, hi).min(width(lo, y)),
-        _ => all,
+/// Whether the carried pair recovers every sampled value, no smaller
+/// scale could, and the sampled range is narrower than a raw double: a
+/// steady series takes this path on every page after its first.
+fn carried_fits(p: Exponents, sample: impl Iterator<Item = f64>) -> bool {
+    let Some(fs) = Factors::of(p) else {
+        return false;
     };
-    let (bits, outlier) = match rest + 1 < all {
-        true => (rest, OUTLIER_BYTES),
-        false => (all, 0),
-    };
-    // e, f, w, a varint base and count of about a byte each, and d0 of
-    // about three.
-    Some(8 + (cast::usize_from_u32(bits) * last).div_ceil(8) + outlier)
-}
-
-/// The carried pair's estimate in bits a value, when it recovers every
-/// sampled value and no smaller scale could: a steady series takes this
-/// path on every page after its first.
-fn carried_fits(p: Exponents, sample: impl Iterator<Item = f64>) -> Option<usize> {
-    let fs = Factors::of(p)?;
     let (mut lo, mut hi, mut all_tens) = (i64::MAX, i64::MIN, p.scale() > 0);
     for v in sample {
-        let d = fs.encode(v)?;
+        let Some(d) = fs.encode(v) else {
+            return false;
+        };
         (lo, hi) = (lo.min(d), hi.max(d));
         all_tens &= d % 10 == 0;
     }
-    let bits = cast::usize_from_u32(width(lo, hi));
-    (!all_tens && bits < REJECT_BITS).then_some(bits)
+    !all_tens && cast::usize_from_u32(width(lo, hi)) < REJECT_BITS
 }
 
 /// Choose a page's pair from a sample of its values, trying `carried`
-/// first, with the sample's estimate in bits a value: the bits of the
-/// sampled range at the pair's scale, plus [`EXCEPTION_BITS`] for each
-/// sampled value with no short decimal form. `None` when that estimate
-/// is no better than raw doubles; a full-precision page is turned away
-/// after [`OPENING_MISSES`] sampled values.
-fn choose(values: &[f64], carried: Option<Exponents>) -> Option<(Exponents, usize)> {
+/// first. `None` when the sample's bits a value — the bits of its range
+/// at the pair's scale, plus [`EXCEPTION_BITS`] for each sampled value
+/// with no short decimal form — are no fewer than raw doubles'; a
+/// full-precision page is turned away after [`OPENING_MISSES`] sampled
+/// values.
+fn choose(values: &[f64], carried: Option<Exponents>) -> Option<Exponents> {
     if values.is_empty() {
         return None;
     }
@@ -315,10 +279,8 @@ fn choose(values: &[f64], carried: Option<Exponents>) -> Option<(Exponents, usiz
             .take(SAMPLES)
             .copied()
     };
-    if let Some(p) = carried {
-        if let Some(bits) = carried_fits(p, sample()) {
-            return Some((p, bits));
-        }
+    if let Some(p) = carried.filter(|&p| carried_fits(p, sample())) {
+        return Some(p);
     }
     let taken = sample().count();
     let too_many = |misses: usize| misses * EXCEPTION_BITS >= REJECT_BITS * taken;
@@ -365,40 +327,16 @@ fn choose(values: &[f64], carried: Option<Exponents>) -> Option<(Exponents, usiz
             break;
         }
     }
-    best.map(|(_, p)| (p, bits))
+    best.map(|(_, p)| p)
 }
 
-/// A page's chosen pair and the block size its sample predicts.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Plan {
-    pair: Exponents,
-    estimate: usize,
-}
-
-impl Plan {
-    /// The block size in bytes the sample predicts: the smaller of the
-    /// frame of reference and the delta frame, each the packed bits of
-    /// its sampled range and its exceptions, over the whole page. The
-    /// line frame is not estimated; it is written only where smaller.
-    pub(crate) fn estimate(&self) -> usize {
-        self.estimate
-    }
-}
-
-/// Plan a decimal block for `values`: choose the pair from a sample,
-/// trying `carry` first, and leave the pair chosen in `carry`. `None`
-/// when the sample shows a page raw doubles would store as well (a
-/// full-precision page); the page then keeps its XOR or plain stream.
-pub(crate) fn plan(values: &[f64], carry: &mut Option<Exponents>) -> Option<Plan> {
-    let (pair, bits) = choose(values, *carry)?;
-    *carry = Some(pair);
-    // e, f, w, and a varint base and count of about a byte each.
-    let by_value = 5 + (bits * values.len()).div_ceil(8);
-    let by_delta = delta_estimate(pair, values).unwrap_or(usize::MAX);
-    Some(Plan {
-        pair,
-        estimate: by_delta.min(by_value),
-    })
+/// The pair of a decimal block for `values`, chosen from a sample,
+/// trying `carry` first, and left in `carry`. `None` when the sample
+/// shows a page raw doubles would store as well (a full-precision page).
+/// The sample sizes nothing: the page holds the block, sized exactly,
+/// against its stream.
+pub(crate) fn plan(values: &[f64], carry: &mut Option<Exponents>) -> Option<Exponents> {
+    choose(values, *carry).inspect(|&pair| *carry = Some(pair))
 }
 
 /// How a decimal block frames its integers (see the module docs).
@@ -412,11 +350,11 @@ pub enum Framing {
     Line,
 }
 
-/// Encode `values` as the decimal block `plan` describes, appended to
-/// `out`: the smallest frame. Returns `false` and writes nothing when
-/// every value is an exception.
-pub(crate) fn encode(values: &[f64], plan: &Plan, out: &mut Vec<u8>) -> bool {
-    encode_framed(values, plan.pair, |_| true, out)
+/// Encode `values` under `pair` as a decimal block appended to `out`:
+/// the smallest frame. Returns `false` and writes nothing when every
+/// value is an exception.
+pub(crate) fn encode(values: &[f64], pair: Exponents, out: &mut Vec<u8>) -> bool {
+    encode_framed(values, pair, |_| true, out)
 }
 
 /// Encode `values` under `pair` in the smallest of the frames `allowed`
@@ -539,11 +477,11 @@ fn residuals(digits: &[i64], slope: i64) -> impl Iterator<Item = i64> + Clone + 
     (0..).zip(digits).map(residual)
 }
 
-/// Encode `values` as the decimal block a page with no carried pair
-/// plans, appended to `out`. Returns `false` and writes nothing when the
-/// sample turns the page away or every value is an exception.
+/// Encode `values` as the decimal block of a page with no carried pair,
+/// appended to `out`. Returns `false` and writes nothing when the sample
+/// turns the page away or every value is an exception.
 pub fn encode_values(values: &[f64], out: &mut Vec<u8>) -> bool {
-    plan(values, &mut None).is_some_and(|plan| encode(values, &plan, out))
+    choose(values, None).is_some_and(|pair| encode(values, pair, out))
 }
 
 /// [`encode_values`] held to the frame `framing`: the block a writer
@@ -551,8 +489,7 @@ pub fn encode_values(values: &[f64], out: &mut Vec<u8>) -> bool {
 /// writes nothing when [`encode_values`] would, or when `framing` is the
 /// delta frame and a value is an exception.
 pub fn encode_values_in(values: &[f64], framing: Framing, out: &mut Vec<u8>) -> bool {
-    plan(values, &mut None)
-        .is_some_and(|plan| encode_framed(values, plan.pair, |f| f == framing, out))
+    choose(values, None).is_some_and(|pair| encode_framed(values, pair, |f| f == framing, out))
 }
 
 /// A block's pair, its frame, and the bytes after its header.
@@ -672,22 +609,10 @@ mod tests {
 
     fn roundtrip(vs: &[f64]) -> Result<Option<Vec<u8>>> {
         let mut buf = Vec::new();
-        let Some(plan) = plan(vs, &mut None) else {
+        let Some(pair) = plan(vs, &mut None) else {
             return Ok(None);
         };
-        assert!(encode(vs, &plan, &mut buf));
-        // The sample's estimate is the frame of reference's or the
-        // delta frame's; the line frame is never estimated.
-        let near = |f| {
-            framed(vs, plan.pair, Some(f))
-                .is_some_and(|b| b.len().abs_diff(plan.estimate()) * 4 <= b.len() + 16)
-        };
-        assert!(
-            near(Framing::Reference) || near(Framing::Delta),
-            "estimate {} for {} bytes",
-            plan.estimate(),
-            buf.len()
-        );
+        assert!(encode(vs, pair, &mut buf));
         decodes_to(&buf, vs)?;
         Ok(Some(buf))
     }
@@ -718,20 +643,19 @@ mod tests {
     #[test]
     fn a_sawtooth_packs_its_deltas_to_a_few_bytes() -> Result<()> {
         // The sample sits at multiples of 65: a wrap from position 520
-        // to 521 is a sampled delta (the outlier the estimate drops),
-        // one from 499 to 500 falls between samples; and no wrap.
+        // to 521 follows a sampled value, one from 499 to 500 falls
+        // between samples; and no wrap.
         for start in [1_479, 1_500, 0] {
             let vs = sawtooth(start, 1024);
-            let plan = plan(&vs, &mut None).expect("quarter units are decimal");
-            assert!(plan.estimate() < 40, "the sample predicts the deltas");
+            let pair = plan(&vs, &mut None).expect("quarter units are decimal");
             let mut buf = Vec::new();
-            assert!(encode(&vs, &plan, &mut buf));
+            assert!(encode(&vs, pair, &mut buf));
             decodes_to(&buf, &vs)?;
             assert_eq!(framing(&buf)?, Framing::Delta);
             // d rises by 25: zero bits, and the wrap one exception.
             assert!(buf.len() <= 20, "{} bytes", buf.len());
             // The frame of reference pays the range: 15 or 16 bits.
-            let reference = framed(&vs, plan.pair, Some(Framing::Reference)).unwrap();
+            let reference = framed(&vs, pair, Some(Framing::Reference)).unwrap();
             assert!(reference.len() > 1024 * 15 / 8, "{} bytes", reference.len());
             decodes_to(&reference, &vs)?;
         }
@@ -743,9 +667,9 @@ mod tests {
         // The sample sits at multiples of 65: the wrap falls between two.
         let vs = sawtooth(1_970, 1024);
         assert!((0..1024).step_by(65).all(|i| vs[i] < vs[i + 1]));
-        let plan = plan(&vs, &mut None).unwrap();
+        let pair = plan(&vs, &mut None).unwrap();
         let mut buf = Vec::new();
-        assert!(encode(&vs, &plan, &mut buf));
+        assert!(encode(&vs, pair, &mut buf));
         assert_eq!(framing(&buf)?, Framing::Delta);
         decodes_to(&buf, &vs)
     }
@@ -753,11 +677,11 @@ mod tests {
     #[test]
     fn noise_and_equal_values_keep_the_frame_of_reference() -> Result<()> {
         for vs in [two_decimal_page(), vec![21.5; 1000]] {
-            let plan = plan(&vs, &mut None).unwrap();
+            let pair = plan(&vs, &mut None).unwrap();
             let buf = roundtrip(&vs)?.unwrap();
             assert_eq!(framing(&buf)?, Framing::Reference);
             // Framed exactly, the deltas are no smaller either.
-            let delta = framed(&vs, plan.pair, Some(Framing::Delta)).unwrap();
+            let delta = framed(&vs, pair, Some(Framing::Delta)).unwrap();
             assert!(delta.len() >= buf.len(), "{} < {}", delta.len(), buf.len());
         }
         Ok(())
@@ -932,26 +856,26 @@ mod tests {
             // Integers near 2^53 have no short decimal form for the
             // sample: a writer reaches them with a carried pair.
             let mut carry = (kind == 4).then_some(Exponents { e: 0, f: 0 });
-            let Some(plan) = plan(&vs, &mut carry) else {
+            let Some(pair) = plan(&vs, &mut carry) else {
                 prop_assert!(special || kind == 4, "no plan");
                 return Ok(());
             };
             let mut buf = Vec::new();
-            if !encode(&vs, &plan, &mut buf) {
+            if !encode(&vs, pair, &mut buf) {
                 prop_assert!(special && len == 1);
                 return Ok(());
             }
             decodes_to(&buf, &vs).unwrap();
-            let fs = Factors::of(plan.pair).unwrap();
+            let fs = Factors::of(pair).unwrap();
             let exact = vs.iter().all(|&v| fs.encode(v).is_some());
-            let delta = framed(&vs, plan.pair, Some(Framing::Delta));
+            let delta = framed(&vs, pair, Some(Framing::Delta));
             prop_assert_eq!(delta.is_some(), exact);
             if let Some(delta) = &delta {
                 decodes_to(delta, &vs).unwrap();
             }
-            let reference = framed(&vs, plan.pair, Some(Framing::Reference)).unwrap();
+            let reference = framed(&vs, pair, Some(Framing::Reference)).unwrap();
             decodes_to(&reference, &vs).unwrap();
-            let line = framed(&vs, plan.pair, Some(Framing::Line));
+            let line = framed(&vs, pair, Some(Framing::Line));
             if let Some(line) = &line {
                 decodes_to(line, &vs).unwrap();
             }
@@ -996,7 +920,7 @@ mod tests {
             vs.iter().filter(|&&v| fs.encode(v).is_none()).count()
         };
         assert!(misses(2, 0) > 0, "(2, 0) recovers every value");
-        let (chosen, _) = choose(&vs, None).unwrap();
+        let chosen = choose(&vs, None).unwrap();
         assert_eq!(chosen.scale(), 2);
         assert_eq!(misses(chosen.e, chosen.f), 0, "{chosen:?}");
     }
@@ -1037,14 +961,14 @@ mod tests {
     fn the_carried_pair_is_reused_when_it_fits() {
         let vs = two_decimal_page();
         let mut carry = None;
-        let first = plan(&vs, &mut carry).map(|p| p.pair);
+        let first = plan(&vs, &mut carry);
         assert_eq!(carry, first);
-        assert_eq!(choose(&vs[500..], first).map(|(p, _)| p), first);
+        assert_eq!(choose(&vs[500..], first), first);
         // A page whose integers all end in zero at that scale has a
         // smaller one: it searches again.
         let ints: Vec<f64> = (0..100).map(f64::from).collect();
-        assert_eq!(choose(&ints, first).map(|(p, _)| p.scale()), Some(0));
-        assert_eq!(plan(&[], &mut carry).map(|p| p.estimate()), None);
+        assert_eq!(choose(&ints, first).map(|p| p.scale()), Some(0));
+        assert_eq!(plan(&[], &mut carry), None);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!
 //! Entry layout: `varint κ` `varint_i t_ds` `varint_i t_de`
 //! `u32 crc of the three fields (LE)`. A torn final entry (crash during
-//! append) is detected by its CRC and dropped on load; the next append
-//! cuts its bytes off first, so what follows it is read back.
+//! append) — a field that does not read, or a CRC that does not match —
+//! is dropped on load; the next append cuts its bytes off first, so
+//! what follows it is read back.
 
 // Untrusted bytes: an out-of-range access is a typed error, not a panic.
 #![deny(clippy::indexing_slicing)]
@@ -20,7 +21,7 @@ use std::path::{Path, PathBuf};
 use crate::checksum::crc32;
 use crate::types::{TimeRange, Timestamp, Version};
 use crate::varint;
-use crate::{Result, TsFileError};
+use crate::Result;
 
 /// One delete operation `D^κ` over `[t_ds, t_de]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,37 +62,27 @@ impl ModEntry {
         out.extend_from_slice(&crc.to_le_bytes());
     }
 
-    /// Decode one entry; `Ok(None)` means a torn (incomplete/corrupt)
-    /// tail entry, which the caller should treat as end-of-log.
-    fn decode(buf: &[u8], pos: &mut usize) -> Result<Option<Self>> {
+    /// Decode one entry; `None` means a torn (incomplete/corrupt) tail
+    /// entry — any field that does not read, or a CRC that does not
+    /// match — which the caller treats as end-of-log.
+    fn decode(buf: &[u8], pos: &mut usize) -> Option<Self> {
         let start_pos = *pos;
-        let version = match varint::read_u64(buf, pos) {
-            Ok(v) => v,
-            Err(TsFileError::UnexpectedEof { .. }) => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let (t_ds, t_de) = match (varint::read_i64(buf, pos), varint::read_i64(buf, pos)) {
-            (Ok(a), Ok(b)) => (a, b),
-            _ => return Ok(None),
-        };
+        let version = varint::read_u64(buf, pos).ok()?;
+        let t_ds = varint::read_i64(buf, pos).ok()?;
+        let t_de = varint::read_i64(buf, pos).ok()?;
         let body_end = *pos;
-        let crc_end = body_end + 4;
-        let Some(crc_bytes) = buf.get(body_end..crc_end) else {
-            return Ok(None);
-        };
+        let crc_bytes = buf.get(body_end..body_end + 4)?;
         let mut crc_arr = [0u8; 4];
         for (dst, src) in crc_arr.iter_mut().zip(crc_bytes) {
             *dst = *src;
         }
         let expected = u32::from_le_bytes(crc_arr);
-        let Some(body) = buf.get(start_pos..body_end) else {
-            return Ok(None);
-        };
+        let body = buf.get(start_pos..body_end)?;
         if crc32(body) != expected {
-            return Ok(None);
+            return None;
         }
-        *pos = crc_end;
-        Ok(Some(ModEntry::new(Version(version), t_ds, t_de)))
+        *pos = body_end + 4;
+        Some(ModEntry::new(Version(version), t_ds, t_de))
     }
 }
 
@@ -129,7 +120,7 @@ impl ModsFile {
             let mut pos = 0usize;
             while pos < buf.len() {
                 let valid = pos; // a torn entry's fields move `pos` too
-                match ModEntry::decode(&buf, &mut pos)? {
+                match ModEntry::decode(&buf, &mut pos) {
                     Some(e) => log.entries.push(e),
                     None => {
                         log.torn_at = u64::try_from(valid).ok();
@@ -314,6 +305,23 @@ mod tests {
         std::fs::write(&p, &data)?;
         let m2 = ModsFile::open(&p)?;
         assert!(m2.entries().is_empty());
+        Ok(())
+    }
+
+    /// A version varint that runs 11 bytes (past 64 bits) is a torn
+    /// tail like any other field that does not read: the open keeps
+    /// nothing behind it, and the next append cuts it off.
+    #[test]
+    fn an_overlong_version_varint_is_a_torn_tail() -> Result<()> {
+        let p = tmp("overlong.mods");
+        std::fs::write(&p, [0xff; 11])?;
+        let mut m = ModsFile::open(&p)?;
+        assert!(m.entries().is_empty());
+        m.append(ModEntry::new(Version(7), 0, 10))?;
+        assert_eq!(
+            ModsFile::open(&p)?.entries(),
+            &[ModEntry::new(Version(7), 0, 10)]
+        );
         Ok(())
     }
 

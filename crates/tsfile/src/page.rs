@@ -44,12 +44,15 @@
 //! after it (a counter or a ramp, at a few bits a value or none); or,
 //! where smaller, around their trend line (a register that drifts while
 //! it jitters); the block's header says which, so to this layer, to
-//! compaction and to the inspector all three are one form. The packed forms: the deltas of a
+//! compaction and to the inspector all three are one form. A sample of
+//! the page chooses the block's scale and turns a full-precision page
+//! away; it sizes nothing. The packed forms: the deltas of a
 //! column — of the timestamps, or of the values' order-preserving
 //! integer keys — bit-packed at one width with the outliers listed
 //! apart; jittered timestamps and full-precision walks take it. A form
-//! is written only when it is strictly smaller than the one a page would
-//! hold without it.
+//! is written only when it is strictly smaller, sized exactly, than the
+//! one a page would hold without it: the packed deltas than the decimal
+//! block or the stream, and the block than the stream.
 //! The column encodings themselves live in the footer's chunk entry
 //! ([`crate::ChunkMeta`], CRC-protected there), so a chunk body has no
 //! unprotected header bytes.
@@ -210,9 +213,6 @@ pub fn encode_page(
 pub(crate) struct ValueCarry {
     /// The decimal pair the last plan chose ([`decimal::plan`]).
     pair: Option<Exponents>,
-    /// The last planned page's stream beat its block, so the next page
-    /// writes its stream first (a writer starts by trying the block).
-    stream_first: bool,
     /// Scratch for the page's key deltas ([`packed::key_deltas`]).
     keys: Vec<i64>,
 }
@@ -283,15 +283,14 @@ fn ts_column(ts: &[i64], deltas: &[i64], ts_encoding: EncodingKind, buf: &mut Ve
 
 /// A page's value column, as `(its form, its bytes in buf)`: the packed
 /// key deltas when they are smaller than what the page would hold
-/// without them, else that — the decimal block when the sample admits
-/// one and it is smaller than the configured stream, else the stream.
-/// Every tie goes to the form without packing, and between those to
-/// the stream. A decimal page's block or stream is written first, and
-/// the packed key deltas are sized only when it is above their floor
-/// ([`Packing::floor`]); otherwise the packed size is exact before a
-/// byte is written, and the stream's is counted exactly as far as the
-/// choice needs, so a page with no decimal plan writes only the column
-/// it keeps.
+/// without them, else that — the decimal block when the sample admits a
+/// pair and the block is smaller than the configured stream, else the
+/// stream. Every tie goes to the form without packing, and between those
+/// to the stream. Every size is exact, and a column is counted without
+/// being written where the choice allows: the key deltas are sized only
+/// when the block or stream is above their floor ([`Packing::floor`]),
+/// and a page with no pair writes its stream only when the packed size
+/// does not already beat it.
 fn value_column<'a>(
     vs: &[f64],
     val_encoding: EncodingKind,
@@ -299,29 +298,24 @@ fn value_column<'a>(
     buf: &'a mut Vec<u8>,
 ) -> (ValueForm, &'a [u8]) {
     packed::key_deltas(vs, &mut carry.keys);
-    let block = decimal::plan(vs, &mut carry.pair)
-        .map(|plan| block_or_stream(vs, val_encoding, plan, carry, buf));
+    let unpacked =
+        decimal::plan(vs, &mut carry.pair).map(|pair| block_or_stream(vs, val_encoding, pair, buf));
     // A block or stream no larger than the packed column's floor keeps
     // it (a tie goes to it) without sizing the packed column.
-    if let Some((form, range)) = block.clone() {
-        if range.len() <= Packing::floor(&carry.keys) {
-            return (form, buf.get(range).unwrap_or(&[]));
-        }
+    if let Some(form) = unpacked.filter(|_| buf.len() <= Packing::floor(&carry.keys)) {
+        return (form, buf);
     }
     let packing = Packing::of(&carry.keys);
     let packed = packing.len();
     // What the page would hold without the packed form, unless it
     // already loses.
-    let without = match block {
-        Some(block) => Some(block),
-        None if encoding::values_len_within(val_encoding, vs, packed).is_none() => None,
-        None => {
-            encoding::encode_values(val_encoding, vs, buf);
-            Some((ValueForm::Stream, 0..buf.len()))
-        }
-    };
+    let without = unpacked.or_else(|| {
+        encoding::values_len_within(val_encoding, vs, packed)?;
+        encoding::encode_values(val_encoding, vs, buf);
+        Some(ValueForm::Stream)
+    });
     match without {
-        Some((form, range)) if range.len() <= packed => (form, buf.get(range).unwrap_or(&[])),
+        Some(form) if buf.len() <= packed => (form, buf),
         _ => {
             buf.clear();
             packing.write(&carry.keys, buf);
@@ -330,52 +324,24 @@ fn value_column<'a>(
     }
 }
 
-/// The decimal block `plan` describes when it is smaller than the
-/// configured stream, else the stream (ties go to the stream), as
-/// `(form, range of its bytes in buf)`. The one likelier to win is
-/// written first, and the other only while it can still win: a block
-/// written first is held against the stream's size, counted only as far
-/// as the block, and a stream no larger than the block's sampled
-/// estimate needs no block.
+/// The decimal block under `pair` when it is smaller than the configured
+/// stream, else the stream (ties go to the stream), written to the empty
+/// `buf`. The block is written first; the stream is counted only as far
+/// as the block, and written only when it keeps the page.
 fn block_or_stream(
     vs: &[f64],
     val_encoding: EncodingKind,
-    plan: decimal::Plan,
-    carry: &mut ValueCarry,
+    pair: Exponents,
     buf: &mut Vec<u8>,
-) -> (ValueForm, std::ops::Range<usize>) {
-    // Block first only after a block won and while the sample's
-    // estimate is below the stream's size.
-    let stream_above = |len| encoding::values_len_within(val_encoding, vs, len).is_none();
-    let block_first = !carry.stream_first && stream_above(plan.estimate());
-    let (is_block, range) = match block_first {
-        true if decimal::encode(vs, &plan, buf) => {
-            if stream_above(buf.len()) {
-                (true, 0..buf.len())
-            } else {
-                buf.clear();
-                encoding::encode_values(val_encoding, vs, buf);
-                (false, 0..buf.len())
-            }
-        }
-        _ => {
-            encoding::encode_values(val_encoding, vs, buf);
-            let stream = buf.len();
-            let wins = plan.estimate() < stream
-                && decimal::encode(vs, &plan, buf)
-                && buf.len() - stream < stream;
-            match wins {
-                true => (true, stream..buf.len()),
-                false => (false, 0..stream),
-            }
-        }
-    };
-    carry.stream_first = !is_block;
-    let form = match is_block {
-        true => ValueForm::Decimal,
-        false => ValueForm::Stream,
-    };
-    (form, range)
+) -> ValueForm {
+    if decimal::encode(vs, pair, buf)
+        && encoding::values_len_within(val_encoding, vs, buf.len()).is_none()
+    {
+        return ValueForm::Decimal;
+    }
+    buf.clear();
+    encoding::encode_values(val_encoding, vs, buf);
+    ValueForm::Stream
 }
 
 /// `Some(delta)` when every delta is that one (trivially true for a
@@ -786,6 +752,35 @@ mod tests {
         let some = decode_page_timestamps(&body, EncodingKind::Ts2Diff, &meta, Some(205))?;
         assert_eq!(some.last().copied(), Some(210));
         assert_eq!(some.len(), 22);
+        Ok(())
+    }
+
+    /// A staircase of tenths whose first value is NaN stores its decimal
+    /// block, framed around its line (147 B a page), where its Gorilla
+    /// stream takes 836 B.
+    #[test]
+    fn a_staircase_behind_an_exception_keeps_its_block() -> Result<()> {
+        let points: Vec<Point> = (0..1000)
+            .map(|i| match i {
+                0 => Point::new(0, f64::NAN),
+                _ => Point::new(i * 10, (20 + i / 10) as f64 / 10.0),
+            })
+            .collect();
+        let mut body = Vec::new();
+        encode_page(
+            &points,
+            EncodingKind::Ts2Diff,
+            EncodingKind::Gorilla,
+            &mut body,
+        );
+        assert_eq!(forms(&body)?.values, ValueForm::Decimal);
+        assert_eq!(decimal_framing(&body)?, Some(decimal::Framing::Line));
+        assert!(body.len() <= 150, "{} bytes", body.len());
+        let meta = page_meta(&points, 0, body.len() as u64)?;
+        verify_page_body(&body, &meta)?;
+        let back = decode_page(&body, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta)?;
+        let bits = |p: &[Point]| p.iter().map(|p| (p.t, p.v.to_bits())).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&points));
         Ok(())
     }
 

@@ -131,6 +131,40 @@ impl Exponents {
     fn scale(self) -> u8 {
         self.e - self.f
     }
+
+    /// The pair `(e, f)`, `None` out of range (`f > e` or `e > 18`).
+    pub(crate) fn of(e: u8, f: u8) -> Option<Self> {
+        let p = Exponents { e, f };
+        Factors::of(p).map(|_| p)
+    }
+
+    /// `e` and `f`, the two bytes a block's header holds.
+    pub(crate) fn bytes(self) -> [u8; 2] {
+        [self.e, self.f]
+    }
+
+    /// `v`'s integer under this pair, if it round-trips bit for bit.
+    pub(crate) fn integer(self, v: f64) -> Option<i64> {
+        Factors::of(self)?.encode(v)
+    }
+
+    /// The value of the integer `d` under this pair; `None` for
+    /// `|d| ≥ 2^53`, which no value encodes to.
+    pub(crate) fn value(self, d: i64) -> Option<f64> {
+        let fs = Factors::of(self)?;
+        (d.unsigned_abs() < INT_LIMIT).then(|| fs.decode(d))
+    }
+}
+
+/// The pair under which every one of `values` has its integer:
+/// `carried` when it holds them all, else the pair [`choose`] picks for
+/// them. `None` when that pair leaves a value without one — NaN, −0.0,
+/// ±inf, a full-precision value.
+pub(crate) fn pair_for(values: &[f64], carried: Option<Exponents>) -> Option<Exponents> {
+    let holds = |p: &Exponents| values.iter().all(|&v| p.integer(v).is_some());
+    carried
+        .filter(holds)
+        .or_else(|| choose(values, carried).filter(holds))
 }
 
 /// The four powers one pair multiplies by: `10^e · 10^-f` to encode,

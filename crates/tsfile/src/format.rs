@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────┐
-//! │ magic "TSF5\0\0" (6 bytes)                                 │
+//! │ magic "TSF6\0\0" (6 bytes)                                 │
 //! ├────────────────────────────────────────────────────────────┤
 //! │ chunk 0 body: one page body (see `page` module); column    │
 //! │   encodings live in the footer                             │
@@ -12,14 +12,16 @@
 //! │ footer                                                     │
 //! │   varint #chunks                                           │
 //! │   per chunk: varint_i version − previous chunk's version,  │
-//! │              u8 encodings (values << 4 | timestamps),      │
+//! │              u8 timestamps' encoding + 3 · values'         │
+//! │                 + 9 · statistics tag (below 243),          │
 //! │              varint byte_len,                              │
 //! │              statistics against the previous chunk's LP    │
-//! │              (see `statistics`)                            │
+//! │              and the last decimal pair (see `statistics`)  │
 //! │   series-run directory:                                    │
 //! │     varint #runs                                           │
-//! │     per run: varint series id, varint #chunks,             │
-//! │              varint supersedes                             │
+//! │     per run: varint series id − previous run's (the first  │
+//! │              absolute), varint #chunks,                    │
+//! │              varint_i supersedes − previous run's          │
 //! │   u32 crc32 of footer body (LE)                            │
 //! │   u64 footer body length (LE)                              │
 //! │   magic (same as head)                                     │
@@ -28,41 +30,48 @@
 //!
 //! The trailing length + magic let a reader locate the footer without a
 //! separate index file; the leading magic rejects non-TsFiles (and the
-//! retired `TSF1`–`TSF4` generations) early: `TSF4` is the last whose
+//! retired `TSF1`–`TSF5` generations) early: `TSF4` is the last whose
 //! page bodies repeated what the footer's statistics hold (the point
 //! count, a constant-delta column's first timestamp and step, a packed
-//! column's first point), which a `TSF5` decoder takes from the footer. This mirrors IoTDB's
-//! TsFile (data, then per-chunk statistics, then a metadata index and
-//! tail magic) as the paper runs it: with `page_size_in_byte` at 1 GiB,
-//! every chunk is one page, and so it is here by construction.
+//! column's first point), and `TSF5` the last whose footer wrote every
+//! extreme in full, every value as an XOR, and absolute series ids and
+//! `supersedes` in its run directory; its page bodies are this
+//! layout's, byte for byte. This mirrors IoTDB's TsFile (data, then
+//! per-chunk statistics, then a metadata index and tail magic) as the
+//! paper runs it: with `page_size_in_byte` at 1 GiB, every chunk is one
+//! page, and so it is here by construction.
 //!
 //! What the footer derives instead of storing: a chunk's offset (chunk
 //! bodies tile the file from the head magic on, so it is the sum of the
-//! lengths before it). The first chunk's version, and its FP, are coded
-//! against zero. A reader checks the tiling once: the head magic and the
-//! chunk bodies must end exactly where the footer begins.
+//! lengths before it), and a BP or TP that is the whole point of the
+//! chunk's FP or LP (its position in the statistics tag says which),
+//! and a decimal pair that is the one before. The first
+//! chunk's version, and its FP, are coded against zero. A reader checks
+//! the tiling once: the head magic and the chunk bodies must end exactly
+//! where the footer begins.
 //!
 //! A file holds the chunks of one *or many* series: the chunks of one
 //! series sit back to back (a [`SeriesRun`]) and the directory at the
 //! end of the footer says which run is whose, as IoTDB's chunk groups
 //! under one metadata index do. A single-series file is the one-run
 //! case of the same shape. Runs are listed in strictly ascending series
-//! id, in chunk order, and cover every chunk exactly once.
+//! id, in chunk order, and cover every chunk exactly once: each id after
+//! the first is a gap of at least 1 from the one before.
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use crate::encoding::EncodingKind;
 use crate::page::{PageMeta, MAX_PAGE_POINTS};
-use crate::statistics::ChunkStatistics;
-use crate::types::{Point, TimeRange, Version};
+use crate::statistics::{ChunkStatistics, EntryTag, StatsCarry};
+use crate::types::{TimeRange, Version};
 use crate::{cast, varint};
 use crate::{Result, TsFileError};
 
 /// File magic, also used as the tail sentinel. Bumped with every footer
 /// or page layout, so a file of an earlier layout is refused as foreign
 /// (`BadMagic`) rather than read as a torn file of this one.
-pub const MAGIC: &[u8; 6] = b"TSF5\0\0";
+pub const MAGIC: &[u8; 6] = b"TSF6\0\0";
 
 /// Metadata describing one chunk inside a TsFile: where its body lives,
 /// how its columns are encoded, its version `κ`, and its precomputed
@@ -104,15 +113,21 @@ impl ChunkMeta {
 
     /// Append the chunk's entry, coded against `prev`, and advance
     /// `prev` past it. Its offset is not written: the body starts where
-    /// the previous one ends, so [`Self::decode`] derives it.
-    pub(crate) fn encode(&self, prev: &mut Predecessor, out: &mut Vec<u8>) {
+    /// the previous one ends, so [`Self::decode`] derives it. Returns
+    /// its statistics' tag.
+    pub(crate) fn encode(&self, prev: &mut Predecessor, out: &mut Vec<u8>) -> EntryTag {
         let step = self.version.0.wrapping_sub(prev.version.0);
         varint::write_i64(out, cast::i64_bits(step));
-        out.push((self.val_encoding as u8) << 4 | self.ts_encoding as u8);
+        let tags_at = out.len();
+        out.push(0);
         varint::write_u64(out, self.byte_len);
-        self.stats.encode_after(prev.last, out);
         prev.version = self.version;
-        prev.last = self.stats.last;
+        let tag = self.stats.encode_after(&mut prev.stats, out);
+        let encodings = self.ts_encoding as u8 + 3 * self.val_encoding as u8;
+        if let Some(tags) = out.get_mut(tags_at) {
+            *tags = encodings + 9 * tag.get();
+        }
+        tag
     }
 
     pub(crate) fn decode(buf: &[u8], pos: &mut usize, prev: &mut Predecessor) -> Result<Self> {
@@ -122,10 +137,11 @@ impl ChunkMeta {
             what: "chunk encodings",
         })?;
         *pos += 1;
-        let ts_encoding = EncodingKind::from_u8(tags & 0xf)?;
-        let val_encoding = EncodingKind::from_u8(tags >> 4)?;
+        let ts_encoding = EncodingKind::from_u8(tags % 3)?;
+        let val_encoding = EncodingKind::from_u8(tags / 3 % 3)?;
+        let tag = EntryTag::from_u8(tags / 9)?;
         let byte_len = varint::read_u64(buf, pos)?;
-        let stats = ChunkStatistics::decode_after(buf, pos, prev.last)?;
+        let stats = ChunkStatistics::decode_after(buf, pos, tag, &mut prev.stats)?;
         if stats.count > cast::u64_from_usize(MAX_PAGE_POINTS) {
             return Err(TsFileError::Corrupt(format!(
                 "footer claims {} points in one chunk",
@@ -137,7 +153,6 @@ impl ChunkMeta {
             .checked_add(byte_len)
             .ok_or_else(|| TsFileError::Corrupt("chunk extent overflows".into()))?;
         prev.version = version;
-        prev.last = stats.last;
         Ok(ChunkMeta {
             offset,
             byte_len,
@@ -150,12 +165,13 @@ impl ChunkMeta {
 }
 
 /// What the footer codes a chunk's entry against: the chunk before it
-/// in file order, or, for the first, a version of 0, a last point of
-/// `(0, 0.0)` and a body ending at the head magic.
+/// in file order, or, for the first, a version of 0, what statistics
+/// are coded against first ([`StatsCarry`]'s default) and a body ending
+/// at the head magic.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Predecessor {
     version: Version,
-    last: Point,
+    stats: StatsCarry,
     /// Where its body ends: where the next chunk's begins.
     end: u64,
 }
@@ -164,7 +180,7 @@ impl Default for Predecessor {
     fn default() -> Self {
         Predecessor {
             version: Version(0),
-            last: Point::new(0, 0.0),
+            stats: StatsCarry::default(),
             end: cast::u64_from_usize(MAGIC.len()),
         }
     }
@@ -197,21 +213,54 @@ pub struct FileFooter {
     pub runs: Vec<SeriesRun>,
 }
 
+/// Where a footer's bytes go, as [`FileFooter::census`] counts them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FooterCensus {
+    /// The chunk index: the chunk count and every chunk's entry.
+    pub index_bytes: usize,
+    /// The series-run directory: the run count and every run.
+    pub directory_bytes: usize,
+    /// Entries whose BP or TP is the whole point of their FP or LP, so
+    /// not written.
+    pub extremes_at_an_end: usize,
+    /// Entries whose statistics' values took the decimal form.
+    pub decimal: usize,
+}
+
 impl FileFooter {
     /// Serialize the footer body (without CRC/length/magic trailer).
     pub fn encode_body(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.chunks.len() * 64);
+        self.encode(&mut FooterCensus::default())
+    }
+
+    /// Where the bytes of this footer's body go: what
+    /// [`Self::encode_body`] writes, counted.
+    pub fn census(&self) -> FooterCensus {
+        let mut census = FooterCensus::default();
+        self.encode(&mut census);
+        census
+    }
+
+    fn encode(&self, census: &mut FooterCensus) -> Vec<u8> {
+        let mut out = Vec::with_capacity(16 + self.chunks.len() * 32);
         varint::write_u64(&mut out, self.chunks.len() as u64);
         let mut prev = Predecessor::default();
         for c in &self.chunks {
-            c.encode(&mut prev, &mut out);
+            let tag = c.encode(&mut prev, &mut out);
+            census.extremes_at_an_end += usize::from(tag.extreme_at_an_end());
+            census.decimal += usize::from(tag.decimal());
         }
+        census.index_bytes = out.len();
         varint::write_u64(&mut out, self.runs.len() as u64);
+        let (mut series, mut supersedes) = (0u32, 0u64);
         for run in &self.runs {
-            varint::write_u64(&mut out, u64::from(run.series));
+            varint::write_u64(&mut out, u64::from(run.series.wrapping_sub(series)));
             varint::write_u64(&mut out, run.chunks.len() as u64);
-            varint::write_u64(&mut out, run.supersedes.0);
+            let step = run.supersedes.0.wrapping_sub(supersedes);
+            varint::write_i64(&mut out, cast::i64_bits(step));
+            (series, supersedes) = (run.series, run.supersedes.0);
         }
+        census.directory_bytes = out.len() - census.index_bytes;
         out
     }
 
@@ -248,7 +297,8 @@ impl FileFooter {
     }
 }
 
-/// Parse the series-run directory: strictly ascending series ids, runs
+/// Parse the series-run directory: strictly ascending series ids (each
+/// after the first a gap of at least 1 from the one before), runs
 /// tiling `0..n_chunks` in order, no run that is both empty and
 /// supersedes nothing.
 fn decode_runs(buf: &[u8], pos: &mut usize, n_chunks: usize) -> Result<Vec<SeriesRun>> {
@@ -259,25 +309,29 @@ fn decode_runs(buf: &[u8], pos: &mut usize, n_chunks: usize) -> Result<Vec<Serie
     }
     let mut runs: Vec<SeriesRun> = Vec::with_capacity(n as usize);
     let mut next_chunk = 0usize;
+    let (mut series, mut supersedes) = (0u32, 0u64);
     for _ in 0..n {
-        let series = u32::try_from(varint::read_u64(buf, pos)?)
-            .map_err(|_| corrupt("series id exceeds u32".into()))?;
-        let len = varint::read_u64(buf, pos)?;
-        let supersedes = Version(varint::read_u64(buf, pos)?);
-        if runs.last().is_some_and(|prev| prev.series >= series) {
+        let gap = varint::read_u64(buf, pos)?;
+        if gap == 0 && !runs.is_empty() {
             return Err(corrupt(format!("series {series} out of order")));
         }
+        series = u64::from(series)
+            .checked_add(gap)
+            .and_then(cast::u32_checked)
+            .ok_or_else(|| corrupt("series id exceeds u32".into()))?;
+        let len = varint::read_u64(buf, pos)?;
+        supersedes = supersedes.wrapping_add(cast::u64_bits(varint::read_i64(buf, pos)?));
         let end = usize::try_from(len)
             .ok()
             .and_then(|len| next_chunk.checked_add(len))
             .filter(|&end| end <= n_chunks)
             .ok_or_else(|| corrupt(format!("run of series {series} passes the last chunk")))?;
-        if end == next_chunk && supersedes.0 == 0 {
+        if end == next_chunk && supersedes == 0 {
             return Err(corrupt(format!("run of series {series} is empty")));
         }
         runs.push(SeriesRun {
             series,
-            supersedes,
+            supersedes: Version(supersedes),
             chunks: next_chunk..end,
         });
         next_chunk = end;
@@ -439,6 +493,36 @@ mod tests {
         assert_eq!(back.chunks[0].offset, 6);
         assert_eq!(back.chunks[1].offset, 6 + a.byte_len);
         assert_eq!(back.data_end(), 6 + a.byte_len + b.byte_len);
+        Ok(())
+    }
+
+    /// A 1 000-point ramp of quarter units — a fleet register between
+    /// two wraps — has BP at FP and TP at LP: its entry writes neither
+    /// extreme's time nor its value, 22 bytes of footer where writing
+    /// them took 31.
+    #[test]
+    fn a_quarter_unit_ramp_entry_shrinks() -> crate::Result<()> {
+        let pts: Vec<Point> = (0..1_000)
+            .map(|i| Point::new(1_000 * i, -125.0 + 0.25 * i as f64))
+            .collect();
+        let ramp = ChunkMeta {
+            offset: 6,
+            byte_len: 12,
+            version: Version(1),
+            stats: ChunkStatistics::from_points(&pts)?,
+            ts_encoding: EncodingKind::Ts2Diff,
+            val_encoding: EncodingKind::Gorilla,
+        };
+        let f = footer(&[Arc::new(ramp)], vec![run(0, 0, 0..1)]);
+        let body = f.encode_body();
+        assert_eq!(FileFooter::decode_body(&body)?, f);
+        // Chunk count, version, tags and length; count, FP.t and LP.t;
+        // FP.v and LP.v; the run directory.
+        assert!(
+            body.len() <= 4 + 6 + 8 + 4,
+            "{} bytes: {body:?}",
+            body.len()
+        );
         Ok(())
     }
 

@@ -77,7 +77,7 @@ pub mod varint;
 pub mod writer;
 
 pub use error::TsFileError;
-pub use format::{ChunkMeta, FileFooter, SeriesRun};
+pub use format::{ChunkMeta, FileFooter, FooterCensus, SeriesRun};
 pub use index::StepIndex;
 pub use mods::{ModEntry, ModsFile};
 pub use page::{PageMeta, PageStatistics};

@@ -645,11 +645,88 @@ fn footer_sample(path: &std::path::Path) -> (Vec<u8>, Vec<u8>) {
     w.write_chunk(&[Point::new(i64::MIN, 1.5), Point::new(i64::MAX, -1.5)], 11)
         .unwrap();
     w.finish().unwrap();
+    split_file(path)
+}
+
+/// The file at `path` split into its bytes before the footer and its
+/// footer body.
+fn split_file(path: &std::path::Path) -> (Vec<u8>, Vec<u8>) {
     let file = std::fs::read(path).unwrap();
     let n = file.len();
     let body_len = u64::from_le_bytes(file[n - 14..n - 6].try_into().unwrap()) as usize;
     let body_at = n - 18 - body_len;
     (file[..body_at].to_vec(), file[body_at..n - 18].to_vec())
+}
+
+/// A CRC-valid footer whose entry holds what no writer writes is
+/// `Corrupt` from the decoder and at open, never a panic: a tags byte
+/// past the largest (a reserved position or form), a pair byte past
+/// the largest exponent or a factor past its exponent, and a decimal
+/// integer at or past 2^53.
+#[test]
+fn footer_entries_out_of_range_are_corrupt() {
+    use tsfile::varint;
+    let dir = std::env::temp_dir().join("tsfile-fuzz");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("entry-{}.tsfile", std::process::id()));
+    let mut w = TsFileWriter::create(&path).unwrap();
+    w.begin_series(0, 0).unwrap();
+    w.write_chunk(&[Point::new(0, 21.37), Point::new(10, 19.02)], 1)
+        .unwrap();
+    w.finish().unwrap();
+    let (data, body) = split_file(&path);
+    // One chunk at version 1; timestamps ts2diff (1) + 3 · values
+    // Gorilla (2) + 9 · the statistics' tag: BP at LP (2) + 3 · TP at
+    // FP (1) + 9 · decimal under a new pair (2); its length; two points,
+    // FP.t 0, LP.t 10; the pair (2, 0); FP's integer 2137 and LP's
+    // 1902 − 2137; one run, of series 0, one chunk, superseding nothing.
+    let mut expected = vec![1, 2, 7 + 9 * (2 + 3 + 18), body[3], 2, 0, 10, 2, 0];
+    varint::write_i64(&mut expected, 2137);
+    varint::write_i64(&mut expected, 1902 - 2137);
+    expected.extend_from_slice(&[1, 0, 1, 0]);
+    assert_eq!(body, expected);
+    let pair_at = 7;
+    let mut bent: Vec<(String, Vec<u8>)> = (243..=u8::MAX)
+        .map(|tags| {
+            let mut b = body.clone();
+            b[2] = tags;
+            (format!("tags {tags}"), b)
+        })
+        .collect();
+    for (what, e, f) in [
+        ("e past 18", 19, 0),
+        ("e far past 18", 0xff, 0),
+        ("f past e", 2, 3),
+    ] {
+        let mut b = body.clone();
+        b[pair_at..pair_at + 2].copy_from_slice(&[e, f]);
+        bent.push((what.into(), b));
+    }
+    for (what, first, last) in [
+        ("FP at 2^53", 1i64 << 53, 0),
+        ("LP past 2^53", (1 << 53) - 1, 1),
+    ] {
+        let mut b = body[..pair_at + 2].to_vec();
+        varint::write_i64(&mut b, first);
+        varint::write_i64(&mut b, last);
+        b.extend_from_slice(&[1, 0, 1, 0]);
+        bent.push((what.into(), b));
+    }
+    for (what, b) in bent {
+        let got = FileFooter::decode_body(&b);
+        assert!(
+            matches!(got, Err(TsFileError::Corrupt(_))),
+            "{what}: {got:?}"
+        );
+        std::fs::write(&path, sealed_file(&data, &b)).unwrap();
+        let got = TsFileReader::open(&path);
+        assert!(
+            matches!(got, Err(TsFileError::Corrupt(_))),
+            "{what}: {:?}",
+            got.map(|_| ())
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// What an open that succeeds promises about a footer: every chunk's

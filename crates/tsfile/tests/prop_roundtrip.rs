@@ -317,13 +317,73 @@ fn any_time() -> impl Strategy<Value = i64> {
     ]
 }
 
-/// A value that is one of [`SPECIALS`] half the time, else any bits.
-fn any_value() -> impl Strategy<Value = f64> {
-    prop_oneof![
-        any::<prop::sample::Index>()
-            .prop_map(|i| f64::from_bits(SPECIALS[i.index(SPECIALS.len())])),
-        any::<u64>().prop_map(f64::from_bits),
-    ]
+/// A chunk's value drawn from `bits` in one of four shapes: any bits
+/// (half the time one of [`SPECIALS`]), a decimal at `places` places,
+/// one of a few values that tie one another — −0.0 beside 0.0, a NaN
+/// payload among decimals — or a decimal with a special now and then.
+fn stat_value(shape: u8, places: i32, bits: u64) -> f64 {
+    let decimal = ((bits % 2_000_001) as i64 - 1_000_000) as f64 / 10f64.powi(places);
+    let special = f64::from_bits(SPECIALS[(bits >> 40) as usize % SPECIALS.len()]);
+    match shape {
+        0 if bits.is_multiple_of(2) => special,
+        0 => f64::from_bits(bits),
+        1 => decimal,
+        2 => [
+            1.25,
+            1.25,
+            -0.0,
+            0.0,
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            2.5,
+        ][bits as usize % 6],
+        _ if bits.is_multiple_of(4) => special,
+        _ => decimal,
+    }
+}
+
+/// The shapes the footer property draws reach every form an entry
+/// takes: extremes at an end, decimal values under a carried pair and
+/// under a new one, and XOR where a NaN payload or −0.0 sits among
+/// decimals.
+#[test]
+fn footer_shapes_reach_every_entry_form() {
+    let chunk = |t0: i64, shape: u8, places: i32, seeds: &[u64]| -> Chunk {
+        let points = (t0..)
+            .zip(seeds)
+            .map(|(t, &bits)| Point::new(t, stat_value(shape, places, bits)))
+            .collect();
+        (t0 as u64, points)
+    };
+    let runs: Vec<Run> = vec![
+        (
+            0,
+            0,
+            vec![
+                chunk(0, 1, 2, &[7, 3_000, 12]),
+                chunk(10, 1, 2, &[9, 5, 44_444]),
+                chunk(20, 1, 5, &[123_456, 1]),
+                chunk(30, 3, 1, &[0, 1, 2]),
+            ],
+        ),
+        (
+            9,
+            2,
+            vec![chunk(40, 2, 0, &[0, 2, 3, 4, 5]), chunk(50, 1, 0, &[8])],
+        ),
+    ];
+    let footer = footer_of(&runs);
+    let census = footer.census();
+    assert!(
+        census.extremes_at_an_end > 0 && census.decimal > 1,
+        "{census:?}"
+    );
+    assert!(census.decimal < footer.chunks.len(), "{census:?}");
+    assert_eq!(
+        census.index_bytes + census.directory_bytes,
+        footer.encode_body().len()
+    );
+    let back = FileFooter::decode_body(&footer.encode_body()).unwrap();
+    assert_eq!(footer_bits(&back), footer_bits(&footer));
 }
 
 proptest! {
@@ -332,18 +392,25 @@ proptest! {
     /// Whatever the statistics, the footer codec gives back every bit:
     /// several runs whose chunks overlap one another in time, times at
     /// `i64::MIN` and `i64::MAX` side by side (within a chunk and across
-    /// chunks), versions rising and falling, and NaN
-    /// payloads, −0.0, ±inf and subnormals in every statistic.
+    /// chunks), versions rising and falling, and NaN payloads, −0.0,
+    /// ±inf and subnormals in every statistic; decimal extremes at 0 to
+    /// 6 places, so the pair changes from entry to entry, with NaN
+    /// payloads and −0.0 beside 0.0 among them; BP and TP at FP or LP,
+    /// and value ties at another time (which stay interior); chunks of
+    /// one point; series ids from 0 with gaps, and `supersedes` rising
+    /// and falling from one run to the next.
     #[test]
     fn footer_roundtrips_bit_exactly(
         runs in prop::collection::vec(
             (
-                1u32..1_000,
-                0u64..3,
+                0u32..1_000,
+                prop_oneof![0u64..3, any::<u64>()],
                 prop::collection::vec(
                     (
                         any::<u64>(),
-                        prop::collection::vec((any_time(), any_value()), 1..10),
+                        0u8..4,
+                        0i32..7,
+                        prop::collection::vec((any_time(), any::<u64>()), 1..10),
                     ),
                     0..10,
                 ),
@@ -351,23 +418,26 @@ proptest! {
             1..5,
         ),
     ) {
-        let mut series = 0;
+        let mut series = None;
         let runs: Vec<Run> = runs
             .into_iter()
             .map(|(gap, supersedes, chunks)| {
-                series += gap;
+                let id = series.map_or(gap, |s: u32| s + 1 + gap);
+                series = Some(id);
                 let chunks: Vec<Chunk> = chunks
                     .into_iter()
-                    .map(|(version, raw)| {
-                        let mut points: Vec<Point> =
-                            raw.into_iter().map(|(t, v)| Point::new(t, v)).collect();
+                    .map(|(version, shape, places, raw)| {
+                        let mut points: Vec<Point> = raw
+                            .into_iter()
+                            .map(|(t, bits)| Point::new(t, stat_value(shape, places, bits)))
+                            .collect();
                         points.sort_by_key(|p| p.t);
                         points.dedup_by_key(|p| p.t);
                         (version, points)
                     })
                     .collect();
                 // A run with no chunk must supersede something.
-                (series, supersedes + u64::from(chunks.is_empty()), chunks)
+                (id, supersedes.max(u64::from(chunks.is_empty())), chunks)
             })
             .collect();
         let footer = footer_of(&runs);

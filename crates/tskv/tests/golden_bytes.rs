@@ -8,7 +8,7 @@
 //! (CRC32, memtable, WAL/page framing) were rebuilt: equal hashes are
 //! the proof that the rebuild changed no format and no byte.
 //!
-//! The data file's entry was regenerated seven times since, on purpose.
+//! The data file's entry was regenerated eight times since, on purpose.
 //! First when the footer gained the series-run directory (and data
 //! files and their delete logs were renamed `<fileno>.tsfile` /
 //! `<fileno>.s<id>.mods`). Then when pages gained the decimal value
@@ -54,9 +54,18 @@
 //! fixture has a constant-delta or packed value column, and every page
 //! kept its forms. The page bodies went 16 297 → 16 252 bytes; the chunk
 //! index kept its 327 bytes and changed only in the page lengths it
-//! lists; the file 16 652 → 16 607.
+//! lists; the file 16 652 → 16 607. Then when the footer stopped
+//! writing what an entry already implies, and the magic became `TSF6`:
+//! a BP or TP that is its chunk's FP or LP is a position in the entry's
+//! tags byte, not a time and a value; values with an integer under one
+//! decimal pair are written as those integers where that is smaller
+//! than their XORs (the fixture's values are random hundredths); and the
+//! run directory codes each series id and `supersedes` against the run
+//! before — the one run's four bytes are the same. The chunk index went
+//! 327 → 269 bytes and the file 16 607 → 16 549; the page bodies hash as
+//! they did, which is the evidence that no page byte moved.
 //! [`TSFILE_PARTS`] holds the
-//! hashes of the file's parts as that seventh regeneration wrote them —
+//! hashes of the file's parts as that eighth regeneration wrote them —
 //! the page bodies and the footer's chunk index — and the test checks
 //! the file is exactly the head magic, those, the four directory bytes
 //! and the trailer, so a later change to one part names it. The mods
@@ -106,7 +115,7 @@ use tskv::TsKv;
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("SHARDS", 2, 0x07f8bc07b4ba5002),
     ("catalog.log", 25, 0xa7f46d8e7ee577f2),
-    ("shard-0000/00000000.tsfile", 16607, 0xee847ec81783301c),
+    ("shard-0000/00000000.tsfile", 16549, 0x421640de70852340),
     ("shard-0000/s1.mods", 9, 0xcc59cc0b4c19c5c2),
     ("shard-0000/wal-00000000.log", 28518, 0x88c2ed828df37e3b),
 ];
@@ -124,8 +133,9 @@ const GOLDEN: &[(&str, u64, u64)] = &[
 /// before a chunk became one page, `(15_987, 0x911e40d2dc9bfc6b)` and
 /// `(1_415, 0xa488db8123d92764)`; before the page bodies left to the
 /// statistics what they hold, `(16_297, 0x6bb8ee107a75c6d4)` and
-/// `(327, 0x6bb2e6a5e5a3094b)`.
-const TSFILE_PARTS: [(usize, u64); 2] = [(16_252, 0x6f87783129adca70), (327, 0x64f15024a556fac6)];
+/// `(327, 0x6bb2e6a5e5a3094b)`; before the footer stopped writing what
+/// an entry implies, the same bodies and `(327, 0x64f15024a556fac6)`.
+const TSFILE_PARTS: [(usize, u64); 2] = [(16_252, 0x6f87783129adca70), (269, 0x10372a476eb740fc)];
 
 /// What the footer body gained: one run, of series 1 (`golden.a`),
 /// holding all seven chunks, superseding nothing.
@@ -275,7 +285,7 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
 /// `(length, FNV-1a 64)` of the one data file a compaction leaves,
 /// taken at the parent of the commit that rebuilt the merge, the page
 /// plan and the seal kernel: the output of a compaction is the same
-/// bytes after it. Regenerated four times, each time with the data
+/// bytes after it. Regenerated seven times, each time with the data
 /// file's row above: for the decimal value mode and the footer diet (it
 /// was `(25_207, 0xe545e1c9772488b6)`), for the packed forms (it was
 /// `(22_023, 0x80fa0e00c13119d0)`), when the footer lost the
@@ -303,8 +313,11 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
 /// 4 770, 12 100 and 14 690 on) store their timestamps as packed deltas,
 /// the gap one exception, and 4 of the 7 XOR pages store their values
 /// as packed key deltas; the merge, the page plan and every other page
-/// are byte-identical.
-const COMPACTED: (u64, u64) = (20_949, 0x64fbe40bbe332388);
+/// are byte-identical. And when the footer stopped writing what an
+/// entry already implies (it was `(20_949, 0x64fbe40bbe332388)`; the
+/// magic became `TSF6`): 144 bytes fewer, all of them in the footer —
+/// every byte between the head magic and the footer is as it was.
+const COMPACTED: (u64, u64) = (20_805, 0xdf560e66a3611308);
 
 #[test]
 fn compaction_output_bytes_equal_the_hash_taken_before_the_merge_and_seal_rebuild() {

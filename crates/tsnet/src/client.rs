@@ -3,7 +3,8 @@
 //! One [`TsNetClient`] owns one TCP connection and issues one request
 //! at a time (use one client per thread for concurrency). Connection
 //! establishment makes [`CONNECT_ATTEMPTS`] attempts with linear
-//! backoff, and a frame is read under [`READ_TIMEOUT`]; `Busy`
+//! backoff, and a frame is read whole within [`READ_TIMEOUT`] of its
+//! first byte (`wire::FrameReader`, as the server reads); `Busy`
 //! responses surface as the retryable [`NetError::Busy`] so callers
 //! choose their own backpressure policy — or use
 //! [`TsNetClient::call_with_busy_retry`].
@@ -42,8 +43,8 @@ use crate::Result;
 const CONNECT_ATTEMPTS: u32 = 10;
 /// Backoff between connection attempts, linear: attempt × this.
 const CONNECT_BACKOFF: Duration = Duration::from_millis(50);
-/// How long a response, or a push once its first byte is in, may take
-/// to arrive.
+/// How long a response may take to begin, and a frame once begun to
+/// arrive whole.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Settings of one client connection; its limits are the constants
@@ -83,7 +84,6 @@ impl TsNetClient {
             thread::sleep(CONNECT_BACKOFF * attempt);
             match TcpStream::connect(addr) {
                 Ok(stream) => {
-                    stream.set_read_timeout(Some(READ_TIMEOUT))?;
                     stream.set_nodelay(true)?;
                     return Ok(TsNetClient {
                         stream,
@@ -125,8 +125,7 @@ impl TsNetClient {
         let bytes = wire::encode_request(&env)?;
         wire::write_frame(&mut self.stream, &bytes)?;
         loop {
-            let frame = wire::read_frame(&mut self.stream)?;
-            match frame {
+            match self.read_frame()? {
                 Frame::Push(push) => {
                     self.buffered_pushes.push_back(push);
                 }
@@ -147,12 +146,18 @@ impl TsNetClient {
         }
     }
 
+    /// Read the next frame whole within [`READ_TIMEOUT`] of its first
+    /// byte.
+    fn read_frame(&mut self) -> Result<Frame> {
+        wire::read_frame(&mut wire::FrameReader::new(&self.stream, READ_TIMEOUT))
+    }
+
     /// Surface the next server push, waiting up to `timeout` for one
     /// to arrive. Returns `Ok(None)` when the wait elapses without a
     /// push. Buffered pushes (read mid-call) are drained first.
     ///
     /// `timeout` bounds the wait for a frame's first byte only; a frame
-    /// once begun is read whole under [`READ_TIMEOUT`], so a slow frame
+    /// once begun is read whole within [`READ_TIMEOUT`], so a slow frame
     /// never leaves the next read in the middle of it.
     pub fn poll_push(&mut self, timeout: Duration) -> Result<Option<Push>> {
         if let Some(push) = self.buffered_pushes.pop_front() {
@@ -163,9 +168,7 @@ impl TsNetClient {
             // to the smallest finite wait instead.
             self.stream
                 .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
-            let peeked = self.stream.peek(&mut [0u8; 1]);
-            self.stream.set_read_timeout(Some(READ_TIMEOUT))?;
-            match peeked {
+            match self.stream.peek(&mut [0u8; 1]) {
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -179,7 +182,7 @@ impl TsNetClient {
                 // reports it).
                 Ok(_) => {}
             }
-            match wire::read_frame(&mut self.stream)? {
+            match self.read_frame()? {
                 Frame::Push(push) => return Ok(Some(push)),
                 // Stale response from an abandoned call: discard.
                 Frame::Response(_) => {}

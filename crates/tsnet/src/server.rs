@@ -7,7 +7,10 @@
 //! ([`MAX_CONNECTIONS`]); connections beyond the bound are answered with
 //! a `Busy` error frame and closed. Workers alternate between a short
 //! `peek`-with-timeout poll (so they notice shutdown without consuming
-//! frame bytes) and a full blocking frame read once bytes are present.
+//! frame bytes) and a full blocking frame read once bytes are present:
+//! header, payload and CRC within one deadline (`wire::FrameReader`),
+//! so a peer that trickles a frame cannot hold its worker, push thread
+//! and connection slot past it.
 //!
 //! Each connection also gets a **writer thread** owning the socket's
 //! write half exclusively: every outbound frame — worker responses and
@@ -54,7 +57,7 @@
 //! entry point reached under one; the accept thread is marked
 //! must-not-block, so it panics at a frame write too.
 
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -94,9 +97,14 @@ pub const MAX_CONNECTIONS: usize = 32;
 pub const MAX_IN_FLIGHT: usize = 4;
 /// Server-side cap on any request's deadline.
 pub const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
-/// How long a worker may block mid-frame (or a rejected connection's
-/// `Busy` write may stall) before the connection is considered dead.
-const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(30);
+/// How long a frame may take to arrive whole once it has begun (or a
+/// rejected connection's `Busy` write may stall) before the connection
+/// is considered dead.
+#[cfg(not(test))]
+const FRAME_DEADLINE: Duration = Duration::from_secs(30);
+/// Lowered so that a test can watch a trickled frame close.
+#[cfg(test)]
+const FRAME_DEADLINE: Duration = Duration::from_millis(400);
 /// Idle poll interval between frames; bounds how fast workers notice
 /// shutdown.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
@@ -111,6 +119,10 @@ struct Shared {
     shutting_down: AtomicBool,
     in_flight: AtomicUsize,
     active_conns: AtomicUsize,
+    /// Connections closed because a frame missed [`FRAME_DEADLINE`]:
+    /// kept beside the registry, whose every metric the `Stats` frame
+    /// carries.
+    frames_past_deadline: AtomicU64,
     next_conn_id: AtomicU64,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -137,6 +149,7 @@ impl TsNetServer {
             shutting_down: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
             active_conns: AtomicUsize::new(0),
+            frames_past_deadline: AtomicU64::new(0),
             next_conn_id: AtomicU64::new(1),
             workers: Mutex::new(Vec::new()),
         });
@@ -165,6 +178,12 @@ impl TsNetServer {
     /// The engine this server fronts.
     pub fn store(&self) -> Arc<TsKv> {
         Arc::clone(&self.shared.store)
+    }
+
+    /// Connections closed because a request frame, once begun, did not
+    /// arrive whole within its deadline.
+    pub fn frames_past_deadline(&self) -> u64 {
+        self.shared.frames_past_deadline.load(Ordering::Acquire)
     }
 
     /// Admitted requests executing right now.
@@ -269,7 +288,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
         let _ = thread::Builder::new()
             .name("tsnet-reject".to_string())
             .spawn(move || {
-                let _ = stream.set_write_timeout(Some(FRAME_READ_TIMEOUT));
+                let _ = stream.set_write_timeout(Some(FRAME_DEADLINE));
                 // No worker (and thus no writer thread) ever exists for
                 // a rejected connection, so a direct write is safe.
                 let _ = respond_direct(
@@ -385,20 +404,6 @@ fn polling_would_block(e: &io::Error) -> bool {
     )
 }
 
-/// Socket reader that counts the bytes it delivers.
-struct CountingReader<'a> {
-    inner: &'a mut TcpStream,
-    bytes: u64,
-}
-
-impl Read for CountingReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.bytes += n as u64;
-        Ok(n)
-    }
-}
-
 /// Read, execute and answer one request. Returns `false` when the
 /// connection must close (framing lost or socket dead).
 ///
@@ -412,17 +417,13 @@ fn serve_one(
     queue: &Arc<OutboundQueue>,
     conn_id: u64,
 ) -> bool {
-    if stream.set_read_timeout(Some(FRAME_READ_TIMEOUT)).is_err() {
-        return false;
-    }
     let started = Instant::now();
-    let mut counting = CountingReader {
-        inner: stream,
-        bytes: 0,
-    };
-    let frame = wire::read_frame(&mut counting);
-    let bytes_in = counting.bytes;
-    shared.stats.add_bytes_in(bytes_in);
+    let mut reader = wire::FrameReader::new(stream, FRAME_DEADLINE);
+    let frame = wire::read_frame(&mut reader);
+    shared.stats.add_bytes_in(reader.bytes());
+    if frame.is_err() && reader.expired() {
+        shared.frames_past_deadline.fetch_add(1, Ordering::AcqRel);
+    }
     let env = match frame {
         Ok(Frame::Request(env)) => env,
         Ok(Frame::Response(_) | Frame::Push(_)) => {
@@ -768,7 +769,12 @@ fn execute_flush(shared: &Shared, series: &Option<String>, compact: bool) -> Exe
 mod tests {
     // Tests assert by panicking; the workspace deny-set targets
     // library code.
-    #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+    #![allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )]
 
     use super::*;
 
@@ -786,6 +792,93 @@ mod tests {
         let past = u32::try_from(cap.as_millis()).unwrap() + 1;
         assert!(deadline_missed(cap + ms(1), past));
         assert!(!deadline_missed(cap, past));
+    }
+
+    /// A peer that sends a request one byte at a time, each byte well
+    /// inside the deadline of a single read, is closed once the frame's
+    /// one deadline passes: an error frame, then end of stream, within
+    /// the deadline plus a second of the first byte. The counter says
+    /// so, the slot comes back, and a whole frame still reads.
+    #[test]
+    fn a_trickled_frame_is_closed_at_its_deadline() {
+        use std::io::{Read, Write};
+        let dir = std::env::temp_dir().join(format!("tsnet-trickle-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = Arc::new(TsKv::open(&dir, tskv::config::EngineConfig::default()).unwrap());
+        let server = TsNetServer::start(store, ServerConfig::default()).unwrap();
+        let frame = wire::encode_request(&RequestEnvelope {
+            request_id: 1,
+            deadline_ms: 0,
+            body: Request::Ping { delay_ms: 0 },
+        })
+        .unwrap();
+        let mut peer = TcpStream::connect(server.local_addr()).unwrap();
+        peer.set_read_timeout(Some(Duration::from_millis(10)))
+            .unwrap();
+        let step = FRAME_DEADLINE / 8;
+        let started = Instant::now();
+        let mut received = Vec::new();
+        let mut closed = false;
+        for &byte in frame.iter().cycle().take(frame.len() * 4) {
+            if peer.write_all(&[byte]).is_err() {
+                break;
+            }
+            thread::sleep(step);
+            let mut buf = [0u8; 256];
+            match peer.read(&mut buf) {
+                Ok(0) => {
+                    closed = true;
+                    break;
+                }
+                Ok(n) => received.extend_from_slice(&buf[..n]),
+                Err(e) if polling_would_block(&e) => {}
+                Err(_) => {
+                    closed = true;
+                    break;
+                }
+            }
+        }
+        let took = started.elapsed();
+        assert!(
+            frame.len() as u32 * step > FRAME_DEADLINE,
+            "the frame would not outlast the deadline"
+        );
+        assert!(closed, "the trickler was never closed");
+        assert!(
+            took <= FRAME_DEADLINE + Duration::from_secs(1),
+            "closed after {took:?}"
+        );
+        match wire::decode_frame(&received) {
+            Ok((Frame::Response(env), _)) => assert!(
+                matches!(
+                    env.body,
+                    Response::Error {
+                        code: ErrorCode::InvalidRequest,
+                        ..
+                    }
+                ),
+                "{env:?}"
+            ),
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+        assert_eq!(server.frames_past_deadline(), 1);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.shared.active_conns.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(server.shared.active_conns.load(Ordering::Acquire), 0);
+
+        // A frame sent whole is answered, and counts no deadline.
+        let mut client = TcpStream::connect(server.local_addr()).unwrap();
+        client.write_all(&frame).unwrap();
+        match wire::read_frame(&mut wire::FrameReader::new(&client, Duration::from_secs(5))) {
+            Ok(Frame::Response(env)) => assert_eq!(env.body, Response::Pong),
+            other => panic!("expected a pong, got {other:?}"),
+        }
+        assert_eq!(server.frames_past_deadline(), 1);
+        drop(client);
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -43,7 +43,9 @@
 // Untrusted bytes: an out-of-range access is a typed error, not a panic.
 #![deny(clippy::indexing_slicing)]
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use m4::SpanRepr;
 use tsfile::checksum::crc32;
@@ -805,6 +807,61 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame> {
     let mut crc_bytes = [0u8; TRAILER_LEN];
     r.read_exact(&mut crc_bytes)?;
     decode_payload(kind, &payload, u32::from_le_bytes(crc_bytes))
+}
+
+/// A socket reader that holds a whole frame to one deadline: `limit`
+/// from its first byte. Before each read the socket's timeout is
+/// lowered to the time left, so a peer that trickles a frame a byte at
+/// a time cannot stretch it past `limit` by keeping each read short of
+/// it. Before the first byte a read waits up to `limit`. Server and
+/// client read every frame through one of these.
+pub(crate) struct FrameReader<'a> {
+    stream: &'a TcpStream,
+    limit: Duration,
+    deadline: Option<Instant>,
+    bytes: u64,
+}
+
+impl<'a> FrameReader<'a> {
+    /// A reader for one frame off `stream`.
+    pub(crate) fn new(stream: &'a TcpStream, limit: Duration) -> Self {
+        FrameReader {
+            stream,
+            limit,
+            deadline: None,
+            bytes: 0,
+        }
+    }
+
+    /// Bytes delivered so far.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Whether the frame's deadline has passed.
+    pub(crate) fn expired(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+}
+
+impl Read for FrameReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = match self.deadline {
+            None => self.limit,
+            Some(d) => d
+                .checked_duration_since(Instant::now())
+                .filter(|left| !left.is_zero())
+                .ok_or_else(|| io::Error::new(io::ErrorKind::TimedOut, "frame deadline passed"))?,
+        };
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        let n = stream.read(buf)?;
+        if n > 0 && self.deadline.is_none() {
+            self.deadline = Some(Instant::now() + self.limit);
+        }
+        self.bytes += n as u64;
+        Ok(n)
+    }
 }
 
 /// Write one pre-encoded frame to a blocking stream and flush it.

@@ -1,5 +1,7 @@
 //! Store inspector: a debugging tool that dumps the physical layout of
-//! a tskv store — catalog, shards, files and their footer bytes, chunks,
+//! a tskv store — catalog, shards, files and their footer bytes (split
+//! into the chunk index and the run directory, with the entries whose
+//! BP or TP is an end point and those whose values are decimal), chunks,
 //! versions, statistics, the form each chunk (one page) stores each
 //! column in (timestamps constant, stream or packed; values stream,
 //! packed or decimal, and a decimal block's frame: reference, delta or
@@ -29,7 +31,7 @@ use std::path::{Path, PathBuf};
 use m4lsm::tsfile::encoding::decimal::Framing;
 use m4lsm::tsfile::format::MAGIC;
 use m4lsm::tsfile::page::{TsForm, ValueForm};
-use m4lsm::tsfile::{page, ModsFile, TsFileReader};
+use m4lsm::tsfile::{page, FileFooter, FooterCensus, ModsFile, TsFileReader};
 use m4lsm::tskv::catalog;
 use m4lsm::tskv::config::EngineConfig;
 use m4lsm::tskv::TsKv;
@@ -112,6 +114,8 @@ struct Bytes {
     heads_and_trailers: u64,
     footers: u64,
     chunk_bodies: u64,
+    /// The footers' parts and entry forms, summed.
+    census: FooterCensus,
 }
 
 /// Bytes of every file under `dir`, recursively.
@@ -127,6 +131,22 @@ fn dir_bytes(dir: &Path) -> std::io::Result<u64> {
         };
     }
     Ok(total)
+}
+
+/// Add one footer's census to a running total.
+fn add(total: &mut FooterCensus, c: &FooterCensus) {
+    total.index_bytes += c.index_bytes;
+    total.directory_bytes += c.directory_bytes;
+    total.extremes_at_an_end += c.extremes_at_an_end;
+    total.decimal += c.decimal;
+}
+
+/// A footer's split into its parts, and its entries' forms.
+fn split(c: &FooterCensus) -> String {
+    format!(
+        "chunk index {}, run directory {}; {} with an extreme at an end, {} decimal",
+        c.index_bytes, c.directory_bytes, c.extremes_at_an_end, c.decimal
+    )
 }
 
 fn dump_file(
@@ -148,14 +168,23 @@ fn dump_file(
     bytes.heads_and_trailers += MAGIC.len() as u64 + trailer;
     bytes.footers += size - data_end - trailer;
     bytes.chunk_bodies += data_end - MAGIC.len() as u64;
+    // The footer re-encoded from what the reader decoded: its parts
+    // must add up to the footer on disk.
+    let census = FileFooter {
+        chunks: reader.chunk_metas().to_vec(),
+        runs: reader.series_runs().to_vec(),
+    }
+    .census();
+    add(&mut bytes.census, &census);
     println!(
-        "  {} ({} bytes, {} chunks in {} series runs, footer {} bytes for {} chunks)",
+        "  {} ({} bytes, {} chunks in {} series runs, footer {} bytes for {} chunks: {})",
         path.file_name().unwrap_or_default().to_string_lossy(),
         size,
         reader.chunk_metas().len(),
         reader.series_runs().len(),
         size - data_end - trailer,
-        reader.chunk_metas().len()
+        reader.chunk_metas().len(),
+        split(&census),
     );
     for run in reader.series_runs() {
         let name = catalog
@@ -279,6 +308,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bytes.chunk_bodies,
         total - data - catalog_bytes
     );
+    println!("footers split: {}", split(&bytes.census));
 
     if is_demo {
         std::fs::remove_dir_all(&dir).ok();

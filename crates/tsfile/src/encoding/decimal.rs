@@ -30,14 +30,15 @@
 //! reference pays the ramp's whole range on every value. A delta frame
 //! whose running sums leave `|d| < 2^53` is `Corrupt`.
 //!
-//! The line frame is a frame of reference over the residuals from the
-//! trend `⌊s·i / 2^16⌋`: a register that drifts while it jitters pays
-//! its jitter, not its drift (nor twice its jitter, as the delta frame
-//! does). `s` is the least-squares slope of the kept integers, one pass
-//! of sums; the minimax line needs a convex hull to save a few units of
-//! range on even noise. An `s·(n − 1)` that overflows, or a slot (any
-//! `w`-bit offset from the base) the trend takes to `|d| ≥ 2^53`, is
-//! `Corrupt`. The writer keeps the strictly smallest frame, each sized
+//! The line frame is [`super::packed`]'s line frame, the one the packed
+//! timestamp column also takes: a frame of reference over the residuals
+//! from the trend `⌊s·i / 2^16⌋`, so a register that drifts while it
+//! jitters pays its jitter, not its drift (nor twice its jitter, as the
+//! delta frame does). `s` is the least-squares slope of the kept
+//! integers ([`packed::fit`]), and an `s·(n − 1)` that overflows is
+//! `Corrupt` there. This block adds its 2^53 rule: a slot (any `w`-bit
+//! offset from the base) the trend takes to `|d| ≥ 2^53` is `Corrupt`
+//! too. The writer keeps the strictly smallest frame, each sized
 //! exactly, ties to reference, then delta, then line; a delta frame
 //! that its floor ([`Packing::floor`]) shows losing is not sized.
 //!
@@ -58,10 +59,10 @@
 // Numeric conversions go through the named helpers in `crate::cast`.
 #![deny(clippy::as_conversions)]
 
+pub use super::packed::Framing;
 use super::packed::{self, width, Frame, Packing};
 use crate::cast;
 use crate::error::TsFileError;
-use crate::page::MAX_PAGE_POINTS;
 use crate::varint;
 use crate::Result;
 
@@ -70,9 +71,6 @@ const DELTA_FRAME: u8 = 0x80;
 
 /// Bit 6 of a block's `e` byte: the integers are in the line frame.
 const LINE_FRAME: u8 = 0x40;
-
-/// The line frame's slope is in units of `2^-SLOPE_SHIFT` a point.
-const SLOPE_SHIFT: u32 = 16;
 
 /// The largest exponent and factor: `10^18` is exact in `f64`.
 const MAX_EXPONENT: u8 = 18;
@@ -373,17 +371,6 @@ pub(crate) fn plan(values: &[f64], carry: &mut Option<Exponents>) -> Option<Expo
     choose(values, *carry).inspect(|&pair| *carry = Some(pair))
 }
 
-/// How a decimal block frames its integers (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Framing {
-    /// From their minimum, with the values that do not round-trip raw.
-    Reference,
-    /// The first integer, then the deltas of the rest.
-    Delta,
-    /// A slope, then the residuals from its line, as the first.
-    Line,
-}
-
 /// Encode `values` under `pair` as a decimal block appended to `out`:
 /// the smallest frame. Returns `false` and writes nothing when every
 /// value is an exception.
@@ -448,7 +435,7 @@ fn encode_framed(
         Some((_, Sized::Line(slope, line))) => {
             out.extend_from_slice(&[pair.e | LINE_FRAME, pair.f]);
             varint::write_i64(out, slope);
-            line.write(residuals(&digits, slope), value_bits, out);
+            line.write(packed::residuals(&digits, slope, kept), value_bits, out);
         }
     }
     true
@@ -467,48 +454,22 @@ fn kept(d: i64) -> bool {
 }
 
 /// The line frame of `digits` given their frame of reference, sized:
-/// the least-squares slope and the residuals' frame. `None` past a page,
-/// where the sums could pass 2^62 (`n² · 2^w` beyond it), or where the
-/// decoder refuses the frame (see [`line_block`]).
+/// the least-squares slope of the kept integers ([`packed::fit`]) and
+/// the frame of their residuals, with the reference's exceptions. `None`
+/// where the fit declines or the decoder refuses the frame (see
+/// [`line_block`]).
 fn line_fit(digits: &[i64], reference: &Frame) -> Option<(usize, Sized)> {
-    let len = digits.len();
-    let fits = len <= MAX_PAGE_POINTS && 2 * (64 - len.leading_zeros()) + reference.bits() <= 62;
-    let n = i64::try_from(len).ok().filter(|_| fits)?;
-    // Over the kept `y = d − base < 2^w` at `x`: count, Σx, Σx² are 0..n's
-    // less the exceptions'; Σxy is `n·Σy` less Σy's prefix sums, summed.
-    let (mut k, mut sx, mut sxx) = (n, n * (n - 1) / 2, (n - 1) * n * (2 * n - 1) / 6);
-    let (mut sy, mut prefixes) = (0i64, 0i64);
-    for (x, &d) in (0i64..).zip(digits) {
-        match kept(d) {
-            true => sy += d - reference.base(),
-            false => (k, sx, sxx) = (k - 1, sx - x, sxx - x * x),
-        }
-        prefixes += sy;
-    }
-    let [k, sx, sxx, sy] = [k, sx, sxx, sy].map(i128::from);
-    let sxy = sy * i128::from(n) - i128::from(prefixes);
-    // One kept point fits no line: 0 / 0, a NaN, which casts to 0.
-    let slope = cast::f64_from_i128(k * sxy - sx * sy) / cast::f64_from_i128(k * sxx - sx * sx);
-    let slope = cast::i64_from_integral(round_even(slope * f64::from(1u32 << SLOPE_SHIFT)));
-    let end = slope.checked_mul(n - 1)? >> SLOPE_SHIFT;
-    let (lo, hi) = residuals(digits, slope)
+    let slope = packed::fit(digits, reference.base(), kept)?;
+    let end = packed::trend(slope, digits.len().saturating_sub(1))?;
+    let (lo, hi) = packed::residuals(digits, slope, kept)
         .filter(|&r| kept(r))
         .fold((i64::MAX, i64::MIN), |(lo, hi), r| (lo.min(r), hi.max(r)));
     let frame = reference.spanning(lo, hi);
     if !inside(frame.slots(), end) {
         return None;
     }
-    let bytes = 2 + varint::len_u64(varint::zigzag(slope)) + frame.len(len);
+    let bytes = 2 + varint::len_u64(varint::zigzag(slope)) + frame.len(digits.len());
     Some((bytes, Sized::Line(slope, frame)))
-}
-
-/// `digits` less the trend `⌊slope·i / 2^16⌋`, an exception left as it is.
-fn residuals(digits: &[i64], slope: i64) -> impl Iterator<Item = i64> + Clone + '_ {
-    let residual = move |(i, &d): (i64, _)| match kept(d) {
-        true => d - (slope.wrapping_mul(i) >> SLOPE_SHIFT),
-        false => d,
-    };
-    (0..).zip(digits).map(residual)
 }
 
 /// Encode `values` as the decimal block of a page with no carried pair,
@@ -570,17 +531,14 @@ fn delta_integers(body: &[u8], n: usize) -> Result<Vec<i64>> {
     }
 }
 
-/// A line frame's slope and block of `n` residuals: `Corrupt` when
-/// `slope·(n − 1)` overflows or takes a slot to `|d| ≥ 2^53`, so neither
-/// `slope·i`, `i < n`, nor a slot plus its trend overflows.
-fn line_block(body: &[u8], n: usize) -> Result<(i64, packed::Block<'_>)> {
-    let mut pos = 0usize;
-    let slope = varint::read_i64(body, &mut pos)?;
-    let steps = i64::try_from(n.saturating_sub(1)).unwrap_or(i64::MAX);
-    let block = packed::parse(body.get(pos..).unwrap_or(&[]), n)?;
-    match slope.checked_mul(steps) {
-        Some(end) if inside(block.slots(), end >> SLOPE_SHIFT) => Ok((slope, block)),
-        _ => Err(corrupt(format!("slope {slope} leaves 2^53"))),
+/// A line frame of `n` residuals ([`packed::line`]: `Corrupt` when
+/// `slope·(n − 1)` overflows), also `Corrupt` when its trend takes a
+/// slot to `|d| ≥ 2^53`, so no slot plus its trend overflows.
+fn line_block(body: &[u8], n: usize) -> Result<packed::Line<'_>> {
+    let line = packed::line(body, n)?;
+    match inside(line.block.slots(), line.trend(n.saturating_sub(1))) {
+        true => Ok(line),
+        false => Err(corrupt("a slot along the trend leaves 2^53".into())),
     }
 }
 
@@ -593,32 +551,30 @@ pub fn verify(buf: &[u8], n: usize) -> Result<()> {
     match framing {
         Framing::Reference => packed::verify(body, n),
         Framing::Delta => delta_integers(body, n).map(drop),
-        Framing::Line => line_block(body, n)?.1.exceptions(n, |_, _| {}),
+        Framing::Line => line_block(body, n)?.block.exceptions(n, |_, _| {}),
     }
 }
 
 /// Decode the `n` values of a decimal block.
 pub fn decode(buf: &[u8], n: usize) -> Result<Vec<f64>> {
     let (fs, framing, body) = header(buf)?;
-    // The frame of reference is the line frame of slope 0: no trend.
-    let (slope, block) = match framing {
+    let mut out = Vec::new();
+    let block = match framing {
         Framing::Delta => {
             let ints = delta_integers(body, n)?;
             return Ok(ints.into_iter().map(|d| fs.decode(d)).collect());
         }
-        Framing::Reference => (0, packed::parse(body, n)?),
-        Framing::Line => line_block(body, n)?,
+        Framing::Reference => {
+            let block = packed::parse(body, n)?;
+            block.unpack(n, |d| fs.decode(d), &mut out);
+            block
+        }
+        Framing::Line => {
+            let line = line_block(body, n)?;
+            line.unpack(n, 0, |d| fs.decode(d), &mut out);
+            line.block
+        }
     };
-    let (mut out, mut trend) = (Vec::new(), 0i64);
-    let at = |r| {
-        let d = r + (trend >> SLOPE_SHIFT);
-        trend = trend.wrapping_add(slope);
-        fs.decode(d)
-    };
-    match slope {
-        0 => block.unpack(n, |d| fs.decode(d), &mut out),
-        _ => block.unpack(n, at, &mut out),
-    }
     block.exceptions(n, |at, raw| {
         if let Some(slot) = out.get_mut(at) {
             *slot = f64::from_bits(raw);
@@ -639,6 +595,7 @@ mod tests {
     )]
 
     use super::*;
+    use crate::page::MAX_PAGE_POINTS;
     use proptest::prelude::*;
 
     fn roundtrip(vs: &[f64]) -> Result<Option<Vec<u8>>> {
@@ -1041,5 +998,52 @@ mod tests {
             assert_eq!(round_even(x), want, "{x}");
         }
         assert!(round_even(f64::NAN).is_nan());
+    }
+    /// The blocks of every shape above — each kind at lengths from one
+    /// value to past a page, with and without a special — and of a
+    /// register drifting under noise are the bytes written before the
+    /// line fit moved into [`packed`]: their length and CRC, taken then.
+    #[test]
+    fn blocks_are_the_bytes_written_before_the_fit_moved() {
+        let (mut all, mut frames) = (Vec::new(), [0usize; 3]);
+        for kind in 0..6u8 {
+            for len in [1usize, 2, 3, 17, 64, 255, 1000, 1499] {
+                for seed in 0..12u64 {
+                    for special in [false, true] {
+                        let mut vs = match kind {
+                            5 => (0..len as i64)
+                                .map(|i| {
+                                    let noise = (i as u64 * 7919 + seed) % 13;
+                                    (22_500 + i * (seed as i64 - 6) * 37 / 100 + noise as i64)
+                                        as f64
+                                        / 100.0
+                                })
+                                .collect(),
+                            _ => shape(kind, len, seed),
+                        };
+                        if special {
+                            vs[(seed as usize * 7919) % len] =
+                                f64::from_bits(SPECIALS[seed as usize % SPECIALS.len()]);
+                        }
+                        let mut carry = (kind == 4).then_some(Exponents { e: 0, f: 0 });
+                        let mut buf = Vec::new();
+                        let Some(pair) = plan(&vs, &mut carry) else {
+                            all.push(0xff);
+                            continue;
+                        };
+                        all.push(u8::from(encode(&vs, pair, &mut buf)));
+                        if let Ok(f) = framing(&buf) {
+                            frames[f as usize] += 1;
+                        }
+                        all.extend_from_slice(&buf);
+                    }
+                }
+            }
+        }
+        assert!(frames.iter().all(|&f| f > 50), "{frames:?}");
+        assert_eq!(
+            (all.len(), crate::checksum::crc32(&all)),
+            (301_629, 0xe80d_77e8)
+        );
     }
 }

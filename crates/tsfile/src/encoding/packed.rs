@@ -34,6 +34,9 @@
 //!
 //! ```text
 //! in a page:  packed timestamps = block of t[i+1] − t[i]              (head FP.t)
+//!                  or, line frame = u8 (w | 0x80) | varint_i s
+//!                                   | the block of t[i] − FP.t − ⌊s·i / 2^16⌋,
+//!                                     i = 1 … n − 1, after its width byte
 //!             packed values     = block of key(v[i+1]) − key(v[i])    (head FP.v, wrapping)
 //! standalone: varint_i t0 | block,  u64 LE bits of v0 | block
 //! ```
@@ -41,6 +44,13 @@
 //! The standalone column ([`encode_timestamps`], [`encode_values`])
 //! carries its head itself; the decimal block's delta frame is one over
 //! its scaled integers.
+//!
+//! The line frame ([`fit`], [`residuals`], [`Line`]; the decimal
+//! block's too) packs the residuals from a least-squares line, `s` its
+//! slope in units of 2^-16 a point: a jittered cadence pays its jitter
+//! once, where a delta pays both its ends'. Bit 7 of the width byte
+//! flags it, to the timestamp column's readers alone; it lands on LP;
+//! the page keeps the strictly smaller frame ([`TsPacking`]).
 //!
 //! `key(v)` is the integer [`f64::total_cmp`] orders by: `v`'s bits as an
 //! `i64`, with the low 63 flipped when the sign is set. It is a bijection,
@@ -156,11 +166,6 @@ impl Frame {
         self.exceptions
     }
 
-    /// Bits a packed integer.
-    pub(crate) fn bits(&self) -> u32 {
-        self.width
-    }
-
     /// The smallest kept integer, which an exception's slot decodes to.
     pub(crate) fn base(&self) -> i64 {
         self.base
@@ -183,8 +188,18 @@ impl Frame {
         I: IntoIterator<Item = i64>,
         I::IntoIter: Clone,
     {
-        let ints = ints.into_iter();
         out.push(cast::low8(u64::from(self.width)));
+        self.write_body(ints, raw, out);
+    }
+
+    /// [`Self::write`] after the width byte: the base, the packed bits
+    /// and the exception list.
+    fn write_body<I>(&self, ints: I, raw: impl Fn(usize, i64) -> u64, out: &mut Vec<u8>)
+    where
+        I: IntoIterator<Item = i64>,
+        I::IntoIter: Clone,
+    {
+        let ints = ints.into_iter();
         varint::write_i64(out, self.base);
         let packed_len = (ints.size_hint().0 * cast::usize_from_u32(self.width)).div_ceil(8);
         out.reserve(packed_len + 8);
@@ -226,7 +241,7 @@ impl Frame {
 }
 
 /// A parsed block: its header, packed integers and exception list.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Block<'a> {
     width: u32,
     base: i64,
@@ -241,12 +256,18 @@ fn corrupt(msg: String) -> TsFileError {
 
 /// Parse the block of `n` integers that is all of `buf`.
 pub(crate) fn parse(buf: &[u8], n: usize) -> Result<Block<'_>> {
-    if n > MAX_PAGE_POINTS {
-        return Err(corrupt(format!("{n} integers exceed the page ceiling")));
-    }
     let (&width, rest) = buf.split_first().ok_or(TsFileError::UnexpectedEof {
         what: "bit-packed block header",
     })?;
+    parse_body(width, rest, n)
+}
+
+/// Parse the block of `n` integers whose width byte is `width` and whose
+/// other bytes are all of `rest`.
+fn parse_body(width: u8, rest: &[u8], n: usize) -> Result<Block<'_>> {
+    if n > MAX_PAGE_POINTS {
+        return Err(corrupt(format!("{n} integers exceed the page ceiling")));
+    }
     if width > 64 {
         return Err(corrupt(format!("bit width {width}")));
     }
@@ -394,6 +415,131 @@ pub(crate) fn verify(buf: &[u8], n: usize) -> Result<()> {
     parse(buf, n)?.exceptions(n, |_, _| {})
 }
 
+/// How a block frames its integers: a decimal block in any of the three,
+/// a page's packed timestamp column in the delta or the line frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Framing {
+    /// From their minimum, with the values that do not round-trip raw.
+    Reference,
+    /// The first integer, then the deltas of the rest.
+    Delta,
+    /// A slope, then the residuals from its line.
+    Line,
+}
+
+/// Bit 7 of a page timestamp column's width byte: the line frame. Only
+/// that column's readers take it for a flag; to every other reader a
+/// width byte above 64 is `Corrupt`.
+const LINE_FRAME: u8 = 0x80;
+
+/// A line frame's slope is in units of `2^-SLOPE_SHIFT` a point.
+const SLOPE_SHIFT: u32 = 16;
+
+/// The trend `⌊slope·i / 2^16⌋` at position `i`, `None` where `slope·i`
+/// overflows.
+pub(crate) fn trend(slope: i64, i: usize) -> Option<i64> {
+    Some(slope.checked_mul(i64::try_from(i).ok()?)? >> SLOPE_SHIFT)
+}
+
+/// The least-squares slope, in units of `2^-16` a point, of the integers
+/// of `ints` that `keep` keeps against their positions, from one pass of
+/// sums of their offsets from `origin` (0 with fewer than two kept).
+/// `None` past a page, or where the sums could pass 2^62 (`n² · max
+/// |offset|` beyond it). The minimax line needs a convex hull to save a
+/// few units of range on even noise.
+pub(crate) fn fit(ints: &[i64], origin: i64, keep: impl Fn(i64) -> bool) -> Option<i64> {
+    let len = ints.len();
+    let n = i64::try_from(len).ok().filter(|_| len <= MAX_PAGE_POINTS)?;
+    // Over the kept `y = x − origin` at `i`: count, Σi, Σi² are 0..n's
+    // less the others'; Σiy is `n·Σy` less Σy's prefix sums, summed.
+    // `reach` ORs every |y|: its bit length is the largest's.
+    let (mut k, mut si, mut sii) = (n, n * (n - 1) / 2, (n - 1) * n * (2 * n - 1) / 6);
+    let (mut sy, mut prefixes, mut reach) = (0i64, 0i64, 0u64);
+    for (i, &x) in (0i64..).zip(ints) {
+        match keep(x) {
+            true => {
+                let y = x.wrapping_sub(origin);
+                (sy, reach) = (sy.wrapping_add(y), reach | y.unsigned_abs());
+            }
+            false => (k, si, sii) = (k - 1, si - i, sii - i * i),
+        }
+        prefixes = prefixes.wrapping_add(sy);
+    }
+    if 2 * (64 - len.leading_zeros()) + (64 - reach.leading_zeros()) > 62 {
+        return None;
+    }
+    let [k, si, sii, sy] = [k, si, sii, sy].map(i128::from);
+    let siy = sy * i128::from(n) - i128::from(prefixes);
+    // One kept point fits no line: 0 / 0, a NaN, which casts to 0.
+    let slope = cast::f64_from_i128(k * siy - si * sy) / cast::f64_from_i128(k * sii - si * si);
+    let slope = (slope * f64::from(1u32 << SLOPE_SHIFT)).round_ties_even();
+    Some(cast::i64_from_integral(slope))
+}
+
+/// `ints` less the trend at their positions, an integer that `keep`
+/// refuses left as it is.
+pub(crate) fn residuals<'a>(
+    ints: &'a [i64],
+    slope: i64,
+    keep: impl Fn(i64) -> bool + Clone + 'a,
+) -> impl Iterator<Item = i64> + Clone + 'a {
+    let residual = move |(i, &x): (i64, _)| match keep(x) {
+        true => x.wrapping_sub(slope.wrapping_mul(i) >> SLOPE_SHIFT),
+        false => x,
+    };
+    (0..).zip(ints).map(residual)
+}
+
+/// A parsed line frame: a slope whose trend at the block's last position
+/// fits an `i64` (so every trend before it does), and the block of
+/// residuals from it.
+#[derive(Debug)]
+pub(crate) struct Line<'a> {
+    slope: i64,
+    pub(crate) block: Block<'a>,
+}
+
+impl<'a> Line<'a> {
+    /// `Corrupt` where `slope` times `last`, the block's last position,
+    /// overflows.
+    fn new(slope: i64, block: Block<'a>, last: usize) -> Result<Self> {
+        trend(slope, last)
+            .map(|_| Line { slope, block })
+            .ok_or_else(|| corrupt(format!("slope {slope} overflows by {last}")))
+    }
+
+    /// The trend at position `i`, at most the last.
+    pub(crate) fn trend(&self, i: usize) -> i64 {
+        trend(self.slope, i).unwrap_or(0)
+    }
+
+    /// Append `f` of each of the `n` slots plus the trend at its position,
+    /// the first at `start`, an exception's slot included.
+    pub(crate) fn unpack<T>(
+        &self,
+        n: usize,
+        start: usize,
+        mut f: impl FnMut(i64) -> T,
+        out: &mut Vec<T>,
+    ) {
+        let mut trend = self.slope.wrapping_mul(i64::try_from(start).unwrap_or(0));
+        let at = |r: i64| {
+            let x = r.wrapping_add(trend >> SLOPE_SHIFT);
+            trend = trend.wrapping_add(self.slope);
+            f(x)
+        };
+        self.block.unpack(n, at, out);
+    }
+}
+
+/// Parse `varint_i slope | the block of n residuals`, all of `buf`: a
+/// decimal block's line frame.
+pub(crate) fn line(buf: &[u8], n: usize) -> Result<Line<'_>> {
+    let (mut pos, last) = (0usize, n.saturating_sub(1));
+    let slope = varint::read_i64(buf, &mut pos)?;
+    Line::new(slope, parse(buf.get(pos..).unwrap_or(&[]), n)?, last)
+}
+
 /// How one column of deltas packs: the frame of those inside a window
 /// chosen from their bit lengths.
 #[derive(Debug, Clone, Copy)]
@@ -504,6 +650,54 @@ impl Packing {
     }
 }
 
+/// How a page's timestamps pack: the smaller of the delta frame and the
+/// line frame (its slope and its residuals after the first point), each
+/// sized exactly, a tie to the delta frame.
+#[derive(Debug)]
+pub(crate) struct TsPacking {
+    packing: Packing,
+    line: Option<(i64, Vec<i64>)>,
+}
+
+impl TsPacking {
+    pub(crate) fn of(ts: &[i64], deltas: &[i64]) -> Self {
+        let (packing, first) = (Packing::of(deltas), ts.first().copied().unwrap_or(0));
+        let delta = TsPacking {
+            packing,
+            line: None,
+        };
+        let slope = fit(ts, first, |_| true).filter(|&s| trend(s, deltas.len()).is_some());
+        let line = slope.map(|slope| {
+            let all = residuals(ts, slope, |_| true).skip(1);
+            let residuals: Vec<i64> = all.map(|r| r.wrapping_sub(first)).collect();
+            let packing = Packing::of(&residuals);
+            TsPacking {
+                packing,
+                line: Some((slope, residuals)),
+            }
+        });
+        line.filter(|line| line.len() < delta.len())
+            .unwrap_or(delta)
+    }
+
+    /// Exact bytes of the column.
+    pub(crate) fn len(&self) -> usize {
+        let slope = self.line.as_ref().map(|&(slope, _)| varint::zigzag(slope));
+        self.packing.len() + slope.map_or(0, varint::len_u64)
+    }
+
+    /// Append the column of the timestamps whose `deltas` it was sized from.
+    pub(crate) fn write(&self, deltas: &[i64], out: &mut Vec<u8>) {
+        let Some((slope, residuals)) = &self.line else {
+            return self.packing.write(deltas, out);
+        };
+        let frame = &self.packing.frame;
+        out.push(cast::low8(u64::from(frame.width)) | LINE_FRAME);
+        varint::write_i64(out, *slope);
+        frame.write_body(residuals.iter().copied(), |_, r| cast::u64_bits(r), out);
+    }
+}
+
 /// Bits of `d`'s zigzagged distance from `centre`, saturated at the
 /// `i64` range, so that a delta lies inside the window of width `w`
 /// exactly when this is at most `w`.
@@ -603,9 +797,9 @@ fn delta_count(n: usize) -> Result<usize> {
         .ok_or_else(|| corrupt("a packed column of no points".into()))
 }
 
-/// `head` then the `n − 1` deltas of the block that is all of `block`,
-/// exceptions in place.
-fn head_and_deltas(block: &[u8], n: usize, head: i64) -> Result<Vec<i64>> {
+/// `head` and its running sums with the `n − 1` deltas of the block that
+/// is all of `block`, exceptions in place.
+fn running_sums(block: &[u8], n: usize, head: i64) -> Result<Vec<i64>> {
     let m = delta_count(n)?;
     let b = parse(block, m)?;
     let mut out = Vec::with_capacity(n);
@@ -617,31 +811,21 @@ fn head_and_deltas(block: &[u8], n: usize, head: i64) -> Result<Vec<i64>> {
             *slot = cast::i64_bits(raw);
         }
     })?;
+    let mut sum = 0i64;
+    for slot in &mut out {
+        sum = sum.wrapping_add(*slot);
+        *slot = sum;
+    }
     Ok(out)
 }
 
-/// Running sums of `out` in place, each delta replaced by the point it
-/// reaches; with `until`, stop after the first point past it (that point
-/// included), as [`super::ts2diff::decode_until`] does.
-fn accumulate(out: &mut Vec<i64>, until: Option<i64>) {
-    let limit = until.unwrap_or(i64::MAX);
-    let Some(&first) = out.first() else {
-        return;
-    };
-    let mut cur = first;
-    let mut end = 1;
-    if cur <= limit {
-        end = out.len();
-        for (i, slot) in out.iter_mut().enumerate().skip(1) {
-            cur = cur.wrapping_add(*slot);
-            *slot = cur;
-            if cur > limit {
-                end = i + 1;
-                break;
-            }
-        }
+/// Keep `out` up to its first point past `until`, that point included,
+/// as [`super::ts2diff::decode_until`] does.
+fn cut(mut out: Vec<i64>, until: Option<i64>) -> Vec<i64> {
+    if let Some(at) = until.and_then(|limit| out.iter().position(|&t| t > limit)) {
+        out.truncate(at + 1);
     }
-    out.truncate(end);
+    out
 }
 
 /// Decode the `n` timestamps of a packed timestamp column, or with
@@ -649,9 +833,10 @@ fn accumulate(out: &mut Vec<i64>, until: Option<i64>) {
 pub fn decode_timestamps(buf: &[u8], n: usize, until: Option<i64>) -> Result<Vec<i64>> {
     let mut pos = 0usize;
     let first = varint::read_i64(buf, &mut pos)?;
-    let mut out = head_and_deltas(buf.get(pos..).unwrap_or(&[]), n, first)?;
-    accumulate(&mut out, until);
-    Ok(out)
+    Ok(cut(
+        running_sums(buf.get(pos..).unwrap_or(&[]), n, first)?,
+        until,
+    ))
 }
 
 /// The first value's bits and the rest of a packed value column.
@@ -668,49 +853,115 @@ fn value_head(buf: &[u8]) -> Result<(u64, &[u8])> {
 /// Decode the `n` values of a packed value column.
 pub fn decode_values(buf: &[u8], n: usize) -> Result<Vec<f64>> {
     let (first, block) = value_head(buf)?;
-    let mut keys = head_and_deltas(block, n, cast::i64_bits(flip(first)))?;
-    accumulate(&mut keys, None);
+    let keys = running_sums(block, n, cast::i64_bits(flip(first)))?;
     Ok(keys
         .into_iter()
         .map(|k| f64::from_bits(flip(cast::u64_bits(k))))
         .collect())
 }
 
-/// Decode the `n` timestamps of a page's packed timestamp column, the
-/// block of the deltas from `first` to `last` (the page's FP.t and
-/// LP.t), or with `until` only up to the first past it. A column left
-/// whole must end at `last`: the block holds the deltas between the
-/// two, no more and no fewer.
+/// The `n` integers of a page's packed column in the delta frame, the
+/// block of the deltas from `first` to `last` (the page's FP and LP): it
+/// must end at `last`, so it holds no more and no fewer deltas.
+fn decode_page_deltas(block: &[u8], n: usize, (first, last): (i64, i64)) -> Result<Vec<i64>> {
+    let out = running_sums(block, n, first)?;
+    lands(first, n - 1, out.last().copied().unwrap_or(first), last)?;
+    Ok(out)
+}
+
+/// The line frame of a page's packed timestamp column of `n` points —
+/// `u8 (w | 0x80) | varint_i slope`, then the rest of the block of the
+/// `n − 1` residuals after the first point — or `None` for the delta
+/// frame.
+fn timestamp_line(col: &[u8], n: usize) -> Result<Option<Line<'_>>> {
+    let (Some((&width, rest)), true) = (col.split_first(), is_line(col)) else {
+        return Ok(None);
+    };
+    let (m, mut pos) = (delta_count(n)?, 0usize);
+    let slope = varint::read_i64(rest, &mut pos)?;
+    let block = parse_body(width & !LINE_FRAME, rest.get(pos..).unwrap_or(&[]), m)?;
+    Line::new(slope, block, m).map(Some)
+}
+
+/// `Corrupt` unless a column of `steps` steps from `first` that ends at
+/// `end` ends at `last`.
+fn lands(first: i64, steps: usize, end: i64, last: i64) -> Result<()> {
+    match end == last {
+        true => Ok(()),
+        false => Err(corrupt(format!(
+            "{steps} steps from {first} end at {end}, not at {last}"
+        ))),
+    }
+}
+
+/// Decode the `n` timestamps of a page's packed timestamp column from
+/// `first` to `last` (the page's FP.t and LP.t), or with `until` only up
+/// to the first past it; the column must end at `last` either way. In
+/// the line frame each is `first` plus its trend and its residual, with
+/// no running sum.
 pub(crate) fn decode_page_timestamps(
-    block: &[u8],
+    col: &[u8],
     n: usize,
     (first, last): (i64, i64),
     until: Option<i64>,
 ) -> Result<Vec<i64>> {
-    let mut out = head_and_deltas(block, n, first)?;
-    accumulate(&mut out, until);
-    match out.last() {
-        Some(&end) if out.len() == n && end != last => Err(corrupt(format!(
-            "{} deltas from {first} end at {end}, not at {last}",
-            n - 1
-        ))),
-        _ => Ok(out),
-    }
+    let Some(line) = timestamp_line(col, n)? else {
+        return Ok(cut(decode_page_deltas(col, n, (first, last))?, until));
+    };
+    let mut out = Vec::with_capacity(n);
+    out.push(first);
+    line.unpack(n - 1, 1, |x| first.wrapping_add(x), &mut out);
+    let points = out.get_mut(1..).unwrap_or(&mut []);
+    line.block.exceptions(n - 1, |at, raw| {
+        if let Some(t) = points.get_mut(at) {
+            *t = first
+                .wrapping_add(line.trend(at + 1))
+                .wrapping_add(cast::i64_bits(raw));
+        }
+    })?;
+    lands(first, n - 1, out.last().copied().unwrap_or(first), last)?;
+    Ok(cut(out, until))
 }
 
-/// Check a page's packed column of `n` points without decoding it:
-/// the block's structure, and that its deltas sum from `first` to
-/// `last` — so it passes exactly the columns
-/// [`decode_page_timestamps`] and [`decode_page_values`] decode.
-pub(crate) fn verify_page_column(block: &[u8], n: usize, (first, last): (i64, i64)) -> Result<()> {
+/// Check a page's packed timestamp column of `n` points without decoding
+/// it — its structure, and that it ends at `last`: in the delta frame
+/// by its deltas' sum, in the line frame by its last residual — so it
+/// passes exactly the columns [`decode_page_timestamps`] decodes.
+pub(crate) fn verify_page_timestamps(
+    col: &[u8],
+    n: usize,
+    (first, last): (i64, i64),
+) -> Result<()> {
+    let Some(line) = timestamp_line(col, n)? else {
+        return verify_page_column(col, n, (first, last));
+    };
+    let m = n - 1;
+    let mut end = m.checked_sub(1).map_or(0, |i| line.block.slot(i));
+    line.block.exceptions(m, |at, raw| {
+        if at + 1 == m {
+            end = cast::i64_bits(raw);
+        }
+    })?;
+    lands(
+        first,
+        m,
+        first.wrapping_add(line.trend(m)).wrapping_add(end),
+        last,
+    )
+}
+
+/// Whether a page's packed timestamp column is in the line frame.
+pub(crate) fn is_line(col: &[u8]) -> bool {
+    col.first().is_some_and(|&width| width & LINE_FRAME != 0)
+}
+
+/// Check a page's packed column of `n` points in the delta frame without
+/// decoding it: the block's structure, and that its deltas sum from
+/// `first` to `last` — so it passes exactly the columns
+/// [`decode_page_deltas`] decodes.
+fn verify_page_column(block: &[u8], n: usize, (first, last): (i64, i64)) -> Result<()> {
     let m = delta_count(n)?;
-    let end = first.wrapping_add(parse(block, m)?.sum(m)?);
-    match end == last {
-        true => Ok(()),
-        false => Err(corrupt(format!(
-            "{m} deltas from {first} end at {end}, not at {last}"
-        ))),
-    }
+    lands(first, m, first.wrapping_add(parse(block, m)?.sum(m)?), last)
 }
 
 /// [`verify_page_column`] over the keys of a packed value column
@@ -728,7 +979,7 @@ pub(crate) fn decode_page_values(
     (first, last): (f64, f64),
 ) -> Result<Vec<f64>> {
     // The keys run from FP's to LP's as timestamps run from FP.t to LP.t.
-    let keys = decode_page_timestamps(block, n, (key(first), key(last)), None)?;
+    let keys = decode_page_deltas(block, n, (key(first), key(last)))?;
     Ok(keys
         .into_iter()
         .map(|k| f64::from_bits(flip(cast::u64_bits(k))))

@@ -29,8 +29,11 @@
 //! whose statistics do not split into `n − 1` equal steps makes such a
 //! page `Corrupt`. A packed column ([`encoding::packed`]) is its block
 //! of deltas alone: its head is FP (`FP.v` bit-exact) and its running
-//! sum must land on LP. The value column runs to the CRC, so the body's
-//! own length (the footer's) bounds it.
+//! sum must land on LP. A packed timestamp column may instead hold its
+//! residuals from a least-squares cadence line (the line frame, flagged
+//! in its width byte, [`ts_framing`]), whose last point must be LP. The
+//! value column runs to the CRC, so the body's own length (the footer's)
+//! bounds it.
 //!
 //! Both forms ([`PageForms`]) are chosen per page from the page's own
 //! columns, by exact size, never by a setting. The constant-delta
@@ -49,7 +52,9 @@
 //! away; it sizes nothing. The packed forms: the deltas of a
 //! column — of the timestamps, or of the values' order-preserving
 //! integer keys — bit-packed at one width with the outliers listed
-//! apart; jittered timestamps and full-precision walks take it. A form
+//! apart; full-precision walks take it, and so do jittered timestamps,
+//! as their residuals from their cadence line where that is strictly
+//! smaller than their deltas. A form
 //! is written only when it is strictly smaller, sized exactly, than the
 //! one a page would hold without it: the packed deltas than the decimal
 //! block or the stream, and the block than the stream.
@@ -63,7 +68,7 @@
 use crate::bufpool;
 use crate::checksum::crc32;
 use crate::encoding::decimal::{self, Exponents};
-use crate::encoding::packed::{self, Packing};
+use crate::encoding::packed::{self, Framing, Packing, TsPacking};
 use crate::encoding::{self, EncodingKind};
 use crate::statistics::ChunkStatistics;
 use crate::types::{Point, TimeRange};
@@ -256,10 +261,10 @@ pub(crate) fn encode_page_columns(
 
 /// A page's timestamp column, written to the empty `buf`: nothing when
 /// the deltas are one constant the statistics give back, else the
-/// smaller of the chunk's stream and the packed deltas, ties to the
-/// stream. The packed size is exact before a byte is written, so the
-/// stream is written only when a lower bound on its size does not
-/// already lose.
+/// smaller of the chunk's stream and the packed column (the smaller of
+/// its delta and line frames), ties to the stream. The packed size is
+/// exact before a byte is written, so the stream is written only when a
+/// lower bound on its size does not already lose.
 fn ts_column(ts: &[i64], deltas: &[i64], ts_encoding: EncodingKind, buf: &mut Vec<u8>) -> TsForm {
     let (first, last) = (ts.first().copied(), ts.last().copied());
     let derived = first
@@ -268,7 +273,7 @@ fn ts_column(ts: &[i64], deltas: &[i64], ts_encoding: EncodingKind, buf: &mut Ve
     if derived.is_some() && derived == constant_delta(deltas) {
         return TsForm::Constant;
     }
-    let packing = Packing::of(deltas);
+    let packing = TsPacking::of(ts, deltas);
     let packed = packing.len();
     if packed >= encoding::timestamps_len_at_least(ts_encoding, ts) {
         encoding::encode_timestamps(ts_encoding, ts, buf);
@@ -406,7 +411,7 @@ pub fn verify_page_body(body: &[u8], meta: &PageMeta) -> Result<()> {
             constant_step(stats, n)?;
         }
         TsForm::Packed => {
-            packed::verify_page_column(cols.ts_col, n, (stats.first.t, stats.last.t))?;
+            packed::verify_page_timestamps(cols.ts_col, n, (stats.first.t, stats.last.t))?;
         }
     }
     match cols.forms.values {
@@ -432,6 +437,18 @@ pub fn decimal_framing(body: &[u8]) -> Result<Option<decimal::Framing>> {
     match cols.forms.values {
         ValueForm::Decimal => decimal::framing(cols.val_col).map(Some),
         ValueForm::Stream | ValueForm::Packed => Ok(None),
+    }
+}
+
+/// How a page's packed timestamp column frames its points, delta or
+/// line, from its width byte (`None` for a page whose timestamps are not
+/// packed). Verifies the page CRC; no column is decoded.
+pub fn ts_framing(body: &[u8]) -> Result<Option<Framing>> {
+    let cols = split_page(checked_payload(body, "page body")?)?;
+    match cols.forms.timestamps {
+        TsForm::Packed if packed::is_line(cols.ts_col) => Ok(Some(Framing::Line)),
+        TsForm::Packed => Ok(Some(Framing::Delta)),
+        TsForm::Stream | TsForm::Constant => Ok(None),
     }
 }
 

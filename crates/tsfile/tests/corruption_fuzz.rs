@@ -850,17 +850,20 @@ fn chunk_length_overrunning_the_data_region_is_corrupt() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Flip arbitrary bytes anywhere in a valid TsFile: open/read must
-    /// either succeed with the original data (flip hit dead padding —
-    /// impossible here, so in practice: error) or fail cleanly.
+    /// Flip arbitrary bytes anywhere in a valid TsFile — one of
+    /// constant-delta chunks, or one whose timestamps take the line
+    /// frame: open/read must either succeed with the original data
+    /// (flip hit dead padding — impossible here, so in practice: error)
+    /// or fail cleanly.
     #[test]
     fn bit_flips_never_panic(
-        flips in prop::collection::vec((any::<prop::sample::Index>(), 1u8..=255), 1..8)
+        flips in prop::collection::vec((any::<prop::sample::Index>(), 1u8..=255), 1..8),
+        line in any::<bool>(),
     ) {
         let dir = std::env::temp_dir().join("tsfile-fuzz");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("flip-{}.tsfile", std::process::id()));
-        let original = sample_file(&path);
+        let original = if line { cadence_file(&path) } else { sample_file(&path) };
 
         let mut corrupted = original.clone();
         for (idx, mask) in &flips {
@@ -884,14 +887,15 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Truncate a valid TsFile at any point: must fail cleanly or, if
-    /// truncation only removed nothing (full length), succeed.
+    /// Truncate a valid TsFile (either of the two above) at any point:
+    /// must fail cleanly or, if truncation only removed nothing (full
+    /// length), succeed.
     #[test]
-    fn truncation_never_panics(cut in any::<prop::sample::Index>()) {
+    fn truncation_never_panics(cut in any::<prop::sample::Index>(), line in any::<bool>()) {
         let dir = std::env::temp_dir().join("tsfile-fuzz");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("trunc-{}.tsfile", std::process::id()));
-        let original = sample_file(&path);
+        let original = if line { cadence_file(&path) } else { sample_file(&path) };
         let keep = cut.index(original.len() + 1);
         std::fs::write(&path, &original[..keep]).unwrap();
         match TsFileReader::open(&path) {
@@ -933,18 +937,22 @@ proptest! {
     }
 
     /// The "no silently wrong data" half of the contract: when a read
-    /// *succeeds* on a corrupted file, the returned points must be
-    /// byte-exact against the original chunk for that version — the
-    /// CRCs either reject the flip or it never touched that data.
+    /// *succeeds* on a corrupted file (either of the two above), the
+    /// returned points must be byte-exact against the original chunk for
+    /// that version — the CRCs either reject the flip or it never
+    /// touched that data.
     #[test]
     fn surviving_chunk_reads_are_exact(
-        flips in prop::collection::vec((any::<prop::sample::Index>(), 1u8..=255), 1..8)
+        flips in prop::collection::vec((any::<prop::sample::Index>(), 1u8..=255), 1..8),
+        line in any::<bool>(),
     ) {
         let dir = std::env::temp_dir().join("tsfile-fuzz");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("exact-{}.tsfile", std::process::id()));
-        let original = sample_file(&path);
-        let pts: Vec<Point> = (0..500).map(|i| Point::new(i * 100, (i % 17) as f64)).collect();
+        let (original, pts) = match line {
+            true => (cadence_file(&path), cadence_points(500)),
+            false => (sample_file(&path), (0..500).map(|i| Point::new(i * 100, (i % 17) as f64)).collect()),
+        };
 
         let mut corrupted = original.clone();
         for (idx, mask) in &flips {
@@ -1499,6 +1507,266 @@ proptest! {
         } else {
             let got = decimal::decode(&block, n);
             prop_assert!(matches!(got, Err(TsFileError::Corrupt(_))), "{:?}", got);
+        }
+    }
+}
+
+/// [`sample_file`]'s two chunks on a jittered cadence: their timestamps
+/// take the line frame.
+fn cadence_file(path: &std::path::Path) -> Vec<u8> {
+    let mut w = TsFileWriter::create(path).unwrap();
+    w.begin_series(0, 0).unwrap();
+    let pts = cadence_points(500);
+    w.write_chunk(&pts[..250], 1).unwrap();
+    w.write_chunk(&pts[250..], 2).unwrap();
+    w.finish().unwrap();
+    let reader = TsFileReader::open(path).unwrap();
+    for meta in reader.chunk_metas() {
+        let body = reader.read_chunk_raw(meta).unwrap();
+        let framing = tsfile::page::ts_framing(&body).unwrap();
+        assert_eq!(framing, Some(Framing::Line));
+    }
+    let reader = TsFileReader::open(path).unwrap();
+    for meta in reader.chunk_metas() {
+        let body = reader.read_chunk_raw(meta).unwrap();
+        let framing = tsfile::page::ts_framing(&body).unwrap();
+        assert_eq!(framing, Some(Framing::Line));
+    }
+    std::fs::read(path).unwrap()
+}
+
+/// `n` points on a 10 ms cadence jittered ±2 ms around its grid, values
+/// a full-precision walk: a page whose timestamps take the line frame
+/// and whose values take packed key deltas.
+fn cadence_points(n: i64) -> Vec<Point> {
+    (0..n)
+        .map(|i| {
+            let mut z = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let jitter = ((z ^ (z >> 31)) % 5) as i64 - 2;
+            Point::new(1_000 + i * 10 + jitter, 225.0 + (i as f64 * 0.05).sin())
+        })
+        .collect()
+}
+
+/// `points` as a page, with its modes byte, timestamp column and value
+/// column.
+fn page_columns(points: &[Point]) -> (Vec<u8>, u8, Vec<u8>, Vec<u8>) {
+    use tsfile::encoding::EncodingKind;
+    let mut body = Vec::new();
+    tsfile::page::encode_page(
+        points,
+        EncodingKind::Ts2Diff,
+        EncodingKind::Gorilla,
+        &mut body,
+    );
+    let mut pos = 1;
+    let ts_len = tsfile::varint::read_u64(&body, &mut pos).unwrap() as usize;
+    let ts = body[pos..pos + ts_len].to_vec();
+    let values = body[pos + ts_len..body.len() - 4].to_vec();
+    (body.clone(), body[0], ts, values)
+}
+
+/// The page decoder, the timestamp decoder and the copy gate on `page`
+/// read against `stats`: each result, `Ok(())` for a page that decodes.
+fn three_readers(page: &[u8], stats: tsfile::ChunkStatistics) -> [tsfile::Result<()>; 3] {
+    use tsfile::encoding::EncodingKind;
+    use tsfile::page::{decode_page, decode_page_timestamps, verify_page_body};
+    let meta = tsfile::PageMeta {
+        offset: 0,
+        byte_len: page.len() as u64,
+        stats,
+    };
+    let (ts, val) = (EncodingKind::Ts2Diff, EncodingKind::Gorilla);
+    [
+        decode_page(page, ts, val, &meta).map(drop),
+        decode_page_timestamps(page, ts, &meta, None).map(drop),
+        verify_page_body(page, &meta),
+    ]
+}
+
+/// A timestamp column in the line frame: every strict prefix, under a
+/// re-sealed CRC, is a typed error from the page decoder, the timestamp
+/// decoder and the copy gate, and every single-bit flip in it is a
+/// typed error from all three or a page all three accept.
+#[test]
+fn line_frame_prefixes_and_bit_flips_are_typed_errors_from_all_three_readers() {
+    use tsfile::page::ts_framing;
+    let points = cadence_points(300);
+    let (body, modes, ts, values) = page_columns(&points);
+    assert_eq!(ts_framing(&body).unwrap(), Some(Framing::Line));
+    let stats = tsfile::ChunkStatistics::from_points(&points).unwrap();
+    assert!(three_readers(&body, stats).iter().all(|r| r.is_ok()));
+    let check = |ts: &[u8], what: &str, must_fail: bool| {
+        let got = three_readers(&sealed_page(modes, ts, &values), stats);
+        if must_fail || got.iter().any(|r| r.is_err()) {
+            for r in &got {
+                assert!(typed(r), "{what}: {got:?}");
+            }
+        }
+    };
+    for cut in 0..ts.len() {
+        check(&ts[..cut], &format!("cut at {cut}"), true);
+    }
+    for at in 0..ts.len() * 8 {
+        let mut flipped = ts.clone();
+        flipped[at / 8] ^= 1 << (at % 8);
+        // Bit 7 of the width byte turns the column into the delta frame.
+        check(&flipped, &format!("bit {at}"), false);
+    }
+}
+
+/// Line-frame timestamp columns that are `Corrupt` from the page
+/// decoder, the timestamp decoder and the copy gate alike: a slope whose
+/// trend overflows `i64` by `n − 1`, a last residual that misses LP, and
+/// a block of another count than the footer's. The frame bit on any
+/// other block — a packed value column, or the block inside a decimal
+/// block in each of its frames — is `Corrupt` from the page decoder and
+/// the copy gate, where a width byte above 64 is one; the timestamp
+/// decoder does not read the value column and decodes those pages.
+#[test]
+fn malformed_line_frame_columns_are_corrupt() {
+    use tsfile::encoding::{decimal, EncodingKind};
+    use tsfile::varint;
+    let corrupt = |r: &tsfile::Result<()>| matches!(r, Err(TsFileError::Corrupt(_)));
+    // Three points, width 0: t = 0 + ⌊slope·i / 2^16⌋ + 0.
+    let by_hand = |slope: i64| {
+        let mut col = vec![0x80];
+        varint::write_i64(&mut col, slope);
+        col.extend_from_slice(&[0, 0]); // base 0, no exception
+        let mut values = Vec::new();
+        tsfile::encoding::gorilla::encode(&[1.0; 3], &mut values);
+        sealed_page(0b0100, &col, &values)
+    };
+    let stats_to = |last: i64, count: u64| {
+        let (first, last) = (Point::new(0, 1.0), Point::new(last, 1.0));
+        tsfile::ChunkStatistics {
+            first,
+            last,
+            bottom: first,
+            top: first,
+            count,
+        }
+    };
+    // The largest slope whose trend at 2 fits: it decodes.
+    let steep = i64::MAX / 2;
+    let good = three_readers(&by_hand(steep), stats_to((steep * 2) >> 16, 3));
+    assert!(good.iter().all(|r| r.is_ok()), "{good:?}");
+    for r in three_readers(&by_hand(steep + 1), stats_to(0, 3)) {
+        assert!(corrupt(&r), "overflowing slope: {r:?}");
+    }
+
+    let points = cadence_points(300);
+    let (body, modes, ts, values) = page_columns(&points);
+    let stats = tsfile::ChunkStatistics::from_points(&points).unwrap();
+    let mut off_lp = stats;
+    off_lp.last.t += 1;
+    for r in three_readers(&body, off_lp) {
+        assert!(corrupt(&r), "LP one unit off: {r:?}");
+    }
+    for count in [stats.count - 1, stats.count + 1] {
+        for r in three_readers(&body, tsfile::ChunkStatistics { count, ..stats }) {
+            assert!(typed(&r), "{count} points: {r:?}");
+        }
+    }
+
+    // The flag on the packed value column's width byte (its head is FP.v).
+    assert!(values[0] <= 64);
+    let mut flagged = values.clone();
+    flagged[0] |= 0x80;
+    let [page, stamps, gate] = three_readers(&sealed_page(modes, &ts, &flagged), stats);
+    assert!(
+        corrupt(&page) && corrupt(&gate) && stamps.is_ok(),
+        "{page:?} {gate:?}"
+    );
+
+    // The flag on the block inside a decimal block, in each frame: a
+    // ramp (delta frame: e, f, d0, then the block), a drifting register
+    // (line frame: e, f, slope, then the block) and noise (frame of
+    // reference: e, f, then the block).
+    let blocks: [(Vec<f64>, usize); 3] = [
+        ((0..300).map(|i| f64::from(i % 41) / 4.0).collect(), 1),
+        (drifting_hundredths(300).collect(), 1),
+        (
+            (0..300)
+                .map(|i| f64::from(i * 7_919 % 400) / 100.0)
+                .collect(),
+            0,
+        ),
+    ];
+    for (vs, varints) in blocks {
+        let mut block = Vec::new();
+        assert!(decimal::encode_values(&vs, &mut block));
+        let mut at = 2;
+        for _ in 0..varints {
+            varint::read_i64(&block, &mut at).unwrap();
+        }
+        assert!(block[at] <= 64);
+        block[at] |= 0x80;
+        let framing = decimal::framing(&block).unwrap();
+        let n = vs.len();
+        let page = decimal_page(&block);
+        let meta = meta_of(n, &page);
+        let got = [
+            decimal::decode(&block, n).map(drop),
+            decimal::verify(&block, n),
+            tsfile::page::decode_page(&page, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta)
+                .map(drop),
+            tsfile::page::verify_page_body(&page, &meta),
+        ];
+        for r in got {
+            assert!(corrupt(&r), "{framing:?}: {r:?}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A line-frame timestamp column written by hand — a slope, 2-bit
+    /// residuals from `base` — is, read against statistics from `t0` to
+    /// its last point, `t0 + ⌊slope·i / 2^16⌋ + residual` at each point
+    /// `i ≥ 1` (wrapping) for the page decoder, the timestamp decoder
+    /// and the copy gate alike, exactly when `slope·(n − 1)` fits an
+    /// `i64`; else, and against any other LP, `Corrupt` from all three.
+    #[test]
+    fn hand_made_line_frame_columns_decode_to_trend_plus_residual(
+        t0 in any::<i64>(),
+        slope in prop_oneof![any::<i64>(), -(1i64 << 40)..(1 << 40), (9i64 << 16)..(11 << 16)],
+        base in prop_oneof![any::<i64>(), -8i64..8],
+        offsets in prop::collection::vec(0u64..4, 0..40),
+        off_by in prop_oneof![Just(0i64), Just(0i64), any::<i64>()],
+    ) {
+        use tsfile::encoding::EncodingKind;
+        // The decimal line frame's bytes after its `e` and `f`, with the
+        // width byte moved in front of the slope and flagged.
+        let decimal = line_frame(slope, 2, base, &offsets, &[0]);
+        let body = &decimal[2..];
+        let mut at = 0;
+        tsfile::varint::read_i64(body, &mut at).unwrap();
+        let col = [&[body[at] | 0x80][..], &body[..at], &body[at + 1..]].concat();
+        let n = offsets.len() + 1;
+        let fits = slope.checked_mul(n as i64 - 1).is_some();
+        let want: Vec<i64> = std::iter::once(t0)
+            .chain(offsets.iter().enumerate().map(|(i, &o)| {
+                let trend = ((i128::from(slope) * (i as i128 + 1)) >> 16) as i64;
+                t0.wrapping_add(trend).wrapping_add(base.wrapping_add(o as i64))
+            }))
+            .collect();
+        let mut values = Vec::new();
+        tsfile::encoding::gorilla::encode(&vec![1.0; n], &mut values);
+        let page = sealed_page(0b0100, &col, &values);
+        let (first, last) = (Point::new(t0, 1.0), Point::new(want[n - 1].wrapping_add(off_by), 1.0));
+        let stats = tsfile::ChunkStatistics { first, last, bottom: first, top: first, count: n as u64 };
+        let decodes = fits && off_by == 0;
+        for r in three_readers(&page, stats) {
+            prop_assert!(r.is_ok() == decodes, "{:?}", r);
+            prop_assert!(decodes || matches!(r, Err(TsFileError::Corrupt(_))), "{:?}", r);
+        }
+        if decodes {
+            let meta = tsfile::PageMeta { offset: 0, byte_len: page.len() as u64, stats };
+            let got = tsfile::page::decode_page_timestamps(&page, EncodingKind::Ts2Diff, &meta, None).unwrap();
+            prop_assert_eq!(got, want);
         }
     }
 }

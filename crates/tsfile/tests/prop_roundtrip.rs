@@ -16,8 +16,8 @@ use proptest::prelude::*;
 use tsfile::encoding::decimal::Framing;
 use tsfile::encoding::{bitio, decimal, gorilla, packed, plain, ts2diff, EncodingKind};
 use tsfile::page::{
-    decimal_framing, decode_page, decode_page_timestamps, encode_page, forms, verify_page_body,
-    TsForm, ValueForm,
+    decimal_framing, decode_page, decode_page_timestamps, encode_page, forms, ts_framing,
+    verify_page_body, TsForm, ValueForm,
 };
 use tsfile::statistics::ChunkStatistics;
 use tsfile::types::{Point, Version};
@@ -121,13 +121,20 @@ fn gorilla_runs(runs: &[(u8, u64, usize)]) -> Vec<f64> {
     out.into_iter().map(f64::from_bits).collect()
 }
 
-/// A page of `len` timestamps in one of four shapes, drawn from `seed`:
-/// regular (one delta), jittered (10 ± 2 ms), delayed (regular, with an
-/// hour's gap now and then — the paper's §3.5 steps), or any deltas at
-/// all, up to the `i64` extremes (wrapping).
+/// A page of `len` timestamps in one of five shapes, drawn from `seed`:
+/// regular (one delta), jittered deltas (10 ± 2 ms, a random walk
+/// around the grid), delayed (regular, with an hour's gap now and then —
+/// the paper's §3.5 steps), any deltas at all, up to the `i64` extremes
+/// (wrapping), or a cadence jittered around its grid (`t0 + 10·i` ± 2
+/// ms, the benchmark's sensors).
 fn page_timestamps(shape: u8, len: usize, seed: u64) -> Vec<i64> {
     let mut next = splitmix(seed ^ 0x7157);
     let mut t = next() as i64 >> 20;
+    if shape == 4 {
+        return (0..len as i64)
+            .map(|i| t + 10 * i + (next() % 5) as i64 - 2)
+            .collect();
+    }
     (0..len)
         .map(|_| {
             let now = t;
@@ -503,7 +510,7 @@ proptest! {
     #[test]
     fn pages_roundtrip_bitwise_and_never_outgrow_the_stream(
         shape in 0u8..11,
-        ts_shape in 0u8..4,
+        ts_shape in 0u8..5,
         precision in 0u32..=6,
         len in 1usize..1_200,
         seed in any::<u64>(),
@@ -518,14 +525,23 @@ proptest! {
         let forms = forms(&body).unwrap();
 
         // Timestamps: nothing when the statistics give them back, else
-        // the ts2diff stream unless the packed deltas are smaller.
+        // the ts2diff stream unless the packed column is smaller — and
+        // that never larger than its delta frame (the standalone column
+        // less its head), whichever frame it takes.
         let mut parent = Vec::new();
         ts2diff::encode(&ts, &mut parent);
+        let mut delta_frame = Vec::new();
+        packed::encode_timestamps(&ts, &mut delta_frame);
+        let delta_len = delta_frame.len() - varint::len_u64(varint::zigzag(ts[0]));
         match forms.timestamps {
             TsForm::Constant => prop_assert!(derivable(&ts) && ts_col.is_empty()),
             TsForm::Packed => {
                 prop_assert!(!derivable(&ts));
                 prop_assert!(ts_col.len() < parent.len(), "{} >= {}", ts_col.len(), parent.len());
+                prop_assert!(ts_col.len() <= delta_len, "{} > {}", ts_col.len(), delta_len);
+                if ts_framing(&body).unwrap() == Some(Framing::Delta) {
+                    prop_assert_eq!(ts_col, &delta_frame[delta_frame.len() - delta_len..]);
+                }
             }
             TsForm::Stream => {
                 prop_assert!(!derivable(&ts));
@@ -572,6 +588,15 @@ proptest! {
         // exception).
         if (8..=9).contains(&shape) && len >= 64 && decimal::encode_values_in(&vs, Framing::Delta, &mut Vec::new()) {
             prop_assert_eq!(decimal_framing(&body).unwrap(), Some(Framing::Delta));
+        }
+
+        // A cadence jittered around its grid stores its residuals from
+        // the cadence line, 3 bits a point after a header of at most
+        // 7 B (width, slope, base, exception count), where its deltas
+        // take 4.
+        if ts_shape == 4 && len >= 100 {
+            prop_assert_eq!(ts_framing(&body).unwrap(), Some(Framing::Line));
+            prop_assert!(ts_col.len() <= (3 * (len - 1)).div_ceil(8) + 7, "{} bytes", ts_col.len());
         }
 
         partial_scans_match_ts2diff(&body, &meta, &ts)?;

@@ -30,6 +30,9 @@ use tskv::TsKv;
 use tsnet::wire::{MAGIC, MAX_PAYLOAD_BYTES, VERSION};
 use tsnet::{ClientConfig, ServerConfig, TsNetClient, TsNetServer};
 
+#[path = "support/watchdog.rs"]
+mod watchdog;
+
 /// Stalled peers; each claims `MAX_PAYLOAD_BYTES`.
 const PEERS: usize = 4;
 
@@ -58,49 +61,52 @@ fn header_claiming(len: u32) -> Vec<u8> {
 
 #[test]
 fn header_only_peers_commit_no_claimed_payload() {
-    let dir = std::env::temp_dir().join(format!("tsnet-header-only-{}", std::process::id()));
-    let store = Arc::new(TsKv::open(&dir, EngineConfig::default()).unwrap());
-    let server = TsNetServer::start(store, ServerConfig::default()).unwrap();
-    let mut client = TsNetClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
-    // Warm the worker and pool paths before the baseline.
-    client.ping().unwrap();
-    let baseline = resident_bytes();
+    watchdog::within(watchdog::DEADLINE, || {
+        let dir = std::env::temp_dir().join(format!("tsnet-header-only-{}", std::process::id()));
+        let store = Arc::new(TsKv::open(&dir, EngineConfig::default()).unwrap());
+        let server = TsNetServer::start(store, ServerConfig::default()).unwrap();
+        let mut client =
+            TsNetClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
+        // Warm the worker and pool paths before the baseline.
+        client.ping().unwrap();
+        let baseline = resident_bytes();
 
-    let header = header_claiming(MAX_PAYLOAD_BYTES);
-    let peers: Vec<TcpStream> = (0..PEERS)
-        .map(|_| {
-            let mut peer = TcpStream::connect(server.local_addr()).unwrap();
-            peer.write_all(&header).unwrap();
-            peer.flush().unwrap();
-            peer
-        })
-        .collect();
-    // The workers read the headers within milliseconds; watch the
-    // resident set for a while after.
-    let mut peak = baseline;
-    let until = Instant::now() + Duration::from_millis(800);
-    while Instant::now() < until {
-        peak = peak.max(resident_bytes());
-        thread::sleep(Duration::from_millis(20));
-    }
-    let grown = peak.saturating_sub(baseline);
-    assert!(
-        grown <= BUDGET_BYTES,
-        "{PEERS} header-only peers grew the resident set by {} KiB",
-        grown >> 10
-    );
+        let header = header_claiming(MAX_PAYLOAD_BYTES);
+        let peers: Vec<TcpStream> = (0..PEERS)
+            .map(|_| {
+                let mut peer = TcpStream::connect(server.local_addr()).unwrap();
+                peer.write_all(&header).unwrap();
+                peer.flush().unwrap();
+                peer
+            })
+            .collect();
+        // The workers read the headers within milliseconds; watch the
+        // resident set for a while after.
+        let mut peak = baseline;
+        let until = Instant::now() + Duration::from_millis(800);
+        while Instant::now() < until {
+            peak = peak.max(resident_bytes());
+            thread::sleep(Duration::from_millis(20));
+        }
+        let grown = peak.saturating_sub(baseline);
+        assert!(
+            grown <= BUDGET_BYTES,
+            "{PEERS} header-only peers grew the resident set by {} KiB",
+            grown >> 10
+        );
 
-    // A well-behaved client is still answered while they stall.
-    client.ping().unwrap();
+        // A well-behaved client is still answered while they stall.
+        client.ping().unwrap();
 
-    let started = Instant::now();
-    drop(peers);
-    drop(client);
-    server.shutdown();
-    assert!(
-        started.elapsed() < Duration::from_secs(10),
-        "shutdown took {:?}",
-        started.elapsed()
-    );
-    std::fs::remove_dir_all(&dir).ok();
+        let started = Instant::now();
+        drop(peers);
+        drop(client);
+        server.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "shutdown took {:?}",
+            started.elapsed()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    });
 }

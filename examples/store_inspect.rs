@@ -3,9 +3,9 @@
 //! into the chunk index and the run directory, with the entries whose
 //! BP or TP is an end point and those whose values are decimal), chunks,
 //! versions, statistics, the form each chunk (one page) stores each
-//! column in (timestamps constant, stream or packed; values stream,
-//! packed or decimal, and a decimal block's frame: reference, delta or
-//! line)
+//! column in (timestamps constant, stream or packed, and a packed
+//! column's frame: delta or line; values stream, packed or decimal, and
+//! a decimal block's frame: reference, delta or line)
 //! and pending deletes —
 //! using only the public tsfile API, the catalog's own read-only reader
 //! (`tskv::catalog::read_log`, the one recovery uses) and read-only
@@ -84,7 +84,10 @@ fn build_demo(dir: &Path) -> Result<(), Box<dyn std::error::Error>> {
     // A register that drifts while it jitters: a slow sine under a few
     // hundredths of noise. Framed from its minimum it pays the drift on
     // every value; its decimal blocks frame the values around their
-    // trend line instead (`decimal (line)`), paying the noise alone.
+    // trend line instead (`decimal (line)`), paying the noise alone. It
+    // is sampled on a 1 s cadence jittered ±2 ms around its grid, so its
+    // packed timestamps are residuals from the cadence line too
+    // (`ts packed (line)`): deltas would pay the jitter of both ends.
     let mut state = 1u64;
     for t in 0..600i64 {
         state = state
@@ -92,9 +95,13 @@ fn build_demo(dir: &Path) -> Result<(), Box<dyn std::error::Error>> {
             .wrapping_add(1_442_695_040_888_963_407);
         let wave = 8.0 * (t as f64 / 1000.0).sin();
         let noise = ((state >> 60) % 13) as f64 / 100.0;
+        let jitter = ((state >> 40) % 5) as i64 - 2;
         kv.insert(
             "demo.temp",
-            Point::new(t * 1000, ((225.0 + wave + noise) * 100.0).round() / 100.0),
+            Point::new(
+                t * 1000 + jitter,
+                ((225.0 + wave + noise) * 100.0).round() / 100.0,
+            ),
         )?;
     }
     // One delete over two of demo.a's sealed runs: one entry in its one
@@ -203,10 +210,11 @@ fn dump_file(
             let s = &meta.stats;
             let body = reader.read_chunk_raw(meta)?;
             let forms = page::forms(&body)?;
-            let ts = match forms.timestamps {
-                TsForm::Constant => "constant",
-                TsForm::Stream => "stream",
-                TsForm::Packed => "packed",
+            let ts = match (forms.timestamps, page::ts_framing(&body)?) {
+                (TsForm::Constant, _) => "constant",
+                (TsForm::Stream, _) => "stream",
+                (TsForm::Packed, Some(Framing::Line)) => "packed (line)",
+                (TsForm::Packed, _) => "packed (delta)",
             };
             let values = match (forms.values, page::decimal_framing(&body)?) {
                 (ValueForm::Stream, _) => "stream",

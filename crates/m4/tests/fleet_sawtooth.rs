@@ -3,7 +3,9 @@
 //! step a second and wraps every 2 000, written in 10-point batches
 //! with one in ten swapped out of order, flushed every 2 000 points and
 //! then compacted — stores its values as deltas, at a few bytes a page
-//! where Gorilla's XOR spends about 1.4 bytes a value, and answers M4
+//! where Gorilla's XOR spends about 1.4 bytes a value, or, in a chunk
+//! with no wrap inside, as no bytes at all (a ramp its footer entry
+//! implies, on a constant cadence: a bodiless chunk), and answers M4
 //! queries exactly as `m4::oracle` does on both operators.
 
 // Tests assert by panicking; the workspace panic-freedom deny-set
@@ -18,6 +20,7 @@ use std::path::Path;
 use m4::oracle::m4_scan;
 use m4::{M4Lsm, M4Query, M4Udf};
 use tsfile::encoding::decimal::Framing;
+use tsfile::page::ValueForm;
 use tsfile::types::Point;
 use tsfile::TsFileReader;
 use tskv::config::EngineConfig;
@@ -75,28 +78,32 @@ fn a_fleet_sawtooth_stores_its_deltas_and_answers_m4_exactly() {
         .map(|p| std::fs::metadata(p).unwrap().len())
         .sum();
     let per_point = bytes as f64 / model.len() as f64;
+    // 482 B for 30 000 points (0.0161 B/point).
     assert!(
-        per_point < 0.3,
+        per_point < 0.02,
         "{bytes} bytes of data files for {} points: {per_point:.3} B/point",
         model.len()
     );
-    // Every chunk's values are a decimal block in the delta frame.
-    let mut pages = 0;
+    // Every chunk's values are a decimal block in the delta frame, or
+    // a ramp its footer entry implies (a chunk with no wrap inside).
+    let (mut pages, mut implied) = (0, 0);
     for path in &files {
         let reader = TsFileReader::open(path).unwrap();
         for meta in reader.chunk_metas() {
             let body = reader.read_chunk_raw(meta).unwrap();
             let framing = tsfile::page::decimal_framing(&body).unwrap();
-            assert_eq!(
-                framing,
-                Some(Framing::Delta),
-                "chunk at t={}",
+            let values = tsfile::page::forms(&body).unwrap().values;
+            assert!(
+                framing == Some(Framing::Delta) || values == ValueForm::Implied,
+                "chunk at t={}: {values:?}, {framing:?}",
                 meta.stats.first.t
             );
+            implied += usize::from(values == ValueForm::Implied);
             pages += 1;
         }
     }
     assert!(pages >= 30, "{pages} chunks");
+    assert!(implied >= 1, "no chunk of {pages} implied its values");
 
     let live: Vec<Point> = model.iter().map(|(&t, &v)| Point::new(t, v)).collect();
     let (first, last) = (live[0].t, live[live.len() - 1].t);

@@ -165,6 +165,32 @@ pub(crate) fn pair_for(values: &[f64], carried: Option<Exponents>) -> Option<Exp
         .or_else(|| choose(values, carried).filter(holds))
 }
 
+/// The `n` values `first` and `last` imply, by position: `first` where
+/// the two share their bits, else `(d0 + i·δ) / 10^k` correctly rounded
+/// (as a reading parses; a pair's multiply misses a hundredth in seven),
+/// `k` the most decimals either shows. `None` where an end has no short
+/// form, `δ` is not whole, or the last step keeps the value (so the
+/// extremes are the ends).
+pub(crate) fn implied(first: f64, last: f64, n: usize) -> Option<impl Fn(usize) -> f64> {
+    let (mut scale, mut d0, mut step) = (1.0, 0, 0);
+    if first.to_bits() != last.to_bits() {
+        scale = *F10.get(usize::from(decimals(first)?.max(decimals(last)?)))?;
+        let integer = |v: f64| {
+            let d = cast::i64_from_integral(round_even(v * scale));
+            let exact = (cast::f64_from_i64(d) / scale).to_bits() == v.to_bits();
+            (exact && d.unsigned_abs() < INT_LIMIT).then_some(d)
+        };
+        let steps = i64::try_from(n.checked_sub(1)?).ok().filter(|&s| s > 0)?;
+        let span = integer(last)? - integer(first)?;
+        (d0, step) = (integer(first)?, (span % steps == 0).then(|| span / steps)?);
+    }
+    let value = move |i: usize| match i64::try_from(i).map(|i| d0 + step * i) {
+        Ok(d) if step != 0 => cast::f64_from_i64(d) / scale,
+        _ => first,
+    };
+    (step == 0 || value(n - 2).to_bits() != last.to_bits()).then_some(value)
+}
+
 /// The four powers one pair multiplies by: `10^e · 10^-f` to encode,
 /// `10^f · 10^-e` to decode.
 #[derive(Debug, Clone, Copy)]
@@ -387,10 +413,9 @@ fn encode_framed(
     allowed: impl Fn(Framing) -> bool,
     out: &mut Vec<u8>,
 ) -> bool {
-    let Some(fs) = Factors::of(pair) else {
+    let Some((pair, digits)) = fewest_exceptions(values, pair) else {
         return false;
     };
-    let digits: Vec<i64> = values.iter().map(|&v| fs.encode_or_min(v)).collect();
     // A value that does not round-trip is `i64::MIN`, below every kept
     // integer; kept integers are below 2^53 in magnitude, so the width
     // is at most 54.
@@ -439,6 +464,31 @@ fn encode_framed(
         }
     }
     true
+}
+
+/// `pair` — or where it leaves exceptions the pair of its scale leaving
+/// the fewest, ties to the first tried — with each value's integer under
+/// it (`i64::MIN` for none): the sample that chose `pair` can miss a
+/// value it fails. Only a pair recovering a best one's exception is run.
+fn fewest_exceptions(values: &[f64], pair: Exponents) -> Option<(Exponents, Vec<i64>)> {
+    let integers = |fs: Factors| values.iter().map(|&v| fs.encode_or_min(v)).collect();
+    let missed = |digits: &Vec<i64>| digits.iter().filter(|&&d| !kept(d)).count();
+    let mut best: (Exponents, Vec<i64>) = (pair, integers(Factors::of(pair)?));
+    let mut fewest = missed(&best.1);
+    for e in pair.scale()..=MAX_EXPONENT {
+        let sibling = Exponents::of(e, e - pair.scale()).filter(|_| fewest > 0);
+        let Some((sibling, fs)) = sibling.zip(sibling.and_then(Factors::of)) else {
+            break;
+        };
+        let recovers = |(d, &v): (&i64, &f64)| !kept(*d) && fs.encode(v).is_some();
+        if best.1.iter().zip(values).any(recovers) {
+            let digits = integers(fs);
+            if missed(&digits) < fewest {
+                (fewest, best) = (missed(&digits), (sibling, digits));
+            }
+        }
+    }
+    Some(best)
 }
 
 /// A frame sized exactly, with what writing it takes.
@@ -857,8 +907,12 @@ mod tests {
                 return Ok(());
             }
             decodes_to(&buf, &vs).unwrap();
-            let fs = Factors::of(pair).unwrap();
-            let exact = vs.iter().all(|&v| fs.encode(v).is_some());
+            // Exact under the pair, or under a sibling the full pass
+            // falls back to.
+            let exact = (pair.scale()..=MAX_EXPONENT).any(|e| {
+                let fs = Factors::of(Exponents { e, f: e - pair.scale() }).unwrap();
+                vs.iter().all(|&v| fs.encode(v).is_some())
+            });
             let delta = framed(&vs, pair, Some(Framing::Delta));
             prop_assert_eq!(delta.is_some(), exact);
             if let Some(delta) = &delta {
@@ -1002,7 +1056,10 @@ mod tests {
     /// The blocks of every shape above — each kind at lengths from one
     /// value to past a page, with and without a special — and of a
     /// register drifting under noise are the bytes written before the
-    /// line fit moved into [`packed`]: their length and CRC, taken then.
+    /// line fit moved into [`packed`], but for the 84 of 1 038 blocks
+    /// whose sampled pair leaves exceptions a sibling pair of its scale
+    /// recovers: each of those holds fewer (64 810 B fewer in all).
+    /// Their length and CRC, taken when the full pass began to choose.
     #[test]
     fn blocks_are_the_bytes_written_before_the_fit_moved() {
         let (mut all, mut frames) = (Vec::new(), [0usize; 3]);
@@ -1043,7 +1100,7 @@ mod tests {
         assert!(frames.iter().all(|&f| f > 50), "{frames:?}");
         assert_eq!(
             (all.len(), crate::checksum::crc32(&all)),
-            (301_629, 0xe80d_77e8)
+            (236_819, 0xbba5_8588)
         );
     }
 }

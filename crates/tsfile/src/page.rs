@@ -11,13 +11,14 @@
 //!   u8     modes: timestamps  bit 0 constant delta, bit 2 packed deltas,
 //!                             neither: the chunk's timestamp encoding
 //!                 values      bit 1 decimal block, bit 3 packed deltas,
-//!                             neither: the chunk's value encoding
-//!                 (bits 0 and 2, or 1 and 3, together, or any other
-//!                 bit: Corrupt)
+//!                             bit 4 implied (no bytes),
+//!                             none: the chunk's value encoding
+//!                 (two bits of a column, or any higher bit: Corrupt)
 //!   varint len(ts_bytes)   ts_bytes    (neither when the timestamps
 //!                                       are a constant delta)
 //!   val_bytes                          (the rest, up to the CRC)
 //!   u32    crc32 of everything above (LE)
+//! bodiless page (constant delta, implied values): no byte at all
 //! ```
 //!
 //! A page stores nothing its chunk's statistics hold ([`PageMeta`]:
@@ -33,7 +34,10 @@
 //! residuals from a least-squares cadence line (the line frame, flagged
 //! in its width byte, [`ts_framing`]), whose last point must be LP. The
 //! value column runs to the CRC, so the body's own length (the footer's)
-//! bounds it.
+//! bounds it. Implied values are no bytes: FP.v repeated, or a decimal
+//! ramp to LP.v ([`decimal::implied`]), taken only where every value has
+//! those bits; a reader re-derives them, `Corrupt` where the entry
+//! implies none or BP or TP is not an end point.
 //!
 //! Both forms ([`PageForms`]) are chosen per page from the page's own
 //! columns, by exact size, never by a setting. The constant-delta
@@ -98,6 +102,8 @@ const MODE_DECIMAL: u8 = 2;
 const MODE_PACKED_TS: u8 = 4;
 /// Mode bit: the values are packed key deltas.
 const MODE_PACKED_VALUES: u8 = 8;
+/// Mode bit: the values are no bytes, implied by the statistics.
+const MODE_IMPLIED_VALUES: u8 = 16;
 
 /// How a page stores its timestamps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,6 +126,8 @@ pub enum ValueForm {
     Decimal,
     /// Bit-packed key deltas from FP.v ([`encoding::packed`]).
     Packed,
+    /// No bytes: what FP.v and LP.v imply ([`decimal::implied`]).
+    Implied,
 }
 
 /// A page's two forms, as its modes byte records them.
@@ -140,6 +148,7 @@ impl PageForms {
             ValueForm::Stream => 0,
             ValueForm::Decimal => MODE_DECIMAL,
             ValueForm::Packed => MODE_PACKED_VALUES,
+            ValueForm::Implied => MODE_IMPLIED_VALUES,
         };
         ts | values
     }
@@ -151,15 +160,15 @@ impl PageForms {
             MODE_PACKED_TS => Some(TsForm::Packed),
             _ => None,
         };
-        let values = match modes & (MODE_DECIMAL | MODE_PACKED_VALUES) {
+        let values = match modes & (MODE_DECIMAL | MODE_PACKED_VALUES | MODE_IMPLIED_VALUES) {
             0 => Some(ValueForm::Stream),
             MODE_DECIMAL => Some(ValueForm::Decimal),
             MODE_PACKED_VALUES => Some(ValueForm::Packed),
+            MODE_IMPLIED_VALUES => Some(ValueForm::Implied),
             _ => None,
         };
-        let known = MODE_CONST_DELTA | MODE_DECIMAL | MODE_PACKED_TS | MODE_PACKED_VALUES;
         match (timestamps, values) {
-            (Some(timestamps), Some(values)) if modes & !known == 0 => {
+            (Some(timestamps), Some(values)) if modes < 2 * MODE_IMPLIED_VALUES => {
                 Ok(PageForms { timestamps, values })
             }
             _ => Err(TsFileError::Corrupt(format!(
@@ -243,6 +252,9 @@ pub(crate) fn encode_page_columns(
     let timestamps = ts_column(ts, deltas, ts_encoding, &mut ts_bytes);
     let mut val_bytes = bufpool::take(0);
     let (value_form, val_col) = value_column(vs, val_encoding, values, &mut val_bytes);
+    if timestamps == TsForm::Constant && value_form == ValueForm::Implied {
+        return; // bodiless: the footer entry holds it all
+    }
     out.push(
         PageForms {
             timestamps,
@@ -286,8 +298,9 @@ fn ts_column(ts: &[i64], deltas: &[i64], ts_encoding: EncodingKind, buf: &mut Ve
     TsForm::Packed
 }
 
-/// A page's value column, as `(its form, its bytes in buf)`: the packed
-/// key deltas when they are smaller than what the page would hold
+/// A page's value column, as `(its form, its bytes in buf)`: none where
+/// its ends imply it, else the packed key deltas when smaller than what
+/// the page would hold
 /// without them, else that — the decimal block when the sample admits a
 /// pair and the block is smaller than the configured stream, else the
 /// stream. Every tie goes to the form without packing, and between those
@@ -302,9 +315,16 @@ fn value_column<'a>(
     carry: &mut ValueCarry,
     buf: &'a mut Vec<u8>,
 ) -> (ValueForm, &'a [u8]) {
+    // Planned on every page, so the carried pair is as without the form.
+    let pair = decimal::plan(vs, &mut carry.pair);
+    let ends = vs.first().zip(vs.last());
+    let line = ends.and_then(|(&first, &last)| decimal::implied(first, last, vs.len()));
+    let bits = vs.iter().map(|v| v.to_bits());
+    if line.is_some_and(|line| bits.eq((0..vs.len()).map(|i| line(i).to_bits()))) {
+        return (ValueForm::Implied, buf);
+    }
     packed::key_deltas(vs, &mut carry.keys);
-    let unpacked =
-        decimal::plan(vs, &mut carry.pair).map(|pair| block_or_stream(vs, val_encoding, pair, buf));
+    let unpacked = pair.map(|pair| block_or_stream(vs, val_encoding, pair, buf));
     // A block or stream no larger than the packed column's floor keeps
     // it (a tie goes to it) without sizing the packed column.
     if let Some(form) = unpacked.filter(|_| buf.len() <= Packing::floor(&carry.keys)) {
@@ -378,11 +398,7 @@ fn checked_payload<'a>(body: &'a [u8], what: &'static str) -> Result<&'a [u8]> {
         return Err(TsFileError::UnexpectedEof { what });
     }
     let (payload, crc_bytes) = body.split_at(body.len() - 4);
-    let mut arr = [0u8; 4];
-    for (dst, src) in arr.iter_mut().zip(crc_bytes) {
-        *dst = *src;
-    }
-    let expected = u32::from_le_bytes(arr);
+    let expected = u32::from_le_bytes(crc_bytes.try_into().unwrap_or_default());
     let actual = crc32(payload);
     if actual != expected {
         return Err(TsFileError::ChecksumMismatch {
@@ -420,23 +436,24 @@ pub fn verify_page_body(body: &[u8], meta: &PageMeta) -> Result<()> {
         ValueForm::Packed => {
             packed::verify_page_values(cols.val_col, n, (stats.first.v, stats.last.v))
         }
+        ValueForm::Implied => Ok(()),
     }
 }
 
 /// How a page stores its two columns. Verifies the page CRC; no column
 /// is decoded.
 pub fn forms(body: &[u8]) -> Result<PageForms> {
-    Ok(split_page(checked_payload(body, "page body")?)?.forms)
+    Ok(page_columns(body)?.forms)
 }
 
 /// How a page's decimal block frames its integers, from the block's
 /// header (`None` for a page whose values are not a decimal block).
 /// Verifies the page CRC; no column is decoded.
 pub fn decimal_framing(body: &[u8]) -> Result<Option<decimal::Framing>> {
-    let cols = split_page(checked_payload(body, "page body")?)?;
+    let cols = page_columns(body)?;
     match cols.forms.values {
         ValueForm::Decimal => decimal::framing(cols.val_col).map(Some),
-        ValueForm::Stream | ValueForm::Packed => Ok(None),
+        ValueForm::Stream | ValueForm::Packed | ValueForm::Implied => Ok(None),
     }
 }
 
@@ -444,7 +461,7 @@ pub fn decimal_framing(body: &[u8]) -> Result<Option<decimal::Framing>> {
 /// line, from its width byte (`None` for a page whose timestamps are not
 /// packed). Verifies the page CRC; no column is decoded.
 pub fn ts_framing(body: &[u8]) -> Result<Option<Framing>> {
-    let cols = split_page(checked_payload(body, "page body")?)?;
+    let cols = page_columns(body)?;
     match cols.forms.timestamps {
         TsForm::Packed if packed::is_line(cols.ts_col) => Ok(Some(Framing::Line)),
         TsForm::Packed => Ok(Some(Framing::Delta)),
@@ -457,6 +474,15 @@ struct PageColumns<'a> {
     forms: PageForms,
     ts_col: &'a [u8],
     val_col: &'a [u8],
+}
+
+/// Check a page body's CRC and split it: a zero-length body is the
+/// modes byte of constant-delta timestamps and implied values alone.
+fn page_columns(body: &[u8]) -> Result<PageColumns<'_>> {
+    match body.is_empty() {
+        true => split_page(&[MODE_CONST_DELTA | MODE_IMPLIED_VALUES]),
+        false => split_page(checked_payload(body, "page body")?),
+    }
 }
 
 fn split_page(payload: &[u8]) -> Result<PageColumns<'_>> {
@@ -489,9 +515,10 @@ fn split_page(payload: &[u8]) -> Result<PageColumns<'_>> {
 }
 
 /// Check a page body's CRC and split it; with it, the point count the
-/// footer entry gives it, under the ceiling.
+/// footer entry gives it, under the ceiling; implied values are checked
+/// whichever column is read.
 fn open_page<'a>(body: &'a [u8], meta: &PageMeta) -> Result<(PageColumns<'a>, usize)> {
-    let cols = split_page(checked_payload(body, "page body")?)?;
+    let cols = page_columns(body)?;
     let count = meta.stats.count;
     let n = cast::usize_checked(count)
         .filter(|&n| n <= MAX_PAGE_POINTS)
@@ -500,7 +527,18 @@ fn open_page<'a>(body: &'a [u8], meta: &PageMeta) -> Result<(PageColumns<'a>, us
                 "page of {count} points, above the {MAX_PAGE_POINTS}-point ceiling"
             ))
         })?;
+    if cols.forms.values == ValueForm::Implied {
+        implied_values(&meta.stats, n).map(drop)?;
+    }
     Ok((cols, n))
+}
+
+/// The values an `n`-point page's statistics imply, with BP and TP at
+/// its ends: else `Corrupt`.
+fn implied_values(stats: &PageStatistics, n: usize) -> Result<impl Fn(usize) -> f64> {
+    let (first, last) = (stats.first.v, stats.last.v);
+    let line = decimal::implied(first, last, n).filter(|_| stats.extremes_at_ends());
+    line.ok_or_else(|| TsFileError::Corrupt(format!("no {n} values implied by {first}, {last}")))
 }
 
 /// The step of a constant-delta column of `n` points, from its
@@ -568,6 +606,7 @@ pub fn decode_page(
         ValueForm::Packed => {
             packed::decode_page_values(cols.val_col, n, (stats.first.v, stats.last.v))?
         }
+        ValueForm::Implied => (0..n).map(implied_values(stats, n)?).collect(),
     };
     if ts.len() != n || vs.len() != n {
         return Err(TsFileError::Corrupt(format!(

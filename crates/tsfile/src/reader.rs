@@ -169,22 +169,12 @@ impl TsFileReader {
 
 /// First four bytes of `bytes` as a little-endian `u32`, if present.
 fn le_u32(bytes: &[u8]) -> Option<u32> {
-    let src = bytes.get(..4)?;
-    let mut arr = [0u8; 4];
-    for (dst, s) in arr.iter_mut().zip(src) {
-        *dst = *s;
-    }
-    Some(u32::from_le_bytes(arr))
+    Some(u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?))
 }
 
 /// First eight bytes of `bytes` as a little-endian `u64`, if present.
 fn le_u64(bytes: &[u8]) -> Option<u64> {
-    let src = bytes.get(..8)?;
-    let mut arr = [0u8; 8];
-    for (dst, s) in arr.iter_mut().zip(src) {
-        *dst = *s;
-    }
-    Some(u64::from_le_bytes(arr))
+    Some(u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?))
 }
 
 #[cfg(test)]

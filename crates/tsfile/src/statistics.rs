@@ -192,6 +192,11 @@ impl ChunkStatistics {
         (at(self.bottom), at(self.top))
     }
 
+    /// Whether BP and TP are each the whole point of FP or of LP.
+    pub(crate) fn extremes_at_ends(&self) -> bool {
+        !matches!(self.ends(), (INTERIOR, _) | (_, INTERIOR))
+    }
+
     /// Serialize against `carry`, what the entry before these
     /// statistics in file order left, and advance it. Returns the tag
     /// the footer stores beside the chunk's encodings, which says what

@@ -363,7 +363,9 @@ mod tests {
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         let (ts, val) = (EncodingKind::Ts2Diff, EncodingKind::Gorilla);
-        let a = pts(0..10);
+        // Not a ramp, so the page has a body to corrupt.
+        let mut a = pts(0..10);
+        a[4].v = -1.0;
         let stats = ChunkStatistics::from_points(&a)?;
         let mut body = Vec::new();
         encode_page(&a, ts, val, &mut body);

@@ -851,19 +851,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Flip arbitrary bytes anywhere in a valid TsFile — one of
-    /// constant-delta chunks, or one whose timestamps take the line
-    /// frame: open/read must either succeed with the original data
+    /// constant-delta chunks, one whose timestamps take the line
+    /// frame, or one whose first chunk is bodiless: open/read must either succeed with the original data
     /// (flip hit dead padding — impossible here, so in practice: error)
     /// or fail cleanly.
     #[test]
     fn bit_flips_never_panic(
         flips in prop::collection::vec((any::<prop::sample::Index>(), 1u8..=255), 1..8),
         line in any::<bool>(),
+        bodiless in any::<bool>(),
     ) {
         let dir = std::env::temp_dir().join("tsfile-fuzz");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("flip-{}.tsfile", std::process::id()));
-        let original = if line { cadence_file(&path) } else { sample_file(&path) };
+        let original = match (bodiless, line) {
+            (true, _) => bodiless_file(&path),
+            (_, true) => cadence_file(&path),
+            _ => sample_file(&path),
+        };
 
         let mut corrupted = original.clone();
         for (idx, mask) in &flips {
@@ -887,15 +892,23 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Truncate a valid TsFile (either of the two above) at any point:
+    /// Truncate a valid TsFile (any of the three above) at any point:
     /// must fail cleanly or, if truncation only removed nothing (full
     /// length), succeed.
     #[test]
-    fn truncation_never_panics(cut in any::<prop::sample::Index>(), line in any::<bool>()) {
+    fn truncation_never_panics(
+        cut in any::<prop::sample::Index>(),
+        line in any::<bool>(),
+        bodiless in any::<bool>(),
+    ) {
         let dir = std::env::temp_dir().join("tsfile-fuzz");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("trunc-{}.tsfile", std::process::id()));
-        let original = if line { cadence_file(&path) } else { sample_file(&path) };
+        let original = match (bodiless, line) {
+            (true, _) => bodiless_file(&path),
+            (_, true) => cadence_file(&path),
+            _ => sample_file(&path),
+        };
         let keep = cut.index(original.len() + 1);
         std::fs::write(&path, &original[..keep]).unwrap();
         match TsFileReader::open(&path) {
@@ -937,7 +950,7 @@ proptest! {
     }
 
     /// The "no silently wrong data" half of the contract: when a read
-    /// *succeeds* on a corrupted file (either of the two above), the
+    /// *succeeds* on a corrupted file (any of the three above), the
     /// returned points must be byte-exact against the original chunk for
     /// that version — the CRCs either reject the flip or it never
     /// touched that data.
@@ -945,13 +958,15 @@ proptest! {
     fn surviving_chunk_reads_are_exact(
         flips in prop::collection::vec((any::<prop::sample::Index>(), 1u8..=255), 1..8),
         line in any::<bool>(),
+        bodiless in any::<bool>(),
     ) {
         let dir = std::env::temp_dir().join("tsfile-fuzz");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("exact-{}.tsfile", std::process::id()));
-        let (original, pts) = match line {
-            true => (cadence_file(&path), cadence_points(500)),
-            false => (sample_file(&path), (0..500).map(|i| Point::new(i * 100, (i % 17) as f64)).collect()),
+        let (original, pts) = match (bodiless, line) {
+            (true, _) => (bodiless_file(&path), bodiless_points()),
+            (_, true) => (cadence_file(&path), cadence_points(500)),
+            _ => (sample_file(&path), (0..500).map(|i| Point::new(i * 100, (i % 17) as f64)).collect()),
         };
 
         let mut corrupted = original.clone();
@@ -1507,6 +1522,73 @@ proptest! {
         } else {
             let got = decimal::decode(&block, n);
             prop_assert!(matches!(got, Err(TsFileError::Corrupt(_))), "{:?}", got);
+        }
+    }
+}
+
+/// 500 points on a 100 ms cadence: the first 250 a ramp of quarters,
+/// the rest [`sample_file`]'s values.
+fn bodiless_points() -> Vec<Point> {
+    (0..500)
+        .map(|i| match i < 250 {
+            true => Point::new(i * 100, (2 * i + 1) as f64 / 4.0),
+            false => Point::new(i * 100, (i % 17) as f64),
+        })
+        .collect()
+}
+
+/// [`sample_file`]'s two chunks over [`bodiless_points`]: the first is
+/// bodiless (its footer entry holds it whole), the second has a body.
+fn bodiless_file(path: &std::path::Path) -> Vec<u8> {
+    let mut w = TsFileWriter::create(path).unwrap();
+    w.begin_series(0, 0).unwrap();
+    let pts = bodiless_points();
+    w.write_chunk(&pts[..250], 1).unwrap();
+    w.write_chunk(&pts[250..], 2).unwrap();
+    w.finish().unwrap();
+    let reader = TsFileReader::open(path).unwrap();
+    let lens: Vec<u64> = reader.chunk_metas().iter().map(|m| m.byte_len).collect();
+    assert!(lens[0] == 0 && lens[1] > 0, "{lens:?}");
+    std::fs::read(path).unwrap()
+}
+
+/// A page that leaves its values to its footer entry — bodiless, or
+/// beside a timestamp stream (modes bit 4 alone) — is `Corrupt` to the
+/// page decoder, the timestamp decoder and the copy gate alike when the
+/// entry implies no such values: statistics that are not a line in
+/// both columns, an interior BP or TP, or end points no decimal scale
+/// holds.
+#[test]
+fn statistics_that_imply_no_values_are_corrupt_to_all_three_readers() {
+    use tsfile::encoding::ts2diff;
+    let pi = std::f64::consts::PI;
+    let cases: [(&str, &[(i64, f64)]); 6] = [
+        ("timestamps not a line", &[(0, 5.0), (1, 5.0), (3, 5.0)]),
+        ("values not a line", &[(0, 0.1), (1, 0.15), (2, 0.2)]),
+        ("an interior TP", &[(0, 0.25), (1, 9.0), (2, 0.75)]),
+        ("an interior BP", &[(0, 0.25), (1, -9.0), (2, 0.75)]),
+        ("no scale holds an end", &[(0, 0.1), (1, pi)]),
+        ("NaN to a number", &[(0, f64::NAN), (1, 1.0)]),
+    ];
+    for (what, points) in cases {
+        let points: Vec<Point> = points.iter().map(|&(t, v)| Point::new(t, v)).collect();
+        let stats = tsfile::ChunkStatistics::from_points(&points).unwrap();
+        let ts: Vec<i64> = points.iter().map(|p| p.t).collect();
+        let mut stream = Vec::new();
+        ts2diff::encode(&ts, &mut stream);
+        // A timestamp stream decodes whatever the statistics say.
+        let pages = match what {
+            "timestamps not a line" => vec![Vec::new()],
+            _ => vec![Vec::new(), sealed_page(0x10, &stream, &[])],
+        };
+        for page in pages {
+            for got in three_readers(&page, stats) {
+                assert!(
+                    matches!(got, Err(TsFileError::Corrupt(_))),
+                    "{what}, a {}-byte page: {got:?}",
+                    page.len()
+                );
+            }
         }
     }
 }

@@ -457,7 +457,11 @@ proptest! {
 /// A page body's two columns: `(ts bytes, value bytes)`.
 fn columns(body: &[u8]) -> (&[u8], &[u8]) {
     // Modes; varint ts_len and the ts bytes, unless the timestamps are
-    // a constant delta (bit 0: no bytes); the values up to the CRC.
+    // a constant delta (bit 0: no bytes); the values up to the CRC. A
+    // bodiless page has neither.
+    if body.is_empty() {
+        return (&[], &[]);
+    }
     let values_end = body.len() - 4;
     if body[0] & 1 == 1 {
         return (&[], &body[1..values_end]);
@@ -477,6 +481,29 @@ fn derivable(ts: &[i64]) -> bool {
         && ts[ts.len() - 1]
             .checked_sub(ts[0])
             .is_some_and(|span| Some(span) == delta.checked_mul(steps))
+}
+
+/// Whether `vs` are one bit pattern throughout, or the doubles nearest
+/// `(d0 + i·δ) / 10^k` for some scale `k` and integers `d0`, `δ`: the
+/// values a page may leave to its statistics.
+fn a_decimal_line(vs: &[f64]) -> bool {
+    let (first, last, steps) = (vs[0], vs[vs.len() - 1], vs.len() as i64 - 1);
+    if vs.iter().all(|v| v.to_bits() == first.to_bits()) {
+        return true;
+    }
+    (0..=18).any(|k| {
+        let p: f64 = format!("1e{k}").parse().unwrap();
+        let (d0, span) = (
+            (first * p).round() as i64,
+            (last * p).round() as i64 - (first * p).round() as i64,
+        );
+        steps > 0
+            && span % steps == 0
+            && vs
+                .iter()
+                .enumerate()
+                .all(|(i, v)| ((d0 + span / steps * i as i64) as f64 / p).to_bits() == v.to_bits())
+    })
 }
 
 /// Encode `points` as a page and check it decodes to the same bits.
@@ -579,14 +606,27 @@ proptest! {
                 prop_assert!(val_col.len() < stream.len(), "{} >= {}", val_col.len(), stream.len());
                 prop_assert!(!has_block || val_col.len() < block.len(), "{} >= {}", val_col.len(), block.len());
             }
+            ValueForm::Implied => {
+                // No bytes, where the page without the form held a
+                // modes byte, a value column at least as large as the
+                // smallest of the three others, and a CRC.
+                prop_assert!(a_decimal_line(&vs) && val_col.is_empty());
+                let without = packed_len.min(stream.len()).min(if has_block { block.len() } else { usize::MAX });
+                let ts_part = if ts_col.is_empty() { 0 } else { varint::len_u64(ts_col.len() as u64) + ts_col.len() };
+                prop_assert!(body.len() < 5 + ts_part + without, "{} bytes", body.len());
+            }
         }
+        // A page of constant timestamps and implied values has no body.
+        let bodiless = forms.timestamps == TsForm::Constant && forms.values == ValueForm::Implied;
+        prop_assert_eq!(body.is_empty(), bodiless);
         if shape == 3 {
             prop_assert!(forms.values != ValueForm::Decimal, "an all-exception page went decimal");
         }
         // A decimal ramp or counter stores its deltas, unless no pair
         // of its scale recovers every value (the delta frame holds no
-        // exception).
-        if (8..=9).contains(&shape) && len >= 64 && decimal::encode_values_in(&vs, Framing::Delta, &mut Vec::new()) {
+        // exception), or its ends imply every value.
+        let implied = forms.values == ValueForm::Implied;
+        if (8..=9).contains(&shape) && len >= 64 && !implied && decimal::encode_values_in(&vs, Framing::Delta, &mut Vec::new()) {
             prop_assert_eq!(decimal_framing(&body).unwrap(), Some(Framing::Delta));
         }
 
@@ -629,6 +669,62 @@ proptest! {
         prop_assert_eq!(forms(&body).unwrap().timestamps == TsForm::Constant, fits);
         prop_assert_eq!(fits, derivable(&ts));
         partial_scans_match_ts2diff(&body, &meta, &ts)?;
+    }
+}
+
+/// A page of `len` values its ends imply, in one of four shapes: a ramp
+/// in quarter steps or in hundredths (the first value showing the
+/// ramp's two decimals, as a reading would), one repeated decimal, or
+/// one repeated NaN, −0.0 or ±∞ (`special`).
+fn implied_values(shape: u8, len: usize, start: i64, step: i64, special: usize) -> Vec<f64> {
+    const REPEATED: [u64; 4] = [
+        0x7ff8_0000_0000_0001,
+        0x8000_0000_0000_0000,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+    ];
+    (0..len as i64)
+        .map(|i| match shape {
+            0 => (2 * start + 1 + i * step) as f64 / 4.0,
+            1 => (10 * start + 3 + i * step) as f64 / 100.0,
+            2 => start as f64 / 100.0,
+            _ => f64::from_bits(REPEATED[special]),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A page whose values are the ones its ends imply stores no value
+    /// bytes — and on a regular cadence no body at all — and decodes
+    /// to the same bits from the footer's statistics alone. With one
+    /// value's lowest bit flipped (one ULP away, or another NaN) the
+    /// page stores its values.
+    #[test]
+    fn implied_values_take_no_bytes_and_a_nudged_value_breaks_them(
+        shape in 0u8..4,
+        len in 2usize..1_200,
+        start in -100_000i64..100_000,
+        step in prop_oneof![1i64..400, -400i64..0],
+        special in 0usize..4,
+        ts_shape in 0u8..5,
+        nudge in any::<prop::sample::Index>(),
+        seed in any::<u64>(),
+    ) {
+        let vs = implied_values(shape, len, start, step, special);
+        let ts = page_timestamps(ts_shape, len, seed);
+        let points: Vec<Point> = ts.iter().zip(&vs).map(|(&t, &v)| Point::new(t, v)).collect();
+        let (body, _) = page_roundtrip(&points, EncodingKind::Gorilla);
+        let got = forms(&body).unwrap();
+        prop_assert_eq!(got.values, ValueForm::Implied);
+        prop_assert_eq!(body.is_empty(), got.timestamps == TsForm::Constant);
+
+        let mut nudged = points;
+        let at = nudge.index(len);
+        nudged[at].v = f64::from_bits(nudged[at].v.to_bits() ^ 1);
+        let (body, _) = page_roundtrip(&nudged, EncodingKind::Gorilla);
+        prop_assert!(forms(&body).unwrap().values != ValueForm::Implied, "nudged at {}", at);
     }
 }
 
@@ -784,14 +880,15 @@ fn packed_edge_cases_round_trip() {
     assert_eq!(forms(&body).unwrap().timestamps, TsForm::Packed);
     assert_eq!(columns(&body).0[0], 64, "width");
 
-    // Equal full-precision values: width 0; a wild first and last one
-    // are its exceptions.
+    // Equal full-precision values: implied by FP.v, no bytes; with a
+    // wild first and last one, packed at width 0, the two its
+    // exceptions.
     let mut flat: Vec<Point> = (0..300)
         .map(|i| Point::new(i * 10, std::f64::consts::PI))
         .collect();
     let (body, _) = page_roundtrip(&flat, EncodingKind::Gorilla);
-    assert_eq!(forms(&body).unwrap().values, ValueForm::Packed);
-    assert_eq!(columns(&body).1[0], 0, "width");
+    assert_eq!(forms(&body).unwrap().values, ValueForm::Implied);
+    assert!(body.is_empty(), "{} bytes", body.len());
     flat[0].v = f64::from_bits(0xfff8_dead_beef_0000);
     flat[299].v = -0.0;
     let (body, _) = page_roundtrip(&flat, EncodingKind::Gorilla);
@@ -807,16 +904,16 @@ fn packed_edge_cases_round_trip() {
         assert_eq!(forms(&body).unwrap().values, ValueForm::Packed, "{bits:#x}");
     }
 
-    // One point: no timestamp bytes, and the value is the statistics'
-    // FP.v, so its packed column is an empty block (3 bytes) where the
-    // stream spends a raw double.
+    // One point: its time and value are the statistics' FP, so the page
+    // has no body, where its packed value column was an empty block
+    // (3 bytes) beside a modes byte and a CRC.
     let (body, _) = page_roundtrip(&[Point::new(-7, f64::NAN)], EncodingKind::Gorilla);
     let forms = forms(&body).unwrap();
     assert_eq!(
         (forms.timestamps, forms.values),
-        (TsForm::Constant, ValueForm::Packed)
+        (TsForm::Constant, ValueForm::Implied)
     );
-    assert_eq!(body.len(), 1 + 3 + 4);
+    assert!(body.is_empty(), "{} bytes", body.len());
 }
 
 proptest! {

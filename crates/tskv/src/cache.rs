@@ -5,7 +5,10 @@
 //! chunk on every query is the dominant read-path lever. This module
 //! caches *decoded* points (the expensive artifact) keyed by
 //!
-//! > (file handle id, chunk byte offset, chunk version)
+//! > (file handle id, chunk index in the file, chunk version)
+//!
+//! — the index, not the byte offset: a bodiless chunk (one its footer
+//! entry holds whole) starts where the next chunk does.
 //!
 //! A chunk is one page, so an entry is one chunk's points — at most
 //! `points_per_chunk` of them: a narrow query caches, and later evicts,
@@ -59,8 +62,8 @@ use crate::stats::IoStats;
 pub struct CacheKey {
     /// Process-unique id of the owning [`tsfile::TsFileReader`].
     pub file_id: u64,
-    /// Byte offset of the chunk within the file.
-    pub offset: u64,
+    /// The chunk's index in its file's footer.
+    pub chunk: usize,
     /// The chunk's version `κ`.
     pub version: u64,
 }
@@ -220,19 +223,19 @@ impl DecodedChunkCache {
         }
     }
 
-    /// Drop every entry of `file_id` whose chunk starts inside the byte
-    /// range `offsets` — one series' run of the file, retired by that
+    /// Drop every entry of `file_id` whose chunk index is in `chunks` —
+    /// one series' run of the file, retired by that
     /// series' compaction — across all stripes. Entries of the file's
     /// other runs (other series still reading it) stay. Returns how
     /// many entries were dropped.
-    pub fn invalidate_run(&self, file_id: u64, offsets: std::ops::Range<u64>) -> u64 {
+    pub fn invalidate_run(&self, file_id: u64, chunks: std::ops::Range<usize>) -> u64 {
         let mut dropped = 0u64;
         for shard in &self.shards {
             let mut inner = shard.lock();
             let doomed: Vec<CacheKey> = inner
                 .map
                 .keys()
-                .filter(|k| k.file_id == file_id && offsets.contains(&k.offset))
+                .filter(|k| k.file_id == file_id && chunks.contains(&k.chunk))
                 .copied()
                 .collect();
             for key in &doomed {
@@ -290,11 +293,11 @@ mod tests {
 
     use super::*;
 
-    fn key(file: u64, off: u64) -> CacheKey {
+    fn key(file: u64, chunk: u64) -> CacheKey {
         CacheKey {
             file_id: file,
-            offset: off,
-            version: off,
+            chunk: chunk as usize,
+            version: chunk,
         }
     }
 
@@ -327,15 +330,15 @@ mod tests {
         let (c, _io) = cache(1 << 20);
         let base = CacheKey {
             file_id: 1,
-            offset: 6,
+            chunk: 6,
             version: 9,
         };
         c.insert(base, pts(10));
-        c.insert(CacheKey { offset: 50, ..base }, pts(20));
-        c.insert(CacheKey { offset: 90, ..base }, pts(30));
+        c.insert(CacheKey { chunk: 7, ..base }, pts(20));
+        c.insert(CacheKey { chunk: 8, ..base }, pts(30));
         assert_eq!(c.len(), 3, "chunks of one run cache independently");
-        assert_eq!(c.get(CacheKey { offset: 50, ..base }).unwrap().len(), 20);
-        assert_eq!(c.invalidate_run(1, 6..91), 3);
+        assert_eq!(c.get(CacheKey { chunk: 7, ..base }).unwrap().len(), 20);
+        assert_eq!(c.invalidate_run(1, 6..9), 3);
     }
 
     #[test]
@@ -413,7 +416,7 @@ mod tests {
         }
         assert!(c.bytes() <= c.capacity_bytes());
         // Invalidation must reach every stripe.
-        let dropped = c.invalidate_run(0, 0..u64::MAX);
+        let dropped = c.invalidate_run(0, 0..usize::MAX);
         assert_eq!(dropped, 67); // off % 3 == 0 for 0..200
         assert!(c.file_ids() == vec![1, 2]);
         assert_eq!(io.snapshot().cache_invalidations, 67);
@@ -433,7 +436,7 @@ mod tests {
                             None => c.insert(k, pts(64)),
                         }
                         if i % 97 == 0 {
-                            c.invalidate_run(thread % 2, 0..u64::MAX);
+                            c.invalidate_run(thread % 2, 0..usize::MAX);
                         }
                     }
                 });

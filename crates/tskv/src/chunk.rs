@@ -19,10 +19,12 @@ use tsfile::types::{Point, TimeRange, Version};
 #[derive(Debug, Clone)]
 pub enum ChunkData {
     /// A sealed chunk inside a TsFile; `file_idx` indexes the
-    /// snapshot's file list. `meta` is the open file's own copy of the
-    /// footer entry, shared by count with every handle made from it.
+    /// snapshot's file list and `chunk` the file's chunk index. `meta`
+    /// is the open file's own copy of the footer entry, shared by count
+    /// with every handle made from it.
     File {
         file_idx: usize,
+        chunk: usize,
         meta: Arc<ChunkMeta>,
     },
     /// The memtable, exposed as an ephemeral in-memory chunk so reads
@@ -45,12 +47,16 @@ pub struct ChunkHandle {
 }
 
 impl ChunkHandle {
-    /// Build a handle for a sealed chunk.
-    pub fn from_file(file_idx: usize, meta: Arc<ChunkMeta>) -> Self {
+    /// Build a handle for the sealed chunk `chunk` of its file.
+    pub fn from_file(file_idx: usize, chunk: usize, meta: Arc<ChunkMeta>) -> Self {
         ChunkHandle {
             version: meta.version,
             stats: meta.stats,
-            data: ChunkData::File { file_idx, meta },
+            data: ChunkData::File {
+                file_idx,
+                chunk,
+                meta,
+            },
         }
     }
 

@@ -122,12 +122,13 @@ mod tests {
     #[test]
     fn compaction_preserves_merged_series() -> TestResult {
         let (dir, kv) = fresh("preserve")?;
+        // Values that are not a line, so every chunk has a body to read.
         for t in 0..1_000i64 {
-            kv.insert("s", Point::new(t, 1.0))?;
+            kv.insert("s", Point::new(t, (t % 7) as f64))?;
         }
         kv.flush_all()?;
         for t in 300..700i64 {
-            kv.insert("s", Point::new(t, 2.0))?; // overwrites
+            kv.insert("s", Point::new(t, (t % 7 + 10) as f64))?; // overwrites
         }
         kv.flush_all()?;
         kv.delete("s", 100, 149)?;
@@ -281,8 +282,9 @@ mod tests {
         use std::os::unix::fs::FileExt;
 
         let (dir, kv) = fresh("flipped")?;
+        // Not a ramp, so every chunk has a body to flip a byte in.
         for t in 0..600i64 {
-            kv.insert("s", Point::new(t, t as f64))?;
+            kv.insert("s", Point::new(t, (t % 7) as f64))?;
         }
         kv.flush_all()?; // three disjoint files: every chunk is clean
         let listing = |dir: &std::path::Path| -> std::io::Result<Vec<std::path::PathBuf>> {
@@ -330,14 +332,15 @@ mod tests {
     #[test]
     fn partial_overlap_mixes_copy_and_recode() -> TestResult {
         let (dir, kv) = fresh("mixed")?;
+        // Values that are not a line, so every chunk has a body to copy.
         for t in 0..1_000i64 {
-            kv.insert("s", Point::new(t, 1.0))?;
+            kv.insert("s", Point::new(t, (t % 7) as f64))?;
         }
         kv.flush_all()?;
         // Overwrite a narrow window: only chunks overlapping [400, 480)
         // (plus the overwriting file's own chunk) should recode.
         for t in 400..480i64 {
-            kv.insert("s", Point::new(t, 2.0))?;
+            kv.insert("s", Point::new(t, (t % 7 + 10) as f64))?;
         }
         kv.flush_all()?;
         let before = MergeReader::new(&kv.snapshot("s")?).collect_merged()?;
@@ -583,7 +586,12 @@ mod tests {
         let mut copied = [0u64; 2]; // [full precision, decimal]
         let mut recoded = [0u64; 2];
         for (body, points) in &output {
-            let decimal = tsfile::page::forms(body)?.values == tsfile::page::ValueForm::Decimal;
+            // A chunk of quarters is a decimal block, or no bytes where
+            // its ends imply a ramp (the first ten values: 0 to 2.25).
+            let decimal = matches!(
+                tsfile::page::forms(body)?.values,
+                tsfile::page::ValueForm::Decimal | tsfile::page::ValueForm::Implied
+            );
             let t = points[0].t;
             assert_eq!(
                 decimal,

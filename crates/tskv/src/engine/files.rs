@@ -62,15 +62,6 @@ impl SeriesView {
         newest.unwrap_or(0).max(self.run.supersedes.0)
     }
 
-    /// Byte range of the file the run's chunk bodies occupy.
-    fn byte_range(&self) -> Range<u64> {
-        let metas = self.metas();
-        match (metas.first(), metas.last()) {
-            (Some(first), Some(last)) => first.offset..last.offset + last.byte_len,
-            _ => 0..0,
-        }
-    }
-
     /// Retire the view: its series no longer reads the run, because the
     /// compaction that merged it is done. Drops the run's decoded-chunk
     /// cache entries (the file's other runs keep theirs) and unlinks
@@ -81,7 +72,7 @@ impl SeriesView {
     pub(super) fn retire(self, cache: Option<&DecodedChunkCache>) -> std::io::Result<()> {
         tsfile::lockcheck::check_io();
         if let Some(cache) = cache {
-            cache.invalidate_run(self.file.reader.handle_id(), self.byte_range());
+            cache.invalidate_run(self.file.reader.handle_id(), self.run.chunks.clone());
         }
         // AcqRel: whoever takes the count to zero does so after every
         // other view's cache cleanup is done.

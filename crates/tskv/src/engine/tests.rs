@@ -865,8 +865,9 @@ fn scheduler_entry_declines_below_threshold_manual_compact_does_not() -> TestRes
         },
     )?;
     for round in 0..2i64 {
+        // Not a line, so each chunk has a body for the compaction to read.
         let pts: Vec<Point> = (0..40)
-            .map(|t| Point::new(round * 40 + t, round as f64))
+            .map(|t| Point::new(round * 40 + t, (round * 10 + t % 7) as f64))
             .collect();
         kv.insert_batch("s", &pts)?;
         kv.flush("s")?;

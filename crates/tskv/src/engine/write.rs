@@ -216,8 +216,10 @@ impl EngineInner {
             // Sealed metadata is the open file's, shared by count: the
             // lock is held for a count per chunk, not a footer copy.
             for res in &store.files {
-                let metas = res.metas().iter();
-                chunks.extend(metas.map(|m| ChunkHandle::from_file(files.len(), Arc::clone(m))));
+                let metas = res.run.chunks.clone().zip(res.metas());
+                chunks.extend(
+                    metas.map(|(i, m)| ChunkHandle::from_file(files.len(), i, Arc::clone(m))),
+                );
                 files.push(Arc::clone(&res.file.reader));
             }
             deletes = store.log.entries().to_vec();

@@ -131,9 +131,14 @@ impl SeriesSnapshot {
                 self.io.record_mem_read(points.len() as u64);
                 Some(Arc::clone(points))
             }
-            ChunkData::File { file_idx, meta } => {
-                self.cache.as_ref()?.get(self.cache_key(*file_idx, meta))
-            }
+            ChunkData::File {
+                file_idx,
+                chunk,
+                meta,
+            } => self
+                .cache
+                .as_ref()?
+                .get(self.cache_key(*file_idx, *chunk, meta)),
         }
     }
 
@@ -141,22 +146,26 @@ impl SeriesSnapshot {
     fn load(&self, chunk: &ChunkHandle) -> Result<Arc<Vec<Point>>> {
         match &chunk.data {
             ChunkData::Mem { points } => Ok(Arc::clone(points)),
-            ChunkData::File { file_idx, meta } => {
+            ChunkData::File {
+                file_idx,
+                chunk,
+                meta,
+            } => {
                 let pts = Arc::new(self.files[*file_idx].read_chunk(meta)?);
                 self.io.record_chunk_load(meta.byte_len, pts.len() as u64);
                 self.io.record_pages_decoded(1);
                 if let Some(cache) = &self.cache {
-                    cache.insert(self.cache_key(*file_idx, meta), Arc::clone(&pts));
+                    cache.insert(self.cache_key(*file_idx, *chunk, meta), Arc::clone(&pts));
                 }
                 Ok(pts)
             }
         }
     }
 
-    fn cache_key(&self, file_idx: usize, meta: &ChunkMeta) -> CacheKey {
+    fn cache_key(&self, file_idx: usize, chunk: usize, meta: &ChunkMeta) -> CacheKey {
         CacheKey {
             file_id: self.files[file_idx].handle_id(),
-            offset: meta.offset,
+            chunk,
             version: meta.version.0,
         }
     }
@@ -177,7 +186,7 @@ impl SeriesSnapshot {
                 self.io.record_mem_timestamps(upto as u64);
                 Ok(points.iter().take(upto).map(|p| p.t).collect())
             }
-            ChunkData::File { file_idx, meta } => {
+            ChunkData::File { file_idx, meta, .. } => {
                 let ts = self.files[*file_idx].read_timestamps(meta, until)?;
                 self.io
                     .record_timestamp_load(meta.byte_len, ts.len() as u64);

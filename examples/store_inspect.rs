@@ -4,8 +4,9 @@
 //! BP or TP is an end point and those whose values are decimal), chunks,
 //! versions, statistics, the form each chunk (one page) stores each
 //! column in (timestamps constant, stream or packed, and a packed
-//! column's frame: delta or line; values stream, packed or decimal, and
-//! a decimal block's frame: reference, delta or line)
+//! column's frame: delta or line; values stream, packed, decimal, and
+//! a decimal block's frame: reference, delta or line, or implied by the
+//! statistics; a chunk of both constant and implied is bodiless)
 //! and pending deletes —
 //! using only the public tsfile API, the catalog's own read-only reader
 //! (`tskv::catalog::read_log`, the one recovery uses) and read-only
@@ -121,6 +122,8 @@ struct Bytes {
     heads_and_trailers: u64,
     footers: u64,
     chunk_bodies: u64,
+    /// Chunks of zero bytes.
+    bodiless: u64,
     /// The footers' parts and entry forms, summed.
     census: FooterCensus,
 }
@@ -222,9 +225,16 @@ fn dump_file(
                 (ValueForm::Decimal, Some(Framing::Delta)) => "decimal (delta)",
                 (ValueForm::Decimal, Some(Framing::Line)) => "decimal (line)",
                 (ValueForm::Decimal, _) => "decimal (reference)",
+                (ValueForm::Implied, _) => "implied",
             };
+            // A chunk whose footer entry holds it all has no body.
+            let bodiless = match meta.byte_len {
+                0 => ", bodiless",
+                _ => "",
+            };
+            bytes.bodiless += u64::from(meta.byte_len == 0);
             println!(
-                "      chunk {} @{:>8}+{:<6} n={:<5} t=[{} … {}] v=[{} … {}]  ts {ts}, values {values}",
+                "      chunk {} @{:>8}+{:<6} n={:<5} t=[{} … {}] v=[{} … {}]  ts {ts}, values {values}{bodiless}",
                 meta.version,
                 meta.offset,
                 meta.byte_len,
@@ -309,12 +319,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let total = dir_bytes(&dir)?;
     let data = bytes.heads_and_trailers + bytes.footers + bytes.chunk_bodies;
     println!(
-        "\nstore bytes {total}: files {}, heads and trailers {}, footers {}, chunk bodies {}, catalog {catalog_bytes}, logs {}",
+        "\nstore bytes {total}: files {}, heads and trailers {}, footers {}, chunk bodies {}, catalog {catalog_bytes}, logs {}, bodiless chunks {}",
         bytes.files,
         bytes.heads_and_trailers,
         bytes.footers,
         bytes.chunk_bodies,
-        total - data - catalog_bytes
+        total - data - catalog_bytes,
+        bytes.bodiless
     );
     println!("footers split: {}", split(&bytes.census));
 

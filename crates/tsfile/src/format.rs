@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────┐
-//! │ magic "TSF6\0\0" (6 bytes)                                 │
+//! │ magic "TSF7\0\0" (6 bytes)                                 │
 //! ├────────────────────────────────────────────────────────────┤
 //! │ chunk 0 body: one page body (see `page` module); column    │
 //! │   encodings live in the footer                             │
@@ -11,17 +11,18 @@
 //! ├────────────────────────────────────────────────────────────┤
 //! │ footer                                                     │
 //! │   varint #chunks                                           │
-//! │   per chunk: varint_i version − previous chunk's version,  │
-//! │              u8 timestamps' encoding + 3 · values'         │
-//! │                 + 9 · statistics tag (below 243),          │
-//! │              varint byte_len,                              │
-//! │              statistics against the previous chunk's LP    │
-//! │              and the last decimal pair (see `statistics`)  │
 //! │   series-run directory:                                    │
 //! │     varint #runs                                           │
 //! │     per run: varint series id − previous run's (the first  │
 //! │              absolute), varint #chunks,                    │
 //! │              varint_i supersedes − previous run's          │
+//! │   per chunk: varint_i version − previous chunk's version,  │
+//! │              u8 timestamps' encoding + 3 · values'         │
+//! │                 + 9 · statistics tag (below 243),          │
+//! │              varint byte_len,                              │
+//! │              statistics against a prediction from the      │
+//! │              previous chunk, or at a run's first chunk     │
+//! │              from the previous run's first (`statistics`)  │
 //! │   u32 crc32 of footer body (LE)                            │
 //! │   u64 footer body length (LE)                              │
 //! │   magic (same as head)                                     │
@@ -30,33 +31,32 @@
 //!
 //! The trailing length + magic let a reader locate the footer without a
 //! separate index file; the leading magic rejects non-TsFiles (and the
-//! retired `TSF1`–`TSF5` generations) early: `TSF4` is the last whose
+//! retired `TSF1`–`TSF6` generations) early: `TSF4` is the last whose
 //! page bodies repeated what the footer's statistics hold (the point
 //! count, a constant-delta column's first timestamp and step, a packed
 //! column's first point), and `TSF5` the last whose footer wrote every
 //! extreme in full, every value as an XOR, and absolute series ids and
-//! `supersedes` in its run directory; its page bodies are this
+//! `supersedes` in its run directory, and `TSF6` the last whose entries
+//! were coded against the previous LP alone; its page bodies are this
 //! layout's, byte for byte. This mirrors IoTDB's TsFile (data, then
 //! per-chunk statistics, then a metadata index and tail magic) as the
 //! paper runs it: with `page_size_in_byte` at 1 GiB, every chunk is one
 //! page, and so it is here by construction.
 //!
 //! What the footer derives instead of storing: a chunk's offset (chunk
-//! bodies tile the file from the head magic on, so it is the sum of the
-//! lengths before it), and a BP or TP that is the whole point of the
-//! chunk's FP or LP (its position in the statistics tag says which),
-//! and a decimal pair that is the one before. The first
-//! chunk's version, and its FP, are coded against zero. A reader checks
-//! the tiling once: the head magic and the chunk bodies must end exactly
-//! where the footer begins.
+//! bodies tile the file from the head magic on), a BP or TP that is the
+//! whole point of the chunk's FP or LP (the statistics tag says which),
+//! and a decimal pair that is the one before. A reader checks the
+//! tiling once: the chunk bodies must end exactly where the footer
+//! begins.
 //!
 //! A file holds the chunks of one *or many* series: the chunks of one
-//! series sit back to back (a [`SeriesRun`]) and the directory at the
-//! end of the footer says which run is whose, as IoTDB's chunk groups
-//! under one metadata index do. A single-series file is the one-run
-//! case of the same shape. Runs are listed in strictly ascending series
-//! id, in chunk order, and cover every chunk exactly once: each id after
-//! the first is a gap of at least 1 from the one before.
+//! series sit back to back (a [`SeriesRun`]) and the directory, ahead
+//! of the entries so a reader knows where each run starts, says which
+//! run is whose, as IoTDB's chunk groups under one metadata index do.
+//! Runs are listed in strictly ascending series id (each a gap of at
+//! least 1 from the one before), in chunk order, and cover every chunk
+//! exactly once.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -71,7 +71,7 @@ use crate::{Result, TsFileError};
 /// File magic, also used as the tail sentinel. Bumped with every footer
 /// or page layout, so a file of an earlier layout is refused as foreign
 /// (`BadMagic`) rather than read as a torn file of this one.
-pub const MAGIC: &[u8; 6] = b"TSF6\0\0";
+pub const MAGIC: &[u8; 6] = b"TSF7\0\0";
 
 /// Metadata describing one chunk inside a TsFile: where its body lives,
 /// how its columns are encoded, its version `κ`, and its precomputed
@@ -111,23 +111,26 @@ impl ChunkMeta {
         }
     }
 
-    /// Append the chunk's entry, coded against `prev`, and advance
-    /// `prev` past it. Its offset is not written: the body starts where
-    /// the previous one ends, so [`Self::decode`] derives it. Returns
-    /// its statistics' tag.
-    pub(crate) fn encode(&self, prev: &mut Predecessor, out: &mut Vec<u8>) -> EntryTag {
+    /// Append the chunk's entry, coded against `prev`, advance `prev`
+    /// past it, and count its bytes by part into its census. Its offset
+    /// is not written: the body starts where the previous one ends, so
+    /// [`Self::decode`] derives it.
+    pub(crate) fn encode(&self, prev: &mut Predecessor, out: &mut Vec<u8>) {
+        let start = out.len();
         let step = self.version.0.wrapping_sub(prev.version.0);
         varint::write_i64(out, cast::i64_bits(step));
         let tags_at = out.len();
         out.push(0);
         varint::write_u64(out, self.byte_len);
+        prev.census.heads += out.len() - start;
         prev.version = self.version;
-        let tag = self.stats.encode_after(&mut prev.stats, out);
+        let tag = self
+            .stats
+            .encode_after(&mut prev.stats, out, &mut prev.census);
         let encodings = self.ts_encoding as u8 + 3 * self.val_encoding as u8;
         if let Some(tags) = out.get_mut(tags_at) {
-            *tags = encodings + 9 * tag.get();
+            *tags = encodings + 9 * tag.0;
         }
-        tag
     }
 
     pub(crate) fn decode(buf: &[u8], pos: &mut usize, prev: &mut Predecessor) -> Result<Self> {
@@ -165,13 +168,17 @@ impl ChunkMeta {
 }
 
 /// What the footer codes a chunk's entry against: the chunk before it
-/// in file order, or, for the first, a version of 0, what statistics
-/// are coded against first ([`StatsCarry`]'s default) and a body ending
-/// at the head magic.
+/// in file order (its statistics: at a run's first, the previous run's
+/// first's), or, for the first, version 0, [`StatsCarry`]'s default and
+/// a body ending at the head magic.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Predecessor {
     version: Version,
     stats: StatsCarry,
+    /// What the last run's first entry left.
+    run_head: StatsCarry,
+    /// The bytes coded so far, by part.
+    census: FooterCensus,
     /// Where its body ends: where the next chunk's begins.
     end: u64,
 }
@@ -181,8 +188,26 @@ impl Default for Predecessor {
         Predecessor {
             version: Version(0),
             stats: StatsCarry::default(),
+            run_head: StatsCarry::default(),
+            census: FooterCensus::default(),
             end: cast::u64_from_usize(MAGIC.len()),
         }
+    }
+}
+
+impl Predecessor {
+    /// Code one entry with `code`, against the previous run's first
+    /// entry where it `starts_run`, and keep it as the run's first.
+    fn entry<T>(&mut self, starts_run: bool, code: impl FnOnce(&mut Self) -> T) -> T {
+        if starts_run {
+            self.stats = self.run_head;
+            self.stats.restart = true;
+        }
+        let coded = code(self);
+        if starts_run {
+            self.run_head = self.stats;
+        }
+        coded
     }
 }
 
@@ -218,6 +243,16 @@ pub struct FileFooter {
 pub struct FooterCensus {
     /// The chunk index: the chunk count and every chunk's entry.
     pub index_bytes: usize,
+    /// The chunk count and every entry's version, tags and length.
+    pub heads: usize,
+    /// Every entry's point count.
+    pub counts: usize,
+    /// Every entry's FP.t and span.
+    pub times: usize,
+    /// Every interior BP's and TP's time.
+    pub extremes: usize,
+    /// Every entry's values and decimal pairs.
+    pub values: usize,
     /// The series-run directory: the run count and every run.
     pub directory_bytes: usize,
     /// Entries whose BP or TP is the whole point of their FP or LP, so
@@ -230,27 +265,20 @@ pub struct FooterCensus {
 impl FileFooter {
     /// Serialize the footer body (without CRC/length/magic trailer).
     pub fn encode_body(&self) -> Vec<u8> {
-        self.encode(&mut FooterCensus::default())
+        self.encode().0
     }
 
     /// Where the bytes of this footer's body go: what
     /// [`Self::encode_body`] writes, counted.
     pub fn census(&self) -> FooterCensus {
-        let mut census = FooterCensus::default();
-        self.encode(&mut census);
-        census
+        self.encode().1
     }
 
-    fn encode(&self, census: &mut FooterCensus) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.chunks.len() * 32);
+    fn encode(&self) -> (Vec<u8>, FooterCensus) {
+        let mut out = Vec::with_capacity(16 + self.chunks.len() * 16);
         varint::write_u64(&mut out, self.chunks.len() as u64);
         let mut prev = Predecessor::default();
-        for c in &self.chunks {
-            let tag = c.encode(&mut prev, &mut out);
-            census.extremes_at_an_end += usize::from(tag.extreme_at_an_end());
-            census.decimal += usize::from(tag.decimal());
-        }
-        census.index_bytes = out.len();
+        prev.census.heads = out.len();
         varint::write_u64(&mut out, self.runs.len() as u64);
         let (mut series, mut supersedes) = (0u32, 0u64);
         for run in &self.runs {
@@ -260,8 +288,15 @@ impl FileFooter {
             varint::write_i64(&mut out, cast::i64_bits(step));
             (series, supersedes) = (run.series, run.supersedes.0);
         }
-        census.directory_bytes = out.len() - census.index_bytes;
-        out
+        prev.census.directory_bytes = out.len() - prev.census.heads;
+        for run in &self.runs {
+            let chunks = self.chunks.get(run.chunks.clone()).unwrap_or_default();
+            for (i, c) in chunks.iter().enumerate() {
+                prev.entry(i == 0, |prev| c.encode(prev, &mut out));
+            }
+        }
+        prev.census.index_bytes = out.len() - prev.census.directory_bytes;
+        (out, prev.census)
     }
 
     /// Parse a footer body previously produced by [`Self::encode_body`].
@@ -273,12 +308,16 @@ impl FileFooter {
             // the body length is certainly corrupt.
             return Err(TsFileError::Corrupt(format!("footer claims {n} chunks")));
         }
+        let runs = decode_runs(buf, &mut pos, n as usize)?;
         let mut chunks = Vec::with_capacity(n as usize);
         let mut prev = Predecessor::default();
-        for _ in 0..n {
-            chunks.push(Arc::new(ChunkMeta::decode(buf, &mut pos, &mut prev)?));
+        for run in &runs {
+            for i in run.chunks.clone() {
+                let starts_run = i == run.chunks.start;
+                let c = prev.entry(starts_run, |prev| ChunkMeta::decode(buf, &mut pos, prev))?;
+                chunks.push(Arc::new(c));
+            }
         }
-        let runs = decode_runs(buf, &mut pos, chunks.len())?;
         if pos != buf.len() {
             return Err(TsFileError::Corrupt(format!(
                 "footer has {} trailing bytes",
@@ -499,30 +538,41 @@ mod tests {
     /// A 1 000-point ramp of quarter units — a fleet register between
     /// two wraps — has BP at FP and TP at LP: its entry writes neither
     /// extreme's time nor its value, 22 bytes of footer where writing
-    /// them took 31.
+    /// them took 31. The ramp's next 1 000 points continue its count,
+    /// cadence and slope: their entry is its head, a residual byte for
+    /// each of the count, FP.t, the span, FP.d and LP.d, and the pair
+    /// the first entry's XOR values did not carry — 10 bytes, where
+    /// coding them against the first's LP alone took 15; the 1 000
+    /// after those take 8, where they took 15.
     #[test]
     fn a_quarter_unit_ramp_entry_shrinks() -> crate::Result<()> {
-        let pts: Vec<Point> = (0..1_000)
+        let pts: Vec<Point> = (0..3_000)
             .map(|i| Point::new(1_000 * i, -125.0 + 0.25 * i as f64))
             .collect();
-        let ramp = ChunkMeta {
-            offset: 6,
-            byte_len: 12,
-            version: Version(1),
-            stats: ChunkStatistics::from_points(&pts)?,
-            ts_encoding: EncodingKind::Ts2Diff,
-            val_encoding: EncodingKind::Gorilla,
+        let ramps = |n: usize| -> crate::Result<FileFooter> {
+            let mut chunks = Vec::new();
+            for (i, points) in pts.chunks(1_000).take(n).enumerate() {
+                chunks.push(Arc::new(ChunkMeta {
+                    offset: 6,
+                    byte_len: 12,
+                    version: Version(1 + i as u64),
+                    stats: ChunkStatistics::from_points(points)?,
+                    ts_encoding: EncodingKind::Ts2Diff,
+                    val_encoding: EncodingKind::Gorilla,
+                }));
+            }
+            Ok(footer(&chunks, vec![run(0, 0, 0..n)]))
         };
-        let f = footer(&[Arc::new(ramp)], vec![run(0, 0, 0..1)]);
-        let body = f.encode_body();
-        assert_eq!(FileFooter::decode_body(&body)?, f);
-        // Chunk count, version, tags and length; count, FP.t and LP.t;
-        // FP.v and LP.v; the run directory.
-        assert!(
-            body.len() <= 4 + 6 + 8 + 4,
-            "{} bytes: {body:?}",
-            body.len()
-        );
+        let mut sizes = Vec::new();
+        for n in 1..=3 {
+            let f = ramps(n)?;
+            let body = f.encode_body();
+            assert_eq!(FileFooter::decode_body(&body)?, f);
+            sizes.push(body.len());
+        }
+        // Chunk count and the run directory; version, tags and length;
+        // count, FP.t and LP.t; FP.v and LP.v.
+        assert_eq!(sizes, [1 + 4 + 3 + 6 + 8, 22 + 3 + 5 + 2, 32 + 3 + 5]);
         Ok(())
     }
 

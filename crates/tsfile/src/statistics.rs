@@ -5,52 +5,51 @@
 //! footer. M4-LSM's merge-free candidate generation works entirely off
 //! this structure.
 //!
-//! The footer stores each chunk's statistics against what the entry
-//! already holds and what the entry before it in file order left
-//! (`ChunkStatistics::encode_after`, `StatsCarry`): that entry's LP,
-//! and the pair of the last entry written in a decimal form. Three
-//! choices per entry go into its tag (`EntryTag`, beside the chunk's
-//! encodings in one byte): BP's and TP's positions — interior, or the
-//! whole point, time and value bits, of FP or of LP; an extreme at an
-//! end writes neither its time nor its value — and the values' form.
+//! The footer stores each chunk's statistics against a prediction from
+//! the entry before it, `prev` (`encode_after`, `StatsCarry`): a run of
+//! regular chunks pays a residual byte where it repeats its count,
+//! cadence or value slope. FP is predicted one cadence past prev's LP;
+//! at a run's first entry, where prev is the previous run's first, at
+//! prev's FP, as series flushed together start together. Cadence `c`
+//! and slope `s` are the span and the decimal `LP.d − FP.d` over the
+//! `n − 1` steps, rounded, ties away from 0 (0 below two points). The tag
+//! (`EntryTag`, beside the chunk's encodings in one byte) holds BP's and
+//! TP's positions — interior, or the whole point of FP or of LP, so not
+//! written — and the values' form. Arithmetic wraps; `validate` judges.
 //!
 //! ```text
-//! varint count
-//! FP.t  varint_i (FP.t − prev.t), wrapping
-//!       (prev = (0, 0.0) for the file's first chunk: FP.t is absolute)
-//! varint (LP.t − FP.t), then (BP.t − FP.t) and (TP.t − FP.t) of each
-//!       interior extreme, unsigned
+//! varint_i  count − prev.count
+//! varint_i  FP.t − (prev.FP.t at a run start, else prev.LP.t + prev.c)
+//! varint_i  (LP.t − FP.t) − (count − 1) · prev.c
+//! varint    each interior extreme's time: 2i + 1 at FP.t + i·c on
+//!           this entry's cadence grid, else 2 · (t − FP.t); plain
+//!           t − FP.t where LP.t − FP.t passes i64::MAX
 //! values of FP, LP and each interior extreme, in one of three forms:
-//!   XOR:               FP.v xor prev.v, then the others each xor FP.v,
+//!   XOR:               FP.v xor (prev.FP.v at a run start, else
+//!                      prev.LP.v), then the others each xor FP.v,
 //!                      trimmed: u8 control (high nibble: leading zero
 //!                      bytes, low nibble: trailing zero bytes, their
-//!                      sum ≤ 8), then the bytes between, most
-//!                      significant first
-//!   decimal, carried:  each value's integer under the carried pair
-//!                      (`encoding::decimal`): varint_i (FP.d − r), r
-//!                      the previous LP's integer under the pair (0 when
-//!                      it has none), then varint_i (d − FP.d) of each
-//!                      of the others
-//!   decimal, new pair: u8 e, u8 f, then the integers as above with r = 0
+//!                      sum ≤ 8), then the bytes between
+//!   decimal, carried:  integers under the carried pair
+//!                      (`encoding::decimal`): varint_i FP.d − (prev.FP.d
+//!                      at a run start, else prev.LP.d + prev.s; 0 where
+//!                      it has none), varint_i (LP.d − FP.d) − (count −
+//!                      1) · prev.s, then varint_i (d − FP.d) of each
+//!                      interior extreme
+//!   decimal, new pair: u8 e, u8 f, then the integers as above
 //! ```
 //!
-//! XOR is Gorilla's at byte granularity: neighbouring statistics share
-//! their sign, exponent and high mantissa, so a value costs a control
-//! byte and a few bytes rather than eight. A register read to a few
-//! decimals keeps few of those bytes equal; as integers its values are
-//! a few units apart. The pair is [`decimal`]'s choice for the entry's
-//! values, trying the carried pair first, and is written only when it
-//! changes. The writer keeps the strictly smaller form, ties to XOR: an
-//! entry is never larger than its XOR form, and a value with no integer
-//! under one pair — NaN, −0.0, ±inf, a full-precision value — keeps the
-//! entry in XOR. An unsigned sum past `i64::MAX`, a control byte whose
-//! nibbles add past 8, a tag past 26, a pair out of range
-//! or an integer at or past 2^53 is `Corrupt`.
+//! `prev` is `(0, 0.0)` with no points for the file's first entry. The
+//! pair is [`decimal`]'s choice, trying the carried pair first; the
+//! writer keeps the strictly smaller form, ties to XOR. A control byte
+//! whose nibbles add past 8, a tag past 26, a pair out of range or an
+//! integer at or past 2^53 is `Corrupt`.
 
 // Untrusted bytes: an out-of-range access is a typed error, not a panic.
 #![deny(clippy::indexing_slicing)]
 
 use crate::encoding::decimal::{self, Exponents};
+use crate::format::FooterCensus;
 use crate::types::{Point, TimeRange};
 use crate::varint;
 use crate::{cast, Result, TsFileError};
@@ -70,7 +69,7 @@ const DECIMAL_NEW_PAIR: u8 = 2;
 /// BP's position, TP's and the values' form — as the digits of one
 /// base-3 number, BP's least significant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct EntryTag(u8);
+pub(crate) struct EntryTag(pub(crate) u8);
 
 impl EntryTag {
     /// The largest tag: 26, every digit 2.
@@ -87,40 +86,75 @@ impl EntryTag {
             false => Err(TsFileError::Corrupt(format!("statistics tag {v}"))),
         }
     }
-
-    /// The tag's value, at most [`Self::MAX`].
-    pub(crate) fn get(self) -> u8 {
-        self.0
-    }
-
-    /// Whether BP or TP is the whole point of FP or LP, so not written.
-    pub(crate) fn extreme_at_an_end(self) -> bool {
-        !self.0.is_multiple_of(9)
-    }
-
-    /// Whether the values took a decimal form.
-    pub(crate) fn decimal(self) -> bool {
-        self.0 / 9 != XOR
-    }
 }
 
-/// What the statistics of one footer entry leave for the next: its LP
-/// and the pair of the last entry written in a decimal form. The
-/// default is what a file's first entry is coded against: `(0, 0.0)`
-/// and no pair.
-#[derive(Debug, Clone, Copy)]
+/// What one footer entry leaves for the next: its FP, LP, count and
+/// cadence, and the last decimal pair written. The default is what a
+/// file's first entry is coded against: `(0, 0.0)`, no points or pair.
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct StatsCarry {
+    first: Point,
     last: Point,
+    count: u64,
+    cadence: u64,
+    /// The next entry starts a run: it is predicted at this one's FP.
+    pub(crate) restart: bool,
     pair: Option<Exponents>,
 }
 
-impl Default for StatsCarry {
-    fn default() -> Self {
-        StatsCarry {
-            last: Point::new(0, 0.0),
-            pair: None,
+impl StatsCarry {
+    /// The point the next FP is predicted from, FP at a run start or
+    /// else LP, and the steps on from it, 0 or 1.
+    fn anchor(&self) -> (Point, u64) {
+        match self.restart {
+            true => (self.first, 0),
+            false => (self.last, 1),
         }
     }
+
+    fn first_t(&self) -> i64 {
+        let (anchor, on) = self.anchor();
+        anchor.t.wrapping_add(cast::i64_bits(on * self.cadence))
+    }
+
+    /// The next FP.d under `pair`, and the slope; 0 where an end has
+    /// no integer.
+    fn first_d(&self, pair: Exponents) -> (i64, i64) {
+        let (first, last) = (pair.integer(self.first.v), pair.integer(self.last.v));
+        let slope = match (first, last) {
+            (Some(f), Some(l)) => slope(l - f, self.count),
+            _ => 0,
+        };
+        let base = match self.restart {
+            true => first,
+            false => last.map(|l| l + slope),
+        };
+        (base.unwrap_or(0), slope)
+    }
+
+    fn advance(&mut self, s: &ChunkStatistics) {
+        (self.first, self.last, self.count, self.restart) = (s.first, s.last, s.count, false);
+        self.cadence = per_step(cast::u64_bits(s.last.t.wrapping_sub(s.first.t)), s.count);
+    }
+}
+
+/// `total` over the `count − 1` steps of `count` points, rounded to the
+/// nearest, ties away from zero; 0 below two points.
+fn per_step(total: u64, count: u64) -> u64 {
+    match count.saturating_sub(1) {
+        0 => 0,
+        steps => total / steps + u64::from(total % steps >= steps - total % steps),
+    }
+}
+
+/// `total`, a signed integer span, over the `count − 1` steps.
+fn slope(total: i64, count: u64) -> i64 {
+    total.signum() * cast::i64_bits(per_step(total.unsigned_abs(), count))
+}
+
+/// The grid of interior extremes, where the span leaves a flag bit.
+fn grid(span: u64, count: u64) -> Option<u64> {
+    (span <= cast::u64_bits(i64::MAX)).then(|| per_step(span, count))
 }
 
 /// Statistics of one chunk: first/last/bottom/top points and count.
@@ -197,36 +231,48 @@ impl ChunkStatistics {
         !matches!(self.ends(), (INTERIOR, _) | (_, INTERIOR))
     }
 
-    /// Serialize against `carry`, what the entry before these
-    /// statistics in file order left, and advance it. Returns the tag
-    /// the footer stores beside the chunk's encodings, which says what
-    /// the bytes leave out. See the module docs for the layout.
-    pub(crate) fn encode_after(&self, carry: &mut StatsCarry, out: &mut Vec<u8>) -> EntryTag {
+    /// Serialize against `carry` (module docs), advance it, and count
+    /// the bytes by part into `census`. Returns the tag the footer
+    /// stores beside the chunk's encodings: what the bytes leave out.
+    pub(crate) fn encode_after(
+        &self,
+        carry: &mut StatsCarry,
+        out: &mut Vec<u8>,
+        census: &mut FooterCensus,
+    ) -> EntryTag {
         let (bottom_at, top_at) = self.ends();
-        let interior = [(self.bottom, bottom_at), (self.top, top_at)]
+        let interior: Vec<Point> = [(self.bottom, bottom_at), (self.top, top_at)]
             .into_iter()
-            .filter(|&(_, at)| at == INTERIOR);
-        let rest: Vec<Point> = std::iter::once(self.last)
-            .chain(interior.map(|(p, _)| p))
+            .filter_map(|(p, at)| (at == INTERIOR).then_some(p))
             .collect();
-        varint::write_u64(out, self.count);
-        varint::write_i64(out, self.first.t.wrapping_sub(carry.last.t));
-        for p in &rest {
-            varint::write_u64(out, cast::u64_bits(p.t.wrapping_sub(self.first.t)));
+        let (start, steps) = (out.len(), self.count.wrapping_sub(1));
+        varint::write_i64(out, cast::i64_bits(self.count.wrapping_sub(carry.count)));
+        let counted = out.len();
+        let span = cast::u64_bits(self.last.t.wrapping_sub(self.first.t));
+        varint::write_i64(out, self.first.t.wrapping_sub(carry.first_t()));
+        let predicted = carry.cadence.wrapping_mul(steps);
+        varint::write_i64(out, cast::i64_bits(span.wrapping_sub(predicted)));
+        let timed = out.len();
+        for p in &interior {
+            let offset = cast::u64_bits(p.t.wrapping_sub(self.first.t));
+            let code = match grid(span, self.count) {
+                None => offset,
+                Some(c) if c != 0 && offset.is_multiple_of(c) => (offset / c) << 1 | 1,
+                Some(_) => offset << 1,
+            };
+            varint::write_u64(out, code);
         }
         let xor_at = out.len();
-        write_xor(out, self.first.v, carry.last.v);
-        for p in &rest {
-            write_xor(out, p.v, self.first.v);
+        let mut values = vec![self.first.v, self.last.v];
+        values.extend(interior.iter().map(|p| p.v));
+        for (i, &v) in values.iter().enumerate() {
+            let reference = if i == 0 { carry.anchor().0 } else { self.first };
+            write_xor(out, v, reference.v);
         }
-        let values: Vec<f64> = std::iter::once(self.first.v)
-            .chain(rest.iter().map(|p| p.v))
-            .collect();
         let pair = decimal::pair_for(&values, carry.pair);
         let decimal = pair
-            .and_then(|pair| write_decimal(&values, pair, carry))
+            .and_then(|pair| write_decimal(&values, steps, pair, carry))
             .filter(|(_, bytes)| bytes.len() < out.len() - xor_at);
-        carry.last = self.last;
         let form = match decimal {
             Some((form, bytes)) => {
                 out.truncate(xor_at);
@@ -236,6 +282,13 @@ impl ChunkStatistics {
             }
             None => XOR,
         };
+        carry.advance(self);
+        census.counts += counted - start;
+        census.times += timed - counted;
+        census.extremes += xor_at - timed;
+        census.values += out.len() - xor_at;
+        census.extremes_at_an_end += usize::from(interior.len() < 2);
+        census.decimal += usize::from(form != XOR);
         EntryTag::of(bottom_at, top_at, form)
     }
 
@@ -249,16 +302,21 @@ impl ChunkStatistics {
     ) -> Result<Self> {
         let (bottom_at, top_at, form) = (tag.0 % 3, tag.0 / 3 % 3, tag.0 / 9);
         let (bottom_in, top_in) = (bottom_at == INTERIOR, top_at == INTERIOR);
-        let count = varint::read_u64(buf, pos)?;
-        let first_t = carry.last.t.wrapping_add(varint::read_i64(buf, pos)?);
-        // LP, then BP and TP where interior.
-        let mut times = [first_t; 3];
-        for (t, _) in times
-            .iter_mut()
-            .zip([true, bottom_in, top_in])
-            .filter(|(_, w)| *w)
-        {
-            *t = after(first_t, varint::read_u64(buf, pos)?)?;
+        let count = cast::u64_bits(varint::read_i64(buf, pos)?).wrapping_add(carry.count);
+        let steps = count.wrapping_sub(1);
+        let first_t = carry.first_t().wrapping_add(varint::read_i64(buf, pos)?);
+        let residual = cast::u64_bits(varint::read_i64(buf, pos)?);
+        let span = residual.wrapping_add(carry.cadence.wrapping_mul(steps));
+        // LP, then BP and TP where interior, as offsets from FP.t.
+        let mut offsets = [span; 3];
+        let written = [false, bottom_in, top_in];
+        for (offset, _) in offsets.iter_mut().zip(written).filter(|(_, w)| *w) {
+            let code = varint::read_u64(buf, pos)?;
+            *offset = match grid(span, count) {
+                None => code,
+                Some(c) if code & 1 == 1 => (code >> 1).wrapping_mul(c),
+                Some(_) => code >> 1,
+            };
         }
         // FP, LP, then BP and TP where interior.
         let mut values = [0.0; 4];
@@ -272,24 +330,26 @@ impl ChunkStatistics {
             })?;
         match form {
             XOR => {
-                *first_v = read_xor(buf, pos, carry.last.v)?;
+                *first_v = read_xor(buf, pos, carry.anchor().0.v)?;
                 for v in rest.iter_mut() {
                     *v = read_xor(buf, pos, *first_v)?;
                 }
             }
             _ => {
-                let carried = form == DECIMAL;
-                let pair = match carried {
+                let pair = match form == DECIMAL {
                     true => carry.pair.ok_or_else(|| {
                         TsFileError::Corrupt("statistics carry a decimal pair before any".into())
                     })?,
                     false => read_pair(buf, pos)?,
                 };
-                let base = decimal_base(pair, carried, carry.last.v);
+                let (base, slope) = carry.first_d(pair);
                 let first_d;
                 (first_d, *first_v) = read_integer(buf, pos, pair, base)?;
+                // LP.d against its slope from FP.d, the others against FP.d.
+                let mut reference = first_d.wrapping_add(slope.wrapping_mul(cast::i64_bits(steps)));
                 for v in rest {
-                    *v = read_integer(buf, pos, pair, first_d)?.1;
+                    *v = read_integer(buf, pos, pair, reference)?.1;
+                    reference = first_d;
                 }
                 carry.pair = Some(pair);
             }
@@ -298,7 +358,7 @@ impl ChunkStatistics {
         // the third.
         let [first_v, last_v, bottom_v, fourth] = values;
         let top_v = if bottom_in { fourth } else { bottom_v };
-        let [last_t, bottom_t, top_t] = times;
+        let [last_t, bottom_t, top_t] = offsets.map(|o| first_t.wrapping_add(cast::i64_bits(o)));
         let (first, last) = (Point::new(first_t, first_v), Point::new(last_t, last_v));
         let at = |code, p| match code {
             AT_FIRST => first,
@@ -313,7 +373,7 @@ impl ChunkStatistics {
             count,
         };
         stats.validate()?;
-        carry.last = last;
+        carry.advance(&stats);
         Ok(stats)
     }
 
@@ -347,45 +407,30 @@ impl ChunkStatistics {
     }
 }
 
-/// `base + delta`, `Corrupt` past `i64::MAX`.
-fn after(base: i64, delta: u64) -> Result<i64> {
-    base.checked_add_unsigned(delta).ok_or_else(|| {
-        TsFileError::Corrupt(format!("statistics time {base} + {delta} overflows i64"))
-    })
-}
-
-/// What FP's integer is coded against: the previous LP's integer under
-/// the pair when the pair is carried and the value has one, else 0.
-fn decimal_base(pair: Exponents, carried: bool, last: f64) -> i64 {
-    match carried {
-        true => pair.integer(last).unwrap_or(0),
-        false => 0,
-    }
-}
-
-/// `values` — FP's, then the others' — in a decimal form under `pair`
-/// against `carry`, and which form; `None` when a value has no integer
-/// under it.
-fn write_decimal(values: &[f64], pair: Exponents, carry: &StatsCarry) -> Option<(u8, Vec<u8>)> {
+/// `values` — FP's, LP's, then the interior extremes' — of an entry of
+/// `steps + 1` points in a decimal form under `pair` against `carry`,
+/// and which form; `None` when a value has no integer under it.
+fn write_decimal(
+    values: &[f64],
+    steps: u64,
+    pair: Exponents,
+    carry: &StatsCarry,
+) -> Option<(u8, Vec<u8>)> {
     let carried = carry.pair == Some(pair);
     let mut out = Vec::with_capacity(16);
     if !carried {
         out.extend_from_slice(&pair.bytes());
     }
-    let (first, rest) = values.split_first()?;
-    let first_d = pair.integer(*first)?;
-    varint::write_i64(
-        &mut out,
-        first_d - decimal_base(pair, carried, carry.last.v),
-    );
-    for &v in rest {
-        varint::write_i64(&mut out, pair.integer(v)? - first_d);
+    let (base, slope) = carry.first_d(pair);
+    let mut ints = values.iter().map(|&v| pair.integer(v));
+    let first_d = ints.next()??;
+    varint::write_i64(&mut out, first_d.wrapping_sub(base));
+    let mut reference = first_d.wrapping_add(slope.wrapping_mul(cast::i64_bits(steps)));
+    for d in ints {
+        varint::write_i64(&mut out, d?.wrapping_sub(reference));
+        reference = first_d;
     }
-    let form = match carried {
-        true => DECIMAL,
-        false => DECIMAL_NEW_PAIR,
-    };
-    Some((form, out))
+    Some((if carried { DECIMAL } else { DECIMAL_NEW_PAIR }, out))
 }
 
 /// Read a pair's two bytes, `e` then `f`.
@@ -410,14 +455,10 @@ fn read_integer(
     reference: i64,
 ) -> Result<(i64, f64)> {
     let delta = varint::read_i64(buf, pos)?;
-    reference
-        .checked_add(delta)
-        .and_then(|d| Some((d, pair.value(d)?)))
-        .ok_or_else(|| {
-            TsFileError::Corrupt(format!(
-                "statistics decimal integer {reference} + {delta} at or past 2^53"
-            ))
-        })
+    let d = reference.wrapping_add(delta);
+    pair.value(d).map(|v| (d, v)).ok_or_else(|| {
+        TsFileError::Corrupt(format!("statistics decimal integer {d} at or past 2^53"))
+    })
 }
 
 /// Append `v` as its XOR with `reference`, trimmed to its significant
@@ -501,9 +542,16 @@ mod tests {
         Ok(())
     }
 
+    /// A carry from a one-point entry at `(t, v)`: FP is predicted at
+    /// `t`, its value against `v`.
     fn carry(t: i64, v: f64) -> StatsCarry {
+        let p = Point::new(t, v);
         StatsCarry {
-            last: Point::new(t, v),
+            first: p,
+            last: p,
+            count: 1,
+            cadence: 0,
+            restart: false,
             pair: None,
         }
     }
@@ -513,7 +561,7 @@ mod tests {
     /// bytes and the tag.
     fn roundtrip(s: &ChunkStatistics, before: StatsCarry) -> Result<(Vec<u8>, EntryTag)> {
         let (mut buf, mut written) = (Vec::new(), before);
-        let tag = s.encode_after(&mut written, &mut buf);
+        let tag = s.encode_after(&mut written, &mut buf, &mut FooterCensus::default());
         let (mut pos, mut read) = (0, before);
         let back = ChunkStatistics::decode_after(&buf, &mut pos, tag, &mut read)?;
         let bits =
@@ -547,7 +595,7 @@ mod tests {
         assert_eq!(
             roundtrip(&flat, carry(5, 2.5))?,
             (
-                vec![1, 4, 0, 0x80, 0x80],
+                vec![0, 4, 0, 0x80, 0x80],
                 EntryTag::of(AT_FIRST, AT_FIRST, XOR)
             )
         );
@@ -573,7 +621,7 @@ mod tests {
         for (raw, ends) in cases {
             let s = ChunkStatistics::from_points(&pts(raw))?;
             assert_eq!(s.ends(), ends, "{raw:?}");
-            assert!(roundtrip(&s, carry(0, 0.0))?.1.extreme_at_an_end());
+            assert!(!roundtrip(&s, carry(0, 0.0))?.1 .0.is_multiple_of(9));
         }
         Ok(())
     }
@@ -593,7 +641,7 @@ mod tests {
         let (first, tag) = roundtrip(&a, carry(0, 0.0))?;
         assert_eq!(tag.0 / 9, DECIMAL_NEW_PAIR);
         let mut after_a = carry(0, 0.0);
-        a.encode_after(&mut after_a, &mut Vec::new());
+        a.encode_after(&mut after_a, &mut Vec::new(), &mut FooterCensus::default());
         assert_eq!(after_a.pair, Exponents::of(2, 0));
         let b = ChunkStatistics::from_points(&pts(&[
             (40, 20.55),
@@ -606,14 +654,16 @@ mod tests {
         assert!(second.len() + 2 < first.len(), "{second:?} vs {first:?}");
         let nan = ChunkStatistics::from_points(&pts(&[(80, 20.5), (90, f64::NAN)]))?;
         let mut after_nan = after_a;
-        assert!(!nan.encode_after(&mut after_nan, &mut Vec::new()).decimal());
+        let mut census = FooterCensus::default();
+        nan.encode_after(&mut after_nan, &mut Vec::new(), &mut census);
+        assert_eq!(census.decimal, 0);
         assert_eq!(after_nan.pair, after_a.pair);
         assert_eq!(roundtrip(&b, after_nan)?.1 .0 / 9, DECIMAL);
         Ok(())
     }
 
-    /// Statistics that break an invariant, a time past `i64::MAX`, a
-    /// control byte whose nibbles add past 8, a tag past the largest, a
+    /// Statistics that break an invariant, a span that wraps LP.t below
+    /// FP.t, a control byte whose nibbles add past 8, a tag past the largest, a
     /// pair out of range, a pair carried before any, and an integer at
     /// or past 2^53 are `Corrupt`.
     #[test]
@@ -634,15 +684,16 @@ mod tests {
             top: Point::new(2, 0.0),
             count: 2,
         };
-        let tag = s.encode_after(&mut carry(0, 0.0), &mut bad);
+        let tag = s.encode_after(&mut carry(0, 0.0), &mut bad, &mut FooterCensus::default());
         corrupt(&bad, tag, carry(0, 0.0));
         let interior = EntryTag::of(INTERIOR, INTERIOR, XOR);
-        // LP.t past i64::MAX from FP.t.
-        let mut long = vec![1, 0];
-        varint::write_u64(&mut long, u64::MAX);
-        corrupt(&long, interior, carry(1, 0.0));
+        // A span whose residual wraps LP.t below FP.t.
+        let mut long = vec![0, 0];
+        varint::write_i64(&mut long, i64::MAX);
+        long.extend_from_slice(&[0x80, 0x80]);
+        corrupt(&long, EntryTag::of(AT_FIRST, AT_FIRST, XOR), carry(1, 0.0));
         // Lead 5 + trail 4 bytes.
-        corrupt(&[1, 0, 0, 0, 0, 0x54], interior, carry(0, 0.0));
+        corrupt(&[0, 0, 0, 0, 0, 0x54], interior, carry(0, 0.0));
         // Tags past the largest.
         for v in [EntryTag::MAX + 1, u8::MAX] {
             assert!(matches!(EntryTag::from_u8(v), Err(TsFileError::Corrupt(_))));
@@ -650,23 +701,23 @@ mod tests {
         // e past 18, f past e.
         let ends = |form| EntryTag::of(AT_FIRST, AT_FIRST, form);
         corrupt(
-            &[1, 0, 0, 19, 0, 0, 0],
+            &[0, 0, 0, 19, 0, 0, 0],
             ends(DECIMAL_NEW_PAIR),
             carry(0, 0.0),
         );
         corrupt(
-            &[1, 0, 0, 2, 3, 0, 0],
+            &[0, 0, 0, 2, 3, 0, 0],
             ends(DECIMAL_NEW_PAIR),
             carry(0, 0.0),
         );
         // The carried pair with none carried.
-        corrupt(&[1, 0, 0, 0, 0], ends(DECIMAL), carry(0, 0.0));
+        corrupt(&[0, 0, 0, 0, 0], ends(DECIMAL), carry(0, 0.0));
         // FP's integer 2^53, and LP's past it from FP.
-        let mut big = vec![1, 0, 0, 0, 0];
+        let mut big = vec![0, 0, 0, 0, 0];
         varint::write_i64(&mut big, 1 << 53);
         big.push(0);
         corrupt(&big, ends(DECIMAL_NEW_PAIR), carry(0, 0.0));
-        let mut past = vec![1, 0, 0, 0, 0];
+        let mut past = vec![0, 0, 0, 0, 0];
         varint::write_i64(&mut past, (1 << 53) - 1);
         varint::write_i64(&mut past, 1);
         corrupt(&past, ends(DECIMAL_NEW_PAIR), carry(0, 0.0));

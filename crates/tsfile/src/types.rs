@@ -36,7 +36,7 @@ impl fmt::Display for Version {
 }
 
 /// A single data point: a time-value pair `(t, v)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     pub t: Timestamp,
     pub v: Value,

@@ -544,16 +544,8 @@ fn run_directory_prefixes_and_bit_flips_are_typed_errors() {
     let body = &original[body_at..n - TRAILER];
     let footer = FileFooter::decode_body(body).unwrap();
     assert_eq!(footer.runs.len(), 3);
-    // The directory is what the body has beyond its chunk index (which
-    // re-encodes, with no runs, as itself plus a zero run count).
-    let chunk_index_len = FileFooter {
-        chunks: footer.chunks.clone(),
-        runs: Vec::new(),
-    }
-    .encode_body()
-    .len()
-        - 1;
-    let directory = chunk_index_len..body.len();
+    // The directory follows the chunk count, a byte for three chunks.
+    let directory = 1..1 + footer.census().directory_bytes;
     assert_eq!(directory.len(), 1 + 3 + 4 + 5);
 
     for cut in directory.clone() {
@@ -675,21 +667,25 @@ fn footer_entries_out_of_range_are_corrupt() {
         .unwrap();
     w.finish().unwrap();
     let (data, body) = split_file(&path);
-    // One chunk at version 1; timestamps ts2diff (1) + 3 · values
+    // One chunk; one run, of series 0, one chunk, superseding nothing;
+    // the chunk at version 1; timestamps ts2diff (1) + 3 · values
     // Gorilla (2) + 9 · the statistics' tag: BP at LP (2) + 3 · TP at
     // FP (1) + 9 · decimal under a new pair (2); its length; two points,
-    // FP.t 0, LP.t 10; the pair (2, 0); FP's integer 2137 and LP's
-    // 1902 − 2137; one run, of series 0, one chunk, superseding nothing.
-    let mut expected = vec![1, 2, 7 + 9 * (2 + 3 + 18), body[3], 2, 0, 10, 2, 0];
+    // FP.t 0, LP.t 10 (no entry before it predicts either); the pair
+    // (2, 0); FP's integer 2137 and LP's 1902 − 2137.
+    let mut expected = vec![1, 1, 0, 1, 0, 2, 7 + 9 * (2 + 3 + 18), body[7]];
+    for v in [2, 0, 10] {
+        varint::write_i64(&mut expected, v);
+    }
+    expected.extend_from_slice(&[2, 0]);
     varint::write_i64(&mut expected, 2137);
     varint::write_i64(&mut expected, 1902 - 2137);
-    expected.extend_from_slice(&[1, 0, 1, 0]);
     assert_eq!(body, expected);
-    let pair_at = 7;
+    let pair_at = 11;
     let mut bent: Vec<(String, Vec<u8>)> = (243..=u8::MAX)
         .map(|tags| {
             let mut b = body.clone();
-            b[2] = tags;
+            b[6] = tags;
             (format!("tags {tags}"), b)
         })
         .collect();
@@ -709,7 +705,6 @@ fn footer_entries_out_of_range_are_corrupt() {
         let mut b = body[..pair_at + 2].to_vec();
         varint::write_i64(&mut b, first);
         varint::write_i64(&mut b, last);
-        b.extend_from_slice(&[1, 0, 1, 0]);
         bent.push((what.into(), b));
     }
     for (what, b) in bent {
@@ -722,6 +717,61 @@ fn footer_entries_out_of_range_are_corrupt() {
         let got = TsFileReader::open(&path);
         assert!(
             matches!(got, Err(TsFileError::Corrupt(_))),
+            "{what}: {:?}",
+            got.map(|_| ())
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A CRC-valid footer whose entry predicts a span that wraps LP.t below
+/// FP.t, or whose run directory does not tile its chunk index, is
+/// `Corrupt` from the decoder and at open, never a panic. The second
+/// chunk's span is predicted as its two steps at the first chunk's
+/// cadence of 2^62 − 2: its residual, written to undo that, is cut to
+/// zero, so the span is the prediction and LP.t passes `i64::MAX`.
+#[test]
+fn wrapping_predicted_spans_and_untiled_directories_are_corrupt() {
+    use tsfile::varint;
+    let dir = std::env::temp_dir().join("tsfile-fuzz");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("predicted-{}.tsfile", std::process::id()));
+    let wide = (1i64 << 62) - 2;
+    let mut w = TsFileWriter::create(&path).unwrap();
+    w.begin_series(0, 0).unwrap();
+    w.write_chunk(&[Point::new(0, 1.0), Point::new(wide, 2.0)], 1)
+        .unwrap();
+    let late: Vec<Point> = (0..3).map(|i| Point::new((1 << 62) + i, 3.0)).collect();
+    w.write_chunk(&late, 2).unwrap();
+    w.finish().unwrap();
+    let (data, body) = split_file(&path);
+    // Two chunks; one run, of series 0, both chunks, superseding none.
+    assert_eq!(body[..5], [2, 1, 0, 2, 0]);
+    let mut residual = Vec::new();
+    varint::write_i64(&mut residual, 2i64.wrapping_sub(2 * wide));
+    let at = body
+        .windows(residual.len())
+        .position(|w| w == residual)
+        .unwrap();
+    let mut wrapped = body[..at].to_vec();
+    wrapped.push(0);
+    wrapped.extend_from_slice(&body[at + residual.len()..]);
+    let mut bent = vec![("a span that wraps LP.t below FP.t", "last.t", wrapped)];
+    for (what, chunks) in [("a run a chunk short", 1), ("a run a chunk over", 3)] {
+        let mut b = body.clone();
+        b[3] = chunks;
+        bent.push((what, "series-run directory", b));
+    }
+    for (what, names, b) in bent {
+        let got = FileFooter::decode_body(&b);
+        assert!(
+            matches!(&got, Err(TsFileError::Corrupt(msg)) if msg.contains(names)),
+            "{what}: {got:?}"
+        );
+        std::fs::write(&path, sealed_file(&data, &b)).unwrap();
+        let got = TsFileReader::open(&path);
+        assert!(
+            matches!(&got, Err(TsFileError::Corrupt(msg)) if msg.contains(names)),
             "{what}: {:?}",
             got.map(|_| ())
         );

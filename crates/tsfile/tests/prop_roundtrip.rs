@@ -454,6 +454,146 @@ proptest! {
     }
 }
 
+/// One chunk of a run that follows the chunk before it: `(count,
+/// cadence, jitter, value shape, places, seed)`.
+type Follower = (u64, i64, i64, u8, i32, u64);
+
+/// A chunk count that often repeats the one before, or any up to 40.
+fn follower_count() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(10u64), Just(20), 1u64..40]
+}
+
+/// A cadence that often repeats, is small, or is wide enough that
+/// predicted spans and times wrap.
+fn follower_cadence() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        Just(1_000i64),
+        1i64..10,
+        1i64..1_000_000,
+        (1i64 << 40)..i64::MAX,
+    ]
+}
+
+/// The points of a run of `followers` from `start`: each chunk one
+/// cadence past the last point of the one before, its points on its
+/// own cadence give or take its jitter (times wrap at the `i64`
+/// extremes, then are sorted and deduplicated); its values by shape —
+/// a decimal ramp at `places` that continues across the run, a
+/// quarter-unit sawtooth whose wraps are interior extremes, any
+/// statistic value, one special repeated, or full-precision bits.
+fn follower_run(start: i64, followers: &[Follower]) -> Vec<Chunk> {
+    let (mut next, mut at) = (start, 0i64);
+    let mut chunks = Vec::new();
+    for (version, &(count, cadence, jitter, shape, places, seed)) in followers.iter().enumerate() {
+        let mut draw = splitmix(seed);
+        let mut points: Vec<Point> = (0..count as i64)
+            .map(|i| {
+                let wobble = (draw() % (2 * jitter as u64 + 1)) as i64 - jitter;
+                let t = next
+                    .wrapping_add(i.wrapping_mul(cadence))
+                    .wrapping_add(wobble);
+                let g = at + i;
+                let v = match shape {
+                    0 => (1_234 + 37 * g) as f64 / 10f64.powi(places),
+                    1 => ((7 * g).rem_euclid(2_000) - 1_000) as f64 * 0.25,
+                    2 => stat_value((seed % 4) as u8, places, draw()),
+                    3 => f64::from_bits(SPECIALS[seed as usize % SPECIALS.len()]),
+                    _ => f64::from_bits(draw()),
+                };
+                Point::new(t, v)
+            })
+            .collect();
+        points.sort_by_key(|p| p.t);
+        points.dedup_by_key(|p| p.t);
+        next = points.last().map_or(next, |p| p.t.wrapping_add(cadence));
+        at += count as i64;
+        chunks.push((version as u64, points));
+    }
+    chunks
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every prediction a footer entry is coded against gives back
+    /// every bit: runs at a constant cadence and count, a cadence or a
+    /// count that changes mid-run, jittered spans, runs that start
+    /// before or after the run before them (or anywhere), times near
+    /// `i64::MIN` and `i64::MAX` so predicted times and spans wrap,
+    /// NaN payloads, ±inf, −0.0 and full-precision values (XOR), and
+    /// decimal ramps whose pair changes from chunk to chunk.
+    #[test]
+    fn footer_predictions_roundtrip_bit_exactly(
+        runs in prop::collection::vec(
+            (
+                prop_oneof![-1_000_000i64..1_000_000, any_time()],
+                prop::collection::vec(
+                    (follower_count(), follower_cadence(), 0i64..3, 0u8..5, 0i32..4, any::<u64>()),
+                    1..6,
+                ),
+            ),
+            1..5,
+        ),
+    ) {
+        let mut start = 0i64;
+        let runs: Vec<Run> = runs
+            .iter()
+            .enumerate()
+            .map(|(id, (shift, followers))| {
+                start = start.wrapping_add(*shift);
+                (id as u32, 0, follower_run(start, followers))
+            })
+            .collect();
+        let footer = footer_of(&runs);
+        let back = FileFooter::decode_body(&footer.encode_body()).unwrap();
+        prop_assert_eq!(footer_bits(&back), footer_bits(&footer));
+    }
+
+    /// An entry that continues its predecessor's count, cadence and
+    /// slope, with its extremes at its ends, costs what a size model
+    /// that knows nothing of the coder says: its head (the version step,
+    /// the tags byte, the length) and one zero residual for each of the
+    /// count, FP.t, the span, FP.d and LP.d — or two one-byte XORs where
+    /// the values stand still — at most 8 bytes. That holds where the
+    /// predecessor's values were decimal, so it carries their pair; an
+    /// entry after XOR values pays the pair's two bytes at most on top.
+    /// The values are integers, so every decimal entry takes one pair.
+    #[test]
+    fn a_continuing_entry_costs_at_most_eight_bytes(
+        count in 2usize..=120,
+        cadence in 1i64..1_000_000,
+        t0 in -1_000_000_000i64..1_000_000_000,
+        d0 in -1_000_000i64..1_000_000,
+        slope in -1_000i64..1_000,
+        chunks in 2usize..6,
+    ) {
+        let points: Vec<Point> = (0..(count * chunks) as i64)
+            .map(|i| Point::new(t0 + i * cadence, (d0 + slope * i) as f64))
+            .collect();
+        let census = |n: usize| {
+            let run: Vec<Chunk> = points
+                .chunks(count)
+                .take(n)
+                .enumerate()
+                .map(|(k, c)| (k as u64, c.to_vec()))
+                .collect();
+            footer_of(&[(0, 0, run)]).census()
+        };
+        // A varint's bytes, 7 bits to a byte; the step 1 zigzags to 2.
+        let varint_len = |v: u64| (64 - v.leading_zeros()).max(1).div_ceil(7) as usize;
+        let model = varint_len(2) + 1 + varint_len(count as u64 + 7) + 5;
+        prop_assert!(model <= 8);
+        for n in 2..=chunks {
+            let (before, after, with) = (census(n - 2), census(n - 1), census(n));
+            let cost = with.index_bytes - after.index_bytes;
+            match slope == 0 || after.decimal > before.decimal {
+                true => prop_assert_eq!(cost, model, "entry {}", n),
+                false => prop_assert!(cost <= model + 2, "entry {}: {}", n, cost),
+            }
+        }
+    }
+}
+
 /// A page body's two columns: `(ts bytes, value bytes)`.
 fn columns(body: &[u8]) -> (&[u8], &[u8]) {
     // Modes; varint ts_len and the ts bytes, unless the timestamps are

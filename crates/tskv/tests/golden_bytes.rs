@@ -8,7 +8,7 @@
 //! (CRC32, memtable, WAL/page framing) were rebuilt: equal hashes are
 //! the proof that the rebuild changed no format and no byte.
 //!
-//! The data file's entry was regenerated nine times since, on purpose.
+//! The data file's entry was regenerated ten times since, on purpose.
 //! First when the footer gained the series-run directory (and data
 //! files and their delete logs were renamed `<fileno>.tsfile` /
 //! `<fileno>.s<id>.mods`). Then when pages gained the decimal value
@@ -74,12 +74,22 @@
 //! bytes). No page leaves its values to its statistics: random values
 //! are no line. The page bodies went
 //! 16 252 → 15 426 bytes; the chunk index kept its 269 bytes and changed
-//! only in the page lengths it lists; the file 16 549 → 15 723.
-//! [`TSFILE_PARTS`] holds the
-//! hashes of the file's parts as that ninth regeneration wrote them —
-//! the page bodies and the footer's chunk index — and the test checks
-//! the file is exactly the head magic, those, the four directory bytes
-//! and the trailer, so a later change to one part names it. The mods
+//! only in the page lengths it lists; the file 16 549 → 15 723. Then
+//! when each footer entry was coded against a prediction from the one
+//! before — its count, FP.t and span against the previous count and
+//! cadence, its decimal FP and LP against the previous slope, an
+//! interior extreme's time as a position on its chunk's cadence grid —
+//! and the run directory moved ahead of the entries, under the magic
+//! `TSF7`: the fixture's late points keep its chunks off a cadence, so
+//! the chunk index only fell 269 → 259 bytes, and the file 15 723 →
+//! 15 713; the page bodies hash as they did. Only this row, its parts
+//! and [`COMPACTED`] were regenerated: the WAL, catalog, mods and pin
+//! rows are unchanged. [`TSFILE_PARTS`] holds the hashes of the file's
+//! parts as that tenth regeneration wrote them — the page bodies and
+//! the footer's chunk index (its chunk count and entries) — and the
+//! test checks the file is exactly the head magic, the page bodies,
+//! the chunk count, the four directory bytes, the entries and the
+//! trailer, so a later change to one part names it. The mods
 //! log (one per series since,
 //! `s<id>.mods`: its row's path changed a second time, its bytes never)
 //! and the shard pin are byte-identical to the original table.
@@ -126,7 +136,7 @@ use tskv::TsKv;
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("SHARDS", 2, 0x07f8bc07b4ba5002),
     ("catalog.log", 25, 0xa7f46d8e7ee577f2),
-    ("shard-0000/00000000.tsfile", 15723, 0xd2a81819737d48b2),
+    ("shard-0000/00000000.tsfile", 15713, 0xe933bebd301a3873),
     ("shard-0000/s1.mods", 9, 0xcc59cc0b4c19c5c2),
     ("shard-0000/wal-00000000.log", 28518, 0x88c2ed828df37e3b),
 ];
@@ -147,11 +157,13 @@ const GOLDEN: &[(&str, u64, u64)] = &[
 /// `(327, 0x6bb2e6a5e5a3094b)`; before the footer stopped writing what
 /// an entry implies, the same bodies and `(327, 0x64f15024a556fac6)`;
 /// before a block fell back to the pair leaving the fewest exceptions,
-/// `(16_252, 0x6f87783129adca70)` and `(269, 0x10372a476eb740fc)`.
-const TSFILE_PARTS: [(usize, u64); 2] = [(15_426, 0xf47aacde97f61338), (269, 0xc0cda9653ba1e933)];
+/// `(16_252, 0x6f87783129adca70)` and `(269, 0x10372a476eb740fc)`;
+/// before entries were coded against a prediction from the one before
+/// (`TSF7`), the same bodies and `(269, 0xc0cda9653ba1e933)`.
+const TSFILE_PARTS: [(usize, u64); 2] = [(15_426, 0xf47aacde97f61338), (259, 0x5ebbe2a8b4034259)];
 
-/// What the footer body gained: one run, of series 1 (`golden.a`),
-/// holding all seven chunks, superseding nothing.
+/// The footer's run directory, after its chunk count: one run, of
+/// series 1 (`golden.a`), holding all seven chunks, superseding nothing.
 const RUN_DIRECTORY: [u8; 4] = [1, 1, 7, 0];
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -260,15 +272,18 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
     drop(kv);
     std::fs::remove_dir_all(&dir).ok();
 
-    // The data file is its head magic, its page bodies, its chunk index
-    // and the run directory.
+    // The data file is its head magic, its page bodies, and a footer of
+    // the chunk count (one byte), the run directory and the chunk
+    // entries; the chunk index is the count and the entries.
     let [(bodies_len, bodies_hash), (index_len, index_hash)] = TSFILE_PARTS;
     let (head, rest) = tsfile.split_at(MAGIC.len());
     assert_eq!(head, MAGIC);
     let trailer = 4 + 8 + MAGIC.len(); // crc + footer length + magic
     let footer_len = rest.len() - bodies_len - trailer;
     let (bodies, footer) = rest.split_at(bodies_len);
-    let (index, directory) = footer[..footer_len].split_at(footer_len - RUN_DIRECTORY.len());
+    let directory = &footer[1..1 + RUN_DIRECTORY.len()];
+    let index = [&footer[..1], &footer[1 + RUN_DIRECTORY.len()..footer_len]].concat();
+    let index = index.as_slice();
     assert_eq!(
         (fnv1a64(bodies), index.len(), fnv1a64(index)),
         (bodies_hash, index_len, index_hash),
@@ -298,7 +313,7 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
 /// `(length, FNV-1a 64)` of the one data file a compaction leaves,
 /// taken at the parent of the commit that rebuilt the merge, the page
 /// plan and the seal kernel: the output of a compaction is the same
-/// bytes after it. Regenerated seven times, each time with the data
+/// bytes after it. Regenerated eight times, each time with the data
 /// file's row above: for the decimal value mode and the footer diet (it
 /// was `(25_207, 0xe545e1c9772488b6)`), for the packed forms (it was
 /// `(22_023, 0x80fa0e00c13119d0)`), when the footer lost the
@@ -336,7 +351,11 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
 /// leaving one to six fewer of their random hundredths raw, 9 to 54
 /// bytes a chunk, 324 in all; no chunk's values are a line, so none
 /// left them to its statistics, and every other chunk is as it was.
-const COMPACTED: (u64, u64) = (20_481, 0x3d31950f3546fdf5);
+/// And when each footer entry was coded against a prediction from the
+/// one before, with the run directory ahead of the entries (it was
+/// `(20_481, 0x3d31950f3546fdf5)`; the magic became `TSF7`): 98 bytes
+/// fewer, all of them in the footer.
+const COMPACTED: (u64, u64) = (20_383, 0x23f8cd6df0115528);
 
 #[test]
 fn compaction_output_bytes_equal_the_hash_taken_before_the_merge_and_seal_rebuild() {

@@ -1,7 +1,9 @@
 //! Store inspector: a debugging tool that dumps the physical layout of
 //! a tskv store — catalog, shards, files and their footer bytes (split
 //! into the chunk index and the run directory, with the entries whose
-//! BP or TP is an end point and those whose values are decimal), chunks,
+//! BP or TP is an end point and those whose values are decimal, and the
+//! chunk index split by part: entry heads, counts, times, interior
+//! extremes and values), chunks,
 //! versions, statistics, the form each chunk (one page) stores each
 //! column in (timestamps constant, stream or packed, and a packed
 //! column's frame: delta or line; values stream, packed, decimal, and
@@ -146,16 +148,35 @@ fn dir_bytes(dir: &Path) -> std::io::Result<u64> {
 /// Add one footer's census to a running total.
 fn add(total: &mut FooterCensus, c: &FooterCensus) {
     total.index_bytes += c.index_bytes;
+    total.heads += c.heads;
+    total.counts += c.counts;
+    total.times += c.times;
+    total.extremes += c.extremes;
+    total.values += c.values;
     total.directory_bytes += c.directory_bytes;
     total.extremes_at_an_end += c.extremes_at_an_end;
     total.decimal += c.decimal;
 }
 
+/// The chunk index's bytes by part: its count and the entries' heads
+/// (version, tags, length), point counts, times, interior extremes'
+/// times and values.
+fn parts(c: &FooterCensus) -> String {
+    format!(
+        "heads {}, counts {}, times {}, extremes {}, values {}",
+        c.heads, c.counts, c.times, c.extremes, c.values
+    )
+}
+
 /// A footer's split into its parts, and its entries' forms.
 fn split(c: &FooterCensus) -> String {
     format!(
-        "chunk index {}, run directory {}; {} with an extreme at an end, {} decimal",
-        c.index_bytes, c.directory_bytes, c.extremes_at_an_end, c.decimal
+        "chunk index {}, run directory {}; {} with an extreme at an end, {} decimal; index by part: {}",
+        c.index_bytes,
+        c.directory_bytes,
+        c.extremes_at_an_end,
+        c.decimal,
+        parts(c)
     )
 }
 
@@ -319,13 +340,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let total = dir_bytes(&dir)?;
     let data = bytes.heads_and_trailers + bytes.footers + bytes.chunk_bodies;
     println!(
-        "\nstore bytes {total}: files {}, heads and trailers {}, footers {}, chunk bodies {}, catalog {catalog_bytes}, logs {}, bodiless chunks {}",
+        "\nstore bytes {total}: files {}, heads and trailers {}, footers {}, chunk bodies {}, catalog {catalog_bytes}, logs {}, bodiless chunks {}, footer bytes by part: {}, run directory {}",
         bytes.files,
         bytes.heads_and_trailers,
         bytes.footers,
         bytes.chunk_bodies,
         total - data - catalog_bytes,
-        bytes.bodiless
+        bytes.bodiless,
+        parts(&bytes.census),
+        bytes.census.directory_bytes
     );
     println!("footers split: {}", split(&bytes.census));
 

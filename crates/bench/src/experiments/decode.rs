@@ -182,6 +182,11 @@ fn fleet_stream(h: &Harness) -> Vec<f64> {
         .collect()
 }
 
+/// A standalone decimal block's values (its delta frame carries its head).
+fn decode_standalone(block: &[u8], n: usize) -> tsfile::Result<Vec<f64>> {
+    decimal::decode(block, n, None)
+}
+
 /// The decimal block in its delta frame.
 fn decimal_delta(vs: &[f64], out: &mut Vec<u8>) {
     decimal::encode_values_in(vs, Framing::Delta, out);
@@ -326,7 +331,7 @@ pub fn run(h: &Harness) -> DecodeResults {
             h,
             ("decimal-delta", "gorilla-f64", "fleet"),
             &fleet,
-            (decimal_delta, decimal::decode),
+            (decimal_delta, decode_standalone),
             (gorilla::encode, gorilla::decode),
             |v| v.to_bits(),
         ),
@@ -334,16 +339,16 @@ pub fn run(h: &Harness) -> DecodeResults {
             h,
             ("decimal-delta", "decimal-reference", "fleet"),
             &fleet,
-            (decimal_delta, decimal::decode),
-            (decimal_reference, decimal::decode),
+            (decimal_delta, decode_standalone),
+            (decimal_reference, decode_standalone),
             |v| v.to_bits(),
         ),
         packed_row(
             h,
             ("decimal-line", "decimal-reference", "drift"),
             &drift,
-            (decimal_line, decimal::decode),
-            (decimal_reference, decimal::decode),
+            (decimal_line, decode_standalone),
+            (decimal_reference, decode_standalone),
             |v| v.to_bits(),
         ),
     ];

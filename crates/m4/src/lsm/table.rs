@@ -95,6 +95,7 @@ impl<'a> FragmentTable<'a> {
     pub fn load(&self, rows: &[&Fragment<'a>]) -> Result<()> {
         let chunks: Vec<&ChunkHandle> = rows.iter().map(|f| f.chunk).collect();
         for (f, pts) in rows.iter().zip(self.snapshot.read_points_many(&chunks)?) {
+            self.snapshot.io().record_lsm_points(pts.len() as u64);
             f.points.get_or_init(|| pts);
         }
         Ok(())
@@ -107,6 +108,7 @@ impl<'a> FragmentTable<'a> {
             return Ok(pts);
         }
         let pts = self.snapshot.read_points(f.chunk)?;
+        self.snapshot.io().record_lsm_points(pts.len() as u64);
         Ok(f.points.get_or_init(|| pts))
     }
 
@@ -121,6 +123,7 @@ impl<'a> FragmentTable<'a> {
     /// otherwise decodes (and keeps) the chunk's timestamp prefix up to
     /// `t` and searches that.
     pub fn contains_timestamp(&self, f: &Fragment<'_>, t: Timestamp) -> Result<bool> {
+        self.snapshot.io().record_lsm_probe();
         if let Some(pts) = f.loaded() {
             return Ok(pts.binary_search_by_key(&t, |p| p.t).is_ok());
         }

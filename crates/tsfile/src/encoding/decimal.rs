@@ -16,19 +16,23 @@
 //! frame of reference = u8 e | u8 f | the bit-packed block of the n integers
 //!     ([`super::packed`]: u8 w | varint_i base | n × w bits of d − base
 //!      | varint k | k × (varint position, u64 LE bits of the value))
-//! delta frame        = u8 (e | 0x80) | u8 f | varint_i d0
-//!     | the bit-packed block of the n − 1 deltas d[i+1] − d[i]
+//! delta frame        = u8 (e | 0x80) | u8 f | [varint_i d0]
+//!     | the bit-packed window block of the n − 1 deltas d[i+1] − d[i]
+//!      (its exceptions listed by their distance from its base)
 //! line frame         = u8 (e | 0x40) | u8 f | varint_i s
 //!     | the bit-packed block of the n residuals d[i] − ⌊s·i / 2^16⌋
 //! ```
 //!
-//! The frame of reference stores each exception raw at its position.
-//! The delta frame is [`super::packed`]'s timestamp column laid over the
-//! integers, for a page with no exception: a counter or a ramp rises by
-//! the same step every point, which packs to zero bits a value, and a
-//! ramp's wrap is one exception of the delta block — where the frame of
-//! reference pays the ramp's whole range on every value. A delta frame
-//! whose running sums leave `|d| < 2^53` is `Corrupt`.
+//! The frame of reference and the line frame store each exception (a
+//! value with no integer under the pair) raw at its position. The delta
+//! frame is [`super::packed`]'s timestamp column laid over the integers,
+//! for a page with no exception: a counter or a ramp rises by the same
+//! step every point, which packs to zero bits a value, and a ramp's wrap
+//! is one window exception of a few bytes — where the frame of reference
+//! pays the ramp's whole range on every value. In a page it has no head:
+//! `d0` is FP.v's integer under the pair, and the running sums must land
+//! on LP.v's (the page's ends, handed to [`decode`] and [`verify`]). A
+//! delta frame whose running sums leave `|d| < 2^53` is `Corrupt`.
 //!
 //! The line frame is [`super::packed`]'s line frame, the one the packed
 //! timestamp column also takes: a frame of reference over the residuals
@@ -397,20 +401,22 @@ pub(crate) fn plan(values: &[f64], carry: &mut Option<Exponents>) -> Option<Expo
     choose(values, *carry).inspect(|&pair| *carry = Some(pair))
 }
 
-/// Encode `values` under `pair` as a decimal block appended to `out`:
-/// the smallest frame. Returns `false` and writes nothing when every
-/// value is an exception.
+/// Encode a page's `values` under `pair` as a decimal block appended to
+/// `out`: the smallest frame, a delta frame without its head. Returns
+/// `false` and writes nothing when every value is an exception.
 pub(crate) fn encode(values: &[f64], pair: Exponents, out: &mut Vec<u8>) -> bool {
-    encode_framed(values, pair, |_| true, out)
+    encode_framed(values, pair, |_| true, false, out)
 }
 
 /// Encode `values` under `pair` in the smallest of the frames `allowed`
-/// admits, each sized exactly first; `false` (nothing written) when none
-/// can hold the page: every value an exception, or any for the delta.
+/// admits, each sized exactly first, a delta frame with its `head` or
+/// not; `false` (nothing written) when none can hold the page: every
+/// value an exception, or any for the delta.
 fn encode_framed(
     values: &[f64],
     pair: Exponents,
     allowed: impl Fn(Framing) -> bool,
+    head: bool,
     out: &mut Vec<u8>,
 ) -> bool {
     let Some((pair, digits)) = fewest_exceptions(values, pair) else {
@@ -425,22 +431,22 @@ fn encode_framed(
         return false;
     }
     let first = digits.first().copied().unwrap_or(0);
+    let head_len = usize::from(head) * varint::len_u64(varint::zigzag(first));
     let reference = allowed(Framing::Reference).then(|| (2 + frame.len(n), Sized::Reference));
     let line = allowed(Framing::Line)
         .then(|| line_fit(&digits, &frame))
         .flatten();
-    // e, f and d0 take 3 bytes or more: a delta frame whose floor is no
-    // smaller than the frame of reference, or larger than the line
-    // frame, cannot be the first of the smallest, and is not sized.
+    // A delta frame whose floor, with e, f and any head, is no smaller
+    // than the frame of reference, or larger than the line frame, cannot
+    // be the first of the smallest, and is not sized.
     let size = |f: &Option<(usize, Sized)>| f.as_ref().map_or(usize::MAX, |f| f.0);
     let ceiling = size(&line).min(size(&reference) - 1);
     let delta = (allowed(Framing::Delta) && frame.exceptions() == 0)
         .then(|| packed::deltas(&digits))
-        .filter(|deltas| 3 + Packing::floor(deltas) <= ceiling)
+        .filter(|deltas| 2 + head_len + Packing::floor(deltas) <= ceiling)
         .map(|deltas| {
             let packing = Packing::of(&deltas);
-            let len = 2 + packed::timestamps_len(first, &packing);
-            (len, Sized::Delta(deltas, packing))
+            (2 + head_len + packing.len(), Sized::Delta(deltas, packing))
         });
     let smallest = [reference, delta, line]
         .into_iter()
@@ -455,7 +461,10 @@ fn encode_framed(
         }
         Some((_, Sized::Delta(deltas, packing))) => {
             out.extend_from_slice(&[pair.e | DELTA_FRAME, pair.f]);
-            packed::write_timestamps(first, &deltas, &packing, out);
+            if head {
+                varint::write_i64(out, first);
+            }
+            packing.write(&deltas, out);
         }
         Some((_, Sized::Line(slope, line))) => {
             out.extend_from_slice(&[pair.e | LINE_FRAME, pair.f]);
@@ -526,7 +535,7 @@ fn line_fit(digits: &[i64], reference: &Frame) -> Option<(usize, Sized)> {
 /// appended to `out`. Returns `false` and writes nothing when the sample
 /// turns the page away or every value is an exception.
 pub fn encode_values(values: &[f64], out: &mut Vec<u8>) -> bool {
-    choose(values, None).is_some_and(|pair| encode(values, pair, out))
+    choose(values, None).is_some_and(|pair| encode_framed(values, pair, |_| true, true, out))
 }
 
 /// [`encode_values`] held to the frame `framing`: the block a writer
@@ -534,7 +543,8 @@ pub fn encode_values(values: &[f64], out: &mut Vec<u8>) -> bool {
 /// writes nothing when [`encode_values`] would, or when `framing` is the
 /// delta frame and a value is an exception.
 pub fn encode_values_in(values: &[f64], framing: Framing, out: &mut Vec<u8>) -> bool {
-    choose(values, None).is_some_and(|pair| encode_framed(values, pair, |f| f == framing, out))
+    choose(values, None)
+        .is_some_and(|pair| encode_framed(values, pair, |f| f == framing, true, out))
 }
 
 /// A block's pair, its frame, and the bytes after its header.
@@ -571,10 +581,22 @@ fn inside(slots: Option<(i64, i64)>, end: i64) -> bool {
     slots.is_some_and(|(lo, hi)| ok(lo, end.min(0)) && ok(hi, end.max(0)))
 }
 
-/// The `n` integers of a delta frame's body: the running sums of its
-/// deltas, each below 2^53 in magnitude.
-fn delta_integers(body: &[u8], n: usize) -> Result<Vec<i64>> {
-    let ints = packed::decode_timestamps(body, n, None)?;
+/// `v`'s integer under `fs`, `Corrupt` where it has none.
+fn integer(fs: &Factors, v: f64) -> Result<i64> {
+    fs.encode(v)
+        .ok_or_else(|| corrupt(format!("no integer for {v}")))
+}
+
+/// The `n` integers of a delta frame's body, each below 2^53 in
+/// magnitude: the running sums of its deltas from its head, or in a page
+/// (`ends`, its FP.v and LP.v) from FP.v's integer, landing on LP.v's.
+fn delta_integers(fs: &Factors, body: &[u8], n: usize, ends: Ends) -> Result<Vec<i64>> {
+    let ints = match ends {
+        None => packed::decode_timestamps(body, n, None)?,
+        Some((first, last)) => {
+            packed::decode_page_deltas(body, n, (integer(fs, first)?, integer(fs, last)?))?
+        }
+    };
     match ints.iter().all(|d| d.unsigned_abs() < INT_LIMIT) {
         true => Ok(ints),
         false => Err(corrupt("integer at or past 2^53".into())),
@@ -592,30 +614,41 @@ fn line_block(body: &[u8], n: usize) -> Result<packed::Line<'_>> {
     }
 }
 
+/// Bytes of the head a page's delta frame `buf` leaves to FP.v
+/// (`first`), and its window block of deltas.
+pub(crate) fn page_delta(buf: &[u8], first: f64) -> Result<(usize, &[u8])> {
+    let (fs, _, body) = header(buf)?;
+    Ok((varint::len_u64(varint::zigzag(integer(&fs, first)?)), body))
+}
+
+/// A page's FP.v and LP.v, which its delta frame leaves out; `None` for
+/// a standalone block, which carries its head.
+pub type Ends = Option<(f64, f64)>;
+
 /// Check an `n`-value block's structure — header, packed length,
 /// exception list, a line frame's slope against its slots — unpacking
 /// only a delta frame, whose running sums alone show whether it
 /// decodes: this passes exactly the blocks [`decode`] does.
-pub fn verify(buf: &[u8], n: usize) -> Result<()> {
-    let (_, framing, body) = header(buf)?;
+pub fn verify(buf: &[u8], n: usize, ends: Ends) -> Result<()> {
+    let (fs, framing, body) = header(buf)?;
     match framing {
         Framing::Reference => packed::verify(body, n),
-        Framing::Delta => delta_integers(body, n).map(drop),
+        Framing::Delta => delta_integers(&fs, body, n, ends).map(drop),
         Framing::Line => line_block(body, n)?.block.exceptions(n, |_, _| {}),
     }
 }
 
 /// Decode the `n` values of a decimal block.
-pub fn decode(buf: &[u8], n: usize) -> Result<Vec<f64>> {
+pub fn decode(buf: &[u8], n: usize, ends: Ends) -> Result<Vec<f64>> {
     let (fs, framing, body) = header(buf)?;
     let mut out = Vec::new();
     let block = match framing {
         Framing::Delta => {
-            let ints = delta_integers(body, n)?;
+            let ints = delta_integers(&fs, body, n, ends)?;
             return Ok(ints.into_iter().map(|d| fs.decode(d)).collect());
         }
         Framing::Reference => {
-            let block = packed::parse(body, n)?;
+            let block = packed::parse(body, n, false)?;
             block.unpack(n, |d| fs.decode(d), &mut out);
             block
         }
@@ -648,6 +681,11 @@ mod tests {
     use crate::page::MAX_PAGE_POINTS;
     use proptest::prelude::*;
 
+    /// The standalone block: a delta frame with its head.
+    fn encode(vs: &[f64], pair: Exponents, out: &mut Vec<u8>) -> bool {
+        encode_framed(vs, pair, |_| true, true, out)
+    }
+
     fn roundtrip(vs: &[f64]) -> Result<Option<Vec<u8>>> {
         let mut buf = Vec::new();
         let Some(pair) = plan(vs, &mut None) else {
@@ -660,8 +698,8 @@ mod tests {
 
     /// `buf` verifies and decodes to `vs`, bit for bit.
     fn decodes_to(buf: &[u8], vs: &[f64]) -> Result<()> {
-        verify(buf, vs.len())?;
-        let back = decode(buf, vs.len())?;
+        verify(buf, vs.len(), None)?;
+        let back = decode(buf, vs.len(), None)?;
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back), bits(vs));
         Ok(())
@@ -670,7 +708,7 @@ mod tests {
     /// The block `pair` gives `vs` in the frame `only` (any with `None`).
     fn framed(vs: &[f64], pair: Exponents, only: Option<Framing>) -> Option<Vec<u8>> {
         let mut buf = Vec::new();
-        encode_framed(vs, pair, |f| only.is_none_or(|o| o == f), &mut buf).then_some(buf)
+        encode_framed(vs, pair, |f| only.is_none_or(|o| o == f), true, &mut buf).then_some(buf)
     }
 
     /// `ingest_fleet`'s register shape: quarter units rising by one a
@@ -717,7 +755,16 @@ mod tests {
 
     #[test]
     fn noise_and_equal_values_keep_the_frame_of_reference() -> Result<()> {
-        for vs in [two_decimal_page(), vec![21.5; 1000]] {
+        let mut state = 7u64;
+        let noise: Vec<f64> = (0..1000)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                (22_400 + (state >> 33) % 400) as f64 / 100.0
+            })
+            .collect();
+        for vs in [noise, vec![21.5; 1000]] {
             let pair = plan(&vs, &mut None).unwrap();
             let buf = roundtrip(&vs)?.unwrap();
             assert_eq!(framing(&buf)?, Framing::Reference);
@@ -725,6 +772,19 @@ mod tests {
             let delta = framed(&vs, pair, Some(Framing::Delta)).unwrap();
             assert!(delta.len() >= buf.len(), "{} < {}", delta.len(), buf.len());
         }
+        Ok(())
+    }
+
+    /// [`two_decimal_page`] steps by +3.19 or −0.81 (its residues rise by
+    /// 319 mod 400): the delta frame keeps the one step at zero bits and
+    /// lists the other by its distance, below the frame of reference's
+    /// nine bits a value.
+    #[test]
+    fn a_page_of_two_steps_takes_the_delta_frame() -> Result<()> {
+        let vs = two_decimal_page();
+        let buf = roundtrip(&vs)?.unwrap();
+        assert_eq!(framing(&buf)?, Framing::Delta);
+        assert!(buf.len() <= 800, "{} bytes", buf.len());
         Ok(())
     }
 
@@ -791,7 +851,8 @@ mod tests {
     /// A delta frame of `ints` under (0, 0), written by hand.
     fn delta_block(first: i64, deltas: &[i64]) -> Vec<u8> {
         let mut buf = vec![DELTA_FRAME, 0];
-        packed::write_timestamps(first, deltas, &Packing::of(deltas), &mut buf);
+        varint::write_i64(&mut buf, first);
+        Packing::of(deltas).write(deltas, &mut buf);
         buf
     }
 
@@ -816,13 +877,13 @@ mod tests {
         ] {
             let bad = delta_block(first, deltas);
             let n = deltas.len() + 1;
-            for got in [decode(&bad, n).map(drop), verify(&bad, n)] {
+            for got in [decode(&bad, n, None).map(drop), verify(&bad, n, None)] {
                 assert!(matches!(got, Err(TsFileError::Corrupt(_))), "{got:?}");
             }
         }
         // A delta frame holds at least its first integer.
-        assert!(decode(&delta_block(0, &[]), 0).is_err());
-        assert!(verify(&delta_block(0, &[]), 0).is_err());
+        assert!(decode(&delta_block(0, &[]), 0, None).is_err());
+        assert!(verify(&delta_block(0, &[]), 0, None).is_err());
         Ok(())
     }
 
@@ -1059,7 +1120,11 @@ mod tests {
     /// line fit moved into [`packed`], but for the 84 of 1 038 blocks
     /// whose sampled pair leaves exceptions a sibling pair of its scale
     /// recovers: each of those holds fewer (64 810 B fewer in all).
-    /// Their length and CRC, taken when the full pass began to choose.
+    /// Their length and CRC, taken when the full pass began to choose,
+    /// were `(236_819, 0xbba5_8588)` until window exceptions were listed
+    /// by their distance: 40 delta frames then shrank and 6 blocks moved
+    /// from the frame of reference to a smaller delta frame (559 B fewer
+    /// in all); every other block kept its bytes.
     #[test]
     fn blocks_are_the_bytes_written_before_the_fit_moved() {
         let (mut all, mut frames) = (Vec::new(), [0usize; 3]);
@@ -1100,7 +1165,7 @@ mod tests {
         assert!(frames.iter().all(|&f| f > 50), "{frames:?}");
         assert_eq!(
             (all.len(), crate::checksum::crc32(&all)),
-            (236_819, 0xbba5_8588)
+            (236_260, 0x1fa0_7467)
         );
     }
 }

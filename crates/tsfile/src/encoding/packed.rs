@@ -9,16 +9,18 @@
 //!       | ⌈n·w/8⌉ bytes          n × w bits of x − base, MSB-first;
 //!                                an exception's slot holds 0
 //!       | varint k               exception count, ≤ n
-//!       | k × (varint position, u64 LE raw)   positions ascending, < n
+//!       | k × (varint position, entry)   positions ascending, < n
+//! entry = varint_i x − base (wrapping)   a window block's, never a slot's
+//!       | u64 LE raw                     a decimal block's value bits
 //! ```
 //!
-//! Nothing follows the exception list. Which integers are kept, and what
-//! an exception's raw word means, is the user's: the decimal block
-//! ([`super::decimal`]) keeps the scaled integers that round-trip and
-//! stores the other values' bits; the packed forms below keep the deltas
-//! inside a window and store the others as they are. The packed
-//! timestamp column, laid over a decimal block's scaled integers, is
-//! that block's delta frame.
+//! Nothing follows the exception list. Which integers are kept is the
+//! user's: the decimal block ([`super::decimal`]) keeps the scaled
+//! integers that round-trip and lists the other values' bits; the
+//! packed forms below keep the deltas inside a window and list the
+//! others by their distance from the base (an entry a slot could hold
+//! is `Corrupt`). The packed timestamp column, laid over a decimal
+//! block's scaled integers, is that block's delta frame.
 //!
 //! **The packed forms.** A column of `n ≥ 1` points as its first point
 //! and a block of its `n − 1` deltas — IoTDB's TS_2DIFF
@@ -59,10 +61,9 @@
 //!
 //! The window ([`Packing::of`]): the deltas' bit lengths around a centre (the
 //! median of a sample) are counted, and the width `w` that minimises
-//! `n·w` plus [`EXCEPTION_BITS`] per delta outside it is taken. A delayed
-//! timestamp (the paper's §3.5 steps) or the wrap of a ramp is then one
-//! exception instead of a page-wide width. The same pass frames the
-//! deltas, so the block's exact size is known from one pass.
+//! `n·w` plus the bytes of an entry for each delta outside it is taken.
+//! A delayed timestamp (the paper's §3.5 steps) or the wrap of a ramp is
+//! then one exception of a few bytes instead of a page-wide width.
 
 // Untrusted bytes: an out-of-range access is a typed error, not a panic.
 #![deny(clippy::indexing_slicing)]
@@ -75,9 +76,9 @@ use crate::page::MAX_PAGE_POINTS;
 use crate::varint;
 use crate::Result;
 
-/// What choosing a window charges a delta outside it: its raw 64 bits
-/// plus about two bytes of position.
-const EXCEPTION_BITS: usize = 80;
+/// A raw word and about two bytes of position: a block is never larger
+/// than at the width this charge chooses, with raw words listed.
+const RAW_EXCEPTION_BITS: usize = 80;
 
 /// Deltas sampled for the window's centre, spread over the column.
 const SAMPLES: usize = 15;
@@ -109,6 +110,8 @@ pub(crate) struct Frame {
     exceptions: usize,
     /// Bytes of the exception list after its count.
     list_len: usize,
+    /// Whether the list holds distances from the base, not raw words.
+    window: bool,
 }
 
 impl Frame {
@@ -140,7 +143,46 @@ impl Frame {
             width: span.map_or(0, |_| width(lo, hi)),
             exceptions,
             list_len,
+            window: false,
         }
+    }
+
+    /// The window frame of `deltas` kept in `lo..=hi`: every delta its
+    /// slots hold kept, the others listed. `outside` gives, by bit length,
+    /// the range, count and position bytes of the `k` outside `lo..=hi`:
+    /// where each length holds one value, they size the list, no pass.
+    fn window<'a, O>(deltas: &[i64], (lo, hi): (i64, i64), k: usize, outside: O) -> Self
+    where
+        O: Iterator<Item = (Option<&'a (i64, i64)>, (usize, usize))> + Clone,
+    {
+        let mut frame = Frame {
+            window: true,
+            ..Frame::new(lo, hi, 0, 0)
+        };
+        if k == 0 {
+            return frame;
+        }
+        let top = frame.slots().map_or(i64::MAX, |(_, top)| top);
+        let span = cast::u64_bits(top.wrapping_sub(lo));
+        let out = |d: i64| cast::u64_bits(d.wrapping_sub(lo)) > span;
+        let entry = |d: i64| varint::len_u64(varint::zigzag(d.wrapping_sub(lo)));
+        let one_value =
+            |(r, (k, _)): (Option<&(i64, i64)>, _)| k == 0 || r.is_some_and(|(l, h)| l == h);
+        if outside.clone().all(one_value) {
+            for (r, (k, p)) in outside {
+                if let Some(&(d, _)) = r.filter(|&&(d, _)| k > 0 && out(d)) {
+                    (frame.exceptions, frame.list_len) =
+                        (frame.exceptions + k, frame.list_len + p + k * entry(d));
+                }
+            }
+        } else {
+            for (i, &d) in deltas.iter().enumerate().filter(|&(_, &d)| out(d)) {
+                frame.exceptions += 1;
+                frame.list_len += varint::len_u64(cast::u64_from_usize(i)) + entry(d);
+            }
+        }
+        frame.span = Some(span);
+        frame
     }
 
     /// The least and the greatest integer a packed slot can hold.
@@ -233,7 +275,10 @@ impl Frame {
             for (i, x) in ints.enumerate() {
                 if self.offset(x).is_none() {
                     varint::write_u64(out, cast::u64_from_usize(i));
-                    out.extend_from_slice(&raw(i, x).to_le_bytes());
+                    match self.window {
+                        true => varint::write_i64(out, x.wrapping_sub(self.base)),
+                        false => out.extend_from_slice(&raw(i, x).to_le_bytes()),
+                    }
                 }
             }
         }
@@ -248,23 +293,26 @@ pub(crate) struct Block<'a> {
     packed: &'a [u8],
     /// `varint k` onwards.
     list: &'a [u8],
+    /// Whether the list holds distances from the base, not raw words.
+    window: bool,
 }
 
 fn corrupt(msg: String) -> TsFileError {
     TsFileError::Corrupt(format!("bit-packed block: {msg}"))
 }
 
-/// Parse the block of `n` integers that is all of `buf`.
-pub(crate) fn parse(buf: &[u8], n: usize) -> Result<Block<'_>> {
+/// Parse the block of `n` integers that is all of `buf`, a `window` one
+/// or not.
+pub(crate) fn parse(buf: &[u8], n: usize, window: bool) -> Result<Block<'_>> {
     let (&width, rest) = buf.split_first().ok_or(TsFileError::UnexpectedEof {
         what: "bit-packed block header",
     })?;
-    parse_body(width, rest, n)
+    parse_body(width, rest, n, window)
 }
 
 /// Parse the block of `n` integers whose width byte is `width` and whose
 /// other bytes are all of `rest`.
-fn parse_body(width: u8, rest: &[u8], n: usize) -> Result<Block<'_>> {
+fn parse_body(width: u8, rest: &[u8], n: usize, window: bool) -> Result<Block<'_>> {
     if n > MAX_PAGE_POINTS {
         return Err(corrupt(format!("{n} integers exceed the page ceiling")));
     }
@@ -292,6 +340,7 @@ fn parse_body(width: u8, rest: &[u8], n: usize) -> Result<Block<'_>> {
         base,
         packed,
         list,
+        window,
     })
 }
 
@@ -335,9 +384,9 @@ impl Block<'_> {
     }
 
     /// The wrapping sum of the `n` integers the block decodes to: its
-    /// slots, each exception's replaced by the raw word the list gives
-    /// it. Fails exactly where [`Self::unpack`] and [`Self::exceptions`]
-    /// do, without unpacking a `Vec`.
+    /// slots, each exception's replaced by the word the list gives it.
+    /// Fails exactly where [`Self::unpack`] and [`Self::exceptions`] do,
+    /// without unpacking a `Vec`.
     pub(crate) fn sum(&self, n: usize) -> Result<i64> {
         let mut sum = (0..n).fold(0i64, |sum, i| sum.wrapping_add(self.slot(i)));
         // An exception's slot holds what its bits say (0 as written,
@@ -350,9 +399,10 @@ impl Block<'_> {
         Ok(sum)
     }
 
-    /// Walk the exception list, handing each `(position, raw)` to
-    /// `patch`: the count is at most `n`, positions ascend strictly
-    /// below `n`, and nothing follows the list.
+    /// Walk the exception list, handing each `(position, word)` to
+    /// `patch` (a window block's integer as bits): the count is at most
+    /// `n`, positions ascend strictly below `n`, no slot holds a window
+    /// block's integer, and nothing follows the list.
     pub(crate) fn exceptions(&self, n: usize, mut patch: impl FnMut(usize, u64)) -> Result<()> {
         let list = self.list;
         let mut pos = 0usize;
@@ -369,16 +419,28 @@ impl Block<'_> {
                 )));
             }
             next = at + 1;
-            let raw = list
-                .get(pos..pos + 8)
-                .and_then(|b| <[u8; 8]>::try_from(b).ok())
-                .ok_or(TsFileError::UnexpectedEof {
-                    what: "bit-packed exception",
-                })?;
-            pos += 8;
+            let word = match self.window {
+                true => self.base.wrapping_add(varint::read_i64(list, &mut pos)?),
+                false => {
+                    let raw = list
+                        .get(pos..pos + 8)
+                        .and_then(|b| <[u8; 8]>::try_from(b).ok());
+                    pos += 8;
+                    let raw = raw.ok_or(TsFileError::UnexpectedEof {
+                        what: "bit-packed exception",
+                    })?;
+                    cast::i64_bits(u64::from_le_bytes(raw))
+                }
+            };
+            let slot = self
+                .slots()
+                .map_or(word >= self.base, |(lo, hi)| lo <= word && word <= hi);
+            if self.window && slot {
+                return Err(corrupt(format!("exception {word} inside the slots")));
+            }
             let at =
                 cast::usize_checked(at).ok_or_else(|| corrupt("position unaddressable".into()))?;
-            patch(at, u64::from_le_bytes(raw));
+            patch(at, cast::u64_bits(word));
         }
         if pos != list.len() {
             return Err(corrupt(format!(
@@ -388,6 +450,19 @@ impl Block<'_> {
         }
         Ok(())
     }
+}
+
+/// The exceptions of a page column's window block of `n` points (either
+/// timestamp frame, packed values, a decimal delta frame's deltas), and
+/// their entries' bytes.
+pub(crate) fn window_list(col: &[u8], n: usize) -> Result<(usize, usize)> {
+    let (m, mut k) = (delta_count(n)?, 0);
+    let block = timestamp_line(col, n)?.map_or_else(|| parse(col, m, true), |l| Ok(l.block))?;
+    block.exceptions(m, |_, _| k += 1)?;
+    Ok((
+        k,
+        block.list.len() - varint::len_u64(cast::u64_from_usize(k)),
+    ))
 }
 
 /// The `w ≤ 57` bits at bit `bit` of `packed`, MSB-first: each lies in
@@ -412,7 +487,7 @@ fn bits_at(packed: &[u8], bit: usize, w: u32) -> u64 {
 /// Check the structure of the block of `n` integers that is all of
 /// `buf` without unpacking it: header, packed length, exception list.
 pub(crate) fn verify(buf: &[u8], n: usize) -> Result<()> {
-    parse(buf, n)?.exceptions(n, |_, _| {})
+    parse(buf, n, false)?.exceptions(n, |_, _| {})
 }
 
 /// How a block frames its integers: a decimal block in any of the three,
@@ -537,7 +612,7 @@ impl<'a> Line<'a> {
 pub(crate) fn line(buf: &[u8], n: usize) -> Result<Line<'_>> {
     let (mut pos, last) = (0usize, n.saturating_sub(1));
     let slope = varint::read_i64(buf, &mut pos)?;
-    Line::new(slope, parse(buf.get(pos..).unwrap_or(&[]), n)?, last)
+    Line::new(slope, parse(buf.get(pos..).unwrap_or(&[]), n, false)?, last)
 }
 
 /// How one column of deltas packs: the frame of those inside a window
@@ -549,17 +624,20 @@ pub(crate) struct Packing {
 }
 
 impl Packing {
-    /// Choose the window for `deltas` and frame what it keeps, in one
-    /// pass that writes nothing.
+    /// Choose the window for `deltas` and frame what it keeps, sized
+    /// exactly before a byte is written.
     ///
     /// The window keeps the deltas whose zigzagged distance from a
     /// centre (the median of a sample) has at most `w` bits — the
     /// interval `centre − 2^(w−1) ..= centre + 2^(w−1) − 1` — for the `w`
-    /// that minimises `n·w` plus [`EXCEPTION_BITS`] per delta outside.
-    /// The pass counts the deltas by that bit length, keeping each
-    /// length's range and how many sit where a position takes one, two
-    /// or three varint bytes (a page holds at most 2^20 points), so the
-    /// kept range and the exception list follow for any `w`.
+    /// that minimises `n·w` plus each outside delta's position and
+    /// distance bytes. One pass counts the deltas by that bit length,
+    /// keeping each length's range and how many sit where a position
+    /// takes one, two or three varint bytes (a page holds at most 2^20
+    /// points), so the cost of any `w` follows; the block keeps every
+    /// delta its slots hold ([`Frame::window`]). Where the width
+    /// [`RAW_EXCEPTION_BITS`] chooses lists raw words in fewer bytes, it
+    /// is framed too, and the smaller block taken.
     pub(crate) fn of(deltas: &[i64]) -> Self {
         let centre = sample_median(deltas);
         let mut ranges = [(i64::MAX, i64::MIN); 65];
@@ -576,47 +654,58 @@ impl Packing {
             }
             start = end;
         }
-        // Walk the widths up; `outside` counts the deltas longer than w.
-        let n = deltas.len();
-        let length = |len: usize| -> usize {
-            counts
-                .iter()
-                .map(|class| class.get(len).copied().unwrap_or(0))
-                .sum()
+        // The deltas of one bit length, and their positions' bytes.
+        let length = |len: usize| {
+            let at = |(class, p): (&[usize; 65], _)| class.get(len).map_or((0, 0), |&c| (c, c * p));
+            let add = |(k, p), (c, b)| (k + c, p + b);
+            counts.iter().zip(1..).map(at).fold((0, 0), add)
         };
-        let mut outside = n - length(0);
-        let mut best = (outside * EXCEPTION_BITS, 0);
-        for w in 1..=64 {
-            outside -= length(w);
-            let bits = n * w + outside * EXCEPTION_BITS;
-            if bits < best.0 {
-                best = (bits, w);
+        // Walk the widths down. Outside are the deltas longer than w:
+        // their count, their positions' bytes, and what they cost by
+        // their entries' bytes and as raw words. Each charge's best
+        // width, the narrowest of a tie, keeps its outside count and bytes.
+        let n = deltas.len();
+        let (mut k, mut p, mut cost) = (0, 0, [0, 0]);
+        let mut best = [(usize::MAX, 0, 0, 0); 2];
+        for w in (0..=64).rev() {
+            for (best, bits) in best.iter_mut().zip(cost) {
+                if n * w + bits <= best.0 {
+                    *best = (n * w + bits, w, k, p);
+                }
+            }
+            let (kl, pl) = length(w);
+            (k, p) = (k + kl, p + pl);
+            cost = [
+                cost[0] + 8 * (pl + kl * w.div_ceil(7)),
+                cost[1] + kl * RAW_EXCEPTION_BITS,
+            ];
+        }
+        // At width w: the kept range, and the deltas outside it by length.
+        let fold = |(lo, hi): (i64, i64), &(l, h): &(i64, i64)| (lo.min(l), hi.max(h));
+        let range = |w: usize| ranges.iter().take(w + 1).fold((i64::MAX, i64::MIN), fold);
+        let outside = |w: usize| (w + 1..65).map(|len| (ranges.get(len), length(len)));
+        let [(_, w, k, _), (_, w_raw, k_raw, p_raw)] = best;
+        let mut best = Frame::window(deltas, range(w), k, outside(w));
+        // Where raw words at their own width would be smaller, that
+        // width's window is sized too, and the smaller kept.
+        let (lo, hi) = range(w_raw);
+        if w_raw != w && Frame::new(lo, hi, k_raw, p_raw + 8 * k_raw).len(n) < best.len(n) {
+            let other = Frame::window(deltas, (lo, hi), k_raw, outside(w_raw));
+            if other.len(n) < best.len(n) {
+                best = other;
             }
         }
-        let w = best.1;
-        let (lo, hi) = ranges
-            .iter()
-            .take(w + 1)
-            .fold((i64::MAX, i64::MIN), |(lo, hi), &(l, h)| {
-                (lo.min(l), hi.max(h))
-            });
-        // An exception costs its raw word and a one-, two- or three-byte
-        // position.
-        let outside = counts.map(|class| class.iter().skip(w + 1).sum::<usize>());
-        let list_len = outside.iter().zip(9..).map(|(&k, bytes)| k * bytes).sum();
-        Packing {
-            frame: Frame::new(lo, hi, outside.iter().sum(), list_len),
-            n,
-        }
+        Packing { frame: best, n }
     }
 
     /// A floor under the bytes of the block [`Self::of`] makes of
     /// `deltas`, from one pass over them in pairs (the first and the
     /// second, the third and the fourth, …): a pair both kept widens the
-    /// block to at least the bits of its difference, and a pair with one
-    /// left out pays an exception, 9 bytes or more. So at each width `w`
-    /// the block takes `n·w` bits, 9 bytes a pair wider than `w`, and 3
-    /// bytes of header.
+    /// block to at least the bits `b` of its difference, and a pair wider
+    /// than the block holds an exception of 2 bytes or more — `1 + ⌈b/7⌉`
+    /// where `w + 2 ≤ b < 63`, one of the pair then `2^(b−2)` or more from
+    /// the base. So at each width `w` the block takes `n·w` bits, those
+    /// bytes a pair wider than `w`, and 3 bytes of header.
     pub(crate) fn floor(deltas: &[i64]) -> usize {
         // Pairs by the bits of their difference.
         let mut pairs = [0usize; 65];
@@ -629,11 +718,13 @@ impl Packing {
                 }
             }
         }
-        let mut wider: usize = pairs.iter().sum();
-        let mut least = usize::MAX;
-        for (w, &count) in pairs.iter().enumerate() {
-            wider -= count;
-            least = least.min(deltas.len() * w + wider * 72);
+        // Down the widths: `wider` bytes for the pairs two bits or more
+        // wider than w.
+        let (mut wider, mut least) = (0usize, usize::MAX);
+        for w in (0..=64).rev() {
+            let (b, next) = (w + 1, pairs.get(w + 1).copied().unwrap_or(0));
+            least = least.min(deltas.len() * w + 8 * (wider + 2 * next));
+            wider += next * if b < 63 { 1 + b.div_ceil(7) } else { 2 };
         }
         3 + least.div_ceil(8)
     }
@@ -722,24 +813,6 @@ fn sample_median(deltas: &[i64]) -> i64 {
     sample.get(taken / 2).copied().unwrap_or(0)
 }
 
-/// Bytes of the packed timestamp column of a page starting at `first`
-/// whose deltas pack as `p`.
-pub(crate) fn timestamps_len(first: i64, p: &Packing) -> usize {
-    varint::len_u64(varint::zigzag(first)) + p.len()
-}
-
-/// Append the packed timestamp column of `first` and its `deltas`.
-pub(crate) fn write_timestamps(first: i64, deltas: &[i64], p: &Packing, out: &mut Vec<u8>) {
-    varint::write_i64(out, first);
-    p.write(deltas, out);
-}
-
-/// Append the packed value column of `first` and its key deltas.
-pub(crate) fn write_values(first: f64, deltas: &[i64], p: &Packing, out: &mut Vec<u8>) {
-    out.extend_from_slice(&first.to_bits().to_le_bytes());
-    p.write(deltas, out);
-}
-
 /// The key [`f64::total_cmp`] orders by, as bits: the sign kept, the
 /// rest flipped when it is set. Its own inverse.
 #[inline]
@@ -769,7 +842,8 @@ pub fn encode_timestamps(ts: &[i64], out: &mut Vec<u8>) {
         return;
     };
     let deltas = deltas(ts);
-    write_timestamps(first, &deltas, &Packing::of(&deltas), out);
+    varint::write_i64(out, first);
+    Packing::of(&deltas).write(&deltas, out);
 }
 
 /// `ts[i + 1] − ts[i]` (wrapping) for each adjacent pair.
@@ -787,7 +861,8 @@ pub fn encode_values(vs: &[f64], out: &mut Vec<u8>) {
     };
     let mut deltas = Vec::new();
     key_deltas(vs, &mut deltas);
-    write_values(first, &deltas, &Packing::of(&deltas), out);
+    out.extend_from_slice(&first.to_bits().to_le_bytes());
+    Packing::of(&deltas).write(&deltas, out);
 }
 
 /// How many deltas a packed column of `n` points holds: `n − 1`, and a
@@ -801,7 +876,7 @@ fn delta_count(n: usize) -> Result<usize> {
 /// is all of `block`, exceptions in place.
 fn running_sums(block: &[u8], n: usize, head: i64) -> Result<Vec<i64>> {
     let m = delta_count(n)?;
-    let b = parse(block, m)?;
+    let b = parse(block, m, true)?;
     let mut out = Vec::with_capacity(n);
     out.push(head);
     b.unpack(m, |d| d, &mut out);
@@ -863,8 +938,8 @@ pub fn decode_values(buf: &[u8], n: usize) -> Result<Vec<f64>> {
 /// The `n` integers of a page's packed column in the delta frame, the
 /// block of the deltas from `first` to `last` (the page's FP and LP): it
 /// must end at `last`, so it holds no more and no fewer deltas.
-fn decode_page_deltas(block: &[u8], n: usize, (first, last): (i64, i64)) -> Result<Vec<i64>> {
-    let out = running_sums(block, n, first)?;
+pub(crate) fn decode_page_deltas(block: &[u8], n: usize, ends: (i64, i64)) -> Result<Vec<i64>> {
+    let ((first, last), out) = (ends, running_sums(block, n, ends.0)?);
     lands(first, n - 1, out.last().copied().unwrap_or(first), last)?;
     Ok(out)
 }
@@ -879,7 +954,7 @@ fn timestamp_line(col: &[u8], n: usize) -> Result<Option<Line<'_>>> {
     };
     let (m, mut pos) = (delta_count(n)?, 0usize);
     let slope = varint::read_i64(rest, &mut pos)?;
-    let block = parse_body(width & !LINE_FRAME, rest.get(pos..).unwrap_or(&[]), m)?;
+    let block = parse_body(width & !LINE_FRAME, rest.get(pos..).unwrap_or(&[]), m, true)?;
     Line::new(slope, block, m).map(Some)
 }
 
@@ -961,7 +1036,8 @@ pub(crate) fn is_line(col: &[u8]) -> bool {
 /// [`decode_page_deltas`] decodes.
 fn verify_page_column(block: &[u8], n: usize, (first, last): (i64, i64)) -> Result<()> {
     let m = delta_count(n)?;
-    lands(first, m, first.wrapping_add(parse(block, m)?.sum(m)?), last)
+    let sum = parse(block, m, true)?.sum(m)?;
+    lands(first, m, first.wrapping_add(sum), last)
 }
 
 /// [`verify_page_column`] over the keys of a packed value column
@@ -1201,7 +1277,14 @@ mod tests {
                 let f = packing.frame;
                 (f.base, f.span.map_or(-1, |s| f.base.wrapping_add(s as i64)))
             };
-            let framed = Frame::of(deltas, |d| (lo..=hi).contains(&d));
+            // Kept: every delta the slots from the least kept one hold.
+            let width = packing.frame.width;
+            let framed = Frame {
+                window: true,
+                ..Frame::of(deltas, |d| {
+                    hi >= lo && slots(lo, width).map_or(d >= lo, |(l, h)| l <= d && d <= h)
+                })
+            };
             let (mut one, mut two) = (Vec::new(), Vec::new());
             packing.write(deltas, &mut one);
             framed.write(deltas.iter().copied(), |_, d| d as u64, &mut two);
@@ -1228,7 +1311,7 @@ mod tests {
             let frame = Frame::of(&ints, |_| true);
             let mut buf = Vec::new();
             frame.write(ints.iter().copied(), |_, _| 0, &mut buf);
-            let block = parse(&buf, ints.len())?;
+            let block = parse(&buf, ints.len(), false)?;
             let mut back = Vec::new();
             block.unpack(ints.len(), |x| x, &mut back);
             assert_eq!(back, ints, "width {w}");

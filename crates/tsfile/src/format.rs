@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────┐
-//! │ magic "TSF7\0\0" (6 bytes)                                 │
+//! │ magic "TSF8\0\0" (6 bytes)                                 │
 //! ├────────────────────────────────────────────────────────────┤
 //! │ chunk 0 body: one page body (see `page` module); column    │
 //! │   encodings live in the footer                             │
@@ -31,14 +31,15 @@
 //!
 //! The trailing length + magic let a reader locate the footer without a
 //! separate index file; the leading magic rejects non-TsFiles (and the
-//! retired `TSF1`–`TSF6` generations) early: `TSF4` is the last whose
+//! retired `TSF1`–`TSF7` generations) early: `TSF4` is the last whose
 //! page bodies repeated what the footer's statistics hold (the point
 //! count, a constant-delta column's first timestamp and step, a packed
-//! column's first point), and `TSF5` the last whose footer wrote every
+//! column's first point), `TSF5` the last whose footer wrote every
 //! extreme in full, every value as an XOR, and absolute series ids and
-//! `supersedes` in its run directory, and `TSF6` the last whose entries
-//! were coded against the previous LP alone; its page bodies are this
-//! layout's, byte for byte. This mirrors IoTDB's TsFile (data, then
+//! `supersedes` in its run directory, `TSF6` the last whose entries
+//! were coded against the previous LP alone, and `TSF7` the last whose
+//! window exceptions were raw words and whose decimal delta frames
+//! repeated FP.v's integer; its footers are this layout's. This mirrors IoTDB's TsFile (data, then
 //! per-chunk statistics, then a metadata index and tail magic) as the
 //! paper runs it: with `page_size_in_byte` at 1 GiB, every chunk is one
 //! page, and so it is here by construction.
@@ -71,7 +72,7 @@ use crate::{Result, TsFileError};
 /// File magic, also used as the tail sentinel. Bumped with every footer
 /// or page layout, so a file of an earlier layout is refused as foreign
 /// (`BadMagic`) rather than read as a torn file of this one.
-pub const MAGIC: &[u8; 6] = b"TSF7\0\0";
+pub const MAGIC: &[u8; 6] = b"TSF8\0\0";
 
 /// Metadata describing one chunk inside a TsFile: where its body lives,
 /// how its columns are encoded, its version `κ`, and its precomputed

@@ -432,7 +432,7 @@ pub fn verify_page_body(body: &[u8], meta: &PageMeta) -> Result<()> {
     }
     match cols.forms.values {
         ValueForm::Stream => Ok(()),
-        ValueForm::Decimal => decimal::verify(cols.val_col, n),
+        ValueForm::Decimal => decimal::verify(cols.val_col, n, Some((stats.first.v, stats.last.v))),
         ValueForm::Packed => {
             packed::verify_page_values(cols.val_col, n, (stats.first.v, stats.last.v))
         }
@@ -467,6 +467,27 @@ pub fn ts_framing(body: &[u8]) -> Result<Option<Framing>> {
         TsForm::Packed => Ok(Some(Framing::Delta)),
         TsForm::Stream | TsForm::Constant => Ok(None),
     }
+}
+
+/// A page's window exceptions — the outliers its packed columns and a
+/// decimal delta frame list by their distance — as `[count, bytes of
+/// their entries, bytes of the head a decimal delta frame leaves to
+/// FP.v]`. Verifies the page CRC; decodes no column.
+pub fn window_exceptions(body: &[u8], meta: &PageMeta) -> Result<[usize; 3]> {
+    let (cols, n) = open_page(body, meta)?;
+    let ts = match cols.forms.timestamps {
+        TsForm::Packed => packed::window_list(cols.ts_col, n)?,
+        TsForm::Stream | TsForm::Constant => (0, 0),
+    };
+    let (values, head) = match (cols.forms.values, decimal::framing(cols.val_col).ok()) {
+        (ValueForm::Packed, _) => (packed::window_list(cols.val_col, n)?, 0),
+        (ValueForm::Decimal, Some(Framing::Delta)) => {
+            let (head, block) = decimal::page_delta(cols.val_col, meta.stats.first.v)?;
+            (packed::window_list(block, n)?, head)
+        }
+        _ => ((0, 0), 0),
+    };
+    Ok([ts.0 + values.0, ts.1 + values.1, head])
 }
 
 /// Parsed page header: forms and the two column slices.
@@ -602,7 +623,9 @@ pub fn decode_page(
     let ts = decode_ts_column(&cols, n, stats, ts_encoding, None)?;
     let vs = match cols.forms.values {
         ValueForm::Stream => encoding::decode_values(val_encoding, cols.val_col, n)?,
-        ValueForm::Decimal => decimal::decode(cols.val_col, n)?,
+        ValueForm::Decimal => {
+            decimal::decode(cols.val_col, n, Some((stats.first.v, stats.last.v)))?
+        }
         ValueForm::Packed => {
             packed::decode_page_values(cols.val_col, n, (stats.first.v, stats.last.v))?
         }

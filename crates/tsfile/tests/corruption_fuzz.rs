@@ -408,7 +408,10 @@ fn malformed_decimal_blocks_are_typed_errors() {
         e
     };
     let good = body(2, &[0b0001_1011], &[&[1][..], &exception(2)].concat());
-    assert_eq!(decimal::decode(&good, 4).unwrap(), [1.0, 2.0, 2.5, 4.0]);
+    assert_eq!(
+        decimal::decode(&good, 4, None).unwrap(),
+        [1.0, 2.0, 2.5, 4.0]
+    );
     // The delta frame of the integers `ints` under (0, 0).
     let delta = |ints: &[i64]| {
         let mut b = vec![0x80, 0];
@@ -416,7 +419,10 @@ fn malformed_decimal_blocks_are_typed_errors() {
         b
     };
     let good_delta = delta(&[1, 2, 4]);
-    assert_eq!(decimal::decode(&good_delta, 3).unwrap(), [1.0, 2.0, 4.0]);
+    assert_eq!(
+        decimal::decode(&good_delta, 3, None).unwrap(),
+        [1.0, 2.0, 4.0]
+    );
 
     let cases: Vec<(&str, usize, Vec<u8>)> = vec![
         ("bit width 65", 4, body(65, &[0b0001_1011], &[0])),
@@ -496,9 +502,12 @@ fn malformed_decimal_blocks_are_typed_errors() {
         ),
     ];
     for (what, n, block) in cases {
-        let direct = decimal::decode(&block, n);
+        let direct = decimal::decode(&block, n, None);
         assert!(typed(&direct), "{what}: decode gave {direct:?}");
-        assert!(typed(&decimal::verify(&block, n)), "{what}: verify passed");
+        assert!(
+            typed(&decimal::verify(&block, n, None)),
+            "{what}: verify passed"
+        );
         if n > tsfile::page::MAX_PAGE_POINTS {
             continue; // the page header itself is refused first
         }
@@ -1086,7 +1095,7 @@ proptest! {
         let _ = tsfile::encoding::gorilla::decode(&bytes, n);
         let _ = tsfile::encoding::plain::decode_i64(&bytes, n);
         let _ = tsfile::encoding::plain::decode_f64(&bytes, n);
-        prop_assert!(tsfile::encoding::decimal::decode(&bytes, n).is_err());
+        prop_assert!(tsfile::encoding::decimal::decode(&bytes, n, None).is_err());
         prop_assert!(tsfile::encoding::packed::decode_timestamps(&bytes, n, None).is_err());
         prop_assert!(tsfile::encoding::packed::decode_values(&bytes, n).is_err());
     }
@@ -1099,10 +1108,10 @@ proptest! {
         bytes in prop::collection::vec(any::<u8>(), 0..96),
     ) {
         use tsfile::encoding::decimal;
-        let values = decimal::decode(&bytes, n);
+        let values = decimal::decode(&bytes, n, None);
         prop_assert!(values.as_ref().map_or_else(|_| typed(&values), |v| v.len() == n));
         // The copy gate passes exactly what decodes, in either frame.
-        prop_assert_eq!(values.is_ok(), decimal::verify(&bytes, n).is_ok());
+        prop_assert_eq!(values.is_ok(), decimal::verify(&bytes, n, None).is_ok());
     }
 
     /// Arbitrary bytes as a packed column of any plausible count: a
@@ -1169,12 +1178,18 @@ proptest! {
     }
 
     /// The same flips in a block in the frame of reference: quarter
-    /// units that jump about, whose deltas are no narrower.
+    /// units that jump about (hashed: residues stepping by a constant
+    /// take two deltas, which the delta frame packs), whose deltas are
+    /// no narrower.
     #[test]
     fn crc_valid_flips_in_a_decimal_reference_block_never_panic(
         flips in prop::collection::vec((any::<prop::sample::Index>(), 1u8..=255), 1..4),
     ) {
-        let values = (0..300).map(|i| ((i * 7_919) % 400) as f64 / 4.0);
+        let hash = |i: u64| {
+            let z = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (z ^ (z >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 33
+        };
+        let values = (0..300).map(|i| (hash(i) % 400) as f64 / 4.0);
         flip_decimal_block(values, Framing::Reference, &flips)?;
     }
 
@@ -1195,9 +1210,9 @@ proptest! {
         let mut raw = raw;
         raw[0] |= 0x80;
         for bytes in [[&header[..], &body].concat(), raw] {
-            let values = decimal::decode(&bytes, n);
+            let values = decimal::decode(&bytes, n, None);
             prop_assert!(values.as_ref().map_or_else(|_| typed(&values), |v| v.len() == n));
-            prop_assert_eq!(values.is_ok(), decimal::verify(&bytes, n).is_ok());
+            prop_assert_eq!(values.is_ok(), decimal::verify(&bytes, n, None).is_ok());
         }
     }
 
@@ -1226,9 +1241,9 @@ proptest! {
         packed::encode_timestamps(&ints, &mut block);
         let n = ints.len();
         let held = ints.iter().all(|d| d.unsigned_abs() < 1 << 53);
-        let values = decimal::decode(&block, n);
+        let values = decimal::decode(&block, n, None);
         prop_assert_eq!(values.is_ok(), held);
-        prop_assert_eq!(decimal::verify(&block, n).is_ok(), held);
+        prop_assert_eq!(decimal::verify(&block, n, None).is_ok(), held);
         if let Ok(values) = values {
             let want: Vec<f64> = ints.iter().map(|&d| d as f64).collect();
             prop_assert_eq!(values, want);
@@ -1371,12 +1386,12 @@ fn line_frame(slope: i64, w: u32, base: i64, offsets: &[u64], tail: &[u8]) -> Ve
 /// `n` values. Returns whether it decoded.
 fn line_block_agrees(block: &[u8], n: usize, what: &str) -> bool {
     use tsfile::encoding::{decimal, EncodingKind};
-    let values = decimal::decode(block, n);
+    let values = decimal::decode(block, n, None);
     match &values {
         Ok(v) => assert_eq!(v.len(), n, "{what}"),
         Err(_) => assert!(typed(&values), "{what}: {values:?}"),
     }
-    let verified = decimal::verify(block, n);
+    let verified = decimal::verify(block, n, None);
     assert_eq!(
         verified.is_ok(),
         values.is_ok(),
@@ -1413,7 +1428,7 @@ fn line_frame_prefixes_and_bit_flips_are_typed_errors() {
     let mut block = Vec::new();
     assert!(decimal::encode_values(&vs, &mut block));
     assert_eq!(decimal::framing(&block).unwrap(), Framing::Line);
-    let back = decimal::decode(&block, vs.len()).unwrap();
+    let back = decimal::decode(&block, vs.len(), None).unwrap();
     assert!(back
         .iter()
         .zip(&vs)
@@ -1441,7 +1456,7 @@ fn malformed_line_frames_are_corrupt() {
     const LIMIT: i64 = 1 << 53;
     // Residuals 5, 6, 5 rising one a point: 5, 7, 7.
     let good = line_frame(1 << 16, 1, 5, &[0, 1, 0], &[0]);
-    assert_eq!(decimal::decode(&good, 3).unwrap(), [5.0, 7.0, 7.0]);
+    assert_eq!(decimal::decode(&good, 3, None).unwrap(), [5.0, 7.0, 7.0]);
     assert!(line_block_agrees(&good, 3, "good"));
     // The largest slope whose `slope·(n − 1)` does not overflow over
     // 3 values: its trend reaches 2^47, and the block decodes.
@@ -1500,7 +1515,7 @@ fn malformed_line_frames_are_corrupt() {
     ];
     for (what, n, block) in cases {
         assert!(!line_block_agrees(&block, n, what), "{what}: decoded");
-        let got = decimal::decode(&block, n);
+        let got = decimal::decode(&block, n, None);
         if !what.starts_with("line frame") {
             assert!(
                 matches!(got, Err(TsFileError::Corrupt(_))),
@@ -1568,9 +1583,9 @@ proptest! {
                 .enumerate()
                 .map(|(i, &o)| (i128::from(base) + i128::from(o) + trend(i)) as f64)
                 .collect();
-            prop_assert_eq!(decimal::decode(&block, n).unwrap(), want);
+            prop_assert_eq!(decimal::decode(&block, n, None).unwrap(), want);
         } else {
-            let got = decimal::decode(&block, n);
+            let got = decimal::decode(&block, n, None);
             prop_assert!(matches!(got, Err(TsFileError::Corrupt(_))), "{:?}", got);
         }
     }
@@ -1840,8 +1855,8 @@ fn malformed_line_frame_columns_are_corrupt() {
         let page = decimal_page(&block);
         let meta = meta_of(n, &page);
         let got = [
-            decimal::decode(&block, n).map(drop),
-            decimal::verify(&block, n),
+            decimal::decode(&block, n, None).map(drop),
+            decimal::verify(&block, n, None),
             tsfile::page::decode_page(&page, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta)
                 .map(drop),
             tsfile::page::verify_page_body(&page, &meta),
@@ -1900,5 +1915,142 @@ proptest! {
             let got = tsfile::page::decode_page_timestamps(&page, EncodingKind::Ts2Diff, &meta, None).unwrap();
             prop_assert_eq!(got, want);
         }
+    }
+}
+
+/// A packed column of 200 timestamps at a 10 ms cadence with one delay
+/// of an hour at position 120: one window exception, the last entry of
+/// the block — a one-byte position (119, the delta's) and a three-byte
+/// distance (3 600 000 − 0 zigzagged).
+fn delayed_column() -> (Vec<i64>, Vec<u8>) {
+    let ts: Vec<i64> = (0..200i64)
+        .map(|i| i * 10 + if i >= 120 { 3_600_000 } else { 0 })
+        .collect();
+    let mut col = Vec::new();
+    tsfile::encoding::packed::encode_timestamps(&ts, &mut col);
+    (ts, col)
+}
+
+/// The distance of a window exception cut short, or grown past 64 bits,
+/// is a typed error, never a panic.
+#[test]
+fn a_truncated_or_overlong_exception_distance_is_a_typed_error() {
+    use tsfile::encoding::packed;
+    use tsfile::varint;
+    let (ts, col) = delayed_column();
+    assert_eq!(packed::decode_timestamps(&col, ts.len(), None).unwrap(), ts);
+    let distance = varint::len_u64(varint::zigzag(3_600_000));
+    let entry = col.len() - distance;
+    assert_eq!(col[entry - 1], 119, "the exception's position");
+    for cut in 1..=distance {
+        let short = &col[..col.len() - cut];
+        let got = packed::decode_timestamps(short, ts.len(), None);
+        assert!(typed(&got), "cut {cut}: {got:?}");
+    }
+    // Eleven bytes of continuation: more than 64 bits.
+    let long = [&col[..entry], &[0xff; 10][..], &[0x01]].concat();
+    let got = packed::decode_timestamps(&long, ts.len(), None);
+    assert!(matches!(got, Err(TsFileError::Corrupt(_))), "{got:?}");
+}
+
+/// One value, one encoding: an exception whose integer a slot could
+/// hold — its distance rewritten to 0, the base itself, or to the
+/// slots' top — is `Corrupt`, in the standalone column and in a page,
+/// whose copy gate refuses it too.
+#[test]
+fn an_exception_inside_the_slots_is_corrupt() {
+    use tsfile::encoding::{packed, EncodingKind};
+    use tsfile::varint;
+    let (ts, col) = delayed_column();
+    let distance = varint::len_u64(varint::zigzag(3_600_000));
+    let head = varint::len_u64(varint::zigzag(ts[0]));
+    // The deltas are 10 but one: width 0, so the slots hold the base
+    // alone.
+    assert_eq!(col[head], 0, "width");
+    let inside = [&col[..col.len() - distance], &[0][..]].concat();
+    let got = packed::decode_timestamps(&inside, ts.len(), None);
+    assert!(
+        matches!(&got, Err(TsFileError::Corrupt(m)) if m.contains("inside")),
+        "{got:?}"
+    );
+    // In a page, with the statistics the column would land on.
+    let points: Vec<Point> = ts.iter().map(|&t| Point::new(t, 1.5)).collect();
+    let page = sealed_page(0b100 | 0b10000, &inside[head..], &[]);
+    let meta = tsfile::PageMeta {
+        offset: 0,
+        byte_len: page.len() as u64,
+        stats: tsfile::ChunkStatistics::from_points(&points).unwrap(),
+    };
+    let decoded =
+        tsfile::page::decode_page(&page, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta);
+    assert!(
+        matches!(decoded, Err(TsFileError::Corrupt(_))),
+        "{decoded:?}"
+    );
+    let gate = tsfile::page::verify_page_body(&page, &meta);
+    assert!(matches!(gate, Err(TsFileError::Corrupt(_))), "{gate:?}");
+    // The untouched column in the same page decodes.
+    let page = sealed_page(0b100 | 0b10000, &col[head..], &[]);
+    let meta = tsfile::PageMeta {
+        byte_len: page.len() as u64,
+        ..meta
+    };
+    let back =
+        tsfile::page::decode_page(&page, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta);
+    assert_eq!(back.unwrap(), points);
+}
+
+/// A decimal delta frame in a page takes its head from FP.v and must
+/// land on LP.v: the same body read against an entry whose LP.v is
+/// another value of the pair's — one step off, or FP.v — is `Corrupt`,
+/// to the decoder and to the copy gate; against one whose FP.v has no
+/// integer under the pair, too.
+#[test]
+fn a_decimal_delta_page_that_misses_lp_is_corrupt() {
+    use tsfile::encoding::EncodingKind;
+    // The fleet's register: quarter units rising 0.25 a point, wrapping
+    // once.
+    let points: Vec<Point> = (0..500i64)
+        .map(|i| Point::new(i * 1_000, ((i + 1_800) % 2_000 - 1_000) as f64 * 0.25))
+        .collect();
+    let mut body = Vec::new();
+    tsfile::page::encode_page(
+        &points,
+        EncodingKind::Ts2Diff,
+        EncodingKind::Gorilla,
+        &mut body,
+    );
+    assert_eq!(
+        tsfile::page::decimal_framing(&body).unwrap(),
+        Some(Framing::Delta)
+    );
+    let meta = tsfile::PageMeta {
+        offset: 0,
+        byte_len: body.len() as u64,
+        stats: tsfile::ChunkStatistics::from_points(&points).unwrap(),
+    };
+    let decode = |meta: &tsfile::PageMeta| {
+        tsfile::page::decode_page(&body, EncodingKind::Ts2Diff, EncodingKind::Gorilla, meta)
+    };
+    assert_eq!(decode(&meta).unwrap(), points);
+    let last = meta.stats.last.v;
+    for (what, first, lp) in [
+        ("LP one step up", meta.stats.first.v, last + 0.25),
+        ("LP one step down", meta.stats.first.v, last - 0.25),
+        ("LP at FP", meta.stats.first.v, meta.stats.first.v),
+        ("FP of no integer", std::f64::consts::PI, last),
+    ] {
+        let mut wrong = meta.clone();
+        (wrong.stats.first.v, wrong.stats.last.v) = (first, lp);
+        let got = decode(&wrong);
+        assert!(
+            matches!(got, Err(TsFileError::Corrupt(_))),
+            "{what}: {got:?}"
+        );
+        let gate = tsfile::page::verify_page_body(&body, &wrong);
+        assert!(
+            matches!(gate, Err(TsFileError::Corrupt(_))),
+            "{what}: {gate:?}"
+        );
     }
 }

@@ -647,6 +647,27 @@ fn a_decimal_line(vs: &[f64]) -> bool {
 }
 
 /// Encode `points` as a page and check it decodes to the same bits.
+/// The decimal block a page holds for `vs` (empty for none): of the
+/// three standalone frames, the first of the smallest once the delta
+/// frame's head (FP.v's integer, after the `e` and `f` bytes) is left
+/// out.
+fn page_block(vs: &[f64]) -> Vec<u8> {
+    let frame = |f: Framing| {
+        let mut b = Vec::new();
+        decimal::encode_values_in(vs, f, &mut b).then_some(b)
+    };
+    let delta = frame(Framing::Delta).map(|b| {
+        let mut pos = 2;
+        varint::read_i64(&b, &mut pos).unwrap();
+        [&b[..2], &b[pos..]].concat()
+    });
+    [frame(Framing::Reference), delta, frame(Framing::Line)]
+        .into_iter()
+        .flatten()
+        .reduce(|best, next| if next.len() < best.len() { next } else { best })
+        .unwrap_or_default()
+}
+
 fn page_roundtrip(points: &[Point], val_encoding: EncodingKind) -> (Vec<u8>, PageMeta) {
     let mut body = Vec::new();
     encode_page(points, EncodingKind::Ts2Diff, val_encoding, &mut body);
@@ -731,8 +752,8 @@ proptest! {
             EncodingKind::Plain => plain::encode_f64(&vs, &mut stream),
             _ => gorilla::encode(&vs, &mut stream),
         }
-        let mut block = Vec::new();
-        let has_block = decimal::encode_values(&vs, &mut block);
+        let block = page_block(&vs);
+        let has_block = !block.is_empty();
         match forms.values {
             ValueForm::Stream => {
                 prop_assert_eq!(val_col, &stream[..]);
@@ -910,8 +931,8 @@ fn drifting(
 
 /// `block` verifies and decodes to `vs`, bit for bit.
 fn decodes_bit_exact(block: &[u8], vs: &[f64]) -> Result<(), TestCaseError> {
-    decimal::verify(block, vs.len()).unwrap();
-    let back = decimal::decode(block, vs.len()).unwrap();
+    decimal::verify(block, vs.len(), None).unwrap();
+    let back = decimal::decode(block, vs.len(), None).unwrap();
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     prop_assert_eq!(bits(&back), bits(vs));
     Ok(())
@@ -1091,5 +1112,165 @@ proptest! {
             prop_assert_eq!(meta.stats.count as usize, pts.len());
         }
         std::fs::remove_file(&path).ok();
+    }
+}
+
+/// The block the raw-word layout (`TSF7`) wrote for `deltas`, modelled:
+/// the same window choice, charging each delta outside it 80 bits, each
+/// listed as its position and its raw 8-byte word. Its size, its base,
+/// and its exceptions.
+fn tsf7_block(deltas: &[i64]) -> (usize, i64, Vec<i64>) {
+    let n = deltas.len();
+    let step = (n / 15) | 1;
+    let mut sample: Vec<i64> = deltas.iter().step_by(step).take(15).copied().collect();
+    sample.sort_unstable();
+    let centre = sample.get(sample.len() / 2).copied().unwrap_or(0);
+    let bits = |d: i64| 64 - varint::zigzag(d.saturating_sub(centre)).leading_zeros() as usize;
+    let mut counts = [0usize; 65];
+    for &d in deltas {
+        counts[bits(d)] += 1;
+    }
+    let mut outside = n - counts[0];
+    let mut best = (outside * 80, 0);
+    for (w, &count) in counts.iter().enumerate().skip(1) {
+        outside -= count;
+        if n * w + outside * 80 < best.0 {
+            best = (n * w + outside * 80, w);
+        }
+    }
+    let kept: Vec<i64> = deltas
+        .iter()
+        .copied()
+        .filter(|&d| bits(d) <= best.1)
+        .collect();
+    let (lo, hi) = (kept.iter().min(), kept.iter().max());
+    let (base, width) = match lo.zip(hi) {
+        Some((&lo, &hi)) => (
+            lo,
+            64 - (hi.wrapping_sub(lo) as u64).leading_zeros() as usize,
+        ),
+        None => (0, 0),
+    };
+    let mut list = 0;
+    let mut exceptions = Vec::new();
+    for (i, &d) in deltas
+        .iter()
+        .enumerate()
+        .filter(|&(_, &d)| bits(d) > best.1)
+    {
+        list += varint::len_u64(i as u64) + 8;
+        exceptions.push(d);
+    }
+    let size = 1
+        + varint::len_u64(varint::zigzag(base))
+        + (n * width).div_ceil(8)
+        + varint::len_u64(exceptions.len() as u64)
+        + list;
+    (size, base, exceptions)
+}
+
+/// Deltas around a cadence, with outliers of any size (`i64::MIN` and
+/// `i64::MAX` among them, whose distance from the base wraps) at drawn
+/// positions (one in `every`, drawn), the first and the last delta
+/// always among them.
+fn outlier_deltas(cadence: i64, spread: u32, len: usize, every: usize, seed: u64) -> Vec<i64> {
+    let mut next = splitmix(seed);
+    (0..len)
+        .map(|i| {
+            match (
+                i == 0 || i + 1 == len || next().is_multiple_of(every as u64),
+                next() % 6,
+            ) {
+                (true, 0) => i64::MIN,
+                (true, 1) => i64::MAX,
+                (true, 2) => cadence.wrapping_add(next() as i64 >> (next() % 40)),
+                (true, _) => cadence.wrapping_sub(1 << (20 + next() % 42)),
+                (false, _) => cadence + (next() % (1 << spread)) as i64,
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Window exceptions round-trip bit-exactly, standalone and in a
+    /// page — at the first and the last delta, at `i64::MIN` and
+    /// `i64::MAX` (distances from the base that wrap), and 128 or more
+    /// of them (two-byte positions) — and the block is never larger than
+    /// the raw-word layout's twin, but by up to 2 bytes for each of the
+    /// twin's exceptions whose zigzagged distance from its base is 2^56
+    /// or more (an entry of nine or ten varint bytes).
+    #[test]
+    fn window_exceptions_cost_their_distance(
+        cadence in -1_000_000i64..1_000_000,
+        spread in 0u32..12,
+        len in 2usize..2_500,
+        every in 2usize..20,
+        seed in any::<u64>(),
+    ) {
+        let deltas = outlier_deltas(cadence, spread, len, every, seed);
+        let t0 = 1_600_000_000_000i64;
+        let ts: Vec<i64> = std::iter::once(t0)
+            .chain(deltas.iter().scan(t0, |t, &d| { *t = t.wrapping_add(d); Some(*t) }))
+            .collect();
+        let mut col = Vec::new();
+        packed::encode_timestamps(&ts, &mut col);
+        prop_assert_eq!(packed::decode_timestamps(&col, ts.len(), None).unwrap(), ts.clone());
+        let block = col.len() - varint::len_u64(varint::zigzag(t0));
+        let (twin, base, exceptions) = tsf7_block(&deltas);
+        let far = exceptions
+            .iter()
+            .filter(|&&e| varint::zigzag(e.wrapping_sub(base)) >= 1 << 56)
+            .count();
+        prop_assert!(block <= twin + 2 * far, "{block} B against {twin} B ({far} far)");
+        if len / every >= 200 && every >= 8 {
+            prop_assert!(exceptions.len() >= 128, "{} exceptions", exceptions.len());
+        }
+        // In a page (time-sorted, its timestamps' every form), the page
+        // decodes bit-exactly and passes the copy gate.
+        let points: Vec<Point> = ts.iter().map(|&t| Point::new(t, 2.5)).collect();
+        if points.windows(2).all(|p| p[0].t < p[1].t) {
+            page_roundtrip(&points, EncodingKind::Gorilla);
+        }
+    }
+}
+
+/// A decimal delta frame in a page leaves its head to FP.v: the fleet's
+/// register — quarter units rising 0.25 a point, one wrap — stores the
+/// standalone block less FP.v's integer, and reads back bit-exactly;
+/// the wrap is one exception: a position and a three-byte distance.
+#[test]
+fn a_decimal_delta_page_takes_its_head_from_fp() {
+    for (start, n) in [(1_500i64, 1_024i64), (1_990, 20), (-3, 300)] {
+        let points: Vec<Point> = (0..n)
+            .map(|i| {
+                Point::new(
+                    i * 1_000,
+                    (((start + i) % 2_000 + 2_000) % 2_000 - 1_000) as f64 * 0.25,
+                )
+            })
+            .collect();
+        let vs: Vec<f64> = points.iter().map(|p| p.v).collect();
+        let (body, meta) = page_roundtrip(&points, EncodingKind::Gorilla);
+        assert_eq!(
+            decimal_framing(&body).unwrap(),
+            Some(Framing::Delta),
+            "start {start}"
+        );
+        let mut standalone = Vec::new();
+        assert!(decimal::encode_values_in(
+            &vs,
+            Framing::Delta,
+            &mut standalone
+        ));
+        let mut pos = 2;
+        let d0 = varint::read_i64(&standalone, &mut pos).unwrap();
+        let (_, val_col) = columns(&body);
+        assert_eq!(val_col, [&standalone[..2], &standalone[pos..]].concat());
+        assert_eq!(d0, (vs[0] * 100.0) as i64, "the head is FP.v's integer");
+        let [k, list, head] = tsfile::page::window_exceptions(&body, &meta).unwrap();
+        assert_eq!((k, head), (1, pos - 2));
+        assert!(list <= 2 + 3, "{list} B");
     }
 }

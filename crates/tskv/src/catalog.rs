@@ -21,27 +21,35 @@
 //! log ([`read_log`], which the store inspector reads it with too) and
 //! rebuilds both directions of the map.
 //!
-//! Layout: the magic [`CATALOG_MAGIC`], then one record per name in id
-//! order, each front-coded against the name before it (the first
-//! against the empty name):
+//! Layout: the magic [`CATALOG_MAGIC`], a head frame, then one record
+//! per name interned since, in id order. Every name is front-coded
+//! against the one before it (the first against the empty name):
 //!
 //! ```text
-//! varint shared     bytes the name shares with the one before it
-//! varint suffix_len
-//! suffix            the name's bytes after those
-//! u32 crc (LE)      crc32 of the id (u32 LE), then the bytes above
+//! name   = varint shared     bytes the name shares with the one before it
+//!        | varint suffix_len
+//!        | suffix            the name's bytes after those
+//! head   = varint k | k names | u32 crc (LE) of id 0 (u32 LE), then the
+//!                               bytes before it
+//! record = name | u32 crc (LE) of its id (u32 LE), then the name's bytes
 //! ```
 //!
-//! Ids are dense (`0, 1, 2, …` in intern order), so a record's id is its
-//! position and is not stored: a fleet's names share their prefix and
-//! differ in a digit or two, so a record is ~7 bytes where an explicit
-//! `u32` id, a `u16` length and the whole name took ~22. The id is
-//! folded into the CRC instead, so a record read at a position it was
-//! not written at — duplicated, or moved — fails its CRC, and when it
-//! passes under another position's id the open refuses the store
-//! (`Corrupt`) rather than re-binding data to the wrong series. A log
-//! without the magic (an earlier build's, whose records led with their
-//! `u32` id) is refused the same way, and left as it is.
+//! Ids are dense (`0, 1, 2, …` in intern order), so a name's id is its
+//! position and is not stored: a fleet's names differ in a digit or two,
+//! so a record is ~7 bytes and a name in the head frame ~3. The id is
+//! folded into each CRC, so a record read at a position it was not
+//! written at — duplicated, or moved — fails its CRC, and when it passes
+//! under another position's id, or a head frame passes where a record
+//! belongs, the open refuses the store (`Corrupt`) rather than re-bind
+//! data to the wrong series. A log without the magic (`TSC1`'s, with no
+//! head frame, or an earlier one's) is refused the same way, untouched.
+//!
+//! The first intern writes the magic, an empty head frame (`k = 0`) and
+//! its record. [`SeriesCatalog::checkpoint`], at the end of the
+//! store-wide compaction sweep, rewrites the log as one head frame of
+//! every name — `catalog.tmp` written, synced and renamed over the log —
+//! so a crash leaves the old log or the new one, and at most a stray
+//! `catalog.tmp` that no open reads.
 //!
 //! A torn tail (an incomplete final record, or one failing its CRC
 //! under every id) is dropped on open, the same contract as the data
@@ -113,9 +121,12 @@ const NAME_STRIPES: usize = 64;
 /// Name of the catalog log file at the store root.
 pub const CATALOG_LOG: &str = "catalog.log";
 
-/// The first bytes of a catalog log of this layout (front-coded records,
-/// implicit ids).
-pub const CATALOG_MAGIC: &[u8; 4] = b"TSC1";
+/// The first bytes of a catalog log of this layout (a head frame and
+/// front-coded records, implicit ids).
+pub const CATALOG_MAGIC: &[u8; 4] = b"TSC2";
+
+/// The file a checkpoint writes before renaming it over the log.
+pub const CATALOG_TMP: &str = "catalog.tmp";
 
 /// Bytes of the shortest record: two one-byte varints and the CRC.
 const MIN_RECORD: usize = 6;
@@ -130,6 +141,8 @@ struct LogState {
     /// Whether the open found torn bytes behind the valid prefix: the
     /// first intern cuts the file back to it.
     torn: bool,
+    /// Records after the head frame: a checkpoint with none writes nothing.
+    appended: usize,
 }
 
 impl LogState {
@@ -159,18 +172,23 @@ impl LogState {
 pub struct CatalogLog {
     /// The registered names, the one of id `i` at index `i`.
     pub names: Vec<String>,
-    /// Bytes of the valid prefix: the magic and whole records.
+    /// Bytes of the valid prefix: the magic, the head frame and whole
+    /// records.
     pub valid_len: u64,
+    /// Names the head frame holds (the first `head` of `names`).
+    pub head: usize,
+    /// Bytes of the magic and the head frame.
+    pub head_len: u64,
     /// Whether bytes follow the valid prefix: a torn final record, which
     /// the next intern cuts off.
     pub torn: bool,
 }
 
 /// Read `root/catalog.log` (an absent log is an empty catalog). Writes
-/// nothing. A log that does not start with [`CATALOG_MAGIC`], a record
-/// that passes its CRC only under another position's id, and a record
-/// whose CRC holds but whose name does not decode are `Corrupt`; a torn
-/// final record ends the names.
+/// nothing. A log that does not start with [`CATALOG_MAGIC`] and a whole
+/// head frame, a record that passes its CRC only under another
+/// position's id or is a head frame, and a name that does not decode are
+/// `Corrupt`; a torn final record ends the names.
 pub fn read_log(root: &Path) -> Result<CatalogLog> {
     let mut buf = Vec::new();
     match File::open(root.join(CATALOG_LOG)) {
@@ -185,21 +203,20 @@ pub fn read_log(root: &Path) -> Result<CatalogLog> {
 
 fn parse_log(buf: &[u8]) -> Result<CatalogLog> {
     let mut log = CatalogLog::default();
-    match buf.get(..CATALOG_MAGIC.len()) {
-        Some(head) if head == CATALOG_MAGIC => {}
-        // Nothing, or the magic cut short: a first intern torn by a crash.
-        None if CATALOG_MAGIC.starts_with(buf) => {
-            log.torn = !buf.is_empty();
-            return Ok(log);
-        }
-        _ => {
-            return Err(TsKvError::Corrupt(format!(
-                "{CATALOG_LOG} does not start with {:?}: a catalog of another layout",
-                String::from_utf8_lossy(CATALOG_MAGIC)
-            )))
-        }
+    // Nothing, or the magic and empty head frame cut short: a first
+    // intern torn by a crash.
+    if buf.len() < EMPTY_LOG_LEN && empty_log().starts_with(buf) {
+        log.torn = !buf.is_empty();
+        return Ok(log);
     }
-    let mut pos = CATALOG_MAGIC.len();
+    if buf.get(..CATALOG_MAGIC.len()) != Some(CATALOG_MAGIC) {
+        return Err(TsKvError::Corrupt(format!(
+            "{CATALOG_LOG} does not start with {:?}: a catalog of another layout",
+            String::from_utf8_lossy(CATALOG_MAGIC)
+        )));
+    }
+    let (names, mut pos) = decode_head(buf, CATALOG_MAGIC.len())?;
+    (log.head, log.head_len, log.names) = (names.len(), pos as u64, names);
     while pos < buf.len() {
         let id = log.names.len();
         let prev = log.names.last().map_or("", String::as_str);
@@ -253,10 +270,8 @@ fn record_crc(id: usize, body: &[u8]) -> u32 {
     crc.finish()
 }
 
-/// Encode the record of `name`, id `id`, front-coded against `prev` (the
-/// name of id `id − 1`, empty for id 0), into `out`.
-fn encode_record(out: &mut Vec<u8>, id: usize, prev: &str, name: &str) {
-    let start = out.len();
+/// Append `name` front-coded against `prev`.
+fn encode_name(out: &mut Vec<u8>, prev: &str, name: &str) {
     let shared = prev
         .bytes()
         .zip(name.bytes())
@@ -266,56 +281,117 @@ fn encode_record(out: &mut Vec<u8>, id: usize, prev: &str, name: &str) {
     varint::write_u64(out, shared as u64);
     varint::write_u64(out, suffix.len() as u64);
     out.extend_from_slice(suffix);
+}
+
+/// Append `crc32(id, out[start..])`, closing what starts at `start`.
+fn seal(out: &mut Vec<u8>, start: usize, id: usize) {
     let crc = record_crc(id, out.get(start..).unwrap_or(&[]));
     out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Encode the record of `name`, id `id`, front-coded against `prev` (the
+/// name of id `id − 1`, empty for id 0), into `out`.
+fn encode_record(out: &mut Vec<u8>, id: usize, prev: &str, name: &str) {
+    let start = out.len();
+    encode_name(out, prev, name);
+    seal(out, start, id);
+}
+
+/// Encode the head frame of `names` (ids `0..`) into `out`.
+fn encode_head<S: AsRef<str>>(out: &mut Vec<u8>, names: &[S]) {
+    let start = out.len();
+    varint::write_u64(out, names.len() as u64);
+    let mut prev = "";
+    for name in names.iter().map(AsRef::as_ref) {
+        encode_name(out, prev, name);
+        prev = name;
+    }
+    seal(out, start, 0);
+}
+
+/// Bytes of a log of no name: the magic and an empty head frame.
+const EMPTY_LOG_LEN: usize = CATALOG_MAGIC.len() + 5;
+
+fn empty_log() -> Vec<u8> {
+    let mut out = CATALOG_MAGIC.to_vec();
+    encode_head::<&str>(&mut out, &[]);
+    out
+}
+
+/// The name front-coded at `pos`: its shared count, its suffix and its
+/// end, `None` where it is cut short.
+fn read_name(buf: &[u8], pos: usize) -> Option<(u64, &[u8], usize)> {
+    let mut at = pos;
+    let shared = varint::read_u64(buf, &mut at).ok()?;
+    let len = usize::try_from(varint::read_u64(buf, &mut at).ok()?).ok()?;
+    let end = at.checked_add(len)?;
+    Some((shared, buf.get(at..end)?, end))
+}
+
+/// The name of id `id` that shares `shared` bytes with `prev`.
+fn join(prev: &str, shared: u64, suffix: &[u8], id: usize) -> Result<String> {
+    usize::try_from(shared)
+        .ok()
+        .and_then(|shared| prev.as_bytes().get(..shared))
+        .and_then(|head| String::from_utf8([head, suffix].concat()).ok())
+        .ok_or_else(|| {
+            TsKvError::Corrupt(format!(
+                "{CATALOG_LOG}: id {id} shares {shared} bytes with {prev:?} or is not UTF-8"
+            ))
+        })
+}
+
+/// The names of the head frame at `pos` and where it ends: `Corrupt`
+/// unless it is whole and passes its CRC.
+fn decode_head(buf: &[u8], pos: usize) -> Result<(Vec<String>, usize)> {
+    let bad = || TsKvError::Corrupt(format!("{CATALOG_LOG}: no whole head frame at byte {pos}"));
+    let mut at = pos;
+    let k = varint::read_u64(buf, &mut at).map_err(|_| bad())?;
+    let mut names: Vec<String> = Vec::new();
+    for id in 0..usize::try_from(k).map_err(|_| bad())? {
+        let (shared, suffix, end) = read_name(buf, at).ok_or_else(bad)?;
+        let prev = names.last().map_or("", String::as_str);
+        names.push(join(prev, shared, suffix, id)?);
+        at = end;
+    }
+    let crc = buf.get(at..at + 4).ok_or_else(bad)?;
+    match record_crc(0, buf.get(pos..at).unwrap_or(&[])).to_le_bytes() == crc {
+        true => Ok((names, at + 4)),
+        false => Err(bad()),
+    }
 }
 
 /// Decode the record at `pos` as the one of id `id`, whose predecessor's
 /// name is `prev`: its name and where the next record starts, or `None`
 /// for a torn tail — a record cut short, or one whose CRC fails under
-/// every id it could have been written with.
+/// every id it could have been written with and is no head frame.
 fn decode_record(buf: &[u8], pos: usize, id: usize, prev: &str) -> Result<Option<(String, usize)>> {
-    let mut at = pos;
-    let (Ok(shared), Ok(len)) = (
-        varint::read_u64(buf, &mut at),
-        varint::read_u64(buf, &mut at),
-    ) else {
+    let Some((shared, suffix, end)) = read_name(buf, pos) else {
         return Ok(None);
     };
-    let suffix_end = usize::try_from(len)
-        .ok()
-        .and_then(|len| at.checked_add(len));
-    let Some((suffix, crc_bytes)) = suffix_end.and_then(|end| {
-        let crc_end = end.checked_add(4)?;
-        Some((buf.get(at..end)?, buf.get(end..crc_end)?))
-    }) else {
+    let Some(crc_bytes) = end.checked_add(4).and_then(|crc_end| buf.get(end..crc_end)) else {
         return Ok(None);
     };
-    let body = buf.get(pos..at + suffix.len()).unwrap_or(&[]);
+    let body = buf.get(pos..end).unwrap_or(&[]);
     let expected = u32::from_le_bytes(crc_bytes.try_into().unwrap_or_default());
     if record_crc(id, body) != expected {
-        // A record written for another id at this position: the id of
-        // an earlier record (duplicated) or of one the rest of the log
-        // could still hold (moved).
+        // A record of another id (duplicated or moved), or a head frame.
         let ids = id + 1 + buf.len().saturating_sub(pos) / MIN_RECORD;
-        return match (0..ids).find(|&other| other != id && record_crc(other, body) == expected) {
-            Some(other) => Err(TsKvError::Corrupt(format!(
+        if let Some(other) =
+            (0..ids).find(|&other| other != id && record_crc(other, body) == expected)
+        {
+            return Err(TsKvError::Corrupt(format!(
                 "{CATALOG_LOG}: the record of id {other} sits where id {id}'s belongs"
+            )));
+        }
+        return match decode_head(buf, pos) {
+            Ok(_) => Err(TsKvError::Corrupt(format!(
+                "{CATALOG_LOG}: a head frame sits where id {id}'s record belongs"
             ))),
-            None => Ok(None),
+            Err(_) => Ok(None),
         };
     }
-    let name = usize::try_from(shared)
-        .ok()
-        .and_then(|shared| prev.as_bytes().get(..shared))
-        .map(|head| [head, suffix].concat())
-        .and_then(|bytes| String::from_utf8(bytes).ok())
-        .ok_or_else(|| {
-            TsKvError::Corrupt(format!(
-                "{CATALOG_LOG}: id {id} shares {shared} bytes with {prev:?} or is not UTF-8"
-            ))
-        })?;
-    Ok(Some((name, at + suffix.len() + 4)))
+    Ok(Some((join(prev, shared, suffix, id)?, end + 4)))
 }
 
 impl SeriesCatalog {
@@ -326,6 +402,7 @@ impl SeriesCatalog {
     /// hard error.
     pub fn open(root: &Path, limit: u64, io: Arc<IoStats>) -> Result<SeriesCatalog> {
         let existing = read_log(root)?;
+        let appended = existing.names.len() - existing.head;
         let mut stripes: Vec<RwLock<HashMap<Arc<str>, SeriesId>>> =
             Vec::with_capacity(NAME_STRIPES);
         for _ in 0..NAME_STRIPES {
@@ -353,6 +430,7 @@ impl SeriesCatalog {
                 file: None,
                 valid_len: existing.valid_len,
                 torn: existing.torn,
+                appended,
             }),
             dirty: AtomicBool::new(false),
             limit,
@@ -411,9 +489,9 @@ impl SeriesCatalog {
             return Err(TsKvError::CatalogFull { limit: self.limit });
         }
         let id = SeriesId(next as u32);
-        let mut rec = Vec::with_capacity(CATALOG_MAGIC.len() + 14 + name.len());
+        let mut rec = Vec::with_capacity(EMPTY_LOG_LEN + 14 + name.len());
         if log.valid_len == 0 {
-            rec.extend_from_slice(CATALOG_MAGIC);
+            rec = empty_log();
         }
         {
             let names = self.names.read();
@@ -422,6 +500,7 @@ impl SeriesCatalog {
         }
         log.appender()?.write_all(&rec)?;
         log.valid_len += rec.len() as u64;
+        log.appended += 1;
         self.dirty.store(true, Ordering::Release);
         let arc: Arc<str> = Arc::from(name);
         // Publish id→name before name→id so a resolve that wins the
@@ -441,6 +520,29 @@ impl SeriesCatalog {
     /// All registered names in id order (the facade's `series_names`).
     pub fn names_snapshot(&self) -> Vec<Arc<str>> {
         self.names.read().clone()
+    }
+
+    /// Rewrite the log as one head frame of every name, under the intern
+    /// lock: `catalog.tmp` written and synced, renamed over the log, the
+    /// directory synced. Writes nothing with no record and no torn tail.
+    pub fn checkpoint(&self) -> Result<()> {
+        let mut log = self.log.lock();
+        if log.appended == 0 && !log.torn {
+            return Ok(());
+        }
+        let mut buf = CATALOG_MAGIC.to_vec();
+        encode_head(&mut buf, &self.names.read());
+        let tmp = log.path.with_file_name(CATALOG_TMP);
+        let mut file = File::create(&tmp)?;
+        file.write_all(&buf)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, &log.path)?;
+        if let Some(dir) = log.path.parent() {
+            File::open(dir)?.sync_all()?;
+        }
+        log.file = None;
+        (log.valid_len, log.torn, log.appended) = (buf.len() as u64, false, 0);
+        Ok(())
     }
 
     /// Fsync the log if any intern happened since the last sync. Called
@@ -548,9 +650,9 @@ mod tests {
     }
 
     /// The records of `names` in order, as `intern` writes them, behind
-    /// the magic.
+    /// the magic and an empty head frame.
     fn log_of(names: &[&str]) -> Vec<u8> {
-        let mut buf = CATALOG_MAGIC.to_vec();
+        let mut buf = empty_log();
         for (id, name) in names.iter().enumerate() {
             let prev = id.checked_sub(1).map_or("", |p| names[p]);
             encode_record(&mut buf, id, prev, name);
@@ -567,7 +669,7 @@ mod tests {
         let dir = tmp("moved");
         let log = log_of(&["a", "b", "c"]);
         let at = |id: usize| {
-            let mut pos = CATALOG_MAGIC.len();
+            let mut pos = EMPTY_LOG_LEN;
             for _ in 0..id {
                 let mut at = pos;
                 varint::read_u64(&log, &mut at).unwrap();
@@ -623,7 +725,9 @@ mod tests {
             let crc = tsfile::checksum::crc32(&old[start..]);
             old.extend_from_slice(&crc.to_le_bytes());
         }
-        for bytes in [old, b"TSC0".to_vec(), b"X".to_vec()] {
+        // The layout before head frames: `TSC1`, then records alone.
+        let tsc1 = [&b"TSC1"[..], &log_of(&["a", "b"])[EMPTY_LOG_LEN..]].concat();
+        for bytes in [old, tsc1, b"TSC0".to_vec(), b"X".to_vec()] {
             std::fs::write(&path, &bytes).unwrap();
             let got = SeriesCatalog::open(&dir, 1 << 20, Arc::new(IoStats::default()));
             assert!(matches!(got, Err(TsKvError::Corrupt(_))), "{got:?}");
@@ -637,6 +741,160 @@ mod tests {
             assert_eq!(c.intern("a").unwrap(), SeriesId(0));
         }
         assert_eq!(std::fs::read(&path).unwrap(), log_of(&["a"]));
+    }
+
+    /// A checkpoint rewrites the log as one head frame: 1 000 fleet
+    /// names take at most 3.5 bytes a series; interns after it append
+    /// records; all come back in order, and a second checkpoint folds
+    /// those in.
+    #[test]
+    fn a_checkpoint_folds_every_record_into_the_head_frame() {
+        let dir = tmp("checkpoint");
+        let path = dir.join(CATALOG_LOG);
+        let names: Vec<String> = (0..1_000).map(|i| format!("card.{i:07}")).collect();
+        {
+            let c = open(&dir);
+            for name in &names {
+                c.intern(name).unwrap();
+            }
+            c.checkpoint().unwrap();
+            let bytes = std::fs::metadata(&path).unwrap().len();
+            assert!(bytes <= 3_500, "{bytes} bytes for 1 000 series");
+            assert!(!dir.join(CATALOG_TMP).exists());
+            c.intern("late.a").unwrap();
+            c.intern("late.b").unwrap();
+        }
+        let log = read_log(&dir).unwrap();
+        assert_eq!((log.head, log.names.len(), log.torn), (1_000, 1_002, false));
+        assert_eq!(&log.names[..1_000], &names[..]);
+        assert_eq!(&log.names[1_000..], ["late.a", "late.b"]);
+        let c = open(&dir);
+        c.checkpoint().unwrap();
+        let log = read_log(&dir).unwrap();
+        assert_eq!((log.head, log.names.len()), (1_002, 1_002));
+        assert_eq!(log.valid_len, std::fs::metadata(&path).unwrap().len());
+    }
+
+    /// A stray `catalog.tmp` — torn, whole, or of foreign bytes — is not
+    /// read: the open sees the log alone, and leaves both files as they
+    /// were; the next checkpoint writes over it.
+    #[test]
+    fn a_stray_checkpoint_file_is_ignored() {
+        let dir = tmp("stray-tmp");
+        {
+            let c = open(&dir);
+            c.intern("a").unwrap();
+            c.intern("b").unwrap();
+        }
+        let log = std::fs::read(dir.join(CATALOG_LOG)).unwrap();
+        let mut whole = CATALOG_MAGIC.to_vec();
+        encode_head(&mut whole, &["x", "y", "z"]);
+        for stray in [whole[..7].to_vec(), whole.clone(), b"junk".to_vec()] {
+            std::fs::write(dir.join(CATALOG_TMP), &stray).unwrap();
+            let c = open(&dir);
+            assert_eq!(c.names_snapshot().len(), 2);
+            assert_eq!(c.resolve("b"), Some(SeriesId(1)));
+            drop(c);
+            assert_eq!(std::fs::read(dir.join(CATALOG_LOG)).unwrap(), log);
+            assert_eq!(std::fs::read(dir.join(CATALOG_TMP)).unwrap(), stray);
+        }
+        open(&dir).checkpoint().unwrap();
+        assert!(!dir.join(CATALOG_TMP).exists());
+        assert_eq!(read_log(&dir).unwrap().names, ["a", "b"]);
+    }
+
+    /// Interns racing checkpoints: every id is bound once, and all of
+    /// them come back from a reopen in id order.
+    #[test]
+    fn interns_racing_a_checkpoint_all_survive_a_reopen() {
+        let dir = tmp("race-checkpoint");
+        let c = Arc::new(open(&dir));
+        let writers: Vec<_> = (0..3)
+            .map(|w| {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || {
+                    (0..200)
+                        .map(|i| (c.intern(&format!("w{w}.{i}")).unwrap(), format!("w{w}.{i}")))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for _ in 0..20 {
+            c.checkpoint().unwrap();
+            std::thread::yield_now();
+        }
+        let bound: Vec<(SeriesId, String)> = writers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        drop(c);
+        let c = open(&dir);
+        assert_eq!(c.len(), 600);
+        for (id, name) in bound {
+            assert_eq!(c.resolve(&name), Some(id), "{name}");
+        }
+    }
+
+    /// A head frame read where it was not written — duplicated after
+    /// itself, moved behind the records, or a record moved in front of
+    /// it — refuses the open, the file left as it was.
+    #[test]
+    fn a_head_frame_moved_or_duplicated_refuses_to_open() {
+        let dir = tmp("head-moved");
+        let path = dir.join(CATALOG_LOG);
+        let mut head = Vec::new();
+        encode_head(&mut head, &["a", "b"]);
+        let mut record = Vec::new();
+        encode_record(&mut record, 2, "b", "c");
+        let mut first = Vec::new();
+        encode_record(&mut first, 0, "", "a");
+        for (what, bytes) in [
+            ("duplicated", [&CATALOG_MAGIC[..], &head, &head].concat()),
+            (
+                "moved behind a record",
+                [&CATALOG_MAGIC[..], &head, &record, &head].concat(),
+            ),
+            (
+                "a record in its place",
+                [&CATALOG_MAGIC[..], &first, &head].concat(),
+            ),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            let got = SeriesCatalog::open(&dir, 1 << 20, Arc::new(IoStats::default()));
+            assert!(matches!(got, Err(TsKvError::Corrupt(_))), "{what}: {got:?}");
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "{what}");
+        }
+        // In place, the same bytes open.
+        std::fs::write(&path, [&CATALOG_MAGIC[..], &head, &record].concat()).unwrap();
+        assert_eq!(open(&dir).names_snapshot().len(), 3);
+    }
+
+    /// Opening a checkpointed log, using it, and checkpointing again
+    /// with nothing new writes nothing.
+    #[test]
+    fn a_clean_open_of_a_checkpointed_log_writes_nothing() {
+        let dir = tmp("clean-open");
+        let path = dir.join(CATALOG_LOG);
+        {
+            let c = open(&dir);
+            c.intern("a").unwrap();
+            c.checkpoint().unwrap();
+        }
+        let before = (
+            std::fs::read(&path).unwrap(),
+            std::fs::metadata(&path).unwrap().modified().unwrap(),
+        );
+        let c = open(&dir);
+        assert_eq!(c.intern("a").unwrap(), SeriesId(0));
+        c.sync_if_dirty().unwrap();
+        c.checkpoint().unwrap();
+        drop(c);
+        let after = (
+            std::fs::read(&path).unwrap(),
+            std::fs::metadata(&path).unwrap().modified().unwrap(),
+        );
+        assert_eq!(before, after);
+        assert!(!dir.join(CATALOG_TMP).exists());
     }
 
     #[test]
@@ -732,7 +990,7 @@ mod tests {
     #[test]
     fn gapped_ids_refuse_to_open() {
         let dir = tmp("gap");
-        let mut buf = CATALOG_MAGIC.to_vec();
+        let mut buf = empty_log();
         encode_record(&mut buf, 0, "", "a");
         encode_record(&mut buf, 2, "b", "c");
         std::fs::write(dir.join(CATALOG_LOG), &buf).unwrap();

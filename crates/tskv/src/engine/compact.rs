@@ -35,7 +35,9 @@ impl EngineInner {
     /// of every shard, the twin of [`flush_all`](EngineInner::flush_all).
     /// Each shard's sweep takes every series with sealed runs — found
     /// under a short read guard, so a million registered-but-cold
-    /// series cost nothing.
+    /// series cost nothing. It ends by checkpointing the catalog: the
+    /// log is rewritten as one head frame of every name
+    /// ([`SeriesCatalog::checkpoint`]).
     pub(super) fn compact_all(&self) -> Result<CompactionReport> {
         let mut report = CompactionReport::default();
         for shard in &self.shards {
@@ -47,6 +49,7 @@ impl EngineInner {
             ids.sort_unstable();
             report += self.sweep(shard, &ids, 1)?;
         }
+        self.catalog.checkpoint()?;
         Ok(report)
     }
 

@@ -8,8 +8,9 @@
 //! store in a real directory, under each [`FsyncPolicy`], with one or
 //! two shards (so two or four series a shard). At every operation
 //! boundary, between `claim_group`, `write_group` and `finish_group`,
-//! and between a sweep's published output and each of its inputs'
-//! retirements, the store is crashed: every image a power loss
+//! between a sweep's published output and each of its inputs'
+//! retirements, and before and after `compact_all`'s catalog checkpoint
+//! (with a stray `catalog.tmp` before), the store is crashed: every image a power loss
 //! could leave of its logs is built from the directory and reopened.
 //! An image cuts each shard's active WAL segment at one frame boundary
 //! at or past its synced length ([`ShardWal::crash_cuts`]); every cut is
@@ -379,7 +380,14 @@ impl Case {
             }
             kv.inner.trim_sweep(shard, &sweep);
         }
-        Ok(())
+        // The catalog checkpoint: one torn before its rename leaves a
+        // stray `catalog.tmp` beside the old log, which no open reads
+        // (a checkpoint with a name to fold writes over it).
+        let stray = self.dir.join(crate::catalog::CATALOG_TMP);
+        ctx(std::fs::write(stray, b"TSC2\x02\x01"), "stray checkpoint")?;
+        self.crash("checkpoint torn")?;
+        ctx(kv.inner.catalog.checkpoint(), "checkpoint")?;
+        self.crash("checkpointed")
     }
 
     fn reopen(&self, dir: &Path) -> TestResultOf<TsKv> {

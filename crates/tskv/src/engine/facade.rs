@@ -206,7 +206,8 @@ impl TsKv {
     /// run of **one** new file, so every input file is unlinked. A
     /// series that a flush or another compaction holds is left out and
     /// keeps its files; the next sweep takes it. The report sums every
-    /// series'.
+    /// series'. Last, the catalog log is rewritten as one head frame,
+    /// which drops each record's CRC ([`crate::catalog`]).
     pub fn compact_all(&self) -> Result<CompactionReport> {
         self.inner.compact_all()
     }

@@ -85,7 +85,10 @@ impl EngineInner {
             write_shards: n_shards,
             ..config
         };
+        // The three phases, timed: catalog read, WAL replay, file opens.
+        let (mut phases, clock) = ([std::time::Duration::ZERO; 3], std::time::Instant::now());
         let catalog = SeriesCatalog::open(&dir, CATALOG_MAX_SERIES, Arc::clone(&io))?;
+        phases[0] = clock.elapsed();
         let alloc = VersionAllocator::default();
 
         // List every shard before anything in it is touched: a store
@@ -107,19 +110,23 @@ impl EngineInner {
         let mut work: HashMap<SeriesId, (Vec<SeriesView>, Vec<WalRecord>)> = HashMap::new();
         for (mut listing, sdir) in listings {
             disk::settle_in_flight(&mut listing)?;
+            let clock = std::time::Instant::now();
             for (_, path) in &listing.data {
                 for view in SealedFile::open(path)?.views() {
                     let runs = &mut work.entry(SeriesId(view.run.series)).or_default().0;
                     runs.push(view);
                 }
             }
+            phases[2] += clock.elapsed();
             // What the files hold the log need not replay: a record
             // older than a durable run of its series was drained into it.
             let sealed = |id: SeriesId| {
                 let runs = work.get(&id).map_or(&[][..], |(runs, _)| runs);
                 Version(runs.iter().map(SeriesView::rank).max().unwrap_or(0))
             };
+            let clock = std::time::Instant::now();
             let (wal, records) = ShardWal::open(&sdir, WAL_BATCH_BYTES, WAL_SEGMENT_BYTES, sealed)?;
+            phases[1] += clock.elapsed();
             for (id, recs) in records {
                 work.entry(id).or_default().1.extend(recs);
             }
@@ -155,8 +162,11 @@ impl EngineInner {
             })
             .collect();
         work.sort_by_key(|(id, ..)| *id);
+        let clock = std::time::Instant::now();
         let recovered =
             pool::run_indexed(n_shards, work.len(), |i| recover_series(&work[i], &alloc))?;
+        phases[1] += clock.elapsed();
+        io.record_open(phases);
         for ((id, ..), store) in work.iter().zip(recovered) {
             io.record_store_instantiated();
             if let Some(shard) = shards.get_mut(id.index() % n_shards) {

@@ -135,10 +135,13 @@ impl SeriesSnapshot {
                 file_idx,
                 chunk,
                 meta,
-            } => self
-                .cache
-                .as_ref()?
-                .get(self.cache_key(*file_idx, *chunk, meta)),
+            } => match &self.cache {
+                Some(cache) => cache.get(self.cache_key(*file_idx, *chunk, meta)),
+                None => {
+                    self.io.record_cache_miss();
+                    None
+                }
+            },
         }
     }
 
@@ -327,7 +330,7 @@ mod tests {
     /// one batch, at one and at four threads: results come back in
     /// request order, each miss is loaded once, and the sealed chunks
     /// again are all hits that load nothing. A zero capacity builds no
-    /// cache: every sealed chunk loads and no cache counter moves.
+    /// cache: every sealed chunk loads, each counted a miss.
     #[test]
     fn batch_loads_each_miss_once_in_request_order() -> TestResult {
         for (threads, capacity) in [(1, 64 << 20), (4, 64 << 20), (4, 0)] {
@@ -355,7 +358,7 @@ mod tests {
             assert_eq!(firsts, [400, 300, 0, 100, 200], "{threads} threads");
             let hits = if cached { 2 } else { 0 };
             assert_eq!((delta.chunks_loaded, delta.mem_chunks_read), (4 - hits, 1));
-            assert_eq!((delta.cache_hits, delta.cache_misses), (hits, hits));
+            assert_eq!((delta.cache_hits, delta.cache_misses), (hits, 4 - hits));
 
             let before = snap.io().snapshot();
             let again = snap.read_points_many(&batch[1..])?;
@@ -363,7 +366,7 @@ mod tests {
             let hits = 2 * hits;
             assert_eq!(
                 (delta.cache_hits, delta.cache_misses, delta.chunks_loaded),
-                (hits, 0, 4 - hits)
+                (hits, 4 - hits, 4 - hits)
             );
             let shared = again.iter().zip(&got[1..]).all(|(a, b)| Arc::ptr_eq(a, b));
             assert_eq!(shared, cached);

@@ -51,7 +51,9 @@ crate::metric_registry! {
     /// Chunk-body reads served from the decoded-chunk cache (no I/O,
     /// no decode).
     counter cache_hits;
-    /// Chunk-body reads that missed the cache and went to disk.
+    /// Chunk-body reads that missed the cache and went to disk (with no
+    /// cache, every read of a sealed chunk): with `cache_hits`, the
+    /// loads a reader asked for, whatever the cache held.
     counter cache_misses;
     /// Decoded chunks evicted to stay within the cache capacity.
     counter cache_evictions;
@@ -114,6 +116,18 @@ crate::metric_registry! {
     /// `registered − instantiated` series cost no memtable, no file
     /// handle, and no directory entry.
     counter stores_instantiated;
+    /// Points M4-LSM took from the chunk loaders (cache hits included):
+    /// a decision of the operator, which the cache cannot move.
+    counter lsm_points_consumed;
+    /// Timestamp-membership probes M4-LSM issued, however answered.
+    counter lsm_probes;
+    /// Nanoseconds opens spent reading the catalog log.
+    counter open_catalog_ns;
+    /// Nanoseconds opens spent replaying shard WALs into memtables
+    /// (reading the logs and recovering each series).
+    counter open_replay_ns;
+    /// Nanoseconds opens spent opening data files, footers decoded.
+    counter open_files_ns;
 }
 
 impl IoStats {
@@ -163,6 +177,28 @@ impl IoStats {
     /// Record `n` M4-LSM spans answered by the span executor.
     pub fn record_spans_executed(&self, n: u64) {
         self.spans_executed.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Record `points` M4-LSM took from the loaders. Public, as the
+    /// span counters are.
+    pub fn record_lsm_points(&self, points: u64) {
+        self.lsm_points_consumed
+            .fetch_add(points, Ordering::Relaxed);
+    }
+
+    /// Record one timestamp probe M4-LSM issued.
+    pub fn record_lsm_probe(&self) {
+        self.lsm_probes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record the phases of one open: catalog read, WAL replay and data
+    /// file opens.
+    pub(crate) fn record_open(&self, [catalog, replay, files]: [std::time::Duration; 3]) {
+        let ns = |d: std::time::Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        self.open_catalog_ns
+            .fetch_add(ns(catalog), Ordering::Relaxed);
+        self.open_replay_ns.fetch_add(ns(replay), Ordering::Relaxed);
+        self.open_files_ns.fetch_add(ns(files), Ordering::Relaxed);
     }
 
     pub(crate) fn record_cache_hit(&self) {

@@ -8,7 +8,7 @@
 //! (CRC32, memtable, WAL/page framing) were rebuilt: equal hashes are
 //! the proof that the rebuild changed no format and no byte.
 //!
-//! The data file's entry was regenerated ten times since, on purpose.
+//! The data file's entry was regenerated eleven times since, on purpose.
 //! First when the footer gained the series-run directory (and data
 //! files and their delete logs were renamed `<fileno>.tsfile` /
 //! `<fileno>.s<id>.mods`). Then when pages gained the decimal value
@@ -82,10 +82,18 @@
 //! and the run directory moved ahead of the entries, under the magic
 //! `TSF7`: the fixture's late points keep its chunks off a cadence, so
 //! the chunk index only fell 269 → 259 bytes, and the file 15 723 →
-//! 15 713; the page bodies hash as they did. Only this row, its parts
-//! and [`COMPACTED`] were regenerated: the WAL, catalog, mods and pin
-//! rows are unchanged. [`TSFILE_PARTS`] holds the hashes of the file's
-//! parts as that tenth regeneration wrote them — the page bodies and
+//! 15 713; the page bodies hash as they did. Then when a window
+//! exception was listed by its distance from its block's base instead of
+//! as a raw word, and a decimal delta frame in a page left its head to
+//! FP.v, under the magic `TSF8`: of the seven pages only the third
+//! holds a window exception (the gap a delete cut into its packed
+//! timestamps; its entry 6 bytes shorter) and none a decimal delta
+//! frame; the other six are byte-identical. The page bodies went 15 426 → 15 420
+//! bytes, the chunk index kept its 259 bytes and changed only in that
+//! page's length, and the file 15 713 → 15 707. Only this row, its parts,
+//! the catalog row (below) and [`COMPACTED`] were regenerated: the WAL,
+//! mods and pin rows are unchanged. [`TSFILE_PARTS`] holds the hashes of
+//! the file's parts as that eleventh regeneration wrote them — the page bodies and
 //! the footer's chunk index (its chunk count and entries) — and the
 //! test checks the file is exactly the head magic, the page bodies,
 //! the chunk count, the four directory bytes, the entries and the
@@ -94,13 +102,17 @@
 //! `s<id>.mods`: its row's path changed a second time, its bytes never)
 //! and the shard pin are byte-identical to the original table.
 //!
-//! The catalog's entry was regenerated once, when its records became
-//! front-coded with implicit ids: the log gained a 4-byte magic
+//! The catalog's entry was regenerated twice. First when its records
+//! became front-coded with implicit ids: the log gained a 4-byte magic
 //! (`TSC1`), and each record lost its `u32` id (its position; the CRC
 //! covers it still) and its `u16` length, and holds only what its name
 //! does not share with the name before it. `golden.b` takes 14 bytes
 //! (two one-byte varints, 8 name bytes, the CRC) and `golden.a`, which
-//! shares `golden.` with it, 7: 36 → 25 bytes.
+//! shares `golden.` with it, 7: 36 → 25 bytes. Then when the log gained
+//! a head frame that the store-wide compaction checkpoints into (magic
+//! `TSC2`): a log never checkpointed, as this fixture's, holds an empty
+//! one — a zero count and its CRC, 5 bytes — and its records as they
+//! were: 25 → 30 bytes.
 //!
 //! The WAL segment's entry was regenerated twice too. First when every
 //! insert record gained the version it was appended after (what lets a
@@ -135,8 +147,8 @@ use tskv::TsKv;
 /// `(path relative to the store, length, FNV-1a 64 of the bytes)`.
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("SHARDS", 2, 0x07f8bc07b4ba5002),
-    ("catalog.log", 25, 0xa7f46d8e7ee577f2),
-    ("shard-0000/00000000.tsfile", 15713, 0xe933bebd301a3873),
+    ("catalog.log", 30, 0x15354c0e1e9f51a7),
+    ("shard-0000/00000000.tsfile", 15707, 0x177dc5b8c5f706d8),
     ("shard-0000/s1.mods", 9, 0xcc59cc0b4c19c5c2),
     ("shard-0000/wal-00000000.log", 28518, 0x88c2ed828df37e3b),
 ];
@@ -159,8 +171,10 @@ const GOLDEN: &[(&str, u64, u64)] = &[
 /// before a block fell back to the pair leaving the fewest exceptions,
 /// `(16_252, 0x6f87783129adca70)` and `(269, 0x10372a476eb740fc)`;
 /// before entries were coded against a prediction from the one before
-/// (`TSF7`), the same bodies and `(269, 0xc0cda9653ba1e933)`.
-const TSFILE_PARTS: [(usize, u64); 2] = [(15_426, 0xf47aacde97f61338), (259, 0x5ebbe2a8b4034259)];
+/// (`TSF7`), the same bodies and `(269, 0xc0cda9653ba1e933)`; before
+/// window exceptions were listed by their distance (`TSF8`),
+/// `(15_426, 0xf47aacde97f61338)` and `(259, 0x5ebbe2a8b4034259)`.
+const TSFILE_PARTS: [(usize, u64); 2] = [(15_420, 0x5d4cd9e89c111896), (259, 0x39c23e32039a919f)];
 
 /// The footer's run directory, after its chunk count: one run, of
 /// series 1 (`golden.a`), holding all seven chunks, superseding nothing.
@@ -354,8 +368,13 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
 /// And when each footer entry was coded against a prediction from the
 /// one before, with the run directory ahead of the entries (it was
 /// `(20_481, 0x3d31950f3546fdf5)`; the magic became `TSF7`): 98 bytes
-/// fewer, all of them in the footer.
-const COMPACTED: (u64, u64) = (20_383, 0x23f8cd6df0115528);
+/// fewer, all of them in the footer. And when a window exception was
+/// listed by its distance from its block's base (it was `(20_383,
+/// 0x23f8cd6df0115528)`; the magic became `TSF8`): the 4 of the 42
+/// chunks whose packed timestamps hold a delete's gap as an exception
+/// (chunks 3, 7, 16 and 18) are 6 or 7 bytes smaller, 25 in all; no chunk
+/// holds a decimal delta frame, and the other 38 are byte-identical.
+const COMPACTED: (u64, u64) = (20_358, 0xab57c65f1005d381);
 
 #[test]
 fn compaction_output_bytes_equal_the_hash_taken_before_the_merge_and_seal_rebuild() {

@@ -239,3 +239,41 @@ fn compact_all_leaves_one_file_per_shard_and_each_series_once() {
     drop(kv);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// An open names its phases: reopening a 1 000-series store — some of
+/// it sealed into files, the rest in the shard logs — records a nonzero
+/// time for the catalog read, the WAL replay and the data-file opens,
+/// and the three add up to no more than the open's wall time.
+#[test]
+fn an_open_times_its_catalog_replay_and_file_phases() {
+    let dir = std::env::temp_dir().join(format!("tskv-open-phases-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = EngineConfig {
+        write_shards: 4,
+        ..Default::default()
+    };
+    {
+        let kv = TsKv::open(&dir, config.clone()).unwrap();
+        for i in 0..1_000i64 {
+            let batch: Vec<Point> = (0..10)
+                .map(|t| Point::new(t * 1_000, (i + t) as f64))
+                .collect();
+            kv.insert_batch(&format!("fleet.{i:04}"), &batch).unwrap();
+        }
+        kv.flush_all().unwrap();
+        for i in 0..1_000i64 {
+            kv.insert(&format!("fleet.{i:04}"), Point::new(20_000, 1.0))
+                .unwrap();
+        }
+    }
+    let clock = std::time::Instant::now();
+    let kv = TsKv::open(&dir, config).unwrap();
+    let wall = clock.elapsed().as_nanos() as u64;
+    let io = kv.io().snapshot();
+    let phases = [io.open_catalog_ns, io.open_replay_ns, io.open_files_ns];
+    assert!(phases.iter().all(|&ns| ns > 0), "{phases:?}");
+    assert!(phases.iter().sum::<u64>() <= wall, "{phases:?} > {wall} ns");
+    assert_eq!(kv.series_count(), 1_000);
+    drop(kv);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -41,7 +41,7 @@ const GOLDEN: [(&str, usize, u64); 20] = [
     ("response Written", 31, 0x296fc26971984801),
     ("response M4", 159, 0x974fa8343df2c78d),
     ("response Deleted", 23, 0x6b29c5e3e24cb923),
-    ("response Stats", 1670, 0xb616aa1c9544ae2e),
+    ("response Stats", 1826, 0x4b6e5f9dc3791d54),
     ("response Flushed", 27, 0xbdc56d47f819bea3),
     ("response Error", 51, 0xaa017beea4a84caf),
     ("response SubAck", 101, 0xbe3d6cea27714564),

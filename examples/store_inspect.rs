@@ -8,7 +8,9 @@
 //! column in (timestamps constant, stream or packed, and a packed
 //! column's frame: delta or line; values stream, packed, decimal, and
 //! a decimal block's frame: reference, delta or line, or implied by the
-//! statistics; a chunk of both constant and implied is bodiless)
+//! statistics; a chunk of both constant and implied is bodiless), the
+//! window exceptions its packed columns and decimal delta frames list
+//! and their bytes, the catalog's head frame, records and checksums,
 //! and pending deletes —
 //! using only the public tsfile API, the catalog's own read-only reader
 //! (`tskv::catalog::read_log`, the one recovery uses) and read-only
@@ -77,11 +79,15 @@ fn build_demo(dir: &Path) -> Result<(), Box<dyn std::error::Error>> {
     // (two bits a value) where the other series' short ramps keep the
     // frame of reference. Not every chunk: one whose exponent pair,
     // chosen from a sample, fails a value the sample missed keeps the
-    // frame of reference with that value raw.
+    // frame of reference with that value raw. Its clock steps 7 s late
+    // at the 450th reading (the paper's §3.5 delayed timestamp): that
+    // chunk packs its timestamps, the one long delta a window exception
+    // listed by its distance from the cadence, a few bytes.
     for t in 0..600i64 {
+        let delay = if t >= 450 { 7_000 } else { 0 };
         kv.insert(
             "demo.kwh",
-            Point::new(t * 1000, (t * 7 + t % 3) as f64 / 100.0),
+            Point::new(t * 1000 + delay, (t * 7 + t % 3) as f64 / 100.0),
         )?;
     }
     // A register that drifts while it jitters: a slow sine under a few
@@ -128,6 +134,9 @@ struct Bytes {
     bodiless: u64,
     /// The footers' parts and entry forms, summed.
     census: FooterCensus,
+    /// Window exceptions, the bytes of their entries, decimal delta
+    /// frames and the bytes of the heads those leave to FP.v.
+    exceptions: [usize; 4],
 }
 
 /// Bytes of every file under `dir`, recursively.
@@ -207,12 +216,26 @@ fn dump_file(
     }
     .census();
     add(&mut bytes.census, &census);
+    let mut exceptions = [0usize; 4];
+    for meta in reader.chunk_metas() {
+        let body = reader.read_chunk_raw(meta)?;
+        let [k, list, head] = page::window_exceptions(&body, &meta.page())?;
+        let delta = usize::from(page::decimal_framing(&body)? == Some(Framing::Delta));
+        for (total, x) in exceptions.iter_mut().zip([k, list, delta, head]) {
+            *total += x;
+        }
+    }
+    for (total, x) in bytes.exceptions.iter_mut().zip(exceptions) {
+        *total += x;
+    }
     println!(
-        "  {} ({} bytes, {} chunks in {} series runs, footer {} bytes for {} chunks: {})",
+        "  {} ({} bytes, {} chunks in {} series runs, window exceptions {} in {} B of entries, footer {} bytes for {} chunks: {})",
         path.file_name().unwrap_or_default().to_string_lossy(),
         size,
         reader.chunk_metas().len(),
         reader.series_runs().len(),
+        exceptions[0],
+        exceptions[1],
         size - data_end - trailer,
         reader.chunk_metas().len(),
         split(&census),
@@ -253,9 +276,13 @@ fn dump_file(
                 0 => ", bodiless",
                 _ => "",
             };
+            let exceptions = match page::window_exceptions(&body, &meta.page())? {
+                [0, ..] => String::new(),
+                [k, list, _] => format!(", window exceptions {k} in {list} B"),
+            };
             bytes.bodiless += u64::from(meta.byte_len == 0);
             println!(
-                "      chunk {} @{:>8}+{:<6} n={:<5} t=[{} … {}] v=[{} … {}]  ts {ts}, values {values}{bodiless}",
+                "      chunk {} @{:>8}+{:<6} n={:<5} t=[{} … {}] v=[{} … {}]  ts {ts}, values {values}{bodiless}{exceptions}",
                 meta.version,
                 meta.offset,
                 meta.byte_len,
@@ -285,8 +312,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Ok(shards) = std::fs::read_to_string(dir.join("SHARDS")) {
         println!("storage shards: {}", shards.trim());
     }
-    let catalog = catalog::read_log(&dir)?.names;
+    let log = catalog::read_log(&dir)?;
+    let catalog = log.names.clone();
     let catalog_bytes = std::fs::metadata(dir.join(catalog::CATALOG_LOG)).map_or(0, |m| m.len());
+    // The magic and the head frame (one CRC), then a record (and its
+    // CRC) a name interned since the last checkpoint, then torn bytes.
+    let appended = catalog.len() - log.head;
+    let catalog_split = format!(
+        "catalog {catalog_bytes} B: head frame {} B for {} names, records {} B for {appended} names, torn {} B; checksums {} B",
+        log.head_len,
+        log.head,
+        log.valid_len - log.head_len,
+        catalog_bytes.saturating_sub(log.valid_len),
+        4 * (u64::from(log.valid_len > 0) + appended as u64),
+    );
     println!("catalog: {} series", catalog.len());
     for (id, name) in catalog.iter().enumerate() {
         println!("  s{id} = {name:?}");
@@ -351,6 +390,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bytes.census.directory_bytes
     );
     println!("footers split: {}", split(&bytes.census));
+    let [k, list, deltas, heads] = bytes.exceptions;
+    println!(
+        "page lists: window exceptions {k} in {list} B of entries; {deltas} decimal delta frames, {heads} B of heads left to FP.v"
+    );
+    println!("{catalog_split}");
 
     if is_demo {
         std::fs::remove_dir_all(&dir).ok();

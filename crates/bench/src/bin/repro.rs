@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Experiments: the paper artefacts (table2, fig8, fig10–fig14,
-//! pixels), the two kernel microbenches (pages, decode), or
+//! pixels), the two microbenches (pages, kernels), or
 //! `all`. An unknown name exits 2. End-to-end measurement of the
 //! engine and server lives in `benchmark/`, not here.
 //!
@@ -29,14 +29,14 @@
 
 use std::io::Write;
 
-use bench::experiments::decode::{self, DecodeReport, DecodeResults};
+use bench::experiments::kernels::{self, KernelsReport};
 use bench::experiments::pages::{self, PagesReport, PagesRow};
 use bench::experiments::{fig10, fig11, fig12, fig13, fig14, fig8, pixels, table2};
 use bench::harness::{print_table, BenchMeta, BenchReport, ExpRow, Harness};
 
 /// Every name `--exp` accepts besides `all`, in `--exp all` run order.
 const EXPERIMENTS: [&str; 10] = [
-    "table2", "fig8", "fig10", "fig11", "fig12", "fig13", "fig14", "pixels", "pages", "decode",
+    "table2", "fig8", "fig10", "fig11", "fig12", "fig13", "fig14", "pixels", "pages", "kernels",
 ];
 
 struct Args {
@@ -160,13 +160,12 @@ fn main() {
         pages::print(&pages_rows);
         pages::summarize(&pages_rows);
     }
-    let mut decode_out: Option<DecodeResults> = None;
-    if all || args.exp == "decode" {
-        println!("\n== decode ==");
-        let results = decode::run(&h);
-        decode::print(&results);
-        decode::summarize(&results);
-        decode_out = Some(results);
+    let mut kernels_out: Option<KernelsReport> = None;
+    if all || args.exp == "kernels" {
+        println!("\n== kernels ==");
+        let results = kernels::run(&h);
+        kernels::print(&results);
+        kernels_out = Some(results);
     }
 
     if let Some(path) = &args.out {
@@ -180,32 +179,18 @@ fn main() {
                 serde_json::to_string_pretty(&report).expect("serialize pages report"),
                 report.rows.len(),
             )
-        } else if args.exp == "decode" {
-            let DecodeResults {
-                rows,
-                packed,
-                crc32,
-                memtable,
-                pool,
-            } = decode_out.take().expect("decode experiment ran");
-            let report = DecodeReport {
-                meta,
-                rows,
-                packed,
-                crc32,
-                memtable,
-                pool,
-            };
+        } else if args.exp == "kernels" {
+            let report = kernels_out.take().expect("kernels experiment ran");
             (
-                serde_json::to_string_pretty(&report).expect("serialize decode report"),
-                report.rows.len(),
+                serde_json::to_string_pretty(&report).expect("serialize kernels report"),
+                report.decimal.len() + report.crc32.len(),
             )
         } else {
             if !pages_rows.is_empty() {
                 println!("\nnote: pages rows are only serialized by `--exp pages --out ...`");
             }
-            if decode_out.is_some() {
-                println!("\nnote: decode rows are only serialized by `--exp decode --out ...`");
+            if kernels_out.is_some() {
+                println!("\nnote: kernel rows are only serialized by `--exp kernels --out ...`");
             }
             let report = BenchReport { meta, rows };
             (

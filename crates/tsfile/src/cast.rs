@@ -1,6 +1,6 @@
 //! Audited numeric conversions for the codec layers.
 //!
-//! `varint`, `bitio` and the encodings carry
+//! `varint` and the encodings carry
 //! `#![deny(clippy::as_conversions)]`: a silent `as` truncation in a
 //! codec is exactly the kind of bug that corrupts data without
 //! failing. Every conversion those layers need lives here instead,

@@ -56,7 +56,7 @@
 //! sample is also the cheap test that turns a full-precision page away
 //! before any full pass: such values show no decimal form at any scale.
 //! It estimates no block's size: the page writes the block and keeps it
-//! only where it is smaller than the stream ([`crate::page`]).
+//! only where it is no larger than the packed values ([`crate::page`]).
 
 // Untrusted bytes: an out-of-range access is a typed error, not a panic.
 #![deny(clippy::indexing_slicing)]
@@ -396,7 +396,7 @@ fn choose(values: &[f64], carried: Option<Exponents>) -> Option<Exponents> {
 /// trying `carry` first, and left in `carry`. `None` when the sample
 /// shows a page raw doubles would store as well (a full-precision page).
 /// The sample sizes nothing: the page holds the block, sized exactly,
-/// against its stream.
+/// against the packed values.
 pub(crate) fn plan(values: &[f64], carry: &mut Option<Exponents>) -> Option<Exponents> {
     choose(values, *carry).inspect(|&pair| *carry = Some(pair))
 }

@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────┐
-//! │ magic "TSF8\0\0" (6 bytes)                                 │
+//! │ magic "TSF9\0\0" (6 bytes)                                 │
 //! ├────────────────────────────────────────────────────────────┤
-//! │ chunk 0 body: one page body (see `page` module); column    │
-//! │   encodings live in the footer                             │
+//! │ chunk 0 body: one page body (see `page` module)            │
 //! ├────────────────────────────────────────────────────────────┤
 //! │ chunk 1 body …                                             │
 //! ├────────────────────────────────────────────────────────────┤
@@ -17,8 +16,9 @@
 //! │              absolute), varint #chunks,                    │
 //! │              varint_i supersedes − previous run's          │
 //! │   per chunk: varint_i version − previous chunk's version,  │
-//! │              u8 timestamps' encoding + 3 · values'         │
-//! │                 + 9 · statistics tag (below 243),          │
+//! │              u8 9 · statistics tag (below 243; the two     │
+//! │                 digits below 9 are 0, free for a later     │
+//! │                 layout),                                   │
 //! │              varint byte_len,                              │
 //! │              statistics against a prediction from the      │
 //! │              previous chunk, or at a run's first chunk     │
@@ -31,7 +31,7 @@
 //!
 //! The trailing length + magic let a reader locate the footer without a
 //! separate index file; the leading magic rejects non-TsFiles (and the
-//! retired `TSF1`–`TSF7` generations) early: `TSF4` is the last whose
+//! retired `TSF1`–`TSF8` generations) early: `TSF4` is the last whose
 //! page bodies repeated what the footer's statistics hold (the point
 //! count, a constant-delta column's first timestamp and step, a packed
 //! column's first point), `TSF5` the last whose footer wrote every
@@ -39,7 +39,10 @@
 //! `supersedes` in its run directory, `TSF6` the last whose entries
 //! were coded against the previous LP alone, and `TSF7` the last whose
 //! window exceptions were raw words and whose decimal delta frames
-//! repeated FP.v's integer; its footers are this layout's. This mirrors IoTDB's TsFile (data, then
+//! repeated FP.v's integer, and `TSF8` the last whose pages could hold a
+//! configured stream (delta-of-delta timestamps, XOR or raw values) and
+//! whose entries named the chunk's two encodings; its pages and footers
+//! are this layout's but for that. This mirrors IoTDB's TsFile (data, then
 //! per-chunk statistics, then a metadata index and tail magic) as the
 //! paper runs it: with `page_size_in_byte` at 1 GiB, every chunk is one
 //! page, and so it is here by construction.
@@ -62,7 +65,6 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::encoding::EncodingKind;
 use crate::page::{PageMeta, MAX_PAGE_POINTS};
 use crate::statistics::{ChunkStatistics, EntryTag, StatsCarry};
 use crate::types::{TimeRange, Version};
@@ -72,10 +74,10 @@ use crate::{Result, TsFileError};
 /// File magic, also used as the tail sentinel. Bumped with every footer
 /// or page layout, so a file of an earlier layout is refused as foreign
 /// (`BadMagic`) rather than read as a torn file of this one.
-pub const MAGIC: &[u8; 6] = b"TSF8\0\0";
+pub const MAGIC: &[u8; 6] = b"TSF9\0\0";
 
 /// Metadata describing one chunk inside a TsFile: where its body lives,
-/// how its columns are encoded, its version `κ`, and its precomputed
+/// its version `κ`, and its precomputed
 /// statistics. This is the unit M4-LSM's `MetadataReader` returns
 /// without touching chunk bodies. The body is one page
 /// ([`crate::page`]).
@@ -89,10 +91,6 @@ pub struct ChunkMeta {
     pub version: Version,
     /// Precomputed FP/LP/BP/TP/count.
     pub stats: ChunkStatistics,
-    /// Timestamp column encoding.
-    pub ts_encoding: EncodingKind,
-    /// Value column encoding.
-    pub val_encoding: EncodingKind,
 }
 
 impl ChunkMeta {
@@ -128,9 +126,8 @@ impl ChunkMeta {
         let tag = self
             .stats
             .encode_after(&mut prev.stats, out, &mut prev.census);
-        let encodings = self.ts_encoding as u8 + 3 * self.val_encoding as u8;
         if let Some(tags) = out.get_mut(tags_at) {
-            *tags = encodings + 9 * tag.0;
+            *tags = 9 * tag.0;
         }
     }
 
@@ -138,11 +135,14 @@ impl ChunkMeta {
         let step = cast::u64_bits(varint::read_i64(buf, pos)?);
         let version = Version(prev.version.0.wrapping_add(step));
         let tags = *buf.get(*pos).ok_or(TsFileError::UnexpectedEof {
-            what: "chunk encodings",
+            what: "chunk entry tags",
         })?;
         *pos += 1;
-        let ts_encoding = EncodingKind::from_u8(tags % 3)?;
-        let val_encoding = EncodingKind::from_u8(tags / 3 % 3)?;
+        if tags % 9 != 0 {
+            return Err(TsFileError::Corrupt(format!(
+                "chunk entry tags {tags}: a digit below 9 is not 0"
+            )));
+        }
         let tag = EntryTag::from_u8(tags / 9)?;
         let byte_len = varint::read_u64(buf, pos)?;
         let stats = ChunkStatistics::decode_after(buf, pos, tag, &mut prev.stats)?;
@@ -162,8 +162,6 @@ impl ChunkMeta {
             byte_len,
             version,
             stats,
-            ts_encoding,
-            val_encoding,
         })
     }
 }
@@ -403,8 +401,6 @@ mod tests {
             byte_len: body.len() as u64,
             version: Version(version),
             stats: ChunkStatistics::from_points(&pts)?,
-            ts_encoding: EncodingKind::Ts2Diff,
-            val_encoding: EncodingKind::Gorilla,
         }))
     }
 
@@ -558,8 +554,6 @@ mod tests {
                     byte_len: 12,
                     version: Version(1 + i as u64),
                     stats: ChunkStatistics::from_points(points)?,
-                    ts_encoding: EncodingKind::Ts2Diff,
-                    val_encoding: EncodingKind::Gorilla,
                 }));
             }
             Ok(footer(&chunks, vec![run(0, 0, 0..n)]))

@@ -13,15 +13,14 @@
 //!   own precomputed [`statistics::ChunkStatistics`] (first / last /
 //!   bottom / top point and count). Reading the statistics is cheap;
 //!   reading the data requires real file I/O *and* real decode CPU.
-//! * **Encodings**: timestamps are delta-of-delta encoded
-//!   ([`encoding::ts2diff`]), values are Gorilla XOR encoded
-//!   ([`encoding::gorilla`]). A plain encoding exists for comparison.
-//!   Each page also picks, from its own data and by exact size, cheaper
-//!   forms: a constant-delta timestamp column; values stored as scaled,
-//!   bit-packed integers ([`encoding::decimal`], ALP) when they have few
-//!   decimals; and either column as bit-packed deltas with outliers
-//!   listed apart ([`encoding::packed`], IoTDB's TS_2DIFF layout), which
-//!   jittered timestamps and full-precision walks take. Decoding cost is what
+//! * **Encodings**: each page picks its columns' forms from its own data
+//!   and by exact size, never by a setting: timestamps as a constant
+//!   delta (no bytes) or bit-packed deltas with outliers listed apart
+//!   ([`encoding::packed`], IoTDB's TS_2DIFF layout), which jittered
+//!   timestamps take; values as scaled, bit-packed integers
+//!   ([`encoding::decimal`], ALP) when they have few decimals, as packed
+//!   deltas of their order-preserving keys, which full-precision walks
+//!   take, or as no bytes where the statistics imply them. Decoding cost is what
 //!   makes "merge free" worthwhile, exactly as in the paper (§2.3: "not
 //!   only for the heavy cost of I/O but also for the decompression of
 //!   data").

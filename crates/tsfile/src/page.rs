@@ -8,12 +8,11 @@
 //!
 //! ```text
 //! page body:
-//!   u8     modes: timestamps  bit 0 constant delta, bit 2 packed deltas,
-//!                             neither: the chunk's timestamp encoding
+//!   u8     modes: timestamps  bit 0 constant delta, bit 2 packed deltas
 //!                 values      bit 1 decimal block, bit 3 packed deltas,
-//!                             bit 4 implied (no bytes),
-//!                             none: the chunk's value encoding
-//!                 (two bits of a column, or any higher bit: Corrupt)
+//!                             bit 4 implied (no bytes)
+//!                 (one bit of each column; neither, two bits of a
+//!                 column, or any higher bit: Corrupt)
 //!   varint len(ts_bytes)   ts_bytes    (neither when the timestamps
 //!                                       are a constant delta)
 //!   val_bytes                          (the rest, up to the CRC)
@@ -28,7 +27,7 @@
 //! `Δ = (LP.t − FP.t)/(n − 1)`, so the form is written only when that
 //! division is exact and `LP.t − FP.t` does not overflow, and a footer
 //! whose statistics do not split into `n − 1` equal steps makes such a
-//! page `Corrupt`. A packed column ([`encoding::packed`]) is its block
+//! page `Corrupt`. A packed column ([`packed`]) is its block
 //! of deltas alone: its head is FP (`FP.v` bit-exact) and its running
 //! sum must land on LP. A packed timestamp column may instead hold its
 //! residuals from a least-squares cadence line (the line frame, flagged
@@ -40,11 +39,12 @@
 //! implies none or BP or TP is not an end point.
 //!
 //! Both forms ([`PageForms`]) are chosen per page from the page's own
-//! columns, by exact size, never by a setting. The constant-delta
+//! columns, by exact size, never by a setting; the packed forms take
+//! any column, so every page has one. The constant-delta
 //! timestamp form: sensor timestamps are mostly regular (the paper's
 //! §3.5 step observation), so a page whose deltas are all equal is
 //! reconstructed arithmetically from its statistics — no per-point
-//! varint decode. The decimal value form ([`encoding::decimal`]): a page
+//! varint decode. The decimal value form ([`decimal`]): a page
 //! whose values have few decimals stores them as scaled, bit-packed
 //! integers — framed from their minimum; or, on a page with no
 //! exception where it is smaller, as the first integer and the deltas
@@ -58,13 +58,11 @@
 //! integer keys — bit-packed at one width with the outliers listed
 //! apart; full-precision walks take it, and so do jittered timestamps,
 //! as their residuals from their cadence line where that is strictly
-//! smaller than their deltas. A form
-//! is written only when it is strictly smaller, sized exactly, than the
-//! one a page would hold without it: the packed deltas than the decimal
-//! block or the stream, and the block than the stream.
-//! The column encodings themselves live in the footer's chunk entry
-//! ([`crate::ChunkMeta`], CRC-protected there), so a chunk body has no
-//! unprotected header bytes.
+//! smaller than their deltas. The packed value column is written only
+//! when it is strictly smaller, sized exactly, than the decimal block;
+//! where the sample admits no block, the values pack. The modes byte
+//! sits under the page's CRC, so a chunk body has no unprotected header
+//! bytes.
 
 // Untrusted bytes: an out-of-range access is a typed error, not a panic.
 #![deny(clippy::indexing_slicing)]
@@ -73,7 +71,7 @@ use crate::bufpool;
 use crate::checksum::crc32;
 use crate::encoding::decimal::{self, Exponents};
 use crate::encoding::packed::{self, Framing, Packing, TsPacking};
-use crate::encoding::{self, EncodingKind};
+use crate::encoding::EncodingKind;
 use crate::statistics::ChunkStatistics;
 use crate::types::{Point, TimeRange};
 use crate::varint;
@@ -108,23 +106,19 @@ const MODE_IMPLIED_VALUES: u8 = 16;
 /// How a page stores its timestamps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TsForm {
-    /// The chunk's timestamp encoding (a ts2diff or plain stream).
-    Stream,
     /// No bytes: `FP.t + i·Δ`, `Δ` the statistics' span over `n − 1`.
     Constant,
-    /// Bit-packed deltas from FP.t ([`encoding::packed`]).
+    /// Bit-packed deltas from FP.t ([`packed`]).
     Packed,
 }
 
 /// How a page stores its values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValueForm {
-    /// The chunk's value encoding (a Gorilla or plain stream).
-    Stream,
-    /// A decimal block ([`encoding::decimal`]), in any of its frames
+    /// A decimal block ([`decimal`]), in any of its frames
     /// ([`decimal_framing`]).
     Decimal,
-    /// Bit-packed key deltas from FP.v ([`encoding::packed`]).
+    /// Bit-packed key deltas from FP.v ([`packed`]).
     Packed,
     /// No bytes: what FP.v and LP.v imply ([`decimal::implied`]).
     Implied,
@@ -140,12 +134,10 @@ pub struct PageForms {
 impl PageForms {
     fn modes(self) -> u8 {
         let ts = match self.timestamps {
-            TsForm::Stream => 0,
             TsForm::Constant => MODE_CONST_DELTA,
             TsForm::Packed => MODE_PACKED_TS,
         };
         let values = match self.values {
-            ValueForm::Stream => 0,
             ValueForm::Decimal => MODE_DECIMAL,
             ValueForm::Packed => MODE_PACKED_VALUES,
             ValueForm::Implied => MODE_IMPLIED_VALUES,
@@ -155,13 +147,11 @@ impl PageForms {
 
     fn of_modes(modes: u8) -> Result<Self> {
         let timestamps = match modes & (MODE_CONST_DELTA | MODE_PACKED_TS) {
-            0 => Some(TsForm::Stream),
             MODE_CONST_DELTA => Some(TsForm::Constant),
             MODE_PACKED_TS => Some(TsForm::Packed),
             _ => None,
         };
         let values = match modes & (MODE_DECIMAL | MODE_PACKED_VALUES | MODE_IMPLIED_VALUES) {
-            0 => Some(ValueForm::Stream),
             MODE_DECIMAL => Some(ValueForm::Decimal),
             MODE_PACKED_VALUES => Some(ValueForm::Packed),
             MODE_IMPLIED_VALUES => Some(ValueForm::Implied),
@@ -200,25 +190,18 @@ impl PageMeta {
 }
 
 /// Encode one page body (points must be non-empty and time-sorted;
-/// callers enforce this at the chunk level). Appends to `out`.
+/// callers enforce this at the chunk level). Appends to `out`. The two
+/// encodings are inert ([`EncodingKind`]).
 pub fn encode_page(
     points: &[Point],
-    ts_encoding: EncodingKind,
-    val_encoding: EncodingKind,
+    _ts_encoding: EncodingKind,
+    _val_encoding: EncodingKind,
     out: &mut Vec<u8>,
 ) {
     let ts: Vec<i64> = points.iter().map(|p| p.t).collect();
     let deltas = packed::deltas(&ts);
     let vs: Vec<f64> = points.iter().map(|p| p.v).collect();
-    encode_page_columns(
-        &ts,
-        &deltas,
-        &vs,
-        ts_encoding,
-        val_encoding,
-        &mut ValueCarry::default(),
-        out,
-    );
+    encode_page_columns(&ts, &deltas, &vs, &mut ValueCarry::default(), out);
 }
 
 /// What a writer carries from one page's value column to the next —
@@ -239,8 +222,6 @@ pub(crate) fn encode_page_columns(
     ts: &[i64],
     deltas: &[i64],
     vs: &[f64],
-    ts_encoding: EncodingKind,
-    val_encoding: EncodingKind,
     values: &mut ValueCarry,
     out: &mut Vec<u8>,
 ) {
@@ -249,9 +230,9 @@ pub(crate) fn encode_page_columns(
     // flush/compaction; reusing the scratch keeps the write path free
     // of heap round-trips per page.
     let mut ts_bytes = bufpool::take(0);
-    let timestamps = ts_column(ts, deltas, ts_encoding, &mut ts_bytes);
+    let timestamps = ts_column(ts, deltas, &mut ts_bytes);
     let mut val_bytes = bufpool::take(0);
-    let (value_form, val_col) = value_column(vs, val_encoding, values, &mut val_bytes);
+    let (value_form, val_col) = value_column(vs, values, &mut val_bytes);
     if timestamps == TsForm::Constant && value_form == ValueForm::Implied {
         return; // bodiless: the footer entry holds it all
     }
@@ -273,11 +254,8 @@ pub(crate) fn encode_page_columns(
 
 /// A page's timestamp column, written to the empty `buf`: nothing when
 /// the deltas are one constant the statistics give back, else the
-/// smaller of the chunk's stream and the packed column (the smaller of
-/// its delta and line frames), ties to the stream. The packed size is
-/// exact before a byte is written, so the stream is written only when a
-/// lower bound on its size does not already lose.
-fn ts_column(ts: &[i64], deltas: &[i64], ts_encoding: EncodingKind, buf: &mut Vec<u8>) -> TsForm {
+/// packed column (the smaller of its delta and line frames).
+fn ts_column(ts: &[i64], deltas: &[i64], buf: &mut Vec<u8>) -> TsForm {
     let (first, last) = (ts.first().copied(), ts.last().copied());
     let derived = first
         .zip(last)
@@ -285,33 +263,17 @@ fn ts_column(ts: &[i64], deltas: &[i64], ts_encoding: EncodingKind, buf: &mut Ve
     if derived.is_some() && derived == constant_delta(deltas) {
         return TsForm::Constant;
     }
-    let packing = TsPacking::of(ts, deltas);
-    let packed = packing.len();
-    if packed >= encoding::timestamps_len_at_least(ts_encoding, ts) {
-        encoding::encode_timestamps(ts_encoding, ts, buf);
-        if buf.len() <= packed {
-            return TsForm::Stream;
-        }
-        buf.clear();
-    }
-    packing.write(deltas, buf);
+    TsPacking::of(ts, deltas).write(deltas, buf);
     TsForm::Packed
 }
 
 /// A page's value column, as `(its form, its bytes in buf)`: none where
-/// its ends imply it, else the packed key deltas when smaller than what
-/// the page would hold
-/// without them, else that — the decimal block when the sample admits a
-/// pair and the block is smaller than the configured stream, else the
-/// stream. Every tie goes to the form without packing, and between those
-/// to the stream. Every size is exact, and a column is counted without
-/// being written where the choice allows: the key deltas are sized only
-/// when the block or stream is above their floor ([`Packing::floor`]),
-/// and a page with no pair writes its stream only when the packed size
-/// does not already beat it.
+/// its ends imply it, else the decimal block when the sample admits a
+/// pair and the block is no larger than the packed key deltas, else
+/// those. Both sizes are exact; the key deltas are sized only when the
+/// block is above their floor ([`Packing::floor`]).
 fn value_column<'a>(
     vs: &[f64],
-    val_encoding: EncodingKind,
     carry: &mut ValueCarry,
     buf: &'a mut Vec<u8>,
 ) -> (ValueForm, &'a [u8]) {
@@ -324,49 +286,19 @@ fn value_column<'a>(
         return (ValueForm::Implied, buf);
     }
     packed::key_deltas(vs, &mut carry.keys);
-    let unpacked = pair.map(|pair| block_or_stream(vs, val_encoding, pair, buf));
-    // A block or stream no larger than the packed column's floor keeps
-    // it (a tie goes to it) without sizing the packed column.
-    if let Some(form) = unpacked.filter(|_| buf.len() <= Packing::floor(&carry.keys)) {
-        return (form, buf);
+    let block = pair.is_some_and(|pair| decimal::encode(vs, pair, buf));
+    // A block no larger than the packed column's floor keeps the page
+    // (a tie goes to it) without sizing the packed column.
+    if block && buf.len() <= Packing::floor(&carry.keys) {
+        return (ValueForm::Decimal, buf);
     }
     let packing = Packing::of(&carry.keys);
-    let packed = packing.len();
-    // What the page would hold without the packed form, unless it
-    // already loses.
-    let without = unpacked.or_else(|| {
-        encoding::values_len_within(val_encoding, vs, packed)?;
-        encoding::encode_values(val_encoding, vs, buf);
-        Some(ValueForm::Stream)
-    });
-    match without {
-        Some(form) if buf.len() <= packed => (form, buf),
-        _ => {
-            buf.clear();
-            packing.write(&carry.keys, buf);
-            (ValueForm::Packed, buf)
-        }
-    }
-}
-
-/// The decimal block under `pair` when it is smaller than the configured
-/// stream, else the stream (ties go to the stream), written to the empty
-/// `buf`. The block is written first; the stream is counted only as far
-/// as the block, and written only when it keeps the page.
-fn block_or_stream(
-    vs: &[f64],
-    val_encoding: EncodingKind,
-    pair: Exponents,
-    buf: &mut Vec<u8>,
-) -> ValueForm {
-    if decimal::encode(vs, pair, buf)
-        && encoding::values_len_within(val_encoding, vs, buf.len()).is_none()
-    {
-        return ValueForm::Decimal;
+    if block && buf.len() <= packing.len() {
+        return (ValueForm::Decimal, buf);
     }
     buf.clear();
-    encoding::encode_values(val_encoding, vs, buf);
-    ValueForm::Stream
+    packing.write(&carry.keys, buf);
+    (ValueForm::Packed, buf)
 }
 
 /// `Some(delta)` when every delta is that one (trivially true for a
@@ -411,7 +343,7 @@ fn checked_payload<'a>(body: &'a [u8], what: &'static str) -> Result<&'a [u8]> {
 }
 
 /// Verify a raw page body against its footer entry without decoding a
-/// stream: checksum over the payload, the point count under the
+/// column: checksum over the payload, the point count under the
 /// ceiling, statistics that split into equal steps for a constant-delta
 /// column, the structure of a decimal block, and a packed column's
 /// deltas running from the statistics' FP to their LP. This is the
@@ -422,16 +354,12 @@ pub fn verify_page_body(body: &[u8], meta: &PageMeta) -> Result<()> {
     let (cols, n) = open_page(body, meta)?;
     let stats = &meta.stats;
     match cols.forms.timestamps {
-        TsForm::Stream => {}
-        TsForm::Constant => {
-            constant_step(stats, n)?;
-        }
+        TsForm::Constant => constant_step(stats, n).map(drop)?,
         TsForm::Packed => {
             packed::verify_page_timestamps(cols.ts_col, n, (stats.first.t, stats.last.t))?;
         }
     }
     match cols.forms.values {
-        ValueForm::Stream => Ok(()),
         ValueForm::Decimal => decimal::verify(cols.val_col, n, Some((stats.first.v, stats.last.v))),
         ValueForm::Packed => {
             packed::verify_page_values(cols.val_col, n, (stats.first.v, stats.last.v))
@@ -453,7 +381,7 @@ pub fn decimal_framing(body: &[u8]) -> Result<Option<decimal::Framing>> {
     let cols = page_columns(body)?;
     match cols.forms.values {
         ValueForm::Decimal => decimal::framing(cols.val_col).map(Some),
-        ValueForm::Stream | ValueForm::Packed | ValueForm::Implied => Ok(None),
+        ValueForm::Packed | ValueForm::Implied => Ok(None),
     }
 }
 
@@ -465,7 +393,7 @@ pub fn ts_framing(body: &[u8]) -> Result<Option<Framing>> {
     match cols.forms.timestamps {
         TsForm::Packed if packed::is_line(cols.ts_col) => Ok(Some(Framing::Line)),
         TsForm::Packed => Ok(Some(Framing::Delta)),
-        TsForm::Stream | TsForm::Constant => Ok(None),
+        TsForm::Constant => Ok(None),
     }
 }
 
@@ -477,7 +405,7 @@ pub fn window_exceptions(body: &[u8], meta: &PageMeta) -> Result<[usize; 3]> {
     let (cols, n) = open_page(body, meta)?;
     let ts = match cols.forms.timestamps {
         TsForm::Packed => packed::window_list(cols.ts_col, n)?,
-        TsForm::Stream | TsForm::Constant => (0, 0),
+        TsForm::Constant => (0, 0),
     };
     let (values, head) = match (cols.forms.values, decimal::framing(cols.val_col).ok()) {
         (ValueForm::Packed, _) => (packed::window_list(cols.val_col, n)?, 0),
@@ -580,11 +508,10 @@ fn decode_ts_column(
     cols: &PageColumns<'_>,
     n: usize,
     stats: &PageStatistics,
-    ts_encoding: EncodingKind,
     until: Option<i64>,
 ) -> Result<Vec<i64>> {
-    match (cols.forms.timestamps, ts_encoding, until) {
-        (TsForm::Constant, ..) => {
+    match cols.forms.timestamps {
+        TsForm::Constant => {
             let delta = constant_step(stats, n)?;
             let mut out = Vec::with_capacity(n);
             let mut cur = stats.first.t;
@@ -599,30 +526,26 @@ fn decode_ts_column(
             }
             Ok(out)
         }
-        (TsForm::Packed, ..) => {
+        TsForm::Packed => {
             packed::decode_page_timestamps(cols.ts_col, n, (stats.first.t, stats.last.t), until)
         }
-        (TsForm::Stream, EncodingKind::Plain, _) => encoding::plain::decode_i64(cols.ts_col, n),
-        (TsForm::Stream, _, Some(limit)) => encoding::ts2diff::decode_until(cols.ts_col, n, limit),
-        (TsForm::Stream, _, None) => encoding::ts2diff::decode(cols.ts_col, n),
     }
 }
 
 /// Decode one page body into points, verifying its CRC, against the
 /// footer entry that gives its count and what else the body leaves to
-/// the statistics.
+/// the statistics. The two encodings are inert ([`EncodingKind`]).
 pub fn decode_page(
     body: &[u8],
-    ts_encoding: EncodingKind,
-    val_encoding: EncodingKind,
+    _ts_encoding: EncodingKind,
+    _val_encoding: EncodingKind,
     meta: &PageMeta,
 ) -> Result<Vec<Point>> {
     crate::lockcheck::check_io();
     let (cols, n) = open_page(body, meta)?;
     let stats = &meta.stats;
-    let ts = decode_ts_column(&cols, n, stats, ts_encoding, None)?;
+    let ts = decode_ts_column(&cols, n, stats, None)?;
     let vs = match cols.forms.values {
-        ValueForm::Stream => encoding::decode_values(val_encoding, cols.val_col, n)?,
         ValueForm::Decimal => {
             decimal::decode(cols.val_col, n, Some((stats.first.v, stats.last.v)))?
         }
@@ -647,16 +570,17 @@ pub fn decode_page(
 
 /// Decode only a page's timestamp column, optionally stopping once past
 /// `until` (the crossing value is included, mirroring the chunk-level
-/// partial scan). Verifies the page CRC.
+/// partial scan). Verifies the page CRC. The encoding is inert
+/// ([`EncodingKind`]).
 pub fn decode_page_timestamps(
     body: &[u8],
-    ts_encoding: EncodingKind,
+    _ts_encoding: EncodingKind,
     meta: &PageMeta,
     until: Option<i64>,
 ) -> Result<Vec<i64>> {
     crate::lockcheck::check_io();
     let (cols, n) = open_page(body, meta)?;
-    decode_ts_column(&cols, n, &meta.stats, ts_encoding, until)
+    decode_ts_column(&cols, n, &meta.stats, until)
 }
 
 #[cfg(test)]
@@ -716,8 +640,7 @@ mod tests {
         );
         // Same values, same timestamps except one: breaking the constant
         // delta packs the deltas with one exception (a dozen bytes), so
-        // the regular page is smaller still (two varints), and both are
-        // far below the per-point stream (~1 byte/point).
+        // the regular page is smaller still (no timestamp byte).
         let mut irregular = points.clone();
         if let Some(last) = irregular.last_mut() {
             last.t += 1;
@@ -731,15 +654,11 @@ mod tests {
         );
         assert_eq!(forms(&body)?.timestamps, TsForm::Constant);
         assert_eq!(forms(&packed_body)?.timestamps, TsForm::Packed);
-        let mut stream = Vec::new();
-        let ts: Vec<i64> = irregular.iter().map(|p| p.t).collect();
-        encoding::ts2diff::encode(&ts, &mut stream);
         assert!(
-            body.len() < packed_body.len() && packed_body.len() + 900 < body.len() + stream.len(),
-            "constant {} vs packed {} bytes, a {}-byte stream",
+            body.len() < packed_body.len() && packed_body.len() <= body.len() + 16,
+            "constant {} vs packed {} bytes",
             body.len(),
             packed_body.len(),
-            stream.len()
         );
         let meta = page_meta(&points, 0, body.len() as u64)?;
         let back = decode_page(&body, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta)?;
@@ -835,8 +754,7 @@ mod tests {
     }
 
     /// A staircase of tenths whose first value is NaN stores its decimal
-    /// block, framed around its line (147 B a page), where its Gorilla
-    /// stream takes 836 B.
+    /// block, framed around its line (147 B a page).
     #[test]
     fn a_staircase_behind_an_exception_keeps_its_block() -> Result<()> {
         let points: Vec<Point> = (0..1000)
@@ -864,9 +782,8 @@ mod tests {
     }
 
     /// A page of few-decimal values stores them as a decimal block, a
-    /// page of a full-precision walk as packed key deltas, and a page of
-    /// values flipping sign keeps the XOR stream; jittered timestamps
-    /// pack. Each decodes bit-exactly and passes the copy gate.
+    /// page of a full-precision walk as packed key deltas, and so does a
+    /// page of values flipping sign; jittered timestamps pack. Each decodes bit-exactly and passes the copy gate.
     #[test]
     fn value_mode_is_chosen_from_the_page() -> Result<()> {
         let decimal: Vec<Point> = (0..500)
@@ -875,7 +792,7 @@ mod tests {
         let walk: Vec<Point> = (0..500)
             .map(|i| Point::new(i * 10 + i % 3, 225.0 + (i as f64 * 0.01).sin()))
             .collect();
-        // XOR spends three bits on a sign flip; its key delta spans 64.
+        // A sign flip's key delta spans 64 bits.
         let flips: Vec<Point> = (0..500)
             .map(|i| {
                 let pi = std::f64::consts::PI;
@@ -885,7 +802,7 @@ mod tests {
         for (points, ts, values) in [
             (decimal, TsForm::Constant, ValueForm::Decimal),
             (walk, TsForm::Packed, ValueForm::Packed),
-            (flips, TsForm::Constant, ValueForm::Stream),
+            (flips, TsForm::Constant, ValueForm::Packed),
         ] {
             let mut body = Vec::new();
             encode_page(

@@ -17,6 +17,8 @@ use std::sync::Arc;
 
 use crate::bufpool;
 use crate::checksum::crc32;
+// Inert: a page's forms are in its modes byte.
+use crate::encoding::EncodingKind::Plain;
 use crate::format::{ChunkMeta, FileFooter, SeriesRun, MAGIC};
 use crate::page;
 use crate::pread::PositionalFile;
@@ -142,7 +144,7 @@ impl TsFileReader {
     /// Lock-free: safe to call from many threads concurrently.
     pub fn read_chunk(&self, meta: &ChunkMeta) -> Result<Vec<Point>> {
         let body = self.read_chunk_raw(meta)?;
-        page::decode_page(&body, meta.ts_encoding, meta.val_encoding, &meta.page())
+        page::decode_page(&body, Plain, Plain, &meta.page())
     }
 
     /// Read the raw (still-encoded) body of a chunk in one pooled pread.
@@ -163,7 +165,7 @@ impl TsFileReader {
     /// paper's partial scan (Figure 7(b)).
     pub fn read_timestamps(&self, meta: &ChunkMeta, until: Option<i64>) -> Result<Vec<i64>> {
         let body = self.read_chunk_raw(meta)?;
-        page::decode_page_timestamps(&body, meta.ts_encoding, &meta.page(), until)
+        page::decode_page_timestamps(&body, Plain, &meta.page(), until)
     }
 }
 
@@ -322,7 +324,7 @@ mod tests {
         let meta = &r.chunk_metas()[3];
         let raw = r.read_chunk_raw(meta)?;
         assert_eq!(raw.len() as u64, meta.byte_len);
-        let decoded = page::decode_page(&raw, meta.ts_encoding, meta.val_encoding, &meta.page())?;
+        let decoded = page::decode_page(&raw, Plain, Plain, &meta.page())?;
         assert_eq!(decoded, &pts[300..400]);
 
         let mut data = std::fs::read(&p)?;
@@ -334,7 +336,7 @@ mod tests {
         let mut w2 = TsFileWriter::create(tmp("raw-window-copy.tsfile"))?;
         w2.begin_series(0, 0)?;
         assert!(matches!(
-            w2.write_chunk_raw(&raw, m2.stats, m2.ts_encoding, m2.val_encoding, 2),
+            w2.write_chunk_raw(&raw, m2.stats, 2),
             Err(TsFileError::ChecksumMismatch { .. })
         ));
         assert_eq!(w2.chunk_count(), 0);
@@ -394,7 +396,7 @@ mod tests {
         let p = tmp("garbage.bin");
         // The others carry a retired generation's magic at both ends:
         // rejected at the head like any other foreign file.
-        let inputs: [&[u8]; 7] = [
+        let inputs: [&[u8]; 8] = [
             b"this is definitely not a tsfile at all",
             b"TSF1\0\0\0\0\0\0\0\0\0\0\0\0\0\0TSF1\0\0",
             b"TSF2\0\0\0\0\0\0\0\0\0\0\0\0\0\0TSF2\0\0",
@@ -402,6 +404,7 @@ mod tests {
             b"TSF5\0\0\0\0\0\0\0\0\0\0\0\0\0\0TSF5\0\0",
             b"TSF6\0\0\0\0\0\0\0\0\0\0\0\0\0\0TSF6\0\0",
             b"TSF7\0\0\0\0\0\0\0\0\0\0\0\0\0\0TSF7\0\0",
+            b"TSF8\0\0\0\0\0\0\0\0\0\0\0\0\0\0TSF8\0\0",
         ];
         for bytes in inputs {
             std::fs::write(&p, bytes)?;

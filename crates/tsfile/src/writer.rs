@@ -6,7 +6,6 @@ use std::path::Path;
 use std::sync::Arc;
 
 use crate::checksum::crc32;
-use crate::encoding::EncodingKind;
 use crate::format::{ChunkMeta, FileFooter, SeriesRun, MAGIC};
 use crate::page::{self, MAX_PAGE_POINTS};
 use crate::statistics::ChunkStatistics;
@@ -19,8 +18,8 @@ use crate::TsFileError;
 const WRITE_BUFFER_BYTES: usize = 64 * 1024;
 
 /// Writes one TsFile: magic, chunk bodies (one page each), footer.
-/// Columns are encoded with configurable codecs (defaults: TS_2DIFF
-/// timestamps + Gorilla values, IoTDB's defaults for DOUBLE series).
+/// Each page chooses its columns' forms from its own data
+/// ([`crate::page`]).
 ///
 /// Chunks are grouped into series runs: call
 /// [`begin_series`](Self::begin_series) before the chunks of each
@@ -31,8 +30,6 @@ pub struct TsFileWriter {
     out: BufWriter<File>,
     pos: u64,
     footer: FileFooter,
-    ts_encoding: EncodingKind,
-    val_encoding: EncodingKind,
     /// Carried from chunk to chunk: the last decimal pair chosen and
     /// which value column won (see [`crate::encoding::decimal`]).
     values: page::ValueCarry,
@@ -53,18 +50,8 @@ struct Scratch {
 }
 
 impl TsFileWriter {
-    /// Create a new TsFile at `path` (truncating any existing file) with
-    /// default encodings.
+    /// Create a new TsFile at `path` (truncating any existing file).
     pub fn create<P: AsRef<Path>>(path: P) -> Result<Self> {
-        Self::create_with_encodings(path, EncodingKind::Ts2Diff, EncodingKind::Gorilla)
-    }
-
-    /// Create a new TsFile with explicit column encodings.
-    pub fn create_with_encodings<P: AsRef<Path>>(
-        path: P,
-        ts_encoding: EncodingKind,
-        val_encoding: EncodingKind,
-    ) -> Result<Self> {
         crate::lockcheck::check_io();
         let file = File::create(path)?;
         let mut out = BufWriter::with_capacity(WRITE_BUFFER_BYTES, file);
@@ -73,8 +60,6 @@ impl TsFileWriter {
             out,
             pos: MAGIC.len() as u64,
             footer: FileFooter::default(),
-            ts_encoding,
-            val_encoding,
             values: page::ValueCarry::default(),
             finished: false,
             scratch: Scratch::default(),
@@ -161,22 +146,12 @@ impl TsFileWriter {
         }
         s.deltas
             .extend(s.ts.windows(2).map(|w| w[1].wrapping_sub(w[0])));
-        page::encode_page_columns(
-            &s.ts,
-            &s.deltas,
-            &s.vs,
-            self.ts_encoding,
-            self.val_encoding,
-            &mut self.values,
-            &mut s.body,
-        );
+        page::encode_page_columns(&s.ts, &s.deltas, &s.vs, &mut self.values, &mut s.body);
         let meta = ChunkMeta {
             offset: self.pos,
             byte_len: s.body.len() as u64,
             version: Version(version),
             stats,
-            ts_encoding: self.ts_encoding,
-            val_encoding: self.val_encoding,
         };
         self.out.write_all(&s.body)?;
         Ok(self.push_chunk(meta))
@@ -191,8 +166,6 @@ impl TsFileWriter {
         &mut self,
         body: &[u8],
         stats: ChunkStatistics,
-        ts_encoding: EncodingKind,
-        val_encoding: EncodingKind,
         version: u64,
     ) -> Result<&ChunkMeta> {
         self.check_writable()?;
@@ -202,8 +175,6 @@ impl TsFileWriter {
             byte_len: body.len() as u64,
             version: Version(version),
             stats,
-            ts_encoding,
-            val_encoding,
         };
         page::verify_page_body(body, &meta.page())?;
         self.out.write_all(body)?;
@@ -344,9 +315,7 @@ mod tests {
         let dst = tmp("raw-dst.tsfile");
         let mut w2 = TsFileWriter::create(&dst)?;
         w2.begin_series(0, 0)?;
-        let m2 = w2
-            .write_chunk_raw(&body, meta.stats, meta.ts_encoding, meta.val_encoding, 9)?
-            .clone();
+        let m2 = w2.write_chunk_raw(&body, meta.stats, 9)?.clone();
         w2.finish()?;
         assert_eq!(m2.version.0, 9);
         assert_eq!(m2.stats, meta.stats);
@@ -357,6 +326,7 @@ mod tests {
 
     #[test]
     fn raw_chunk_rejects_bad_pages() -> Result<()> {
+        use crate::encoding::EncodingKind;
         use crate::page::encode_page;
 
         let p = tmp("raw-bad.tsfile");
@@ -377,13 +347,13 @@ mod tests {
         let mut inverted = stats;
         inverted.bottom.v = stats.top.v + 1.0;
         assert!(matches!(
-            w.write_chunk_raw(&body, inverted, ts, val, 1),
+            w.write_chunk_raw(&body, inverted, 1),
             Err(TsFileError::Corrupt(_))
         ));
         let mut miscounted = stats;
         miscounted.count += 2;
         assert!(matches!(
-            w.write_chunk_raw(&body, miscounted, ts, val, 1),
+            w.write_chunk_raw(&body, miscounted, 1),
             Err(TsFileError::Corrupt(_))
         ));
 
@@ -391,7 +361,7 @@ mod tests {
         let mut flipped = body.clone();
         flipped[3] ^= 0x20;
         assert!(matches!(
-            w.write_chunk_raw(&flipped, stats, ts, val, 1),
+            w.write_chunk_raw(&flipped, stats, 1),
             Err(TsFileError::ChecksumMismatch { .. })
         ));
         assert_eq!(w.chunk_count(), 0, "failed raw writes record nothing");
@@ -443,7 +413,7 @@ mod tests {
         ));
         let stats = ChunkStatistics::from_points(&pts(0..10))?;
         assert!(matches!(
-            w.write_chunk_raw(&[], stats, EncodingKind::Ts2Diff, EncodingKind::Gorilla, 1),
+            w.write_chunk_raw(&[], stats, 1),
             Err(TsFileError::NoSeriesBegun)
         ));
         assert_eq!(w.chunk_count(), 0);

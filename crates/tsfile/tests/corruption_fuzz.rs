@@ -155,28 +155,73 @@ fn flip_decimal_block(
 }
 
 /// A varint whose tenth byte carries bits past 64 is `Corrupt`, not the
-/// low 64 bits read as if they were all: a CRC-valid page whose ts2diff
-/// stream opens with `[0x80 ×9, 0x02]` once decoded to `t = 0`.
+/// low 64 bits read as if they were all: a CRC-valid page whose packed
+/// timestamp column's base is `[0x80 ×9, 0x02]`, whose low 64 bits read
+/// as base 0.
 #[test]
 fn a_varint_past_64_bits_in_a_page_is_corrupt() {
-    use tsfile::encoding::{gorilla, EncodingKind};
-    let mut ts = vec![0x80u8; 9];
-    ts.extend_from_slice(&[0x02, 0x02]); // first (overflowing), delta 1
-    let mut values = Vec::new();
-    gorilla::encode(&[1.0, 2.0], &mut values);
-    let page = sealed_page(0, &ts, &values);
-    let got = tsfile::page::decode_page(
-        &page,
-        EncodingKind::Ts2Diff,
-        EncodingKind::Gorilla,
-        &meta_of(2, &page),
-    );
+    use tsfile::encoding::EncodingKind;
+    let mut ts = vec![0x00u8]; // width 0
+    ts.extend_from_slice(&[0x80; 9]);
+    ts.extend_from_slice(&[0x02, 0x00]); // base (overflowing), no exception
+    let page = sealed_page(0x14, &ts, &[]); // packed, implied values
+    let meta = meta_of(2, &page);
+    let got = tsfile::page::decode_page(&page, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta);
     assert!(matches!(got, Err(TsFileError::Corrupt(_))), "{got:?}");
     // `u64::MAX` still reads: the tenth byte may be 1.
     let mut max = vec![0xffu8; 9];
     max.push(0x01);
     let mut pos = 0;
     assert_eq!(tsfile::varint::read_u64(&max, &mut pos).unwrap(), u64::MAX);
+}
+
+/// A modes byte names one form of each column: a CRC-valid page whose
+/// modes have no timestamp bit, no value bit or neither is `Corrupt` to
+/// the page decoder, the timestamp decoder and the copy gate alike.
+#[test]
+fn a_modes_byte_without_a_form_of_each_column_is_corrupt() {
+    let points: Vec<Point> = (0..3).map(|t| Point::new(t, 0.0)).collect();
+    let stats = tsfile::ChunkStatistics::from_points(&points).unwrap();
+    // Unit deltas packed (width 0, base 1, no exception); values 0.0,
+    // implied: with both bits the page reads.
+    let unit_deltas = [0, 2, 0];
+    let whole = three_readers(&sealed_page(0x14, &unit_deltas, &[]), stats);
+    assert!(whole.iter().all(Result::is_ok), "{whole:?}");
+    for (what, modes) in [
+        ("no timestamp bit", 0x10),
+        ("no timestamp bit, decimal values", 0x02),
+        ("no value bit", 0x04),
+        ("no value bit, constant timestamps", 0x01),
+        ("neither", 0x00),
+    ] {
+        for got in three_readers(&sealed_page(modes, &unit_deltas, &[]), stats) {
+            assert!(
+                matches!(got, Err(TsFileError::Corrupt(_))),
+                "{what}: {got:?}"
+            );
+        }
+    }
+}
+
+/// A file of the `TSF8` layout — the last whose pages could hold a
+/// configured stream — is refused at open as foreign (`BadMagic`), and
+/// the open leaves every byte of it as it was.
+#[test]
+fn a_tsf8_file_is_refused_untouched() {
+    let dir = std::env::temp_dir().join("tsfile-fuzz");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("tsf8-{}.tsfile", std::process::id()));
+    let mut file = sample_file(&path);
+    let n = file.len();
+    file[..6].copy_from_slice(b"TSF8\0\0");
+    file[n - 6..].copy_from_slice(b"TSF8\0\0");
+    std::fs::write(&path, &file).unwrap();
+    match TsFileReader::open(&path) {
+        Err(TsFileError::BadMagic { found }) => assert_eq!(&found, b"TSF8\0\0"),
+        other => panic!("opened as {:?}", other.map(|_| ())),
+    }
+    assert_eq!(std::fs::read(&path).unwrap(), file);
+    std::fs::remove_file(&path).ok();
 }
 
 /// A page whose timestamps (jittered, with a delay) and values (a walk
@@ -661,7 +706,8 @@ fn split_file(path: &std::path::Path) -> (Vec<u8>, Vec<u8>) {
 
 /// A CRC-valid footer whose entry holds what no writer writes is
 /// `Corrupt` from the decoder and at open, never a panic: a tags byte
-/// past the largest (a reserved position or form), a pair byte past
+/// past the largest (a reserved position or form) or with a digit
+/// below 9 that is not 0, a pair byte past
 /// the largest exponent or a factor past its exponent, and a decimal
 /// integer at or past 2^53.
 #[test]
@@ -677,12 +723,11 @@ fn footer_entries_out_of_range_are_corrupt() {
     w.finish().unwrap();
     let (data, body) = split_file(&path);
     // One chunk; one run, of series 0, one chunk, superseding nothing;
-    // the chunk at version 1; timestamps ts2diff (1) + 3 · values
-    // Gorilla (2) + 9 · the statistics' tag: BP at LP (2) + 3 · TP at
-    // FP (1) + 9 · decimal under a new pair (2); its length; two points,
+    // the chunk at version 1; 9 · the statistics' tag: BP at LP (2) +
+    // 3 · TP at FP (1) + 9 · decimal under a new pair (2); its length; two points,
     // FP.t 0, LP.t 10 (no entry before it predicts either); the pair
     // (2, 0); FP's integer 2137 and LP's 1902 − 2137.
-    let mut expected = vec![1, 1, 0, 1, 0, 2, 7 + 9 * (2 + 3 + 18), body[7]];
+    let mut expected = vec![1, 1, 0, 1, 0, 2, 9 * (2 + 3 + 18), body[7]];
     for v in [2, 0, 10] {
         varint::write_i64(&mut expected, v);
     }
@@ -691,7 +736,10 @@ fn footer_entries_out_of_range_are_corrupt() {
     varint::write_i64(&mut expected, 1902 - 2137);
     assert_eq!(body, expected);
     let pair_at = 11;
+    // A digit below 9 is 0 in every entry: any other is `Corrupt`.
+    let low_digits = (1..9).map(|digit| 9 * (2 + 3 + 18) + digit);
     let mut bent: Vec<(String, Vec<u8>)> = (243..=u8::MAX)
+        .chain(low_digits)
         .map(|tags| {
             let mut b = body.clone();
             b[6] = tags;
@@ -1090,11 +1138,6 @@ proptest! {
         bytes in prop::collection::vec(any::<u8>(), 0..64),
     ) {
         let n = usize::try_from(n).unwrap();
-        let _ = tsfile::encoding::ts2diff::decode(&bytes, n);
-        let _ = tsfile::encoding::ts2diff::decode_until(&bytes, n, 1_000);
-        let _ = tsfile::encoding::gorilla::decode(&bytes, n);
-        let _ = tsfile::encoding::plain::decode_i64(&bytes, n);
-        let _ = tsfile::encoding::plain::decode_f64(&bytes, n);
         prop_assert!(tsfile::encoding::decimal::decode(&bytes, n, None).is_err());
         prop_assert!(tsfile::encoding::packed::decode_timestamps(&bytes, n, None).is_err());
         prop_assert!(tsfile::encoding::packed::decode_values(&bytes, n).is_err());
@@ -1252,21 +1295,16 @@ proptest! {
         }
     }
 
-    /// The shared prealloc bound behind the decoders: a huge claimed
-    /// `n` over a tiny buffer reserves at most one slot per encoded
-    /// bit (plus one), so the decoders above can never over-reserve
-    /// before their first read fails. Also pins the audited helper's
-    /// arithmetic at the extremes.
+    /// A tiny buffer cannot satisfy the largest count: every column
+    /// decoder errors rather than fabricate points or reserve for them.
     #[test]
     fn huge_claimed_counts_cannot_over_reserve(
         bytes in prop::collection::vec(any::<u8>(), 0..16),
     ) {
-        let cap = tsfile::encoding::cap_for(usize::MAX, bytes.len());
-        prop_assert!(cap <= bytes.len() * 8 + 1);
-        // A tiny buffer cannot satisfy a huge count: both column
-        // decoders must error rather than fabricate points.
-        prop_assert!(tsfile::encoding::gorilla::decode(&bytes, usize::MAX).is_err());
-        prop_assert!(tsfile::encoding::ts2diff::decode(&bytes, usize::MAX).is_err());
+        use tsfile::encoding::{decimal, packed};
+        prop_assert!(packed::decode_timestamps(&bytes, usize::MAX, None).is_err());
+        prop_assert!(packed::decode_values(&bytes, usize::MAX).is_err());
+        prop_assert!(decimal::decode(&bytes, usize::MAX, None).is_err());
     }
 
     /// Flip one byte of a valid mods log: replay must never panic and
@@ -1618,14 +1656,13 @@ fn bodiless_file(path: &std::path::Path) -> Vec<u8> {
 }
 
 /// A page that leaves its values to its footer entry — bodiless, or
-/// beside a timestamp stream (modes bit 4 alone) — is `Corrupt` to the
+/// beside packed timestamps (modes bits 2 and 4) — is `Corrupt` to the
 /// page decoder, the timestamp decoder and the copy gate alike when the
 /// entry implies no such values: statistics that are not a line in
 /// both columns, an interior BP or TP, or end points no decimal scale
 /// holds.
 #[test]
 fn statistics_that_imply_no_values_are_corrupt_to_all_three_readers() {
-    use tsfile::encoding::ts2diff;
     let pi = std::f64::consts::PI;
     let cases: [(&str, &[(i64, f64)]); 6] = [
         ("timestamps not a line", &[(0, 5.0), (1, 5.0), (3, 5.0)]),
@@ -1638,13 +1675,11 @@ fn statistics_that_imply_no_values_are_corrupt_to_all_three_readers() {
     for (what, points) in cases {
         let points: Vec<Point> = points.iter().map(|&(t, v)| Point::new(t, v)).collect();
         let stats = tsfile::ChunkStatistics::from_points(&points).unwrap();
-        let ts: Vec<i64> = points.iter().map(|p| p.t).collect();
-        let mut stream = Vec::new();
-        ts2diff::encode(&ts, &mut stream);
-        // A timestamp stream decodes whatever the statistics say.
+        // Unit deltas packed (width 0, base 1, no exception) land on LP
+        // wherever the points are a unit step apart.
         let pages = match what {
             "timestamps not a line" => vec![Vec::new()],
-            _ => vec![Vec::new(), sealed_page(0x10, &stream, &[])],
+            _ => vec![Vec::new(), sealed_page(0x14, &[0, 2, 0], &[])],
         };
         for page in pages {
             for got in three_readers(&page, stats) {
@@ -1781,9 +1816,7 @@ fn malformed_line_frame_columns_are_corrupt() {
         let mut col = vec![0x80];
         varint::write_i64(&mut col, slope);
         col.extend_from_slice(&[0, 0]); // base 0, no exception
-        let mut values = Vec::new();
-        tsfile::encoding::gorilla::encode(&[1.0; 3], &mut values);
-        sealed_page(0b0100, &col, &values)
+        sealed_page(0b1_0100, &col, &[]) // values 1.0, implied
     };
     let stats_to = |last: i64, count: u64| {
         let (first, last) = (Point::new(0, 1.0), Point::new(last, 1.0));
@@ -1900,9 +1933,7 @@ proptest! {
                 t0.wrapping_add(trend).wrapping_add(base.wrapping_add(o as i64))
             }))
             .collect();
-        let mut values = Vec::new();
-        tsfile::encoding::gorilla::encode(&vec![1.0; n], &mut values);
-        let page = sealed_page(0b0100, &col, &values);
+        let page = sealed_page(0b1_0100, &col, &[]); // values 1.0, implied
         let (first, last) = (Point::new(t0, 1.0), Point::new(want[n - 1].wrapping_add(off_by), 1.0));
         let stats = tsfile::ChunkStatistics { first, last, bottom: first, top: first, count: n as u64 };
         let decodes = fits && off_by == 0;

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use tsfile::encoding::decimal::Framing;
-use tsfile::encoding::{bitio, decimal, gorilla, packed, plain, ts2diff, EncodingKind};
+use tsfile::encoding::{decimal, packed, EncodingKind};
 use tsfile::page::{
     decimal_framing, decode_page, decode_page_timestamps, encode_page, forms, ts_framing,
     verify_page_body, TsForm, ValueForm,
@@ -57,8 +57,8 @@ fn splitmix(seed: u64) -> impl FnMut() -> u64 {
 /// A page of `len` values in one of eleven shapes, drawn from `seed`:
 /// a decimal random walk at `precision` decimals, integers, a
 /// full-precision jittery walk, nothing but [`SPECIALS`], decimals with
-/// specials sprinkled in, decimal steps held for long runs (where XOR's
-/// one bit a repeat beats any bit-packing), a full-precision ramp that
+/// specials sprinkled in, decimal steps held for long runs, a
+/// full-precision ramp that
 /// wraps, a smooth full-precision walk, a decimal ramp that wraps at
 /// most once, a decimal counter, or a decimal staircase (one unit up
 /// every few values) whose first value is a special.
@@ -96,29 +96,6 @@ fn page_values(shape: u8, precision: u32, len: usize, seed: u64) -> Vec<f64> {
             }
         })
         .collect()
-}
-
-/// A Gorilla column from `(kind, bits, len)` runs: `len` arbitrary bit
-/// patterns seeded by `bits`, one value repeated `len` times, `len`
-/// values that each flip bits of the last inside one byte whose end
-/// bits always flip (every XOR after the run's first reuses its
-/// window), or `len` of [`SPECIALS`].
-fn gorilla_runs(runs: &[(u8, u64, usize)]) -> Vec<f64> {
-    let mut out: Vec<u64> = Vec::new();
-    for &(kind, bits, len) in runs {
-        let mut next = splitmix(bits);
-        let shift = (bits % 57) as u32;
-        for _ in 0..len {
-            let last = out.last().copied().unwrap_or(bits);
-            out.push(match kind {
-                0 => next(),
-                1 => bits,
-                2 => last ^ ((next() & 0xff | 0x81) << shift),
-                _ => SPECIALS[(next() % 12) as usize],
-            });
-        }
-    }
-    out.into_iter().map(f64::from_bits).collect()
 }
 
 /// A page of `len` timestamps in one of five shapes, drawn from `seed`:
@@ -168,75 +145,6 @@ proptest! {
     }
 
     #[test]
-    fn ts2diff_roundtrip(ts in prop::collection::vec(any::<i64>(), 0..300)) {
-        let mut buf = Vec::new();
-        ts2diff::encode(&ts, &mut buf);
-        prop_assert_eq!(ts2diff::decode(&buf, ts.len()).unwrap(), ts);
-    }
-
-    #[test]
-    fn gorilla_roundtrip_bitwise(vs in prop::collection::vec(any::<u64>(), 0..300)) {
-        // Drive through raw bits so NaN payloads and -0.0 are covered.
-        let floats: Vec<f64> = vs.iter().map(|&b| f64::from_bits(b)).collect();
-        let mut buf = Vec::new();
-        gorilla::encode(&floats, &mut buf);
-        prop_assert_eq!(gorilla::encoded_len(&floats), buf.len());
-        let back = gorilla::decode(&buf, floats.len()).unwrap();
-        prop_assert_eq!(back.len(), floats.len());
-        for (a, b) in floats.iter().zip(&back) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn gorilla_encoded_len_is_exact(
-        runs in prop::collection::vec((0u8..4, any::<u64>(), 1usize..300), 0..8),
-    ) {
-        let vs = gorilla_runs(&runs);
-        // Every prefix length that matters: empty, one value, half, all.
-        for n in [0, 1, vs.len() / 2, vs.len()] {
-            let vs = &vs[..n.min(vs.len())];
-            let mut buf = Vec::new();
-            gorilla::encode(vs, &mut buf);
-            prop_assert_eq!(gorilla::encoded_len(vs), buf.len(), "{} values", vs.len());
-            // Capped at the size it stops exactly there; one byte below,
-            // it gives up.
-            prop_assert_eq!(gorilla::encoded_len_within(vs, buf.len()), Some(buf.len()));
-            if let Some(below) = buf.len().checked_sub(1) {
-                prop_assert_eq!(gorilla::encoded_len_within(vs, below), None);
-            }
-        }
-    }
-
-    #[test]
-    fn plain_roundtrip(ts in prop::collection::vec(any::<i64>(), 0..200),
-                       vs in prop::collection::vec(any::<f64>(), 0..200)) {
-        let mut tb = Vec::new();
-        plain::encode_i64(&ts, &mut tb);
-        prop_assert_eq!(plain::decode_i64(&tb, ts.len()).unwrap(), ts);
-        let mut vb = Vec::new();
-        plain::encode_f64(&vs, &mut vb);
-        let back = plain::decode_f64(&vb, vs.len()).unwrap();
-        for (a, b) in vs.iter().zip(&back) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn bitio_roundtrip(chunks in prop::collection::vec((any::<u64>(), 1u32..=64), 0..100)) {
-        let mut w = bitio::BitWriter::new();
-        for &(v, n) in &chunks {
-            w.write_bits(v, n);
-        }
-        let bytes = w.into_bytes();
-        let mut r = bitio::BitReader::new(&bytes);
-        for &(v, n) in &chunks {
-            let mask = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-            prop_assert_eq!(r.read_bits(n).unwrap(), v & mask);
-        }
-    }
-
-    #[test]
     fn statistics_match_scan(raw in prop::collection::vec((any::<i64>(), -1e9f64..1e9), 1..200)) {
         // Deduplicate and sort timestamps to form a legal chunk.
         let mut pts: Vec<Point> = raw.into_iter().map(|(t, v)| Point::new(t, v)).collect();
@@ -278,8 +186,6 @@ fn footer_of(runs: &[Run]) -> FileFooter {
                 byte_len,
                 version: Version(*version),
                 stats: ChunkStatistics::from_points(points).unwrap(),
-                ts_encoding: EncodingKind::Ts2Diff,
-                val_encoding: EncodingKind::Gorilla,
             }));
             end += byte_len;
         }
@@ -301,9 +207,8 @@ fn footer_bits(footer: &FileFooter) -> Vec<String> {
     };
     let mut out = Vec::new();
     for c in &footer.chunks {
-        let (ts, vs) = (c.ts_encoding, c.val_encoding);
         out.push(format!(
-            "chunk @{}+{} {:?} {ts:?}/{vs:?} {}",
+            "chunk @{}+{} {:?} {}",
             c.offset,
             c.byte_len,
             c.version,
@@ -668,16 +573,21 @@ fn page_block(vs: &[f64]) -> Vec<u8> {
         .unwrap_or_default()
 }
 
-fn page_roundtrip(points: &[Point], val_encoding: EncodingKind) -> (Vec<u8>, PageMeta) {
+fn page_roundtrip(points: &[Point]) -> (Vec<u8>, PageMeta) {
     let mut body = Vec::new();
-    encode_page(points, EncodingKind::Ts2Diff, val_encoding, &mut body);
+    encode_page(
+        points,
+        EncodingKind::Ts2Diff,
+        EncodingKind::Gorilla,
+        &mut body,
+    );
     let meta = PageMeta {
         offset: 0,
         byte_len: body.len() as u64,
         stats: ChunkStatistics::from_points(points).unwrap(),
     };
     verify_page_body(&body, &meta).unwrap();
-    let back = decode_page(&body, EncodingKind::Ts2Diff, val_encoding, &meta).unwrap();
+    let back = decode_page(&body, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta).unwrap();
     assert_eq!(back.len(), points.len());
     for (a, b) in points.iter().zip(&back) {
         assert_eq!((a.t, a.v.to_bits()), (b.t, b.v.to_bits()));
@@ -689,12 +599,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Whatever a page holds, it decodes to the same bits, and neither
-    /// column the page chose is larger than what a page without the
-    /// packed forms holds — no bytes for timestamps its statistics
-    /// give back, else the ts2diff stream; the smaller of the decimal
-    /// block and the configured value stream, ties to the stream —
-    /// computed here from the public kernels. A form costs no byte: it
-    /// is a bit of the modes byte.
+    /// column the page chose is larger than the packed form — no bytes
+    /// for timestamps its statistics give back; the decimal block where
+    /// it is no larger than the packed values — computed here from the
+    /// public kernels. A form costs no byte: it is a bit of the modes
+    /// byte.
     #[test]
     fn pages_roundtrip_bitwise_and_never_outgrow_the_stream(
         shape in 0u8..11,
@@ -702,22 +611,17 @@ proptest! {
         precision in 0u32..=6,
         len in 1usize..1_200,
         seed in any::<u64>(),
-        plain_values in any::<bool>(),
     ) {
         let vs = page_values(shape, precision, len, seed);
         let ts = page_timestamps(ts_shape, len, seed);
         let points: Vec<Point> = ts.iter().zip(&vs).map(|(&t, &v)| Point::new(t, v)).collect();
-        let val_encoding = if plain_values { EncodingKind::Plain } else { EncodingKind::Gorilla };
-        let (body, meta) = page_roundtrip(&points, val_encoding);
+        let (body, meta) = page_roundtrip(&points);
         let (ts_col, val_col) = columns(&body);
         let forms = forms(&body).unwrap();
 
         // Timestamps: nothing when the statistics give them back, else
-        // the ts2diff stream unless the packed column is smaller — and
-        // that never larger than its delta frame (the standalone column
-        // less its head), whichever frame it takes.
-        let mut parent = Vec::new();
-        ts2diff::encode(&ts, &mut parent);
+        // the packed column, never larger than its delta frame (the
+        // standalone column less its head), whichever frame it takes.
         let mut delta_frame = Vec::new();
         packed::encode_timestamps(&ts, &mut delta_frame);
         let delta_len = delta_frame.len() - varint::len_u64(varint::zigzag(ts[0]));
@@ -725,54 +629,34 @@ proptest! {
             TsForm::Constant => prop_assert!(derivable(&ts) && ts_col.is_empty()),
             TsForm::Packed => {
                 prop_assert!(!derivable(&ts));
-                prop_assert!(ts_col.len() < parent.len(), "{} >= {}", ts_col.len(), parent.len());
                 prop_assert!(ts_col.len() <= delta_len, "{} > {}", ts_col.len(), delta_len);
                 if ts_framing(&body).unwrap() == Some(Framing::Delta) {
                     prop_assert_eq!(ts_col, &delta_frame[delta_frame.len() - delta_len..]);
                 }
             }
-            TsForm::Stream => {
-                prop_assert!(!derivable(&ts));
-                prop_assert_eq!(ts_col, &parent[..]);
-            }
         }
 
-        // Values: the page without packed forms holds the block or the
-        // stream; the packed deltas only when smaller than both, and
-        // never when either is no larger than them (the standalone
-        // column less its 8-byte head).
+        // Values: the block, unless the packed deltas are smaller (the
+        // standalone column less its 8-byte head).
         let mut standalone = Vec::new();
         packed::encode_values(&vs, &mut standalone);
         let packed_len = standalone.len() - 8;
         if forms.values != ValueForm::Packed {
             prop_assert!(val_col.len() <= packed_len, "{} > {}", val_col.len(), packed_len);
         }
-        let mut stream = Vec::new();
-        match val_encoding {
-            EncodingKind::Plain => plain::encode_f64(&vs, &mut stream),
-            _ => gorilla::encode(&vs, &mut stream),
-        }
         let block = page_block(&vs);
         let has_block = !block.is_empty();
         match forms.values {
-            ValueForm::Stream => {
-                prop_assert_eq!(val_col, &stream[..]);
-                prop_assert!(!has_block || stream.len() <= block.len(), "{} > {}", stream.len(), block.len());
-            }
-            ValueForm::Decimal => {
-                prop_assert_eq!(val_col, &block[..]);
-                prop_assert!(block.len() < stream.len());
-            }
+            ValueForm::Decimal => prop_assert_eq!(val_col, &block[..]),
             ValueForm::Packed => {
-                prop_assert!(val_col.len() < stream.len(), "{} >= {}", val_col.len(), stream.len());
                 prop_assert!(!has_block || val_col.len() < block.len(), "{} >= {}", val_col.len(), block.len());
             }
             ValueForm::Implied => {
                 // No bytes, where the page without the form held a
                 // modes byte, a value column at least as large as the
-                // smallest of the three others, and a CRC.
+                // smaller of the two others, and a CRC.
                 prop_assert!(a_decimal_line(&vs) && val_col.is_empty());
-                let without = packed_len.min(stream.len()).min(if has_block { block.len() } else { usize::MAX });
+                let without = packed_len.min(if has_block { block.len() } else { usize::MAX });
                 let ts_part = if ts_col.is_empty() { 0 } else { varint::len_u64(ts_col.len() as u64) + ts_col.len() };
                 prop_assert!(body.len() < 5 + ts_part + without, "{} bytes", body.len());
             }
@@ -800,16 +684,16 @@ proptest! {
             prop_assert!(ts_col.len() <= (3 * (len - 1)).div_ceil(8) + 7, "{} bytes", ts_col.len());
         }
 
-        partial_scans_match_ts2diff(&body, &meta, &ts)?;
+        partial_scans_stop_past_the_limit(&body, &meta, &ts)?;
     }
 
     /// Equal deltas from anywhere, up to the `i64` limits: the page
     /// derives its timestamps from its statistics — no bytes — exactly
     /// when the span `LP.t − FP.t` fits an `i64`, and past that stores
-    /// the stream or the packed deltas, wrapping. Either way it decodes
-    /// to the same bits, with a NaN payload, a signed zero, an infinity
-    /// or another special as its first value, and a partial scan stops
-    /// where ts2diff's does — inside the derived column too.
+    /// the packed deltas, wrapping. Either way it decodes to the same
+    /// bits, with a NaN payload, a signed zero, an infinity or another
+    /// special as its first value, and a partial scan stops at the
+    /// first timestamp past its limit — inside the derived column too.
     #[test]
     fn equal_deltas_derive_their_column_only_where_the_span_fits(
         n in 1usize..48,
@@ -825,11 +709,118 @@ proptest! {
         let mut vs = page_values(7, 0, n, seed);
         vs[0] = f64::from_bits(SPECIALS[special]);
         let points: Vec<Point> = ts.iter().zip(&vs).map(|(&t, &v)| Point::new(t, v)).collect();
-        let (body, meta) = page_roundtrip(&points, EncodingKind::Gorilla);
+        let (body, meta) = page_roundtrip(&points);
         let fits = ts[n - 1].checked_sub(ts[0]).is_some_and(|span| Some(span) == delta.checked_mul(n as i64 - 1));
         prop_assert_eq!(forms(&body).unwrap().timestamps == TsForm::Constant, fits);
         prop_assert_eq!(fits, derivable(&ts));
-        partial_scans_match_ts2diff(&body, &meta, &ts)?;
+        partial_scans_stop_past_the_limit(&body, &meta, &ts)?;
+    }
+}
+
+/// The most bytes a page body of `n` points takes. A column is at most
+/// its packed block (the line frame is kept only where smaller than the
+/// delta frame, the decimal block and implied values only where no
+/// larger than the packed values). The block's window is chosen at the
+/// least charge, and a charge is at most that of `n − 1` slots of 64
+/// bits; the charge counts an exception's distance from the window's
+/// centre, and its distance from the base takes at most one byte more.
+/// So a block is at most `8·(n − 1)` bytes, one byte an exception (at
+/// most `n − 1` of them), a width byte, a base of at most 10 varint
+/// bytes and a count of at most 3: `9·(n − 1) + 14`. With the timestamp
+/// column's length (at most 4 varint bytes: such a block of at most
+/// 2^20 points is under 2^28 bytes), the modes byte and the CRC:
+/// `18·(n − 1) + 37`.
+fn page_bound(n: usize) -> usize {
+    18 * (n - 1) + 2 * 14 + 4 + 1 + 4
+}
+
+/// A page whose value keys step by `±(2^62 − 1)` from a centre on 710
+/// of their 1 000 deltas and sit at the centre or one below it on the
+/// rest: the window at width 1 charges each far delta 9 bytes of
+/// distance where its distance from the base takes 10, so its block
+/// (8 205 B, 710 exceptions) outgrows its 1 000 64-bit slots and their
+/// header (8 012 B) — and stays within [`page_bound`].
+#[test]
+fn a_window_that_outgrows_64_bit_slots_stays_within_the_bound() {
+    let (n, far) = (1_000usize, 710usize); // deltas, and those far out
+    let (centre, step) = (12_345i64, (1i64 << 62) - 1);
+    let far_deltas = (0..far).map(|i| {
+        if i % 2 == 0 {
+            centre + step
+        } else {
+            centre - step
+        }
+    });
+    let near_deltas = (0..n - far).map(|i| centre - (i % 2) as i64);
+    let mut deltas: Vec<i64> = Vec::with_capacity(n);
+    let (mut f, mut m) = (far_deltas, near_deltas);
+    for i in 0..n {
+        // Spread the near deltas through the column, so the sample
+        // that centres the window sees them.
+        let next = if (i * (n - far)) % n < n - far {
+            m.next()
+        } else {
+            None
+        };
+        deltas.extend(next.or_else(|| f.next()).or_else(|| m.next()));
+    }
+    // A key's inverse is itself: its bits with the low 63 flipped when
+    // the sign is set.
+    let unkey = |k: i64| f64::from_bits(k as u64 ^ (((k >> 63) as u64) >> 1));
+    let mut key = 0i64;
+    let points: Vec<Point> = std::iter::once(0)
+        .chain(deltas.iter().copied())
+        .enumerate()
+        .map(|(t, d)| {
+            key = key.wrapping_add(d);
+            Point::new(t as i64, unkey(key))
+        })
+        .collect();
+    let (body, _) = page_roundtrip(&points);
+    assert_eq!(forms(&body).unwrap().values, ValueForm::Packed);
+    assert!(
+        body.len() <= page_bound(points.len()),
+        "{} bytes",
+        body.len()
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every page takes one of the forms — constant or packed
+    /// timestamps; decimal, packed or implied values — whatever it
+    /// holds: sorted timestamps over the whole `i64` range, repeats and
+    /// deltas past `i64::MAX` included, and arbitrary value bits (NaN
+    /// payloads, ±∞, −0.0, subnormals). It decodes bit for bit, passes
+    /// the copy gate, and is no larger than [`page_bound`].
+    #[test]
+    fn every_page_takes_a_form_within_the_page_bound(
+        mut ts in prop::collection::vec(
+            prop_oneof![any::<i64>(), Just(i64::MIN), Just(i64::MAX), -4i64..4],
+            1..300,
+        ),
+        bits in prop::collection::vec(
+            prop_oneof![
+                any::<u64>(),
+                (0usize..12).prop_map(|i| SPECIALS[i]),
+                0u64..4,
+                Just(0x8000_0000_0000_0000u64),
+            ],
+            300,
+        ),
+    ) {
+        ts.sort_unstable();
+        let points: Vec<Point> = ts
+            .iter()
+            .zip(&bits)
+            .map(|(&t, &b)| Point::new(t, f64::from_bits(b)))
+            .collect();
+        let (body, meta) = page_roundtrip(&points);
+        let bound = page_bound(points.len());
+        prop_assert!(body.len() <= bound, "{} bytes for {} points", body.len(), points.len());
+        let stamps = decode_page_timestamps(&body, EncodingKind::Ts2Diff, &meta, None).unwrap();
+        prop_assert_eq!(stamps, ts);
     }
 }
 
@@ -876,7 +867,7 @@ proptest! {
         let vs = implied_values(shape, len, start, step, special);
         let ts = page_timestamps(ts_shape, len, seed);
         let points: Vec<Point> = ts.iter().zip(&vs).map(|(&t, &v)| Point::new(t, v)).collect();
-        let (body, _) = page_roundtrip(&points, EncodingKind::Gorilla);
+        let (body, _) = page_roundtrip(&points);
         let got = forms(&body).unwrap();
         prop_assert_eq!(got.values, ValueForm::Implied);
         prop_assert_eq!(body.is_empty(), got.timestamps == TsForm::Constant);
@@ -884,7 +875,7 @@ proptest! {
         let mut nudged = points;
         let at = nudge.index(len);
         nudged[at].v = f64::from_bits(nudged[at].v.to_bits() ^ 1);
-        let (body, _) = page_roundtrip(&nudged, EncodingKind::Gorilla);
+        let (body, _) = page_roundtrip(&nudged);
         prop_assert!(forms(&body).unwrap().values != ValueForm::Implied, "nudged at {}", at);
     }
 }
@@ -992,16 +983,15 @@ proptest! {
     }
 }
 
-/// A partial timestamp scan of the page stops where the ts2diff
-/// stream's does, whatever the page's form: at limits around every
-/// sixteenth of its timestamps and at the `i64` extremes.
-fn partial_scans_match_ts2diff(
+/// A partial timestamp scan of the page returns its timestamps up to
+/// the first past the limit, that one included, whatever the page's
+/// form: at limits around every sixteenth of its timestamps and at the
+/// `i64` extremes.
+fn partial_scans_stop_past_the_limit(
     body: &[u8],
     meta: &PageMeta,
     ts: &[i64],
 ) -> Result<(), TestCaseError> {
-    let mut stream_ts = Vec::new();
-    ts2diff::encode(ts, &mut stream_ts);
     let step = (ts.len() / 16).max(1);
     let limits = ts
         .iter()
@@ -1009,7 +999,11 @@ fn partial_scans_match_ts2diff(
         .flat_map(|&t| [t.wrapping_sub(1), t, t.wrapping_add(1)]);
     for limit in limits.chain([i64::MIN, i64::MAX]) {
         let got = decode_page_timestamps(body, EncodingKind::Ts2Diff, meta, Some(limit)).unwrap();
-        let want = ts2diff::decode_until(&stream_ts, ts.len(), limit).unwrap();
+        let end = ts
+            .iter()
+            .position(|&t| t > limit)
+            .map_or(ts.len(), |i| i + 1);
+        let want = &ts[..end];
         prop_assert_eq!(got, want, "limit {}", limit);
     }
     Ok(())
@@ -1030,14 +1024,14 @@ fn packed_edge_cases_round_trip() {
         .zip(&walk)
         .map(|(&t, &v)| Point::new(t, v))
         .collect();
-    let (body, _) = page_roundtrip(&points, EncodingKind::Gorilla);
+    let (body, _) = page_roundtrip(&points);
     assert_eq!(forms(&body).unwrap().timestamps, TsForm::Packed);
     assert_eq!(columns(&body).0[0], 0, "width");
 
     // Deltas of every magnitude: width 64, no exception.
     let mut next = splitmix(3);
     let wide: Vec<Point> = walk.iter().map(|&v| Point::new(next() as i64, v)).collect();
-    let (body, _) = page_roundtrip(&wide, EncodingKind::Gorilla);
+    let (body, _) = page_roundtrip(&wide);
     assert_eq!(forms(&body).unwrap().timestamps, TsForm::Packed);
     assert_eq!(columns(&body).0[0], 64, "width");
 
@@ -1047,12 +1041,12 @@ fn packed_edge_cases_round_trip() {
     let mut flat: Vec<Point> = (0..300)
         .map(|i| Point::new(i * 10, std::f64::consts::PI))
         .collect();
-    let (body, _) = page_roundtrip(&flat, EncodingKind::Gorilla);
+    let (body, _) = page_roundtrip(&flat);
     assert_eq!(forms(&body).unwrap().values, ValueForm::Implied);
     assert!(body.is_empty(), "{} bytes", body.len());
     flat[0].v = f64::from_bits(0xfff8_dead_beef_0000);
     flat[299].v = -0.0;
-    let (body, _) = page_roundtrip(&flat, EncodingKind::Gorilla);
+    let (body, _) = page_roundtrip(&flat);
     assert_eq!(forms(&body).unwrap().values, ValueForm::Packed);
     assert_eq!(columns(&body).1[0], 0, "width");
 
@@ -1061,14 +1055,14 @@ fn packed_edge_cases_round_trip() {
     for bits in SPECIALS {
         let mut points = points.clone();
         points[0].v = f64::from_bits(bits);
-        let (body, _) = page_roundtrip(&points, EncodingKind::Gorilla);
+        let (body, _) = page_roundtrip(&points);
         assert_eq!(forms(&body).unwrap().values, ValueForm::Packed, "{bits:#x}");
     }
 
     // One point: its time and value are the statistics' FP, so the page
     // has no body, where its packed value column was an empty block
     // (3 bytes) beside a modes byte and a CRC.
-    let (body, _) = page_roundtrip(&[Point::new(-7, f64::NAN)], EncodingKind::Gorilla);
+    let (body, _) = page_roundtrip(&[Point::new(-7, f64::NAN)]);
     let forms = forms(&body).unwrap();
     assert_eq!(
         (forms.timestamps, forms.values),
@@ -1231,7 +1225,7 @@ proptest! {
         // decodes bit-exactly and passes the copy gate.
         let points: Vec<Point> = ts.iter().map(|&t| Point::new(t, 2.5)).collect();
         if points.windows(2).all(|p| p[0].t < p[1].t) {
-            page_roundtrip(&points, EncodingKind::Gorilla);
+            page_roundtrip(&points);
         }
     }
 }
@@ -1252,7 +1246,7 @@ fn a_decimal_delta_page_takes_its_head_from_fp() {
             })
             .collect();
         let vs: Vec<f64> = points.iter().map(|p| p.v).collect();
-        let (body, meta) = page_roundtrip(&points, EncodingKind::Gorilla);
+        let (body, meta) = page_roundtrip(&points);
         assert_eq!(
             decimal_framing(&body).unwrap(),
             Some(Framing::Delta),

@@ -90,13 +90,7 @@ impl Output<'_> {
     /// into the new footer unchanged; the writer revalidates its CRC.
     fn copy_chunk(&mut self, reader: &TsFileReader, meta: &ChunkMeta, version: u64) -> Result<()> {
         let body = reader.read_chunk_raw(meta)?;
-        self.w.write_chunk_raw(
-            &body,
-            meta.stats,
-            meta.ts_encoding,
-            meta.val_encoding,
-            version,
-        )?;
+        self.w.write_chunk_raw(&body, meta.stats, version)?;
         self.out.points_written += meta.stats.count as usize;
         self.out.pages_copied += 1;
         Ok(())

@@ -68,9 +68,11 @@ pub struct EngineConfig {
     /// Memtable point count that triggers an automatic flush. A flush
     /// group seals one TsFile per shard it touches.
     pub memtable_threshold: usize,
-    /// Timestamp column encoding for flushed chunks.
+    /// Inert: every page chooses its timestamps' form from its own data
+    /// ([`EncodingKind`]). Kept for the configuration's callers until
+    /// they can drop it.
     pub ts_encoding: EncodingKind,
-    /// Value column encoding for flushed chunks.
+    /// Inert, as [`Self::ts_encoding`] is.
     pub val_encoding: EncodingKind,
     /// Capacity of the cross-query decoded-chunk LRU in bytes
     /// (approximate: decoded point payload plus a small per-entry
@@ -152,20 +154,6 @@ pub const WAL_BATCH_BYTES: usize = 64 * 1024;
 pub const WAL_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
 impl EngineConfig {
-    /// A writer on a new TsFile at `path`, set up the way this
-    /// configuration says data files are written (column encodings) —
-    /// the one place flush and compaction get theirs.
-    pub(crate) fn tsfile_writer(
-        &self,
-        path: &std::path::Path,
-    ) -> crate::Result<tsfile::TsFileWriter> {
-        Ok(tsfile::TsFileWriter::create_with_encodings(
-            path,
-            self.ts_encoding,
-            self.val_encoding,
-        )?)
-    }
-
     /// Clamp nonsensical sizes: zero sizes become 1, and a chunk holds
     /// at most what one page may ([`tsfile::page::MAX_PAGE_POINTS`]).
     pub fn normalized(mut self) -> Self {

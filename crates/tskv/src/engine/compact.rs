@@ -161,7 +161,7 @@ impl EngineInner {
     /// its chunkless run is the series' floor.
     pub(super) fn write_sweep(&self, sweep: &Sweep) -> Result<(Arc<SealedFile>, CompactionReport)> {
         let mut report = CompactionReport::default();
-        let file = seal_file(&self.config, &sweep.path, |w| {
+        let file = seal_file(&sweep.path, |w| {
             for member in &sweep.members {
                 // The member's chunks in capture (= version) order, each
                 // with the reader its body is behind.

@@ -88,13 +88,12 @@ impl SeriesView {
 /// renamed into place and reopened for reading. On an error nothing is
 /// left at either name.
 pub(super) fn seal_file(
-    config: &EngineConfig,
     path: &Path,
     fill: impl FnOnce(&mut TsFileWriter) -> Result<()>,
 ) -> Result<Arc<SealedFile>> {
     let tmp = disk::in_flight_path(path);
-    let sealed = config
-        .tsfile_writer(&tmp)
+    let sealed = TsFileWriter::create(&tmp)
+        .map_err(Into::into)
         .and_then(|mut w| {
             fill(&mut w)?;
             Ok(w.finish()?)

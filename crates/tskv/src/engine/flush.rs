@@ -201,7 +201,7 @@ impl EngineInner {
     ) -> Result<Vec<SeriesView>> {
         self.catalog.sync_if_dirty()?;
         let path = shard.next_data_path();
-        let file = seal_file(&self.config, &path, |w| {
+        let file = seal_file(&path, |w| {
             for member in members {
                 w.begin_series(member.id.0, 0)?;
                 let chunks = member.points.chunks(self.config.points_per_chunk);

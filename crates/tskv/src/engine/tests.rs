@@ -534,7 +534,8 @@ fn foreign_magic_data_file_fails_open_and_stays_in_place() -> TestResult {
     // footer stored chunk offsets and absolute statistics, `TSF3` the
     // one whose chunk entries counted their pages, `TSF5` the one whose
     // entries wrote every extreme in full, `TSF6` the one whose entries
-    // were coded against the previous LP alone, its run directory last:
+    // were coded against the previous LP alone, its run directory last,
+    // `TSF8` the one whose pages could hold a configured stream:
     // under this layout's magic any of those footers would decode as
     // `Corrupt`, which is what a torn write of ours reads as.
     let path = dir.join(shard_dir_name(0)).join("00000000.tsfile");
@@ -544,6 +545,7 @@ fn foreign_magic_data_file_fails_open_and_stays_in_place() -> TestResult {
         &b"TSF3\0\0 a whole file of the retired format TSF3\0\0"[..],
         &b"TSF5\0\0 a whole file of the retired format TSF5\0\0"[..],
         &b"TSF6\0\0 a whole file of the retired format TSF6\0\0"[..],
+        &b"TSF8\0\0 a whole file of the retired format TSF8\0\0"[..],
     ] {
         std::fs::write(&path, retired)?;
         match TsKv::open(&dir, EngineConfig::default()) {

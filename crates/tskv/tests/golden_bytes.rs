@@ -8,7 +8,7 @@
 //! (CRC32, memtable, WAL/page framing) were rebuilt: equal hashes are
 //! the proof that the rebuild changed no format and no byte.
 //!
-//! The data file's entry was regenerated eleven times since, on purpose.
+//! The data file's entry was regenerated twelve times since, on purpose.
 //! First when the footer gained the series-run directory (and data
 //! files and their delete logs were renamed `<fileno>.tsfile` /
 //! `<fileno>.s<id>.mods`). Then when pages gained the decimal value
@@ -19,7 +19,7 @@
 //! point of a batch lands 5 ms late, between two others, so no page's
 //! timestamps advance by one delta, and all 33 pages now store them as
 //! bit-packed deltas with the late points' deltas as exceptions instead
-//! of a ts2diff stream; and 9 of the 11 pages that held an XOR stream
+//! of a delta-of-delta stream; and 9 of the 11 pages that held an XOR stream
 //! store their values as packed key deltas (the other 2 keep XOR, the 22
 //! decimal pages stay decimal). 18 573 → 17 681 bytes; the chunk index
 //! kept its length and changed only in the page lengths it lists. Then
@@ -92,8 +92,17 @@
 //! bytes, the chunk index kept its 259 bytes and changed only in that
 //! page's length, and the file 15 713 → 15 707. Only this row, its parts,
 //! the catalog row (below) and [`COMPACTED`] were regenerated: the WAL,
-//! mods and pin rows are unchanged. [`TSFILE_PARTS`] holds the hashes of
-//! the file's parts as that eleventh regeneration wrote them — the page bodies and
+//! mods and pin rows are unchanged. Then when pages lost the configured
+//! stream forms (delta-of-delta timestamps, XOR values) and footer entries
+//! stopped naming the two encodings, under the magic `TSF9`: every
+//! entry's tags byte lost its encoding digits (`1 + 3 · 2`, 7 less),
+//! and nothing else moved — no page of the fixture held a stream, so
+//! the page bodies hash as they did; the file keeps its 15 707 bytes,
+//! and differs from the `TSF8` file in its two magics, its seven tags
+//! bytes and the footer's CRC alone (compared byte for byte). Only this
+//! row, the chunk index's part and [`COMPACTED`] were regenerated.
+//! [`TSFILE_PARTS`] holds the hashes of
+//! the file's parts as that twelfth regeneration wrote them — the page bodies and
 //! the footer's chunk index (its chunk count and entries) — and the
 //! test checks the file is exactly the head magic, the page bodies,
 //! the chunk count, the four directory bytes, the entries and the
@@ -148,7 +157,7 @@ use tskv::TsKv;
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("SHARDS", 2, 0x07f8bc07b4ba5002),
     ("catalog.log", 30, 0x15354c0e1e9f51a7),
-    ("shard-0000/00000000.tsfile", 15707, 0x177dc5b8c5f706d8),
+    ("shard-0000/00000000.tsfile", 15707, 0x3cd0e785d64c243b),
     ("shard-0000/s1.mods", 9, 0xcc59cc0b4c19c5c2),
     ("shard-0000/wal-00000000.log", 28518, 0x88c2ed828df37e3b),
 ];
@@ -173,8 +182,10 @@ const GOLDEN: &[(&str, u64, u64)] = &[
 /// before entries were coded against a prediction from the one before
 /// (`TSF7`), the same bodies and `(269, 0xc0cda9653ba1e933)`; before
 /// window exceptions were listed by their distance (`TSF8`),
-/// `(15_426, 0xf47aacde97f61338)` and `(259, 0x5ebbe2a8b4034259)`.
-const TSFILE_PARTS: [(usize, u64); 2] = [(15_420, 0x5d4cd9e89c111896), (259, 0x39c23e32039a919f)];
+/// `(15_426, 0xf47aacde97f61338)` and `(259, 0x5ebbe2a8b4034259)`;
+/// before the entries stopped naming their chunk's two encodings
+/// (`TSF9`), the same bodies and `(259, 0x39c23e32039a919f)`.
+const TSFILE_PARTS: [(usize, u64); 2] = [(15_420, 0x5d4cd9e89c111896), (259, 0xcad74373c40f092a)];
 
 /// The footer's run directory, after its chunk count: one run, of
 /// series 1 (`golden.a`), holding all seven chunks, superseding nothing.
@@ -327,7 +338,7 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
 /// `(length, FNV-1a 64)` of the one data file a compaction leaves,
 /// taken at the parent of the commit that rebuilt the merge, the page
 /// plan and the seal kernel: the output of a compaction is the same
-/// bytes after it. Regenerated eight times, each time with the data
+/// bytes after it. Regenerated nine times, each time with the data
 /// file's row above: for the decimal value mode and the footer diet (it
 /// was `(25_207, 0xe545e1c9772488b6)`), for the packed forms (it was
 /// `(22_023, 0x80fa0e00c13119d0)`), when the footer lost the
@@ -374,7 +385,12 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
 /// chunks whose packed timestamps hold a delete's gap as an exception
 /// (chunks 3, 7, 16 and 18) are 6 or 7 bytes smaller, 25 in all; no chunk
 /// holds a decimal delta frame, and the other 38 are byte-identical.
-const COMPACTED: (u64, u64) = (20_358, 0xab57c65f1005d381);
+/// And when footer entries stopped naming their chunk's two encodings
+/// (it was `(20_358, 0xab57c65f1005d381)`; the magic became `TSF9`):
+/// the file keeps its length and differs only in its two magics, the
+/// 42 entries' tags bytes (each 7 less) and the footer's CRC; no chunk
+/// body moved.
+const COMPACTED: (u64, u64) = (20_358, 0x57895d2b0b4ef7f5);
 
 #[test]
 fn compaction_output_bytes_equal_the_hash_taken_before_the_merge_and_seal_rebuild() {

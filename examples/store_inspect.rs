@@ -5,8 +5,8 @@
 //! chunk index split by part: entry heads, counts, times, interior
 //! extremes and values), chunks,
 //! versions, statistics, the form each chunk (one page) stores each
-//! column in (timestamps constant, stream or packed, and a packed
-//! column's frame: delta or line; values stream, packed, decimal, and
+//! column in (timestamps constant or packed, and a packed column's
+//! frame: delta or line; values packed, decimal, and
 //! a decimal block's frame: reference, delta or line, or implied by the
 //! statistics; a chunk of both constant and implied is bodiless), the
 //! window exceptions its packed columns and decimal delta frames list
@@ -259,12 +259,10 @@ fn dump_file(
             let forms = page::forms(&body)?;
             let ts = match (forms.timestamps, page::ts_framing(&body)?) {
                 (TsForm::Constant, _) => "constant",
-                (TsForm::Stream, _) => "stream",
                 (TsForm::Packed, Some(Framing::Line)) => "packed (line)",
                 (TsForm::Packed, _) => "packed (delta)",
             };
             let values = match (forms.values, page::decimal_framing(&body)?) {
-                (ValueForm::Stream, _) => "stream",
                 (ValueForm::Packed, _) => "packed",
                 (ValueForm::Decimal, Some(Framing::Delta)) => "decimal (delta)",
                 (ValueForm::Decimal, Some(Framing::Line)) => "decimal (line)",

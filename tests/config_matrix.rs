@@ -1,6 +1,7 @@
-//! Configuration-matrix integration test: every combination of column
-//! encodings must produce identical query results over the same operation history — configuration
-//! changes trade performance, never correctness.
+//! Configuration-matrix integration test: every setting of the engine's
+//! configuration must produce identical query results over the same
+//! operation history — configuration changes trade performance, never
+//! correctness.
 
 // Integration tests assert by panicking; the workspace panic-freedom
 // deny-set (root Cargo.toml) is aimed at library code.
@@ -12,9 +13,8 @@
 )]
 
 use m4lsm::m4::{M4Lsm, M4Query, M4Udf};
-use m4lsm::tsfile::encoding::EncodingKind;
 use m4lsm::tsfile::types::Point;
-use m4lsm::tskv::config::EngineConfig;
+use m4lsm::tskv::config::{EngineConfig, FsyncPolicy};
 use m4lsm::tskv::TsKv;
 
 fn drive(kv: &TsKv) {
@@ -37,67 +37,91 @@ fn drive(kv: &TsKv) {
 
 #[test]
 fn all_configurations_agree() {
-    let encodings = [
-        (EncodingKind::Ts2Diff, EncodingKind::Gorilla),
-        (EncodingKind::Plain, EncodingKind::Plain),
-        (EncodingKind::Ts2Diff, EncodingKind::Plain),
-        (EncodingKind::Plain, EncodingKind::Gorilla),
+    let base = EngineConfig {
+        points_per_chunk: 128,
+        memtable_threshold: 512,
+        ..Default::default()
+    };
+    // One axis at a time away from the base.
+    let configs = [
+        ("base", base.clone()),
+        (
+            "7-point chunks",
+            EngineConfig {
+                points_per_chunk: 7,
+                ..base.clone()
+            },
+        ),
+        (
+            "one chunk a flush",
+            EngineConfig {
+                points_per_chunk: 1_000,
+                memtable_threshold: 1_000,
+                ..base.clone()
+            },
+        ),
+        (
+            "no cache",
+            EngineConfig {
+                cache_capacity_bytes: 0,
+                ..base.clone()
+            },
+        ),
+        (
+            "one read thread",
+            EngineConfig {
+                read_threads: 1,
+                ..base.clone()
+            },
+        ),
+        (
+            "one shard",
+            EngineConfig {
+                write_shards: 1,
+                ..base.clone()
+            },
+        ),
+        (
+            "fsync always",
+            EngineConfig {
+                fsync_policy: FsyncPolicy::Always,
+                ..base.clone()
+            },
+        ),
+        (
+            "fsync never",
+            EngineConfig {
+                fsync_policy: FsyncPolicy::Never,
+                ..base.clone()
+            },
+        ),
+        (
+            "auto compaction",
+            EngineConfig {
+                compaction_auto: true,
+                compaction_threshold: 2,
+                compaction_interval_ms: 1,
+                ..base.clone()
+            },
+        ),
     ];
     let mut reference = None;
-    for (i, (ts_enc, val_enc)) in encodings.into_iter().enumerate() {
+    for (i, (what, config)) in configs.into_iter().enumerate() {
         let dir = std::env::temp_dir().join(format!("cfg-matrix-{i}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let kv = TsKv::open(
-            &dir,
-            EngineConfig {
-                points_per_chunk: 128,
-                memtable_threshold: 512,
-                ts_encoding: ts_enc,
-                val_encoding: val_enc,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let kv = TsKv::open(&dir, config).unwrap();
         drive(&kv);
         let snap = kv.snapshot("s").unwrap();
         let q = M4Query::new(0, 40_000, 37).unwrap();
         let lsm = M4Lsm::new().execute(&snap, &q).unwrap();
         let udf = M4Udf::new().execute(&snap, &q).unwrap();
-        assert!(lsm.equivalent(&udf), "cfg ({ts_enc:?},{val_enc:?})");
+        assert!(lsm.equivalent(&udf), "{what}");
         match &reference {
             None => reference = Some(udf),
-            Some(r) => assert!(
-                udf.equivalent(r),
-                "cfg ({ts_enc:?},{val_enc:?}) deviates from reference"
-            ),
+            Some(r) => assert!(udf.equivalent(r), "{what} deviates from the base"),
         }
+        drop(snap);
+        drop(kv);
         std::fs::remove_dir_all(&dir).ok();
     }
-}
-
-#[test]
-fn plain_encoding_roundtrips_through_recovery() {
-    let dir = std::env::temp_dir().join(format!("cfg-plain-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let config = EngineConfig {
-        ts_encoding: EncodingKind::Plain,
-        val_encoding: EncodingKind::Plain,
-        points_per_chunk: 100,
-        memtable_threshold: 300,
-        ..Default::default()
-    };
-    {
-        let kv = TsKv::open(&dir, config.clone()).unwrap();
-        for t in 0..1_000i64 {
-            kv.insert("s", Point::new(t, t as f64)).unwrap();
-        }
-        kv.flush_all().unwrap();
-    }
-    let kv = TsKv::open(&dir, config).unwrap();
-    let snap = kv.snapshot("s").unwrap();
-    assert_eq!(snap.raw_point_count(), 1_000);
-    let q = M4Query::new(0, 1_000, 4).unwrap();
-    let r = M4Lsm::new().execute(&snap, &q).unwrap();
-    assert_eq!(r.non_empty(), 4);
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -31,15 +31,8 @@ const UNTRUSTED_INPUT_FILES: &[&str] = &[
     // bufpool hands out the buffers every raw disk/network byte lands
     // in; a slip here corrupts what the parsers above read.
     "crates/tsfile/src/bufpool.rs",
-    "crates/tsfile/src/encoding/bitio.rs",
     "crates/tsfile/src/encoding/decimal.rs",
-    "crates/tsfile/src/encoding/gorilla.rs",
     "crates/tsfile/src/encoding/packed.rs",
-    "crates/tsfile/src/encoding/plain.rs",
-    "crates/tsfile/src/encoding/ts2diff.rs",
-    // The retained scalar oracles parse the same raw bytes the
-    // production kernels do.
-    "crates/tsfile/src/encoding/reference.rs",
     // The catalog log and shared shard WAL are replayed from raw disk
     // bytes on every open, including torn tails after a crash.
     "crates/tskv/src/catalog.rs",
@@ -51,13 +44,8 @@ const UNTRUSTED_INPUT_FILES: &[&str] = &[
 /// the one module that writes a bare `as` (and documents each).
 const CODEC_FILES: &[&str] = &[
     "crates/tsfile/src/varint.rs",
-    "crates/tsfile/src/encoding/bitio.rs",
     "crates/tsfile/src/encoding/decimal.rs",
-    "crates/tsfile/src/encoding/gorilla.rs",
     "crates/tsfile/src/encoding/packed.rs",
-    "crates/tsfile/src/encoding/plain.rs",
-    "crates/tsfile/src/encoding/ts2diff.rs",
-    "crates/tsfile/src/encoding/reference.rs",
 ];
 
 /// Where a guard must never reach file I/O, page decode or a pool

@@ -23,7 +23,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use serde::Serialize;
 
 use tsfile::checksum::crc32;
-use tsfile::encoding::decimal::{self, Framing};
+use tsfile::encoding::packed::{self, Column, Framing, Transform};
 use tsfile::page::DEFAULT_PAGE_POINTS;
 use tsfile::types::Point;
 use tsfile::{TsFileReader, TsFileWriter};
@@ -160,19 +160,25 @@ pub fn run(h: &Harness) -> KernelsReport {
 }
 
 /// `(bytes a point, encode and decode throughput, bit-exact)` of the
-/// decimal block in `framing` over `data` cut into default-size pages:
+/// decimal block in `framing` over `data` cut into default-size pages,
+/// each decoded from its first and last value as a page's are:
 /// bit-exact when every page decodes to its own bits.
 fn per_page(h: &Harness, data: &[f64], framing: Framing) -> (f64, f64, f64, bool) {
     let pages: Vec<&[f64]> = data.chunks(DEFAULT_PAGE_POINTS).collect();
-    let encode = |page: &[f64], buf: &mut Vec<u8>| decimal::encode_values_in(page, framing, buf);
+    let encode = |page: &[f64], buf: &mut Vec<u8>| {
+        packed::encode(Column::Decimal(page), Some(framing), buf).is_some()
+    };
+    let decode = |page: &[f64], buf: &[u8]| {
+        let ends = (page[0].to_bits(), page[page.len() - 1].to_bits());
+        packed::decode(buf, page.len(), Transform::Decimal, ends)
+    };
     let mut encoded = vec![Vec::new(); pages.len()];
     for (page, buf) in pages.iter().zip(&mut encoded) {
         encode(page, buf);
     }
     let bits = |vs: &[f64]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let exact = pages.iter().zip(&encoded).all(|(page, buf)| {
-        decimal::decode(buf, page.len(), None).is_ok_and(|back| bits(&back) == bits(page))
-    });
+    let exact = (pages.iter().zip(&encoded))
+        .all(|(page, buf)| decode(page, buf).is_ok_and(|back| back == bits(page)));
     let n = data.len();
     let bytes_per_point = encoded.iter().map(Vec::len).sum::<usize>() as f64 / n as f64;
     let mut buf = Vec::new();
@@ -187,7 +193,7 @@ fn per_page(h: &Harness, data: &[f64], framing: Framing) -> (f64, f64, f64, bool
         pages
             .iter()
             .zip(&encoded)
-            .map(|(page, buf)| decimal::decode(buf, page.len(), None).map_or(0, |v| v.len()))
+            .map(|(page, buf)| decode(page, buf).map_or(0, |v| v.len()))
             .sum::<usize>()
     });
     (bytes_per_point, encode_mpoints_s, decode_mpoints_s, exact)

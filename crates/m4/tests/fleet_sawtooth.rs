@@ -19,7 +19,7 @@ use std::path::Path;
 
 use m4::oracle::m4_scan;
 use m4::{M4Lsm, M4Query, M4Udf};
-use tsfile::encoding::decimal::Framing;
+use tsfile::encoding::packed::Framing;
 use tsfile::page::ValueForm;
 use tsfile::types::Point;
 use tsfile::TsFileReader;
@@ -91,10 +91,11 @@ fn a_fleet_sawtooth_stores_its_deltas_and_answers_m4_exactly() {
         let reader = TsFileReader::open(path).unwrap();
         for meta in reader.chunk_metas() {
             let body = reader.read_chunk_raw(meta).unwrap();
-            let framing = tsfile::page::decimal_framing(&body).unwrap();
+            let framing = tsfile::page::framings(&body).unwrap()[1];
             let values = tsfile::page::forms(&body).unwrap().values;
+            let decimal_delta = values == ValueForm::Decimal && framing == Some(Framing::Delta);
             assert!(
-                framing == Some(Framing::Delta) || values == ValueForm::Implied,
+                decimal_delta || values == ValueForm::Implied,
                 "chunk at t={}: {values:?}, {framing:?}",
                 meta.stats.first.t
             );

@@ -35,13 +35,6 @@ pub fn low8(v: u64) -> u8 {
     (v & 0xFF) as u8
 }
 
-/// Deliberate wrapping truncation to the low 32 bits; as with
-/// [`low8`], the mask makes the contract explicit.
-#[inline]
-pub fn low32(v: u64) -> u32 {
-    (v & 0xFFFF_FFFF) as u32
-}
-
 /// Widen a bit count (or other small quantity) to `usize`. Lossless on
 /// every supported platform (`usize` is at least 32 bits); narrowing
 /// goes through [`usize_checked`].
@@ -117,7 +110,6 @@ mod tests {
     fn truncations_keep_low_bits() {
         assert_eq!(low8(0x1FF), 0xFF);
         assert_eq!(low8(0x7f), 0x7f);
-        assert_eq!(low32(0x1_0000_0001), 1);
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! to decompression). A page stores each column in one of a few forms,
 //! chosen from its own data by exact size (see the `page` module):
 //!
-//! * [`packed`] — frame-of-reference bit-packing with exceptions, the
-//!   one integer kernel: timestamps as packed deltas (IoTDB's TS_2DIFF
-//!   layout) or residuals from their cadence line, values as packed
-//!   deltas of their order-preserving keys. It takes any column.
-//! * [`decimal`] — values with few decimals as scaled integers (ALP),
-//!   packed by the same kernel.
+//! * [`packed`] — the one integer block every byte-bearing column is:
+//!   a transform (timestamps, values' order-preserving keys, decimal
+//!   integers) and a frame (reference, delta, line), frame-of-reference
+//!   bit-packed with an exception list. It takes any column.
+//! * [`decimal`] — the decimal transform's pair: values with few
+//!   decimals as scaled integers (ALP).
 //!
 //! A constant-delta timestamp column and values the statistics imply
 //! are no bytes at all. All encoders append to a `Vec<u8>`; all

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────┐
-//! │ magic "TSF9\0\0" (6 bytes)                                 │
+//! │ magic "TSF10\0" (6 bytes)                                  │
 //! ├────────────────────────────────────────────────────────────┤
 //! │ chunk 0 body: one page body (see `page` module)            │
 //! ├────────────────────────────────────────────────────────────┤
@@ -31,7 +31,7 @@
 //!
 //! The trailing length + magic let a reader locate the footer without a
 //! separate index file; the leading magic rejects non-TsFiles (and the
-//! retired `TSF1`–`TSF8` generations) early: `TSF4` is the last whose
+//! retired `TSF1`–`TSF9` generations) early: `TSF4` is the last whose
 //! page bodies repeated what the footer's statistics hold (the point
 //! count, a constant-delta column's first timestamp and step, a packed
 //! column's first point), `TSF5` the last whose footer wrote every
@@ -41,8 +41,9 @@
 //! window exceptions were raw words and whose decimal delta frames
 //! repeated FP.v's integer, and `TSF8` the last whose pages could hold a
 //! configured stream (delta-of-delta timestamps, XOR or raw values) and
-//! whose entries named the chunk's two encodings; its pages and footers
-//! are this layout's but for that. This mirrors IoTDB's TsFile (data, then
+//! whose entries named the chunk's two encodings, and `TSF9` the last
+//! whose blocks flagged their frame in a timestamp width byte or a
+//! decimal `e`; its pages and footers are this layout's but for that. This mirrors IoTDB's TsFile (data, then
 //! per-chunk statistics, then a metadata index and tail magic) as the
 //! paper runs it: with `page_size_in_byte` at 1 GiB, every chunk is one
 //! page, and so it is here by construction.
@@ -74,7 +75,7 @@ use crate::{Result, TsFileError};
 /// File magic, also used as the tail sentinel. Bumped with every footer
 /// or page layout, so a file of an earlier layout is refused as foreign
 /// (`BadMagic`) rather than read as a torn file of this one.
-pub const MAGIC: &[u8; 6] = b"TSF9\0\0";
+pub const MAGIC: &[u8; 6] = b"TSF10\0";
 
 /// Metadata describing one chunk inside a TsFile: where its body lives,
 /// its version `κ`, and its precomputed

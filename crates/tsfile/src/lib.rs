@@ -14,13 +14,14 @@
 //!   bottom / top point and count). Reading the statistics is cheap;
 //!   reading the data requires real file I/O *and* real decode CPU.
 //! * **Encodings**: each page picks its columns' forms from its own data
-//!   and by exact size, never by a setting: timestamps as a constant
-//!   delta (no bytes) or bit-packed deltas with outliers listed apart
-//!   ([`encoding::packed`], IoTDB's TS_2DIFF layout), which jittered
-//!   timestamps take; values as scaled, bit-packed integers
-//!   ([`encoding::decimal`], ALP) when they have few decimals, as packed
-//!   deltas of their order-preserving keys, which full-precision walks
-//!   take, or as no bytes where the statistics imply them. Decoding cost is what
+//!   and by exact size, never by a setting: no bytes where the chunk's
+//!   statistics give a column back (a constant-delta timestamp column,
+//!   values the ends imply), else one packed block
+//!   ([`encoding::packed`]) — the timestamps, the values' order-preserving
+//!   keys, or the values as scaled decimal integers ([`encoding::decimal`],
+//!   ALP), each framed from its head, from the integer before (IoTDB's
+//!   TS_2DIFF) or from a least-squares line, bit-packed with outliers
+//!   listed apart. Decoding cost is what
 //!   makes "merge free" worthwhile, exactly as in the paper (§2.3: "not
 //!   only for the heavy cost of I/O but also for the decompression of
 //!   data").

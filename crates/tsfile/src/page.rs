@@ -8,8 +8,8 @@
 //!
 //! ```text
 //! page body:
-//!   u8     modes: timestamps  bit 0 constant delta, bit 2 packed deltas
-//!                 values      bit 1 decimal block, bit 3 packed deltas,
+//!   u8     modes: timestamps  bit 0 constant delta, bit 2 a block
+//!                 values      bit 1 a decimal block, bit 3 a key block,
 //!                             bit 4 implied (no bytes)
 //!                 (one bit of each column; neither, two bits of a
 //!                 column, or any higher bit: Corrupt)
@@ -27,42 +27,18 @@
 //! `Δ = (LP.t − FP.t)/(n − 1)`, so the form is written only when that
 //! division is exact and `LP.t − FP.t` does not overflow, and a footer
 //! whose statistics do not split into `n − 1` equal steps makes such a
-//! page `Corrupt`. A packed column ([`packed`]) is its block
-//! of deltas alone: its head is FP (`FP.v` bit-exact) and its running
-//! sum must land on LP. A packed timestamp column may instead hold its
-//! residuals from a least-squares cadence line (the line frame, flagged
-//! in its width byte, [`ts_framing`]), whose last point must be LP. The
-//! value column runs to the CRC, so the body's own length (the footer's)
-//! bounds it. Implied values are no bytes: FP.v repeated, or a decimal
-//! ramp to LP.v ([`decimal::implied`]), taken only where every value has
-//! those bits; a reader re-derives them, `Corrupt` where the entry
-//! implies none or BP or TP is not an end point.
-//!
-//! Both forms ([`PageForms`]) are chosen per page from the page's own
-//! columns, by exact size, never by a setting; the packed forms take
-//! any column, so every page has one. The constant-delta
-//! timestamp form: sensor timestamps are mostly regular (the paper's
-//! §3.5 step observation), so a page whose deltas are all equal is
-//! reconstructed arithmetically from its statistics — no per-point
-//! varint decode. The decimal value form ([`decimal`]): a page
-//! whose values have few decimals stores them as scaled, bit-packed
-//! integers — framed from their minimum; or, on a page with no
-//! exception where it is smaller, as the first integer and the deltas
-//! after it (a counter or a ramp, at a few bits a value or none); or,
-//! where smaller, around their trend line (a register that drifts while
-//! it jitters); the block's header says which, so to this layer, to
-//! compaction and to the inspector all three are one form. A sample of
-//! the page chooses the block's scale and turns a full-precision page
-//! away; it sizes nothing. The packed forms: the deltas of a
-//! column — of the timestamps, or of the values' order-preserving
-//! integer keys — bit-packed at one width with the outliers listed
-//! apart; full-precision walks take it, and so do jittered timestamps,
-//! as their residuals from their cadence line where that is strictly
-//! smaller than their deltas. The packed value column is written only
-//! when it is strictly smaller, sized exactly, than the decimal block;
-//! where the sample admits no block, the values pack. The modes byte
-//! sits under the page's CRC, so a chunk body has no unprotected header
-//! bytes.
+//! page `Corrupt`. Implied values are no bytes: FP.v repeated, or a
+//! decimal ramp to LP.v ([`decimal::implied`]), taken only where every
+//! value has those bits; a reader re-derives them, `Corrupt` where the
+//! entry implies none or BP or TP is not an end point. Every other
+//! column is one packed block ([`packed`], which states its layout and
+//! its corruption rules): the timestamps themselves, the values as
+//! decimal integers or as their order-preserving keys, in whichever
+//! frame the block's one chooser finds smallest by exact size, never by
+//! a setting. A block takes any column, so every page has a form. The
+//! value column runs to the CRC, so the body's own length (the
+//! footer's) bounds it. The modes byte sits under the page's CRC, so a
+//! chunk body has no unprotected header bytes.
 
 // Untrusted bytes: an out-of-range access is a typed error, not a panic.
 #![deny(clippy::indexing_slicing)]
@@ -70,7 +46,7 @@
 use crate::bufpool;
 use crate::checksum::crc32;
 use crate::encoding::decimal::{self, Exponents};
-use crate::encoding::packed::{self, Framing, Packing, TsPacking};
+use crate::encoding::packed::{self, Ends, Framing, Ints, Transform};
 use crate::encoding::EncodingKind;
 use crate::statistics::ChunkStatistics;
 use crate::types::{Point, TimeRange};
@@ -96,9 +72,9 @@ pub type PageStatistics = ChunkStatistics;
 const MODE_CONST_DELTA: u8 = 1;
 /// Mode bit: the values are a decimal block.
 const MODE_DECIMAL: u8 = 2;
-/// Mode bit: the timestamps are packed deltas.
+/// Mode bit: the timestamps are a packed block.
 const MODE_PACKED_TS: u8 = 4;
-/// Mode bit: the values are packed key deltas.
+/// Mode bit: the values are a packed block of their keys.
 const MODE_PACKED_VALUES: u8 = 8;
 /// Mode bit: the values are no bytes, implied by the statistics.
 const MODE_IMPLIED_VALUES: u8 = 16;
@@ -108,17 +84,16 @@ const MODE_IMPLIED_VALUES: u8 = 16;
 pub enum TsForm {
     /// No bytes: `FP.t + i·Δ`, `Δ` the statistics' span over `n − 1`.
     Constant,
-    /// Bit-packed deltas from FP.t ([`packed`]).
+    /// A packed block of the timestamps ([`packed`]).
     Packed,
 }
 
 /// How a page stores its values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValueForm {
-    /// A decimal block ([`decimal`]), in any of its frames
-    /// ([`decimal_framing`]).
+    /// A packed block of the values' decimal integers ([`decimal`]).
     Decimal,
-    /// Bit-packed key deltas from FP.v ([`packed`]).
+    /// A packed block of the values' keys ([`packed`]).
     Packed,
     /// No bytes: what FP.v and LP.v imply ([`decimal::implied`]).
     Implied,
@@ -143,6 +118,17 @@ impl PageForms {
             ValueForm::Implied => MODE_IMPLIED_VALUES,
         };
         ts | values
+    }
+
+    /// The transform of each column's block (`None` for no bytes).
+    fn transforms(self) -> [Option<Transform>; 2] {
+        let ts = (self.timestamps == TsForm::Packed).then_some(Transform::Timestamp);
+        let values = match self.values {
+            ValueForm::Decimal => Some(Transform::Decimal),
+            ValueForm::Packed => Some(Transform::Key),
+            ValueForm::Implied => None,
+        };
+        [ts, values]
     }
 
     fn of_modes(modes: u8) -> Result<Self> {
@@ -253,8 +239,7 @@ pub(crate) fn encode_page_columns(
 }
 
 /// A page's timestamp column, written to the empty `buf`: nothing when
-/// the deltas are one constant the statistics give back, else the
-/// packed column (the smaller of its delta and line frames).
+/// the deltas are one constant the statistics give back, else its block.
 fn ts_column(ts: &[i64], deltas: &[i64], buf: &mut Vec<u8>) -> TsForm {
     let (first, last) = (ts.first().copied(), ts.last().copied());
     let derived = first
@@ -263,15 +248,15 @@ fn ts_column(ts: &[i64], deltas: &[i64], buf: &mut Vec<u8>) -> TsForm {
     if derived.is_some() && derived == constant_delta(deltas) {
         return TsForm::Constant;
     }
-    TsPacking::of(ts, deltas).write(deltas, buf);
+    if let Some(plan) = packed::choose([&Ints::timestamps(ts, deltas)], None) {
+        plan.write(buf);
+    }
     TsForm::Packed
 }
 
 /// A page's value column, as `(its form, its bytes in buf)`: none where
-/// its ends imply it, else the decimal block when the sample admits a
-/// pair and the block is no larger than the packed key deltas, else
-/// those. Both sizes are exact; the key deltas are sized only when the
-/// block is above their floor ([`Packing::floor`]).
+/// its ends imply it, else the block the chooser takes of the decimal
+/// integers (where the sample admits a pair) and the keys.
 fn value_column<'a>(
     vs: &[f64],
     carry: &mut ValueCarry,
@@ -279,26 +264,23 @@ fn value_column<'a>(
 ) -> (ValueForm, &'a [u8]) {
     // Planned on every page, so the carried pair is as without the form.
     let pair = decimal::plan(vs, &mut carry.pair);
-    let ends = vs.first().zip(vs.last());
-    let line = ends.and_then(|(&first, &last)| decimal::implied(first, last, vs.len()));
+    let line = (vs.first().zip(vs.last()))
+        .and_then(|(&first, &last)| decimal::implied(first, last, vs.len()));
     let bits = vs.iter().map(|v| v.to_bits());
     if line.is_some_and(|line| bits.eq((0..vs.len()).map(|i| line(i).to_bits()))) {
         return (ValueForm::Implied, buf);
     }
     packed::key_deltas(vs, &mut carry.keys);
-    let block = pair.is_some_and(|pair| decimal::encode(vs, pair, buf));
-    // A block no larger than the packed column's floor keeps the page
-    // (a tie goes to it) without sizing the packed column.
-    if block && buf.len() <= Packing::floor(&carry.keys) {
-        return (ValueForm::Decimal, buf);
+    let decimal = pair.and_then(|pair| Ints::decimal(vs, pair));
+    let keys = Ints::keys(vs, &carry.keys);
+    let form = packed::choose(decimal.iter().chain([&keys]), None).map(|plan| {
+        plan.write(buf);
+        plan.transform()
+    });
+    match form {
+        Some(Transform::Decimal) => (ValueForm::Decimal, buf),
+        _ => (ValueForm::Packed, buf),
     }
-    let packing = Packing::of(&carry.keys);
-    if block && buf.len() <= packing.len() {
-        return (ValueForm::Decimal, buf);
-    }
-    buf.clear();
-    packing.write(&carry.keys, buf);
-    (ValueForm::Packed, buf)
 }
 
 /// `Some(delta)` when every delta is that one (trivially true for a
@@ -343,29 +325,33 @@ fn checked_payload<'a>(body: &'a [u8], what: &'static str) -> Result<&'a [u8]> {
 }
 
 /// Verify a raw page body against its footer entry without decoding a
-/// column: checksum over the payload, the point count under the
-/// ceiling, statistics that split into equal steps for a constant-delta
-/// column, the structure of a decimal block, and a packed column's
-/// deltas running from the statistics' FP to their LP. This is the
+/// column where a block's frame allows ([`packed::verify`]): checksum
+/// over the payload, the point count under the ceiling, statistics that
+/// split into equal steps for a constant-delta column or imply the
+/// values, and each block against the statistics' ends. This is the
 /// integrity gate for byte-for-byte page copies — the compactor
 /// revalidates every page it moves verbatim, whatever its forms, so
 /// silent corruption can never be propagated into a new file.
 pub fn verify_page_body(body: &[u8], meta: &PageMeta) -> Result<()> {
     let (cols, n) = open_page(body, meta)?;
-    let stats = &meta.stats;
-    match cols.forms.timestamps {
-        TsForm::Constant => constant_step(stats, n).map(drop)?,
-        TsForm::Packed => {
-            packed::verify_page_timestamps(cols.ts_col, n, (stats.first.t, stats.last.t))?;
+    if cols.forms.timestamps == TsForm::Constant {
+        constant_step(&meta.stats, n)?;
+    }
+    for ((col, transform), ends) in cols.blocks().into_iter().zip(ends(&meta.stats)) {
+        if let Some(transform) = transform {
+            packed::verify(col, n, transform, ends)?;
         }
     }
-    match cols.forms.values {
-        ValueForm::Decimal => decimal::verify(cols.val_col, n, Some((stats.first.v, stats.last.v))),
-        ValueForm::Packed => {
-            packed::verify_page_values(cols.val_col, n, (stats.first.v, stats.last.v))
-        }
-        ValueForm::Implied => Ok(()),
-    }
+    Ok(())
+}
+
+/// A page's FP and LP as words, for each column.
+fn ends(stats: &PageStatistics) -> [Ends; 2] {
+    let (first, last) = (&stats.first, &stats.last);
+    [
+        (cast::u64_bits(first.t), cast::u64_bits(last.t)),
+        (first.v.to_bits(), last.v.to_bits()),
+    ]
 }
 
 /// How a page stores its two columns. Verifies the page CRC; no column
@@ -374,48 +360,32 @@ pub fn forms(body: &[u8]) -> Result<PageForms> {
     Ok(page_columns(body)?.forms)
 }
 
-/// How a page's decimal block frames its integers, from the block's
-/// header (`None` for a page whose values are not a decimal block).
-/// Verifies the page CRC; no column is decoded.
-pub fn decimal_framing(body: &[u8]) -> Result<Option<decimal::Framing>> {
+/// The frame of each column's block, timestamps then values (`None`
+/// for a column of no bytes), from its header. Verifies the page CRC;
+/// no column is decoded.
+pub fn framings(body: &[u8]) -> Result<[Option<Framing>; 2]> {
     let cols = page_columns(body)?;
-    match cols.forms.values {
-        ValueForm::Decimal => decimal::framing(cols.val_col).map(Some),
-        ValueForm::Packed | ValueForm::Implied => Ok(None),
-    }
+    let [ts, values] = cols.blocks();
+    let framing = |(col, t): (&[u8], Option<Transform>)| t.map(|t| packed::framing(col, t));
+    Ok([framing(ts).transpose()?, framing(values).transpose()?])
 }
 
-/// How a page's packed timestamp column frames its points, delta or
-/// line, from its width byte (`None` for a page whose timestamps are not
-/// packed). Verifies the page CRC; no column is decoded.
-pub fn ts_framing(body: &[u8]) -> Result<Option<Framing>> {
-    let cols = page_columns(body)?;
-    match cols.forms.timestamps {
-        TsForm::Packed if packed::is_line(cols.ts_col) => Ok(Some(Framing::Line)),
-        TsForm::Packed => Ok(Some(Framing::Delta)),
-        TsForm::Constant => Ok(None),
-    }
-}
-
-/// A page's window exceptions — the outliers its packed columns and a
-/// decimal delta frame list by their distance — as `[count, bytes of
-/// their entries, bytes of the head a decimal delta frame leaves to
-/// FP.v]`. Verifies the page CRC; decodes no column.
+/// A page's window exceptions — the outliers its anchored blocks list
+/// by their distance — as `[count, bytes of their entries, bytes of the
+/// head a decimal delta frame leaves to FP.v]`. Verifies the page CRC;
+/// decodes no column.
 pub fn window_exceptions(body: &[u8], meta: &PageMeta) -> Result<[usize; 3]> {
     let (cols, n) = open_page(body, meta)?;
-    let ts = match cols.forms.timestamps {
-        TsForm::Packed => packed::window_list(cols.ts_col, n)?,
-        TsForm::Constant => (0, 0),
-    };
-    let (values, head) = match (cols.forms.values, decimal::framing(cols.val_col).ok()) {
-        (ValueForm::Packed, _) => (packed::window_list(cols.val_col, n)?, 0),
-        (ValueForm::Decimal, Some(Framing::Delta)) => {
-            let (head, block) = decimal::page_delta(cols.val_col, meta.stats.first.v)?;
-            (packed::window_list(block, n)?, head)
+    let mut sum = [0; 3];
+    for ((col, transform), (first, _)) in cols.blocks().into_iter().zip(ends(&meta.stats)) {
+        if let Some(transform) = transform {
+            let one = packed::window_list(col, n, transform, first)?;
+            for (total, part) in sum.iter_mut().zip(one) {
+                *total += part;
+            }
         }
-        _ => ((0, 0), 0),
-    };
-    Ok([ts.0 + values.0, ts.1 + values.1, head])
+    }
+    Ok(sum)
 }
 
 /// Parsed page header: forms and the two column slices.
@@ -423,6 +393,14 @@ struct PageColumns<'a> {
     forms: PageForms,
     ts_col: &'a [u8],
     val_col: &'a [u8],
+}
+
+impl<'a> PageColumns<'a> {
+    /// Each column's bytes and its block's transform.
+    fn blocks(&self) -> [(&'a [u8], Option<Transform>); 2] {
+        let [ts, values] = self.forms.transforms();
+        [(self.ts_col, ts), (self.val_col, values)]
+    }
 }
 
 /// Check a page body's CRC and split it: a zero-length body is the
@@ -527,7 +505,15 @@ fn decode_ts_column(
             Ok(out)
         }
         TsForm::Packed => {
-            packed::decode_page_timestamps(cols.ts_col, n, (stats.first.t, stats.last.t), until)
+            let ends = ends(stats)[0];
+            let mut out =
+                packed::decode_as(cols.ts_col, n, Transform::Timestamp, ends, cast::i64_bits)?;
+            // Up to the first past `until` (the paper's partial scan,
+            // Figure 7(b)).
+            if let Some(at) = until.and_then(|limit| out.iter().position(|&t| t > limit)) {
+                out.truncate(at + 1);
+            }
+            Ok(out)
         }
     }
 }
@@ -545,14 +531,11 @@ pub fn decode_page(
     let (cols, n) = open_page(body, meta)?;
     let stats = &meta.stats;
     let ts = decode_ts_column(&cols, n, stats, None)?;
-    let vs = match cols.forms.values {
-        ValueForm::Decimal => {
-            decimal::decode(cols.val_col, n, Some((stats.first.v, stats.last.v)))?
+    let vs: Vec<f64> = match cols.blocks()[1] {
+        (col, Some(transform)) => {
+            packed::decode_as(col, n, transform, ends(stats)[1], f64::from_bits)?
         }
-        ValueForm::Packed => {
-            packed::decode_page_values(cols.val_col, n, (stats.first.v, stats.last.v))?
-        }
-        ValueForm::Implied => (0..n).map(implied_values(stats, n)?).collect(),
+        (_, None) => (0..n).map(implied_values(stats, n)?).collect(),
     };
     if ts.len() != n || vs.len() != n {
         return Err(TsFileError::Corrupt(format!(
@@ -771,7 +754,7 @@ mod tests {
             &mut body,
         );
         assert_eq!(forms(&body)?.values, ValueForm::Decimal);
-        assert_eq!(decimal_framing(&body)?, Some(decimal::Framing::Line));
+        assert_eq!(framings(&body)?, [None, Some(Framing::Line)]);
         assert!(body.len() <= 150, "{} bytes", body.len());
         let meta = page_meta(&points, 0, body.len() as u64)?;
         verify_page_body(&body, &meta)?;

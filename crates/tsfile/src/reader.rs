@@ -396,7 +396,7 @@ mod tests {
         let p = tmp("garbage.bin");
         // The others carry a retired generation's magic at both ends:
         // rejected at the head like any other foreign file.
-        let inputs: [&[u8]; 8] = [
+        let inputs: [&[u8]; 9] = [
             b"this is definitely not a tsfile at all",
             b"TSF1\0\0\0\0\0\0\0\0\0\0\0\0\0\0TSF1\0\0",
             b"TSF2\0\0\0\0\0\0\0\0\0\0\0\0\0\0TSF2\0\0",
@@ -405,6 +405,7 @@ mod tests {
             b"TSF6\0\0\0\0\0\0\0\0\0\0\0\0\0\0TSF6\0\0",
             b"TSF7\0\0\0\0\0\0\0\0\0\0\0\0\0\0TSF7\0\0",
             b"TSF8\0\0\0\0\0\0\0\0\0\0\0\0\0\0TSF8\0\0",
+            b"TSF9\0\0\0\0\0\0\0\0\0\0\0\0\0\0TSF9\0\0",
         ];
         for bytes in inputs {
             std::fs::write(&p, bytes)?;

@@ -12,7 +12,7 @@
 )]
 
 use proptest::prelude::*;
-use tsfile::encoding::decimal::Framing;
+use tsfile::encoding::packed::{self, Column, Framing, Transform};
 use tsfile::types::Point;
 use tsfile::{FileFooter, ModsFile, TsFileError, TsFileReader, TsFileWriter};
 
@@ -87,6 +87,30 @@ fn decimal_page(block: &[u8]) -> Vec<u8> {
     sealed_page(0b11, &[], block)
 }
 
+/// A decimal block of `n` values decoded against its column's first and
+/// last value (a page's FP.v and LP.v).
+fn decimal_decode(block: &[u8], n: usize, (first, last): (f64, f64)) -> tsfile::Result<Vec<f64>> {
+    let ends = (first.to_bits(), last.to_bits());
+    let words = packed::decode(block, n, Transform::Decimal, ends)?;
+    Ok(words.into_iter().map(f64::from_bits).collect())
+}
+
+/// The copy gate's check of the same block.
+fn decimal_verify(block: &[u8], n: usize, (first, last): (f64, f64)) -> tsfile::Result<()> {
+    packed::verify(
+        block,
+        n,
+        Transform::Decimal,
+        (first.to_bits(), last.to_bits()),
+    )
+}
+
+/// A timestamp block of `n` points decoded from `first` to `last`.
+fn ts_decode(block: &[u8], n: usize, (first, last): (i64, i64)) -> tsfile::Result<Vec<i64>> {
+    let words = packed::decode(block, n, Transform::Timestamp, (first as u64, last as u64))?;
+    Ok(words.into_iter().map(|w| w as i64).collect())
+}
+
 /// Both results a typed error: `Corrupt` or `UnexpectedEof`.
 fn typed<T>(r: &tsfile::Result<T>) -> bool {
     matches!(
@@ -126,7 +150,7 @@ fn flip_decimal_block(
         EncodingKind::Gorilla,
         &mut body,
     );
-    prop_assert_eq!(tsfile::page::decimal_framing(&body).unwrap(), Some(framing));
+    prop_assert_eq!(tsfile::page::framings(&body).unwrap()[1], Some(framing));
     // Modes, varint ts_len, ts bytes (the jittered timestamps are
     // packed), then the block up to the CRC.
     let mut pos = 1;
@@ -184,7 +208,7 @@ fn a_modes_byte_without_a_form_of_each_column_is_corrupt() {
     let stats = tsfile::ChunkStatistics::from_points(&points).unwrap();
     // Unit deltas packed (width 0, base 1, no exception); values 0.0,
     // implied: with both bits the page reads.
-    let unit_deltas = [0, 2, 0];
+    let unit_deltas = [65, 2, 0];
     let whole = three_readers(&sealed_page(0x14, &unit_deltas, &[]), stats);
     assert!(whole.iter().all(Result::is_ok), "{whole:?}");
     for (what, modes) in [
@@ -437,7 +461,7 @@ fn a_packed_block_of_another_count_than_the_footer_is_a_typed_error() {
 /// around it decodes, so each case fails for its own reason.
 #[test]
 fn malformed_decimal_blocks_are_typed_errors() {
-    use tsfile::encoding::{decimal, EncodingKind};
+    use tsfile::encoding::EncodingKind;
     // Four values 1, 2, 3, 4: e = f = 0, width 2, base 1, offsets
     // 0 1 2 3 packed in one byte, then the exception list.
     let body = |w: u8, packed: &[u8], tail: &[u8]| {
@@ -453,24 +477,27 @@ fn malformed_decimal_blocks_are_typed_errors() {
         e
     };
     let good = body(2, &[0b0001_1011], &[&[1][..], &exception(2)].concat());
+    // Every block below is read from 1 to 4, as a page's ends.
+    let ends = (1.0, 4.0);
     assert_eq!(
-        decimal::decode(&good, 4, None).unwrap(),
+        decimal_decode(&good, 4, ends).unwrap(),
         [1.0, 2.0, 2.5, 4.0]
     );
-    // The delta frame of the integers `ints` under (0, 0).
+    // The delta frame of the integers `ints` under (0, 0): their
+    // timestamp block behind the pair.
     let delta = |ints: &[i64]| {
-        let mut b = vec![0x80, 0];
-        tsfile::encoding::packed::encode_timestamps(ints, &mut b);
+        let mut b = vec![0, 0];
+        packed::encode(Column::Timestamps(ints), Some(Framing::Delta), &mut b).unwrap();
         b
     };
     let good_delta = delta(&[1, 2, 4]);
     assert_eq!(
-        decimal::decode(&good_delta, 3, None).unwrap(),
+        decimal_decode(&good_delta, 3, ends).unwrap(),
         [1.0, 2.0, 4.0]
     );
 
     let cases: Vec<(&str, usize, Vec<u8>)> = vec![
-        ("bit width 65", 4, body(65, &[0b0001_1011], &[0])),
+        ("width code 195", 4, body(195, &[0b0001_1011], &[0])),
         ("bit width 255", 4, body(255, &[0b0001_1011], &[0])),
         ("exponent 19", 4, [&[19, 0][..], &good[2..]].concat()),
         (
@@ -520,15 +547,11 @@ fn malformed_decimal_blocks_are_typed_errors() {
             body(2, &[0b0001_1011], &[0, 0]),
         ),
         ("header cut short", 4, vec![0, 0]),
-        (
-            "delta frame summing past 2^53",
-            2,
-            delta(&[(1 << 53) - 1, 1 << 53]),
-        ),
+        ("delta frame summing past 2^53", 3, delta(&[1, 1 << 53, 4])),
         (
             "delta frame exponent 19",
             3,
-            [&[0x80 | 19, 0][..], &good_delta[2..]].concat(),
+            [&[19, 0][..], &good_delta[2..]].concat(),
         ),
         (
             "delta frame cut short",
@@ -547,10 +570,10 @@ fn malformed_decimal_blocks_are_typed_errors() {
         ),
     ];
     for (what, n, block) in cases {
-        let direct = decimal::decode(&block, n, None);
+        let direct = decimal_decode(&block, n, ends);
         assert!(typed(&direct), "{what}: decode gave {direct:?}");
         assert!(
-            typed(&decimal::verify(&block, n, None)),
+            typed(&decimal_verify(&block, n, ends)),
             "{what}: verify passed"
         );
         if n > tsfile::page::MAX_PAGE_POINTS {
@@ -1138,9 +1161,9 @@ proptest! {
         bytes in prop::collection::vec(any::<u8>(), 0..64),
     ) {
         let n = usize::try_from(n).unwrap();
-        prop_assert!(tsfile::encoding::decimal::decode(&bytes, n, None).is_err());
-        prop_assert!(tsfile::encoding::packed::decode_timestamps(&bytes, n, None).is_err());
-        prop_assert!(tsfile::encoding::packed::decode_values(&bytes, n).is_err());
+        for transform in [Transform::Timestamp, Transform::Key, Transform::Decimal] {
+            prop_assert!(packed::decode(&bytes, n, transform, (0, 0)).is_err());
+        }
     }
 
     /// Arbitrary bytes as a decimal block of any plausible count: a
@@ -1148,53 +1171,46 @@ proptest! {
     #[test]
     fn random_decimal_blocks_never_panic(
         n in 0usize..2_000,
+        ends in (-2i64..3, -2i64..3),
         bytes in prop::collection::vec(any::<u8>(), 0..96),
     ) {
-        use tsfile::encoding::decimal;
-        let values = decimal::decode(&bytes, n, None);
+        let ends = (ends.0 as f64, ends.1 as f64);
+        let values = decimal_decode(&bytes, n, ends);
         prop_assert!(values.as_ref().map_or_else(|_| typed(&values), |v| v.len() == n));
-        // The copy gate passes exactly what decodes, in either frame.
-        prop_assert_eq!(values.is_ok(), decimal::verify(&bytes, n, None).is_ok());
+        // The copy gate passes exactly what decodes, in any frame.
+        prop_assert_eq!(values.is_ok(), decimal_verify(&bytes, n, ends).is_ok());
     }
 
-    /// Arbitrary bytes as a packed column of any plausible count: a
-    /// typed error or exactly `n` points (at most `n` with a limit),
-    /// never a panic. Split into two blocks, the same bytes are a page's
-    /// packed columns, read against statistics of that count whose LP is
-    /// where the blocks' deltas lead from FP: the page decodes exactly
-    /// when both columns decode standalone (head, then block), and the
-    /// copy gate passes exactly what decodes.
+    /// Arbitrary bytes as packed timestamp and key blocks of any
+    /// plausible count, read from `(t0, v0)` to an LP that is either end
+    /// or any point: a typed error or exactly `n` points, never a panic.
+    /// Split into two blocks, the same bytes are a page's packed
+    /// columns, read against statistics of that count and those ends:
+    /// the page decodes exactly when both blocks do, and the copy gate
+    /// passes exactly what decodes.
     #[test]
     fn random_packed_columns_never_panic(
         n in 0usize..2_000,
-        limit in any::<i64>(),
         t0 in any::<i64>(),
         v0_bits in any::<u64>(),
+        same_ends in any::<bool>(),
+        t1 in any::<i64>(),
+        v1_bits in any::<u64>(),
         split in any::<prop::sample::Index>(),
         bytes in prop::collection::vec(any::<u8>(), 0..96),
     ) {
-        use tsfile::encoding::{packed, EncodingKind};
-        let ts = packed::decode_timestamps(&bytes, n, None);
+        use tsfile::encoding::EncodingKind;
+        let (t1, v1_bits) = if same_ends { (t0, v0_bits) } else { (t1, v1_bits) };
+        let ts = ts_decode(&bytes, n, (t0, t1));
         prop_assert!(ts.as_ref().map_or_else(|_| typed(&ts), |t| t.len() == n));
-        if let Ok(until) = packed::decode_timestamps(&bytes, n, Some(limit)) {
-            prop_assert!(ts.is_ok() && until.len() <= n);
-        }
-        let values = packed::decode_values(&bytes, n);
+        let values = packed::decode(&bytes, n, Transform::Key, (v0_bits, v1_bits));
         prop_assert!(values.as_ref().map_or_else(|_| typed(&values), |v| v.len() == n));
 
         let (ts_block, val_block) = bytes.split_at(split.index(bytes.len() + 1));
-        let v0 = f64::from_bits(v0_bits);
-        let mut ts_column = Vec::new();
-        tsfile::varint::write_i64(&mut ts_column, t0);
-        ts_column.extend_from_slice(ts_block);
-        let val_column = [&v0_bits.to_le_bytes()[..], val_block].concat();
-        let ts = packed::decode_timestamps(&ts_column, n, None);
-        let vs = packed::decode_values(&val_column, n);
-        let head = Point::new(t0, v0);
-        let last = Point::new(
-            ts.as_ref().ok().and_then(|t| t.last().copied()).unwrap_or(t0),
-            vs.as_ref().ok().and_then(|v| v.last().copied()).unwrap_or(v0),
-        );
+        let ts = ts_decode(ts_block, n, (t0, t1));
+        let vs = packed::decode(val_block, n, Transform::Key, (v0_bits, v1_bits));
+        let head = Point::new(t0, f64::from_bits(v0_bits));
+        let last = Point::new(t1, f64::from_bits(v1_bits));
         let page = sealed_page(0b1100, ts_block, val_block);
         let meta = tsfile::PageMeta {
             offset: 0,
@@ -1236,26 +1252,26 @@ proptest! {
         flip_decimal_block(values, Framing::Reference, &flips)?;
     }
 
-    /// Arbitrary bytes behind a header with bit 7 of `e` set — a delta
-    /// frame of any plausible count: a typed error or exactly `n`
-    /// values, never a panic, and the copy gate's check agrees with the
-    /// decoder.
+    /// Arbitrary bytes behind a header with a delta frame's width code
+    /// — a delta frame of any plausible count, read from 0 to a small
+    /// integer: a typed error or exactly `n` values, never a panic, and
+    /// the copy gate's check agrees with the decoder.
     #[test]
     fn random_delta_frames_never_panic(
         n in 0usize..2_000,
         e in 0u8..=18,
         f in any::<prop::sample::Index>(),
+        w in 0u8..65,
+        last in -2i64..3,
         body in prop::collection::vec(any::<u8>(), 0..96),
         raw in prop::collection::vec(any::<u8>(), 1..96),
     ) {
-        use tsfile::encoding::decimal;
-        let header = [e | 0x80, f.index(usize::from(e) + 1) as u8];
-        let mut raw = raw;
-        raw[0] |= 0x80;
+        let header = [e, f.index(usize::from(e) + 1) as u8, 65 + w];
+        let ends = (0.0, last as f64);
         for bytes in [[&header[..], &body].concat(), raw] {
-            let values = decimal::decode(&bytes, n, None);
+            let values = decimal_decode(&bytes, n, ends);
             prop_assert!(values.as_ref().map_or_else(|_| typed(&values), |v| v.len() == n));
-            prop_assert_eq!(values.is_ok(), decimal::verify(&bytes, n, None).is_ok());
+            prop_assert_eq!(values.is_ok(), decimal_verify(&bytes, n, ends).is_ok());
         }
     }
 
@@ -1267,7 +1283,6 @@ proptest! {
         start in any::<i64>(),
         steps in prop::collection::vec((0u8..4, any::<i64>()), 0..40),
     ) {
-        use tsfile::encoding::{decimal, packed};
         const LIMIT: i64 = 1 << 53;
         // Integers near the limit, small steps, and wild ones.
         let mut ints = vec![start % (LIMIT + 2)];
@@ -1280,13 +1295,16 @@ proptest! {
                 _ => x % (LIMIT + 2),
             });
         }
-        let mut block = vec![0x80, 0];
-        packed::encode_timestamps(&ints, &mut block);
+        let mut block = vec![0, 0];
+        packed::encode(Column::Timestamps(&ints), Some(Framing::Delta), &mut block).unwrap();
         let n = ints.len();
         let held = ints.iter().all(|d| d.unsigned_abs() < 1 << 53);
-        let values = decimal::decode(&block, n, None);
+        // The ends as a page's statistics hold them: an integer past
+        // 2^53 at either end has no value of its own.
+        let ends = (ints[0] as f64, ints[n - 1] as f64);
+        let values = decimal_decode(&block, n, ends);
         prop_assert_eq!(values.is_ok(), held);
-        prop_assert_eq!(decimal::verify(&block, n, None).is_ok(), held);
+        prop_assert_eq!(decimal_verify(&block, n, ends).is_ok(), held);
         if let Ok(values) = values {
             let want: Vec<f64> = ints.iter().map(|&d| d as f64).collect();
             prop_assert_eq!(values, want);
@@ -1301,10 +1319,9 @@ proptest! {
     fn huge_claimed_counts_cannot_over_reserve(
         bytes in prop::collection::vec(any::<u8>(), 0..16),
     ) {
-        use tsfile::encoding::{decimal, packed};
-        prop_assert!(packed::decode_timestamps(&bytes, usize::MAX, None).is_err());
-        prop_assert!(packed::decode_values(&bytes, usize::MAX).is_err());
-        prop_assert!(decimal::decode(&bytes, usize::MAX, None).is_err());
+        for transform in [Transform::Timestamp, Transform::Key, Transform::Decimal] {
+            prop_assert!(packed::decode(&bytes, usize::MAX, transform, (0, 0)).is_err());
+        }
     }
 
     /// Flip one byte of a valid mods log: replay must never panic and
@@ -1395,14 +1412,13 @@ fn drifting_hundredths(n: i64) -> impl Iterator<Item = f64> {
     })
 }
 
-/// A line frame under (0, 0), written by hand: `slope`, then the block
-/// of residuals `base + offset` with each offset in `w ≤ 8` bits, MSB
-/// first, and the exception list `tail` (`[0]`: none).
+/// A line frame under (0, 0), written by hand: its width code, `slope`,
+/// then the block of residuals `base + offset` with each offset in
+/// `w ≤ 8` bits, MSB first, and the exception list `tail` (`[0]`: none).
 fn line_frame(slope: i64, w: u32, base: i64, offsets: &[u64], tail: &[u8]) -> Vec<u8> {
     use tsfile::varint;
-    let mut b = vec![0x40, 0];
+    let mut b = vec![0, 0, 130 + w as u8];
     varint::write_i64(&mut b, slope);
-    b.push(w as u8);
     varint::write_i64(&mut b, base);
     let mut bits: Vec<bool> = Vec::new();
     for &o in offsets {
@@ -1423,13 +1439,15 @@ fn line_frame(slope: i64, w: u32, base: i64, offsets: &[u64], tail: &[u8]) -> Ve
 /// values, standalone and inside a page: both a typed error or both
 /// `n` values. Returns whether it decoded.
 fn line_block_agrees(block: &[u8], n: usize, what: &str) -> bool {
-    use tsfile::encoding::{decimal, EncodingKind};
-    let values = decimal::decode(block, n, None);
+    use tsfile::encoding::EncodingKind;
+    // As [`meta_of`]'s statistics give them: a line frame reads neither.
+    let ends = (0.0, 0.0);
+    let values = decimal_decode(block, n, ends);
     match &values {
         Ok(v) => assert_eq!(v.len(), n, "{what}"),
         Err(_) => assert!(typed(&values), "{what}: {values:?}"),
     }
-    let verified = decimal::verify(block, n, None);
+    let verified = decimal_verify(block, n, ends);
     assert_eq!(
         verified.is_ok(),
         values.is_ok(),
@@ -1459,14 +1477,15 @@ fn line_block_agrees(block: &[u8], n: usize, what: &str) -> bool {
 /// from both or a block both accept — never a panic.
 #[test]
 fn line_frame_prefixes_and_bit_flips_are_typed_errors() {
-    use tsfile::encoding::decimal;
     let mut vs: Vec<f64> = drifting_hundredths(200).collect();
     vs[17] = f64::from_bits(0x7ff8_0000_0000_0001);
     vs[150] = -0.0;
     let mut block = Vec::new();
-    assert!(decimal::encode_values(&vs, &mut block));
-    assert_eq!(decimal::framing(&block).unwrap(), Framing::Line);
-    let back = decimal::decode(&block, vs.len(), None).unwrap();
+    assert_eq!(
+        packed::encode(Column::Decimal(&vs), None, &mut block),
+        Some(Framing::Line)
+    );
+    let back = decimal_decode(&block, vs.len(), (vs[0], vs[199])).unwrap();
     assert!(back
         .iter()
         .zip(&vs)
@@ -1486,15 +1505,16 @@ fn line_frame_prefixes_and_bit_flips_are_typed_errors() {
 
 /// Line frames written by hand: a slope whose `slope·(n − 1)`
 /// overflows, or that takes a slot of the block — an exception's too —
-/// to `|d| ≥ 2^53`, is `Corrupt`; so is a header with bits 6 and 7 of
-/// `e` both set.
+/// to `|d| ≥ 2^53`, is `Corrupt`; so is a width code of 195 or more.
 #[test]
 fn malformed_line_frames_are_corrupt() {
-    use tsfile::encoding::decimal;
     const LIMIT: i64 = 1 << 53;
     // Residuals 5, 6, 5 rising one a point: 5, 7, 7.
     let good = line_frame(1 << 16, 1, 5, &[0, 1, 0], &[0]);
-    assert_eq!(decimal::decode(&good, 3, None).unwrap(), [5.0, 7.0, 7.0]);
+    assert_eq!(
+        decimal_decode(&good, 3, (5.0, 7.0)).unwrap(),
+        [5.0, 7.0, 7.0]
+    );
     assert!(line_block_agrees(&good, 3, "good"));
     // The largest slope whose `slope·(n − 1)` does not overflow over
     // 3 values: its trend reaches 2^47, and the block decodes.
@@ -1529,22 +1549,18 @@ fn malformed_line_frames_are_corrupt() {
             line_frame(1 << 16, 0, i64::MAX, &[], &[0]),
         ),
         ("an exception's slot at 2^53", 3, slot(LIMIT - 2)),
+        ("width code 195", 3, [&[0, 0, 195][..], &good[3..]].concat()),
         (
-            "bits 6 and 7 of e",
+            "width code 255 and an exponent",
             3,
-            [&[0xc0, 0][..], &good[2..]].concat(),
-        ),
-        (
-            "bits 6 and 7 of e and an exponent",
-            3,
-            [&[0xc2, 1][..], &good[2..]].concat(),
+            [&[2, 1, 255][..], &good[3..]].concat(),
         ),
         (
             "line frame exponent 19",
             3,
-            [&[0x40 | 19, 0][..], &good[2..]].concat(),
+            [&[19, 0][..], &good[2..]].concat(),
         ),
-        ("line frame cut after its slope", 3, good[..5].to_vec()),
+        ("line frame cut after its slope", 3, good[..6].to_vec()),
         (
             "line frame with a byte after it",
             3,
@@ -1553,7 +1569,7 @@ fn malformed_line_frames_are_corrupt() {
     ];
     for (what, n, block) in cases {
         assert!(!line_block_agrees(&block, n, what), "{what}: decoded");
-        let got = decimal::decode(&block, n, None);
+        let got = decimal_decode(&block, n, (0.0, 0.0));
         if !what.starts_with("line frame") {
             assert!(
                 matches!(got, Err(TsFileError::Corrupt(_))),
@@ -1566,17 +1582,18 @@ fn malformed_line_frames_are_corrupt() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Arbitrary bytes behind a header with bit 6 of `e` set — a line
-    /// frame of any plausible count: a typed error or exactly `n`
+    /// Arbitrary bytes behind a header with a line frame's width code —
+    /// a line frame of any plausible count: a typed error or exactly `n`
     /// values, never a panic, and the copy gate's check agrees.
     #[test]
     fn random_line_frames_never_panic(
         n in 0usize..2_000,
         e in 0u8..=18,
         f in any::<prop::sample::Index>(),
+        w in 0u8..65,
         body in prop::collection::vec(any::<u8>(), 0..96),
     ) {
-        let header = [e | 0x40, f.index(usize::from(e) + 1) as u8];
+        let header = [e, f.index(usize::from(e) + 1) as u8, 130 + w];
         line_block_agrees(&[&header[..], &body].concat(), n, "random");
     }
 
@@ -1606,7 +1623,6 @@ proptest! {
         ],
         offsets in prop::collection::vec(0u64..4, 1..40),
     ) {
-        use tsfile::encoding::decimal;
         let n = offsets.len();
         let block = line_frame(slope, 2, base, &offsets, &[0]);
         let fits = slope.checked_mul(n as i64 - 1).is_some();
@@ -1621,9 +1637,9 @@ proptest! {
                 .enumerate()
                 .map(|(i, &o)| (i128::from(base) + i128::from(o) + trend(i)) as f64)
                 .collect();
-            prop_assert_eq!(decimal::decode(&block, n, None).unwrap(), want);
+            prop_assert_eq!(decimal_decode(&block, n, (0.0, 0.0)).unwrap(), want);
         } else {
-            let got = decimal::decode(&block, n, None);
+            let got = decimal_decode(&block, n, (0.0, 0.0));
             prop_assert!(matches!(got, Err(TsFileError::Corrupt(_))), "{:?}", got);
         }
     }
@@ -1679,7 +1695,7 @@ fn statistics_that_imply_no_values_are_corrupt_to_all_three_readers() {
         // wherever the points are a unit step apart.
         let pages = match what {
             "timestamps not a line" => vec![Vec::new()],
-            _ => vec![Vec::new(), sealed_page(0x14, &[0, 2, 0], &[])],
+            _ => vec![Vec::new(), sealed_page(0x14, &[65, 2, 0], &[])],
         };
         for page in pages {
             for got in three_readers(&page, stats) {
@@ -1705,13 +1721,13 @@ fn cadence_file(path: &std::path::Path) -> Vec<u8> {
     let reader = TsFileReader::open(path).unwrap();
     for meta in reader.chunk_metas() {
         let body = reader.read_chunk_raw(meta).unwrap();
-        let framing = tsfile::page::ts_framing(&body).unwrap();
+        let framing = tsfile::page::framings(&body).unwrap()[0];
         assert_eq!(framing, Some(Framing::Line));
     }
     let reader = TsFileReader::open(path).unwrap();
     for meta in reader.chunk_metas() {
         let body = reader.read_chunk_raw(meta).unwrap();
-        let framing = tsfile::page::ts_framing(&body).unwrap();
+        let framing = tsfile::page::framings(&body).unwrap()[0];
         assert_eq!(framing, Some(Framing::Line));
     }
     std::fs::read(path).unwrap()
@@ -1773,10 +1789,12 @@ fn three_readers(page: &[u8], stats: tsfile::ChunkStatistics) -> [tsfile::Result
 /// typed error from all three or a page all three accept.
 #[test]
 fn line_frame_prefixes_and_bit_flips_are_typed_errors_from_all_three_readers() {
-    use tsfile::page::ts_framing;
     let points = cadence_points(300);
     let (body, modes, ts, values) = page_columns(&points);
-    assert_eq!(ts_framing(&body).unwrap(), Some(Framing::Line));
+    assert_eq!(
+        tsfile::page::framings(&body).unwrap()[0],
+        Some(Framing::Line)
+    );
     let stats = tsfile::ChunkStatistics::from_points(&points).unwrap();
     assert!(three_readers(&body, stats).iter().all(|r| r.is_ok()));
     let check = |ts: &[u8], what: &str, must_fail: bool| {
@@ -1793,7 +1811,7 @@ fn line_frame_prefixes_and_bit_flips_are_typed_errors_from_all_three_readers() {
     for at in 0..ts.len() * 8 {
         let mut flipped = ts.clone();
         flipped[at / 8] ^= 1 << (at % 8);
-        // Bit 7 of the width byte turns the column into the delta frame.
+        // A flip in the width code names another frame or width.
         check(&flipped, &format!("bit {at}"), false);
     }
 }
@@ -1801,19 +1819,19 @@ fn line_frame_prefixes_and_bit_flips_are_typed_errors_from_all_three_readers() {
 /// Line-frame timestamp columns that are `Corrupt` from the page
 /// decoder, the timestamp decoder and the copy gate alike: a slope whose
 /// trend overflows `i64` by `n − 1`, a last residual that misses LP, and
-/// a block of another count than the footer's. The frame bit on any
-/// other block — a packed value column, or the block inside a decimal
-/// block in each of its frames — is `Corrupt` from the page decoder and
-/// the copy gate, where a width byte above 64 is one; the timestamp
-/// decoder does not read the value column and decodes those pages.
+/// a block of another count than the footer's. A width code of 195 or
+/// more on any other block — a packed value column, or a decimal block
+/// in each of its frames — is `Corrupt` from the page decoder and the
+/// copy gate; the timestamp decoder does not read the value column and
+/// decodes those pages.
 #[test]
 fn malformed_line_frame_columns_are_corrupt() {
-    use tsfile::encoding::{decimal, EncodingKind};
+    use tsfile::encoding::EncodingKind;
     use tsfile::varint;
     let corrupt = |r: &tsfile::Result<()>| matches!(r, Err(TsFileError::Corrupt(_)));
     // Three points, width 0: t = 0 + ⌊slope·i / 2^16⌋ + 0.
     let by_hand = |slope: i64| {
-        let mut col = vec![0x80];
+        let mut col = vec![130];
         varint::write_i64(&mut col, slope);
         col.extend_from_slice(&[0, 0]); // base 0, no exception
         sealed_page(0b1_0100, &col, &[]) // values 1.0, implied
@@ -1850,46 +1868,48 @@ fn malformed_line_frame_columns_are_corrupt() {
         }
     }
 
-    // The flag on the packed value column's width byte (its head is FP.v).
-    assert!(values[0] <= 64);
+    // A width code past the three frames on the packed value column.
+    assert_eq!(values[0] / 65, 1, "the keys' delta frame");
     let mut flagged = values.clone();
-    flagged[0] |= 0x80;
+    flagged[0] += 130;
     let [page, stamps, gate] = three_readers(&sealed_page(modes, &ts, &flagged), stats);
     assert!(
         corrupt(&page) && corrupt(&gate) && stamps.is_ok(),
         "{page:?} {gate:?}"
     );
 
-    // The flag on the block inside a decimal block, in each frame: a
-    // ramp (delta frame: e, f, d0, then the block), a drifting register
-    // (line frame: e, f, slope, then the block) and noise (frame of
-    // reference: e, f, then the block).
-    let blocks: [(Vec<f64>, usize); 3] = [
-        ((0..300).map(|i| f64::from(i % 41) / 4.0).collect(), 1),
-        (drifting_hundredths(300).collect(), 1),
+    // The same code on a decimal block in each frame: a ramp (the
+    // delta frame), a drifting register (the line frame) and hashed
+    // noise (the frame of reference), its code after `e` and `f`.
+    let hash = |i: u64| {
+        let z = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (z ^ (z >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 33
+    };
+    let blocks: [(Vec<f64>, Framing); 3] = [
         (
-            (0..300)
-                .map(|i| f64::from(i * 7_919 % 400) / 100.0)
-                .collect(),
-            0,
+            (0..300).map(|i| f64::from(i % 41) / 4.0).collect(),
+            Framing::Delta,
+        ),
+        (drifting_hundredths(300).collect(), Framing::Line),
+        (
+            (0..300).map(|i| (hash(i) % 400) as f64 / 100.0).collect(),
+            Framing::Reference,
         ),
     ];
-    for (vs, varints) in blocks {
+    for (vs, framing) in blocks {
         let mut block = Vec::new();
-        assert!(decimal::encode_values(&vs, &mut block));
-        let mut at = 2;
-        for _ in 0..varints {
-            varint::read_i64(&block, &mut at).unwrap();
-        }
-        assert!(block[at] <= 64);
-        block[at] |= 0x80;
-        let framing = decimal::framing(&block).unwrap();
+        assert_eq!(
+            packed::encode(Column::Decimal(&vs), None, &mut block),
+            Some(framing)
+        );
+        block[2] = 195 + block[2] % 65;
         let n = vs.len();
         let page = decimal_page(&block);
         let meta = meta_of(n, &page);
+        let ends = (vs[0], vs[n - 1]);
         let got = [
-            decimal::decode(&block, n, None).map(drop),
-            decimal::verify(&block, n, None),
+            decimal_decode(&block, n, ends).map(drop),
+            decimal_verify(&block, n, ends),
             tsfile::page::decode_page(&page, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta)
                 .map(drop),
             tsfile::page::verify_page_body(&page, &meta),
@@ -1918,13 +1938,9 @@ proptest! {
         off_by in prop_oneof![Just(0i64), Just(0i64), any::<i64>()],
     ) {
         use tsfile::encoding::EncodingKind;
-        // The decimal line frame's bytes after its `e` and `f`, with the
-        // width byte moved in front of the slope and flagged.
+        // The decimal line frame's bytes after its `e` and `f`.
         let decimal = line_frame(slope, 2, base, &offsets, &[0]);
-        let body = &decimal[2..];
-        let mut at = 0;
-        tsfile::varint::read_i64(body, &mut at).unwrap();
-        let col = [&[body[at] | 0x80][..], &body[..at], &body[at + 1..]].concat();
+        let col = decimal[2..].to_vec();
         let n = offsets.len() + 1;
         let fits = slope.checked_mul(n as i64 - 1).is_some();
         let want: Vec<i64> = std::iter::once(t0)
@@ -1949,16 +1965,16 @@ proptest! {
     }
 }
 
-/// A packed column of 200 timestamps at a 10 ms cadence with one delay
-/// of an hour at position 120: one window exception, the last entry of
-/// the block — a one-byte position (119, the delta's) and a three-byte
+/// A delta block of 200 timestamps at a 10 ms cadence with one delay of
+/// an hour at position 120: one window exception, the last entry of the
+/// block — a one-byte position (119, the delta's) and a three-byte
 /// distance (3 600 000 − 0 zigzagged).
 fn delayed_column() -> (Vec<i64>, Vec<u8>) {
     let ts: Vec<i64> = (0..200i64)
         .map(|i| i * 10 + if i >= 120 { 3_600_000 } else { 0 })
         .collect();
     let mut col = Vec::new();
-    tsfile::encoding::packed::encode_timestamps(&ts, &mut col);
+    packed::encode(Column::Timestamps(&ts), Some(Framing::Delta), &mut col).unwrap();
     (ts, col)
 }
 
@@ -1966,47 +1982,46 @@ fn delayed_column() -> (Vec<i64>, Vec<u8>) {
 /// is a typed error, never a panic.
 #[test]
 fn a_truncated_or_overlong_exception_distance_is_a_typed_error() {
-    use tsfile::encoding::packed;
     use tsfile::varint;
     let (ts, col) = delayed_column();
-    assert_eq!(packed::decode_timestamps(&col, ts.len(), None).unwrap(), ts);
+    let ends = (ts[0], ts[199]);
+    assert_eq!(ts_decode(&col, ts.len(), ends).unwrap(), ts);
     let distance = varint::len_u64(varint::zigzag(3_600_000));
     let entry = col.len() - distance;
     assert_eq!(col[entry - 1], 119, "the exception's position");
     for cut in 1..=distance {
         let short = &col[..col.len() - cut];
-        let got = packed::decode_timestamps(short, ts.len(), None);
+        let got = ts_decode(short, ts.len(), ends);
         assert!(typed(&got), "cut {cut}: {got:?}");
     }
     // Eleven bytes of continuation: more than 64 bits.
     let long = [&col[..entry], &[0xff; 10][..], &[0x01]].concat();
-    let got = packed::decode_timestamps(&long, ts.len(), None);
+    let got = ts_decode(&long, ts.len(), ends);
     assert!(matches!(got, Err(TsFileError::Corrupt(_))), "{got:?}");
 }
 
 /// One value, one encoding: an exception whose integer a slot could
 /// hold — its distance rewritten to 0, the base itself, or to the
-/// slots' top — is `Corrupt`, in the standalone column and in a page,
-/// whose copy gate refuses it too.
+/// slots' top — is `Corrupt`, in the block alone and in a page, whose
+/// copy gate refuses it too.
 #[test]
 fn an_exception_inside_the_slots_is_corrupt() {
-    use tsfile::encoding::{packed, EncodingKind};
+    use tsfile::encoding::EncodingKind;
     use tsfile::varint;
     let (ts, col) = delayed_column();
     let distance = varint::len_u64(varint::zigzag(3_600_000));
-    let head = varint::len_u64(varint::zigzag(ts[0]));
-    // The deltas are 10 but one: width 0, so the slots hold the base
-    // alone.
-    assert_eq!(col[head], 0, "width");
+    // The deltas are 10 but one: the delta frame at width 0, so the
+    // slots hold the base alone.
+    assert_eq!(col[0], 65, "width code");
     let inside = [&col[..col.len() - distance], &[0][..]].concat();
-    let got = packed::decode_timestamps(&inside, ts.len(), None);
+    let got = ts_decode(&inside, ts.len(), (ts[0], ts[199]));
     assert!(
         matches!(&got, Err(TsFileError::Corrupt(m)) if m.contains("inside")),
         "{got:?}"
     );
     // In a page, with the statistics the column would land on.
     let points: Vec<Point> = ts.iter().map(|&t| Point::new(t, 1.5)).collect();
-    let page = sealed_page(0b100 | 0b10000, &inside[head..], &[]);
+    let page = sealed_page(0b100 | 0b10000, &inside, &[]);
     let meta = tsfile::PageMeta {
         offset: 0,
         byte_len: page.len() as u64,
@@ -2021,7 +2036,7 @@ fn an_exception_inside_the_slots_is_corrupt() {
     let gate = tsfile::page::verify_page_body(&page, &meta);
     assert!(matches!(gate, Err(TsFileError::Corrupt(_))), "{gate:?}");
     // The untouched column in the same page decodes.
-    let page = sealed_page(0b100 | 0b10000, &col[head..], &[]);
+    let page = sealed_page(0b100 | 0b10000, &col, &[]);
     let meta = tsfile::PageMeta {
         byte_len: page.len() as u64,
         ..meta
@@ -2052,7 +2067,7 @@ fn a_decimal_delta_page_that_misses_lp_is_corrupt() {
         &mut body,
     );
     assert_eq!(
-        tsfile::page::decimal_framing(&body).unwrap(),
+        tsfile::page::framings(&body).unwrap()[1],
         Some(Framing::Delta)
     );
     let meta = tsfile::PageMeta {
@@ -2082,6 +2097,54 @@ fn a_decimal_delta_page_that_misses_lp_is_corrupt() {
         assert!(
             matches!(gate, Err(TsFileError::Corrupt(_))),
             "{what}: {gate:?}"
+        );
+    }
+}
+
+/// The pad bits after the last slot of a block of `m` slots that is all
+/// of `block`, for timestamps or keys: `(byte index, bit mask)` of each.
+fn pad_bits(block: &[u8], m: usize) -> Vec<(usize, u8)> {
+    let (code, mut pos) = (block[0], 1);
+    if code >= 130 {
+        tsfile::varint::read_i64(block, &mut pos).unwrap(); // the slope
+    }
+    tsfile::varint::read_i64(block, &mut pos).unwrap(); // the base
+    let bits = m * usize::from(code % 65);
+    let last = pos + bits.div_ceil(8) - 1;
+    (bits % 8..8)
+        .filter(|_| !bits.is_multiple_of(8))
+        .map(|b| (last, 0x80u8 >> b))
+        .collect()
+}
+
+/// A nonzero pad bit after a block's last slot is `Corrupt`: each pad
+/// bit of a page's timestamp block, flipped under a re-sealed CRC, to
+/// the page decoder, the timestamp decoder and the copy gate alike; of
+/// its value block, to the page decoder and the copy gate (the
+/// timestamp decoder does not read the values).
+#[test]
+fn a_nonzero_pad_bit_after_the_last_slot_is_corrupt() {
+    let points = cadence_points(300);
+    let (body, modes, ts, values) = page_columns(&points);
+    let stats = tsfile::ChunkStatistics::from_points(&points).unwrap();
+    assert!(three_readers(&body, stats).iter().all(|r| r.is_ok()));
+    let corrupt = |r: &tsfile::Result<()>| matches!(r, Err(TsFileError::Corrupt(_)));
+    let (ts_pads, value_pads) = (pad_bits(&ts, 299), pad_bits(&values, 299));
+    assert!(!ts_pads.is_empty() && !value_pads.is_empty());
+    for (at, mask) in ts_pads {
+        let mut flipped = ts.clone();
+        flipped[at] ^= mask;
+        for r in three_readers(&sealed_page(modes, &flipped, &values), stats) {
+            assert!(corrupt(&r), "timestamp pad {at}/{mask:#x}: {r:?}");
+        }
+    }
+    for (at, mask) in value_pads {
+        let mut flipped = values.clone();
+        flipped[at] ^= mask;
+        let [page, stamps, gate] = three_readers(&sealed_page(modes, &ts, &flipped), stats);
+        assert!(
+            corrupt(&page) && corrupt(&gate) && stamps.is_ok(),
+            "value pad {at}/{mask:#x}"
         );
     }
 }

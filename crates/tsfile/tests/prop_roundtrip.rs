@@ -13,11 +13,11 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tsfile::encoding::decimal::Framing;
-use tsfile::encoding::{decimal, packed, EncodingKind};
+use tsfile::encoding::packed::{self, Column, Framing, Transform};
+use tsfile::encoding::EncodingKind;
 use tsfile::page::{
-    decimal_framing, decode_page, decode_page_timestamps, encode_page, forms, ts_framing,
-    verify_page_body, TsForm, ValueForm,
+    decode_page, decode_page_timestamps, encode_page, forms, framings, verify_page_body, TsForm,
+    ValueForm,
 };
 use tsfile::statistics::ChunkStatistics;
 use tsfile::types::{Point, Version};
@@ -553,24 +553,21 @@ fn a_decimal_line(vs: &[f64]) -> bool {
 
 /// Encode `points` as a page and check it decodes to the same bits.
 /// The decimal block a page holds for `vs` (empty for none): of the
-/// three standalone frames, the first of the smallest once the delta
-/// frame's head (FP.v's integer, after the `e` and `f` bytes) is left
-/// out.
+/// three frames, each written alone, the first of the smallest.
 fn page_block(vs: &[f64]) -> Vec<u8> {
     let frame = |f: Framing| {
         let mut b = Vec::new();
-        decimal::encode_values_in(vs, f, &mut b).then_some(b)
+        packed::encode(Column::Decimal(vs), Some(f), &mut b).map(|_| b)
     };
-    let delta = frame(Framing::Delta).map(|b| {
-        let mut pos = 2;
-        varint::read_i64(&b, &mut pos).unwrap();
-        [&b[..2], &b[pos..]].concat()
-    });
-    [frame(Framing::Reference), delta, frame(Framing::Line)]
-        .into_iter()
-        .flatten()
-        .reduce(|best, next| if next.len() < best.len() { next } else { best })
-        .unwrap_or_default()
+    [
+        frame(Framing::Reference),
+        frame(Framing::Delta),
+        frame(Framing::Line),
+    ]
+    .into_iter()
+    .flatten()
+    .reduce(|best, next| if next.len() < best.len() { next } else { best })
+    .unwrap_or_default()
 }
 
 fn page_roundtrip(points: &[Point]) -> (Vec<u8>, PageMeta) {
@@ -620,27 +617,26 @@ proptest! {
         let forms = forms(&body).unwrap();
 
         // Timestamps: nothing when the statistics give them back, else
-        // the packed column, never larger than its delta frame (the
-        // standalone column less its head), whichever frame it takes.
+        // the packed column, never larger than its delta frame,
+        // whichever frame it takes.
         let mut delta_frame = Vec::new();
-        packed::encode_timestamps(&ts, &mut delta_frame);
-        let delta_len = delta_frame.len() - varint::len_u64(varint::zigzag(ts[0]));
+        packed::encode(Column::Timestamps(&ts), Some(Framing::Delta), &mut delta_frame);
+        let delta_len = delta_frame.len();
         match forms.timestamps {
             TsForm::Constant => prop_assert!(derivable(&ts) && ts_col.is_empty()),
             TsForm::Packed => {
                 prop_assert!(!derivable(&ts));
                 prop_assert!(ts_col.len() <= delta_len, "{} > {}", ts_col.len(), delta_len);
-                if ts_framing(&body).unwrap() == Some(Framing::Delta) {
-                    prop_assert_eq!(ts_col, &delta_frame[delta_frame.len() - delta_len..]);
+                if framings(&body).unwrap()[0] == Some(Framing::Delta) {
+                    prop_assert_eq!(ts_col, &delta_frame[..]);
                 }
             }
         }
 
-        // Values: the block, unless the packed deltas are smaller (the
-        // standalone column less its 8-byte head).
-        let mut standalone = Vec::new();
-        packed::encode_values(&vs, &mut standalone);
-        let packed_len = standalone.len() - 8;
+        // Values: the block, unless the packed key deltas are smaller.
+        let mut keys = Vec::new();
+        packed::encode(Column::Keys(&vs), None, &mut keys);
+        let packed_len = keys.len();
         if forms.values != ValueForm::Packed {
             prop_assert!(val_col.len() <= packed_len, "{} > {}", val_col.len(), packed_len);
         }
@@ -671,8 +667,8 @@ proptest! {
         // of its scale recovers every value (the delta frame holds no
         // exception), or its ends imply every value.
         let implied = forms.values == ValueForm::Implied;
-        if (8..=9).contains(&shape) && len >= 64 && !implied && decimal::encode_values_in(&vs, Framing::Delta, &mut Vec::new()) {
-            prop_assert_eq!(decimal_framing(&body).unwrap(), Some(Framing::Delta));
+        if (8..=9).contains(&shape) && len >= 64 && !implied && packed::encode(Column::Decimal(&vs), Some(Framing::Delta), &mut Vec::new()).is_some() {
+            prop_assert_eq!(framings(&body).unwrap()[1], Some(Framing::Delta));
         }
 
         // A cadence jittered around its grid stores its residuals from
@@ -680,7 +676,7 @@ proptest! {
         // 7 B (width, slope, base, exception count), where its deltas
         // take 4.
         if ts_shape == 4 && len >= 100 {
-            prop_assert_eq!(ts_framing(&body).unwrap(), Some(Framing::Line));
+            prop_assert_eq!(framings(&body).unwrap()[0], Some(Framing::Line));
             prop_assert!(ts_col.len() <= (3 * (len - 1)).div_ceil(8) + 7, "{} bytes", ts_col.len());
         }
 
@@ -718,20 +714,17 @@ proptest! {
 }
 
 /// The most bytes a page body of `n` points takes. A column is at most
-/// its packed block (the line frame is kept only where smaller than the
-/// delta frame, the decimal block and implied values only where no
-/// larger than the packed values). The block's window is chosen at the
-/// least charge, and a charge is at most that of `n − 1` slots of 64
-/// bits; the charge counts an exception's distance from the window's
-/// centre, and its distance from the base takes at most one byte more.
-/// So a block is at most `8·(n − 1)` bytes, one byte an exception (at
-/// most `n − 1` of them), a width byte, a base of at most 10 varint
-/// bytes and a count of at most 3: `9·(n − 1) + 14`. With the timestamp
-/// column's length (at most 4 varint bytes: such a block of at most
-/// 2^20 points is under 2^28 bytes), the modes byte and the CRC:
-/// `18·(n − 1) + 37`.
+/// its delta block (the packed chooser keeps the strictly smallest
+/// frame it sizes, a delta frame it skips only where its floor already
+/// loses, and the decimal block and implied values only where no larger
+/// than the keys' block), and the chooser sizes every delta kept, so a
+/// delta block is at most its `n − 1` deltas at width 64: a width code,
+/// a base of at most 10 varint bytes, `8·(n − 1)` bytes of slots and an
+/// exception count of 0, `8·(n − 1) + 12`. With the timestamp column's
+/// length (at most 4 varint bytes: such a block of at most 2^20 points
+/// is under 2^28 bytes), the modes byte and the CRC: `16·(n − 1) + 33`.
 fn page_bound(n: usize) -> usize {
-    18 * (n - 1) + 2 * 14 + 4 + 1 + 4
+    16 * (n - 1) + 2 * 12 + 4 + 1 + 4
 }
 
 /// A page whose value keys step by `±(2^62 − 1)` from a centre on 710
@@ -739,7 +732,9 @@ fn page_bound(n: usize) -> usize {
 /// rest: the window at width 1 charges each far delta 9 bytes of
 /// distance where its distance from the base takes 10, so its block
 /// (8 205 B, 710 exceptions) outgrows its 1 000 64-bit slots and their
-/// header (8 012 B) — and stays within [`page_bound`].
+/// header (8 012 B: a width code, a 10-byte base, 8 000 B of slots and
+/// a count of 0). The chooser sizes that block too, so the page is at
+/// most its modes byte, those 8 012 B and its CRC.
 #[test]
 fn a_window_that_outgrows_64_bit_slots_stays_within_the_bound() {
     let (n, far) = (1_000usize, 710usize); // deltas, and those far out
@@ -778,11 +773,8 @@ fn a_window_that_outgrows_64_bit_slots_stays_within_the_bound() {
         .collect();
     let (body, _) = page_roundtrip(&points);
     assert_eq!(forms(&body).unwrap().values, ValueForm::Packed);
-    assert!(
-        body.len() <= page_bound(points.len()),
-        "{} bytes",
-        body.len()
-    );
+    assert!(body.len() <= 1 + 8_012 + 4, "{} bytes", body.len());
+    assert!(body.len() <= page_bound(points.len()));
 }
 
 proptest! {
@@ -920,12 +912,13 @@ fn drifting(
     vs
 }
 
-/// `block` verifies and decodes to `vs`, bit for bit.
+/// `block` verifies and decodes to `vs`, bit for bit, from its ends.
 fn decodes_bit_exact(block: &[u8], vs: &[f64]) -> Result<(), TestCaseError> {
-    decimal::verify(block, vs.len(), None).unwrap();
-    let back = decimal::decode(block, vs.len(), None).unwrap();
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    prop_assert_eq!(bits(&back), bits(vs));
+    let ends = (vs[0].to_bits(), vs[vs.len() - 1].to_bits());
+    packed::verify(block, vs.len(), Transform::Decimal, ends).unwrap();
+    let back = packed::decode(block, vs.len(), Transform::Decimal, ends).unwrap();
+    prop_assert_eq!(back, bits(vs));
     Ok(())
 }
 
@@ -935,8 +928,9 @@ proptest! {
     /// A drifting register's decimal block is the smallest of the three
     /// frames, each sized exactly — ties to the earlier of reference,
     /// delta, line — and every frame decodes bit-exact. A flat page
-    /// keeps the frame of reference and an exception-free ramp the delta
-    /// frame, byte for byte.
+    /// takes no line and at most 5 bytes (its deltas or its one
+    /// integer at zero bits) and an exception-free ramp the delta frame,
+    /// byte for byte.
     #[test]
     fn drifting_registers_take_the_smallest_of_three_frames(
         len in 1usize..1_500,
@@ -948,7 +942,7 @@ proptest! {
     ) {
         let vs = drifting(len, decimals, slope, noise, exceptions, seed);
         let mut block = Vec::new();
-        if !decimal::encode_values(&vs, &mut block) {
+        if packed::encode(Column::Decimal(&vs), None, &mut block).is_none() {
             // Only a page of exceptions, or one whose sample misses
             // too often, stays out of a block.
             prop_assert!(exceptions > 0);
@@ -957,11 +951,12 @@ proptest! {
         decodes_bit_exact(&block, &vs)?;
         let framed = [Framing::Reference, Framing::Delta, Framing::Line].map(|f| {
             let mut b = Vec::new();
-            decimal::encode_values_in(&vs, f, &mut b).then_some((f, b))
+            packed::encode(Column::Decimal(&vs), Some(f), &mut b).map(|_| (f, b))
         });
+        let framing = |b: &[u8]| packed::framing(b, Transform::Decimal).unwrap();
         for (f, b) in framed.iter().flatten() {
             decodes_bit_exact(b, &vs)?;
-            prop_assert_eq!(decimal::framing(b).unwrap(), *f);
+            prop_assert_eq!(framing(b), *f);
         }
         // The plan's pair can fail a value its sample missed: then
         // that value is an exception, and no delta frame exists.
@@ -974,11 +969,11 @@ proptest! {
         prop_assert_eq!(&block, &smallest.1, "the first smallest is {:?}", smallest.0);
         let exact = exceptions == 0 || vs.iter().all(|v| v.is_finite() && v.to_bits() >> 63 == 0);
         if noise == 0 && slope == 0 && exact {
-            prop_assert_eq!(decimal::framing(&block).unwrap(), Framing::Reference);
+            prop_assert!(framing(&block) != Framing::Line && block.len() <= 5);
         }
         // A ramp: its deltas are one integer, zero bits.
         if noise == 0 && slope != 0 && slope % 1_000 == 0 && has_delta && len >= 64 {
-            prop_assert_eq!(decimal::framing(&block).unwrap(), Framing::Delta);
+            prop_assert_eq!(framing(&block), Framing::Delta);
         }
     }
 }
@@ -1026,14 +1021,14 @@ fn packed_edge_cases_round_trip() {
         .collect();
     let (body, _) = page_roundtrip(&points);
     assert_eq!(forms(&body).unwrap().timestamps, TsForm::Packed);
-    assert_eq!(columns(&body).0[0], 0, "width");
+    assert_eq!(columns(&body).0[0], 65, "the delta frame at width 0");
 
     // Deltas of every magnitude: width 64, no exception.
     let mut next = splitmix(3);
     let wide: Vec<Point> = walk.iter().map(|&v| Point::new(next() as i64, v)).collect();
     let (body, _) = page_roundtrip(&wide);
     assert_eq!(forms(&body).unwrap().timestamps, TsForm::Packed);
-    assert_eq!(columns(&body).0[0], 64, "width");
+    assert_eq!(columns(&body).0[0] % 65, 64, "width");
 
     // Equal full-precision values: implied by FP.v, no bytes; with a
     // wild first and last one, packed at width 0, the two its
@@ -1048,7 +1043,7 @@ fn packed_edge_cases_round_trip() {
     flat[299].v = -0.0;
     let (body, _) = page_roundtrip(&flat);
     assert_eq!(forms(&body).unwrap().values, ValueForm::Packed);
-    assert_eq!(columns(&body).1[0], 0, "width");
+    assert_eq!(columns(&body).1[0], 65, "the delta frame at width 0");
 
     // Every special as the first value of a packed value column: the
     // head is FP.v, bit-exact, from the statistics.
@@ -1209,9 +1204,11 @@ proptest! {
             .chain(deltas.iter().scan(t0, |t, &d| { *t = t.wrapping_add(d); Some(*t) }))
             .collect();
         let mut col = Vec::new();
-        packed::encode_timestamps(&ts, &mut col);
-        prop_assert_eq!(packed::decode_timestamps(&col, ts.len(), None).unwrap(), ts.clone());
-        let block = col.len() - varint::len_u64(varint::zigzag(t0));
+        packed::encode(Column::Timestamps(&ts), Some(Framing::Delta), &mut col);
+        let ends = (t0 as u64, ts[ts.len() - 1] as u64);
+        let back = packed::decode(&col, ts.len(), Transform::Timestamp, ends).unwrap();
+        prop_assert_eq!(back, ts.iter().map(|&t| t as u64).collect::<Vec<_>>());
+        let block = col.len();
         let (twin, base, exceptions) = tsf7_block(&deltas);
         let far = exceptions
             .iter()
@@ -1232,8 +1229,8 @@ proptest! {
 
 /// A decimal delta frame in a page leaves its head to FP.v: the fleet's
 /// register — quarter units rising 0.25 a point, one wrap — stores the
-/// standalone block less FP.v's integer, and reads back bit-exactly;
-/// the wrap is one exception: a position and a three-byte distance.
+/// delta frame written alone, and reads back bit-exactly; the wrap is
+/// one exception: a position and a three-byte distance.
 #[test]
 fn a_decimal_delta_page_takes_its_head_from_fp() {
     for (start, n) in [(1_500i64, 1_024i64), (1_990, 20), (-3, 300)] {
@@ -1248,23 +1245,18 @@ fn a_decimal_delta_page_takes_its_head_from_fp() {
         let vs: Vec<f64> = points.iter().map(|p| p.v).collect();
         let (body, meta) = page_roundtrip(&points);
         assert_eq!(
-            decimal_framing(&body).unwrap(),
+            framings(&body).unwrap()[1],
             Some(Framing::Delta),
             "start {start}"
         );
-        let mut standalone = Vec::new();
-        assert!(decimal::encode_values_in(
-            &vs,
-            Framing::Delta,
-            &mut standalone
-        ));
-        let mut pos = 2;
-        let d0 = varint::read_i64(&standalone, &mut pos).unwrap();
+        let mut alone = Vec::new();
+        packed::encode(Column::Decimal(&vs), Some(Framing::Delta), &mut alone).unwrap();
         let (_, val_col) = columns(&body);
-        assert_eq!(val_col, [&standalone[..2], &standalone[pos..]].concat());
-        assert_eq!(d0, (vs[0] * 100.0) as i64, "the head is FP.v's integer");
+        assert_eq!(val_col, alone);
+        // The head left to FP.v is its integer's varint.
+        let d0 = (vs[0] * 100.0) as i64;
         let [k, list, head] = tsfile::page::window_exceptions(&body, &meta).unwrap();
-        assert_eq!((k, head), (1, pos - 2));
+        assert_eq!((k, head), (1, varint::len_u64(varint::zigzag(d0))));
         assert!(list <= 2 + 3, "{list} B");
     }
 }

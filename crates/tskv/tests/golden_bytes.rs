@@ -100,7 +100,16 @@
 //! the page bodies hash as they did; the file keeps its 15 707 bytes,
 //! and differs from the `TSF8` file in its two magics, its seven tags
 //! bytes and the footer's CRC alone (compared byte for byte). Only this
-//! row, the chunk index's part and [`COMPACTED`] were regenerated.
+//! row, the chunk index's part and [`COMPACTED`] were regenerated. Then
+//! when every column became one packed block, its frame in its width
+//! byte (`frame·65 + w`) and no flag in a timestamp width byte or a
+//! decimal `e`, under the magic `TSF10`: the file keeps its 15 707
+//! bytes and differs from the `TSF9` file in its two magics, each of
+//! its seven pages' timestamp width byte (the delta frame's code,
+//! `65 + w`, where it was `w`) and page CRC, and the footer's CRC alone
+//! (compared byte for byte); the value blocks, all in the frame of
+//! reference, kept their bytes. Only this row, the page bodies' part
+//! and [`COMPACTED`] were regenerated.
 //! [`TSFILE_PARTS`] holds the hashes of
 //! the file's parts as that twelfth regeneration wrote them — the page bodies and
 //! the footer's chunk index (its chunk count and entries) — and the
@@ -157,7 +166,7 @@ use tskv::TsKv;
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("SHARDS", 2, 0x07f8bc07b4ba5002),
     ("catalog.log", 30, 0x15354c0e1e9f51a7),
-    ("shard-0000/00000000.tsfile", 15707, 0x3cd0e785d64c243b),
+    ("shard-0000/00000000.tsfile", 15707, 0x4d563e3aaa76a173),
     ("shard-0000/s1.mods", 9, 0xcc59cc0b4c19c5c2),
     ("shard-0000/wal-00000000.log", 28518, 0x88c2ed828df37e3b),
 ];
@@ -184,8 +193,10 @@ const GOLDEN: &[(&str, u64, u64)] = &[
 /// window exceptions were listed by their distance (`TSF8`),
 /// `(15_426, 0xf47aacde97f61338)` and `(259, 0x5ebbe2a8b4034259)`;
 /// before the entries stopped naming their chunk's two encodings
-/// (`TSF9`), the same bodies and `(259, 0x39c23e32039a919f)`.
-const TSFILE_PARTS: [(usize, u64); 2] = [(15_420, 0x5d4cd9e89c111896), (259, 0xcad74373c40f092a)];
+/// (`TSF9`), the same bodies and `(259, 0x39c23e32039a919f)`; before
+/// the one packed block (`TSF10`), `(15_420, 0x5d4cd9e89c111896)` and
+/// the same chunk index.
+const TSFILE_PARTS: [(usize, u64); 2] = [(15_420, 0x3c4dce1f0dafe6c6), (259, 0xcad74373c40f092a)];
 
 /// The footer's run directory, after its chunk count: one run, of
 /// series 1 (`golden.a`), holding all seven chunks, superseding nothing.
@@ -389,8 +400,11 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
 /// (it was `(20_358, 0xab57c65f1005d381)`; the magic became `TSF9`):
 /// the file keeps its length and differs only in its two magics, the
 /// 42 entries' tags bytes (each 7 less) and the footer's CRC; no chunk
-/// body moved.
-const COMPACTED: (u64, u64) = (20_358, 0x57895d2b0b4ef7f5);
+/// body moved. And when every column became one packed block, its
+/// frame in its width byte (it was `(20_358, 0x57895d2b0b4ef7f5)`; the
+/// magic became `TSF10`): the file keeps its length; its blocks' width
+/// codes and page CRCs moved.
+const COMPACTED: (u64, u64) = (20_358, 0x48afb0b46e70f0b4);
 
 #[test]
 fn compaction_output_bytes_equal_the_hash_taken_before_the_merge_and_seal_rebuild() {

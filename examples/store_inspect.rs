@@ -33,7 +33,7 @@
 
 use std::path::{Path, PathBuf};
 
-use m4lsm::tsfile::encoding::decimal::Framing;
+use m4lsm::tsfile::encoding::packed::Framing;
 use m4lsm::tsfile::format::MAGIC;
 use m4lsm::tsfile::page::{TsForm, ValueForm};
 use m4lsm::tsfile::{page, FileFooter, FooterCensus, ModsFile, TsFileReader};
@@ -220,7 +220,7 @@ fn dump_file(
     for meta in reader.chunk_metas() {
         let body = reader.read_chunk_raw(meta)?;
         let [k, list, head] = page::window_exceptions(&body, &meta.page())?;
-        let delta = usize::from(page::decimal_framing(&body)? == Some(Framing::Delta));
+        let delta = usize::from(forms_of(&body)?.1 == "decimal (delta)");
         for (total, x) in exceptions.iter_mut().zip([k, list, delta, head]) {
             *total += x;
         }
@@ -256,19 +256,7 @@ fn dump_file(
         for meta in reader.run_chunks(run) {
             let s = &meta.stats;
             let body = reader.read_chunk_raw(meta)?;
-            let forms = page::forms(&body)?;
-            let ts = match (forms.timestamps, page::ts_framing(&body)?) {
-                (TsForm::Constant, _) => "constant",
-                (TsForm::Packed, Some(Framing::Line)) => "packed (line)",
-                (TsForm::Packed, _) => "packed (delta)",
-            };
-            let values = match (forms.values, page::decimal_framing(&body)?) {
-                (ValueForm::Packed, _) => "packed",
-                (ValueForm::Decimal, Some(Framing::Delta)) => "decimal (delta)",
-                (ValueForm::Decimal, Some(Framing::Line)) => "decimal (line)",
-                (ValueForm::Decimal, _) => "decimal (reference)",
-                (ValueForm::Implied, _) => "implied",
-            };
+            let (ts, values) = forms_of(&body)?;
             // A chunk whose footer entry holds it all has no body.
             let bodiless = match meta.byte_len {
                 0 => ", bodiless",
@@ -293,6 +281,27 @@ fn dump_file(
         }
     }
     Ok(())
+}
+
+/// A page's two columns by name, each the same way: its form, and for a
+/// packed block its frame (`packed (line)`, `decimal (delta)`, …).
+fn forms_of(body: &[u8]) -> m4lsm::tsfile::Result<(String, String)> {
+    let forms = page::forms(body)?;
+    let [ts_frame, value_frame] = page::framings(body)?;
+    let name = |form: &str, framing: Option<Framing>| match framing {
+        Some(f) => format!("{form} ({})", format!("{f:?}").to_lowercase()),
+        None => form.to_string(),
+    };
+    let ts = match forms.timestamps {
+        TsForm::Constant => "constant",
+        TsForm::Packed => "packed",
+    };
+    let values = match forms.values {
+        ValueForm::Decimal => "decimal",
+        ValueForm::Packed => "packed",
+        ValueForm::Implied => "implied",
+    };
+    Ok((name(ts, ts_frame), name(values, value_frame)))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -31,7 +31,7 @@ pub struct ExpRow {
     pub chunks_loaded: u64,
     /// Points fully decoded during one query.
     pub points_decoded: u64,
-    /// Timestamps decoded in partial (timestamp-only) reads.
+    /// Timestamps decoded in timestamp-only reads (whole columns).
     pub timestamps_decoded: u64,
 }
 

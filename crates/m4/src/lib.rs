@@ -21,7 +21,8 @@
 //!   chunk *metadata*, verifies them against later-versioned chunks and
 //!   deletes (Propositions 3.1/3.3), and loads chunk bodies only when a
 //!   candidate is refuted or a chunk is split by a span boundary — with
-//!   partial, early-terminating timestamp decodes answering the probes.
+//!   timestamp-only reads answering the probes, each chunk's column read
+//!   once a query.
 //!
 //! Both are checked against [`oracle`], a naive in-memory reference, in
 //! this crate's property tests: for every storage state the three

@@ -24,12 +24,13 @@
 //!    boundaries act as the paper's §3.1 *virtual deletes*, realized
 //!    as interval clipping.
 //!
-//! Everything the query pays for lands in the fragment's row, so a chunk
-//! body is loaded at most once per query and timestamp probes decode
-//! partial prefixes only. A refuted candidate's chunk is loaded only
+//! Everything the query pays for lands in the fragment's row, so in one
+//! query a chunk's timestamp column is read at most once and its body
+//! is loaded at most once. A refuted candidate's chunk is loaded only
 //! once it is the most extreme left (§3.3/§3.4); loading it at once
 //! read up to 8 % more chunks and never fewer (DESIGN §4, A2). A
-//! timestamp probe is a binary search over a decoded prefix or a loaded
+//! timestamp probe is a binary search over the chunk's timestamp
+//! column, read whole by the row's first probe, or over the loaded
 //! chunk: the paper's §3.5 step-regression index decoded the same
 //! prefixes here and bought no time, so it is not stored
 //! (`tsfile::index`). All of it runs on the calling thread but the batch

@@ -16,7 +16,7 @@
 //! * **BP/TP** ([`SpanExecutor::solve_extreme`]): metadata candidates
 //!   must additionally survive overwrite probes against later-versioned
 //!   overlapping chunks (Proposition 3.3), performed as timestamp-only
-//!   partial reads through the fragment table. Refuted metadata candidates
+//!   reads through the fragment table. Refuted metadata candidates
 //!   mark their chunk *dirty*; dirty chunks are loaded in a batch only
 //!   when no candidate survives (the paper's §3.4 lazy load). A loaded
 //!   chunk's candidate is its most extreme live point; once one is
@@ -440,7 +440,7 @@ impl<'t> SpanExecutor<'t> {
     /// version than fragment `pos` contain a point at exactly `t`?
     /// Fragments are in version order, so only those after `pos` are
     /// scanned. Interval checks are metadata-only; a data probe
-    /// (timestamp-only partial read) fires only for fragments whose
+    /// (a timestamp-only read) fires only for fragments whose
     /// interval contains `t`.
     fn is_overwritten(&self, pos: usize, t: Timestamp) -> Result<bool> {
         let version = self.version(pos);

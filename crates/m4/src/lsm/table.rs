@@ -4,24 +4,21 @@
 //! A fragment is one chunk ([`tskv::ChunkHandle`]: a chunk is one page).
 //! Its row borrows what is known without I/O — statistics, version,
 //! time range — and owns the two things a query may pay for: the
-//! decoded chunk and a decoded prefix of its timestamp column. A chunk
-//! split by a span boundary is needed by two adjacent spans and a chunk
-//! probed for one candidate may be probed for another; both find the
-//! row filled, so a chunk body is decoded at most once per query and
-//! probes reuse the longest prefix decoded so far (Figure 7(b)).
+//! decoded chunk and its decoded timestamp column. A chunk split by a
+//! span boundary is needed by two adjacent spans and a chunk probed for
+//! one candidate may be probed for another; both find the row filled,
+//! so in one query a chunk's timestamps are read at most once and its
+//! body is loaded at most once (Figure 7(b)).
 //!
 //! The table sits on the engine's cross-query decoded-chunk LRU: full
 //! loads go through the snapshot's loaders, which consult the LRU
 //! first, so a row only pins the chunk for this query. Timestamp
-//! prefixes the LRU deliberately does not cache. Lock discipline: the
-//! chunk slot is a `OnceLock` (a filled slot is read with no lock at
-//! all) and the prefix guard is never held across a read or decode — a
-//! hit is answered under a short guard, a miss decodes unlocked and
-//! then publishes.
+//! columns the LRU deliberately does not cache. Both slots are
+//! `OnceLock`s: a filled slot is read with no lock at all, and a miss
+//! reads and decodes before it publishes.
 
 use std::sync::{Arc, OnceLock};
 
-use tsfile::lockcheck::Mutex;
 use tsfile::statistics::ChunkStatistics;
 use tsfile::types::{Point, TimeRange, Timestamp, Version};
 use tskv::{ChunkHandle, SeriesSnapshot};
@@ -35,9 +32,9 @@ pub(crate) struct Fragment<'a> {
     /// The decoded chunk, raw (not clipped to a span, deletes not
     /// applied). Filled once; "already paid for" is `get().is_some()`.
     points: OnceLock<Arc<Vec<Point>>>,
-    /// Decoded prefix of the chunk's timestamp column: everything up to
-    /// (and one past) the largest probe timestamp seen so far.
-    prefix: Mutex<Vec<Timestamp>>,
+    /// The chunk's whole timestamp column, read by the first probe that
+    /// finds `points` empty.
+    timestamps: OnceLock<Vec<Timestamp>>,
 }
 
 impl Fragment<'_> {
@@ -81,7 +78,7 @@ impl<'a> FragmentTable<'a> {
             .map(|chunk| Fragment {
                 chunk,
                 points: OnceLock::new(),
-                prefix: Mutex::default(),
+                timestamps: OnceLock::new(),
             })
             .collect();
         FragmentTable { snapshot, rows }
@@ -120,34 +117,21 @@ impl<'a> FragmentTable<'a> {
 
     /// Timestamp-membership probe: does the fragment contain a point at
     /// exactly `t`? Binary searches the loaded points when available;
-    /// otherwise decodes (and keeps) the chunk's timestamp prefix up to
-    /// `t` and searches that.
+    /// otherwise the chunk's timestamp column, read whole by the first
+    /// probe of the row and kept.
     pub fn contains_timestamp(&self, f: &Fragment<'_>, t: Timestamp) -> Result<bool> {
         self.snapshot.io().record_lsm_probe();
         if let Some(pts) = f.loaded() {
             return Ok(pts.binary_search_by_key(&t, |p| p.t).is_ok());
         }
-        // Answer from the kept prefix if it provably covers `t`; the
-        // guard must end before any fetch below.
-        if let Some(answer) = f.prefix_hit(t) {
-            return Ok(answer);
-        }
-        // The new prefix reaches past `t`, beyond the kept one.
-        let ts = self.snapshot.read_timestamps(f.chunk, Some(t))?;
-        let answer = ts.binary_search(&t).is_ok();
-        *f.prefix.lock() = ts;
-        Ok(answer)
-    }
-}
-
-impl Fragment<'_> {
-    /// Answer a probe from the prefix decoded so far, if it provably
-    /// covers `t`. No guard survives the call.
-    fn prefix_hit(&self, t: Timestamp) -> Option<bool> {
-        let prefix = self.prefix.lock();
-        let complete = prefix.len() as u64 == self.chunk.count();
-        (complete || prefix.last().is_some_and(|&last| last >= t))
-            .then(|| prefix.binary_search(&t).is_ok())
+        let ts = match f.timestamps.get() {
+            Some(ts) => ts,
+            None => {
+                let ts = self.snapshot.read_timestamps(f.chunk)?;
+                f.timestamps.get_or_init(|| ts)
+            }
+        };
+        Ok(ts.binary_search(&t).is_ok())
     }
 }
 
@@ -213,8 +197,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Probes past, beyond and below the first one's timestamp are all
+    /// answered from the one column the first probe read.
     #[test]
-    fn probe_prefix_extends_monotonically() {
+    fn probes_read_a_chunk_once() {
         let (dir, kv) = fixture();
         let snap = kv.snapshot("s").unwrap();
         let table = whole(&snap);
@@ -222,15 +208,13 @@ mod tests {
         let before = snap.io().snapshot();
         // Grid is t*100: 5_000 is a hit.
         assert!(table.contains_timestamp(row, 5_000).unwrap());
-        let delta = snap.io().snapshot() - before;
-        assert_eq!(delta.chunks_loaded, 1, "one prefix read for the probe");
-        // A later probe beyond the cached prefix refetches.
         assert!(table.contains_timestamp(row, 90_000).unwrap());
-        let delta = snap.io().snapshot() - before;
-        assert_eq!(delta.chunks_loaded, 2);
-        // Probes below the prefix reuse it.
         assert!(table.contains_timestamp(row, 4_900).unwrap());
-        assert_eq!((snap.io().snapshot() - before).chunks_loaded, 2);
+        assert!(!table.contains_timestamp(row, 4_901).unwrap());
+        let delta = snap.io().snapshot() - before;
+        assert_eq!(delta.chunks_loaded, 1, "one timestamp read for every probe");
+        assert_eq!((delta.timestamps_decoded, delta.points_decoded), (1000, 0));
+        assert!(row.loaded().is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 

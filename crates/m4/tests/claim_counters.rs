@@ -9,9 +9,10 @@
 //! In every cell:
 //!
 //! * M4-LSM ≡ M4-UDF ≡ [`m4::oracle`];
-//! * M4-LSM's `points_decoded` and `pages_decoded` are at most M4-UDF's
-//!   (`chunks_loaded` is left out: M4-LSM's timestamp probes count
-//!   there, and are priced by `timestamps_decoded` instead);
+//! * M4-LSM's `points_decoded` and `pages_decoded` are at most M4-UDF's;
+//! * M4-LSM's `chunks_loaded` — full loads and timestamp reads alike —
+//!   is at most M4-UDF's, and at most the number of sealed chunks
+//!   overlapping the range, so no chunk is read twice;
 //! * `spans_executed` is the number of spans reached by a row that this
 //!   test's own brute-force check finds not clean — overlapping another
 //!   row, or a newer delete — and the other spans are `spans_folded`.
@@ -99,6 +100,15 @@ fn check(snap: &SeriesSnapshot, query: &M4Query, expected: &[Point], cell: &str)
     assert!(
         l.points_decoded <= u.points_decoded && l.pages_decoded <= u.pages_decoded,
         "{cell}: M4-LSM decoded more\nlsm {l:?}\nudf {u:?}"
+    );
+    let sealed = snap
+        .chunks_overlapping(query.full_range())
+        .iter()
+        .filter(|c| !c.is_mem())
+        .count() as u64;
+    assert!(
+        l.chunks_loaded <= u.chunks_loaded && l.chunks_loaded <= sealed,
+        "{cell}: M4-LSM read more chunks ({sealed} sealed ones overlap)\nlsm {l:?}\nudf {u:?}"
     );
     let executed = executed_spans(snap, query);
     assert_eq!(

@@ -1362,8 +1362,7 @@ mod tests {
         Ok(())
     }
 
-    /// The line frame decodes every point from its slot alone, the
-    /// partial scan's cut included.
+    /// The line frame decodes every point from its slot alone.
     #[test]
     fn until_stops_at_the_first_timestamp_past_it() -> Result<()> {
         let ts: Vec<i64> = (0..300i64).map(|i| i * 10 + i % 4).collect();

@@ -14,9 +14,9 @@
 //! reproduction did too, until the A1 ablation measured M4-LSM with and
 //! without it (DESIGN §4, `results/results_final_ablation.txt`): the
 //! same pages, prefixes and points decoded in every pair, and no latency
-//! between the arms beyond noise. A probe decodes the timestamp prefix
-//! it searches either way, and a binary search over it costs less than
-//! the decode; the learn pass at every seal and the footer bytes bought
+//! between the arms beyond noise. A probe decoded the timestamp prefix
+//! it searched either way (now a chunk's whole column, once a query),
+//! and a binary search over it costs less than the decode; the learn pass at every seal and the footer bytes bought
 //! nothing.
 //!
 //! Over a loaded timestamp column the model answers the three data-read

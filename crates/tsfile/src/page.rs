@@ -482,38 +482,21 @@ fn constant_step(stats: &PageStatistics, n: usize) -> Result<i64> {
 
 /// Decode the timestamp column of an already-split page of `n` points
 /// whose statistics are `stats`.
-fn decode_ts_column(
-    cols: &PageColumns<'_>,
-    n: usize,
-    stats: &PageStatistics,
-    until: Option<i64>,
-) -> Result<Vec<i64>> {
+fn decode_ts_column(cols: &PageColumns<'_>, n: usize, stats: &PageStatistics) -> Result<Vec<i64>> {
     match cols.forms.timestamps {
         TsForm::Constant => {
             let delta = constant_step(stats, n)?;
             let mut out = Vec::with_capacity(n);
-            let mut cur = stats.first.t;
-            for i in 0..n {
-                if i > 0 {
-                    cur = cur.wrapping_add(delta);
-                }
-                out.push(cur);
-                if until.is_some_and(|limit| cur > limit) {
-                    break;
-                }
+            let mut t = stats.first.t;
+            for _ in 0..n {
+                out.push(t);
+                t = t.wrapping_add(delta);
             }
             Ok(out)
         }
         TsForm::Packed => {
             let ends = ends(stats)[0];
-            let mut out =
-                packed::decode_as(cols.ts_col, n, Transform::Timestamp, ends, cast::i64_bits)?;
-            // Up to the first past `until` (the paper's partial scan,
-            // Figure 7(b)).
-            if let Some(at) = until.and_then(|limit| out.iter().position(|&t| t > limit)) {
-                out.truncate(at + 1);
-            }
-            Ok(out)
+            packed::decode_as(cols.ts_col, n, Transform::Timestamp, ends, cast::i64_bits)
         }
     }
 }
@@ -530,7 +513,7 @@ pub fn decode_page(
     crate::lockcheck::check_io();
     let (cols, n) = open_page(body, meta)?;
     let stats = &meta.stats;
-    let ts = decode_ts_column(&cols, n, stats, None)?;
+    let ts = decode_ts_column(&cols, n, stats)?;
     let vs: Vec<f64> = match cols.blocks()[1] {
         (col, Some(transform)) => {
             packed::decode_as(col, n, transform, ends(stats)[1], f64::from_bits)?
@@ -551,10 +534,9 @@ pub fn decode_page(
         .collect())
 }
 
-/// Decode only a page's timestamp column, optionally stopping once past
-/// `until` (the crossing value is included, mirroring the chunk-level
-/// partial scan). Verifies the page CRC. The encoding is inert
-/// ([`EncodingKind`]).
+/// Decode only a page's timestamp column, whole, and with `until` cut
+/// after the first timestamp past it (the crossing value is included).
+/// Verifies the page CRC. The encoding is inert ([`EncodingKind`]).
 pub fn decode_page_timestamps(
     body: &[u8],
     _ts_encoding: EncodingKind,
@@ -563,7 +545,11 @@ pub fn decode_page_timestamps(
 ) -> Result<Vec<i64>> {
     crate::lockcheck::check_io();
     let (cols, n) = open_page(body, meta)?;
-    decode_ts_column(&cols, n, &meta.stats, until)
+    let mut ts = decode_ts_column(&cols, n, &meta.stats)?;
+    if let Some(at) = until.and_then(|limit| ts.iter().position(|&t| t > limit)) {
+        ts.truncate(at + 1);
+    }
+    Ok(ts)
 }
 
 #[cfg(test)]
@@ -733,6 +719,11 @@ mod tests {
         let some = decode_page_timestamps(&body, EncodingKind::Ts2Diff, &meta, Some(205))?;
         assert_eq!(some.last().copied(), Some(210));
         assert_eq!(some.len(), 22);
+        // A limit at the page's last timestamp has no crossing value
+        // inside it: the whole column, and no further.
+        let whole = decode_page_timestamps(&body, EncodingKind::Ts2Diff, &meta, Some(9_990))?;
+        assert_eq!(whole.len(), 1000);
+        assert_eq!(whole.last().copied(), Some(9_990));
         Ok(())
     }
 

@@ -159,13 +159,11 @@ impl TsFileReader {
         Ok(self.file.read_pooled_at(len, meta.offset)?)
     }
 
-    /// Read one chunk and decode only its timestamp column. The value
-    /// column is never decoded, and with `until` the decode stops at the
-    /// first timestamp past it, which is the last value returned — the
-    /// paper's partial scan (Figure 7(b)).
-    pub fn read_timestamps(&self, meta: &ChunkMeta, until: Option<i64>) -> Result<Vec<i64>> {
+    /// Read one chunk and decode only its timestamp column, whole. The
+    /// value column is never decoded.
+    pub fn read_timestamps(&self, meta: &ChunkMeta) -> Result<Vec<i64>> {
         let body = self.read_chunk_raw(meta)?;
-        page::decode_page_timestamps(&body, Plain, &meta.page(), until)
+        page::decode_page_timestamps(&body, Plain, &meta.page(), None)
     }
 }
 
@@ -242,6 +240,8 @@ mod tests {
         Ok(())
     }
 
+    /// A timestamp read is a partial decode of the chunk: its timestamp
+    /// column, whole, and no value.
     #[test]
     fn timestamps_only_partial_decode() -> Result<()> {
         let p = tmp("partial.tsfile");
@@ -252,12 +252,8 @@ mod tests {
         w.finish()?;
         let r = TsFileReader::open(&p)?;
         let meta = &r.chunk_metas()[0];
-        let all = r.read_timestamps(meta, None)?;
-        assert_eq!(all.len(), 1000);
-        assert!(all.iter().zip(&pts).all(|(t, p)| *t == p.t));
-        let some = r.read_timestamps(meta, Some(45_000))?;
-        assert!(some.len() < 20, "early stop expected, got {}", some.len());
-        assert!(some.last().is_some_and(|&t| t > 45_000));
+        let all = r.read_timestamps(meta)?;
+        assert_eq!(all, pts.iter().map(|p| p.t).collect::<Vec<_>>());
         Ok(())
     }
 
@@ -343,10 +339,10 @@ mod tests {
         Ok(())
     }
 
-    /// A probe reads one chunk of the file and decodes its timestamps
-    /// only up to the first one past the limit.
+    /// A probe reads one chunk of the file and decodes its timestamp
+    /// column whole: that chunk's timestamps and no other's.
     #[test]
-    fn paged_timestamp_probe_reads_one_page_prefix_only() -> Result<()> {
+    fn paged_timestamp_probe_reads_one_chunk_whole() -> Result<()> {
         let p = tmp("paged-probe.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
@@ -356,21 +352,12 @@ mod tests {
         }
         w.finish()?;
         let r = TsFileReader::open(&p)?;
-        let meta = &r.chunk_metas()[1];
-        let some = r.read_timestamps(meta, Some(1_505))?;
-        // Crossing value included, nothing decoded past it.
-        assert_eq!(some.first().copied(), Some(1_000));
-        assert_eq!(some.last().copied(), Some(1_510));
-        assert_eq!(some.len(), 52);
-        // A limit at or past the chunk's last timestamp has no crossing
-        // value inside it: the whole column, and no further.
-        let whole = r.read_timestamps(meta, Some(1_990))?;
-        assert_eq!(whole.len(), 100);
-        assert_eq!(whole.last().copied(), Some(1_990));
-        // Unbounded probes yield the full column, chunk by chunk.
+        let one = r.read_timestamps(&r.chunk_metas()[1])?;
+        assert_eq!(one, pts[100..200].iter().map(|p| p.t).collect::<Vec<_>>());
+        // Chunk by chunk, the whole series.
         let mut all = Vec::new();
         for meta in r.chunk_metas() {
-            all.extend(r.read_timestamps(meta, None)?);
+            all.extend(r.read_timestamps(meta)?);
         }
         assert!(all.iter().zip(&pts).all(|(t, p)| *t == p.t));
         assert_eq!(all.len(), 1000);

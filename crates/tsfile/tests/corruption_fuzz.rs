@@ -1014,8 +1014,7 @@ proptest! {
                 // read must either round-trip or error.
                 for meta in reader.chunk_metas() {
                     let _ = reader.read_chunk(meta);
-                    let _ = reader.read_timestamps(meta, None);
-                    let _ = reader.read_timestamps(meta, Some(5_000));
+                    let _ = reader.read_timestamps(meta);
                 }
             }
         }
@@ -1144,7 +1143,7 @@ proptest! {
         if let Ok(reader) = TsFileReader::open(&path) {
             for meta in reader.chunk_metas() {
                 let _ = reader.read_chunk(meta);
-                let _ = reader.read_timestamps(meta, None);
+                let _ = reader.read_timestamps(meta);
             }
         }
         std::fs::remove_file(&path).ok();

@@ -173,24 +173,15 @@ impl SeriesSnapshot {
         }
     }
 
-    /// The one timestamp loader: the timestamp column of `chunk`,
-    /// optionally stopping once past `until` (the paper's partial scan)
-    /// — the crossing value is the last one returned.
-    pub fn read_timestamps(
-        &self,
-        chunk: &ChunkHandle,
-        until: Option<Timestamp>,
-    ) -> Result<Vec<Timestamp>> {
+    /// The one timestamp loader: the whole timestamp column of `chunk`.
+    pub fn read_timestamps(&self, chunk: &ChunkHandle) -> Result<Vec<Timestamp>> {
         match &chunk.data {
             ChunkData::Mem { points } => {
-                let upto = until.map_or(points.len(), |limit| {
-                    (points.partition_point(|p| p.t <= limit) + 1).min(points.len())
-                });
-                self.io.record_mem_timestamps(upto as u64);
-                Ok(points.iter().take(upto).map(|p| p.t).collect())
+                self.io.record_mem_timestamps(points.len() as u64);
+                Ok(points.iter().map(|p| p.t).collect())
             }
             ChunkData::File { file_idx, meta, .. } => {
-                let ts = self.files[*file_idx].read_timestamps(meta, until)?;
+                let ts = self.files[*file_idx].read_timestamps(meta)?;
                 self.io
                     .record_timestamp_load(meta.byte_len, ts.len() as u64);
                 Ok(ts)
@@ -255,20 +246,19 @@ mod tests {
         Ok(())
     }
 
+    /// A memtable chunk's timestamp read is its whole column, and
+    /// neither read of it makes a cache key.
     #[test]
-    fn mem_chunk_is_page_zero_and_its_timestamp_read_stops_early() -> TestResult {
-        let (dir, kv) = fresh("mem-until")?;
+    fn mem_chunk_timestamp_read_is_whole_and_uncached() -> TestResult {
+        let (dir, kv) = fresh("mem-ts")?;
         for t in 0..50i64 {
             kv.insert("s", Point::new(t * 10, 0.0))?;
         }
         let snap = kv.snapshot("s")?;
         let mem = snap.chunks().last().ok_or("no mem chunk")?;
         assert!(mem.is_mem());
-        let ts = snap.read_timestamps(mem, Some(105))?;
-        assert_eq!(ts.last().copied(), Some(110)); // first value past the limit
-        assert_eq!(ts.len(), 12);
-        let all = snap.read_timestamps(mem, None)?;
-        assert_eq!(all.len(), 50);
+        let all = snap.read_timestamps(mem)?;
+        assert_eq!(all, (0..50i64).map(|t| t * 10).collect::<Vec<_>>());
         assert_eq!(snap.read_points(mem)?.len(), 50);
         assert_eq!(snap.cache().ok_or("cache off")?.len(), 0, "no cache key");
         std::fs::remove_dir_all(&dir).ok();
@@ -285,13 +275,13 @@ mod tests {
         }
         let snap = kv.snapshot("s")?;
         let chunks = snap.chunks();
-        for (chunk, io) in [(&chunks[0], (1, 0)), (&chunks[4], (0, 1))] {
+        for (chunk, io, n) in [(&chunks[0], (1, 0), 100), (&chunks[4], (0, 1), 50)] {
             let before = snap.io().snapshot();
-            let ts = snap.read_timestamps(chunk, Some(chunk.time_range().start + 15))?;
+            let ts = snap.read_timestamps(chunk)?;
             let delta = snap.io().snapshot() - before;
-            assert_eq!(ts.len(), 3);
+            assert_eq!(ts.len() as u64, n);
             assert_eq!((delta.chunks_loaded, delta.mem_chunks_read), io);
-            assert_eq!((delta.points_decoded, delta.timestamps_decoded), (0, 3));
+            assert_eq!((delta.points_decoded, delta.timestamps_decoded), (0, n));
         }
         std::fs::remove_dir_all(&dir).ok();
         Ok(())

@@ -31,7 +31,8 @@ crate::metric_registry! {
     counter bytes_read;
     /// Points fully decoded (timestamp + value).
     counter points_decoded;
-    /// Timestamps decoded in timestamp-only (partial) reads.
+    /// Timestamps decoded in timestamp-only reads, each a chunk's whole
+    /// timestamp column (its values never decoded).
     counter timestamps_decoded;
     /// In-memory (memtable) chunk reads, which cost no I/O.
     counter mem_chunks_read;

@@ -50,8 +50,9 @@ const CODEC_FILES: &[&str] = &[
 
 /// Where a guard must never reach file I/O, page decode or a pool
 /// fan-out: the engine's shard map, the decoded-page cache, the
-/// fragment table's prefix, the server's worker registry, and the code
-/// that runs beside them. Their locks are checked ones.
+/// server's worker registry, and the code that runs beside them —
+/// the fragment table among it, which holds no lock. Their locks are
+/// checked ones.
 const CHECKED_LOCK_FILES: &[&str] = &[
     "crates/tskv/src/engine/mod.rs",
     "crates/tskv/src/engine/compact.rs",

@@ -1,40 +1,89 @@
 //! Figures 8 & 9: timestamp-position steps and the delta distribution,
-//! plus the step-regression fit learned from each dataset's first
-//! chunk-sized slice — the qualitative basis of §3.5.
+//! plus the step regression each dataset's pages store — the §3.5
+//! model as the format holds it. A constant timestamp column is one
+//! tilt segment with ε = 0 and no bytes; a packed column frames the
+//! cadence (from the delta before or from a line) and lists each delay
+//! as one window exception, the paper's level segment.
 
-use tsfile::StepIndex;
+use tsfile::encoding::packed::Framing;
+use tsfile::encoding::EncodingKind;
+use tsfile::page::{self, PageMeta, TsForm};
+use tsfile::types::Point;
+use tsfile::ChunkStatistics;
 use workload::Dataset;
 
 use crate::harness::Harness;
 
-/// Print, per dataset: the learned slope (median Δt), segment count,
-/// verified model error ε, and an ASCII sketch of the
-/// timestamp-position curve of the first 1000 points.
+/// Points a page holds, and pages encoded per dataset.
+const PAGE_POINTS: usize = 1000;
+const PAGES: usize = 10;
+
+/// Print, per dataset: the median and largest Δt, an ASCII sketch of
+/// the timestamp-position curve of the first 1000 points, the Δt
+/// histogram, and what the first ten 1 000-point pages store.
 pub fn run(h: &Harness) {
     println!("Figure 8/9: timestamp-position structure per dataset (first 1000 points)");
     for d in Dataset::ALL {
         let pts = d.generate(h.scale.max(0.001));
-        let n = pts.len().min(1000);
+        let n = pts.len().min(PAGE_POINTS);
         let ts: Vec<i64> = pts[..n].iter().map(|p| p.t).collect();
         let deltas: Vec<i64> = ts.windows(2).map(|w| w[1] - w[0]).collect();
         let mut sorted = deltas.clone();
         sorted.sort_unstable();
         let median = sorted[sorted.len() / 2];
         let max = *sorted.last().unwrap();
-        match StepIndex::learn(&ts) {
-            Some(idx) => println!(
-                "{:<10} median Δt = {:>8} ms, max Δt = {:>10} ms, segments = {:>3}, ε = {}",
-                d.name(),
-                median,
-                max,
-                idx.segment_count(),
-                idx.epsilon()
-            ),
-            None => println!("{:<10} no step model (degenerate)", d.name()),
-        }
+        println!(
+            "{:<10} median Δt = {:>8} ms, max Δt = {:>10} ms",
+            d.name(),
+            median,
+            max
+        );
+        let t: Vec<i64> = pts.iter().take(PAGES * PAGE_POINTS).map(|p| p.t).collect();
+        let ([constant, delta, line], exceptions, bytes) = step_pages(&t);
+        println!(
+            "  {} pages {}: timestamps constant {constant}, packed delta {delta}, \
+             packed line {line}; window exceptions {exceptions}; {:.3} B a timestamp",
+            d.name(),
+            constant + delta + line,
+            bytes as f64 / t.len() as f64
+        );
         println!("{}", ascii_curve(&ts, 60, 10));
         println!("{}", delta_histogram(&deltas, 10));
     }
+}
+
+/// How many of `ts`'s pages of [`PAGE_POINTS`] store their timestamps
+/// constant, packed delta and packed line, their window exceptions and
+/// their body bytes. Every value is one value, which a page implies, so
+/// a body holds its timestamps alone.
+fn step_pages(ts: &[i64]) -> ([usize; 3], usize, usize) {
+    let (mut forms, mut exceptions, mut bytes) = ([0; 3], 0, 0);
+    for chunk in ts.chunks(PAGE_POINTS) {
+        let points: Vec<Point> = chunk.iter().map(|&t| Point::new(t, 0.0)).collect();
+        let mut body = Vec::new();
+        page::encode_page(
+            &points,
+            EncodingKind::Ts2Diff,
+            EncodingKind::Plain,
+            &mut body,
+        );
+        let stats = ChunkStatistics::from_points(&points).unwrap();
+        let meta = PageMeta {
+            offset: 0,
+            byte_len: body.len() as u64,
+            stats,
+        };
+        let timestamps = page::forms(&body).unwrap().timestamps;
+        let form = match (timestamps, page::framings(&body).unwrap()[0]) {
+            (TsForm::Constant, _) => 0,
+            (_, Some(Framing::Line)) => 2,
+            _ => 1,
+        };
+        forms[form] += 1;
+        exceptions += page::window_exceptions(&body, &meta).unwrap()[0];
+        bytes += body.len();
+    }
+    (forms, exceptions, bytes)
 }
 
 /// Figure 9(b): log-bucketed histogram of timestamp deltas.
@@ -92,6 +141,19 @@ mod tests {
         assert!(art.lines().all(|l| l.chars().count() == 30));
         // A straight line touches both corners.
         assert_eq!(art.lines().last().unwrap().chars().next(), Some('*'));
+    }
+
+    /// Example 3.8's shape: one gap is one window exception of a packed
+    /// delta column; without it the column is constant and bodiless.
+    #[test]
+    fn a_gap_is_one_window_exception() {
+        let mut ts: Vec<i64> = (0..1000).map(|i| i * 9000).collect();
+        for t in &mut ts[242..] {
+            *t += 3_600_000;
+        }
+        assert_eq!(step_pages(&ts), ([0, 1, 0], 1, 17));
+        let regular: Vec<i64> = (0..2000).map(|i| i * 9000).collect();
+        assert_eq!(step_pages(&regular), ([2, 0, 0], 0, 0));
     }
 
     #[test]

@@ -30,11 +30,13 @@
 //! once it is the most extreme left (§3.3/§3.4); loading it at once
 //! read up to 8 % more chunks and never fewer (DESIGN §4, A2). A
 //! timestamp probe is a binary search over the chunk's timestamp
-//! column, read whole by the row's first probe, or over the loaded
-//! chunk: the paper's §3.5 step-regression index decoded the same
-//! prefixes here and bought no time, so it is not stored
-//! (`tsfile::index`). All of it runs on the calling thread but the batch
-//! load of step 3.
+//! column, read whole by the row's first probe (from the decoded-chunk
+//! cache where it holds the chunk), or over the loaded chunk. The
+//! paper's §3.5 step regression is what a page stores: a constant
+//! column, or a packed one whose delays are window exceptions; a learned
+//! index beside it decoded the same prefixes and bought no time (DESIGN
+//! §4, A1). All of it runs on the calling thread but the batch load of
+//! step 3.
 
 mod span;
 mod table;

@@ -382,6 +382,14 @@ pub(crate) fn fewest_exceptions(values: &[f64], pair: Exponents) -> Option<(Expo
     Some(best)
 }
 
+/// The pair of the most decimals the values without an integer
+/// (`i64::MIN` in `integers`) show, where that scale exceeds `pair`'s.
+pub(crate) fn replan(values: &[f64], integers: &[i64], pair: Exponents) -> Option<Exponents> {
+    let missed = integers.iter().zip(values).filter(|(&d, _)| !kept(d));
+    let scale = missed.filter_map(|(_, &v)| decimals(v)).max()?;
+    Exponents::of(scale, 0).filter(|p| p.scale() > pair.scale())
+}
+
 /// Whether an integer of [`Factors::encode_or_min`] was kept: `i64::MIN`
 /// marks a value without one.
 pub(crate) fn kept(d: i64) -> bool {

@@ -581,6 +581,16 @@ impl<'a> Ints<'a> {
             n: vs.len(),
         })
     }
+
+    /// A decimal column planned again at the scale of the values its
+    /// pair leaves without an integer, where that scale is larger: a
+    /// page whose period divides the sample's stride shows it one phase.
+    pub(crate) fn replanned(&self) -> Option<Self> {
+        Ints::decimal(
+            self.values,
+            decimal::replan(self.values, &self.x, self.pair?)?,
+        )
+    }
 }
 
 /// A block sized exactly, with what writing it takes.
@@ -1362,9 +1372,10 @@ mod tests {
         Ok(())
     }
 
-    /// The line frame decodes every point from its slot alone.
+    /// A jittered cadence takes the line frame and round-trips whole:
+    /// every point decodes from its slot alone.
     #[test]
-    fn until_stops_at_the_first_timestamp_past_it() -> Result<()> {
+    fn a_line_frame_column_round_trips_whole() -> Result<()> {
         let ts: Vec<i64> = (0..300i64).map(|i| i * 10 + i % 4).collect();
         let mut buf = Vec::new();
         assert_eq!(

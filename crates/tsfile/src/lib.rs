@@ -65,7 +65,6 @@ pub mod checksum;
 pub mod encoding;
 pub mod error;
 pub mod format;
-pub mod index;
 pub mod lockcheck;
 pub mod mods;
 pub mod page;
@@ -78,7 +77,6 @@ pub mod writer;
 
 pub use error::TsFileError;
 pub use format::{ChunkMeta, FileFooter, FooterCensus, SeriesRun};
-pub use index::StepIndex;
 pub use mods::{ModEntry, ModsFile};
 pub use page::{PageMeta, PageStatistics};
 pub use reader::TsFileReader;

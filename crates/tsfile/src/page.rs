@@ -256,7 +256,8 @@ fn ts_column(ts: &[i64], deltas: &[i64], buf: &mut Vec<u8>) -> TsForm {
 
 /// A page's value column, as `(its form, its bytes in buf)`: none where
 /// its ends imply it, else the block the chooser takes of the decimal
-/// integers (where the sample admits a pair) and the keys.
+/// integers (where the sample admits a pair), the keys, and the decimal
+/// integers again at the scale the pair's exceptions show.
 fn value_column<'a>(
     vs: &[f64],
     carry: &mut ValueCarry,
@@ -272,8 +273,10 @@ fn value_column<'a>(
     }
     packed::key_deltas(vs, &mut carry.keys);
     let decimal = pair.and_then(|pair| Ints::decimal(vs, pair));
+    let replanned = decimal.as_ref().and_then(Ints::replanned);
     let keys = Ints::keys(vs, &carry.keys);
-    let form = packed::choose(decimal.iter().chain([&keys]), None).map(|plan| {
+    let columns = decimal.iter().chain([&keys]).chain(&replanned);
+    let form = packed::choose(columns, None).map(|plan| {
         plan.write(buf);
         plan.transform()
     });
@@ -634,6 +637,33 @@ mod tests {
         assert_eq!(back, points);
         let ts = decode_page_timestamps(&body, EncodingKind::Ts2Diff, &meta, None)?;
         assert!(ts.iter().zip(&points).all(|(t, p)| *t == p.t));
+        Ok(())
+    }
+
+    /// A value column whose period divides the decimal sample's stride
+    /// (63 on 1 000 points) shows the sample one phase: `(i % 7)` halves
+    /// or quarters sample as integers. The exceptions' decimals re-plan
+    /// the pair, and the page packs in a few hundred bytes where the
+    /// sampled scale took 4 491 and 7 180.
+    #[test]
+    fn a_period_the_sample_aliases_is_replanned() -> Result<()> {
+        for (step, aliased) in [(0.5, 4_491), (0.25, 7_180)] {
+            let points: Vec<Point> = (0..1000)
+                .map(|i| Point::new(i * 10, (i % 7) as f64 * step))
+                .collect();
+            let mut body = Vec::new();
+            encode_page(
+                &points,
+                EncodingKind::Ts2Diff,
+                EncodingKind::Gorilla,
+                &mut body,
+            );
+            assert_eq!(forms(&body)?.values, ValueForm::Decimal);
+            assert!(body.len() < aliased / 4, "{step}: {} bytes", body.len());
+            let meta = page_meta(&points, 0, body.len() as u64)?;
+            let back = decode_page(&body, EncodingKind::Ts2Diff, EncodingKind::Gorilla, &meta)?;
+            assert_eq!(back, points);
+        }
         Ok(())
     }
 

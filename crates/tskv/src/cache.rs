@@ -192,6 +192,13 @@ impl DecodedChunkCache {
         }
     }
 
+    /// The points cached under `key`, counting neither a hit nor a miss
+    /// and leaving its recency as it was: a timestamp probe's look.
+    pub fn peek(&self, key: CacheKey) -> Option<Arc<Vec<Point>>> {
+        let inner = self.stripe(&key).lock();
+        inner.map.get(&key).map(|e| Arc::clone(&e.points))
+    }
+
     /// Install a decoded chunk (decoded by the caller, outside any
     /// guard). A chunk larger than its stripe's share of the capacity
     /// is not cached. Racing inserts for the same key keep the newest

@@ -46,7 +46,8 @@
 //!
 //! The first intern writes the magic, an empty head frame (`k = 0`) and
 //! its record. [`SeriesCatalog::checkpoint`], at the end of the
-//! store-wide compaction sweep, rewrites the log as one head frame of
+//! store-wide compaction sweep and of each background compaction pass,
+//! rewrites the log as one head frame of
 //! every name — `catalog.tmp` written, synced and renamed over the log —
 //! so a crash leaves the old log or the new one, and at most a stray
 //! `catalog.tmp` that no open reads.

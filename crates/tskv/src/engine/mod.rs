@@ -180,7 +180,7 @@ pub(crate) struct EngineInner {
     pub(crate) config: EngineConfig,
     alloc: VersionAllocator,
     /// Persistent name↔id interning table (see [`crate::catalog`]).
-    catalog: SeriesCatalog,
+    pub(crate) catalog: SeriesCatalog,
     shards: Vec<Shard>,
     /// Engine-wide I/O counters (shared by all snapshots).
     pub(crate) io: Arc<IoStats>,

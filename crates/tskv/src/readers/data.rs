@@ -59,11 +59,12 @@ mod tests {
         let dr = DataReader::new(&snap);
         let chunk = snap.chunks().first().ok_or("no chunks")?;
 
-        let pts = dr.read_points(chunk)?;
-        assert_eq!(pts.len(), 1000);
-
+        // The probe first: once the points are cached, it reads nothing.
         let ts = snap.read_timestamps(chunk)?;
         assert_eq!(ts.len(), 1000);
+
+        let pts = dr.read_points(chunk)?;
+        assert_eq!(pts.len(), 1000);
 
         let io = snap.io().snapshot();
         assert_eq!(io.chunks_loaded, 2);

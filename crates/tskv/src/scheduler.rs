@@ -18,7 +18,11 @@
 //!    compaction itself re-takes the shard lock only for its short
 //!    capture/install phases; the merge and file writes run unlocked,
 //!    so ingest and queries proceed concurrently.
-//! 3. **Sleep** — park for `compaction_interval_ms` (interruptibly, so
+//! 3. **Checkpoint** — fold the catalog log's records into its head
+//!    frame ([`crate::catalog::SeriesCatalog::checkpoint`]), as
+//!    `compact_all` ends; a pass after which no name was interned
+//!    writes nothing.
+//! 4. **Sleep** — park for `compaction_interval_ms` (interruptibly, so
 //!    drop/shutdown never waits out the interval).
 //!
 //! Every decision is observable through `IoStats`: each candidate
@@ -81,7 +85,7 @@ impl Drop for CompactionScheduler {
     }
 }
 
-/// The scheduler loop: scan → compact each candidate → park.
+/// The scheduler loop: scan → compact each candidate → checkpoint → park.
 fn run_loop(inner: &EngineInner, stop: &AtomicBool) {
     let interval = Duration::from_millis(inner.config.compaction_interval_ms);
     let threshold = inner.config.compaction_threshold;
@@ -104,10 +108,66 @@ fn run_loop(inner: &EngineInner, stop: &AtomicBool) {
                 Ok(_) | Err(_) => inner.io.record_compaction_skipped(),
             }
         }
+        // Phase 3: a failed checkpoint leaves the log as it was, which
+        // the open reads.
+        let _ = inner.catalog.checkpoint();
         if stop.load(Ordering::Relaxed) {
             return;
         }
-        // Phase 3: interruptible sleep (drop unparks).
+        // Phase 4: interruptible sleep (drop unparks).
         std::thread::park_timeout(interval);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::{Duration, Instant};
+
+    use tsfile::types::Point;
+
+    use crate::catalog::read_log;
+    use crate::config::EngineConfig;
+    use crate::engine::TsKv;
+
+    type TestResult = std::result::Result<(), Box<dyn std::error::Error>>;
+
+    /// A store only the scheduler compacts ends with no catalog record:
+    /// a pass folds the names it finds interned into the head frame.
+    #[test]
+    fn a_pass_checkpoints_the_catalog() -> TestResult {
+        let dir = std::env::temp_dir().join(format!("tskv-sched-ckpt-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let config = EngineConfig {
+            compaction_auto: true,
+            compaction_threshold: 2,
+            compaction_interval_ms: 1,
+            ..Default::default()
+        };
+        let kv = TsKv::open(&dir, config)?;
+        for flush in 0..3i64 {
+            for name in ["a", "b", "c"] {
+                let points: Vec<Point> =
+                    (0..100).map(|t| Point::new(flush * 100 + t, 1.0)).collect();
+                kv.insert_batch(name, &points)?;
+            }
+            kv.flush_all()?;
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let log = read_log(&dir)?;
+            if kv.io().snapshot().compactions_completed > 0 && log.valid_len == log.head_len {
+                assert_eq!((log.names.join(","), log.head), ("a,b,c".to_string(), 3));
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{} B of records",
+                log.valid_len - log.head_len
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        drop(kv);
+        std::fs::remove_dir_all(&dir).ok();
+        Ok(())
     }
 }

@@ -173,14 +173,25 @@ impl SeriesSnapshot {
         }
     }
 
-    /// The one timestamp loader: the whole timestamp column of `chunk`.
+    /// The one timestamp loader: the whole timestamp column of `chunk`,
+    /// taken from its points where the memtable or the decoded-chunk
+    /// cache holds them (no read, and no hit or miss counted).
     pub fn read_timestamps(&self, chunk: &ChunkHandle) -> Result<Vec<Timestamp>> {
         match &chunk.data {
             ChunkData::Mem { points } => {
                 self.io.record_mem_timestamps(points.len() as u64);
                 Ok(points.iter().map(|p| p.t).collect())
             }
-            ChunkData::File { file_idx, meta, .. } => {
+            ChunkData::File {
+                file_idx,
+                chunk,
+                meta,
+            } => {
+                let key = self.cache_key(*file_idx, *chunk, meta);
+                if let Some(points) = self.cache.as_ref().and_then(|c| c.peek(key)) {
+                    self.io.record_cached_timestamps(points.len() as u64);
+                    return Ok(points.iter().map(|p| p.t).collect());
+                }
                 let ts = self.files[*file_idx].read_timestamps(meta)?;
                 self.io
                     .record_timestamp_load(meta.byte_len, ts.len() as u64);
@@ -312,6 +323,32 @@ mod tests {
         assert_eq!((cache.len(), cache.bytes()), (len, bytes));
         assert_eq!((delta.cache_hits, delta.cache_misses), (1, 0));
         assert_eq!(delta.chunks_loaded, 0);
+        std::fs::remove_dir_all(&dir).ok();
+        Ok(())
+    }
+
+    /// A probe of a sealed chunk the cache holds takes its timestamps
+    /// from the cached points: no body byte read, no chunk loaded, and
+    /// the cache's hit and miss counters left to point loads.
+    #[test]
+    fn a_probe_of_a_cached_chunk_reads_nothing() -> TestResult {
+        let (dir, kv) = fresh("cached-probe")?;
+        for t in 0..400i64 {
+            kv.insert("s", Point::new(t * 10, 1.0))?;
+        }
+        kv.flush_all()?;
+        let snap = kv.snapshot("s")?;
+        let chunk = snap.chunks().first().ok_or("no chunk")?;
+        let cold = snap.read_timestamps(chunk)?;
+        snap.read_points(chunk)?;
+
+        let before = snap.io().snapshot();
+        let ts = snap.read_timestamps(chunk)?;
+        let delta = snap.io().snapshot() - before;
+        assert_eq!(ts, cold);
+        assert_eq!((delta.bytes_read, delta.chunks_loaded), (0, 0));
+        assert_eq!((delta.cache_hits, delta.cache_misses), (0, 0));
+        assert_eq!((delta.points_decoded, delta.timestamps_decoded), (0, 100));
         std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }

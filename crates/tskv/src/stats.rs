@@ -158,6 +158,13 @@ impl IoStats {
             .fetch_add(timestamps, Ordering::Relaxed);
     }
 
+    /// A timestamp probe of a sealed chunk the decoded-chunk cache
+    /// holds: no I/O, and `timestamps` taken from its points.
+    pub(crate) fn record_cached_timestamps(&self, timestamps: u64) {
+        self.timestamps_decoded
+            .fetch_add(timestamps, Ordering::Relaxed);
+    }
+
     /// Record `n` on-disk pages decoded.
     pub(crate) fn record_pages_decoded(&self, n: u64) {
         self.pages_decoded.fetch_add(n, Ordering::Relaxed);

@@ -2,7 +2,7 @@
 //! end-to-end through the public API: the merge function of Figure 5 /
 //! Example 2.8, the FP candidate-verification walk of Figure 7(a) /
 //! Example 3.2, the TP walk of Figure 7(b) / Example 3.4, and the step
-//! regression of Examples 3.8–3.10.
+//! regression of Examples 3.8–3.10 as a page stores it.
 
 // Integration tests assert by panicking; the workspace panic-freedom
 // deny-set (root Cargo.toml) is aimed at library code.
@@ -14,8 +14,11 @@
 )]
 
 use m4lsm::m4::{M4Lsm, M4Query, M4Udf};
+use m4lsm::tsfile::encoding::packed::Framing;
+use m4lsm::tsfile::encoding::EncodingKind;
+use m4lsm::tsfile::page::{self, PageMeta, TsForm, ValueForm};
 use m4lsm::tsfile::types::Point;
-use m4lsm::tsfile::StepIndex;
+use m4lsm::tsfile::ChunkStatistics;
 use m4lsm::tskv::config::EngineConfig;
 use m4lsm::tskv::readers::MergeReader;
 use m4lsm::tskv::TsKv;
@@ -189,9 +192,12 @@ fn figure7b_tp_overwrite_probe() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Examples 3.8–3.10: 1000 points at 9 s cadence with one gap after
-/// position 242. The learned model must have slope 1/9000, segments
-/// tilt/level/tilt, and exact endpoint mapping (Proposition 3.7).
+/// Examples 3.8–3.10 in the format: 1000 points at a 9 s cadence with
+/// one transmission gap after position 242. A page stores such a column
+/// as the paper's step regression: its tilt segments are the cadence,
+/// and the gap — the level segment — is the one window exception of a
+/// packed delta column. Without the gap the column is one tilt segment
+/// with ε = 0: constant, no bytes at all.
 #[test]
 fn example38_step_regression() {
     let t0 = 1_639_966_606_000i64;
@@ -199,23 +205,42 @@ fn example38_step_regression() {
     let resume = 1_639_972_630_000i64;
     ts.extend((0..758).map(|i| resume + i * 9000));
 
-    let idx = StepIndex::learn(&ts).unwrap();
-    assert_eq!(idx.median_delta(), 9000);
-    assert_eq!(idx.segment_count(), 3);
-    assert_eq!(idx.predict(t0), 1.0);
-    assert_eq!(idx.predict(ts[999]), 1000.0);
-    assert_eq!(idx.epsilon(), 0);
-    // The paper's split timestamps (t₂ derived by intersection).
-    let splits = idx.split_timestamps();
-    assert_eq!(splits[0], t0);
-    assert_eq!(splits[3], ts[999]);
-    // The level segment begins where the first tilt reaches position
-    // 242 — at the last pre-gap point (the paper's t₂ lands later only
-    // because its real data is jittered).
-    assert!(
-        splits[1] >= ts[241] && splits[1] <= resume,
-        "level must start inside the gap"
+    // A constant value column is implied by the page's ends, so the
+    // body holds the timestamps alone.
+    let page = |ts: &[i64]| {
+        let points: Vec<Point> = ts.iter().map(|&t| Point::new(t, 1.0)).collect();
+        let mut body = Vec::new();
+        page::encode_page(
+            &points,
+            EncodingKind::Ts2Diff,
+            EncodingKind::Plain,
+            &mut body,
+        );
+        let meta = PageMeta {
+            offset: 0,
+            byte_len: body.len() as u64,
+            stats: ChunkStatistics::from_points(&points).unwrap(),
+        };
+        (body, meta)
+    };
+
+    let (body, meta) = page(&ts);
+    let forms = page::forms(&body).unwrap();
+    assert_eq!(
+        (forms.timestamps, forms.values),
+        (TsForm::Packed, ValueForm::Implied)
     );
+    assert_eq!(page::framings(&body).unwrap(), [Some(Framing::Delta), None]);
+    assert_eq!(page::window_exceptions(&body, &meta).unwrap()[0], 1);
+    assert_eq!(body.len(), 17, "1 000 timestamps, one gap");
+    let back = page::decode_page_timestamps(&body, EncodingKind::Ts2Diff, &meta, None).unwrap();
+    assert_eq!(back, ts);
+
+    let regular: Vec<i64> = (0..1000).map(|i| t0 + i * 9000).collect();
+    let (body, meta) = page(&regular);
+    assert!(body.is_empty(), "a constant cadence and value: no body");
+    assert_eq!(page::forms(&body).unwrap().timestamps, TsForm::Constant);
+    assert_eq!(page::window_exceptions(&body, &meta).unwrap(), [0, 0, 0]);
 }
 
 /// The paper's headline query semantics: SQL-appendix grouping (A.1).

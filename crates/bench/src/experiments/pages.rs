@@ -14,16 +14,14 @@
 //! a fine one only the small chunks the span overlaps.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use serde::Serialize;
 use tsfile::types::Point;
 use tskv::config::EngineConfig;
-use tskv::stats::IoSnapshot;
-use tskv::{SeriesSnapshot, TsKv};
+use tskv::TsKv;
 
 use m4::oracle::m4_scan;
-use m4::{M4Lsm, M4Query, M4Result, M4Udf};
+use m4::{M4Query, Operator};
 
 use crate::harness::{BenchMeta, Harness};
 
@@ -148,20 +146,20 @@ pub fn run(h: &Harness) -> Vec<PagesRow> {
             let snap = kv.snapshot("s").expect("snapshot");
             for (shape, q) in &queries {
                 let oracle = m4_scan(&merged, q);
-                for op in ["M4-UDF", "M4-LSM"] {
-                    let (latency_ms, io, result) = measure(h, &snap, q, op);
+                for op in [Operator::Udf, Operator::Lsm] {
+                    let m = h.time_query(&snap, q, op);
                     rows.push(PagesRow {
                         dataset: dataset.name().to_string(),
-                        operator: op.to_string(),
+                        operator: op.name().to_string(),
                         points_per_chunk: points_per_chunk as u64,
                         query: (*shape).to_string(),
                         w: q.w,
-                        latency_ms,
-                        oracle_match: result.equivalent(&oracle),
-                        chunks_loaded: io.chunks_loaded,
-                        points_decoded: io.points_decoded,
-                        pages_decoded: io.pages_decoded,
-                        pages_stat_answered: io.pages_stat_answered,
+                        latency_ms: m.latency_ms,
+                        oracle_match: m.result.equivalent(&oracle),
+                        chunks_loaded: m.io.chunks_loaded,
+                        points_decoded: m.io.points_decoded,
+                        pages_decoded: m.io.pages_decoded,
+                        pages_stat_answered: m.io.pages_stat_answered,
                     });
                 }
             }
@@ -171,37 +169,6 @@ pub fn run(h: &Harness) -> Vec<PagesRow> {
         }
     }
     rows
-}
-
-/// Median latency over `repeats` runs plus the last run's I/O delta.
-fn measure(
-    h: &Harness,
-    snap: &SeriesSnapshot,
-    q: &M4Query,
-    op: &str,
-) -> (f64, IoSnapshot, M4Result) {
-    let mut latencies = Vec::with_capacity(h.repeats.max(1));
-    let mut io = IoSnapshot::default();
-    let mut result = None;
-    for _ in 0..h.repeats.max(1) {
-        let before = snap.io().snapshot();
-        let start = Instant::now();
-        let r = if op == "M4-UDF" {
-            M4Udf::new().execute(snap, q)
-        } else {
-            M4Lsm::new().execute(snap, q)
-        }
-        .expect("query execution");
-        latencies.push(start.elapsed().as_secs_f64() * 1e3);
-        io = snap.io().snapshot() - before;
-        result = Some(r);
-    }
-    latencies.sort_by(f64::total_cmp);
-    (
-        latencies[latencies.len() / 2],
-        io,
-        result.expect("at least one run"),
-    )
 }
 
 /// Aligned table of all cells.

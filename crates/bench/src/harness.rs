@@ -9,8 +9,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use m4::{M4Lsm, M4Query, M4Result, M4Udf};
+use m4::{M4Query, M4Result, Operator};
 use tskv::config::EngineConfig;
+use tskv::stats::IoSnapshot;
 use tskv::{SeriesSnapshot, TsKv};
 use workload::{apply_random_deletes, load_sequential, load_with_overlap, Dataset};
 
@@ -162,26 +163,20 @@ impl Harness {
         operator: Operator,
     ) -> Measured {
         let mut latencies = Vec::with_capacity(self.repeats.max(1));
-        let mut io_delta = Default::default();
+        let mut io = IoSnapshot::default();
         let mut result = None;
         for _ in 0..self.repeats.max(1) {
             let before = snapshot.io().snapshot();
             let start = Instant::now();
-            let r = match operator {
-                Operator::Udf => M4Udf::new().execute(snapshot, query),
-                Operator::Lsm => M4Lsm::new().execute(snapshot, query),
-            }
-            .expect("query execution");
+            let r = operator.execute(snapshot, query).expect("query execution");
             latencies.push(start.elapsed().as_secs_f64() * 1e3);
-            io_delta = snapshot.io().snapshot() - before;
+            io = snapshot.io().snapshot() - before;
             result = Some(r);
         }
         latencies.sort_by(f64::total_cmp);
         Measured {
             latency_ms: latencies[latencies.len() / 2],
-            chunks_loaded: io_delta.chunks_loaded,
-            points_decoded: io_delta.points_decoded,
-            timestamps_decoded: io_delta.timestamps_decoded,
+            io,
             result: result.expect("at least one run"),
         }
     }
@@ -205,36 +200,29 @@ impl Harness {
             "operators disagree in {experiment} on {} ({param}={value})",
             dataset.name()
         );
-        for (name, m) in [("M4-UDF", &udf), ("M4-LSM", &lsm)] {
+        for (op, m) in [(Operator::Udf, &udf), (Operator::Lsm, &lsm)] {
             rows.push(ExpRow {
                 experiment: experiment.to_string(),
                 dataset: dataset.name().to_string(),
-                operator: name.to_string(),
+                operator: op.name().to_string(),
                 param: param.to_string(),
                 value,
                 latency_ms: m.latency_ms,
-                chunks_loaded: m.chunks_loaded,
-                points_decoded: m.points_decoded,
-                timestamps_decoded: m.timestamps_decoded,
+                chunks_loaded: m.io.chunks_loaded,
+                points_decoded: m.io.points_decoded,
+                timestamps_decoded: m.io.timestamps_decoded,
             });
         }
     }
 }
 
-/// Which operator to measure.
-#[derive(Debug, Clone, Copy)]
-pub enum Operator {
-    Udf,
-    Lsm,
-}
-
 /// Measurement of one operator on one query.
 #[derive(Debug)]
 pub struct Measured {
+    /// Median latency in milliseconds.
     pub latency_ms: f64,
-    pub chunks_loaded: u64,
-    pub points_decoded: u64,
-    pub timestamps_decoded: u64,
+    /// The I/O counters of the last run.
+    pub io: IoSnapshot,
     pub result: M4Result,
 }
 

@@ -37,7 +37,6 @@
 // Test fixtures make, corrupt and remove their own files.
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 
-pub mod agg;
 pub mod error;
 pub mod lsm;
 pub mod oracle;
@@ -56,3 +55,32 @@ pub use udf::M4Udf;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, M4Error>;
+
+/// Which M4 operator answers a query: the one choice the SQL front end,
+/// the wire protocol and the experiments all make.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Operator {
+    /// The merge-then-scan baseline ([`M4Udf`]).
+    Udf,
+    /// The paper's merge-free operator ([`M4Lsm`], the default).
+    #[default]
+    Lsm,
+}
+
+impl Operator {
+    /// Run this operator's query over `snapshot`.
+    pub fn execute(self, snapshot: &tskv::SeriesSnapshot, query: &M4Query) -> Result<M4Result> {
+        match self {
+            Operator::Udf => M4Udf::new().execute(snapshot, query),
+            Operator::Lsm => M4Lsm::new().execute(snapshot, query),
+        }
+    }
+
+    /// The paper's name for it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Operator::Udf => "M4-UDF",
+            Operator::Lsm => "M4-LSM",
+        }
+    }
+}

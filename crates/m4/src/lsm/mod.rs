@@ -179,15 +179,15 @@ mod tests {
     )]
 
     use super::*;
+    use testdir::TestDir;
     use tsfile::types::Point;
     use tskv::config::EngineConfig;
     use tskv::TsKv;
 
     use crate::udf::M4Udf;
 
-    fn fresh(name: &str, chunk: usize) -> (std::path::PathBuf, TsKv) {
-        let dir = std::env::temp_dir().join(format!("m4-lsm-{name}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+    fn fresh(name: &str, chunk: usize) -> (TestDir, TsKv) {
+        let dir = TestDir::new(&format!("m4-lsm-{name}"));
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn clean_sequential_data() {
-        let (dir, kv) = fresh("clean", 100);
+        let (_dir, kv) = fresh("clean", 100);
         for t in 0..2000i64 {
             kv.insert("s", Point::new(t, ((t * 37) % 101) as f64))
                 .unwrap();
@@ -218,12 +218,11 @@ mod tests {
         assert_matches_udf(&kv, "s", &M4Query::new(0, 2000, 7).unwrap());
         assert_matches_udf(&kv, "s", &M4Query::new(0, 2000, 1).unwrap());
         assert_matches_udf(&kv, "s", &M4Query::new(0, 2000, 400).unwrap());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn pure_metadata_path_loads_nothing() {
-        let (dir, kv) = fresh("meta-only", 100);
+        let (_dir, kv) = fresh("meta-only", 100);
         for t in 0..1000i64 {
             kv.insert("s", Point::new(t, (t % 13) as f64)).unwrap();
         }
@@ -247,12 +246,11 @@ mod tests {
         assert_eq!(s.last.t, 999);
         assert_eq!(s.top.v, 12.0);
         assert_eq!(s.bottom.v, 0.0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn overlapping_chunks_with_overwrites() {
-        let (dir, kv) = fresh("overwrite", 50);
+        let (_dir, kv) = fresh("overwrite", 50);
         for t in 0..1000i64 {
             kv.insert("s", Point::new(t, (t % 29) as f64)).unwrap();
         }
@@ -269,12 +267,11 @@ mod tests {
         for w in [1, 3, 10, 100] {
             assert_matches_udf(&kv, "s", &M4Query::new(0, 1000, w).unwrap());
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn deletes_at_edges_and_extremes() {
-        let (dir, kv) = fresh("deletes", 50);
+        let (_dir, kv) = fresh("deletes", 50);
         for t in 0..1000i64 {
             kv.insert("s", Point::new(t, (t % 29) as f64)).unwrap();
         }
@@ -285,12 +282,11 @@ mod tests {
         for w in [1, 4, 20] {
             assert_matches_udf(&kv, "s", &M4Query::new(0, 1000, w).unwrap());
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn delete_then_overwrite_then_delete() {
-        let (dir, kv) = fresh("interleaved", 25);
+        let (_dir, kv) = fresh("interleaved", 25);
         for t in 0..500i64 {
             kv.insert("s", Point::new(t, 1.0)).unwrap();
         }
@@ -304,12 +300,11 @@ mod tests {
         for w in [1, 2, 5, 50] {
             assert_matches_udf(&kv, "s", &M4Query::new(0, 500, w).unwrap());
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn query_subrange_and_misaligned_spans() {
-        let (dir, kv) = fresh("subrange", 30);
+        let (_dir, kv) = fresh("subrange", 30);
         for t in 0..900i64 {
             kv.insert("s", Point::new(t * 7, ((t * 13) % 97) as f64))
                 .unwrap();
@@ -318,18 +313,16 @@ mod tests {
         assert_matches_udf(&kv, "s", &M4Query::new(500, 5000, 13).unwrap());
         assert_matches_udf(&kv, "s", &M4Query::new(1, 6300, 9).unwrap());
         assert_matches_udf(&kv, "s", &M4Query::new(6299, 6301, 2).unwrap());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn empty_series_and_empty_range() {
-        let (dir, kv) = fresh("empty", 10);
+        let (_dir, kv) = fresh("empty", 10);
         kv.create_series("s").unwrap();
         let snap = kv.snapshot("s").unwrap();
         let q = M4Query::new(0, 100, 4).unwrap();
         let r = M4Lsm::new().execute(&snap, &q).unwrap();
         assert_eq!(r.non_empty(), 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -339,7 +332,7 @@ mod tests {
         // resolved (loaded) before that exact candidate is answered,
         // because the bounded chunk may hold a later-versioned point at
         // the same timestamp.
-        let (dir, kv) = fresh("bound-tie", 10);
+        let (_dir, kv) = fresh("bound-tie", 10);
         // C¹: points at 100..190 step 10, value 1.
         let c1: Vec<Point> = (0..10).map(|t| Point::new(100 + t * 10, 1.0)).collect();
         kv.insert_batch("s", &c1).unwrap();
@@ -358,12 +351,11 @@ mod tests {
         let snap = kv.snapshot("s").unwrap();
         let r = M4Lsm::new().execute(&snap, &q).unwrap();
         assert_eq!(r.spans[0].unwrap().first, Point::new(130, 9.0));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn lp_mirror_of_bound_tie() {
-        let (dir, kv) = fresh("lp-bound-tie", 10);
+        let (_dir, kv) = fresh("lp-bound-tie", 10);
         let c1: Vec<Point> = (0..10).map(|t| Point::new(100 + t * 10, 1.0)).collect();
         kv.insert_batch("s", &c1).unwrap();
         kv.flush("s").unwrap();
@@ -379,14 +371,13 @@ mod tests {
         let snap = kv.snapshot("s").unwrap();
         let r = M4Lsm::new().execute(&snap, &q).unwrap();
         assert_eq!(r.spans[0].unwrap().last, Point::new(159, 9.0));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn all_candidates_dirty_forces_batch_load() {
         // Every chunk's metadata top is overwritten by a later chunk,
         // so BP/TP must batch-load the dirty chunks and recompute.
-        let (dir, kv) = fresh("all-dirty", 10);
+        let (_dir, kv) = fresh("all-dirty", 10);
         let mut c1: Vec<Point> = (0..10).map(|t| Point::new(t * 10, 1.0)).collect();
         c1[5].v = 100.0; // top of C¹ at t=50
         kv.insert_batch("s", &c1).unwrap();
@@ -406,12 +397,11 @@ mod tests {
         let r = M4Lsm::new().execute(&snap, &q).unwrap();
         // True top is now 1.0 (all 100/90 overwritten).
         assert_eq!(r.spans[0].unwrap().top.v, 1.0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn unflushed_memtable_visible() {
-        let (dir, kv) = fresh("memtable", 40);
+        let (_dir, kv) = fresh("memtable", 40);
         for t in 0..100i64 {
             kv.insert("s", Point::new(t, 1.0)).unwrap();
         }
@@ -421,12 +411,11 @@ mod tests {
         }
         // No flush: memtable chunk must serve the query.
         assert_matches_udf(&kv, "s", &M4Query::new(0, 150, 6).unwrap());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn mem_and_sealed_chunks_of_several_sizes_share_a_span() {
-        let (dir, kv) = fresh("mixed", 40);
+        let (_dir, kv) = fresh("mixed", 40);
         // 100 points seal as chunks of 40/40/20; the 30 overwrites after
         // them fit one chunk; the last writes stay in the memtable.
         for t in 0..100i64 {
@@ -449,7 +438,6 @@ mod tests {
         for w in [1, 2, 3, 9] {
             assert_matches_udf(&kv, "s", &M4Query::new(0, 100, w).unwrap());
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -457,8 +445,7 @@ mod tests {
         // Small chunks (50 points) exercise the fragment path: many
         // fragments per span, statistics candidates and selective
         // decode.
-        let dir = std::env::temp_dir().join(format!("m4-lsm-paged-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TestDir::new("m4-lsm-paged");
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -499,7 +486,6 @@ mod tests {
             "narrow span should decode a few small chunks: {} points",
             delta.points_decoded
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A re-sent backfill: a random walk on a 10 ms grid sealed 50 000
@@ -512,8 +498,7 @@ mod tests {
     #[test]
     fn refuting_a_loaded_page_point_by_point_is_not_quadratic() {
         let started = std::time::Instant::now();
-        let dir = std::env::temp_dir().join(format!("m4-lsm-backfill-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TestDir::new("m4-lsm-backfill");
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -552,7 +537,6 @@ mod tests {
         for w in [10, 100, 1000] {
             assert_matches_udf(&kv, "s", &M4Query::new(0, n * 10, w).unwrap());
         }
-        std::fs::remove_dir_all(&dir).ok();
         let took = started.elapsed();
         assert!(took.as_secs() < 5, "took {took:?}");
     }

@@ -146,17 +146,13 @@ mod tests {
     )]
 
     use super::*;
+    use testdir::TestDir;
     use tsfile::types::Point;
     use tskv::config::EngineConfig;
     use tskv::TsKv;
 
-    fn fixture() -> (std::path::PathBuf, TsKv) {
-        // pid + a process-wide counter: tests of one binary run in
-        // parallel and must not share (and delete) each other's store.
-        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("m4-cache-{}-{n}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+    fn fixture() -> (TestDir, TsKv) {
+        let dir = TestDir::new("m4-cache");
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -182,7 +178,7 @@ mod tests {
 
     #[test]
     fn points_loaded_once() {
-        let (dir, kv) = fixture();
+        let (_dir, kv) = fixture();
         let snap = kv.snapshot("s").unwrap();
         let table = whole(&snap);
         let row = &table.rows()[0];
@@ -194,14 +190,13 @@ mod tests {
         let delta = snap.io().snapshot() - before;
         assert_eq!(delta.chunks_loaded, 1, "second call must hit the row");
         assert!(row.loaded().is_some());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Probes past, beyond and below the first one's timestamp are all
     /// answered from the one column the first probe read.
     #[test]
     fn probes_read_a_chunk_once() {
-        let (dir, kv) = fixture();
+        let (_dir, kv) = fixture();
         let snap = kv.snapshot("s").unwrap();
         let table = whole(&snap);
         let row = &table.rows()[0];
@@ -215,12 +210,11 @@ mod tests {
         assert_eq!(delta.chunks_loaded, 1, "one timestamp read for every probe");
         assert_eq!((delta.timestamps_decoded, delta.points_decoded), (1000, 0));
         assert!(row.loaded().is_none());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn loaded_points_answer_probes_without_new_io() {
-        let (dir, kv) = fixture();
+        let (_dir, kv) = fixture();
         let snap = kv.snapshot("s").unwrap();
         let table = whole(&snap);
         let row = &table.rows()[0];
@@ -229,6 +223,5 @@ mod tests {
         assert!(table.contains_timestamp(row, 5_000).unwrap());
         assert!(!table.contains_timestamp(row, 5_001).unwrap());
         assert_eq!((snap.io().snapshot() - before).chunks_loaded, 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,21 +2,9 @@
 
 use tskv::TsKv;
 
-use crate::lsm::M4Lsm;
 use crate::repr::SpanRepr;
 use crate::sql::parser::{Column, M4Statement, Params, SqlError};
-use crate::udf::M4Udf;
-use crate::M4Error;
-
-/// Which operator backs the statement.
-#[derive(Debug, Clone, Copy, Default)]
-pub enum ExecOperator {
-    /// The merge-free operator (the paper's contribution, default).
-    #[default]
-    Lsm,
-    /// The merge-then-scan baseline.
-    Udf,
-}
+use crate::{M4Error, Operator};
 
 /// One output row: the span (group) index plus the selected column
 /// values in SELECT order.
@@ -96,17 +84,13 @@ pub fn execute(
     kv: &TsKv,
     statement: &M4Statement,
     params: &Params,
-    operator: ExecOperator,
+    operator: Operator,
 ) -> Result<Table, ExecError> {
     let query = statement.bind(params).map_err(ExecError::Sql)?;
     let snapshot = kv
         .snapshot(&statement.series)
         .map_err(|e| ExecError::M4(e.into()))?;
-    let result = match operator {
-        ExecOperator::Lsm => M4Lsm::new().execute(&snapshot, &query),
-        ExecOperator::Udf => M4Udf::new().execute(&snapshot, &query),
-    }
-    .map_err(ExecError::M4)?;
+    let result = operator.execute(&snapshot, &query).map_err(ExecError::M4)?;
 
     let rows = result
         .spans
@@ -140,16 +124,12 @@ mod tests {
     )]
 
     use super::*;
+    use testdir::TestDir;
     use tsfile::types::Point;
     use tskv::config::EngineConfig;
 
-    fn store() -> (std::path::PathBuf, TsKv) {
-        // pid + a process-wide counter: tests of one binary run in
-        // parallel and must not share (and delete) each other's store.
-        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("m4-sql-{}-{n}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+    fn store() -> (TestDir, TsKv) {
+        let dir = TestDir::new("m4-sql");
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -169,7 +149,7 @@ mod tests {
 
     #[test]
     fn executes_the_paper_statement() {
-        let (dir, kv) = store();
+        let (_dir, kv) = store();
         let stmt = M4Statement::parse(
             "SELECT FirstTime(T), FirstValue(T), LastTime(T), LastValue(T), \
              BottomTime(T), BottomValue(T), TopTime(T), TopValue(T) \
@@ -178,8 +158,8 @@ mod tests {
         .unwrap();
         let mut p = Params::new();
         p.set("w", 4).set("tqs", 0).set("tqe", 400);
-        let lsm = execute(&kv, &stmt, &p, ExecOperator::Lsm).unwrap();
-        let udf = execute(&kv, &stmt, &p, ExecOperator::Udf).unwrap();
+        let lsm = execute(&kv, &stmt, &p, Operator::Lsm).unwrap();
+        let udf = execute(&kv, &stmt, &p, Operator::Udf).unwrap();
         assert_eq!(lsm.rows.len(), 4);
         assert_eq!(lsm.columns.len(), 8);
         // FP/LP agree exactly; BP/TP agree in value columns.
@@ -192,31 +172,28 @@ mod tests {
         // Span 0 = [0, 99]: first point (0, 0.0), top value 36.
         assert_eq!(lsm.rows[0].values[0], 0.0);
         assert_eq!(lsm.rows[0].values[7], 36.0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn empty_spans_produce_no_rows() {
-        let (dir, kv) = store();
+        let (_dir, kv) = store();
         let stmt = M4Statement::parse(
             "SELECT FirstTime(T) FROM root.sg.temp GROUPBY floor(10*(t-0)/(4000-0))",
         )
         .unwrap();
-        let t = execute(&kv, &stmt, &Params::new(), ExecOperator::Lsm).unwrap();
+        let t = execute(&kv, &stmt, &Params::new(), Operator::Lsm).unwrap();
         // Data covers only [0, 400) of [0, 4000): 1 of 10 groups.
         assert_eq!(t.rows.len(), 1);
         assert_eq!(t.rows[0].group, 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn unknown_series_errors() {
-        let (dir, kv) = store();
+        let (_dir, kv) = store();
         let stmt =
             M4Statement::parse("SELECT FirstTime(T) FROM nope GROUPBY floor(1*(t-0)/(10-0))")
                 .unwrap();
-        assert!(execute(&kv, &stmt, &Params::new(), ExecOperator::Lsm).is_err());
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(execute(&kv, &stmt, &Params::new(), Operator::Lsm).is_err());
     }
 
     #[test]

@@ -32,5 +32,5 @@ mod exec;
 mod lexer;
 mod parser;
 
-pub use exec::{execute, ExecOperator, Row, Table};
+pub use exec::{execute, Row, Table};
 pub use parser::{Column, M4Statement, Params, SqlError};

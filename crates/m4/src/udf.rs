@@ -50,14 +50,14 @@ mod tests {
     )]
 
     use super::*;
+    use testdir::TestDir;
     use tsfile::types::Point;
     use tskv::config::EngineConfig;
     use tskv::TsKv;
 
     #[test]
     fn executes_over_overlapping_storage() {
-        let dir = std::env::temp_dir().join(format!("m4-udf-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TestDir::new("m4-udf");
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -87,6 +87,5 @@ mod tests {
         assert_eq!(s2.bottom.v, 100.0);
         // Span 6 = [300, 349]: fully deleted.
         assert!(r.spans[6].is_none());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

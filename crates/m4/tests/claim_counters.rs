@@ -32,6 +32,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use testdir::TestDir;
 use tsfile::types::Point;
 use tskv::config::EngineConfig;
 use tskv::stats::IoSnapshot;
@@ -124,11 +125,7 @@ fn m4_lsm_matches_and_decodes_no_more_than_m4_udf_in_every_cell() {
     let started = std::time::Instant::now();
     let (mut cells, mut executed, mut spans) = (0, 0, 0);
     for points_per_chunk in [64, 256, 1024] {
-        let dir = std::env::temp_dir().join(format!(
-            "m4-claim-{points_per_chunk}-{}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TestDir::new(&format!("m4-claim-{points_per_chunk}"));
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -178,7 +175,6 @@ fn m4_lsm_matches_and_decodes_no_more_than_m4_udf_in_every_cell() {
                 }
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
     assert_eq!(cells, 144);
     // Both paths ran: some spans were executed and most were folded.

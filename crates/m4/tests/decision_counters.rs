@@ -23,6 +23,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use std::path::Path;
+use testdir::TestDir;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -81,8 +82,7 @@ fn decisions(d: &IoSnapshot) -> IoSnapshot {
 
 #[test]
 fn the_cache_moves_no_decision_counter() {
-    let dir = std::env::temp_dir().join(format!("m4-decisions-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = TestDir::new("m4-decisions");
     let mut queries = Vec::new();
     {
         let kv = open(&dir, 0);
@@ -104,7 +104,6 @@ fn the_cache_moves_no_decision_counter() {
     }
     let cold = census(&open(&dir, 0), &queries, false);
     let warm = census(&open(&dir, 16 << 20), &queries, true);
-    std::fs::remove_dir_all(&dir).ok();
     for ((series, query), (cold, warm)) in queries.iter().zip(cold.iter().zip(&warm)) {
         let cell = format!("{series} w {}", query.w);
         assert_eq!(decisions(cold), decisions(warm), "{cell}");

@@ -16,6 +16,7 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
+use testdir::TestDir;
 
 use m4::oracle::m4_scan;
 use m4::{M4Lsm, M4Query, M4Udf};
@@ -41,8 +42,7 @@ fn data_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
 
 #[test]
 fn a_fleet_sawtooth_stores_its_deltas_and_answers_m4_exactly() {
-    let dir = std::env::temp_dir().join(format!("m4-fleet-sawtooth-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = TestDir::new("m4-fleet-sawtooth");
     let kv = TsKv::open(
         &dir,
         EngineConfig {
@@ -123,5 +123,4 @@ fn a_fleet_sawtooth_stores_its_deltas_and_answers_m4_exactly() {
         assert!(lsm.equivalent(&expected), "M4-LSM deviates on {query:?}");
     }
     drop(kv);
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -67,6 +67,7 @@
 // Test fixtures make, corrupt and remove their own files.
 #![allow(clippy::disallowed_methods)]
 
+use testdir::TestDir;
 use tsfile::types::Point;
 use tskv::config::EngineConfig;
 use tskv::TsKv;
@@ -94,9 +95,8 @@ const GOLDEN: [[u64; 7]; 5] = [
     [0, 0, 80, 102, 8, 14, 0],
 ];
 
-fn store() -> (std::path::PathBuf, TsKv) {
-    let dir = std::env::temp_dir().join(format!("m4-golden-io-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+fn store() -> (TestDir, TsKv) {
+    let dir = TestDir::new("m4-golden-io");
     let kv = TsKv::open(
         &dir,
         EngineConfig {
@@ -150,7 +150,7 @@ fn store() -> (std::path::PathBuf, TsKv) {
 
 #[test]
 fn io_decisions_match_the_recorded_table() {
-    let (dir, kv) = store();
+    let (_dir, kv) = store();
     let snap = kv.snapshot("s").unwrap();
     let counts: Vec<u64> = snap.chunks().iter().map(|c| c.count()).collect();
     let mut expect = vec![100; 20];
@@ -179,5 +179,4 @@ fn io_decisions_match_the_recorded_table() {
     assert_eq!(snap.chunks_overlapping(q.full_range()).len(), 2);
     let printed: String = rows.iter().map(|r| format!("    {r:?},\n")).collect();
     assert!(rows == GOLDEN, "I/O decisions moved; now:\n{printed}");
-    std::fs::remove_dir_all(&dir).ok();
 }

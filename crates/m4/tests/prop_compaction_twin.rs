@@ -22,6 +22,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use std::collections::BTreeMap;
+use testdir::TestDir;
 
 use proptest::prelude::*;
 use tsfile::types::Point;
@@ -61,11 +62,7 @@ proptest! {
         qlen in 1i64..70_000,
         w in 1usize..40,
     ) {
-        let stamp = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos();
-        let dir = std::env::temp_dir().join(format!(
-            "m4-compaction-oracle-{}-{stamp:x}", std::process::id()
-        ));
+        let dir = TestDir::new("m4-compaction-oracle");
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -138,6 +135,5 @@ proptest! {
         prop_assert!(lsm.equivalent(&expected), "M4-LSM deviates from the oracle");
 
         drop(kv);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -20,6 +20,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use std::collections::BTreeMap;
+use testdir::TestDir;
 
 use proptest::prelude::*;
 use tsfile::types::Point;
@@ -57,12 +58,7 @@ proptest! {
         qlen in 1i64..70_000,
         w in 1usize..40,
     ) {
-        let dir = std::env::temp_dir().join(format!(
-            "m4-prop-{}-{:x}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
-        ));
+        let dir = TestDir::new("m4-prop");
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -119,7 +115,6 @@ proptest! {
             "M4-LSM deviates from oracle\nlsm: {:?}\noracle: {:?}", lsm, expected
         );
 
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Adversarial value bits: NaNs, infinities and signed zeros must
@@ -130,12 +125,7 @@ proptest! {
         chunk_size in 1usize..12,
         w in 1usize..20,
     ) {
-        let dir = std::env::temp_dir().join(format!(
-            "m4-prop-nan-{}-{:x}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
-        ));
+        let dir = TestDir::new("m4-prop-nan");
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -166,6 +156,5 @@ proptest! {
         prop_assert!(udf.equivalent(&expected), "udf: {:?}\noracle: {:?}", udf, expected);
         let lsm = M4Lsm::new().execute(&snap, &query).unwrap();
         prop_assert!(lsm.equivalent(&expected), "lsm: {:?}\noracle: {:?}", lsm, expected);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -25,6 +25,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use std::collections::BTreeMap;
+use testdir::TestDir;
 
 use proptest::prelude::*;
 use tsfile::types::Point;
@@ -62,14 +63,8 @@ proptest! {
         qlen in 1i64..70_000,
         w in 1usize..24,
     ) {
-        let stamp = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos();
-        let paged_dir = std::env::temp_dir()
-            .join(format!("m4-pageprop-p-{}-{stamp:x}", std::process::id()));
-        let mono_dir = std::env::temp_dir()
-            .join(format!("m4-pageprop-m-{}-{stamp:x}", std::process::id()));
+        let paged_dir = TestDir::new("m4-pageprop-p");
+        let mono_dir = TestDir::new("m4-pageprop-m");
         // Tiny chunks: a flush of a full memtable seals many chunks, so
         // span assignment across chunks is exercised hard. The
         // monolithic twin differs ONLY in points_per_chunk.
@@ -165,10 +160,5 @@ proptest! {
                 )),
             }
         }
-
-        drop(paged);
-        drop(mono);
-        std::fs::remove_dir_all(&paged_dir).ok();
-        std::fs::remove_dir_all(&mono_dir).ok();
     }
 }

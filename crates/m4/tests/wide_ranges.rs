@@ -12,14 +12,14 @@
 
 use m4::stream::StreamingM4;
 use m4::{M4Lsm, M4Query, M4Result, M4Udf, SpanRepr};
+use testdir::TestDir;
 use tsfile::types::Point;
 use tskv::config::EngineConfig;
 use tskv::TsKv;
 
 #[test]
 fn wide_ranges_put_each_point_in_the_span_the_definition_gives() {
-    let dir = std::env::temp_dir().join(format!("m4-wide-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = TestDir::new("m4-wide");
     let config = EngineConfig {
         points_per_chunk: 2,
         ..Default::default()
@@ -63,5 +63,4 @@ fn wide_ranges_put_each_point_in_the_span_the_definition_gives() {
     }
     drop(snap);
     drop(kv);
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -52,7 +52,7 @@
 //! assert_eq!(r.chunk_metas().len(), 1);
 //! let back = r.read_chunk(&r.chunk_metas()[0])?;
 //! assert_eq!(back, points);
-//! # std::fs::remove_file(&path).ok();
+//! # std::fs::remove_dir_all(&dir).ok();
 //! # Ok(())
 //! # }
 //! ```

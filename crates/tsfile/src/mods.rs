@@ -200,19 +200,12 @@ mod tests {
     #![allow(clippy::indexing_slicing)]
 
     use super::*;
-    use std::path::PathBuf;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("tsfile-mods-tests");
-        std::fs::create_dir_all(&dir).ok();
-        let p = dir.join(name);
-        std::fs::remove_file(&p).ok();
-        p
-    }
+    use testdir::TestDir;
 
     #[test]
     fn append_and_reload() -> Result<()> {
-        let p = tmp("basic.mods");
+        let dir = TestDir::new("tsfile-mods");
+        let p = dir.join("basic.mods");
         let mut m = ModsFile::open(&p)?;
         m.append(ModEntry::new(Version(2), 100, 200))?;
         m.append(ModEntry::new(Version(5), -50, 50))?;
@@ -230,7 +223,8 @@ mod tests {
 
     #[test]
     fn missing_file_is_empty() -> Result<()> {
-        let p = tmp("missing.mods");
+        let dir = TestDir::new("tsfile-mods");
+        let p = dir.join("missing.mods");
         let m = ModsFile::open(&p)?;
         assert!(m.entries().is_empty());
         Ok(())
@@ -238,7 +232,8 @@ mod tests {
 
     #[test]
     fn torn_tail_entry_dropped() -> Result<()> {
-        let p = tmp("torn.mods");
+        let dir = TestDir::new("tsfile-mods");
+        let p = dir.join("torn.mods");
         let mut m = ModsFile::open(&p)?;
         m.append(ModEntry::new(Version(1), 0, 10))?;
         m.append(ModEntry::new(Version(2), 20, 30))?;
@@ -253,7 +248,8 @@ mod tests {
 
     #[test]
     fn append_after_a_torn_tail_survives_reopen() -> Result<()> {
-        let p = tmp("torn-append.mods");
+        let dir = TestDir::new("tsfile-mods");
+        let p = dir.join("torn-append.mods");
         let mut m = ModsFile::open(&p)?;
         m.append(ModEntry::new(Version(1), 0, 10))?;
         m.append(ModEntry::new(Version(2), 20, 30))?;
@@ -272,7 +268,8 @@ mod tests {
 
     #[test]
     fn trim_rewrites_to_the_newer_entries_or_unlinks() -> Result<()> {
-        let p = tmp("trim.mods");
+        let dir = TestDir::new("tsfile-mods");
+        let p = dir.join("trim.mods");
         let mut m = ModsFile::new(p.clone());
         for v in 1..=4 {
             m.append(ModEntry::new(Version(v), 0, 10))?;
@@ -295,7 +292,8 @@ mod tests {
 
     #[test]
     fn corrupt_tail_crc_dropped() -> Result<()> {
-        let p = tmp("crc.mods");
+        let dir = TestDir::new("tsfile-mods");
+        let p = dir.join("crc.mods");
         let mut m = ModsFile::open(&p)?;
         m.append(ModEntry::new(Version(1), 0, 10))?;
         drop(m);
@@ -313,7 +311,8 @@ mod tests {
     /// nothing behind it, and the next append cuts it off.
     #[test]
     fn an_overlong_version_varint_is_a_torn_tail() -> Result<()> {
-        let p = tmp("overlong.mods");
+        let dir = TestDir::new("tsfile-mods");
+        let p = dir.join("overlong.mods");
         std::fs::write(&p, [0xff; 11])?;
         let mut m = ModsFile::open(&p)?;
         assert!(m.entries().is_empty());
@@ -336,7 +335,8 @@ mod tests {
 
     #[test]
     fn append_after_reload_continues_log() -> Result<()> {
-        let p = tmp("continue.mods");
+        let dir = TestDir::new("tsfile-mods");
+        let p = dir.join("continue.mods");
         {
             let mut m = ModsFile::open(&p)?;
             m.append(ModEntry::new(Version(1), 0, 1))?;

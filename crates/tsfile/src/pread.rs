@@ -76,12 +76,12 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
+    use testdir::TestDir;
 
     #[test]
     fn concurrent_positional_reads_do_not_interfere() {
-        let dir = std::env::temp_dir().join("tsfile-pread-tests");
-        std::fs::create_dir_all(&dir).ok();
-        let path = dir.join(format!("interleave-{}.bin", std::process::id()));
+        let dir = TestDir::new("tsfile-pread-tests");
+        let path = dir.join("interleave.bin");
         let data: Vec<u8> = (0..255u8).cycle().take(64 * 1024).collect();
         std::fs::write(&path, &data).unwrap();
         let f = PositionalFile::new(File::open(&path).unwrap());
@@ -98,14 +98,12 @@ mod tests {
                 });
             }
         });
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn pooled_read_matches_plain_read() {
-        let dir = std::env::temp_dir().join("tsfile-pread-tests");
-        std::fs::create_dir_all(&dir).ok();
-        let path = dir.join(format!("pooled-{}.bin", std::process::id()));
+        let dir = TestDir::new("tsfile-pread-tests");
+        let path = dir.join("pooled.bin");
         let data: Vec<u8> = (0..255u8).cycle().take(4096).collect();
         std::fs::write(&path, &data).unwrap();
         let f = PositionalFile::new(File::open(&path).unwrap());
@@ -116,14 +114,12 @@ mod tests {
             assert_eq!(&pooled[..], &plain[..]);
         }
         assert!(f.read_pooled_at(8, 4094).is_err());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn short_read_past_eof_errors() {
-        let dir = std::env::temp_dir().join("tsfile-pread-tests");
-        std::fs::create_dir_all(&dir).ok();
-        let path = dir.join(format!("eof-{}.bin", std::process::id()));
+        let dir = TestDir::new("tsfile-pread-tests");
+        let path = dir.join("eof.bin");
         std::fs::write(&path, [1u8, 2, 3, 4]).unwrap();
         let f = PositionalFile::new(File::open(&path).unwrap());
         let mut buf = [0u8; 8];

@@ -185,13 +185,7 @@ mod tests {
 
     use super::*;
     use crate::writer::TsFileWriter;
-    use std::path::PathBuf;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("tsfile-reader-tests");
-        std::fs::create_dir_all(&dir).ok();
-        dir.join(name)
-    }
+    use testdir::TestDir;
 
     fn series(n: i64, step: i64) -> Vec<Point> {
         (0..n)
@@ -201,7 +195,8 @@ mod tests {
 
     #[test]
     fn write_read_roundtrip_multi_chunk() -> Result<()> {
-        let p = tmp("roundtrip.tsfile");
+        let dir = TestDir::new("tsfile-reader");
+        let p = dir.join("roundtrip.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         let c1 = series(1000, 9000);
@@ -219,7 +214,8 @@ mod tests {
 
     #[test]
     fn metadata_matches_points() -> Result<()> {
-        let p = tmp("meta.tsfile");
+        let dir = TestDir::new("tsfile-reader");
+        let p = dir.join("meta.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         let pts = vec![
@@ -244,7 +240,8 @@ mod tests {
     /// column, whole, and no value.
     #[test]
     fn timestamps_only_partial_decode() -> Result<()> {
-        let p = tmp("partial.tsfile");
+        let dir = TestDir::new("tsfile-reader");
+        let p = dir.join("partial.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         let pts = series(1000, 9000);
@@ -259,7 +256,8 @@ mod tests {
 
     #[test]
     fn concurrent_chunk_reads_share_one_handle() -> Result<()> {
-        let p = tmp("concurrent.tsfile");
+        let dir = TestDir::new("tsfile-reader");
+        let p = dir.join("concurrent.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         let chunks: Vec<Vec<Point>> = (0..8)
@@ -306,7 +304,8 @@ mod tests {
     /// one gate every raw body passes, the writer's.
     #[test]
     fn raw_page_window_matches_decoded_pages() -> Result<()> {
-        let p = tmp("raw-window.tsfile");
+        let dir = TestDir::new("tsfile-reader");
+        let p = dir.join("raw-window.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         let pts: Vec<Point> = (0..1000)
@@ -329,7 +328,7 @@ mod tests {
         let r2 = TsFileReader::open(&p)?;
         let m2 = &r2.chunk_metas()[3];
         let raw = r2.read_chunk_raw(m2)?;
-        let mut w2 = TsFileWriter::create(tmp("raw-window-copy.tsfile"))?;
+        let mut w2 = TsFileWriter::create(dir.join("raw-window-copy.tsfile"))?;
         w2.begin_series(0, 0)?;
         assert!(matches!(
             w2.write_chunk_raw(&raw, m2.stats, 2),
@@ -343,7 +342,8 @@ mod tests {
     /// column whole: that chunk's timestamps and no other's.
     #[test]
     fn paged_timestamp_probe_reads_one_chunk_whole() -> Result<()> {
-        let p = tmp("paged-probe.tsfile");
+        let dir = TestDir::new("tsfile-reader");
+        let p = dir.join("paged-probe.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         let pts = series(1000, 10);
@@ -366,7 +366,8 @@ mod tests {
 
     #[test]
     fn handle_ids_unique_across_reopens() -> Result<()> {
-        let p = tmp("handleid.tsfile");
+        let dir = TestDir::new("tsfile-reader");
+        let p = dir.join("handleid.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         w.write_chunk(&series(10, 5), 1)?;
@@ -380,7 +381,8 @@ mod tests {
 
     #[test]
     fn rejects_non_tsfile() -> Result<()> {
-        let p = tmp("garbage.bin");
+        let dir = TestDir::new("tsfile-reader");
+        let p = dir.join("garbage.bin");
         // The others carry a retired generation's magic at both ends:
         // rejected at the head like any other foreign file.
         let inputs: [&[u8]; 9] = [
@@ -406,7 +408,8 @@ mod tests {
 
     #[test]
     fn rejects_truncated_file() -> Result<()> {
-        let p = tmp("trunc.tsfile");
+        let dir = TestDir::new("tsfile-reader");
+        let p = dir.join("trunc.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         w.write_chunk(&series(100, 10), 1)?;
@@ -423,7 +426,8 @@ mod tests {
 
     #[test]
     fn detects_chunk_body_corruption() -> Result<()> {
-        let p = tmp("flip.tsfile");
+        let dir = TestDir::new("tsfile-reader");
+        let p = dir.join("flip.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         let meta = w.write_chunk(&series(200, 10), 1)?.clone();
@@ -443,7 +447,8 @@ mod tests {
 
     #[test]
     fn detects_footer_corruption() -> Result<()> {
-        let p = tmp("footerflip.tsfile");
+        let dir = TestDir::new("tsfile-reader");
+        let p = dir.join("footerflip.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         w.write_chunk(&series(50, 10), 1)?;
@@ -459,7 +464,8 @@ mod tests {
 
     #[test]
     fn empty_file_with_footer_only() -> Result<()> {
-        let p = tmp("nochunks.tsfile");
+        let dir = TestDir::new("tsfile-reader");
+        let p = dir.join("nochunks.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         w.finish()?;

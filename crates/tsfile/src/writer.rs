@@ -182,7 +182,8 @@ impl TsFileWriter {
     }
 
     /// Number of chunks written so far.
-    pub fn chunk_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn chunk_count(&self) -> usize {
         self.footer.chunks.len()
     }
 
@@ -216,13 +217,7 @@ mod tests {
     #![allow(clippy::indexing_slicing)]
 
     use super::*;
-    use std::path::PathBuf;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("tsfile-writer-tests");
-        std::fs::create_dir_all(&dir).ok();
-        dir.join(name)
-    }
+    use testdir::TestDir;
 
     fn pts(range: std::ops::Range<i64>) -> Vec<Point> {
         range.map(|i| Point::new(i * 10, i as f64)).collect()
@@ -230,7 +225,8 @@ mod tests {
 
     #[test]
     fn empty_chunk_rejected() -> Result<()> {
-        let p = tmp("empty.tsfile");
+        let dir = TestDir::new("tsfile-writer");
+        let p = dir.join("empty.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         assert!(matches!(
@@ -242,7 +238,8 @@ mod tests {
 
     #[test]
     fn unsorted_chunk_rejected() -> Result<()> {
-        let p = tmp("unsorted.tsfile");
+        let dir = TestDir::new("tsfile-writer");
+        let p = dir.join("unsorted.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         let points = vec![Point::new(5, 0.0), Point::new(5, 1.0)];
@@ -255,7 +252,8 @@ mod tests {
 
     #[test]
     fn double_finish_rejected() -> Result<()> {
-        let p = tmp("double-finish.tsfile");
+        let dir = TestDir::new("tsfile-writer");
+        let p = dir.join("double-finish.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         w.write_chunk(&pts(0..5), 1)?;
@@ -270,7 +268,8 @@ mod tests {
 
     #[test]
     fn chunk_count_tracks_writes() -> Result<()> {
-        let p = tmp("count.tsfile");
+        let dir = TestDir::new("tsfile-writer");
+        let p = dir.join("count.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         assert_eq!(w.chunk_count(), 0);
@@ -284,7 +283,8 @@ mod tests {
     /// one point more is a typed error that writes nothing.
     #[test]
     fn chunk_above_the_page_ceiling_is_rejected() -> Result<()> {
-        let p = tmp("ceiling.tsfile");
+        let dir = TestDir::new("tsfile-writer");
+        let p = dir.join("ceiling.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         let n = MAX_PAGE_POINTS as i64;
@@ -301,7 +301,8 @@ mod tests {
     fn raw_chunk_roundtrips_through_copy() -> Result<()> {
         use crate::reader::TsFileReader;
 
-        let src = tmp("raw-src.tsfile");
+        let dir = TestDir::new("tsfile-writer");
+        let src = dir.join("raw-src.tsfile");
         let mut w = TsFileWriter::create(&src)?;
         w.begin_series(0, 0)?;
         let points = pts(0..200);
@@ -312,7 +313,7 @@ mod tests {
         let body = r.read_chunk_raw(meta)?;
 
         // Destination: copy the body byte for byte under a new version.
-        let dst = tmp("raw-dst.tsfile");
+        let dst = dir.join("raw-dst.tsfile");
         let mut w2 = TsFileWriter::create(&dst)?;
         w2.begin_series(0, 0)?;
         let m2 = w2.write_chunk_raw(&body, meta.stats, 9)?.clone();
@@ -329,7 +330,8 @@ mod tests {
         use crate::encoding::EncodingKind;
         use crate::page::encode_page;
 
-        let p = tmp("raw-bad.tsfile");
+        let dir = TestDir::new("tsfile-writer");
+        let p = dir.join("raw-bad.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         let (ts, val) = (EncodingKind::Ts2Diff, EncodingKind::Gorilla);
@@ -372,7 +374,8 @@ mod tests {
     fn series_runs_roundtrip_through_the_footer() -> Result<()> {
         use crate::reader::TsFileReader;
 
-        let p = tmp("runs.tsfile");
+        let dir = TestDir::new("tsfile-writer");
+        let p = dir.join("runs.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(3, 0)?;
         w.write_chunk(&pts(0..40), 1)?;
@@ -405,7 +408,8 @@ mod tests {
     fn chunk_before_any_series_is_rejected_and_writes_nothing() -> Result<()> {
         use crate::reader::TsFileReader;
 
-        let p = tmp("no-run.tsfile");
+        let dir = TestDir::new("tsfile-writer");
+        let p = dir.join("no-run.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         assert!(matches!(
             w.write_chunk(&pts(0..10), 1),
@@ -426,7 +430,8 @@ mod tests {
 
     #[test]
     fn meta_offsets_are_monotonic() -> Result<()> {
-        let p = tmp("offsets.tsfile");
+        let dir = TestDir::new("tsfile-writer");
+        let p = dir.join("offsets.tsfile");
         let mut w = TsFileWriter::create(&p)?;
         w.begin_series(0, 0)?;
         let m1 = w.write_chunk(&pts(0..100), 1)?.clone();

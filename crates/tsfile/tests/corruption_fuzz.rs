@@ -12,6 +12,7 @@
 )]
 
 use proptest::prelude::*;
+use testdir::TestDir;
 use tsfile::encoding::packed::{self, Column, Framing, Transform};
 use tsfile::types::Point;
 use tsfile::{FileFooter, ModsFile, TsFileError, TsFileReader, TsFileWriter};
@@ -232,9 +233,8 @@ fn a_modes_byte_without_a_form_of_each_column_is_corrupt() {
 /// the open leaves every byte of it as it was.
 #[test]
 fn a_tsf8_file_is_refused_untouched() {
-    let dir = std::env::temp_dir().join("tsfile-fuzz");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("tsf8-{}.tsfile", std::process::id()));
+    let dir = TestDir::new("tsfile-fuzz");
+    let path = dir.join("tsf8.tsfile");
     let mut file = sample_file(&path);
     let n = file.len();
     file[..6].copy_from_slice(b"TSF8\0\0");
@@ -245,7 +245,6 @@ fn a_tsf8_file_is_refused_untouched() {
         other => panic!("opened as {:?}", other.map(|_| ())),
     }
     assert_eq!(std::fs::read(&path).unwrap(), file);
-    std::fs::remove_file(&path).ok();
 }
 
 /// A page whose timestamps (jittered, with a delay) and values (a walk
@@ -600,9 +599,8 @@ fn malformed_decimal_blocks_are_typed_errors() {
 #[test]
 fn run_directory_prefixes_and_bit_flips_are_typed_errors() {
     const TRAILER: usize = 4 + 8 + 6; // crc + body length + magic
-    let dir = std::env::temp_dir().join("tsfile-fuzz");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("rundir-{}.tsfile", std::process::id()));
+    let dir = TestDir::new("tsfile-fuzz");
+    let path = dir.join("rundir.tsfile");
     let pts: Vec<Point> = (0..400)
         .map(|i| Point::new(i * 10, (i % 13) as f64))
         .collect();
@@ -669,7 +667,6 @@ fn run_directory_prefixes_and_bit_flips_are_typed_errors() {
             );
         }
     }
-    std::fs::remove_file(&path).ok();
 }
 
 /// `data` (head magic and chunk bodies) followed by `body` as the
@@ -736,9 +733,8 @@ fn split_file(path: &std::path::Path) -> (Vec<u8>, Vec<u8>) {
 #[test]
 fn footer_entries_out_of_range_are_corrupt() {
     use tsfile::varint;
-    let dir = std::env::temp_dir().join("tsfile-fuzz");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("entry-{}.tsfile", std::process::id()));
+    let dir = TestDir::new("tsfile-fuzz");
+    let path = dir.join("entry.tsfile");
     let mut w = TsFileWriter::create(&path).unwrap();
     w.begin_series(0, 0).unwrap();
     w.write_chunk(&[Point::new(0, 21.37), Point::new(10, 19.02)], 1)
@@ -801,7 +797,6 @@ fn footer_entries_out_of_range_are_corrupt() {
             got.map(|_| ())
         );
     }
-    std::fs::remove_file(&path).ok();
 }
 
 /// A CRC-valid footer whose entry predicts a span that wraps LP.t below
@@ -813,9 +808,8 @@ fn footer_entries_out_of_range_are_corrupt() {
 #[test]
 fn wrapping_predicted_spans_and_untiled_directories_are_corrupt() {
     use tsfile::varint;
-    let dir = std::env::temp_dir().join("tsfile-fuzz");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("predicted-{}.tsfile", std::process::id()));
+    let dir = TestDir::new("tsfile-fuzz");
+    let path = dir.join("predicted.tsfile");
     let wide = (1i64 << 62) - 2;
     let mut w = TsFileWriter::create(&path).unwrap();
     w.begin_series(0, 0).unwrap();
@@ -856,7 +850,6 @@ fn wrapping_predicted_spans_and_untiled_directories_are_corrupt() {
             got.map(|_| ())
         );
     }
-    std::fs::remove_file(&path).ok();
 }
 
 /// What an open that succeeds promises about a footer: every chunk's
@@ -893,9 +886,8 @@ fn assert_footer_holds(r: &TsFileReader, footer_at: u64, what: &str) {
 /// — never a panic.
 #[test]
 fn footer_prefixes_and_resealed_bit_flips_are_typed_errors() {
-    let dir = std::env::temp_dir().join("tsfile-fuzz");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("footer-{}.tsfile", std::process::id()));
+    let dir = TestDir::new("tsfile-fuzz");
+    let path = dir.join("footer.tsfile");
     let (data, body) = footer_sample(&path);
     assert!(FileFooter::decode_body(&body).is_ok());
     for cut in 0..body.len() {
@@ -920,7 +912,6 @@ fn footer_prefixes_and_resealed_bit_flips_are_typed_errors() {
         opened > 0 && opened < body.len() * 8,
         "{opened} flips opened"
     );
-    std::fs::remove_file(&path).ok();
 }
 
 /// A CRC-valid footer whose chunk lengths do not add up to the bytes
@@ -929,9 +920,8 @@ fn footer_prefixes_and_resealed_bit_flips_are_typed_errors() {
 /// against.
 #[test]
 fn footer_whose_pages_do_not_tile_the_data_region_is_corrupt() {
-    let dir = std::env::temp_dir().join("tsfile-fuzz");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("tiling-{}.tsfile", std::process::id()));
+    let dir = TestDir::new("tsfile-fuzz");
+    let path = dir.join("tiling.tsfile");
     let (data, body) = footer_sample(&path);
     let footer = FileFooter::decode_body(&body).unwrap();
     for (chunk, delta) in [(1, 1i64), (3, -1), (5, 5)] {
@@ -947,7 +937,6 @@ fn footer_whose_pages_do_not_tile_the_data_region_is_corrupt() {
             got.map(|_| ())
         );
     }
-    std::fs::remove_file(&path).ok();
 }
 
 /// A CRC-valid footer whose last chunk claims a body running past the
@@ -955,9 +944,8 @@ fn footer_whose_pages_do_not_tile_the_data_region_is_corrupt() {
 /// open, before any body is read.
 #[test]
 fn chunk_length_overrunning_the_data_region_is_corrupt() {
-    let dir = std::env::temp_dir().join("tsfile-fuzz");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("overrun-{}.tsfile", std::process::id()));
+    let dir = TestDir::new("tsfile-fuzz");
+    let path = dir.join("overrun.tsfile");
     let (data, body) = footer_sample(&path);
     let footer = FileFooter::decode_body(&body).unwrap();
     let last = footer.chunks.len() - 1;
@@ -974,7 +962,6 @@ fn chunk_length_overrunning_the_data_region_is_corrupt() {
             got.map(|_| ())
         );
     }
-    std::fs::remove_file(&path).ok();
 }
 
 proptest! {
@@ -991,9 +978,8 @@ proptest! {
         line in any::<bool>(),
         bodiless in any::<bool>(),
     ) {
-        let dir = std::env::temp_dir().join("tsfile-fuzz");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("flip-{}.tsfile", std::process::id()));
+        let dir = TestDir::new("tsfile-fuzz");
+        let path = dir.join("flip.tsfile");
         let original = match (bodiless, line) {
             (true, _) => bodiless_file(&path),
             (_, true) => cadence_file(&path),
@@ -1018,7 +1004,6 @@ proptest! {
                 }
             }
         }
-        std::fs::remove_file(&path).ok();
     }
 
     /// Truncate a valid TsFile (any of the three above) at any point:
@@ -1030,9 +1015,8 @@ proptest! {
         line in any::<bool>(),
         bodiless in any::<bool>(),
     ) {
-        let dir = std::env::temp_dir().join("tsfile-fuzz");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("trunc-{}.tsfile", std::process::id()));
+        let dir = TestDir::new("tsfile-fuzz");
+        let path = dir.join("trunc.tsfile");
         let original = match (bodiless, line) {
             (true, _) => bodiless_file(&path),
             (_, true) => cadence_file(&path),
@@ -1049,33 +1033,28 @@ proptest! {
             }
             Err(_) => prop_assert!(keep < original.len()),
         }
-        std::fs::remove_file(&path).ok();
     }
 
     /// Arbitrary bytes as a mods file: replay must not panic and only
     /// yields CRC-valid prefixes.
     #[test]
     fn random_mods_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
-        let dir = std::env::temp_dir().join("tsfile-fuzz");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("mods-{}.mods", std::process::id()));
+        let dir = TestDir::new("tsfile-fuzz");
+        let path = dir.join("mods.mods");
         std::fs::write(&path, &bytes).unwrap();
         let mods = ModsFile::open(&path).unwrap();
         // Whatever parsed, appending still works afterwards.
         let mut mods = mods;
         mods.append(tsfile::ModEntry::new(tsfile::types::Version(1), 0, 1)).unwrap();
-        std::fs::remove_file(&path).ok();
     }
 
     /// Arbitrary bytes as a whole file: open() must never panic.
     #[test]
     fn random_file_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
-        let dir = std::env::temp_dir().join("tsfile-fuzz");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("rand-{}.tsfile", std::process::id()));
+        let dir = TestDir::new("tsfile-fuzz");
+        let path = dir.join("rand.tsfile");
         std::fs::write(&path, &bytes).unwrap();
         let _ = TsFileReader::open(&path);
-        std::fs::remove_file(&path).ok();
     }
 
     /// The "no silently wrong data" half of the contract: when a read
@@ -1089,9 +1068,8 @@ proptest! {
         line in any::<bool>(),
         bodiless in any::<bool>(),
     ) {
-        let dir = std::env::temp_dir().join("tsfile-fuzz");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("exact-{}.tsfile", std::process::id()));
+        let dir = TestDir::new("tsfile-fuzz");
+        let path = dir.join("exact.tsfile");
         let (original, pts) = match (bodiless, line) {
             (true, _) => (bodiless_file(&path), bodiless_points()),
             (_, true) => (cadence_file(&path), cadence_points(500)),
@@ -1118,7 +1096,6 @@ proptest! {
                 prop_assert_eq!(got.as_slice(), expected, "silent corruption passed the CRC");
             }
         }
-        std::fs::remove_file(&path).ok();
     }
 
     /// Flips aimed at the footer / tail metadata region, where a decode
@@ -1127,9 +1104,8 @@ proptest! {
     fn footer_flips_never_panic(
         flips in prop::collection::vec((0usize..160, 1u8..=255), 1..6)
     ) {
-        let dir = std::env::temp_dir().join("tsfile-fuzz");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("foot-{}.tsfile", std::process::id()));
+        let dir = TestDir::new("tsfile-fuzz");
+        let path = dir.join("foot.tsfile");
         let original = sample_file(&path);
 
         let mut corrupted = original.clone();
@@ -1146,7 +1122,6 @@ proptest! {
                 let _ = reader.read_timestamps(meta);
             }
         }
-        std::fs::remove_file(&path).ok();
     }
 
     /// A corrupt on-disk count must not translate into an unbounded
@@ -1332,10 +1307,8 @@ proptest! {
         mask in 1u8..=255,
         n_entries in 1usize..12,
     ) {
-        let dir = std::env::temp_dir().join("tsfile-fuzz");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("modflip-{}.mods", std::process::id()));
-        std::fs::remove_file(&path).ok();
+        let dir = TestDir::new("tsfile-fuzz");
+        let path = dir.join("modflip.mods");
 
         let originals: Vec<tsfile::ModEntry> = (0..n_entries)
             .map(|i| {
@@ -1362,7 +1335,6 @@ proptest! {
                 prop_assert_eq!(got, &originals[..got.len()], "replay rewrote history");
             }
         }
-        std::fs::remove_file(&path).ok();
     }
 
     /// Cut a valid mods log anywhere (a crash mid-append), append once
@@ -1373,10 +1345,8 @@ proptest! {
         cut in any::<prop::sample::Index>(),
         n_entries in 1usize..12,
     ) {
-        let dir = std::env::temp_dir().join("tsfile-fuzz");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("modcut-{}.mods", std::process::id()));
-        std::fs::remove_file(&path).ok();
+        let dir = TestDir::new("tsfile-fuzz");
+        let path = dir.join("modcut.mods");
         let mut mods = ModsFile::open(&path).unwrap();
         for i in 0..n_entries as i64 {
             let version = tsfile::types::Version(i as u64 + 1);
@@ -1395,7 +1365,6 @@ proptest! {
         prop_assert_eq!(mods.entries(), &want[..]);
         let reopened = ModsFile::open(&path).unwrap();
         prop_assert_eq!(reopened.entries(), &want[..]);
-        std::fs::remove_file(&path).ok();
     }
 }
 

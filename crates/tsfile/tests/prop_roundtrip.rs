@@ -11,6 +11,7 @@
 )]
 
 use std::sync::Arc;
+use testdir::TestDir;
 
 use proptest::prelude::*;
 use tsfile::encoding::packed::{self, Column, Framing, Transform};
@@ -1073,9 +1074,8 @@ proptest! {
     #[test]
     fn file_roundtrip(chunks in prop::collection::vec(
         prop::collection::vec((any::<i32>(), -1e6f64..1e6), 1..100), 1..8)) {
-        let dir = std::env::temp_dir().join("tsfile-prop-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("prop-{}.tsfile", std::process::id()));
+        let dir = TestDir::new("tsfile-prop-tests");
+        let path = dir.join("prop.tsfile");
 
         let mut norm: Vec<Vec<Point>> = Vec::new();
         for c in &chunks {
@@ -1100,7 +1100,6 @@ proptest! {
             prop_assert_eq!(&back, pts);
             prop_assert_eq!(meta.stats.count as usize, pts.len());
         }
-        std::fs::remove_file(&path).ok();
     }
 }
 

@@ -286,11 +286,6 @@ impl DecodedChunkCache {
     pub fn capacity_bytes(&self) -> u64 {
         self.capacity_bytes
     }
-
-    /// Number of lock stripes (test/diagnostic).
-    pub fn shard_len(&self) -> usize {
-        self.shards.len()
-    }
 }
 
 #[cfg(test)]
@@ -403,17 +398,17 @@ mod tests {
     #[test]
     fn shard_count_scales_with_capacity() {
         let (tiny, _) = cache(64 * 1024);
-        assert_eq!(tiny.shard_len(), 1, "sub-MiB caches stay single-shard");
+        assert_eq!(tiny.shards.len(), 1, "sub-MiB caches stay single-shard");
         let (mid, _) = cache(8 << 20);
-        assert_eq!(mid.shard_len(), 8);
+        assert_eq!(mid.shards.len(), 8);
         let (big, _) = cache(1 << 30);
-        assert_eq!(big.shard_len(), 16, "stripe count is capped");
+        assert_eq!(big.shards.len(), 16, "stripe count is capped");
     }
 
     #[test]
     fn sharded_cache_roundtrips_and_invalidates_across_stripes() {
         let (c, io) = cache(8 << 20);
-        assert!(c.shard_len() > 1);
+        assert!(c.shards.len() > 1);
         // Keys spread over stripes; every one must round-trip.
         for off in 0..200u64 {
             c.insert(key(off % 3, off), pts(64));

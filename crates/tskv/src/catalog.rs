@@ -571,14 +571,7 @@ mod tests {
     )]
 
     use super::*;
-    use std::path::PathBuf;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("tskv-catalog-{}-{name}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use testdir::TestDir;
 
     fn open(root: &Path) -> SeriesCatalog {
         SeriesCatalog::open(root, 1 << 20, Arc::new(IoStats::default())).unwrap()
@@ -586,7 +579,7 @@ mod tests {
 
     #[test]
     fn intern_is_dense_and_idempotent() {
-        let dir = tmp("dense");
+        let dir = TestDir::new("tskv-catalog-dense");
         let c = open(&dir);
         assert_eq!(c.intern("a").unwrap(), SeriesId(0));
         assert_eq!(c.intern("b").unwrap(), SeriesId(1));
@@ -603,7 +596,7 @@ mod tests {
     /// multi-byte characters split by a shared prefix.
     #[test]
     fn reopen_recovers_mapping() {
-        let dir = tmp("reopen");
+        let dir = TestDir::new("tskv-catalog-reopen");
         let mut names: Vec<String> = (0..100).map(|i| format!("series.{i}")).collect();
         names.extend(
             [
@@ -641,7 +634,7 @@ mod tests {
     /// of them take at most 8 bytes a series, magic included.
     #[test]
     fn a_fleet_of_names_takes_at_most_8_bytes_a_series() {
-        let dir = tmp("fleet");
+        let dir = TestDir::new("tskv-catalog-fleet");
         let c = open(&dir);
         for i in 0..1_000 {
             c.intern(&format!("card.{i:07}")).unwrap();
@@ -667,7 +660,7 @@ mod tests {
     /// nothing, and the file is left as it was.
     #[test]
     fn a_duplicated_or_moved_record_refuses_to_open() {
-        let dir = tmp("moved");
+        let dir = TestDir::new("tskv-catalog-moved");
         let log = log_of(&["a", "b", "c"]);
         let at = |id: usize| {
             let mut pos = EMPTY_LOG_LEN;
@@ -715,7 +708,7 @@ mod tests {
     /// first intern writes the magic over it.
     #[test]
     fn a_log_without_the_magic_is_refused_untouched() {
-        let dir = tmp("old-layout");
+        let dir = TestDir::new("tskv-catalog-old-layout");
         let path = dir.join(CATALOG_LOG);
         let mut old = Vec::new();
         for (id, name) in [(0u32, "a"), (1, "b")] {
@@ -750,7 +743,7 @@ mod tests {
     /// those in.
     #[test]
     fn a_checkpoint_folds_every_record_into_the_head_frame() {
-        let dir = tmp("checkpoint");
+        let dir = TestDir::new("tskv-catalog-checkpoint");
         let path = dir.join(CATALOG_LOG);
         let names: Vec<String> = (0..1_000).map(|i| format!("card.{i:07}")).collect();
         {
@@ -781,7 +774,7 @@ mod tests {
     /// were; the next checkpoint writes over it.
     #[test]
     fn a_stray_checkpoint_file_is_ignored() {
-        let dir = tmp("stray-tmp");
+        let dir = TestDir::new("tskv-catalog-stray-tmp");
         {
             let c = open(&dir);
             c.intern("a").unwrap();
@@ -808,7 +801,7 @@ mod tests {
     /// them come back from a reopen in id order.
     #[test]
     fn interns_racing_a_checkpoint_all_survive_a_reopen() {
-        let dir = tmp("race-checkpoint");
+        let dir = TestDir::new("tskv-catalog-race-checkpoint");
         let c = Arc::new(open(&dir));
         let writers: Vec<_> = (0..3)
             .map(|w| {
@@ -841,7 +834,7 @@ mod tests {
     /// it — refuses the open, the file left as it was.
     #[test]
     fn a_head_frame_moved_or_duplicated_refuses_to_open() {
-        let dir = tmp("head-moved");
+        let dir = TestDir::new("tskv-catalog-head-moved");
         let path = dir.join(CATALOG_LOG);
         let mut head = Vec::new();
         encode_head(&mut head, &["a", "b"]);
@@ -874,7 +867,7 @@ mod tests {
     /// with nothing new writes nothing.
     #[test]
     fn a_clean_open_of_a_checkpointed_log_writes_nothing() {
-        let dir = tmp("clean-open");
+        let dir = TestDir::new("tskv-catalog-clean-open");
         let path = dir.join(CATALOG_LOG);
         {
             let c = open(&dir);
@@ -900,7 +893,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated() {
-        let dir = tmp("torn");
+        let dir = TestDir::new("tskv-catalog-torn");
         {
             let c = open(&dir);
             c.intern("a").unwrap();
@@ -923,7 +916,7 @@ mod tests {
     /// landed — is a torn tail too: dropped, and cut by the next intern.
     #[test]
     fn a_final_record_failing_its_crc_is_a_torn_tail() {
-        let dir = tmp("torn-crc");
+        let dir = TestDir::new("tskv-catalog-torn-crc");
         let path = dir.join(CATALOG_LOG);
         let log = log_of(&["a", "b"]);
         let mut torn = log.clone();
@@ -940,7 +933,7 @@ mod tests {
     /// sync — until the first intern.
     #[test]
     fn reopen_behind_a_torn_tail_writes_nothing_until_an_intern() {
-        let dir = tmp("torn-readonly");
+        let dir = TestDir::new("tskv-catalog-torn-readonly");
         {
             let c = open(&dir);
             c.intern("a").unwrap();
@@ -956,7 +949,7 @@ mod tests {
         drop(c);
         assert_eq!(std::fs::read(&path).unwrap(), torn);
         // A fresh root: no file until the first intern.
-        let fresh = tmp("fresh-readonly");
+        let fresh = TestDir::new("tskv-catalog-fresh-readonly");
         drop(open(&fresh));
         assert!(!fresh.join(CATALOG_LOG).exists());
     }
@@ -965,7 +958,7 @@ mod tests {
     /// open: the intern cut the torn bytes before it appended.
     #[test]
     fn an_intern_behind_a_torn_tail_survives_reopen() {
-        let dir = tmp("torn-intern");
+        let dir = TestDir::new("tskv-catalog-torn-intern");
         {
             let c = open(&dir);
             c.intern("a").unwrap();
@@ -990,7 +983,7 @@ mod tests {
     /// (id 1's missing) is refused, not bound to id 1.
     #[test]
     fn gapped_ids_refuse_to_open() {
-        let dir = tmp("gap");
+        let dir = TestDir::new("tskv-catalog-gap");
         let mut buf = empty_log();
         encode_record(&mut buf, 0, "", "a");
         encode_record(&mut buf, 2, "b", "c");
@@ -1003,7 +996,7 @@ mod tests {
 
     #[test]
     fn limit_is_enforced() {
-        let dir = tmp("limit");
+        let dir = TestDir::new("tskv-catalog-limit");
         let c = SeriesCatalog::open(&dir, 2, Arc::new(IoStats::default())).unwrap();
         c.intern("a").unwrap();
         c.intern("b").unwrap();
@@ -1017,7 +1010,7 @@ mod tests {
 
     #[test]
     fn hit_miss_counters_flow_to_stats() {
-        let dir = tmp("counters");
+        let dir = TestDir::new("tskv-catalog-counters");
         let io = Arc::new(IoStats::default());
         let c = SeriesCatalog::open(&dir, 16, Arc::clone(&io)).unwrap();
         c.intern("a").unwrap();
@@ -1032,7 +1025,7 @@ mod tests {
 
     #[test]
     fn sync_if_dirty_only_syncs_once() {
-        let dir = tmp("sync");
+        let dir = TestDir::new("tskv-catalog-sync");
         let c = open(&dir);
         c.intern("a").unwrap();
         c.sync_if_dirty().unwrap();
@@ -1042,7 +1035,7 @@ mod tests {
 
     #[test]
     fn racing_interns_agree() {
-        let dir = tmp("race");
+        let dir = TestDir::new("tskv-catalog-race");
         let c = Arc::new(open(&dir));
         let mut handles = Vec::new();
         for _ in 0..4 {

@@ -101,13 +101,13 @@ mod tests {
     use crate::config::EngineConfig;
     use crate::readers::MergeReader;
     use crate::TsKv;
+    use testdir::TestDir;
     use tsfile::types::Point;
 
     type TestResult = std::result::Result<(), Box<dyn std::error::Error>>;
 
-    fn fresh(name: &str) -> crate::Result<(std::path::PathBuf, TsKv)> {
-        let dir = std::env::temp_dir().join(format!("tskv-compact-{name}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+    fn fresh(name: &str) -> crate::Result<(TestDir, TsKv)> {
+        let dir = TestDir::new(&format!("tskv-compact-{name}"));
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn compaction_preserves_merged_series() -> TestResult {
-        let (dir, kv) = fresh("preserve")?;
+        let (_dir, kv) = fresh("preserve")?;
         // Values that are not a line, so every chunk has a body to read.
         for t in 0..1_000i64 {
             kv.insert("s", Point::new(t, (t % 7) as f64))?;
@@ -155,13 +155,12 @@ mod tests {
                 assert!(!a.time_range().overlaps(&b.time_range()));
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
     #[test]
     fn compaction_keeps_memtable_untouched() -> TestResult {
-        let (dir, kv) = fresh("memtable")?;
+        let (_dir, kv) = fresh("memtable")?;
         for t in 0..400i64 {
             kv.insert("s", Point::new(t, 1.0))?;
         }
@@ -174,13 +173,12 @@ mod tests {
         assert_eq!(kv.unflushed_points("s")?, 50);
         let merged = MergeReader::new(&kv.snapshot("s")?).collect_merged()?;
         assert_eq!(merged.len(), 450);
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
     #[test]
     fn compacting_fully_deleted_series_removes_files() -> TestResult {
-        let (dir, kv) = fresh("wipe")?;
+        let (_dir, kv) = fresh("wipe")?;
         for t in 0..300i64 {
             kv.insert("s", Point::new(t, 1.0))?;
         }
@@ -195,23 +193,21 @@ mod tests {
         let snap = kv.snapshot("s")?;
         assert!(snap.chunks().is_empty());
         assert!(MergeReader::new(&snap).collect_merged()?.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
     #[test]
     fn compacting_empty_series_is_noop() -> TestResult {
-        let (dir, kv) = fresh("noop")?;
+        let (_dir, kv) = fresh("noop")?;
         kv.create_series("s")?;
         let report = kv.compact("s")?;
         assert_eq!(report, CompactionReport::default());
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
     #[test]
     fn old_snapshot_survives_compaction() -> TestResult {
-        let (dir, kv) = fresh("snapshot")?;
+        let (_dir, kv) = fresh("snapshot")?;
         for t in 0..500i64 {
             kv.insert("s", Point::new(t, 3.0))?;
         }
@@ -222,7 +218,6 @@ mod tests {
         // The pre-compaction snapshot still reads its (unlinked) files.
         let merged = MergeReader::new(&old_snap).collect_merged()?;
         assert_eq!(merged.len(), 500);
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
@@ -246,7 +241,6 @@ mod tests {
         )?;
         let merged = MergeReader::new(&kv.snapshot("s")?).collect_merged()?;
         assert_eq!(merged.len(), 500);
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
@@ -255,7 +249,7 @@ mod tests {
     /// is untouched.
     #[test]
     fn append_only_compaction_copies_all_pages() -> TestResult {
-        let (dir, kv) = fresh("cleancopy")?;
+        let (_dir, kv) = fresh("cleancopy")?;
         for t in 0..600i64 {
             kv.insert("s", Point::new(t, t as f64))?;
         }
@@ -269,7 +263,6 @@ mod tests {
         assert_eq!(report.points_written, 600);
         let snap = kv.snapshot("s")?;
         assert_eq!(MergeReader::new(&snap).collect_merged()?, before);
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
@@ -323,7 +316,6 @@ mod tests {
             "no output, no temporary, no input gone"
         );
         assert_eq!(kv.sealed_file_count("s")?, 3);
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
@@ -331,7 +323,7 @@ mod tests {
     /// copy, and both end up in one correct file.
     #[test]
     fn partial_overlap_mixes_copy_and_recode() -> TestResult {
-        let (dir, kv) = fresh("mixed")?;
+        let (_dir, kv) = fresh("mixed")?;
         // Values that are not a line, so every chunk has a body to copy.
         for t in 0..1_000i64 {
             kv.insert("s", Point::new(t, (t % 7) as f64))?;
@@ -360,7 +352,6 @@ mod tests {
                 assert!(!a.time_range().overlaps(&b.time_range()));
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
@@ -370,8 +361,7 @@ mod tests {
     /// disjoint.
     #[test]
     fn gap_dweller_splits_the_raw_run() -> TestResult {
-        let dir = std::env::temp_dir().join(format!("tskv-compact-gap-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TestDir::new("tskv-compact-gap");
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -407,7 +397,6 @@ mod tests {
                 );
             }
         }
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
@@ -416,8 +405,7 @@ mod tests {
     /// `points_per_chunk`, while the full chunks before them copy.
     #[test]
     fn under_full_chunks_are_rechunked_with_their_neighbours() -> TestResult {
-        let dir = std::env::temp_dir().join(format!("tskv-compact-short-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TestDir::new("tskv-compact-short");
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -445,7 +433,6 @@ mod tests {
         assert_eq!(MergeReader::new(&snap).collect_merged()?, before);
         let counts: Vec<u64> = snap.chunks().iter().map(|c| c.count()).collect();
         assert_eq!(counts, [10, 10, 10, 2], "⌈32 / 10⌉ chunks");
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
@@ -454,8 +441,7 @@ mod tests {
     /// points fit, ⌈points / `points_per_chunk`⌉.
     #[test]
     fn a_sweep_leaves_every_run_in_full_chunks() -> TestResult {
-        let dir = std::env::temp_dir().join(format!("tskv-compact-fleet-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TestDir::new("tskv-compact-fleet");
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -488,7 +474,6 @@ mod tests {
             );
             assert_eq!(snap.chunks().len() as i64, (n + 9) / 10, "series s{i}");
         }
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
@@ -496,7 +481,7 @@ mod tests {
     /// still copy.
     #[test]
     fn delete_dirties_only_overlapped_pages() -> TestResult {
-        let (dir, kv) = fresh("deldirty")?;
+        let (_dir, kv) = fresh("deldirty")?;
         for t in 0..1_000i64 {
             kv.insert("s", Point::new(t, 1.0))?;
         }
@@ -509,7 +494,6 @@ mod tests {
         let snap = kv.snapshot("s")?;
         assert!(snap.deletes().is_empty());
         assert_eq!(MergeReader::new(&snap).collect_merged()?, before);
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
@@ -542,8 +526,7 @@ mod tests {
     /// in it.
     #[test]
     fn clean_pages_keep_their_value_mode_and_dirty_pages_choose_again() -> TestResult {
-        let dir = std::env::temp_dir().join(format!("tskv-compact-modes-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TestDir::new("tskv-compact-modes");
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -611,7 +594,6 @@ mod tests {
             recoded[0] > 0 && recoded[1] > 0,
             "dirty pages re-chosen both ways: {recoded:?}"
         );
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 }

@@ -243,9 +243,13 @@ impl EngineInner {
     }
 }
 
+// The engine's tests, all under `tests/`, keep their module paths
+// (`engine::crash_tests` is CI's crash-property filter).
+#[path = "tests/crash_tests.rs"]
 #[cfg(test)]
 mod crash_tests;
 
+#[path = "tests/group_tests.rs"]
 #[cfg(test)]
 mod group_tests;
 

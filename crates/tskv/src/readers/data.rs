@@ -36,13 +36,13 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::engine::TsKv;
+    use testdir::TestDir;
 
     type TestResult = std::result::Result<(), Box<dyn std::error::Error>>;
 
     #[test]
     fn full_and_partial_reads_count_io() -> TestResult {
-        let dir = std::env::temp_dir().join(format!("tskv-dr-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TestDir::new("tskv-dr");
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -70,7 +70,6 @@ mod tests {
         assert_eq!(io.chunks_loaded, 2);
         assert_eq!(io.points_decoded, 1000);
         assert_eq!(io.timestamps_decoded, 1000);
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 }

@@ -194,12 +194,12 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::engine::TsKv;
+    use testdir::TestDir;
 
     type TestResult = std::result::Result<(), Box<dyn std::error::Error>>;
 
-    fn fresh(name: &str) -> crate::Result<(std::path::PathBuf, TsKv)> {
-        let dir = std::env::temp_dir().join(format!("tskv-merge-{name}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+    fn fresh(name: &str) -> crate::Result<(TestDir, TsKv)> {
+        let dir = TestDir::new(&format!("tskv-merge-{name}"));
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -213,7 +213,7 @@ mod tests {
 
     #[test]
     fn merges_overlapping_chunks_latest_wins() -> TestResult {
-        let (dir, kv) = fresh("overwrite")?;
+        let (_dir, kv) = fresh("overwrite")?;
         // Batch 1: t in 0..100, v = 1.
         for t in 0..100i64 {
             kv.insert("s", Point::new(t, 1.0))?;
@@ -231,13 +231,12 @@ mod tests {
         assert!(merged.iter().take(50).all(|p| p.v == 1.0));
         assert!(merged.iter().skip(50).all(|p| p.v == 2.0));
         assert!(merged.windows(2).all(|w| w[0].t < w[1].t));
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
     #[test]
     fn deletes_apply_only_to_older_versions() -> TestResult {
-        let (dir, kv) = fresh("deletes")?;
+        let (_dir, kv) = fresh("deletes")?;
         for t in 0..100i64 {
             kv.insert("s", Point::new(t, 1.0))?;
         }
@@ -256,13 +255,12 @@ mod tests {
         assert!(merged
             .iter()
             .all(|p| !(20..=40).contains(&p.t) || p.v == 9.0));
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
     #[test]
     fn range_filter_prunes_chunks() -> TestResult {
-        let (dir, kv) = fresh("range")?;
+        let (_dir, kv) = fresh("range")?;
         for t in 0..1000i64 {
             kv.insert("s", Point::new(t, t as f64))?;
         }
@@ -275,23 +273,21 @@ mod tests {
         let delta = snap.io().snapshot() - before;
         // Only 2 of the 10 chunks overlap [250, 349].
         assert_eq!(delta.chunks_loaded, 2);
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
     #[test]
     fn empty_snapshot_merges_empty() -> TestResult {
-        let (dir, kv) = fresh("empty")?;
+        let (_dir, kv) = fresh("empty")?;
         kv.create_series("s")?;
         let snap = kv.snapshot("s")?;
         assert!(MergeReader::new(&snap).collect_merged()?.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
     #[test]
     fn memtable_points_visible_and_latest() -> TestResult {
-        let (dir, kv) = fresh("memtable")?;
+        let (_dir, kv) = fresh("memtable")?;
         for t in 0..50i64 {
             kv.insert("s", Point::new(t, 1.0))?;
         }
@@ -304,7 +300,6 @@ mod tests {
         let merged = MergeReader::new(&snap).collect_merged()?;
         assert_eq!(merged.len(), 60);
         assert!(merged.iter().filter(|p| p.t >= 40).all(|p| p.v == 7.0));
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
@@ -432,7 +427,7 @@ mod tests {
 
     #[test]
     fn delete_does_not_resurrect_older_point() -> TestResult {
-        let (dir, kv) = fresh("resurrect")?;
+        let (_dir, kv) = fresh("resurrect")?;
         // v1 chunk: point at t=10 value 1.
         kv.insert("s", Point::new(10, 1.0))?;
         kv.flush_all()?;
@@ -445,7 +440,6 @@ mod tests {
         let snap = kv.snapshot("s")?;
         let merged = MergeReader::new(&snap).collect_merged()?;
         assert!(merged.is_empty(), "got {merged:?}");
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 }

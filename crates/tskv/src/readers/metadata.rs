@@ -42,14 +42,14 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::engine::TsKv;
+    use testdir::TestDir;
     use tsfile::types::Point;
 
     type TestResult = std::result::Result<(), Box<dyn std::error::Error>>;
 
     #[test]
     fn overlapping_filters_by_interval() -> TestResult {
-        let dir = std::env::temp_dir().join(format!("tskv-mdr-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TestDir::new("tskv-mdr");
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -68,7 +68,6 @@ mod tests {
         let hits = r.overlapping(TimeRange::new(25, 34));
         assert_eq!(hits.len(), 2); // chunks [20..29] and [30..39]
         assert!(r.overlapping(TimeRange::new(1000, 2000)).is_empty());
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 }

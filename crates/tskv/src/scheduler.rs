@@ -122,6 +122,7 @@ fn run_loop(inner: &EngineInner, stop: &AtomicBool) {
 #[cfg(test)]
 mod tests {
     use std::time::{Duration, Instant};
+    use testdir::TestDir;
 
     use tsfile::types::Point;
 
@@ -135,8 +136,7 @@ mod tests {
     /// a pass folds the names it finds interned into the head frame.
     #[test]
     fn a_pass_checkpoints_the_catalog() -> TestResult {
-        let dir = std::env::temp_dir().join(format!("tskv-sched-ckpt-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TestDir::new("tskv-sched-ckpt");
         let config = EngineConfig {
             compaction_auto: true,
             compaction_threshold: 2,
@@ -167,7 +167,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         drop(kv);
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 }

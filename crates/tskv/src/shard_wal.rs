@@ -585,13 +585,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("tskv-shardwal-{}-{name}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use testdir::TestDir;
 
     fn pts(raw: &[(i64, f64)]) -> Vec<Point> {
         raw.iter().map(|&(t, v)| Point::new(t, v)).collect()
@@ -623,7 +617,7 @@ mod tests {
 
     #[test]
     fn interleaved_appends_replay_per_series() {
-        let dir = tmp("interleave");
+        let dir = TestDir::new("tskv-shardwal-interleave");
         {
             let (w, replay) = open(&dir);
             assert!(replay.is_empty());
@@ -655,7 +649,7 @@ mod tests {
     /// record around them, not stop at the first one as at a torn tail.
     #[test]
     fn retired_flush_markers_between_records_replay_every_record() {
-        let dir = tmp("markers");
+        let dir = TestDir::new("tskv-shardwal-markers");
         let first = {
             let (w, _) = open(&dir);
             w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
@@ -683,7 +677,7 @@ mod tests {
 
     #[test]
     fn records_below_a_sealed_version_are_not_replayed() {
-        let dir = tmp("sealed");
+        let dir = TestDir::new("tskv-shardwal-sealed");
         {
             let (w, _) = open(&dir);
             // A's flush took version 4 and its file is durable; of the
@@ -714,7 +708,7 @@ mod tests {
 
     #[test]
     fn full_flush_resets_log() {
-        let dir = tmp("reset");
+        let dir = TestDir::new("tskv-shardwal-reset");
         let (w, _) = open(&dir);
         w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
         w.append_inserts(B, Version(0), &pts(&[(2, 2.0)])).unwrap();
@@ -741,7 +735,7 @@ mod tests {
     #[test]
     fn group_end_covers_every_member_and_keeps_the_rest() {
         const C: SeriesId = SeriesId(9);
-        let dir = tmp("group");
+        let dir = TestDir::new("tskv-shardwal-group");
         {
             let (w, _) = open(&dir);
             for id in [A, B, C] {
@@ -762,7 +756,7 @@ mod tests {
 
     #[test]
     fn end_flushes_syncs_what_a_bystander_keeps_in_the_log() {
-        let dir = tmp("bystander");
+        let dir = TestDir::new("tskv-shardwal-bystander");
         {
             let (w, _) = open(&dir);
             w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
@@ -783,7 +777,7 @@ mod tests {
 
     #[test]
     fn covered_prefix_segments_are_reclaimed_past_uncovered_series() {
-        let dir = tmp("prefix");
+        let dir = TestDir::new("tskv-shardwal-prefix");
         // Tiny segments force rolls: A fills the early segments, B's
         // lone record lands in a late one, and A's records go on after.
         let (w, _) = ShardWal::open(&dir, 0, 64, unsealed).unwrap();
@@ -830,7 +824,7 @@ mod tests {
 
     #[test]
     fn torn_tail_drops_only_final_record() {
-        let dir = tmp("torn");
+        let dir = TestDir::new("tskv-shardwal-torn");
         {
             let (w, _) = open(&dir);
             w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();
@@ -849,7 +843,7 @@ mod tests {
 
     #[test]
     fn grouped_mode_buffers_until_commit() {
-        let dir = tmp("grouped");
+        let dir = TestDir::new("tskv-shardwal-grouped");
         let (w, _) = ShardWal::open(&dir, 1 << 20, 1 << 20, unsealed).unwrap();
         w.append_inserts(A, Version(0), &pts(&[(1, 1.0), (2, 2.0)]))
             .unwrap();
@@ -864,7 +858,7 @@ mod tests {
 
     #[test]
     fn sync_commit_covers_bytes_drained_by_earlier_commit() {
-        let dir = tmp("synccarry");
+        let dir = TestDir::new("tskv-shardwal-synccarry");
         let (w, _) = open(&dir);
         // A's frames are drained (written, unsynced) by a commit(false)
         // — an earlier write.
@@ -885,7 +879,7 @@ mod tests {
 
     #[test]
     fn reopen_continues_segment_numbering() {
-        let dir = tmp("numbering");
+        let dir = TestDir::new("tskv-shardwal-numbering");
         {
             let (w, _) = open(&dir);
             w.append_inserts(A, Version(0), &pts(&[(1, 1.0)])).unwrap();

@@ -204,6 +204,7 @@ impl SeriesSnapshot {
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
+    use testdir::TestDir;
 
     use crate::chunk::ChunkHandle;
     use crate::config::EngineConfig;
@@ -212,7 +213,7 @@ mod tests {
 
     type TestResult = std::result::Result<(), Box<dyn std::error::Error>>;
 
-    fn fresh(name: &str) -> crate::Result<(std::path::PathBuf, TsKv)> {
+    fn fresh(name: &str) -> crate::Result<(TestDir, TsKv)> {
         fresh_with(name, 4, 64 << 20)
     }
 
@@ -220,9 +221,8 @@ mod tests {
         name: &str,
         read_threads: usize,
         cache_capacity_bytes: u64,
-    ) -> crate::Result<(std::path::PathBuf, TsKv)> {
-        let dir = std::env::temp_dir().join(format!("tskv-snap-{name}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+    ) -> crate::Result<(TestDir, TsKv)> {
+        let dir = TestDir::new(&format!("tskv-snap-{name}"));
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -238,7 +238,7 @@ mod tests {
 
     #[test]
     fn mem_chunk_included_and_versioned_last() -> TestResult {
-        let (dir, kv) = fresh("mem")?;
+        let (_dir, kv) = fresh("mem")?;
         for t in 0..400i64 {
             kv.insert("s", Point::new(t, 1.0))?;
         }
@@ -253,7 +253,6 @@ mod tests {
         assert!(mem.is_mem());
         assert!(chunks[..4].iter().all(|c| c.version < mem.version));
         assert_eq!(mem.count(), 50);
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
@@ -261,7 +260,7 @@ mod tests {
     /// neither read of it makes a cache key.
     #[test]
     fn mem_chunk_timestamp_read_is_whole_and_uncached() -> TestResult {
-        let (dir, kv) = fresh("mem-ts")?;
+        let (_dir, kv) = fresh("mem-ts")?;
         for t in 0..50i64 {
             kv.insert("s", Point::new(t * 10, 0.0))?;
         }
@@ -272,7 +271,6 @@ mod tests {
         assert_eq!(all, (0..50i64).map(|t| t * 10).collect::<Vec<_>>());
         assert_eq!(snap.read_points(mem)?.len(), 50);
         assert_eq!(snap.cache().ok_or("cache off")?.len(), 0, "no cache key");
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
@@ -280,7 +278,7 @@ mod tests {
     /// memtable chunk as for a sealed one: no point is decoded.
     #[test]
     fn a_memtable_probe_counts_timestamps_not_points() -> TestResult {
-        let (dir, kv) = fresh("mem-probe")?;
+        let (_dir, kv) = fresh("mem-probe")?;
         for t in 0..450i64 {
             kv.insert("s", Point::new(t * 10, 0.0))?; // the 400th flushes
         }
@@ -294,7 +292,6 @@ mod tests {
             assert_eq!((delta.chunks_loaded, delta.mem_chunks_read), io);
             assert_eq!((delta.points_decoded, delta.timestamps_decoded), (0, n));
         }
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
@@ -302,7 +299,7 @@ mod tests {
     /// the second is a hit that loads nothing.
     #[test]
     fn whole_chunk_read_of_a_paged_chunk_caches_nothing_twice() -> TestResult {
-        let (dir, kv) = fresh("twice")?;
+        let (_dir, kv) = fresh("twice")?;
         for t in 0..400i64 {
             kv.insert("s", Point::new(t, t as f64))?;
         }
@@ -323,7 +320,6 @@ mod tests {
         assert_eq!((cache.len(), cache.bytes()), (len, bytes));
         assert_eq!((delta.cache_hits, delta.cache_misses), (1, 0));
         assert_eq!(delta.chunks_loaded, 0);
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
@@ -332,7 +328,7 @@ mod tests {
     /// the cache's hit and miss counters left to point loads.
     #[test]
     fn a_probe_of_a_cached_chunk_reads_nothing() -> TestResult {
-        let (dir, kv) = fresh("cached-probe")?;
+        let (_dir, kv) = fresh("cached-probe")?;
         for t in 0..400i64 {
             kv.insert("s", Point::new(t * 10, 1.0))?;
         }
@@ -349,7 +345,6 @@ mod tests {
         assert_eq!((delta.bytes_read, delta.chunks_loaded), (0, 0));
         assert_eq!((delta.cache_hits, delta.cache_misses), (0, 0));
         assert_eq!((delta.points_decoded, delta.timestamps_decoded), (0, 100));
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
@@ -362,7 +357,7 @@ mod tests {
     fn batch_loads_each_miss_once_in_request_order() -> TestResult {
         for (threads, capacity) in [(1, 64 << 20), (4, 64 << 20), (4, 0)] {
             let cached = capacity > 0;
-            let (dir, kv) = fresh_with(&format!("batch{threads}-{capacity}"), threads, capacity)?;
+            let (_dir, kv) = fresh_with(&format!("batch{threads}-{capacity}"), threads, capacity)?;
             for t in 0..450i64 {
                 kv.insert("s", Point::new(t, t as f64))?; // the 400th flushes
             }
@@ -397,14 +392,13 @@ mod tests {
             );
             let shared = again.iter().zip(&got[1..]).all(|(a, b)| Arc::ptr_eq(a, b));
             assert_eq!(shared, cached);
-            std::fs::remove_dir_all(&dir).ok();
         }
         Ok(())
     }
 
     #[test]
     fn chunks_overlapping_respects_boundaries() -> TestResult {
-        let (dir, kv) = fresh("overlap")?;
+        let (_dir, kv) = fresh("overlap")?;
         for t in 0..400i64 {
             kv.insert("s", Point::new(t, 0.0))?;
         }
@@ -415,13 +409,12 @@ mod tests {
         assert_eq!(snap.chunks_overlapping(TimeRange::new(150, 160)).len(), 1);
         assert_eq!(snap.chunks_overlapping(TimeRange::new(-50, -1)).len(), 0);
         assert_eq!(snap.chunks_overlapping(TimeRange::new(0, 399)).len(), 4);
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 
     #[test]
     fn raw_point_count_sums_all_chunks() -> TestResult {
-        let (dir, kv) = fresh("count")?;
+        let (_dir, kv) = fresh("count")?;
         for t in 0..250i64 {
             kv.insert("s", Point::new(t, 0.0))?;
         }
@@ -433,7 +426,6 @@ mod tests {
         kv.flush_all()?;
         let snap = kv.snapshot("s")?;
         assert_eq!(snap.raw_point_count(), 300); // raw, not deduplicated
-        std::fs::remove_dir_all(&dir).ok();
         Ok(())
     }
 }

@@ -155,7 +155,8 @@
 // Test fixtures make, corrupt and remove their own files.
 #![allow(clippy::disallowed_methods)]
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use testdir::TestDir;
 
 use tsfile::format::MAGIC;
 use tsfile::types::Point;
@@ -260,15 +261,9 @@ fn collect_files(root: &Path, dir: &Path, out: &mut Vec<(String, u64, u64)>) {
     }
 }
 
-fn store_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tskv-golden-bytes-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
-
 #[test]
 fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_rebuild() {
-    let dir = store_dir();
+    let dir = TestDir::new("tskv-golden-bytes");
     let config = EngineConfig {
         points_per_chunk: 300,
         memtable_threshold: 1_000_000,
@@ -306,7 +301,6 @@ fn sealed_tsfile_wal_and_catalog_bytes_equal_the_hashes_taken_before_the_kernel_
     actual.sort();
     let tsfile = std::fs::read(dir.join("shard-0000/00000000.tsfile")).unwrap();
     drop(kv);
-    std::fs::remove_dir_all(&dir).ok();
 
     // The data file is its head magic, its page bodies, and a footer of
     // the chunk count (one byte), the run directory and the chunk
@@ -408,8 +402,7 @@ const COMPACTED: (u64, u64) = (20_358, 0x48afb0b46e70f0b4);
 
 #[test]
 fn compaction_output_bytes_equal_the_hash_taken_before_the_merge_and_seal_rebuild() {
-    let dir = std::env::temp_dir().join(format!("tskv-golden-compact-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = TestDir::new("tskv-golden-compact");
     let config = EngineConfig {
         points_per_chunk: 64,
         memtable_threshold: 1_000_000,
@@ -466,7 +459,6 @@ fn compaction_output_bytes_equal_the_hash_taken_before_the_merge_and_seal_rebuil
         .iter()
         .filter(|(path, ..)| path.ends_with(".tsfile"))
         .collect();
-    std::fs::remove_dir_all(&dir).ok();
     assert_eq!(data.len(), 1, "one output file: {files:?}");
     assert_eq!(
         (data[0].1, data[0].2),

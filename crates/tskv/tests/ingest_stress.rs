@@ -23,6 +23,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+use testdir::TestDir;
 
 use tsfile::types::Point;
 use tskv::config::EngineConfig;
@@ -33,17 +34,6 @@ const SERIES: usize = 16;
 const WRITERS: usize = 4;
 const BATCHES_PER_SERIES: usize = 12;
 const BATCH_POINTS: usize = 37;
-
-fn scratch(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "tskv-ingest-{tag}-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ))
-}
 
 /// Deterministic per-series batch: unique timestamps within a series,
 /// values encoding (series, index) so any misrouted point is caught.
@@ -84,7 +74,7 @@ fn racing_writers_match_sequential_oracle() {
     }
     let names: Vec<String> = (0..SERIES).map(|s| format!("s{s}")).collect();
 
-    let racy_dir = scratch("racy");
+    let racy_dir = TestDir::new("tskv-ingest-racy");
     let kv = TsKv::open(&racy_dir, small_store_config()).unwrap();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
@@ -100,7 +90,7 @@ fn racing_writers_match_sequential_oracle() {
     });
 
     // Oracle: one thread, same batches, in sequence.
-    let oracle_dir = scratch("oracle");
+    let oracle_dir = TestDir::new("tskv-ingest-oracle");
     let oracle = TsKv::open(&oracle_dir, small_store_config()).unwrap();
     for &(s, b) in &jobs {
         oracle.insert_batch(&names[s], &batch(s, b)).unwrap();
@@ -125,16 +115,11 @@ fn racing_writers_match_sequential_oracle() {
             "series {name} lost on replay"
         );
     }
-
-    drop(kv);
-    drop(oracle);
-    std::fs::remove_dir_all(&racy_dir).ok();
-    std::fs::remove_dir_all(&oracle_dir).ok();
 }
 
 #[test]
 fn background_compaction_bounds_sealed_files_without_changing_results() {
-    let dir = scratch("sched");
+    let dir = TestDir::new("tskv-ingest-sched");
     let threshold = 3usize;
     let config = EngineConfig {
         points_per_chunk: 8,
@@ -212,5 +197,4 @@ fn background_compaction_bounds_sealed_files_without_changing_results() {
     assert_eq!(merged(&kv, "s"), expected, "state diverged across reopen");
 
     drop(kv);
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -24,6 +24,7 @@
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use testdir::TestDir;
 
 use proptest::prelude::*;
 use tsfile::types::Point;
@@ -63,11 +64,7 @@ proptest! {
         // Small capacities force evictions mid-script.
         capacity_kib in 1u64..64,
     ) {
-        let dir = std::env::temp_dir().join(format!(
-            "tskv-cacheprop-{}-{:x}",
-            std::process::id(),
-            std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
-        ));
+        let dir = TestDir::new("tskv-cacheprop");
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -142,6 +139,5 @@ proptest! {
         let expected: Vec<Point> = model.iter().map(|(&t, &v)| Point::new(t, v)).collect();
         prop_assert_eq!(&merged, &expected);
 
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -18,6 +18,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use std::collections::BTreeMap;
+use testdir::TestDir;
 
 use proptest::prelude::*;
 use tsfile::types::Point;
@@ -59,11 +60,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..25),
         chunk_size in 1usize..20,
     ) {
-        let dir = std::env::temp_dir().join(format!(
-            "tskv-prop-{}-{:x}",
-            std::process::id(),
-            std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
-        ));
+        let dir = TestDir::new("tskv-prop");
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -139,6 +136,5 @@ proptest! {
         let merged3 = MergeReader::new(&snap3).collect_merged().unwrap();
         prop_assert_eq!(&merged3, &expected);
 
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -17,6 +17,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use std::collections::BTreeMap;
+use testdir::TestDir;
 
 use proptest::prelude::*;
 use tsfile::types::Point;
@@ -57,18 +58,8 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..25),
         chunk_size in 1usize..16,
     ) {
-        let stamp = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos();
-        let auto_dir = std::env::temp_dir().join(format!(
-            "tskv-schedprop-auto-{}-{stamp:x}",
-            std::process::id()
-        ));
-        let manual_dir = std::env::temp_dir().join(format!(
-            "tskv-schedprop-man-{}-{stamp:x}",
-            std::process::id()
-        ));
+        let auto_dir = TestDir::new("tskv-schedprop-auto");
+        let manual_dir = TestDir::new("tskv-schedprop-man");
         let base = EngineConfig {
             points_per_chunk: chunk_size,
             memtable_threshold: chunk_size * 2,
@@ -138,10 +129,5 @@ proptest! {
         let expected: Vec<Point> = model.iter().map(|(&t, &v)| Point::new(t, v)).collect();
         prop_assert_eq!(&merged(&auto), &expected);
         prop_assert_eq!(&merged(&manual), &expected);
-
-        drop(auto);
-        drop(manual);
-        std::fs::remove_dir_all(&auto_dir).ok();
-        std::fs::remove_dir_all(&manual_dir).ok();
     }
 }

@@ -11,6 +11,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use std::time::{Duration, Instant};
+use testdir::TestDir;
 
 use tsfile::types::Point;
 use tskv::config::EngineConfig;
@@ -41,8 +42,7 @@ fn settle(want: usize) {
 
 #[test]
 fn a_dropped_store_leaves_no_compactor_thread() {
-    let dir = std::env::temp_dir().join(format!("tskv-drop-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = TestDir::new("tskv-drop");
     let config = EngineConfig {
         compaction_auto: true,
         compaction_threshold: 2,
@@ -71,5 +71,4 @@ fn a_dropped_store_leaves_no_compactor_thread() {
         drop(kv);
         settle(0);
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -24,6 +24,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use testdir::TestDir;
 
 use proptest::prelude::*;
 use tsfile::types::Point;
@@ -88,15 +89,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..30),
         shards in 1usize..5,
     ) {
-        let dir = std::env::temp_dir().join(format!(
-            "tskv-shrec-{}-{:x}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TestDir::new("tskv-shrec");
         let kv = TsKv::open(&dir, config(shards)).unwrap();
         let ids: Vec<_> = SERIES
             .iter()
@@ -163,7 +156,6 @@ proptest! {
             prop_assert_eq!(&merged(&kv3, name), &expected[s]);
         }
         drop(kv3);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -194,8 +186,7 @@ fn data_files(dir: &Path) -> Vec<Vec<PathBuf>> {
 /// reopen reads each series exactly once — from its one run.
 #[test]
 fn compact_all_leaves_one_file_per_shard_and_each_series_once() {
-    let dir = std::env::temp_dir().join(format!("tskv-shrec-sweep-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = TestDir::new("tskv-shrec-sweep");
     let kv = TsKv::open(&dir, config(1)).unwrap();
     let mut model: Vec<BTreeMap<i64, f64>> = vec![BTreeMap::new(); SERIES.len()];
     // Overlapping rounds, each flushed into one file for every series,
@@ -237,7 +228,6 @@ fn compact_all_leaves_one_file_per_shard_and_each_series_once() {
         assert_eq!(kv.sealed_file_count(name).unwrap(), 1, "{name}");
     }
     drop(kv);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// An open names its phases: reopening a 1 000-series store — some of
@@ -246,8 +236,7 @@ fn compact_all_leaves_one_file_per_shard_and_each_series_once() {
 /// and the three add up to no more than the open's wall time.
 #[test]
 fn an_open_times_its_catalog_replay_and_file_phases() {
-    let dir = std::env::temp_dir().join(format!("tskv-open-phases-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = TestDir::new("tskv-open-phases");
     let config = EngineConfig {
         write_shards: 4,
         ..Default::default()
@@ -275,5 +264,4 @@ fn an_open_times_its_catalog_replay_and_file_phases() {
     assert!(phases.iter().sum::<u64>() <= wall, "{phases:?} > {wall} ns");
     assert_eq!(kv.series_count(), 1_000);
     drop(kv);
-    std::fs::remove_dir_all(&dir).ok();
 }

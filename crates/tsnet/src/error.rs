@@ -136,11 +136,6 @@ impl NetError {
             _ => NetError::Remote { code, detail },
         }
     }
-
-    /// Whether retrying the same request later may succeed.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, NetError::Busy | NetError::Timeout)
-    }
 }
 
 impl fmt::Display for NetError {
@@ -233,7 +228,5 @@ mod tests {
                 ..
             }
         ));
-        assert!(NetError::Busy.is_retryable());
-        assert!(!NetError::BadString.is_retryable());
     }
 }

@@ -724,11 +724,7 @@ fn execute_query(
         .snapshot(series)
         .map_err(|e| map_tskv_error(&e))?;
     let query = m4::M4Query::new(t_qs, t_qe, w as usize).map_err(|e| map_m4_error(&e))?;
-    let result = match op {
-        Operator::Udf => m4::M4Udf::new().execute(&snapshot, &query),
-        Operator::Lsm => m4::M4Lsm::new().execute(&snapshot, &query),
-    };
-    match result {
+    match op.execute(&snapshot, &query) {
         Ok(r) => Ok(Response::M4 { spans: r.spans }),
         Err(e) => Err(map_m4_error(&e)),
     }
@@ -777,6 +773,7 @@ mod tests {
     )]
 
     use super::*;
+    use testdir::TestDir;
 
     #[test]
     fn deadline_uses_the_tighter_of_request_and_cap() {
@@ -802,8 +799,7 @@ mod tests {
     #[test]
     fn a_trickled_frame_is_closed_at_its_deadline() {
         use std::io::{Read, Write};
-        let dir = std::env::temp_dir().join(format!("tsnet-trickle-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TestDir::new("tsnet-trickle");
         let store = Arc::new(TsKv::open(&dir, tskv::config::EngineConfig::default()).unwrap());
         let server = TsNetServer::start(store, ServerConfig::default()).unwrap();
         let frame = wire::encode_request(&RequestEnvelope {
@@ -878,7 +874,6 @@ mod tests {
         assert_eq!(server.frames_past_deadline(), 1);
         drop(client);
         server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -193,17 +193,6 @@ impl ServerStats {
 }
 
 impl ServerStatsSnapshot {
-    /// Total executed requests across all kinds.
-    pub fn requests_total(&self) -> u64 {
-        self.requests_ping
-            + self.requests_write
-            + self.requests_query
-            + self.requests_delete
-            + self.requests_stats
-            + self.requests_flush
-            + self.requests_subscribe
-    }
-
     /// The histogram bucket upper bound (µs) containing the `q`-th
     /// latency quantile (`0.0 < q <= 1.0`). Zero when nothing was
     /// recorded. Quantiles are bucket-resolution approximations: the
@@ -306,7 +295,6 @@ mod tests {
         assert_eq!(snap.requests_write, 2);
         assert_eq!(snap.requests_subscribe, 1);
         assert_eq!(snap.requests_query, 0);
-        assert_eq!(snap.requests_total(), 4);
         assert_eq!(snap.rejected_busy, 1);
         assert_eq!(snap.timeouts, 1);
         assert_eq!(snap.errors, 1);

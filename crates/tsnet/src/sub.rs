@@ -400,11 +400,6 @@ impl SubRegistry {
         self.inner.lock().dashboards.len()
     }
 
-    /// Number of live subscriptions.
-    pub fn active_subscriptions(&self) -> usize {
-        self.inner.lock().subs.len()
-    }
-
     /// Dispatcher iterations that polled the change channel. A registry
     /// with no dashboards parks instead of polling, so this stays flat
     /// while idle.
@@ -892,7 +887,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
-    use std::path::PathBuf;
+    use testdir::TestDir;
     use tsfile::types::Point;
 
     fn spec(series: &str, t_qs: i64, t_qe: i64, w: u32) -> SubSpec<'_> {
@@ -904,19 +899,10 @@ mod tests {
         }
     }
 
-    fn scratch(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!(
-            "tsnet-sub-{tag}-{}-{:x}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ))
-    }
-
-    fn open_store(tag: &str) -> Arc<TsKv> {
-        Arc::new(TsKv::open(scratch(tag), tskv::config::EngineConfig::default()).unwrap())
+    fn open_store(tag: &str) -> (TestDir, Arc<TsKv>) {
+        let dir = TestDir::new(&format!("tsnet-sub-{tag}"));
+        let store = Arc::new(TsKv::open(&dir, tskv::config::EngineConfig::default()).unwrap());
+        (dir, store)
     }
 
     fn span(seed: i64) -> SpanRepr {
@@ -949,7 +935,7 @@ mod tests {
     #[test]
     fn queue_coalesces_and_resyncs_past_budget() {
         let stats = Arc::new(ServerStats::default());
-        let store = open_store("coalesce");
+        let (_dir, store) = open_store("coalesce");
         let reg = SubRegistry::start(Arc::clone(&store), Arc::clone(&stats));
         let queue = Arc::new(OutboundQueue::default());
         // One span more than the budget, every one present.
@@ -990,7 +976,7 @@ mod tests {
     #[test]
     fn subscribe_dedups_and_unsubscribe_tears_down() {
         let stats = Arc::new(ServerStats::default());
-        let store = open_store("dedup");
+        let (_dir, store) = open_store("dedup");
         store
             .insert_batch("s", &[Point::new(1, 1.0), Point::new(2, 2.0)])
             .unwrap();
@@ -1000,7 +986,7 @@ mod tests {
         let b = reg.subscribe(1, &queue, 11, spec("s", 0, 100, 4)).unwrap();
         let c = reg.subscribe(1, &queue, 12, spec("s", 0, 200, 4)).unwrap();
         assert_eq!(reg.active_dashboards(), 2);
-        assert_eq!(reg.active_subscriptions(), 3);
+        assert_eq!(reg.inner.lock().subs.len(), 3);
         assert_eq!(stats.snapshot(0).subs_deduped, 1);
         assert_eq!(stats.snapshot(0).subs_active, 3);
         // Acks were queued for all three.
@@ -1020,7 +1006,7 @@ mod tests {
         );
         reg.drop_connection(1);
         let _ = c;
-        assert_eq!(reg.active_subscriptions(), 0);
+        assert_eq!(reg.inner.lock().subs.len(), 0);
         assert_eq!(reg.active_dashboards(), 0);
         assert_eq!(stats.snapshot(0).subs_active, 0);
         reg.stop();
@@ -1029,7 +1015,7 @@ mod tests {
     #[test]
     fn subscribe_validates_query_and_series() {
         let stats = Arc::new(ServerStats::default());
-        let store = open_store("validate");
+        let (_dir, store) = open_store("validate");
         store.insert_batch("s", &[Point::new(1, 1.0)]).unwrap();
         let reg = SubRegistry::start(store, stats);
         let queue = Arc::new(OutboundQueue::default());
@@ -1047,7 +1033,7 @@ mod tests {
         for _ in 0..MAX_SUBSCRIPTIONS {
             reg.subscribe(1, &queue, 0, spec("s", 0, 100, 4)).unwrap();
         }
-        assert_eq!(reg.active_subscriptions(), MAX_SUBSCRIPTIONS);
+        assert_eq!(reg.inner.lock().subs.len(), MAX_SUBSCRIPTIONS);
         let e = reg
             .subscribe(1, &queue, 0, spec("s", 0, 100, 4))
             .unwrap_err();
@@ -1059,7 +1045,7 @@ mod tests {
     fn subscribe_refuses_a_width_whose_full_state_frame_cannot_fit() {
         assert_eq!(wire::MAX_SUB_SPANS, 972_591);
         let stats = Arc::new(ServerStats::default());
-        let store = open_store("width");
+        let (_dir, store) = open_store("width");
         store.insert_batch("s", &[Point::new(1, 1.0)]).unwrap();
         let reg = SubRegistry::start(store, stats);
         let queue = Arc::new(OutboundQueue::default());
@@ -1087,7 +1073,7 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(e.0, ErrorCode::SeriesNotFound, "{}", e.1);
-        assert_eq!(reg.active_subscriptions(), 0);
+        assert_eq!(reg.inner.lock().subs.len(), 0);
         reg.stop();
 
         // The bound is exact: a full-state delta of that many present
@@ -1119,7 +1105,7 @@ mod tests {
     #[test]
     fn idle_dispatcher_parks_until_first_subscription() {
         let stats = Arc::new(ServerStats::default());
-        let store = open_store("idlepark");
+        let (_dir, store) = open_store("idlepark");
         store.insert_batch("s", &[Point::new(10, 1.0)]).unwrap();
         let reg = SubRegistry::start(Arc::clone(&store), stats);
         // No dashboards: at its 10ms poll interval an unparked
@@ -1181,7 +1167,7 @@ mod tests {
     #[test]
     fn dispatcher_fills_and_streams_a_dashboard() {
         let stats = Arc::new(ServerStats::default());
-        let store = open_store("dispatch");
+        let (_dir, store) = open_store("dispatch");
         store
             .insert_batch("s", &[Point::new(10, 1.0), Point::new(20, 2.0)])
             .unwrap();

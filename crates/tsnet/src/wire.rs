@@ -86,13 +86,7 @@ pub const MAX_STATS_METRICS: u16 = 4096;
 pub const MAX_METRIC_VALUES: u16 = 1024;
 
 /// Which M4 operator a query should run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Operator {
-    /// The merge-everything baseline ([`m4::M4Udf`]).
-    Udf,
-    /// The paper's metadata-first operator ([`m4::M4Lsm`]).
-    Lsm,
-}
+pub use m4::Operator;
 
 /// One RPC request body.
 #[derive(Debug, Clone, PartialEq)]

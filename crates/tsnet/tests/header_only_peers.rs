@@ -24,6 +24,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
+use testdir::TestDir;
 
 use tskv::config::EngineConfig;
 use tskv::TsKv;
@@ -62,7 +63,7 @@ fn header_claiming(len: u32) -> Vec<u8> {
 #[test]
 fn header_only_peers_commit_no_claimed_payload() {
     watchdog::within(watchdog::DEADLINE, || {
-        let dir = std::env::temp_dir().join(format!("tsnet-header-only-{}", std::process::id()));
+        let dir = TestDir::new("tsnet-header-only");
         let store = Arc::new(TsKv::open(&dir, EngineConfig::default()).unwrap());
         let server = TsNetServer::start(store, ServerConfig::default()).unwrap();
         let mut client =
@@ -107,6 +108,5 @@ fn header_only_peers_commit_no_claimed_payload() {
             "shutdown took {:?}",
             started.elapsed()
         );
-        std::fs::remove_dir_all(&dir).ok();
     });
 }

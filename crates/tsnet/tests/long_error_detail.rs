@@ -14,6 +14,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use std::sync::Arc;
+use testdir::TestDir;
 
 use tskv::config::EngineConfig;
 use tskv::TsKv;
@@ -26,7 +27,7 @@ mod watchdog;
 #[test]
 fn an_unknown_series_with_a_maximal_name_is_answered_and_the_connection_lives() {
     watchdog::within(watchdog::DEADLINE, || {
-        let dir = std::env::temp_dir().join(format!("tsnet-long-detail-{}", std::process::id()));
+        let dir = TestDir::new("tsnet-long-detail");
         let store = Arc::new(TsKv::open(&dir, EngineConfig::default()).unwrap());
         let server = TsNetServer::start(Arc::clone(&store), ServerConfig::default()).unwrap();
         let mut client =
@@ -71,6 +72,5 @@ fn an_unknown_series_with_a_maximal_name_is_answered_and_the_connection_lives() 
         drop(client);
         server.shutdown();
         drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
     });
 }

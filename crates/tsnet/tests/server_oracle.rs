@@ -27,10 +27,10 @@
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
+use testdir::TestDir;
 
 use tsfile::types::Point;
 use tskv::config::EngineConfig;
@@ -45,17 +45,6 @@ use tsnet::{ClientConfig, NetError, ServerConfig, TsNetClient, TsNetServer};
 #[path = "support/watchdog.rs"]
 mod watchdog;
 
-fn scratch(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "tsnet-oracle-{tag}-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ))
-}
-
 /// Small chunks/memtables so the scripts cross flush and compaction
 /// boundaries, not just the in-memory path.
 fn store_config() -> EngineConfig {
@@ -66,10 +55,10 @@ fn store_config() -> EngineConfig {
     }
 }
 
-fn open_store(tag: &str) -> (Arc<TsKv>, PathBuf) {
-    let dir = scratch(tag);
+fn open_store(tag: &str) -> (TestDir, Arc<TsKv>) {
+    let dir = TestDir::new(&format!("tsnet-oracle-{tag}"));
     let store = Arc::new(TsKv::open(&dir, store_config()).unwrap());
-    (store, dir)
+    (dir, store)
 }
 
 fn client(server: &TsNetServer) -> TsNetClient {
@@ -113,11 +102,7 @@ fn m4_bytes(spans: Vec<Option<m4::SpanRepr>>) -> Vec<u8> {
 fn oracle_query(store: &TsKv, series: &str, op: Operator, t_qs: i64, t_qe: i64, w: u32) -> Vec<u8> {
     let snap = store.snapshot(series).unwrap();
     let query = m4::M4Query::new(t_qs, t_qe, w as usize).unwrap();
-    let result = match op {
-        Operator::Udf => m4::M4Udf::new().execute(&snap, &query),
-        Operator::Lsm => m4::M4Lsm::new().execute(&snap, &query),
-    }
-    .unwrap();
+    let result = op.execute(&snap, &query).unwrap();
     m4_bytes(result.spans)
 }
 
@@ -181,7 +166,7 @@ fn step_flush(step: usize) -> bool {
 #[test]
 fn concurrent_clients_match_in_process_oracle() {
     watchdog::within(watchdog::DEADLINE, || {
-        let (store, dir) = open_store("concurrent");
+        let (dir, store) = open_store("concurrent");
         let server = TsNetServer::start(Arc::clone(&store), ServerConfig::default()).unwrap();
 
         // N concurrent clients, disjoint series, deterministic scripts,
@@ -217,7 +202,7 @@ fn concurrent_clients_match_in_process_oracle() {
         // Oracle: replay each client's script sequentially against a twin
         // store. Clients touch disjoint series, so per-client replay sees
         // exactly the states the live queries saw.
-        let (twin, _twin_dir) = open_store("concurrent-twin");
+        let (_twin_dir, twin) = open_store("concurrent-twin");
         for (c, client_observed) in observed.iter().enumerate() {
             let mut expected: Vec<Vec<u8>> = Vec::new();
             for step in 0..STEPS {
@@ -298,7 +283,7 @@ fn concurrent_clients_match_in_process_oracle() {
 #[test]
 fn busy_backpressure_is_typed_and_counted() {
     watchdog::within(watchdog::DEADLINE, || {
-        let (store, _dir) = open_store("busy");
+        let (_dir, store) = open_store("busy");
         let server = TsNetServer::start(store, ServerConfig::default()).unwrap();
 
         // Delayed pings park every admission slot; client B watches via
@@ -330,7 +315,7 @@ fn busy_backpressure_is_typed_and_counted() {
 #[test]
 fn graceful_shutdown_drains_in_flight_requests() {
     watchdog::within(watchdog::DEADLINE, || {
-        let (store, _dir) = open_store("drain");
+        let (_dir, store) = open_store("drain");
         let server = TsNetServer::start(store, ServerConfig::default()).unwrap();
         let addr = server.local_addr();
 
@@ -371,7 +356,7 @@ fn graceful_shutdown_drains_in_flight_requests() {
 #[test]
 fn deadline_overrun_is_typed_and_counted() {
     watchdog::within(watchdog::DEADLINE, || {
-        let (store, _dir) = open_store("deadline");
+        let (_dir, store) = open_store("deadline");
         let server = TsNetServer::start(store, ServerConfig::default()).unwrap();
         let mut cl = client(&server);
 
@@ -394,7 +379,7 @@ fn deadline_overrun_is_typed_and_counted() {
 #[test]
 fn remote_errors_are_typed() {
     watchdog::within(watchdog::DEADLINE, || {
-        let (store, _dir) = open_store("errors");
+        let (_dir, store) = open_store("errors");
         let server = TsNetServer::start(store, ServerConfig::default()).unwrap();
         let mut cl = client(&server);
 
@@ -450,7 +435,7 @@ fn remote_errors_are_typed() {
 #[test]
 fn an_oversized_w_is_refused_and_the_connection_keeps_serving() {
     watchdog::within(watchdog::DEADLINE, || {
-        let (store, _dir) = open_store("huge-w");
+        let (_dir, store) = open_store("huge-w");
         let server = TsNetServer::start(store, ServerConfig::default()).unwrap();
         let mut cl = client(&server);
         let point = Point::new(1, 2.0);
@@ -478,7 +463,7 @@ fn an_oversized_w_is_refused_and_the_connection_keeps_serving() {
 #[test]
 fn latency_histogram_populates_over_the_wire() {
     watchdog::within(watchdog::DEADLINE, || {
-        let (store, _dir) = open_store("latency");
+        let (_dir, store) = open_store("latency");
         let server = TsNetServer::start(store, ServerConfig::default()).unwrap();
         let mut cl = client(&server);
         for _ in 0..20 {
@@ -506,7 +491,7 @@ fn response_following_a_push_is_not_held_back_by_nagle() {
     watchdog::within(watchdog::DEADLINE, || {
         const ROUNDS: usize = 40;
         const STALL: Duration = Duration::from_millis(30);
-        let (store, _dir) = open_store("nodelay");
+        let (_dir, store) = open_store("nodelay");
         let server = TsNetServer::start(store, ServerConfig::default()).unwrap();
         let mut cl = client(&server);
         let series = "nd.s".to_string();
@@ -613,7 +598,8 @@ fn every_registered_metric_is_on_the_wire_and_moves() {
             points_per_chunk: 4,
             ..store_config()
         };
-        let store = Arc::new(TsKv::open(scratch("registry"), config).unwrap());
+        let dir = TestDir::new("tsnet-oracle-registry");
+        let store = Arc::new(TsKv::open(&dir, config).unwrap());
         let server = TsNetServer::start(store, ServerConfig::default()).unwrap();
         let mut cl = client(&server);
         let series = "reg.s";

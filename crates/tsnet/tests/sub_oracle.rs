@@ -26,10 +26,10 @@
 // Test fixtures make, corrupt and remove their own files.
 #![allow(clippy::disallowed_methods)]
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
+use testdir::TestDir;
 
 use tsfile::types::Point;
 use tskv::config::EngineConfig;
@@ -41,17 +41,6 @@ use tsnet::{ClientConfig, ErrorCode, NetError, ServerConfig, SubReplay, TsNetCli
 #[path = "support/watchdog.rs"]
 mod watchdog;
 
-fn scratch(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "tsnet-sub-{tag}-{}-{:x}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ))
-}
-
 /// Small chunks/memtables so the racing writer crosses flush and
 /// compaction boundaries, not just the in-memory path.
 fn store_config() -> EngineConfig {
@@ -62,10 +51,10 @@ fn store_config() -> EngineConfig {
     }
 }
 
-fn open_store(tag: &str) -> (Arc<TsKv>, PathBuf) {
-    let dir = scratch(tag);
+fn open_store(tag: &str) -> (TestDir, Arc<TsKv>) {
+    let dir = TestDir::new(&format!("tsnet-sub-{tag}"));
     let store = Arc::new(TsKv::open(&dir, store_config()).unwrap());
-    (store, dir)
+    (dir, store)
 }
 
 fn server(store: Arc<TsKv>) -> TsNetServer {
@@ -131,7 +120,7 @@ const WIDTH: u32 = 8;
 #[test]
 fn delta_replay_matches_oracle_under_churn() {
     watchdog::within(watchdog::DEADLINE, || {
-        let (store, dir) = open_store("oracle");
+        let (_dir, store) = open_store("oracle");
         seed(&store, "sub.a", 120);
         seed(&store, "sub.b", 120);
         let server = server(Arc::clone(&store));
@@ -244,7 +233,6 @@ fn delta_replay_matches_oracle_under_churn() {
         assert_eq!(server.active_dashboards(), 2);
 
         server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
     });
 }
 
@@ -257,7 +245,7 @@ fn a_lagged_subscriber_resyncs_to_the_oracle() {
     watchdog::within(watchdog::DEADLINE, || {
         const W: u32 = 5_000;
         const { assert!(W as usize > PUSH_QUEUE_SPANS) };
-        let (store, dir) = open_store("lagged");
+        let (_dir, store) = open_store("lagged");
         // One point per span: every span of the fill is populated.
         seed(&store, "sub.lag", i64::from(W));
         let server = server(Arc::clone(&store));
@@ -299,7 +287,6 @@ fn a_lagged_subscriber_resyncs_to_the_oracle() {
         assert_eq!(stats.resyncs, 1);
 
         server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
     });
 }
 
@@ -309,7 +296,7 @@ fn a_lagged_subscriber_resyncs_to_the_oracle() {
 #[test]
 fn unsubscribe_over_the_wire_tears_down() {
     watchdog::within(watchdog::DEADLINE, || {
-        let (store, dir) = open_store("unsub");
+        let (_dir, store) = open_store("unsub");
         seed(&store, "sub.c", 50);
         let server = server(Arc::clone(&store));
 
@@ -343,7 +330,6 @@ fn unsubscribe_over_the_wire_tears_down() {
         }
 
         server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
     });
 }
 
@@ -352,7 +338,7 @@ fn unsubscribe_over_the_wire_tears_down() {
 #[test]
 fn subscribe_rejections_are_typed() {
     watchdog::within(watchdog::DEADLINE, || {
-        let (store, dir) = open_store("reject");
+        let (_dir, store) = open_store("reject");
         seed(&store, "sub.d", 10);
         let server = server(Arc::clone(&store));
         let mut c = client(&server);
@@ -372,6 +358,5 @@ fn subscribe_rejections_are_typed() {
         assert_eq!(sub.spans.len(), WIDTH as usize);
 
         server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
     });
 }

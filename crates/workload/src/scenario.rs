@@ -165,6 +165,7 @@ mod tests {
 
     use super::*;
     use rand::SeedableRng;
+    use testdir::TestDir;
     use tskv::config::EngineConfig;
 
     fn series(n: i64) -> Vec<Point> {
@@ -173,9 +174,8 @@ mod tests {
             .collect()
     }
 
-    fn open(name: &str) -> (std::path::PathBuf, TsKv) {
-        let dir = std::env::temp_dir().join(format!("wl-{name}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+    fn open(name: &str) -> (TestDir, TsKv) {
+        let dir = TestDir::new(&format!("wl-{name}"));
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -190,45 +190,41 @@ mod tests {
 
     #[test]
     fn sequential_load_has_zero_overlap() {
-        let (dir, kv) = open("seq");
+        let (_dir, kv) = open("seq");
         load_sequential(&kv, "s", &series(2_000)).unwrap();
         let snap = kv.snapshot("s").unwrap();
         assert_eq!(overlap_fraction(&snap), 0.0);
         assert_eq!(snap.raw_point_count(), 2_000);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn overlap_zero_equals_sequential() {
-        let (dir, kv) = open("ov0");
+        let (_dir, kv) = open("ov0");
         let mut rng = StdRng::seed_from_u64(1);
         load_with_overlap(&kv, "s", &series(2_000), 0.0, &mut rng).unwrap();
         let snap = kv.snapshot("s").unwrap();
         assert_eq!(overlap_fraction(&snap), 0.0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn overlap_one_makes_most_chunks_overlap() {
-        let (dir, kv) = open("ov1");
+        let (_dir, kv) = open("ov1");
         let mut rng = StdRng::seed_from_u64(2);
         load_with_overlap(&kv, "s", &series(4_000), 1.0, &mut rng).unwrap();
         let snap = kv.snapshot("s").unwrap();
         let f = overlap_fraction(&snap);
         assert!(f > 0.9, "expected near-total overlap, got {f}");
         assert_eq!(snap.raw_point_count(), 4_000);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn overlap_is_monotonic_in_parameter() {
         let mut fractions = Vec::new();
         for (i, ov) in [0.0, 0.5, 1.0].iter().enumerate() {
-            let (dir, kv) = open(&format!("ovm{i}"));
+            let (_dir, kv) = open(&format!("ovm{i}"));
             let mut rng = StdRng::seed_from_u64(7);
             load_with_overlap(&kv, "s", &series(8_000), *ov, &mut rng).unwrap();
             fractions.push(overlap_fraction(&kv.snapshot("s").unwrap()));
-            std::fs::remove_dir_all(&dir).ok();
         }
         assert!(
             fractions[0] < fractions[1] && fractions[1] < fractions[2],
@@ -238,7 +234,7 @@ mod tests {
 
     #[test]
     fn deletes_land_in_range() {
-        let (dir, kv) = open("del");
+        let (_dir, kv) = open("del");
         load_sequential(&kv, "s", &series(2_000)).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let ranges = apply_random_deletes(&kv, "s", 10, 500, 0, 200_000, &mut rng).unwrap();
@@ -248,12 +244,11 @@ mod tests {
         for (s, e) in ranges {
             assert!(s >= 0 && e <= 200_500 && e - s == 500);
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn out_of_order_load_preserves_data_and_inverts_seal_order() {
-        let (dir, kv) = open("ooo");
+        let (_dir, kv) = open("ooo");
         let pts = series(2_000);
         let mut rng = StdRng::seed_from_u64(5);
         load_out_of_order(&kv, "s", &pts, 1.0, &mut rng).unwrap();
@@ -276,12 +271,11 @@ mod tests {
             .collect_merged()
             .unwrap();
         assert_eq!(merged, pts);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn out_of_order_zero_is_sequential() {
-        let (dir, kv) = open("ooo0");
+        let (_dir, kv) = open("ooo0");
         let pts = series(1_000);
         let mut rng = StdRng::seed_from_u64(6);
         load_out_of_order(&kv, "s", &pts, 0.0, &mut rng).unwrap();
@@ -293,13 +287,12 @@ mod tests {
             .collect();
         chunks.sort_unstable_by_key(|(v, _)| *v);
         assert!(chunks.windows(2).all(|w| w[1].1 > w[0].1));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn overlap_load_preserves_data() {
         // Regardless of write order, the merged series must be intact.
-        let (dir, kv) = open("intact");
+        let (_dir, kv) = open("intact");
         let pts = series(3_000);
         let mut rng = StdRng::seed_from_u64(9);
         load_with_overlap(&kv, "s", &pts, 0.7, &mut rng).unwrap();
@@ -308,6 +301,5 @@ mod tests {
             .collect_merged()
             .unwrap();
         assert_eq!(merged, pts);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -6,7 +6,8 @@
 //! cargo run --release --example sql_client -- "SELECT TopValue(T) FROM demo.signal GROUPBY floor(8*(t-0)/(100000-0))"
 //! ```
 
-use m4lsm::m4::sql::{execute, ExecOperator, M4Statement, Params};
+use m4lsm::m4::sql::{execute, M4Statement, Params};
+use m4lsm::m4::Operator;
 use m4lsm::tsfile::types::Point;
 use m4lsm::tskv::config::EngineConfig;
 use m4lsm::tskv::TsKv;
@@ -40,13 +41,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     params.set("w", 10).set("tqs", 0).set("tqe", 100_000);
 
     let t = std::time::Instant::now();
-    let table = execute(&kv, &stmt, &params, ExecOperator::Lsm)?;
+    let table = execute(&kv, &stmt, &params, Operator::Lsm)?;
     let elapsed = t.elapsed();
     print!("{}", table.to_text());
     println!("\n{} rows via M4-LSM in {elapsed:?}", table.rows.len());
 
     // Cross-check against the baseline operator.
-    let udf = execute(&kv, &stmt, &params, ExecOperator::Udf)?;
+    let udf = execute(&kv, &stmt, &params, Operator::Udf)?;
     assert_eq!(table.rows.len(), udf.rows.len());
     println!(
         "cross-checked against M4-UDF: {} rows agree",

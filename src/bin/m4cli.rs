@@ -16,8 +16,8 @@ use std::io::BufRead;
 use std::process::ExitCode;
 
 use m4lsm::m4::render::{render_m4, value_range, PixelMap};
-use m4lsm::m4::sql::{execute, ExecOperator, M4Statement, Params};
-use m4lsm::m4::{M4Lsm, M4Query};
+use m4lsm::m4::sql::{execute, M4Statement, Params};
+use m4lsm::m4::{M4Lsm, M4Query, Operator};
 use m4lsm::tsfile::types::Point;
 use m4lsm::tskv::config::EngineConfig;
 use m4lsm::tskv::readers::MergeReader;
@@ -107,7 +107,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         "query" => {
             let sql = args.get(2).ok_or_else(usage)?;
             let mut params = Params::new();
-            let mut op = ExecOperator::Lsm;
+            let mut op = Operator::Lsm;
             let mut it = args[3..].iter();
             while let Some(flag) = it.next() {
                 match flag.as_str() {
@@ -120,7 +120,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                     "--tqe" => {
                         params.set("tqe", it.next().ok_or("--tqe needs a value")?.parse()?);
                     }
-                    "--udf" => op = ExecOperator::Udf,
+                    "--udf" => op = Operator::Udf,
                     other => return Err(format!("unknown flag {other}").into()),
                 }
             }

@@ -11,6 +11,7 @@
 )]
 
 use std::process::Command;
+use testdir::TestDir;
 
 fn m4cli(args: &[&str]) -> (bool, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_m4cli"))
@@ -27,8 +28,7 @@ fn m4cli(args: &[&str]) -> (bool, String) {
 
 #[test]
 fn cli_full_workflow() {
-    let dir = std::env::temp_dir().join(format!("m4cli-test-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = TestDir::new("m4cli-test");
     let store = dir.join("store");
     let store = store.to_str().unwrap();
     std::fs::create_dir_all(&dir).unwrap();
@@ -117,6 +117,4 @@ fn cli_full_workflow() {
     assert!(out.contains("error"), "{out}");
     let (ok, _) = m4cli(&["bogus-subcommand", store]);
     assert!(!ok);
-
-    std::fs::remove_dir_all(&dir).ok();
 }

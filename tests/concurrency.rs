@@ -12,23 +12,18 @@
 )]
 
 use std::sync::Arc;
+use testdir::TestDir;
 
 use m4lsm::m4::{M4Lsm, M4Query, M4Udf};
 use m4lsm::tsfile::types::Point;
 use m4lsm::tskv::config::EngineConfig;
 use m4lsm::tskv::TsKv;
 
-fn dir_for(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("conc-{name}-{}", std::process::id()));
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
-
 /// A snapshot taken before further writes must answer from the old
 /// state even while inserts, flushes and deletes continue.
 #[test]
 fn snapshot_isolation_under_writes() {
-    let dir = dir_for("isolation");
+    let dir = TestDir::new("conc-isolation");
     let kv = Arc::new(
         TsKv::open(
             &dir,
@@ -78,14 +73,13 @@ fn snapshot_isolation_under_writes() {
     );
     let l2 = M4Lsm::new().execute(&snap2, &q).unwrap();
     assert!(l2.equivalent(&r2));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Many threads hammer the same snapshot with different queries; every
 /// result must match the baseline computed single-threaded.
 #[test]
 fn parallel_queries_agree() {
-    let dir = dir_for("parallel");
+    let dir = TestDir::new("conc-parallel");
     let kv = TsKv::open(
         &dir,
         EngineConfig {
@@ -135,13 +129,12 @@ fn parallel_queries_agree() {
             assert!(r.equivalent(b));
         }
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Concurrent writers to distinct series must not corrupt each other.
 #[test]
 fn concurrent_writers_distinct_series() {
-    let dir = dir_for("writers");
+    let dir = TestDir::new("conc-writers");
     let kv = Arc::new(
         TsKv::open(
             &dir,
@@ -176,5 +169,4 @@ fn concurrent_writers_distinct_series() {
         assert_eq!(r.non_empty(), 4);
         assert!(r.spans.iter().flatten().all(|s| s.top.v == i as f64));
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -16,6 +16,7 @@ use m4lsm::m4::{M4Lsm, M4Query, M4Udf};
 use m4lsm::tsfile::types::Point;
 use m4lsm::tskv::config::{EngineConfig, FsyncPolicy};
 use m4lsm::tskv::TsKv;
+use testdir::TestDir;
 
 fn drive(kv: &TsKv) {
     // A representative history: in-order load, out-of-order overwrite,
@@ -107,8 +108,7 @@ fn all_configurations_agree() {
     ];
     let mut reference = None;
     for (i, (what, config)) in configs.into_iter().enumerate() {
-        let dir = std::env::temp_dir().join(format!("cfg-matrix-{i}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TestDir::new(&format!("cfg-matrix-{i}"));
         let kv = TsKv::open(&dir, config).unwrap();
         drive(&kv);
         let snap = kv.snapshot("s").unwrap();
@@ -122,6 +122,5 @@ fn all_configurations_agree() {
         }
         drop(snap);
         drop(kv);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -16,15 +16,10 @@ use m4lsm::tskv::config::EngineConfig;
 use m4lsm::tskv::readers::MergeReader;
 use m4lsm::tskv::TsKv;
 use m4lsm::workload::{apply_random_deletes, load_with_overlap, overlap_fraction, Dataset};
+use testdir::TestDir;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn dir_for(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("e2e-{name}-{}", std::process::id()));
-    std::fs::remove_dir_all(&d).ok();
-    d
-}
 
 /// The full lifecycle on every dataset: generate → load with overlap →
 /// delete → query at several widths → operators agree → render is
@@ -32,7 +27,7 @@ fn dir_for(name: &str) -> std::path::PathBuf {
 #[test]
 fn full_lifecycle_all_datasets() {
     for dataset in Dataset::ALL {
-        let dir = dir_for(&format!("life-{}", dataset.name()));
+        let dir = TestDir::new(&format!("e2e-life-{}", dataset.name()));
         // Small flush threshold so even the scaled-down datasets span
         // multiple files (needed for the overlap assertion below).
         let config = EngineConfig {
@@ -85,7 +80,6 @@ fn full_lifecycle_all_datasets() {
             let udf = M4Udf::new().execute(&snap, &q).unwrap();
             assert!(lsm.equivalent(&udf), "{} after reopen", dataset.name());
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -94,7 +88,7 @@ fn full_lifecycle_all_datasets() {
 /// pays for every chunk.
 #[test]
 fn merge_free_saves_io() {
-    let dir = dir_for("io");
+    let dir = TestDir::new("e2e-io");
     // Cold-read accounting: the cross-query LRU would let the UDF run
     // reuse chunks the LSM run already decoded, so turn it off here.
     let config = EngineConfig {
@@ -124,14 +118,13 @@ fn merge_free_saves_io() {
         lsm_io.chunks_loaded,
         udf_io.chunks_loaded
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Cross-crate sanity: the facade crate re-exports everything needed
 /// to write an application without naming internal crates.
 #[test]
 fn facade_surface() {
-    let dir = dir_for("facade");
+    let dir = TestDir::new("e2e-facade");
     let kv = m4lsm::tskv::TsKv::open(&dir, m4lsm::tskv::config::EngineConfig::default()).unwrap();
     kv.insert("x", m4lsm::tsfile::types::Point::new(1, 2.0))
         .unwrap();
@@ -140,5 +133,4 @@ fn facade_surface() {
     let q = m4lsm::m4::M4Query::new(0, 10, 2).unwrap();
     let r = m4lsm::m4::M4Lsm::new().execute(&snap, &q).unwrap();
     assert_eq!(r.non_empty(), 1);
-    std::fs::remove_dir_all(&dir).ok();
 }

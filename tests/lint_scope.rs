@@ -11,7 +11,8 @@
 //!   say `allow(clippy::disallowed_methods)` are exactly the listed ones;
 //! - public read/decode entry points of the storage crates return
 //!   `Result`/`Option` (or a named alias of one), so corrupt input has a
-//!   channel other than a silently wrong value.
+//!   channel other than a silently wrong value;
+//! - tests take their scratch directories from `testdir` alone.
 //!
 //! See DESIGN §6.
 
@@ -325,4 +326,33 @@ fn the_fallibility_check_judges_the_resolved_head() {
             "load_all: returns nothing",
         ]
     );
+}
+
+/// Every test takes its scratch directory from `testdir`, which removes
+/// it when the test ends, pass or fail. So no `.rs` file names the
+/// system temp directory except that crate, the examples and the bench
+/// harness (whose root has its own pid, counter and cleanup), doc
+/// comments aside.
+#[test]
+fn scratch_directories_come_from_testdir() {
+    let needle = concat!("temp_dir", "()");
+    let exempt = |rel: &str| {
+        rel.starts_with("crates/testdir/")
+            || rel.starts_with("examples/")
+            || rel == "crates/bench/src/harness.rs"
+    };
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root().join(dir), &mut files);
+    }
+    let mut found = Vec::new();
+    for rel in files.iter().filter(|rel| !exempt(rel)) {
+        for (i, line) in source(rel).lines().enumerate() {
+            let code = line.trim_start();
+            if line.contains(needle) && !code.starts_with("///") && !code.starts_with("//!") {
+                found.push(format!("{rel}:{}", i + 1));
+            }
+        }
+    }
+    assert!(found.is_empty(), "use testdir::TestDir instead: {found:#?}");
 }

@@ -22,10 +22,10 @@ use m4lsm::tsfile::ChunkStatistics;
 use m4lsm::tskv::config::EngineConfig;
 use m4lsm::tskv::readers::MergeReader;
 use m4lsm::tskv::TsKv;
+use testdir::TestDir;
 
-fn store(name: &str, chunk: usize) -> (std::path::PathBuf, TsKv) {
-    let dir = std::env::temp_dir().join(format!("paper-{name}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+fn store(name: &str, chunk: usize) -> (TestDir, TsKv) {
+    let dir = TestDir::new(&format!("paper-{name}"));
     let kv = TsKv::open(
         &dir,
         // These scenarios assert the paper's per-query I/O counts,
@@ -46,7 +46,7 @@ fn store(name: &str, chunk: usize) -> (std::path::PathBuf, TsKv) {
 /// latest points: point P_A updated by P_B, point P_C deleted.
 #[test]
 fn figure5_merge_function() {
-    let (dir, kv) = store("fig5", 8);
+    let (_dir, kv) = store("fig5", 8);
     // C¹: versions allocated per flush; 8 points at t = 0..8.
     let c1: Vec<Point> = (0..8).map(|t| Point::new(t * 10, 1.0)).collect();
     kv.insert_batch("s", &c1).unwrap();
@@ -85,7 +85,6 @@ fn figure5_merge_function() {
         Point::new(70, 1.0),
     ];
     assert_eq!(merged, expected);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Figure 7(a) / Example 3.2: FP candidate refuted by a delete, the
@@ -93,7 +92,7 @@ fn figure5_merge_function() {
 /// loaded from disk.
 #[test]
 fn figure7a_fp_loads_lazily() {
-    let (dir, kv) = store("fig7a", 10);
+    let (_dir, kv) = store("fig7a", 10);
     // C¹ and C² start early; D³ deletes their heads; C⁴ starts after
     // the delete but before C¹/C²'s remaining points.
     let c1: Vec<Point> = (0..10).map(|t| Point::new(100 + t * 10, 1.0)).collect();
@@ -124,10 +123,9 @@ fn figure7a_fp_loads_lazily() {
     // bounds become 131 == FP(C⁴).t, forcing their loads. Shift the
     // delete end to make the bounds strictly later:
     let _ = io;
-    std::fs::remove_dir_all(&dir).ok();
 
     // Cleaner variant: delete ends at 133, bounds become 134 > 131.
-    let (dir, kv) = store("fig7a2", 10);
+    let (_dir, kv) = store("fig7a2", 10);
     kv.insert_batch("s", &c1).unwrap();
     kv.flush("s").unwrap();
     kv.insert_batch("s", &c2).unwrap();
@@ -150,7 +148,6 @@ fn figure7a_fp_loads_lazily() {
     assert!(r.equivalent(&udf));
     assert_eq!(udf_io.chunks_loaded, 3, "baseline loads all chunks");
     assert!(io.chunks_loaded <= udf_io.chunks_loaded);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Figure 7(b) / Example 3.4: the metadata TP candidate is overwritten
@@ -158,7 +155,7 @@ fn figure7a_fp_loads_lazily() {
 /// the next candidate from another chunk answers.
 #[test]
 fn figure7b_tp_overwrite_probe() {
-    let (dir, kv) = store("fig7b", 10);
+    let (_dir, kv) = store("fig7b", 10);
     // C¹: moderate values, top = 5.0 at t=40.
     let mut c1: Vec<Point> = (0..10).map(|t| Point::new(t * 10, 1.0)).collect();
     c1[4].v = 5.0;
@@ -189,7 +186,6 @@ fn figure7b_tp_overwrite_probe() {
     let span = r.spans[0].unwrap();
     // TP(C³) = (205, 9.0) was overwritten; the true top is C¹'s 5.0.
     assert_eq!(span.top.v, 5.0);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Examples 3.8–3.10 in the format: 1000 points at a 9 s cadence with

@@ -20,6 +20,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use testdir::TestDir;
 
 use m4lsm::m4::{oracle, M4Lsm, M4Query, M4Udf};
 use m4lsm::tsfile::types::Point;
@@ -29,8 +30,7 @@ use m4lsm::tskv::TsKv;
 
 #[test]
 fn parallel_queries_race_live_writer() {
-    let dir = std::env::temp_dir().join(format!("par-stress-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = TestDir::new("par-stress");
     let kv = Arc::new(
         TsKv::open(
             &dir,
@@ -158,5 +158,4 @@ fn parallel_queries_race_live_writer() {
         assert_eq!(warm_loads, 0, "lsm={lsm}: warm run loaded chunk bodies");
         assert!(warm.equivalent(&cold));
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -13,7 +13,14 @@
 //!   page by page, against its frame of reference: bit-exact and fewer
 //!   bytes a point;
 //! - the buffer pool, over repeated reads of a small multi-chunk file:
-//!   a warm steady-state read path must show hits.
+//!   a warm steady-state read path must show hits;
+//! - the two write-path kernels every ingest pays: the seal
+//!   (`TsFileWriter::write_chunk`, statistics, chooser, page, CRC) on one
+//!   1 000-point chunk shaped like each workload's data, which must read
+//!   back bit-exact, and the engine's insert path (WAL record plus
+//!   memtable) on a `live_tail` batch and an `ingest_fleet` request, with
+//!   the log bytes each point costs. Each time is the least of
+//!   [`WRITE_REPEATS`] calls.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -27,8 +34,11 @@ use tsfile::encoding::packed::{self, Column, Framing, Transform};
 use tsfile::page::DEFAULT_PAGE_POINTS;
 use tsfile::types::Point;
 use tsfile::{TsFileReader, TsFileWriter};
+use tskv::batch::WriteBatch;
+use tskv::config::{EngineConfig, FsyncPolicy};
 use tskv::memtable::MemTable;
-use workload::multiseries;
+use tskv::TsKv;
+use workload::multiseries::{self, MultiSeriesSpec};
 use workload::signal::Signal;
 
 use crate::harness::{BenchMeta, Harness};
@@ -86,6 +96,35 @@ pub struct FrameRow {
     pub bit_exact: bool,
 }
 
+/// Timed calls behind each write-path row: its time is their least.
+pub const WRITE_REPEATS: usize = 200;
+
+/// `TsFileWriter::write_chunk` on one workload-shaped chunk.
+#[derive(Debug, Clone, Serialize)]
+pub struct SealRow {
+    /// "cold_wide", "live_tail", "ingest_fleet" or "constant".
+    pub dataset: String,
+    pub n_points: usize,
+    pub ns_per_point: f64,
+    /// Chunk body bytes a point (the footer entry aside).
+    pub bytes_per_point: f64,
+    /// Every chunk written reads back to the bits it was given.
+    pub bit_exact: bool,
+}
+
+/// The engine's insert path on one write shape: the WAL record and the
+/// memtable, into a memtable that never fills.
+#[derive(Debug, Clone, Serialize)]
+pub struct InsertRow {
+    /// "live_tail" (one series' 5 000-point batch) or "ingest_fleet"
+    /// (one request of 50 Zipf-drawn series × 10 points).
+    pub dataset: String,
+    pub n_points: usize,
+    pub ns_per_point: f64,
+    /// Log bytes a point, from the engine's `wal_bytes` counter.
+    pub wal_bytes_per_point: f64,
+}
+
 /// Everything the kernels experiment measures: the document
 /// `repro --exp kernels --out` writes.
 #[derive(Debug, Serialize)]
@@ -95,6 +134,8 @@ pub struct KernelsReport {
     pub crc32: Vec<CrcRow>,
     pub memtable: MemtableRow,
     pub pool: PoolSummary,
+    pub seal: Vec<SealRow>,
+    pub insert: Vec<InsertRow>,
 }
 
 /// Median throughput in million points/sec. Small streams are
@@ -156,7 +197,164 @@ pub fn run(h: &Harness) -> KernelsReport {
         crc32: crc_rows(h),
         memtable: memtable_row(h),
         pool: exercise_pool(h),
+        seal: seal_rows(h),
+        insert: insert_rows(h),
     }
+}
+
+/// The least time of `WRITE_REPEATS` calls of `f`, in nanoseconds.
+fn least_ns(mut f: impl FnMut(usize)) -> f64 {
+    (0..WRITE_REPEATS)
+        .map(|r| {
+            let start = Instant::now();
+            f(r);
+            start.elapsed().as_nanos() as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// One 1 000-point chunk (the engine's chunk) shaped like each
+/// workload's data: `cold_wide`'s full-precision walk at a 10 ms cadence
+/// jittered ±2 ms, `live_tail`'s two-decimal register on a 4 ms grid,
+/// `ingest_fleet`'s quarter-unit sawtooth on a 1 s grid, and a chunk of
+/// one repeated value the footer holds whole.
+fn workload_chunks() -> Vec<(&'static str, Vec<Point>)> {
+    const N: i64 = 1_000;
+    let mut rng = StdRng::seed_from_u64(60);
+    let mut walk = Signal::new(210.0, 240.0, 0.4).with_carrier(5.0, 500_000.0);
+    let wide = (0..N)
+        .map(|i| {
+            let jitter = rng.gen_range(-2..=2);
+            Point::new(i * 10 + jitter, walk.next_value(&mut rng))
+        })
+        .collect();
+    let tail = (0..N)
+        .map(|i| {
+            let wave = 8.0 * (i as f64 / 4_000.0).sin();
+            let noise = rng.gen_range(0..=2_000u32) as f64 / 1_000.0;
+            let v = ((225.0 + wave + noise - 1.0) * 100.0).round() / 100.0;
+            Point::new(i * 4, v)
+        })
+        .collect();
+    let at = |i: i64| i * multiseries::DELTA_MS;
+    let fleet = (0..N)
+        .map(|i| Point::new(at(i), multiseries::value_at(1, at(i))))
+        .collect();
+    let constant = (0..N).map(|i| Point::new(at(i), 21.5)).collect();
+    vec![
+        ("cold_wide", wide),
+        ("live_tail", tail),
+        ("ingest_fleet", fleet),
+        ("constant", constant),
+    ]
+}
+
+/// Each workload-shaped chunk written `WRITE_REPEATS` times into one
+/// file, as a series' chunks are, then read back.
+fn seal_rows(h: &Harness) -> Vec<SealRow> {
+    std::fs::create_dir_all(&h.root).expect("bench root");
+    let path = h.root.join("kernels-seal.tsfile");
+    workload_chunks()
+        .into_iter()
+        .map(|(dataset, points)| {
+            let mut w = TsFileWriter::create(&path).expect("create seal fixture");
+            w.begin_series(0, 0).expect("begin series");
+            let mut body_bytes = 0;
+            let ns = least_ns(|r| {
+                let meta = w.write_chunk(&points, r as u64 + 1).expect("write chunk");
+                body_bytes = meta.byte_len;
+            });
+            w.finish().expect("finish seal fixture");
+            let r = TsFileReader::open(&path).expect("open seal fixture");
+            let bits = |p: &[Point]| p.iter().map(|p| (p.t, p.v.to_bits())).collect::<Vec<_>>();
+            let bit_exact = r.chunk_metas().len() == WRITE_REPEATS
+                && (r.chunk_metas().iter()).all(|m| {
+                    r.read_chunk(m)
+                        .is_ok_and(|back| bits(&back) == bits(&points))
+                });
+            std::fs::remove_file(&path).ok();
+            let n = points.len();
+            SealRow {
+                dataset: dataset.to_string(),
+                n_points: n,
+                ns_per_point: ns / n as f64,
+                bytes_per_point: body_bytes as f64 / n as f64,
+                bit_exact,
+            }
+        })
+        .collect()
+}
+
+/// The insert path into a fresh store whose memtables never fill,
+/// under the benchmark's sync policy: a `live_tail` batch of 5 000
+/// points on its 4 ms grid, each repeat the next 20 s of the series, and
+/// an `ingest_fleet` request, each repeat the next one.
+fn insert_rows(h: &Harness) -> Vec<InsertRow> {
+    let dir = h.root.join("kernels-insert");
+    std::fs::remove_dir_all(&dir).ok();
+    let config = EngineConfig {
+        memtable_threshold: usize::MAX,
+        fsync_policy: FsyncPolicy::OnFlush,
+        ..Harness::store_config()
+    };
+    let kv = TsKv::open(&dir, config).expect("open insert fixture");
+    let row = |dataset: &str, n: usize, ns: f64, wal: u64| InsertRow {
+        dataset: dataset.to_string(),
+        n_points: n,
+        ns_per_point: ns / n as f64,
+        wal_bytes_per_point: wal as f64 / (n * WRITE_REPEATS) as f64,
+    };
+    let wal_bytes = || kv.io().snapshot().wal_bytes;
+
+    const TAIL_BATCH: usize = 5_000;
+    let id = kv.create_series("tail.0").expect("create tail series");
+    let mut rng = StdRng::seed_from_u64(7);
+    let tail: Vec<Vec<Point>> = (0..WRITE_REPEATS as i64)
+        .map(|r| {
+            (0..TAIL_BATCH as i64)
+                .map(|i| {
+                    let t = r * TAIL_BATCH as i64 + i;
+                    let v = (22_400 + rng.gen_range(0..400)) as f64 / 100.0;
+                    Point::new(1_600_000_000_000 + t * 4, v)
+                })
+                .collect()
+        })
+        .collect();
+    let before = wal_bytes();
+    let ns = least_ns(|r| kv.insert_batch_by_id(id, &tail[r]).expect("insert"));
+    let tail_row = row("live_tail", TAIL_BATCH, ns, wal_bytes() - before);
+
+    let spec = MultiSeriesSpec {
+        series_count: 1_000,
+        zipf_s: 1.0,
+        batch_points: 10,
+        out_of_order_frac: 0.1,
+        seed: 1,
+    };
+    let mut gen = spec.generator();
+    for rank in 0..spec.series_count {
+        kv.create_series(&multiseries::series_name(rank))
+            .expect("create fleet series");
+    }
+    let requests: Vec<WriteBatch> = (0..WRITE_REPEATS)
+        .map(|_| {
+            let mut batch = WriteBatch::new();
+            for _ in 0..50 {
+                let (rank, points) = gen.next_batch();
+                batch.insert_many(&multiseries::series_name(rank), &points);
+            }
+            batch
+        })
+        .collect();
+    let n = requests[0].len();
+    let before = wal_bytes();
+    let ns = least_ns(|r| {
+        kv.write_batch(&requests[r]).expect("write request");
+    });
+    let fleet_row = row("ingest_fleet", n, ns, wal_bytes() - before);
+    drop(kv);
+    std::fs::remove_dir_all(&dir).ok();
+    vec![tail_row, fleet_row]
 }
 
 /// `(bytes a point, encode and decode throughput, bit-exact)` of the
@@ -380,8 +578,21 @@ pub fn print(report: &KernelsReport) {
         "pool: {} hits / {} misses (hit rate {hit_pct:.1}%)",
         p.pool_hits, p.pool_misses
     );
+    for r in &report.seal {
+        println!(
+            "seal {:>12} ({} points): {:.1} ns/pt, {:.3} B/pt, bit-exact {}",
+            r.dataset, r.n_points, r.ns_per_point, r.bytes_per_point, r.bit_exact
+        );
+    }
+    for r in &report.insert {
+        println!(
+            "insert {:>12} ({} points): {:.1} ns/pt, WAL {:.2} B/pt",
+            r.dataset, r.n_points, r.ns_per_point, r.wal_bytes_per_point
+        );
+    }
     let mismatches = report.decimal.iter().filter(|r| !r.bit_exact).count()
         + report.crc32.iter().filter(|r| !r.equivalent).count()
+        + report.seal.iter().filter(|r| !r.bit_exact).count()
         + usize::from(!m.equivalent);
     println!("-- kernels: {mismatches} equivalence failures");
 }
@@ -401,6 +612,8 @@ mod tests {
             crc32,
             memtable,
             pool,
+            seal,
+            insert,
             ..
         } = run(&h);
         h.cleanup();
@@ -420,6 +633,13 @@ mod tests {
         assert!(
             pool.pool_hits > 0,
             "steady-state chunk reads never hit the pool: {pool:?}"
+        );
+        assert_eq!(seal.len(), 4);
+        assert!(seal.iter().all(|r| r.bit_exact), "seal: {seal:?}");
+        assert_eq!(insert.len(), 2);
+        assert!(
+            insert.iter().all(|r| r.wal_bytes_per_point > 8.0),
+            "a point's value alone is 8 log bytes: {insert:?}"
         );
     }
 }

@@ -51,6 +51,10 @@ const IF10: [f64; 19] = [
 /// integer is an exact `f64`.
 const LIMIT: f64 = 9_007_199_254_740_992.0;
 
+/// `1.5 · 2^52`: a sum with any `|x| < 2^51` lies in `[2^52, 2^53)`,
+/// where a double's unit in the last place is 1.
+const MAGIC: f64 = 6_755_399_441_055_744.0;
+
 /// [`LIMIT`] as a bound on `|d|`.
 const INT_LIMIT: u64 = 1 << 53;
 
@@ -192,10 +196,20 @@ impl Factors {
     /// integer) for a value that does not round-trip.
     #[inline]
     pub(crate) fn encode_or_min(&self, v: f64) -> i64 {
-        let x = round_even(v * self.e_up * self.f_down);
-        // NaN and ±inf fail the magnitude test; the cast saturates.
-        let d = cast::i64_from_integral(x);
-        let exact = x.abs() < LIMIT && self.decode(d).to_bits() == v.to_bits();
+        let scaled = v * self.e_up * self.f_down;
+        // Below 2^51, adding 1.5 · 2^52 leaves the integer nearest (ties
+        // to even) in the low mantissa bits: `d` with no conversion, and
+        // its value `x` exactly. NaN and ±inf take the other way, and
+        // fail the magnitude test; the cast saturates.
+        let (d, x) = if scaled.abs() < MAGIC / 3.0 {
+            let y = scaled + MAGIC;
+            let d = cast::i64_bits(y.to_bits()).wrapping_sub(cast::i64_bits(MAGIC.to_bits()));
+            (d, y - MAGIC)
+        } else {
+            let x = round_even(scaled);
+            (cast::i64_from_integral(x), x)
+        };
+        let exact = x.abs() < LIMIT && (x * self.f_up * self.e_down).to_bits() == v.to_bits();
         if exact {
             d
         } else {
@@ -357,29 +371,14 @@ pub(crate) fn plan(values: &[f64], carry: &mut Option<Exponents>) -> Option<Expo
     choose(values, *carry).inspect(|&pair| *carry = Some(pair))
 }
 
-/// `pair` — or where it leaves exceptions the pair of its scale leaving
-/// the fewest, ties to the first tried — with each value's integer under
-/// it (`i64::MIN` for none): the sample that chose `pair` can miss a
-/// value it fails. Only a pair recovering a best one's exception is run.
-pub(crate) fn fewest_exceptions(values: &[f64], pair: Exponents) -> Option<(Exponents, Vec<i64>)> {
-    let integers = |fs: Factors| values.iter().map(|&v| fs.encode_or_min(v)).collect();
-    let missed = |digits: &Vec<i64>| digits.iter().filter(|&&d| !kept(d)).count();
-    let mut best: (Exponents, Vec<i64>) = (pair, integers(Factors::of(pair)?));
-    let mut fewest = missed(&best.1);
-    for e in pair.scale()..=MAX_EXPONENT {
-        let sibling = Exponents::of(e, e - pair.scale()).filter(|_| fewest > 0);
-        let Some((sibling, fs)) = sibling.zip(sibling.and_then(Factors::of)) else {
-            break;
-        };
-        let recovers = |(d, &v): (&i64, &f64)| !kept(*d) && fs.encode(v).is_some();
-        if best.1.iter().zip(values).any(recovers) {
-            let digits = integers(fs);
-            if missed(&digits) < fewest {
-                (fewest, best) = (missed(&digits), (sibling, digits));
-            }
-        }
-    }
-    Some(best)
+/// The pairs of `pair`'s scale, from `(scale, 0)` up, with their
+/// factors.
+pub(crate) fn siblings(pair: Exponents) -> impl Iterator<Item = (Exponents, Factors)> {
+    let scale = pair.scale();
+    (scale..=MAX_EXPONENT).filter_map(move |e| {
+        let sibling = Exponents::of(e, e - scale)?;
+        Some((sibling, Factors::of(sibling)?))
+    })
 }
 
 /// The pair of the most decimals the values without an integer

@@ -191,22 +191,6 @@ struct Sizing {
 }
 
 impl Sizing {
-    /// The sizing of a decimal block that is not anchored: every integer
-    /// kept, each value without one (`i64::MIN`) listed raw.
-    fn keeping(ints: &[i64]) -> Self {
-        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
-        let (mut exceptions, mut list_len) = (0, 0);
-        for (i, &x) in ints.iter().enumerate() {
-            if kept(x) {
-                (lo, hi) = (lo.min(x), hi.max(x));
-            } else {
-                exceptions += 1;
-                list_len += varint::len_u64(cast::u64_from_usize(i)) + 8;
-            }
-        }
-        Sizing::new(lo, hi, exceptions, list_len)
-    }
-
     /// The sizing whose kept `y`s span `lo..=hi` (none when `lo > hi`),
     /// with `exceptions` others taking `list_len` bytes of list.
     fn new(lo: i64, hi: i64, exceptions: usize, list_len: usize) -> Self {
@@ -455,39 +439,58 @@ fn sample_median(ys: &[i64]) -> i64 {
     sample.get(taken / 2).copied().unwrap_or(0)
 }
 
-/// The least-squares slope, in units of `2^-16` a position, of the
-/// integers of `ints` that `keep` keeps against their positions, from
-/// one pass of sums of their offsets from `origin` (0 with fewer than
-/// two kept). `None` past a page, or where the sums could pass 2^62
-/// (`n² · max |offset|` beyond it). The minimax line needs a convex hull
-/// to save a few units of range on even noise.
-pub(crate) fn fit(ints: &[i64], origin: i64, keep: impl Fn(i64) -> bool) -> Option<i64> {
-    let len = ints.len();
-    let n = i64::try_from(len).ok().filter(|_| len <= MAX_PAGE_POINTS)?;
-    // Over the kept `y = x − origin` at `i`: count, Σi, Σi² are 0..n's
-    // less the others'; Σiy is `n·Σy` less Σy's prefix sums, summed.
-    // `reach` ORs every |y|: its bit length is the largest's.
-    let (mut k, mut si, mut sii) = (n, n * (n - 1) / 2, (n - 1) * n * (2 * n - 1) / 6);
-    let (mut sy, mut prefixes, mut reach) = (0i64, 0i64, 0u64);
-    for (i, &x) in (0i64..).zip(ints) {
-        match keep(x) {
-            true => {
-                let y = x.wrapping_sub(origin);
-                (sy, reach) = (sy.wrapping_add(y), reach | y.unsigned_abs());
-            }
-            false => (k, si, sii) = (k - 1, si - i, sii - i * i),
+/// The sums a least-squares line through a column's kept integers
+/// takes, gathered on the pass that makes them: Σx and the sum of its
+/// prefix sums (both wrapping), and the count, Σi and Σi² of the
+/// positions left out.
+#[derive(Debug, Default, Clone, Copy)]
+struct LineSums {
+    sx: i64,
+    prefixes: i64,
+    out: (i64, i64, i64),
+}
+
+impl LineSums {
+    /// The next position, `i`, holds `x`, kept or not.
+    #[inline]
+    fn push(&mut self, i: i64, x: i64, keep: bool) {
+        if keep {
+            self.sx = self.sx.wrapping_add(x);
+        } else {
+            let (k, si, sii) = self.out;
+            self.out = (k + 1, si + i, sii.wrapping_add(i.wrapping_mul(i)));
         }
-        prefixes = prefixes.wrapping_add(sy);
+        self.prefixes = self.prefixes.wrapping_add(self.sx);
     }
-    if 2 * (64 - len.leading_zeros()) + (64 - reach.leading_zeros()) > 62 {
-        return None;
+
+    /// The least-squares slope, in units of `2^-16` a position, of the
+    /// kept integers of `len` against their positions, about `origin`, from which
+    /// they lie at most `reach` bits away (0 with fewer than two kept).
+    /// `None` past a page, or where the sums about `origin` could pass
+    /// 2^62 (`n² · 2^reach` beyond it). The minimax line needs a convex
+    /// hull to save a few units of range on even noise.
+    fn slope(&self, len: usize, origin: i64, reach: u32) -> Option<i64> {
+        let n = i64::try_from(len).ok().filter(|_| len <= MAX_PAGE_POINTS)?;
+        if 2 * (64 - len.leading_zeros()) + reach > 62 {
+            return None;
+        }
+        let (out, out_i, out_ii) = self.out;
+        let (k, si, sii) = (
+            n - out,
+            n * (n - 1) / 2 - out_i,
+            (n - 1) * n * (2 * n - 1) / 6 - out_ii,
+        );
+        // About `origin`: Σy is Σx less k origins, and the prefix sums
+        // hold a kept x's origin once for each prefix from its position.
+        let sy = self.sx.wrapping_sub(k.wrapping_mul(origin));
+        let prefixes = self.prefixes.wrapping_sub(origin.wrapping_mul(n * k - si));
+        let [k, si, sii, sy] = [k, si, sii, sy].map(i128::from);
+        let siy = sy * i128::from(n) - i128::from(prefixes);
+        // One kept point fits no line: 0 / 0, a NaN, which casts to 0.
+        let slope = cast::f64_from_i128(k * siy - si * sy) / cast::f64_from_i128(k * sii - si * si);
+        let slope = (slope * f64::from(1u32 << SLOPE_SHIFT)).round_ties_even();
+        Some(cast::i64_from_integral(slope))
     }
-    let [k, si, sii, sy] = [k, si, sii, sy].map(i128::from);
-    let siy = sy * i128::from(n) - i128::from(prefixes);
-    // One kept point fits no line: 0 / 0, a NaN, which casts to 0.
-    let slope = cast::f64_from_i128(k * siy - si * sy) / cast::f64_from_i128(k * sii - si * si);
-    let slope = (slope * f64::from(1u32 << SLOPE_SHIFT)).round_ties_even();
-    Some(cast::i64_from_integral(slope))
 }
 
 /// The key [`f64::total_cmp`] orders by, as bits: the sign kept, the
@@ -498,18 +501,17 @@ fn flip(bits: u64) -> u64 {
 }
 
 #[inline]
-fn key(v: f64) -> i64 {
+pub(crate) fn key(v: f64) -> i64 {
     cast::i64_bits(flip(v.to_bits()))
 }
 
 /// Fill `out` with the wrapping deltas of the keys of `vs`.
 pub(crate) fn key_deltas(vs: &[f64], out: &mut Vec<i64>) {
     out.clear();
-    out.extend(
-        vs.iter()
-            .zip(vs.iter().skip(1))
-            .map(|(&a, &b)| key(b).wrapping_sub(key(a))),
-    );
+    let mut keys = vs.iter().map(|&v| key(v));
+    if let Some(mut prev) = keys.next() {
+        out.extend(keys.map(|k| k.wrapping_sub(std::mem::replace(&mut prev, k))));
+    }
 }
 
 /// `x[i + 1] − x[i]` (wrapping) for each adjacent pair.
@@ -520,7 +522,8 @@ pub(crate) fn deltas(x: &[i64]) -> Vec<i64> {
         .collect()
 }
 
-/// One transform's integers of a column, as the chooser sizes them.
+/// One transform's integers of a column, as the chooser sizes them,
+/// with what the pass that makes them learns.
 pub(crate) struct Ints<'a> {
     transform: Transform,
     /// The decimal transform's pair.
@@ -533,20 +536,29 @@ pub(crate) struct Ints<'a> {
     deltas: Option<Cow<'a, [i64]>>,
     /// A decimal column's frame of reference, every integer kept.
     reference: Option<Sizing>,
+    /// The slope of the line frame, where a line fits.
+    slope: Option<i64>,
     /// The column's values, listed raw where they have no integer.
     values: &'a [f64],
     n: usize,
 }
 
 impl<'a> Ints<'a> {
-    /// Timestamps and their deltas.
+    /// Timestamps and their deltas, fitted on one pass.
     pub(crate) fn timestamps(ts: &'a [i64], deltas: &'a [i64]) -> Self {
+        let (origin, mut reach, mut sums) =
+            (ts.first().copied().unwrap_or(0), 0u64, LineSums::default());
+        for &t in ts {
+            reach |= t.wrapping_sub(origin).unsigned_abs();
+            sums.push(0, t, true);
+        }
         Ints {
             transform: Transform::Timestamp,
             pair: None,
             x: Cow::Borrowed(ts),
             deltas: Some(Cow::Borrowed(deltas)),
             reference: None,
+            slope: sums.slope(ts.len(), origin, 64 - reach.leading_zeros()),
             values: &[],
             n: ts.len(),
         }
@@ -560,22 +572,68 @@ impl<'a> Ints<'a> {
             x: Cow::Borrowed(&[]),
             deltas: Some(Cow::Borrowed(deltas)),
             reference: None,
+            slope: None,
             values: vs,
             n: vs.len(),
         }
     }
 
-    /// Values under `pair`, or the sibling of its scale leaving the fewest
-    /// without an integer ([`decimal::fewest_exceptions`]); `None` where
-    /// every value is without one.
+    /// Values under `pair`, or — where the sample that chose it missed a
+    /// value it fails — the sibling of its scale leaving the fewest
+    /// without an integer, ties to the first tried; only a sibling that
+    /// recovers one of the best's is run. `None` where every value is
+    /// without one.
     pub(crate) fn decimal(vs: &'a [f64], pair: Exponents) -> Option<Self> {
-        let (pair, x) = decimal::fewest_exceptions(vs, pair)?;
-        let reference = Sizing::keeping(&x);
-        (reference.exceptions < vs.len()).then(|| Ints {
+        let mut best = Ints::under(vs, pair)?;
+        for (sibling, fs) in decimal::siblings(pair) {
+            let fewest = best.reference.map_or(0, |r| r.exceptions);
+            if fewest == 0 {
+                break;
+            }
+            let recovers = |(d, &v): (&i64, &f64)| !kept(*d) && fs.encode(v).is_some();
+            if best.x.iter().zip(vs).any(recovers) {
+                let ints = Ints::under(vs, sibling)?;
+                if ints.reference.is_some_and(|r| r.exceptions < fewest) {
+                    best = ints;
+                }
+            }
+        }
+        let reference = best.reference?;
+        if reference.exceptions == 0 {
+            best.deltas = Some(Cow::Owned(deltas(&best.x)));
+        }
+        (reference.exceptions < vs.len()).then_some(best)
+    }
+
+    /// Values under `pair`, sized on the pass that makes their integers:
+    /// the range of those kept, the values without one and the bytes
+    /// their list takes, and the line's sums.
+    fn under(vs: &'a [f64], pair: Exponents) -> Option<Self> {
+        let fs = Factors::of(pair)?;
+        let (mut lo, mut hi, mut exceptions, mut list_len) = (i64::MAX, i64::MIN, 0, 0);
+        let mut sums = LineSums::default();
+        let x: Vec<i64> = ((0..).zip(vs))
+            .map(|(i, &v)| {
+                let d = fs.encode_or_min(v);
+                // A value without an integer is `i64::MIN`, below every kept one.
+                hi = hi.max(d);
+                if kept(d) {
+                    lo = lo.min(d);
+                } else {
+                    exceptions += 1;
+                    list_len += varint::len_u64(cast::u64_bits(i)) + 8;
+                }
+                sums.push(i, d, kept(d));
+                d
+            })
+            .collect();
+        let reference = Sizing::new(lo, hi, exceptions, list_len);
+        Some(Ints {
             transform: Transform::Decimal,
             pair: Some(pair),
-            deltas: (reference.exceptions == 0).then(|| Cow::Owned(deltas(&x))),
             x: Cow::Owned(x),
+            deltas: None,
+            slope: (reference.span).and_then(|_| sums.slope(vs.len(), lo, width(lo, hi))),
             reference: Some(reference),
             values: vs,
             n: vs.len(),
@@ -586,6 +644,7 @@ impl<'a> Ints<'a> {
     /// pair leaves without an integer, where that scale is larger: a
     /// page whose period divides the sample's stride shows it one phase.
     pub(crate) fn replanned(&self) -> Option<Self> {
+        self.reference.filter(|r| r.exceptions > 0)?;
         Ints::decimal(
             self.values,
             decimal::replan(self.values, &self.x, self.pair?)?,
@@ -692,7 +751,7 @@ fn size<'a>(
         _ if ints.transform.anchored(framing) => {
             let &x0 = x.first()?;
             if framing == Framing::Line {
-                slope = fit(x, x0, |_| true).filter(|&s| trend(s, n - 1).is_some())?;
+                slope = ints.slope.filter(|&s| trend(s, n - 1).is_some())?;
             }
             let residual = |(i, &x): (i64, &i64)| {
                 x.wrapping_sub(x0)
@@ -705,11 +764,18 @@ fn size<'a>(
         Framing::Reference => (Cow::Borrowed(x), ints.reference?),
         Framing::Line => {
             let reference = ints.reference?;
-            slope = fit(x, reference.base, kept)?;
+            slope = ints.slope?;
             trend(slope, n.checked_sub(1)?)?;
-            // The residuals are collected only for the block written.
-            let (lo, hi) = (residuals(x, slope).filter(|&r| kept(r)))
-                .fold((i64::MAX, i64::MIN), |(lo, hi), r| (lo.min(r), hi.max(r)));
+            // The range of the residuals ([`residuals`]), which are made
+            // again only for the block written; the trend runs as a sum.
+            let (mut lo, mut hi, mut trend) = (i64::MAX, i64::MIN, 0i64);
+            for &x in x.iter() {
+                let r = x.wrapping_sub(trend >> SLOPE_SHIFT);
+                if kept(x) && kept(r) {
+                    (lo, hi) = (lo.min(r), hi.max(r));
+                }
+                trend = trend.wrapping_add(slope);
+            }
             let sizing = Sizing::new(lo, hi, reference.exceptions, reference.list_len);
             (Cow::Borrowed(x), sizing)
         }

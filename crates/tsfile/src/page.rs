@@ -48,7 +48,7 @@ use crate::checksum::crc32;
 use crate::encoding::decimal::{self, Exponents};
 use crate::encoding::packed::{self, Ends, Framing, Ints, Transform};
 use crate::encoding::EncodingKind;
-use crate::statistics::ChunkStatistics;
+use crate::statistics::{ChunkStatistics, Extremes};
 use crate::types::{Point, TimeRange};
 use crate::varint;
 use crate::{cast, Result, TsFileError};
@@ -184,41 +184,79 @@ pub fn encode_page(
     _val_encoding: EncodingKind,
     out: &mut Vec<u8>,
 ) {
-    let ts: Vec<i64> = points.iter().map(|p| p.t).collect();
-    let deltas = packed::deltas(&ts);
-    let vs: Vec<f64> = points.iter().map(|p| p.v).collect();
-    encode_page_columns(&ts, &deltas, &vs, &mut ValueCarry::default(), out);
+    let mut columns = Columns::default();
+    columns.split(points);
+    encode_page_columns(&mut columns, out);
 }
 
-/// What a writer carries from one page's value column to the next —
-/// from one chunk to the next of the file it writes.
+/// A page's two columns, split on one pass over its points with what
+/// that pass learns on the way, and what a writer carries from one
+/// page's value column to the next — from one chunk to the next of the
+/// file it writes. The buffers are refilled page by page.
 #[derive(Debug, Default)]
-pub(crate) struct ValueCarry {
+pub(crate) struct Columns {
+    ts: Vec<i64>,
+    /// `ts[i + 1] − ts[i]`, wrapping.
+    deltas: Vec<i64>,
+    vs: Vec<f64>,
+    /// Every delta is the first (so also with none).
+    one_step: bool,
     /// The decimal pair the last plan chose ([`decimal::plan`]).
     pair: Option<Exponents>,
     /// Scratch for the page's key deltas ([`packed::key_deltas`]).
     keys: Vec<i64>,
 }
 
-/// [`encode_page`] over a page already split into its two columns
-/// (equal length) and its timestamps' deltas (`ts[i + 1] - ts[i]`) —
-/// the writer splits a chunk once into its columns, and carries
-/// `values` from chunk to chunk.
-pub(crate) fn encode_page_columns(
-    ts: &[i64],
-    deltas: &[i64],
-    vs: &[f64],
-    values: &mut ValueCarry,
-    out: &mut Vec<u8>,
-) {
+impl Columns {
+    /// Split `points` into the columns, gathering on the same pass the
+    /// timestamps' deltas and whether they are one step, the statistics
+    /// and the first two timestamps out of time order, if any (`None`
+    /// for no point).
+    pub(crate) fn split(
+        &mut self,
+        points: &[Point],
+    ) -> Option<(ChunkStatistics, Option<(i64, i64)>)> {
+        let n = points.len();
+        self.ts.resize(n, 0);
+        self.vs.resize(n, 0.0);
+        self.deltas.resize(n.saturating_sub(1), 0);
+        self.one_step = true;
+        let (&first, rest) = points.split_first()?;
+        let step = rest.first().map_or(0, |p| p.t.wrapping_sub(first.t));
+        let (mut prev, mut one_step, mut late) = (first.t, true, None);
+        let mut extremes = Extremes::NONE;
+        extremes.add(0, first.v);
+        let mut ts = self.ts.iter_mut();
+        let mut vs = self.vs.iter_mut();
+        if let (Some(t), Some(v)) = (ts.next(), vs.next()) {
+            (*t, *v) = (first.t, first.v);
+        }
+        let columns = ts.zip(vs).zip(self.deltas.iter_mut());
+        for (i, (p, ((t, v), d))) in (1..).zip(rest.iter().zip(columns)) {
+            let delta = p.t.wrapping_sub(prev);
+            if p.t <= prev && late.is_none() {
+                late = Some((prev, p.t));
+            }
+            one_step &= delta == step;
+            (*t, *v, *d) = (p.t, p.v, delta);
+            prev = p.t;
+            extremes.add(i, p.v);
+        }
+        self.one_step = one_step;
+        Some((extremes.statistics(points), late))
+    }
+}
+
+/// [`encode_page`] over a page already split into its columns.
+pub(crate) fn encode_page_columns(columns: &mut Columns, out: &mut Vec<u8>) {
     let start = out.len();
     // Pooled column scratch: page encode runs once per page on every
     // flush/compaction; reusing the scratch keeps the write path free
     // of heap round-trips per page.
     let mut ts_bytes = bufpool::take(0);
-    let timestamps = ts_column(ts, deltas, &mut ts_bytes);
+    let timestamps = ts_column(columns, &mut ts_bytes);
     let mut val_bytes = bufpool::take(0);
-    let (value_form, val_col) = value_column(vs, values, &mut val_bytes);
+    let (value_form, val_col) = value_column(columns, &mut val_bytes);
     if timestamps == TsForm::Constant && value_form == ValueForm::Implied {
         return; // bodiless: the footer entry holds it all
     }
@@ -240,12 +278,14 @@ pub(crate) fn encode_page_columns(
 
 /// A page's timestamp column, written to the empty `buf`: nothing when
 /// the deltas are one constant the statistics give back, else its block.
-fn ts_column(ts: &[i64], deltas: &[i64], buf: &mut Vec<u8>) -> TsForm {
+fn ts_column(columns: &Columns, buf: &mut Vec<u8>) -> TsForm {
+    let (ts, deltas) = (&columns.ts, &columns.deltas);
     let (first, last) = (ts.first().copied(), ts.last().copied());
     let derived = first
         .zip(last)
         .and_then(|(f, l)| derived_delta(f, l, ts.len()));
-    if derived.is_some() && derived == constant_delta(deltas) {
+    let step = deltas.first().copied().unwrap_or(0);
+    if columns.one_step && derived == Some(step) {
         return TsForm::Constant;
     }
     if let Some(plan) = packed::choose([&Ints::timestamps(ts, deltas)], None) {
@@ -258,23 +298,20 @@ fn ts_column(ts: &[i64], deltas: &[i64], buf: &mut Vec<u8>) -> TsForm {
 /// its ends imply it, else the block the chooser takes of the decimal
 /// integers (where the sample admits a pair), the keys, and the decimal
 /// integers again at the scale the pair's exceptions show.
-fn value_column<'a>(
-    vs: &[f64],
-    carry: &mut ValueCarry,
-    buf: &'a mut Vec<u8>,
-) -> (ValueForm, &'a [u8]) {
+fn value_column<'a>(columns: &mut Columns, buf: &'a mut Vec<u8>) -> (ValueForm, &'a [u8]) {
+    let vs = &columns.vs;
     // Planned on every page, so the carried pair is as without the form.
-    let pair = decimal::plan(vs, &mut carry.pair);
+    let pair = decimal::plan(vs, &mut columns.pair);
     let line = (vs.first().zip(vs.last()))
         .and_then(|(&first, &last)| decimal::implied(first, last, vs.len()));
     let bits = vs.iter().map(|v| v.to_bits());
     if line.is_some_and(|line| bits.eq((0..vs.len()).map(|i| line(i).to_bits()))) {
         return (ValueForm::Implied, buf);
     }
-    packed::key_deltas(vs, &mut carry.keys);
+    packed::key_deltas(vs, &mut columns.keys);
     let decimal = pair.and_then(|pair| Ints::decimal(vs, pair));
     let replanned = decimal.as_ref().and_then(Ints::replanned);
-    let keys = Ints::keys(vs, &carry.keys);
+    let keys = Ints::keys(vs, &columns.keys);
     let columns = decimal.iter().chain([&keys]).chain(&replanned);
     let form = packed::choose(columns, None).map(|plan| {
         plan.write(buf);
@@ -284,15 +321,6 @@ fn value_column<'a>(
         Some(Transform::Decimal) => (ValueForm::Decimal, buf),
         _ => (ValueForm::Packed, buf),
     }
-}
-
-/// `Some(delta)` when every delta is that one (trivially true for a
-/// single timestamp, whose delta is 0).
-fn constant_delta(deltas: &[i64]) -> Option<i64> {
-    let Some((&delta, rest)) = deltas.split_first() else {
-        return Some(0);
-    };
-    rest.iter().all(|&d| d == delta).then_some(delta)
 }
 
 /// The step `Δ` of `n` timestamps from `first` to `last` in equal

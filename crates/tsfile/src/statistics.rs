@@ -49,6 +49,7 @@
 #![deny(clippy::indexing_slicing)]
 
 use crate::encoding::decimal::{self, Exponents};
+use crate::encoding::packed;
 use crate::format::FooterCensus;
 use crate::types::{Point, TimeRange};
 use crate::varint;
@@ -157,6 +158,51 @@ fn grid(span: u64, count: u64) -> Option<u64> {
     (span <= cast::u64_bits(i64::MAX)).then(|| per_step(span, count))
 }
 
+/// BP and TP as one forward scan finds them: the earliest points of the
+/// least and the greatest value in [`f64::total_cmp`]'s order (its
+/// key), which gives NaN and signed zero a place, so every component
+/// (statistics, oracle, operators) agrees on the extremes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Extremes {
+    /// Key and position of each.
+    bottom: (i64, usize),
+    top: (i64, usize),
+}
+
+impl Extremes {
+    /// No value scanned: the first one takes both places (or holds them).
+    pub(crate) const NONE: Extremes = Extremes {
+        bottom: (i64::MAX, 0),
+        top: (i64::MIN, 0),
+    };
+
+    /// The value at position `i`, past every one scanned.
+    #[inline]
+    pub(crate) fn add(&mut self, i: usize, v: f64) {
+        // Selects, not branches: a trending column moves an extreme often.
+        let key = packed::key(v);
+        self.bottom = if key < self.bottom.0 {
+            (key, i)
+        } else {
+            self.bottom
+        };
+        self.top = if key > self.top.0 { (key, i) } else { self.top };
+    }
+
+    /// The statistics of the non-empty `points` whose values were
+    /// scanned.
+    pub(crate) fn statistics(self, points: &[Point]) -> ChunkStatistics {
+        let at = |i: usize| points.get(i).copied().unwrap_or_default();
+        ChunkStatistics {
+            first: at(0),
+            last: at(points.len().saturating_sub(1)),
+            bottom: at(self.bottom.1),
+            top: at(self.top.1),
+            count: cast::u64_from_usize(points.len()),
+        }
+    }
+}
+
 /// Statistics of one chunk: first/last/bottom/top points and count.
 ///
 /// Invariants (enforced by [`ChunkStatistics::from_points`] and checked
@@ -182,28 +228,12 @@ impl ChunkStatistics {
     /// Ties on value resolve to the earliest point, matching a single
     /// forward scan (any tie choice is valid for M4, Definition 2.1).
     pub fn from_points(points: &[Point]) -> Result<Self> {
-        let (&first, rest) = points.split_first().ok_or(TsFileError::EmptyChunk)?;
-        let last = rest.last().copied().unwrap_or(first);
-        let mut bottom = first;
-        let mut top = first;
-        for p in rest {
-            // total_cmp gives NaN and signed zero a consistent order,
-            // so every component (statistics, oracle, operators) agrees
-            // on which point is the extreme.
-            if p.v.total_cmp(&bottom.v).is_lt() {
-                bottom = *p;
-            }
-            if p.v.total_cmp(&top.v).is_gt() {
-                top = *p;
-            }
+        let mut extremes = Extremes::NONE;
+        for (i, p) in points.iter().enumerate() {
+            extremes.add(i, p.v);
         }
-        Ok(ChunkStatistics {
-            first,
-            last,
-            bottom,
-            top,
-            count: points.len() as u64,
-        })
+        let nonempty = (!points.is_empty()).then_some(points);
+        Ok(extremes.statistics(nonempty.ok_or(TsFileError::EmptyChunk)?))
     }
 
     /// The chunk's time interval `[FP(C).t, LP(C).t]`.

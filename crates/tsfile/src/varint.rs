@@ -27,6 +27,7 @@ pub fn unzigzag(v: u64) -> i64 {
 }
 
 /// Append an unsigned LEB128 varint to `out`.
+#[inline]
 pub fn write_u64(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = cast::low8(v & 0x7f);

@@ -30,22 +30,11 @@ pub struct TsFileWriter {
     out: BufWriter<File>,
     pos: u64,
     footer: FileFooter,
-    /// Carried from chunk to chunk: the last decimal pair chosen and
-    /// which value column won (see [`crate::encoding::decimal`]).
-    values: page::ValueCarry,
+    /// The columns a chunk splits into, and what one chunk's value
+    /// column carries to the next (see [`crate::encoding::decimal`]).
+    columns: page::Columns,
     finished: bool,
-    /// Column and body buffers, reused from chunk to chunk.
-    scratch: Scratch,
-}
-
-/// What sealing one chunk fills on its pass over the points: the
-/// chunk's timestamps, their deltas (`ts[i + 1] - ts[i]`, what the packed
-/// timestamp form encodes), its values, and the encoded body.
-#[derive(Debug, Default)]
-struct Scratch {
-    ts: Vec<i64>,
-    deltas: Vec<i64>,
-    vs: Vec<f64>,
+    /// The encoded body, reused from chunk to chunk.
     body: Vec<u8>,
 }
 
@@ -60,9 +49,9 @@ impl TsFileWriter {
             out,
             pos: MAGIC.len() as u64,
             footer: FileFooter::default(),
-            values: page::ValueCarry::default(),
+            columns: page::Columns::default(),
             finished: false,
-            scratch: Scratch::default(),
+            body: Vec::new(),
         })
     }
 
@@ -127,33 +116,21 @@ impl TsFileWriter {
                 points: points.len(),
             });
         }
-        let stats = ChunkStatistics::from_points(points)?;
-        // One pass over the points splits them into columns — the
-        // timestamps and their deltas, the values — while checking time
-        // order.
-        let s = &mut self.scratch;
-        s.ts.clear();
-        s.deltas.clear();
-        s.vs.clear();
-        s.body.clear();
-        s.ts.extend(points.iter().map(|p| p.t));
-        s.vs.extend(points.iter().map(|p| p.v));
-        if let Some(w) = s.ts.windows(2).find(|w| w[1] <= w[0]) {
-            return Err(TsFileError::UnsortedPoints {
-                prev: w[0],
-                next: w[1],
-            });
+        // One pass over the points splits them into columns, gathering
+        // the statistics and checking time order.
+        let (stats, late) = self.columns.split(points).ok_or(TsFileError::EmptyChunk)?;
+        if let Some((prev, next)) = late {
+            return Err(TsFileError::UnsortedPoints { prev, next });
         }
-        s.deltas
-            .extend(s.ts.windows(2).map(|w| w[1].wrapping_sub(w[0])));
-        page::encode_page_columns(&s.ts, &s.deltas, &s.vs, &mut self.values, &mut s.body);
+        self.body.clear();
+        page::encode_page_columns(&mut self.columns, &mut self.body);
         let meta = ChunkMeta {
             offset: self.pos,
-            byte_len: s.body.len() as u64,
+            byte_len: self.body.len() as u64,
             version: Version(version),
             stats,
         };
-        self.out.write_all(&s.body)?;
+        self.out.write_all(&self.body)?;
         Ok(self.push_chunk(meta))
     }
 

@@ -21,10 +21,14 @@
 //!
 //! `u8 kind | body | u32 crc` (CRC over kind + body), little-endian:
 //!
-//! * kind 0 — insert run: `u32 id`, `varint κ`, `varint n`,
-//!   `n × (varint_i t, f64 v)`. κ is the highest version allocated when
-//!   the run was appended: a flush of the series that drains these
-//!   points reserves its chunk versions above it.
+//! * kind 4 — insert run: `u32 id`, `varint κ`, `varint n`,
+//!   `n × (varint_i Δt, f64 v)`, each Δt from the point before (the
+//!   first from 0; a point out of order gives a negative one). κ is the
+//!   highest version allocated when the run was appended: a flush of the
+//!   series that drains these points reserves its chunk versions above it.
+//! * kind 0 — retired insert run, each point's `varint_i t` whole instead
+//!   of its Δt. Nothing writes it now; a replay reads it as kind 4, so a
+//!   log an earlier build left replays whole.
 //! * kind 1 — delete: `u32 id`, `varint κ`, `varint_i t_ds`, `varint_i t_de`.
 //!   κ is the delete's own version. It lets recovery log the tombstone
 //!   when the series' mods log missed it (crash between the WAL append
@@ -224,16 +228,23 @@ fn decode_frame(buf: &[u8], start: usize) -> Option<(Frame, usize)> {
     let id = SeriesId(u32::from_le_bytes(id_bytes.try_into().ok()?));
     pos += 4;
     let record = match kind {
-        0 => {
+        0 | 4 => {
             let after = Version(varint::read_u64(buf, &mut pos).ok()?);
-            let n = varint::read_u64(buf, &mut pos).ok()? as usize;
-            // A record cannot hold more points than bytes remaining.
-            if n > buf.len().saturating_sub(pos) {
+            let n = varint::read_u64(buf, &mut pos).ok()?;
+            // Each point takes at least 9 bytes: a count the bytes left
+            // cannot hold is refused before anything is allocated.
+            if n > (buf.len().saturating_sub(pos) / 9) as u64 {
                 return None;
             }
-            let mut points = Vec::with_capacity(n);
+            let mut points = Vec::with_capacity(n as usize);
+            let mut t: Timestamp = 0;
             for _ in 0..n {
-                let t: Timestamp = varint::read_i64(buf, &mut pos).ok()?;
+                let read = varint::read_i64(buf, &mut pos).ok()?;
+                t = if kind == 0 {
+                    read
+                } else {
+                    t.wrapping_add(read)
+                };
                 let v_bytes = buf.get(pos..pos.checked_add(8)?)?;
                 pos += 8;
                 points.push(Point::new(t, f64::from_le_bytes(v_bytes.try_into().ok()?)));
@@ -363,13 +374,15 @@ impl ShardWal {
             // Kind + id + version + count, then at most 10 + 8 bytes per
             // point: the record never regrows the buffer mid-encode.
             out.reserve(25 + points.len() * 18);
-            out.push(0u8);
+            out.push(4u8);
             out.extend_from_slice(&id.0.to_le_bytes());
             varint::write_u64(out, after.0);
             varint::write_u64(out, points.len() as u64);
+            let mut prev = 0;
             for p in points {
-                varint::write_i64(out, p.t);
+                varint::write_i64(out, p.t.wrapping_sub(prev));
                 out.extend_from_slice(&p.v.to_le_bytes());
+                prev = p.t;
             }
         })
     }
@@ -673,6 +686,92 @@ mod tests {
         let (_w, replay) = open(&dir);
         assert_eq!(replay.get(&A).unwrap(), &vec![ins(&[(1, 1.0)])]);
         assert_eq!(replay.get(&B).unwrap(), &vec![ins(&[(2, 2.0)])]);
+    }
+
+    /// One CRC-framed record: `kind`, `id`, then `body`.
+    fn framed(kind: u8, id: SeriesId, body: &[u8]) -> Vec<u8> {
+        let mut frame = vec![kind];
+        frame.extend_from_slice(&id.0.to_le_bytes());
+        frame.extend_from_slice(body);
+        let crc = crc32(&frame);
+        frame.extend_from_slice(&crc.to_le_bytes());
+        frame
+    }
+
+    /// A kind-0 insert body, as earlier builds wrote it: each point's
+    /// timestamp whole.
+    fn kind_0_body(after: u64, points: &[(i64, f64)]) -> Vec<u8> {
+        let mut body = Vec::new();
+        varint::write_u64(&mut body, after);
+        varint::write_u64(&mut body, points.len() as u64);
+        for &(t, v) in points {
+            varint::write_i64(&mut body, t);
+            body.extend_from_slice(&v.to_le_bytes());
+        }
+        body
+    }
+
+    /// Earlier builds logged inserts as kind 0, each timestamp whole. A
+    /// log holding such records beside delta-coded ones and a delete
+    /// replays every record, in order.
+    #[test]
+    fn kind_0_inserts_an_earlier_build_left_replay_beside_new_ones() {
+        let dir = TestDir::new("tskv-shardwal-kind0");
+        {
+            let (w, _) = open(&dir);
+            w.append_inserts(A, Version(0), &pts(&[(3, 3.0), (1, 1.0)]))
+                .unwrap();
+            w.commit(false).unwrap();
+        }
+        let new = std::fs::read(segment_path(&dir, 0)).unwrap();
+        assert_eq!(new.first(), Some(&4), "inserts are written as kind 4");
+        let old = |points: &[(i64, f64)]| framed(0, A, &kind_0_body(0, points));
+        let mut delete = Vec::new();
+        varint::write_u64(&mut delete, 5);
+        varint::write_i64(&mut delete, 0);
+        varint::write_i64(&mut delete, 2);
+        let log = [
+            old(&[(i64::MIN, -1.0), (i64::MAX, 2.5)]),
+            new,
+            framed(1, A, &delete),
+            old(&[(7, 7.0)]),
+        ]
+        .concat();
+        std::fs::write(segment_path(&dir, 0), log).unwrap();
+        let (_w, replay) = open(&dir);
+        assert_eq!(
+            replay.get(&A).unwrap(),
+            &vec![
+                ins(&[(i64::MIN, -1.0), (i64::MAX, 2.5)]),
+                ins(&[(3, 3.0), (1, 1.0)]),
+                WalRecord::Delete {
+                    version: Version(5),
+                    range: TimeRange::new(0, 2)
+                },
+                ins(&[(7, 7.0)]),
+            ]
+        );
+    }
+
+    /// Each point of an insert takes 9 bytes or more: a count the bytes
+    /// after it cannot hold is a torn record, refused before a buffer of
+    /// that count is allocated.
+    #[test]
+    fn an_insert_count_past_the_bytes_left_is_refused() {
+        let one_point = |count: u64| {
+            let mut body = Vec::new();
+            varint::write_u64(&mut body, 0);
+            varint::write_u64(&mut body, count);
+            varint::write_i64(&mut body, 4);
+            body.extend_from_slice(&1.5f64.to_le_bytes());
+            framed(4, B, &body)
+        };
+        let (frame, _) = decode_frame(&one_point(1), 0).unwrap();
+        assert_eq!(frame, Some((B, ins(&[(4, 1.5)]))));
+        // Nine bytes and the CRC's four hold one point, not two.
+        for count in [2, 1 << 40, u64::MAX] {
+            assert!(decode_frame(&one_point(count), 0).is_none(), "{count}");
+        }
     }
 
     #[test]
